@@ -3,7 +3,7 @@
 GO ?= go
 REV ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
-.PHONY: all build vet lint fmt-check test race bench bench-scale bench-json bench-diff bench-gate print-bench-gated print-bench-regress-only profile ci
+.PHONY: all build vet lint fmt-check test race bench bench-scale bench-e2e bench-e2e-smoke bench-json bench-diff bench-gate print-bench-gated print-bench-regress-only profile ci
 
 all: build test
 
@@ -42,6 +42,19 @@ bench:
 # — the quick local check that the zero-alloc hot path held up.
 bench-scale:
 	$(GO) test -bench=BenchmarkFleetScale -benchmem -run='^$$' .
+
+# The two-clock end-to-end benchmark (bench/README.md, BENCHMARK.json): all
+# four workloads interleaved, 12 s each, end-to-end metrics by name. One
+# workload the way the PR driver runs it:
+#   go run ./bench --workload fleet-sticky --seed 42 --seconds 12 --trace 0
+bench-e2e:
+	$(GO) run ./bench -seed 42
+
+# The same code path end to end on a few hundred queries per workload with
+# every correctness check on (conservation, determinism, oracle) — the CI
+# smoke run; fails when any check does.
+bench-e2e-smoke:
+	$(GO) run ./bench -smoke -seed 7 -seconds 1
 
 # Machine-readable results of every experiment for this revision — the
 # benchmark-trajectory artifact CI uploads (BENCH_<rev>.json per PR).

@@ -560,8 +560,13 @@ func (f *Fleet) noteDelayed(c int, seconds float64) {
 // member is this far behind, bounding in-flight deep-copy buffers (so
 // free-list reuse stays effective and fleet memory stays flat at any run
 // length). Purely wall-clock backpressure — every job's admission time is
-// fixed before the push, so virtual-time results are unchanged.
-const pushBound = 256
+// fixed before the push, so virtual-time results are unchanged. A member
+// holds at most 2 × pushBound buffers (one batch queued, one executing),
+// and the bound is per member, so 64 hosts can still hold a thousand
+// queries between them: enough to keep every worker fed, little enough
+// that a front-end faster than its hosts (the generator's sequence memo
+// made it so on sticky fleets) does not turn its lead into live heap.
+const pushBound = 8
 
 // push appends a routed job to the member's FIFO queue, waiting while the
 // queue is at pushBound.

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"time"
 
-	"sdm/internal/blockdev"
 	"sdm/internal/core"
 	"sdm/internal/embedding"
 	"sdm/internal/metrics"
@@ -690,7 +689,3 @@ func maxTime(a, b simclock.Time) simclock.Time {
 	}
 	return b
 }
-
-// DeviceCatalogCheck is a convenience that surfaces the blockdev catalog to
-// serving callers (used by the CLI's tab1 view).
-func DeviceCatalogCheck() []blockdev.TechSpec { return blockdev.Catalog() }

@@ -339,7 +339,4 @@ func TestHostSpecs(t *testing.T) {
 	if HWSS().RelPower >= HWL().RelPower {
 		t.Fatal("Table 8: HW-SS must be cheaper than HW-L")
 	}
-	if len(DeviceCatalogCheck()) != 5 {
-		t.Fatal("device catalog passthrough")
-	}
 }

@@ -25,13 +25,30 @@ func aliasGen(t *testing.T) *Generator {
 	return g
 }
 
+// warmMemo draws until most pools come out of the sequence memo, so the
+// aliasing tests below exercise the copy-from-memo path as well as the
+// derive-and-install path.
+func warmMemo(t *testing.T, g *Generator) {
+	t.Helper()
+	for i := 0; i < 1000; i++ {
+		g.NextShared()
+	}
+	if hits, pools := g.MemoStats(); hits*2 < pools {
+		t.Fatalf("memo served %d of %d warm-up pools, want most of them", hits, pools)
+	}
+}
+
 // TestNextSharedDeepCopySurvivesReuse is the aliasing regression test for
 // the arena-backed generator: a deep copy of a NextShared query (via
 // Query.Clone or a recycled QueryBuf — the fleet front-end's hand-off
-// path) must stay intact while subsequent draws overwrite the arena.
+// path) must stay intact while subsequent draws overwrite the arena —
+// first with a cold sequence memo, then with a warm one.
 func TestNextSharedDeepCopySurvivesReuse(t *testing.T) {
 	g := aliasGen(t)
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 40; i++ {
+		if i == 20 {
+			warmMemo(t, g)
+		}
 		q := g.NextShared()
 		snapshot := q.Clone()
 		var buf QueryBuf
@@ -57,10 +74,17 @@ func TestNextSharedDeepCopySurvivesReuse(t *testing.T) {
 
 // TestNextSharedMatchesNext verifies the arena path draws the exact same
 // query stream as the allocating path: generation is a pure function of
-// the seed, independent of which API the caller picks.
+// the seed, independent of which API the caller picks, with the sequence
+// memo cold (first half) and warm (second half).
 func TestNextSharedMatchesNext(t *testing.T) {
 	a, b := aliasGen(t), aliasGen(t)
-	for i := 0; i < 50; i++ {
+	for i := 0; i < 100; i++ {
+		if i == 50 {
+			warmMemo(t, a)
+			for j := 0; j < 1000; j++ {
+				b.Next()
+			}
+		}
 		qa := a.NextShared().Clone()
 		qb := b.Next()
 		if !reflect.DeepEqual(qa, qb) {

@@ -148,7 +148,7 @@ func SpatialLocality(inst *model.Instance, qs []Query, blockSize int) []SpatialR
 
 // UserPartition returns the sticky partition of user across parts — the
 // hash shared by the offline Fig. 4c analyses (StickyRouter,
-// PartitionTrace, NextRouted). The serving-time cluster router uses its
+// PartitionTrace) and the generator's SLO classes. The serving-time cluster router uses its
 // own consistent-hash ring so hosts can join and leave; the two
 // assignments have the same statistical properties but differ per user.
 func UserPartition(user int64, parts int) int {

@@ -97,19 +97,3 @@ func TestPartitionTrace(t *testing.T) {
 		idx[p]++
 	}
 }
-
-func TestNextRouted(t *testing.T) {
-	in := smallInstance(t)
-	a := newGen(t, in, Config{Seed: 37, NumUsers: 200})
-	b := newGen(t, in, Config{Seed: 37, NumUsers: 200})
-	for i := 0; i < 50; i++ {
-		q, p := a.NextRouted(4)
-		want := b.Next()
-		if q.UserID != want.UserID {
-			t.Fatal("NextRouted must not perturb the stream")
-		}
-		if p != UserPartition(q.UserID, 4) {
-			t.Fatalf("routed partition %d mismatch for user %d", p, q.UserID)
-		}
-	}
-}

@@ -14,6 +14,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"sdm/internal/embedding"
 	"sdm/internal/model"
@@ -201,6 +202,12 @@ type Generator struct {
 	// keeping the hot path free of per-pool RNG allocations.
 	seqRNG xrand.RNG
 
+	// memo holds, per table, the base sequences already derived (see
+	// seqmemo.go); memoHits of memoPools pools were copied out of it.
+	memo      []seqMemo
+	memoHits  uint64
+	memoPools uint64
+
 	// Arena behind NextShared: one flat []int64 backs every pool of the
 	// current query, and ops/pools/ends keep their capacity across
 	// queries. Pool boundaries are recorded as offsets (arenaEnds) while
@@ -261,6 +268,7 @@ func NewGenerator(inst *model.Instance, cfg Config) (*Generator, error) {
 		g.perms[i] = xrand.NewPermuter(s.Rows, cfg.Seed^uint64(s.ID)<<17)
 		g.perms[i].Identity = cfg.Spatial
 	}
+	g.memo = newSeqMemos(inst)
 	return g, nil
 }
 
@@ -278,6 +286,10 @@ func (g *Generator) itemBatch() int {
 	return g.inst.Config.ItemBatch
 }
 
+// MemoStats reports how many of the pools drawn so far were copied out of
+// the sequence memo instead of being re-derived.
+func (g *Generator) MemoStats() (hits, pools uint64) { return g.memoHits, g.memoPools }
+
 // poolLen draws a per-op pooling length around the table's average.
 func (g *Generator) poolLen(rng *xrand.RNG, pf float64) int {
 	// PF spread: uniform in [0.5·PF, 1.5·PF], minimum 1.
@@ -292,17 +304,39 @@ func (g *Generator) poolLen(rng *xrand.RNG, pf float64) int {
 // to the arena, optionally churned by one resampled index. boost scales
 // the table's pooling factor (1 outside drift phases). The RNG draw
 // sequence is byte-identical to the historical per-pool xrand.New path:
-// Seed-ing the reused value RNG reproduces New's state exactly.
+// Seed-ing the reused value RNG reproduces New's state exactly. When the
+// table's memo slot already holds at least n indices of this entity they
+// are copied instead of drawn; churn is applied to the arena copy
+// afterwards, so the memo stays un-churned and g.rng sees the same draws
+// either way.
 func (g *Generator) baseSequence(table int, entity int64, churn bool, boost float64) {
 	s := g.inst.Tables[table]
 	g.seqRNG.Seed(g.cfg.Seed ^ uint64(entity)*0x9e3779b97f4a7c15 ^ uint64(s.ID)<<40)
 	n := g.poolLen(&g.seqRNG, s.PoolingFactor*boost)
 	start := len(g.arenaIdx)
-	for i := 0; i < n; i++ {
-		g.arenaIdx = append(g.arenaIdx, g.perms[table].Map(g.zipfs[table].Rank(&g.seqRNG)))
+	g.arenaIdx = slices.Grow(g.arenaIdx, n)[:start+n]
+	seq := g.arenaIdx[start:]
+	g.memoPools++
+	slot, kept := g.memo[table].slot(entity, n)
+	if slot != nil && slot.entity == entity && int(slot.n) >= n {
+		g.memoHits++
+		slot.hit = true
+		for i, v := range kept {
+			seq[i] = int64(v)
+		}
+	} else {
+		for i := range seq {
+			seq[i] = g.perms[table].Map(g.zipfs[table].Rank(&g.seqRNG))
+		}
+		if slot != nil && slot.claim(entity) {
+			slot.n = int32(n)
+			for i, v := range seq {
+				kept[i] = uint32(v)
+			}
+		}
 	}
 	if churn {
-		g.arenaIdx[start+g.rng.Intn(n)] = g.perms[table].Map(g.zipfs[table].Rank(g.rng))
+		seq[g.rng.Intn(n)] = g.perms[table].Map(g.zipfs[table].Rank(g.rng))
 	}
 	g.arenaEnds = append(g.arenaEnds, len(g.arenaIdx))
 }
@@ -316,7 +350,7 @@ func (g *Generator) baseSequence(table int, entity int64, churn bool, boost floa
 // is identical to Next, so mixing the two never perturbs the stream.
 func (g *Generator) NextShared() Query {
 	if a := g.diurnalAlpha(); a != g.userAlpha {
-		g.userZ = xrand.NewZipf(g.cfg.NumUsers, a)
+		g.userZ.Reset(g.cfg.NumUsers, a)
 		g.userAlpha = a
 	}
 	user := g.driftUser(g.userZ.Rank(g.rng))
@@ -381,15 +415,6 @@ func (g *Generator) NextShared() Query {
 // query before generating the next should prefer NextShared.
 func (g *Generator) Next() Query {
 	return g.NextShared().Clone()
-}
-
-// NextRouted returns the next query of the shared-population stream along
-// with its UserPartition among parts, so offline locality analyses can
-// consume one stream partition-aware without re-hashing (the serving-time
-// cluster router applies its own consistent hashing instead).
-func (g *Generator) NextRouted(parts int) (Query, int) {
-	q := g.Next()
-	return q, UserPartition(q.UserID, parts)
 }
 
 // GenerateTrace produces n queries.

@@ -82,6 +82,46 @@ func BenchmarkZipfRank(b *testing.B) {
 	}
 }
 
+// BenchmarkGeneratorNextShared is the query generator's steady-state row at
+// the end-to-end benchmark's model shape: hot is the fleet workloads'
+// population, where entities repeat and the sequence memo serves most pools;
+// flat is host-sm-miss's, where nearly every user is new and the user side
+// is derived from scratch. memo-hit-% is the share of the timed loop's
+// pools copied out of the memo.
+func BenchmarkGeneratorNextShared(b *testing.B) {
+	cfg := M1()
+	cfg.NumUserTables = 8
+	cfg.NumItemTables = 4
+	cfg.ItemBatch = 8
+	inst, err := Build(cfg, 1.5e-4, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, pop := range []struct {
+		name  string
+		users int64
+		alpha float64
+	}{{"hot", 4000, 0.8}, {"flat", 200000, 0.3}} {
+		b.Run(pop.name, func(b *testing.B) {
+			gen, err := workload.NewGenerator(inst, workload.Config{Seed: 42, NumUsers: pop.users, UserAlpha: pop.alpha})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < 20000; i++ {
+				gen.NextShared()
+			}
+			hits0, pools0 := gen.MemoStats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				gen.NextShared()
+			}
+			hits, pools := gen.MemoStats()
+			b.ReportMetric(100*float64(hits-hits0)/float64(pools-pools0), "memo-hit-%")
+		})
+	}
+}
+
 func BenchmarkDeviceReadSGL(b *testing.B) {
 	var clk simclock.Clock
 	dev := blockdev.New(blockdev.Spec(blockdev.OptaneSSD), 1<<24, &clk, 4)
