@@ -3,7 +3,7 @@
 GO ?= go
 REV ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
-.PHONY: all build vet lint fmt-check test race bench bench-scale bench-e2e bench-e2e-smoke bench-json bench-diff bench-gate print-bench-gated print-bench-regress-only profile ci
+.PHONY: all build vet lint fmt-check test race loc bench bench-scale bench-e2e bench-e2e-smoke bench-json bench-diff bench-gate print-bench-gated print-bench-regress-only profile ci
 
 all: build test
 
@@ -33,6 +33,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Non-test, non-bench/, non-testdata Go lines per package and in total —
+# the number ROADMAP aim 2 ("the same numbers from the least code") tracks.
+# Simplification PRs quote it for parent and change in CHANGES.md.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' -print0 \
+		| xargs -0 wc -l \
+		| awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # One iteration of every benchmark — the CI smoke run.
 bench:

@@ -489,15 +489,6 @@ func (s TechSpec) RatedLifeBytes(capacityBytes int64) int64 {
 	return int64(s.EnduranceDWPD * float64(capacityBytes) * 365 * RatedLifeYears)
 }
 
-// DailyWriteBudget returns the bytes/day the DWPD rating allows a device
-// of the given capacity to absorb.
-func (s TechSpec) DailyWriteBudget(capacityBytes int64) float64 {
-	if s.EnduranceDWPD <= 0 || capacityBytes <= 0 {
-		return 0
-	}
-	return s.EnduranceDWPD * float64(capacityBytes)
-}
-
 // UpdateInterval returns the minimum sustainable model-update interval in
 // days implied by device endurance (§3):
 //

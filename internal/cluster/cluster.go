@@ -125,7 +125,7 @@ type member struct {
 
 	// meter is this host's live metrics sampling state (nil = metrics
 	// off); only the member goroutine touches it.
-	meter *memberMeter
+	meter *ticker
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -517,39 +517,33 @@ func (f *Fleet) Run(qps float64, n int) (*Result, error) {
 	return f.aggregate(qps, start, t, records, fired, drifted), nil
 }
 
-// growClass extends the per-class counters to cover class c.
-func growClass(xs []int, c int) []int {
-	for len(xs) <= c {
-		xs = append(xs, 0)
+// countClass adds one to class c of a per-class ledger, growing it (and,
+// with metrics on, family fam's exported series) to cover c.
+func (f *Fleet) countClass(ledger *[]int, fam, c int) {
+	for len(*ledger) <= c {
+		*ledger = append(*ledger, 0)
 	}
-	return xs
+	f.meter.coverClass(fam, c, ledger)
+	(*ledger)[c]++
 }
 
 func (f *Fleet) noteOffered(c int) {
-	if c < 0 {
-		return
+	if c >= 0 {
+		f.countClass(&f.classOffered, famOffered, c)
 	}
-	f.meter.noteOffered(c)
-	f.classOffered = growClass(f.classOffered, c)
-	f.classOffered[c]++
 }
 
 func (f *Fleet) noteShed(c int) {
-	if c < 0 {
-		return
+	if c >= 0 {
+		f.countClass(&f.classShed, famShed, c)
 	}
-	f.meter.noteShed(c)
-	f.classShed = growClass(f.classShed, c)
-	f.classShed[c]++
 }
 
 func (f *Fleet) noteDelayed(c int, seconds float64) {
 	if c < 0 {
 		return
 	}
-	f.meter.noteDelayed(c)
-	f.classDelayed = growClass(f.classDelayed, c)
-	f.classDelayed[c]++
+	f.countClass(&f.classDelayed, famDelayed, c)
 	for len(f.classDelay) <= c {
 		f.classDelay = append(f.classDelay, 0)
 	}

@@ -92,9 +92,6 @@ func NewCoordinator(n int, cfg CoordConfig) (*Coordinator, error) {
 	return &Coordinator{cfg: cfg, n: n, perWindowWear: perWindow}, nil
 }
 
-// Replicas returns the fleet size the schedule covers.
-func (c *Coordinator) Replicas() int { return c.n }
-
 // Cycle returns the full rotation period (Slot × replicas).
 func (c *Coordinator) Cycle() time.Duration { return c.cfg.Slot * time.Duration(c.n) }
 

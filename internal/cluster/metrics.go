@@ -35,10 +35,10 @@ type meter struct {
 	// loop and marked on crossed boundaries.
 	routes   *metrics.Counter
 	diverted *metrics.Counter
-	offered  []*metrics.Counter // per SLO class, created on first sight
-	shed     []*metrics.Counter
-	delayed  []*metrics.Counter
-	feNext   simclock.Time
+	feTicker ticker
+	// classSeries[fam] is how many class-labeled series of a per-class
+	// family are registered; it only grows (see coverClass).
+	classSeries [len(classFamilies)]int
 
 	// Per-window instruments (replay plane): gauges the window
 	// derivation marks at each window's End, so Result.Windows and the
@@ -59,28 +59,29 @@ type meter struct {
 	adapterDone []bool
 }
 
-// memberMeter is one host's live sampling state, owned by the member's
-// goroutine: admission times arrive non-decreasing (the lastPush clamp),
-// so marking every crossed boundary before executing a job yields the
-// same series at any worker count.
-type memberMeter struct {
+// ticker is the live sampling state of one registry — the front-end's,
+// marked from the sequential routing loop, or a host's, owned by the
+// member's goroutine. Either way times arrive non-decreasing (arrival
+// order; the lastPush clamp), so marking every crossed boundary before the
+// work at t yields the same series at any worker count.
+type ticker struct {
 	reg   *metrics.Registry
 	every simclock.Time
 	next  simclock.Time
 }
 
 // tick marks every Every-boundary crossed up to virtual time t.
-func (mm *memberMeter) tick(t simclock.Time) {
-	if mm == nil || t < mm.next {
+func (tk *ticker) tick(t simclock.Time) {
+	if tk == nil || t < tk.next {
 		return
 	}
-	if mm.next == 0 {
+	if tk.next == 0 {
 		// First job: start the series at the boundary at or below t.
-		mm.next = t / mm.every * mm.every
+		tk.next = t / tk.every * tk.every
 	}
-	for mm.next <= t {
-		mm.reg.MarkAll(mm.next)
-		mm.next += mm.every
+	for tk.next <= t {
+		tk.reg.MarkAll(tk.next)
+		tk.next += tk.every
 	}
 }
 
@@ -102,6 +103,7 @@ func (f *Fleet) SetMetrics(cfg MetricsConfig) error {
 		win:         metrics.NewRegistry(-1),
 		adapterDone: make([]bool, len(f.members)),
 	}
+	mt.feTicker = ticker{reg: mt.fe, every: mt.every}
 	mt.routes = mt.fe.NewCounter(metrics.Desc{Name: "sdm_fleet_routes", Help: "Queries routed to a host this run."})
 	mt.diverted = mt.fe.NewCounter(metrics.Desc{Name: "sdm_fleet_diversions", Help: "Routes that moved a user off their previous host."})
 	mt.winQueries = mt.win.NewGauge(metrics.Desc{Name: "sdm_fleet_window_queries", Help: "Completed queries arriving in the window."})
@@ -118,7 +120,7 @@ func (f *Fleet) SetMetrics(cfg MetricsConfig) error {
 		reg := metrics.NewRegistry(i)
 		m.host.RegisterMetrics(reg)
 		mt.hosts = append(mt.hosts, reg)
-		m.meter = &memberMeter{reg: reg, every: mt.every}
+		m.meter = &ticker{reg: reg, every: mt.every}
 	}
 	f.meter = mt
 	f.installMeters()
@@ -158,7 +160,7 @@ func (mt *meter) reset(members []*member) {
 	}
 	mt.fe.Reset()
 	mt.win.Reset()
-	mt.feNext = 0
+	mt.feTicker.next = 0
 	for i, reg := range mt.hosts {
 		reg.ResetMarks()
 		if mm := members[i].meter; mm != nil {
@@ -169,15 +171,8 @@ func (mt *meter) reset(members []*member) {
 
 // feTick marks the front-end live registry at every crossed boundary.
 func (mt *meter) feTick(t simclock.Time) {
-	if mt == nil || t < mt.feNext {
-		return
-	}
-	if mt.feNext == 0 {
-		mt.feNext = t / mt.every * mt.every
-	}
-	for mt.feNext <= t {
-		mt.fe.MarkAll(mt.feNext)
-		mt.feNext += mt.every
+	if mt != nil {
+		mt.feTicker.tick(t)
 	}
 }
 
@@ -193,39 +188,41 @@ func (mt *meter) noteRoute(seen bool, prev, chosen int) {
 	}
 }
 
-// classCounter lazily creates the class-labeled counter for class c.
-// Classes appear in first-arrival order on the sequential front-end
-// loop, so creation order is deterministic.
-func (mt *meter) classCounter(set *[]*metrics.Counter, c int, name, help string) *metrics.Counter {
-	for len(*set) <= c {
-		i := len(*set)
-		(*set) = append(*set, mt.fe.NewCounter(metrics.Desc{
-			Name: name, Help: help,
+// The per-class front-end series families: the fam argument of coverClass
+// indexes classFamilies.
+const (
+	famOffered = iota
+	famShed
+	famDelayed
+)
+
+var classFamilies = [...]struct{ name, help string }{
+	famOffered: {"sdm_fleet_class_offered", "Arrivals per SLO class."},
+	famShed:    {"sdm_fleet_class_shed", "Arrivals admission rejected per SLO class."},
+	famDelayed: {"sdm_fleet_class_delayed", "Arrivals a queue-mode bucket admitted late per SLO class."},
+}
+
+// coverClass registers family fam's class-labeled series up to class c as
+// func-backed counters over the fleet's per-Run ledger, so the count lives
+// in one place. Classes appear in first-arrival order on the sequential
+// front-end loop, so creation order is deterministic; the ledger is cut to
+// zero length at Run start, which the reader reports as 0.
+func (mt *meter) coverClass(fam, c int, ledger *[]int) {
+	if mt == nil {
+		return
+	}
+	for ; mt.classSeries[fam] <= c; mt.classSeries[fam]++ {
+		i := mt.classSeries[fam]
+		mt.fe.NewCounterFunc(metrics.Desc{
+			Name: classFamilies[fam].name, Help: classFamilies[fam].help,
 			Labels: []metrics.Label{{Key: "class", Value: strconv.Itoa(i)}},
-		}))
+		}, func() uint64 {
+			if i < len(*ledger) {
+				return uint64((*ledger)[i])
+			}
+			return 0
+		})
 	}
-	return (*set)[c]
-}
-
-func (mt *meter) noteOffered(c int) {
-	if mt == nil || c < 0 {
-		return
-	}
-	mt.classCounter(&mt.offered, c, "sdm_fleet_class_offered", "Arrivals per SLO class.").Inc()
-}
-
-func (mt *meter) noteShed(c int) {
-	if mt == nil || c < 0 {
-		return
-	}
-	mt.classCounter(&mt.shed, c, "sdm_fleet_class_shed", "Arrivals admission rejected per SLO class.").Inc()
-}
-
-func (mt *meter) noteDelayed(c int) {
-	if mt == nil || c < 0 {
-		return
-	}
-	mt.classCounter(&mt.delayed, c, "sdm_fleet_class_delayed", "Arrivals a queue-mode bucket admitted late per SLO class.").Inc()
 }
 
 // finalLive closes every live series with one mark at the run's end, so

@@ -200,35 +200,37 @@ func TestMetricsRerunRendersLatestRun(t *testing.T) {
 	if err := f.WriteMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// The final live mark carries the last run's total.
-	lines := strings.Split(buf.String(), "\n")
-	var last string
-	for _, l := range lines {
-		if strings.HasPrefix(l, "sdm_fleet_routes_total ") {
-			last = l
+	// The final live mark carries the last run's total — for the
+	// caller-owned route counter and for the per-class series, which read
+	// the fleet's per-Run ledger.
+	for _, series := range []string{"sdm_fleet_routes_total ", `sdm_fleet_class_offered_total{class="0"} `} {
+		var last string
+		for _, l := range strings.Split(buf.String(), "\n") {
+			if strings.HasPrefix(l, series) {
+				last = l
+			}
 		}
-	}
-	if last == "" {
-		t.Fatal("no route samples rendered")
-	}
-	if fields := strings.Fields(last); fields[1] != "200" {
-		t.Fatalf("final route count %s, want 200 (second run only): %q", fields[1], last)
+		if last == "" {
+			t.Fatalf("no %ssamples rendered", series)
+		}
+		if fields := strings.Fields(last); fields[1] != "200" {
+			t.Fatalf("final %s= %s, want 200 (second run only): %q", series, fields[1], last)
+		}
 	}
 }
 
 func TestMetricsDisabledPathAllocsNothing(t *testing.T) {
-	// Metrics off is a nil *meter / nil *memberMeter: every hook returns
+	// Metrics off is a nil *meter / nil *ticker: every hook returns
 	// before touching its receiver, so the hot paths allocate nothing —
 	// the guarantee behind the unmetered routing benchmark staying flat.
 	var mt *meter
-	var mm *memberMeter
+	var mm *ticker
+	var ledger []int
 	if got := testing.AllocsPerRun(100, func() {
 		mm.tick(1000)
 		mt.feTick(1000)
 		mt.noteRoute(true, 0, 1)
-		mt.noteOffered(1)
-		mt.noteShed(0)
-		mt.noteDelayed(1)
+		mt.coverClass(famOffered, 1, &ledger)
 		mt.finalLive(2000)
 		mt.markWindow(WindowStat{}, 0)
 		mt.reset(nil)

@@ -161,9 +161,6 @@ func (r *WeightedRouter) Name() string { return r.name }
 // Feedback implements Router: true when any scorer reads live host state.
 func (r *WeightedRouter) Feedback() bool { return r.feedback }
 
-// Scorers returns the router's scorer/weight composition.
-func (r *WeightedRouter) Scorers() []ScorerWeight { return r.scorers }
-
 // Route implements Router: argmax of the weighted score over alive hosts,
 // ties broken by rotating scan order (see type comment).
 func (r *WeightedRouter) Route(q workload.Query, now simclock.Time, v View) int {

@@ -243,7 +243,7 @@ func TestMigrationPreservesOnlineUpdates(t *testing.T) {
 		t.Helper()
 		out := [][]float32{make([]float32, spec.Dim)}
 		op := workload.TableOp{Table: table, Pools: [][]int64{{row}}}
-		if _, err := s.PoolOp(when, op, out); err != nil {
+		if _, err := s.PoolOps(when, []workload.TableOp{op}, [][][]float32{out}); err != nil {
 			t.Fatal(err)
 		}
 		return out[0]

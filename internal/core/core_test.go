@@ -292,7 +292,7 @@ func TestUpdateRowOfflineAndOnline(t *testing.T) {
 	// Read back through the store path: craft a single-row query.
 	op := workload.TableOp{Table: tbl, Pools: [][]int64{{3}}}
 	out := [][]float32{make([]float32, spec.Dim)}
-	if _, err := s.PoolOp(now, op, out); err != nil {
+	if _, err := s.PoolOps(now, []workload.TableOp{op}, [][][]float32{out}); err != nil {
 		t.Fatal(err)
 	}
 	// Online update goes cache-first, then flushes.
@@ -398,21 +398,6 @@ func TestOpenValidation(t *testing.T) {
 	}
 	if _, err := Open(in, tables, Config{Placement: placement.Config{DenySM: []int{999}}}, &clk); err == nil {
 		t.Fatal("bad placement must propagate")
-	}
-}
-
-func TestPoolOpValidation(t *testing.T) {
-	in, tables := fixture(t)
-	s, _ := openStore(t, in, tables, Config{Seed: 1})
-	if _, err := s.PoolOp(0, workload.TableOp{Table: 99}, nil); err == nil {
-		t.Fatal("bad table should fail")
-	}
-	op := workload.TableOp{Table: 0, Pools: [][]int64{{0}}}
-	if _, err := s.PoolOp(0, op, [][]float32{make([]float32, 1)}); err == nil {
-		t.Fatal("wrong output dim should fail")
-	}
-	if _, err := s.PoolOp(0, op, nil); err == nil {
-		t.Fatal("missing outputs should fail")
 	}
 }
 

@@ -49,39 +49,16 @@ type opCtx struct {
 	// SM tables (nil otherwise), merged into the table state in operator
 	// order alongside stats.
 	rlk []uint64
-	// reads is the deferred IO trace (unused in immediate mode).
+	// reads is the deferred IO trace.
 	reads []deferredIO
-	// immediate times IOs inline through the legacy path (mmap ablation);
-	// it requires single-worker execution.
-	immediate bool
 }
 
-// PoolOp executes one embedding operator (Algorithm 1 with the full SDM
-// path): for each pool in the op it consults the pooled embedding cache,
-// then per index resolves pruning mappers, probes the FM row cache, reads
-// missing rows from SM, and dequantizes+pools into out[b].
-//
-// out must have one slice per pool, each len == the table's Dim. now is the
-// virtual issue time; the result carries IO completion and CPU cost so the
-// caller (the host simulator) can overlap user- and item-side work per
-// Eq. 3.
-//
-// PoolOp stages the op through store-owned scratch (s.opBatch/s.outBatch),
-// which is what makes the single-op path allocation-free. Like every Store
-// method it must not be called concurrently — the scratch is the seam that
-// would break first (see the Store doc's single-threaded contract).
-func (s *Store) PoolOp(now simclock.Time, op workload.TableOp, out [][]float32) (OpResult, error) {
-	s.opBatch[0] = op
-	s.outBatch[0] = out
-	rs, err := s.PoolOps(now, s.opBatch[:], s.outBatch[:])
-	s.outBatch[0] = nil
-	if err != nil {
-		return OpResult{IODone: now}, err
-	}
-	return rs[0], nil
-}
-
-// runOp executes one operator's functional phase against c.
+// runOp executes one operator's functional phase against c (Algorithm 1
+// with the full SDM path): for each pool in the op it consults the pooled
+// embedding cache, then per index resolves pruning mappers, probes the FM
+// row cache, reads missing rows from SM, and dequantizes+pools into out[b].
+// The result carries IO completion and CPU cost so the caller (the host
+// simulator) can overlap user- and item-side work per Eq. 3.
 func (s *Store) runOp(c *opCtx, op workload.TableOp, out [][]float32) error {
 	for b, pool := range op.Pools {
 		if err := s.poolOne(c, pool, out[b]); err != nil {
@@ -153,8 +130,8 @@ func (s *Store) poolOne(c *opCtx, pool []int64, out []float32) error {
 }
 
 // fetchAndAccumulate obtains stored row bytes (cache shard → SM) and
-// accumulates the dequantized row into out. In deferred mode the SM data is
-// copied immediately but the device/ring timing is recorded for replay.
+// accumulates the dequantized row into out. The SM data is copied
+// immediately; the device/ring timing is recorded for the ordered replay.
 func (s *Store) fetchAndAccumulate(c *opCtx, row int64, out []float32) error {
 	st := c.st
 	rb := st.rowBytes
@@ -181,35 +158,10 @@ func (s *Store) fetchAndAccumulate(c *opCtx, row int64, out []float32) error {
 	}
 
 	dev, off := s.smLocation(st, row)
-	if c.immediate {
-		start := c.now
-		if st.throttle != nil {
-			start = st.throttle.admit(c.now)
-		}
-		var (
-			done simclock.Time
-			err  error
-		)
-		if s.cfg.UseMmap {
-			done, err = s.mmaps[dev].Read(start, buf, off)
-		} else {
-			done, err = s.rings[dev].SubmitSync(start, buf, off, false)
-		}
-		if err != nil {
-			return fmt.Errorf("core: SM read table %d row %d: %w", st.spec.ID, row, err)
-		}
-		if st.throttle != nil {
-			st.throttle.release(done)
-		}
-		if done > c.res.IODone {
-			c.res.IODone = done
-		}
-	} else {
-		if err := s.devices[dev].PeekInto(buf, off); err != nil {
-			return fmt.Errorf("core: SM read table %d row %d: %w", st.spec.ID, row, err)
-		}
-		c.reads = append(c.reads, deferredIO{dev: dev, off: off, n: rb})
+	if err := s.devices[dev].PeekInto(buf, off); err != nil {
+		return fmt.Errorf("core: SM read table %d row %d: %w", st.spec.ID, row, err)
 	}
+	c.reads = append(c.reads, deferredIO{dev: dev, off: off, n: rb})
 	c.res.SMReads++
 	c.stats.SMReads++
 	if isZeroRow(buf, st.storedSpec.QType) {
@@ -311,16 +263,7 @@ func (s *Store) PoolQuery(now simclock.Time, q workload.Query, outs [][][]float3
 // store's model (helper for tests and examples). Hot loops should reuse an
 // OutputBuf via OutputsFor instead.
 func (s *Store) AllocOutputs(q workload.Query) [][][]float32 {
-	outs := make([][][]float32, len(q.Ops))
-	for i, op := range q.Ops {
-		dim := s.inst.Tables[op.Table].Dim
-		pools := make([][]float32, len(op.Pools))
-		for b := range op.Pools {
-			pools[b] = make([]float32, dim)
-		}
-		outs[i] = pools
-	}
-	return outs
+	return s.OutputsFor(q, new(OutputBuf))
 }
 
 // OutputBuf recycles query output tensors across calls: one flat float32

@@ -9,8 +9,9 @@
 //     only recorded as a deferred IO.
 //  2. A replay phase walks the ops in index order on the calling goroutine
 //     and books every deferred IO through the per-table throttle, the
-//     io_uring model and the device channel/RNG model — exactly the
-//     sequence a single-threaded execution would have produced.
+//     io_uring model (or, under the mmap ablation, the per-device page
+//     cache) and the device channel/RNG model — exactly the sequence a
+//     single-threaded execution would have produced.
 //
 // Because phase 1 mutates only order-independent state and phase 2 is
 // totally ordered, virtual-time accounting, statistics and cache contents
@@ -46,13 +47,18 @@ func (s *Store) Parallelism() int { return s.cfg.Parallelism }
 // PoolOps executes a batch of operators issued at the same virtual time
 // and returns one OpResult per op. It is PoolQuery without the
 // user/item-side aggregation, for callers (like the serving host) that
-// classify ops themselves. On error no results, counters or SM timing are
-// recorded, though cache shards retain rows fetched before the failure —
-// identically at every Parallelism setting.
+// classify ops themselves. A one-op batch is the single-operator path
+// (Algorithm 1): outs[i] needs one slice per pool of ops[i], each of the
+// table's Dim.
+//
+// Error semantics are uniform across store flavors, mmap included: when
+// an op fails validation or its functional phase, no results, counters or
+// SM timing are recorded, though cache shards retain rows fetched before
+// the failure — identically at every Parallelism setting.
 //
 // The returned slice is backed by store-owned scratch and is only valid
-// until the next PoolOps/PoolQuery/PoolOp call; copy any OpResult that
-// must outlive it.
+// until the next PoolOps/PoolQuery call; copy any OpResult that must
+// outlive it. Like every Store method it must not be called concurrently.
 func (s *Store) PoolOps(now simclock.Time, ops []workload.TableOp, outs [][][]float32) ([]OpResult, error) {
 	if len(outs) != len(ops) {
 		return nil, fmt.Errorf("core: %d output sets for %d ops", len(outs), len(ops))
@@ -81,9 +87,8 @@ func (s *Store) PoolOps(now simclock.Time, ops []workload.TableOp, outs [][][]fl
 		s.opStamp[op.Table] = s.opGen
 	}
 
-	immediate := s.cfg.UseMmap // mmap shares a page cache across tables
 	workers := 1
-	if !immediate && !dupTables {
+	if !dupTables {
 		workers = s.cfg.Parallelism
 		if workers > len(ops) {
 			workers = len(ops)
@@ -101,13 +106,13 @@ func (s *Store) PoolOps(now simclock.Time, ops []workload.TableOp, outs [][][]fl
 		// functional phase allocates nothing. Error semantics match
 		// runIndexed — every op runs, the lowest-index error wins.
 		for i := range ops {
-			if e := s.execOp(ctxs, scratch, ops, outs, now, immediate, 0, i); e != nil && err == nil {
+			if e := s.execOp(ctxs, scratch, ops, outs, now, 0, i); e != nil && err == nil {
 				err = e
 			}
 		}
 	} else {
 		err = runIndexed(len(ops), workers, func(worker, i int) error {
-			return s.execOp(ctxs, scratch, ops, outs, now, immediate, worker, i)
+			return s.execOp(ctxs, scratch, ops, outs, now, worker, i)
 		})
 	}
 	if err != nil {
@@ -122,10 +127,8 @@ func (s *Store) PoolOps(now simclock.Time, ops []workload.TableOp, outs [][][]fl
 	results := s.resBuf[:len(ops)]
 	for i := range ctxs {
 		c := &ctxs[i]
-		if !c.immediate {
-			if err := s.replayIO(c); err != nil {
-				return nil, err
-			}
+		if err := s.replayIO(c, scratch[0].buf); err != nil {
+			return nil, err
 		}
 		s.stats.addRuntime(c.stats)
 		c.st.runtime.addRuntime(c.stats)
@@ -140,13 +143,12 @@ func (s *Store) PoolOps(now simclock.Time, ops []workload.TableOp, outs [][][]fl
 
 // execOp prepares op i's context and runs its functional phase on the
 // given worker's scratch.
-func (s *Store) execOp(ctxs []opCtx, scratch []*opScratch, ops []workload.TableOp, outs [][][]float32, now simclock.Time, immediate bool, worker, i int) error {
+func (s *Store) execOp(ctxs []opCtx, scratch []*opScratch, ops []workload.TableOp, outs [][][]float32, now simclock.Time, worker, i int) error {
 	c := &ctxs[i]
 	c.st = s.tables[ops[i].Table]
 	c.now = now
 	c.res.IODone = now
 	c.buf = scratch[worker].buf
-	c.immediate = immediate
 	if c.st.rangeLookups != nil && c.st.target == placement.SM {
 		c.rlk = zeroedRanges(c.rlk, len(c.st.rangeLookups))
 	} else {
@@ -155,17 +157,28 @@ func (s *Store) execOp(ctxs []opCtx, scratch []*opScratch, ops []workload.TableO
 	return s.runOp(c, ops[i], outs[i])
 }
 
-// replayIO books the timing of an op's deferred SM reads in issue order,
-// reproducing the inline path: per-table throttle admission, ring
-// submission, device channel booking, throttle release.
-func (s *Store) replayIO(c *opCtx) error {
+// replayIO books the timing of an op's deferred SM reads in issue order:
+// per-table throttle admission, ring submission (page-cache access under
+// the mmap ablation, whose per-device cache is shared across tables and so
+// may only be touched here, in global op order), device channel booking,
+// throttle release. buf is scratch the mmap model copies the page bytes
+// into; the row data itself was already consumed by the functional phase.
+func (s *Store) replayIO(c *opCtx, buf []byte) error {
 	st := c.st
 	for _, io := range c.reads {
 		start := c.now
 		if st.throttle != nil {
 			start = st.throttle.admit(c.now)
 		}
-		done, err := s.rings[io.dev].SubmitTimedRead(start, io.n, io.off)
+		var (
+			done simclock.Time
+			err  error
+		)
+		if s.cfg.UseMmap {
+			done, err = s.mmaps[io.dev].Read(start, buf[:io.n], io.off)
+		} else {
+			done, err = s.rings[io.dev].SubmitTimedRead(start, io.n, io.off)
+		}
 		if err != nil {
 			return fmt.Errorf("core: SM read table %d: %w", st.spec.ID, err)
 		}
@@ -233,17 +246,9 @@ func zeroedRanges(dst []uint64, n int) []uint64 {
 // count and reports the lowest-index error. Every index runs even when an
 // earlier one fails — matching the concurrent schedule, where later ops
 // are already in flight when an error surfaces — so the state left behind
-// by a failed batch is identical at every worker count.
+// by a failed batch is identical at every worker count. PoolOps runs the
+// single-worker case itself, closure-free, with the same semantics.
 func runIndexed(n, workers int, fn func(worker, i int) error) error {
-	if workers <= 1 {
-		var first error
-		for i := 0; i < n; i++ {
-			if err := fn(0, i); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
 	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup

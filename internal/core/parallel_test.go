@@ -85,13 +85,22 @@ func TestParallelismBitIdentical(t *testing.T) {
 }
 
 // TestParallelismBitIdenticalBlockReads covers the non-SGL bounce-buffer
-// path and pruning mappers.
+// path with pruning mappers, and the mmap ablation — whose per-device page
+// cache is shared across tables and therefore only touched by the ordered
+// replay, which is what lets mmap stores fan out across workers at all.
 func TestParallelismBitIdenticalBlockReads(t *testing.T) {
-	cfg := Config{Seed: 2, Prune: true, CacheBytes: 1 << 14}
-	base := runEngine(t, 1, cfg)
-	got := runEngine(t, 4, cfg)
-	if !reflect.DeepEqual(base, got) {
-		t.Fatalf("block-read path diverged:\n  p=1: %+v\n  p=4: %+v", base, got)
+	for _, cfg := range []Config{
+		{Seed: 2, Prune: true, CacheBytes: 1 << 14},
+		{Seed: 2, UseMmap: true, CacheBytes: 1 << 14, PerTableOutstanding: 2},
+	} {
+		base := runEngine(t, 1, cfg)
+		got := runEngine(t, 4, cfg)
+		if !reflect.DeepEqual(base, got) {
+			t.Fatalf("mmap=%v: block-read path diverged:\n  p=1: %+v\n  p=4: %+v", cfg.UseMmap, base, got)
+		}
+		if base.dev.Reads == 0 {
+			t.Fatalf("mmap=%v: trace never reached the devices", cfg.UseMmap)
+		}
 	}
 }
 
@@ -138,20 +147,22 @@ func TestPoolOpsDuplicateTables(t *testing.T) {
 	}
 }
 
-// TestPoolOpsValidation mirrors PoolOp's legacy validation errors.
+// TestPoolOpsValidation checks the batch validation errors on the
+// single-worker and the fanned-out path.
 func TestPoolOpsValidation(t *testing.T) {
 	in, tables := fixture(t)
-	s, _ := openStore(t, in, tables, Config{Seed: 1, Parallelism: 4})
-	_ = in
-	if _, err := s.PoolOps(0, []workload.TableOp{{Table: 99}}, [][][]float32{nil}); err == nil {
-		t.Fatal("bad table should fail")
-	}
-	op := workload.TableOp{Table: 0, Pools: [][]int64{{0}}}
-	if _, err := s.PoolOps(0, []workload.TableOp{op}, [][][]float32{{make([]float32, 1)}}); err == nil {
-		t.Fatal("wrong output dim should fail")
-	}
-	if _, err := s.PoolOps(0, []workload.TableOp{op}, nil); err == nil {
-		t.Fatal("missing outputs should fail")
+	for _, par := range []int{1, 4} {
+		s, _ := openStore(t, in, tables, Config{Seed: 1, Parallelism: par})
+		if _, err := s.PoolOps(0, []workload.TableOp{{Table: 99}}, [][][]float32{nil}); err == nil {
+			t.Fatal("bad table should fail")
+		}
+		op := workload.TableOp{Table: 0, Pools: [][]int64{{0}}}
+		if _, err := s.PoolOps(0, []workload.TableOp{op}, [][][]float32{{make([]float32, 1)}}); err == nil {
+			t.Fatal("wrong output dim should fail")
+		}
+		if _, err := s.PoolOps(0, []workload.TableOp{op}, nil); err == nil {
+			t.Fatal("missing outputs should fail")
+		}
 	}
 }
 

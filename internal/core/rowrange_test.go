@@ -328,7 +328,7 @@ func TestRangeMigrationPreservesOnlineUpdates(t *testing.T) {
 		t.Helper()
 		out := [][]float32{make([]float32, spec.Dim)}
 		op := workload.TableOp{Table: table, Pools: [][]int64{{row}}}
-		if _, err := s.PoolOp(when, op, out); err != nil {
+		if _, err := s.PoolOps(when, []workload.TableOp{op}, [][][]float32{out}); err != nil {
 			t.Fatal(err)
 		}
 		return out[0]
@@ -498,7 +498,7 @@ func TestUpdateDuringInFlightPromotion(t *testing.T) {
 	pool := func(row int64) []float32 {
 		out := [][]float32{make([]float32, spec.Dim)}
 		op := workload.TableOp{Table: table, Pools: [][]int64{{row}}}
-		if _, err := s.PoolOp(now, op, out); err != nil {
+		if _, err := s.PoolOps(now, []workload.TableOp{op}, [][][]float32{out}); err != nil {
 			t.Fatal(err)
 		}
 		return out[0]

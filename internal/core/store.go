@@ -14,7 +14,6 @@ import (
 	"sdm/internal/pooledcache"
 	"sdm/internal/simclock"
 	"sdm/internal/uring"
-	"sdm/internal/workload"
 )
 
 // Store is the SDM tiered embedding store. It owns the SM devices, the FM
@@ -57,11 +56,9 @@ type Store struct {
 	opStamp []uint32
 	opGen   uint32
 	// ctxBuf holds reusable per-op execution contexts (their deferred-IO
-	// slices keep capacity across queries), and opBatch/outBatch back the
-	// single-op PoolOp wrapper, so the query hot path is allocation-light.
-	ctxBuf   []opCtx
-	opBatch  [1]workload.TableOp
-	outBatch [1][][]float32
+	// slices keep capacity across queries), so the query hot path is
+	// allocation-light.
+	ctxBuf []opCtx
 	// resBuf backs the OpResult slice PoolOps returns; the results of one
 	// call are overwritten by the next (see PoolOps doc).
 	resBuf []OpResult

@@ -171,11 +171,6 @@ func (in *Instance) UserTables() []embedding.Spec {
 	return in.Tables[:in.Config.NumUserTables]
 }
 
-// ItemTables returns the item-table specs.
-func (in *Instance) ItemTables() []embedding.Spec {
-	return in.Tables[in.Config.NumUserTables:]
-}
-
 // TotalBytes returns the summed (scaled) embedding payload.
 func (in *Instance) TotalBytes() int64 {
 	var t int64

@@ -118,8 +118,9 @@ type Host struct {
 	// queries as a min-heap; cluster routers read it through OutstandingAt.
 	inflight simclock.TimeHeap
 
-	// admitted counts externally routed queries accepted through Admit
-	// since host creation (the metrics plane reads it at mark time).
+	// admitted counts queries accepted through Admit since host creation —
+	// externally routed ones and RunOpenLoop's own arrivals alike (the
+	// metrics plane reads it at mark time).
 	admitted uint64
 
 	topMLP *mlp.Network
@@ -135,9 +136,8 @@ type Host struct {
 
 	// reusable output buffers sized lazily per op
 	outBufs map[int][][]float32
-	// reusable batch slices for the inter-op store path
-	batchOps  []workload.TableOp
-	batchOuts [][][]float32
+	// reusable per-run view over outBufs handed to the store
+	runOuts [][][]float32
 }
 
 // NewHost builds a host. store may be nil when flat tables are provided
@@ -259,128 +259,76 @@ func (h *Host) outsFor(op workload.TableOp) [][]float32 {
 }
 
 // execQuery runs one query arriving at t0 and returns its completion time.
+// It is the only execution path: ops are walked in order, and every run of
+// consecutive store-backed user ops issues as one store.PoolOps batch — the
+// whole run at t0 with InterOp (the store fans it across its workers and
+// replays SM timing in operator order, so host parallelism never changes
+// measured virtual time), one op at a time without.
 func (h *Host) execQuery(t0 simclock.Time, q workload.Query) (simclock.Time, error) {
-	if h.cfg.InterOp && h.store != nil && !h.cfg.RemoteUserPath {
-		return h.execQueryBatched(t0, q)
-	}
 	nUser := h.inst.Config.NumUserTables
 	var (
 		userDone = t0
 		itemDone = t0
 		cpu      time.Duration
-		prevDone = t0
+		// issue stays at t0 under inter-operator parallelism; serial
+		// execution advances it to the previous op's IO completion so SM
+		// latencies accumulate (§A.2 ablation).
+		issue = t0
 	)
-	for _, op := range q.Ops {
-		issue := t0
-		if !h.cfg.InterOp {
-			// Serial operator execution: each op waits for the previous
-			// one's IO (§A.2 ablation).
-			issue = prevDone
-		}
-		var (
-			opDone simclock.Time
-			opCPU  time.Duration
-			err    error
-		)
+	for i := 0; i < len(q.Ops); {
+		op := q.Ops[i]
+		opDone := issue
+		j := i + 1
 		switch {
 		case op.Table < nUser && h.cfg.RemoteUserPath:
 			// Scale-out: remote shard lookup (network RTT + remote CPU,
 			// which is provisioned on the remote fleet, not here).
 			opDone = issue + simclock.Time(h.cfg.RemoteRTT)
-			opCPU = time.Duration(len(op.Pools)) * 2 * time.Microsecond
+			cpu += time.Duration(len(op.Pools)) * 2 * time.Microsecond
 		case op.Table < nUser && h.store != nil:
-			var r core.OpResult
-			r, err = h.store.PoolOp(issue, op, h.outsFor(op))
-			opDone, opCPU = r.IODone, r.CPUTime
+			for h.cfg.InterOp && j < len(q.Ops) && q.Ops[j].Table < nUser {
+				j++
+			}
+			h.runOuts = h.runOuts[:0]
+			for _, o := range q.Ops[i:j] {
+				h.runOuts = append(h.runOuts, h.outsFor(o))
+			}
+			rs, err := h.store.PoolOps(issue, q.Ops[i:j], h.runOuts)
+			if err != nil {
+				return t0, err
+			}
+			for _, r := range rs {
+				cpu += r.CPUTime
+				opDone = maxTime(opDone, r.IODone)
+			}
 		default:
 			// FM/accelerator-resident path (item tables, or the DRAM-only
-			// baseline's user tables).
-			opDone = issue
-			opCPU, err = h.poolFlat(op)
-		}
-		if err != nil {
-			return t0, err
-		}
-		cpu += opCPU
-		if opDone < issue {
-			opDone = issue
-		}
-		prevDone = opDone
-		if op.Table < nUser {
-			if opDone > userDone {
-				userDone = opDone
+			// baseline's user tables): completes at issue.
+			opCPU, err := h.poolFlat(op)
+			if err != nil {
+				return t0, err
 			}
-		} else if opDone > itemDone {
-			itemDone = opDone
+			cpu += opCPU
 		}
+		if op.Table < nUser {
+			userDone = maxTime(userDone, opDone)
+		} else {
+			itemDone = maxTime(itemDone, opDone)
+		}
+		if !h.cfg.InterOp {
+			issue = opDone
+		}
+		i = j
 	}
-	return h.finishQuery(t0, userDone, itemDone, cpu), nil
-}
-
-// finishQuery books the embedding CPU on a core, applies Eq. 3's user/item
-// overlap and the dense interaction compute, and returns the query's
-// completion time. Shared by the per-op and batched execution paths.
-func (h *Host) finishQuery(t0, userDone, itemDone simclock.Time, cpu time.Duration) simclock.Time {
 	// Embedding CPU work books onto a core (queueing under load).
 	_, cpuDone := h.coreAdmit(t0, cpu)
 	// Eq. 3: the top MLP needs both sides; the user-side SM time hides
 	// behind the item side as long as it is shorter.
 	ready := maxTime(maxTime(userDone, itemDone), cpuDone)
 	// Dense interaction compute (accelerator if present).
-	dt := h.denseTime(h.inst.Config.ItemBatch)
-	denseStart := ready
-	if h.accelFree > denseStart {
-		denseStart = h.accelFree
-	}
-	done := denseStart + simclock.Time(dt)
+	done := maxTime(ready, h.accelFree) + simclock.Time(h.denseTime(h.inst.Config.ItemBatch))
 	h.accelFree = done
-	return done
-}
-
-// execQueryBatched is the inter-op path when an SDM store backs the user
-// side: the store-backed ops issue as a single batch through the store's
-// sharded query engine (which fans them across its workers), and the
-// FM/accelerator-resident ops pool inline. The accounting is identical to
-// per-op submission — the engine replays SM timing in operator order — so
-// enabling host parallelism never changes measured virtual time.
-func (h *Host) execQueryBatched(t0 simclock.Time, q workload.Query) (simclock.Time, error) {
-	nUser := h.inst.Config.NumUserTables
-	var (
-		userDone = t0
-		cpu      time.Duration
-	)
-	h.batchOps = h.batchOps[:0]
-	h.batchOuts = h.batchOuts[:0]
-	for _, op := range q.Ops {
-		if op.Table < nUser {
-			h.batchOps = append(h.batchOps, op)
-			h.batchOuts = append(h.batchOuts, h.outsFor(op))
-		}
-	}
-	if len(h.batchOps) > 0 {
-		rs, err := h.store.PoolOps(t0, h.batchOps, h.batchOuts)
-		if err != nil {
-			return t0, err
-		}
-		for _, r := range rs {
-			cpu += r.CPUTime
-			if r.IODone > userDone {
-				userDone = r.IODone
-			}
-		}
-	}
-	for _, op := range q.Ops {
-		if op.Table < nUser {
-			continue
-		}
-		opCPU, err := h.poolFlat(op)
-		if err != nil {
-			return t0, err
-		}
-		cpu += opCPU
-	}
-	// Item-side ops are FM/accelerator-resident here, completing at t0.
-	return h.finishQuery(t0, userDone, t0, cpu), nil
+	return done, nil
 }
 
 // poolFlat pools an op from flat FM tables and returns its CPU cost.
@@ -414,12 +362,13 @@ func (h *Host) Ready() simclock.Time {
 	return t
 }
 
-// Admit executes one externally routed query arriving at t and returns its
-// completion time. It is the entry point cluster front-ends use instead of
-// RunOpenLoop: the caller owns arrival generation and routing, the host
-// owns execution, cache state and virtual-time accounting. Admissions must
-// arrive in non-decreasing time order; a host built only for Admit may be
-// constructed with a nil generator.
+// Admit executes one query arriving at t and returns its completion time.
+// It is the single entry point to execution: cluster front-ends call it
+// with externally routed queries (the caller owns arrival generation and
+// routing, the host owns execution, cache state and virtual-time
+// accounting) and RunOpenLoop calls it with its own Poisson arrivals.
+// Admissions must arrive in non-decreasing time order; a host built only
+// for Admit may be constructed with a nil generator.
 func (h *Host) Admit(t simclock.Time, q workload.Query) (simclock.Time, error) {
 	if h.tuner != nil {
 		h.tuner.BeforeAdmit(t)
@@ -602,29 +551,18 @@ func (h *Host) RunOpenLoop(qps float64, n int) (Result, error) {
 		start = h.horizon
 	}
 	t := start
-	last := start
 	for i := 0; i < n; i++ {
 		t += simclock.Time(h.rng.Exp(1 / qps * float64(time.Second)))
-		// Arena-backed: the query is consumed synchronously by execQuery
+		// Arena-backed: the query is consumed synchronously by Admit
 		// before the next iteration reuses the generator's storage.
-		q := h.gen.NextShared()
-		if h.tuner != nil {
-			h.tuner.BeforeAdmit(t)
-		}
-		done, err := h.execQuery(t, q)
+		done, err := h.Admit(t, h.gen.NextShared())
 		if err != nil {
 			return Result{}, err
 		}
-		if h.tuner != nil {
-			h.tuner.AfterAdmit(t, done)
-		}
 		lat.Observe((done - t).Seconds())
-		if done > last {
-			last = done
-		}
 	}
-	h.horizon = last
-	elapsed := (last - start).Seconds()
+	// Admit keeps horizon at the furthest completion booked.
+	elapsed := (h.horizon - start).Seconds()
 	res := Result{
 		Queries:    n,
 		OfferedQPS: qps,

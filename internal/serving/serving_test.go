@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"sdm/internal/simclock"
 	"sdm/internal/uring"
 	"sdm/internal/workload"
+	"sdm/internal/xrand"
 )
 
 func fixture(t *testing.T) (*model.Instance, []*embedding.Table) {
@@ -71,6 +73,159 @@ func TestHostRunBasic(t *testing.T) {
 	}
 	if res.String() == "" {
 		t.Fatal("String render")
+	}
+}
+
+// TestRunOpenLoopGolden pins an overloaded run's headline numbers, with
+// and without inter-op parallelism, to the values the separate per-op /
+// batched / open-loop code paths produced before they were merged into
+// Admit → execQuery → PoolOps (captured at commit c1821ae). Bit-for-bit:
+// any drift means the merged path books virtual time differently.
+func TestRunOpenLoopGolden(t *testing.T) {
+	in, tables := fixture(t)
+	for _, want := range []struct {
+		interOp            bool
+		p50, p99, qps, smq float64
+	}{
+		{true, 0.0008177453557843544, 0.002528295762349411, 2347.018847171568, 158.23},
+		{false, 0.03384156023265384, 0.05443202605855991, 1449.6428467804994, 158.23},
+	} {
+		h, _ := sdmHost(t, in, tables,
+			Config{Spec: HWSS(), InterOp: want.interOp, Seed: 1},
+			core.Config{Seed: 1, Ring: uring.Config{SGL: true}, CacheBytes: 1 << 14})
+		res, err := h.RunOpenLoop(2000, 200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Latency.P50() != want.p50 || res.Latency.P99() != want.p99 ||
+			res.AchievedQPS != want.qps || res.SMReadsPerQry != want.smq {
+			t.Errorf("interOp=%v: p50=%v p99=%v qps=%v sm/q=%v, want %+v", want.interOp,
+				res.Latency.P50(), res.Latency.P99(), res.AchievedQPS, res.SMReadsPerQry, want)
+		}
+		if n := h.OutstandingAt(h.horizon); n != 0 {
+			t.Errorf("interOp=%v: %d queries outstanding at the run horizon", want.interOp, n)
+		}
+	}
+}
+
+// admitLog is a Tuner that records every hook call.
+type admitLog struct{ calls []simclock.Time }
+
+func (l *admitLog) BeforeAdmit(now simclock.Time) { l.calls = append(l.calls, now) }
+func (l *admitLog) AfterAdmit(arrive, done simclock.Time) {
+	l.calls = append(l.calls, arrive, done)
+}
+
+// TestRunOpenLoopIsAdmit checks that RunOpenLoop is nothing but an arrival
+// loop over Admit: a twin host fed the same Poisson arrivals and queries
+// through Admit sees the same tuner calls (hence completion times), ends
+// on the same horizon and counts the same admissions.
+func TestRunOpenLoopIsAdmit(t *testing.T) {
+	in, tables := fixture(t)
+	const (
+		seed = 12
+		qps  = 1500.0
+		n    = 150
+	)
+	mk := func() (*Host, *admitLog) {
+		h, _ := sdmHost(t, in, tables,
+			Config{Spec: HWSS(), InterOp: true, Seed: seed},
+			core.Config{Seed: seed, Ring: uring.Config{SGL: true}, CacheBytes: 1 << 14})
+		l := &admitLog{}
+		h.SetTuner(l)
+		return h, l
+	}
+	loop, loopLog := mk()
+	if _, err := loop.RunOpenLoop(qps, n); err != nil {
+		t.Fatal(err)
+	}
+
+	twin, twinLog := mk()
+	gen, err := workload.NewGenerator(in, workload.Config{Seed: seed, NumUsers: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(seed + 1) // the host's arrival stream
+	var at simclock.Time
+	for i := 0; i < n; i++ {
+		at += simclock.Time(rng.Exp(1 / qps * float64(time.Second)))
+		if _, err := twin.Admit(at, gen.NextShared()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(loopLog.calls, twinLog.calls) {
+		t.Fatal("RunOpenLoop and Admit drove the tuner differently")
+	}
+	if len(loopLog.calls) != 3*n {
+		t.Fatalf("%d tuner calls for %d queries, want %d", len(loopLog.calls), n, 3*n)
+	}
+	if loop.horizon != twin.horizon || loop.admitted != twin.admitted || loop.admitted != n {
+		t.Fatalf("horizon %v/%v admitted %d/%d", loop.horizon, twin.horizon, loop.admitted, twin.admitted)
+	}
+	if got := loop.OutstandingAt(loop.horizon); got != 0 {
+		t.Fatalf("%d queries outstanding at the run horizon", got)
+	}
+}
+
+// TestExecQueryMatchesPoolOpsOracle replays a host's admissions against an
+// identically seeded replica store driven directly through PoolOps: with
+// InterOp the user ops of a query are one batch issued at arrival, without
+// it a chain of one-op batches each issued at the previous op's IO
+// completion. Arrivals are spaced so cores and the accelerator are always
+// free, leaving the store-issue sequence as the only thing under test.
+func TestExecQueryMatchesPoolOpsOracle(t *testing.T) {
+	in, tables := fixture(t)
+	nUser := in.Config.NumUserTables
+	scfg := core.Config{Seed: 13, Ring: uring.Config{SGL: true}, CacheBytes: 1 << 14, PerTableOutstanding: 2}
+	for _, interOp := range []bool{true, false} {
+		h, _ := sdmHost(t, in, tables, Config{Spec: HWSS(), InterOp: interOp, Seed: 13}, scfg)
+		var clk simclock.Clock
+		replica, err := core.Open(in, tables, scfg, &clk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := workload.NewGenerator(in, workload.Config{Seed: 13, NumUsers: 200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			q := gen.Next()
+			t0 := h.Ready() + simclock.Time(time.Second)
+			got, err := h.Admit(t0, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			userOps := q.Ops[:nUser]
+			outs := replica.AllocOutputs(workload.Query{Ops: userOps})
+			var cpu time.Duration
+			userDone := t0
+			step := 1
+			if interOp {
+				step = nUser
+			}
+			for k := 0; k < nUser; k += step {
+				rs, err := replica.PoolOps(userDone, userOps[k:k+step], outs[k:k+step])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range rs {
+					cpu += r.CPUTime
+					userDone = maxTime(userDone, r.IODone)
+				}
+			}
+			for _, op := range q.Ops[nUser:] {
+				c, err := h.poolFlat(op)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cpu += c
+			}
+			want := maxTime(userDone, t0+simclock.Time(cpu)) + simclock.Time(h.denseTime(in.Config.ItemBatch))
+			if got != want {
+				t.Fatalf("interOp=%v query %d: host done %v, oracle %v", interOp, i, got, want)
+			}
+		}
 	}
 }
 

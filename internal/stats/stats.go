@@ -272,9 +272,6 @@ func (w *Welford) Var() float64 {
 	return w.m2 / float64(w.n-1)
 }
 
-// Stddev returns the sample standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Var()) }
-
 // JainFairness returns Jain's fairness index (Σx)²/(n·Σx²) over the
 // finite entries of xs — the standard allocation-evenness measure for
 // non-negative shares (per-host load, per-class admitted throughput). It

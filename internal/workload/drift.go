@@ -64,12 +64,6 @@ type DriftConfig struct {
 	FlashUsers int64
 }
 
-// Enabled reports whether any drift dimension is active.
-func (d DriftConfig) Enabled() bool {
-	return d.PhaseQueries > 0 || d.HotTables > 0 || d.HotItemTables > 0 ||
-		(d.DiurnalQueries > 0 && d.DiurnalAmp != 0) || d.FlashEvery > 0
-}
-
 // validate rejects nonsensical drift settings and fills defaults.
 func (d DriftConfig) validate() (DriftConfig, error) {
 	if d.PhaseQueries < 0 || d.HotTables < 0 || d.HotItemTables < 0 || d.DiurnalQueries < 0 ||

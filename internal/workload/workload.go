@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"slices"
 
-	"sdm/internal/embedding"
 	"sdm/internal/model"
 	"sdm/internal/xrand"
 )
@@ -444,9 +443,4 @@ func Validate(inst *model.Instance, qs []Query) error {
 		}
 	}
 	return nil
-}
-
-// KindOf returns the kind of table t in the instance.
-func KindOf(inst *model.Instance, t int) embedding.Kind {
-	return inst.Tables[t].Kind
 }

@@ -135,7 +135,9 @@ func BenchmarkDeviceReadSGL(b *testing.B) {
 }
 
 // BenchmarkStorePoolOp measures the full SDM lookup path (pooled cache →
-// row cache → SM device → dequant+pool) per operator.
+// row cache → SM device → dequant+pool) per operator: a one-op PoolOps
+// batch (the name predates the PoolOp/PoolOps merge and is kept so the
+// ledger row stays comparable).
 func BenchmarkStorePoolOp(b *testing.B) {
 	inst, err := Build(benchModel(), 1, 5)
 	if err != nil {
@@ -157,15 +159,12 @@ func BenchmarkStorePoolOp(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := gen.Next()
-	op := q.Ops[0]
-	outs := make([][]float32, len(op.Pools))
-	for i := range outs {
-		outs[i] = make([]float32, inst.Tables[op.Table].Dim)
-	}
+	q.Ops = q.Ops[:1]
+	outs := store.AllocOutputs(q)
 	now := store.LoadDone()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := store.PoolOp(now, op, outs); err != nil {
+		if _, err := store.PoolOps(now, q.Ops, outs); err != nil {
 			b.Fatal(err)
 		}
 	}

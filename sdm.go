@@ -7,16 +7,19 @@
 // SSD, ZSSD, DIMM/CXL 3DXP) reached through an io_uring-style async IO
 // path with NVMe SGL sub-block reads.
 //
-// The facade re-exports the library's main types so downstream users
-// import one package:
+// The facade re-exports the names the examples/ programs and this
+// package's tests use, so downstream users import one package; everything
+// else is reached through the values these return (store.PoolOps,
+// fleet.SetAdmission, ...):
 //
-//	inst, _ := sdm.Build(sdm.M1(), 1e-5, 42)       // synthetic Table 6 model
+//	inst, _ := sdm.Build(sdm.M1(), 1e-5, 42) // synthetic Table 6 model
 //	tables, _ := inst.Materialize()
 //	var clk sdm.Clock
-//	store, _ := sdm.Open(inst, tables, sdm.Config{
+//	storeCfg := sdm.Config{
 //		SMTech: sdm.OptaneSSD,
 //		Ring:   sdm.RingConfig{SGL: true},
-//	}, &clk)
+//	}
+//	store, _ := sdm.Open(inst, tables, storeCfg, &clk)
 //	gen, _ := sdm.NewGenerator(inst, sdm.WorkloadConfig{Seed: 1})
 //	q := gen.Next()
 //	outs := store.AllocOutputs(q)
@@ -35,10 +38,11 @@
 // population — the serving-time realization of the paper's Fig. 4c sticky
 // locality uplift and the measured input to fleet provisioning:
 //
+//	hostCfg := sdm.HostConfig{Spec: sdm.HWSS(), InterOp: true}
 //	hosts, _ := sdm.NewFleetHosts(inst, tables, 4, &storeCfg, hostCfg)
 //	fleet, _ := sdm.NewFleet(hosts, sdm.NewSticky(4, 64), sdm.FleetConfig{})
 //	fleet.SetGenerator(gen)
-//	res, _ := fleet.Run(300, 2000)
+//	fres, _ := fleet.Run(300, 2000)
 //
 // See the examples/ directory for runnable end-to-end scenarios,
 // cmd/sdmbench for the experiment harness that regenerates every table and
@@ -52,13 +56,11 @@ import (
 	"sdm/internal/cluster"
 	"sdm/internal/core"
 	"sdm/internal/embedding"
-	"sdm/internal/metrics"
 	"sdm/internal/model"
 	"sdm/internal/obs"
 	"sdm/internal/placement"
 	"sdm/internal/serving"
 	"sdm/internal/simclock"
-	"sdm/internal/stats"
 	"sdm/internal/uring"
 	"sdm/internal/workload"
 )
@@ -69,25 +71,10 @@ type (
 	Config = core.Config
 	// Store is the tiered embedding store — the paper's contribution.
 	Store = core.Store
-	// StoreStats aggregates store counters.
-	StoreStats = core.Stats
-	// OpResult is the virtual-time accounting of one embedding operator.
-	OpResult = core.OpResult
-	// QueryResult is the per-query accounting (user/item IO overlap).
-	QueryResult = core.QueryResult
-	// OutputBuf is recycled output-tensor storage for Store.OutputsFor —
-	// the allocation-free alternative to Store.AllocOutputs in hot loops.
-	OutputBuf = core.OutputBuf
-	// CacheKind selects the FM cache organization (Fig. 6).
-	CacheKind = core.CacheKind
-	// UpdateMode selects offline vs online (cache-first) model updates.
-	UpdateMode = core.UpdateMode
 	// RingConfig tunes the io_uring-style fast IO path (§4.1).
 	RingConfig = uring.Config
 	// Clock is the discrete-event virtual clock driving simulations.
 	Clock = simclock.Clock
-	// VTime is a virtual timestamp.
-	VTime = simclock.Time
 )
 
 // Model types.
@@ -96,8 +83,6 @@ type (
 	ModelConfig = model.Config
 	// Instance is a concrete synthetic model.
 	Instance = model.Instance
-	// TableSpec describes one embedding table.
-	TableSpec = embedding.Spec
 	// Table is a materialized embedding table.
 	Table = embedding.Table
 )
@@ -108,13 +93,6 @@ type (
 	WorkloadConfig = workload.Config
 	// Generator produces inference queries.
 	Generator = workload.Generator
-	// Query is one inference request.
-	Query = workload.Query
-	// QueryBuf is recycled deep-copy storage for retaining arena-backed
-	// Generator.NextShared queries past the next draw.
-	QueryBuf = workload.QueryBuf
-	// TableOp is one embedding operator's index work.
-	TableOp = workload.TableOp
 )
 
 // Placement and serving types.
@@ -137,8 +115,6 @@ type (
 
 // Cluster types (the multi-host fleet simulator).
 type (
-	// Fleet runs N Host replicas behind a routing front-end.
-	Fleet = cluster.Fleet
 	// FleetConfig tunes a fleet run (host workers, windows, seed);
 	// failure drills are armed with Fleet.ScheduleFailure.
 	FleetConfig = cluster.Config
@@ -146,114 +122,48 @@ type (
 	FleetResult = cluster.Result
 	// Router is a pluggable user→host routing policy.
 	Router = cluster.Router
-	// CacheSnapshot is a point-in-time view of a host's cache counters.
-	CacheSnapshot = serving.CacheSnapshot
 )
 
-// SLO-aware serving types: composable routing scorers, per-class
-// token-bucket admission control, and per-SLO-class tail accounting.
-// Queries carry classes via WorkloadConfig.SLOClasses; admission is
-// installed with Fleet.SetAdmission.
+// SLO-aware serving types: composable routing scorers and per-class
+// token-bucket admission control. Queries carry classes via
+// WorkloadConfig.SLOClasses; admission is installed with
+// Fleet.SetAdmission, and FleetResult.Classes carries the per-class tails.
 type (
-	// FleetView is the per-decision host-signal surface scorers read
-	// (liveness, queue depths, migration state, wear, FM-served rate).
-	FleetView = cluster.View
-	// Scorer scores one host for one query in [0, 1].
-	Scorer = cluster.Scorer
-	// ScorerWeight pairs a Scorer with its weight in a WeightedRouter.
+	// ScorerWeight pairs a scorer with its weight in a weighted router.
 	ScorerWeight = cluster.ScorerWeight
-	// WeightedRouter routes to the weighted-sum argmax host with a
-	// rotating-scan tie-break; RR/LOQ/Sticky are scorer configs of it.
-	WeightedRouter = cluster.WeightedRouter
 	// AdmitConfig is the fleet's per-class admission policy.
 	AdmitConfig = cluster.AdmitConfig
 	// ClassAdmit is one SLO class's token-bucket admission policy.
 	ClassAdmit = cluster.ClassAdmit
-	// ClassResult is one SLO class's share of a fleet run (offered,
-	// shed, delayed, and the admitted tail).
-	ClassResult = cluster.ClassResult
 )
 
-// Decision-tracing types (the observability layer): structured,
-// deterministic records of why each routing, admission, and placement
-// decision went the way it did, merged in virtual-time order so a trace
-// is bit-identical at any FleetConfig.HostWorkers setting. Install with
-// Fleet.SetTrace before Run; read the last Run's stream back with
-// Fleet.TraceEvents / Fleet.TraceSummary, or render it as JSON Lines
-// with Fleet.WriteTrace. FleetResult.Trace carries the summary.
+// Observability types. Decision tracing records why each routing,
+// admission, and placement decision went the way it did, merged in
+// virtual-time order so a trace is bit-identical at any
+// FleetConfig.HostWorkers setting: install with Fleet.SetTrace before
+// Run, read the last Run's stream back with Fleet.TraceEvents /
+// Fleet.TraceSummary or render it with Fleet.WriteTrace. The metrics
+// plane samples typed instruments into virtual-time series on
+// deterministic boundaries: install with Fleet.SetMetrics, render with
+// Fleet.WriteMetrics / Fleet.WriteMetricsJSONL (hosts, stores and
+// adapters register their catalogs automatically).
 type (
 	// TraceConfig tunes a fleet's decision tracing (level, top-k
 	// rejected route alternatives to record and re-score).
 	TraceConfig = obs.Config
 	// TraceLevel selects collection and rendering depth.
 	TraceLevel = obs.Level
-	// TraceEvent is one decision in the merged virtual-time stream.
-	TraceEvent = obs.Event
-	// TraceSummary aggregates one run's trace: decision counts by kind
-	// and outcome, the diversion rate, and counterfactual regret.
-	TraceSummary = obs.Summary
-	// RouteDecision records one routing decision with its per-scorer
-	// score parts, top-k rejected alternatives, and (at
-	// TraceCounterfactual) their completion-time re-scoring.
-	RouteDecision = obs.RouteDecision
-	// AdmitDecision records one admission-control verdict.
-	AdmitDecision = obs.AdmitDecision
-	// PlanDecision records one placement promote/demote/defer verdict
-	// with the telemetry snapshot that justified it.
-	PlanDecision = obs.PlanDecision
+	// MetricsConfig tunes the fleet metrics plane (live sampling width).
+	MetricsConfig = cluster.MetricsConfig
 )
 
-// Trace levels, in increasing verbosity. Off is the zero-overhead
-// default; Summary collects but renders only aggregates; Decisions
-// renders every decision row; Counterfactual additionally re-scores each
+// The two ends of the trace-level range: Off is the zero-overhead
+// default; Counterfactual renders every decision row and re-scores each
 // route's rejected alternatives at completion time.
 const (
 	TraceOff            = obs.LevelOff
-	TraceSummaryOnly    = obs.LevelSummary
-	TraceDecisions      = obs.LevelDecisions
 	TraceCounterfactual = obs.LevelCounterfactual
 )
-
-// Metrics-plane types (the observability layer's instrument registry):
-// typed instruments sampled into virtual-time series on deterministic
-// boundaries, so the rendered export — OpenMetrics text or JSONL — is
-// byte-identical at any FleetConfig.HostWorkers setting. Install with
-// Fleet.SetMetrics before Run; render the last Run's series with
-// Fleet.WriteMetrics / Fleet.WriteMetricsJSONL. Hosts, stores, and
-// adapters register their catalogs automatically; custom emitters use
-// NewMetricsRegistry and the instrument constructors.
-type (
-	// MetricsConfig tunes the fleet metrics plane (live sampling width).
-	MetricsConfig = cluster.MetricsConfig
-	// MetricsRegistry holds one emitter's instruments.
-	MetricsRegistry = metrics.Registry
-	// MetricsDesc names an instrument (family, help, unit, labels).
-	MetricsDesc = metrics.Desc
-	// MetricsLabel is one fixed key=value pair on an instrument.
-	MetricsLabel = metrics.Label
-	// MetricsCounter is a monotone counter handle (nil-safe).
-	MetricsCounter = metrics.Counter
-	// MetricsGauge is a point-in-time value handle (nil-safe).
-	MetricsGauge = metrics.Gauge
-	// MetricsHistogram is a distribution handle rendered as an
-	// OpenMetrics summary (nil-safe).
-	MetricsHistogram = metrics.Histogram
-)
-
-// Metrics-plane constructors and renderers.
-var (
-	// NewMetricsRegistry returns a registry for one emitter
-	// (host id >= 0, or < 0 for a front-end/global emitter).
-	NewMetricsRegistry = metrics.NewRegistry
-	// WriteOpenMetrics renders registries as OpenMetrics text.
-	WriteOpenMetrics = metrics.WriteOpenMetrics
-	// WriteMetricsJSONL renders the identical series as JSON lines.
-	WriteMetricsJSONL = metrics.WriteJSONL
-)
-
-// ParseTraceLevel parses a -trace-level flag value
-// (off, summary, decisions, counterfactual).
-var ParseTraceLevel = obs.ParseLevel
 
 // SLO-aware serving constructors.
 var (
@@ -261,22 +171,10 @@ var (
 	NewWeightedRouter = cluster.NewWeightedRouter
 	// ParseScorers parses a "name=weight,..." scorer spec.
 	ParseScorers = cluster.ParseScorers
-	// ParseAdmit parses a "name=rate[:burst][:queue|shed],..." admission
-	// spec.
-	ParseAdmit = cluster.ParseAdmit
 	// NewAffinityScorer scores the sticky ring owner 1, others 0.
 	NewAffinityScorer = cluster.NewAffinityScorer
 	// NewQueueScorer scores hosts by inverse outstanding-queue depth.
 	NewQueueScorer = cluster.NewQueueScorer
-	// NewLoadBalanceScorer scores hosts by routed-count deficit.
-	NewLoadBalanceScorer = cluster.NewLoadBalanceScorer
-	// NewMigrationAvoidScorer penalizes hosts actively migrating inside
-	// a granted window (half penalty for backlog awaiting one).
-	NewMigrationAvoidScorer = cluster.NewMigrationAvoidScorer
-	// NewWearScorer scores hosts by SM endurance headroom.
-	NewWearScorer = cluster.NewWearScorer
-	// NewFMServedScorer scores hosts by their FM-served rate.
-	NewFMServedScorer = cluster.NewFMServedScorer
 )
 
 // Adaptive-tiering types: the online control loop that re-evaluates the
@@ -288,54 +186,26 @@ type (
 	// AdaptConfig tunes an Adapter (interval, DRAM budget, bandwidth cap,
 	// granularity); AdaptConfig.Validate reports errors in it.
 	AdaptConfig = adapt.Config
-	// AdaptGranularity selects whole-table or row-range re-placement.
-	AdaptGranularity = adapt.Granularity
 	// Adapter is the per-host adaptive-tiering control loop.
 	Adapter = adapt.Adapter
 	// AdaptStats counts evaluations, migrations and migrated bytes.
 	AdaptStats = adapt.Stats
-	// TableTelemetry is one table's decayed live-traffic view.
-	TableTelemetry = adapt.TableTelemetry
-	// RangeTelemetry is one row range's decayed live-traffic view.
-	RangeTelemetry = adapt.RangeTelemetry
-	// TableStat is one table's raw runtime counters from the store.
-	TableStat = core.TableStat
-	// RangeStat is one row range's raw runtime counters from the store.
-	RangeStat = core.RangeStat
 	// DriftConfig makes a workload non-stationary (hot-set rotation on
 	// both the user and item sides, diurnal user-mix shift, flash
 	// crowds).
 	DriftConfig = workload.DriftConfig
-	// Tuner is the host-side hook adapters install through.
-	Tuner = serving.Tuner
-	// AdaptPolicy is the pure planning layer of the adaptation stack
-	// (telemetry → ranked, wear-aware move plan).
-	AdaptPolicy = adapt.Policy
-	// AdaptActuator is the execution layer (Begin/Step/Commit/Abort
-	// migration machinery under bandwidth caps and window grants).
-	AdaptActuator = adapt.Actuator
-	// MigrationWindow is one coordinator-granted migration window.
-	MigrationWindow = adapt.Window
-	// CoordConfig tunes a fleet migration Coordinator (slot width, shared
+	// CoordConfig tunes a fleet migration coordinator (slot width, shared
 	// bandwidth cap, shared per-cycle wear budget).
 	CoordConfig = cluster.CoordConfig
-	// Coordinator staggers per-replica migration windows fleet-wide.
-	Coordinator = cluster.Coordinator
-	// WearInfo summarizes a store's SM endurance state (§3 DWPD model).
-	WearInfo = core.WearInfo
 )
 
 // Adaptive-tiering constructors.
 var (
-	// NewAdapter builds the control loop over a ReserveSM store.
-	NewAdapter = adapt.New
 	// AttachAdaptive installs one Adapter per SDM-backed fleet host.
 	AttachAdaptive = cluster.AttachAdaptive
 	// AttachCoordinated is AttachAdaptive plus staggered fleet migration
 	// windows under one shared bandwidth cap and wear budget.
 	AttachCoordinated = cluster.AttachCoordinated
-	// NewCoordinator builds a staggered window schedule for n replicas.
-	NewCoordinator = cluster.NewCoordinator
 	// AdapterStats sums per-host adapter counters.
 	AdapterStats = cluster.AdapterStats
 )
@@ -348,8 +218,6 @@ var (
 	NewFleetHosts = cluster.HostSet
 	// NewRoundRobin routes queries uniformly over alive hosts.
 	NewRoundRobin = cluster.NewRoundRobin
-	// NewLeastOutstanding routes to the least-loaded host.
-	NewLeastOutstanding = cluster.NewLeastOutstanding
 	// NewSticky pins users to hosts via consistent hashing (Fig. 4c).
 	NewSticky = cluster.NewSticky
 )
@@ -358,22 +226,6 @@ var (
 const (
 	NandFlash = blockdev.NandFlash
 	OptaneSSD = blockdev.OptaneSSD
-	ZSSD      = blockdev.ZSSD
-	DIMM3DXP  = blockdev.DIMM3DXP
-	CXL3DXP   = blockdev.CXL3DXP
-)
-
-// Cache organizations (§4.3 / Fig. 6).
-const (
-	CacheDual         = core.CacheDual
-	CacheMemOptimized = core.CacheMemOptimized
-	CacheCPUOptimized = core.CacheCPUOptimized
-)
-
-// Update modes (§A.3).
-const (
-	UpdateOffline = core.UpdateOffline
-	UpdateOnline  = core.UpdateOnline
 )
 
 // Adaptive re-placement granularities: whole tables (the Table-5 greedy
@@ -384,12 +236,9 @@ const (
 	AdaptRanges = adapt.Ranges
 )
 
-// Placement policies (Table 5).
-const (
-	SMOnlyWithCache  = placement.SMOnlyWithCache
-	FixedFMWithCache = placement.FixedFMWithCache
-	PerTableCache    = placement.PerTableCache
-)
+// FixedFMWithCache is the Table 5 placement policy that pins a fixed FM
+// budget of tables and serves the rest from SM behind the row cache.
+const FixedFMWithCache = placement.FixedFMWithCache
 
 // M1 returns the Table 6 configuration of model M1 (143 GB ranking model).
 func M1() ModelConfig { return model.M1() }
@@ -419,11 +268,6 @@ func NewGenerator(inst *Instance, cfg WorkloadConfig) (*Generator, error) {
 func NewHost(inst *Instance, store *Store, flat []*Table, gen *Generator, clock *Clock, cfg HostConfig) (*Host, error) {
 	return serving.NewHost(inst, store, flat, gen, clock, cfg)
 }
-
-// JainFairness returns the Jain fairness index of xs (1 = perfectly
-// even, 1/n = maximally skewed) — the fleet reports use it for per-host
-// load and per-class admitted shares.
-func JainFairness(xs []float64) float64 { return stats.JainFairness(xs) }
 
 // Spec returns the Table 1 catalog entry for an SM technology.
 func Spec(t Technology) TechSpec { return blockdev.Spec(t) }
