@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"testing"
 
+	"sdm/internal/cluster"
 	"sdm/internal/experiments"
 )
 
@@ -142,12 +143,28 @@ func BenchmarkWarmupModel(b *testing.B) { runExperiment(b, "warmup") }
 // BenchmarkModelUpdate regenerates the §A.3/§3 update-path study.
 func BenchmarkModelUpdate(b *testing.B) { runExperiment(b, "update") }
 
-// BenchmarkFleetRouting measures wall-clock fleet routing overhead:
-// the same 4-host fleet and trace routed by the single-scorer sticky
-// config versus a six-scorer weighted router (every scorer the registry
-// knows, so the ns/op gap bounds the cost of full SLO-aware scoring).
-// Virtual-time results are unaffected by the choice of b.N.
-func BenchmarkFleetRouting(b *testing.B) {
+// fleetBench is the fixture the fleet benchmarks share: the trimmed M1
+// model, materialized once per benchmark. Everything a benchmark does not
+// mean to measure — hosts, fleet, generator, one warming Run — is built by
+// warmFleet outside the timer, so ns/op is Fleet.Run alone.
+type fleetBench struct {
+	inst   *Instance
+	tables []*Table
+}
+
+// fleetShape is one benchmark's fleet size, population and Run shape.
+type fleetShape struct {
+	hosts int
+	users int64
+	qps   float64
+	n     int
+}
+
+// routingShape is the 4-host fixture of the three routing benchmarks.
+var routingShape = fleetShape{hosts: 4, users: 800, qps: 2000, n: 600}
+
+func newFleetBench(b *testing.B) fleetBench {
+	b.Helper()
 	cfg := M1()
 	cfg.NumUserTables = 5
 	cfg.NumItemTables = 3
@@ -163,52 +180,95 @@ func BenchmarkFleetRouting(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const hosts = 4
-	mkWeighted := func() Router {
-		sws, err := ParseScorers(
-			"affinity=1,queue=0.4,loadbal=0.1,migavoid=1.2,wear=0.2,fmserved=0.3", hosts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r, err := NewWeightedRouter("weighted6", sws...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return r
+	return fleetBench{inst, tables}
+}
+
+// weighted6 is the six-scorer router: every scorer the registry knows.
+func weighted6(b *testing.B, hosts int) Router {
+	b.Helper()
+	sws, err := ParseScorers(
+		"affinity=1,queue=0.4,loadbal=0.1,migavoid=1.2,wear=0.2,fmserved=0.3", hosts)
+	if err != nil {
+		b.Fatal(err)
 	}
+	r, err := NewWeightedRouter("weighted6", sws...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r
+}
+
+// warmFleet builds the shape's fleet behind router, applies the planes under
+// test (configure may be nil) and warms it with one Run.
+func (fx fleetBench) warmFleet(b *testing.B, sh fleetShape, router Router, configure func(*cluster.Fleet) error) *cluster.Fleet {
+	b.Helper()
+	scfg := Config{Seed: 31, Ring: RingConfig{SGL: true}, CacheBytes: 1 << 15}
+	hs, err := NewFleetHosts(fx.inst, fx.tables, sh.hosts, &scfg, HostConfig{
+		Spec: HWSS(), InterOp: true, Seed: 31,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fl, err := NewFleet(hs, router, FleetConfig{Seed: 31})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if configure != nil {
+		if err := configure(fl); err != nil {
+			b.Fatal(err)
+		}
+	}
+	gen, err := NewGenerator(fx.inst, WorkloadConfig{Seed: 31, NumUsers: sh.users, UserAlpha: 0.8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fl.SetGenerator(gen)
+	if _, err := fl.Run(sh.qps, sh.n); err != nil {
+		b.Fatal(err)
+	}
+	return fl
+}
+
+// timeRuns is the timed section of every fleet benchmark: b.N back-to-back
+// Runs on the warm fleet (each continues in virtual time, caches warm). It
+// reports wall µs per simulated query and simulated queries per wall
+// second beside the last Run's virtual p99, and returns that Run's result.
+func timeRuns(b *testing.B, fl *cluster.Fleet, sh fleetShape) *FleetResult {
+	b.Helper()
+	var res *FleetResult
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if res, err = fl.Run(sh.qps, sh.n); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	queries, secs := float64(b.N)*float64(sh.n), b.Elapsed().Seconds()
+	b.ReportMetric(secs*1e6/queries, "us/query")
+	b.ReportMetric(queries/secs, "sim_queries/s")
+	b.ReportMetric(res.Latency.P99()*1e6, "p99_us")
+	return res
+}
+
+// BenchmarkFleetRouting is the wall-clock cost of routing: the same warm
+// 4-host fleet and population routed by the single-scorer sticky config
+// (queued execution: hosts run on HostWorkers behind the front-end) versus
+// the six-scorer weighted router (a Feedback() router: every job executes
+// inline on the front-end before the next decision). The us/query gap is
+// scoring plus the parallelism a barrier'd run cannot use.
+func BenchmarkFleetRouting(b *testing.B) {
+	fx, sh := newFleetBench(b), routingShape
 	for _, pol := range []struct {
-		name string
-		mk   func() Router
+		name   string
+		router Router // one fleet each
 	}{
-		{"sticky", func() Router { return NewSticky(hosts, 64) }},
-		{"weighted6", mkWeighted},
+		{"sticky", NewSticky(sh.hosts, 64)},
+		{"weighted6", weighted6(b, sh.hosts)},
 	} {
 		b.Run("policy="+pol.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				scfg := Config{Seed: 31, Ring: RingConfig{SGL: true}, CacheBytes: 1 << 15}
-				hs, err := NewFleetHosts(inst, tables, hosts, &scfg, HostConfig{
-					Spec: HWSS(), InterOp: true, Seed: 31,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				fl, err := NewFleet(hs, pol.mk(), FleetConfig{Seed: 31})
-				if err != nil {
-					b.Fatal(err)
-				}
-				gen, err := NewGenerator(inst, WorkloadConfig{Seed: 31, NumUsers: 800, UserAlpha: 0.8})
-				if err != nil {
-					b.Fatal(err)
-				}
-				fl.SetGenerator(gen)
-				res, err := fl.Run(2000, 600)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(res.Latency.P99()*1e6, "p99_us")
-				}
-			}
+			timeRuns(b, fx.warmFleet(b, sh, pol.router, nil), sh)
 		})
 	}
 }
@@ -218,68 +278,18 @@ func BenchmarkFleetRouting(b *testing.B) {
 // trace=off is the guarded zero-overhead path (SetTrace never called,
 // identical to BenchmarkFleetRouting/policy=weighted6), trace=
 // counterfactual collects every route decision with top-k alternatives
-// and runs the completion-time re-scoring pass. Virtual-time results are
-// identical across the rows — tracing never perturbs the simulation.
+// and runs the completion-time re-scoring pass. Both rows execute inline,
+// so the gap is collection alone; virtual-time results are identical —
+// tracing never perturbs the simulation.
 func BenchmarkFleetRoutingTraced(b *testing.B) {
-	cfg := M1()
-	cfg.NumUserTables = 5
-	cfg.NumItemTables = 3
-	cfg.ItemBatch = 4
-	cfg.TotalBytes = 1 << 21
-	cfg.NumMLPLayers = 4
-	cfg.AvgMLPWidth = 64
-	inst, err := Build(cfg, 1, 31)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tables, err := inst.Materialize()
-	if err != nil {
-		b.Fatal(err)
-	}
-	const hosts = 4
+	fx, sh := newFleetBench(b), routingShape
 	for _, level := range []TraceLevel{TraceOff, TraceCounterfactual} {
 		b.Run("trace="+level.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				scfg := Config{Seed: 31, Ring: RingConfig{SGL: true}, CacheBytes: 1 << 15}
-				hs, err := NewFleetHosts(inst, tables, hosts, &scfg, HostConfig{
-					Spec: HWSS(), InterOp: true, Seed: 31,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sws, err := ParseScorers(
-					"affinity=1,queue=0.4,loadbal=0.1,migavoid=1.2,wear=0.2,fmserved=0.3", hosts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				r, err := NewWeightedRouter("weighted6", sws...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				fl, err := NewFleet(hs, r, FleetConfig{Seed: 31})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if level != TraceOff {
-					if err := fl.SetTrace(TraceConfig{Level: level}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				gen, err := NewGenerator(inst, WorkloadConfig{Seed: 31, NumUsers: 800, UserAlpha: 0.8})
-				if err != nil {
-					b.Fatal(err)
-				}
-				fl.SetGenerator(gen)
-				res, err := fl.Run(2000, 600)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(res.Latency.P99()*1e6, "p99_us")
-					if res.Trace != nil {
-						b.ReportMetric(float64(res.Trace.Events), "traceEvents")
-					}
-				}
+			fl := fx.warmFleet(b, sh, weighted6(b, sh.hosts), func(fl *cluster.Fleet) error {
+				return fl.SetTrace(TraceConfig{Level: level}) // TraceOff detaches: the nil path
+			})
+			if res := timeRuns(b, fl, sh); res.Trace != nil {
+				b.ReportMetric(float64(res.Trace.Events), "traceEvents")
 			}
 		})
 	}
@@ -289,77 +299,31 @@ func BenchmarkFleetRoutingTraced(b *testing.B) {
 // overhead on the BenchmarkFleetRouting weighted fixture: metrics=off is
 // the guarded zero-overhead path (SetMetrics never called — nil meter,
 // nothing allocated on the hot paths), metrics=on samples every host and
-// front-end instrument on 250ms virtual boundaries and renders both
-// export formats. Virtual-time results are identical across the rows —
-// metering never perturbs the simulation.
+// front-end instrument on 250ms virtual boundaries. Rendering happens once,
+// after the timer, to keep both export formats exercised. Virtual-time
+// results are identical across the rows — metering never perturbs the
+// simulation.
 func BenchmarkFleetRoutingMetered(b *testing.B) {
-	cfg := M1()
-	cfg.NumUserTables = 5
-	cfg.NumItemTables = 3
-	cfg.ItemBatch = 4
-	cfg.TotalBytes = 1 << 21
-	cfg.NumMLPLayers = 4
-	cfg.AvgMLPWidth = 64
-	inst, err := Build(cfg, 1, 31)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tables, err := inst.Materialize()
-	if err != nil {
-		b.Fatal(err)
-	}
-	const hosts = 4
+	fx, sh := newFleetBench(b), routingShape
 	for _, metered := range []bool{false, true} {
 		name := "metrics=off"
 		if metered {
 			name = "metrics=on"
 		}
 		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				scfg := Config{Seed: 31, Ring: RingConfig{SGL: true}, CacheBytes: 1 << 15}
-				hs, err := NewFleetHosts(inst, tables, hosts, &scfg, HostConfig{
-					Spec: HWSS(), InterOp: true, Seed: 31,
-				})
-				if err != nil {
+			fl := fx.warmFleet(b, sh, weighted6(b, sh.hosts), func(fl *cluster.Fleet) error {
+				if !metered {
+					return nil
+				}
+				return fl.SetMetrics(MetricsConfig{})
+			})
+			timeRuns(b, fl, sh)
+			if metered {
+				if err := fl.WriteMetrics(io.Discard); err != nil {
 					b.Fatal(err)
 				}
-				sws, err := ParseScorers(
-					"affinity=1,queue=0.4,loadbal=0.1,migavoid=1.2,wear=0.2,fmserved=0.3", hosts)
-				if err != nil {
+				if err := fl.WriteMetricsJSONL(io.Discard); err != nil {
 					b.Fatal(err)
-				}
-				r, err := NewWeightedRouter("weighted6", sws...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				fl, err := NewFleet(hs, r, FleetConfig{Seed: 31})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if metered {
-					if err := fl.SetMetrics(MetricsConfig{}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				gen, err := NewGenerator(inst, WorkloadConfig{Seed: 31, NumUsers: 800, UserAlpha: 0.8})
-				if err != nil {
-					b.Fatal(err)
-				}
-				fl.SetGenerator(gen)
-				res, err := fl.Run(2000, 600)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if metered {
-					if err := fl.WriteMetrics(io.Discard); err != nil {
-						b.Fatal(err)
-					}
-					if err := fl.WriteMetricsJSONL(io.Discard); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if i == 0 {
-					b.ReportMetric(res.Latency.P99()*1e6, "p99_us")
 				}
 			}
 		})
@@ -367,64 +331,20 @@ func BenchmarkFleetRoutingMetered(b *testing.B) {
 }
 
 // BenchmarkFleetScale is the scale-up campaign's wall-clock anchor: one
-// 64-replica metered fleet built, warmed, measured, and rendered per
-// iteration. Virtual-time results are seed-deterministic; ns/op and
-// allocs/op track what a big-fleet campaign costs the simulator host
-// (the fleetscale experiment carries the same trajectory into
-// BENCH_<rev>.json, warn-only).
+// warm 64-replica metered sticky fleet, 2000 queries per Run. Virtual-time
+// results are seed-deterministic; us/query, B/op and allocs/op track what a
+// big-fleet campaign costs the simulator host per steady-state Run (the
+// fleetscale experiment's warn-only wall(s) column in BENCH_<rev>.json is
+// the build + warm + run total of the same fleet).
 func BenchmarkFleetScale(b *testing.B) {
-	cfg := M1()
-	cfg.NumUserTables = 5
-	cfg.NumItemTables = 3
-	cfg.ItemBatch = 4
-	cfg.TotalBytes = 1 << 21
-	cfg.NumMLPLayers = 4
-	cfg.AvgMLPWidth = 64
-	inst, err := Build(cfg, 1, 31)
-	if err != nil {
+	sh := fleetShape{hosts: 64, users: 4000, qps: 4000, n: 2000}
+	fl := newFleetBench(b).warmFleet(b, sh, NewSticky(sh.hosts, 64), func(fl *cluster.Fleet) error {
+		return fl.SetMetrics(MetricsConfig{})
+	})
+	res := timeRuns(b, fl, sh)
+	b.ReportMetric(res.AchievedQPS, "vqps")
+	if err := fl.WriteMetrics(io.Discard); err != nil {
 		b.Fatal(err)
-	}
-	tables, err := inst.Materialize()
-	if err != nil {
-		b.Fatal(err)
-	}
-	const hosts = 64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scfg := Config{Seed: 31, Ring: RingConfig{SGL: true}, CacheBytes: 1 << 15}
-		hs, err := NewFleetHosts(inst, tables, hosts, &scfg, HostConfig{
-			Spec: HWSS(), InterOp: true, Seed: 31,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fl, err := NewFleet(hs, NewSticky(hosts, 64), FleetConfig{Seed: 31})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := fl.SetMetrics(MetricsConfig{}); err != nil {
-			b.Fatal(err)
-		}
-		gen, err := NewGenerator(inst, WorkloadConfig{Seed: 31, NumUsers: 4000, UserAlpha: 0.8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fl.SetGenerator(gen)
-		if _, err := fl.Run(4000, 2000); err != nil {
-			b.Fatal(err)
-		}
-		res, err := fl.Run(4000, 2000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := fl.WriteMetrics(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(res.Latency.P99()*1e6, "p99_us")
-			b.ReportMetric(res.AchievedQPS, "vqps")
-		}
 	}
 }
 

@@ -10,13 +10,24 @@
 // consumes. Failure scenarios kill a host mid-run, reroute its users via
 // the consistent ring and expose the §A.4 cache-warmup latency spike.
 //
-// Determinism contract (mirroring the PR 1 query-engine discipline): hosts
-// execute on real goroutines, but every virtual-time result is bit-identical
-// for a fixed seed at any Config.HostWorkers setting. The front-end routes
-// sequentially in arrival order; each host executes its queries FIFO; a
-// worker semaphore only bounds wall-clock concurrency. Routers that read
-// live host state (Feedback() == true) force a host sync before each
-// decision, so their inputs are fully ordered too.
+// Determinism contract (mirroring the PR 1 query-engine discipline): every
+// virtual-time result is bit-identical for a fixed seed at any
+// Config.HostWorkers setting. The front-end routes sequentially in arrival
+// order and each host executes its queries FIFO at admission times fixed
+// before execution, so where a query runs changes wall-clock time only. Run
+// picks between two executions from state it already observes:
+//
+//   - Queued: routed jobs are handed to one goroutine per host, bounded by
+//     a HostWorkers semaphore, and the front-end runs ahead of the hosts.
+//     Used when nothing reads host state mid-run (no Feedback() router, no
+//     trace); the only barriers are the failure-drill index and run end.
+//   - Inline: a router that reads live host state (Feedback() == true) and
+//     any traced run need every routed job finished before the next
+//     decision. Under that rule no two hosts ever execute at once, so Run
+//     executes each job on the calling goroutine straight from the
+//     generator's arena: nothing is ever outstanding, the View is exactly
+//     "after all routed jobs", and no goroutine, query copy or cross-thread
+//     wake-up is spent per query.
 package cluster
 
 import (
@@ -40,9 +51,12 @@ import (
 
 // Config tunes a Fleet run.
 type Config struct {
-	// HostWorkers bounds how many hosts execute concurrently (OS
-	// goroutines). Any value yields bit-identical virtual-time results; it
-	// only changes wall-clock time. <= 0 selects one worker per host.
+	// HostWorkers bounds queued execution: how many hosts execute
+	// concurrently (OS goroutines) when the front-end may run ahead of
+	// them. Barrier'd runs (a Feedback() router, or tracing on) execute on
+	// the caller and ignore it. Any value yields bit-identical virtual-time
+	// results; it only changes wall-clock time. <= 0 selects one worker per
+	// host.
 	HostWorkers int
 	// Windows is the number of equal virtual-time windows in
 	// Result.Windows (default 8).
@@ -58,6 +72,10 @@ type Fleet struct {
 	gen     *workload.Generator
 	rng     *xrand.RNG
 	members []*member
+
+	// routeCtx carries the front-end's sdm_phase=route+admit pprof label
+	// (wall-clock profiling only), built once in New like member.execCtx.
+	routeCtx context.Context
 
 	// lastHost tracks each user's most recent target, and rerouted the
 	// users that moved off a failed host — both router-agnostic.
@@ -108,13 +126,21 @@ type Fleet struct {
 	driftAt    simclock.Time
 }
 
-// member serializes one host's execution: the front-end appends routed
-// jobs under mu, a dedicated goroutine drains them FIFO, and completed
-// counts let the front-end sync (for feedback routers and at run end).
+// member serializes one host's execution. exec runs one routed job; an
+// inline Run calls it on the front-end goroutine and leaves the queue
+// fields (mu through hiOps) idle. A queued Run appends jobs under mu, a
+// per-Run goroutine (loop) drains them FIFO through exec, and the
+// submitted/completed counts let the front-end sync at the failure-drill
+// index and at run end.
 type member struct {
 	id    int
 	host  *serving.Host
 	alive bool
+
+	// execCtx carries this member's sdm_phase=exec / sdm_host pprof labels,
+	// built once in New: the worker goroutine adopts it for a queued Run,
+	// the front-end switches to it around each inline exec.
+	execCtx context.Context
 
 	// lastPush is the latest admission time pushed to this host. Hosts
 	// require non-decreasing admission times; queued (delayed) admissions
@@ -124,7 +150,7 @@ type member struct {
 	lastPush simclock.Time
 
 	// meter is this host's live metrics sampling state (nil = metrics
-	// off); only the member goroutine touches it.
+	// off); only exec touches it during a Run.
 	meter *ticker
 
 	mu        sync.Mutex
@@ -157,7 +183,7 @@ type job struct {
 	q *workload.QueryBuf
 }
 
-// record is one query's outcome, written by the owning host goroutine at
+// record is one query's outcome, written by the owning member's exec at
 // its private index and aggregated in index order after the run. Shed
 // queries leave their record zero (ok == false) with only class set.
 type record struct {
@@ -190,9 +216,12 @@ func New(hosts []*serving.Host, router Router, cfg Config) (*Fleet, error) {
 		rerouted: make(map[int64]struct{}),
 		failed:   -1,
 		failHost: -1,
+		routeCtx: pprof.WithLabels(context.Background(), pprof.Labels("sdm_phase", "route+admit")),
 	}
 	for i, h := range hosts {
 		m := &member{id: i, host: h, alive: true}
+		m.execCtx = pprof.WithLabels(context.Background(),
+			pprof.Labels("sdm_phase", "exec", "sdm_host", strconv.Itoa(i)))
 		m.cond = sync.NewCond(&m.mu)
 		f.members = append(f.members, m)
 	}
@@ -283,8 +312,9 @@ func (v fleetView) Alive(id int) bool {
 }
 
 func (v fleetView) OutstandingAt(id int, t simclock.Time) int {
-	// Only reached from Feedback() routers, after the fleet synced every
-	// member — the host is idle, so the read is race-free.
+	// Only reached from Feedback() routers and the tracer, i.e. on inline
+	// runs: every routed job has already executed on this goroutine, so
+	// the host is idle and the read is race-free.
 	return v.f.members[id].host.OutstandingAt(t)
 }
 
@@ -303,7 +333,7 @@ func (v fleetView) Routed(id int) int {
 }
 
 func (v fleetView) Snapshot(id int) serving.CacheSnapshot {
-	// Feedback-only, like OutstandingAt: valid after a fleet sync.
+	// Feedback-only, like OutstandingAt: the host is idle on inline runs.
 	return v.f.members[id].host.Snapshot()
 }
 
@@ -347,11 +377,6 @@ func (f *Fleet) Run(qps float64, n int) (*Result, error) {
 		return nil, errors.New("cluster: no generator installed (SetGenerator)")
 	}
 
-	workers := f.cfg.HostWorkers
-	if workers <= 0 {
-		workers = len(f.members)
-	}
-	sem := make(chan struct{}, workers)
 	if cap(f.records) < n {
 		f.records = make([]record, n)
 	}
@@ -359,16 +384,23 @@ func (f *Fleet) Run(qps float64, n int) (*Result, error) {
 	for i := range records {
 		records[i] = record{}
 	}
-	var wg sync.WaitGroup
+	// A failed Run leaves its host error (and whatever it had queued)
+	// behind; every Run starts from a clean queue.
 	for _, m := range f.members {
 		m.mu.Lock()
-		m.closed = false
+		m.jobs = m.jobs[:0]
+		m.submitted, m.completed = 0, 0
+		m.closed, m.err = false, nil
 		m.mu.Unlock()
-		wg.Add(1)
-		go func(m *member) {
-			defer wg.Done()
-			m.loop(sem, records)
-		}(m)
+	}
+	// A run that needs every routed job finished before the next decision —
+	// a router reading live host state, or the tracer reading Outstanding —
+	// executes inline on this goroutine; only a run whose front-end may get
+	// ahead of its hosts pays for worker goroutines and query copies.
+	inline := f.router.Feedback() || f.trace != nil
+	stopWorkers := func() {}
+	if !inline {
+		stopWorkers = f.startWorkers(records)
 	}
 
 	start := f.members[0].host.Ready()
@@ -408,16 +440,12 @@ func (f *Fleet) Run(qps float64, n int) (*Result, error) {
 		f.trace.reset()
 	}
 	f.meter.reset(f.members)
-	// Tracing reads host state (Outstanding) at every decision, so it
-	// forces the same pre-decision sync a feedback router does. The sync
-	// costs wall-clock only; virtual-time results are unchanged.
-	needSync := f.router.Feedback() || f.trace != nil
 
 	// Wall-clock profiling: the front-end goroutine carries the
-	// route+admit phase label for the duration of the run; host workers
-	// label themselves exec (member.loop) and adapters migrate.
-	pprofCtx := pprof.WithLabels(context.Background(), pprof.Labels("sdm_phase", "route+admit"))
-	pprof.SetGoroutineLabels(pprofCtx)
+	// route+admit phase label for the duration of the run; host execution
+	// is labelled exec (worker goroutines, or per job inline) and adapter
+	// evaluation migrate.
+	pprof.SetGoroutineLabels(f.routeCtx)
 	defer pprof.SetGoroutineLabels(context.Background())
 
 	view := fleetView{f}
@@ -436,10 +464,10 @@ func (f *Fleet) Run(qps float64, n int) (*Result, error) {
 			drifted = true
 		}
 		// NextShared reuses the generator's arena: the query is only valid
-		// until the next draw, so the push below deep-copies it into a
-		// member-owned recycled buffer before the goroutine consumes it.
-		// Everything the front-end itself touches (UserID, Class) is a
-		// value field, safe without a copy.
+		// until the next draw. An inline exec is done with it by then; a
+		// queued push deep-copies it into a member-owned recycled buffer
+		// before the worker consumes it. Everything the front-end itself
+		// touches (UserID, Class) is a value field, safe without a copy.
 		q := f.gen.NextShared()
 		if i == failIdx {
 			if runErr = f.syncAll(); runErr != nil {
@@ -467,11 +495,6 @@ func (f *Fleet) Run(qps float64, n int) (*Result, error) {
 			}
 			at = admitAt
 		}
-		if needSync {
-			if runErr = f.syncAll(); runErr != nil {
-				break
-			}
-		}
 		var id int
 		if f.trace != nil {
 			id = f.traceRoute(i, q, at, view)
@@ -496,18 +519,22 @@ func (f *Fleet) Run(qps float64, n int) (*Result, error) {
 			at = m.lastPush
 		}
 		m.lastPush = at
-		m.push(job{idx: i, at: at, q: m.copyQuery(q)})
+		if !inline {
+			m.push(job{idx: i, at: at, q: m.copyQuery(q)})
+			continue
+		}
+		pprof.SetGoroutineLabels(m.execCtx)
+		err := m.exec(i, at, q, records)
+		pprof.SetGoroutineLabels(f.routeCtx)
+		if err != nil {
+			runErr = hostError(m.id, err)
+			break
+		}
 	}
 	if err := f.syncAll(); runErr == nil {
 		runErr = err
 	}
-	for _, m := range f.members {
-		m.mu.Lock()
-		m.closed = true
-		m.cond.Broadcast()
-		m.mu.Unlock()
-	}
-	wg.Wait()
+	stopWorkers()
 	if runErr != nil {
 		return nil, runErr
 	}
@@ -606,14 +633,66 @@ func (m *member) copyQuery(q workload.Query) *workload.QueryBuf {
 	return b
 }
 
-// loop is the member's host goroutine: drain queued jobs FIFO in batches,
-// execute them under the fleet-wide worker semaphore, publish each record
-// at its query index. Batch-draining keeps mutex traffic at one
-// lock/unlock pair per burst instead of per query; execution order and
-// virtual-time results are identical either way.
+// startWorkers begins a queued Run: one worker goroutine per member, at
+// most Config.HostWorkers of them executing at once. The returned function
+// closes the queues and waits for every worker to exit; Run calls it on all
+// paths.
+func (f *Fleet) startWorkers(records []record) (stop func()) {
+	workers := f.cfg.HostWorkers
+	if workers <= 0 {
+		workers = len(f.members)
+	}
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for _, m := range f.members {
+		wg.Add(1)
+		go func(m *member) {
+			defer wg.Done()
+			m.loop(sem, records)
+		}(m)
+	}
+	return func() {
+		for _, m := range f.members {
+			m.mu.Lock()
+			m.closed = true
+			m.cond.Broadcast()
+			m.mu.Unlock()
+		}
+		wg.Wait()
+	}
+}
+
+// exec runs one routed job on the member's host and publishes its record at
+// the query's index: the whole per-job body, shared by the worker loop and
+// the inline front-end. q must stay valid until exec returns.
+func (m *member) exec(idx int, at simclock.Time, q workload.Query, records []record) error {
+	// Live metrics: mark every sampling boundary crossed before this job.
+	// Admission times are non-decreasing per host, so the series depends
+	// only on the deterministic job sequence.
+	m.meter.tick(at)
+	before := m.host.Snapshot()
+	done, err := m.host.Admit(at, q)
+	if err != nil {
+		return err
+	}
+	records[idx] = record{
+		arrive: at,
+		done:   done,
+		host:   m.id,
+		user:   q.UserID,
+		class:  q.Class,
+		delta:  m.host.Snapshot().Sub(before),
+		ok:     true,
+	}
+	return nil
+}
+
+// loop is a queued Run's host goroutine: drain queued jobs FIFO in batches,
+// execute them under the fleet-wide worker semaphore. Batch-draining keeps
+// mutex traffic at one lock/unlock pair per burst instead of per query;
+// execution order and virtual-time results are identical either way.
 func (m *member) loop(sem chan struct{}, records []record) {
-	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-		pprof.Labels("sdm_phase", "exec", "sdm_host", strconv.Itoa(m.id))))
+	pprof.SetGoroutineLabels(m.execCtx)
 	var run []job
 	for {
 		m.mu.Lock()
@@ -636,27 +715,10 @@ func (m *member) loop(sem chan struct{}, records []record) {
 			sem <- struct{}{}
 			for k := range run {
 				j := &run[k]
-				// Live metrics: mark every sampling boundary crossed
-				// before this job. Admission times are non-decreasing per
-				// host, so the series depends only on the deterministic
-				// job sequence.
-				m.meter.tick(j.at)
-				before := m.host.Snapshot()
-				done, err := m.host.Admit(j.at, j.q.Q)
-				if err != nil {
-					// Later jobs are skipped; their records stay zero,
-					// exactly as if they had arrived after the error.
-					firstErr = err
+				// After an error later jobs are skipped; their records stay
+				// zero, exactly as if they had arrived after it.
+				if firstErr = m.exec(j.idx, j.at, j.q.Q, records); firstErr != nil {
 					break
-				}
-				records[j.idx] = record{
-					arrive: j.at,
-					done:   done,
-					host:   m.id,
-					user:   j.q.Q.UserID,
-					class:  j.q.Q.Class,
-					delta:  m.host.Snapshot().Sub(before),
-					ok:     true,
 				}
 			}
 			<-sem
@@ -676,8 +738,14 @@ func (m *member) loop(sem chan struct{}, records []record) {
 	}
 }
 
+// hostError wraps a host's execution error the same way on both paths.
+func hostError(id int, err error) error {
+	return fmt.Errorf("cluster: host %d: %w", id, err)
+}
+
 // syncAll blocks until every member has executed all submitted jobs; the
-// mutex handoff makes each host's state visible to the front-end.
+// mutex handoff makes each host's state visible to the front-end. On an
+// inline Run nothing is ever submitted and it returns at once.
 func (f *Fleet) syncAll() error {
 	for _, m := range f.members {
 		m.mu.Lock()
@@ -687,7 +755,7 @@ func (f *Fleet) syncAll() error {
 		err := m.err
 		m.mu.Unlock()
 		if err != nil {
-			return fmt.Errorf("cluster: host %d: %w", m.id, err)
+			return hostError(m.id, err)
 		}
 	}
 	return nil

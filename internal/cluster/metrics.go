@@ -60,8 +60,8 @@ type meter struct {
 }
 
 // ticker is the live sampling state of one registry — the front-end's,
-// marked from the sequential routing loop, or a host's, owned by the
-// member's goroutine. Either way times arrive non-decreasing (arrival
+// marked from the sequential routing loop, or a host's, marked from
+// member.exec. Either way times arrive non-decreasing (arrival
 // order; the lastPush clamp), so marking every crossed boundary before the
 // work at t yields the same series at any worker count.
 type ticker struct {

@@ -195,8 +195,8 @@ func (f *Fleet) aggregate(qps float64, start, lastArrival simclock.Time, records
 		res.Latency.Merge(hosts[i].Latency)
 	}
 	res.End = end
-	// Close every live metrics series with the final counter values; the
-	// host goroutines have joined, so the single-threaded mark is safe.
+	// Close every live metrics series with the final counter values; any
+	// worker goroutines have joined, so the single-threaded mark is safe.
 	f.meter.finalLive(end)
 	elapsed := (end - start).Seconds()
 	if elapsed > 0 {

@@ -21,10 +21,11 @@ import (
 //     maintained by the routing loop itself or pure functions of virtual
 //     time, always safe to read.
 //   - Host state (OutstandingAt, Snapshot, FMServedRate, WearHeadroom,
-//     MigrationBacklog): read from concurrently executing hosts, valid
-//     only from routers whose Feedback() is true — the fleet then
-//     synchronizes every host before each decision, so reads are race-free
-//     and deterministic.
+//     MigrationBacklog): owned by the hosts, valid only from routers
+//     whose Feedback() is true — the fleet then executes every routed
+//     query on the routing goroutine before the next decision, so each
+//     read sees the state after all routed queries, race-free and
+//     deterministic.
 type View interface {
 	// Hosts returns the fleet size (host ids are 0..Hosts()-1).
 	Hosts() int
@@ -71,7 +72,8 @@ type Router interface {
 	// is eligible.
 	Route(q workload.Query, now simclock.Time, v View) int
 	// Feedback reports whether Route reads live host state through the
-	// View; the fleet then syncs hosts before each decision.
+	// View; the fleet then finishes every routed query before the next
+	// decision (Fleet.Run executes inline instead of queueing).
 	Feedback() bool
 }
 

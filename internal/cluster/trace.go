@@ -2,9 +2,9 @@
 // decisions, each host's adapter collects its plan verdicts, and the
 // streams merge in virtual-time order after every Run — so a trace is
 // bit-identical at any Config.HostWorkers, like the results it explains.
-// Tracing never perturbs virtual time: it forces the same host sync a
-// Feedback() router already forces (wall-clock only), and everything
-// else is bookkeeping outside the simulated timeline.
+// Tracing never perturbs virtual time: a traced Run executes inline on the
+// front-end, as under a Feedback() router (wall-clock only), and
+// everything else is bookkeeping outside the simulated timeline.
 
 package cluster
 
@@ -116,8 +116,9 @@ func (t *tracer) reset() {
 
 // traceRoute makes the fleet's routing decision under tracing: it asks
 // the router to explain itself when it can, records the decision row,
-// and returns the chosen host. The caller has already synced every host,
-// so the Outstanding reads are race-free and deterministic.
+// and returns the chosen host. A traced Run executes inline, so every
+// routed query has finished and the Outstanding reads are race-free and
+// deterministic.
 func (f *Fleet) traceRoute(seq int, q workload.Query, at simclock.Time, view View) int {
 	d := obs.RouteDecision{Seq: seq, User: q.UserID, Class: q.Class, Prev: -1}
 	if last, ok := f.lastHost[q.UserID]; ok {

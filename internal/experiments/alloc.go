@@ -103,8 +103,8 @@ func Alloc(sc Scale) (Result, error) {
 			"engine", n, res.EngineBPerQuery, float64(objs)/float64(n)))
 	}
 
-	// Fleet path: front-end + routed members with deep-copied queries,
-	// recycled records/QueryBufs, HostWorkers 1.
+	// Fleet path: front-end + routed members executing inline straight from
+	// the generator arena, recycled records.
 	{
 		scfg := core.Config{
 			Seed: sc.Seed, SMTech: blockdev.NandFlash,
@@ -116,11 +116,11 @@ func Alloc(sc Scale) (Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		// A feedback router syncs the front-end with every member before
-		// each routing decision, so queue depth — and with it the number of
-		// QueryBufs the fleet ever needs — is fixed at one per member. That
-		// removes the wall-clock-dependent free-list growth a fire-and-forget
-		// router exhibits and makes this row reproducible enough to gate.
+		// Under a feedback router the fleet executes every routed query on
+		// the front-end goroutine: no worker goroutines, no query copies.
+		// That removes the wall-clock-dependent QueryBuf free-list growth a
+		// fire-and-forget router exhibits and makes this row reproducible
+		// enough to gate.
 		fl, err := cluster.New(hosts, cluster.NewLeastOutstanding(), cluster.Config{Seed: sc.Seed, HostWorkers: 1})
 		if err != nil {
 			return nil, err
@@ -131,7 +131,7 @@ func Alloc(sc Scale) (Result, error) {
 		}
 		fl.SetGenerator(gen)
 		qps := 75.0 * nHosts
-		// Two warm runs: the first grows records/routed/free lists, the
+		// Two warm runs: the first grows the records/routed ledgers, the
 		// second verifies they stay grown.
 		if _, err := fl.Run(qps, n); err != nil {
 			return nil, err
