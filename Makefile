@@ -10,9 +10,11 @@ all: build test
 build:
 	$(GO) build ./...
 	$(GO) build ./examples/...
+	GOARCH=arm64 $(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/quant
 
 # Determinism lint: sdmvet (cmd/sdmvet, internal/lint) enforces the
 # bit-identical virtual-time invariant statically — no wall clock, no

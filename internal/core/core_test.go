@@ -8,6 +8,7 @@ import (
 	"sdm/internal/embedding"
 	"sdm/internal/model"
 	"sdm/internal/placement"
+	"sdm/internal/quant"
 	"sdm/internal/simclock"
 	"sdm/internal/uring"
 	"sdm/internal/workload"
@@ -409,7 +410,7 @@ func TestCacheKindString(t *testing.T) {
 	}
 }
 
-func TestIsZeroRow(t *testing.T) {
+func TestZeroRowDetectedInMaterializedTable(t *testing.T) {
 	in, tables := fixture(t)
 	_ = in
 	// Find a zero row and a non-zero row in the first table.
@@ -439,10 +440,10 @@ func TestIsZeroRow(t *testing.T) {
 	if zero == nil || nonzero == nil {
 		t.Skip("fixture lacks zero/non-zero rows")
 	}
-	if !isZeroRow(zero, tb.Spec().QType) {
+	if !quant.IsZeroRow(zero, tb.Spec().QType) {
 		t.Fatal("zero row not detected")
 	}
-	if isZeroRow(nonzero, tb.Spec().QType) {
+	if quant.IsZeroRow(nonzero, tb.Spec().QType) {
 		t.Fatal("non-zero row misdetected")
 	}
 }

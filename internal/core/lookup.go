@@ -164,7 +164,7 @@ func (s *Store) fetchAndAccumulate(c *opCtx, row int64, out []float32) error {
 	c.reads = append(c.reads, deferredIO{dev: dev, off: off, n: rb})
 	c.res.SMReads++
 	c.stats.SMReads++
-	if isZeroRow(buf, st.storedSpec.QType) {
+	if quant.IsZeroRow(buf, st.storedSpec.QType) { // de-pruning cache pollution (§4.5)
 		c.stats.ZeroRowReads++
 	}
 
@@ -192,33 +192,6 @@ func (s *Store) fetchAndAccumulate(c *opCtx, row int64, out []float32) error {
 	}
 	c.res.CPUTime += perByteCost(costDequantPerByteNs, rb)
 	return quant.AccumulateRow(out, buf, st.storedSpec.QType)
-}
-
-// isZeroRow reports whether a stored row dequantizes to all zeros — used
-// to count the de-pruning cache-pollution effect (§4.5). Zero rows encode
-// with scale=1, bias=0 and zero codes under both int encodings, and as all
-// zero bytes under FP32/FP16, so a byte scan suffices for the int paths.
-func isZeroRow(row []byte, qt quant.Type) bool {
-	switch qt {
-	case quant.Int8, quant.Int4:
-		n := len(row) - 8
-		for _, b := range row[:n] {
-			if b != 0 {
-				return false
-			}
-		}
-		// scale==1, bias==0 → bytes 0,0,128,63 , 0,0,0,0
-		meta := row[n:]
-		return meta[0] == 0 && meta[1] == 0 && meta[2] == 0x80 && meta[3] == 0x3f &&
-			meta[4] == 0 && meta[5] == 0 && meta[6] == 0 && meta[7] == 0
-	default:
-		for _, b := range row {
-			if b != 0 {
-				return false
-			}
-		}
-		return true
-	}
 }
 
 // QueryResult is the aggregate accounting of one query: the user-side and

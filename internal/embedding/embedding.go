@@ -172,12 +172,12 @@ func (t *Table) Pool(out []float32, indices []int64) error {
 	for i := range out {
 		out[i] = 0
 	}
+	rb := int64(t.spec.RowBytes())
 	for _, idx := range indices {
-		row, err := t.Row(idx)
-		if err != nil {
-			return err
+		if idx < 0 || idx >= t.spec.Rows {
+			return fmt.Errorf("%w: %d of %d", ErrRowRange, idx, t.spec.Rows)
 		}
-		if err := quant.AccumulateRow(out, row, t.spec.QType); err != nil {
+		if err := quant.AccumulateRow(out, t.data[idx*rb:(idx+1)*rb], t.spec.QType); err != nil {
 			return err
 		}
 	}

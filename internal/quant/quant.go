@@ -203,9 +203,7 @@ func AccumulateRow(acc []float32, src []byte, t Type) error {
 			return ErrBadRow
 		}
 		scale, bias := getMeta(src[len(acc):])
-		for i := range acc {
-			acc[i] += bias + scale*float32(src[i])
-		}
+		accumulateInt8(acc, src[:len(acc)], scale, bias)
 	case Int4:
 		nb := (len(acc) + 1) / 2
 		if len(src) != nb+metaBytes {
@@ -224,6 +222,40 @@ func AccumulateRow(acc []float32, src []byte, t Type) error {
 		return fmt.Errorf("quant: unsupported type %v", t)
 	}
 	return nil
+}
+
+// accumulateInt8Go is the portable int8 dequantize-and-add loop: the whole
+// row on a GOARCH without a kernel, the < 8-element tail next to one, and
+// the reference the kernel is tested against bit for bit.
+func accumulateInt8Go(acc []float32, codes []byte, scale, bias float32) {
+	codes = codes[:len(acc)]
+	for i := range acc {
+		acc[i] += bias + scale*float32(codes[i])
+	}
+}
+
+// IsZeroRow reports whether a stored row is the encoding QuantizeRow gives
+// an all-zero row: zero codes with scale 1 and bias 0 under the int
+// encodings, all zero bytes under FP32/FP16.
+func IsZeroRow(row []byte, t Type) bool {
+	codes := row
+	if t == Int8 || t == Int4 {
+		n := len(row) - metaBytes
+		if n < 0 {
+			return false
+		}
+		scale, bias := getMeta(row[n:])
+		if scale != 1 || math.Float32bits(bias) != 0 { // the exact footer of a zero row: bias is +0
+			return false
+		}
+		codes = row[:n]
+	}
+	for _, b := range codes {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // MaxError returns the worst-case absolute quantization error for a row
@@ -246,8 +278,9 @@ func MaxError(t Type, minV, maxV float32) float32 {
 	}
 }
 
-// f32ToF16 converts to IEEE 754 half precision (round-to-nearest-even is
-// approximated by truncation with rounding bit; adequate for embeddings).
+// f32ToF16 converts to IEEE 754 half precision by truncation (round toward
+// zero; adequate for embeddings). Values below the half normal range flush
+// to signed zero, values above it overflow to infinity, NaN stays NaN.
 func f32ToF16(f float32) uint16 {
 	b := math.Float32bits(f)
 	sign := uint16(b>>16) & 0x8000
@@ -256,6 +289,8 @@ func f32ToF16(f float32) uint16 {
 	switch {
 	case exp <= 0:
 		return sign // flush subnormals/underflow to signed zero
+	case b&0x7fffffff > 0x7f800000:
+		return sign | 0x7e00 | uint16(mant>>13) // quiet NaN, payload's top bits kept
 	case exp >= 31:
 		return sign | 0x7c00 // overflow to infinity
 	default:

@@ -223,6 +223,41 @@ func TestFP16Overflow(t *testing.T) {
 	}
 }
 
+func TestFP16NonFiniteAndSubnormal(t *testing.T) {
+	// NaN stays NaN with its sign (it used to encode as ±Inf).
+	for _, bits := range []uint32{0x7fc00000, 0xffc00000, 0x7f800001, 0xff812345, 0x7fffffff} {
+		back := f16ToF32(f32ToF16(math.Float32frombits(bits)))
+		if back == back || math.Float32bits(back)>>31 != bits>>31 {
+			t.Errorf("fp16 NaN %#08x → %#08x, want a NaN of the same sign", bits, math.Float32bits(back))
+		}
+	}
+	for _, sign := range []int{1, -1} {
+		inf := float32(math.Inf(sign))
+		if back := f16ToF32(f32ToF16(inf)); back != inf {
+			t.Errorf("fp16 %g → %g", inf, back)
+		}
+	}
+	// The encoder flushes everything below the half normal range (float32
+	// subnormals and half-subnormal magnitudes alike) to a zero of the same
+	// sign; the decoder still renormalizes half subnormals exactly.
+	for _, v := range []float32{math.Float32frombits(1), -math.Float32frombits(0x7fffff), 5.96e-8, -6.0e-5} {
+		h := f32ToF16(v)
+		if h&0x7fff != 0 || h>>15 != uint16(math.Float32bits(v)>>31) {
+			t.Errorf("fp16 encode of %g = %#04x, want signed zero", v, h)
+		}
+	}
+	for h, want := range map[uint16]float32{0x0001: 0x1p-24, 0x8001: -0x1p-24, 0x03ff: 0x1p-14 - 0x1p-24, 0x0400: 0x1p-14} {
+		if got := f16ToF32(h); got != want {
+			t.Errorf("fp16 decode of %#04x = %g, want %g", h, got, want)
+		}
+	}
+	// Truncation, not rounding: the largest float32 below 2 keeps only its
+	// top ten mantissa bits.
+	if h := f32ToF16(math.Float32frombits(0x3fffffff)); h != 0x3fff {
+		t.Errorf("fp16 encode of 1.9999999 = %#04x, want 0x3fff (truncated)", h)
+	}
+}
+
 func TestInt4OddDim(t *testing.T) {
 	src := randRow(5, 7) // odd element count exercises the nibble tail
 	buf := make([]byte, RowBytes(Int4, 7))

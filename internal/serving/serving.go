@@ -134,8 +134,9 @@ type Host struct {
 	// stale bookings.
 	horizon simclock.Time
 
-	// reusable output buffers sized lazily per op
-	outBufs map[int][][]float32
+	// reusable output buffers, indexed by table id and grown lazily to
+	// the largest pool count seen per table
+	outBufs [][][]float32
 	// reusable per-run view over outBufs handed to the store
 	runOuts [][][]float32
 }
@@ -169,7 +170,7 @@ func NewHost(inst *model.Instance, store *core.Store, flat []*embedding.Table, g
 		rng:     xrand.New(cfg.Seed + 1),
 		cores:   make([]simclock.Time, cfg.Spec.Cores),
 		topMLP:  top,
-		outBufs: make(map[int][][]float32),
+		outBufs: make([][][]float32, len(inst.Tables)),
 	}, nil
 }
 
@@ -249,12 +250,14 @@ func (h *Host) denseTime(batch int) time.Duration {
 
 // outsFor returns reusable output buffers for op.
 func (h *Host) outsFor(op workload.TableOp) [][]float32 {
-	dim := h.inst.Tables[op.Table].Dim
 	bufs := h.outBufs[op.Table]
-	for len(bufs) < len(op.Pools) {
-		bufs = append(bufs, make([]float32, dim))
+	if len(bufs) < len(op.Pools) {
+		dim := h.inst.Tables[op.Table].Dim
+		for len(bufs) < len(op.Pools) {
+			bufs = append(bufs, make([]float32, dim))
+		}
+		h.outBufs[op.Table] = bufs
 	}
-	h.outBufs[op.Table] = bufs
 	return bufs[:len(op.Pools)]
 }
 

@@ -1,11 +1,13 @@
 package sdm
 
 import (
+	"fmt"
 	"testing"
 
 	"sdm/internal/blockdev"
 	"sdm/internal/cache"
 	"sdm/internal/core"
+	"sdm/internal/embedding"
 	"sdm/internal/pooledcache"
 	"sdm/internal/quant"
 	"sdm/internal/simclock"
@@ -16,22 +18,79 @@ import (
 
 // Functional microbenchmarks: real ns/op of the SDM hot paths.
 
-func BenchmarkQuantDequantizeRowInt8(b *testing.B) {
-	src := make([]float32, 64)
-	rng := xrand.New(1)
-	for i := range src {
-		src[i] = float32(rng.Norm(0, 1))
-	}
-	row := make([]byte, quant.RowBytes(quant.Int8, 64))
-	if err := quant.QuantizeRow(row, src, quant.Int8); err != nil {
-		b.Fatal(err)
-	}
-	acc := make([]float32, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := quant.AccumulateRow(acc, row, quant.Int8); err != nil {
-			b.Fatal(err)
+// BenchmarkQuantAccumulateRow times the fused dequantize-and-pool inner
+// loop on one cache-resident row per encoding and dimension (MB/s is stored
+// bytes consumed). Int8 is what every model config stores; 124 is a
+// typical benchmark-workload dim.
+func BenchmarkQuantAccumulateRow(b *testing.B) {
+	for _, qt := range []quant.Type{quant.Int8, quant.Int4, quant.FP16, quant.FP32} {
+		for _, dim := range []int{32, 124, 512} {
+			b.Run(fmt.Sprintf("%v/dim%d", qt, dim), func(b *testing.B) {
+				src := make([]float32, dim)
+				rng := xrand.New(1)
+				for i := range src {
+					src[i] = float32(rng.Norm(0, 1))
+				}
+				row := make([]byte, quant.RowBytes(qt, dim))
+				if err := quant.QuantizeRow(row, src, qt); err != nil {
+					b.Fatal(err)
+				}
+				acc := make([]float32, dim)
+				b.SetBytes(int64(len(row)))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := quant.AccumulateRow(acc, row, qt); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
+	}
+}
+
+// BenchmarkTablePool times embedding.Table.Pool (32 random int8 rows of dim
+// 124 per op) on a table that fits in L1 and on a 256 MiB one that a
+// typical LLC does not hold: the first is bound by the AccumulateRow
+// kernel, the second by memory, so a kernel gain shows in one and a
+// layout or prefetch gain in the other.
+func BenchmarkTablePool(b *testing.B) {
+	const dim, pooling = 124, 32
+	rb := quant.RowBytes(quant.Int8, dim)
+	for _, v := range []struct {
+		name string
+		rows int64
+	}{{"L1", 64}, {"DRAM", 256 << 20 / int64(rb)}} {
+		b.Run(v.name, func(b *testing.B) {
+			// 64 distinct synthetic rows tiled over the table: content
+			// does not change what a random row costs to fetch.
+			spec := embedding.Spec{Rows: 64, Dim: dim, QType: quant.Int8, Kind: embedding.Item}
+			tile, err := embedding.NewSynthetic(spec, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			spec.Rows = v.rows
+			data := make([]byte, spec.SizeBytes())
+			for off := 0; off < len(data); off += copy(data[off:], tile.Bytes()) {
+			}
+			tb, err := embedding.FromBytes(spec, data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := xrand.New(2)
+			indices := make([]int64, 1<<16)
+			for i := range indices {
+				indices[i] = rng.Int63n(v.rows)
+			}
+			out := make([]float32, dim)
+			b.SetBytes(int64(pooling * rb))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				at := i * pooling % len(indices)
+				if err := tb.Pool(out, indices[at:at+pooling]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
