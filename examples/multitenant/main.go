@@ -2,8 +2,8 @@
 // models co-locate on accelerator hosts. Without SDM, DRAM capacity limits
 // co-location and leaves compute idle; with SM the capacity bound lifts
 // and utilization — hence fleet perf/watt — improves. This example runs
-// two small models against one shared-clock host pair and then prints the
-// sizing and fleet rooflines.
+// two small models on a pair of hosts and then prints the sizing and fleet
+// rooflines.
 package main
 
 import (

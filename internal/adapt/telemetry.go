@@ -8,7 +8,7 @@
 // rings under a configurable bandwidth cap, so migration IO is accounted
 // in virtual time and visibly competes with foreground queries.
 //
-// Everything runs on the host's discrete-event timeline, driven from the
+// Everything books on the host's virtual timeline, driven from the
 // serving.Tuner hooks in admission order; results are therefore
 // bit-identical for a fixed seed at any worker count.
 package adapt

@@ -5,14 +5,16 @@
 // The simulator is "virtual time, real data": device contents are held in
 // memory and copied byte-for-byte on every access (so the functional layer
 // above — caches, dequantization, pooling — operates on real bytes), while
-// access latency is computed from a queueing model on the discrete-event
-// clock. Each device exposes a fixed number of internal channels (dies);
-// an IO occupies a channel for the technology's media latency, so the
-// sustainable IOPS ceiling is channels/mediaLatency and latency rises as
-// the submitted load approaches that ceiling — reproducing the shape of
-// the paper's Fig. 3 (Optane: flat ~10 µs then a sharp knee near 4 MIOPS;
-// Nand: ~100 µs with an earlier knee near 0.5 MIOPS and occasional long
-// tails from internal housekeeping).
+// access latency comes from a queueing model booked in virtual time: the
+// caller passes the instant it issues an IO and gets the completion
+// instant back. Each device exposes a fixed number of internal channels
+// (dies), each holding its next-free instant; an IO occupies a channel for
+// the technology's media latency, so the sustainable IOPS ceiling is
+// channels/mediaLatency and latency rises as the submitted load approaches
+// that ceiling — reproducing the shape of the paper's Fig. 3 (Optane: flat
+// ~10 µs then a sharp knee near 4 MIOPS; Nand: ~100 µs with an earlier
+// knee near 0.5 MIOPS and occasional long tails from internal
+// housekeeping).
 package blockdev
 
 import (
@@ -181,14 +183,13 @@ func (s Stats) BusSavings() float64 {
 // Device simulates one SM device instance.
 type Device struct {
 	spec     TechSpec
-	clock    *simclock.Clock
 	rng      *xrand.RNG
 	data     []byte
 	channels []simclock.Time // next-free virtual time per internal channel
 	stats    Stats
 	closed   bool
 	// shared marks data as a read-only image shared with other devices
-	// (see ShareImage/NewShared); the next Write materializes a private
+	// (see ShareImage/NewShared); the next PokeFrom materializes a private
 	// copy first, so sharing never changes observable behaviour.
 	shared bool
 	// MaxOutstanding caps concurrently queued IOs; 0 means unlimited.
@@ -200,14 +201,14 @@ type Device struct {
 
 // New creates a device of the given technology with capacity bytes of
 // backing store (allocated eagerly; scale capacities to the experiment).
-func New(spec TechSpec, capacity int64, clock *simclock.Clock, seed uint64) *Device {
+// The clock parameter is ignored (see simclock.Clock).
+func New(spec TechSpec, capacity int64, _ *simclock.Clock, seed uint64) *Device {
 	nch := int(spec.MaxIOPS * spec.MediaLatency.Seconds())
 	if nch < 1 {
 		nch = 1
 	}
 	d := &Device{
 		spec:     spec,
-		clock:    clock,
 		rng:      xrand.New(seed),
 		data:     make([]byte, capacity),
 		channels: make([]simclock.Time, nch),
@@ -223,11 +224,11 @@ func New(spec TechSpec, capacity int64, clock *simclock.Clock, seed uint64) *Dev
 // NewShared creates a device whose media starts as a shared read-only
 // image — typically another identically-loaded device's contents obtained
 // via ShareImage. Timing state, counters and the RNG are the device's own;
-// only the media bytes are shared, and the first Write replaces them with
+// only the media bytes are shared, and the first write replaces them with
 // a private copy (copy-on-write). This removes the dominant allocation of
 // building N replica hosts whose load phases write identical bytes.
-func NewShared(spec TechSpec, image []byte, clock *simclock.Clock, seed uint64) *Device {
-	d := New(spec, 0, clock, seed)
+func NewShared(spec TechSpec, image []byte, _ *simclock.Clock, seed uint64) *Device {
+	d := New(spec, 0, nil, seed)
 	d.data = image
 	d.shared = true
 	return d
@@ -235,7 +236,7 @@ func NewShared(spec TechSpec, image []byte, clock *simclock.Clock, seed uint64) 
 
 // ShareImage marks the device's media as a shared read-only image and
 // returns it for replica devices (NewShared). The device itself becomes
-// copy-on-write too: its next Write works on a private copy, leaving the
+// copy-on-write too: its next write works on a private copy, leaving the
 // returned image untouched.
 func (d *Device) ShareImage() []byte {
 	d.shared = true
@@ -362,7 +363,7 @@ func (d *Device) read(now simclock.Time, p []byte, off int64, sgl bool) (simcloc
 // PeekInto copies [off, off+len(p)) into p without touching the timing
 // model or the counters — the data half of a read. Callers that split a
 // read must pair it with AccountRead for the timing half. PeekInto is safe
-// for concurrent use as long as no Write is in flight; the parallel query
+// for concurrent use as long as no write is in flight; the parallel query
 // engine relies on this to overlap data copies across workers while
 // replaying timing deterministically.
 func (d *Device) PeekInto(p []byte, off int64) error {
@@ -407,29 +408,38 @@ func (d *Device) AccountRead(now simclock.Time, off int64, n int, sgl bool) (sim
 	return done, nil
 }
 
-// Write writes p at off, modelling program latency and endurance wear. It
-// is exactly a data copy followed by AccountWrite, so a caller whose bytes
-// are already on the media (a shared load image) observes bit-identical
-// completion times, stats and RNG draws from AccountWrite alone.
+// Write writes p at off, modelling program latency and endurance wear: it
+// is exactly PokeFrom followed by AccountWrite.
 func (d *Device) Write(now simclock.Time, p []byte, off int64) (simclock.Time, error) {
+	if err := d.PokeFrom(p, off); err != nil {
+		return now, err
+	}
+	return d.AccountWrite(now, off, len(p))
+}
+
+// PokeFrom copies p onto the media at off without touching the timing
+// model or the counters — the data half of a write and the mirror of
+// PeekInto; pair it with AccountWrite for the timing half. A shared image
+// is replaced by a private copy first (copy-on-write).
+func (d *Device) PokeFrom(p []byte, off int64) error {
 	if d.closed {
-		return now, ErrClosed
+		return ErrClosed
 	}
 	if off < 0 || off+int64(len(p)) > int64(len(d.data)) {
-		return now, fmt.Errorf("%w: off=%d len=%d cap=%d", ErrOutOfRange, off, len(p), len(d.data))
+		return fmt.Errorf("%w: off=%d len=%d cap=%d", ErrOutOfRange, off, len(p), len(d.data))
 	}
 	if d.shared {
 		d.data = append([]byte(nil), d.data...)
 		d.shared = false
 	}
 	copy(d.data[off:off+int64(len(p))], p)
-	return d.AccountWrite(now, off, len(p))
+	return nil
 }
 
 // AccountWrite books the timing, counters, endurance wear and RNG draws of
 // an n-byte write at off without moving data — the write-side counterpart
-// of AccountRead, for replaying a load phase whose bytes a shared media
-// image already holds.
+// of AccountRead, for bytes already on the media (poked, or held by a
+// shared load image).
 func (d *Device) AccountWrite(now simclock.Time, off int64, n int) (simclock.Time, error) {
 	if d.closed {
 		return now, ErrClosed

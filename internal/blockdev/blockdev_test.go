@@ -69,6 +69,47 @@ func TestWriteThenRead(t *testing.T) {
 	}
 }
 
+// TestPokeFromPlusAccountWriteIsWrite: the split halves of a write leave a
+// same-seed device in exactly the state Write does, and poking a device
+// that shares its image writes to a private copy.
+func TestPokeFromPlusAccountWriteIsWrite(t *testing.T) {
+	whole, _ := newNand(t, 1<<20)
+	split, _ := newNand(t, 1<<20)
+	src := bytes.Repeat([]byte{0xab}, 5000)
+	for i := int64(0); i < 20; i++ {
+		off := i * 9000
+		want, err := whole.Write(0, src, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := split.PokeFrom(src, off); err != nil {
+			t.Fatal(err)
+		}
+		got, err := split.AccountWrite(0, off, len(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("write %d: split completes at %v, Write at %v", i, got, want)
+		}
+	}
+	if whole.Stats() != split.Stats() || !bytes.Equal(whole.Peek(0, 1<<20), split.Peek(0, 1<<20)) {
+		t.Fatalf("split write diverged from Write:\n%+v\n%+v", split.Stats(), whole.Stats())
+	}
+
+	image := whole.ShareImage()
+	replica := NewShared(Spec(NandFlash), image, nil, 2)
+	if err := replica.PokeFrom([]byte{1, 2, 3}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if image[0] != 0xab || replica.Peek(0, 1)[0] != 1 {
+		t.Fatal("poke on a shared image must copy first")
+	}
+	if err := split.PokeFrom(src, 1<<20-100); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("want ErrOutOfRange, got %v", err)
+	}
+}
+
 func TestReadOutOfRange(t *testing.T) {
 	dev, _ := newNand(t, 4096)
 	buf := make([]byte, 128)

@@ -8,9 +8,11 @@
 //   - a CPU-optimized cache (hash map + intrusive LRU list; higher per-item
 //     metadata overhead but O(1) operations),
 //
-// plus the dual "unified row cache" the paper deploys: rows with embedding
-// dim ≤ 255 B route to the memory-optimized cache, larger rows to the
-// CPU-optimized one. Partition counts and sizes are the §4.3 Tuning API.
+// The dual "unified row cache" the paper deploys — rows with embedding
+// dim ≤ 255 B in the memory-optimized cache, larger rows in the
+// CPU-optimized one — is resolved per table by the store, whose rows are
+// uniform-size (core's CacheDual). Partition counts and sizes are the §4.3
+// Tuning API.
 // Entries can be marked dirty to support cache-first incremental model
 // updates with write-back to SM (§A.3).
 package cache
@@ -93,97 +95,8 @@ type RowCache interface {
 var (
 	_ RowCache = (*MemOptimized)(nil)
 	_ RowCache = (*CPUOptimized)(nil)
-	_ RowCache = (*Dual)(nil)
 	_ RowCache = (*Partitioned)(nil)
 )
-
-// Dual routes rows to a memory-optimized or CPU-optimized cache by their
-// stored row size, reproducing the paper's production configuration:
-// "Embedding dim <= 255 will be routed to memory optimized cache".
-type Dual struct {
-	splitBytes int
-	mem        RowCache
-	cpu        RowCache
-}
-
-// NewDual builds the dual cache. memBytes and cpuBytes are the two cache
-// budgets; splitBytes is the routing threshold (0 → 255, the paper's value).
-func NewDual(memBytes, cpuBytes int64, splitBytes int) *Dual {
-	if splitBytes <= 0 {
-		splitBytes = 255
-	}
-	return &Dual{
-		splitBytes: splitBytes,
-		mem:        NewMemOptimized(memBytes, splitBytes),
-		cpu:        NewCPUOptimized(cpuBytes),
-	}
-}
-
-func (d *Dual) route(n int) RowCache {
-	if n <= d.splitBytes {
-		return d.mem
-	}
-	return d.cpu
-}
-
-// RouteSize reports which cache a row of n bytes uses ("mem" or "cpu").
-func (d *Dual) RouteSize(n int) string {
-	if n <= d.splitBytes {
-		return "mem"
-	}
-	return "cpu"
-}
-
-// Get looks up k; the row size is unknown at Get time, so the
-// memory-optimized side is consulted first (covering the common case of
-// small rows), then the CPU-optimized side.
-func (d *Dual) Get(k Key, dst []byte) (int, bool) {
-	if n, ok := d.mem.Get(k, dst); ok {
-		return n, true
-	}
-	n, ok := d.cpu.Get(k, dst)
-	if !ok {
-		// Avoid double-counting the miss recorded by both sides.
-		// (Both sides counted a miss; subtracting one keeps totals right.)
-		d.discountMiss()
-	}
-	return n, ok
-}
-
-func (d *Dual) discountMiss() {
-	if m, ok := d.mem.(*MemOptimized); ok && m.stats.Misses > 0 {
-		m.stats.Misses--
-	}
-}
-
-// Put routes by value size.
-func (d *Dual) Put(k Key, v []byte) { d.route(len(v)).Put(k, v) }
-
-// PutDirty routes by value size and marks the entry dirty.
-func (d *Dual) PutDirty(k Key, v []byte) { d.route(len(v)).PutDirty(k, v) }
-
-// FlushDirty flushes both sides.
-func (d *Dual) FlushDirty(fn func(k Key, v []byte)) {
-	d.mem.FlushDirty(fn)
-	d.cpu.FlushDirty(fn)
-}
-
-// Contains reports residency in either side.
-func (d *Dual) Contains(k Key) bool { return d.mem.Contains(k) || d.cpu.Contains(k) }
-
-// Stats sums both sides.
-func (d *Dual) Stats() Stats { return d.mem.Stats().add(d.cpu.Stats()) }
-
-// Reset clears both sides.
-func (d *Dual) Reset() {
-	d.mem.Reset()
-	d.cpu.Reset()
-}
-
-// CPUCostPerGet blends the two sides' cost models.
-func (d *Dual) CPUCostPerGet() float64 {
-	return (d.mem.CPUCostPerGet() + d.cpu.CPUCostPerGet()) / 2
-}
 
 // Partitioned shards any RowCache constructor across n partitions by key
 // hash — the "number of cache partitions" Tuning API of §4.3.

@@ -1,4 +1,4 @@
-// Package cluster is a deterministic discrete-event fleet simulator: N
+// Package cluster is a deterministic virtual-time fleet simulator: N
 // serving.Host replicas behind a front-end router with pluggable user→host
 // policies (round-robin, least-outstanding-queries, sticky consistent
 // hashing). It is the serving-time realization of the paper's fleet-level
@@ -195,9 +195,9 @@ type record struct {
 	ok           bool
 }
 
-// New assembles a fleet from prebuilt hosts (each with its own store and
-// virtual clock — hosts must not share mutable state) and a routing
-// policy. Failure drills are armed separately with ScheduleFailure.
+// New assembles a fleet from prebuilt hosts (each with its own store —
+// hosts must not share mutable state) and a routing policy. Failure drills
+// are armed separately with ScheduleFailure.
 func New(hosts []*serving.Host, router Router, cfg Config) (*Fleet, error) {
 	if len(hosts) == 0 {
 		return nil, errors.New("cluster: fleet needs at least one host")
@@ -762,26 +762,24 @@ func (f *Fleet) syncAll() error {
 }
 
 // HostSet builds n identical SDM-backed serving hosts over one set of
-// materialized tables: each host gets its own store, virtual clock and
-// derived seed (hosts never share mutable state the determinism contract
-// cares about). SDM-backed sets open host 0 in full and the rest as
-// replicas sharing its post-load media images copy-on-write
-// (core.OpenReplica) — the stored bytes are identical across hosts, so
-// only load timing is replayed per host, cutting fleet construction from
-// O(n·model) to O(model) allocations. A nil store config builds flat
-// DRAM-baseline hosts.
+// materialized tables: each host gets its own store and derived seed
+// (hosts never share mutable state the determinism contract cares about).
+// SDM-backed sets open host 0 in full and the rest as replicas sharing its
+// post-load media images copy-on-write (core.OpenReplica) — the stored
+// bytes are identical across hosts, so only load timing is replayed per
+// host, cutting fleet construction from O(n·model) to O(model)
+// allocations. A nil store config builds flat DRAM-baseline hosts.
 func HostSet(inst *model.Instance, tables []*embedding.Table, n int, scfg *core.Config, hcfg serving.Config) ([]*serving.Host, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: host set of %d", n)
 	}
 	hosts := make([]*serving.Host, n)
 	errs := make([]error, n)
-	clks := make([]simclock.Clock, n)
 	var donor *core.Store
 	if scfg != nil {
 		sc := *scfg
 		sc.Seed = scfg.Seed // host 0's derived seed (i = 0)
-		s, err := core.Open(inst, tables, sc, &clks[0])
+		s, err := core.Open(inst, tables, sc, nil)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: host set: %w", err)
 		}
@@ -792,7 +790,6 @@ func HostSet(inst *model.Instance, tables []*embedding.Table, n int, scfg *core.
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			clk := &clks[i]
 			var store *core.Store
 			if scfg != nil {
 				if i == 0 {
@@ -800,7 +797,7 @@ func HostSet(inst *model.Instance, tables []*embedding.Table, n int, scfg *core.
 				} else {
 					sc := *scfg
 					sc.Seed = scfg.Seed + uint64(i)*0x9e3779b9
-					s, err := core.OpenReplica(donor, sc, clk)
+					s, err := core.OpenReplica(donor, sc, nil)
 					if err != nil {
 						errs[i] = err
 						return
@@ -810,7 +807,7 @@ func HostSet(inst *model.Instance, tables []*embedding.Table, n int, scfg *core.
 			}
 			hc := hcfg
 			hc.Seed = hcfg.Seed + uint64(i)
-			h, err := serving.NewHost(inst, store, tables, nil, clk, hc)
+			h, err := serving.NewHost(inst, store, tables, nil, nil, hc)
 			if err != nil {
 				errs[i] = err
 				return

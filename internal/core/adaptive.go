@@ -106,7 +106,7 @@ func (s *Store) TableStats(dst []TableStat) []TableStat {
 // has completed on the virtual timeline; Abort renounces a migration whose
 // Step failed mid-flight, so a later Commit cannot install a half-built
 // copy. Migrations are not concurrency-safe and must be driven from the
-// same discrete-event thread as queries.
+// same goroutine as the store's queries.
 type Migration struct {
 	s  *Store
 	st *tableState
@@ -240,7 +240,7 @@ func ceilRows(a, n int64) int64 {
 // device covering the chunk's share of the stripe. It returns the bytes
 // issued and the chunk's IO completion time. After the final chunk,
 // Finished reports true; Commit may then be called once the caller's
-// clock passes Done.
+// virtual time passes Done.
 func (m *Migration) Step(now simclock.Time) (int, simclock.Time, error) {
 	if m.aborted {
 		return 0, m.done, fmt.Errorf("core: step of aborted migration (table %d)", m.table)
@@ -321,7 +321,7 @@ func (m *Migration) srcRow(row int64) []byte {
 // Commit finalizes the placement swap: promotions install the FM table
 // rebuilt from the bytes read back from SM, demotions drop the FM copy.
 // It must only be called after every chunk has been issued (Finished) and
-// the caller's virtual clock has passed Done — data would otherwise still
+// the caller's virtual time has passed Done — data would otherwise still
 // be "in flight" on the timeline.
 func (m *Migration) Commit() error {
 	if m.aborted {

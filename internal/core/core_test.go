@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sdm/internal/blockdev"
+	"sdm/internal/cache"
 	"sdm/internal/embedding"
 	"sdm/internal/model"
 	"sdm/internal/placement"
@@ -406,6 +407,25 @@ func TestCacheKindString(t *testing.T) {
 	for _, k := range []CacheKind{CacheDual, CacheMemOptimized, CacheCPUOptimized} {
 		if k.String() == "" {
 			t.Errorf("empty name for %d", k)
+		}
+	}
+}
+
+// TestCacheDualShardKinds: the paper's dim ≤ 255 split resolves per table —
+// a CacheDual store gives a table of ≤ 255-byte rows a memory-optimized
+// shard and a table of larger rows a CPU-optimized one.
+func TestCacheDualShardKinds(t *testing.T) {
+	in, tables := fixture(t)
+	s, _ := openStore(t, in, tables, Config{Seed: 1, CacheKind: CacheDual})
+	for _, rowBytes := range []int{64, 255, 256, 1024} {
+		shard, err := s.mkCacheShard(1<<16, rowBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, mem := shard.(*cache.MemOptimized)
+		_, cpu := shard.(*cache.CPUOptimized)
+		if mem != (rowBytes <= 255) || cpu == mem {
+			t.Fatalf("%d-byte rows got a %T shard", rowBytes, shard)
 		}
 	}
 }

@@ -20,15 +20,15 @@ import (
 // row cache, the pooled embedding cache and the per-table placement state,
 // and serves pooled embedding lookups with virtual-time accounting.
 //
-// Store methods must not be called concurrently: the discrete-event
-// simulation that drives it is externally single-threaded. Internally,
-// PoolQuery/PoolOps fan a query's operators across cfg.Parallelism workers
-// (see parallel.go); the caches are sharded by table so that internal
-// concurrency is lock-free and its accounting deterministic.
+// Store methods must not be called concurrently: whoever drives a store
+// (a host, an experiment loop) books its virtual time from one goroutine.
+// Internally, PoolQuery/PoolOps fan a query's operators across
+// cfg.Parallelism workers (see parallel.go); the caches are sharded by
+// table so that internal concurrency is lock-free and its accounting
+// deterministic.
 type Store struct {
-	cfg   Config
-	inst  *model.Instance
-	clock *simclock.Clock
+	cfg  Config
+	inst *model.Instance
 
 	devices []*blockdev.Device
 	rings   []*uring.SyncRing
@@ -178,8 +178,9 @@ type Stats struct {
 // applies the load-time transformations (prune/de-prune/de-quantize),
 // writes SM-resident tables to the devices (accounting write time and
 // endurance), and sizes the FM caches. tables must be the materialized
-// tables of inst (same order).
-func Open(inst *model.Instance, tables []*embedding.Table, cfg Config, clock *simclock.Clock) (*Store, error) {
+// tables of inst (same order). The clock parameter is ignored (see
+// simclock.Clock).
+func Open(inst *model.Instance, tables []*embedding.Table, cfg Config, _ *simclock.Clock) (*Store, error) {
 	cfg = cfg.Defaulted()
 	if len(tables) != len(inst.Tables) {
 		return nil, fmt.Errorf("core: %d tables for %d specs", len(tables), len(inst.Tables))
@@ -191,9 +192,12 @@ func Open(inst *model.Instance, tables []*embedding.Table, cfg Config, clock *si
 	if err != nil {
 		return nil, fmt.Errorf("core: placement: %w", err)
 	}
-	s := &Store{cfg: cfg, inst: inst, clock: clock, plan: plan}
+	s := &Store{cfg: cfg, inst: inst, plan: plan}
 
 	if err := s.loadTables(tables); err != nil {
+		return nil, err
+	}
+	if err := s.accountLoad(); err != nil {
 		return nil, err
 	}
 	if err := s.buildCaches(); err != nil {
@@ -206,19 +210,19 @@ func Open(inst *model.Instance, tables []*embedding.Table, cfg Config, clock *si
 // for its seed-driven timing. Replica hosts in a fleet load the same
 // tables through the same config, so the stored media bytes are identical
 // across hosts; only the device RNG draws (and hence load timing) differ.
-// Instead of re-running load transforms, staging stripes and filling
-// per-device media, the replica shares the donor's post-load media images
-// (copy-on-write, see blockdev.NewShared) and immutable metadata, and
-// replays only the load timing through AccountWrite with its own RNG.
-// Every observable — media contents, stats, device RNG state, load
-// completion time — matches a full Open with the same cfg bit for bit;
-// only the construction cost changes.
+// Instead of re-running load transforms and filling per-device media, the
+// replica shares the donor's post-load media images (copy-on-write, see
+// blockdev.NewShared) and immutable metadata, and
+// books only the load timing — the same accountLoad walk Open runs — with
+// its own RNG. Every observable — media contents, stats, device RNG state,
+// load completion time — matches a full Open with the same cfg bit for
+// bit; only the construction cost changes.
 //
 // cfg must equal the donor's config except for Seed, and the donor must
 // not have executed queries or writes yet. Concurrent OpenReplica calls on
 // one donor are safe; the replica itself follows the usual single-threaded
-// Store contract.
-func OpenReplica(donor *Store, cfg Config, clock *simclock.Clock) (*Store, error) {
+// Store contract. The clock parameter is ignored (see simclock.Clock).
+func OpenReplica(donor *Store, cfg Config, _ *simclock.Clock) (*Store, error) {
 	cfg = cfg.Defaulted()
 	want := donor.cfg
 	want.Seed = cfg.Seed
@@ -226,7 +230,7 @@ func OpenReplica(donor *Store, cfg Config, clock *simclock.Clock) (*Store, error
 		return nil, fmt.Errorf("core: replica config differs from donor beyond Seed")
 	}
 
-	s := &Store{cfg: cfg, inst: donor.inst, clock: clock, plan: donor.plan}
+	s := &Store{cfg: cfg, inst: donor.inst, plan: donor.plan}
 	s.tables = make([]*tableState, len(donor.tables))
 	for i, dt := range donor.tables {
 		st := &tableState{
@@ -269,61 +273,27 @@ func OpenReplica(donor *Store, cfg Config, clock *simclock.Clock) (*Store, error
 	s.rings = make([]*uring.SyncRing, nd)
 	s.mmaps = make([]*uring.Mmap, nd)
 	for d := range s.devices {
-		s.devices[d] = blockdev.NewShared(spec, images[d], s.clock, cfg.Seed+uint64(d)*7919)
+		s.devices[d] = blockdev.NewShared(spec, images[d], nil, cfg.Seed+uint64(d)*7919)
 		s.rings[d] = uring.NewSync(s.devices[d], cfg.Ring)
 		if cfg.UseMmap {
-			s.mmaps[d] = uring.NewMmap(s.devices[d], s.clock, cfg.CacheBytes/int64(nd))
+			s.mmaps[d] = uring.NewMmap(s.devices[d], cfg.CacheBytes/int64(nd))
 		}
 	}
 
-	// Replay the load-phase writes — same table order, stripe geometry and
-	// chunking as loadTables — through AccountWrite: the bytes are already
-	// on the shared image, so only timing, stats and RNG draws accrue.
-	cursor := make([]int64, nd)
-	var loadEnd simclock.Time
-	for i, dt := range donor.tables {
-		reserveOnly := dt.target == placement.FM && dt.swappable
-		if dt.target != placement.SM && !reserveOnly {
-			continue
-		}
-		rb := int64(dt.rowBytes)
-		n := int64(nd)
-		for d := int64(0); d < n; d++ {
-			devBytes := ((dt.rows - d + n - 1) / n) * rb
-			if reserveOnly {
-				cursor[d] += devBytes
-				continue
-			}
-			const chunk = 1 << 20
-			for off := int64(0); off < devBytes; off += chunk {
-				end := off + chunk
-				if end > devBytes {
-					end = devBytes
-				}
-				t, err := s.devices[d].AccountWrite(s.clock.Now(), cursor[d]+off, int(end-off))
-				if err != nil {
-					return nil, fmt.Errorf("core: replica load table %d: %w", i, err)
-				}
-				if t > loadEnd {
-					loadEnd = t
-				}
-			}
-			cursor[d] += devBytes
-			s.stats.LoadSMBytes += devBytes
-		}
-	}
 	s.maxRowBytes = donor.maxRowBytes
 	s.opStamp = make([]uint32, len(s.tables))
-	s.loadDone = loadEnd
-	s.stats.LoadDuration = loadEnd.Duration()
 
+	if err := s.accountLoad(); err != nil {
+		return nil, err
+	}
 	if err := s.buildCaches(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// loadTables applies load-time transformations and writes SM residents.
+// loadTables applies load-time transformations, creates the devices and
+// puts the SM residents' bytes on the media; accountLoad books the writes.
 func (s *Store) loadTables(tables []*embedding.Table) error {
 	// First pass: transform tables and compute SM footprint.
 	type smLoad struct {
@@ -420,82 +390,79 @@ func (s *Store) loadTables(tables []*embedding.Table) error {
 	s.rings = make([]*uring.SyncRing, s.cfg.NumDevices)
 	s.mmaps = make([]*uring.Mmap, s.cfg.NumDevices)
 	for d := range s.devices {
-		s.devices[d] = blockdev.New(spec, capPerDev, s.clock, s.cfg.Seed+uint64(d)*7919)
+		s.devices[d] = blockdev.New(spec, capPerDev, nil, s.cfg.Seed+uint64(d)*7919)
 		s.rings[d] = uring.NewSync(s.devices[d], s.cfg.Ring)
 		if s.cfg.UseMmap {
 			// The mmap page cache competes for the same FM budget the
 			// row cache would have used.
-			s.mmaps[d] = uring.NewMmap(s.devices[d], s.clock, s.cfg.CacheBytes/int64(s.cfg.NumDevices))
+			s.mmaps[d] = uring.NewMmap(s.devices[d], s.cfg.CacheBytes/int64(s.cfg.NumDevices))
 		}
 	}
 
-	// Second pass: write SM residents, striping rows across devices. One
-	// staging buffer (sized to the largest stripe) is reused for every
-	// (table, device) pair.
+	// Second pass: stripe the SM residents' rows across the devices
+	// (reserve-only stripes claim their space without touching the media).
 	cursor := make([]int64, s.cfg.NumDevices)
-	var loadEnd simclock.Time
-	var maxRowBytes int
-	var staging []byte
+	maxRowBytes := 4096
 	for _, ld := range loads {
 		st := s.tables[ld.idx]
 		st.smBase = make([]int64, s.cfg.NumDevices)
 		rb := int64(st.rowBytes)
 		n := int64(s.cfg.NumDevices)
-		rowsPerDev := make([]int64, s.cfg.NumDevices)
-		for d := int64(0); d < n; d++ {
-			rowsPerDev[d] = (st.rows - d + n - 1) / n
-			st.smBase[d] = cursor[d]
-		}
-		// Bulk-write each device's stripe in 1 MiB chunks (reserve-only
-		// stripes advance the cursor without touching the media).
 		data := ld.table.Bytes()
 		for d := int64(0); d < n; d++ {
-			devBytes := rowsPerDev[d] * rb
-			if cursor[d]+devBytes > s.devices[d].Capacity() {
+			rows := ceilRows(st.rows-d, n) // row r lives on device r % n
+			if cursor[d]+rows*rb > s.devices[d].Capacity() {
 				return fmt.Errorf("core: device %d overflow loading table %d (need %d, cap %d)",
-					d, ld.idx, cursor[d]+devBytes, s.devices[d].Capacity())
+					d, ld.idx, cursor[d]+rows*rb, s.devices[d].Capacity())
 			}
+			st.smBase[d] = cursor[d]
+			cursor[d] += rows * rb
 			if ld.reserveOnly {
-				cursor[d] += devBytes
 				continue
 			}
-			// Gather the stripe rows into the reused staging buffer.
-			if int64(cap(staging)) < devBytes {
-				staging = make([]byte, devBytes)
-			}
-			stripe := staging[:devBytes]
-			for r := int64(0); r < rowsPerDev[d]; r++ {
+			for r := int64(0); r < rows; r++ {
 				src := (r*n + d) * rb
-				copy(stripe[r*rb:(r+1)*rb], data[src:src+rb])
-			}
-			const chunk = 1 << 20
-			for off := int64(0); off < devBytes; off += chunk {
-				end := off + chunk
-				if end > devBytes {
-					end = devBytes
-				}
-				t, err := s.devices[d].Write(s.clock.Now(), stripe[off:end], cursor[d]+off)
-				if err != nil {
+				if err := s.devices[d].PokeFrom(data[src:src+rb], st.smBase[d]+r*rb); err != nil {
 					return fmt.Errorf("core: load table %d: %w", ld.idx, err)
 				}
-				if t > loadEnd {
-					loadEnd = t
-				}
 			}
-			cursor[d] += devBytes
-			s.stats.LoadSMBytes += devBytes
 		}
-		if st.rowBytes > maxRowBytes {
-			maxRowBytes = st.rowBytes
-		}
-	}
-	if maxRowBytes < 4096 {
-		maxRowBytes = 4096
+		maxRowBytes = max(maxRowBytes, st.rowBytes)
 	}
 	s.maxRowBytes = maxRowBytes
 	s.opStamp = make([]uint32, len(s.tables))
-	s.loadDone = loadEnd
-	s.stats.LoadDuration = loadEnd.Duration()
+	return nil
+}
+
+// accountLoad books the load-phase SM writes: every SM-resident table's
+// stripe on every device, in table then device order, in 1 MiB chunks all
+// issued at virtual time 0. The bytes are already on the media (poked by
+// loadTables or shared from a donor), so only timing, stats, wear and RNG
+// draws accrue. Open and OpenReplica both run this one walk, so replica
+// timing cannot drift from load timing.
+func (s *Store) accountLoad() error {
+	const (
+		loadIssue = simclock.Time(0)
+		chunk     = int64(1 << 20)
+	)
+	for i, st := range s.tables {
+		if st.target != placement.SM {
+			continue
+		}
+		for d, dev := range s.devices {
+			devBytes := ceilRows(st.rows-int64(d), int64(len(s.devices))) * int64(st.rowBytes)
+			for off := int64(0); off < devBytes; off += chunk {
+				n := min(chunk, devBytes-off)
+				t, err := dev.AccountWrite(loadIssue, st.smBase[d]+off, int(n))
+				if err != nil {
+					return fmt.Errorf("core: load table %d: %w", i, err)
+				}
+				s.loadDone = max(s.loadDone, t)
+			}
+			s.stats.LoadSMBytes += devBytes
+		}
+	}
+	s.stats.LoadDuration = s.loadDone.Duration()
 	return nil
 }
 

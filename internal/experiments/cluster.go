@@ -39,10 +39,10 @@ func Cluster(sc Scale) (Result, error) {
 	// Nand SM and a cache that fits a sticky host's user share (but not
 	// the whole population) put the fleet where routing policy moves both
 	// hit rate and the tail: the Fig. 4c serving-time regime.
-	scfg := engineParallelism(core.Config{
+	scfg := core.Config{
 		Seed: sc.Seed, SMTech: blockdev.NandFlash,
 		Ring: uring.Config{SGL: true}, CacheBytes: 1 << 20,
-	})
+	}
 	hcfg := serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: sc.Seed}
 	wcfg := workload.Config{Seed: sc.Seed, NumUsers: 2000, UserAlpha: 0.8}
 	qps := 300.0

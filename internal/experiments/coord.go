@@ -6,15 +6,9 @@ import (
 	"time"
 
 	"sdm/internal/adapt"
-	"sdm/internal/blockdev"
 	"sdm/internal/cluster"
-	"sdm/internal/core"
-	"sdm/internal/embedding"
-	"sdm/internal/model"
 	"sdm/internal/obs"
 	"sdm/internal/placement"
-	"sdm/internal/serving"
-	"sdm/internal/uring"
 	"sdm/internal/workload"
 )
 
@@ -55,25 +49,6 @@ type CoordResult struct {
 	PlanDefers, PlanBusy, PlanCapped int
 }
 
-// coordModel is the fleet-coordination regime: the rowrange drill's
-// equal-sized user tables, but with a softer within-table row skew so
-// each table's payback-qualifying hot head spans several ranges — the
-// spotlight set alone overflows the DRAM budget, which is what makes the
-// post-rotation re-shuffle demote as well as promote (the contention the
-// wear budget and the staggered windows exist to manage).
-func coordModel(sc Scale) (*model.Instance, []*embedding.Table, error) {
-	inst, tables, err := rowRangeModel(sc)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Alpha only shapes the query stream (the generator's per-table row
-	// Zipf); the materialized bytes are unaffected.
-	for i := 0; i < inst.Config.NumUserTables; i++ {
-		inst.Tables[i].Alpha = 1.05 // wide hot heads: several ranges per table qualify
-	}
-	return inst, tables, nil
-}
-
 // tailMeanFM returns the query-weighted mean FM-served rate of the last
 // quarter of a run's windows — the steady "final" rate under sustained
 // rotation, where any single window may land mid-phase.
@@ -111,120 +86,61 @@ func tailMeanFM(r *cluster.Result) float64 {
 // stays near the single-host bandwidth-capped reference and its SM
 // demote-write spend drops.
 func Coord(sc Scale) (Result, error) {
-	inst, tables, err := coordModel(sc)
+	// The rowrange drill's tables with a softer within-table row skew, so
+	// each table's payback-qualifying hot head spans several ranges: the
+	// spotlight set alone overflows the DRAM budget, which is what makes
+	// the post-rotation re-shuffle demote as well as promote (the
+	// contention the wear budget and the staggered windows exist to
+	// manage).
+	inst, tables, err := driftModel(sc, 1.05)
 	if err != nil {
 		return nil, err
 	}
 	const (
 		hosts    = 3
 		qps      = 400.0
-		windows  = 16
-		drift    = 1.0 / 3
 		cappedBW = 16 << 20
-		budget   = driftTableBytes + driftTableBytes/4
-		slot     = 50 * time.Millisecond
-		wearDays = 0.005
 	)
-	n := sc.Queries * 8
-	if n < 1600 {
-		n = 1600
-	}
-	warm := n / 2
 
-	// run executes the drift drill over nh replicas at fleetQPS. mode
-	// selects how the adapters are attached.
+	// run executes the drift drill; mode selects the fleet size and how
+	// the adapters are attached.
 	type mode int
 	const (
-		single   mode = iota // 1 host, bandwidth-capped adapter
-		lockstep             // nh hosts, independent unpaced adapters
-		coord                // nh hosts, staggered windows + shared cap + wear budget
+		single   mode = iota // 1 host at a third of the load, bandwidth-capped adapter
+		lockstep             // independent unpaced adapters: the naive fleet reaction
+		coord                // staggered windows + shared cap + wear budget
 	)
 	run := func(m mode, workers int, trace obs.Level) (*cluster.Result, adapt.Stats, []obs.Event, error) {
-		nh := hosts
-		fleetQPS := qps
-		if m == single {
-			nh = 1
-			fleetQPS = qps / hosts
-		}
-		scfg := engineParallelism(core.Config{
-			Seed: sc.Seed, SMTech: blockdev.NandFlash,
-			Ring: uring.Config{SGL: true}, CacheBytes: 192 << 10,
-			ReserveSM: true, MigrationRangeBytes: 256 << 10,
-			Placement: placement.Config{
-				Policy: placement.SMOnlyWithCache, UserTablesOnly: true,
-			},
-		})
-		hcfg := serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: sc.Seed}
-		hs, err := cluster.HostSet(inst, tables, nh, &scfg, hcfg)
-		if err != nil {
-			return nil, adapt.Stats{}, nil, err
-		}
-		acfg := adapt.Config{
+		acfg := &adapt.Config{
 			Interval:       150 * time.Millisecond,
-			DRAMBudget:     budget,
+			DRAMBudget:     driftTableBytes + driftTableBytes/4,
 			ChunkBytes:     16 << 10,
 			Granularity:    adapt.Ranges,
 			PaybackSeconds: 3,
 		}
-		var adapters []*adapt.Adapter
+		d := driftDrill{
+			inst: inst, tables: tables, hosts: hosts, qps: qps, n: drillQueries(sc),
+			place: placement.Config{Policy: placement.SMOnlyWithCache},
+			acfg:  acfg, workers: workers, trace: trace,
+			// Sustained drift: the spotlight rotates periodically (roughly
+			// every 800 queries — 2s of fleet traffic, so the rotation rate
+			// is the same at every experiment scale), so endurance spend
+			// compounds rotation after rotation — the regime the shared
+			// wear budget exists for. The drill still forces one aligned
+			// rotation so the post-rotation windows have a common
+			// reference instant.
+			gen: workload.Config{Spatial: true, Drift: workload.DriftConfig{PhaseQueries: 800}},
+		}
 		switch m {
 		case single:
+			d.hosts, d.qps = 1, qps/hosts
 			acfg.BandwidthBytesPerSec = cappedBW
-			adapters, err = cluster.AttachAdaptive(hs, acfg)
-		case lockstep:
-			// N independent adapters, unpaced: the naive fleet reaction.
-			adapters, err = cluster.AttachAdaptive(hs, acfg)
 		case coord:
-			acfg.WearDaysPerSecond = wearDays
-			adapters, _, err = cluster.AttachCoordinated(hs, acfg, cluster.CoordConfig{
-				Slot:                 slot,
-				BandwidthBytesPerSec: cappedBW,
-			})
+			acfg.WearDaysPerSecond = 0.005
+			d.coordBW = cappedBW
 		}
-		if err != nil {
-			return nil, adapt.Stats{}, nil, err
-		}
-		fl, err := cluster.New(hs, cluster.NewRoundRobin(), cluster.Config{
-			Seed: sc.Seed, Windows: windows, HostWorkers: workers,
-		})
-		if err != nil {
-			return nil, adapt.Stats{}, nil, err
-		}
-		if trace != obs.LevelOff {
-			// SetAdapters wires the per-host plan tracers; with a
-			// round-robin router the View signals it also surfaces are
-			// never read, so results are unchanged.
-			fl.SetAdapters(adapters)
-			if err := fl.SetTrace(obs.Config{Level: trace}); err != nil {
-				return nil, adapt.Stats{}, nil, err
-			}
-		}
-		// Sustained drift: the spotlight rotates periodically (roughly
-		// every 800 queries — 2s of fleet traffic, so the rotation rate is the same at every experiment scale), so endurance spend compounds
-		// rotation after rotation — the regime the shared wear budget
-		// exists for. ScheduleDrift still forces one aligned rotation so
-		// the post-rotation windows have a common reference instant.
-		gen, err := workload.NewGenerator(inst, workload.Config{
-			Seed: sc.Seed, NumUsers: 800, UserAlpha: 0.9, Spatial: true,
-			Drift: workload.DriftConfig{HotTables: 2, HotBoost: 4, ColdShrink: 0.25, PhaseQueries: 800},
-		})
-		if err != nil {
-			return nil, adapt.Stats{}, nil, err
-		}
-		fl.SetGenerator(gen)
-		// Warmup pass: caches fill and the controllers converge on the
-		// pre-rotation spotlight.
-		if _, err := fl.Run(fleetQPS, warm); err != nil {
-			return nil, adapt.Stats{}, nil, err
-		}
-		if err := fl.ScheduleDrift(drift); err != nil {
-			return nil, adapt.Stats{}, nil, err
-		}
-		res, err := fl.Run(fleetQPS, n)
-		if err != nil {
-			return nil, adapt.Stats{}, nil, err
-		}
-		return res, cluster.AdapterStats(adapters), fl.TraceEvents(), nil
+		out, err := d.run(sc)
+		return out.res, out.stats, out.events, err
 	}
 
 	var (

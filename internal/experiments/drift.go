@@ -10,6 +10,7 @@ import (
 	"sdm/internal/core"
 	"sdm/internal/embedding"
 	"sdm/internal/model"
+	"sdm/internal/obs"
 	"sdm/internal/placement"
 	"sdm/internal/serving"
 	"sdm/internal/uring"
@@ -45,7 +46,12 @@ type DriftResult struct {
 // driftModel builds the adaptive-regime instance: equal-sized user tables
 // large enough that migrating one visibly occupies the devices, and a
 // DRAM budget (chosen by the caller) that fits only the spotlight set.
-func driftModel(sc Scale) (*model.Instance, []*embedding.Table, error) {
+// rowAlpha > 0 overrides the user tables' within-table row skew — 1.4
+// (rowrange) clusters each table's hot rows in its head ranges under a
+// spatial workload, 1.05 (coord, slo) widens the hot heads so the
+// spotlight set alone overflows the budget; it shapes only the query
+// stream, never the materialized bytes.
+func driftModel(sc Scale, rowAlpha float64) (*model.Instance, []*embedding.Table, error) {
 	cfg := model.M1()
 	cfg.NumUserTables = 6
 	cfg.NumItemTables = 2
@@ -59,6 +65,9 @@ func driftModel(sc Scale) (*model.Instance, []*embedding.Table, error) {
 	}
 	for i := 0; i < cfg.NumUserTables; i++ {
 		inst.Tables[i].Rows = driftTableBytes / int64(inst.Tables[i].RowBytes())
+		if rowAlpha > 0 {
+			inst.Tables[i].Alpha = rowAlpha
+		}
 		// The offline profile matches yesterday's traffic: tables 0 and 1
 		// (the phase-0 spotlight) carry the highest static pooling factor,
 		// so the Table-5 plan puts exactly them in FM. The rotation then
@@ -82,6 +91,116 @@ func driftModel(sc Scale) (*model.Instance, []*embedding.Table, error) {
 // driftTableBytes is the stored size of every user table in the drill.
 const driftTableBytes = 4 << 20
 
+// driftDrill is the hot-set-rotation drill the drift, rowrange, coord and
+// slo experiments share: a fleet of adaptive (or static) hosts over one
+// store config is warmed for half a run, a rotation is armed a third of
+// the way into the measured run, and the measured run executes.
+type driftDrill struct {
+	inst   *model.Instance
+	tables []*embedding.Table
+	// place and hosts shape the fleet: every host opens the drill store
+	// (Nand behind a 192 KiB row cache, SM reserved for runtime
+	// migration) under this placement.
+	place placement.Config
+	hosts int
+	// acfg, when set, attaches a control loop to every host: independent
+	// adapters, or with coordBW > 0 adapters under a fleet coordinator
+	// (staggered 50 ms migration windows sharing a coordBW bytes/s cap).
+	// Adapters and coordinator are surfaced to the router's View and the
+	// tracer.
+	acfg    *adapt.Config
+	coordBW float64
+	router  cluster.Router // nil: round-robin
+	workers int            // cluster.Config.HostWorkers
+	trace   obs.Level
+	// gen is the workload; run fills in the seed, population and the
+	// rotating two-table spotlight.
+	gen workload.Config
+	qps float64
+	n   int
+}
+
+// drillRun is one drill's outcome: the measured run's result and trace,
+// and the adapter counters after the warmup and after the measured run.
+type drillRun struct {
+	res         *cluster.Result
+	warm, stats adapt.Stats
+	events      []obs.Event
+}
+
+func (d driftDrill) run(sc Scale) (drillRun, error) {
+	place := d.place
+	place.UserTablesOnly = true
+	scfg := core.Config{
+		Seed: sc.Seed, SMTech: blockdev.NandFlash,
+		Ring: uring.Config{SGL: true}, CacheBytes: 192 << 10,
+		ReserveSM: true, MigrationRangeBytes: 256 << 10,
+		Placement: place,
+	}
+	hcfg := serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: sc.Seed}
+	hosts, err := cluster.HostSet(d.inst, d.tables, d.hosts, &scfg, hcfg)
+	if err != nil {
+		return drillRun{}, err
+	}
+	var (
+		adapters []*adapt.Adapter
+		coord    *cluster.Coordinator
+	)
+	switch {
+	case d.acfg != nil && d.coordBW > 0:
+		adapters, coord, err = cluster.AttachCoordinated(hosts, *d.acfg, cluster.CoordConfig{
+			Slot: 50 * time.Millisecond, BandwidthBytesPerSec: d.coordBW,
+		})
+	case d.acfg != nil:
+		adapters, err = cluster.AttachAdaptive(hosts, *d.acfg)
+	}
+	if err != nil {
+		return drillRun{}, err
+	}
+	router := d.router
+	if router == nil {
+		router = cluster.NewRoundRobin()
+	}
+	fl, err := cluster.New(hosts, router, cluster.Config{Seed: sc.Seed, Windows: 16, HostWorkers: d.workers})
+	if err != nil {
+		return drillRun{}, err
+	}
+	if coord != nil {
+		fl.SetCoordinator(coord)
+	}
+	fl.SetAdapters(adapters)
+	if err := fl.SetTrace(obs.Config{Level: d.trace}); err != nil {
+		return drillRun{}, err
+	}
+	wcfg := d.gen
+	wcfg.Seed, wcfg.NumUsers, wcfg.UserAlpha = sc.Seed, 800, 0.9
+	wcfg.Drift.HotTables, wcfg.Drift.HotBoost, wcfg.Drift.ColdShrink = 2, 4, 0.25
+	gen, err := workload.NewGenerator(d.inst, wcfg)
+	if err != nil {
+		return drillRun{}, err
+	}
+	fl.SetGenerator(gen)
+	// Warmup pass: caches fill and the controllers converge on the
+	// pre-rotation spotlight.
+	if _, err := fl.Run(d.qps, d.n/2); err != nil {
+		return drillRun{}, err
+	}
+	out := drillRun{warm: cluster.AdapterStats(adapters)}
+	if err := fl.ScheduleDrift(1.0 / 3); err != nil {
+		return drillRun{}, err
+	}
+	if out.res, err = fl.Run(d.qps, d.n); err != nil {
+		return drillRun{}, err
+	}
+	out.stats, out.events = cluster.AdapterStats(adapters), fl.TraceEvents()
+	return out, nil
+}
+
+// drillQueries is the measured-run length of every drift drill.
+func drillQueries(sc Scale) int {
+	return max(sc.Queries*8, 1600)
+}
+
 // Drift runs the adaptive-tiering drill: a hot-set rotation fires mid-run
 // while a static host keeps its offline Table-5 placement and an adaptive
 // host (internal/adapt) re-places and migrates under a bandwidth cap. A
@@ -89,73 +208,28 @@ const driftTableBytes = 4 << 20
 // migration burst lands on the devices at once and the foreground tail
 // pays for it.
 func Drift(sc Scale) (Result, error) {
-	inst, tables, err := driftModel(sc)
+	inst, tables, err := driftModel(sc, 0)
 	if err != nil {
 		return nil, err
 	}
-	const (
-		qps       = 400.0
-		windows   = 16
-		driftFrac = 1.0 / 3
-		cappedBW  = 16 << 20 // bytes/s of migration IO
-	)
-	n := sc.Queries * 8
-	if n < 1600 {
-		n = 1600
-	}
-	warm := n / 2
-
+	const cappedBW = 16 << 20 // bytes/s of migration IO
 	run := func(bw float64, adaptive bool) (*cluster.Result, adapt.Stats, error) {
-		scfg := engineParallelism(core.Config{
-			Seed: sc.Seed, SMTech: blockdev.NandFlash,
-			Ring: uring.Config{SGL: true}, CacheBytes: 192 << 10,
-			ReserveSM: true,
-			Placement: placement.Config{
-				Policy: placement.FixedFMWithCache, UserTablesOnly: true,
+		d := driftDrill{
+			inst: inst, tables: tables, hosts: 1, qps: 400, n: drillQueries(sc),
+			place: placement.Config{
+				Policy:     placement.FixedFMWithCache,
 				DRAMBudget: driftTableBytes*2 + driftTableBytes/2,
 			},
-		})
-		hcfg := serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: sc.Seed}
-		hosts, err := cluster.HostSet(inst, tables, 1, &scfg, hcfg)
-		if err != nil {
-			return nil, adapt.Stats{}, err
 		}
-		var adapters []*adapt.Adapter
 		if adaptive {
-			adapters, err = cluster.AttachAdaptive(hosts, adapt.Config{
+			d.acfg = &adapt.Config{
 				Interval:             150 * time.Millisecond,
 				BandwidthBytesPerSec: bw,
 				ChunkBytes:           64 << 10,
-			})
-			if err != nil {
-				return nil, adapt.Stats{}, err
 			}
 		}
-		fl, err := cluster.New(hosts, cluster.NewRoundRobin(), cluster.Config{Seed: sc.Seed, Windows: windows})
-		if err != nil {
-			return nil, adapt.Stats{}, err
-		}
-		gen, err := workload.NewGenerator(inst, workload.Config{
-			Seed: sc.Seed, NumUsers: 800, UserAlpha: 0.9,
-			Drift: workload.DriftConfig{HotTables: 2, HotBoost: 4, ColdShrink: 0.25},
-		})
-		if err != nil {
-			return nil, adapt.Stats{}, err
-		}
-		fl.SetGenerator(gen)
-		// Warmup pass: caches fill and the adaptive host converges on the
-		// pre-rotation spotlight.
-		if _, err := fl.Run(qps, warm); err != nil {
-			return nil, adapt.Stats{}, err
-		}
-		if err := fl.ScheduleDrift(driftFrac); err != nil {
-			return nil, adapt.Stats{}, err
-		}
-		res, err := fl.Run(qps, n)
-		if err != nil {
-			return nil, adapt.Stats{}, err
-		}
-		return res, cluster.AdapterStats(adapters), nil
+		out, err := d.run(sc)
+		return out.res, out.stats, err
 	}
 
 	var (

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -103,6 +104,38 @@ func TestFig3Shape(t *testing.T) {
 	if opt[len(opt)-1].AchievedIOPS < 4*nand[len(nand)-1].AchievedIOPS {
 		t.Fatalf("Optane IOPS %f should be several times Nand %f",
 			opt[len(opt)-1].AchievedIOPS, nand[len(nand)-1].AchievedIOPS)
+	}
+}
+
+// TestFig3PinnedAcrossRingPort pins the 12 default-scale points captured
+// at 74dfbb3, when profileDevice still drove the callback ring from the
+// event-loop clock: the port to SubmitSync bookings must reproduce every
+// field exactly.
+func TestFig3PinnedAcrossRingPort(t *testing.T) {
+	want := map[string][]Fig3Point{
+		"PCIe Nand Flash": {
+			{50000, 50252.39011674183, 191655, 785991},
+			{150000, 150260.92810164852, 191655, 785991},
+			{250000, 249611.99894863425, 191655, 785991},
+			{350000, 348318.3364873559, 191829, 785991},
+			{425000, 421032.6583805568, 193244, 785991},
+			{475000, 461032.67323187436, 235613, 834100},
+		},
+		"PCIe 3DXP (Optane)": {
+			{400000, 402091.0342143282, 10941, 11039},
+			{1.2e+06, 1.202775524801031e+06, 10941, 11039},
+			{2e+06, 1.998671549643337e+06, 10941, 11039},
+			{2.8e+06, 2.7902953527630903e+06, 10941, 11039},
+			{3.4e+06, 3.380605466439039e+06, 10941, 11039},
+			{3.8e+06, 3.7714453812994137e+06, 11161, 11808},
+		},
+	}
+	res, err := Fig3(Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.(*Fig3Result).Curves; !reflect.DeepEqual(got, want) {
+		t.Fatalf("fig3 moved:\n got %v\nwant %v", got, want)
 	}
 }
 
@@ -485,6 +518,24 @@ func TestPollingShape(t *testing.T) {
 	res := runExp(t, "polling").(*PollingResult)
 	if res.Gain < 0.3 || res.Gain > 0.7 {
 		t.Fatalf("polling gain %.2f, want ≈0.5", res.Gain)
+	}
+}
+
+// TestPollingPinned pins both IOPS/core rows and the gain captured at
+// 74dfbb3, before Polling moved off the callback ring.
+func TestPollingPinned(t *testing.T) {
+	res, err := Polling(Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := res.(*PollingResult)
+	want := []string{
+		"IOPS/core, IRQ completions:         653168",
+		"IOPS/core, polled completions:      969932",
+		"polling gain:                          48%  (paper: ~50%)",
+	}
+	if !reflect.DeepEqual(pr.Rows(), want) || pr.Gain != 0.4849660523763337 {
+		t.Fatalf("polling moved: gain %v rows %q", pr.Gain, pr.Rows())
 	}
 }
 

@@ -17,13 +17,12 @@ import (
 )
 
 // hostQPS builds a host over the given store/flat tables and measures the
-// max QPS at a p95 latency budget. Stores run the sharded query engine on
-// all cores (accounting is parallelism-invariant).
+// max QPS at a p95 latency budget.
 func hostQPS(sc Scale, inst *model.Instance, tables []*embedding.Table, scfg *core.Config, hcfg serving.Config, budget time.Duration, hiQPS float64) (float64, serving.Result, error) {
 	var clk simclock.Clock
 	var store *core.Store
 	if scfg != nil {
-		s, err := core.Open(inst, tables, engineParallelism(*scfg), &clk)
+		s, err := core.Open(inst, tables, *scfg, &clk)
 		if err != nil {
 			return 0, serving.Result{}, err
 		}

@@ -52,10 +52,10 @@ func FleetScale(sc Scale) (Result, error) {
 	res.id = "fleetscale"
 	res.header = fmt.Sprintf("%-8s %9s %9s %9s %10s %10s %8s", "hosts", "queries", "qps", "p99(ms)", "wall(s)", "alloc(MB)", "KB/q")
 
-	scfg := engineParallelism(core.Config{
+	scfg := core.Config{
 		Seed: sc.Seed, SMTech: blockdev.NandFlash,
 		Ring: uring.Config{SGL: true}, CacheBytes: 1 << 20,
-	})
+	}
 	hcfg := serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: sc.Seed}
 	wcfg := workload.Config{Seed: sc.Seed, NumUsers: 2000, UserAlpha: 0.8}
 

@@ -89,12 +89,10 @@ func runStoreTraceOn(sc Scale, cfg core.Config, inst *model.Instance, tables []*
 	return runStoreTraceWorkload(sc, cfg, inst, tables, workload.Config{Seed: sc.Seed, NumUsers: 500})
 }
 
-// runStoreTraceWorkload is runStoreTraceOn with an explicit workload. The
-// store runs the sharded query engine on all cores (accounting is
-// parallelism-invariant).
+// runStoreTraceWorkload is runStoreTraceOn with an explicit workload.
 func runStoreTraceWorkload(sc Scale, cfg core.Config, inst *model.Instance, tables []*embedding.Table, wcfg workload.Config) (*storeRun, error) {
 	var clk simclock.Clock
-	s, err := core.Open(inst, tables, engineParallelism(cfg), &clk)
+	s, err := core.Open(inst, tables, cfg, &clk)
 	if err != nil {
 		return nil, err
 	}

@@ -69,49 +69,28 @@ func Fig3(sc Scale) (Result, error) {
 // profileDevice offers `ios` IOs at a fixed rate and measures latency. The
 // latency reported is for a batch of lookupsPerIO lookups, as in Fig. 3.
 func profileDevice(tech blockdev.Technology, iops float64, ios, lookupsPerIO int, seed uint64) (Fig3Point, error) {
-	var clk simclock.Clock
-	dev := blockdev.New(blockdev.Spec(tech), 1<<26, &clk, seed)
-	ring := uring.New(dev, &clk, uring.Config{SGL: true})
+	ring := uring.NewSync(blockdev.New(blockdev.Spec(tech), 1<<26, nil, seed), uring.Config{SGL: true})
 	lat := stats.NewHistogram()
 	var last simclock.Time
 	buf := make([]byte, 128)
 	interIO := simclock.Time(float64(time.Second) / iops * float64(lookupsPerIO))
-
-	var issue func(i int, at simclock.Time)
-	issue = func(i int, at simclock.Time) {
-		start := at
-		remaining := lookupsPerIO
-		var batchDone simclock.Time
-		for k := 0; k < lookupsPerIO; k++ {
-			off := int64((i*lookupsPerIO+k)%4096) * 4096
-			req := &uring.Request{Buf: buf, Off: off, OnComplete: func(now simclock.Time, err error) {
-				if now > batchDone {
-					batchDone = now
-				}
-				remaining--
-				if remaining == 0 {
-					lat.Observe((batchDone - start).Seconds())
-					if batchDone > last {
-						last = batchDone
-					}
-				}
-			}}
-			if err := ring.Submit(req); err != nil {
-				return
-			}
-		}
-	}
 	n := ios / lookupsPerIO
 	if n < 50 {
 		n = 50
 	}
 	for i := 0; i < n; i++ {
 		at := simclock.Time(i) * interIO
-		i := i
-		clk.Schedule(at, func(now simclock.Time) { issue(i, now) })
-	}
-	if err := clk.Run(0); err != nil {
-		return Fig3Point{}, err
+		batchDone := at
+		for k := 0; k < lookupsPerIO; k++ {
+			off := int64((i*lookupsPerIO+k)%4096) * 4096
+			done, err := ring.SubmitSync(at, buf, off, false)
+			if err != nil {
+				return Fig3Point{}, err
+			}
+			batchDone = max(batchDone, done)
+		}
+		lat.Observe((batchDone - at).Seconds())
+		last = max(last, batchDone)
 	}
 	achieved := float64(n*lookupsPerIO) / last.Seconds()
 	return Fig3Point{
@@ -172,7 +151,7 @@ func Mmap(sc Scale) (Result, error) {
 	devA := blockdev.New(spec, 1<<26, &clk, sc.Seed)
 	devB := blockdev.New(spec, 1<<26, &clk, sc.Seed)
 	direct := uring.NewSync(devA, uring.Config{SGL: true})
-	mm := uring.NewMmap(devB, &clk, 64<<10)
+	mm := uring.NewMmap(devB, 64<<10)
 
 	buf := make([]byte, 128)
 	var sumDirect, sumMmap time.Duration
@@ -227,16 +206,13 @@ type PollingResult struct {
 // completions on an Optane device at high queue depth.
 func Polling(sc Scale) (Result, error) {
 	run := func(mode uring.CompletionMode) (float64, error) {
-		var clk simclock.Clock
-		dev := blockdev.New(blockdev.Spec(blockdev.OptaneSSD), 1<<24, &clk, sc.Seed)
-		ring := uring.New(dev, &clk, uring.Config{Mode: mode, SGL: true})
+		dev := blockdev.New(blockdev.Spec(blockdev.OptaneSSD), 1<<24, nil, sc.Seed)
+		ring := uring.NewSync(dev, uring.Config{Mode: mode, SGL: true})
+		buf := make([]byte, 128)
 		for i := 0; i < 20000; i++ {
-			if err := ring.Submit(&uring.Request{Buf: make([]byte, 128), Off: int64(i%4096) * 512}); err != nil {
+			if _, err := ring.SubmitSync(0, buf, int64(i%4096)*512, false); err != nil {
 				return 0, err
 			}
-		}
-		if err := clk.Run(0); err != nil {
-			return 0, err
 		}
 		return ring.Stats().IOPSPerCore(), nil
 	}

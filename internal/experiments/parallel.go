@@ -1,14 +1,9 @@
 package experiments
 
-import (
-	"runtime"
-	"sync"
-
-	"sdm/internal/core"
-)
+import "sync"
 
 // inParallel runs independent measurement closures concurrently — one
-// goroutine each; every closure owns its clock, store, generator and host,
+// goroutine each; every closure owns its store, generator and host,
 // so no state is shared — and returns the first error in argument order.
 // Because each simulated host is deterministic in isolation, results are
 // identical to running the closures sequentially.
@@ -29,15 +24,4 @@ func inParallel(fns ...func() error) error {
 		}
 	}
 	return nil
-}
-
-// engineParallelism fills in the store's query-engine worker count for
-// experiment runs: all cores unless the scenario pinned a value. The
-// engine's accounting is parallelism-invariant, so this only affects
-// wall-clock time.
-func engineParallelism(cfg core.Config) core.Config {
-	if cfg.Parallelism == 0 {
-		cfg.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	return cfg
 }

@@ -5,14 +5,8 @@ import (
 	"time"
 
 	"sdm/internal/adapt"
-	"sdm/internal/blockdev"
 	"sdm/internal/cluster"
-	"sdm/internal/core"
-	"sdm/internal/embedding"
-	"sdm/internal/model"
 	"sdm/internal/placement"
-	"sdm/internal/serving"
-	"sdm/internal/uring"
 	"sdm/internal/workload"
 )
 
@@ -45,119 +39,37 @@ type RowRangeResult struct {
 	WorkersDeterministic bool
 }
 
-// rowRangeModel builds the partial-migration regime: equal-sized user
-// tables with sharply skewed row popularity, served by a spatial
-// (identity-permuted) workload so each table's hot rows cluster in its
-// head ranges — the within-table structure whole-table migration cannot
-// exploit.
-func rowRangeModel(sc Scale) (*model.Instance, []*embedding.Table, error) {
-	cfg := model.M1()
-	cfg.NumUserTables = 6
-	cfg.NumItemTables = 2
-	cfg.ItemBatch = 4
-	cfg.NumMLPLayers = 4
-	cfg.AvgMLPWidth = 64
-	cfg.TotalBytes = 32 << 20
-	inst, err := model.Build(cfg, 1, sc.Seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i := 0; i < cfg.NumUserTables; i++ {
-		inst.Tables[i].Rows = driftTableBytes / int64(inst.Tables[i].RowBytes())
-		inst.Tables[i].Alpha = 1.4 // strong row skew: hot head, cold tail
-		if i < 2 {
-			inst.Tables[i].PoolingFactor = 24
-		} else {
-			inst.Tables[i].PoolingFactor = 12
-		}
-	}
-	for i := cfg.NumUserTables; i < len(inst.Tables); i++ {
-		inst.Tables[i].Rows = (64 << 10) / int64(inst.Tables[i].RowBytes())
-	}
-	tables, err := inst.Materialize()
-	if err != nil {
-		return nil, nil, err
-	}
-	return inst, tables, nil
-}
-
 // RowRange runs the partial-table migration drill: a hot-set rotation
 // fires mid-run while two adaptive fleets — one re-placing whole tables,
 // one re-placing row ranges — recover under the same DRAM budget and
 // migration bandwidth cap. The range fleet is additionally repeated at a
 // different HostWorkers count to demonstrate the determinism contract.
 func RowRange(sc Scale) (Result, error) {
-	inst, tables, err := rowRangeModel(sc)
+	// Sharply skewed row popularity under a spatial (identity-permuted)
+	// workload: each table's hot rows cluster in its head ranges — the
+	// within-table structure whole-table migration cannot exploit.
+	inst, tables, err := driftModel(sc, 1.4)
 	if err != nil {
 		return nil, err
 	}
-	const (
-		qps      = 400.0
-		windows  = 16
-		drift    = 1.0 / 3
-		cappedBW = 16 << 20
-		budget   = driftTableBytes*2 + driftTableBytes/2
-	)
-	n := sc.Queries * 8
-	if n < 1600 {
-		n = 1600
-	}
-	warm := n / 2
-
+	const cappedBW = 16 << 20
 	run := func(gran adapt.Granularity, workers int) (*cluster.Result, adapt.Stats, error) {
-		scfg := engineParallelism(core.Config{
-			Seed: sc.Seed, SMTech: blockdev.NandFlash,
-			Ring: uring.Config{SGL: true}, CacheBytes: 192 << 10,
-			ReserveSM: true, MigrationRangeBytes: 256 << 10,
-			Placement: placement.Config{
-				Policy: placement.SMOnlyWithCache, UserTablesOnly: true,
+		out, err := driftDrill{
+			inst: inst, tables: tables, hosts: 2, qps: 400, n: drillQueries(sc),
+			place: placement.Config{Policy: placement.SMOnlyWithCache},
+			acfg: &adapt.Config{
+				Interval:             150 * time.Millisecond,
+				DRAMBudget:           driftTableBytes*2 + driftTableBytes/2,
+				BandwidthBytesPerSec: cappedBW,
+				ChunkBytes:           64 << 10,
+				Granularity:          gran,
+				PaybackSeconds:       3,
 			},
-		})
-		hcfg := serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: sc.Seed}
-		hosts, err := cluster.HostSet(inst, tables, 2, &scfg, hcfg)
-		if err != nil {
-			return nil, adapt.Stats{}, err
-		}
-		adapters, err := cluster.AttachAdaptive(hosts, adapt.Config{
-			Interval:             150 * time.Millisecond,
-			DRAMBudget:           budget,
-			BandwidthBytesPerSec: cappedBW,
-			ChunkBytes:           64 << 10,
-			Granularity:          gran,
-			PaybackSeconds:       3,
-		})
-		if err != nil {
-			return nil, adapt.Stats{}, err
-		}
-		fl, err := cluster.New(hosts, cluster.NewRoundRobin(), cluster.Config{
-			Seed: sc.Seed, Windows: windows, HostWorkers: workers,
-		})
-		if err != nil {
-			return nil, adapt.Stats{}, err
-		}
-		gen, err := workload.NewGenerator(inst, workload.Config{
-			Seed: sc.Seed, NumUsers: 800, UserAlpha: 0.9, Spatial: true,
-			Drift: workload.DriftConfig{HotTables: 2, HotBoost: 4, ColdShrink: 0.25},
-		})
-		if err != nil {
-			return nil, adapt.Stats{}, err
-		}
-		fl.SetGenerator(gen)
-		// Warmup pass: caches fill and the controller converges on the
-		// pre-rotation spotlight.
-		if _, err := fl.Run(qps, warm); err != nil {
-			return nil, adapt.Stats{}, err
-		}
-		pre := cluster.AdapterStats(adapters)
-		if err := fl.ScheduleDrift(drift); err != nil {
-			return nil, adapt.Stats{}, err
-		}
-		res, err := fl.Run(qps, n)
-		if err != nil {
-			return nil, adapt.Stats{}, err
-		}
-		post := cluster.AdapterStats(adapters)
+			workers: workers,
+			gen:     workload.Config{Spatial: true},
+		}.run(sc)
 		// Migration traffic attributable to the measured (drift) run.
+		pre, post := out.warm, out.stats
 		delta := adapt.Stats{
 			Evals:         post.Evals - pre.Evals,
 			Promotions:    post.Promotions - pre.Promotions,
@@ -166,7 +78,7 @@ func RowRange(sc Scale) (Result, error) {
 			RangeMoves:    post.RangeMoves - pre.RangeMoves,
 			Aborts:        post.Aborts - pre.Aborts,
 		}
-		return res, delta, nil
+		return out.res, delta, err
 	}
 
 	var (

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"sdm/internal/adapt"
-	"sdm/internal/blockdev"
 	"sdm/internal/cluster"
 	"sdm/internal/core"
 	"sdm/internal/embedding"
@@ -111,21 +110,10 @@ func sloSweepModel() (*model.Instance, []*embedding.Table, error) {
 func SLO(sc Scale) (Result, error) {
 	const (
 		drillHosts = 3
-		drillQPS   = 2400.0
-		windows    = 16
-		drift      = 1.0 / 3
 		cappedBW   = 16 << 20
-		budget     = driftTableBytes + driftTableBytes/4
-		slot       = 50 * time.Millisecond
-		wearDays   = 0.005
 	)
-	nDrill := sc.Queries * 8
-	if nDrill < 1600 {
-		nDrill = 1600
-	}
-	warm := nDrill / 2
 
-	drillInst, drillTables, err := coordModel(sc)
+	drillInst, drillTables, err := driftModel(sc, 1.05)
 	if err != nil {
 		return nil, err
 	}
@@ -138,66 +126,25 @@ func SLO(sc Scale) (Result, error) {
 	// to the coord experiment's coordinated fleet) under the given
 	// router, tracing decisions at the given level (LevelOff = untraced).
 	runDrill := func(mk func() (cluster.Router, error), workers int, trace obs.Level) (*cluster.Result, adapt.Stats, []obs.Event, error) {
-		scfg := engineParallelism(core.Config{
-			Seed: sc.Seed, SMTech: blockdev.NandFlash,
-			Ring: uring.Config{SGL: true}, CacheBytes: 192 << 10,
-			ReserveSM: true, MigrationRangeBytes: 256 << 10,
-			Placement: placement.Config{
-				Policy: placement.SMOnlyWithCache, UserTablesOnly: true,
-			},
-		})
-		hcfg := serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: sc.Seed}
-		hs, err := cluster.HostSet(drillInst, drillTables, drillHosts, &scfg, hcfg)
-		if err != nil {
-			return nil, adapt.Stats{}, nil, err
-		}
-		adapters, coord, err := cluster.AttachCoordinated(hs, adapt.Config{
-			Interval:          150 * time.Millisecond,
-			DRAMBudget:        budget,
-			ChunkBytes:        16 << 10,
-			Granularity:       adapt.Ranges,
-			PaybackSeconds:    3,
-			WearDaysPerSecond: wearDays,
-		}, cluster.CoordConfig{Slot: slot, BandwidthBytesPerSec: cappedBW})
-		if err != nil {
-			return nil, adapt.Stats{}, nil, err
-		}
 		r, err := mk()
 		if err != nil {
 			return nil, adapt.Stats{}, nil, err
 		}
-		fl, err := cluster.New(hs, r, cluster.Config{
-			Seed: sc.Seed, Windows: windows, HostWorkers: workers,
-		})
-		if err != nil {
-			return nil, adapt.Stats{}, nil, err
-		}
-		fl.SetCoordinator(coord)
-		fl.SetAdapters(adapters)
-		if trace != obs.LevelOff {
-			if err := fl.SetTrace(obs.Config{Level: trace}); err != nil {
-				return nil, adapt.Stats{}, nil, err
-			}
-		}
-		gen, err := workload.NewGenerator(drillInst, workload.Config{
-			Seed: sc.Seed, NumUsers: 800, UserAlpha: 0.9, Spatial: true,
-			Drift: workload.DriftConfig{HotTables: 2, HotBoost: 4, ColdShrink: 0.25, PhaseQueries: 800},
-		})
-		if err != nil {
-			return nil, adapt.Stats{}, nil, err
-		}
-		fl.SetGenerator(gen)
-		if _, err := fl.Run(drillQPS, warm); err != nil {
-			return nil, adapt.Stats{}, nil, err
-		}
-		if err := fl.ScheduleDrift(drift); err != nil {
-			return nil, adapt.Stats{}, nil, err
-		}
-		res, err := fl.Run(drillQPS, nDrill)
-		if err != nil {
-			return nil, adapt.Stats{}, nil, err
-		}
-		return res, cluster.AdapterStats(adapters), fl.TraceEvents(), nil
+		out, err := driftDrill{
+			inst: drillInst, tables: drillTables, hosts: drillHosts, qps: 2400, n: drillQueries(sc),
+			place: placement.Config{Policy: placement.SMOnlyWithCache},
+			acfg: &adapt.Config{
+				Interval:          150 * time.Millisecond,
+				DRAMBudget:        driftTableBytes + driftTableBytes/4,
+				ChunkBytes:        16 << 10,
+				Granularity:       adapt.Ranges,
+				PaybackSeconds:    3,
+				WearDaysPerSecond: 0.005,
+			},
+			coordBW: cappedBW, router: r, workers: workers, trace: trace,
+			gen: workload.Config{Spatial: true, Drift: workload.DriftConfig{PhaseQueries: 800}},
+		}.run(sc)
+		return out.res, out.stats, out.events, err
 	}
 	mkSticky := func() (cluster.Router, error) { return cluster.NewSticky(drillHosts, 64), nil }
 	mkWeighted := func() (cluster.Router, error) {
@@ -226,9 +173,9 @@ func SLO(sc Scale) (Result, error) {
 		nSweep = 2400
 	}
 	runSweep := func(mk func() cluster.Router, qps float64, classes int, admit *cluster.AdmitConfig, workers int) (*cluster.Result, error) {
-		scfg := engineParallelism(core.Config{
+		scfg := core.Config{
 			Seed: sc.Seed, Ring: uring.Config{SGL: true}, CacheBytes: 1 << 15,
-		})
+		}
 		hcfg := serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: sc.Seed}
 		hs, err := cluster.HostSet(sweepInst, sweepTables, sweepHosts, &scfg, hcfg)
 		if err != nil {

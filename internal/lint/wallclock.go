@@ -42,7 +42,7 @@ func runWallclock(pass *Pass) {
 			// Resolving the identifier (rather than matching "time.X"
 			// textually) covers aliased and dot imports, and value
 			// references like `f := time.Now`, while leaving methods
-			// (time.Time.After, simclock.Clock.After) alone.
+			// (time.Time.After, time.Time.Sub) alone.
 			fn, ok := pass.Pkg.Info.Uses[id].(*types.Func)
 			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" {
 				return true

@@ -102,7 +102,6 @@ type Host struct {
 	store *core.Store
 	flat  []*embedding.Table
 	gen   *workload.Generator
-	clock *simclock.Clock
 	rng   *xrand.RNG
 
 	cores     []simclock.Time // per-core next-free virtual time
@@ -142,8 +141,9 @@ type Host struct {
 }
 
 // NewHost builds a host. store may be nil when flat tables are provided
-// (DRAM-only baseline); flat may be nil when a store is provided.
-func NewHost(inst *model.Instance, store *core.Store, flat []*embedding.Table, gen *workload.Generator, clock *simclock.Clock, cfg Config) (*Host, error) {
+// (DRAM-only baseline); flat may be nil when a store is provided. The
+// clock parameter is ignored (see simclock.Clock).
+func NewHost(inst *model.Instance, store *core.Store, flat []*embedding.Table, gen *workload.Generator, _ *simclock.Clock, cfg Config) (*Host, error) {
 	if store == nil && flat == nil && !cfg.RemoteUserPath {
 		return nil, errors.New("serving: host needs a store, flat tables, or a remote user path")
 	}
@@ -166,7 +166,6 @@ func NewHost(inst *model.Instance, store *core.Store, flat []*embedding.Table, g
 		store:   store,
 		flat:    flat,
 		gen:     gen,
-		clock:   clock,
 		rng:     xrand.New(cfg.Seed + 1),
 		cores:   make([]simclock.Time, cfg.Spec.Cores),
 		topMLP:  top,
@@ -355,14 +354,10 @@ func (h *Host) poolFlat(op workload.TableOp) (time.Duration, error) {
 // external admissions: after the store finished loading and after any
 // previously admitted or measured work.
 func (h *Host) Ready() simclock.Time {
-	t := h.horizon
-	if h.store != nil && h.store.LoadDone() > t {
-		t = h.store.LoadDone()
+	if h.store != nil {
+		return maxTime(h.horizon, h.store.LoadDone())
 	}
-	if h.clock.Now() > t {
-		t = h.clock.Now()
-	}
-	return t
+	return h.horizon
 }
 
 // Admit executes one query arriving at t and returns its completion time.
@@ -549,10 +544,7 @@ func (h *Host) RunOpenLoop(qps float64, n int) (Result, error) {
 		smReadsBefore = h.store.Stats().SMReads
 	}
 	cpuBefore := h.cpuBooked
-	start := h.clock.Now()
-	if h.horizon > start {
-		start = h.horizon
-	}
+	start := h.horizon
 	t := start
 	for i := 0; i < n; i++ {
 		t += simclock.Time(h.rng.Exp(1 / qps * float64(time.Second)))

@@ -1,17 +1,18 @@
-// Package simclock implements the discrete-event simulation core used by
-// the device, host and fleet simulators. All latency in this reproduction
-// is virtual: events carry virtual timestamps, and an event loop advances
-// the clock to the next scheduled event. This keeps benchmarks fast and
-// deterministic while preserving the queueing behaviour (loaded-latency
-// curves, overlap of user- and item-side embedding work per Eq. 3/4) that
-// the paper's results depend on.
+// Package simclock defines virtual time for the device, host and fleet
+// simulators. All latency in this reproduction is virtual, and there is
+// one model of it: booking. Virtual time is a value passed in and
+// returned — a caller hands a resource the instant it issues work (now
+// Time), the resource books the work against its own next-free instants
+// (device channels, ring and throttle in-flight sets, host cores, the
+// accelerator) and returns the completion instant. There is no event
+// queue and no global "now": nothing advances a clock, so a run is a pure
+// function of its inputs and seeds, which is what keeps results
+// deterministic at any worker count while preserving the queueing
+// behaviour (loaded-latency curves, overlap of user- and item-side
+// embedding work per Eq. 3/4) the paper's results depend on.
 package simclock
 
-import (
-	"container/heap"
-	"errors"
-	"time"
-)
+import "time"
 
 // Time is a virtual timestamp measured as a duration since simulation start.
 type Time time.Duration
@@ -25,129 +26,9 @@ func (t Time) Micros() float64 { return float64(time.Duration(t)) / float64(time
 // Duration converts to time.Duration.
 func (t Time) Duration() time.Duration { return time.Duration(t) }
 
-// Event is a scheduled callback. Fn runs when the clock reaches At.
-type Event struct {
-	At Time
-	Fn func(now Time)
-
-	seq   uint64
-	index int
-}
-
-// Clock is a discrete-event scheduler. The zero value is ready to use.
-// Clock is not safe for concurrent use; the simulation is single-threaded
-// by design (determinism).
-type Clock struct {
-	now    Time
-	queue  eventQueue
-	nextID uint64
-}
-
-// Now returns the current virtual time.
-func (c *Clock) Now() Time { return c.now }
-
-// Schedule registers fn to run at absolute virtual time at. If at is in the
-// past it runs at the current time (FIFO among same-time events).
-func (c *Clock) Schedule(at Time, fn func(now Time)) *Event {
-	if at < c.now {
-		at = c.now
-	}
-	e := &Event{At: at, Fn: fn, seq: c.nextID}
-	c.nextID++
-	heap.Push(&c.queue, e)
-	return e
-}
-
-// After schedules fn to run d after the current time.
-func (c *Clock) After(d time.Duration, fn func(now Time)) *Event {
-	return c.Schedule(c.now+Time(d), fn)
-}
-
-// Cancel removes a scheduled event. Cancelling an already-fired event is a
-// no-op.
-func (c *Clock) Cancel(e *Event) {
-	if e == nil || e.index < 0 || e.index >= len(c.queue) || c.queue[e.index] != e {
-		return
-	}
-	heap.Remove(&c.queue, e.index)
-}
-
-// Pending reports how many events are scheduled.
-func (c *Clock) Pending() int { return len(c.queue) }
-
-// Step fires the next event, advancing the clock. It reports whether an
-// event was fired.
-func (c *Clock) Step() bool {
-	if len(c.queue) == 0 {
-		return false
-	}
-	e := heap.Pop(&c.queue).(*Event)
-	c.now = e.At
-	e.Fn(c.now)
-	return true
-}
-
-// ErrBudgetExceeded is returned by Run variants when the event budget is
-// exhausted before the queue drains, which usually indicates a scheduling
-// loop in the simulation.
-var ErrBudgetExceeded = errors.New("simclock: event budget exceeded")
-
-// Run drains the event queue, firing events in timestamp order, up to
-// maxEvents (0 means no limit).
-func (c *Clock) Run(maxEvents int) error {
-	fired := 0
-	for c.Step() {
-		fired++
-		if maxEvents > 0 && fired >= maxEvents {
-			if len(c.queue) > 0 {
-				return ErrBudgetExceeded
-			}
-			return nil
-		}
-	}
-	return nil
-}
-
-// RunUntil fires events until the clock would pass deadline; events at or
-// before the deadline all fire, and the clock finishes at deadline.
-func (c *Clock) RunUntil(deadline Time) {
-	for len(c.queue) > 0 && c.queue[0].At <= deadline {
-		c.Step()
-	}
-	if c.now < deadline {
-		c.now = deadline
-	}
-}
-
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].At != q[j].At {
-		return q[i].At < q[j].At
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
-}
+// Clock is an empty placeholder, not a clock. The frozen benchmark driver
+// under bench/ declares one and passes its address to blockdev.New,
+// core.OpenReplica and serving.NewHost, so the type and those parameters
+// (ignored by every callee) stay until a benchmark-only PR stops passing
+// it (ROADMAP item 1(c)(iii)); the PR after that deletes both.
+type Clock struct{}

@@ -1,121 +1,13 @@
 package simclock
 
 import (
+	"container/heap"
+	"slices"
 	"testing"
 	"time"
+
+	"sdm/internal/xrand"
 )
-
-func TestScheduleOrdering(t *testing.T) {
-	var c Clock
-	var order []int
-	c.Schedule(Time(3*time.Second), func(Time) { order = append(order, 3) })
-	c.Schedule(Time(1*time.Second), func(Time) { order = append(order, 1) })
-	c.Schedule(Time(2*time.Second), func(Time) { order = append(order, 2) })
-	if err := c.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("fired out of order: %v", order)
-	}
-	if c.Now() != Time(3*time.Second) {
-		t.Fatalf("clock at %v", c.Now())
-	}
-}
-
-func TestSameTimeFIFO(t *testing.T) {
-	var c Clock
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		c.Schedule(Time(time.Second), func(Time) { order = append(order, i) })
-	}
-	if err := c.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-time events not FIFO: %v", order)
-		}
-	}
-}
-
-func TestPastEventsClampToNow(t *testing.T) {
-	var c Clock
-	c.Schedule(Time(5*time.Second), func(now Time) {
-		c.Schedule(Time(time.Second), func(now2 Time) {
-			if now2 != Time(5*time.Second) {
-				t.Errorf("past event fired at %v", now2)
-			}
-		})
-	})
-	if err := c.Run(0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAfter(t *testing.T) {
-	var c Clock
-	fired := Time(0)
-	c.After(100*time.Millisecond, func(now Time) { fired = now })
-	if err := c.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if fired != Time(100*time.Millisecond) {
-		t.Fatalf("After fired at %v", fired)
-	}
-}
-
-func TestCancel(t *testing.T) {
-	var c Clock
-	fired := false
-	e := c.Schedule(Time(time.Second), func(Time) { fired = true })
-	c.Cancel(e)
-	if err := c.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	// Double-cancel and nil-cancel are no-ops.
-	c.Cancel(e)
-	c.Cancel(nil)
-}
-
-func TestRunBudget(t *testing.T) {
-	var c Clock
-	var loop func(Time)
-	loop = func(Time) { c.After(time.Millisecond, loop) }
-	c.After(time.Millisecond, loop)
-	if err := c.Run(100); err != ErrBudgetExceeded {
-		t.Fatalf("want ErrBudgetExceeded, got %v", err)
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	var c Clock
-	fired := 0
-	for i := 1; i <= 10; i++ {
-		c.Schedule(Time(time.Duration(i)*time.Second), func(Time) { fired++ })
-	}
-	c.RunUntil(Time(5 * time.Second))
-	if fired != 5 {
-		t.Fatalf("fired %d, want 5", fired)
-	}
-	if c.Now() != Time(5*time.Second) {
-		t.Fatalf("clock at %v", c.Now())
-	}
-	if c.Pending() != 5 {
-		t.Fatalf("pending %d, want 5", c.Pending())
-	}
-}
-
-func TestRunUntilAdvancesIdleClock(t *testing.T) {
-	var c Clock
-	c.RunUntil(Time(7 * time.Second))
-	if c.Now() != Time(7*time.Second) {
-		t.Fatalf("idle clock at %v", c.Now())
-	}
-}
 
 func TestTimeConversions(t *testing.T) {
 	x := Time(1500 * time.Microsecond)
@@ -127,5 +19,79 @@ func TestTimeConversions(t *testing.T) {
 	}
 	if x.Duration() != 1500*time.Microsecond {
 		t.Fatalf("Duration %v", x.Duration())
+	}
+}
+
+// refHeap is the container/heap reference TimeHeap is checked against.
+type refHeap []Time
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return h[i] < h[j] }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(Time)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+// TestTimeHeapProperties checks the one algorithm every ring, throttle and
+// host in-flight set rests on, over seeded random inputs with many
+// duplicate timestamps.
+func TestTimeHeapProperties(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := xrand.New(seed)
+		n := 1 + rng.Intn(300)
+		draw := func() Time { return Time(rng.Intn(n/2 + 1)) } // narrow range forces duplicates
+
+		// Pushes then pops: non-decreasing and equal to the sorted input.
+		var h TimeHeap
+		in := make([]Time, n)
+		for i := range in {
+			in[i] = draw()
+			h.Push(in[i])
+		}
+		slices.Sort(in)
+		for i, want := range in {
+			if h.Len() != n-i || h.Min() != want {
+				t.Fatalf("seed %d pop %d: len %d min %v, want len %d min %v", seed, i, h.Len(), h.Min(), n-i, want)
+			}
+			if got := h.PopMin(); got != want {
+				t.Fatalf("seed %d pop %d: got %v, want %v", seed, i, got, want)
+			}
+		}
+
+		// Interleaved pushes and pops agree with container/heap.
+		var ref refHeap
+		for op := 0; op < 4*n; op++ {
+			if ref.Len() == 0 || rng.Intn(3) > 0 {
+				x := draw()
+				h.Push(x)
+				heap.Push(&ref, x)
+			} else if got, want := h.PopMin(), heap.Pop(&ref).(Time); got != want {
+				t.Fatalf("seed %d op %d: popped %v, reference %v", seed, op, got, want)
+			}
+			if h.Len() != ref.Len() || (h.Len() > 0 && h.Min() != ref[0]) {
+				t.Fatalf("seed %d op %d: len %d vs reference %d", seed, op, h.Len(), ref.Len())
+			}
+		}
+	}
+}
+
+// TestTimeHeapSteadyStateAllocs: once grown, push/pop reuses the backing
+// array — the reason TimeHeap exists instead of container/heap.
+func TestTimeHeapSteadyStateAllocs(t *testing.T) {
+	var h TimeHeap
+	for i := 0; i < 64; i++ {
+		h.Push(Time(64 - i))
+	}
+	next := Time(100)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		h.PopMin()
+		h.Push(next)
+		next += 3
+	}); allocs != 0 {
+		t.Fatalf("steady-state push/pop allocates %v per op", allocs)
 	}
 }

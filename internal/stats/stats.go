@@ -294,11 +294,3 @@ func JainFairness(xs []float64) float64 {
 	}
 	return sum * sum / (float64(n) * sumSq)
 }
-
-// Ratio formats a/b defensively.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}

@@ -146,15 +146,6 @@ func TestWelford(t *testing.T) {
 	}
 }
 
-func TestRatio(t *testing.T) {
-	if Ratio(1, 0) != 0 {
-		t.Fatal("div by zero should be 0")
-	}
-	if Ratio(6, 3) != 2 {
-		t.Fatal("6/3 != 2")
-	}
-}
-
 func TestHistogramMergeEqualsDirectObservation(t *testing.T) {
 	// Merging split histograms must be indistinguishable from observing
 	// every value in one — counts, sum, extremes and every quantile.

@@ -11,8 +11,7 @@ import (
 // (page-fault handling plus full-block transfer). It exists so the
 // mmap-vs-DIRECT_IO trade-off can be measured rather than asserted.
 type Mmap struct {
-	dev   *blockdev.Device
-	clock *simclock.Clock
+	dev *blockdev.Device
 	// pageCache maps page number → resident page copy.
 	pageCache map[int64][]byte
 	// lru tracks page recency for eviction.
@@ -41,14 +40,13 @@ func (s MmapStats) HitRate() float64 {
 const mmapPageSize = 4096
 
 // NewMmap maps dev with an FM budget of fmBudget bytes for resident pages.
-func NewMmap(dev *blockdev.Device, clock *simclock.Clock, fmBudget int64) *Mmap {
+func NewMmap(dev *blockdev.Device, fmBudget int64) *Mmap {
 	maxPages := int(fmBudget / mmapPageSize)
 	if maxPages < 1 {
 		maxPages = 1
 	}
 	return &Mmap{
 		dev:       dev,
-		clock:     clock,
 		pageCache: make(map[int64][]byte, maxPages),
 		maxPages:  maxPages,
 	}

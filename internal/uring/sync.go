@@ -7,13 +7,11 @@ import (
 	"sdm/internal/simclock"
 )
 
-// SyncRing is a synchronous virtual-time facade over a device: instead of
-// scheduling completion callbacks, SubmitSync books the IO against the
-// device's channel model and returns its completion timestamp directly.
-// Outstanding-IO throttling (the §4.1 Tuning API) is preserved: when the
-// cap is reached, a new IO cannot start before the earliest in-flight IO's
-// completion. This is the form used inside the SDM store and the host
-// simulator, where query code wants the completion time in-line.
+// SyncRing is the IO ring in booking form: SubmitSync books the IO against
+// the device's channel model and returns its completion timestamp
+// directly. Outstanding-IO throttling (the §4.1 Tuning API) holds: when
+// the cap is reached, a new IO cannot start before the earliest in-flight
+// IO's completion.
 type SyncRing struct {
 	dev      *blockdev.Device
 	cfg      Config
@@ -21,7 +19,8 @@ type SyncRing struct {
 	stats    Stats
 }
 
-// NewSync creates a synchronous ring over dev.
+// NewSync creates a ring over dev. If cfg.MaxOutstanding is 0, the device's
+// recommended cap is used (unlimited if the device has none).
 func NewSync(dev *blockdev.Device, cfg Config) *SyncRing {
 	if cfg.MaxOutstanding == 0 {
 		cfg.MaxOutstanding = dev.MaxOutstanding
@@ -49,15 +48,18 @@ func (r *SyncRing) cpuPerIO() time.Duration {
 	if r.cfg.Mode == Polling {
 		per = cpuPerIOPolling
 	}
+	// Batched submission amortizes a fixed syscall cost; model it as a
+	// small constant divided by the batch size.
 	per += 500 * time.Nanosecond / time.Duration(r.cfg.BatchSubmit)
 	return per
 }
 
-// admit drops completed in-flight entries, applies the outstanding cap and
-// returns the earliest virtual time the new IO may start.
+// admit counts a submission, drops completed in-flight entries, applies the
+// outstanding cap and returns the earliest virtual time the new IO may
+// start.
 func (r *SyncRing) admit(now simclock.Time) simclock.Time {
+	r.stats.Submitted++
 	start := now
-	// Drop completed entries, then apply the outstanding cap.
 	for r.inflight.Len() > 0 && r.inflight.Min() <= now {
 		r.inflight.PopMin()
 	}
@@ -68,16 +70,28 @@ func (r *SyncRing) admit(now simclock.Time) simclock.Time {
 			}
 		}
 	}
+	return start
+}
+
+// complete accounts an admitted IO the device booked from start to done: a
+// failed IO completes at start and leaves nothing in flight.
+func (r *SyncRing) complete(start, done simclock.Time, err error) (simclock.Time, error) {
+	r.stats.CPUTime += r.cpuPerIO()
+	if err != nil {
+		r.stats.Errors++
+		return start, err
+	}
+	r.inflight.Push(done)
 	if len(r.inflight) > r.stats.PeakInflight {
 		r.stats.PeakInflight = len(r.inflight)
 	}
-	return start
+	r.stats.Completed++
+	return done, nil
 }
 
 // SubmitSync performs one IO issued at virtual time now and returns its
 // completion time.
 func (r *SyncRing) SubmitSync(now simclock.Time, buf []byte, off int64, write bool) (simclock.Time, error) {
-	r.stats.Submitted++
 	start := r.admit(now)
 	var (
 		done simclock.Time
@@ -91,14 +105,7 @@ func (r *SyncRing) SubmitSync(now simclock.Time, buf []byte, off int64, write bo
 	default:
 		done, err = r.dev.Read(start, buf, off)
 	}
-	r.stats.CPUTime += r.cpuPerIO()
-	if err != nil {
-		r.stats.Errors++
-		return start, err
-	}
-	r.inflight.Push(done)
-	r.stats.Completed++
-	return done, nil
+	return r.complete(start, done, err)
 }
 
 // SubmitTimedRead books the timing of an n-byte read at off whose data was
@@ -107,15 +114,7 @@ func (r *SyncRing) SubmitSync(now simclock.Time, buf []byte, off int64, write bo
 // the data movement, so a deferred-timing replay is bit-identical to inline
 // submission.
 func (r *SyncRing) SubmitTimedRead(now simclock.Time, n int, off int64) (simclock.Time, error) {
-	r.stats.Submitted++
 	start := r.admit(now)
 	done, err := r.dev.AccountRead(start, off, n, r.cfg.SGL)
-	r.stats.CPUTime += r.cpuPerIO()
-	if err != nil {
-		r.stats.Errors++
-		return start, err
-	}
-	r.inflight.Push(done)
-	r.stats.Completed++
-	return done, nil
+	return r.complete(start, done, err)
 }

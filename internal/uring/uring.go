@@ -5,13 +5,7 @@
 // CPU cost model (§A.1 reports ~50% better IOPS/core with polling).
 package uring
 
-import (
-	"errors"
-	"time"
-
-	"sdm/internal/blockdev"
-	"sdm/internal/simclock"
-)
+import "time"
 
 // CompletionMode selects how completions are reaped.
 type CompletionMode int
@@ -32,14 +26,14 @@ const (
 	cpuPerIOPolling = 1000 * time.Nanosecond
 )
 
-// Config tunes a Ring. The zero value means: device-recommended outstanding
-// cap, IRQ completions, SGL disabled (full-block reads).
+// Config tunes a SyncRing. The zero value means: device-recommended
+// outstanding cap, IRQ completions, SGL disabled (full-block reads).
 type Config struct {
-	// MaxOutstanding caps in-flight IOs on the device; requests beyond it
-	// queue in software. 0 uses the device recommendation (set for Nand,
-	// unlimited otherwise). This is the §4.1 Tuning API:
-	// "Total number of outstanding IOs ... that can be processed at a
-	// given time."
+	// MaxOutstanding caps in-flight IOs on the device; a request beyond it
+	// starts at the earliest in-flight completion. 0 uses the device
+	// recommendation (set for Nand, unlimited otherwise). This is the §4.1
+	// Tuning API: "Total number of outstanding IOs ... that can be
+	// processed at a given time."
 	MaxOutstanding int
 	// Mode selects IRQ or Polling completion processing.
 	Mode CompletionMode
@@ -57,7 +51,9 @@ type Stats struct {
 	Completed    uint64
 	Errors       uint64
 	PeakInflight int
-	PeakQueued   int
+	// PeakQueued stays 0: an IO over the cap is booked later, never held
+	// in a software queue. Kept because bench/ reads it.
+	PeakQueued int
 	// CPUTime is the virtual CPU time consumed by the IO stack; divide
 	// completions by it for IOPS/core.
 	CPUTime time.Duration
@@ -69,134 +65,4 @@ func (s Stats) IOPSPerCore() float64 {
 		return 0
 	}
 	return float64(s.Completed) / s.CPUTime.Seconds()
-}
-
-// Request is one read or write IO.
-type Request struct {
-	Buf   []byte
-	Off   int64
-	Write bool
-	// OnComplete runs at the IO's virtual completion time.
-	OnComplete func(now simclock.Time, err error)
-}
-
-// ErrRingClosed is returned when submitting to a closed ring.
-var ErrRingClosed = errors.New("uring: ring closed")
-
-// Ring is an async IO engine bound to one device and one virtual clock.
-// It is single-threaded (the simulation owns it); all methods must be
-// called from simulation callbacks or between clock steps.
-type Ring struct {
-	dev      *blockdev.Device
-	clock    *simclock.Clock
-	cfg      Config
-	inflight int
-	queue    []*Request
-	stats    Stats
-	closed   bool
-}
-
-// New creates a ring over dev. If cfg.MaxOutstanding is 0, the device's
-// recommended cap is used (unlimited if the device has none).
-func New(dev *blockdev.Device, clock *simclock.Clock, cfg Config) *Ring {
-	if cfg.MaxOutstanding == 0 {
-		cfg.MaxOutstanding = dev.MaxOutstanding
-	}
-	if cfg.Mode == 0 {
-		cfg.Mode = IRQ
-	}
-	if cfg.BatchSubmit <= 0 {
-		cfg.BatchSubmit = 16
-	}
-	return &Ring{dev: dev, clock: clock, cfg: cfg}
-}
-
-// Config returns the ring configuration.
-func (r *Ring) Config() Config { return r.cfg }
-
-// Stats returns a snapshot of the ring counters.
-func (r *Ring) Stats() Stats { return r.stats }
-
-// Device returns the underlying device.
-func (r *Ring) Device() *blockdev.Device { return r.dev }
-
-// Inflight returns the number of IOs currently on the device.
-func (r *Ring) Inflight() int { return r.inflight }
-
-// Queued returns the number of software-queued IOs.
-func (r *Ring) Queued() int { return len(r.queue) }
-
-// Close rejects future submissions. Queued IOs still drain.
-func (r *Ring) Close() { r.closed = true }
-
-// Submit enqueues a request. The request dispatches immediately if the
-// outstanding cap allows, otherwise when an in-flight IO completes.
-func (r *Ring) Submit(req *Request) error {
-	if r.closed {
-		return ErrRingClosed
-	}
-	r.stats.Submitted++
-	if r.cfg.MaxOutstanding > 0 && r.inflight >= r.cfg.MaxOutstanding {
-		r.queue = append(r.queue, req)
-		if len(r.queue) > r.stats.PeakQueued {
-			r.stats.PeakQueued = len(r.queue)
-		}
-		return nil
-	}
-	r.dispatch(req)
-	return nil
-}
-
-func (r *Ring) cpuPerIO() time.Duration {
-	per := cpuPerIOIRQ
-	if r.cfg.Mode == Polling {
-		per = cpuPerIOPolling
-	}
-	// Batched submission amortizes a fixed syscall cost; model it as a
-	// small constant divided by the batch size.
-	per += 500 * time.Nanosecond / time.Duration(r.cfg.BatchSubmit)
-	return per
-}
-
-func (r *Ring) dispatch(req *Request) {
-	r.inflight++
-	if r.inflight > r.stats.PeakInflight {
-		r.stats.PeakInflight = r.inflight
-	}
-	now := r.clock.Now()
-	var (
-		done simclock.Time
-		err  error
-	)
-	switch {
-	case req.Write:
-		done, err = r.dev.Write(now, req.Buf, req.Off)
-	case r.cfg.SGL:
-		done, err = r.dev.ReadSGL(now, req.Buf, req.Off)
-	default:
-		done, err = r.dev.Read(now, req.Buf, req.Off)
-	}
-	r.stats.CPUTime += r.cpuPerIO()
-	if err != nil {
-		r.stats.Errors++
-		done = now
-	}
-	r.clock.Schedule(done, func(at simclock.Time) {
-		r.complete(req, err)
-	})
-}
-
-func (r *Ring) complete(req *Request, err error) {
-	r.inflight--
-	r.stats.Completed++
-	if len(r.queue) > 0 {
-		next := r.queue[0]
-		copy(r.queue, r.queue[1:])
-		r.queue[len(r.queue)-1] = nil
-		r.queue = r.queue[:len(r.queue)-1]
-		r.dispatch(next)
-	}
-	if req.OnComplete != nil {
-		req.OnComplete(r.clock.Now(), err)
-	}
 }

@@ -1,6 +1,8 @@
 package uring
 
 import (
+	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -8,112 +10,95 @@ import (
 	"sdm/internal/simclock"
 )
 
-func newNandRing(clk *simclock.Clock, cfg Config) *Ring {
-	dev := blockdev.New(blockdev.Spec(blockdev.NandFlash), 1<<22, clk, 1)
-	return New(dev, clk, cfg)
+func newNandRing(cfg Config) *SyncRing {
+	var clk simclock.Clock
+	return NewSync(blockdev.New(blockdev.Spec(blockdev.NandFlash), 1<<22, &clk, 1), cfg)
 }
 
 func TestRingCompletesAll(t *testing.T) {
-	var clk simclock.Clock
-	r := newNandRing(&clk, Config{})
-	done := 0
+	r := newNandRing(Config{})
 	const n = 500
+	buf := make([]byte, 128)
 	for i := 0; i < n; i++ {
-		buf := make([]byte, 128)
-		err := r.Submit(&Request{
-			Buf: buf, Off: int64(i%100) * 4096,
-			OnComplete: func(now simclock.Time, err error) {
-				if err != nil {
-					t.Errorf("IO error: %v", err)
-				}
-				done++
-			},
-		})
+		done, err := r.SubmitSync(0, buf, int64(i%100)*4096, false)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("IO %d: %v", i, err)
+		}
+		if done <= 0 {
+			t.Fatalf("IO %d completed at %v", i, done)
 		}
 	}
-	if err := clk.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if done != n {
-		t.Fatalf("completed %d of %d", done, n)
-	}
-	s := r.Stats()
-	if s.Submitted != n || s.Completed != n {
+	if s := r.Stats(); s.Submitted != n || s.Completed != n || s.Errors != 0 {
 		t.Fatalf("stats %+v", s)
 	}
 }
 
+// TestRingOutstandingCap submits a same-instant burst against a cap of M:
+// the (M+1)-th IO starts at the earliest completion among the first M
+// (Nand's 45 channels would otherwise run it at once), and exactly M are
+// ever in flight.
 func TestRingOutstandingCap(t *testing.T) {
-	var clk simclock.Clock
-	r := newNandRing(&clk, Config{MaxOutstanding: 4})
-	const n = 100
-	for i := 0; i < n; i++ {
-		if err := r.Submit(&Request{Buf: make([]byte, 64), Off: int64(i) * 4096}); err != nil {
+	const m, n = 4, 100
+	r := newNandRing(Config{MaxOutstanding: m})
+	buf := make([]byte, 64)
+	done := make([]simclock.Time, n)
+	for i := range done {
+		var err error
+		if done[i], err = r.SubmitSync(0, buf, int64(i)*4096, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if r.Inflight() > 4 {
-		t.Fatalf("inflight %d exceeds cap", r.Inflight())
-	}
-	if r.Queued() != n-4 {
-		t.Fatalf("queued %d, want %d", r.Queued(), n-4)
-	}
-	if err := clk.Run(0); err != nil {
-		t.Fatal(err)
+	earliest := slices.Min(done[:m])
+	// Service time is at least 0.9× the media latency (±10% jitter).
+	minSvc := simclock.Time(blockdev.Spec(blockdev.NandFlash).MediaLatency) * 9 / 10
+	if done[m] < earliest+minSvc {
+		t.Fatalf("IO %d completed at %v: it started before a slot freed at %v", m, done[m], earliest)
 	}
 	s := r.Stats()
 	if s.Completed != n {
 		t.Fatalf("completed %d", s.Completed)
 	}
-	if s.PeakInflight > 4 {
-		t.Fatalf("peak inflight %d exceeded cap", s.PeakInflight)
+	if s.PeakInflight != m {
+		t.Fatalf("peak inflight %d, want the cap %d", s.PeakInflight, m)
 	}
 }
 
+// TestRingErrorPath: a failed IO surfaces its error, counts in Errors and
+// leaves nothing in flight, whether the offset or the device is at fault.
 func TestRingErrorPath(t *testing.T) {
-	var clk simclock.Clock
-	r := newNandRing(&clk, Config{})
-	gotErr := false
-	err := r.Submit(&Request{
-		Buf: make([]byte, 128), Off: 1 << 30, // out of range
-		OnComplete: func(_ simclock.Time, err error) { gotErr = err != nil },
-	})
+	r := newNandRing(Config{MaxOutstanding: 1})
+	buf := make([]byte, 128)
+	if _, err := r.SubmitSync(0, buf, 1<<30, false); !errors.Is(err, blockdev.ErrOutOfRange) {
+		t.Fatalf("out-of-range IO: err %v", err)
+	}
+	if _, err := r.SubmitTimedRead(0, len(buf), 1<<30); !errors.Is(err, blockdev.ErrOutOfRange) {
+		t.Fatalf("out-of-range timed read: err %v", err)
+	}
+	// With a cap of 1, an errored IO left in flight would delay this one.
+	done, err := r.SubmitSync(0, buf, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := clk.Run(0); err != nil {
-		t.Fatal(err)
+	if limit := simclock.Time(20 * blockdev.Spec(blockdev.NandFlash).MediaLatency); done > limit {
+		t.Fatalf("IO after errors completed at %v: an errored IO held the slot", done)
 	}
-	if !gotErr {
-		t.Fatal("out-of-range IO should surface its error in OnComplete")
+	r.Device().Close()
+	if _, err := r.SubmitSync(done, buf, 0, false); !errors.Is(err, blockdev.ErrClosed) {
+		t.Fatalf("closed device: err %v", err)
 	}
-	if r.Stats().Errors != 1 {
-		t.Fatalf("errors %d", r.Stats().Errors)
-	}
-}
-
-func TestRingClosed(t *testing.T) {
-	var clk simclock.Clock
-	r := newNandRing(&clk, Config{})
-	r.Close()
-	if err := r.Submit(&Request{Buf: make([]byte, 8)}); err != ErrRingClosed {
-		t.Fatalf("want ErrRingClosed, got %v", err)
+	if s := r.Stats(); s.Submitted != 4 || s.Errors != 3 || s.Completed != 1 || s.PeakInflight != 1 {
+		t.Fatalf("stats %+v", s)
 	}
 }
 
 func TestPollingImprovesIOPSPerCore(t *testing.T) {
 	run := func(mode CompletionMode) float64 {
-		var clk simclock.Clock
-		r := newNandRing(&clk, Config{Mode: mode})
+		r := newNandRing(Config{Mode: mode})
+		buf := make([]byte, 128)
 		for i := 0; i < 1000; i++ {
-			if err := r.Submit(&Request{Buf: make([]byte, 128), Off: int64(i%100) * 4096}); err != nil {
+			if _, err := r.SubmitSync(0, buf, int64(i%100)*4096, false); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := clk.Run(0); err != nil {
-			t.Fatal(err)
 		}
 		return r.Stats().IOPSPerCore()
 	}
@@ -126,15 +111,12 @@ func TestPollingImprovesIOPSPerCore(t *testing.T) {
 }
 
 func TestRingSGLSavesBus(t *testing.T) {
-	var clk simclock.Clock
-	r := newNandRing(&clk, Config{SGL: true})
+	r := newNandRing(Config{SGL: true})
+	buf := make([]byte, 128)
 	for i := 0; i < 100; i++ {
-		if err := r.Submit(&Request{Buf: make([]byte, 128), Off: int64(i) * 4096}); err != nil {
+		if _, err := r.SubmitSync(0, buf, int64(i)*4096, false); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := clk.Run(0); err != nil {
-		t.Fatal(err)
 	}
 	if sav := r.Device().Stats().BusSavings(); sav < 0.9 {
 		t.Fatalf("SGL bus savings %g", sav)
@@ -200,7 +182,7 @@ func TestSyncRingWrite(t *testing.T) {
 func TestMmapPageCache(t *testing.T) {
 	var clk simclock.Clock
 	dev := blockdev.New(blockdev.Spec(blockdev.NandFlash), 1<<20, &clk, 1)
-	m := NewMmap(dev, &clk, 64<<10) // 16 pages
+	m := NewMmap(dev, 64<<10) // 16 pages
 	buf := make([]byte, 128)
 	// First access faults; second hits.
 	if _, err := m.Read(0, buf, 0); err != nil {
@@ -221,7 +203,7 @@ func TestMmapPageCache(t *testing.T) {
 func TestMmapEviction(t *testing.T) {
 	var clk simclock.Clock
 	dev := blockdev.New(blockdev.Spec(blockdev.NandFlash), 1<<20, &clk, 1)
-	m := NewMmap(dev, &clk, 8<<10) // 2 pages
+	m := NewMmap(dev, 8<<10) // 2 pages
 	buf := make([]byte, 16)
 	for i := int64(0); i < 10; i++ {
 		if _, err := m.Read(0, buf, i*4096); err != nil {
@@ -245,7 +227,7 @@ func TestMmapSlowerThanDirect(t *testing.T) {
 	devA := blockdev.New(spec, 1<<24, &clk, 1)
 	devB := blockdev.New(spec, 1<<24, &clk, 1)
 	direct := NewSync(devA, Config{SGL: true})
-	m := NewMmap(devB, &clk, 16<<10)
+	m := NewMmap(devB, 16<<10)
 
 	buf := make([]byte, 128)
 	var sumDirect, sumMmap time.Duration

@@ -147,9 +147,9 @@ func SpatialLocality(inst *model.Instance, qs []Query, blockSize int) []SpatialR
 }
 
 // UserPartition returns the sticky partition of user across parts — the
-// hash shared by the offline Fig. 4c analyses (StickyRouter,
-// PartitionTrace) and the generator's SLO classes. The serving-time cluster router uses its
-// own consistent-hash ring so hosts can join and leave; the two
+// hash shared by the offline Fig. 4c analysis (StickyRouter) and the
+// generator's SLO classes. The serving-time cluster router uses its own
+// consistent-hash ring so hosts can join and leave; the two
 // assignments have the same statistical properties but differ per user.
 func UserPartition(user int64, parts int) int {
 	if parts <= 1 {
@@ -158,21 +158,6 @@ func UserPartition(user int64, parts int) int {
 	h := uint64(user) * 0x9e3779b97f4a7c15
 	h ^= h >> 32
 	return int(h % uint64(parts))
-}
-
-// PartitionTrace splits a trace across parts by sticky user partition,
-// preserving query order within each partition: the per-host sub-traces a
-// sticky front-end would deliver from one shared user population.
-func PartitionTrace(qs []Query, parts int) [][]Query {
-	if parts < 1 {
-		parts = 1
-	}
-	out := make([][]Query, parts)
-	for _, q := range qs {
-		p := UserPartition(q.UserID, parts)
-		out[p] = append(out[p], q)
-	}
-	return out
 }
 
 // StickyRouter routes queries to hosts. Sticky routing pins a user to a

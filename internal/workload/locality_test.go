@@ -66,34 +66,3 @@ func TestUserPartitionStable(t *testing.T) {
 		t.Fatal("degenerate partition counts must map to 0")
 	}
 }
-
-func TestPartitionTrace(t *testing.T) {
-	in := smallInstance(t)
-	g := newGen(t, in, Config{Seed: 31, NumUsers: 300})
-	qs := g.GenerateTrace(600)
-	parts := PartitionTrace(qs, 4)
-	if len(parts) != 4 {
-		t.Fatalf("got %d partitions", len(parts))
-	}
-	total := 0
-	for p, sub := range parts {
-		total += len(sub)
-		for _, q := range sub {
-			if UserPartition(q.UserID, 4) != p {
-				t.Fatalf("user %d in wrong partition %d", q.UserID, p)
-			}
-		}
-	}
-	if total != len(qs) {
-		t.Fatalf("partitions cover %d of %d queries", total, len(qs))
-	}
-	// Order preserved within a partition: replay the trace and compare.
-	idx := make([]int, 4)
-	for _, q := range qs {
-		p := UserPartition(q.UserID, 4)
-		if parts[p][idx[p]].UserID != q.UserID {
-			t.Fatal("partition order not preserved")
-		}
-		idx[p]++
-	}
-}

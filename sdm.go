@@ -14,12 +14,11 @@
 //
 //	inst, _ := sdm.Build(sdm.M1(), 1e-5, 42) // synthetic Table 6 model
 //	tables, _ := inst.Materialize()
-//	var clk sdm.Clock
 //	storeCfg := sdm.Config{
 //		SMTech: sdm.OptaneSSD,
 //		Ring:   sdm.RingConfig{SGL: true},
 //	}
-//	store, _ := sdm.Open(inst, tables, storeCfg, &clk)
+//	store, _ := sdm.Open(inst, tables, storeCfg, nil) // the clock is ignored, see Clock
 //	gen, _ := sdm.NewGenerator(inst, sdm.WorkloadConfig{Seed: 1})
 //	q := gen.Next()
 //	outs := store.AllocOutputs(q)
@@ -73,7 +72,8 @@ type (
 	Store = core.Store
 	// RingConfig tunes the io_uring-style fast IO path (§4.1).
 	RingConfig = uring.Config
-	// Clock is the discrete-event virtual clock driving simulations.
+	// Clock is an ignored placeholder (see simclock.Clock): virtual time is
+	// the simclock.Time values calls take and return, never a global clock.
 	Clock = simclock.Clock
 )
 
@@ -254,7 +254,7 @@ func Build(cfg ModelConfig, scale float64, seed uint64) (*Instance, error) {
 	return model.Build(cfg, scale, seed)
 }
 
-// Open loads a model into a new SDM store.
+// Open loads a model into a new SDM store. clock is ignored (see Clock).
 func Open(inst *Instance, tables []*Table, cfg Config, clock *Clock) (*Store, error) {
 	return core.Open(inst, tables, cfg, clock)
 }
@@ -264,7 +264,7 @@ func NewGenerator(inst *Instance, cfg WorkloadConfig) (*Generator, error) {
 	return workload.NewGenerator(inst, cfg)
 }
 
-// NewHost builds a simulated serving host.
+// NewHost builds a simulated serving host. clock is ignored (see Clock).
 func NewHost(inst *Instance, store *Store, flat []*Table, gen *Generator, clock *Clock, cfg HostConfig) (*Host, error) {
 	return serving.NewHost(inst, store, flat, gen, clock, cfg)
 }
