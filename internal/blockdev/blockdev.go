@@ -182,10 +182,12 @@ func (s Stats) BusSavings() float64 {
 
 // Device simulates one SM device instance.
 type Device struct {
-	spec     TechSpec
-	rng      *xrand.RNG
-	data     []byte
-	channels []simclock.Time // next-free virtual time per internal channel
+	spec TechSpec
+	rng  *xrand.RNG
+	data []byte
+	// channels holds the channels' next-free instants as a binary min-heap:
+	// which channel serves an IO is never observable, only their multiset.
+	channels []simclock.Time
 	stats    Stats
 	closed   bool
 	// shared marks data as a read-only image shared with other devices
@@ -264,26 +266,10 @@ func (d *Device) Channels() int { return len(d.channels) }
 // Close marks the device closed; subsequent accesses fail.
 func (d *Device) Close() { d.closed = true }
 
-// nextChannel returns the index of the earliest-free channel.
-func (d *Device) nextChannel() int {
-	best := 0
-	for i, t := range d.channels {
-		if t < d.channels[best] {
-			best = i
-		}
-		_ = t
-	}
-	return best
-}
-
-// serviceOne books one media access starting no earlier than now and
-// returns its completion time.
+// serviceOne books one media access on the earliest-free channel, starting
+// no earlier than now, and returns its completion time.
 func (d *Device) serviceOne(now simclock.Time, write bool) simclock.Time {
-	ch := d.nextChannel()
-	start := now
-	if d.channels[ch] > start {
-		start = d.channels[ch]
-	}
+	start := max(now, d.channels[0])
 	svc := d.spec.MediaLatency
 	if write {
 		svc = d.spec.WriteLatency
@@ -295,15 +281,21 @@ func (d *Device) serviceOne(now simclock.Time, write bool) simclock.Time {
 	// ±10% service-time jitter.
 	svc = time.Duration(float64(svc) * (0.9 + 0.2*d.rng.Float64()))
 	done := start + simclock.Time(svc)
-	d.channels[ch] = done
+	// Replace the minimum in place: sift done down from the root.
+	ch, i := d.channels, 0
+	for {
+		c := 2*i + 1
+		if c+1 < len(ch) && ch[c+1] < ch[c] {
+			c++
+		}
+		if c >= len(ch) || ch[c] >= done {
+			break
+		}
+		ch[i] = ch[c]
+		i = c
+	}
+	ch[i] = done
 	return done
-}
-
-// busTransfer accounts n read bytes over the host link and returns the
-// transfer latency.
-func (d *Device) busTransfer(n int) simclock.Time {
-	d.stats.BusBytes += uint64(n)
-	return simclock.Time(d.busTime(n))
 }
 
 // busTime returns the link transfer time for n bytes.
@@ -316,25 +308,32 @@ func (d *Device) busTime(n int) time.Duration {
 
 // granules returns how many media accesses a [off, off+n) read costs.
 func (d *Device) granules(off int64, n int) int {
-	g := int64(d.spec.AccessGranularity)
-	if g <= 0 {
-		g = 1
-	}
-	first := off / g
-	last := (off + int64(n) - 1) / g
-	return int(last - first + 1)
+	g := max(int64(d.spec.AccessGranularity), 1)
+	return int((off+int64(n)-1)/g - off/g + 1)
 }
 
-// alignedSpan returns the media-granularity-aligned byte span covering
-// [off, off+n).
-func (d *Device) alignedSpan(off int64, n int) (int64, int) {
-	g := int64(d.spec.AccessGranularity)
-	if g <= 0 {
-		g = 1
+// alignedSpan returns the length of the media-granularity-aligned byte span
+// covering [off, off+n).
+func (d *Device) alignedSpan(off int64, n int) int {
+	g := max(int64(d.spec.AccessGranularity), 1)
+	return int((off+int64(n)+g-1)/g*g - off/g*g)
+}
+
+// book validates an n-byte access at off and books one media access per
+// granule, all issued at now; it returns the last completion and the
+// aligned span.
+func (d *Device) book(now simclock.Time, off int64, n int, write bool) (simclock.Time, int, error) {
+	if d.closed {
+		return now, 0, ErrClosed
 	}
-	start := off / g * g
-	end := (off + int64(n) + g - 1) / g * g
-	return start, int(end - start)
+	if off < 0 || off+int64(n) > int64(len(d.data)) {
+		return now, 0, fmt.Errorf("%w: off=%d len=%d cap=%d", ErrOutOfRange, off, n, len(d.data))
+	}
+	done := now
+	for i := d.granules(off, n); i > 0; i-- {
+		done = max(done, d.serviceOne(now, write))
+	}
+	return done, d.alignedSpan(off, n), nil
 }
 
 // Read performs a block-granularity read: the whole aligned span covering
@@ -383,29 +382,19 @@ func (d *Device) PeekInto(p []byte, off int64) error {
 // AccountRead, so deferred-timing callers observe bit-identical completion
 // times, stats and RNG draws as inline callers.
 func (d *Device) AccountRead(now simclock.Time, off int64, n int, sgl bool) (simclock.Time, error) {
-	if d.closed {
-		return now, ErrClosed
-	}
-	if off < 0 || off+int64(n) > int64(len(d.data)) {
-		return now, fmt.Errorf("%w: off=%d len=%d cap=%d", ErrOutOfRange, off, n, len(d.data))
-	}
-	_, span := d.alignedSpan(off, n)
-	gr := d.granules(off, n)
-	done := now
-	for i := 0; i < gr; i++ {
-		if t := d.serviceOne(now, false); t > done {
-			done = t
-		}
+	done, span, err := d.book(now, off, n, false)
+	if err != nil {
+		return now, err
 	}
 	d.stats.Reads++
 	d.stats.MediaBytes += uint64(span)
 	d.stats.RequestedBytes += uint64(n)
+	bus := span
 	if sgl {
-		done += d.busTransfer(n)
-	} else {
-		done += d.busTransfer(span)
+		bus = n
 	}
-	return done, nil
+	d.stats.BusBytes += uint64(bus)
+	return done + simclock.Time(d.busTime(bus)), nil
 }
 
 // Write writes p at off, modelling program latency and endurance wear: it
@@ -441,48 +430,19 @@ func (d *Device) PokeFrom(p []byte, off int64) error {
 // of AccountRead, for bytes already on the media (poked, or held by a
 // shared load image).
 func (d *Device) AccountWrite(now simclock.Time, off int64, n int) (simclock.Time, error) {
-	if d.closed {
-		return now, ErrClosed
+	done, span, err := d.book(now, off, n, true)
+	if err != nil {
+		return now, err
 	}
-	if off < 0 || off+int64(n) > int64(len(d.data)) {
-		return now, fmt.Errorf("%w: off=%d len=%d cap=%d", ErrOutOfRange, off, n, len(d.data))
-	}
-	_, span := d.alignedSpan(off, n)
-	gr := d.granules(off, n)
-	done := now
-	for i := 0; i < gr; i++ {
-		if t := d.serviceOne(now, true); t > done {
-			done = t
-		}
-	}
-	done += simclock.Time(d.busTime(n))
 	d.stats.BusWriteBytes += uint64(n)
 	d.stats.Writes++
 	d.stats.BytesWritten += uint64(span)
-	return done, nil
+	return done + simclock.Time(d.busTime(n)), nil
 }
 
 // Peek returns a read-only view of the backing bytes (test/oracle use).
 func (d *Device) Peek(off int64, n int) []byte {
 	return d.data[off : off+int64(n)]
-}
-
-// LoadedLatency estimates the completion latency of a single read issued at
-// the given sustained IOPS load, without disturbing device state. It is the
-// analytic form of the Fig. 3 curves: flat at MediaLatency while load is
-// below the ceiling, with an M/M/c-style knee as utilization approaches 1.
-func (s TechSpec) LoadedLatency(iops float64) time.Duration {
-	rho := iops / s.MaxIOPS
-	if rho >= 0.999 {
-		rho = 0.999
-	}
-	if rho < 0 {
-		rho = 0
-	}
-	// Waiting-time inflation: negligible below ~60% utilization, then a
-	// sharp knee (heavier for technologies with fewer effective channels).
-	infl := 1 + 0.05*rho/(1-rho)
-	return time.Duration(float64(s.MediaLatency) * infl)
 }
 
 // RatedLifeYears is the drive-life horizon the DWPD rating assumes (the

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sdm/internal/simclock"
+	"sdm/internal/xrand"
 )
 
 func newNand(t *testing.T, capacity int64) (*Device, *simclock.Clock) {
@@ -329,22 +330,6 @@ func TestWriteEnduranceAccounting(t *testing.T) {
 	}
 }
 
-func TestLoadedLatencyAnalytic(t *testing.T) {
-	s := Spec(OptaneSSD)
-	low := s.LoadedLatency(0.1 * s.MaxIOPS)
-	mid := s.LoadedLatency(0.8 * s.MaxIOPS)
-	high := s.LoadedLatency(0.99 * s.MaxIOPS)
-	if !(low <= mid && mid < high) {
-		t.Fatalf("loaded latency not increasing: %v %v %v", low, mid, high)
-	}
-	if low > s.MediaLatency*2 {
-		t.Fatalf("low-load latency %v far above media %v", low, s.MediaLatency)
-	}
-	if over := s.LoadedLatency(10 * s.MaxIOPS); over < high {
-		t.Fatal("overload must clamp at max inflation")
-	}
-}
-
 func TestUpdateInterval(t *testing.T) {
 	// 1 TB model on 2 TB of Nand at 5 DWPD: allowed 10 model-writes/day
 	// → minimum interval 2.4 h.
@@ -383,5 +368,117 @@ func TestDeviceChannels(t *testing.T) {
 	}
 	if dev.MaxOutstanding == 0 {
 		t.Fatal("Nand should carry a recommended outstanding cap (§4.1)")
+	}
+}
+
+// linearDevice is the timing model as it was before the channel heap: every
+// media access scans all channels for the earliest-free one and books that
+// slot. It shares nothing with Device.
+type linearDevice struct {
+	spec     TechSpec
+	rng      *xrand.RNG
+	channels []simclock.Time
+	stats    Stats
+}
+
+func (m *linearDevice) account(now simclock.Time, off int64, n int, write, sgl bool) simclock.Time {
+	spec := m.spec
+	gran := int64(spec.AccessGranularity)
+	granules := (off+int64(n)-1)/gran - off/gran + 1
+	span := int(granules * gran)
+	busTime := func(n int) simclock.Time {
+		return simclock.Time(float64(n) / spec.BusBandwidth * float64(time.Second))
+	}
+	done := now
+	for ; granules > 0; granules-- {
+		best := 0
+		for i, t := range m.channels {
+			if t < m.channels[best] {
+				best = i
+			}
+		}
+		svc := spec.MediaLatency
+		if write {
+			svc = spec.WriteLatency
+		}
+		if spec.TailProb > 0 && m.rng.Float64() < spec.TailProb {
+			svc = time.Duration(float64(svc) * spec.TailFactor)
+			m.stats.TailEvents++
+		}
+		svc = time.Duration(float64(svc) * (0.9 + 0.2*m.rng.Float64()))
+		end := max(now, m.channels[best]) + simclock.Time(svc)
+		m.channels[best] = end
+		done = max(done, end)
+	}
+	if write {
+		m.stats.Writes++
+		m.stats.BusWriteBytes += uint64(n)
+		m.stats.BytesWritten += uint64(span)
+		return done + busTime(n)
+	}
+	bus := span
+	if sgl {
+		bus = n // only the requested bytes cross the link
+	}
+	m.stats.Reads++
+	m.stats.MediaBytes += uint64(span)
+	m.stats.RequestedBytes += uint64(n)
+	m.stats.BusBytes += uint64(bus)
+	return done + busTime(bus)
+}
+
+// TestChannelHeapMatchesLinearScan drives a device and the linear-scan model
+// with the same 10⁵ reads and writes — idle gaps, same-instant bursts that
+// queue behind every channel, reads spanning several granules — and requires
+// equal completion instants, counters and RNG state after every IO.
+func TestChannelHeapMatchesLinearScan(t *testing.T) {
+	one := Spec(OptaneSSD)
+	one.MaxIOPS = 1 / one.MediaLatency.Seconds() // a single channel
+	for _, c := range []struct {
+		spec     TechSpec
+		channels int
+	}{{Spec(NandFlash), 45}, {Spec(OptaneSSD), 40}, {Spec(DIMM3DXP), 6}, {one, 1}} {
+		const capacity = 1 << 20
+		const seed = 77
+		dev := New(c.spec, capacity, nil, seed)
+		if dev.Channels() != c.channels {
+			t.Fatalf("%v: %d channels, want %d", c.spec.Tech, dev.Channels(), c.channels)
+		}
+		ref := &linearDevice{spec: c.spec, rng: xrand.New(seed), channels: make([]simclock.Time, c.channels)}
+		rng := xrand.New(5)
+		gran := c.spec.AccessGranularity
+		// One IO in four starts a new instant and the rest pile onto it; the
+		// gaps average the time the channels need for four IOs (≈ 1.3
+		// granules each, one in five a write), so the device hovers around
+		// saturation, queueing behind every channel and draining again.
+		meanGap := 4 * 1.3 * (0.8*float64(c.spec.MediaLatency) + 0.2*float64(c.spec.WriteLatency)) / float64(c.channels)
+		var now simclock.Time
+		for op := 0; op < 100000; op++ {
+			if rng.Intn(4) == 0 {
+				now += simclock.Time(rng.Float64() * 2 * meanGap)
+			}
+			n := 1 + rng.Intn(gran)
+			if rng.Intn(8) == 0 {
+				n = 1 + rng.Intn(5*gran) // up to six granules
+			}
+			off := rng.Int63n(capacity - int64(n))
+			write, sgl := rng.Intn(5) == 0, rng.Intn(2) == 0
+			var got simclock.Time
+			var err error
+			if write {
+				got, err = dev.AccountWrite(now, off, n)
+			} else {
+				got, err = dev.AccountRead(now, off, n, sgl)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := ref.account(now, off, n, write, sgl); got != want {
+				t.Fatalf("%v op %d (write=%v n=%d): done %v, linear scan %v", c.spec.Tech, op, write, n, got, want)
+			}
+			if dev.stats != ref.stats || *dev.rng != *ref.rng {
+				t.Fatalf("%v op %d: stats %+v vs %+v, rng %v vs %v", c.spec.Tech, op, dev.stats, ref.stats, *dev.rng, *ref.rng)
+			}
+		}
 	}
 }

@@ -7,6 +7,7 @@ package embedding
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"sdm/internal/quant"
 	"sdm/internal/xrand"
@@ -72,8 +73,10 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("embedding: table %d: quant type unset", s.ID)
 	case s.Kind == 0:
 		return fmt.Errorf("embedding: table %d: kind unset", s.ID)
-	case s.PoolingFactor < 0:
-		return fmt.Errorf("embedding: table %d: negative pooling factor", s.ID)
+	case !(s.PoolingFactor >= 0) || math.IsInf(s.PoolingFactor, 0):
+		return fmt.Errorf("embedding: table %d: PoolingFactor must be finite and >= 0, got %v", s.ID, s.PoolingFactor)
+	case math.IsNaN(s.Alpha) || math.IsInf(s.Alpha, 0): // negative is legal: uniform
+		return fmt.Errorf("embedding: table %d: Alpha must be finite, got %v", s.ID, s.Alpha)
 	}
 	return nil
 }

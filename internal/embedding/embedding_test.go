@@ -2,6 +2,7 @@ package embedding
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"sdm/internal/quant"
@@ -31,6 +32,24 @@ func TestSpecValidate(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Errorf("case %d should fail validation", i)
 		}
+	}
+	// Non-finite skews and pooling factors are refused by field name (NaN
+	// passes any "< 0" check); a negative skew is legal and means uniform.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		s := good
+		s.Alpha = v
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "Alpha") {
+			t.Errorf("Alpha = %v: error %v, want one naming Alpha", v, err)
+		}
+		s = good
+		s.PoolingFactor = v
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "PoolingFactor") {
+			t.Errorf("PoolingFactor = %v: error %v, want one naming PoolingFactor", v, err)
+		}
+	}
+	good.Alpha = -1
+	if err := good.Validate(); err != nil {
+		t.Errorf("negative Alpha (uniform) rejected: %v", err)
 	}
 }
 

@@ -70,8 +70,10 @@ func (d DriftConfig) validate() (DriftConfig, error) {
 		d.FlashEvery < 0 || d.FlashLen < 0 || d.FlashUsers < 0 {
 		return d, fmt.Errorf("workload: negative drift parameter: %+v", d)
 	}
-	if d.HotBoost < 0 || d.ColdShrink < 0 || d.FlashFrac < 0 || d.FlashFrac > 1 {
-		return d, fmt.Errorf("workload: drift multipliers out of range: %+v", d)
+	// Any NaN or ±Inf term makes the sum non-finite.
+	if f := d.HotBoost + d.ColdShrink + d.FlashFrac + d.DiurnalAmp; math.IsNaN(f) || math.IsInf(f, 0) ||
+		d.HotBoost < 0 || d.ColdShrink < 0 || d.FlashFrac < 0 || d.FlashFrac > 1 {
+		return d, fmt.Errorf("workload: drift multipliers non-finite or out of range: %+v", d)
 	}
 	if d.HotTables > 0 || d.HotItemTables > 0 {
 		if d.HotBoost == 0 {

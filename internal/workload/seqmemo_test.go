@@ -64,7 +64,11 @@ func referenceQuery(ref *Generator) Query {
 			churn := ref.cfg.SeqChurn > 0 && ref.rng.Float64() < ref.cfg.SeqChurn
 			seq := referenceSequence(ref.inst, ref.cfg.Seed, ref.cfg.Spatial, t, entity, s.PoolingFactor*boost)
 			if churn {
-				seq[ref.rng.Intn(len(seq))] = ref.perms[t].Map(ref.zipfs[t].Rank(ref.rng))
+				// Its own sampler and permuter, as in referenceSequence: the
+				// oracle shares nothing with the generator's index tables.
+				perm := xrand.NewPermuter(s.Rows, ref.cfg.Seed^uint64(s.ID)<<17)
+				perm.Identity = ref.cfg.Spatial
+				seq[ref.rng.Intn(len(seq))] = perm.Map(xrand.NewZipf(s.Rows, s.Alpha).Rank(ref.rng))
 			}
 			op.Pools = append(op.Pools, seq)
 		}

@@ -14,6 +14,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"sdm/internal/model"
@@ -112,14 +113,7 @@ func (b *QueryBuf) Reserve(nIdx, nPools, nOps int) {
 // shares nothing with src; b.Q and everything it references remain valid
 // until the next CopyFrom.
 func (b *QueryBuf) CopyFrom(src Query) {
-	nIdx, nPools := 0, 0
-	for _, op := range src.Ops {
-		nPools += len(op.Pools)
-		for _, p := range op.Pools {
-			nIdx += len(p)
-		}
-	}
-	b.Reserve(nIdx, nPools, len(src.Ops))
+	b.Reserve(src.Size())
 	idx := b.idx[:0]
 	for _, op := range src.Ops {
 		for _, p := range op.Pools {
@@ -190,8 +184,7 @@ type Generator struct {
 	inst  *model.Instance
 	cfg   Config
 	rng   *xrand.RNG
-	zipfs []*xrand.Zipf     // per table
-	perms []*xrand.Permuter // per table
+	index []*xrand.IndexTable // per table: draws one scattered row index
 	userZ *xrand.Zipf
 	itemZ *xrand.Zipf
 
@@ -247,6 +240,14 @@ func NewGenerator(inst *model.Instance, cfg Config) (*Generator, error) {
 	if cfg.SLOClasses < 0 {
 		return nil, fmt.Errorf("workload: SLOClasses must be >= 0, got %d", cfg.SLOClasses)
 	}
+	// A non-finite skew would not fail later, it would silently collapse the
+	// stream: Rank clamps int64(NaN) to rank 0.
+	names := []string{"UserAlpha", "ItemAlpha", "SeqChurn"}
+	for i, v := range []float64{cfg.UserAlpha, cfg.ItemAlpha, cfg.SeqChurn} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("workload: %s must be finite, got %v", names[i], v)
+		}
+	}
 	drift, err := cfg.Drift.validate()
 	if err != nil {
 		return nil, err
@@ -256,16 +257,18 @@ func NewGenerator(inst *model.Instance, cfg Config) (*Generator, error) {
 		inst:  inst,
 		cfg:   cfg,
 		rng:   xrand.New(cfg.Seed),
-		zipfs: make([]*xrand.Zipf, len(inst.Tables)),
-		perms: make([]*xrand.Permuter, len(inst.Tables)),
+		index: make([]*xrand.IndexTable, len(inst.Tables)),
 		userZ: xrand.NewZipf(cfg.NumUsers, cfg.UserAlpha),
 		itemZ: xrand.NewZipf(cfg.NumItems, cfg.ItemAlpha),
 	}
 	g.userAlpha = cfg.UserAlpha
 	for i, s := range inst.Tables {
-		g.zipfs[i] = xrand.NewZipf(s.Rows, s.Alpha)
-		g.perms[i] = xrand.NewPermuter(s.Rows, cfg.Seed^uint64(s.ID)<<17)
-		g.perms[i].Identity = cfg.Spatial
+		if err := s.Validate(); err != nil {
+			return nil, err
+		}
+		perm := xrand.NewPermuter(s.Rows, cfg.Seed^uint64(s.ID)<<17)
+		perm.Identity = cfg.Spatial
+		g.index[i] = xrand.NewIndexTable(xrand.NewZipf(s.Rows, s.Alpha), perm)
 	}
 	g.memo = newSeqMemos(inst)
 	return g, nil
@@ -324,8 +327,9 @@ func (g *Generator) baseSequence(table int, entity int64, churn bool, boost floa
 			seq[i] = int64(v)
 		}
 	} else {
+		index := g.index[table]
 		for i := range seq {
-			seq[i] = g.perms[table].Map(g.zipfs[table].Rank(&g.seqRNG))
+			seq[i] = index.Draw(&g.seqRNG)
 		}
 		if slot != nil && slot.claim(entity) {
 			slot.n = int32(n)
@@ -335,7 +339,7 @@ func (g *Generator) baseSequence(table int, entity int64, churn bool, boost floa
 		}
 	}
 	if churn {
-		seq[g.rng.Intn(n)] = g.perms[table].Map(g.zipfs[table].Rank(g.rng))
+		seq[g.rng.Intn(n)] = g.index[table].Draw(g.rng)
 	}
 	g.arenaEnds = append(g.arenaEnds, len(g.arenaIdx))
 }

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"sdm/internal/embedding"
@@ -326,5 +329,46 @@ func TestSLOClassTagging(t *testing.T) {
 	}
 	if _, err := NewGenerator(in, Config{SLOClasses: -1}); err == nil {
 		t.Fatal("negative SLOClasses should be rejected")
+	}
+}
+
+// TestNonFiniteSkewRejected: a NaN or infinite skew, probability or pooling
+// factor used to be accepted everywhere and collapse the stream onto one row
+// (Rank clamps int64(NaN) to rank 0). Every such field is refused by name;
+// a negative skew keeps its meaning (uniform).
+func TestNonFiniteSkewRejected(t *testing.T) {
+	in := smallInstance(t)
+	fields := []struct {
+		name string
+		set  func(*Config, *embedding.Spec, float64)
+	}{
+		{"UserAlpha", func(c *Config, _ *embedding.Spec, v float64) { c.UserAlpha = v }},
+		{"ItemAlpha", func(c *Config, _ *embedding.Spec, v float64) { c.ItemAlpha = v }},
+		{"SeqChurn", func(c *Config, _ *embedding.Spec, v float64) { c.SeqChurn = v }},
+		{"DiurnalAmp", func(c *Config, _ *embedding.Spec, v float64) { c.Drift.DiurnalAmp = v }},
+		{"HotBoost", func(c *Config, _ *embedding.Spec, v float64) { c.Drift.HotBoost = v }},
+		{"ColdShrink", func(c *Config, _ *embedding.Spec, v float64) { c.Drift.ColdShrink = v }},
+		{"FlashFrac", func(c *Config, _ *embedding.Spec, v float64) { c.Drift.FlashFrac = v }},
+		{"Alpha", func(_ *Config, s *embedding.Spec, v float64) { s.Alpha = v }},
+		{"PoolingFactor", func(_ *Config, s *embedding.Spec, v float64) { s.PoolingFactor = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			hostile := *in
+			hostile.Tables = slices.Clone(in.Tables)
+			cfg := Config{Seed: 1}
+			f.set(&cfg, &hostile.Tables[2], v)
+			_, err := NewGenerator(&hostile, cfg)
+			if err == nil || !strings.Contains(err.Error(), f.name) {
+				t.Errorf("%s = %v: error %v, want one naming the field", f.name, v, err)
+			}
+		}
+	}
+	uniform := *in
+	uniform.Tables = slices.Clone(in.Tables)
+	uniform.Tables[2].Alpha = -1
+	g := newGen(t, &uniform, Config{Seed: 1, UserAlpha: -1, ItemAlpha: -0.5})
+	if err := Validate(&uniform, g.GenerateTrace(50)); err != nil {
+		t.Fatal(err)
 	}
 }

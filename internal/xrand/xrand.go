@@ -6,6 +6,11 @@
 // this repository are driven by per-table Zipfian samplers whose skew is
 // configurable, combined with a pseudorandom index permutation that controls
 // spatial locality (hot rows scattered across 4 KB blocks, matching Fig. 5).
+//
+// Permuter.Map(Zipf.Rank(r)) is the definition of an index draw; IndexTable
+// is an index over that expression, not a second sampler: the same value from
+// the same RNG step, and the expression itself wherever rounding could part
+// the two.
 package xrand
 
 import "math"
@@ -57,12 +62,7 @@ func (r *RNG) Float64() float64 {
 }
 
 // Intn returns a uniform value in [0, n). n must be > 0.
-func (r *RNG) Intn(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(r.Uint64() % uint64(n))
-}
+func (r *RNG) Intn(n int) int { return int(r.Int63n(int64(n))) }
 
 // Int63n returns a uniform int64 in [0, n). n must be > 0.
 func (r *RNG) Int63n(n int64) int64 {
@@ -93,17 +93,6 @@ func (r *RNG) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Perm returns a pseudorandom permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Zipf samples ranks from an (approximate) Zipf distribution over
 // [0, N): P(rank = i) ∝ 1/(i+1)^Alpha. Rank 0 is the hottest element.
 //
@@ -112,6 +101,9 @@ func (r *RNG) Perm(n int) []int {
 // locality-shape experiments this repo runs (Fig. 4) and — unlike
 // math/rand's rejection sampler — supports any Alpha > 0, including the
 // Alpha ≤ 1 regime typical of embedding tables.
+//
+// Rank's closed form defines the stream; CDF, the same expression solved the
+// other way, is what IndexTable's thresholds are built from.
 type Zipf struct {
 	n     int64
 	alpha float64
@@ -148,18 +140,16 @@ func (z *Zipf) Reset(n int64, alpha float64) {
 	}
 }
 
-// N returns the support size.
-func (z *Zipf) N() int64 { return z.n }
-
-// Alpha returns the configured skew.
-func (z *Zipf) Alpha() float64 { return z.alpha }
-
 // Rank draws a rank in [0, N), rank 0 being the most popular.
 func (z *Zipf) Rank(r *RNG) int64 {
 	if z.uniform || z.n == 1 {
 		return r.Int63n(z.n)
 	}
-	u := r.Float64()
+	return z.rankOf(r.Float64())
+}
+
+// rankOf is the inverse CDF at u in [0, 1) of a non-uniform sampler.
+func (z *Zipf) rankOf(u float64) int64 {
 	var x float64
 	if z.alpha == 1 {
 		// CDF(i) ≈ ln(i+1)/ln(N)  =>  i = N^u - 1

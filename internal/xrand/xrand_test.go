@@ -94,18 +94,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(13)
-	p := r.Perm(257)
-	seen := make([]bool, 257)
-	for _, v := range p {
-		if v < 0 || v >= 257 || seen[v] {
-			t.Fatalf("invalid permutation value %d", v)
-		}
-		seen[v] = true
-	}
-}
-
 func TestZipfRankBounds(t *testing.T) {
 	for _, alpha := range []float64{0, 0.5, 1.0, 1.3, 2.0} {
 		z := NewZipf(1000, alpha)
@@ -181,7 +169,7 @@ func TestZipfResetMatchesNew(t *testing.T) {
 
 func TestZipfUniformFallback(t *testing.T) {
 	z := NewZipf(10, 0)
-	if z.Alpha() != 0 {
+	if z.alpha != 0 {
 		t.Fatal("alpha should stay 0")
 	}
 	r := New(29)

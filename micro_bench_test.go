@@ -132,12 +132,64 @@ func BenchmarkPooledCacheHash(b *testing.B) {
 	}
 }
 
-func BenchmarkZipfRank(b *testing.B) {
-	z := xrand.NewZipf(1<<24, 1.05)
-	rng := xrand.New(3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		z.Rank(rng)
+// BenchmarkIndexDraw is the row of one scattered index draw at three of the
+// end-to-end benchmark's table shapes (tables 0, 7 and 9: near-harmonic,
+// the largest and flattest, the steepest): formula is Permuter.Map(Zipf.Rank),
+// table is IndexTable.Draw returning the same values, build is NewIndexTable
+// in ns per row. n16M_a1.05 is the old BenchmarkZipfRank row under its old
+// parameters (Rank alone, no Map) and stays formula-only: a 16 M-row table
+// would be 160 MB and no model here builds one.
+func BenchmarkIndexDraw(b *testing.B) {
+	shapes := []struct {
+		name  string
+		rows  int64
+		alpha float64
+	}{
+		{"t0_7902_a0.996", 7902, 0.99593392345782028},
+		{"t7_57271_a0.732", 57271, 0.73166621983342939},
+		{"t9_4043_a1.248", 4043, 1.2483328950489736},
+	}
+	variants := []struct {
+		name string
+		run  func(b *testing.B, z *xrand.Zipf, p *xrand.Permuter, rows int64)
+	}{
+		{"formula", func(b *testing.B, z *xrand.Zipf, p *xrand.Permuter, _ int64) {
+			rng := xrand.New(3)
+			for i := 0; i < b.N; i++ {
+				p.Map(z.Rank(rng))
+			}
+		}},
+		{"table", func(b *testing.B, z *xrand.Zipf, p *xrand.Permuter, _ int64) {
+			t, rng := xrand.NewIndexTable(z, p), xrand.New(3)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t.Draw(rng)
+			}
+		}},
+		{"build", func(b *testing.B, z *xrand.Zipf, p *xrand.Permuter, rows int64) {
+			for i := 0; i < b.N; i++ {
+				xrand.NewIndexTable(z, p)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+		}},
+	}
+	for _, v := range variants {
+		b.Run(v.name, func(b *testing.B) {
+			for _, s := range shapes {
+				b.Run(s.name, func(b *testing.B) {
+					v.run(b, xrand.NewZipf(s.rows, s.alpha), xrand.NewPermuter(s.rows, 42), s.rows)
+				})
+			}
+			if v.name != "formula" {
+				return
+			}
+			b.Run("n16M_a1.05", func(b *testing.B) {
+				z, rng := xrand.NewZipf(1<<24, 1.05), xrand.New(3)
+				for i := 0; i < b.N; i++ {
+					z.Rank(rng)
+				}
+			})
+		})
 	}
 }
 
@@ -145,8 +197,10 @@ func BenchmarkZipfRank(b *testing.B) {
 // the end-to-end benchmark's model shape: hot is the fleet workloads'
 // population, where entities repeat and the sequence memo serves most pools;
 // flat is host-sm-miss's, where nearly every user is new and the user side
-// is derived from scratch. memo-hit-% is the share of the timed loop's
-// pools copied out of the memo.
+// is derived from scratch; drift is adapt-drift-writes' stream, whose
+// boosted spotlight pools never fit a memo slot and whose cohort is re-keyed
+// by a forced rotation every 1000 queries. memo-hit-% is the share of the
+// timed loop's pools copied out of the memo.
 func BenchmarkGeneratorNextShared(b *testing.B) {
 	cfg := M1()
 	cfg.NumUserTables = 8
@@ -160,23 +214,58 @@ func BenchmarkGeneratorNextShared(b *testing.B) {
 		name  string
 		users int64
 		alpha float64
-	}{{"hot", 4000, 0.8}, {"flat", 200000, 0.3}} {
+		drift workload.DriftConfig
+	}{
+		{"hot", 4000, 0.8, workload.DriftConfig{}},
+		{"flat", 200000, 0.3, workload.DriftConfig{}},
+		{"drift", 2000, 0.8, workload.DriftConfig{HotTables: 2, HotItemTables: 1}},
+	} {
 		b.Run(pop.name, func(b *testing.B) {
-			gen, err := workload.NewGenerator(inst, workload.Config{Seed: 42, NumUsers: pop.users, UserAlpha: pop.alpha})
+			gen, err := workload.NewGenerator(inst, workload.Config{Seed: 42, NumUsers: pop.users, UserAlpha: pop.alpha, Drift: pop.drift})
 			if err != nil {
 				b.Fatal(err)
 			}
-			for i := 0; i < 20000; i++ {
+			next := func(i int) {
+				if pop.drift.HotTables > 0 && i%1000 == 0 {
+					gen.ForceRotation()
+				}
 				gen.NextShared()
+			}
+			for i := 0; i < 20000; i++ {
+				next(i)
 			}
 			hits0, pools0 := gen.MemoStats()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				gen.NextShared()
+				next(i)
 			}
 			hits, pools := gen.MemoStats()
 			b.ReportMetric(100*float64(hits-hits0)/float64(pools-pools0), "memo-hit-%")
+		})
+	}
+}
+
+// BenchmarkDeviceAccountRead is the timing half of one 128-byte SGL read —
+// channel booking, jitter draws, counters — at three channel counts. Issue
+// instants advance at 80 % of each device's IOPS ceiling.
+func BenchmarkDeviceAccountRead(b *testing.B) {
+	for _, v := range []struct {
+		name string
+		tech blockdev.Technology
+	}{{"nand45", blockdev.NandFlash}, {"optane40", blockdev.OptaneSSD}, {"dimm6", blockdev.DIMM3DXP}} {
+		b.Run(v.name, func(b *testing.B) {
+			spec := blockdev.Spec(v.tech)
+			dev := blockdev.New(spec, 1<<24, nil, 4)
+			gap := simclock.Time(1e9 / (0.8 * spec.MaxIOPS))
+			var now simclock.Time
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := dev.AccountRead(now, int64(i%4096)*4096, 128, true); err != nil {
+					b.Fatal(err)
+				}
+				now += gap
+			}
 		})
 	}
 }
