@@ -151,6 +151,16 @@ func load(path string) ([]experiments.Report, error) {
 // numRE matches the numbers embedded in a rendered experiment row.
 var numRE = regexp.MustCompile(`-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?`)
 
+// spaceRE matches the column padding of a rendered row.
+var spaceRE = regexp.MustCompile(`\s+`)
+
+// skeleton is a row's non-numeric shape: numbers replaced by a marker and
+// padding collapsed, so a number that gains a digit under a fixed-width verb
+// (and eats one space of padding) leaves the shape unchanged.
+func skeleton(row string) string {
+	return spaceRE.ReplaceAllString(numRE.ReplaceAllString(row, "#"), " ")
+}
+
 // diffReport prints one experiment's drifted rows and returns how many
 // rows moved beyond the tolerance, plus how many of those moved *up* —
 // row shape changes and row additions/removals count as regressions, a
@@ -204,7 +214,7 @@ func diffReport(b, c experiments.Report, tolPct float64) (drifted, regressed int
 // and restricted to increases (for direction-aware gating). ok is false
 // when the skeletons differ (the rows are not number-comparable).
 func rowDelta(b, c string) (worst, worstUp float64, ok bool) {
-	if numRE.ReplaceAllString(b, "#") != numRE.ReplaceAllString(c, "#") {
+	if skeleton(b) != skeleton(c) {
 		return 0, 0, false
 	}
 	bn := numRE.FindAllString(b, -1)

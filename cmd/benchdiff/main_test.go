@@ -65,3 +65,22 @@ func TestRowDeltaDirection(t *testing.T) {
 		t.Fatalf("worstUp = %g, want 50 (the 200→300 move)", worstUp)
 	}
 }
+
+// TestRowDeltaWidenedColumn: a number that gains a digit under a %8.1f verb
+// shortens the padding before it; the rows are still number-comparable (this
+// pair is the fleetscale "64" row against BENCH_b2d3008.json, which used to
+// read "shape changed").
+func TestRowDeltaWidenedColumn(t *testing.T) {
+	worst, worstUp, ok := rowDelta(
+		"64            4800      4782      0.89       2.80      810.0     86.4",
+		"64            4800      4782      0.89       3.22      988.5    105.4")
+	if !ok {
+		t.Fatal("a widened column changed the row's shape")
+	}
+	if worst < 21.9 || worst > 22.1 || worstUp != worst {
+		t.Fatalf("worst = %g, worstUp = %g, want the 22%% growth of 810.0 → 988.5", worst, worstUp)
+	}
+	if _, _, ok := rowDelta("a 1 b", "a 1 c"); ok {
+		t.Fatal("rows with different words are not comparable")
+	}
+}

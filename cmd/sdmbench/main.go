@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -31,13 +32,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "sdmbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("sdmbench", flag.ContinueOnError)
 	var (
 		list    = fs.Bool("list", false, "list experiments and exit")
@@ -63,7 +64,7 @@ func run(args []string) error {
 	}
 	if *list {
 		for _, id := range experiments.IDs() {
-			fmt.Printf("%-8s %s\n", id, experiments.Title(id))
+			fmt.Fprintf(stdout, "%-8s %s\n", id, experiments.Title(id))
 		}
 		return nil
 	}
@@ -153,15 +154,15 @@ func run(args []string) error {
 		for _, res := range results {
 			reports = append(reports, experiments.ReportOf(res))
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(reports); err != nil {
 			return err
 		}
 	} else {
 		for _, res := range results {
-			res.Print(os.Stdout)
-			fmt.Println()
+			res.Print(stdout)
+			fmt.Fprintln(stdout)
 		}
 	}
 	if *memProf != "" {

@@ -50,6 +50,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -68,13 +69,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "sdmcluster:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("sdmcluster", flag.ContinueOnError)
 	var (
 		hosts    = fs.Int("hosts", 4, "fleet size")
@@ -380,14 +381,14 @@ func run(args []string) error {
 			reports = append(reports, rep)
 			continue
 		}
-		res.Print(os.Stdout)
+		res.Print(stdout)
 		if adapters != nil {
-			fmt.Println("adaptive:", cluster.AdapterStats(adapters))
+			fmt.Fprintln(stdout, "adaptive:", cluster.AdapterStats(adapters))
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(reports); err != nil {
 			return err

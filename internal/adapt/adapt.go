@@ -68,9 +68,6 @@ type Config struct {
 	// an FM incumbent before a swap is scheduled; must be >= 1 (1
 	// disables stickiness), 0 selects 1.3.
 	Hysteresis float64
-	// MaxMigrationsPerEval bounds how many swaps one evaluation may
-	// enqueue (default 4), limiting churn under noisy telemetry.
-	MaxMigrationsPerEval int
 	// Granularity selects whole-table (Tables, the default) or row-range
 	// (Ranges) re-placement.
 	Granularity Granularity
@@ -112,8 +109,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("adapt: Smoothing must be in [0, 1] (0 selects 0.5), got %g", c.Smoothing)
 	case c.Hysteresis != 0 && c.Hysteresis < 1:
 		return fmt.Errorf("adapt: Hysteresis must be >= 1 (1 disables stickiness; 0 selects 1.3), got %g", c.Hysteresis)
-	case c.MaxMigrationsPerEval < 0:
-		return fmt.Errorf("adapt: MaxMigrationsPerEval must be >= 0 (0 selects 4), got %d", c.MaxMigrationsPerEval)
 	case c.Granularity != Tables && c.Granularity != Ranges:
 		return fmt.Errorf("adapt: unknown granularity %d", int(c.Granularity))
 	case c.PaybackSeconds < 0:
@@ -123,6 +118,10 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// maxMovesPerEval bounds how many swaps one evaluation may enqueue,
+// limiting churn under noisy telemetry.
+const maxMovesPerEval = 4
 
 // defaulted fills zero fields; Validate has already rejected bad values.
 func (c Config) defaulted() Config {
@@ -134,9 +133,6 @@ func (c Config) defaulted() Config {
 	}
 	if c.Hysteresis == 0 {
 		c.Hysteresis = 1.3
-	}
-	if c.MaxMigrationsPerEval == 0 {
-		c.MaxMigrationsPerEval = 4
 	}
 	if c.PaybackSeconds == 0 {
 		c.PaybackSeconds = 10

@@ -21,7 +21,7 @@ import (
 // queued moves against the freshest intent.
 type Plan struct {
 	// Moves is the placement diff (demotions first, so the DRAM budget
-	// holds throughout), truncated to Config.MaxMigrationsPerEval.
+	// holds throughout), truncated to maxMovesPerEval.
 	Moves []Move
 	// DesiredWhole records the planned whole-table FM membership. At
 	// table granularity only selected tables appear (true); at range
@@ -173,8 +173,8 @@ func (p *Policy) planTables(telem *Telemetry, store *core.Store, pending []Move,
 			moves = append(moves, Move{Table: c.table, Promote: true})
 		}
 	}
-	if len(moves) > p.cfg.MaxMigrationsPerEval {
-		moves = moves[:p.cfg.MaxMigrationsPerEval]
+	if len(moves) > maxMovesPerEval {
+		moves = moves[:maxMovesPerEval]
 	}
 	plan := Plan{Moves: moves, DesiredWhole: desired}
 	if p.explain {
@@ -193,7 +193,7 @@ func (p *Policy) planTables(telem *Telemetry, store *core.Store, pending []Move,
 	return plan
 }
 
-// rangeCand carries one knapsack item plus the move metadata PackRanges
+// rangeCand carries one knapsack item plus the move metadata PackRangesWear
 // does not need.
 type rangeCand struct {
 	item     placement.RangeItem
@@ -333,8 +333,8 @@ func (p *Policy) planRanges(telem *Telemetry, store *core.Store, pending []Move,
 		}
 	}
 	moves := append(coalesce(demote), coalesce(promote)...)
-	if len(moves) > p.cfg.MaxMigrationsPerEval {
-		moves = moves[:p.cfg.MaxMigrationsPerEval]
+	if len(moves) > maxMovesPerEval {
+		moves = moves[:maxMovesPerEval]
 	}
 	plan := Plan{Moves: moves, DesiredWhole: desiredWhole, DesiredRange: desiredRange}
 	if p.explain {

@@ -350,7 +350,6 @@ func TestConfigValidate(t *testing.T) {
 		{Interval: -time.Second},
 		{BandwidthBytesPerSec: -1},
 		{ChunkBytes: -1},
-		{MaxMigrationsPerEval: -1},
 		{DRAMBudget: -1},
 		{Granularity: Granularity(7)},
 		{PaybackSeconds: -1},
@@ -397,45 +396,5 @@ func TestReconcileQueueDropsStaleJobs(t *testing.T) {
 	x.Reconcile(func(j Move) bool { return desired[j.Table] == j.Promote })
 	if x.Pending() != 1 || x.queue[0].Table != 1 {
 		t.Fatalf("stale jobs not dropped: %+v", x.queue)
-	}
-}
-
-func TestTelemetrySurvivesCounterReset(t *testing.T) {
-	// Store.ResetRuntimeStats between samples regresses the cumulative
-	// counters; the uint64 deltas used to underflow to ~1.8e19 and poison
-	// every decayed rate. Sample must re-baseline instead.
-	s, gen, _ := rangeFixture(t, 1)
-	tl := NewTelemetry(0)
-	now := s.LoadDone()
-	step := func(n int) {
-		for i := 0; i < n; i++ {
-			q := gen.Next()
-			if _, err := s.PoolQuery(now, q, s.AllocOutputs(q)); err != nil {
-				t.Fatal(err)
-			}
-			now += simclock.Time(time.Millisecond)
-		}
-	}
-	tl.Sample(now, s) // prime
-	step(50)
-	tl.Sample(now, s)
-	sane := tl.Table(0).LookupRate
-	if sane <= 0 {
-		t.Fatal("fixture produced no lookups")
-	}
-	s.ResetRuntimeStats()
-	step(10)
-	tl.Sample(now, s) // regressed counters: must re-baseline, not fold
-	step(50)
-	tl.Sample(now, s)
-	for _, tt := range tl.Tables() {
-		if tt.LookupRate > 1e12 || tt.LookupRate < 0 {
-			t.Fatalf("table %d rate poisoned after counter reset: %g", tt.Table, tt.LookupRate)
-		}
-	}
-	for _, rt := range tl.Ranges() {
-		if rt.LookupRate > 1e12 || rt.LookupRate < 0 {
-			t.Fatalf("range %d/%d rate poisoned after counter reset: %g", rt.Table, rt.Range, rt.LookupRate)
-		}
 	}
 }

@@ -142,17 +142,6 @@ func (tl *Telemetry) Sample(now simclock.Time, s *core.Store) {
 	if dt <= 0 {
 		return
 	}
-	// Counter regression (Store.ResetRuntimeStats between samples): the
-	// uint64 deltas would underflow to ~1.8e19 and poison every decayed
-	// rate, so re-baseline and skip this window instead.
-	for i, cur := range tl.cur {
-		if cur.Lookups < tl.prev[i].Lookups {
-			tl.prev = append(tl.prev[:0], tl.cur...)
-			tl.prevR = append(tl.prevR[:0], tl.curR...)
-			tl.lastAt = now
-			return
-		}
-	}
 	a := tl.smoothing
 	for i, cur := range tl.cur {
 		prev := tl.prev[i]

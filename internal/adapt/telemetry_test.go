@@ -181,36 +181,3 @@ func rangesOf(tl *Telemetry, tab int) []RangeTelemetry {
 	}
 	return out
 }
-
-func TestTelemetryRebaselinesRangeAndDemoteCounters(t *testing.T) {
-	// The re-baselining guard must cover the range counters and the
-	// endurance counter too: after Store.ResetRuntimeStats the per-table
-	// lookup counters regress (the demote counter deliberately survives),
-	// and the skipped window must leave every decayed value finite and
-	// the baselines coherent for the next fold.
-	s, gen := fmRangeFixture(t)
-	tl := NewTelemetry(0.5)
-	now := s.LoadDone()
-	tl.Sample(now, s)
-	now = pump(t, s, gen, now, 300)
-	tl.Sample(now, s)
-
-	s.ResetRuntimeStats()
-	now = pump(t, s, gen, now, 50)
-	tl.Sample(now, s) // regressed: must re-baseline, not fold
-	now = pump(t, s, gen, now, 300)
-	tl.Sample(now, s)
-	for _, tt := range tl.Tables() {
-		if tt.LookupRate < 0 || tt.LookupRate > 1e12 {
-			t.Fatalf("table %d rate poisoned: %g", tt.Table, tt.LookupRate)
-		}
-		if tt.DemoteRate < 0 || tt.DemoteRate > 1e12 {
-			t.Fatalf("table %d demote rate poisoned: %g", tt.Table, tt.DemoteRate)
-		}
-	}
-	for _, rt := range tl.Ranges() {
-		if rt.LookupRate < 0 || rt.LookupRate > 1e12 {
-			t.Fatalf("range %d/%d rate poisoned: %g", rt.Table, rt.Range, rt.LookupRate)
-		}
-	}
-}

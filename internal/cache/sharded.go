@@ -1,77 +1,23 @@
 package cache
 
-// TableSharded routes every key to a per-table shard. It is the cache
-// organization behind the parallel query engine: one embedding operator
-// touches exactly one table, so giving each table its own RowCache lets
-// independent operators probe and fill their shards concurrently with no
-// shared locks — and, because no state is shared across shards, cache
-// contents evolve identically no matter in which order (or on how many
-// workers) the operators run. That order-independence is what keeps
+// TableSharded is the aggregate view over per-table row-cache shards. One
+// embedding operator touches exactly one table, so the store gives each
+// table its own RowCache and probes it directly: independent operators
+// share no cache state, and cache contents evolve identically no matter in
+// which order (or on how many workers) the operators run — which keeps
 // virtual-time accounting bit-identical between Parallelism=1 and
-// Parallelism=N.
+// Parallelism=N. What is left to do across shards is summing their counters
+// and draining their dirty rows.
 //
-// Shards are registered with Add in a fixed order; aggregate operations
-// (Stats, FlushDirty, Reset) iterate in that order so flush-driven device
-// writes stay deterministic. Keys whose table has no shard miss on Get and
-// are dropped on Put.
+// Shards are registered with Add in a fixed order and both operations walk
+// them in that order, so flush-driven device writes stay deterministic. The
+// zero value is an empty set.
 type TableSharded struct {
-	idx    map[int32]int
-	tables []int32
 	shards []RowCache
 }
 
-var _ RowCache = (*TableSharded)(nil)
-
-// NewTableSharded builds an empty table-sharded cache.
-func NewTableSharded() *TableSharded {
-	return &TableSharded{idx: make(map[int32]int)}
-}
-
-// Add registers the shard serving table. Re-adding a table replaces its
-// shard in place, keeping the original iteration position.
-func (t *TableSharded) Add(table int32, shard RowCache) {
-	if i, ok := t.idx[table]; ok {
-		t.shards[i] = shard
-		return
-	}
-	t.idx[table] = len(t.shards)
-	t.tables = append(t.tables, table)
-	t.shards = append(t.shards, shard)
-}
-
-// Shard returns the RowCache serving table, or nil if none is registered.
-func (t *TableSharded) Shard(table int32) RowCache {
-	if i, ok := t.idx[table]; ok {
-		return t.shards[i]
-	}
-	return nil
-}
-
-// Tables returns the registered table IDs in registration order.
-func (t *TableSharded) Tables() []int32 { return t.tables }
-
-// Get delegates to the key's table shard; keys without a shard miss.
-func (t *TableSharded) Get(k Key, dst []byte) (int, bool) {
-	if c := t.Shard(k.Table); c != nil {
-		return c.Get(k, dst)
-	}
-	return 0, false
-}
-
-// Put delegates to the key's table shard; keys without a shard are dropped.
-func (t *TableSharded) Put(k Key, v []byte) {
-	if c := t.Shard(k.Table); c != nil {
-		c.Put(k, v)
-	}
-}
-
-// PutDirty delegates to the key's table shard; keys without a shard are
-// dropped.
-func (t *TableSharded) PutDirty(k Key, v []byte) {
-	if c := t.Shard(k.Table); c != nil {
-		c.PutDirty(k, v)
-	}
-}
+// Add registers one table's shard.
+func (t *TableSharded) Add(shard RowCache) { t.shards = append(t.shards, shard) }
 
 // FlushDirty flushes every shard in registration order, so write-back IO
 // is issued in a deterministic sequence.
@@ -81,14 +27,6 @@ func (t *TableSharded) FlushDirty(fn func(k Key, v []byte)) {
 	}
 }
 
-// Contains delegates to the key's table shard.
-func (t *TableSharded) Contains(k Key) bool {
-	if c := t.Shard(k.Table); c != nil {
-		return c.Contains(k)
-	}
-	return false
-}
-
 // Stats sums all shards in registration order.
 func (t *TableSharded) Stats() Stats {
 	var s Stats
@@ -96,20 +34,4 @@ func (t *TableSharded) Stats() Stats {
 		s = s.add(c.Stats())
 	}
 	return s
-}
-
-// Reset clears every shard.
-func (t *TableSharded) Reset() {
-	for _, c := range t.shards {
-		c.Reset()
-	}
-}
-
-// CPUCostPerGet returns the first shard's cost model (1.0 when empty). Hot
-// paths should consult their table's shard directly instead.
-func (t *TableSharded) CPUCostPerGet() float64 {
-	if len(t.shards) == 0 {
-		return 1.0
-	}
-	return t.shards[0].CPUCostPerGet()
 }

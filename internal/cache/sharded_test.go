@@ -2,54 +2,32 @@ package cache
 
 import "testing"
 
-func TestTableShardedRouting(t *testing.T) {
-	s := NewTableSharded()
-	s.Add(1, NewCPUOptimized(1<<16))
-	s.Add(2, NewCPUOptimized(1<<16))
-	v1 := []byte{1, 2, 3}
-	v2 := []byte{4, 5}
-	s.Put(Key{Table: 1, Row: 7}, v1)
-	s.Put(Key{Table: 2, Row: 7}, v2)
+func TestTableShardedAggregateStats(t *testing.T) {
+	var s TableSharded
+	c1, c2 := NewCPUOptimized(1<<16), NewCPUOptimized(1<<16)
+	s.Add(c1)
+	s.Add(c2)
+	c1.Put(Key{Table: 1, Row: 7}, []byte{1, 2, 3})
+	c2.Put(Key{Table: 2, Row: 7}, []byte{4, 5})
 	dst := make([]byte, 8)
-	n, ok := s.Get(Key{Table: 1, Row: 7}, dst)
-	if !ok || n != 3 || dst[0] != 1 {
-		t.Fatalf("table 1 row lost: n=%d ok=%v", n, ok)
+	if _, ok := c1.Get(Key{Table: 1, Row: 7}, dst); !ok {
+		t.Fatal("table 1 row lost")
 	}
-	n, ok = s.Get(Key{Table: 2, Row: 7}, dst)
-	if !ok || n != 2 || dst[0] != 4 {
-		t.Fatalf("table 2 row lost: n=%d ok=%v", n, ok)
+	if _, ok := c2.Get(Key{Table: 2, Row: 7}, dst); !ok {
+		t.Fatal("table 2 row lost")
 	}
-	// Same row id in different tables must be independent entries.
-	if !s.Contains(Key{Table: 1, Row: 7}) || !s.Contains(Key{Table: 2, Row: 7}) {
-		t.Fatal("contains must route per table")
-	}
-	if got := s.Stats(); got.Items != 2 || got.Hits != 2 {
+	if got := s.Stats(); got.Items != 2 || got.Hits != 2 || got.UsedBytes != 5 {
 		t.Fatalf("aggregate stats %+v", got)
 	}
-	if len(s.Tables()) != 2 {
-		t.Fatal("tables accessor")
-	}
-}
-
-func TestTableShardedUnknownTable(t *testing.T) {
-	s := NewTableSharded()
-	s.Add(1, NewCPUOptimized(1<<16))
-	s.Put(Key{Table: 9, Row: 1}, []byte{1}) // dropped
-	if _, ok := s.Get(Key{Table: 9, Row: 1}, make([]byte, 4)); ok {
-		t.Fatal("unknown table must miss")
-	}
-	if s.Contains(Key{Table: 9, Row: 1}) {
-		t.Fatal("unknown table must not contain")
-	}
-	s.PutDirty(Key{Table: 9, Row: 1}, []byte{1}) // dropped, must not panic
 }
 
 func TestTableShardedFlushOrder(t *testing.T) {
-	s := NewTableSharded()
-	s.Add(5, NewCPUOptimized(1<<16))
-	s.Add(2, NewCPUOptimized(1<<16))
-	s.PutDirty(Key{Table: 2, Row: 1}, []byte{2})
-	s.PutDirty(Key{Table: 5, Row: 1}, []byte{5})
+	var s TableSharded
+	c5, c2 := NewCPUOptimized(1<<16), NewCPUOptimized(1<<16)
+	s.Add(c5)
+	s.Add(c2)
+	c2.PutDirty(Key{Table: 2, Row: 1}, []byte{2})
+	c5.PutDirty(Key{Table: 5, Row: 1}, []byte{5})
 	var order []int32
 	s.FlushDirty(func(k Key, v []byte) { order = append(order, k.Table) })
 	// Registration order (5 then 2), not key order.
@@ -64,30 +42,10 @@ func TestTableShardedFlushOrder(t *testing.T) {
 	}
 }
 
-func TestTableShardedResetAndReplace(t *testing.T) {
-	s := NewTableSharded()
-	s.Add(1, NewCPUOptimized(1<<16))
-	s.Put(Key{Table: 1, Row: 1}, []byte{1})
-	s.Reset()
-	if s.Stats().Items != 0 {
-		t.Fatal("reset must clear shards")
-	}
-	// Re-adding replaces in place.
-	s.Add(1, NewMemOptimized(1<<16, 64))
-	if s.CPUCostPerGet() != memOptCPUCost {
-		t.Fatal("replaced shard should serve table 1")
-	}
-	if len(s.Tables()) != 1 {
-		t.Fatal("replace must not duplicate the table entry")
-	}
-}
-
 func TestTableShardedEmpty(t *testing.T) {
-	s := NewTableSharded()
-	if s.CPUCostPerGet() != 1.0 {
-		t.Fatal("empty sharded cache cost model")
-	}
+	var s TableSharded
 	if got := s.Stats(); got != (Stats{}) {
 		t.Fatalf("empty stats %+v", got)
 	}
+	s.FlushDirty(func(Key, []byte) { t.Fatal("empty set flushed a row") })
 }

@@ -205,6 +205,11 @@ func New(hosts []*serving.Host, router Router, cfg Config) (*Fleet, error) {
 	if router == nil {
 		return nil, errors.New("cluster: fleet needs a router")
 	}
+	if wr, ok := router.(*WeightedRouter); ok {
+		if err := wr.checkHosts(len(hosts)); err != nil {
+			return nil, err
+		}
+	}
 	if cfg.Windows <= 0 {
 		cfg.Windows = 8
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -509,6 +510,52 @@ func TestFleetValidation(t *testing.T) {
 	}
 	if _, err := HostSet(in, tables, 0, &scfg, serving.Config{Spec: serving.HWSS(), Seed: 1}); err == nil {
 		t.Fatal("empty host set should fail")
+	}
+}
+
+// TestFleetRejectsMismatchedRing: an affinity ring built for another fleet
+// size used to panic inside Score on the first Route, on the front-end
+// goroutine; New refuses it with an error naming both sizes.
+func TestFleetRejectsMismatchedRing(t *testing.T) {
+	in, tables := fixture(t)
+	scfg := core.Config{Seed: 1, Ring: uring.Config{SGL: true}, CacheBytes: 1 << 15}
+	hosts, err := HostSet(in, tables, 4, &scfg, serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	weighted := func(ringHosts int) Router {
+		sw, err := ParseScorers("queue=0.4,affinity=1", ringHosts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewWeightedRouter("", sw...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	for _, c := range []struct {
+		name   string
+		router Router
+		ring   int // the mismatched ring's size, 0 when New must accept
+	}{
+		{"sticky ring too small", NewSticky(3, 64), 3},
+		{"sticky ring too large", NewSticky(5, 64), 5},
+		{"parsed scorers too small", weighted(3), 3},
+		{"sticky ring matches", NewSticky(4, 64), 0},
+		{"parsed scorers match", weighted(4), 0},
+		{"no ring", NewLeastOutstanding(), 0},
+	} {
+		_, err := New(hosts, c.router, Config{})
+		switch {
+		case c.ring == 0 && err != nil:
+			t.Fatalf("%s: rejected: %v", c.name, err)
+		case c.ring == 0:
+		case err == nil:
+			t.Fatalf("%s: accepted", c.name)
+		case !strings.Contains(err.Error(), fmt.Sprintf("for %d hosts", c.ring)) || !strings.Contains(err.Error(), "4-host fleet"):
+			t.Fatalf("%s: error %q does not name both sizes", c.name, err)
+		}
 	}
 }
 

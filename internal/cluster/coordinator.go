@@ -36,12 +36,6 @@ type CoordConfig struct {
 	// bandwidth at any instant. 0 leaves each adapter's own cap in
 	// force.
 	BandwidthBytesPerSec float64
-	// WearBytesPerCycle is the fleet-wide SM demote-write budget of one
-	// full rotation cycle, split evenly across the replicas' windows
-	// (the §3 endurance budget, shared). 0 derives it from the hosts'
-	// device endurance via adapt.Config.WearDaysPerSecond at attach time
-	// (or leaves windows unbudgeted when that is 0 too).
-	WearBytesPerCycle int64
 }
 
 // validated fills defaults and rejects nonsense.
@@ -55,9 +49,6 @@ func (c CoordConfig) validated() (CoordConfig, error) {
 	if c.BandwidthBytesPerSec < 0 {
 		return c, fmt.Errorf("cluster: coordinator BandwidthBytesPerSec must be >= 0, got %g", c.BandwidthBytesPerSec)
 	}
-	if c.WearBytesPerCycle < 0 {
-		return c, fmt.Errorf("cluster: coordinator WearBytesPerCycle must be >= 0, got %d", c.WearBytesPerCycle)
-	}
 	return c, nil
 }
 
@@ -68,13 +59,16 @@ func (c CoordConfig) validated() (CoordConfig, error) {
 type Coordinator struct {
 	cfg CoordConfig
 	n   int
-	// perWindowWear is each window's demote budget (WearBytesPerCycle/n,
-	// or the endurance-derived default).
+	// perWindowWear is each window's demote budget: the cycle's budget
+	// split evenly across the replicas' windows (0 = unbudgeted).
 	perWindowWear int64
 }
 
 // NewCoordinator builds a window schedule for an n-replica fleet.
-func NewCoordinator(n int, cfg CoordConfig) (*Coordinator, error) {
+// wearPerCycle is the fleet-wide SM demote-write budget of one full
+// rotation cycle (the §3 endurance budget, shared); 0 leaves windows
+// unbudgeted.
+func NewCoordinator(n int, cfg CoordConfig, wearPerCycle int64) (*Coordinator, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: coordinator over %d replicas", n)
 	}
@@ -82,9 +76,9 @@ func NewCoordinator(n int, cfg CoordConfig) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	perWindow := cfg.WearBytesPerCycle / int64(n)
-	if cfg.WearBytesPerCycle > 0 && perWindow < 1 {
-		// A configured budget must never truncate to "unbudgeted"
+	perWindow := wearPerCycle / int64(n)
+	if wearPerCycle > 0 && perWindow < 1 {
+		// A requested budget must never truncate to "unbudgeted"
 		// (DemoteBudgetBytes <= 0): clamp to the tightest enforceable
 		// budget instead — one chunk per window.
 		perWindow = 1
@@ -125,9 +119,9 @@ func (c *Coordinator) WindowFor(host int, t simclock.Time) adapt.Window {
 // one adapter per SDM-backed host and installs the coordinator's
 // staggered window schedule on each, so replicas take turns migrating
 // under one shared bandwidth cap and one shared wear budget instead of
-// migrating in lockstep. When ccfg.WearBytesPerCycle is 0 and
-// acfg.WearDaysPerSecond is set, the per-cycle wear budget is derived
-// from the first SDM host's device endurance (replicas are identical) —
+// migrating in lockstep. When acfg.WearDaysPerSecond is set, the
+// per-cycle wear budget is derived from the first SDM host's device
+// endurance (replicas are identical) —
 // the same §3 DWPD model the ungoverned adapter uses, shared across the
 // fleet rather than multiplied by it.
 func AttachCoordinated(hosts []*serving.Host, acfg adapt.Config, ccfg CoordConfig) ([]*adapt.Adapter, *Coordinator, error) {
@@ -139,22 +133,23 @@ func AttachCoordinated(hosts []*serving.Host, acfg adapt.Config, ccfg CoordConfi
 	if err != nil {
 		return nil, nil, err
 	}
-	if ccfg.WearBytesPerCycle == 0 && acfg.WearDaysPerSecond > 0 {
+	var wearPerCycle int64
+	if acfg.WearDaysPerSecond > 0 {
 		for _, h := range hosts {
 			if s := h.Store(); s != nil {
 				cycleSeconds := ccfg.Slot.Seconds() * float64(len(hosts))
-				ccfg.WearBytesPerCycle = int64(s.Wear().DailyWriteBudgetBytes() *
+				wearPerCycle = int64(s.Wear().DailyWriteBudgetBytes() *
 					acfg.WearDaysPerSecond * cycleSeconds)
-				if ccfg.WearBytesPerCycle < 1 {
+				if wearPerCycle < 1 {
 					// Wear was requested: never let the derivation
 					// truncate to "unbudgeted".
-					ccfg.WearBytesPerCycle = 1
+					wearPerCycle = 1
 				}
 				break
 			}
 		}
 	}
-	coord, err := NewCoordinator(len(hosts), ccfg)
+	coord, err := NewCoordinator(len(hosts), ccfg, wearPerCycle)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -16,7 +16,7 @@ import (
 )
 
 func TestCoordinatorScheduleShape(t *testing.T) {
-	coord, err := NewCoordinator(3, CoordConfig{Slot: 10 * time.Millisecond})
+	coord, err := NewCoordinator(3, CoordConfig{Slot: 10 * time.Millisecond}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestCoordinatorScheduleShape(t *testing.T) {
 }
 
 func TestCoordinatorWearSplit(t *testing.T) {
-	coord, err := NewCoordinator(4, CoordConfig{Slot: time.Millisecond, WearBytesPerCycle: 1 << 20})
+	coord, err := NewCoordinator(4, CoordConfig{Slot: time.Millisecond}, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,14 +69,11 @@ func TestCoordinatorWearSplit(t *testing.T) {
 	if w.DemoteBudgetBytes != (1<<20)/4 {
 		t.Fatalf("per-window wear budget %d, want cycle budget split 4 ways", w.DemoteBudgetBytes)
 	}
-	if _, err := NewCoordinator(0, CoordConfig{}); err == nil {
+	if _, err := NewCoordinator(0, CoordConfig{}, 0); err == nil {
 		t.Fatal("empty fleet should be rejected")
 	}
-	if _, err := NewCoordinator(2, CoordConfig{Slot: -time.Second}); err == nil {
+	if _, err := NewCoordinator(2, CoordConfig{Slot: -time.Second}, 0); err == nil {
 		t.Fatal("negative slot should be rejected")
-	}
-	if _, err := NewCoordinator(2, CoordConfig{WearBytesPerCycle: -1}); err == nil {
-		t.Fatal("negative wear budget should be rejected")
 	}
 }
 

@@ -303,11 +303,25 @@ type affinityScorer struct {
 // NewAffinityScorer returns the cache-affinity scorer: 1 for the host
 // owning q.UserID on a consistent-hash ring (dead owners fall through
 // clockwise via View.Alive), 0 otherwise. vnodes <= 0 selects 64. The
-// hosts count must match the fleet the scorer is routed against; Score
-// panics on a mismatch rather than silently pinning users to a subset
-// (hosts too small) or degrading affinity to rotation (hosts too large).
+// hosts count must match the fleet the scorer is routed against:
+// cluster.New rejects a WeightedRouter carrying a mismatched ring, and Score
+// panics on one that reaches it inside a custom Router rather than silently
+// pinning users to a subset (hosts too small) or degrading affinity to
+// rotation (hosts too large).
 func NewAffinityScorer(hosts, vnodes int) Scorer {
 	return affinityScorer{ring: NewRing(hosts, vnodes)}
+}
+
+// checkHosts rejects a composition whose affinity ring was built for a
+// fleet of another size than the n hosts it is about to route against.
+func (r *WeightedRouter) checkHosts(n int) error {
+	for _, sw := range r.scorers {
+		if a, ok := sw.Scorer.(affinityScorer); ok && a.ring.Hosts() != n {
+			return fmt.Errorf("cluster: router %q: affinity ring built for %d hosts cannot route a %d-host fleet",
+				r.name, a.ring.Hosts(), n)
+		}
+	}
+	return nil
 }
 
 func (affinityScorer) Name() string   { return "affinity" }

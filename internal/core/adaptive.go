@@ -48,8 +48,7 @@ type TableStat struct {
 
 	// DemoteWriteBytes counts the SM media bytes demotions of this table
 	// have written (as chunks issue, committed or not) — the per-table
-	// endurance cost the wear-aware placement term consumes. It survives
-	// ResetRuntimeStats, like every endurance counter.
+	// endurance cost the wear-aware placement term consumes.
 	DemoteWriteBytes uint64
 }
 

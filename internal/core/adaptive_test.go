@@ -51,7 +51,6 @@ func TestReserveSMRejectsTransforms(t *testing.T) {
 	for _, cfg := range []Config{
 		{ReserveSM: true, Prune: true},
 		{ReserveSM: true, DequantAtLoad: true},
-		{ReserveSM: true, UseMmap: true},
 	} {
 		cfg.Seed = 1
 		if _, err := Open(inst, tables, cfg, &clk); err == nil {
@@ -297,39 +296,6 @@ func TestMigrationPreservesOnlineUpdates(t *testing.T) {
 	now = d.Done() + 1
 	equal(pool(now, 3), "after demotion, cache-first row")
 	equal(pool(now, 5), "after demotion, FM-updated row")
-}
-
-func TestResetRuntimeStatsKeepsTableStatsCoherent(t *testing.T) {
-	cfg := Config{
-		Seed: 19, ReserveSM: true, Ring: uring.Config{SGL: true},
-		CacheBytes: 1 << 16,
-		Placement:  placement.Config{Policy: placement.SMOnlyWithCache, UserTablesOnly: true},
-	}
-	s, inst, _, _ := adaptiveFixture(t, cfg)
-	gen, err := workload.NewGenerator(inst, workload.Config{Seed: 3, NumUsers: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := s.LoadDone()
-	q := gen.Next()
-	if _, err := s.PoolQuery(now, q, s.AllocOutputs(q)); err != nil {
-		t.Fatal(err)
-	}
-	s.ResetRuntimeStats()
-	q = gen.Next()
-	if _, err := s.PoolQuery(now+1e6, q, s.AllocOutputs(q)); err != nil {
-		t.Fatal(err)
-	}
-	var sumLookups, sumSM uint64
-	for _, ts := range s.TableStats(nil) {
-		sumLookups += ts.Lookups
-		sumSM += ts.SMReads
-	}
-	agg := s.Stats()
-	if sumLookups != agg.Lookups || sumSM != agg.SMReads {
-		t.Fatalf("per-table counters (%d, %d) incoherent with aggregates (%d, %d) after reset",
-			sumLookups, sumSM, agg.Lookups, agg.SMReads)
-	}
 }
 
 func TestTableStatsPerTableCounters(t *testing.T) {

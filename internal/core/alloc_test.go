@@ -70,7 +70,6 @@ func TestOpenReplicaMatchesOpen(t *testing.T) {
 	cfg := Config{
 		Seed: 3, SMTech: blockdev.NandFlash,
 		Ring: uring.Config{SGL: true}, CacheBytes: 1 << 20,
-		PerTableOutstanding: 2,
 	}
 	var dclk simclock.Clock
 	donor, err := Open(in, tables, cfg, &dclk)
@@ -102,9 +101,7 @@ func TestOpenReplicaMatchesOpen(t *testing.T) {
 	}
 
 	// Same trace through both stores: every per-query result, all final
-	// stats and every pooled output must match exactly. The per-table
-	// throttle is configured so the deferred-IO replay path (including the
-	// drained-entry memo) is exercised.
+	// stats and every pooled output must match exactly.
 	qs := trace(t, in, 40, 123)
 	run := func(s *Store) ([]QueryResult, Stats, blockdev.Stats, uring.Stats, float64) {
 		results := make([]QueryResult, 0, len(qs))

@@ -46,28 +46,22 @@ func (k CacheKind) String() string {
 	}
 }
 
-// Config assembles every tuning knob the paper exposes ("Tuning API"
-// paragraphs of §4.1–§4.6) plus the ablation switches used by the
-// experiment harness.
+// Config assembles the tuning knobs of the paper's "Tuning API" paragraphs
+// (§4.1–§4.6) that some program in the tree sets — an experiment, a CLI, an
+// example or a bench/ workload — plus the ablation switches used by the
+// experiment harness. What only one value was ever used for is a constant
+// (the outstanding-IO cap is the device's recommendation, the prune
+// threshold is pruneEps, devices auto-size to the SM-resident tables).
 type Config struct {
 	// SMTech is the slow-memory technology backing the store.
 	SMTech blockdev.Technology
 	// NumDevices is how many SM devices the host attaches (Table 7 hosts
 	// carry 2; the M3 sizing study uses 9). Rows stripe across devices.
 	NumDevices int
-	// DeviceCapacity is the per-device capacity in bytes; 0 auto-sizes
-	// to fit the SM-resident tables with 25% headroom.
-	DeviceCapacity int64
 
-	// Ring carries the fast-IO knobs: SGL sub-block reads (§4.1.1), the
-	// global outstanding-IO cap and IRQ/polling completion (§A.1).
+	// Ring carries the fast-IO knobs: SGL sub-block reads (§4.1.1) and
+	// IRQ/polling completion (§A.1).
 	Ring uring.Config
-	// PerTableOutstanding caps in-flight IOs per table ("Total number of
-	// outstanding IOs per table", §4.1 Tuning API). 0 = unlimited.
-	PerTableOutstanding int
-	// UseMmap replaces DIRECT_IO+cache with the mmap path the paper
-	// rejected (§4.1) — ablation only.
-	UseMmap bool
 
 	// CacheBytes is the total FM budget for the row cache. Mapper
 	// tensors of pruned SM tables are charged against this budget
@@ -78,8 +72,6 @@ type Config struct {
 	CacheKind CacheKind
 	// CacheSplitBytes is the dual-cache routing threshold (0 → 255).
 	CacheSplitBytes int
-	// CachePartitions shards the cache ("number of cache partitions").
-	CachePartitions int
 
 	// PooledCacheBytes enables the pooled embedding cache (§4.4) with
 	// the given FM budget; 0 disables it.
@@ -105,7 +97,7 @@ type Config struct {
 	// table can later migrate FM↔SM without reallocating device space or
 	// rebalancing cache budgets mid-run. Incompatible with the load-time
 	// transforms (Prune/Deprune/DequantAtLoad) — they would make the FM
-	// and SM row formats diverge — and with UseMmap.
+	// and SM row formats diverge.
 	ReserveSM bool
 
 	// MigrationRangeBytes is the row-range width, in stored bytes, at
@@ -118,8 +110,6 @@ type Config struct {
 
 	// Prune stores SM tables pruned, with mapper tensors in FM (§4.5).
 	Prune bool
-	// PruneEps is the |value| threshold under which rows are pruned.
-	PruneEps float32
 	// Deprune re-materializes pruned tables as dense at load time
 	// (Algorithm 2), freeing the mapper FM for cache at the cost of a
 	// larger SM footprint and extra cold accesses.
@@ -144,9 +134,6 @@ func (c Config) Defaulted() Config {
 	if c.CacheSplitBytes <= 0 {
 		c.CacheSplitBytes = 255
 	}
-	if c.CachePartitions <= 0 {
-		c.CachePartitions = 1
-	}
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = 8 << 20
 	}
@@ -155,9 +142,6 @@ func (c Config) Defaulted() Config {
 	}
 	if c.PooledLenThreshold <= 0 {
 		c.PooledLenThreshold = 4
-	}
-	if c.Prune && c.PruneEps <= 0 {
-		c.PruneEps = 1e-6
 	}
 	if c.MigrationRangeBytes <= 0 {
 		c.MigrationRangeBytes = 256 << 10
@@ -176,6 +160,9 @@ func (c Config) pooledConfig() pooledcache.Config {
 		LenThreshold:  c.PooledLenThreshold,
 	}
 }
+
+// pruneEps is the |value| threshold under which Prune drops a row.
+const pruneEps = 1e-6
 
 // CPU cost model for the functional layer, used to convert real work into
 // virtual host CPU time for the serving simulator. The constants are

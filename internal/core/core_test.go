@@ -124,12 +124,6 @@ func TestStoreMatchesOracleDequantAtLoad(t *testing.T) {
 	checkAgainstOracle(t, s, in, tables, trace(t, in, 15, 5))
 }
 
-func TestStoreMatchesOracleMmap(t *testing.T) {
-	in, tables := fixture(t)
-	s, _ := openStore(t, in, tables, Config{Seed: 1, UseMmap: true})
-	checkAgainstOracle(t, s, in, tables, trace(t, in, 10, 6))
-}
-
 func TestStoreMatchesOraclePooledCache(t *testing.T) {
 	in, tables := fixture(t)
 	s, _ := openStore(t, in, tables, Config{
@@ -148,7 +142,7 @@ func TestStoreMatchesOraclePooledCache(t *testing.T) {
 func TestStoreMatchesOracleCacheVariants(t *testing.T) {
 	for _, kind := range []CacheKind{CacheDual, CacheMemOptimized, CacheCPUOptimized} {
 		in, tables := fixture(t)
-		s, _ := openStore(t, in, tables, Config{Seed: 1, CacheKind: kind, CachePartitions: 2})
+		s, _ := openStore(t, in, tables, Config{Seed: 1, CacheKind: kind})
 		checkAgainstOracle(t, s, in, tables, trace(t, in, 10, 8))
 	}
 }
@@ -349,33 +343,6 @@ func TestWarmupOverprovision(t *testing.T) {
 	}
 }
 
-func TestPerTableOutstandingThrottle(t *testing.T) {
-	in, tables := fixture(t)
-	free, _ := openStore(t, in, tables, Config{Seed: 1, CacheBytes: 1 << 12})
-	capped, _ := openStore(t, in, tables, Config{Seed: 1, CacheBytes: 1 << 12, PerTableOutstanding: 1})
-	qs := trace(t, in, 10, 13)
-	run := func(s *Store) simclock.Time {
-		now := s.LoadDone()
-		var last simclock.Time
-		for _, q := range qs {
-			outs := s.AllocOutputs(q)
-			res, err := s.PoolQuery(now, q, outs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.UserIODone > last {
-				last = res.UserIODone
-			}
-		}
-		return last - s.LoadDone()
-	}
-	tFree, tCapped := run(free), run(capped)
-	if tCapped <= tFree {
-		t.Fatalf("per-table throttle should serialize IOs: capped %v vs free %v",
-			tCapped.Duration(), tFree.Duration())
-	}
-}
-
 func TestLoadAccounting(t *testing.T) {
 	in, tables := fixture(t)
 	s, _ := openStore(t, in, tables, Config{Seed: 1})
@@ -418,10 +385,7 @@ func TestCacheDualShardKinds(t *testing.T) {
 	in, tables := fixture(t)
 	s, _ := openStore(t, in, tables, Config{Seed: 1, CacheKind: CacheDual})
 	for _, rowBytes := range []int{64, 255, 256, 1024} {
-		shard, err := s.mkCacheShard(1<<16, rowBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
+		shard := s.mkCacheShard(1<<16, rowBytes)
 		_, mem := shard.(*cache.MemOptimized)
 		_, cpu := shard.(*cache.CPUOptimized)
 		if mem != (rowBytes <= 255) || cpu == mem {

@@ -149,7 +149,7 @@ func (s *Store) fetchAndAccumulate(c *opCtx, row int64, out []float32) error {
 	buf := c.buf[:rb]
 	key := cache.Key{Table: int32(st.spec.ID), Row: row}
 
-	if st.cacheEnabled && !s.cfg.UseMmap {
+	if st.cacheEnabled {
 		c.res.CPUTime += time.Duration(float64(costCacheGetBase) * st.cacheCPUCost)
 		if n, ok := st.cache.Get(key, buf); ok {
 			c.res.CPUTime += perByteCost(costDequantPerByteNs, n)
@@ -168,7 +168,7 @@ func (s *Store) fetchAndAccumulate(c *opCtx, row int64, out []float32) error {
 		c.stats.ZeroRowReads++
 	}
 
-	if !s.cfg.Ring.SGL && !s.cfg.UseMmap {
+	if !s.cfg.Ring.SGL {
 		// Without SGL the host reads a whole block into an aligned
 		// bounce buffer and copies the row out — "more than 2X FM BW
 		// needed for every X data pulled in from SM" (§4.3).
@@ -186,7 +186,7 @@ func (s *Store) fetchAndAccumulate(c *opCtx, row int64, out []float32) error {
 		c.res.CPUTime += perByteCost(costMemcpyPerByteNs, rb)
 	}
 
-	if st.cacheEnabled && !s.cfg.UseMmap {
+	if st.cacheEnabled {
 		st.cache.Put(key, buf)
 		c.res.CPUTime += costCachePut
 	}

@@ -8,10 +8,9 @@
 //     contents are immutable during a query), but the read's *timing* is
 //     only recorded as a deferred IO.
 //  2. A replay phase walks the ops in index order on the calling goroutine
-//     and books every deferred IO through the per-table throttle, the
-//     io_uring model (or, under the mmap ablation, the per-device page
-//     cache) and the device channel/RNG model — exactly the sequence a
-//     single-threaded execution would have produced.
+//     and books every deferred IO through the io_uring model and the
+//     device channel/RNG model — exactly the sequence a single-threaded
+//     execution would have produced.
 //
 // Because phase 1 mutates only order-independent state and phase 2 is
 // totally ordered, virtual-time accounting, statistics and cache contents
@@ -51,10 +50,10 @@ func (s *Store) Parallelism() int { return s.cfg.Parallelism }
 // (Algorithm 1): outs[i] needs one slice per pool of ops[i], each of the
 // table's Dim.
 //
-// Error semantics are uniform across store flavors, mmap included: when
-// an op fails validation or its functional phase, no results, counters or
-// SM timing are recorded, though cache shards retain rows fetched before
-// the failure — identically at every Parallelism setting.
+// Error semantics are uniform: when an op fails validation or its
+// functional phase, no results, counters or SM timing are recorded, though
+// cache shards retain rows fetched before the failure — identically at
+// every Parallelism setting.
 //
 // The returned slice is backed by store-owned scratch and is only valid
 // until the next PoolOps/PoolQuery call; copy any OpResult that must
@@ -127,7 +126,7 @@ func (s *Store) PoolOps(now simclock.Time, ops []workload.TableOp, outs [][][]fl
 	results := s.resBuf[:len(ops)]
 	for i := range ctxs {
 		c := &ctxs[i]
-		if err := s.replayIO(c, scratch[0].buf); err != nil {
+		if err := s.replayIO(c); err != nil {
 			return nil, err
 		}
 		s.stats.addRuntime(c.stats)
@@ -158,32 +157,13 @@ func (s *Store) execOp(ctxs []opCtx, scratch []*opScratch, ops []workload.TableO
 }
 
 // replayIO books the timing of an op's deferred SM reads in issue order:
-// per-table throttle admission, ring submission (page-cache access under
-// the mmap ablation, whose per-device cache is shared across tables and so
-// may only be touched here, in global op order), device channel booking,
-// throttle release. buf is scratch the mmap model copies the page bytes
-// into; the row data itself was already consumed by the functional phase.
-func (s *Store) replayIO(c *opCtx, buf []byte) error {
-	st := c.st
+// ring submission, then device channel booking. The row data itself was
+// already consumed by the functional phase.
+func (s *Store) replayIO(c *opCtx) error {
 	for _, io := range c.reads {
-		start := c.now
-		if st.throttle != nil {
-			start = st.throttle.admit(c.now)
-		}
-		var (
-			done simclock.Time
-			err  error
-		)
-		if s.cfg.UseMmap {
-			done, err = s.mmaps[io.dev].Read(start, buf[:io.n], io.off)
-		} else {
-			done, err = s.rings[io.dev].SubmitTimedRead(start, io.n, io.off)
-		}
+		done, err := s.rings[io.dev].SubmitTimedRead(c.now, io.n, io.off)
 		if err != nil {
-			return fmt.Errorf("core: SM read table %d: %w", st.spec.ID, err)
-		}
-		if st.throttle != nil {
-			st.throttle.release(done)
+			return fmt.Errorf("core: SM read table %d: %w", c.st.spec.ID, err)
 		}
 		if done > c.res.IODone {
 			c.res.IODone = done

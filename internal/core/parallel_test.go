@@ -63,16 +63,15 @@ func runEngine(t *testing.T, parallelism int, cfg Config) engineRun {
 // TestParallelismBitIdentical is the engine's core guarantee: every
 // observable — virtual times, store/cache/pooled/device/ring statistics
 // and the pooled outputs themselves — is bit-identical no matter how many
-// workers execute the query. Exercises the throttled, pooled-cache and
-// SGL paths together; under -race this also drives the concurrent
+// workers execute the query. Exercises the pooled-cache and SGL paths
+// together; under -race this also drives the concurrent
 // functional phase.
 func TestParallelismBitIdentical(t *testing.T) {
 	cfg := Config{
-		Seed:                1,
-		Ring:                uring.Config{SGL: true},
-		PooledCacheBytes:    1 << 18,
-		PooledLenThreshold:  2,
-		PerTableOutstanding: 2,
+		Seed:               1,
+		Ring:               uring.Config{SGL: true},
+		PooledCacheBytes:   1 << 18,
+		PooledLenThreshold: 2,
 	}
 	base := runEngine(t, 1, cfg)
 	for _, p := range []int{2, 4, 8} {
@@ -85,22 +84,16 @@ func TestParallelismBitIdentical(t *testing.T) {
 }
 
 // TestParallelismBitIdenticalBlockReads covers the non-SGL bounce-buffer
-// path with pruning mappers, and the mmap ablation — whose per-device page
-// cache is shared across tables and therefore only touched by the ordered
-// replay, which is what lets mmap stores fan out across workers at all.
+// path with pruning mappers.
 func TestParallelismBitIdenticalBlockReads(t *testing.T) {
-	for _, cfg := range []Config{
-		{Seed: 2, Prune: true, CacheBytes: 1 << 14},
-		{Seed: 2, UseMmap: true, CacheBytes: 1 << 14, PerTableOutstanding: 2},
-	} {
-		base := runEngine(t, 1, cfg)
-		got := runEngine(t, 4, cfg)
-		if !reflect.DeepEqual(base, got) {
-			t.Fatalf("mmap=%v: block-read path diverged:\n  p=1: %+v\n  p=4: %+v", cfg.UseMmap, base, got)
-		}
-		if base.dev.Reads == 0 {
-			t.Fatalf("mmap=%v: trace never reached the devices", cfg.UseMmap)
-		}
+	cfg := Config{Seed: 2, Prune: true, CacheBytes: 1 << 14}
+	base := runEngine(t, 1, cfg)
+	got := runEngine(t, 4, cfg)
+	if !reflect.DeepEqual(base, got) {
+		t.Fatalf("block-read path diverged:\n  p=1: %+v\n  p=4: %+v", base, got)
+	}
+	if base.dev.Reads == 0 {
+		t.Fatal("trace never reached the devices")
 	}
 }
 

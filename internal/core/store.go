@@ -32,11 +32,10 @@ type Store struct {
 
 	devices []*blockdev.Device
 	rings   []*uring.SyncRing
-	mmaps   []*uring.Mmap
 
-	// rowCache is the table-sharded aggregate view of the per-table FM
-	// row-cache shards (the hot path uses tableState.cache directly).
-	rowCache *cache.TableSharded
+	// rowCache is the aggregate view (counters, write-back drain) of the
+	// per-table FM row-cache shards; the hot path uses tableState.cache.
+	rowCache cache.TableSharded
 
 	plan   *placement.Plan
 	tables []*tableState
@@ -135,9 +134,6 @@ type tableState struct {
 	// pooled is this table's pooled-embedding-cache shard (§4.4), nil
 	// unless the pooled cache is enabled and the table is SM-resident.
 	pooled *pooledcache.Cache
-
-	// throttle caps per-table outstanding IOs.
-	throttle *ioThrottle
 }
 
 // Stats aggregates store counters.
@@ -168,9 +164,7 @@ type Stats struct {
 	// DemoteWriteBytes counts SM media bytes written by demotion Steps as
 	// they issue (committed or not) — the endurance cost of tiering
 	// decisions, accounted per table in TableStat so wear-aware placement
-	// can see which tables churn the write budget. Like device
-	// BytesWritten, it is endurance accounting and survives
-	// ResetRuntimeStats.
+	// can see which tables churn the write budget.
 	DemoteWriteBytes uint64
 }
 
@@ -185,8 +179,8 @@ func Open(inst *model.Instance, tables []*embedding.Table, cfg Config, _ *simclo
 	if len(tables) != len(inst.Tables) {
 		return nil, fmt.Errorf("core: %d tables for %d specs", len(tables), len(inst.Tables))
 	}
-	if cfg.ReserveSM && (cfg.Prune || cfg.Deprune || cfg.DequantAtLoad || cfg.UseMmap) {
-		return nil, fmt.Errorf("core: ReserveSM requires identity load transforms and DIRECT_IO (no Prune/Deprune/DequantAtLoad/UseMmap)")
+	if cfg.ReserveSM && (cfg.Prune || cfg.Deprune || cfg.DequantAtLoad) {
+		return nil, fmt.Errorf("core: ReserveSM requires identity load transforms (no Prune/Deprune/DequantAtLoad)")
 	}
 	plan, err := placement.New(inst, cfg.Placement)
 	if err != nil {
@@ -200,9 +194,7 @@ func Open(inst *model.Instance, tables []*embedding.Table, cfg Config, _ *simclo
 	if err := s.accountLoad(); err != nil {
 		return nil, err
 	}
-	if err := s.buildCaches(); err != nil {
-		return nil, err
-	}
+	s.buildCaches()
 	return s, nil
 }
 
@@ -249,9 +241,6 @@ func OpenReplica(donor *Store, cfg Config, _ *simclock.Clock) (*Store, error) {
 		if dt.rangeLookups != nil {
 			st.rangeLookups = make([]uint64, len(dt.rangeLookups))
 		}
-		if cfg.PerTableOutstanding > 0 {
-			st.throttle = &ioThrottle{cap: cfg.PerTableOutstanding}
-		}
 		s.tables[i] = st
 	}
 	s.stats.MapperFMBytes = donor.stats.MapperFMBytes
@@ -271,13 +260,9 @@ func OpenReplica(donor *Store, cfg Config, _ *simclock.Clock) (*Store, error) {
 	spec := blockdev.Spec(cfg.SMTech)
 	s.devices = make([]*blockdev.Device, nd)
 	s.rings = make([]*uring.SyncRing, nd)
-	s.mmaps = make([]*uring.Mmap, nd)
 	for d := range s.devices {
 		s.devices[d] = blockdev.NewShared(spec, images[d], nil, cfg.Seed+uint64(d)*7919)
 		s.rings[d] = uring.NewSync(s.devices[d], cfg.Ring)
-		if cfg.UseMmap {
-			s.mmaps[d] = uring.NewMmap(s.devices[d], cfg.CacheBytes/int64(nd))
-		}
 	}
 
 	s.maxRowBytes = donor.maxRowBytes
@@ -286,9 +271,7 @@ func OpenReplica(donor *Store, cfg Config, _ *simclock.Clock) (*Store, error) {
 	if err := s.accountLoad(); err != nil {
 		return nil, err
 	}
-	if err := s.buildCaches(); err != nil {
-		return nil, err
-	}
+	s.buildCaches()
 	return s, nil
 }
 
@@ -314,9 +297,6 @@ func (s *Store) loadTables(tables []*embedding.Table) error {
 			spec:         s.inst.Tables[i],
 			target:       s.plan.Target(i),
 			cacheEnabled: s.plan.CacheEnabled(i),
-		}
-		if s.cfg.PerTableOutstanding > 0 {
-			st.throttle = &ioThrottle{cap: s.cfg.PerTableOutstanding}
 		}
 		if s.cfg.ReserveSM && s.cfg.Placement.EligibleSM(i, st.spec.Kind) {
 			st.swappable = true
@@ -347,7 +327,7 @@ func (s *Store) loadTables(tables []*embedding.Table) error {
 		}
 		stored := t
 		if s.cfg.Prune {
-			pruned, err := embedding.PruneZeroRows(t, s.cfg.PruneEps)
+			pruned, err := embedding.PruneZeroRows(t, pruneEps)
 			if err != nil {
 				return fmt.Errorf("core: prune table %d: %w", i, err)
 			}
@@ -380,23 +360,14 @@ func (s *Store) loadTables(tables []*embedding.Table) error {
 		s.tables[i] = st
 	}
 
-	// Size and create devices.
-	capPerDev := s.cfg.DeviceCapacity
-	if capPerDev <= 0 {
-		capPerDev = smBytes/int64(s.cfg.NumDevices) + smBytes/int64(4*s.cfg.NumDevices) + (4 << 20)
-	}
+	// Size and create devices: the SM-resident tables plus 25% headroom.
+	capPerDev := smBytes/int64(s.cfg.NumDevices) + smBytes/int64(4*s.cfg.NumDevices) + (4 << 20)
 	spec := blockdev.Spec(s.cfg.SMTech)
 	s.devices = make([]*blockdev.Device, s.cfg.NumDevices)
 	s.rings = make([]*uring.SyncRing, s.cfg.NumDevices)
-	s.mmaps = make([]*uring.Mmap, s.cfg.NumDevices)
 	for d := range s.devices {
 		s.devices[d] = blockdev.New(spec, capPerDev, nil, s.cfg.Seed+uint64(d)*7919)
 		s.rings[d] = uring.NewSync(s.devices[d], s.cfg.Ring)
-		if s.cfg.UseMmap {
-			// The mmap page cache competes for the same FM budget the
-			// row cache would have used.
-			s.mmaps[d] = uring.NewMmap(s.devices[d], s.cfg.CacheBytes/int64(s.cfg.NumDevices))
-		}
 	}
 
 	// Second pass: stripe the SM residents' rows across the devices
@@ -472,7 +443,7 @@ func (s *Store) accountLoad() error {
 // its stored bytes. Independent table operators therefore share no cache
 // state, which is what lets the parallel query engine run them on any
 // worker in any order with bit-identical results.
-func (s *Store) buildCaches() error {
+func (s *Store) buildCaches() {
 	eff := s.cfg.CacheBytes - s.stats.MapperFMBytes - s.cfg.PooledCacheBytes
 	if eff < 1<<12 {
 		eff = 1 << 12
@@ -482,7 +453,6 @@ func (s *Store) buildCaches() error {
 	// Row-cache shards, budget ∝ stored SM bytes. Swappable tables get a
 	// shard whichever tier they start in, so a runtime demotion finds its
 	// cache already provisioned (and still warm from any earlier SM stint).
-	s.rowCache = cache.NewTableSharded()
 	var cached []*tableState
 	var totalBytes int64
 	for _, st := range s.tables {
@@ -505,13 +475,9 @@ func (s *Store) buildCaches() error {
 		if remaining < 0 {
 			remaining = 0
 		}
-		shard, err := s.mkCacheShard(budget, st.rowBytes)
-		if err != nil {
-			return err
-		}
-		st.cache = shard
-		st.cacheCPUCost = shard.CPUCostPerGet()
-		s.rowCache.Add(int32(st.spec.ID), shard)
+		st.cache = s.mkCacheShard(budget, st.rowBytes)
+		st.cacheCPUCost = st.cache.CPUCostPerGet()
+		s.rowCache.Add(st.cache)
 	}
 
 	// Pooled-cache shards: the §4.4 budget splits evenly across the SM
@@ -534,7 +500,6 @@ func (s *Store) buildCaches() error {
 			}
 		}
 	}
-	return nil
 }
 
 // mkCacheShard builds one table's row-cache shard. Rows of a table are
@@ -542,28 +507,22 @@ func (s *Store) buildCaches() error {
 // either small rows (memory-optimized, slots sized to the row) or large
 // rows (CPU-optimized) — the paper's dim≤255 routing with no per-probe
 // dispatch.
-func (s *Store) mkCacheShard(budget int64, rowBytes int) (cache.RowCache, error) {
+func (s *Store) mkCacheShard(budget int64, rowBytes int) cache.RowCache {
 	slot := rowBytes
 	if slot > s.cfg.CacheSplitBytes {
 		slot = s.cfg.CacheSplitBytes
 	}
-	mk := func(budget int64) cache.RowCache {
-		switch s.cfg.CacheKind {
-		case CacheMemOptimized:
+	switch s.cfg.CacheKind {
+	case CacheMemOptimized:
+		return cache.NewMemOptimized(budget, slot)
+	case CacheCPUOptimized:
+		return cache.NewCPUOptimized(budget)
+	default:
+		if rowBytes <= s.cfg.CacheSplitBytes {
 			return cache.NewMemOptimized(budget, slot)
-		case CacheCPUOptimized:
-			return cache.NewCPUOptimized(budget)
-		default:
-			if rowBytes <= s.cfg.CacheSplitBytes {
-				return cache.NewMemOptimized(budget, slot)
-			}
-			return cache.NewCPUOptimized(budget)
 		}
+		return cache.NewCPUOptimized(budget)
 	}
-	if s.cfg.CachePartitions > 1 {
-		return cache.NewPartitioned(s.cfg.CachePartitions, budget, mk)
-	}
-	return mk(budget), nil
 }
 
 // Config returns the (defaulted) store configuration.
@@ -628,78 +587,10 @@ func (s *Store) RingStats() uring.Stats {
 	return agg
 }
 
-// ResetRuntimeStats clears per-run counters (not load accounting) so a
-// steady-state window can be measured after warmup.
-func (s *Store) ResetRuntimeStats() {
-	mapperFM := s.stats.MapperFMBytes
-	eff := s.stats.EffCacheBytes
-	loadB := s.stats.LoadSMBytes
-	loadD := s.stats.LoadDuration
-	dep := s.stats.DeprunedTables
-	s.stats = Stats{
-		MapperFMBytes: mapperFM, EffCacheBytes: eff,
-		LoadSMBytes: loadB, LoadDuration: loadD, DeprunedTables: dep,
-		Migrations:          s.stats.Migrations,
-		RangeMigrations:     s.stats.RangeMigrations,
-		MigratedSMToFMBytes: s.stats.MigratedSMToFMBytes,
-		MigratedFMToSMBytes: s.stats.MigratedFMToSMBytes,
-		DemoteWriteBytes:    s.stats.DemoteWriteBytes,
-	}
-	// Per-table runtime counters reset with the aggregates they sum to,
-	// keeping TableStats coherent with Stats across the reset (endurance
-	// accounting, like device BytesWritten, survives).
-	for _, st := range s.tables {
-		st.runtime = Stats{DemoteWriteBytes: st.runtime.DemoteWriteBytes}
-		for r := range st.rangeLookups {
-			st.rangeLookups[r] = 0
-		}
-	}
-	for _, d := range s.devices {
-		d.ResetStats()
-	}
-	// Cache contents survive (warm cache); only counters reset.
-	// RowCache has no counter-only reset, so track via snapshot deltas
-	// instead when needed; here we leave cache stats cumulative.
-}
-
 // smLocation returns the device and offset of row r of table state st.
 func (s *Store) smLocation(st *tableState, r int64) (dev int, off int64) {
 	n := int64(s.cfg.NumDevices)
 	dev = int(r % n)
 	off = st.smBase[dev] + (r/n)*int64(st.rowBytes)
 	return dev, off
-}
-
-// ioThrottle caps per-table outstanding IOs using completion timestamps.
-type ioThrottle struct {
-	cap      int
-	inflight simclock.TimeHeap
-	// drained batches completed-entry cleanup across a query's ops: every
-	// IO of an op is admitted at the same issue time, so after one drain
-	// at time t nothing new can complete at or before t (completions are
-	// strictly after their start). Skipping the re-scan is therefore
-	// accounting-neutral — the same entries are dropped either way.
-	drained simclock.Time
-}
-
-// admit returns the earliest start time for a new IO issued at now and
-// records completion bookkeeping via release.
-func (t *ioThrottle) admit(now simclock.Time) simclock.Time {
-	if now > t.drained {
-		for t.inflight.Len() > 0 && t.inflight.Min() <= now {
-			t.inflight.PopMin()
-		}
-		t.drained = now
-	}
-	start := now
-	for t.inflight.Len() >= t.cap {
-		if v := t.inflight.PopMin(); v > start {
-			start = v
-		}
-	}
-	return start
-}
-
-func (t *ioThrottle) release(done simclock.Time) {
-	t.inflight.Push(done)
 }

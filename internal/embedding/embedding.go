@@ -69,8 +69,8 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("embedding: table %d: rows must be > 0", s.ID)
 	case s.Dim <= 0:
 		return fmt.Errorf("embedding: table %d: dim must be > 0", s.ID)
-	case s.QType == 0:
-		return fmt.Errorf("embedding: table %d: quant type unset", s.ID)
+	case s.QType != quant.Int8 && s.QType != quant.FP32:
+		return fmt.Errorf("embedding: table %d: QType must be int8 or fp32, got %v", s.ID, s.QType)
 	case s.Kind == 0:
 		return fmt.Errorf("embedding: table %d: kind unset", s.ID)
 	case !(s.PoolingFactor >= 0) || math.IsInf(s.PoolingFactor, 0):

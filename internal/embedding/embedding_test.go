@@ -25,6 +25,7 @@ func TestSpecValidate(t *testing.T) {
 		{ID: 1, Rows: 0, Dim: 4, QType: quant.Int8, Kind: User},
 		{ID: 1, Rows: 4, Dim: 0, QType: quant.Int8, Kind: User},
 		{ID: 1, Rows: 4, Dim: 4, Kind: User},
+		{ID: 1, Rows: 4, Dim: 4, QType: quant.FP32 + 1, Kind: User}, // no such encoding
 		{ID: 1, Rows: 4, Dim: 4, QType: quant.Int8},
 		{ID: 1, Rows: 4, Dim: 4, QType: quant.Int8, Kind: User, PoolingFactor: -1},
 	}
@@ -32,6 +33,11 @@ func TestSpecValidate(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Errorf("case %d should fail validation", i)
 		}
+	}
+	unknown := good
+	unknown.QType = quant.FP32 + 1
+	if err := unknown.Validate(); err == nil || !strings.Contains(err.Error(), "QType") {
+		t.Errorf("unknown encoding: error %v, want one naming QType", err)
 	}
 	// Non-finite skews and pooling factors are refused by field name (NaN
 	// passes any "< 0" check); a negative skew is legal and means uniform.

@@ -1,7 +1,6 @@
 package embedding
 
 import (
-	"fmt"
 	"math"
 
 	"sdm/internal/quant"
@@ -26,9 +25,6 @@ type Pruned struct {
 
 // MapperBytes returns the FM footprint of the mapping tensor.
 func (p *Pruned) MapperBytes() int64 { return int64(len(p.Mapper)) * 4 }
-
-// KeptRows returns the number of surviving rows.
-func (p *Pruned) KeptRows() int64 { return p.Dense.Spec().Rows }
 
 // PruneZeroRows removes rows whose dequantized L∞ norm is ≤ eps — the
 // paper's "embedding rows with values very close to 0 are heuristically
@@ -82,19 +78,6 @@ func maxAbs(row []float32) float32 {
 	return m
 }
 
-// Lookup resolves an unpruned index through the mapper; ok is false for
-// pruned rows (whose value is the zero vector).
-func (p *Pruned) Lookup(unprunedIdx int64) (denseIdx int64, ok bool, err error) {
-	if unprunedIdx < 0 || unprunedIdx >= int64(len(p.Mapper)) {
-		return 0, false, fmt.Errorf("%w: %d of %d", ErrRowRange, unprunedIdx, len(p.Mapper))
-	}
-	d := p.Mapper[unprunedIdx]
-	if d == PrunedRow {
-		return 0, false, nil
-	}
-	return int64(d), true, nil
-}
-
 // Deprune materializes the unpruned table (Algorithm 2 of §4.5): a new
 // table in the unpruned index space where pruned rows become explicit zero
 // rows. The mapper tensor is no longer needed afterwards, freeing
@@ -123,30 +106,4 @@ func (p *Pruned) Deprune() (*Table, error) {
 		copy(dst, src)
 	}
 	return nt, nil
-}
-
-// Pool computes SparseLengthsSum over unpruned indices, resolving the
-// mapper per lookup (the two-structure path the paper compares against
-// de-pruning). Pruned rows contribute zero.
-func (p *Pruned) Pool(out []float32, indices []int64) error {
-	for i := range out {
-		out[i] = 0
-	}
-	for _, idx := range indices {
-		d, ok, err := p.Lookup(idx)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		row, err := p.Dense.Row(d)
-		if err != nil {
-			return err
-		}
-		if err := quant.AccumulateRow(out, row, p.Dense.Spec().QType); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,9 +1,6 @@
 package embedding
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func prunedFixture(t *testing.T) (*Table, *Pruned) {
 	t.Helper()
@@ -20,8 +17,8 @@ func prunedFixture(t *testing.T) (*Table, *Pruned) {
 
 func TestPruneRemovesOnlyZeroRows(t *testing.T) {
 	tb, p := prunedFixture(t)
-	if p.KeptRows() >= tb.Spec().Rows {
-		t.Fatalf("pruning kept all %d rows; ZeroFrac rows should go", p.KeptRows())
+	if kept := p.Dense.Spec().Rows; kept >= tb.Spec().Rows {
+		t.Fatalf("pruning kept all %d rows; ZeroFrac rows should go", kept)
 	}
 	row := make([]float32, tb.Spec().Dim)
 	for r := int64(0); r < tb.Spec().Rows; r++ {
@@ -57,54 +54,11 @@ func TestMapperDense(t *testing.T) {
 		}
 		next++
 	}
-	if int64(next) != p.KeptRows() {
-		t.Fatalf("kept %d vs mapper %d", p.KeptRows(), next)
+	if kept := p.Dense.Spec().Rows; int64(next) != kept {
+		t.Fatalf("kept %d vs mapper %d", kept, next)
 	}
 	if p.MapperBytes() != int64(len(p.Mapper))*4 {
 		t.Fatal("mapper bytes accounting")
-	}
-}
-
-func TestPrunedLookup(t *testing.T) {
-	_, p := prunedFixture(t)
-	if _, _, err := p.Lookup(-1); err == nil {
-		t.Fatal("negative index should fail")
-	}
-	if _, _, err := p.Lookup(int64(len(p.Mapper))); err == nil {
-		t.Fatal("out-of-range index should fail")
-	}
-	var sawPruned, sawKept bool
-	for r := int64(0); r < int64(len(p.Mapper)); r++ {
-		_, ok, err := p.Lookup(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			sawKept = true
-		} else {
-			sawPruned = true
-		}
-	}
-	if !sawPruned || !sawKept {
-		t.Fatal("fixture should contain both pruned and kept rows")
-	}
-}
-
-func TestPrunedPoolMatchesOracle(t *testing.T) {
-	tb, p := prunedFixture(t)
-	indices := []int64{0, 3, 7, 100, 150, 199, 3}
-	want := make([]float32, tb.Spec().Dim)
-	if err := tb.Pool(want, indices); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]float32, tb.Spec().Dim)
-	if err := p.Pool(got, indices); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Abs(float64(want[i]-got[i])) > 1e-5 {
-			t.Fatalf("pruned pool mismatch at %d: %g vs %g", i, got[i], want[i])
-		}
 	}
 }
 
@@ -150,13 +104,22 @@ func TestPruneAllZeroTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for r, m := range p.Mapper {
+		if m != PrunedRow {
+			t.Fatalf("row %d of an all-zero table survived pruning", r)
+		}
+	}
+	// The degenerate dense table keeps one zero row.
+	if p.Dense.Spec().Rows != 1 {
+		t.Fatalf("all-pruned dense table has %d rows, want 1", p.Dense.Spec().Rows)
+	}
 	out := make([]float32, spec.Dim)
-	if err := p.Pool(out, []int64{0, 1, 2}); err != nil {
+	if err := p.Dense.DequantizeRow(out, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range out {
 		if v != 0 {
-			t.Fatal("all-pruned pool should be zero")
+			t.Fatal("the kept row of an all-pruned table should be zero")
 		}
 	}
 }

@@ -81,9 +81,10 @@ var registry = []struct {
 }
 
 // exclusiveIDs marks experiments that measure process-global state
-// (runtime.MemStats deltas) and therefore must not run concurrently with
-// any other experiment — a parallel harness runs them on their own.
-var exclusiveIDs = map[string]bool{"alloc": true}
+// (runtime.MemStats deltas, wall clock) and therefore must not run
+// concurrently with any other experiment — a parallel harness runs them on
+// their own.
+var exclusiveIDs = map[string]bool{"alloc": true, "fleetscale": true}
 
 // Exclusive reports whether the experiment must run with nothing else
 // allocating in the process (see exclusiveIDs).

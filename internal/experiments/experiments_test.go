@@ -50,6 +50,18 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestMemStatsExperimentsAreExclusive: alloc and fleetscale read
+// process-global runtime.MemStats deltas, so a parallel harness must run them
+// with nothing else allocating (under `sdmbench all`, fleetscale's alloc(MB)
+// used to count every concurrently running experiment's garbage).
+func TestMemStatsExperimentsAreExclusive(t *testing.T) {
+	for _, id := range IDs() {
+		if want := id == "alloc" || id == "fleetscale"; Exclusive(id) != want {
+			t.Errorf("Exclusive(%q) = %v, want %v", id, Exclusive(id), want)
+		}
+	}
+}
+
 func TestAlloc(t *testing.T) {
 	res := runExp(t, "alloc").(*AllocResult)
 	// The engine hot path is the zero-alloc contract; a little headroom

@@ -124,7 +124,7 @@ func FleetScale(sc Scale) (Result, error) {
 		}
 	}
 	res.notes = append(res.notes,
-		"wall(s)/alloc(MB)/KB/q are wall-clock simulator cost (machine-dependent, warn-only); p99 is virtual-time and seed-deterministic",
+		"wall(s)/alloc(MB)/KB/q are wall-clock simulator cost (machine-dependent, warn-only), measured with nothing else running (sdmbench schedules this experiment exclusively); p99 is virtual-time and seed-deterministic",
 		"each rung runs the full metrics plane (SetMetrics + OpenMetrics render) so the trajectory tracks observability overhead too",
 		"the 64x4 rung runs 64 replicas at 4x model scale via shared-media replica construction (core.OpenReplica)")
 	return res, nil

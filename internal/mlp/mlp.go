@@ -1,122 +1,29 @@
-// Package mlp implements the dense components of DLRM (§2.1): the bottom
-// MLP that reprojects continuous features and the top MLP that captures
-// feature interactions. The forward pass is real fp32 arithmetic; a FLOP
-// count accompanies each network so the serving simulator can convert
-// dense work into virtual compute time on a host's compute service rate.
+// Package mlp models the dense components of DLRM (§2.1): the bottom MLP
+// that reprojects continuous features and the top MLP that captures feature
+// interactions. The simulator never needs their outputs, only their cost: a
+// FLOP count per forward pass, which the serving simulator converts into
+// virtual compute time on a host's compute service rate.
 package mlp
 
-import (
-	"fmt"
+import "fmt"
 
-	"sdm/internal/xrand"
-)
-
-// Layer is one fully connected layer with ReLU activation.
-type Layer struct {
-	In, Out int
-	// W is row-major [Out][In]; B is [Out].
-	W []float32
-	B []float32
-}
-
-// Network is a stack of fully connected layers.
-type Network struct {
-	Layers []Layer
-	// scratch buffers reused across Forward calls.
-	bufA, bufB []float32
-}
-
-// New builds a network with the given layer widths (len ≥ 2: input width
-// followed by each layer's output width), with deterministic synthetic
-// weights.
-func New(widths []int, seed uint64) (*Network, error) {
+// FLOPs returns the floating-point operation count of one forward pass
+// through a stack of fully connected layers with the given widths (len ≥ 2:
+// input width followed by each layer's output width), 2 FLOPs per
+// multiply-accumulate.
+func FLOPs(widths []int) (int64, error) {
 	if len(widths) < 2 {
-		return nil, fmt.Errorf("mlp: need at least input and one layer, got %d widths", len(widths))
+		return 0, fmt.Errorf("mlp: need at least input and one layer, got %d widths", len(widths))
 	}
-	rng := xrand.New(seed)
-	n := &Network{}
-	maxW := 0
+	var f int64
 	for i := 0; i+1 < len(widths); i++ {
 		in, out := widths[i], widths[i+1]
 		if in <= 0 || out <= 0 {
-			return nil, fmt.Errorf("mlp: widths must be positive, got %d→%d", in, out)
+			return 0, fmt.Errorf("mlp: widths must be positive, got %d→%d", in, out)
 		}
-		l := Layer{In: in, Out: out, W: make([]float32, in*out), B: make([]float32, out)}
-		scale := 1.0 / float64(in)
-		for j := range l.W {
-			l.W[j] = float32(rng.Norm(0, scale))
-		}
-		for j := range l.B {
-			l.B[j] = float32(rng.Norm(0, 0.01))
-		}
-		n.Layers = append(n.Layers, l)
-		if in > maxW {
-			maxW = in
-		}
-		if out > maxW {
-			maxW = out
-		}
+		f += 2 * int64(in) * int64(out)
 	}
-	n.bufA = make([]float32, maxW)
-	n.bufB = make([]float32, maxW)
-	return n, nil
-}
-
-// InputDim returns the expected input width.
-func (n *Network) InputDim() int { return n.Layers[0].In }
-
-// OutputDim returns the output width.
-func (n *Network) OutputDim() int { return n.Layers[len(n.Layers)-1].Out }
-
-// Forward runs the network on x (len InputDim) and writes the result into
-// out (len OutputDim). The final layer is linear (no ReLU), matching the
-// usual CTR head before the sigmoid.
-func (n *Network) Forward(out, x []float32) error {
-	if len(x) != n.InputDim() {
-		return fmt.Errorf("mlp: input dim %d, want %d", len(x), n.InputDim())
-	}
-	if len(out) != n.OutputDim() {
-		return fmt.Errorf("mlp: output dim %d, want %d", len(out), n.OutputDim())
-	}
-	cur := n.bufA[:len(x)]
-	copy(cur, x)
-	next := n.bufB
-	for li, l := range n.Layers {
-		nx := next[:l.Out]
-		for o := 0; o < l.Out; o++ {
-			acc := l.B[o]
-			w := l.W[o*l.In : (o+1)*l.In]
-			for i, v := range cur {
-				acc += w[i] * v
-			}
-			if li < len(n.Layers)-1 && acc < 0 {
-				acc = 0 // ReLU on hidden layers
-			}
-			nx[o] = acc
-		}
-		cur, next = nx, cur[:cap(cur)]
-	}
-	copy(out, cur)
-	return nil
-}
-
-// FLOPs returns the multiply-accumulate count of one forward pass
-// (2 FLOPs per MAC).
-func (n *Network) FLOPs() int64 {
-	var f int64
-	for _, l := range n.Layers {
-		f += 2 * int64(l.In) * int64(l.Out)
-	}
-	return f
-}
-
-// ParamCount returns the number of parameters.
-func (n *Network) ParamCount() int64 {
-	var p int64
-	for _, l := range n.Layers {
-		p += int64(l.In)*int64(l.Out) + int64(l.Out)
-	}
-	return p
+	return f, nil
 }
 
 // CostModel converts network FLOPs into virtual seconds on a host with the

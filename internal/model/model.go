@@ -292,18 +292,6 @@ func dimElements(t quant.Type, rowBytes int) int {
 			d = 1
 		}
 		return d
-	case quant.Int4:
-		d := (rowBytes - 8) * 2
-		if d < 1 {
-			d = 1
-		}
-		return d
-	case quant.FP16:
-		d := rowBytes / 2
-		if d < 1 {
-			d = 1
-		}
-		return d
 	default:
 		d := rowBytes / 4
 		if d < 1 {
@@ -340,22 +328,4 @@ func (in *Instance) BandwidthPerQuery() []float64 {
 		out[i] = batch * s.PoolingFactor * float64(s.RowBytes())
 	}
 	return out
-}
-
-// IOPSRequired returns Eq. 8's IOPS demand at the given QPS for the tables
-// selected by the filter (nil = all): QPS · Σ p_i · B (batch 1 for user,
-// B_I for item tables).
-func (in *Instance) IOPSRequired(qps float64, include func(embedding.Spec) bool) float64 {
-	var iops float64
-	for _, s := range in.Tables {
-		if include != nil && !include(s) {
-			continue
-		}
-		batch := 1.0
-		if s.Kind == embedding.Item {
-			batch = float64(in.Config.ItemBatch)
-		}
-		iops += qps * s.PoolingFactor * batch
-	}
-	return iops
 }

@@ -201,26 +201,6 @@ func TestBandwidthPerQuery(t *testing.T) {
 	}
 }
 
-func TestIOPSRequired(t *testing.T) {
-	in, err := Build(M1(), 1e-6, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	userOnly := in.IOPSRequired(100, func(s embedding.Spec) bool { return s.Kind == embedding.User })
-	all := in.IOPSRequired(100, nil)
-	if userOnly <= 0 || all <= userOnly {
-		t.Fatalf("iops userOnly=%g all=%g", userOnly, all)
-	}
-	// Eq. 8 magnitude check: ≈ QPS × Σ p_i (user side).
-	var pfSum float64
-	for _, s := range in.UserTables() {
-		pfSum += s.PoolingFactor
-	}
-	if math.Abs(userOnly-100*pfSum)/userOnly > 1e-9 {
-		t.Fatalf("user IOPS %g, want %g", userOnly, 100*pfSum)
-	}
-}
-
 func TestFig1ModelShape(t *testing.T) {
 	cfg := Fig1Model()
 	if cfg.NumUserTables != 445 {

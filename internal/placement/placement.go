@@ -103,17 +103,6 @@ func (p *Plan) Target(t int) Target { return p.Decisions[t].Target }
 // CacheEnabled reports whether table t uses the FM cache.
 func (p *Plan) CacheEnabled(t int) bool { return p.Decisions[t].CacheEnabled }
 
-// SMTables returns the indices of SM-resident tables.
-func (p *Plan) SMTables() []int {
-	var out []int
-	for _, d := range p.Decisions {
-		if d.Target == SM {
-			out = append(out, d.Table)
-		}
-	}
-	return out
-}
-
 // EligibleSM reports whether table idx (of the given kind) is an SM
 // candidate under c's rules: not deny-listed and not excluded by
 // UserTablesOnly. The adapt subsystem uses the same predicate to decide

@@ -140,18 +140,6 @@ func TestPerTableCacheEnablement(t *testing.T) {
 	}
 }
 
-func TestSMTablesList(t *testing.T) {
-	in := testInstance(t)
-	p, err := New(in, Config{Policy: SMOnlyWithCache, UserTablesOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm := p.SMTables()
-	if len(sm) != 8 {
-		t.Fatalf("SM tables %d, want the 8 user tables", len(sm))
-	}
-}
-
 func TestZeroDRAMBudget(t *testing.T) {
 	// FixedFM with no budget degenerates to SM-only: nothing promotes,
 	// nothing breaks.
@@ -165,9 +153,6 @@ func TestZeroDRAMBudget(t *testing.T) {
 			t.Fatalf("user table %d promoted with zero budget", i)
 		}
 	}
-	if len(p.SMTables()) != 8 {
-		t.Fatalf("zero budget should leave all 8 user tables on SM, got %d", len(p.SMTables()))
-	}
 }
 
 func TestDenyListCoversEveryTable(t *testing.T) {
@@ -180,8 +165,10 @@ func TestDenyListCoversEveryTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.SMTables(); len(got) != 0 {
-		t.Fatalf("fully denied plan still placed tables on SM: %v", got)
+	for i := range in.Tables {
+		if p.Target(i) == SM {
+			t.Fatalf("fully denied plan still placed table %d on SM", i)
+		}
 	}
 	if p.SMBytes != 0 {
 		t.Fatalf("fully denied plan reports %d SM bytes", p.SMBytes)
@@ -240,7 +227,7 @@ func TestDefaultPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.SMTables()) == 0 {
+	if p.SMBytes == 0 {
 		t.Fatal("default policy should place something on SM")
 	}
 }

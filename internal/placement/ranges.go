@@ -3,7 +3,7 @@
 // bandwidth demand per byte of capacity; at range granularity the same
 // ranking runs over [lo, hi) row windows, so a DRAM budget can hold the
 // hot head of several tables instead of every byte of a few — the adapt
-// subsystem calls into PackRanges with live demand densities.
+// subsystem calls into PackRangesWear with live demand densities.
 
 package placement
 
@@ -54,26 +54,22 @@ func (w WearBudget) Remaining() int64 {
 	return rem
 }
 
-// PackRanges greedily selects items in decreasing density order under the
-// byte budget and returns the indices of the selected items (in selection
-// order). Zero-density items are never selected; ties break on (Table,
-// Range) so the result is deterministic for any input order. Items too
-// large for the remaining budget are skipped, not truncated — exactly the
-// Table-5 greedy, at whatever granularity the items carry.
-func PackRanges(items []RangeItem, budget int64) []int {
-	return PackRangesWear(items, budget, WearBudget{})
-}
-
-// PackRangesWear is PackRanges with the §3 endurance model as a cost
-// term: each candidate's score is its demand density discounted by its
-// demote-write cost against the window's remaining SM write budget —
+// PackRangesWear greedily selects items in decreasing score order under
+// the byte budget and returns the indices of the selected items (in
+// selection order). Zero-score items are never selected; ties break on
+// (Table, Range) so the result is deterministic for any input order. Items
+// too large for the remaining budget are skipped, not truncated — exactly
+// the Table-5 greedy, at whatever granularity the items carry.
+//
+// The §3 endurance model enters as a cost term: each candidate's score is
+// its demand density discounted by its demote-write cost against the window's remaining SM write budget —
 // score = density · rem/(rem+DemoteBytes) — so a hot-but-churny range
 // re-ranks below a slightly cooler one that costs no endurance, and once
 // the window budget is spent (rem = 0), write-costing candidates stop
 // being selected at all. The discount only ranks; *enforcing* the write
 // budget is the actuator's job, which spreads demote chunks across
 // windows — a cost larger than one window's budget is expensive, not
-// impossible. A zero WearBudget reproduces PackRanges exactly.
+// impossible. Under a zero WearBudget the score is the density alone.
 func PackRangesWear(items []RangeItem, budget int64, wear WearBudget) []int {
 	rem := wear.Remaining()
 	score := func(it RangeItem) float64 {

@@ -12,7 +12,7 @@ func TestPackRangesGreedyOrder(t *testing.T) {
 		{Table: 1, Range: 0, Bytes: 100, Density: 9},
 		{Table: 1, Range: WholeTable, Bytes: 300, Density: 3},
 	}
-	got := PackRanges(items, 350)
+	got := PackRangesWear(items, 350, WearBudget{})
 	// Density order: 9, 5, then the whole-table item (300 bytes) exceeds
 	// the remaining 150 — the greedy skips (not truncates) it and still
 	// takes the density-1 range behind it.
@@ -30,14 +30,14 @@ func TestPackRangesDeterministicTies(t *testing.T) {
 			{Table: 1, Range: 2, Bytes: 10, Density: 4},
 		}
 	}
-	got := PackRanges(mk(), 20)
+	got := PackRangesWear(mk(), 20, WearBudget{})
 	// Ties break (Table, Range) ascending regardless of input order.
 	want := []int{1, 2}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("selection %v, want %v", got, want)
 	}
 	shuffled := []RangeItem{mk()[2], mk()[0], mk()[1]}
-	got2 := PackRanges(shuffled, 20)
+	got2 := PackRangesWear(shuffled, 20, WearBudget{})
 	for i, idx := range got2 {
 		if shuffled[idx] != mk()[want[i]] {
 			t.Fatalf("tie-break not input-order independent: %v", got2)
@@ -103,35 +103,35 @@ func TestPackRangesWearRanksNotForbids(t *testing.T) {
 }
 
 func TestPackRangesWearZeroBudgetIdentical(t *testing.T) {
-	// The zero WearBudget must reproduce PackRanges bit-for-bit even when
-	// items carry DemoteBytes.
+	// Under the zero WearBudget the selection is the pure density greedy
+	// (TestPackRangesGreedyOrder's) even when items carry DemoteBytes.
 	items := []RangeItem{
 		{Table: 0, Range: 0, Bytes: 100, Density: 5, DemoteBytes: 1 << 30},
 		{Table: 0, Range: 1, Bytes: 100, Density: 1, DemoteBytes: 1 << 30},
 		{Table: 1, Range: 0, Bytes: 100, Density: 9, DemoteBytes: 1 << 30},
 		{Table: 1, Range: WholeTable, Bytes: 300, Density: 3},
 	}
-	if got, want := PackRangesWear(items, 350, WearBudget{}), PackRanges(items, 350); !reflect.DeepEqual(got, want) {
+	if got, want := PackRangesWear(items, 350, WearBudget{}), []int{2, 0, 1}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("zero wear budget diverged: %v vs %v", got, want)
 	}
 }
 
 func TestPackRangesEdges(t *testing.T) {
-	if got := PackRanges(nil, 100); len(got) != 0 {
+	if got := PackRangesWear(nil, 100, WearBudget{}); len(got) != 0 {
 		t.Fatalf("empty items selected %v", got)
 	}
 	items := []RangeItem{
 		{Table: 0, Range: 0, Bytes: 10, Density: 0},
 		{Table: 0, Range: 1, Bytes: 10, Density: -1},
 	}
-	if got := PackRanges(items, 100); len(got) != 0 {
+	if got := PackRangesWear(items, 100, WearBudget{}); len(got) != 0 {
 		t.Fatalf("zero/negative density selected %v", got)
 	}
 	items[0].Density = 1
-	if got := PackRanges(items, 0); len(got) != 0 {
+	if got := PackRangesWear(items, 0, WearBudget{}); len(got) != 0 {
 		t.Fatalf("zero budget selected %v", got)
 	}
-	if got := PackRanges(items, 9); len(got) != 0 {
+	if got := PackRangesWear(items, 9, WearBudget{}); len(got) != 0 {
 		t.Fatalf("budget below smallest item selected %v", got)
 	}
 }

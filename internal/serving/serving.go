@@ -78,20 +78,15 @@ type Config struct {
 	// ops of a query issue concurrently. Disabled, ops execute serially
 	// and SM latencies accumulate (the −20% latency ablation).
 	InterOp bool
-	// Parallelism sets the store's query-engine worker count for this
-	// host: with InterOp, the store-backed ops of a query execute as one
-	// batch fanned across that many OS workers. 0 keeps the store's
-	// configured value; negative selects GOMAXPROCS. Virtual-time
-	// accounting is identical at every setting (see core.Config).
-	Parallelism int
 	// RemoteUserPath models the scale-out baseline (§5.2 / Lui et al.):
 	// user embeddings are fetched from remote HW-S shards over the
 	// network instead of local SDM.
 	RemoteUserPath bool
-	// RemoteRTT is the network round-trip for remote user lookups.
-	RemoteRTT time.Duration
-	Seed      uint64
+	Seed           uint64
 }
+
+// remoteRTT is the network round-trip of one remote user lookup.
+const remoteRTT = 300 * time.Microsecond
 
 // Host simulates one serving host. Exactly one of store (SDM path) or
 // flat (all-DRAM path) backs the user-side embeddings; item-side tables
@@ -122,7 +117,8 @@ type Host struct {
 	// metrics plane reads it at mark time).
 	admitted uint64
 
-	topMLP *mlp.Network
+	// topFLOPs is the FLOP count of one top-MLP forward pass.
+	topFLOPs int64
 
 	// tuner, when set, observes every admission (telemetry sampling,
 	// runtime placement swaps, paced migration IO).
@@ -150,26 +146,20 @@ func NewHost(inst *model.Instance, store *core.Store, flat []*embedding.Table, g
 	if cfg.Spec.Cores <= 0 {
 		return nil, fmt.Errorf("serving: host %q has no cores", cfg.Spec.Name)
 	}
-	if cfg.RemoteRTT == 0 {
-		cfg.RemoteRTT = 300 * time.Microsecond
-	}
-	top, err := mlp.New(inst.MLPWidths, cfg.Seed^0xabcd)
+	topFLOPs, err := mlp.FLOPs(inst.MLPWidths)
 	if err != nil {
 		return nil, fmt.Errorf("serving: top MLP: %w", err)
 	}
-	if store != nil && cfg.Parallelism != 0 {
-		store.SetParallelism(cfg.Parallelism)
-	}
 	return &Host{
-		cfg:     cfg,
-		inst:    inst,
-		store:   store,
-		flat:    flat,
-		gen:     gen,
-		rng:     xrand.New(cfg.Seed + 1),
-		cores:   make([]simclock.Time, cfg.Spec.Cores),
-		topMLP:  top,
-		outBufs: make([][][]float32, len(inst.Tables)),
+		cfg:      cfg,
+		inst:     inst,
+		store:    store,
+		flat:     flat,
+		gen:      gen,
+		rng:      xrand.New(cfg.Seed + 1),
+		cores:    make([]simclock.Time, cfg.Spec.Cores),
+		topFLOPs: topFLOPs,
+		outBufs:  make([][][]float32, len(inst.Tables)),
 	}, nil
 }
 
@@ -239,7 +229,7 @@ func (h *Host) coreAdmit(t simclock.Time, cpu time.Duration) (simclock.Time, sim
 // denseTime converts the top-MLP FLOPs (scaled by item batch) into compute
 // service time on the accelerator if present, else the CPU.
 func (h *Host) denseTime(batch int) time.Duration {
-	flops := h.topMLP.FLOPs() * int64(batch)
+	flops := h.topFLOPs * int64(batch)
 	rate := h.cfg.Spec.CPUFlops
 	if h.cfg.Spec.AccelFlops > 0 {
 		rate = h.cfg.Spec.AccelFlops
@@ -285,7 +275,7 @@ func (h *Host) execQuery(t0 simclock.Time, q workload.Query) (simclock.Time, err
 		case op.Table < nUser && h.cfg.RemoteUserPath:
 			// Scale-out: remote shard lookup (network RTT + remote CPU,
 			// which is provisioned on the remote fleet, not here).
-			opDone = issue + simclock.Time(h.cfg.RemoteRTT)
+			opDone = issue + simclock.Time(remoteRTT)
 			cpu += time.Duration(len(op.Pools)) * 2 * time.Microsecond
 		case op.Table < nUser && h.store != nil:
 			for h.cfg.InterOp && j < len(q.Ops) && q.Ops[j].Table < nUser {

@@ -176,7 +176,7 @@ func TestRunOpenLoopIsAdmit(t *testing.T) {
 func TestExecQueryMatchesPoolOpsOracle(t *testing.T) {
 	in, tables := fixture(t)
 	nUser := in.Config.NumUserTables
-	scfg := core.Config{Seed: 13, Ring: uring.Config{SGL: true}, CacheBytes: 1 << 14, PerTableOutstanding: 2}
+	scfg := core.Config{Seed: 13, Ring: uring.Config{SGL: true}, CacheBytes: 1 << 14}
 	for _, interOp := range []bool{true, false} {
 		h, _ := sdmHost(t, in, tables, Config{Spec: HWSS(), InterOp: interOp, Seed: 13}, scfg)
 		var clk simclock.Clock
@@ -321,8 +321,7 @@ func TestRemoteUserPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	h, err := NewHost(in, nil, tables, gen, &clk, Config{
-		Spec: HWAN(), InterOp: true, RemoteUserPath: true,
-		RemoteRTT: 500 * time.Microsecond, Seed: 6,
+		Spec: HWAN(), InterOp: true, RemoteUserPath: true, Seed: 6,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +331,7 @@ func TestRemoteUserPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every query pays at least the network RTT.
-	if res.Latency.Min() < 400e-6 {
+	if res.Latency.Min() < remoteRTT.Seconds() {
 		t.Fatalf("remote path latency %gs below RTT", res.Latency.Min())
 	}
 }
@@ -360,8 +359,8 @@ func TestHostParallelismDeterministic(t *testing.T) {
 	in, tables := fixture(t)
 	run := func(par int) (Result, core.Stats) {
 		h, store := sdmHost(t, in, tables,
-			Config{Spec: HWSS(), InterOp: true, Seed: 9, Parallelism: par},
-			core.Config{Seed: 9, Ring: uring.Config{SGL: true}, CacheBytes: 1 << 16, PooledCacheBytes: 1 << 16})
+			Config{Spec: HWSS(), InterOp: true, Seed: 9},
+			core.Config{Seed: 9, Ring: uring.Config{SGL: true}, CacheBytes: 1 << 16, PooledCacheBytes: 1 << 16, Parallelism: par})
 		res, err := h.RunOpenLoop(200, 300)
 		if err != nil {
 			t.Fatal(err)

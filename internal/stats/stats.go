@@ -243,35 +243,6 @@ func CDF(counts []uint64, atFractions []float64) []CDFPoint {
 	return out
 }
 
-// Welford accumulates running mean and variance.
-type Welford struct {
-	n    uint64
-	mean float64
-	m2   float64
-}
-
-// Add records one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the observation count.
-func (w *Welford) N() uint64 { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the sample variance.
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
 // JainFairness returns Jain's fairness index (Σx)²/(n·Σx²) over the
 // finite entries of xs — the standard allocation-evenness measure for
 // non-negative shares (per-host load, per-class admitted throughput). It

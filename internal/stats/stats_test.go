@@ -128,24 +128,6 @@ func TestCDFMonotone(t *testing.T) {
 	}
 }
 
-func TestWelford(t *testing.T) {
-	var w Welford
-	data := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	for _, x := range data {
-		w.Add(x)
-	}
-	if w.N() != 8 {
-		t.Fatalf("n=%d", w.N())
-	}
-	if math.Abs(w.Mean()-5) > 1e-12 {
-		t.Fatalf("mean %g", w.Mean())
-	}
-	// Sample variance of the data = 32/7.
-	if math.Abs(w.Var()-32.0/7) > 1e-9 {
-		t.Fatalf("var %g", w.Var())
-	}
-}
-
 func TestHistogramMergeEqualsDirectObservation(t *testing.T) {
 	// Merging split histograms must be indistinguishable from observing
 	// every value in one — counts, sum, extremes and every quantile.

@@ -9,9 +9,10 @@ import (
 
 // SyncRing is the IO ring in booking form: SubmitSync books the IO against
 // the device's channel model and returns its completion timestamp
-// directly. Outstanding-IO throttling (the §4.1 Tuning API) holds: when
-// the cap is reached, a new IO cannot start before the earliest in-flight
-// IO's completion.
+// directly. Outstanding-IO throttling (§4.1, "total number of outstanding
+// IOs ... that can be processed at a given time") holds: when the cap is
+// reached, a new IO cannot start before the earliest in-flight IO's
+// completion.
 type SyncRing struct {
 	dev      *blockdev.Device
 	cfg      Config
@@ -19,17 +20,11 @@ type SyncRing struct {
 	stats    Stats
 }
 
-// NewSync creates a ring over dev. If cfg.MaxOutstanding is 0, the device's
-// recommended cap is used (unlimited if the device has none).
+// NewSync creates a ring over dev, throttled at the device's recommended
+// cap (dev.MaxOutstanding: set for Nand, 0 = unlimited otherwise).
 func NewSync(dev *blockdev.Device, cfg Config) *SyncRing {
-	if cfg.MaxOutstanding == 0 {
-		cfg.MaxOutstanding = dev.MaxOutstanding
-	}
 	if cfg.Mode == 0 {
 		cfg.Mode = IRQ
-	}
-	if cfg.BatchSubmit <= 0 {
-		cfg.BatchSubmit = 16
 	}
 	return &SyncRing{dev: dev, cfg: cfg}
 }
@@ -48,10 +43,7 @@ func (r *SyncRing) cpuPerIO() time.Duration {
 	if r.cfg.Mode == Polling {
 		per = cpuPerIOPolling
 	}
-	// Batched submission amortizes a fixed syscall cost; model it as a
-	// small constant divided by the batch size.
-	per += 500 * time.Nanosecond / time.Duration(r.cfg.BatchSubmit)
-	return per
+	return per + cpuSubmitPerIO
 }
 
 // admit counts a submission, drops completed in-flight entries, applies the
@@ -63,8 +55,8 @@ func (r *SyncRing) admit(now simclock.Time) simclock.Time {
 	for r.inflight.Len() > 0 && r.inflight.Min() <= now {
 		r.inflight.PopMin()
 	}
-	if r.cfg.MaxOutstanding > 0 {
-		for r.inflight.Len() >= r.cfg.MaxOutstanding {
+	if limit := r.dev.MaxOutstanding; limit > 0 {
+		for r.inflight.Len() >= limit {
 			if t := r.inflight.PopMin(); t > start {
 				start = t
 			}

@@ -1,6 +1,6 @@
 // Package uring simulates the io_uring-based fast IO path of §4.1: a
-// submission/completion ring over an SM block device with configurable
-// outstanding-IO throttling (the paper's Tuning API), SGL sub-block reads
+// submission/completion ring over an SM block device with outstanding-IO
+// throttling at the device's recommended cap, SGL sub-block reads
 // (§4.1.1), and IRQ- vs polling-based completion processing with a per-IO
 // CPU cost model (§A.1 reports ~50% better IOPS/core with polling).
 package uring
@@ -24,25 +24,19 @@ const (
 const (
 	cpuPerIOIRQ     = 1500 * time.Nanosecond
 	cpuPerIOPolling = 1000 * time.Nanosecond
+	// Batched submission amortizes a fixed syscall cost over the SQEs
+	// submitted per syscall-equivalent (16).
+	cpuSubmitPerIO = 500 * time.Nanosecond / 16
 )
 
-// Config tunes a SyncRing. The zero value means: device-recommended
-// outstanding cap, IRQ completions, SGL disabled (full-block reads).
+// Config tunes a SyncRing. The zero value means: IRQ completions, SGL
+// disabled (full-block reads).
 type Config struct {
-	// MaxOutstanding caps in-flight IOs on the device; a request beyond it
-	// starts at the earliest in-flight completion. 0 uses the device
-	// recommendation (set for Nand, unlimited otherwise). This is the §4.1
-	// Tuning API: "Total number of outstanding IOs ... that can be
-	// processed at a given time."
-	MaxOutstanding int
 	// Mode selects IRQ or Polling completion processing.
 	Mode CompletionMode
 	// SGL enables sub-block reads (§4.1.1): only requested bytes cross
 	// the bus and the extra host memcpy is avoided.
 	SGL bool
-	// BatchSubmit is the number of SQEs submitted per syscall-equivalent;
-	// only affects the CPU model. 0 means 16.
-	BatchSubmit int
 }
 
 // Stats aggregates ring counters.

@@ -10,13 +10,19 @@ import (
 	"sdm/internal/simclock"
 )
 
-func newNandRing(cfg Config) *SyncRing {
+// newNandRing builds a ring over a Nand device; maxOutstanding > 0 overrides
+// the device's recommended cap.
+func newNandRing(cfg Config, maxOutstanding int) *SyncRing {
 	var clk simclock.Clock
-	return NewSync(blockdev.New(blockdev.Spec(blockdev.NandFlash), 1<<22, &clk, 1), cfg)
+	dev := blockdev.New(blockdev.Spec(blockdev.NandFlash), 1<<22, &clk, 1)
+	if maxOutstanding > 0 {
+		dev.MaxOutstanding = maxOutstanding
+	}
+	return NewSync(dev, cfg)
 }
 
 func TestRingCompletesAll(t *testing.T) {
-	r := newNandRing(Config{})
+	r := newNandRing(Config{}, 0)
 	const n = 500
 	buf := make([]byte, 128)
 	for i := 0; i < n; i++ {
@@ -39,7 +45,7 @@ func TestRingCompletesAll(t *testing.T) {
 // ever in flight.
 func TestRingOutstandingCap(t *testing.T) {
 	const m, n = 4, 100
-	r := newNandRing(Config{MaxOutstanding: m})
+	r := newNandRing(Config{}, m)
 	buf := make([]byte, 64)
 	done := make([]simclock.Time, n)
 	for i := range done {
@@ -66,7 +72,7 @@ func TestRingOutstandingCap(t *testing.T) {
 // TestRingErrorPath: a failed IO surfaces its error, counts in Errors and
 // leaves nothing in flight, whether the offset or the device is at fault.
 func TestRingErrorPath(t *testing.T) {
-	r := newNandRing(Config{MaxOutstanding: 1})
+	r := newNandRing(Config{}, 1)
 	buf := make([]byte, 128)
 	if _, err := r.SubmitSync(0, buf, 1<<30, false); !errors.Is(err, blockdev.ErrOutOfRange) {
 		t.Fatalf("out-of-range IO: err %v", err)
@@ -93,7 +99,7 @@ func TestRingErrorPath(t *testing.T) {
 
 func TestPollingImprovesIOPSPerCore(t *testing.T) {
 	run := func(mode CompletionMode) float64 {
-		r := newNandRing(Config{Mode: mode})
+		r := newNandRing(Config{Mode: mode}, 0)
 		buf := make([]byte, 128)
 		for i := 0; i < 1000; i++ {
 			if _, err := r.SubmitSync(0, buf, int64(i%100)*4096, false); err != nil {
@@ -111,7 +117,7 @@ func TestPollingImprovesIOPSPerCore(t *testing.T) {
 }
 
 func TestRingSGLSavesBus(t *testing.T) {
-	r := newNandRing(Config{SGL: true})
+	r := newNandRing(Config{SGL: true}, 0)
 	buf := make([]byte, 128)
 	for i := 0; i < 100; i++ {
 		if _, err := r.SubmitSync(0, buf, int64(i)*4096, false); err != nil {
@@ -143,7 +149,8 @@ func TestSyncRingBasic(t *testing.T) {
 func TestSyncRingThrottle(t *testing.T) {
 	var clk simclock.Clock
 	dev := blockdev.New(blockdev.Spec(blockdev.NandFlash), 1<<24, &clk, 1)
-	capped := NewSync(dev, Config{MaxOutstanding: 2})
+	dev.MaxOutstanding = 2
+	capped := NewSync(dev, Config{})
 	buf := make([]byte, 128)
 	var doneCapped []simclock.Time
 	for i := 0; i < 50; i++ {

@@ -1,11 +1,10 @@
 // Non-stationary workload drift. The paper's characterization (§4.2) and
 // Tuning API (§4.6) assume a static locality profile: placement is chosen
-// once, offline. Production traffic is not static — hot sets rotate, the
-// user mix shifts over the day, and flash crowds pull cold entities into
-// the head of the distribution. DriftConfig layers those three effects on
-// the Zipf generator while keeping its determinism contract: the trace is
-// a pure function of (seed, config, call order), so every simulation
-// replaying the same stream observes bit-identical queries.
+// once, offline. Production traffic is not static — hot sets rotate.
+// DriftConfig layers hot-set rotation on the Zipf generator while keeping
+// its determinism contract: the trace is a pure function of (seed, config,
+// call order), so every simulation replaying the same stream observes
+// bit-identical queries. Within a phase the stream is stationary.
 
 package workload
 
@@ -44,35 +43,16 @@ type DriftConfig struct {
 	// tables (default 0.5 when HotTables > 0), so rotation shifts
 	// bandwidth between tables, not just within them.
 	ColdShrink float64
-	// DiurnalQueries is the period (in queries) of a sinusoidal user-mix
-	// shift: the user Zipf skew oscillates ±DiurnalAmp around its base, so
-	// off-peak traffic is flatter (more unique users, less locality) than
-	// peak. 0 disables.
-	DiurnalQueries int
-	// DiurnalAmp is the skew oscillation amplitude.
-	DiurnalAmp float64
-	// FlashEvery starts a flash-crowd event every FlashEvery queries:
-	// for FlashLen queries, each query is redirected with probability
-	// FlashFrac to one of FlashUsers previously unseen users (a cold
-	// cohort suddenly dominating). 0 disables.
-	FlashEvery int
-	// FlashLen is the event length in queries (default FlashEvery/10).
-	FlashLen int
-	// FlashFrac is the per-query redirection probability (default 0.5).
-	FlashFrac float64
-	// FlashUsers is the flash cohort size (default 64).
-	FlashUsers int64
 }
 
 // validate rejects nonsensical drift settings and fills defaults.
 func (d DriftConfig) validate() (DriftConfig, error) {
-	if d.PhaseQueries < 0 || d.HotTables < 0 || d.HotItemTables < 0 || d.DiurnalQueries < 0 ||
-		d.FlashEvery < 0 || d.FlashLen < 0 || d.FlashUsers < 0 {
+	if d.PhaseQueries < 0 || d.HotTables < 0 || d.HotItemTables < 0 {
 		return d, fmt.Errorf("workload: negative drift parameter: %+v", d)
 	}
 	// Any NaN or ±Inf term makes the sum non-finite.
-	if f := d.HotBoost + d.ColdShrink + d.FlashFrac + d.DiurnalAmp; math.IsNaN(f) || math.IsInf(f, 0) ||
-		d.HotBoost < 0 || d.ColdShrink < 0 || d.FlashFrac < 0 || d.FlashFrac > 1 {
+	if f := d.HotBoost + d.ColdShrink; math.IsNaN(f) || math.IsInf(f, 0) ||
+		d.HotBoost < 0 || d.ColdShrink < 0 {
 		return d, fmt.Errorf("workload: drift multipliers non-finite or out of range: %+v", d)
 	}
 	if d.HotTables > 0 || d.HotItemTables > 0 {
@@ -81,23 +61,6 @@ func (d DriftConfig) validate() (DriftConfig, error) {
 		}
 		if d.ColdShrink == 0 {
 			d.ColdShrink = 0.5
-		}
-	}
-	if d.FlashEvery > 0 {
-		if d.FlashLen == 0 {
-			d.FlashLen = d.FlashEvery / 10
-			if d.FlashLen < 1 {
-				d.FlashLen = 1
-			}
-		}
-		if d.FlashLen > d.FlashEvery {
-			return d, fmt.Errorf("workload: flash length %d exceeds period %d", d.FlashLen, d.FlashEvery)
-		}
-		if d.FlashFrac == 0 {
-			d.FlashFrac = 0.5
-		}
-		if d.FlashUsers == 0 {
-			d.FlashUsers = 64
 		}
 	}
 	return d, nil
@@ -123,26 +86,19 @@ func (g *Generator) Queries() int { return g.queries }
 func (g *Generator) ForceRotation() { g.forcedPhases++ }
 
 // driftUser maps a freshly drawn Zipf rank through the current phase's
-// user bijection and applies any active flash crowd. Phase 0 is the
-// identity, so a drift-free generator (or one before its first rotation)
-// reproduces the stationary stream bit-for-bit.
+// user bijection. Phase 0 is the identity, so a drift-free generator (or
+// one before its first rotation) reproduces the stationary stream
+// bit-for-bit.
 func (g *Generator) driftUser(rank int64) int64 {
-	d := g.cfg.Drift
-	user := rank
-	if phase := g.Phase(); phase > 0 {
-		if g.userMap == nil || g.userMapPhase != phase {
-			g.userMap = xrand.NewPermuter(g.cfg.NumUsers, g.cfg.Seed^0xd21f7^uint64(phase)*0x9e3779b97f4a7c15)
-			g.userMapPhase = phase
-		}
-		user = g.userMap.Map(rank)
+	phase := g.Phase()
+	if phase == 0 {
+		return rank
 	}
-	if d.FlashEvery > 0 && g.queries%d.FlashEvery < d.FlashLen {
-		if g.rng.Float64() < d.FlashFrac {
-			event := int64(g.queries / d.FlashEvery)
-			user = g.cfg.NumUsers + event*d.FlashUsers + g.rng.Int63n(d.FlashUsers)
-		}
+	if g.userMap == nil || g.userMapPhase != phase {
+		g.userMap = xrand.NewPermuter(g.cfg.NumUsers, g.cfg.Seed^0xd21f7^uint64(phase)*0x9e3779b97f4a7c15)
+		g.userMapPhase = phase
 	}
-	return user
+	return g.userMap.Map(rank)
 }
 
 // driftItem maps a freshly drawn item Zipf rank through the current
@@ -161,24 +117,10 @@ func (g *Generator) driftItem(rank int64) int64 {
 		return rank
 	}
 	if g.itemMap == nil || g.itemMapPhase != phase {
-		g.itemMap = xrand.NewPermuter(g.cfg.NumItems, g.cfg.Seed^0x17e3a^uint64(phase)*0x9e3779b97f4a7c15)
+		g.itemMap = xrand.NewPermuter(numItems, g.cfg.Seed^0x17e3a^uint64(phase)*0x9e3779b97f4a7c15)
 		g.itemMapPhase = phase
 	}
 	return g.itemMap.Map(rank)
-}
-
-// diurnalAlpha returns the user skew at the current point of the diurnal
-// cycle (the base skew when the diurnal shift is disabled).
-func (g *Generator) diurnalAlpha() float64 {
-	d := g.cfg.Drift
-	if d.DiurnalQueries <= 0 || d.DiurnalAmp == 0 {
-		return g.cfg.UserAlpha
-	}
-	a := g.cfg.UserAlpha + d.DiurnalAmp*math.Sin(2*math.Pi*float64(g.queries)/float64(d.DiurnalQueries))
-	if a < 0.05 {
-		a = 0.05
-	}
-	return a
 }
 
 // tableBoost returns the pooling-factor multiplier of table t in the

@@ -41,11 +41,7 @@ func TestDriftDeterministic(t *testing.T) {
 	in := driftInstance(t)
 	cfg := Config{
 		Seed: 9, NumUsers: 500,
-		Drift: DriftConfig{
-			PhaseQueries: 40, HotTables: 2,
-			DiurnalQueries: 60, DiurnalAmp: 0.2,
-			FlashEvery: 50, FlashLen: 10,
-		},
+		Drift: DriftConfig{PhaseQueries: 40, HotTables: 2},
 	}
 	mk := func() []Query {
 		g, err := NewGenerator(in, cfg)
@@ -261,61 +257,11 @@ func TestForceRotation(t *testing.T) {
 	}
 }
 
-func TestFlashCrowdIntroducesColdUsers(t *testing.T) {
-	in := driftInstance(t)
-	users := int64(200)
-	g, err := NewGenerator(in, Config{
-		Seed: 13, NumUsers: users,
-		Drift: DriftConfig{FlashEvery: 50, FlashLen: 25, FlashFrac: 0.8, FlashUsers: 16},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := g.GenerateTrace(100)
-	var flash int
-	for _, q := range qs {
-		if q.UserID >= users {
-			flash++
-		}
-	}
-	if flash == 0 {
-		t.Fatal("flash crowd never fired")
-	}
-	if flash > 60 {
-		t.Fatalf("flash crowd dominated the stream: %d of 100", flash)
-	}
-}
-
-func TestDiurnalShiftFlattensOffPeak(t *testing.T) {
-	// Negative sine half-cycle lowers alpha → more unique users.
-	in := driftInstance(t)
-	uniq := func(amp float64) int {
-		g, err := NewGenerator(in, Config{
-			Seed: 17, NumUsers: 5000, UserAlpha: 1.2,
-			Drift: DriftConfig{DiurnalQueries: 400, DiurnalAmp: amp},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.GenerateTrace(200) // advance into the trough half-cycle
-		seen := map[int64]bool{}
-		for _, q := range g.GenerateTrace(150) {
-			seen[q.UserID] = true
-		}
-		return len(seen)
-	}
-	if flat, base := uniq(0.9), uniq(0); flat <= base {
-		t.Fatalf("off-peak flattening should raise unique users: %d vs %d", flat, base)
-	}
-}
-
 func TestDriftConfigValidation(t *testing.T) {
 	in := driftInstance(t)
 	bad := []DriftConfig{
 		{PhaseQueries: -1},
 		{HotTables: -2},
-		{FlashEvery: 10, FlashLen: 20},
-		{FlashEvery: 10, FlashFrac: 1.5},
 	}
 	for _, d := range bad {
 		if _, err := NewGenerator(in, Config{Seed: 1, Drift: d}); err == nil {

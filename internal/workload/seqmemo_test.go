@@ -34,10 +34,6 @@ func referenceSequence(inst *model.Instance, seed uint64, spatial bool, table in
 // memo: the same draws from the shared RNG in the same order, every pool
 // from referenceSequence. ref lends only its RNG and drift state.
 func referenceQuery(ref *Generator) Query {
-	if a := ref.diurnalAlpha(); a != ref.userAlpha {
-		ref.userZ.Reset(ref.cfg.NumUsers, a)
-		ref.userAlpha = a
-	}
 	user := ref.driftUser(ref.userZ.Rank(ref.rng))
 	q := Query{UserID: user}
 	if ref.cfg.SLOClasses > 1 {
@@ -46,7 +42,7 @@ func referenceQuery(ref *Generator) Query {
 	for t, s := range ref.inst.Tables {
 		isUser := t < ref.inst.Config.NumUserTables
 		boost := ref.tableBoost(t)
-		batch := ref.itemBatch()
+		batch := ref.inst.Config.ItemBatch
 		if isUser && !ref.cfg.EvalMode {
 			batch = 1
 		}
@@ -153,11 +149,7 @@ func memoInstance(t *testing.T) *model.Instance {
 // re-installing underneath.
 func TestSequenceMemoMatchesReference(t *testing.T) {
 	in := memoInstance(t)
-	drift := DriftConfig{
-		PhaseQueries: 3000, HotTables: 2, HotItemTables: 1,
-		DiurnalQueries: 2500, DiurnalAmp: 0.3,
-		FlashEvery: 2000, FlashLen: 150, FlashUsers: 16,
-	}
+	drift := DriftConfig{PhaseQueries: 3000, HotTables: 2, HotItemTables: 1}
 	cases := []struct {
 		name    string
 		cfg     Config
@@ -171,7 +163,7 @@ func TestSequenceMemoMatchesReference(t *testing.T) {
 		{name: "spatial", cfg: Config{Seed: 11, NumUsers: 3000, UserAlpha: 0.8, Spatial: true}, queries: 3000},
 		// Populations several times the slot count, skewed enough that hot
 		// entities are installed, evicted by a colliding one and drawn again.
-		{name: "crowded", cfg: Config{Seed: 13, NumUsers: 60000, NumItems: 60000, UserAlpha: 0.9, ItemAlpha: 0.9}, queries: 12000},
+		{name: "crowded", cfg: Config{Seed: 13, NumUsers: 60000, UserAlpha: 0.9}, queries: 12000},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -234,13 +226,12 @@ func TestSequenceMemoFootprint(t *testing.T) {
 }
 
 // TestNextSharedZeroAllocs pins the zero-allocation contract of the draw
-// path with the memo warm, including the diurnal path that re-initialises
-// the user sampler on every query.
+// path with the memo warm, stationary and under hot-set rotation.
 func TestNextSharedZeroAllocs(t *testing.T) {
 	in := memoInstance(t)
 	for name, cfg := range map[string]Config{
 		"stationary": {Seed: 3, NumUsers: 3000, UserAlpha: 0.8, SeqChurn: 0.1},
-		"diurnal":    {Seed: 3, NumUsers: 3000, UserAlpha: 0.8, Drift: DriftConfig{DiurnalQueries: 500, DiurnalAmp: 0.3}},
+		"drift":      {Seed: 3, NumUsers: 3000, UserAlpha: 0.8, Drift: DriftConfig{PhaseQueries: 500, HotTables: 2}},
 	} {
 		g := newGen(t, in, cfg)
 		for i := 0; i < 2000; i++ {

@@ -145,21 +145,16 @@ func (b *QueryBuf) CopyFrom(src Query) {
 
 // Config tunes the generator.
 type Config struct {
-	// NumUsers/NumItems are the active populations. Users and items are
-	// drawn from Zipf distributions over these populations, so popular
+	// NumUsers is the active user population. Users (and items, over a
+	// fixed population) are drawn from Zipf distributions, so popular
 	// users/items repeat — the source of pooled-cache hits (§4.4).
 	NumUsers int64
-	NumItems int64
-	// UserAlpha/ItemAlpha are the popularity skews of users and items.
+	// UserAlpha is the popularity skew of users.
 	UserAlpha float64
-	ItemAlpha float64
 	// SeqChurn is the probability that one index of a user's (or item's)
 	// base sequence is resampled for this query, breaking full-sequence
 	// pooled-cache hits (models feature drift between queries).
 	SeqChurn float64
-	// ItemBatch overrides the model's item batch if > 0; InferenceEval
-	// (Table 2) sets user batch == item batch instead, see EvalMode.
-	ItemBatch int
 	// EvalMode switches to the InferenceEval usecase of Table 2:
 	// user batch == item batch > 1 (accuracy validation traffic).
 	EvalMode bool
@@ -167,8 +162,8 @@ type Config struct {
 	// bijective permutation (low spatial locality, as measured in
 	// Fig. 5); true keeps hot ranks contiguous (high spatial locality).
 	Spatial bool
-	// Drift makes the stream non-stationary (hot-set rotation, diurnal
-	// user-mix shift, flash crowds). The zero value is fully stationary.
+	// Drift makes the stream non-stationary (hot-set rotation). The zero
+	// value is fully stationary.
 	Drift DriftConfig
 	// SLOClasses partitions the user population into that many service
 	// classes, tagged on every Query.Class by sticky user hash
@@ -178,6 +173,13 @@ type Config struct {
 	SLOClasses int
 	Seed       uint64
 }
+
+// numItems is the active item population and itemAlpha its popularity
+// skew: items are drawn from a Zipf over it, so popular items repeat.
+const (
+	numItems  = 10000
+	itemAlpha = 1.1
+)
 
 // Generator produces queries for a model instance.
 type Generator struct {
@@ -220,7 +222,6 @@ type Generator struct {
 	userMapPhase int
 	itemMap      *xrand.Permuter
 	itemMapPhase int
-	userAlpha    float64 // skew the current userZ was built with
 }
 
 // NewGenerator builds a generator over inst.
@@ -228,22 +229,16 @@ func NewGenerator(inst *model.Instance, cfg Config) (*Generator, error) {
 	if cfg.NumUsers <= 0 {
 		cfg.NumUsers = 100000
 	}
-	if cfg.NumItems <= 0 {
-		cfg.NumItems = 10000
-	}
 	if cfg.UserAlpha == 0 {
 		cfg.UserAlpha = 0.9
-	}
-	if cfg.ItemAlpha == 0 {
-		cfg.ItemAlpha = 1.1
 	}
 	if cfg.SLOClasses < 0 {
 		return nil, fmt.Errorf("workload: SLOClasses must be >= 0, got %d", cfg.SLOClasses)
 	}
 	// A non-finite skew would not fail later, it would silently collapse the
 	// stream: Rank clamps int64(NaN) to rank 0.
-	names := []string{"UserAlpha", "ItemAlpha", "SeqChurn"}
-	for i, v := range []float64{cfg.UserAlpha, cfg.ItemAlpha, cfg.SeqChurn} {
+	names := []string{"UserAlpha", "SeqChurn"}
+	for i, v := range []float64{cfg.UserAlpha, cfg.SeqChurn} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, fmt.Errorf("workload: %s must be finite, got %v", names[i], v)
 		}
@@ -259,9 +254,8 @@ func NewGenerator(inst *model.Instance, cfg Config) (*Generator, error) {
 		rng:   xrand.New(cfg.Seed),
 		index: make([]*xrand.IndexTable, len(inst.Tables)),
 		userZ: xrand.NewZipf(cfg.NumUsers, cfg.UserAlpha),
-		itemZ: xrand.NewZipf(cfg.NumItems, cfg.ItemAlpha),
+		itemZ: xrand.NewZipf(numItems, itemAlpha),
 	}
-	g.userAlpha = cfg.UserAlpha
 	for i, s := range inst.Tables {
 		if err := s.Validate(); err != nil {
 			return nil, err
@@ -279,14 +273,6 @@ func (g *Generator) Config() Config { return g.cfg }
 
 // Instance returns the model the generator targets.
 func (g *Generator) Instance() *model.Instance { return g.inst }
-
-// itemBatch resolves the effective item batch size.
-func (g *Generator) itemBatch() int {
-	if g.cfg.ItemBatch > 0 {
-		return g.cfg.ItemBatch
-	}
-	return g.inst.Config.ItemBatch
-}
 
 // MemoStats reports how many of the pools drawn so far were copied out of
 // the sequence memo instead of being re-derived.
@@ -352,10 +338,6 @@ func (g *Generator) baseSequence(table int, entity int64, churn bool, boost floa
 // QueryBuf.CopyFrom for allocation-free recycling). The RNG draw sequence
 // is identical to Next, so mixing the two never perturbs the stream.
 func (g *Generator) NextShared() Query {
-	if a := g.diurnalAlpha(); a != g.userAlpha {
-		g.userZ.Reset(g.cfg.NumUsers, a)
-		g.userAlpha = a
-	}
 	user := g.driftUser(g.userZ.Rank(g.rng))
 	q := Query{UserID: user}
 	if g.cfg.SLOClasses > 1 {
@@ -364,7 +346,7 @@ func (g *Generator) NextShared() Query {
 	nUser := g.inst.Config.NumUserTables
 	userBatch := 1
 	if g.cfg.EvalMode {
-		userBatch = g.itemBatch()
+		userBatch = g.inst.Config.ItemBatch
 	}
 	g.arenaIdx = g.arenaIdx[:0]
 	g.arenaEnds = g.arenaEnds[:0]
@@ -372,7 +354,7 @@ func (g *Generator) NextShared() Query {
 	g.opPoolN = g.opPoolN[:0]
 	for t := 0; t < len(g.inst.Tables); t++ {
 		isUser := t < nUser
-		batch := g.itemBatch()
+		batch := g.inst.Config.ItemBatch
 		if isUser {
 			batch = userBatch
 		}

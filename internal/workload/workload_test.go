@@ -288,7 +288,7 @@ func TestGeneratorDefaults(t *testing.T) {
 	in := smallInstance(t)
 	g := newGen(t, in, Config{})
 	c := g.Config()
-	if c.NumUsers <= 0 || c.NumItems <= 0 || c.UserAlpha == 0 || c.ItemAlpha == 0 {
+	if c.NumUsers <= 0 || c.UserAlpha == 0 {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
 	if g.Instance() != in {
@@ -343,12 +343,9 @@ func TestNonFiniteSkewRejected(t *testing.T) {
 		set  func(*Config, *embedding.Spec, float64)
 	}{
 		{"UserAlpha", func(c *Config, _ *embedding.Spec, v float64) { c.UserAlpha = v }},
-		{"ItemAlpha", func(c *Config, _ *embedding.Spec, v float64) { c.ItemAlpha = v }},
 		{"SeqChurn", func(c *Config, _ *embedding.Spec, v float64) { c.SeqChurn = v }},
-		{"DiurnalAmp", func(c *Config, _ *embedding.Spec, v float64) { c.Drift.DiurnalAmp = v }},
 		{"HotBoost", func(c *Config, _ *embedding.Spec, v float64) { c.Drift.HotBoost = v }},
 		{"ColdShrink", func(c *Config, _ *embedding.Spec, v float64) { c.Drift.ColdShrink = v }},
-		{"FlashFrac", func(c *Config, _ *embedding.Spec, v float64) { c.Drift.FlashFrac = v }},
 		{"Alpha", func(_ *Config, s *embedding.Spec, v float64) { s.Alpha = v }},
 		{"PoolingFactor", func(_ *Config, s *embedding.Spec, v float64) { s.PoolingFactor = v }},
 	}
@@ -367,7 +364,7 @@ func TestNonFiniteSkewRejected(t *testing.T) {
 	uniform := *in
 	uniform.Tables = slices.Clone(in.Tables)
 	uniform.Tables[2].Alpha = -1
-	g := newGen(t, &uniform, Config{Seed: 1, UserAlpha: -1, ItemAlpha: -0.5})
+	g := newGen(t, &uniform, Config{Seed: 1, UserAlpha: -1})
 	if err := Validate(&uniform, g.GenerateTrace(50)); err != nil {
 		t.Fatal(err)
 	}

@@ -116,18 +116,10 @@ type Zipf struct {
 // NewZipf returns a Zipf sampler over [0, n) with skew alpha.
 // alpha == 0 degenerates to the uniform distribution.
 func NewZipf(n int64, alpha float64) *Zipf {
-	z := new(Zipf)
-	z.Reset(n, alpha)
-	return z
-}
-
-// Reset re-initialises z in place as a sampler over [0, n) with skew alpha,
-// exactly as NewZipf would build it, without allocating.
-func (z *Zipf) Reset(n int64, alpha float64) {
 	if n < 1 {
 		n = 1
 	}
-	*z = Zipf{n: n, alpha: alpha}
+	z := &Zipf{n: n, alpha: alpha}
 	switch {
 	case alpha <= 0:
 		z.uniform = true
@@ -138,6 +130,7 @@ func (z *Zipf) Reset(n int64, alpha float64) {
 		z.oneMinusA = 1 - alpha
 		z.normConstant = math.Pow(float64(n), z.oneMinusA) - 1
 	}
+	return z
 }
 
 // Rank draws a rank in [0, N), rank 0 being the most popular.

@@ -148,25 +148,6 @@ func TestZipfCDFMonotonic(t *testing.T) {
 	}
 }
 
-// TestZipfResetMatchesNew re-initialises one sampler across every regime
-// (power law, alpha == 1, uniform, n < 1) and checks it is the sampler
-// NewZipf would have built, drawing the same ranks without allocating.
-func TestZipfResetMatchesNew(t *testing.T) {
-	z := NewZipf(10, 2)
-	for _, c := range []struct {
-		n     int64
-		alpha float64
-	}{{1000, 0.8}, {1 << 20, 1}, {500, 0}, {0, 1.1}, {1000, 1.3}} {
-		z.Reset(c.n, c.alpha)
-		if want := NewZipf(c.n, c.alpha); *z != *want {
-			t.Fatalf("Reset(%d, %v) = %+v, NewZipf builds %+v", c.n, c.alpha, *z, *want)
-		}
-	}
-	if allocs := testing.AllocsPerRun(100, func() { z.Reset(4000, 0.7) }); allocs != 0 {
-		t.Fatalf("Reset allocates %.1f times", allocs)
-	}
-}
-
 func TestZipfUniformFallback(t *testing.T) {
 	z := NewZipf(10, 0)
 	if z.alpha != 0 {

@@ -23,7 +23,7 @@ import (
 // bytes consumed). Int8 is what every model config stores; 124 is a
 // typical benchmark-workload dim.
 func BenchmarkQuantAccumulateRow(b *testing.B) {
-	for _, qt := range []quant.Type{quant.Int8, quant.Int4, quant.FP16, quant.FP32} {
+	for _, qt := range []quant.Type{quant.Int8, quant.FP32} {
 		for _, dim := range []int{32, 124, 512} {
 			b.Run(fmt.Sprintf("%v/dim%d", qt, dim), func(b *testing.B) {
 				src := make([]float32, dim)

@@ -10,7 +10,8 @@
 // The facade re-exports the names the examples/ programs and this
 // package's tests use, so downstream users import one package; everything
 // else is reached through the values these return (store.PoolOps,
-// fleet.SetAdmission, ...):
+// fleet.SetAdmission, ...). Every option behind these types is one some
+// program in the tree sets (the "live rule", see README "Developing"):
 //
 //	inst, _ := sdm.Build(sdm.M1(), 1e-5, 42) // synthetic Table 6 model
 //	tables, _ := inst.Materialize()
@@ -191,11 +192,11 @@ type (
 	// AdaptStats counts evaluations, migrations and migrated bytes.
 	AdaptStats = adapt.Stats
 	// DriftConfig makes a workload non-stationary (hot-set rotation on
-	// both the user and item sides, diurnal user-mix shift, flash
-	// crowds).
+	// both the user and item sides).
 	DriftConfig = workload.DriftConfig
 	// CoordConfig tunes a fleet migration coordinator (slot width, shared
-	// bandwidth cap, shared per-cycle wear budget).
+	// bandwidth cap; the shared per-cycle wear budget is derived from the
+	// devices' endurance when AdaptConfig.WearDaysPerSecond is set).
 	CoordConfig = cluster.CoordConfig
 )
 
