@@ -213,14 +213,16 @@ func (x *Actuator) Advance(now simclock.Time) {
 				}
 			}
 			n, _, err := act.m.Step(issue)
+			if gated && !act.job.Promote {
+				// A failed Step still reports the bytes its earlier devices
+				// wrote: they wore the media, so they spend the budget too.
+				x.winDemoted += int64(n)
+			}
 			if err != nil || (n == 0 && !act.m.Finished()) {
 				act.m.Abort()
 				x.stats.Aborts++
 				x.active = nil
 				break
-			}
-			if gated && !act.job.Promote {
-				x.winDemoted += int64(n)
 			}
 			bw := x.bandwidth
 			if gated && win.BandwidthBytesPerSec > 0 {

@@ -152,6 +152,7 @@ func TestRangeAdapterParallelismInvariant(t *testing.T) {
 type fakeMig struct {
 	stall     bool
 	failAt    int
+	failBytes int // bytes the failing Step issued before its error
 	finishAt  int
 	steps     int
 	aborted   bool
@@ -164,7 +165,7 @@ func (f *fakeMig) Step(now simclock.Time) (int, simclock.Time, error) {
 	}
 	f.steps++
 	if f.failAt > 0 && f.steps >= f.failAt {
-		return 0, now, errors.New("injected device error")
+		return f.failBytes, now, errors.New("injected device error")
 	}
 	if f.stall {
 		return 0, now, nil
@@ -227,7 +228,9 @@ func TestAdvanceAbortsOnStepError(t *testing.T) {
 	// migration, leaving the half-issued migration committable; it must
 	// be aborted.
 	x := NewActuator(nil, 0, 0, nil)
-	f := &fakeMig{failAt: 3, finishAt: 10}
+	win := Window{Open: 0, Close: 1000}
+	x.SetWindows(func(simclock.Time) Window { return win })
+	f := &fakeMig{failAt: 3, failBytes: 512, finishAt: 10}
 	x.active = &activeMig{job: Move{Table: 2, Promote: false}, m: f}
 	x.Advance(100)
 	if !f.aborted || f.committed {
@@ -235,6 +238,11 @@ func TestAdvanceAbortsOnStepError(t *testing.T) {
 	}
 	if x.stats.Aborts != 1 || x.stats.Demotions != 0 {
 		t.Fatalf("error not accounted: %s", x.stats)
+	}
+	// The failing chunk wrote 512 bytes on its first devices before the
+	// error: they wore the media, so they spend the window's demote budget.
+	if got := x.SpentInWindow(win); got != 2<<10+512 {
+		t.Fatalf("window counts %d demoted bytes, want the two chunks and the failed one's 512", got)
 	}
 	if err := f.Commit(); err != nil {
 		// fakeMig allows it, but the real Migration must not: covered by

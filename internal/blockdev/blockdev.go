@@ -7,7 +7,11 @@
 // above — caches, dequantization, pooling — operates on real bytes), while
 // access latency comes from a queueing model booked in virtual time: the
 // caller passes the instant it issues an IO and gets the completion
-// instant back. Each device exposes a fixed number of internal channels
+// instant back. The two halves can be driven apart: PeekInto / PokeFrom
+// move the bytes of a read / write and View lends them without a copy,
+// AccountRead / AccountWrite book the timing and the counters.
+//
+// Each device exposes a fixed number of internal channels
 // (dies), each holding its next-free instant; an IO occupies a channel for
 // the technology's media latency, so the sustainable IOPS ceiling is
 // channels/mediaLatency and latency rises as the submitted load approaches
@@ -359,6 +363,21 @@ func (d *Device) PeekInto(p []byte, off int64) error {
 	return nil
 }
 
+// View returns [off, off+n) of the media without copying — PeekInto minus
+// the copy, with the same checks. The slice is read-only (the image may be
+// shared with replica devices) and dies at the device's next write: PokeFrom
+// may replace a shared image with a private copy, after which the view shows
+// the old bytes. Callers consume it before anything can write the device.
+func (d *Device) View(off int64, n int) ([]byte, error) {
+	if d.closed {
+		return nil, ErrClosed
+	}
+	if off < 0 || n < 0 || off+int64(n) > int64(len(d.data)) {
+		return nil, fmt.Errorf("%w: off=%d len=%d cap=%d", ErrOutOfRange, off, n, len(d.data))
+	}
+	return d.data[off : off+int64(n) : off+int64(n)], nil
+}
+
 // AccountRead books the timing and counters of an n-byte read at off
 // without copying data: the timing half of a read whose bytes were already
 // obtained via PeekInto. Calling Read is equivalent to PeekInto followed by
@@ -421,11 +440,6 @@ func (d *Device) AccountWrite(now simclock.Time, off int64, n int) (simclock.Tim
 	d.stats.Writes++
 	d.stats.BytesWritten += uint64(span)
 	return done + simclock.Time(d.busTime(n)), nil
-}
-
-// Peek returns a read-only view of the backing bytes (test/oracle use).
-func (d *Device) Peek(off int64, n int) []byte {
-	return d.data[off : off+int64(n)]
 }
 
 // RatedLifeYears is the drive-life horizon the DWPD rating assumes (the

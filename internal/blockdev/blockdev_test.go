@@ -94,7 +94,7 @@ func TestPokeFromPlusAccountWriteIsWrite(t *testing.T) {
 			t.Fatalf("write %d: split completes at %v, Write at %v", i, got, want)
 		}
 	}
-	if whole.Stats() != split.Stats() || !bytes.Equal(whole.Peek(0, 1<<20), split.Peek(0, 1<<20)) {
+	if whole.Stats() != split.Stats() || !bytes.Equal(view(t, whole, 0, 1<<20), view(t, split, 0, 1<<20)) {
 		t.Fatalf("split write diverged from Write:\n%+v\n%+v", split.Stats(), whole.Stats())
 	}
 
@@ -103,7 +103,7 @@ func TestPokeFromPlusAccountWriteIsWrite(t *testing.T) {
 	if err := replica.PokeFrom([]byte{1, 2, 3}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if image[0] != 0xab || replica.Peek(0, 1)[0] != 1 {
+	if image[0] != 0xab || view(t, replica, 0, 1)[0] != 1 {
 		t.Fatal("poke on a shared image must copy first")
 	}
 	if err := split.PokeFrom(src, 1<<20-100); !errors.Is(err, ErrOutOfRange) {
@@ -345,14 +345,49 @@ func TestUpdateInterval(t *testing.T) {
 	}
 }
 
-func TestPeek(t *testing.T) {
+func view(t *testing.T, d *Device, off int64, n int) []byte {
+	t.Helper()
+	v, err := d.View(off, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+func TestView(t *testing.T) {
 	dev, _ := newNand(t, 4096)
 	src := []byte{1, 2, 3}
 	if _, err := dev.Write(0, src, 10); err != nil {
 		t.Fatal(err)
 	}
-	if got := dev.Peek(10, 3); !bytes.Equal(got, src) {
-		t.Fatalf("peek %v", got)
+	before := dev.Stats()
+	got := view(t, dev, 10, 3)
+	if !bytes.Equal(got, src) || cap(got) != 3 {
+		t.Fatalf("view %v (cap %d)", got, cap(got))
+	}
+	if dev.Stats() != before {
+		t.Fatal("View must not touch the counters")
+	}
+	for _, bad := range [][2]int64{{-1, 1}, {4090, 7}, {0, -1}} {
+		if _, err := dev.View(bad[0], int(bad[1])); !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("View(%d, %d): want ErrOutOfRange, got %v", bad[0], bad[1], err)
+		}
+	}
+
+	// A view of a shared image dies at the next write: the device moves to a
+	// private copy and the view keeps showing the (untouched) image.
+	replica := NewShared(Spec(NandFlash), dev.ShareImage(), nil, 2)
+	stale := view(t, replica, 10, 3)
+	if err := replica.PokeFrom([]byte{9}, 10); err != nil {
+		t.Fatal(err)
+	}
+	if stale[0] != 1 || view(t, replica, 10, 1)[0] != 9 || got[0] != 1 {
+		t.Fatal("poke on a shared image must leave earlier views on the old bytes")
+	}
+
+	dev.Close()
+	if _, err := dev.View(0, 1); !errors.Is(err, ErrClosed) {
+		t.Fatalf("View on a closed device: want ErrClosed, got %v", err)
 	}
 }
 

@@ -119,9 +119,13 @@ type Migration struct {
 	// ranged is false); next is the first row of the next chunk.
 	begin, end, next int64
 
-	data    []byte // promote: FM destination for rows [begin,end)
-	src     []byte // whole-table demote: FM source bytes
-	staging []byte // per-device gather/scatter buffer
+	// A promotion gathers rows off the devices straight into the FM bytes
+	// Commit installs: the whole-table image, or one buffer per covered range
+	// (ranges[0] is range begin/rangeRows), so a later demotion of one range
+	// frees its bytes instead of pinning a coalesced window through a sibling.
+	data   []byte
+	ranges [][]byte
+	src    []byte // whole-table demote: FM source bytes
 
 	issuedBytes int64
 	done        simclock.Time
@@ -145,20 +149,25 @@ func (s *Store) migrationState(table int, want placement.Target) (*tableState, e
 	return st, nil
 }
 
-// newMigration sizes the chunking for one migration over the whole table;
-// range Begins narrow [begin, end) afterwards.
-func newMigration(s *Store, st *tableState, table int, promote bool, chunkBytes int) *Migration {
-	rb := int64(st.rowBytes)
-	rows := int64(chunkBytes) / rb
-	if rows < 1 {
-		rows = 1
+// newMigration claims st's in-flight slot for a move of rows [lo, hi) in
+// chunks of chunkBytes (<= 0 selects 256 KiB, at least one row).
+func (s *Store) newMigration(st *tableState, table int, promote, ranged bool, lo, hi int64, chunkBytes int) (*Migration, error) {
+	slot, dir := &st.migOut, "demotion"
+	if promote {
+		slot, dir = &st.migIn, "promotion"
 	}
-	return &Migration{
-		s: s, st: st, table: table, promote: promote,
-		chunkRows: rows,
-		end:       st.rows,
-		staging:   make([]byte, rows*rb),
+	if *slot != nil {
+		return nil, fmt.Errorf("core: table %d already has a %s in flight", table, dir)
 	}
+	if chunkBytes <= 0 {
+		chunkBytes = 256 << 10
+	}
+	*slot = &Migration{
+		s: s, st: st, table: table, promote: promote, ranged: ranged,
+		chunkRows: max(int64(chunkBytes)/int64(st.rowBytes), 1),
+		begin:     lo, end: hi, next: lo,
+	}
+	return *slot, nil
 }
 
 // BeginPromote starts migrating an SM-resident table into FM: chunks read
@@ -176,16 +185,11 @@ func (s *Store) BeginPromote(table int, chunkBytes int) (*Migration, error) {
 		// the ranges must be demoted (rewriting SM) first.
 		return nil, fmt.Errorf("core: table %d has FM-resident row ranges; demote them before a whole-table promotion", table)
 	}
-	if chunkBytes <= 0 {
-		chunkBytes = 256 << 10
+	m, err := s.newMigration(st, table, true, false, 0, st.rows, chunkBytes)
+	if err == nil {
+		m.data = make([]byte, st.storedSpec.SizeBytes())
 	}
-	if st.migIn != nil {
-		return nil, fmt.Errorf("core: table %d already has a promotion in flight", table)
-	}
-	m := newMigration(s, st, table, true, chunkBytes)
-	m.data = make([]byte, st.storedSpec.SizeBytes())
-	st.migIn = m
-	return m, nil
+	return m, err
 }
 
 // BeginDemote starts migrating an FM-resident table out to its reserved
@@ -200,16 +204,11 @@ func (s *Store) BeginDemote(table int, chunkBytes int) (*Migration, error) {
 	if st.fm == nil {
 		return nil, fmt.Errorf("core: table %d has no FM copy to demote", table)
 	}
-	if chunkBytes <= 0 {
-		chunkBytes = 256 << 10
+	m, err := s.newMigration(st, table, false, false, 0, st.rows, chunkBytes)
+	if err == nil {
+		m.src = st.fm.Bytes()
 	}
-	if st.migOut != nil {
-		return nil, fmt.Errorf("core: table %d already has a demotion in flight", table)
-	}
-	m := newMigration(s, st, table, false, chunkBytes)
-	m.src = st.fm.Bytes()
-	st.migOut = m
-	return m, nil
+	return m, err
 }
 
 // Table returns the table being migrated.
@@ -247,64 +246,70 @@ func (m *Migration) Step(now simclock.Time) (int, simclock.Time, error) {
 	if m.finished {
 		return 0, m.done, nil
 	}
-	s, st := m.s, m.st
-	n := int64(s.cfg.NumDevices)
-	rb := int64(st.rowBytes)
-	r0 := m.next
-	r1 := r0 + m.chunkRows
-	if r1 > m.end {
-		r1 = m.end
-	}
+	n := int64(m.s.cfg.NumDevices)
+	r0, r1 := m.next, min(m.next+m.chunkRows, m.end)
 	chunkDone := now
 	bytes := 0
 	for d := int64(0); d < n; d++ {
 		// Stored indices j on device d whose global row j*n+d falls in
 		// [r0, r1).
-		lo := ceilRows(r0-d, n)
-		hi := ceilRows(r1-d, n)
+		lo, hi := ceilRows(r0-d, n), ceilRows(r1-d, n)
 		if hi <= lo {
 			continue
 		}
-		span := (hi - lo) * rb
-		buf := m.staging[:span]
-		off := st.smBase[d] + lo*rb
-		if m.promote {
-			done, err := s.rings[d].SubmitSync(now, buf, off, false)
-			if err != nil {
-				return bytes, chunkDone, fmt.Errorf("core: promote table %d: %w", m.table, err)
-			}
-			for j := lo; j < hi; j++ {
-				g := (j*n + d - m.begin) * rb
-				copy(m.data[g:g+rb], buf[(j-lo)*rb:(j-lo+1)*rb])
-			}
-			if done > chunkDone {
-				chunkDone = done
-			}
-		} else {
-			for j := lo; j < hi; j++ {
-				copy(buf[(j-lo)*rb:(j-lo+1)*rb], m.srcRow(j*n+d))
-			}
-			done, err := s.rings[d].SubmitSync(now, buf, off, true)
-			if err != nil {
-				return bytes, chunkDone, fmt.Errorf("core: demote table %d: %w", m.table, err)
-			}
-			st.runtime.DemoteWriteBytes += uint64(span)
-			s.stats.DemoteWriteBytes += uint64(span)
-			if done > chunkDone {
-				chunkDone = done
-			}
+		done, err := m.moveSpan(now, d, lo, hi)
+		if err != nil {
+			// The earlier devices' share of the chunk was moved (and,
+			// demoting, wore the media): it counts as issued.
+			m.issuedBytes += int64(bytes)
+			return bytes, chunkDone, fmt.Errorf("core: migrate table %d (promote=%t): %w", m.table, m.promote, err)
 		}
-		bytes += int(span)
+		chunkDone = max(chunkDone, done)
+		bytes += int(hi-lo) * m.st.rowBytes
 	}
 	m.issuedBytes += int64(bytes)
-	if chunkDone > m.done {
-		m.done = chunkDone
-	}
-	m.next = r1
-	if r1 >= m.end {
-		m.finished = true
-	}
+	m.done = max(m.done, chunkDone)
+	m.next, m.finished = r1, r1 >= m.end
 	return bytes, m.done, nil
+}
+
+// moveSpan moves stored rows [lo, hi) of device d's stripe share at virtual
+// time now and returns the IO's completion. The span is booked on the ring
+// first, so a closed or out-of-range device counts the failed submission;
+// then each row is copied once, between the media and its FM bytes.
+func (m *Migration) moveSpan(now simclock.Time, d, lo, hi int64) (simclock.Time, error) {
+	s, st := m.s, m.st
+	n := int64(s.cfg.NumDevices)
+	rb := int64(st.rowBytes)
+	span := int((hi - lo) * rb)
+	off := st.smBase[d] + lo*rb
+	if m.promote {
+		done, err := s.rings[d].SubmitTimedRead(now, span, off)
+		if err != nil {
+			return done, err
+		}
+		// The view is consumed before anything can write the device.
+		media, err := s.devices[d].View(off, span)
+		if err != nil {
+			return done, err
+		}
+		for j := lo; j < hi; j++ {
+			copy(m.dstRow(j*n+d), media[(j-lo)*rb:(j-lo+1)*rb])
+		}
+		return done, nil
+	}
+	done, err := s.rings[d].SubmitTimedWrite(now, span, off)
+	if err != nil {
+		return done, err
+	}
+	for j := lo; j < hi; j++ {
+		if err := s.devices[d].PokeFrom(m.srcRow(j*n+d), off+(j-lo)*rb); err != nil {
+			return done, err
+		}
+	}
+	st.runtime.DemoteWriteBytes += uint64(span)
+	s.stats.DemoteWriteBytes += uint64(span)
+	return done, nil
 }
 
 // srcRow returns the FM source bytes of global row during a demotion:
@@ -315,6 +320,17 @@ func (m *Migration) srcRow(row int64) []byte {
 		return m.src[row*rb : (row+1)*rb]
 	}
 	return m.st.fmRangeRow(row)
+}
+
+// dstRow returns the FM destination bytes of global row during a
+// promotion — the mirror of srcRow.
+func (m *Migration) dstRow(row int64) []byte {
+	rb := int64(m.st.rowBytes)
+	if !m.ranged {
+		return m.data[row*rb : (row+1)*rb]
+	}
+	off := (row % m.st.rangeRows) * rb
+	return m.ranges[(row-m.begin)/m.st.rangeRows][off : off+rb]
 }
 
 // Commit finalizes the placement swap: promotions install the FM table
@@ -396,7 +412,6 @@ func (m *Migration) untrack() {
 // whole-table window keeps the original drain-everything behavior).
 func (m *Migration) foldDirty() {
 	st := m.st
-	rb := int64(st.rowBytes)
 	type dirtyRow struct {
 		k cache.Key
 		v []byte
@@ -404,8 +419,7 @@ func (m *Migration) foldDirty() {
 	var keep []dirtyRow
 	st.cache.FlushDirty(func(k cache.Key, v []byte) {
 		if k.Row >= m.begin && k.Row < m.end {
-			g := (k.Row - m.begin) * rb
-			copy(m.data[g:g+rb], v)
+			copy(m.dstRow(k.Row), v)
 			return
 		}
 		keep = append(keep, dirtyRow{k: k, v: append([]byte(nil), v...)})
@@ -415,40 +429,28 @@ func (m *Migration) foldDirty() {
 	}
 }
 
-// installRanges copies the promoted window into per-range FM buffers —
-// one allocation per range, not sub-slices of the staging image, so a
-// later demotion of one range actually frees its bytes instead of pinning
-// the whole coalesced window through a sibling.
+// installRanges makes the promoted window's buffers the table's FM-resident
+// ranges.
 func (m *Migration) installRanges() {
 	st := m.st
-	rb := int64(st.rowBytes)
 	if st.fmRange == nil {
 		st.fmRange = make([][]byte, st.numRanges())
 	}
-	for r := int(m.begin / st.rangeRows); ; r++ {
-		lo, hi := st.rangeBounds(r)
-		if lo >= m.end {
-			break
-		}
-		buf := make([]byte, (hi-lo)*rb)
-		copy(buf, m.data[(lo-m.begin)*rb:(hi-m.begin)*rb])
-		st.fmRange[r] = buf
-		st.fmRangeBytes += (hi - lo) * rb
+	first := int(m.begin / st.rangeRows)
+	for i, buf := range m.ranges {
+		st.fmRange[first+i] = buf
+		st.fmRangeBytes += int64(len(buf))
 	}
-	m.data = nil
+	m.ranges = nil
 }
 
-// releaseRanges drops the FM buffers of the demoted window.
+// releaseRanges takes the demoted window's buffers out of FM residency.
 func (m *Migration) releaseRanges() {
 	st := m.st
-	rb := int64(st.rowBytes)
-	for r := int(m.begin / st.rangeRows); ; r++ {
-		lo, hi := st.rangeBounds(r)
-		if lo >= m.end {
-			break
-		}
+	for r := m.begin / st.rangeRows; r*st.rangeRows < m.end; r++ {
+		st.fmRangeBytes -= int64(len(st.fmRange[r]))
+		m.s.parkRangeBuf(st.fmRange[r])
 		st.fmRange[r] = nil
-		st.fmRangeBytes -= (hi - lo) * rb
 	}
 }
 
@@ -458,7 +460,7 @@ func (m *Migration) Aborted() bool { return m.aborted }
 // Abort renounces an in-flight migration after a Step error (or a caller
 // change of mind): Step and Commit fail afterwards, so a half-built FM
 // image can never be installed. Nothing physical needs rolling back — an
-// aborted promotion's staging copy is simply dropped, and an aborted
+// aborted promotion's FM buffers go back to the store's spares, and an aborted
 // demotion's partially rewritten SM window is unreachable (the rows remain
 // FM-resident) until a later demotion rewrites it from its first row.
 // Safe to call more than once; a no-op after Commit.
@@ -467,6 +469,10 @@ func (m *Migration) Abort() {
 		return
 	}
 	m.aborted = true
+	for _, buf := range m.ranges {
+		m.s.parkRangeBuf(buf)
+	}
+	m.ranges = nil
 	m.untrack()
 }
 

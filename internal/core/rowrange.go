@@ -51,6 +51,38 @@ func (st *tableState) fmRangeRow(row int64) []byte {
 	return b[off : off+int64(st.rowBytes)]
 }
 
+// maxSpareRanges bounds the released range buffers a store parks for its next
+// promotions: enough that a re-tiering loop (demote a few ranges, promote a
+// few others, of any table) allocates little, and at most 1 MiB of host heap
+// at the default range width.
+const maxSpareRanges = 4
+
+// takeRangeBuf returns the FM buffer for rows [lo, hi) of one of st's ranges.
+// Full-width ranges share one capacity (Config.MigrationRangeBytes, at most a
+// row more than they need) so a parked buffer fits any table; it is not
+// zeroed — Commit requires Finished, so a promotion overwrites every row of
+// its window before the buffer becomes readable.
+func (s *Store) takeRangeBuf(st *tableState, lo, hi int64) []byte {
+	need := (hi - lo) * int64(st.rowBytes)
+	if hi-lo != st.rangeRows || need > s.cfg.MigrationRangeBytes {
+		return make([]byte, need) // the short last range, or one over-wide row
+	}
+	if n := len(s.spareRanges); n > 0 {
+		buf := s.spareRanges[n-1]
+		s.spareRanges = s.spareRanges[:n-1]
+		return buf[:need]
+	}
+	return make([]byte, need, s.cfg.MigrationRangeBytes)
+}
+
+// parkRangeBuf keeps a released full-width range buffer for reuse, or drops
+// it when maxSpareRanges are parked already.
+func (s *Store) parkRangeBuf(buf []byte) {
+	if len(s.spareRanges) < maxSpareRanges && int64(cap(buf)) == s.cfg.MigrationRangeBytes {
+		s.spareRanges = append(s.spareRanges, buf)
+	}
+}
+
 // RangeStat is one row range's live runtime view: its geometry, current
 // residency and the cumulative lookups it received. Like TableStat, the
 // counters are folded in operator order and therefore identical at any
@@ -142,17 +174,14 @@ func (s *Store) BeginPromoteRange(table int, lo, hi int64, chunkBytes int) (*Mig
 	if err != nil {
 		return nil, err
 	}
-	if st.migIn != nil {
-		return nil, fmt.Errorf("core: table %d already has a promotion in flight", table)
+	m, err := s.newMigration(st, table, true, true, lo, hi, chunkBytes)
+	if err != nil {
+		return nil, err
 	}
-	if chunkBytes <= 0 {
-		chunkBytes = 256 << 10
+	m.ranges = make([][]byte, 0, ceilRows(hi-lo, st.rangeRows))
+	for rlo := lo; rlo < hi; rlo += st.rangeRows {
+		m.ranges = append(m.ranges, s.takeRangeBuf(st, rlo, min(rlo+st.rangeRows, hi)))
 	}
-	m := newMigration(s, st, table, true, chunkBytes)
-	m.ranged = true
-	m.begin, m.end, m.next = lo, hi, lo
-	m.data = make([]byte, (hi-lo)*int64(st.rowBytes))
-	st.migIn = m
 	return m, nil
 }
 
@@ -166,17 +195,7 @@ func (s *Store) BeginDemoteRange(table int, lo, hi int64, chunkBytes int) (*Migr
 	if err != nil {
 		return nil, err
 	}
-	if st.migOut != nil {
-		return nil, fmt.Errorf("core: table %d already has a demotion in flight", table)
-	}
-	if chunkBytes <= 0 {
-		chunkBytes = 256 << 10
-	}
-	m := newMigration(s, st, table, false, chunkBytes)
-	m.ranged = true
-	m.begin, m.end, m.next = lo, hi, lo
-	st.migOut = m
-	return m, nil
+	return s.newMigration(st, table, false, true, lo, hi, chunkBytes)
 }
 
 // FMResidentBytes returns the table's bytes currently served from FM:

@@ -67,6 +67,11 @@ type Store struct {
 	// are copy-on-write.
 	shareMu      sync.Mutex
 	sharedImages [][]byte
+
+	// spareRanges parks up to maxSpareRanges full-width range buffers that
+	// demotions (and aborted promotions) released, for the next range
+	// promotion of any table to reuse instead of allocating.
+	spareRanges [][]byte
 }
 
 // opScratch is the per-worker scratch state of the query engine.
@@ -101,7 +106,7 @@ type tableState struct {
 	// migIn/migOut track the table's in-flight promotion/demotion (one
 	// each), so UpdateRow can keep rows whose chunk already moved
 	// coherent: an update racing an issued demote chunk writes through to
-	// SM, one racing an issued promote chunk patches the staging image.
+	// SM, one racing an issued promote chunk patches its FM destination.
 	migIn  *Migration
 	migOut *Migration
 

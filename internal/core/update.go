@@ -91,10 +91,9 @@ func (s *Store) UpdateRow(now simclock.Time, table int, row int64, value []byte,
 	}
 	if p := st.migIn; p != nil && row >= p.begin && row < p.next {
 		// An in-flight promotion already read this row's old bytes off
-		// SM; patch its staging image so Commit cannot install the stale
+		// SM; patch its FM destination so Commit cannot install the stale
 		// value behind the (non-dirty) cache entry.
-		rb := int64(st.rowBytes)
-		copy(p.data[(row-p.begin)*rb:(row-p.begin+1)*rb], value)
+		copy(p.dstRow(row), value)
 	}
 	return done, nil
 }

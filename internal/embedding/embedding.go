@@ -8,6 +8,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"sdm/internal/quant"
 	"sdm/internal/xrand"
@@ -91,20 +93,47 @@ type Table struct {
 // ErrRowRange is returned for out-of-range row indices.
 var ErrRowRange = errors.New("embedding: row index out of range")
 
+// syntheticChunkRows is the unit of NewSynthetic's parallel fill.
+const syntheticChunkRows = 4096
+
 // NewSynthetic builds a table with deterministic synthetic content: row r
 // element e is a smooth function of (seed, table ID, r, e), and a ZeroFrac
 // fraction of rows is (near) zero so pruning has something to remove.
-// Determinism lets tests compare the SDM path against a flat oracle.
+// Determinism lets tests compare the SDM path against a flat oracle. Every
+// row is seeded independently (FillSyntheticRow), so up to GOMAXPROCS workers
+// — the caller is one — fill interleaved row chunks, and the bytes do not
+// depend on how many there are.
 func NewSynthetic(spec Spec, seed uint64) (*Table, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	t := &Table{spec: spec, data: make([]byte, spec.SizeBytes())}
-	row := make([]float32, spec.Dim)
-	rb := spec.RowBytes()
-	for r := int64(0); r < spec.Rows; r++ {
-		FillSyntheticRow(row, seed, spec.ID, r, spec.ZeroFrac)
-		if err := quant.QuantizeRow(t.data[r*int64(rb):(r+1)*int64(rb)], row, spec.QType); err != nil {
+	rb := int64(spec.RowBytes())
+	chunks := int((spec.Rows + syntheticChunkRows - 1) / syntheticChunkRows)
+	workers := min(runtime.GOMAXPROCS(0), chunks)
+	errs := make([]error, chunks)
+	fill := func(w int) {
+		row := make([]float32, spec.Dim)
+		for c := w; c < chunks; c += workers {
+			lo := int64(c) * syntheticChunkRows
+			for r := lo; r < min(lo+syntheticChunkRows, spec.Rows) && errs[c] == nil; r++ {
+				FillSyntheticRow(row, seed, spec.ID, r, spec.ZeroFrac)
+				errs[c] = quant.QuantizeRow(t.data[r*rb:(r+1)*rb], row, spec.QType)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fill(w)
+		}()
+	}
+	fill(0)
+	wg.Wait()
+	for _, err := range errs { // the lowest failing chunk's, at any worker count
+		if err != nil {
 			return nil, err
 		}
 	}

@@ -1,7 +1,9 @@
 package embedding
 
 import (
+	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -87,6 +89,33 @@ func TestSyntheticDeterminism(t *testing.T) {
 	}
 	if string(a.Bytes()) == string(c.Bytes()) {
 		t.Fatal("different seeds should differ")
+	}
+}
+
+func TestSyntheticFillWorkerInvariant(t *testing.T) {
+	// NewSynthetic fills row chunks on up to GOMAXPROCS workers; the bytes
+	// must be those of the plain row-by-row loop at any worker count.
+	spec := smallSpec()
+	spec.Rows = 3*syntheticChunkRows + 17
+	want := make([]byte, spec.SizeBytes())
+	row := make([]float32, spec.Dim)
+	rb := int64(spec.RowBytes())
+	for r := int64(0); r < spec.Rows; r++ {
+		FillSyntheticRow(row, 9, spec.ID, r, spec.ZeroFrac)
+		if err := quant.QuantizeRow(want[r*rb:(r+1)*rb], row, spec.QType); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		tb, err := NewSynthetic(spec, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(tb.Bytes(), want) {
+			t.Fatalf("GOMAXPROCS %d: table differs from the serial fill", procs)
+		}
 	}
 }
 

@@ -110,3 +110,13 @@ func (r *SyncRing) SubmitTimedRead(now simclock.Time, n int, off int64) (simcloc
 	done, err := r.dev.AccountRead(start, off, n, r.cfg.SGL)
 	return r.complete(start, done, err)
 }
+
+// SubmitTimedWrite books the timing of an n-byte write at off whose data the
+// caller moves with Device.PokeFrom — the write-side twin of SubmitTimedRead:
+// the same throttle, channel booking, wear and stats as SubmitSync's write
+// path, minus the data movement.
+func (r *SyncRing) SubmitTimedWrite(now simclock.Time, n int, off int64) (simclock.Time, error) {
+	start := r.admit(now)
+	done, err := r.dev.AccountWrite(start, off, n)
+	return r.complete(start, done, err)
+}

@@ -81,3 +81,60 @@ func TestAccountReadBounds(t *testing.T) {
 		t.Fatal("closed device account must fail")
 	}
 }
+
+// TestSubmitTimedWriteMatchesSubmitSync is the write-side contract, in the
+// shape the migration engine uses it: book the span with SubmitTimedWrite (or
+// SubmitTimedRead), then move the bytes row by row with PokeFrom (or gather
+// them out of a View). Completion times, media bytes, ring stats and device
+// stats must equal the inline SubmitSync path — on success, on an
+// out-of-range span and on a closed device.
+func TestSubmitTimedWriteMatchesSubmitSync(t *testing.T) {
+	spec := blockdev.Spec(blockdev.NandFlash)
+	devA := blockdev.New(spec, 1<<20, nil, 11)
+	devB := blockdev.New(spec, 1<<20, nil, 11)
+	ringA := NewSync(devA, Config{SGL: true})
+	ringB := NewSync(devB, Config{SGL: true})
+	const row, rows = 100, 9
+	src := make([]byte, row*rows)
+	bufA, bufB := make([]byte, len(src)), make([]byte, len(src))
+	now := simclock.Time(0)
+	step := func(i int, off int64, wantErr bool) {
+		t.Helper()
+		for j := range src {
+			src[j] = byte(i + j*13)
+		}
+		dA, errA := ringA.SubmitSync(now, src, off, true)
+		dB, errB := ringB.SubmitTimedWrite(now, len(src), off)
+		for r := 0; errB == nil && r < rows; r++ {
+			errB = devB.PokeFrom(src[r*row:(r+1)*row], off+int64(r*row))
+		}
+		if (errA != nil) != wantErr || (errB != nil) != wantErr || dA != dB {
+			t.Fatalf("write %d: %v at %d vs %v at %d", i, errA, dA, errB, dB)
+		}
+		rA, errA := ringA.SubmitSync(dA, bufA, off, false)
+		rB, errB := ringB.SubmitTimedRead(dB, len(bufB), off)
+		if errB == nil {
+			var v []byte
+			if v, errB = devB.View(off, len(bufB)); errB == nil {
+				copy(bufB, v)
+			}
+		}
+		if (errA != nil) != wantErr || (errB != nil) != wantErr || rA != rB || string(bufA) != string(bufB) {
+			t.Fatalf("read %d: %v at %d vs %v at %d", i, errA, rA, errB, rB)
+		}
+		now = (rA + now) / 2
+	}
+	for i := 0; i < 200; i++ {
+		step(i, int64((i*7919)%(1<<19)), false)
+	}
+	step(200, 1<<20-10, true) // out of range
+	devA.Close()
+	devB.Close()
+	step(201, 0, true) // ErrClosed
+	if ringA.Stats() != ringB.Stats() || ringA.Stats().Errors != 4 {
+		t.Fatalf("ring stats diverged:\n%+v\n%+v", ringA.Stats(), ringB.Stats())
+	}
+	if devA.Stats() != devB.Stats() {
+		t.Fatalf("device stats diverged:\n%+v\n%+v", devA.Stats(), devB.Stats())
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"sdm/internal/cache"
 	"sdm/internal/core"
 	"sdm/internal/embedding"
+	"sdm/internal/placement"
 	"sdm/internal/pooledcache"
 	"sdm/internal/quant"
 	"sdm/internal/simclock"
@@ -202,14 +203,7 @@ func BenchmarkIndexDraw(b *testing.B) {
 // by a forced rotation every 1000 queries. memo-hit-% is the share of the
 // timed loop's pools copied out of the memo.
 func BenchmarkGeneratorNextShared(b *testing.B) {
-	cfg := M1()
-	cfg.NumUserTables = 8
-	cfg.NumItemTables = 4
-	cfg.ItemBatch = 8
-	inst, err := Build(cfg, 1.5e-4, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
+	inst := fleetModel(b)
 	for _, pop := range []struct {
 		name  string
 		users int64
@@ -314,6 +308,103 @@ func BenchmarkStorePoolOp(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := store.PoolOps(now, q.Ops, outs); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// fleetModel is the end-to-end benchmark's model shape (bench/workloads.go:
+// M1 trimmed to 8 user / 4 item tables at capacity scale 1.5e-4, seed 42).
+func fleetModel(b *testing.B) *Instance {
+	b.Helper()
+	cfg := M1()
+	cfg.NumUserTables = 8
+	cfg.NumItemTables = 4
+	cfg.ItemBatch = 8
+	inst, err := Build(cfg, 1.5e-4, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return inst
+}
+
+// BenchmarkMaterialize is model.Instance.Materialize on the end-to-end
+// benchmark's model — the synthetic row fill that dominates its setup_s
+// (MB/s is stored table bytes produced).
+func BenchmarkMaterialize(b *testing.B) {
+	inst := fleetModel(b)
+	var total int64
+	for _, s := range inst.Tables {
+		total += s.SizeBytes()
+	}
+	b.SetBytes(total)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := inst.Materialize(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRangeMigration is the host cost of one ranged migration the way
+// adapt-drift-writes issues it: a four-range (≈ 1 MiB) window of the model's
+// largest user table moved in 64 KiB chunks, Begin → Step… → Commit per
+// iteration, over one device and over a two-device stripe. MB/s is window
+// bytes; B/op is what the migration engine allocates per window. The
+// opposite move that restores the window runs outside the timer.
+func BenchmarkRangeMigration(b *testing.B) {
+	inst := fleetModel(b)
+	tables, err := inst.Materialize()
+	if err != nil {
+		b.Fatal(err)
+	}
+	const table, chunk = 7, 64 << 10
+	for _, promote := range []bool{true, false} {
+		name := map[bool]string{true: "promote", false: "demote"}[promote]
+		for _, devs := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/dev%d", name, devs), func(b *testing.B) {
+				store, err := core.Open(inst, tables, core.Config{
+					Seed: 5, ReserveSM: true, NumDevices: devs, Ring: uring.Config{SGL: true},
+					CacheBytes: 1 << 20,
+					Placement:  placement.Config{Policy: placement.SMOnlyWithCache, UserTablesOnly: true},
+				}, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				hi := 4 * store.RangeRowsOf(table)
+				now := store.LoadDone()
+				move := func(up bool) {
+					begin := store.BeginDemoteRange
+					if up {
+						begin = store.BeginPromoteRange
+					}
+					m, err := begin(table, 0, hi, chunk)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for !m.Finished() {
+						if _, _, err := m.Step(now); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if err := m.Commit(); err != nil {
+						b.Fatal(err)
+					}
+					now = m.Done() + 1
+				}
+				if !promote {
+					move(true)
+				}
+				b.SetBytes(hi * int64(inst.Tables[table].RowBytes()))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					move(promote)
+					b.StopTimer()
+					move(!promote)
+					b.StartTimer()
+				}
+			})
 		}
 	}
 }
