@@ -373,14 +373,13 @@ func BenchmarkQueryEngine(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var clk Clock
 			store, err := Open(inst, tables, Config{
 				Seed:        13,
 				SMTech:      OptaneSSD,
 				Ring:        RingConfig{SGL: true},
 				CacheBytes:  64 << 20,
 				Parallelism: p,
-			}, &clk)
+			}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

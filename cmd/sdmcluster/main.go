@@ -51,6 +51,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -138,19 +139,19 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-hosts must be positive, got %d", *hosts)
 	case *queries <= 0:
 		return fmt.Errorf("-queries must be positive, got %d", *queries)
-	case *qps <= 0:
-		return fmt.Errorf("-qps must be positive, got %g", *qps)
+	case !(*qps > 0) || math.IsInf(*qps, 0):
+		return fmt.Errorf("-qps must be positive and finite, got %g", *qps)
 	case *windows <= 0:
 		return fmt.Errorf("-windows must be positive, got %d", *windows)
 	case *workers < 0:
 		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
-	case *scale <= 0 || *scale > 1:
+	case !(*scale > 0 && *scale <= 1):
 		return fmt.Errorf("-scale must be in (0, 1], got %g", *scale)
 	case *users <= 0:
 		return fmt.Errorf("-users must be positive, got %d", *users)
-	case *fail >= 0 && (*failfrac <= 0 || *failfrac > 1):
+	case *fail >= 0 && !(*failfrac > 0 && *failfrac <= 1):
 		return fmt.Errorf("-failfrac must be in (0, 1], got %g", *failfrac)
-	case *drift < 0 || *drift > 1:
+	case !(*drift >= 0 && *drift <= 1):
 		return fmt.Errorf("-drift must be in [0, 1], got %g", *drift)
 	case *hotTabs < 0:
 		return fmt.Errorf("-hottables must be >= 0, got %d", *hotTabs)

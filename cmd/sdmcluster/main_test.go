@@ -37,6 +37,12 @@ func TestFlagValidation(t *testing.T) {
 		{"-trace", "-policy all -trace " + filepath.Join(t.TempDir(), "never.jsonl")},
 		{"-metrics", "-policy all -metrics " + filepath.Join(t.TempDir(), "never.txt")},
 		{"-metrics-every", "-metrics-every -1s"},
+		// Non-finite floats pass every x <= 0 check.
+		{"-qps", "-qps NaN"},
+		{"-qps", "-qps +Inf"},
+		{"-scale", "-scale NaN"},
+		{"-failfrac", "-fail 1 -failfrac NaN"},
+		{"-drift", "-drift NaN"},
 	} {
 		err := run(strings.Fields(c.args), io.Discard)
 		if err == nil || !strings.Contains(err.Error(), c.flag) {
@@ -46,6 +52,12 @@ func TestFlagValidation(t *testing.T) {
 	// The validators behind the remaining flags own their messages.
 	for _, c := range []struct{ want, args string }{
 		{"Hysteresis", "-hysteresis 0.5"},
+		{"Hysteresis", "-hysteresis NaN"},
+		{"Hysteresis", "-hysteresis +Inf"},
+		{"PaybackSeconds", "-payback NaN"},
+		{"Smoothing", "-smoothing NaN"},
+		{"BandwidthBytesPerSec", "-migbw NaN"},
+		{"WearDaysPerSecond", "-wear NaN"},
 		{"level", "-trace-level loud"},
 		{"unknown policy", "-policy fastest"},
 		{"unknown scorer", "-policy weighted -scorers luck=1"},

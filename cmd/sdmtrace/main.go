@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"sdm/internal/embedding"
@@ -21,13 +22,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "sdmtrace:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("sdmtrace", flag.ContinueOnError)
 	var (
 		modelName = fs.String("model", "M1", "target model: M1, M2 or M3")
@@ -60,7 +61,7 @@ func run(args []string) error {
 	case "M3":
 		cfg = model.M3()
 	default:
-		return fmt.Errorf("unknown model %q", *modelName)
+		return fmt.Errorf("-model must be M1, M2 or M3, got %q", *modelName)
 	}
 	if *userTabs > 0 {
 		cfg.NumUserTables = *userTabs
@@ -83,7 +84,7 @@ func run(args []string) error {
 		return err
 	}
 
-	fmt.Printf("model %s: %d tables (%d user), %.1f MB scaled, %d queries\n\n",
+	fmt.Fprintf(stdout, "model %s: %d tables (%d user), %.1f MB scaled, %d queries\n\n",
 		cfg.Name, len(inst.Tables), cfg.NumUserTables,
 		float64(inst.TotalBytes())/(1<<20), len(qs))
 
@@ -93,8 +94,8 @@ func run(args []string) error {
 	perHost := workload.AverageCDF(
 		workload.PerHostTemporalLocality(inst, qs, *hosts, true, 0), embedding.User)
 
-	fmt.Println("temporal locality (fraction of accesses covered by top rows):")
-	fmt.Printf("%-12s %10s %10s %14s\n", "rows frac", "user", "item", "user/host")
+	fmt.Fprintln(stdout, "temporal locality (fraction of accesses covered by top rows):")
+	fmt.Fprintf(stdout, "%-12s %10s %10s %14s\n", "rows frac", "user", "item", "user/host")
 	for i, f := range workload.CDFFractions {
 		var u, it, ph float64
 		if i < len(user) {
@@ -106,13 +107,13 @@ func run(args []string) error {
 		if i < len(perHost) {
 			ph = perHost[i].Frac
 		}
-		fmt.Printf("%-12g %10.3f %10.3f %14.3f\n", f, u, it, ph)
+		fmt.Fprintf(stdout, "%-12g %10.3f %10.3f %14.3f\n", f, u, it, ph)
 	}
 
-	fmt.Println("\nspatial locality (1.0 = accessed rows perfectly share 4KB blocks):")
-	fmt.Printf("%-8s %6s %10s\n", "table", "kind", "locality")
+	fmt.Fprintln(stdout, "\nspatial locality (1.0 = accessed rows perfectly share 4KB blocks):")
+	fmt.Fprintf(stdout, "%-8s %6s %10s\n", "table", "kind", "locality")
 	for _, r := range workload.SpatialLocality(inst, qs, 4096) {
-		fmt.Printf("%-8d %6s %10.3f\n", r.Table, r.Kind, r.Locality)
+		fmt.Fprintf(stdout, "%-8d %6s %10.3f\n", r.Table, r.Kind, r.Locality)
 	}
 	return nil
 }

@@ -14,20 +14,26 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: tracecheck <trace.jsonl> [...]")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
+
+// run checks each file in turn and returns the process exit code: 2 for a
+// usage error, 1 at the first file that fails (its error goes to stderr).
+func run(args []string, stderr io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprintln(stderr, "usage: tracecheck <trace.jsonl> [...]")
+		return 2
 	}
-	for _, path := range os.Args[1:] {
+	for _, path := range args {
 		if err := check(path); err != nil {
-			fmt.Fprintf(os.Stderr, "tracecheck: %s: %v\n", path, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "tracecheck: %s: %v\n", path, err)
+			return 1
 		}
 	}
+	return 0
 }
 
 // line mirrors the obs JSONL schema loosely: payloads stay raw so the

@@ -22,7 +22,6 @@ func main() {
 
 func run() error {
 	// Two experimental models sharing one host's SDM capacity.
-	var clk sdm.Clock
 	for i := 0; i < 2; i++ {
 		cfg := sdm.M3()
 		cfg.NumUserTables = 6
@@ -41,7 +40,7 @@ func run() error {
 		store, err := sdm.Open(inst, tables, sdm.Config{
 			SMTech: sdm.OptaneSSD, NumDevices: 9, // Table 10's sizing
 			Ring: sdm.RingConfig{SGL: true}, CacheBytes: 4 << 20,
-		}, &clk)
+		}, nil)
 		if err != nil {
 			return err
 		}
@@ -49,7 +48,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		host, err := sdm.NewHost(inst, store, tables, gen, &clk, sdm.HostConfig{
+		host, err := sdm.NewHost(inst, store, tables, gen, nil, sdm.HostConfig{
 			Spec: sdm.HWF(), InterOp: true, Seed: uint64(30 + i),
 		})
 		if err != nil {

@@ -36,13 +36,12 @@ func run() error {
 
 	// Open the SDM store: user tables go to Optane SSDs behind the FM row
 	// cache; SGL sub-block reads enabled.
-	var clk sdm.Clock
 	store, err := sdm.Open(inst, tables, sdm.Config{
 		SMTech:           sdm.OptaneSSD,
 		Ring:             sdm.RingConfig{SGL: true},
 		CacheBytes:       8 << 20,
 		PooledCacheBytes: 1 << 20,
-	}, &clk)
+	}, nil)
 	if err != nil {
 		return err
 	}

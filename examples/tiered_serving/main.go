@@ -73,10 +73,9 @@ func run() error {
 }
 
 func measure(inst *sdm.Instance, tables []*sdm.Table, scfg *sdm.Config, sku sdm.HostSpec) (float64, sdm.HostResult, error) {
-	var clk sdm.Clock
 	var store *sdm.Store
 	if scfg != nil {
-		s, err := sdm.Open(inst, tables, *scfg, &clk)
+		s, err := sdm.Open(inst, tables, *scfg, nil)
 		if err != nil {
 			return 0, sdm.HostResult{}, err
 		}
@@ -86,7 +85,7 @@ func measure(inst *sdm.Instance, tables []*sdm.Table, scfg *sdm.Config, sku sdm.
 	if err != nil {
 		return 0, sdm.HostResult{}, err
 	}
-	host, err := sdm.NewHost(inst, store, tables, gen, &clk, sdm.HostConfig{
+	host, err := sdm.NewHost(inst, store, tables, gen, nil, sdm.HostConfig{
 		Spec: sku, InterOp: true, Seed: 2,
 	})
 	if err != nil {

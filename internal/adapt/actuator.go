@@ -1,10 +1,9 @@
-// The actuator half of the policy/actuator split: the Actuator owns the
-// Begin/Step/Commit/Abort migration machinery — a FIFO of planned moves,
-// one in-flight migration paced on the virtual timeline under a bandwidth
-// cap, and (when a window schedule is installed) coordinator-granted
-// migration windows with a per-window SM demote-write budget. It executes
-// whatever plan the policy layer hands it and knows nothing about
-// telemetry or placement scoring.
+// The actuator owns the Begin/Step/Commit/Abort migration machinery — a
+// FIFO of planned moves, one in-flight migration paced on the virtual
+// timeline under a bandwidth cap, and (when a window schedule is installed)
+// coordinator-granted migration windows with a per-window SM demote-write
+// budget. It executes whatever plan the policy layer hands it and knows
+// nothing about telemetry or placement scoring.
 
 package adapt
 
@@ -15,10 +14,10 @@ import (
 	"sdm/internal/simclock"
 )
 
-// Move is one planned placement move: a whole table, or the row window
-// [Lo, Hi) of one. The policy layer emits Moves; the Actuator executes
+// move is one planned placement move: a whole table, or the row window
+// [Lo, Hi) of one. The policy layer emits moves; the actuator executes
 // them.
-type Move struct {
+type move struct {
 	Table   int
 	Promote bool
 	Ranged  bool
@@ -62,15 +61,14 @@ type migration interface {
 
 // activeMig paces one in-flight migration.
 type activeMig struct {
-	job       Move
+	job       move
 	m         migration
 	nextIssue simclock.Time
 }
 
-// Actuator drives planned moves through the store's migration engine. It
-// is the execution half of an Adapter, but can be driven standalone (the
-// fleet coordinator grants it windows through SetWindows).
-type Actuator struct {
+// actuator drives planned moves through the store's migration engine —
+// the execution half of an Adapter.
+type actuator struct {
 	store      *core.Store
 	chunkBytes int
 	// bandwidth is the default pacing cap (bytes/s; 0 = unpaced), used
@@ -84,18 +82,14 @@ type Actuator struct {
 	winOpen    simclock.Time
 	winDemoted int64
 
-	queue  []Move
+	queue  []move
 	active *activeMig
 }
 
-// NewActuator builds an actuator over a store opened with
-// core.Config.ReserveSM. stats may be nil, in which case the actuator
-// keeps its own counters; an Adapter shares its Stats instead.
-func NewActuator(store *core.Store, chunkBytes int, bandwidthBytesPerSec float64, stats *Stats) *Actuator {
-	if stats == nil {
-		stats = &Stats{}
-	}
-	return &Actuator{
+// newActuator builds an actuator over a store opened with
+// core.Config.ReserveSM, counting into its Adapter's stats.
+func newActuator(store *core.Store, chunkBytes int, bandwidthBytesPerSec float64, stats *Stats) *actuator {
+	return &actuator{
 		store:      store,
 		chunkBytes: chunkBytes,
 		bandwidth:  bandwidthBytesPerSec,
@@ -103,13 +97,13 @@ func NewActuator(store *core.Store, chunkBytes int, bandwidthBytesPerSec float64
 	}
 }
 
-// SetWindows installs (or, with nil, removes) a migration window
+// setWindows installs (or, with nil, removes) a migration window
 // schedule. With a schedule installed, chunks issue only inside granted
 // windows and each window's demote budget is enforced.
-func (x *Actuator) SetWindows(fn WindowFn) { x.windows = fn }
+func (x *actuator) setWindows(fn WindowFn) { x.windows = fn }
 
-// Pending returns queued plus in-flight move count.
-func (x *Actuator) Pending() int {
+// pending returns queued plus in-flight move count.
+func (x *actuator) pending() int {
 	n := len(x.queue)
 	if x.active != nil {
 		n++
@@ -117,27 +111,27 @@ func (x *Actuator) Pending() int {
 	return n
 }
 
-// AppendPending appends the queued and in-flight moves to dst and returns
+// appendPending appends the queued and in-flight moves to dst and returns
 // it — the busy set the policy layer plans around.
-func (x *Actuator) AppendPending(dst []Move) []Move {
+func (x *actuator) appendPending(dst []move) []move {
 	if x.active != nil {
 		dst = append(dst, x.active.job)
 	}
 	return append(dst, x.queue...)
 }
 
-// Enqueue appends planned moves to the FIFO.
-func (x *Actuator) Enqueue(moves []Move) {
+// enqueue appends planned moves to the FIFO.
+func (x *actuator) enqueue(moves []move) {
 	x.queue = append(x.queue, moves...)
 }
 
-// Reconcile keeps only the queued moves the freshest plan still agrees
+// reconcile keeps only the queued moves the freshest plan still agrees
 // with. Without it a promotion queued under an older desired set could
 // begin (and commit) after drift moved the spotlight, stacking the
 // committed FM placement past the budget until a later eval demoted the
 // excess; the in-flight migration is left to finish — aborting it would
 // waste its issued IO — so any overshoot is bounded by one move.
-func (x *Actuator) Reconcile(keep func(Move) bool) {
+func (x *actuator) reconcile(keep func(move) bool) {
 	kept := x.queue[:0]
 	for _, j := range x.queue {
 		if keep(j) {
@@ -147,25 +141,25 @@ func (x *Actuator) Reconcile(keep func(Move) bool) {
 	x.queue = kept
 }
 
-// WindowAt returns the window covering (or next following) t, and whether
+// windowAt returns the window covering (or next following) t, and whether
 // a schedule is installed.
-func (x *Actuator) WindowAt(t simclock.Time) (Window, bool) {
+func (x *actuator) windowAt(t simclock.Time) (Window, bool) {
 	if x.windows == nil {
 		return Window{}, false
 	}
 	return x.windows(t), true
 }
 
-// SpentInWindow returns the demote bytes already issued in w (0 when the
+// spentInWindow returns the demote bytes already issued in w (0 when the
 // actuator last filled a different window).
-func (x *Actuator) SpentInWindow(w Window) int64 {
+func (x *actuator) spentInWindow(w Window) int64 {
 	if x.winOpen == w.Open {
 		return x.winDemoted
 	}
 	return 0
 }
 
-// Advance issues paced migration chunks up to virtual time now and
+// advance issues paced migration chunks up to virtual time now and
 // commits finished migrations whose IO has completed. A migration whose
 // Step fails — or stalls issuing zero bytes without finishing, which would
 // otherwise spin the unpaced loop forever — is aborted and rolled back,
@@ -173,7 +167,7 @@ func (x *Actuator) SpentInWindow(w Window) int64 {
 // window schedule installed, chunks additionally wait for the replica's
 // granted windows and demote chunks stop when a window's SM write budget
 // is spent.
-func (x *Actuator) Advance(now simclock.Time) {
+func (x *actuator) advance(now simclock.Time) {
 	for {
 		if x.active == nil {
 			if len(x.queue) == 0 {
@@ -259,7 +253,7 @@ func (x *Actuator) Advance(now simclock.Time) {
 }
 
 // begin validates a planned move against the store's current state.
-func (x *Actuator) begin(job Move) (migration, error) {
+func (x *actuator) begin(job move) (migration, error) {
 	var (
 		m   *core.Migration
 		err error

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime/pprof"
 	"sort"
 	"time"
@@ -16,7 +17,8 @@ import (
 	"sdm/internal/core"
 )
 
-// Granularity selects what the controller moves between FM and SM.
+// Granularity selects what the controller moves between FM and SM: it
+// chooses the planner's candidates, not its algorithm.
 type Granularity int
 
 // Controller granularities.
@@ -96,6 +98,14 @@ type Config struct {
 // rewrote out-of-range values (a Hysteresis of 0.5 became 1.3), which hid
 // real misconfigurations; CLIs surface these errors at flag-parse time.
 func (c Config) Validate() error {
+	// A non-finite float passes every range check below (NaN compares false)
+	// and would silently change what the controller does.
+	names := []string{"BandwidthBytesPerSec", "Smoothing", "Hysteresis", "PaybackSeconds", "WearDaysPerSecond"}
+	for i, v := range []float64{c.BandwidthBytesPerSec, c.Smoothing, c.Hysteresis, c.PaybackSeconds, c.WearDaysPerSecond} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("adapt: %s must be finite, got %v", names[i], v)
+		}
+	}
 	switch {
 	case c.Interval < 0:
 		return fmt.Errorf("adapt: Interval must be >= 0 (0 selects 200ms), got %v", c.Interval)
@@ -162,10 +172,9 @@ func (s Stats) String() string {
 		s.Evals, s.Promotions, s.Demotions, s.RangeMoves, s.Aborts, s.MigratedBytes)
 }
 
-// Adapter is the per-host adaptive-tiering control loop, composed of the
-// two layers the policy/actuator split separates: a pure Policy that
+// Adapter is the per-host adaptive-tiering control loop: a pure policy
 // turns telemetry into a ranked move plan (wear-aware when
-// Config.WearDaysPerSecond is set), and an Actuator that owns the
+// Config.WearDaysPerSecond is set), and an actuator owns the
 // Begin/Step/Commit/Abort migration machinery, pacing chunks under the
 // bandwidth cap — and, when a fleet coordinator installs a window
 // schedule (SetWindows), only inside this replica's granted migration
@@ -175,10 +184,10 @@ func (s Stats) String() string {
 type Adapter struct {
 	cfg   Config
 	store *core.Store
-	telem *Telemetry
+	telem *telemetry
 
-	pol *Policy
-	act *Actuator
+	pol *policy
+	act *actuator
 
 	nextEval simclock.Time
 	stats    Stats
@@ -193,7 +202,7 @@ type Adapter struct {
 	deferred *metrics.Counter
 
 	// pending is the scratch buffer the busy set is collected into.
-	pending []Move
+	pending []move
 }
 
 // New builds an Adapter over a store opened with core.Config.ReserveSM.
@@ -225,16 +234,16 @@ func New(store *core.Store, cfg Config) (*Adapter, error) {
 	a := &Adapter{
 		cfg:      cfg,
 		store:    store,
-		telem:    NewTelemetry(cfg.Smoothing),
-		pol:      NewPolicy(cfg, budget),
+		telem:    newTelemetry(cfg.Smoothing),
+		pol:      &policy{cfg: cfg, budget: budget},
 		nextEval: store.LoadDone() + simclock.Time(cfg.Interval),
 	}
-	a.act = NewActuator(store, cfg.ChunkBytes, cfg.BandwidthBytesPerSec, &a.stats)
+	a.act = newActuator(store, cfg.ChunkBytes, cfg.BandwidthBytesPerSec, &a.stats)
 	if cfg.WearDaysPerSecond > 0 {
 		// Ungoverned wear awareness: slice this host's own timeline into
 		// contiguous eval-interval windows so the demote budget applies
 		// per window even without a fleet coordinator.
-		a.act.SetWindows(a.selfWindows)
+		a.act.setWindows(a.selfWindows)
 	}
 	return a, nil
 }
@@ -273,14 +282,14 @@ func (a *Adapter) windowDemoteBudget() int64 {
 // SetWindows installs a fleet coordinator's migration window schedule on
 // the actuator (replacing the ungoverned wear windows, if any). The
 // schedule must be a pure function of virtual time — see WindowFn.
-func (a *Adapter) SetWindows(fn WindowFn) { a.act.SetWindows(fn) }
+func (a *Adapter) SetWindows(fn WindowFn) { a.act.setWindows(fn) }
 
 // SetTracer installs the decision-trace collector this adapter's plan
 // verdicts are recorded into (nil detaches — the zero-overhead default).
 // The fleet wires this up from Fleet.SetTrace.
 func (a *Adapter) SetTracer(c *obs.Collector) {
 	a.tracer = c
-	a.pol.SetExplain(c != nil || a.planned != nil)
+	a.pol.explain = c != nil || a.planned != nil
 }
 
 // RegisterMetrics registers the adapter's instrument catalog on r: the
@@ -313,30 +322,20 @@ func (a *Adapter) RegisterMetrics(r *metrics.Registry) {
 		func(now simclock.Time) float64 { return float64(a.wearBudget(now).WindowBytes) })
 	r.NewGaugeFunc(metrics.Desc{Name: "sdm_adapt_wear_spent_bytes", Help: "Demote-write bytes already spent in the current window.", Unit: "bytes"},
 		func(now simclock.Time) float64 { return float64(a.wearBudget(now).SpentBytes) })
-	a.pol.SetExplain(true)
+	a.pol.explain = true
 }
-
-// Telemetry exposes the decayed per-table and per-range view (for
-// experiments and CLIs).
-func (a *Adapter) Telemetry() *Telemetry { return a.telem }
 
 // Stats returns what the adapter has done so far.
 func (a *Adapter) Stats() Stats { return a.stats }
 
-// Policy returns the planning layer (for tests and introspection).
-func (a *Adapter) Policy() *Policy { return a.pol }
-
-// Actuator returns the execution layer (for tests and introspection).
-func (a *Adapter) Actuator() *Actuator { return a.act }
-
 // PendingMigrations returns queued plus in-flight move count.
-func (a *Adapter) PendingMigrations() int { return a.act.Pending() }
+func (a *Adapter) PendingMigrations() int { return a.act.pending() }
 
 // BeforeAdmit implements serving.Tuner: it advances migration pacing and,
 // on interval boundaries, re-evaluates placement. It runs before the
 // query executes, so a committed swap is visible to the very next query.
 func (a *Adapter) BeforeAdmit(now simclock.Time) {
-	a.act.Advance(now)
+	a.act.advance(now)
 	if now < a.nextEval {
 		return
 	}
@@ -349,25 +348,26 @@ func (a *Adapter) BeforeAdmit(now simclock.Time) {
 	// is the migrate phase under a CPU profile; it runs once per
 	// interval, so the label plumbing stays off the per-query path.
 	pprof.Do(context.Background(), pprof.Labels("sdm_phase", "migrate"), func(context.Context) {
-		a.telem.Sample(now, a.store)
+		a.telem.sample(now, a.store)
 		a.stats.Evals++
 		a.stats.LastEval = now
 
 		// The busy set is collected before reconciliation: a move the
 		// fresh plan is about to drop still blocks re-planning its table
 		// this eval (its slot frees by the next one).
-		a.pending = a.act.AppendPending(a.pending[:0])
-		plan := a.pol.Plan(a.telem, a.store, a.pending, a.wearBudget(now))
-		for _, d := range plan.Decisions {
+		a.pending = a.act.appendPending(a.pending[:0])
+		pl := a.pol.plan(a.telem, a.store, a.pending, a.wearBudget(now))
+		for _, d := range pl.decisions {
 			a.tracer.Plan(now, d)
 			if d.Action == "defer" {
 				a.deferred.Inc()
 			}
 		}
-		a.planned.Add(uint64(len(plan.Moves)))
-		a.act.Reconcile(a.agreesWith(plan))
-		a.act.Enqueue(plan.Moves)
-		a.act.Advance(now)
+		a.planned.Add(uint64(len(pl.moves)))
+		// A queued move survives only if the fresh plan still wants it.
+		a.act.reconcile(func(m move) bool { return pl.wants(m, a.store.RangeRowsOf(m.Table)) })
+		a.act.enqueue(pl.moves)
+		a.act.advance(now)
 	})
 }
 
@@ -375,34 +375,13 @@ func (a *Adapter) BeforeAdmit(now simclock.Time) {
 // actuator's current window: its demote allowance and what this window
 // has already written.
 func (a *Adapter) wearBudget(now simclock.Time) placement.WearBudget {
-	w, ok := a.act.WindowAt(now)
+	w, ok := a.act.windowAt(now)
 	if !ok || w.DemoteBudgetBytes <= 0 {
 		return placement.WearBudget{}
 	}
 	return placement.WearBudget{
 		WindowBytes: w.DemoteBudgetBytes,
-		SpentBytes:  a.act.SpentInWindow(w),
-	}
-}
-
-// agreesWith returns the reconciliation predicate for a fresh plan: a
-// queued move survives only if the plan still wants every table or range
-// it covers moved in its direction.
-func (a *Adapter) agreesWith(plan Plan) func(Move) bool {
-	return func(j Move) bool {
-		if !j.Ranged {
-			return plan.DesiredWhole[j.Table] == j.Promote
-		}
-		rr := a.store.RangeRowsOf(j.Table)
-		if rr <= 0 {
-			return false
-		}
-		for r := j.Lo / rr; r*rr < j.Hi; r++ {
-			if plan.DesiredRange[RangeKey(j.Table, r)] != j.Promote {
-				return false
-			}
-		}
-		return true
+		SpentBytes:  a.act.spentInWindow(w),
 	}
 }
 
@@ -413,7 +392,7 @@ func (a *Adapter) AfterAdmit(arrive, done simclock.Time) {}
 // coalesce merges adjacent range moves of the same table and direction
 // into single [Lo, Hi) migrations (whole-table moves pass through), so one
 // hot head of k contiguous ranges costs one migration, not k.
-func coalesce(jobs []Move) []Move {
+func coalesce(jobs []move) []move {
 	sort.SliceStable(jobs, func(i, j int) bool {
 		if jobs[i].Table != jobs[j].Table {
 			return jobs[i].Table < jobs[j].Table

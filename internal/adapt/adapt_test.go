@@ -39,14 +39,13 @@ func fixture(t *testing.T, parallelism int, budgetTables int) (*core.Store, *wor
 	}
 	budget := int64(budgetTables)*perTable + perTable/2
 
-	var clk simclock.Clock
 	s, err := core.Open(inst, tables, core.Config{
 		Seed: 17, ReserveSM: true, Ring: uring.Config{SGL: true},
 		CacheBytes: 1 << 17, Parallelism: parallelism,
 		Placement: placement.Config{
 			Policy: placement.FixedFMWithCache, UserTablesOnly: true, DRAMBudget: budget,
 		},
-	}, &clk)
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +115,8 @@ func TestAdapterPromotesHotTables(t *testing.T) {
 		t.Fatalf("FM set exceeds budget-sized fleet: %v", fm)
 	}
 	_ = end
-	tl := a.Telemetry().Table(gen.HotUserTables()[0])
-	if tl.Windows == 0 || tl.LookupRate <= 0 {
+	tl := a.telem.tables[gen.HotUserTables()[0]]
+	if tl.Windows == 0 || tl.DemandBytes <= 0 || tl.density() <= 0 {
 		t.Fatalf("telemetry empty for hot table: %+v", tl)
 	}
 }
@@ -304,7 +303,7 @@ func TestSelfWindowDemoteBudgetTracksEndurance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, ok := a.Actuator().WindowAt(12345)
+	w, ok := a.act.windowAt(12345)
 	if !ok {
 		t.Fatal("wear-aware adapter installed no window schedule")
 	}
@@ -335,19 +334,17 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var clk simclock.Clock
-	plain, err := core.Open(inst, tables, core.Config{Seed: 1, Ring: uring.Config{SGL: true}}, &clk)
+	plain, err := core.Open(inst, tables, core.Config{Seed: 1, Ring: uring.Config{SGL: true}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := New(plain, Config{DRAMBudget: 1 << 20}); err == nil {
 		t.Fatal("store without ReserveSM should fail")
 	}
-	var clk2 simclock.Clock
 	res, err := core.Open(inst, tables, core.Config{
 		Seed: 1, ReserveSM: true, Ring: uring.Config{SGL: true},
 		Placement: placement.Config{Policy: placement.SMOnlyWithCache, UserTablesOnly: true},
-	}, &clk2)
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

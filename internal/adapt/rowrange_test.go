@@ -2,6 +2,8 @@ package adapt
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -36,7 +38,6 @@ func rangeFixture(t *testing.T, parallelism int) (*core.Store, *workload.Generat
 	if err != nil {
 		t.Fatal(err)
 	}
-	var clk simclock.Clock
 	s, err := core.Open(inst, tables, core.Config{
 		Seed: 17, ReserveSM: true, Ring: uring.Config{SGL: true},
 		CacheBytes: 1 << 17, Parallelism: parallelism,
@@ -44,7 +45,7 @@ func rangeFixture(t *testing.T, parallelism int) (*core.Store, *workload.Generat
 		Placement: placement.Config{
 			Policy: placement.SMOnlyWithCache, UserTablesOnly: true,
 		},
-	}, &clk)
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +206,11 @@ func TestAdvanceGuardsZeroByteStall(t *testing.T) {
 	// Regression: a migration issuing 0 bytes without finishing used to
 	// spin the unpaced pacing loop forever (nextIssue never advances,
 	// Finished never true). It must now be aborted and dropped.
-	x := NewActuator(nil, 0, 0, nil) // unpaced
+	x := newActuator(nil, 0, 0, &Stats{}) // unpaced
 	f := &fakeMig{stall: true}
-	x.active = &activeMig{job: Move{Table: 1, Promote: true}, m: f}
+	x.active = &activeMig{job: move{Table: 1, Promote: true}, m: f}
 	done := make(chan struct{})
-	go func() { x.Advance(100); close(done) }()
+	go func() { x.advance(100); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second): //sdm:allow wallclock test watchdog against a regressed spin, not simulated time
@@ -227,12 +228,12 @@ func TestAdvanceAbortsOnStepError(t *testing.T) {
 	// Regression: a mid-flight Step error used to just drop the active
 	// migration, leaving the half-issued migration committable; it must
 	// be aborted.
-	x := NewActuator(nil, 0, 0, nil)
+	x := newActuator(nil, 0, 0, &Stats{})
 	win := Window{Open: 0, Close: 1000}
-	x.SetWindows(func(simclock.Time) Window { return win })
+	x.setWindows(func(simclock.Time) Window { return win })
 	f := &fakeMig{failAt: 3, failBytes: 512, finishAt: 10}
-	x.active = &activeMig{job: Move{Table: 2, Promote: false}, m: f}
-	x.Advance(100)
+	x.active = &activeMig{job: move{Table: 2, Promote: false}, m: f}
+	x.advance(100)
 	if !f.aborted || f.committed {
 		t.Fatalf("failed migration not rolled back: aborted=%t committed=%t", f.aborted, f.committed)
 	}
@@ -241,7 +242,7 @@ func TestAdvanceAbortsOnStepError(t *testing.T) {
 	}
 	// The failing chunk wrote 512 bytes on its first devices before the
 	// error: they wore the media, so they spend the window's demote budget.
-	if got := x.SpentInWindow(win); got != 2<<10+512 {
+	if got := x.spentInWindow(win); got != 2<<10+512 {
 		t.Fatalf("window counts %d demoted bytes, want the two chunks and the failed one's 512", got)
 	}
 	if err := f.Commit(); err != nil {
@@ -251,10 +252,10 @@ func TestAdvanceAbortsOnStepError(t *testing.T) {
 	}
 
 	// A healthy migration still commits.
-	x2 := NewActuator(nil, 0, 0, nil)
+	x2 := newActuator(nil, 0, 0, &Stats{})
 	ok := &fakeMig{finishAt: 2}
-	x2.active = &activeMig{job: Move{Table: 3, Promote: true, Ranged: true, Lo: 0, Hi: 8}, m: ok}
-	x2.Advance(100)
+	x2.active = &activeMig{job: move{Table: 3, Promote: true, Ranged: true, Lo: 0, Hi: 8}, m: ok}
+	x2.advance(100)
 	if !ok.committed || x2.stats.Promotions != 1 || x2.stats.RangeMoves != 1 {
 		t.Fatalf("healthy migration not committed: %s", x2.stats)
 	}
@@ -266,9 +267,9 @@ func TestActuatorWindowsGateIssue(t *testing.T) {
 	// grant, and chunks never issue past a window's close.
 	const slot = simclock.Time(100)
 	var issues []simclock.Time
-	x := NewActuator(nil, 0, 0, nil)
+	x := newActuator(nil, 0, 0, &Stats{})
 	// This replica owns [200, 300) and every 300 thereafter (cycle 300).
-	x.SetWindows(func(t simclock.Time) Window {
+	x.setWindows(func(t simclock.Time) Window {
 		cycle := 3 * slot
 		k := (t - 2*slot) / cycle
 		if t < 2*slot {
@@ -280,19 +281,19 @@ func TestActuatorWindowsGateIssue(t *testing.T) {
 		return Window{Open: open, Close: open + slot, BandwidthBytesPerSec: 1 << 30}
 	})
 	f := &fakeMigRecorder{finishAt: 4, issues: &issues}
-	x.active = &activeMig{job: Move{Table: 1, Promote: true}, m: f, nextIssue: 0}
+	x.active = &activeMig{job: move{Table: 1, Promote: true}, m: f, nextIssue: 0}
 
-	x.Advance(100) // before the first window: nothing may issue
+	x.advance(100) // before the first window: nothing may issue
 	if len(issues) != 0 {
 		t.Fatalf("chunks issued outside any window: %v", issues)
 	}
-	x.Advance(250) // inside [200, 300)
+	x.advance(250) // inside [200, 300)
 	for _, at := range issues {
 		if at < 200 || at >= 300 {
 			t.Fatalf("chunk issued at %d outside window [200, 300): %v", at, issues)
 		}
 	}
-	x.Advance(10_000) // enough windows to finish and commit
+	x.advance(10_000) // enough windows to finish and commit
 	if !f.committed {
 		t.Fatalf("windowed migration never committed (issues=%v)", issues)
 	}
@@ -314,11 +315,11 @@ func TestActuatorWindowDemoteBudget(t *testing.T) {
 		return Window{Open: open, Close: open + slot, DemoteBudgetBytes: 2 << 10}
 	}
 	var issues []simclock.Time
-	x := NewActuator(nil, 0, 0, nil)
-	x.SetWindows(window)
+	x := newActuator(nil, 0, 0, &Stats{})
+	x.setWindows(window)
 	f := &fakeMigRecorder{finishAt: 6, issues: &issues} // 6 KiB in 1 KiB chunks
-	x.active = &activeMig{job: Move{Table: 1, Promote: false}, m: f}
-	x.Advance(5 * slot)
+	x.active = &activeMig{job: move{Table: 1, Promote: false}, m: f}
+	x.advance(5 * slot)
 	if !f.committed {
 		t.Fatalf("budgeted demotion never committed (issues=%v)", issues)
 	}
@@ -339,11 +340,11 @@ func TestActuatorWindowDemoteBudget(t *testing.T) {
 
 	// The same migration promoted ignores the demote budget entirely.
 	var pIssues []simclock.Time
-	x2 := NewActuator(nil, 0, 0, nil)
-	x2.SetWindows(window)
+	x2 := newActuator(nil, 0, 0, &Stats{})
+	x2.setWindows(window)
 	p := &fakeMigRecorder{finishAt: 6, issues: &pIssues}
-	x2.active = &activeMig{job: Move{Table: 1, Promote: true}, m: p}
-	x2.Advance(10)
+	x2.active = &activeMig{job: move{Table: 1, Promote: true}, m: p}
+	x2.advance(10)
 	if !p.committed || len(pIssues) != 6 {
 		t.Fatalf("promotion throttled by the demote budget: committed=%t issues=%v", p.committed, pIssues)
 	}
@@ -365,6 +366,26 @@ func TestConfigValidate(t *testing.T) {
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Fatalf("config %+v should be rejected", cfg)
+		}
+	}
+	// Non-finite floats pass every x < 0 check; each is rejected by field
+	// name instead of silently changing what the controller does.
+	for _, c := range []struct {
+		field string
+		set   func(*Config, float64)
+	}{
+		{"BandwidthBytesPerSec", func(c *Config, v float64) { c.BandwidthBytesPerSec = v }},
+		{"Smoothing", func(c *Config, v float64) { c.Smoothing = v }},
+		{"Hysteresis", func(c *Config, v float64) { c.Hysteresis = v }},
+		{"PaybackSeconds", func(c *Config, v float64) { c.PaybackSeconds = v }},
+		{"WearDaysPerSecond", func(c *Config, v float64) { c.WearDaysPerSecond = v }},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			var cfg Config
+			c.set(&cfg, v)
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("%s = %v: error %v, want one naming the field", c.field, v, err)
+			}
 		}
 	}
 	good := []Config{
@@ -393,16 +414,16 @@ func TestReconcileQueueDropsStaleJobs(t *testing.T) {
 	// A promotion queued under an older desired set must not survive an
 	// evaluation that no longer wants it — stale jobs used to begin (and
 	// commit) anyway, stacking FM placement past the budget.
-	x := NewActuator(nil, 0, 0, nil)
-	x.Enqueue([]Move{
+	x := newActuator(nil, 0, 0, &Stats{})
+	x.enqueue([]move{
 		{Table: 1, Promote: true},
 		{Table: 2, Promote: false},
 		{Table: 3, Promote: true},
 		{Table: 4, Promote: true, Ranged: true, Lo: 0, Hi: 8},
 	})
 	desired := map[int]bool{1: true, 2: true, 3: false, 4: false}
-	x.Reconcile(func(j Move) bool { return desired[j.Table] == j.Promote })
-	if x.Pending() != 1 || x.queue[0].Table != 1 {
+	x.reconcile(func(j move) bool { return desired[j.Table] == j.Promote })
+	if x.pending() != 1 || x.queue[0].Table != 1 {
 		t.Fatalf("stale jobs not dropped: %+v", x.queue)
 	}
 }

@@ -35,14 +35,13 @@ func fmRangeFixture(t *testing.T) (*core.Store, *workload.Generator) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var clk simclock.Clock
 	s, err := core.Open(inst, tables, core.Config{
 		Seed: 29, ReserveSM: true, Ring: uring.Config{SGL: true},
 		CacheBytes: 1 << 15, MigrationRangeBytes: 16 << 10,
 		Placement: placement.Config{
 			Policy: placement.SMOnlyWithCache, UserTablesOnly: true,
 		},
-	}, &clk)
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,16 +93,16 @@ func TestRangeTelemetryFreezesWhileWholeFM(t *testing.T) {
 	// SM-phase estimate instead of decaying it toward zero — that profile
 	// is the best available ranking when the table is later demoted.
 	s, gen := fmRangeFixture(t)
-	tl := NewTelemetry(0.5)
+	tl := newTelemetry(0.5)
 	now := s.LoadDone()
-	tl.Sample(now, s) // prime
+	tl.sample(now, s) // prime
 
 	// SM phase: range counters accumulate real rates.
 	now = pump(t, s, gen, now, 300)
-	tl.Sample(now, s)
+	tl.sample(now, s)
 	var smRates []float64
 	var smWindows []int
-	for _, rt := range tl.Ranges() {
+	for _, rt := range tl.ranges {
 		if rt.Table == 0 {
 			smRates = append(smRates, rt.LookupRate)
 			smWindows = append(smWindows, rt.Windows)
@@ -112,7 +111,7 @@ func TestRangeTelemetryFreezesWhileWholeFM(t *testing.T) {
 	if len(smRates) == 0 || smRates[0] <= 0 {
 		t.Fatalf("SM-phase range telemetry empty for table 0: %v", smRates)
 	}
-	smFMServed := tl.Table(0).FMServed
+	smDemand := tl.tables[0].DemandBytes
 
 	// Promote table 0 whole (its ranges are all SM-resident, so the
 	// whole-table path applies), then keep serving and sampling.
@@ -126,7 +125,7 @@ func TestRangeTelemetryFreezesWhileWholeFM(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		now = pump(t, s, gen, now, 200)
-		tl.Sample(now, s)
+		tl.sample(now, s)
 	}
 	for i, rt := range rangesOf(tl, 0) {
 		if rt.LookupRate != smRates[i] {
@@ -137,25 +136,25 @@ func TestRangeTelemetryFreezesWhileWholeFM(t *testing.T) {
 		}
 	}
 	// Table-level telemetry keeps flowing meanwhile (the freeze is
-	// range-scoped), and the FM placement is visible in it.
-	tt := tl.Table(0)
-	if tt.Windows <= 1 || tt.LookupRate <= 0 {
-		t.Fatalf("table telemetry stalled during FM phase: %+v", tt)
+	// range-scoped): three more windows folded, the decayed demand moved
+	// off its SM-phase value and still ranks the table.
+	tt := tl.tables[0]
+	if tt.Windows != 4 || tt.DemandBytes <= 0 || tt.DemandBytes == smDemand {
+		t.Fatalf("table telemetry stalled during FM phase: %+v (SM-phase demand %g)", tt, smDemand)
 	}
-	if tt.FMServed <= smFMServed {
-		t.Fatalf("FM placement not visible in decayed FMServed: %.3f (SM phase %.3f)", tt.FMServed, smFMServed)
+	if want := tt.DemandBytes / float64(tt.StoredBytes); tt.density() != want {
+		t.Fatalf("density %g, want DemandBytes/StoredBytes = %g", tt.density(), want)
 	}
 
-	// Demote back to SM: range attribution resumes, the frozen profile
-	// starts updating again, and the demote writes surface as a positive
-	// decayed DemoteRate.
+	// Demote back to SM: range attribution resumes and the frozen profile
+	// starts updating again.
 	dm, err := s.BeginDemote(0, 16<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	now = migrate(t, dm, now)
 	now = pump(t, s, gen, now, 300)
-	tl.Sample(now, s)
+	tl.sample(now, s)
 	resumed := false
 	for i, rt := range rangesOf(tl, 0) {
 		if rt.Windows > smWindows[i] {
@@ -165,16 +164,16 @@ func TestRangeTelemetryFreezesWhileWholeFM(t *testing.T) {
 	if !resumed {
 		t.Fatal("range telemetry did not resume after demotion")
 	}
-	if tl.Table(0).DemoteRate <= 0 {
-		t.Fatalf("demote writes not reflected in telemetry: %+v", tl.Table(0))
+	if ts := s.TableStats(nil)[0]; ts.DemoteWriteBytes == 0 {
+		t.Fatalf("demote writes not counted against the table: %+v", ts)
 	}
 	_ = now
 }
 
 // rangesOf collects table tab's range telemetry in range order.
-func rangesOf(tl *Telemetry, tab int) []RangeTelemetry {
-	var out []RangeTelemetry
-	for _, rt := range tl.Ranges() {
+func rangesOf(tl *telemetry, tab int) []rangeTelemetry {
+	var out []rangeTelemetry
+	for _, rt := range tl.ranges {
 		if rt.Table == tab {
 			out = append(out, rt)
 		}

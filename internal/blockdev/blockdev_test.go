@@ -10,10 +10,9 @@ import (
 	"sdm/internal/xrand"
 )
 
-func newNand(t *testing.T, capacity int64) (*Device, *simclock.Clock) {
+func newNand(t *testing.T, capacity int64) *Device {
 	t.Helper()
-	var clk simclock.Clock
-	return New(Spec(NandFlash), capacity, &clk, 1), &clk
+	return New(Spec(NandFlash), capacity, nil, 1)
 }
 
 func TestCatalogComplete(t *testing.T) {
@@ -56,7 +55,7 @@ func TestTechnologyString(t *testing.T) {
 }
 
 func TestWriteThenRead(t *testing.T) {
-	dev, _ := newNand(t, 1<<20)
+	dev := newNand(t, 1<<20)
 	src := []byte("hello embedding row")
 	if _, err := dev.Write(0, src, 4096); err != nil {
 		t.Fatal(err)
@@ -74,8 +73,8 @@ func TestWriteThenRead(t *testing.T) {
 // same-seed device in exactly the state Write does, and poking a device
 // that shares its image writes to a private copy.
 func TestPokeFromPlusAccountWriteIsWrite(t *testing.T) {
-	whole, _ := newNand(t, 1<<20)
-	split, _ := newNand(t, 1<<20)
+	whole := newNand(t, 1<<20)
+	split := newNand(t, 1<<20)
 	src := bytes.Repeat([]byte{0xab}, 5000)
 	for i := int64(0); i < 20; i++ {
 		off := i * 9000
@@ -112,7 +111,7 @@ func TestPokeFromPlusAccountWriteIsWrite(t *testing.T) {
 }
 
 func TestReadOutOfRange(t *testing.T) {
-	dev, _ := newNand(t, 4096)
+	dev := newNand(t, 4096)
 	buf := make([]byte, 128)
 	if _, err := dev.Read(0, buf, 4096-64); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("want ErrOutOfRange, got %v", err)
@@ -123,7 +122,7 @@ func TestReadOutOfRange(t *testing.T) {
 }
 
 func TestClosedDevice(t *testing.T) {
-	dev, _ := newNand(t, 4096)
+	dev := newNand(t, 4096)
 	dev.Close()
 	if _, err := dev.Read(0, make([]byte, 8), 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("want ErrClosed, got %v", err)
@@ -134,7 +133,7 @@ func TestClosedDevice(t *testing.T) {
 }
 
 func TestReadAmplification(t *testing.T) {
-	dev, _ := newNand(t, 1<<20)
+	dev := newNand(t, 1<<20)
 	buf := make([]byte, 128)
 	// 128 B from a 4 KiB-granularity device: 32× amplification.
 	if _, err := dev.Read(0, buf, 0); err != nil {
@@ -154,7 +153,7 @@ func TestReadAmplification(t *testing.T) {
 }
 
 func TestSGLBusSavings(t *testing.T) {
-	dev, _ := newNand(t, 1<<20)
+	dev := newNand(t, 1<<20)
 	buf := make([]byte, 128)
 	for i := 0; i < 100; i++ {
 		if _, err := dev.ReadSGL(0, buf, int64(i)*4096); err != nil {
@@ -176,7 +175,7 @@ func TestSGLBusSavings(t *testing.T) {
 }
 
 func TestSGLSpansTwoBlocks(t *testing.T) {
-	dev, _ := newNand(t, 1<<20)
+	dev := newNand(t, 1<<20)
 	src := make([]byte, 256)
 	for i := range src {
 		src[i] = byte(i)
@@ -199,7 +198,7 @@ func TestSGLSpansTwoBlocks(t *testing.T) {
 }
 
 func TestUnloadedLatencyNearMedia(t *testing.T) {
-	dev, _ := newNand(t, 1<<20)
+	dev := newNand(t, 1<<20)
 	buf := make([]byte, 128)
 	done, err := dev.ReadSGL(0, buf, 0)
 	if err != nil {
@@ -215,7 +214,7 @@ func TestUnloadedLatencyNearMedia(t *testing.T) {
 func TestLoadedLatencyRises(t *testing.T) {
 	// Submitting far beyond the device's concurrency at one instant must
 	// queue: later completions much slower than the first.
-	dev, _ := newNand(t, 1<<24)
+	dev := newNand(t, 1<<24)
 	buf := make([]byte, 128)
 	var first, last simclock.Time
 	const n = 2000
@@ -239,8 +238,7 @@ func TestLoadedLatencyRises(t *testing.T) {
 func TestThroughputCeiling(t *testing.T) {
 	// Completion rate of a saturating burst must approximate MaxIOPS.
 	spec := Spec(OptaneSSD)
-	var clk simclock.Clock
-	dev := New(spec, 1<<24, &clk, 2)
+	dev := New(spec, 1<<24, nil, 2)
 	buf := make([]byte, 128)
 	const n = 50000
 	var last simclock.Time
@@ -262,8 +260,7 @@ func TestThroughputCeiling(t *testing.T) {
 func TestOptaneVsNandProfile(t *testing.T) {
 	// Fig. 3 shape: Optane sustains higher IOPS at lower latency.
 	run := func(tech Technology) (iops float64, meanLat time.Duration) {
-		var clk simclock.Clock
-		dev := New(Spec(tech), 1<<24, &clk, 3)
+		dev := New(Spec(tech), 1<<24, nil, 3)
 		buf := make([]byte, 128)
 		const n = 20000
 		var last simclock.Time
@@ -298,7 +295,7 @@ func TestOptaneVsNandProfile(t *testing.T) {
 }
 
 func TestNandTailEvents(t *testing.T) {
-	dev, _ := newNand(t, 1<<24)
+	dev := newNand(t, 1<<24)
 	buf := make([]byte, 128)
 	for i := 0; i < 20000; i++ {
 		if _, err := dev.ReadSGL(simclock.Time(i)*simclock.Time(10*time.Microsecond), buf, int64(i%1000)*4096); err != nil {
@@ -316,7 +313,7 @@ func TestNandTailEvents(t *testing.T) {
 }
 
 func TestWriteEnduranceAccounting(t *testing.T) {
-	dev, _ := newNand(t, 1<<20)
+	dev := newNand(t, 1<<20)
 	if _, err := dev.Write(0, make([]byte, 100), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +352,7 @@ func view(t *testing.T, d *Device, off int64, n int) []byte {
 }
 
 func TestView(t *testing.T) {
-	dev, _ := newNand(t, 4096)
+	dev := newNand(t, 4096)
 	src := []byte{1, 2, 3}
 	if _, err := dev.Write(0, src, 10); err != nil {
 		t.Fatal(err)
@@ -392,7 +389,7 @@ func TestView(t *testing.T) {
 }
 
 func TestDeviceChannels(t *testing.T) {
-	dev, _ := newNand(t, 4096)
+	dev := newNand(t, 4096)
 	// channels ≈ MaxIOPS × mediaLatency = 500e3 × 90µs = 45.
 	if ch := dev.Channels(); ch < 20 || ch > 90 {
 		t.Fatalf("channels %d outside expected band", ch)

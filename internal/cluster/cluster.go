@@ -34,6 +34,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -281,6 +282,9 @@ func (f *Fleet) ScheduleFailure(host int, frac float64) error {
 	if len(f.members) < 2 {
 		return errors.New("cluster: cannot fail the only host")
 	}
+	if math.IsNaN(frac) || math.IsInf(frac, 0) {
+		return fmt.Errorf("cluster: failure frac must be finite, got %g", frac)
+	}
 	if frac <= 0 {
 		frac = 0.5
 	}
@@ -297,8 +301,8 @@ func (f *Fleet) ScheduleFailure(host int, frac float64) error {
 // adaptive hosts (AttachAdaptive) re-converge. Unlike failures, drift
 // drills may be re-armed run after run.
 func (f *Fleet) ScheduleDrift(frac float64) error {
-	if frac > 1 {
-		return fmt.Errorf("cluster: drift fraction %g > 1", frac)
+	if !(frac <= 1) || math.IsInf(frac, 0) {
+		return fmt.Errorf("cluster: drift frac must be finite and <= 1, got %g", frac)
 	}
 	if frac <= 0 {
 		frac = 0.5
@@ -375,7 +379,7 @@ func (v fleetView) MigrationBacklog(id int) int {
 // arrivals), routes each to a host, and aggregates per-host and fleet-wide
 // results. Repeated Runs continue in virtual time with warm caches.
 func (f *Fleet) Run(qps float64, n int) (*Result, error) {
-	if qps <= 0 || n <= 0 {
+	if !(qps > 0) || math.IsInf(qps, 0) || n <= 0 {
 		return nil, fmt.Errorf("cluster: bad run parameters qps=%g n=%d", qps, n)
 	}
 	if f.gen == nil {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -274,8 +275,10 @@ func TestRangeAdaptiveFleetDeterministicAcrossWorkers(t *testing.T) {
 func TestScheduleDriftDrill(t *testing.T) {
 	in, tables := adaptiveFixture(t)
 	f, adapters := adaptiveFleet(t, in, tables, 3, 0)
-	if err := f.ScheduleDrift(1.5); err == nil {
-		t.Fatal("drift fraction > 1 should be rejected")
+	for _, frac := range []float64{1.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := f.ScheduleDrift(frac); err == nil || !strings.Contains(err.Error(), "frac") {
+			t.Fatalf("ScheduleDrift(%v): error %v, want one naming frac", frac, err)
+		}
 	}
 	if _, err := f.Run(300, 600); err != nil { // warm + converge
 		t.Fatal(err)
@@ -507,6 +510,33 @@ func TestFleetValidation(t *testing.T) {
 	}
 	if _, err := f.Run(10, 0); err == nil {
 		t.Fatal("zero queries should fail")
+	}
+	// Non-finite floats pass every x <= 0 check; each is an error naming
+	// the parameter, never a run with offered=NaN.
+	hosts2, err := HostSet(in, tables, 2, &scfg, serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f2, err := New(hosts2, NewRoundRobin(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		call func(v float64) error
+	}{
+		{"qps", func(v float64) error { _, err := f.Run(v, 10); return err }},
+		{"frac", func(v float64) error { return f2.ScheduleFailure(0, v) }},
+		{"BandwidthBytesPerSec", func(v float64) error {
+			_, err := NewCoordinator(2, CoordConfig{BandwidthBytesPerSec: v}, 0)
+			return err
+		}},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if err := c.call(v); err == nil || !strings.Contains(err.Error(), c.name) {
+				t.Errorf("%s = %v: error %v, want one naming %s", c.name, v, err, c.name)
+			}
+		}
 	}
 	if _, err := HostSet(in, tables, 0, &scfg, serving.Config{Spec: serving.HWSS(), Seed: 1}); err == nil {
 		t.Fatal("empty host set should fail")

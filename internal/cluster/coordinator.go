@@ -18,6 +18,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"sdm/internal/adapt"
@@ -46,8 +47,8 @@ func (c CoordConfig) validated() (CoordConfig, error) {
 	if c.Slot == 0 {
 		c.Slot = 50 * time.Millisecond
 	}
-	if c.BandwidthBytesPerSec < 0 {
-		return c, fmt.Errorf("cluster: coordinator BandwidthBytesPerSec must be >= 0, got %g", c.BandwidthBytesPerSec)
+	if !(c.BandwidthBytesPerSec >= 0) || math.IsInf(c.BandwidthBytesPerSec, 0) {
+		return c, fmt.Errorf("cluster: coordinator BandwidthBytesPerSec must be finite and >= 0, got %g", c.BandwidthBytesPerSec)
 	}
 	return c, nil
 }

@@ -48,7 +48,8 @@ type TableStat struct {
 
 	// DemoteWriteBytes counts the SM media bytes demotions of this table
 	// have written (as chunks issue, committed or not) — the per-table
-	// endurance cost the wear-aware placement term consumes.
+	// endurance ledger. The wear-aware placement term does not read it: it
+	// scores a candidate's footprint (placement.RangeItem.DemoteBytes).
 	DemoteWriteBytes uint64
 }
 

@@ -11,7 +11,7 @@ import (
 	"sdm/internal/workload"
 )
 
-func adaptiveFixture(t *testing.T, cfg Config) (*Store, *model.Instance, []*embedding.Table, *simclock.Clock) {
+func adaptiveFixture(t *testing.T, cfg Config) (*Store, *model.Instance, []*embedding.Table) {
 	t.Helper()
 	mc := model.M1()
 	mc.NumUserTables = 4
@@ -26,12 +26,11 @@ func adaptiveFixture(t *testing.T, cfg Config) (*Store, *model.Instance, []*embe
 	if err != nil {
 		t.Fatal(err)
 	}
-	var clk simclock.Clock
-	s, err := Open(inst, tables, cfg, &clk)
+	s, err := Open(inst, tables, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, inst, tables, &clk
+	return s, inst, tables
 }
 
 func TestReserveSMRejectsTransforms(t *testing.T) {
@@ -47,13 +46,12 @@ func TestReserveSMRejectsTransforms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var clk simclock.Clock
 	for _, cfg := range []Config{
 		{ReserveSM: true, Prune: true},
 		{ReserveSM: true, DequantAtLoad: true},
 	} {
 		cfg.Seed = 1
-		if _, err := Open(inst, tables, cfg, &clk); err == nil {
+		if _, err := Open(inst, tables, cfg, nil); err == nil {
 			t.Fatalf("ReserveSM with %+v should be rejected", cfg)
 		}
 	}
@@ -68,7 +66,7 @@ func TestMigrationRoundTripMatchesOracle(t *testing.T) {
 		CacheBytes: 1 << 16,
 		Placement:  placement.Config{Policy: placement.SMOnlyWithCache, UserTablesOnly: true},
 	}
-	s, inst, tables, _ := adaptiveFixture(t, cfg)
+	s, inst, tables := adaptiveFixture(t, cfg)
 
 	const table = 1
 	if !s.Swappable(table) {
@@ -178,7 +176,7 @@ func TestMigrationValidation(t *testing.T) {
 		Seed: 9, ReserveSM: true, Ring: uring.Config{SGL: true},
 		Placement: placement.Config{Policy: placement.SMOnlyWithCache, UserTablesOnly: true},
 	}
-	s, inst, _, _ := adaptiveFixture(t, cfg)
+	s, inst, _ := adaptiveFixture(t, cfg)
 	itemTable := inst.Config.NumUserTables // first item table: FM, not swappable
 	if s.Swappable(itemTable) {
 		t.Fatal("item table should not be swappable under UserTablesOnly")
@@ -224,7 +222,7 @@ func TestMigrationPreservesOnlineUpdates(t *testing.T) {
 		CacheBytes: 1 << 16,
 		Placement:  placement.Config{Policy: placement.SMOnlyWithCache, UserTablesOnly: true},
 	}
-	s, inst, tables, _ := adaptiveFixture(t, cfg)
+	s, inst, tables := adaptiveFixture(t, cfg)
 	const table = 0
 	spec := inst.Tables[table]
 	// Use another row's stored bytes as the update payload, so the flat
@@ -304,7 +302,7 @@ func TestTableStatsPerTableCounters(t *testing.T) {
 		CacheBytes: 1 << 16,
 		Placement:  placement.Config{Policy: placement.SMOnlyWithCache, UserTablesOnly: true},
 	}
-	s, inst, _, _ := adaptiveFixture(t, cfg)
+	s, inst, _ := adaptiveFixture(t, cfg)
 	gen, err := workload.NewGenerator(inst, workload.Config{Seed: 13, NumUsers: 100})
 	if err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ func TestSteadyStateQueryAllocs(t *testing.T) {
 				Ring: uring.Config{SGL: true}, CacheBytes: 1 << 20,
 				Parallelism: p,
 			}
-			s, _ := openStore(t, in, tables, cfg)
+			s := openStore(t, in, tables, cfg)
 			gen, err := workload.NewGenerator(in, workload.Config{Seed: 7, NumUsers: 500, UserAlpha: 0.8})
 			if err != nil {
 				t.Fatal(err)
@@ -71,21 +71,18 @@ func TestOpenReplicaMatchesOpen(t *testing.T) {
 		Seed: 3, SMTech: blockdev.NandFlash,
 		Ring: uring.Config{SGL: true}, CacheBytes: 1 << 20,
 	}
-	var dclk simclock.Clock
-	donor, err := Open(in, tables, cfg, &dclk)
+	donor, err := Open(in, tables, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	rcfg := cfg
 	rcfg.Seed = 9
-	var rclk simclock.Clock
-	replica, err := OpenReplica(donor, rcfg, &rclk)
+	replica, err := OpenReplica(donor, rcfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fclk simclock.Clock
-	fresh, err := Open(in, tables, rcfg, &fclk)
+	fresh, err := Open(in, tables, rcfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +142,7 @@ func TestOpenReplicaMatchesOpen(t *testing.T) {
 
 	// The donor must be untouched by replica construction and replica
 	// queries: its own run still matches a pristine store with its seed.
-	var pclk simclock.Clock
-	pristine, err := Open(in, tables, cfg, &pclk)
+	pristine, err := Open(in, tables, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,16 +159,14 @@ func TestOpenReplicaMatchesOpen(t *testing.T) {
 func TestOpenReplicaRejectsConfigDrift(t *testing.T) {
 	in, tables := fixture(t)
 	cfg := Config{Seed: 3, SMTech: blockdev.NandFlash, Ring: uring.Config{SGL: true}}
-	var clk simclock.Clock
-	donor, err := Open(in, tables, cfg, &clk)
+	donor, err := Open(in, tables, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := cfg
 	bad.Seed = 4
 	bad.CacheBytes = 1 << 24
-	var rclk simclock.Clock
-	if _, err := OpenReplica(donor, bad, &rclk); err == nil {
+	if _, err := OpenReplica(donor, bad, nil); err == nil {
 		t.Fatal("OpenReplica accepted a config that differs beyond Seed")
 	}
 }

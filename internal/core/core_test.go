@@ -10,7 +10,6 @@ import (
 	"sdm/internal/model"
 	"sdm/internal/placement"
 	"sdm/internal/quant"
-	"sdm/internal/simclock"
 	"sdm/internal/uring"
 	"sdm/internal/workload"
 )
@@ -34,14 +33,13 @@ func fixture(t *testing.T) (*model.Instance, []*embedding.Table) {
 	return in, tables
 }
 
-func openStore(t *testing.T, in *model.Instance, tables []*embedding.Table, cfg Config) (*Store, *simclock.Clock) {
+func openStore(t *testing.T, in *model.Instance, tables []*embedding.Table, cfg Config) *Store {
 	t.Helper()
-	var clk simclock.Clock
-	s, err := Open(in, tables, cfg, &clk)
+	s, err := Open(in, tables, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, &clk
+	return s
 }
 
 // checkAgainstOracle pools a trace through the store and compares every
@@ -87,19 +85,19 @@ func trace(t *testing.T, in *model.Instance, n int, seed uint64) []workload.Quer
 
 func TestStoreMatchesOracleBaseline(t *testing.T) {
 	in, tables := fixture(t)
-	s, _ := openStore(t, in, tables, Config{Seed: 1})
+	s := openStore(t, in, tables, Config{Seed: 1})
 	checkAgainstOracle(t, s, in, tables, trace(t, in, 20, 1))
 }
 
 func TestStoreMatchesOracleSGL(t *testing.T) {
 	in, tables := fixture(t)
-	s, _ := openStore(t, in, tables, Config{Seed: 1, Ring: uring.Config{SGL: true}})
+	s := openStore(t, in, tables, Config{Seed: 1, Ring: uring.Config{SGL: true}})
 	checkAgainstOracle(t, s, in, tables, trace(t, in, 20, 2))
 }
 
 func TestStoreMatchesOraclePruned(t *testing.T) {
 	in, tables := fixture(t)
-	s, _ := openStore(t, in, tables, Config{Seed: 1, Prune: true})
+	s := openStore(t, in, tables, Config{Seed: 1, Prune: true})
 	if s.Stats().MapperFMBytes == 0 {
 		t.Fatal("pruned store must account mapper FM bytes")
 	}
@@ -108,7 +106,7 @@ func TestStoreMatchesOraclePruned(t *testing.T) {
 
 func TestStoreMatchesOracleDepruned(t *testing.T) {
 	in, tables := fixture(t)
-	s, _ := openStore(t, in, tables, Config{Seed: 1, Prune: true, Deprune: true})
+	s := openStore(t, in, tables, Config{Seed: 1, Prune: true, Deprune: true})
 	if s.Stats().MapperFMBytes != 0 {
 		t.Fatal("depruned store must free all mapper FM")
 	}
@@ -120,13 +118,13 @@ func TestStoreMatchesOracleDepruned(t *testing.T) {
 
 func TestStoreMatchesOracleDequantAtLoad(t *testing.T) {
 	in, tables := fixture(t)
-	s, _ := openStore(t, in, tables, Config{Seed: 1, DequantAtLoad: true, Ring: uring.Config{SGL: true}})
+	s := openStore(t, in, tables, Config{Seed: 1, DequantAtLoad: true, Ring: uring.Config{SGL: true}})
 	checkAgainstOracle(t, s, in, tables, trace(t, in, 15, 5))
 }
 
 func TestStoreMatchesOraclePooledCache(t *testing.T) {
 	in, tables := fixture(t)
-	s, _ := openStore(t, in, tables, Config{
+	s := openStore(t, in, tables, Config{
 		Seed: 1, PooledCacheBytes: 1 << 20, PooledLenThreshold: 2,
 		Ring: uring.Config{SGL: true},
 	})
@@ -142,14 +140,14 @@ func TestStoreMatchesOraclePooledCache(t *testing.T) {
 func TestStoreMatchesOracleCacheVariants(t *testing.T) {
 	for _, kind := range []CacheKind{CacheDual, CacheMemOptimized, CacheCPUOptimized} {
 		in, tables := fixture(t)
-		s, _ := openStore(t, in, tables, Config{Seed: 1, CacheKind: kind})
+		s := openStore(t, in, tables, Config{Seed: 1, CacheKind: kind})
 		checkAgainstOracle(t, s, in, tables, trace(t, in, 10, 8))
 	}
 }
 
 func TestCacheWarmsUp(t *testing.T) {
 	in, tables := fixture(t)
-	s, _ := openStore(t, in, tables, Config{Seed: 1, CacheBytes: 32 << 20, Ring: uring.Config{SGL: true}})
+	s := openStore(t, in, tables, Config{Seed: 1, CacheBytes: 32 << 20, Ring: uring.Config{SGL: true}})
 	qs := trace(t, in, 60, 9)
 	now := s.LoadDone()
 	for _, q := range qs {
@@ -185,8 +183,8 @@ func TestDepruneExtraAccesses(t *testing.T) {
 	in, tables := fixture(t)
 	qs := trace(t, in, 80, 10)
 
-	pruned, _ := openStore(t, in, tables, Config{Seed: 1, Prune: true})
-	depruned, _ := openStore(t, in, tables, Config{Seed: 1, Prune: true, Deprune: true})
+	pruned := openStore(t, in, tables, Config{Seed: 1, Prune: true})
+	depruned := openStore(t, in, tables, Config{Seed: 1, Prune: true, Deprune: true})
 	run := func(s *Store) Stats {
 		now := s.LoadDone()
 		for _, q := range qs {
@@ -219,7 +217,7 @@ func TestSGLSavesFMBandwidthAndBus(t *testing.T) {
 	in, tables := fixture(t)
 	qs := trace(t, in, 40, 11)
 	run := func(sgl bool) (*Store, Stats) {
-		s, _ := openStore(t, in, tables, Config{Seed: 1, Ring: uring.Config{SGL: sgl}, CacheBytes: 1 << 14})
+		s := openStore(t, in, tables, Config{Seed: 1, Ring: uring.Config{SGL: sgl}, CacheBytes: 1 << 14})
 		now := s.LoadDone()
 		for _, q := range qs {
 			outs := s.AllocOutputs(q)
@@ -247,7 +245,7 @@ func TestSGLSavesFMBandwidthAndBus(t *testing.T) {
 
 func TestPlacementFMDirect(t *testing.T) {
 	in, tables := fixture(t)
-	s, _ := openStore(t, in, tables, Config{
+	s := openStore(t, in, tables, Config{
 		Seed: 1,
 		Placement: placement.Config{
 			Policy: placement.FixedFMWithCache, UserTablesOnly: true,
@@ -273,7 +271,7 @@ func TestPlacementFMDirect(t *testing.T) {
 
 func TestUpdateRowOfflineAndOnline(t *testing.T) {
 	in, tables := fixture(t)
-	s, _ := openStore(t, in, tables, Config{Seed: 1, Ring: uring.Config{SGL: true}})
+	s := openStore(t, in, tables, Config{Seed: 1, Ring: uring.Config{SGL: true}})
 	// Pick an SM-resident user table and a non-pruned row.
 	tbl := 0
 	spec := in.Tables[tbl]
@@ -306,7 +304,7 @@ func TestUpdateRowOfflineAndOnline(t *testing.T) {
 
 func TestUpdateErrors(t *testing.T) {
 	in, tables := fixture(t)
-	s, _ := openStore(t, in, tables, Config{Seed: 1})
+	s := openStore(t, in, tables, Config{Seed: 1})
 	if _, err := s.UpdateRow(0, 99, 0, nil, UpdateOffline); err == nil {
 		t.Fatal("bad table should fail")
 	}
@@ -317,8 +315,8 @@ func TestUpdateErrors(t *testing.T) {
 
 func TestUpdateIntervalLimit(t *testing.T) {
 	in, tables := fixture(t)
-	nand, _ := openStore(t, in, tables, Config{Seed: 1, SMTech: blockdev.NandFlash})
-	opt, _ := openStore(t, in, tables, Config{Seed: 1, SMTech: blockdev.OptaneSSD})
+	nand := openStore(t, in, tables, Config{Seed: 1, SMTech: blockdev.NandFlash})
+	opt := openStore(t, in, tables, Config{Seed: 1, SMTech: blockdev.OptaneSSD})
 	ni, oi := nand.UpdateIntervalLimit(), opt.UpdateIntervalLimit()
 	if ni <= 0 || oi <= 0 {
 		t.Fatal("intervals must be positive")
@@ -345,7 +343,7 @@ func TestWarmupOverprovision(t *testing.T) {
 
 func TestLoadAccounting(t *testing.T) {
 	in, tables := fixture(t)
-	s, _ := openStore(t, in, tables, Config{Seed: 1})
+	s := openStore(t, in, tables, Config{Seed: 1})
 	st := s.Stats()
 	if st.LoadSMBytes == 0 || st.LoadDuration <= 0 {
 		t.Fatalf("load accounting empty: %+v", st)
@@ -361,11 +359,10 @@ func TestLoadAccounting(t *testing.T) {
 
 func TestOpenValidation(t *testing.T) {
 	in, tables := fixture(t)
-	var clk simclock.Clock
-	if _, err := Open(in, tables[:2], Config{}, &clk); err == nil {
+	if _, err := Open(in, tables[:2], Config{}, nil); err == nil {
 		t.Fatal("table/spec mismatch should fail")
 	}
-	if _, err := Open(in, tables, Config{Placement: placement.Config{DenySM: []int{999}}}, &clk); err == nil {
+	if _, err := Open(in, tables, Config{Placement: placement.Config{DenySM: []int{999}}}, nil); err == nil {
 		t.Fatal("bad placement must propagate")
 	}
 }
@@ -383,7 +380,7 @@ func TestCacheKindString(t *testing.T) {
 // shard and a table of larger rows a CPU-optimized one.
 func TestCacheDualShardKinds(t *testing.T) {
 	in, tables := fixture(t)
-	s, _ := openStore(t, in, tables, Config{Seed: 1, CacheKind: CacheDual})
+	s := openStore(t, in, tables, Config{Seed: 1, CacheKind: CacheDual})
 	for _, rowBytes := range []int{64, 255, 256, 1024} {
 		shard := s.mkCacheShard(1<<16, rowBytes)
 		_, mem := shard.(*cache.MemOptimized)

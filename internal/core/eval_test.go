@@ -13,7 +13,7 @@ import (
 // oracle-correct outputs for multi-pool user ops as well.
 func TestInferenceEvalModeThroughStore(t *testing.T) {
 	in, tables := fixture(t)
-	s, _ := openStore(t, in, tables, Config{Seed: 1, Ring: uring.Config{SGL: true}})
+	s := openStore(t, in, tables, Config{Seed: 1, Ring: uring.Config{SGL: true}})
 	g, err := workload.NewGenerator(in, workload.Config{Seed: 31, NumUsers: 40, EvalMode: true})
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func TestInferenceEvalModeThroughStore(t *testing.T) {
 func TestStoreDeterministicReplay(t *testing.T) {
 	run := func() (uint64, uint64) {
 		in, tables := fixture(t)
-		s, _ := openStore(t, in, tables, Config{Seed: 1, Ring: uring.Config{SGL: true}})
+		s := openStore(t, in, tables, Config{Seed: 1, Ring: uring.Config{SGL: true}})
 		g, err := workload.NewGenerator(in, workload.Config{Seed: 17, NumUsers: 30})
 		if err != nil {
 			t.Fatal(err)

@@ -142,8 +142,8 @@ func TestMigrationDataPathMatchesSubmitSync(t *testing.T) {
 		for _, chunk := range []int{1 << 10, 3 << 10, 5000} {
 			t.Run(fmt.Sprintf("devs=%d/chunk=%d", devs, chunk), func(t *testing.T) {
 				cfg := rangeConfig(devs, 8<<10)
-				a, _, tables, _ := adaptiveFixture(t, cfg)
-				b, _, _, _ := adaptiveFixture(t, cfg)
+				a, _, tables := adaptiveFixture(t, cfg)
+				b, _, _ := adaptiveFixture(t, cfg)
 				st := a.tables[table]
 				rr, rb := st.rangeRows, int64(st.rowBytes)
 				lo, hi := (int64(st.numRanges())-3)*rr, st.rows
@@ -273,7 +273,7 @@ func TestMigrationDataPathMatchesSubmitSync(t *testing.T) {
 // window FM-resident and serving.
 func TestStepFailureCountsIssuedBytes(t *testing.T) {
 	const table, chunk = 3, 3 << 10
-	s, _, _, _ := adaptiveFixture(t, rangeConfig(2, 8<<10))
+	s, _, _ := adaptiveFixture(t, rangeConfig(2, 8<<10))
 	st := s.tables[table]
 	rr := st.rangeRows
 	now := s.LoadDone()
@@ -354,7 +354,7 @@ func TestStepFailureCountsIssuedBytes(t *testing.T) {
 // at all for a full-width range once a demotion has parked its buffer.
 func TestMigrationAllocBudget(t *testing.T) {
 	const table = 3
-	s, _, _, _ := adaptiveFixture(t, rangeConfig(2, 0)) // default 256 KiB ranges
+	s, _, _ := adaptiveFixture(t, rangeConfig(2, 0)) // default 256 KiB ranges
 	st := s.tables[table]
 	if st.numRanges() < 3 || st.rows%st.rangeRows == 0 {
 		t.Fatalf("fixture: %d rows in %d-row ranges", st.rows, st.rangeRows)

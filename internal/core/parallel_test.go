@@ -8,7 +8,6 @@ import (
 	"sdm/internal/blockdev"
 	"sdm/internal/cache"
 	"sdm/internal/pooledcache"
-	"sdm/internal/simclock"
 	"sdm/internal/uring"
 	"sdm/internal/workload"
 )
@@ -30,7 +29,7 @@ func runEngine(t *testing.T, parallelism int, cfg Config) engineRun {
 	t.Helper()
 	in, tables := fixture(t)
 	cfg.Parallelism = parallelism
-	s, _ := openStore(t, in, tables, cfg)
+	s := openStore(t, in, tables, cfg)
 	qs := trace(t, in, 40, 99)
 	now := s.LoadDone()
 	var r engineRun
@@ -101,7 +100,7 @@ func TestParallelismBitIdenticalBlockReads(t *testing.T) {
 // functional phase against flat in-memory pooling.
 func TestParallelOracle(t *testing.T) {
 	in, tables := fixture(t)
-	s, _ := openStore(t, in, tables, Config{
+	s := openStore(t, in, tables, Config{
 		Seed: 1, Ring: uring.Config{SGL: true}, Parallelism: 8,
 	})
 	checkAgainstOracle(t, s, in, tables, trace(t, in, 20, 14))
@@ -113,7 +112,7 @@ func TestParallelOracle(t *testing.T) {
 func TestPoolOpsDuplicateTables(t *testing.T) {
 	run := func(p int) ([]OpResult, Stats) {
 		in, tables := fixture(t)
-		s, _ := openStore(t, in, tables, Config{Seed: 3, Parallelism: p})
+		s := openStore(t, in, tables, Config{Seed: 3, Parallelism: p})
 		ops := []workload.TableOp{
 			{Table: 0, Pools: [][]int64{{1, 2, 3}}},
 			{Table: 1, Pools: [][]int64{{4, 5}}},
@@ -145,7 +144,7 @@ func TestPoolOpsDuplicateTables(t *testing.T) {
 func TestPoolOpsValidation(t *testing.T) {
 	in, tables := fixture(t)
 	for _, par := range []int{1, 4} {
-		s, _ := openStore(t, in, tables, Config{Seed: 1, Parallelism: par})
+		s := openStore(t, in, tables, Config{Seed: 1, Parallelism: par})
 		if _, err := s.PoolOps(0, []workload.TableOp{{Table: 99}}, [][][]float32{nil}); err == nil {
 			t.Fatal("bad table should fail")
 		}
@@ -162,7 +161,7 @@ func TestPoolOpsValidation(t *testing.T) {
 // TestSetParallelism checks the knob's clamping behaviour.
 func TestSetParallelism(t *testing.T) {
 	in, tables := fixture(t)
-	s, _ := openStore(t, in, tables, Config{Seed: 1})
+	s := openStore(t, in, tables, Config{Seed: 1})
 	if s.Parallelism() != 1 {
 		t.Fatalf("default parallelism %d, want 1", s.Parallelism())
 	}
@@ -186,8 +185,7 @@ func TestConcurrentStores(t *testing.T) {
 	for h := 0; h < hosts; h++ {
 		go func(h int) {
 			errc <- func() error {
-				var clk simclock.Clock
-				s, err := Open(in, tables, Config{Seed: uint64(h + 1), Parallelism: 4, Ring: uring.Config{SGL: true}}, &clk)
+				s, err := Open(in, tables, Config{Seed: uint64(h + 1), Parallelism: 4, Ring: uring.Config{SGL: true}}, nil)
 				if err != nil {
 					return err
 				}

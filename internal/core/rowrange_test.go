@@ -21,7 +21,7 @@ func rangeFixture(t *testing.T, parallelism int) (*Store, *workloadOracle) {
 		Parallelism: parallelism,
 		Placement:   placement.Config{Policy: placement.SMOnlyWithCache, UserTablesOnly: true},
 	}
-	s, inst, tables, _ := adaptiveFixture(t, cfg)
+	s, inst, tables := adaptiveFixture(t, cfg)
 	gen, err := workload.NewGenerator(inst, workload.Config{Seed: 7, NumUsers: 200})
 	if err != nil {
 		t.Fatal(err)

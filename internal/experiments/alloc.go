@@ -63,12 +63,11 @@ func Alloc(sc Scale) (Result, error) {
 	// on one store, Parallelism 1 so the measuring goroutine performs every
 	// allocation itself.
 	{
-		var clk simclock.Clock
 		scfg := core.Config{
 			Seed: sc.Seed, SMTech: blockdev.NandFlash,
 			Ring: uring.Config{SGL: true}, CacheBytes: 1 << 20, Parallelism: 1,
 		}
-		s, err := core.Open(inst, tables, scfg, &clk)
+		s, err := core.Open(inst, tables, scfg, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -11,7 +11,6 @@ import (
 	"sdm/internal/placement"
 	"sdm/internal/power"
 	"sdm/internal/serving"
-	"sdm/internal/simclock"
 	"sdm/internal/uring"
 	"sdm/internal/workload"
 )
@@ -19,10 +18,9 @@ import (
 // hostQPS builds a host over the given store/flat tables and measures the
 // max QPS at a p95 latency budget.
 func hostQPS(sc Scale, inst *model.Instance, tables []*embedding.Table, scfg *core.Config, hcfg serving.Config, budget time.Duration, hiQPS float64) (float64, serving.Result, error) {
-	var clk simclock.Clock
 	var store *core.Store
 	if scfg != nil {
-		s, err := core.Open(inst, tables, *scfg, &clk)
+		s, err := core.Open(inst, tables, *scfg, nil)
 		if err != nil {
 			return 0, serving.Result{}, err
 		}
@@ -32,7 +30,7 @@ func hostQPS(sc Scale, inst *model.Instance, tables []*embedding.Table, scfg *co
 	if err != nil {
 		return 0, serving.Result{}, err
 	}
-	h, err := serving.NewHost(inst, store, tables, gen, &clk, hcfg)
+	h, err := serving.NewHost(inst, store, tables, gen, nil, hcfg)
 	if err != nil {
 		return 0, serving.Result{}, err
 	}
@@ -537,10 +535,9 @@ func Update(sc Scale) (Result, error) {
 	}
 	r := &tableResult{id: "update"}
 	for _, tech := range []blockdev.Technology{blockdev.NandFlash, blockdev.OptaneSSD} {
-		var clk simclock.Clock
 		s, err := core.Open(inst, tables, core.Config{
 			Seed: sc.Seed, SMTech: tech, Ring: uring.Config{SGL: true}, CacheBytes: 4 << 20,
-		}, &clk)
+		}, nil)
 		if err != nil {
 			return nil, err
 		}

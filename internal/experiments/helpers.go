@@ -91,8 +91,7 @@ func runStoreTraceOn(sc Scale, cfg core.Config, inst *model.Instance, tables []*
 
 // runStoreTraceWorkload is runStoreTraceOn with an explicit workload.
 func runStoreTraceWorkload(sc Scale, cfg core.Config, inst *model.Instance, tables []*embedding.Table, wcfg workload.Config) (*storeRun, error) {
-	var clk simclock.Clock
-	s, err := core.Open(inst, tables, cfg, &clk)
+	s, err := core.Open(inst, tables, cfg, nil)
 	if err != nil {
 		return nil, err
 	}

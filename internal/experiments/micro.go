@@ -146,10 +146,9 @@ type MmapResult struct {
 // into memory for a 128B request"), and the page cache wastes FM by
 // holding whole pages.
 func Mmap(sc Scale) (Result, error) {
-	var clk simclock.Clock
 	spec := blockdev.Spec(blockdev.NandFlash)
-	devA := blockdev.New(spec, 1<<26, &clk, sc.Seed)
-	devB := blockdev.New(spec, 1<<26, &clk, sc.Seed)
+	devA := blockdev.New(spec, 1<<26, nil, sc.Seed)
+	devB := blockdev.New(spec, 1<<26, nil, sc.Seed)
 	direct := uring.NewSync(devA, uring.Config{SGL: true})
 	mm := uring.NewMmap(devB, 64<<10)
 

@@ -198,7 +198,7 @@ func Build(cfg Config, scale float64, seed uint64) (*Instance, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if scale <= 0 || scale > 1 {
+	if !(scale > 0 && scale <= 1) { // NaN-safe
 		return nil, fmt.Errorf("model %s: scale must be in (0,1], got %g", cfg.Name, scale)
 	}
 	rng := xrand.New(seed)

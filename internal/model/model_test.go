@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"sdm/internal/embedding"
@@ -61,8 +62,10 @@ func TestBuildScaleBounds(t *testing.T) {
 	if _, err := Build(M1(), 0, 1); err == nil {
 		t.Error("scale 0 should fail")
 	}
-	if _, err := Build(M1(), 2, 1); err == nil {
-		t.Error("scale > 1 should fail")
+	for _, scale := range []float64{2, math.NaN(), math.Inf(1)} {
+		if _, err := Build(M1(), scale, 1); err == nil || !strings.Contains(err.Error(), "scale") {
+			t.Errorf("scale %v: error %v, want one naming scale", scale, err)
+		}
 	}
 }
 

@@ -6,11 +6,14 @@
 // Tuning API — pre-defined policies by table size and pooling factor, a
 // deny-list of tables that must not go to SM, and the DRAM budget — is
 // reproduced as Config fields.
+//
+// The greedy promotion exists once, as PackRangesWear (ranges.go): New
+// runs it over whole tables offline, the adapt subsystem's planner over
+// tables or row ranges online. A zero-density item is selected by neither.
 package placement
 
 import (
 	"fmt"
-	"sort"
 
 	"sdm/internal/embedding"
 	"sdm/internal/model"
@@ -119,7 +122,11 @@ func (c Config) EligibleSM(idx int, kind embedding.Kind) bool {
 	return true
 }
 
-// New computes a placement plan for inst.
+// New computes a placement plan for inst. FixedFMWithCache runs the same
+// greedy the online planner does (PackRangesWear, over whole-table items
+// and no wear budget), so equal-density tables tie-break on table index at
+// any table count, and a zero-density table (PoolingFactor 0) is never
+// promoted — not even when it would fit the budget left over.
 func New(inst *model.Instance, cfg Config) (*Plan, error) {
 	if cfg.Policy == 0 {
 		cfg.Policy = SMOnlyWithCache
@@ -137,7 +144,6 @@ func New(inst *model.Instance, cfg Config) (*Plan, error) {
 	bwPerQuery := inst.BandwidthPerQuery()
 
 	// Seed: everything defaults to SM unless excluded.
-	budget := cfg.DRAMBudget
 	for i, s := range inst.Tables {
 		d := Decision{Table: i, Target: SM, CacheEnabled: true}
 		if !cfg.EligibleSM(i, s.Kind) {
@@ -146,29 +152,20 @@ func New(inst *model.Instance, cfg Config) (*Plan, error) {
 		plan.Decisions[i] = d
 	}
 
-	if cfg.Policy == FixedFMWithCache && budget > 0 {
+	if cfg.Policy == FixedFMWithCache && cfg.DRAMBudget > 0 {
 		// Greedily promote the tables with the highest bandwidth demand
 		// per byte of capacity — small, hot tables first (the paper's
 		// "pre-defined placement policies based on table size and
-		// pooling factor").
-		order := make([]int, 0, len(inst.Tables))
-		for i := range inst.Tables {
+		// pooling factor"): the shared greedy over whole-table items.
+		var items []RangeItem
+		for i, s := range inst.Tables {
 			if plan.Decisions[i].Target == SM {
-				order = append(order, i)
+				sz := s.SizeBytes()
+				items = append(items, RangeItem{Table: i, Range: WholeTable, Bytes: sz, Density: bwPerQuery[i] / float64(sz)})
 			}
 		}
-		sort.Slice(order, func(a, b int) bool {
-			ta, tb := order[a], order[b]
-			va := bwPerQuery[ta] / float64(inst.Tables[ta].SizeBytes())
-			vb := bwPerQuery[tb] / float64(inst.Tables[tb].SizeBytes())
-			return va > vb
-		})
-		for _, t := range order {
-			sz := inst.Tables[t].SizeBytes()
-			if sz <= budget {
-				plan.Decisions[t].Target = FM
-				budget -= sz
-			}
+		for _, i := range PackRangesWear(items, cfg.DRAMBudget, WearBudget{}) {
+			plan.Decisions[items[i].Table].Target = FM
 		}
 	}
 

@@ -1,6 +1,8 @@
 package placement
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"sdm/internal/embedding"
@@ -229,5 +231,84 @@ func TestDefaultPolicy(t *testing.T) {
 	}
 	if p.SMBytes == 0 {
 		t.Fatal("default policy should place something on SM")
+	}
+}
+
+// equalTables returns an instance whose n user tables share one spec, so
+// their demand densities tie exactly, followed by one small hot item table.
+func equalTables(t *testing.T, n int) *model.Instance {
+	t.Helper()
+	cfg := model.M1()
+	cfg.NumUserTables = n
+	cfg.NumItemTables = 1
+	cfg.TotalBytes = 1 << 24
+	in, err := model.Build(cfg, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= n; i++ {
+		in.Tables[i].Rows, in.Tables[i].Dim, in.Tables[i].QType, in.Tables[i].PoolingFactor = 1024, 64, in.Tables[0].QType, 8
+	}
+	in.Tables[n].Rows = 64
+	return in
+}
+
+func fmTables(p *Plan) []int {
+	var out []int
+	for _, d := range p.Decisions {
+		if d.Target == FM {
+			out = append(out, d.Table)
+		}
+	}
+	return out
+}
+
+func TestFixedFMMatchesPackRangesWear(t *testing.T) {
+	// New's greedy is PackRangesWear over whole-table items: after the hot
+	// table 13, 13 equal-density equal-size tables and a budget for three
+	// of them promote tables 0, 1, 2 — the packer's (Table, Range)
+	// tie-break. The sort.Slice this replaced had none, and pdqsort's
+	// partitioning around table 13 left the ties as 6, 2, 3.
+	const n = 13
+	in := equalTables(t, n)
+	sz := in.Tables[0].SizeBytes()
+	cfg := Config{Policy: FixedFMWithCache, DRAMBudget: in.Tables[n].SizeBytes() + 3*sz + sz/2}
+	p, err := New(in, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmTables(p); !reflect.DeepEqual(got, []int{0, 1, 2, n}) {
+		t.Fatalf("FM tables %v, want [0 1 2 %d]", got, n)
+	}
+	// And on a non-degenerate instance the plan is the packer's, item for item.
+	in = testInstance(t)
+	bw := in.BandwidthPerQuery()
+	var items []RangeItem
+	for i, s := range in.Tables {
+		items = append(items, RangeItem{Table: i, Range: WholeTable, Bytes: s.SizeBytes(), Density: bw[i] / float64(s.SizeBytes())})
+	}
+	cfg.DRAMBudget = in.Tables[0].SizeBytes() + in.Tables[3].SizeBytes() + in.Tables[5].SizeBytes()
+	if p, err = New(in, cfg); err != nil {
+		t.Fatal(err)
+	}
+	want := PackRangesWear(items, cfg.DRAMBudget, WearBudget{})
+	sort.Ints(want)
+	if got := fmTables(p); !reflect.DeepEqual(got, want) {
+		t.Fatalf("New promoted tables %v, PackRangesWear selected %v", got, want)
+	}
+}
+
+func TestFixedFMNeverPromotesZeroDensity(t *testing.T) {
+	// A table nothing looks up (PoolingFactor 0: embedding.Spec.Validate
+	// allows it) has zero demand density; the shared packer never selects a
+	// zero-score item, so it stays on SM even when it fits the budget.
+	in := equalTables(t, 4)
+	in.Tables[2].PoolingFactor = 0
+	p, err := New(in, Config{Policy: FixedFMWithCache, DRAMBudget: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmTables(p); !reflect.DeepEqual(got, []int{0, 1, 3, 4}) {
+		t.Fatalf("FM tables %v, want [0 1 3 4] (table 2 has no demand)", got)
 	}
 }

@@ -2,8 +2,9 @@
 // whole tables to row ranges. The offline §4.6 knapsack ranks tables by
 // bandwidth demand per byte of capacity; at range granularity the same
 // ranking runs over [lo, hi) row windows, so a DRAM budget can hold the
-// hot head of several tables instead of every byte of a few — the adapt
-// subsystem calls into PackRangesWear with live demand densities.
+// hot head of several tables instead of every byte of a few. PackRangesWear
+// is the one implementation: New packs whole-table items from the static
+// profile, the adapt subsystem packs tables or ranges from live demand.
 
 package placement
 

@@ -37,8 +37,7 @@ func fixture(t *testing.T) (*model.Instance, []*embedding.Table) {
 
 func sdmHost(t *testing.T, in *model.Instance, tables []*embedding.Table, hcfg Config, scfg core.Config) (*Host, *core.Store) {
 	t.Helper()
-	var clk simclock.Clock
-	store, err := core.Open(in, tables, scfg, &clk)
+	store, err := core.Open(in, tables, scfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +45,7 @@ func sdmHost(t *testing.T, in *model.Instance, tables []*embedding.Table, hcfg C
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := NewHost(in, store, tables, gen, &clk, hcfg)
+	h, err := NewHost(in, store, tables, gen, nil, hcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +178,7 @@ func TestExecQueryMatchesPoolOpsOracle(t *testing.T) {
 	scfg := core.Config{Seed: 13, Ring: uring.Config{SGL: true}, CacheBytes: 1 << 14}
 	for _, interOp := range []bool{true, false} {
 		h, _ := sdmHost(t, in, tables, Config{Spec: HWSS(), InterOp: interOp, Seed: 13}, scfg)
-		var clk simclock.Clock
-		replica, err := core.Open(in, tables, scfg, &clk)
+		replica, err := core.Open(in, tables, scfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,12 +313,11 @@ func TestAccelHostFasterDense(t *testing.T) {
 
 func TestRemoteUserPath(t *testing.T) {
 	in, tables := fixture(t)
-	var clk simclock.Clock
 	gen, err := workload.NewGenerator(in, workload.Config{Seed: 6, NumUsers: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := NewHost(in, nil, tables, gen, &clk, Config{
+	h, err := NewHost(in, nil, tables, gen, nil, Config{
 		Spec: HWAN(), InterOp: true, RemoteUserPath: true, Seed: 6,
 	})
 	if err != nil {
@@ -385,12 +382,11 @@ func TestFlatHostReportsCPUUtil(t *testing.T) {
 	// the cores and must show up as utilization (it used to read 0%
 	// because only store CPU was counted).
 	in, tables := fixture(t)
-	var clk simclock.Clock
 	gen, err := workload.NewGenerator(in, workload.Config{Seed: 10, NumUsers: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := NewHost(in, nil, tables, gen, &clk, Config{Spec: HWL(), InterOp: true, Seed: 10})
+	h, err := NewHost(in, nil, tables, gen, nil, Config{Spec: HWL(), InterOp: true, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,12 +452,11 @@ func TestAdmitAndOutstanding(t *testing.T) {
 
 func TestNewHostValidation(t *testing.T) {
 	in, _ := fixture(t)
-	var clk simclock.Clock
 	gen, _ := workload.NewGenerator(in, workload.Config{Seed: 1})
-	if _, err := NewHost(in, nil, nil, gen, &clk, Config{Spec: HWSS()}); err == nil {
+	if _, err := NewHost(in, nil, nil, gen, nil, Config{Spec: HWSS()}); err == nil {
 		t.Fatal("host without any backing should fail")
 	}
-	if _, err := NewHost(in, nil, nil, gen, &clk, Config{Spec: HostSpec{Name: "x"}, RemoteUserPath: true}); err == nil {
+	if _, err := NewHost(in, nil, nil, gen, nil, Config{Spec: HostSpec{Name: "x"}, RemoteUserPath: true}); err == nil {
 		t.Fatal("zero cores should fail")
 	}
 }

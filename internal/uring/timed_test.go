@@ -14,12 +14,11 @@ import (
 // is the contract the deferred-timing query engine rests on.
 func TestSubmitTimedReadMatchesSubmitSync(t *testing.T) {
 	for _, sgl := range []bool{false, true} {
-		var clkA, clkB simclock.Clock
 		// Nand has tail events and an outstanding cap, exercising both the
 		// RNG and the software queue.
 		spec := blockdev.Spec(blockdev.NandFlash)
-		devA := blockdev.New(spec, 1<<22, &clkA, 11)
-		devB := blockdev.New(spec, 1<<22, &clkB, 11)
+		devA := blockdev.New(spec, 1<<22, nil, 11)
+		devB := blockdev.New(spec, 1<<22, nil, 11)
 		seed := make([]byte, 1<<22)
 		for i := range seed {
 			seed[i] = byte(i * 31)
@@ -65,8 +64,7 @@ func TestSubmitTimedReadMatchesSubmitSync(t *testing.T) {
 
 // TestAccountReadBounds checks the timing-only path validates like Read.
 func TestAccountReadBounds(t *testing.T) {
-	var clk simclock.Clock
-	dev := blockdev.New(blockdev.Spec(blockdev.OptaneSSD), 4096, &clk, 1)
+	dev := blockdev.New(blockdev.Spec(blockdev.OptaneSSD), 4096, nil, 1)
 	if _, err := dev.AccountRead(0, 4000, 200, false); err == nil {
 		t.Fatal("out-of-range account must fail")
 	}

@@ -13,8 +13,7 @@ import (
 // newNandRing builds a ring over a Nand device; maxOutstanding > 0 overrides
 // the device's recommended cap.
 func newNandRing(cfg Config, maxOutstanding int) *SyncRing {
-	var clk simclock.Clock
-	dev := blockdev.New(blockdev.Spec(blockdev.NandFlash), 1<<22, &clk, 1)
+	dev := blockdev.New(blockdev.Spec(blockdev.NandFlash), 1<<22, nil, 1)
 	if maxOutstanding > 0 {
 		dev.MaxOutstanding = maxOutstanding
 	}
@@ -130,8 +129,7 @@ func TestRingSGLSavesBus(t *testing.T) {
 }
 
 func TestSyncRingBasic(t *testing.T) {
-	var clk simclock.Clock
-	dev := blockdev.New(blockdev.Spec(blockdev.OptaneSSD), 1<<20, &clk, 1)
+	dev := blockdev.New(blockdev.Spec(blockdev.OptaneSSD), 1<<20, nil, 1)
 	r := NewSync(dev, Config{SGL: true})
 	buf := make([]byte, 128)
 	done, err := r.SubmitSync(0, buf, 0, false)
@@ -147,8 +145,7 @@ func TestSyncRingBasic(t *testing.T) {
 }
 
 func TestSyncRingThrottle(t *testing.T) {
-	var clk simclock.Clock
-	dev := blockdev.New(blockdev.Spec(blockdev.NandFlash), 1<<24, &clk, 1)
+	dev := blockdev.New(blockdev.Spec(blockdev.NandFlash), 1<<24, nil, 1)
 	dev.MaxOutstanding = 2
 	capped := NewSync(dev, Config{})
 	buf := make([]byte, 128)
@@ -170,8 +167,7 @@ func TestSyncRingThrottle(t *testing.T) {
 }
 
 func TestSyncRingWrite(t *testing.T) {
-	var clk simclock.Clock
-	dev := blockdev.New(blockdev.Spec(blockdev.NandFlash), 1<<20, &clk, 1)
+	dev := blockdev.New(blockdev.Spec(blockdev.NandFlash), 1<<20, nil, 1)
 	r := NewSync(dev, Config{})
 	src := []byte{9, 8, 7}
 	if _, err := r.SubmitSync(0, src, 100, true); err != nil {
@@ -187,8 +183,7 @@ func TestSyncRingWrite(t *testing.T) {
 }
 
 func TestMmapPageCache(t *testing.T) {
-	var clk simclock.Clock
-	dev := blockdev.New(blockdev.Spec(blockdev.NandFlash), 1<<20, &clk, 1)
+	dev := blockdev.New(blockdev.Spec(blockdev.NandFlash), 1<<20, nil, 1)
 	m := NewMmap(dev, 64<<10) // 16 pages
 	buf := make([]byte, 128)
 	// First access faults; second hits.
@@ -208,8 +203,7 @@ func TestMmapPageCache(t *testing.T) {
 }
 
 func TestMmapEviction(t *testing.T) {
-	var clk simclock.Clock
-	dev := blockdev.New(blockdev.Spec(blockdev.NandFlash), 1<<20, &clk, 1)
+	dev := blockdev.New(blockdev.Spec(blockdev.NandFlash), 1<<20, nil, 1)
 	m := NewMmap(dev, 8<<10) // 2 pages
 	buf := make([]byte, 16)
 	for i := int64(0); i < 10; i++ {
@@ -229,10 +223,9 @@ func TestMmapEviction(t *testing.T) {
 func TestMmapSlowerThanDirect(t *testing.T) {
 	// §4.1: mmap results in ~3× higher access latency for small random
 	// reads with no spatial locality (cold pages every time).
-	var clk simclock.Clock
 	spec := blockdev.Spec(blockdev.NandFlash)
-	devA := blockdev.New(spec, 1<<24, &clk, 1)
-	devB := blockdev.New(spec, 1<<24, &clk, 1)
+	devA := blockdev.New(spec, 1<<24, nil, 1)
+	devB := blockdev.New(spec, 1<<24, nil, 1)
 	direct := NewSync(devA, Config{SGL: true})
 	m := NewMmap(devB, 16<<10)
 

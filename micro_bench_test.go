@@ -265,8 +265,7 @@ func BenchmarkDeviceAccountRead(b *testing.B) {
 }
 
 func BenchmarkDeviceReadSGL(b *testing.B) {
-	var clk simclock.Clock
-	dev := blockdev.New(blockdev.Spec(blockdev.OptaneSSD), 1<<24, &clk, 4)
+	dev := blockdev.New(blockdev.Spec(blockdev.OptaneSSD), 1<<24, nil, 4)
 	buf := make([]byte, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -289,10 +288,9 @@ func BenchmarkStorePoolOp(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var clk simclock.Clock
 	store, err := core.Open(inst, tables, core.Config{
 		Seed: 5, CacheBytes: 16 << 20, Ring: uring.Config{SGL: true},
-	}, &clk)
+	}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

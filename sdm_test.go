@@ -17,11 +17,10 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var clk Clock
 	store, err := Open(inst, tables, Config{
 		SMTech: OptaneSSD,
 		Ring:   RingConfig{SGL: true},
-	}, &clk)
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +84,7 @@ func TestHostFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var clk Clock
-	store, err := Open(inst, tables, Config{Ring: RingConfig{SGL: true}}, &clk)
+	store, err := Open(inst, tables, Config{Ring: RingConfig{SGL: true}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +92,7 @@ func TestHostFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	host, err := NewHost(inst, store, tables, gen, &clk, HostConfig{Spec: HWSS(), InterOp: true, Seed: 3})
+	host, err := NewHost(inst, store, tables, gen, nil, HostConfig{Spec: HWSS(), InterOp: true, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
