@@ -113,11 +113,11 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	// Experiments are independent simulations: run them across a worker
-	// pool and print the results in request order. Each store additionally
-	// fans its query operators across all cores via the sharded engine, so
-	// the numbers are identical to a sequential run. Exclusive experiments
-	// (allocation measurements over process-global MemStats) run afterwards
-	// with the pool drained, so concurrent simulations can't pollute them.
+	// pool and print the results in request order. Each simulation is
+	// deterministic, so the numbers are identical to a sequential run.
+	// Exclusive experiments (allocation measurements over process-global
+	// MemStats) run afterwards with the pool drained, so concurrent
+	// simulations can't pollute them.
 	results := make([]experiments.Result, len(ids))
 	errs := make([]error, len(ids))
 	next := make(chan int)

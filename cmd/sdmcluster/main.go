@@ -241,7 +241,6 @@ func run(args []string, stdout io.Writer) error {
 	scfg := core.Config{
 		Seed: *seed, SMTech: blockdev.NandFlash,
 		Ring: uring.Config{SGL: true}, CacheBytes: 1 << 20,
-		Parallelism: runtime.GOMAXPROCS(0),
 	}
 	if *adaptOn {
 		// Adaptive tiering needs swappable tables and an FM budget for the

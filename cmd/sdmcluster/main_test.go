@@ -62,6 +62,7 @@ func TestFlagValidation(t *testing.T) {
 		{"unknown policy", "-policy fastest"},
 		{"unknown scorer", "-policy weighted -scorers luck=1"},
 		{"admission", "-admit gold"},
+		{`class "a" listed twice`, "-sloclasses 2 -admit a=500,a=400"},
 	} {
 		err := run(strings.Fields(c.args), io.Discard)
 		if err == nil || !strings.Contains(err.Error(), c.want) {

@@ -2,12 +2,9 @@ package cache
 
 // TableSharded is the aggregate view over per-table row-cache shards. One
 // embedding operator touches exactly one table, so the store gives each
-// table its own RowCache and probes it directly: independent operators
-// share no cache state, and cache contents evolve identically no matter in
-// which order (or on how many workers) the operators run — which keeps
-// virtual-time accounting bit-identical between Parallelism=1 and
-// Parallelism=N. What is left to do across shards is summing their counters
-// and draining their dirty rows.
+// table its own RowCache, sized from the table's share of the FM budget,
+// and probes it directly. What is left to do across shards is summing their
+// counters and draining their dirty rows.
 //
 // Shards are registered with Add in a fixed order and both operations walk
 // them in that order, so flush-driven device writes stay deterministic. The

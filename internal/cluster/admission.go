@@ -45,11 +45,13 @@ type AdmitConfig struct {
 // AdmitConfig: one "name=rate[:burst][:queue|shed]" entry per SLO class,
 // in class order. Rate is queries/second; burst the bucket depth in
 // tokens (omitted = the rate/10 default); the trailing mode selects
-// queue-on-empty instead of the default shed. Example:
+// queue-on-empty instead of the default shed. Class names must be unique.
+// Example:
 //
 //	gold=3000:30,best-effort=2000:20:queue
 func ParseAdmit(spec string) (AdmitConfig, error) {
 	var cfg AdmitConfig
+	seen := make(map[string]bool)
 	for _, entry := range strings.Split(spec, ",") {
 		entry = strings.TrimSpace(entry)
 		name, rest, ok := strings.Cut(entry, "=")
@@ -57,6 +59,10 @@ func ParseAdmit(spec string) (AdmitConfig, error) {
 			return cfg, fmt.Errorf("cluster: admission entry %q is not name=rate[:burst][:queue|shed]", entry)
 		}
 		cl := ClassAdmit{Name: strings.TrimSpace(name)}
+		if seen[cl.Name] {
+			return cfg, fmt.Errorf("cluster: admission class %q listed twice", cl.Name)
+		}
+		seen[cl.Name] = true
 		parts := strings.Split(rest, ":")
 		if len(parts) > 3 {
 			return cfg, fmt.Errorf("cluster: admission entry %q has too many fields", entry)

@@ -17,7 +17,7 @@ import (
 	"sdm/internal/workload"
 )
 
-func fixture(t *testing.T) (*model.Instance, []*embedding.Table) {
+func fixture(t testing.TB) (*model.Instance, []*embedding.Table) {
 	t.Helper()
 	cfg := model.M1()
 	cfg.NumUserTables = 5

@@ -446,9 +446,12 @@ func ScorerNames() []string {
 
 // ParseScorers parses a "name=weight,name=weight" spec (e.g.
 // "affinity=1,queue=0.4,migavoid=1.2") into a scorer composition for a
-// fleet of the given size. Names must be known (ScorerNames), unique, and
-// weights finite and >= 0.
+// fleet of the given size (>= 1). Names must be known (ScorerNames),
+// unique, and weights finite and >= 0.
 func ParseScorers(spec string, hosts int) ([]ScorerWeight, error) {
+	if hosts < 1 {
+		return nil, fmt.Errorf("cluster: scorer spec for %d hosts: hosts must be >= 1", hosts)
+	}
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("cluster: empty scorer spec (known scorers: %s)", strings.Join(ScorerNames(), ", "))
 	}

@@ -210,6 +210,12 @@ func TestParseScorers(t *testing.T) {
 	if _, err := ParseScorers("bogus=1", 3); err == nil || !strings.Contains(err.Error(), "affinity") {
 		t.Fatalf("unknown-scorer error should list known names, got %v", err)
 	}
+	// A fleet size below one is rejected here, by name, not later by New.
+	for _, hosts := range []int{0, -1} {
+		if _, err := ParseScorers("affinity=1", hosts); err == nil || !strings.Contains(err.Error(), "hosts") {
+			t.Fatalf("ParseScorers at %d hosts: error %v, want one naming hosts", hosts, err)
+		}
+	}
 }
 
 func TestMigrationAvoidScorerGating(t *testing.T) {
@@ -290,6 +296,9 @@ func TestParseAdmit(t *testing.T) {
 		if _, err := ParseAdmit(bad); err == nil {
 			t.Fatalf("spec %q should be rejected", bad)
 		}
+	}
+	if _, err := ParseAdmit("a=500, a =400"); err == nil || !strings.Contains(err.Error(), `class "a" listed twice`) {
+		t.Fatalf("duplicate class: error %v, want one naming the class", err)
 	}
 }
 

@@ -14,10 +14,9 @@ import (
 
 // TestSteadyStateQueryAllocs pins the allocation budget of the warm query
 // path. After the arena, caches, scratch and result buffers reach steady
-// state, a query at Parallelism 1 allocates nothing — the whole chain
-// (NextShared, OutputsFor, PoolQuery with deferred-IO replay) runs on
-// recycled storage. At Parallelism 4 only the per-query fan-out machinery
-// (worker goroutines and their error slice) remains.
+// state, a query allocates nothing at any Parallelism setting — the whole
+// chain (NextShared, OutputsFor, PoolQuery with deferred-IO replay) runs
+// on recycled storage, on the calling goroutine.
 func TestSteadyStateQueryAllocs(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parallelism=%d", p), func(t *testing.T) {
@@ -47,15 +46,8 @@ func TestSteadyStateQueryAllocs(t *testing.T) {
 			for i := 0; i < 3000; i++ {
 				step()
 			}
-			avg := testing.AllocsPerRun(500, step)
-			// Parallelism 1 is the zero-alloc contract; the parallel path
-			// pays a handful of allocations for goroutine fan-out.
-			limit := 0.0
-			if p > 1 {
-				limit = 16
-			}
-			if avg > limit {
-				t.Fatalf("steady-state query allocates %.2f objects/run, want <= %g", avg, limit)
+			if avg := testing.AllocsPerRun(500, step); avg > 0 {
+				t.Fatalf("steady-state query allocates %.2f objects/run, want 0", avg)
 			}
 		})
 	}

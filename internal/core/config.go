@@ -79,13 +79,8 @@ type Config struct {
 	// PooledLenThreshold is Table 4's LenThreshold knob.
 	PooledLenThreshold int
 
-	// Parallelism is the worker count of the sharded query engine: a
-	// query's TableOps fan out across this many workers (the row cache and
-	// pooled cache are sharded by table, so independent operators take no
-	// shared locks), while SM timing is replayed deterministically in
-	// operator order. Virtual-time accounting and store statistics are
-	// bit-identical at every setting; only wall-clock time changes.
-	// 0 or 1 executes operators on the calling goroutine.
+	// Parallelism is ignored; kept because frozen bench/ sets it. A
+	// query's operators run on the goroutine that calls PoolOps/PoolQuery.
 	Parallelism int
 
 	// Placement selects the §4.6 policy, DRAM budget and deny-list.
@@ -136,9 +131,6 @@ func (c Config) Defaulted() Config {
 	}
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = 8 << 20
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = 1
 	}
 	if c.PooledLenThreshold <= 0 {
 		c.PooledLenThreshold = 4

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"sdm/internal/cache"
+	"sdm/internal/embedding"
 	"sdm/internal/placement"
 	"sdm/internal/quant"
 	"sdm/internal/simclock"
@@ -32,10 +33,8 @@ type deferredIO struct {
 }
 
 // opCtx is the execution state of one TableOp inside the query engine:
-// operator-local accounting plus the deferred IO trace. Everything an
-// operator mutates through an opCtx is either local to it or owned by its
-// table (cache shard, pooled shard), so operators on distinct tables can
-// run on different workers.
+// operator-local accounting plus the deferred IO trace, held back until
+// every op of the batch has passed its functional phase.
 type opCtx struct {
 	st  *tableState
 	now simclock.Time
@@ -43,8 +42,6 @@ type opCtx struct {
 	// stats accumulates runtime counter deltas, merged into Store.stats
 	// in operator order after the functional phase.
 	stats Stats
-	// buf is the worker's scratch row buffer.
-	buf []byte
 	// rlk accumulates per-row-range lookup deltas for range-provisioned
 	// SM tables (nil otherwise), merged into the table state in operator
 	// order alongside stats.
@@ -135,6 +132,9 @@ func (s *Store) poolOne(c *opCtx, pool []int64, out []float32) error {
 func (s *Store) fetchAndAccumulate(c *opCtx, row int64, out []float32) error {
 	st := c.st
 	rb := st.rowBytes
+	if row < 0 || row >= st.rows {
+		return fmt.Errorf("core: table %d: %w: %d of %d", st.spec.ID, embedding.ErrRowRange, row, st.rows)
+	}
 	if c.rlk != nil {
 		c.rlk[row/st.rangeRows]++
 	}
@@ -146,7 +146,7 @@ func (s *Store) fetchAndAccumulate(c *opCtx, row int64, out []float32) error {
 		c.res.CPUTime += perByteCost(costFMReadPerByteNs+costDequantPerByteNs, rb)
 		return quant.AccumulateRow(out, b, st.storedSpec.QType)
 	}
-	buf := c.buf[:rb]
+	buf := s.rowBuf[:rb]
 	key := cache.Key{Table: int32(st.spec.ID), Row: row}
 
 	if st.cacheEnabled {
@@ -207,8 +207,6 @@ type QueryResult struct {
 // PoolQuery runs all ops of q at virtual time now, writing pooled outputs
 // into outs (outs[i][b] is op i, pool b; dims must match). Ops are issued
 // concurrently (inter-op parallelism): each op sees the same issue time.
-// With cfg.Parallelism > 1 the ops also execute concurrently on the host
-// running the simulation; accounting is identical either way.
 func (s *Store) PoolQuery(now simclock.Time, q workload.Query, outs [][][]float32) (QueryResult, error) {
 	res := QueryResult{UserIODone: now, ItemIODone: now}
 	rs, err := s.PoolOps(now, q.Ops, outs)

@@ -1,47 +1,34 @@
-// The sharded parallel query engine. A query's TableOps execute in two
-// phases:
+// The query engine. A batch of TableOps executes on the calling goroutine
+// in two phases:
 //
-//  1. A functional phase fans the ops across cfg.Parallelism workers. Each
-//     op touches only state owned by its table — the per-table row-cache
-//     shard, pooled-cache shard and mapper — plus worker-local scratch, so
-//     no locks are taken. SM row data is copied out immediately (device
-//     contents are immutable during a query), but the read's *timing* is
-//     only recorded as a deferred IO.
-//  2. A replay phase walks the ops in index order on the calling goroutine
-//     and books every deferred IO through the io_uring model and the
-//     device channel/RNG model — exactly the sequence a single-threaded
-//     execution would have produced.
+//  1. A functional phase runs the ops in order. Each op pools its rows
+//     through its table's row-cache shard, pooled-cache shard and mapper;
+//     SM row data is copied out immediately (device contents are immutable
+//     during a query), but the read's *timing* is only recorded as a
+//     deferred IO, and counter deltas stay in the op's context.
+//  2. A replay phase walks the ops in order and books every deferred IO
+//     through the io_uring model and the device channel/RNG model, then
+//     folds the counters.
 //
-// Because phase 1 mutates only order-independent state and phase 2 is
-// totally ordered, virtual-time accounting, statistics and cache contents
-// are bit-identical at every Parallelism setting; only wall-clock time
-// changes.
+// The split is what makes a failed batch atomic in virtual time: an op that
+// fails its functional phase returns before anything is booked on a ring
+// or device or folded into a counter. A query's ops are too small (a few
+// µs each) to repay a cross-thread hand-off; the cores a simulation can
+// use go to hosts, one level up (cluster.Config.HostWorkers).
 
 package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"sdm/internal/placement"
 	"sdm/internal/simclock"
 	"sdm/internal/workload"
 )
 
-// SetParallelism sets the query-engine worker count for subsequent
-// queries; p <= 0 selects GOMAXPROCS. It must not be called concurrently
-// with queries. Accounting is unaffected — see Config.Parallelism.
-func (s *Store) SetParallelism(p int) {
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	s.cfg.Parallelism = p
-}
-
-// Parallelism returns the effective worker count of the query engine.
-func (s *Store) Parallelism() int { return s.cfg.Parallelism }
+// SetParallelism is a no-op: a query's ops always run on the calling
+// goroutine. It is kept because the frozen bench/ driver calls it.
+func (s *Store) SetParallelism(int) {}
 
 // PoolOps executes a batch of operators issued at the same virtual time
 // and returns one OpResult per op. It is PoolQuery without the
@@ -51,9 +38,9 @@ func (s *Store) Parallelism() int { return s.cfg.Parallelism }
 // table's Dim.
 //
 // Error semantics are uniform: when an op fails validation or its
-// functional phase, no results, counters or SM timing are recorded, though
-// cache shards retain rows fetched before the failure — identically at
-// every Parallelism setting.
+// functional phase, PoolOps returns its error and records no results,
+// counters or SM timing, though cache shards retain rows fetched before
+// the failure.
 //
 // The returned slice is backed by store-owned scratch and is only valid
 // until the next PoolOps/PoolQuery call; copy any OpResult that must
@@ -62,11 +49,6 @@ func (s *Store) PoolOps(now simclock.Time, ops []workload.TableOp, outs [][][]fl
 	if len(outs) != len(ops) {
 		return nil, fmt.Errorf("core: %d output sets for %d ops", len(outs), len(ops))
 	}
-	// Upfront validation, plus duplicate-table detection: two ops on the
-	// same table would share a cache shard, so such batches (never emitted
-	// by the workload generator) run the functional phase sequentially.
-	s.opGen++
-	dupTables := false
 	for i, op := range ops {
 		if op.Table < 0 || op.Table >= len(s.tables) {
 			return nil, fmt.Errorf("core: op table %d out of range", op.Table)
@@ -80,46 +62,25 @@ func (s *Store) PoolOps(now simclock.Time, ops []workload.TableOp, outs [][][]fl
 				return nil, fmt.Errorf("core: out[%d] dim %d, want %d", b, len(outs[i][b]), dim)
 			}
 		}
-		if s.opStamp[op.Table] == s.opGen {
-			dupTables = true
-		}
-		s.opStamp[op.Table] = s.opGen
 	}
-
-	workers := 1
-	if !dupTables {
-		workers = s.cfg.Parallelism
-		if workers > len(ops) {
-			workers = len(ops)
-		}
-		if workers < 1 {
-			workers = 1
-		}
-	}
-	scratch := s.scratchFor(workers)
 
 	ctxs := s.ctxsFor(len(ops))
-	var err error
-	if workers <= 1 {
-		// Closure-free single-worker path: with Parallelism 1 the
-		// functional phase allocates nothing. Error semantics match
-		// runIndexed — every op runs, the lowest-index error wins.
-		for i := range ops {
-			if e := s.execOp(ctxs, scratch, ops, outs, now, 0, i); e != nil && err == nil {
-				err = e
-			}
+	for i, op := range ops {
+		c := &ctxs[i]
+		c.st = s.tables[op.Table]
+		c.now = now
+		c.res.IODone = now
+		if c.st.rangeLookups != nil && c.st.target == placement.SM {
+			c.rlk = zeroedRanges(c.rlk, len(c.st.rangeLookups))
+		} else {
+			c.rlk = nil
 		}
-	} else {
-		err = runIndexed(len(ops), workers, func(worker, i int) error {
-			return s.execOp(ctxs, scratch, ops, outs, now, worker, i)
-		})
-	}
-	if err != nil {
-		return nil, err
+		if err := s.runOp(c, op, outs[i]); err != nil {
+			return nil, err
+		}
 	}
 
-	// Deterministic merge: replay deferred IO and fold per-op counters in
-	// operator order.
+	// Replay deferred IO and fold per-op counters in operator order.
 	if cap(s.resBuf) < len(ops) {
 		s.resBuf = make([]OpResult, len(ops))
 	}
@@ -138,22 +99,6 @@ func (s *Store) PoolOps(now simclock.Time, ops []workload.TableOp, outs [][][]fl
 		results[i] = c.res
 	}
 	return results, nil
-}
-
-// execOp prepares op i's context and runs its functional phase on the
-// given worker's scratch.
-func (s *Store) execOp(ctxs []opCtx, scratch []*opScratch, ops []workload.TableOp, outs [][][]float32, now simclock.Time, worker, i int) error {
-	c := &ctxs[i]
-	c.st = s.tables[ops[i].Table]
-	c.now = now
-	c.res.IODone = now
-	c.buf = scratch[worker].buf
-	if c.st.rangeLookups != nil && c.st.target == placement.SM {
-		c.rlk = zeroedRanges(c.rlk, len(c.st.rangeLookups))
-	} else {
-		c.rlk = nil
-	}
-	return s.runOp(c, ops[i], outs[i])
 }
 
 // replayIO books the timing of an op's deferred SM reads in issue order:
@@ -186,14 +131,6 @@ func (s *Stats) addRuntime(d Stats) {
 	s.FMBytesMoved += d.FMBytesMoved
 }
 
-// scratchFor returns n per-worker scratch slots, growing the pool lazily.
-func (s *Store) scratchFor(n int) []*opScratch {
-	for len(s.scratch) < n {
-		s.scratch = append(s.scratch, &opScratch{buf: make([]byte, s.maxRowBytes)})
-	}
-	return s.scratch[:n]
-}
-
 // ctxsFor returns n reset per-op contexts, reusing their deferred-IO
 // slice capacity across calls.
 func (s *Store) ctxsFor(n int) []opCtx {
@@ -216,40 +153,6 @@ func zeroedRanges(dst []uint64, n int) []uint64 {
 		return make([]uint64, n)
 	}
 	dst = dst[:n]
-	for i := range dst {
-		dst[i] = 0
-	}
+	clear(dst)
 	return dst
-}
-
-// runIndexed runs fn(worker, i) for i in [0, n) across the given worker
-// count and reports the lowest-index error. Every index runs even when an
-// earlier one fails — matching the concurrent schedule, where later ops
-// are already in flight when an error surfaces — so the state left behind
-// by a failed batch is identical at every worker count. PoolOps runs the
-// single-worker case itself, closure-free, with the same semantics.
-func runIndexed(n, workers int, fn func(worker, i int) error) error {
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(worker, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

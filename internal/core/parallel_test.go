@@ -1,12 +1,15 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sdm/internal/blockdev"
 	"sdm/internal/cache"
+	"sdm/internal/embedding"
 	"sdm/internal/pooledcache"
 	"sdm/internal/uring"
 	"sdm/internal/workload"
@@ -96,8 +99,8 @@ func TestParallelismBitIdenticalBlockReads(t *testing.T) {
 	}
 }
 
-// TestParallelOracle checks output correctness of the concurrent
-// functional phase against flat in-memory pooling.
+// TestParallelOracle checks output correctness at a Parallelism setting
+// the engine ignores against flat in-memory pooling.
 func TestParallelOracle(t *testing.T) {
 	in, tables := fixture(t)
 	s := openStore(t, in, tables, Config{
@@ -139,8 +142,8 @@ func TestPoolOpsDuplicateTables(t *testing.T) {
 	}
 }
 
-// TestPoolOpsValidation checks the batch validation errors on the
-// single-worker and the fanned-out path.
+// TestPoolOpsValidation checks the batch validation errors at two
+// Parallelism settings.
 func TestPoolOpsValidation(t *testing.T) {
 	in, tables := fixture(t)
 	for _, par := range []int{1, 4} {
@@ -155,29 +158,75 @@ func TestPoolOpsValidation(t *testing.T) {
 		if _, err := s.PoolOps(0, []workload.TableOp{op}, nil); err == nil {
 			t.Fatal("missing outputs should fail")
 		}
+		neg := workload.TableOp{Table: 0, Pools: [][]int64{{-1}}}
+		if _, err := s.PoolOps(0, []workload.TableOp{neg}, [][][]float32{{make([]float32, in.Tables[0].Dim)}}); !errors.Is(err, embedding.ErrRowRange) {
+			t.Fatalf("negative row: error %v, want a row-range error", err)
+		}
 	}
 }
 
-// TestSetParallelism checks the knob's clamping behaviour.
-func TestSetParallelism(t *testing.T) {
+// TestPoolOpsFailedBatchBooksNothing pins why the engine defers SM timing
+// to a replay phase: a batch whose third of four ops fails in its
+// functional phase returns that op's error and leaves the store's
+// counters, rings and devices exactly as they were, although the first two
+// ops already read rows off the devices. The next valid batch then books
+// the same completion instants as on a twin store that never saw the
+// failed batch.
+func TestPoolOpsFailedBatchBooksNothing(t *testing.T) {
 	in, tables := fixture(t)
-	s := openStore(t, in, tables, Config{Seed: 1})
-	if s.Parallelism() != 1 {
-		t.Fatalf("default parallelism %d, want 1", s.Parallelism())
+	cfg := Config{Seed: 5, Ring: uring.Config{SGL: true}, CacheBytes: 1 << 20}
+	s := openStore(t, in, tables, cfg)
+	twin := openStore(t, in, tables, cfg)
+	batch := func(rows [4][]int64) ([]workload.TableOp, [][][]float32) {
+		ops := make([]workload.TableOp, len(rows))
+		outs := make([][][]float32, len(rows))
+		for i, r := range rows {
+			ops[i] = workload.TableOp{Table: i, Pools: [][]int64{r}}
+			outs[i] = [][]float32{make([]float32, in.Tables[i].Dim)}
+		}
+		return ops, outs
 	}
-	s.SetParallelism(6)
-	if s.Parallelism() != 6 {
-		t.Fatalf("parallelism %d, want 6", s.Parallelism())
+	type snapshot struct {
+		store Stats
+		ring  uring.Stats
+		dev   blockdev.Stats
 	}
-	s.SetParallelism(0)
-	if s.Parallelism() < 1 {
-		t.Fatal("auto parallelism must be >= 1")
+	snap := func(s *Store) snapshot { return snapshot{s.Stats(), s.RingStats(), s.DeviceStats()} }
+
+	before := snap(s)
+	ops, outs := batch([4][]int64{{1, 2, 3}, {4, 5}, {in.Tables[2].Rows}, {6, 7}})
+	if _, err := s.PoolOps(s.LoadDone(), ops, outs); !errors.Is(err, embedding.ErrRowRange) || !strings.Contains(err.Error(), "table 2") {
+		t.Fatalf("failed batch returned %v, want table 2's row-range error", err)
+	}
+	if s.CacheStats().Puts == 0 {
+		t.Fatal("the ops before the failure never reached the devices")
+	}
+	if got := snap(s); !reflect.DeepEqual(got, before) {
+		t.Fatalf("failed batch booked state:\n before %+v\n after  %+v", before, got)
+	}
+
+	ops, outs = batch([4][]int64{{10, 11}, {12}, {13, 14}, {15}})
+	at := s.LoadDone() + 1000
+	got, err := s.PoolOps(at, ops, outs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append([]OpResult(nil), got...)
+	want, err := twin.PoolOps(at, ops, outs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("valid batch after a failed one:\n got  %+v\n twin %+v", got, want)
+	}
+	if !reflect.DeepEqual(snap(s), snap(twin)) {
+		t.Fatalf("store state diverged from the twin:\n got  %+v\n twin %+v", snap(s), snap(twin))
 	}
 }
 
 // TestConcurrentStores drives independent stores from concurrent
-// goroutines, each with an internally parallel engine — the fleet-runner
-// shape — to give -race a cross-store workout.
+// goroutines — the fleet-runner shape — to give -race a cross-store
+// workout.
 func TestConcurrentStores(t *testing.T) {
 	in, tables := fixture(t)
 	const hosts = 3

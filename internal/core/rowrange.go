@@ -37,8 +37,7 @@ func (st *tableState) rangeBounds(r int) (lo, hi int64) {
 }
 
 // fmRangeRow returns row's stored bytes when its range is FM-resident,
-// nil when the row serves from SM. Read-only during query execution, so
-// the parallel engine may call it from any worker.
+// nil when the row serves from SM.
 func (st *tableState) fmRangeRow(row int64) []byte {
 	if st.fmRange == nil {
 		return nil

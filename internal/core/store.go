@@ -21,11 +21,10 @@ import (
 // and serves pooled embedding lookups with virtual-time accounting.
 //
 // Store methods must not be called concurrently: whoever drives a store
-// (a host, an experiment loop) books its virtual time from one goroutine.
-// Internally, PoolQuery/PoolOps fan a query's operators across
-// cfg.Parallelism workers (see parallel.go); the caches are sharded by
-// table so that internal concurrency is lock-free and its accounting
-// deterministic.
+// (a host, an experiment loop) books its virtual time from one goroutine,
+// and PoolQuery/PoolOps run a query's operators on that goroutine too (see
+// parallel.go). The caches are sharded by table: each table gets its own
+// FM budget.
 type Store struct {
 	cfg  Config
 	inst *model.Instance
@@ -46,14 +45,9 @@ type Store struct {
 
 	stats Stats
 
-	// maxRowBytes sizes per-worker scratch row buffers.
-	maxRowBytes int
-	// scratch holds one reusable row buffer per engine worker.
-	scratch []*opScratch
-	// opStamp/opGen detect duplicate tables in an op batch without
-	// allocating (stamp[t] == gen means table t was already seen).
-	opStamp []uint32
-	opGen   uint32
+	// rowBuf is the query engine's row scratch, sized to the widest stored
+	// row.
+	rowBuf []byte
 	// ctxBuf holds reusable per-op execution contexts (their deferred-IO
 	// slices keep capacity across queries), so the query hot path is
 	// allocation-light.
@@ -72,11 +66,6 @@ type Store struct {
 	// demotions (and aborted promotions) released, for the next range
 	// promotion of any table to reuse instead of allocating.
 	spareRanges [][]byte
-}
-
-// opScratch is the per-worker scratch state of the query engine.
-type opScratch struct {
-	buf []byte
 }
 
 // tableState is the runtime placement of one table.
@@ -110,8 +99,8 @@ type tableState struct {
 	migIn  *Migration
 	migOut *Migration
 
-	// runtime accumulates this table's runtime counters. The query engine
-	// folds them in operator order, so they are parallelism-invariant.
+	// runtime accumulates this table's runtime counters, folded by the
+	// query engine's replay phase.
 	runtime Stats
 
 	// fm is set for FM-direct tables.
@@ -270,8 +259,7 @@ func OpenReplica(donor *Store, cfg Config, _ *simclock.Clock) (*Store, error) {
 		s.rings[d] = uring.NewSync(s.devices[d], cfg.Ring)
 	}
 
-	s.maxRowBytes = donor.maxRowBytes
-	s.opStamp = make([]uint32, len(s.tables))
+	s.rowBuf = make([]byte, len(donor.rowBuf))
 
 	if err := s.accountLoad(); err != nil {
 		return nil, err
@@ -405,8 +393,7 @@ func (s *Store) loadTables(tables []*embedding.Table) error {
 		}
 		maxRowBytes = max(maxRowBytes, st.rowBytes)
 	}
-	s.maxRowBytes = maxRowBytes
-	s.opStamp = make([]uint32, len(s.tables))
+	s.rowBuf = make([]byte, maxRowBytes)
 	return nil
 }
 
@@ -445,9 +432,7 @@ func (s *Store) accountLoad() error {
 // buildCaches sizes the FM caches after mapper tensors take their cut.
 // Both the row cache and the pooled cache are sharded by table: each
 // cache-enabled SM table gets its own shard with a budget proportional to
-// its stored bytes. Independent table operators therefore share no cache
-// state, which is what lets the parallel query engine run them on any
-// worker in any order with bit-identical results.
+// its stored bytes.
 func (s *Store) buildCaches() {
 	eff := s.cfg.CacheBytes - s.stats.MapperFMBytes - s.cfg.PooledCacheBytes
 	if eff < 1<<12 {

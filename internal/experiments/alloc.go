@@ -17,7 +17,7 @@ import (
 // AllocResult is the steady-state allocation budget of the simulator's two
 // hot paths: the store-level query engine and the fleet loop. Unlike the
 // wall-clock fleetscale trajectory these rows are (near-)deterministic —
-// single measuring goroutine, fixed Parallelism/HostWorkers, warm caches,
+// single measuring goroutine, fixed HostWorkers, warm caches,
 // runtime.MemStats deltas — so benchdiff gates them regression-only: a
 // >10% growth in B/query or allocs/query fails CI, improvements pass.
 type AllocResult struct {
@@ -60,12 +60,11 @@ func Alloc(sc Scale) (Result, error) {
 	}
 
 	// Engine path: arena-backed generation + recycled outputs + PoolQuery
-	// on one store, Parallelism 1 so the measuring goroutine performs every
-	// allocation itself.
+	// on one store; the query runs on the measuring goroutine.
 	{
 		scfg := core.Config{
 			Seed: sc.Seed, SMTech: blockdev.NandFlash,
-			Ring: uring.Config{SGL: true}, CacheBytes: 1 << 20, Parallelism: 1,
+			Ring: uring.Config{SGL: true}, CacheBytes: 1 << 20,
 		}
 		s, err := core.Open(inst, tables, scfg, nil)
 		if err != nil {
@@ -107,7 +106,7 @@ func Alloc(sc Scale) (Result, error) {
 	{
 		scfg := core.Config{
 			Seed: sc.Seed, SMTech: blockdev.NandFlash,
-			Ring: uring.Config{SGL: true}, CacheBytes: 1 << 20, Parallelism: 1,
+			Ring: uring.Config{SGL: true}, CacheBytes: 1 << 20,
 		}
 		hcfg := serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: sc.Seed}
 		const nHosts = 4
@@ -151,7 +150,7 @@ func Alloc(sc Scale) (Result, error) {
 	}
 
 	res.notes = append(res.notes,
-		"steady-state MemStats deltas over warm loops at Parallelism/HostWorkers 1; gated regression-only in benchdiff (>10% growth fails, improvements pass)",
+		"steady-state MemStats deltas over warm loops at HostWorkers 1; gated regression-only in benchdiff (>10% growth fails, improvements pass)",
 		"engine = NextShared + OutputsFor + PoolQuery on one store; fleet = full Fleet.Run including routing, admission and per-run aggregation")
 	return res, nil
 }

@@ -1,6 +1,6 @@
 // Package lint is the repo's determinism-lint suite (the analyzers behind
 // cmd/sdmvet). Every PR defends one invariant — virtual-time results,
-// traces, and metrics are bit-identical at any HostWorkers/Parallelism —
+// traces, and metrics are bit-identical at any HostWorkers —
 // and the dynamic determinism tests only cover the paths the drills
 // exercise. These analyzers turn the invariant into a static property:
 //

@@ -7,7 +7,7 @@
 // by default (a nil *Collector costs nothing); when enabled, every
 // emitter appends to its own Collector and the fleet merges the streams
 // in virtual-time order after the run, so traces are bit-identical at
-// any HostWorkers/Parallelism setting — the same discipline that makes
+// any HostWorkers setting — the same discipline that makes
 // the results themselves replayable, now applied to the reasoning.
 //
 // A counterfactual pass (LevelCounterfactual) re-scores each routing

@@ -27,6 +27,28 @@ func TestParseLevelRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParseLevel feeds arbitrary -trace-level values to ParseLevel. The only
+// legal outcomes are an error or a level whose String() is the input, so
+// parsing it again returns the same level. Seeds are the four spellings, the
+// values sdmcluster's tests and this package's reject, and near misses.
+func FuzzParseLevel(f *testing.F) {
+	for _, s := range []string{"off", "summary", "decisions", "counterfactual", "loud", "verbose", "Level(3)", "Off", " off", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		l, err := ParseLevel(s)
+		if err != nil {
+			return
+		}
+		if l.String() != s {
+			t.Fatalf("ParseLevel(%q) = %v, which renders as %q", s, l, l.String())
+		}
+		if again, err := ParseLevel(l.String()); err != nil || again != l {
+			t.Fatalf("ParseLevel(%q) = %v, but ParseLevel(%q) = %v, %v", s, l, l.String(), again, err)
+		}
+	})
+}
+
 func TestNilCollectorIsInert(t *testing.T) {
 	var c *Collector
 	if c.Active() {

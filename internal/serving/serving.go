@@ -253,9 +253,8 @@ func (h *Host) outsFor(op workload.TableOp) [][]float32 {
 // execQuery runs one query arriving at t0 and returns its completion time.
 // It is the only execution path: ops are walked in order, and every run of
 // consecutive store-backed user ops issues as one store.PoolOps batch — the
-// whole run at t0 with InterOp (the store fans it across its workers and
-// replays SM timing in operator order, so host parallelism never changes
-// measured virtual time), one op at a time without.
+// whole run at t0 with InterOp (the store replays its SM timing in operator
+// order), one op at a time without.
 func (h *Host) execQuery(t0 simclock.Time, q workload.Query) (simclock.Time, error) {
 	nUser := h.inst.Config.NumUserTables
 	var (

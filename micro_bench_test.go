@@ -203,7 +203,7 @@ func BenchmarkIndexDraw(b *testing.B) {
 // by a forced rotation every 1000 queries. memo-hit-% is the share of the
 // timed loop's pools copied out of the memo.
 func BenchmarkGeneratorNextShared(b *testing.B) {
-	inst := fleetModel(b)
+	inst := fleetModel(b, 1.5e-4)
 	for _, pop := range []struct {
 		name  string
 		users int64
@@ -311,14 +311,17 @@ func BenchmarkStorePoolOp(b *testing.B) {
 }
 
 // fleetModel is the end-to-end benchmark's model shape (bench/workloads.go:
-// M1 trimmed to 8 user / 4 item tables at capacity scale 1.5e-4, seed 42).
-func fleetModel(b *testing.B) *Instance {
+// M1 trimmed to 8 user / 4 item tables, 4×64 MLP, seed 42) at the given
+// capacity scale — 1.5e-4 for the fleets, 3e-4 for host-sm-miss.
+func fleetModel(b *testing.B, scale float64) *Instance {
 	b.Helper()
 	cfg := M1()
 	cfg.NumUserTables = 8
 	cfg.NumItemTables = 4
 	cfg.ItemBatch = 8
-	inst, err := Build(cfg, 1.5e-4, 42)
+	cfg.NumMLPLayers = 4
+	cfg.AvgMLPWidth = 64
+	inst, err := Build(cfg, scale, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -329,7 +332,7 @@ func fleetModel(b *testing.B) *Instance {
 // benchmark's model — the synthetic row fill that dominates its setup_s
 // (MB/s is stored table bytes produced).
 func BenchmarkMaterialize(b *testing.B) {
-	inst := fleetModel(b)
+	inst := fleetModel(b, 1.5e-4)
 	var total int64
 	for _, s := range inst.Tables {
 		total += s.SizeBytes()
@@ -351,7 +354,7 @@ func BenchmarkMaterialize(b *testing.B) {
 // bytes; B/op is what the migration engine allocates per window. The
 // opposite move that restores the window runs outside the timer.
 func BenchmarkRangeMigration(b *testing.B) {
-	inst := fleetModel(b)
+	inst := fleetModel(b, 1.5e-4)
 	tables, err := inst.Materialize()
 	if err != nil {
 		b.Fatal(err)

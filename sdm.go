@@ -25,12 +25,11 @@
 //	outs := store.AllocOutputs(q)
 //	res, _ := store.PoolQuery(store.LoadDone(), q, outs)
 //
-// Queries execute on a sharded parallel engine: Config.Parallelism fans a
-// query's table operators across that many workers (the FM row cache and
-// pooled cache are sharded by table, so operators share no locks) while SM
-// timing replays deterministically in operator order. Virtual-time
-// accounting and statistics are bit-identical at every Parallelism
-// setting; only wall-clock time changes.
+// A query's table operators execute on the goroutine that issues it, in two
+// phases: a functional phase pools every op, then an ordered replay books
+// the SM reads' timing and folds the counters, so a batch that fails books
+// nothing. Config.Parallelism is ignored; a fleet's cores go to its hosts
+// (FleetConfig.HostWorkers).
 //
 // Beyond one host, the cluster subsystem runs N Host replicas behind a
 // front-end router with pluggable user→host policies (round-robin,
