@@ -347,7 +347,8 @@ func (v fleetView) Snapshot(id int) serving.CacheSnapshot {
 }
 
 func (v fleetView) FMServedRate(id int) float64 {
-	return v.Snapshot(id).FMServedRate()
+	// Feedback-only, like Snapshot.
+	return v.f.members[id].host.FMServedRate()
 }
 
 func (v fleetView) WearHeadroom(id int) float64 {

@@ -97,12 +97,12 @@ var ErrRowRange = errors.New("embedding: row index out of range")
 const syntheticChunkRows = 4096
 
 // NewSynthetic builds a table with deterministic synthetic content: row r
-// element e is a smooth function of (seed, table ID, r, e), and a ZeroFrac
-// fraction of rows is (near) zero so pruning has something to remove.
-// Determinism lets tests compare the SDM path against a flat oracle. Every
-// row is seeded independently (FillSyntheticRow), so up to GOMAXPROCS workers
-// — the caller is one — fill interleaved row chunks, and the bytes do not
-// depend on how many there are.
+// is a seeded draw keyed by (seed, table ID, r) — zero for a ZeroFrac
+// fraction of rows, so pruning has something to remove, N(0, 0.5²) polar
+// pairs otherwise (FillSyntheticRow). Determinism lets tests compare the SDM
+// path against a flat oracle. Every row is seeded independently, so up to
+// GOMAXPROCS workers — the caller is one — fill interleaved row chunks, and
+// the bytes do not depend on how many there are.
 func NewSynthetic(spec Spec, seed uint64) (*Table, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -141,17 +141,21 @@ func NewSynthetic(spec Spec, seed uint64) (*Table, error) {
 }
 
 // FillSyntheticRow writes the deterministic synthetic values for row r of
-// table tableID into dst. Rows whose hash falls below zeroFrac are zero.
+// table tableID into dst, from an RNG seeded by (seed, tableID, r): zero if
+// its first Float64 falls below zeroFrac, else N(0, 0.5²) elements drawn in
+// NormPair pairs (an odd-length row drops its last pair's second value).
 func FillSyntheticRow(dst []float32, seed uint64, tableID int, r int64, zeroFrac float64) {
 	rng := xrand.New(seed ^ uint64(tableID)<<32 ^ uint64(r)*0x9e3779b97f4a7c15)
 	if zeroFrac > 0 && rng.Float64() < zeroFrac {
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 		return
 	}
-	for i := range dst {
-		dst[i] = float32(rng.Norm(0, 0.5))
+	for i := 0; i < len(dst); i += 2 {
+		z0, z1 := rng.NormPair(0, 0.5)
+		dst[i] = float32(z0)
+		if i+1 < len(dst) {
+			dst[i+1] = float32(z1)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -28,16 +29,23 @@ type AllocResult struct {
 	FleetBPerQuery  float64
 }
 
-// allocDelta runs fn and returns the heap bytes and object allocations it
-// performed, from MemStats deltas around the call.
+// allocDelta runs fn three times and returns the fewest heap bytes and
+// object allocations one call performed, from MemStats deltas around each.
+// A stray runtime allocation only ever adds to one call, while a real
+// per-query cost shows in all three, so the minimum is the stable reading.
 func allocDelta(fn func() error) (bytes, objs uint64, err error) {
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	if err := fn(); err != nil {
-		return 0, 0, err
+	bytes, objs = math.MaxUint64, math.MaxUint64
+	for range 3 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if err := fn(); err != nil {
+			return 0, 0, err
+		}
+		runtime.ReadMemStats(&m1)
+		bytes = min(bytes, m1.TotalAlloc-m0.TotalAlloc)
+		objs = min(objs, m1.Mallocs-m0.Mallocs)
 	}
-	runtime.ReadMemStats(&m1)
-	return m1.TotalAlloc - m0.TotalAlloc, m1.Mallocs - m0.Mallocs, nil
+	return bytes, objs, nil
 }
 
 // Alloc measures the per-query allocation budget the zero-alloc hot-path
@@ -150,7 +158,7 @@ func Alloc(sc Scale) (Result, error) {
 	}
 
 	res.notes = append(res.notes,
-		"steady-state MemStats deltas over warm loops at HostWorkers 1; gated regression-only in benchdiff (>10% growth fails, improvements pass)",
+		"steady-state MemStats deltas over warm loops at HostWorkers 1, the least of three measured loops; gated regression-only in benchdiff (>10% growth fails, improvements pass)",
 		"engine = NextShared + OutputsFor + PoolQuery on one store; fleet = full Fleet.Run including routing, admission and per-run aggregation")
 	return res, nil
 }

@@ -12,7 +12,8 @@ func randRow(seed uint64, dim int) []float32 {
 	rng := xrand.New(seed)
 	row := make([]float32, dim)
 	for i := range row {
-		row[i] = float32(rng.Norm(0, 1))
+		z, _ := rng.NormPair(0, 1)
+		row[i] = float32(z)
 	}
 	return row
 }

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -447,6 +448,50 @@ func TestAdmitAndOutstanding(t *testing.T) {
 	}
 	if h.Ready() < lastDone {
 		t.Fatal("Ready must cover admitted work")
+	}
+}
+
+func TestFMServedRateMatchesSnapshot(t *testing.T) {
+	// The two-counter read the feedback scorer and the gauge use must be
+	// the full snapshot's value bit for bit: before any lookup, between
+	// admissions on a small cache that leaves some reads on SM, and on a
+	// flat host with no store.
+	in, tables := fixture(t)
+	h, _ := sdmHost(t, in, tables,
+		Config{Spec: HWSS(), InterOp: true, Seed: 12},
+		core.Config{Seed: 12, Ring: uring.Config{SGL: true}, CacheBytes: 64 << 10})
+	gen, err := workload.NewGenerator(in, workload.Config{Seed: 12, NumUsers: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(h *Host, what string) {
+		t.Helper()
+		if got, want := h.FMServedRate(), h.Snapshot().FMServedRate(); got != want {
+			t.Fatalf("%s: FMServedRate %v, Snapshot().FMServedRate() %v", what, got, want)
+		}
+	}
+	check(h, "fresh host")
+	at := h.Ready()
+	for i := 0; i < 50; i++ {
+		if _, err := h.Admit(at, gen.Next()); err != nil {
+			t.Fatal(err)
+		}
+		check(h, fmt.Sprintf("after admission %d", i))
+		at += simclock.Time(time.Millisecond)
+	}
+	if r := h.FMServedRate(); r <= 0 || r >= 1 {
+		t.Fatalf("FM-served rate %v on a 64 KiB cache, want strictly between 0 and 1", r)
+	}
+	flat, err := NewHost(in, nil, tables, gen, nil, Config{Spec: HWL(), InterOp: true, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := flat.Admit(flat.Ready(), gen.Next()); err != nil {
+		t.Fatal(err)
+	}
+	check(flat, "flat host")
+	if r := flat.FMServedRate(); r != 0 {
+		t.Fatalf("flat host FM-served rate %v, want 0", r)
 	}
 }
 

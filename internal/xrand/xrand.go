@@ -72,16 +72,18 @@ func (r *RNG) Int63n(n int64) int64 {
 	return int64(r.Uint64() % uint64(n))
 }
 
-// Norm returns a normally distributed value with the given mean and
-// standard deviation (Box–Muller).
-func (r *RNG) Norm(mean, stddev float64) float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
+// NormPair returns two independent normally distributed values with the
+// given mean and standard deviation by Marsaglia's polar method: one Log and
+// one Sqrt per pair, no trigonometry. A caller needing one drops the second.
+func (r *RNG) NormPair(mean, stddev float64) (float64, float64) {
+	for {
+		x := 2*r.Float64() - 1
+		y := 2*r.Float64() - 1
+		if s := x*x + y*y; s > 0 && s < 1 {
+			m := stddev * math.Sqrt(-2*math.Log(s)/s)
+			return mean + x*m, mean + y*m
+		}
 	}
-	u2 := r.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
 }
 
 // Exp returns an exponentially distributed value with the given mean.

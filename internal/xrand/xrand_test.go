@@ -63,22 +63,36 @@ func TestIntnBounds(t *testing.T) {
 	}
 }
 
-func TestNormMoments(t *testing.T) {
+// TestNormPairMoments checks each half of NormPair for the requested mean
+// and σ, and the two halves for independence: a sampler that returned the
+// same draw twice, or two draws tied by one scale, would correlate them.
+func TestNormPairMoments(t *testing.T) {
 	r := New(5)
-	var sum, sq float64
+	var sum, sq [2]float64
+	var cross float64
 	const n = 200000
 	for i := 0; i < n; i++ {
-		v := r.Norm(2, 3)
-		sum += v
-		sq += v * v
+		a, b := r.NormPair(2, 3)
+		for h, v := range [2]float64{a, b} {
+			sum[h] += v
+			sq[h] += v * v
+		}
+		cross += a * b
 	}
-	mean := sum / n
-	stdev := math.Sqrt(sq/n - mean*mean)
-	if math.Abs(mean-2) > 0.05 {
-		t.Errorf("norm mean %g, want ~2", mean)
+	var mean, stdev [2]float64
+	for h := range mean {
+		mean[h] = sum[h] / n
+		stdev[h] = math.Sqrt(sq[h]/n - mean[h]*mean[h])
+		if math.Abs(mean[h]-2) > 0.05 {
+			t.Errorf("half %d: mean %g, want ~2", h, mean[h])
+		}
+		if math.Abs(stdev[h]-3) > 0.05 {
+			t.Errorf("half %d: stddev %g, want ~3", h, stdev[h])
+		}
 	}
-	if math.Abs(stdev-3) > 0.05 {
-		t.Errorf("norm stddev %g, want ~3", stdev)
+	corr := (cross/n - mean[0]*mean[1]) / (stdev[0] * stdev[1])
+	if math.Abs(corr) >= 0.01 {
+		t.Errorf("corr(z0, z1) = %g, want |corr| < 0.01", corr)
 	}
 }
 

@@ -30,7 +30,8 @@ func BenchmarkQuantAccumulateRow(b *testing.B) {
 				src := make([]float32, dim)
 				rng := xrand.New(1)
 				for i := range src {
-					src[i] = float32(rng.Norm(0, 1))
+					z, _ := rng.NormPair(0, 1)
+					src[i] = float32(z)
 				}
 				row := make([]byte, quant.RowBytes(qt, dim))
 				if err := quant.QuantizeRow(row, src, qt); err != nil {
