@@ -3,7 +3,7 @@
 GO ?= go
 REV ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
-.PHONY: all build vet lint fmt-check test race loc loc-check bench bench-scale bench-e2e bench-e2e-smoke bench-e2e-compare smoke reach bench-json bench-baseline bench-diff bench-gate profile ci
+.PHONY: all build vet lint fmt-check test race loc loc-check bench bench-scale bench-e2e bench-e2e-smoke bench-e2e-compare smoke reach bench-json bench-baseline bench-gate profile ci
 
 all: build test
 
@@ -48,7 +48,7 @@ loc:
 # The aim-2 ratchet: the tree may not outgrow the last simplification PR's
 # `make loc` total. Raising LOC_BUDGET is allowed — as a one-line diff a
 # reviewer sees; lower it whenever a PR shrinks the tree.
-LOC_BUDGET = 19377
+LOC_BUDGET = 18915
 
 # The virtual-time ratchet: the seed-7 sim_digest of each bench/ workload
 # (`bench-e2e-smoke` fails when a printed digest differs or is missing). A
@@ -139,26 +139,20 @@ bench-e2e-compare:
 				exit bad }' $$tmp/$$w.rows; \
 	done
 
-# How `smoke` invokes the two CLIs; `reach` substitutes coverage-instrumented
-# binaries.
+# How `smoke` invokes sdmcluster; `reach` substitutes a coverage-instrumented
+# binary.
 SDMCLUSTER ?= $(GO) run ./cmd/sdmcluster
-SDMBENCH ?= $(GO) run ./cmd/sdmbench
 
 # The CLI smoke runs of CI's bench-smoke job: one sdmcluster run per feature
 # family (routing, adaptive tiering at both grains, coordination + wear,
-# weighted scorers, admission, profiling hooks) and the drill experiments.
-# The -workers 1 vs 4 trace/metrics byte-compares are tier-1 tests
-# (cmd/sdmcluster).
+# weighted scorers, admission, profiling hooks). The -workers 1 vs 4
+# trace/metrics byte-compares are tier-1 tests (cmd/sdmcluster); the
+# experiments, drills included, run and are gated in bench-json/bench-gate.
 smoke:
 	$(SDMCLUSTER) -hosts 3 -queries 200 -policy all -warm=false
 	$(SDMCLUSTER) -hosts 2 -queries 300 -policy sticky -hottables 2 -drift 0.5 -adapt -warm=false
-	$(SDMBENCH) -json tab10 warmup > /dev/null
-	$(SDMBENCH) drift
-	$(SDMBENCH) rowrange
-	$(SDMBENCH) coord
 	$(SDMCLUSTER) -hosts 2 -queries 300 -policy sticky -hottables 2 -drift 0.5 -adapt -grain range -warm=false
 	$(SDMCLUSTER) -hosts 3 -queries 300 -policy sticky -hottables 2 -itemtables 1 -drift 0.5 -adapt -grain range -coord -wear 0.01 -warm=false
-	$(SDMBENCH) slo
 	$(SDMCLUSTER) -hosts 3 -queries 300 -policy weighted -scorers affinity=1,queue=0.4,migavoid=1.2 -hottables 2 -drift 0.5 -adapt -grain range -coord -warm=false
 	$(SDMCLUSTER) -hosts 2 -queries 300 -qps 600 -sloclasses 2 -admit gold=200:20,best-effort=100:10:queue -warm=false
 	$(SDMCLUSTER) -hosts 4 -queries 2000 -policy sticky -adapt -cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
@@ -183,7 +177,7 @@ reach:
 		$(GO) build -cover -coverpkg=./... -o $(REACH_DIR)/bin/$$(basename $$p) $$p || exit 1; \
 	done
 	@export GOCOVERDIR=$(REACH_DIR)/cov; b=$(REACH_DIR)/bin; o=$(REACH_DIR)/out; { \
-		$(MAKE) -s smoke SDMCLUSTER=$$b/sdmcluster SDMBENCH=$$b/sdmbench && \
+		$(MAKE) -s smoke SDMCLUSTER=$$b/sdmcluster && \
 		$$b/sdmbench -json all && \
 		$$b/sdmbench -full tab3 tab4 && \
 		$$b/sdmcluster -hosts 3 -queries 300 -policy sticky -fail 1 -json -warm=false && \
@@ -213,9 +207,9 @@ bench-json:
 # baseline is committed at a time — replace it to re-baseline.
 BENCH_BASELINE ?= $(shell git ls-files 'BENCH_*.json' 2>/dev/null)
 
-# The results file bench-diff and bench-gate hold against the baseline. The
-# default is regenerated on every call; name an existing file to diff that
-# one instead (CI passes the BENCH_<sha>.json `make bench-json` just wrote).
+# The results file bench-gate holds against the baseline. The default is
+# regenerated on every call; name an existing file to diff that one instead
+# (CI passes the BENCH_<sha>.json `make bench-json` just wrote).
 BENCH_CURRENT ?= bench-current.json
 
 .PHONY: bench-current.json
@@ -226,31 +220,12 @@ bench-baseline:
 	@set -- $(BENCH_BASELINE); test $$# -eq 1 || { \
 		echo "expected exactly one committed BENCH_*.json baseline, got: '$(BENCH_BASELINE)'" >&2; exit 1; }
 
-# Re-run every experiment and print per-benchmark deltas against the
-# committed baseline. Warn-only by default; add BENCH_DIFF_FLAGS=-fail-on-change
-# to gate on drift locally.
-bench-diff: bench-baseline $(BENCH_CURRENT)
-	$(GO) run ./cmd/benchdiff $(BENCH_DIFF_FLAGS) $(BENCH_BASELINE) $(BENCH_CURRENT)
-
-# The experiment ids CI gates exactly (query-engine and cluster benchmarks:
-# deterministic virtual-time rows; the adapt drills drift/rowrange/coord,
-# the slo serving drill and wall-clock fleetscale stay warn-only).
-BENCH_GATED = fig1,tab1,fig3,tab2,fig4,fig5,fig6,tab3,tab4,tab8,tab9,tab10,tab11,cluster,sgl,mmap,deprune,dequant,interop,polling,warmup,update
-
-# Cost-budget ids gated direction-aware: only increases beyond 10% fail
-# (the alloc experiment's B/query and allocs/query rows — process-global
-# MemStats deltas, so not exact; lower is strictly better, so improvements
-# land without a re-baseline).
-BENCH_REGRESS_ONLY = alloc
-
 # The CI gate, runnable locally (CI's "Benchmark diff" step is this target
-# on its own BENCH_<sha>.json): one run of the experiments, two passes over
-# it. What is deterministic is gated exactly — any change to a gated row
-# fails until the baseline is deliberately replaced — and the
-# allocation-budget rows regression-only at 10%.
+# on its own BENCH_<sha>.json): every experiment row is virtual time, so
+# every report is held to the baseline exactly — a changed, added, removed or
+# repeated id fails until the baseline is deliberately replaced.
 bench-gate: bench-baseline $(BENCH_CURRENT)
-	$(GO) run ./cmd/benchdiff -tol 0 -fail-on $(BENCH_GATED) $(BENCH_BASELINE) $(BENCH_CURRENT)
-	$(GO) run ./cmd/benchdiff -tol 10 -regress-only $(BENCH_REGRESS_ONLY) $(BENCH_BASELINE) $(BENCH_CURRENT)
+	$(GO) run ./cmd/benchdiff $(BENCH_BASELINE) $(BENCH_CURRENT)
 
 # Wall-clock profiles of the scale-up path: a 64-host metered fleet under
 # sdmcluster with CPU + heap profiles. Phases carry pprof labels

@@ -333,9 +333,10 @@ func BenchmarkFleetRoutingMetered(b *testing.B) {
 // BenchmarkFleetScale is the scale-up campaign's wall-clock anchor: one
 // warm 64-replica metered sticky fleet, 2000 queries per Run. Virtual-time
 // results are seed-deterministic; us/query, B/op and allocs/op track what a
-// big-fleet campaign costs the simulator host per steady-state Run (the
-// fleetscale experiment's warn-only wall(s) column in BENCH_<rev>.json is
-// the build + warm + run total of the same fleet).
+// big-fleet campaign costs the simulator host per steady-state Run. It is
+// the one place fleet wall clock at scale is measured: `sdmbench` reports
+// virtual time only, and the per-query allocation budget is
+// cluster's TestSteadyStateFleetAllocs.
 func BenchmarkFleetScale(b *testing.B) {
 	sh := fleetShape{hosts: 64, users: 4000, qps: 4000, n: 2000}
 	fl := newFleetBench(b).warmFleet(b, sh, NewSticky(sh.hosts, 64), func(fl *cluster.Fleet) error {

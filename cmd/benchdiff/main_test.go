@@ -1,86 +1,113 @@
 package main
 
 import (
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"sdm/internal/experiments"
 )
 
-// writeReport writes a single-experiment BENCH-style artifact and returns
-// its path.
-func writeReport(t *testing.T, name, row string) string {
+// writeReports writes a BENCH-style artifact and returns its path.
+func writeReports(t *testing.T, reps []experiments.Report) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), name)
-	data := `[{"id":"alloc","title":"t","header":"h","rows":["` + row + `"]}]`
-	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+	data, err := json.MarshalIndent(reps, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "bench.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
-func TestRegressOnlyGatesDirectionAware(t *testing.T) {
-	base := writeReport(t, "base.json", "fleet 2400 100.0 1.00")
-
-	cases := []struct {
-		name    string
-		row     string
-		args    []string
-		wantErr bool
-	}{
-		{"improvement passes", "fleet 2400 50.0 0.50",
-			[]string{"-tol", "10", "-regress-only", "alloc"}, false},
-		{"regression fails", "fleet 2400 150.0 1.50",
-			[]string{"-tol", "10", "-regress-only", "alloc"}, true},
-		{"within tolerance passes", "fleet 2400 105.0 1.00",
-			[]string{"-tol", "10", "-regress-only", "alloc"}, false},
-		{"zero baseline growth fails", "fleet 2400 100.0 1.00",
-			[]string{"-tol", "10", "-regress-only", "alloc"}, false},
-		{"shape change fails", "fleet 2400 n/a 1.00",
-			[]string{"-tol", "10", "-regress-only", "alloc"}, true},
-		{"fail-on still fails on improvement", "fleet 2400 50.0 0.50",
-			[]string{"-tol", "10", "-fail-on", "alloc"}, true},
-		{"ungated drift passes", "fleet 2400 150.0 1.50",
-			[]string{"-tol", "10"}, false},
+// committedBaseline loads the repository's one committed BENCH_*.json.
+func committedBaseline(t *testing.T) []experiments.Report {
+	t.Helper()
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("want exactly one committed BENCH_*.json baseline, got %v (%v)", paths, err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cur := writeReport(t, "cur.json", tc.row)
-			err := run(append(tc.args, base, cur))
-			if (err != nil) != tc.wantErr {
-				t.Fatalf("run(%v) err = %v, wantErr = %v", tc.args, err, tc.wantErr)
+	reps, _, err := load(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reps
+}
+
+// bumpDigit returns row with its first decimal digit incremented (9 wraps to
+// 0): one number edited, everything else byte-equal.
+func bumpDigit(t *testing.T, row string) string {
+	t.Helper()
+	i := strings.IndexAny(row, "0123456789")
+	if i < 0 {
+		t.Fatalf("row %q has no number", row)
+	}
+	return row[:i] + string('0'+(row[i]-'0'+1)%10) + row[i+1:]
+}
+
+// TestExactGate: identical files pass, and every kind of difference fails
+// with an error naming the id — there is no tolerance and no warn-only id.
+func TestExactGate(t *testing.T) {
+	a := experiments.Report{ID: "tab9", Title: "t", Header: "h", Rows: []string{"nand 100", "optane 200"}}
+	b := experiments.Report{ID: "coord", Title: "t", Rows: []string{"lockstep 1.32"}, Notes: []string{"n"}}
+	changed := b
+	changed.Rows = []string{"lockstep 1.33"}
+	extra := experiments.Report{ID: "slo", Title: "t", Rows: []string{"sticky 0.9"}}
+
+	committed := committedBaseline(t)
+	perturbed := make([]experiments.Report, len(committed))
+	copy(perturbed, committed)
+	found := false
+	for i, r := range perturbed {
+		if r.ID == "coord" {
+			rows := append([]string(nil), r.Rows...)
+			rows[0] = bumpDigit(t, rows[0])
+			perturbed[i].Rows = rows
+			found = true
+		}
+	}
+	if !found {
+		t.Fatal("committed baseline has no coord report")
+	}
+
+	for _, c := range []struct {
+		name      string
+		base, cur []experiments.Report
+		want      string // a fragment of the error; "" = must pass
+	}{
+		{"identical files pass", []experiments.Report{a, b}, []experiments.Report{a, b}, ""},
+		{"committed baseline matches itself", committed, committed, ""},
+		{"changed row fails", []experiments.Report{a, b}, []experiments.Report{a, changed}, ": coord (changed) ("},
+		{"changed note fails", []experiments.Report{a, b}, []experiments.Report{a, {ID: "coord", Title: "t", Rows: b.Rows}}, ": coord (changed) ("},
+		{"added id fails", []experiments.Report{a, b}, []experiments.Report{a, b, extra}, ": slo (added) ("},
+		{"removed id fails", []experiments.Report{a, b}, []experiments.Report{b}, ": tab9 (removed) ("},
+		{"repeated id in baseline fails", []experiments.Report{a, b, a}, []experiments.Report{a, b}, `id "tab9" appears more than once`},
+		{"repeated id in current fails", []experiments.Report{a, b}, []experiments.Report{a, b, b}, `id "coord" appears more than once`},
+		{"perturbed coord number in the committed baseline fails", committed, perturbed, ": coord (changed) ("},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			err := run([]string{writeReports(t, c.base), writeReports(t, c.cur)}, io.Discard)
+			switch {
+			case c.want == "" && err != nil:
+				t.Fatalf("want pass, got %v", err)
+			case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+				t.Fatalf("error %v, want one containing %q", err, c.want)
 			}
 		})
 	}
 }
 
-func TestRowDeltaDirection(t *testing.T) {
-	worst, worstUp, ok := rowDelta("a 100 200", "a 50 300")
-	if !ok {
-		t.Fatal("rows should be comparable")
-	}
-	if worst != 50 {
-		t.Fatalf("worst = %g, want 50 (the 100→50 move)", worst)
-	}
-	if worstUp != 50 {
-		t.Fatalf("worstUp = %g, want 50 (the 200→300 move)", worstUp)
-	}
-}
-
-// TestRowDeltaWidenedColumn: a number that gains a digit under a %8.1f verb
-// shortens the padding before it; the rows are still number-comparable (this
-// pair is the fleetscale "64" row against BENCH_b2d3008.json, which used to
-// read "shape changed").
-func TestRowDeltaWidenedColumn(t *testing.T) {
-	worst, worstUp, ok := rowDelta(
-		"64            4800      4782      0.89       2.80      810.0     86.4",
-		"64            4800      4782      0.89       3.22      988.5    105.4")
-	if !ok {
-		t.Fatal("a widened column changed the row's shape")
-	}
-	if worst < 21.9 || worst > 22.1 || worstUp != worst {
-		t.Fatalf("worst = %g, worstUp = %g, want the 22%% growth of 810.0 → 988.5", worst, worstUp)
-	}
-	if _, _, ok := rowDelta("a 1 b", "a 1 c"); ok {
-		t.Fatal("rows with different words are not comparable")
+// TestTakesNoFlags: the only accepted invocation is two file names.
+func TestTakesNoFlags(t *testing.T) {
+	path := writeReports(t, nil)
+	for _, args := range [][]string{nil, {path}, {"-tol", "0", path, path}, {path, path, path}} {
+		if err := run(args, io.Discard); err == nil || !strings.Contains(err.Error(), "usage") {
+			t.Errorf("run(%q) = %v, want a usage error", args, err)
+		}
 	}
 }

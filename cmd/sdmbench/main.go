@@ -2,14 +2,19 @@
 //
 // Usage:
 //
-//	sdmbench [-full] [-scale f] [-queries n] [-seed s] [-json]
+//	sdmbench [-full] [-scale f] [-queries n] [-seed s] [-par n] [-json]
 //	         [-cpuprofile file] [-memprofile file] <experiment>...
 //	sdmbench -list
 //	sdmbench all
 //
 // -json emits the same results as a JSON array of {id, title, header,
 // rows, notes} objects (redirect to BENCH_<rev>.json to track a benchmark
-// trajectory across PRs).
+// trajectory across PRs; cmd/benchdiff compares two such files).
+//
+// Every row is virtual time, so the output for a given scale and seed is
+// byte-identical run to run and at any -par: experiments run concurrently
+// and print in request order. The simulator's own wall clock is measured by
+// the repository-root benchmarks and bench/, not here.
 //
 // Each experiment prints rows mirroring the corresponding artifact of
 // "Supporting Massive DLRM Inference through Software Defined Memory"
@@ -115,9 +120,6 @@ func run(args []string, stdout io.Writer) error {
 	// Experiments are independent simulations: run them across a worker
 	// pool and print the results in request order. Each simulation is
 	// deterministic, so the numbers are identical to a sequential run.
-	// Exclusive experiments (allocation measurements over process-global
-	// MemStats) run afterwards with the pool drained, so concurrent
-	// simulations can't pollute them.
 	results := make([]experiments.Result, len(ids))
 	errs := make([]error, len(ids))
 	next := make(chan int)
@@ -131,18 +133,11 @@ func run(args []string, stdout io.Writer) error {
 			}
 		}()
 	}
-	for i, id := range ids {
-		if !experiments.Exclusive(id) {
-			next <- i
-		}
+	for i := range ids {
+		next <- i
 	}
 	close(next)
 	wg.Wait()
-	for i, id := range ids {
-		if experiments.Exclusive(id) {
-			results[i], errs[i] = experiments.Run(id, sc)
-		}
-	}
 
 	for i, id := range ids {
 		if errs[i] != nil {

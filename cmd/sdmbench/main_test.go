@@ -57,6 +57,23 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestJSONIndependentOfPar: experiments are virtual time, so the worker
+// pool's schedule never shows in the output — the determinism that lets
+// benchdiff gate every row exactly.
+func TestJSONIndependentOfPar(t *testing.T) {
+	ids := []string{"tab10", "warmup", "polling"}
+	var seq, par bytes.Buffer
+	if err := run(append([]string{"-json", "-par", "1"}, ids...), &seq); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append([]string{"-json", "-par", "2"}, ids...), &par); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
+		t.Fatalf("-par 1 and -par 2 differ:\n%s\nvs\n%s", seq.String(), par.String())
+	}
+}
+
 func TestJSONDecodesAsReports(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-json", "tab10", "warmup"}, &out); err != nil {

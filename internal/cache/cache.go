@@ -80,8 +80,6 @@ type RowCache interface {
 	Contains(k Key) bool
 	// Stats returns a snapshot of counters.
 	Stats() Stats
-	// Reset drops all entries and zeroes the counters.
-	Reset()
 	// CPUCostPerGet returns the relative CPU cost model of one lookup
 	// (1.0 = the CPU-optimized cache), used by the serving simulator to
 	// reproduce the Fig. 6 trade-off.

@@ -151,22 +151,6 @@ func TestFlushDirty(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	for name, c := range map[string]RowCache{
-		"mem": NewMemOptimized(1<<16, 255),
-		"cpu": NewCPUOptimized(1 << 16),
-	} {
-		c.Put(Key{Row: 1}, []byte{1})
-		c.Reset()
-		if c.Contains(Key{Row: 1}) {
-			t.Fatalf("%s: reset kept entries", name)
-		}
-		if s := c.Stats(); s.Items != 0 || s.UsedBytes != 0 {
-			t.Fatalf("%s: reset kept stats %+v", name, s)
-		}
-	}
-}
-
 func TestCacheGetReturnsWhatWasPut(t *testing.T) {
 	// Property: Get returns the exact bytes of the latest Put, for rows up
 	// to each organization's side of the paper's 255-byte split.

@@ -116,12 +116,5 @@ func (c *CPUOptimized) Contains(k Key) bool {
 // Stats returns a snapshot of counters.
 func (c *CPUOptimized) Stats() Stats { return c.stats }
 
-// Reset drops all entries and counters.
-func (c *CPUOptimized) Reset() {
-	c.items = make(map[Key]*list.Element)
-	c.lru = list.New()
-	c.stats = Stats{TotalBytes: c.budget}
-}
-
 // CPUCostPerGet returns the relative lookup cost.
 func (c *CPUOptimized) CPUCostPerGet() float64 { return cpuOptCPUCost }

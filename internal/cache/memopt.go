@@ -174,17 +174,5 @@ func (c *MemOptimized) Contains(k Key) bool {
 // Stats returns a snapshot of counters.
 func (c *MemOptimized) Stats() Stats { return c.stats }
 
-// Reset drops all entries and counters.
-func (c *MemOptimized) Reset() {
-	total := c.stats.TotalBytes
-	for i := range c.flags {
-		c.flags[i] = 0
-	}
-	for i := range c.clockHand {
-		c.clockHand[i] = 0
-	}
-	c.stats = Stats{TotalBytes: total}
-}
-
 // CPUCostPerGet returns the relative lookup cost.
 func (c *MemOptimized) CPUCostPerGet() float64 { return memOptCPUCost }

@@ -4,6 +4,11 @@
 // (production sizes do not fit a test machine; all ratios are preserved)
 // and returns a printable result whose rows mirror what the paper reports.
 // cmd/sdmbench prints them; the repository-root benchmarks wrap them.
+//
+// Every row is virtual time: for a given Scale the output is byte-identical
+// run to run and whatever else runs in the process. What the simulator
+// itself costs in wall clock and allocation is measured elsewhere — by the
+// repository-root benchmarks, the steady-state allocation tests and bench/.
 package experiments
 
 import (
@@ -64,8 +69,6 @@ var registry = []struct {
 	{"tab10", "Table 10: M3 SDM sizing roofline", Tab10},
 	{"tab11", "Table 11: M3 multi-tenancy fleet power", Tab11},
 	{"cluster", "§4.2/Fig. 4c at serving time: fleet routing policies", Cluster},
-	{"fleetscale", "scale-up campaign: metered fleet wall-clock/allocation baseline (warn-only)", FleetScale},
-	{"alloc", "steady-state allocation budget: B/query + allocs/query on the engine and fleet hot paths (gated regression-only)", Alloc},
 	{"drift", "adaptive tiering: hot-set rotation, re-placement, capped migration", Drift},
 	{"rowrange", "hot-row-range migration: move rows, not tables, under one bandwidth cap", RowRange},
 	{"coord", "fleet-coordinated, wear-aware migration windows: staggered vs lockstep under drift", Coord},
@@ -79,16 +82,6 @@ var registry = []struct {
 	{"warmup", "§A.4: warmup over-provisioning", Warmup},
 	{"update", "§A.3/§3: model update & endurance", Update},
 }
-
-// exclusiveIDs marks experiments that measure process-global state
-// (runtime.MemStats deltas, wall clock) and therefore must not run
-// concurrently with any other experiment — a parallel harness runs them on
-// their own.
-var exclusiveIDs = map[string]bool{"alloc": true, "fleetscale": true}
-
-// Exclusive reports whether the experiment must run with nothing else
-// allocating in the process (see exclusiveIDs).
-func Exclusive(id string) bool { return exclusiveIDs[id] }
 
 // IDs returns all experiment ids in presentation order.
 func IDs() []string {

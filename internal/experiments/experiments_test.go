@@ -33,12 +33,11 @@ func TestRegistryComplete(t *testing.T) {
 	// Every table and figure of the evaluation must have a runner.
 	want := []string{
 		"fig1", "tab1", "fig3", "tab2", "fig4", "fig5", "fig6",
-		"tab3", "tab4", "tab8", "tab9", "tab10", "tab11", "cluster", "fleetscale", "alloc", "drift",
+		"tab3", "tab4", "tab8", "tab9", "tab10", "tab11", "cluster", "drift",
 		"rowrange", "coord", "slo", "sgl", "mmap", "deprune", "dequant", "interop", "polling", "warmup", "update",
 	}
-	got := IDs()
-	if len(got) != len(want) {
-		t.Fatalf("registry has %d entries, want %d", len(got), len(want))
+	if got := IDs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("registry ids %v, want %v", got, want)
 	}
 	for _, id := range want {
 		if Title(id) == "" {
@@ -47,32 +46,6 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if _, err := Run("nope", quick()); err == nil {
 		t.Fatal("unknown id should fail")
-	}
-}
-
-// TestMemStatsExperimentsAreExclusive: alloc and fleetscale read
-// process-global runtime.MemStats deltas, so a parallel harness must run them
-// with nothing else allocating (under `sdmbench all`, fleetscale's alloc(MB)
-// used to count every concurrently running experiment's garbage).
-func TestMemStatsExperimentsAreExclusive(t *testing.T) {
-	for _, id := range IDs() {
-		if want := id == "alloc" || id == "fleetscale"; Exclusive(id) != want {
-			t.Errorf("Exclusive(%q) = %v, want %v", id, Exclusive(id), want)
-		}
-	}
-}
-
-func TestAlloc(t *testing.T) {
-	res := runExp(t, "alloc").(*AllocResult)
-	// The engine hot path is the zero-alloc contract; a little headroom
-	// absorbs incidental runtime allocations on slow machines.
-	if res.EngineBPerQuery > 64 {
-		t.Fatalf("engine path allocates %.1f B/query, want ~0", res.EngineBPerQuery)
-	}
-	// The fleet path keeps only aggregate per-run costs (histograms,
-	// result assembly) — well under a kilobyte amortized per query.
-	if res.FleetBPerQuery > 1024 {
-		t.Fatalf("fleet path allocates %.1f B/query, want < 1024", res.FleetBPerQuery)
 	}
 }
 

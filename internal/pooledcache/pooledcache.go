@@ -195,13 +195,6 @@ func (c *Cache) evictToFit() {
 // Stats returns a snapshot of counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// Reset drops all entries and counters.
-func (c *Cache) Reset() {
-	c.items = make(map[SeqKey]*list.Element)
-	c.lru = list.New()
-	c.stats = Stats{}
-}
-
 func min(a, b int) int {
 	if a < b {
 		return a

@@ -129,15 +129,6 @@ func TestHitRateAccounting(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c := New(Config{CapacityBytes: 1 << 20, LenThreshold: 1})
-	c.Put(1, []int64{1, 2}, []float32{1})
-	c.Reset()
-	if c.Get(1, []int64{1, 2}) != nil {
-		t.Fatal("reset kept entries")
-	}
-}
-
 func TestDefaultConfig(t *testing.T) {
 	c := New(Config{})
 	if c.Config().CapacityBytes <= 0 || c.Config().LenThreshold <= 0 {
