@@ -136,7 +136,7 @@ func fullKey(t *testing.T, r *Result) string {
 func TestInlineMatchesQueued(t *testing.T) {
 	// One seeded sticky fleet, run queued (untraced, four workers) and
 	// inline (traced): results, per-host counters and the rendered metrics
-	// (every series but the one noted below) must agree to the byte. Queue-mode admission makes delayed admissions
+	// must agree to the byte. Queue-mode admission makes delayed admissions
 	// land behind later pushes, so the lastPush clamp fires on both paths,
 	// and both drills are armed so the failure-index sync is crossed too.
 	in, tables := fixture(t)
@@ -210,15 +210,7 @@ func TestInlineMatchesQueued(t *testing.T) {
 		if err := f.WriteMetrics(&buf); err != nil {
 			t.Fatal(err)
 		}
-		// One gauge is the tracer's, not the execution path's, to move:
-		// Host.OutstandingAt retires completions as it counts, so the
-		// tracer's read at the admission instant leaves fewer for the
-		// sampling-boundary mark just below it than an untraced run finds.
-		for _, l := range bytes.SplitAfter(buf.Bytes(), []byte("\n")) {
-			if !bytes.HasPrefix(l, []byte("sdm_host_outstanding_ops{")) {
-				o.metrics = append(o.metrics, l...)
-			}
-		}
+		o.metrics = buf.Bytes()
 		return o
 	}
 	queued, inline := run(false), run(true)

@@ -79,6 +79,8 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("embedding: table %d: PoolingFactor must be finite and >= 0, got %v", s.ID, s.PoolingFactor)
 	case math.IsNaN(s.Alpha) || math.IsInf(s.Alpha, 0): // negative is legal: uniform
 		return fmt.Errorf("embedding: table %d: Alpha must be finite, got %v", s.ID, s.Alpha)
+	case !(s.ZeroFrac >= 0 && s.ZeroFrac <= 1):
+		return fmt.Errorf("embedding: table %d: ZeroFrac must be in [0, 1], got %v", s.ID, s.ZeroFrac)
 	}
 	return nil
 }
@@ -98,7 +100,7 @@ const syntheticChunkRows = 4096
 
 // NewSynthetic builds a table with deterministic synthetic content: row r
 // is a seeded draw keyed by (seed, table ID, r) — zero for a ZeroFrac
-// fraction of rows, so pruning has something to remove, N(0, 0.5²) polar
+// fraction of rows, so pruning has something to remove, N(0, 0.5²) ziggurat
 // pairs otherwise (FillSyntheticRow). Determinism lets tests compare the SDM
 // path against a flat oracle. Every row is seeded independently, so up to
 // GOMAXPROCS workers — the caller is one — fill interleaved row chunks, and
@@ -143,7 +145,8 @@ func NewSynthetic(spec Spec, seed uint64) (*Table, error) {
 // FillSyntheticRow writes the deterministic synthetic values for row r of
 // table tableID into dst, from an RNG seeded by (seed, tableID, r): zero if
 // its first Float64 falls below zeroFrac, else N(0, 0.5²) elements drawn in
-// NormPair pairs (an odd-length row drops its last pair's second value).
+// NormPair pairs, one Uint64 per pair outside the sampler's rare slow paths
+// (an odd-length row drops its last pair's second value).
 func FillSyntheticRow(dst []float32, seed uint64, tableID int, r int64, zeroFrac float64) {
 	rng := xrand.New(seed ^ uint64(tableID)<<32 ^ uint64(r)*0x9e3779b97f4a7c15)
 	if zeroFrac > 0 && rng.Float64() < zeroFrac {

@@ -57,9 +57,17 @@ func TestSpecValidate(t *testing.T) {
 			t.Errorf("PoolingFactor = %v: error %v, want one naming PoolingFactor", v, err)
 		}
 	}
-	good.Alpha = -1
+	// A ZeroFrac of NaN would zero no row and one of 2 every row.
+	for _, v := range []float64{math.NaN(), -0.5, 2, math.Inf(1)} {
+		s := good
+		s.ZeroFrac = v
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "ZeroFrac") {
+			t.Errorf("ZeroFrac = %v: error %v, want one naming ZeroFrac", v, err)
+		}
+	}
+	good.Alpha, good.ZeroFrac = -1, 1
 	if err := good.Validate(); err != nil {
-		t.Errorf("negative Alpha (uniform) rejected: %v", err)
+		t.Errorf("negative Alpha (uniform) or ZeroFrac 1 rejected: %v", err)
 	}
 }
 
@@ -177,11 +185,11 @@ func TestSyntheticRowDistribution(t *testing.T) {
 
 // TestSyntheticGolden pins the bytes of a small odd-Dim FP32 table, so a
 // change to the sampler or the row seeding is a visible one-line diff here.
-// Only on amd64: elsewhere math.Log is the portable Go version, which may
-// round differently.
+// Only on amd64: the sampler's layer tables come from math.Exp and math.Log,
+// whose assembly or portable versions may round differently elsewhere.
 func TestSyntheticGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
-		t.Skipf("golden bytes are pinned for amd64's math.Log, not %s's", runtime.GOARCH)
+		t.Skipf("golden bytes are pinned for amd64's math.Exp and math.Log, not %s's", runtime.GOARCH)
 	}
 	spec := Spec{
 		ID: 3, Name: "golden", Rows: 64, Dim: 13, QType: quant.FP32,
@@ -193,7 +201,7 @@ func TestSyntheticGolden(t *testing.T) {
 	}
 	h := fnv.New64a()
 	h.Write(tb.Bytes())
-	const want = 0x2e807b16d6443a5c
+	const want = 0x0490d46420cda12f
 	if got := h.Sum64(); got != want {
 		t.Fatalf("synthetic table FNV-64a %#016x, want %#016x", got, uint64(want))
 	}

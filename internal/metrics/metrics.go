@@ -1,12 +1,12 @@
 // Package metrics is the deterministic virtual-time metrics plane.
 //
-// Subsystems register typed instruments (Counter, Gauge, Histogram — the
-// latter reusing stats.Histogram) once, update them on their existing
-// deterministic paths, and the fleet samples every instrument into a
-// virtual-time series on window boundaries by calling MarkAll. The
-// rendered series (OpenMetrics text or JSONL) folds per-emitter samples
-// in (virtual time, host, labels) order — the same discipline as
-// obs.Merge — so it is byte-identical at any HostWorkers setting.
+// Subsystems register typed instruments (Counter, Gauge) once, update them
+// on their existing deterministic paths, and the fleet samples every
+// instrument into a virtual-time series on window boundaries by calling
+// MarkAll. The rendered series (OpenMetrics text or JSONL) folds
+// per-emitter samples in (virtual time, host, labels) order — the same
+// discipline as obs.Merge — so it is byte-identical at any HostWorkers
+// setting.
 //
 // A nil *Registry is valid everywhere: registration returns nil
 // instruments and every instrument method on a nil receiver is a no-op
@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"sdm/internal/simclock"
-	"sdm/internal/stats"
 )
 
 // Kind is the instrument type.
@@ -26,19 +25,15 @@ type Kind int
 const (
 	KindCounter Kind = iota
 	KindGauge
-	KindHistogram
 )
 
-// String returns the OpenMetrics type name. Histograms render as
-// OpenMetrics summaries (count/sum/quantile rows).
+// String returns the OpenMetrics type name.
 func (k Kind) String() string {
 	switch k {
 	case KindCounter:
 		return "counter"
 	case KindGauge:
 		return "gauge"
-	case KindHistogram:
-		return "summary"
 	}
 	return "unknown"
 }
@@ -65,12 +60,9 @@ type Desc struct {
 // mark is one sampled point of an instrument's series.
 type mark struct {
 	t simclock.Time
-	// count carries counter values and histogram observation counts;
-	// value carries gauge values and histogram sums.
+	// count carries counter values, value gauge values.
 	count uint64
 	value float64
-	// histogram quantile snapshot (KindHistogram only).
-	p50, p99 float64
 }
 
 // instrument is the shared state behind every typed handle.
@@ -79,7 +71,6 @@ type instrument struct {
 	kind  Kind
 	count uint64
 	value float64
-	hist  *stats.Histogram
 	// Func-backed instruments read their value at mark time, so existing
 	// deterministic counters are the update path — nothing to thread
 	// through hot loops.
@@ -107,11 +98,6 @@ func (in *instrument) sample(t simclock.Time) {
 		} else {
 			m.value = in.value
 		}
-	case KindHistogram:
-		m.count = in.hist.Count()
-		m.value = in.hist.Sum()
-		m.p50 = in.hist.P50()
-		m.p99 = in.hist.P99()
 	}
 	if n := len(in.marks); n > 0 {
 		last := in.marks[n-1].t
@@ -193,17 +179,6 @@ func (r *Registry) NewGaugeFunc(d Desc, fn func(now simclock.Time) float64) {
 	r.add(d, KindGauge).valueFn = fn
 }
 
-// NewHistogram registers a histogram, rendered as an OpenMetrics summary
-// (cumulative count, sum, p50 and p99 at each mark).
-func (r *Registry) NewHistogram(d Desc) *Histogram {
-	if r == nil {
-		return nil
-	}
-	in := r.add(d, KindHistogram)
-	in.hist = stats.NewHistogram()
-	return &Histogram{in: in}
-}
-
 // MarkAll samples every instrument at virtual time t, appending one point
 // to each series. Marks must be issued in non-decreasing time order.
 func (r *Registry) MarkAll(t simclock.Time) {
@@ -237,9 +212,6 @@ func (r *Registry) Reset() {
 		in.marks = in.marks[:0]
 		in.count = 0
 		in.value = 0
-		if in.hist != nil {
-			in.hist.Reset()
-		}
 	}
 }
 
@@ -274,18 +246,6 @@ func (g *Gauge) Set(v float64) {
 		return
 	}
 	g.in.value = v
-}
-
-// Histogram is a distribution handle backed by stats.Histogram. All
-// methods are nil-safe no-ops.
-type Histogram struct{ in *instrument }
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.in.hist.Observe(v)
 }
 
 func labelsEqual(a, b []Label) bool {

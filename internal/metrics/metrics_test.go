@@ -14,10 +14,9 @@ func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
 	c := r.NewCounter(Desc{Name: "x"})
 	g := r.NewGauge(Desc{Name: "y"})
-	h := r.NewHistogram(Desc{Name: "z"})
 	r.NewCounterFunc(Desc{Name: "cf"}, func() uint64 { return 1 })
 	r.NewGaugeFunc(Desc{Name: "gf"}, func(simclock.Time) float64 { return 1 })
-	if c != nil || g != nil || h != nil {
+	if c != nil || g != nil {
 		t.Fatalf("nil registry must hand out nil instruments")
 	}
 	// All handle methods must be safe no-ops on nil.
@@ -27,7 +26,6 @@ func TestNilRegistryIsInert(t *testing.T) {
 		t.Fatalf("nil counter value should be 0")
 	}
 	g.Set(3.5)
-	h.Observe(1)
 	r.MarkAll(100)
 	r.ResetMarks()
 	r.Reset()
@@ -117,31 +115,6 @@ func TestFuncBackedInstruments(t *testing.T) {
 	} {
 		if !strings.Contains(buf.String(), line+"\n") {
 			t.Fatalf("missing %q in:\n%s", line, buf.String())
-		}
-	}
-}
-
-func TestHistogramRendersAsSummary(t *testing.T) {
-	r := NewRegistry(1)
-	h := r.NewHistogram(Desc{Name: "lat", Help: "l", Unit: "seconds"})
-	h.Observe(1)
-	h.Observe(3)
-	r.MarkAll(1e9)
-	var buf bytes.Buffer
-	if err := WriteOpenMetrics(&buf, []*Registry{r}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, line := range []string{
-		"# TYPE lat summary",
-		"# UNIT lat seconds",
-		`lat_count{host="1"} 2 1.000000000`,
-		`lat_sum{host="1"} 4 1.000000000`,
-		`lat{host="1",quantile="0.5"}`,
-		`lat{host="1",quantile="0.99"}`,
-	} {
-		if !strings.Contains(out, line) {
-			t.Fatalf("missing %q in:\n%s", line, out)
 		}
 	}
 }
@@ -273,9 +246,9 @@ func TestJSONLMirrorsOpenMetrics(t *testing.T) {
 func TestResetSemantics(t *testing.T) {
 	r := NewRegistry(0)
 	c := r.NewCounter(Desc{Name: "c"})
-	h := r.NewHistogram(Desc{Name: "h"})
+	g := r.NewGauge(Desc{Name: "g"})
 	c.Add(5)
-	h.Observe(1)
+	g.Set(1.5)
 	r.MarkAll(10)
 
 	// ResetMarks keeps values (cumulative counters keep counting).
@@ -300,7 +273,7 @@ func TestResetSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `c_total{host="0"} 0 0.000000030`) ||
-		!strings.Contains(buf.String(), `h_count{host="0"} 0 0.000000030`) {
+		!strings.Contains(buf.String(), `g{host="0"} 0 0.000000030`) {
 		t.Fatalf("Reset must zero owned values:\n%s", buf.String())
 	}
 }
@@ -308,13 +281,11 @@ func TestResetSemantics(t *testing.T) {
 func TestNilInstrumentOpsAllocNothing(t *testing.T) {
 	var c *Counter
 	var g *Gauge
-	var h *Histogram
 	var r *Registry
 	if n := testing.AllocsPerRun(100, func() {
 		c.Inc()
 		c.Add(3)
 		g.Set(1)
-		h.Observe(1)
 		r.MarkAll(50)
 	}); n != 0 {
 		t.Fatalf("disabled metrics path allocated %v per op", n)

@@ -19,17 +19,12 @@ import (
 // (virtual time, host, labels) — the obs.Merge discipline — so the bytes
 // are identical at any HostWorkers setting.
 
-// renderRow is one flattened sample line.
+// renderRow is one sample line: a mark of one emitter's series.
 type renderRow struct {
-	suffix string // "", "_total", "_count", "_sum"
-	seq    int    // expansion order within one histogram mark
+	mark
 	host   int
-	labels []Label // desc labels plus a quantile label for summary rows
-	key    string  // precomputed label sort key
-	t      simclock.Time
-	isInt  bool
-	ival   uint64
-	fval   float64
+	labels []Label
+	key    string // precomputed label sort key
 }
 
 // renderFamily groups all series of one metric name.
@@ -61,7 +56,10 @@ func collect(regs []*Registry) ([]renderFamily, error) {
 			if f.kind != in.kind || f.help != in.desc.Help || f.unit != in.desc.Unit {
 				return nil, fmt.Errorf("metrics: family %s registered with conflicting kind/help/unit", in.desc.Name)
 			}
-			f.rows = append(f.rows, expand(r.host, in)...)
+			key := labelString(in.desc.Labels)
+			for _, m := range in.marks {
+				f.rows = append(f.rows, renderRow{mark: m, host: r.host, labels: in.desc.Labels, key: key})
+			}
 		}
 	}
 	for i := range fams {
@@ -74,43 +72,10 @@ func collect(regs []*Registry) ([]renderFamily, error) {
 			if ra.host != rb.host {
 				return ra.host < rb.host
 			}
-			if ra.key != rb.key {
-				return ra.key < rb.key
-			}
-			return ra.seq < rb.seq
+			return ra.key < rb.key
 		})
 	}
 	return fams, nil
-}
-
-// expand turns one instrument's marks into sample lines.
-func expand(host int, in *instrument) []renderRow {
-	key := labelString(in.desc.Labels)
-	var out []renderRow
-	for _, m := range in.marks {
-		switch in.kind {
-		case KindCounter:
-			out = append(out, renderRow{
-				suffix: "_total", host: host, labels: in.desc.Labels,
-				key: key, t: m.t, isInt: true, ival: m.count,
-			})
-		case KindGauge:
-			out = append(out, renderRow{
-				host: host, labels: in.desc.Labels,
-				key: key, t: m.t, fval: m.value,
-			})
-		case KindHistogram:
-			q50 := append(append([]Label{}, in.desc.Labels...), Label{"quantile", "0.5"})
-			q99 := append(append([]Label{}, in.desc.Labels...), Label{"quantile", "0.99"})
-			out = append(out,
-				renderRow{suffix: "_count", seq: 0, host: host, labels: in.desc.Labels, key: key, t: m.t, isInt: true, ival: m.count},
-				renderRow{suffix: "_sum", seq: 1, host: host, labels: in.desc.Labels, key: key, t: m.t, fval: m.value},
-				renderRow{seq: 2, host: host, labels: q50, key: key, t: m.t, fval: m.p50},
-				renderRow{seq: 3, host: host, labels: q99, key: key, t: m.t, fval: m.p99},
-			)
-		}
-	}
-	return out
 }
 
 // WriteOpenMetrics renders every registry's series as OpenMetrics text:
@@ -131,11 +96,11 @@ func WriteOpenMetrics(w io.Writer, regs []*Registry) error {
 		}
 		for i := range f.rows {
 			r := &f.rows[i]
-			bw.WriteString(f.name)
-			bw.WriteString(r.suffix)
+			name, value := f.sample(r)
+			bw.WriteString(name)
 			bw.WriteString(sampleLabels(r.host, r.labels))
 			bw.WriteByte(' ')
-			bw.WriteString(formatValue(r))
+			bw.WriteString(value)
 			bw.WriteByte(' ')
 			bw.WriteString(formatTime(r.t))
 			bw.WriteByte('\n')
@@ -168,13 +133,14 @@ func WriteJSONL(w io.Writer, regs []*Registry) error {
 	for _, f := range fams {
 		for i := range f.rows {
 			r := &f.rows[i]
+			name, value := f.sample(r)
 			jr := jsonRow{
 				Family: f.name,
-				Name:   f.name + r.suffix,
+				Name:   name,
 				Kind:   f.kind.String(),
 				Host:   r.host,
 				TNs:    int64(r.t),
-				Value:  json.Number(formatValue(r)),
+				Value:  json.Number(value),
 			}
 			if len(r.labels) > 0 {
 				jr.Labels = make(map[string]string, len(r.labels))
@@ -190,11 +156,13 @@ func WriteJSONL(w io.Writer, regs []*Registry) error {
 	return bw.Flush()
 }
 
-func formatValue(r *renderRow) string {
-	if r.isInt {
-		return strconv.FormatUint(r.ival, 10)
+// sample returns the name and the value of one of f's sample lines: a
+// counter renders as name_total with an integer value, a gauge as itself.
+func (f *renderFamily) sample(r *renderRow) (name, value string) {
+	if f.kind == KindCounter {
+		return f.name + "_total", strconv.FormatUint(r.count, 10)
 	}
-	return strconv.FormatFloat(r.fval, 'g', -1, 64)
+	return f.name, strconv.FormatFloat(r.value, 'g', -1, 64)
 }
 
 // formatTime renders virtual nanoseconds as seconds at fixed nanosecond

@@ -144,8 +144,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("model %s: negative table counts", c.Name)
 	case c.NumUserTables+c.NumItemTables == 0:
 		return fmt.Errorf("model %s: no tables", c.Name)
-	case c.UserCapacityFrac < 0 || c.UserCapacityFrac > 1:
-		return fmt.Errorf("model %s: UserCapacityFrac out of [0,1]", c.Name)
+	case !(c.UserCapacityFrac >= 0 && c.UserCapacityFrac <= 1): // NaN fails too
+		return fmt.Errorf("model %s: UserCapacityFrac must be in [0, 1], got %v", c.Name, c.UserCapacityFrac)
+	case !(c.ZeroFrac >= 0 && c.ZeroFrac <= 1):
+		return fmt.Errorf("model %s: ZeroFrac must be in [0, 1], got %v", c.Name, c.ZeroFrac)
 	case c.ItemBatch <= 0:
 		return fmt.Errorf("model %s: ItemBatch must be > 0", c.Name)
 	}

@@ -56,6 +56,28 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("zero item batch should fail")
 	}
+	// Fractions outside [0, 1] are refused by field name; NaN passes any
+	// "< 0 || > 1" check, so it is a row of its own.
+	for _, v := range []float64{math.NaN(), -0.1, 2, math.Inf(1)} {
+		for _, f := range []struct {
+			name string
+			set  func(*Config)
+		}{
+			{"UserCapacityFrac", func(c *Config) { c.UserCapacityFrac = v }},
+			{"ZeroFrac", func(c *Config) { c.ZeroFrac = v }},
+		} {
+			bad = M1()
+			f.set(&bad)
+			if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), f.name) {
+				t.Errorf("%s = %v: error %v, want one naming %s", f.name, v, err, f.name)
+			}
+		}
+	}
+	ok := M1()
+	ok.UserCapacityFrac, ok.ZeroFrac = 1, 1
+	if err := ok.Validate(); err != nil {
+		t.Errorf("fractions of 1 rejected: %v", err)
+	}
 }
 
 func TestBuildScaleBounds(t *testing.T) {

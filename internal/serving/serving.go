@@ -371,7 +371,9 @@ func (h *Host) Admit(t simclock.Time, q workload.Query) (simclock.Time, error) {
 		h.horizon = done
 	}
 	h.admitted++
-	h.retireInflight(t)
+	for h.inflight.Len() > 0 && h.inflight.Min() <= t { // retire finished queries
+		h.inflight.PopMin()
+	}
 	h.inflight.Push(done)
 	return done, nil
 }
@@ -401,18 +403,17 @@ func (h *Host) RegisterMetrics(r *metrics.Registry) {
 
 // OutstandingAt returns the number of admitted queries still executing at
 // virtual time t — the load signal least-outstanding routers balance on.
-// Queries completing exactly at t count as finished. Not safe to call
-// concurrently with Admit.
+// Queries completing exactly at t count as finished. A read changes nothing,
+// so reads may come in any time order; only Admit retires completions. Not
+// safe to call concurrently with Admit.
 func (h *Host) OutstandingAt(t simclock.Time) int {
-	h.retireInflight(t)
-	return len(h.inflight)
-}
-
-// retireInflight pops every completion at or before t off the min-heap.
-func (h *Host) retireInflight(t simclock.Time) {
-	for h.inflight.Len() > 0 && h.inflight.Min() <= t {
-		h.inflight.PopMin()
+	n := 0
+	for _, done := range h.inflight {
+		if done > t {
+			n++
+		}
 	}
+	return n
 }
 
 // CacheSnapshot is a point-in-time view of a host's cache and IO counters.

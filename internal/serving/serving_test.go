@@ -406,6 +406,9 @@ func TestFlatHostReportsCPUUtil(t *testing.T) {
 func TestAdmitAndOutstanding(t *testing.T) {
 	// The cluster-facing interface: admissions in time order, outstanding
 	// counts retire as virtual time passes, snapshots expose cache deltas.
+	// Reads have no side effect, so one at the last completion leaves the
+	// count at the last admission intact (the tracer reads at admission, the
+	// metrics gauge at a window boundary just before it).
 	in, tables := fixture(t)
 	h, _ := sdmHost(t, in, tables,
 		Config{Spec: HWSS(), InterOp: true, Seed: 11},
@@ -419,9 +422,10 @@ func TestAdmitAndOutstanding(t *testing.T) {
 		t.Fatal("fresh host should be idle")
 	}
 	before := h.Snapshot()
-	var lastDone simclock.Time
+	var at, lastDone simclock.Time
+	var dones []simclock.Time
 	for i := 0; i < 8; i++ {
-		at := t0 + simclock.Time(i)*simclock.Time(10*time.Microsecond)
+		at = t0 + simclock.Time(i)*simclock.Time(10*time.Microsecond)
 		done, err := h.Admit(at, gen.Next())
 		if err != nil {
 			t.Fatal(err)
@@ -435,9 +439,19 @@ func TestAdmitAndOutstanding(t *testing.T) {
 		if done > lastDone {
 			lastDone = done
 		}
+		dones = append(dones, done)
 	}
 	if h.OutstandingAt(lastDone) != 0 {
 		t.Fatalf("all queries done by %v, outstanding=%d", lastDone, h.OutstandingAt(lastDone))
+	}
+	want := 0
+	for _, d := range dones {
+		if d > at {
+			want++
+		}
+	}
+	if n := h.OutstandingAt(at); n != want || want < 2 {
+		t.Fatalf("outstanding at the last admission after a later read = %d, want %d (≥ 2)", n, want)
 	}
 	delta := h.Snapshot().Sub(before)
 	if delta.CacheHits+delta.CacheMisses == 0 {

@@ -184,16 +184,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 }
 
-// Reset clears all observations.
-func (h *Histogram) Reset() {
-	h.buckets = h.buckets[:1]
-	h.buckets[0] = 0
-	h.counts = 0
-	h.sum = 0
-	h.min = math.Inf(1)
-	h.max = math.Inf(-1)
-}
-
 // String summarizes the histogram for logs.
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%.3g p50=%.3g p95=%.3g p99=%.3g max=%.3g",

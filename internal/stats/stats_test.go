@@ -78,15 +78,6 @@ func TestHistogramWideRange(t *testing.T) {
 	}
 }
 
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram()
-	h.Observe(5)
-	h.Reset()
-	if h.Count() != 0 || h.Mean() != 0 {
-		t.Fatal("reset did not clear")
-	}
-}
-
 func TestCDF(t *testing.T) {
 	// 10 items; one gets 91 accesses, rest 1 each.
 	counts := make([]uint64, 10)
@@ -173,6 +164,15 @@ func TestHistogramMergeEdgeCases(t *testing.T) {
 	if empty.Count() != 1 || empty.Min() != 0.5 || empty.Max() != 0.5 {
 		t.Fatalf("merge into empty lost data: %s", empty)
 	}
+	low := NewHistogram()
+	low.Observe(0.25)
+	h.Merge(low) // a smaller value lowers Min only
+	if h.Min() != 0.25 || h.Max() != 0.5 || h.Count() != 2 {
+		t.Fatalf("merge extrema wrong: %s", h)
+	}
+	if q := h.Quantile(0.5); math.Abs(q-0.25) > 0.01 {
+		t.Fatalf("median of {0.25, 0.5} = %g, want 0.25 (nearest rank)", q)
+	}
 }
 
 func TestP999Ordering(t *testing.T) {
@@ -250,36 +250,6 @@ func TestQuantileNearestRank(t *testing.T) {
 		if got := one.Quantile(q); got != 7 {
 			t.Fatalf("single-sample q%g = %g, want 7", q, got)
 		}
-	}
-}
-
-func TestResetAndMergeRestoreSentinels(t *testing.T) {
-	// Reset must restore the ±Inf min/max sentinels so the next Observe
-	// (or Merge) re-establishes true extrema, and merging an empty
-	// histogram must not leak a sentinel into Min/Max.
-	h := NewHistogram()
-	h.Observe(100)
-	h.Reset()
-	if h.Min() != 0 || h.Max() != 0 {
-		t.Fatalf("empty accessors after Reset: min=%g max=%g", h.Min(), h.Max())
-	}
-	h.Observe(5)
-	if h.Min() != 5 || h.Max() != 5 {
-		t.Fatalf("sentinels not restored by Reset: min=%g max=%g", h.Min(), h.Max())
-	}
-	o := NewHistogram()
-	o.Reset() // reset-then-merge: still a clean empty histogram
-	h.Merge(o)
-	if h.Min() != 5 || h.Max() != 5 || h.Count() != 1 {
-		t.Fatalf("merging a reset histogram corrupted extrema: %s", h)
-	}
-	o.Observe(3)
-	h.Merge(o)
-	if h.Min() != 3 || h.Max() != 5 {
-		t.Fatalf("merge extrema wrong: min=%g max=%g", h.Min(), h.Max())
-	}
-	if q := h.Quantile(0.5); math.Abs(q-3) > 0.1 {
-		t.Fatalf("median of {3,5} = %g, want 3 (nearest rank)", q)
 	}
 }
 

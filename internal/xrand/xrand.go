@@ -73,15 +73,80 @@ func (r *RNG) Int63n(n int64) int64 {
 }
 
 // NormPair returns two independent normally distributed values with the
-// given mean and standard deviation by Marsaglia's polar method: one Log and
-// one Sqrt per pair, no trigonometry. A caller needing one drops the second.
+// given mean and standard deviation, one from each 32-bit half of a single
+// Uint64, by a 128-layer ziggurat (Marsaglia & Tsang 2000): 97.2 % of values
+// cost a compare and a multiply, 2.7 % a math.Exp and 0.06 % (beyond r) two
+// math.Log, and only those draw further Uint64s from r. A caller needing one
+// drops the second.
 func (r *RNG) NormPair(mean, stddev float64) (float64, float64) {
+	u := r.Uint64()
+	return mean + stddev*r.normal(uint32(u>>32)), mean + stddev*r.normal(uint32(u))
+}
+
+// The ziggurat covers the half density f(x) = exp(-x²/2), x ≥ 0, with 128
+// horizontal layers of equal area. Layer 0 is the rectangle [0, r] × [0, f(r)]
+// plus the tail beyond r; layer i > 0 is [0, zigX[i-1]] × [zigY[i-1], zigY[i]],
+// and the part of it left of zigX[i] lies wholly under f. A 32-bit draw
+// picks a layer with its top 7 bits (xorshift128+'s low bits are its
+// weakest), the sign with bit 24 and a magnitude with bits 0–23.
+const (
+	zigLayers = 128
+	zigR      = 3.442619855896652 // base edge, solved so that the top layer closes
+	zigMag    = 1 << 24           // magnitudes per layer
+)
+
+var (
+	zigX [zigLayers]float64 // edges: zigX[0] = zigR, strictly decreasing to zigX[127] = 0
+	zigY [zigLayers]float64 // zigY[j] = f(zigX[j])
+	zigW [zigLayers]float64 // layer width / zigMag: magnitude → x
+	zigK [zigLayers]uint32  // magnitudes below zigK[i] land left of zigX[i]
+)
+
+func init() {
+	f := func(x float64) float64 { return math.Exp(-x * x / 2) }
+	area := zigR*f(zigR) + math.Sqrt(math.Pi/2)*math.Erfc(zigR/math.Sqrt2)
+	zigX[0], zigY[0] = zigR, f(zigR)
+	for j := 1; j < zigLayers-1; j++ {
+		zigY[j] = zigY[j-1] + area/zigX[j-1]
+		zigX[j] = math.Sqrt(-2 * math.Log(zigY[j]))
+	}
+	zigX[zigLayers-1], zigY[zigLayers-1] = 0, 1
+	width := area / zigY[0] // layer 0's, as a rectangle of height f(r)
+	for i := range zigLayers {
+		if i > 0 {
+			width = zigX[i-1]
+		}
+		zigW[i] = width / zigMag
+		zigK[i] = uint32(math.Ceil(zigX[i] / width * zigMag))
+	}
+}
+
+// normal maps a 32-bit draw to a standard normal value. A point inside its
+// layer's inner rectangle lies under f; otherwise a base-layer point becomes
+// a tail draw, a wedge point is kept when a uniform height in its layer falls
+// under f, and a refused one restarts from a fresh 32-bit draw.
+func (r *RNG) normal(h uint32) float64 {
 	for {
-		x := 2*r.Float64() - 1
-		y := 2*r.Float64() - 1
-		if s := x*x + y*y; s > 0 && s < 1 {
-			m := stddev * math.Sqrt(-2*math.Log(s)/s)
-			return mean + x*m, mean + y*m
+		i, m := h>>25, h&(zigMag-1)
+		x := float64(m) * zigW[i]
+		switch {
+		case m < zigK[i]:
+		case i == 0:
+			x = r.normalTail()
+		case zigY[i-1]+r.Float64()*(zigY[i]-zigY[i-1]) >= math.Exp(-x*x/2):
+			h = uint32(r.Uint64() >> 32)
+			continue
+		}
+		return math.Float64frombits(math.Float64bits(x) | uint64(h>>24&1)<<63) // bit 24 is the sign
+	}
+}
+
+// normalTail draws |z| conditioned on |z| > zigR (Marsaglia 1964).
+func (r *RNG) normalTail() float64 {
+	for {
+		x := -math.Log(1-r.Float64()) / zigR
+		if y := -math.Log(1 - r.Float64()); 2*y > x*x {
+			return zigR + x
 		}
 	}
 }

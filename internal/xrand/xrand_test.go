@@ -1,6 +1,7 @@
 package xrand
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -93,6 +94,71 @@ func TestNormPairMoments(t *testing.T) {
 	corr := (cross/n - mean[0]*mean[1]) / (stdev[0] * stdev[1])
 	if math.Abs(corr) >= 0.01 {
 		t.Errorf("corr(z0, z1) = %g, want |corr| < 0.01", corr)
+	}
+}
+
+// TestNormPairDistribution compares the empirical CDF of 10⁶ N(0, 1) draws
+// with Φ at nine points, and the mass beyond ±zigR (the tail path's alone),
+// each within 5 binomial σ. A ziggurat that kept every wedge point, or that
+// returned r for every tail draw, misses by more.
+func TestNormPairDistribution(t *testing.T) {
+	const n = 1000000
+	points := []float64{-3, -2, -1, -0.5, 0, 0.5, 1, 2, 3}
+	below := make([]int, len(points))
+	beyond := 0
+	r := New(13)
+	for i := 0; i < n/2; i++ {
+		a, b := r.NormPair(0, 1)
+		for _, z := range [2]float64{a, b} {
+			for k, p := range points {
+				if z <= p {
+					below[k]++
+				}
+			}
+			if math.Abs(z) > zigR {
+				beyond++
+			}
+		}
+	}
+	phi := func(z float64) float64 { return 0.5 * math.Erfc(-z/math.Sqrt2) }
+	check := func(what string, got int, p float64) {
+		if d := (float64(got) - n*p) / math.Sqrt(n*p*(1-p)); math.Abs(d) > 5 {
+			t.Errorf("%s: %d of %d draws, want %.0f (%.1f σ off)", what, got, n, n*p, d)
+		}
+	}
+	for k, p := range points {
+		check(fmt.Sprintf("z ≤ %g", p), below[k], phi(p))
+	}
+	check("|z| > r", beyond, 2*phi(-zigR))
+}
+
+// TestZigguratTables checks the layers NormPair reads: edges fall strictly
+// from r to 0, every layer has layer 0's area, and each fast-path threshold
+// is the inner edge in 24-bit magnitude units.
+func TestZigguratTables(t *testing.T) {
+	f := func(x float64) float64 { return math.Exp(-x * x / 2) }
+	area := zigR*f(zigR) + math.Sqrt(math.Pi/2)*math.Erfc(zigR/math.Sqrt2)
+	if zigX[0] != zigR || zigX[zigLayers-1] != 0 {
+		t.Fatalf("edges run %g → %g, want r → 0", zigX[0], zigX[zigLayers-1])
+	}
+	if a := zigW[0] * zigMag * f(zigR); math.Abs(a/area-1) > 1e-12 {
+		t.Errorf("layer 0: width × f(r) = %.17g, want %.17g", a, area)
+	}
+	for i := 1; i < zigLayers; i++ {
+		if !(zigX[i] < zigX[i-1]) {
+			t.Fatalf("edge %d = %g, not below edge %d = %g", i, zigX[i], i-1, zigX[i-1])
+		}
+		if a := zigX[i-1] * (f(zigX[i]) - f(zigX[i-1])); math.Abs(a/area-1) > 1e-12 {
+			t.Errorf("layer %d: area %.17g, want %.17g", i, a, area)
+		}
+		if zigW[i]*zigMag != zigX[i-1] {
+			t.Errorf("layer %d: width %g, want edge %d = %g", i, zigW[i]*zigMag, i-1, zigX[i-1])
+		}
+	}
+	for i, k := range zigK {
+		if k >= zigMag || float64(k)*zigW[i] < zigX[i] || k > 0 && float64(k-1)*zigW[i] >= zigX[i] {
+			t.Errorf("layer %d: threshold %d is not edge %g in %d-magnitude units", i, k, zigX[i], zigMag)
+		}
 	}
 }
 

@@ -329,6 +329,20 @@ func fleetModel(b *testing.B, scale float64) *Instance {
 	return inst
 }
 
+// normSink keeps BenchmarkNormPair's draws live.
+var normSink float64
+
+// BenchmarkNormPair is one xrand.RNG.NormPair(0, 0.5) call — the pair of
+// normals behind two elements of a synthetic row — in ns per pair.
+func BenchmarkNormPair(b *testing.B) {
+	rng := xrand.New(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		z0, z1 := rng.NormPair(0, 0.5)
+		normSink = z0 + z1
+	}
+}
+
 // BenchmarkMaterialize is model.Instance.Materialize on the end-to-end
 // benchmark's model — the synthetic row fill that dominates its setup_s
 // (MB/s is stored table bytes produced).
