@@ -73,6 +73,8 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("embedding: table %d: dim must be > 0", s.ID)
 	case s.QType != quant.Int8 && s.QType != quant.FP32:
 		return fmt.Errorf("embedding: table %d: QType must be int8 or fp32, got %v", s.ID, s.QType)
+	case s.Dim > math.MaxInt32/4 || s.Rows > math.MaxInt64/int64(s.RowBytes()): // SizeBytes would wrap
+		return fmt.Errorf("embedding: table %d: Rows × row bytes (%d × %d) exceeds MaxInt64", s.ID, s.Rows, s.RowBytes())
 	case s.Kind == 0:
 		return fmt.Errorf("embedding: table %d: kind unset", s.ID)
 	case !(s.PoolingFactor >= 0) || math.IsInf(s.PoolingFactor, 0):
@@ -144,22 +146,16 @@ func NewSynthetic(spec Spec, seed uint64) (*Table, error) {
 
 // FillSyntheticRow writes the deterministic synthetic values for row r of
 // table tableID into dst, from an RNG seeded by (seed, tableID, r): zero if
-// its first Float64 falls below zeroFrac, else N(0, 0.5²) elements drawn in
-// NormPair pairs, one Uint64 per pair outside the sampler's rare slow paths
-// (an odd-length row drops its last pair's second value).
+// its first Float64 falls below zeroFrac, else N(0, 0.5²) elements from one
+// NormRow call: ziggurat pairs, one Uint64 per pair outside the sampler's
+// rare slow paths (an odd-length row drops its last pair's second value).
 func FillSyntheticRow(dst []float32, seed uint64, tableID int, r int64, zeroFrac float64) {
 	rng := xrand.New(seed ^ uint64(tableID)<<32 ^ uint64(r)*0x9e3779b97f4a7c15)
 	if zeroFrac > 0 && rng.Float64() < zeroFrac {
 		clear(dst)
 		return
 	}
-	for i := 0; i < len(dst); i += 2 {
-		z0, z1 := rng.NormPair(0, 0.5)
-		dst[i] = float32(z0)
-		if i+1 < len(dst) {
-			dst[i+1] = float32(z1)
-		}
-	}
+	rng.NormRow(dst, 0, 0.5)
 }
 
 // FromBytes wraps raw stored rows (quantized, back to back) as a Table.

@@ -65,6 +65,22 @@ func TestSpecValidate(t *testing.T) {
 			t.Errorf("ZeroFrac = %v: error %v, want one naming ZeroFrac", v, err)
 		}
 	}
+	// Rows × RowBytes past MaxInt64 wraps SizeBytes: 2⁵⁸ rows of 108 bytes made
+	// NewSynthetic panic in makeslice, and 2⁶² wrapped to 0, so FromBytes
+	// took an empty buffer and Row panicked later.
+	for _, rows := range []int64{1 << 58, 1 << 62, math.MaxInt64} {
+		s := good
+		s.Rows, s.Dim = rows, 100
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "Rows") {
+			t.Errorf("Rows = %d: error %v, want one naming Rows", rows, err)
+		}
+		if _, err := NewSynthetic(s, 1); err == nil {
+			t.Errorf("Rows = %d: NewSynthetic accepted the spec", rows)
+		}
+		if _, err := FromBytes(s, nil); err == nil {
+			t.Errorf("Rows = %d: FromBytes accepted the spec", rows)
+		}
+	}
 	good.Alpha, good.ZeroFrac = -1, 1
 	if err := good.Validate(); err != nil {
 		t.Errorf("negative Alpha (uniform) or ZeroFrac 1 rejected: %v", err)
@@ -183,27 +199,37 @@ func TestSyntheticRowDistribution(t *testing.T) {
 	check("last column", last, 0.03)
 }
 
-// TestSyntheticGolden pins the bytes of a small odd-Dim FP32 table, so a
-// change to the sampler or the row seeding is a visible one-line diff here.
+// TestSyntheticGolden pins the bytes of two small odd-Dim tables: an FP32 one
+// holds the sampler's values, an Int8 one QuantizeRow's codes and footers
+// (dim 37: four kernel blocks and a 5-element tail). A change to the
+// sampler, the row seeding or the quantizer is a visible one-line diff here.
 // Only on amd64: the sampler's layer tables come from math.Exp and math.Log,
 // whose assembly or portable versions may round differently elsewhere.
 func TestSyntheticGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden bytes are pinned for amd64's math.Exp and math.Log, not %s's", runtime.GOARCH)
 	}
-	spec := Spec{
-		ID: 3, Name: "golden", Rows: 64, Dim: 13, QType: quant.FP32,
-		Kind: Item, PoolingFactor: 1, ZeroFrac: 0.25,
-	}
-	tb, err := NewSynthetic(spec, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := fnv.New64a()
-	h.Write(tb.Bytes())
-	const want = 0x0490d46420cda12f
-	if got := h.Sum64(); got != want {
-		t.Fatalf("synthetic table FNV-64a %#016x, want %#016x", got, uint64(want))
+	for _, c := range []struct {
+		qt   quant.Type
+		dim  int
+		want uint64
+	}{
+		{quant.FP32, 13, 0x0490d46420cda12f},
+		{quant.Int8, 37, 0x0749ae52c0a8d4bb},
+	} {
+		spec := Spec{
+			ID: 3, Name: "golden", Rows: 64, Dim: c.dim, QType: c.qt,
+			Kind: Item, PoolingFactor: 1, ZeroFrac: 0.25,
+		}
+		tb, err := NewSynthetic(spec, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(tb.Bytes())
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%v synthetic table FNV-64a %#016x, want %#016x", c.qt, got, c.want)
+		}
 	}
 }
 

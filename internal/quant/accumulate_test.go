@@ -73,10 +73,9 @@ func TestAccumulateInt8MatchesPortableLoop(t *testing.T) {
 	for dim := 1; dim <= 320; dim++ {
 		codes := make([]byte, dim)
 		accInit := make([]float32, dim)
+		rng.NormRow(accInit, 0, 10)
 		for i := range codes {
 			codes[i] = byte(rng.Uint64())
-			z, _ := rng.NormPair(0, 10)
-			accInit[i] = float32(z)
 			if i%7 == 3 { // special values meet the final add too
 				accInit[i] = specials[(i/7+dim)%len(specials)]
 			}

@@ -2,7 +2,8 @@
 // relies on (§4.1.1, §A.5; Guan et al. 2019): each embedding row is stored
 // as int8 codes followed by a per-row float32 scale and bias. At
 // inference rows are dequantized on the fly during pooling; §A.5 also
-// evaluates de-quantizing whole tables at load time into FP32.
+// evaluates de-quantizing whole tables at load time into FP32. On amd64 the
+// int8 encode and pool loops run SSE2 kernels bit-exact to the portable ones.
 package quant
 
 import (
@@ -61,32 +62,39 @@ func QuantizeRow(dst []byte, src []float32, t Type) error {
 			binary.LittleEndian.PutUint32(dst[i*4:], math.Float32bits(v))
 		}
 	case Int8:
-		// Row-wise affine quantization: x ≈ bias + scale*code.
-		minV, maxV := float32(math.Inf(1)), float32(math.Inf(-1))
-		for _, v := range src {
-			if v < minV {
-				minV = v
-			}
-			if v > maxV {
-				maxV = v
-			}
-		}
-		if len(src) == 0 {
-			minV, maxV = 0, 0
-		}
-		scale := (maxV - minV) / 255
-		if scale == 0 {
-			scale = 1
-		}
-		bias := minV
-		for i, v := range src {
-			dst[i] = clampCode((v - bias) / scale)
-		}
-		putMeta(dst[len(src):], scale, bias)
+		quantizeInt8(dst, src)
 	default:
 		return fmt.Errorf("quant: unsupported type %v", t)
 	}
 	return nil
+}
+
+// quantizeInt8Go is the portable row-wise affine quantization (x ≈ bias +
+// scale*code, bias the minimum, 255 steps to the maximum) from element from
+// on, given the extremes of src[:from]. From 0 with ±Inf it is the whole row:
+// the path without a kernel and the kernel's test reference. After a kernel
+// it is the < 8-element tail, and its scale and bias feed the kernel's codes.
+func quantizeInt8Go(dst []byte, src []float32, from int, minV, maxV float32) (scale, bias float32) {
+	for _, v := range src[from:] { // a NaN replaces neither; of equal values the earlier stays
+		if v < minV {
+			minV = v
+		}
+		if v > maxV {
+			maxV = v
+		}
+	}
+	if len(src) == 0 {
+		minV, maxV = 0, 0
+	}
+	scale, bias = (maxV-minV)/255, minV
+	if scale == 0 {
+		scale = 1
+	}
+	for i := from; i < len(src); i++ {
+		dst[i] = clampCode((src[i] - bias) / scale)
+	}
+	putMeta(dst[len(src):], scale, bias)
+	return scale, bias
 }
 
 func clampCode(x float32) uint8 {

@@ -9,12 +9,8 @@ import (
 )
 
 func randRow(seed uint64, dim int) []float32 {
-	rng := xrand.New(seed)
 	row := make([]float32, dim)
-	for i := range row {
-		z, _ := rng.NormPair(0, 1)
-		row[i] = float32(z)
-	}
+	xrand.New(seed).NormRow(row, 0, 1)
 	return row
 }
 

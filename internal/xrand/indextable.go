@@ -1,6 +1,10 @@
 package xrand
 
-import "math"
+import (
+	"math"
+	"runtime"
+	"sync"
+)
 
 // IndexTable draws scattered table indices: Draw returns exactly
 // p.Map(z.Rank(r)) and advances r by the same single Uint64, without the
@@ -29,7 +33,8 @@ import "math"
 // platform's own formula.
 //
 // Cost: 8 bytes per row plus a guide of at most max(1, n/2) uint32s, all
-// allocated by NewIndexTable at about 100 ns per row.
+// allocated by NewIndexTable, whose rows cost about 100 ns each, spread over
+// up to GOMAXPROCS cores.
 type IndexTable struct {
 	z     *Zipf
 	p     *Permuter
@@ -43,8 +48,8 @@ type indexEntry struct {
 	idx uint32 // Map(rank)
 }
 
-// NewIndexTable builds the table for p.Map(z.Rank(r)). Later changes to z or
-// p (Zipf.Reset, Permuter.Identity) are not seen by a built table.
+// NewIndexTable builds the table for p.Map(z.Rank(r)). A later change to p
+// (Permuter.Identity) is not seen by a built table.
 func NewIndexTable(z *Zipf, p *Permuter) *IndexTable {
 	t := &IndexTable{z: z, p: p}
 	n := z.n
@@ -53,11 +58,25 @@ func NewIndexTable(z *Zipf, p *Permuter) *IndexTable {
 		z.alpha != 1 && !(math.Abs(z.normConstant) >= 1.0/(1<<16)) {
 		return t
 	}
+	const chunk = 4096 // entries depend on rank alone: any worker count agrees
 	t.ent = make([]indexEntry, n)
-	for i := range t.ent {
-		thr := math.Min(z.CDF(int64(i))*(1<<32), math.MaxUint32)
-		t.ent[i] = indexEntry{uint32(thr), uint32(p.Map(int64(i)))}
+	chunks := (len(t.ent) + chunk - 1) / chunk
+	workers := min(runtime.GOMAXPROCS(0), chunks)
+	fill := func(w int) {
+		for c := w; c < chunks; c += workers {
+			for i := c * chunk; i < min((c+1)*chunk, len(t.ent)); i++ {
+				thr := math.Min(z.CDF(int64(i))*(1<<32), math.MaxUint32)
+				t.ent[i] = indexEntry{uint32(thr), uint32(p.Map(int64(i)))}
+			}
+		}
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); fill(w) }()
+	}
+	fill(0)
+	wg.Wait()
 	// The smallest power of two ≥ n/4 buckets: whatever the skew, an average
 	// draw scans past two thresholds (a draw deep in a steep tail, many).
 	t.shift = 32

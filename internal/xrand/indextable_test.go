@@ -3,6 +3,8 @@ package xrand
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -147,6 +149,31 @@ func TestIndexTableBoundaries(t *testing.T) {
 		}
 		if guarded*1000 > draws {
 			t.Fatalf("%v: %d of %d draws fell to the formula, want < 1 in 1000", s, guarded, draws)
+		}
+	}
+}
+
+// TestIndexTableWorkerInvariant builds every benchmark shape and the regime
+// edges at GOMAXPROCS 1 and 4: NewIndexTable fills entry chunks on up to
+// GOMAXPROCS workers, and the thresholds, indices, guide and draws must not
+// depend on how many there were.
+func TestIndexTableWorkerInvariant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, s := range append(benchShapes(), edgeShapes()...) {
+		var tables [2]*IndexTable
+		for k, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			tables[k], _, _ = s.build(false)
+		}
+		a, b := tables[0], tables[1]
+		if !slices.Equal(a.ent, b.ent) || !slices.Equal(a.guide, b.guide) || a.shift != b.shift {
+			t.Fatalf("%v: the table built at GOMAXPROCS 4 differs from GOMAXPROCS 1's", s)
+		}
+		ra, rb := New(uint64(s.n)), New(uint64(s.n))
+		for i := 0; i < 10000; i++ {
+			if x, y := a.Draw(ra), b.Draw(rb); x != y {
+				t.Fatalf("%v draw %d: %d at GOMAXPROCS 1, %d at 4", s, i, x, y)
+			}
 		}
 	}
 }

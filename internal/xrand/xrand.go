@@ -47,13 +47,18 @@ func (r *RNG) Seed(seed uint64) {
 
 // Uint64 returns the next 64 pseudorandom bits.
 func (r *RNG) Uint64() uint64 {
-	x, y := r.s0, r.s1
-	r.s0 = y
+	var u uint64
+	u, r.s0, r.s1 = step(r.s0, r.s1)
+	return u
+}
+
+// step is one xorshift128+ step: the output and the next state.
+func step(s0, s1 uint64) (u, n0, n1 uint64) {
+	x, y := s0, s1
 	x ^= x << 23
 	x ^= x >> 17
 	x ^= y ^ (y >> 26)
-	r.s1 = x
-	return x + y
+	return x + y, y, x
 }
 
 // Float64 returns a uniform value in [0, 1).
@@ -72,15 +77,35 @@ func (r *RNG) Int63n(n int64) int64 {
 	return int64(r.Uint64() % uint64(n))
 }
 
-// NormPair returns two independent normally distributed values with the
-// given mean and standard deviation, one from each 32-bit half of a single
-// Uint64, by a 128-layer ziggurat (Marsaglia & Tsang 2000): 97.2 % of values
-// cost a compare and a multiply, 2.7 % a math.Exp and 0.06 % (beyond r) two
-// math.Log, and only those draw further Uint64s from r. A caller needing one
-// drops the second.
-func (r *RNG) NormPair(mean, stddev float64) (float64, float64) {
-	u := r.Uint64()
-	return mean + stddev*r.normal(uint32(u>>32)), mean + stddev*r.normal(uint32(u))
+// NormRow fills dst with float32(mean + stddev·z) for independent standard
+// normal z by a 128-layer ziggurat (Marsaglia & Tsang 2000), in the stream
+// the former NormPair defined: each Uint64 yields dst[i] from its high 32
+// bits, then dst[i+1] from its low 32 bits (an odd row still evaluates its
+// last pair's second value, and drops it). 97.2 % of values cost a compare
+// and a multiply, 2.7 % a math.Exp and 0.06 % (beyond r) two math.Log, and
+// only those draw further Uint64s from r.
+func (r *RNG) NormRow(dst []float32, mean, stddev float64) {
+	s0, s1 := r.s0, r.s1 // in registers across the row; r is synced around a slow value
+	for i := 0; i < len(dst); i += 2 {
+		var u uint64
+		u, s0, s1 = step(s0, s1)
+		z, ok := zigFast(uint32(u >> 32))
+		if !ok {
+			r.s0, r.s1 = s0, s1
+			z = r.normal(uint32(u >> 32))
+			s0, s1 = r.s0, r.s1
+		}
+		dst[i] = float32(mean + stddev*z)
+		if z, ok = zigFast(uint32(u)); !ok {
+			r.s0, r.s1 = s0, s1
+			z = r.normal(uint32(u))
+			s0, s1 = r.s0, r.s1
+		}
+		if i+1 < len(dst) {
+			dst[i+1] = float32(mean + stddev*z)
+		}
+	}
+	r.s0, r.s1 = s0, s1
 }
 
 // The ziggurat covers the half density f(x) = exp(-x²/2), x ≥ 0, with 128
@@ -127,18 +152,26 @@ func init() {
 // under f, and a refused one restarts from a fresh 32-bit draw.
 func (r *RNG) normal(h uint32) float64 {
 	for {
-		i, m := h>>25, h&(zigMag-1)
-		x := float64(m) * zigW[i]
+		z, inner := zigFast(h)
+		i, x := h>>25, math.Abs(z)
 		switch {
-		case m < zigK[i]:
+		case inner:
 		case i == 0:
-			x = r.normalTail()
+			z = math.Copysign(r.normalTail(), z)
 		case zigY[i-1]+r.Float64()*(zigY[i]-zigY[i-1]) >= math.Exp(-x*x/2):
 			h = uint32(r.Uint64() >> 32)
 			continue
 		}
-		return math.Float64frombits(math.Float64bits(x) | uint64(h>>24&1)<<63) // bit 24 is the sign
+		return z
 	}
+}
+
+// zigFast is normal's common case: the signed point h picks and whether it
+// lies in its layer's inner rectangle, where it is the value.
+func zigFast(h uint32) (float64, bool) {
+	i, m := h>>25, h&(zigMag-1)
+	x := float64(m) * zigW[i]
+	return math.Float64frombits(math.Float64bits(x) | uint64(h>>24&1)<<63), m < zigK[i] // bit 24 is the sign
 }
 
 // normalTail draws |z| conditioned on |z| > zigR (Marsaglia 1964).

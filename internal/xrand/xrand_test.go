@@ -64,16 +64,83 @@ func TestIntnBounds(t *testing.T) {
 	}
 }
 
-// TestNormPairMoments checks each half of NormPair for the requested mean
-// and σ, and the two halves for independence: a sampler that returned the
-// same draw twice, or two draws tied by one scale, would correlate them.
-func TestNormPairMoments(t *testing.T) {
+// zigPaths counts the values normPairs sent past the inner rectangles: to
+// the tail, to a wedge that kept its point, and to a wedge that refused at
+// least once.
+type zigPaths struct{ tail, wedge, refused int }
+
+// normPairs is the reference NormRow is held to: the pair loop the retired
+// NormPair(mean, stddev) defined, one Uint64 per pair and r.normal on its
+// high, then its low, 32 bits, dropping an odd row's last second value.
+func normPairs(r *RNG, dst []float32, mean, stddev float64, paths *zigPaths) {
+	for i := 0; i < len(dst); i += 2 {
+		u := r.Uint64()
+		for k, h := range [2]uint32{uint32(u >> 32), uint32(u)} {
+			before := *r
+			z := mean + stddev*r.normal(h)
+			if i+k < len(dst) {
+				dst[i+k] = float32(z)
+			}
+			if _, inner := zigFast(h); !inner {
+				draws := 0
+				for ; before != *r; draws++ {
+					before.Uint64()
+				}
+				switch {
+				case h>>25 == 0:
+					paths.tail++
+				case draws == 1: // the uniform height alone
+					paths.wedge++
+				default:
+					paths.refused++
+				}
+			}
+		}
+	}
+}
+
+// TestNormRowMatchesPairs holds NormRow to the pair loop bit for bit — every
+// value and the RNG state it leaves — at every row length 0–257 (both
+// parities, many pairs) over 10³ seeds, and checks that the run took the
+// tail, the wedge and the refusal paths, so each slow path's state sync was
+// exercised.
+func TestNormRowMatchesPairs(t *testing.T) {
+	var paths zigPaths
+	got, want := make([]float32, 257), make([]float32, 257)
+	for seed := uint64(0); seed < 1000; seed++ {
+		a := New(seed)
+		b := *a
+		for n := 0; n <= 257; n++ {
+			a.NormRow(got[:n], 0.25, 0.5)
+			normPairs(&b, want[:n], 0.25, 0.5, &paths)
+			for i := range n {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("seed %d len %d: value %d is %g, pair loop %g", seed, n, i, got[i], want[i])
+				}
+			}
+			if *a != b {
+				t.Fatalf("seed %d len %d: RNG state differs from the pair loop's", seed, n)
+			}
+		}
+	}
+	if paths.tail == 0 || paths.wedge == 0 || paths.refused == 0 {
+		t.Fatalf("slow paths taken: %+v, want each at least once", paths)
+	}
+}
+
+// TestNormRowMoments checks the even and odd positions of NormRow for the
+// requested mean and σ, and the two for independence: a sampler that
+// returned the same draw twice, or two draws tied by one scale, would
+// correlate a pair's halves.
+func TestNormRowMoments(t *testing.T) {
 	r := New(5)
 	var sum, sq [2]float64
 	var cross float64
 	const n = 200000
+	row := make([]float32, 2)
 	for i := 0; i < n; i++ {
-		a, b := r.NormPair(2, 3)
+		r.NormRow(row, 2, 3)
+		a, b := float64(row[0]), float64(row[1])
 		for h, v := range [2]float64{a, b} {
 			sum[h] += v
 			sq[h] += v * v
@@ -97,19 +164,21 @@ func TestNormPairMoments(t *testing.T) {
 	}
 }
 
-// TestNormPairDistribution compares the empirical CDF of 10⁶ N(0, 1) draws
+// TestNormRowDistribution compares the empirical CDF of 10⁶ N(0, 1) draws
 // with Φ at nine points, and the mass beyond ±zigR (the tail path's alone),
 // each within 5 binomial σ. A ziggurat that kept every wedge point, or that
 // returned r for every tail draw, misses by more.
-func TestNormPairDistribution(t *testing.T) {
+func TestNormRowDistribution(t *testing.T) {
 	const n = 1000000
 	points := []float64{-3, -2, -1, -0.5, 0, 0.5, 1, 2, 3}
 	below := make([]int, len(points))
 	beyond := 0
 	r := New(13)
-	for i := 0; i < n/2; i++ {
-		a, b := r.NormPair(0, 1)
-		for _, z := range [2]float64{a, b} {
+	row := make([]float32, 1000)
+	for i := 0; i < n/len(row); i++ {
+		r.NormRow(row, 0, 1)
+		for _, v := range row {
+			z := float64(v)
 			for k, p := range points {
 				if z <= p {
 					below[k]++
@@ -132,7 +201,7 @@ func TestNormPairDistribution(t *testing.T) {
 	check("|z| > r", beyond, 2*phi(-zigR))
 }
 
-// TestZigguratTables checks the layers NormPair reads: edges fall strictly
+// TestZigguratTables checks the layers NormRow reads: edges fall strictly
 // from r to 0, every layer has layer 0's area, and each fast-path threshold
 // is the inner edge in 24-bit magnitude units.
 func TestZigguratTables(t *testing.T) {

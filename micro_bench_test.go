@@ -28,11 +28,7 @@ func BenchmarkQuantAccumulateRow(b *testing.B) {
 		for _, dim := range []int{32, 124, 512} {
 			b.Run(fmt.Sprintf("%v/dim%d", qt, dim), func(b *testing.B) {
 				src := make([]float32, dim)
-				rng := xrand.New(1)
-				for i := range src {
-					z, _ := rng.NormPair(0, 1)
-					src[i] = float32(z)
-				}
+				xrand.New(1).NormRow(src, 0, 1)
 				row := make([]byte, quant.RowBytes(qt, dim))
 				if err := quant.QuantizeRow(row, src, qt); err != nil {
 					b.Fatal(err)
@@ -107,6 +103,24 @@ func BenchmarkCacheMemOptimizedGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Get(cache.Key{Row: int64(i % 10000)}, dst)
 	}
+}
+
+// BenchmarkCacheMemOptimizedPut is one Put that evicts: host-sm-miss's
+// 64 KiB row cache of int8 dim-124 rows, full before the timer starts, fed a
+// key it has never seen on every call, so each Put runs the set scan and the
+// CLOCK hand.
+func BenchmarkCacheMemOptimizedPut(b *testing.B) {
+	c := cache.NewMemOptimized(64<<10, 255)
+	v := make([]byte, quant.RowBytes(quant.Int8, 124))
+	for i := 0; i < 4096; i++ {
+		c.Put(cache.Key{Row: int64(i)}, v)
+	}
+	ev0 := c.Stats().Evictions
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Put(cache.Key{Row: int64(4096 + i)}, v)
+	}
+	b.ReportMetric(float64(c.Stats().Evictions-ev0)/float64(b.N), "evictions/op")
 }
 
 func BenchmarkCacheCPUOptimizedGet(b *testing.B) {
@@ -329,18 +343,67 @@ func fleetModel(b *testing.B, scale float64) *Instance {
 	return inst
 }
 
-// normSink keeps BenchmarkNormPair's draws live.
-var normSink float64
-
-// BenchmarkNormPair is one xrand.RNG.NormPair(0, 0.5) call — the pair of
-// normals behind two elements of a synthetic row — in ns per pair.
-func BenchmarkNormPair(b *testing.B) {
-	rng := xrand.New(1)
+// BenchmarkNormRow is the sampler alone: xrand.RNG.NormRow(row, 0, 0.5) on a
+// 124-element row, as FillSyntheticRow calls it, in ns per element.
+func BenchmarkNormRow(b *testing.B) {
+	rng, row := xrand.New(1), make([]float32, 124)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		z0, z1 := rng.NormPair(0, 0.5)
-		normSink = z0 + z1
+		rng.NormRow(row, 0, 0.5)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(row)), "ns/elem")
+}
+
+// BenchmarkSyntheticRow is the unit of Materialize: FillSyntheticRow then an
+// int8 QuantizeRow of one dim-124 row (a fresh row each op, none zero).
+func BenchmarkSyntheticRow(b *testing.B) {
+	row := make([]float32, 124)
+	dst := make([]byte, quant.RowBytes(quant.Int8, len(row)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		embedding.FillSyntheticRow(row, 42, 7, int64(i), 0)
+		if err := quant.QuantizeRow(dst, row, quant.Int8); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkQuantizeRow is one int8 QuantizeRow of a cache-resident synthetic
+// row (MB/s is source float32 bytes consumed).
+func BenchmarkQuantizeRow(b *testing.B) {
+	for _, dim := range []int{32, 124, 512} {
+		b.Run(fmt.Sprintf("dim%d", dim), func(b *testing.B) {
+			src := make([]float32, dim)
+			embedding.FillSyntheticRow(src, 42, 7, 1, 0)
+			dst := make([]byte, quant.RowBytes(quant.Int8, dim))
+			b.SetBytes(int64(4 * dim))
+			for i := 0; i < b.N; i++ {
+				if err := quant.QuantizeRow(dst, src, quant.Int8); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkNewIndexTable builds the index table of the largest table of
+// host-sm-miss's model (scale 3e-4), the generator's biggest set-up item;
+// ns/row is per table row. NewIndexTable fills on up to GOMAXPROCS workers:
+// compare at the same -cpu.
+func BenchmarkNewIndexTable(b *testing.B) {
+	inst := fleetModel(b, 3e-4)
+	s := inst.Tables[0]
+	for _, t := range inst.Tables {
+		if t.Rows > s.Rows {
+			s = t
+		}
+	}
+	z, p := xrand.NewZipf(s.Rows, s.Alpha), xrand.NewPermuter(s.Rows, 42)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		xrand.NewIndexTable(z, p)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.Rows), "ns/row")
 }
 
 // BenchmarkMaterialize is model.Instance.Materialize on the end-to-end
