@@ -8,8 +8,8 @@
 // access latency comes from a queueing model booked in virtual time: the
 // caller passes the instant it issues an IO and gets the completion
 // instant back. The two halves can be driven apart: PeekInto / PokeFrom
-// move the bytes of a read / write and View lends them without a copy,
-// AccountRead / AccountWrite book the timing and the counters.
+// move the bytes of a read / write, AccountRead / AccountWrite book the
+// timing and the counters.
 //
 // Each device exposes a fixed number of internal channels
 // (dies), each holding its next-free instant; an IO occupies a channel for
@@ -22,6 +22,7 @@
 package blockdev
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -173,7 +174,12 @@ func (s Stats) BusSavings() float64 {
 	return 1 - float64(s.BusBytes)/float64(s.MediaBytes)
 }
 
-// Device simulates one SM device instance.
+// Device simulates one SM device instance. Its media is either private
+// (New: writes land in place) or a read-only image shared with other
+// devices (NewShared, or the donor after ShareImage). A shared device copies
+// on change: the first write that changes the image's bytes gives the device
+// a private copy of the whole image, while rewriting the bytes already there
+// copies nothing. Sharing never changes observable behaviour.
 type Device struct {
 	spec TechSpec
 	rng  *xrand.RNG
@@ -183,9 +189,7 @@ type Device struct {
 	channels []simclock.Time
 	stats    Stats
 	closed   bool
-	// shared marks data as a read-only image shared with other devices
-	// (see ShareImage/NewShared); the next PokeFrom materializes a private
-	// copy first, so sharing never changes observable behaviour.
+	// shared marks data as a read-only image shared with other devices.
 	shared bool
 	// MaxOutstanding caps concurrently queued IOs; 0 means unlimited.
 	// The paper limits outstanding requests to Nand devices to smooth
@@ -219,9 +223,10 @@ func New(spec TechSpec, capacity int64, _ *simclock.Clock, seed uint64) *Device 
 // NewShared creates a device whose media starts as a shared read-only
 // image — typically another identically-loaded device's contents obtained
 // via ShareImage. Timing state, counters and the RNG are the device's own;
-// only the media bytes are shared, and the first write replaces them with
-// a private copy (copy-on-write). This removes the dominant allocation of
-// building N replica hosts whose load phases write identical bytes.
+// only the media bytes are shared, and the first write that changes them
+// replaces them with a private copy (see Device). This removes the dominant
+// allocation of building N replica hosts whose load phases write identical
+// bytes, and keeps it removed while they rewrite those bytes.
 func NewShared(spec TechSpec, image []byte, _ *simclock.Clock, seed uint64) *Device {
 	d := New(spec, 0, nil, seed)
 	d.data = image
@@ -230,9 +235,9 @@ func NewShared(spec TechSpec, image []byte, _ *simclock.Clock, seed uint64) *Dev
 }
 
 // ShareImage marks the device's media as a shared read-only image and
-// returns it for replica devices (NewShared). The device itself becomes
-// copy-on-write too: its next write works on a private copy, leaving the
-// returned image untouched.
+// returns it for replica devices (NewShared). The device itself copies on
+// change from then on, like its replicas, so no write reaches the returned
+// image. Call it once per device; OpenReplica calls it on a loaded donor.
 func (d *Device) ShareImage() []byte {
 	d.shared = true
 	return d.data
@@ -299,6 +304,18 @@ func (d *Device) granules(off int64, n int) int {
 	return int((off+int64(n)-1)/g - off/g + 1)
 }
 
+// check validates an n-byte access at off. It compares off with cap-n: off+n
+// can wrap past MaxInt64 and pass a naive bound.
+func (d *Device) check(off int64, n int) error {
+	if d.closed {
+		return ErrClosed
+	}
+	if off < 0 || n < 0 || off > int64(len(d.data))-int64(n) {
+		return fmt.Errorf("%w: off=%d len=%d cap=%d", ErrOutOfRange, off, n, len(d.data))
+	}
+	return nil
+}
+
 // alignedSpan returns the length of the media-granularity-aligned byte span
 // covering [off, off+n).
 func (d *Device) alignedSpan(off int64, n int) int {
@@ -310,11 +327,8 @@ func (d *Device) alignedSpan(off int64, n int) int {
 // granule, all issued at now; it returns the last completion and the
 // aligned span.
 func (d *Device) book(now simclock.Time, off int64, n int, write bool) (simclock.Time, int, error) {
-	if d.closed {
-		return now, 0, ErrClosed
-	}
-	if off < 0 || off+int64(n) > int64(len(d.data)) {
-		return now, 0, fmt.Errorf("%w: off=%d len=%d cap=%d", ErrOutOfRange, off, n, len(d.data))
+	if err := d.check(off, n); err != nil {
+		return now, 0, err
 	}
 	done := now
 	for i := d.granules(off, n); i > 0; i-- {
@@ -353,29 +367,11 @@ func (d *Device) read(now simclock.Time, p []byte, off int64, sgl bool) (simcloc
 // engine relies on this to overlap data copies across workers while
 // replaying timing deterministically.
 func (d *Device) PeekInto(p []byte, off int64) error {
-	if d.closed {
-		return ErrClosed
+	if err := d.check(off, len(p)); err != nil {
+		return err
 	}
-	if off < 0 || off+int64(len(p)) > int64(len(d.data)) {
-		return fmt.Errorf("%w: off=%d len=%d cap=%d", ErrOutOfRange, off, len(p), len(d.data))
-	}
-	copy(p, d.data[off:off+int64(len(p))])
+	copy(p, d.data[off:])
 	return nil
-}
-
-// View returns [off, off+n) of the media without copying — PeekInto minus
-// the copy, with the same checks. The slice is read-only (the image may be
-// shared with replica devices) and dies at the device's next write: PokeFrom
-// may replace a shared image with a private copy, after which the view shows
-// the old bytes. Callers consume it before anything can write the device.
-func (d *Device) View(off int64, n int) ([]byte, error) {
-	if d.closed {
-		return nil, ErrClosed
-	}
-	if off < 0 || n < 0 || off+int64(n) > int64(len(d.data)) {
-		return nil, fmt.Errorf("%w: off=%d len=%d cap=%d", ErrOutOfRange, off, n, len(d.data))
-	}
-	return d.data[off : off+int64(n) : off+int64(n)], nil
 }
 
 // AccountRead books the timing and counters of an n-byte read at off
@@ -410,20 +406,23 @@ func (d *Device) Write(now simclock.Time, p []byte, off int64) (simclock.Time, e
 
 // PokeFrom copies p onto the media at off without touching the timing
 // model or the counters — the data half of a write and the mirror of
-// PeekInto; pair it with AccountWrite for the timing half. A shared image
-// is replaced by a private copy first (copy-on-write).
+// PeekInto; pair it with AccountWrite for the timing half. On a shared image
+// a write of the bytes already there is a no-op, and any other write works
+// on a private copy of the whole image made first (copy on change), so the
+// image is never written.
 func (d *Device) PokeFrom(p []byte, off int64) error {
-	if d.closed {
-		return ErrClosed
+	if err := d.check(off, len(p)); err != nil {
+		return err
 	}
-	if off < 0 || off+int64(len(p)) > int64(len(d.data)) {
-		return fmt.Errorf("%w: off=%d len=%d cap=%d", ErrOutOfRange, off, len(p), len(d.data))
-	}
+	dst := d.data[off : off+int64(len(p))]
 	if d.shared {
-		d.data = append([]byte(nil), d.data...)
-		d.shared = false
+		if bytes.Equal(dst, p) {
+			return nil
+		}
+		d.data, d.shared = append([]byte(nil), d.data...), false
+		dst = d.data[off : off+int64(len(p))]
 	}
-	copy(d.data[off:off+int64(len(p))], p)
+	copy(dst, p)
 	return nil
 }
 

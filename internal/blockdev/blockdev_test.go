@@ -2,7 +2,10 @@ package blockdev
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -93,7 +96,7 @@ func TestPokeFromPlusAccountWriteIsWrite(t *testing.T) {
 			t.Fatalf("write %d: split completes at %v, Write at %v", i, got, want)
 		}
 	}
-	if whole.Stats() != split.Stats() || !bytes.Equal(view(t, whole, 0, 1<<20), view(t, split, 0, 1<<20)) {
+	if whole.Stats() != split.Stats() || !bytes.Equal(contents(t, whole, 0, 1<<20), contents(t, split, 0, 1<<20)) {
 		t.Fatalf("split write diverged from Write:\n%+v\n%+v", split.Stats(), whole.Stats())
 	}
 
@@ -102,7 +105,7 @@ func TestPokeFromPlusAccountWriteIsWrite(t *testing.T) {
 	if err := replica.PokeFrom([]byte{1, 2, 3}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if image[0] != 0xab || view(t, replica, 0, 1)[0] != 1 {
+	if image[0] != 0xab || contents(t, replica, 0, 1)[0] != 1 {
 		t.Fatal("poke on a shared image must copy first")
 	}
 	if err := split.PokeFrom(src, 1<<20-100); !errors.Is(err, ErrOutOfRange) {
@@ -342,50 +345,218 @@ func TestUpdateInterval(t *testing.T) {
 	}
 }
 
-func view(t *testing.T, d *Device, off int64, n int) []byte {
+// contents returns a copy of [off, off+n) of d's media.
+func contents(t testing.TB, d *Device, off int64, n int) []byte {
 	t.Helper()
-	v, err := d.View(off, n)
-	if err != nil {
+	p := make([]byte, n)
+	if err := d.PeekInto(p, off); err != nil {
 		t.Fatal(err)
 	}
-	return v
+	return p
 }
 
-func TestView(t *testing.T) {
-	dev := newNand(t, 4096)
-	src := []byte{1, 2, 3}
-	if _, err := dev.Write(0, src, 10); err != nil {
-		t.Fatal(err)
-	}
-	before := dev.Stats()
-	got := view(t, dev, 10, 3)
-	if !bytes.Equal(got, src) || cap(got) != 3 {
-		t.Fatalf("view %v (cap %d)", got, cap(got))
-	}
-	if dev.Stats() != before {
-		t.Fatal("View must not touch the counters")
-	}
-	for _, bad := range [][2]int64{{-1, 1}, {4090, 7}, {0, -1}} {
-		if _, err := dev.View(bad[0], int(bad[1])); !errors.Is(err, ErrOutOfRange) {
-			t.Fatalf("View(%d, %d): want ErrOutOfRange, got %v", bad[0], bad[1], err)
+// TestRangeCheckDoesNotWrap: an offset whose end wraps past MaxInt64 fails
+// every entry point with ErrOutOfRange — no panic, no IO booked, no RNG draw
+// — on a private and on a shared device.
+func TestRangeCheckDoesNotWrap(t *testing.T) {
+	const off = math.MaxInt64 - 2
+	p := make([]byte, 8)
+	for _, c := range []struct {
+		name string
+		call func(d *Device) error
+	}{
+		{"PeekInto", func(d *Device) error { return d.PeekInto(p, off) }},
+		{"PokeFrom", func(d *Device) error { return d.PokeFrom(p, off) }},
+		{"Read", func(d *Device) error { _, err := d.Read(0, p, off); return err }},
+		{"ReadSGL", func(d *Device) error { _, err := d.ReadSGL(0, p, off); return err }},
+		{"Write", func(d *Device) error { _, err := d.Write(0, p, off); return err }},
+		{"AccountRead", func(d *Device) error { _, err := d.AccountRead(0, off, len(p), false); return err }},
+		{"AccountWrite", func(d *Device) error { _, err := d.AccountWrite(0, off, len(p)); return err }},
+	} {
+		for _, shared := range []bool{false, true} {
+			d := newNand(t, 4096)
+			if shared {
+				d = NewShared(Spec(NandFlash), d.ShareImage(), nil, 1)
+			}
+			rng := *d.rng
+			err := func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						err = fmt.Errorf("panic: %v", r)
+					}
+				}()
+				return c.call(d)
+			}()
+			if !errors.Is(err, ErrOutOfRange) {
+				t.Errorf("%s (shared %v) at MaxInt64-2: want ErrOutOfRange, got %v", c.name, shared, err)
+			}
+			if d.Stats() != (Stats{}) || *d.rng != rng || d.shared != shared {
+				t.Errorf("%s (shared %v): a rejected access booked %+v", c.name, shared, d.Stats())
+			}
 		}
 	}
+}
 
-	// A view of a shared image dies at the next write: the device moves to a
-	// private copy and the view keeps showing the (untouched) image.
-	replica := NewShared(Spec(NandFlash), dev.ShareImage(), nil, 2)
-	stale := view(t, replica, 10, 3)
-	if err := replica.PokeFrom([]byte{9}, 10); err != nil {
+// sharedPair drives a device over a shared image (a replica, or the donor
+// after ShareImage) and a private reference device (New plus the same
+// pokes) with the same operations.
+type sharedPair struct {
+	dev, ref *Device
+	image    []byte
+	orig     []byte // the image's bytes when it was shared
+	changed  bool   // a write changed the media's bytes
+}
+
+// newSharedPairs loads image bytes onto a donor, shares its media and returns
+// the donor's pair and a replica's.
+func newSharedPairs(t testing.TB, image []byte) (donor, replica *sharedPair) {
+	t.Helper()
+	spec := Spec(NandFlash)
+	pair := func(dev *Device) *sharedPair {
+		ref := New(spec, int64(len(image)), nil, 1)
+		if err := ref.PokeFrom(image, 0); err != nil {
+			t.Fatal(err)
+		}
+		return &sharedPair{dev: dev, ref: ref}
+	}
+	d := New(spec, int64(len(image)), nil, 1)
+	if err := d.PokeFrom(image, 0); err != nil {
 		t.Fatal(err)
 	}
-	if stale[0] != 1 || view(t, replica, 10, 1)[0] != 9 || got[0] != 1 {
-		t.Fatal("poke on a shared image must leave earlier views on the old bytes")
+	donor, shared := pair(d), d.ShareImage()
+	replica = pair(NewShared(spec, shared, nil, 2))
+	for _, sp := range []*sharedPair{donor, replica} {
+		sp.image, sp.orig = shared, append([]byte(nil), image...)
 	}
+	return donor, replica
+}
 
-	dev.Close()
-	if _, err := dev.View(0, 1); !errors.Is(err, ErrClosed) {
-		t.Fatalf("View on a closed device: want ErrClosed, got %v", err)
+// poke writes p at off on both devices and requires the same outcome.
+func (sp *sharedPair) poke(t testing.TB, p []byte, off int64) {
+	t.Helper()
+	before := make([]byte, len(p))
+	inRange := sp.ref.PeekInto(before, off) == nil
+	err, refErr := sp.dev.PokeFrom(p, off), sp.ref.PokeFrom(p, off)
+	if (err == nil) != (refErr == nil) || (err != nil && !errors.Is(err, ErrOutOfRange)) {
+		t.Fatalf("PokeFrom(%d bytes at %d): %v, reference %v", len(p), off, err, refErr)
 	}
+	sp.changed = sp.changed || inRange && !bytes.Equal(p, before)
+}
+
+// peek reads [off, off+n) off both devices and requires the same bytes.
+func (sp *sharedPair) peek(t testing.TB, off int64, n int) {
+	t.Helper()
+	got, want := make([]byte, n), make([]byte, n)
+	err, refErr := sp.dev.PeekInto(got, off), sp.ref.PeekInto(want, off)
+	if (err == nil) != (refErr == nil) || !bytes.Equal(got, want) {
+		t.Fatalf("PeekInto(%d bytes at %d): %v, reference %v; bytes differ: %v", n, off, err, refErr, !bytes.Equal(got, want))
+	}
+}
+
+// verify compares the whole media with the reference and requires the image
+// untouched and the device still on it exactly while no write changed bytes.
+func (sp *sharedPair) verify(t testing.TB) {
+	t.Helper()
+	sp.peek(t, 0, len(sp.image))
+	if !bytes.Equal(sp.image, sp.orig) {
+		t.Fatal("a write reached the shared image")
+	}
+	if sp.dev.shared == sp.changed {
+		t.Fatalf("device shares the image: %v, a write changed bytes: %v", sp.dev.shared, sp.changed)
+	}
+}
+
+// TestSharedImageMatchesPrivate is the differential for copy on change: 10⁴
+// seeded pokes and peeks, on a donor and a replica sharing one image, match a
+// private reference device byte for byte and leave the image untouched. The
+// first 2000 operations rewrite the bytes already there and copy nothing.
+func TestSharedImageMatchesPrivate(t *testing.T) {
+	const capacity = 5<<12 + 1000
+	rng := xrand.New(9)
+	image := make([]byte, capacity)
+	for i := range image {
+		image[i] = byte(rng.Uint64())
+	}
+	donor, replica := newSharedPairs(t, image)
+	for op := 0; op < 10000; op++ {
+		if op == 2000 {
+			donor.verify(t)
+			replica.verify(t)
+		}
+		sp := []*sharedPair{donor, replica}[rng.Intn(2)]
+		off := rng.Int63n(capacity)
+		n := int(min(rng.Int63n(10<<10)+1, capacity-off))
+		if rng.Intn(3) == 0 {
+			sp.peek(t, off, n)
+			continue
+		}
+		p := contents(t, sp.ref, off, n) // an equal rewrite
+		if op >= 2000 && rng.Intn(2) == 0 {
+			for i := range p {
+				p[i] = byte(rng.Uint64())
+			}
+		}
+		sp.poke(t, p, off)
+		sp.peek(t, off, n)
+	}
+	for _, sp := range []*sharedPair{donor, replica} {
+		if !sp.changed {
+			t.Fatal("fixture: no write changed the media")
+		}
+		sp.verify(t)
+	}
+}
+
+// fuzzCapacity is FuzzSharedImagePokes' device size.
+const fuzzCapacity = 3<<12 + 1000
+
+// fuzzOp encodes one FuzzSharedImagePokes operation: an 8-byte offset, a
+// 2-byte length and a flags byte — bit 0 rewrites the bytes already there,
+// bit 1 keeps the offset as is (else it is reduced modulo 4 KiB past the
+// capacity), bit 2 writes the donor instead of the replica.
+func fuzzOp(off int64, n uint16, flags byte) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, uint64(off))
+	return append(binary.LittleEndian.AppendUint16(b, n), flags)
+}
+
+// FuzzSharedImagePokes decodes a sequence of pokes, each followed by a peek
+// of the same range, and holds a donor and a replica sharing one image to a
+// private reference device: same outcome, same bytes, image untouched, and
+// the image still shared exactly while no write changed bytes.
+func FuzzSharedImagePokes(f *testing.F) {
+	f.Add(fuzzOp(4086, 20, 0))                             // a changing write
+	f.Add(fuzzOp(100, 50, 1))                              // an equal rewrite
+	f.Add(fuzzOp(fuzzCapacity-400, 400, 1))                // rewrites the last bytes
+	f.Add(fuzzOp(math.MaxInt64-2, 8, 2))                   // wraps a naive bound
+	f.Add(append(fuzzOp(0, 9000, 4), fuzzOp(10, 5, 5)...)) // donor, then a rewrite
+	image := make([]byte, fuzzCapacity)
+	for i := range image {
+		image[i] = byte(i*7 + i>>8)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		donor, replica := newSharedPairs(t, image)
+		for i := 0; len(ops) >= 11 && i < 64; i, ops = i+1, ops[11:] {
+			off := int64(binary.LittleEndian.Uint64(ops))
+			n, flags := int(binary.LittleEndian.Uint16(ops[8:])), ops[10]
+			if flags&2 == 0 {
+				off = int64(uint64(off) % (fuzzCapacity + 4096))
+			}
+			sp := replica
+			if flags&4 != 0 {
+				sp = donor
+			}
+			p := make([]byte, n)
+			if flags&1 == 0 || sp.ref.PeekInto(p, off) != nil {
+				for j := range p {
+					p[j] = byte(i + 3*j + 1)
+				}
+			}
+			sp.poke(t, p, off)
+			sp.peek(t, off, n)
+		}
+		donor.verify(t)
+		replica.verify(t)
+	})
 }
 
 func TestDeviceChannels(t *testing.T) {

@@ -289,13 +289,10 @@ func (m *Migration) moveSpan(now simclock.Time, d, lo, hi int64) (simclock.Time,
 		if err != nil {
 			return done, err
 		}
-		// The view is consumed before anything can write the device.
-		media, err := s.devices[d].View(off, span)
-		if err != nil {
-			return done, err
-		}
 		for j := lo; j < hi; j++ {
-			copy(m.dstRow(j*n+d), media[(j-lo)*rb:(j-lo+1)*rb])
+			if err := s.devices[d].PeekInto(m.dstRow(j*n+d), off+(j-lo)*rb); err != nil {
+				return done, err
+			}
 		}
 		return done, nil
 	}

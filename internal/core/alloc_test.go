@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"sdm/internal/blockdev"
+	"sdm/internal/placement"
 	"sdm/internal/simclock"
 	"sdm/internal/uring"
 	"sdm/internal/workload"
@@ -143,6 +146,103 @@ func TestOpenReplicaMatchesOpen(t *testing.T) {
 	if !reflect.DeepEqual(dRes, pRes) || !reflect.DeepEqual(dStats, pStats) ||
 		!reflect.DeepEqual(dDev, pDev) || !reflect.DeepEqual(dRing, pRing) || dSum != pSum {
 		t.Fatal("donor behavior changed after serving as a replica source")
+	}
+}
+
+// TestReplicaCleanMigrationCopiesNoImage pins what writes to a replica's
+// shared media images cost the host heap. Demoting a table that started
+// FM-resident rewrites the load bytes its reserved stripe already holds, and
+// promoting and demoting one of its ranges again moves clean rows: together
+// they allocate less than a quarter of one device's capacity, so no image is
+// copied. An update that changes one SM-resident row, flushed to the media,
+// does copy the row's image — the same measure sees that copy — and reaches
+// the replica's media alone.
+func TestReplicaCleanMigrationCopiesNoImage(t *testing.T) {
+	cfg := rangeConfig(2, 8<<10)
+	_, inst, tables := adaptiveFixture(t, cfg)
+	cfg.Placement = placement.Config{Policy: placement.FixedFMWithCache, UserTablesOnly: true, DRAMBudget: inst.UserBytes() / 3}
+	donor, err := Open(inst, tables, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcfg := cfg
+	rcfg.Seed++
+	s, err := OpenReplica(donor, rcfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmTable, smTable := -1, -1
+	for i := range s.tables {
+		switch {
+		case !s.Swappable(i):
+		case s.TargetOf(i) == placement.FM && fmTable < 0:
+			fmTable = i
+		case s.TargetOf(i) == placement.SM && smTable < 0:
+			smTable = i
+		}
+	}
+	if fmTable < 0 || smTable < 0 {
+		t.Fatalf("fixture: FM-resident swappable table %d, SM-resident %d", fmTable, smTable)
+	}
+	allocated := func(f func()) int64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		return int64(m1.TotalAlloc - m0.TotalAlloc)
+	}
+
+	st, rr := s.tables[fmTable], s.RangeRowsOf(fmTable)
+	now := s.LoadDone()
+	capacity := s.devices[0].Capacity()
+	clean := allocated(func() {
+		m, err := s.BeginDemote(fmTable, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = driveRange(t, m, now)
+		for _, up := range []bool{true, false} {
+			begin := s.BeginDemoteRange
+			if up {
+				begin = s.BeginPromoteRange
+			}
+			if m, err = begin(fmTable, 0, rr, 0); err != nil {
+				t.Fatal(err)
+			}
+			now = driveRange(t, m, now)
+			if up && !bytes.Equal(st.fmRange[0], tables[fmTable].Bytes()[:len(st.fmRange[0])]) {
+				t.Fatal("promoted range differs from the table's load bytes")
+			}
+		}
+	})
+	if clean >= capacity/4 {
+		t.Fatalf("clean migrations on a replica allocated %d bytes, want under a quarter of the %d-byte device", clean, capacity)
+	}
+
+	// One changed row, written back by the flush.
+	sm := s.tables[smTable]
+	row := int64(3)
+	value := append([]byte(nil), tables[smTable].Bytes()[:sm.rowBytes]...)
+	dev, off := s.smLocation(sm, row)
+	if bytes.Equal(value, media(t, s.devices[dev])[off:off+int64(sm.rowBytes)]) {
+		t.Fatal("fixture: the update does not change the row")
+	}
+	changed := allocated(func() {
+		if _, err := s.UpdateRow(now, smTable, row, value, UpdateOnline); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.FlushUpdates(now); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if changed < capacity {
+		t.Fatalf("a changing update allocated %d bytes, want a copy of the %d-byte image", changed, capacity)
+	}
+	if !bytes.Equal(media(t, s.devices[dev])[off:off+int64(sm.rowBytes)], value) {
+		t.Fatal("the flushed update is not on the replica's media")
+	}
+	if bytes.Equal(media(t, donor.devices[dev])[off:off+int64(sm.rowBytes)], value) {
+		t.Fatal("the replica's update reached the donor's media")
 	}
 }
 

@@ -119,8 +119,8 @@ func requireSameIO(t *testing.T, a, b *Store, stage string) {
 
 func media(t *testing.T, d *blockdev.Device) []byte {
 	t.Helper()
-	v, err := d.View(0, int(d.Capacity()))
-	if err != nil {
+	v := make([]byte, d.Capacity())
+	if err := d.PeekInto(v, 0); err != nil {
 		t.Fatal(err)
 	}
 	return v
@@ -156,7 +156,7 @@ func TestMigrationDataPathMatchesSubmitSync(t *testing.T) {
 				oracle := append([]byte(nil), tables[table].Bytes()...)
 				pre := make([][]byte, devs)
 				for d := range pre {
-					pre[d] = append([]byte(nil), media(t, a.devices[d])...)
+					pre[d] = media(t, a.devices[d])
 				}
 				update := func(row, donor int64) []byte {
 					v := append([]byte(nil), oracle[donor*rb:(donor+1)*rb]...)

@@ -58,7 +58,7 @@ type Store struct {
 
 	// shareMu guards sharedImages, the device media images handed to
 	// replica stores (OpenReplica). Once populated, this store's devices
-	// are copy-on-write.
+	// copy the image only when a write changes it.
 	shareMu      sync.Mutex
 	sharedImages [][]byte
 
@@ -197,8 +197,8 @@ func Open(inst *model.Instance, tables []*embedding.Table, cfg Config, _ *simclo
 // tables through the same config, so the stored media bytes are identical
 // across hosts; only the device RNG draws (and hence load timing) differ.
 // Instead of re-running load transforms and filling per-device media, the
-// replica shares the donor's post-load media images (copy-on-write, see
-// blockdev.NewShared) and immutable metadata, and
+// replica shares the donor's post-load media images (copied on change, see
+// blockdev.Device) and immutable metadata, and
 // books only the load timing — the same accountLoad walk Open runs — with
 // its own RNG. Every observable — media contents, stats, device RNG state,
 // load completion time — matches a full Open with the same cfg bit for
@@ -269,16 +269,13 @@ func OpenReplica(donor *Store, cfg Config, _ *simclock.Clock) (*Store, error) {
 }
 
 // loadTables applies load-time transformations, creates the devices and
-// puts the SM residents' bytes on the media; accountLoad books the writes.
+// puts every striped table's bytes on the media; accountLoad books the SM
+// residents' writes.
 func (s *Store) loadTables(tables []*embedding.Table) error {
 	// First pass: transform tables and compute SM footprint.
 	type smLoad struct {
 		idx   int
 		table *embedding.Table
-		// reserveOnly stripes the table's SM space without writing it:
-		// the table starts FM-resident, the stripe exists so a runtime
-		// demotion (cfg.ReserveSM) has somewhere to write.
-		reserveOnly bool
 	}
 	var (
 		loads   []smLoad
@@ -307,13 +304,14 @@ func (s *Store) loadTables(tables []*embedding.Table) error {
 		if st.target == placement.FM {
 			st.fm = t
 			if st.swappable {
-				// Identity load transforms (enforced with ReserveSM), so
-				// the FM bytes are exactly what a demotion writes to SM.
+				// A reserved stripe, so a runtime demotion has somewhere to
+				// write. Identity load transforms (enforced with ReserveSM)
+				// make the FM bytes exactly what a clean demotion writes.
 				st.storedSpec = t.Spec()
 				st.rowBytes = t.Spec().RowBytes()
 				st.rows = t.Spec().Rows
 				smBytes += t.Spec().SizeBytes()
-				loads = append(loads, smLoad{idx: i, table: t, reserveOnly: true})
+				loads = append(loads, smLoad{idx: i, table: t})
 			}
 			s.tables[i] = st
 			continue
@@ -363,8 +361,11 @@ func (s *Store) loadTables(tables []*embedding.Table) error {
 		s.rings[d] = uring.NewSync(s.devices[d], s.cfg.Ring)
 	}
 
-	// Second pass: stripe the SM residents' rows across the devices
-	// (reserve-only stripes claim their space without touching the media).
+	// Second pass: stripe the rows across the devices. A reserved stripe of
+	// an FM-resident table holds its load bytes too, though accountLoad
+	// books no write for it and nothing reads it before a demotion writes
+	// it: a clean demotion then rewrites the bytes already there, which a
+	// replica sharing this media image (OpenReplica) does without copying.
 	cursor := make([]int64, s.cfg.NumDevices)
 	maxRowBytes := 4096
 	for _, ld := range loads {
@@ -381,9 +382,6 @@ func (s *Store) loadTables(tables []*embedding.Table) error {
 			}
 			st.smBase[d] = cursor[d]
 			cursor[d] += rows * rb
-			if ld.reserveOnly {
-				continue
-			}
 			for r := int64(0); r < rows; r++ {
 				src := (r*n + d) * rb
 				if err := s.devices[d].PokeFrom(data[src:src+rb], st.smBase[d]+r*rb); err != nil {

@@ -82,8 +82,8 @@ func TestAccountReadBounds(t *testing.T) {
 
 // TestSubmitTimedWriteMatchesSubmitSync is the write-side contract, in the
 // shape the migration engine uses it: book the span with SubmitTimedWrite (or
-// SubmitTimedRead), then move the bytes row by row with PokeFrom (or gather
-// them out of a View). Completion times, media bytes, ring stats and device
+// SubmitTimedRead), then move the bytes row by row with PokeFrom (or
+// PeekInto). Completion times, media bytes, ring stats and device
 // stats must equal the inline SubmitSync path — on success, on an
 // out-of-range span and on a closed device.
 func TestSubmitTimedWriteMatchesSubmitSync(t *testing.T) {
@@ -112,10 +112,7 @@ func TestSubmitTimedWriteMatchesSubmitSync(t *testing.T) {
 		rA, errA := ringA.SubmitSync(dA, bufA, off, false)
 		rB, errB := ringB.SubmitTimedRead(dB, len(bufB), off)
 		if errB == nil {
-			var v []byte
-			if v, errB = devB.View(off, len(bufB)); errB == nil {
-				copy(bufB, v)
-			}
+			errB = devB.PeekInto(bufB, off)
 		}
 		if (errA != nil) != wantErr || (errB != nil) != wantErr || rA != rB || string(bufA) != string(bufB) {
 			t.Fatalf("read %d: %v at %d vs %v at %d", i, errA, rA, errB, rB)

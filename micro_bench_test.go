@@ -431,6 +431,10 @@ func BenchmarkMaterialize(b *testing.B) {
 // iteration, over one device and over a two-device stripe. MB/s is window
 // bytes; B/op is what the migration engine allocates per window. The
 // opposite move that restores the window runs outside the timer.
+// replica/… is the first demotion of a clean window on a fresh
+// core.OpenReplica replica — the first write to its shared media images;
+// the replica and the promotion before the demotion are built outside the
+// timer, so B/op is what that first write costs the host.
 func BenchmarkRangeMigration(b *testing.B) {
 	inst := fleetModel(b, 1.5e-4)
 	tables, err := inst.Materialize()
@@ -438,21 +442,21 @@ func BenchmarkRangeMigration(b *testing.B) {
 		b.Fatal(err)
 	}
 	const table, chunk = 7, 64 << 10
-	for _, promote := range []bool{true, false} {
-		name := map[bool]string{true: "promote", false: "demote"}[promote]
+	for _, name := range []string{"promote", "demote", "replica"} {
 		for _, devs := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/dev%d", name, devs), func(b *testing.B) {
-				store, err := core.Open(inst, tables, core.Config{
+				cfg := core.Config{
 					Seed: 5, ReserveSM: true, NumDevices: devs, Ring: uring.Config{SGL: true},
 					CacheBytes: 1 << 20,
 					Placement:  placement.Config{Policy: placement.SMOnlyWithCache, UserTablesOnly: true},
-				}, nil)
+				}
+				store, err := core.Open(inst, tables, cfg, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
 				hi := 4 * store.RangeRowsOf(table)
 				now := store.LoadDone()
-				move := func(up bool) {
+				move := func(store *core.Store, up bool) {
 					begin := store.BeginDemoteRange
 					if up {
 						begin = store.BeginPromoteRange
@@ -471,16 +475,32 @@ func BenchmarkRangeMigration(b *testing.B) {
 					}
 					now = m.Done() + 1
 				}
-				if !promote {
-					move(true)
-				}
 				b.SetBytes(hi * int64(inst.Tables[table].RowBytes()))
 				b.ReportAllocs()
+				promote := name == "promote"
+				if name == "demote" {
+					move(store, true)
+				}
 				b.ResetTimer()
+				if name == "replica" {
+					// The donor itself is never written, as OpenReplica requires.
+					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						replica, err := core.OpenReplica(store, cfg, nil)
+						if err != nil {
+							b.Fatal(err)
+						}
+						now = replica.LoadDone()
+						move(replica, true)
+						b.StartTimer()
+						move(replica, false)
+					}
+					return
+				}
 				for i := 0; i < b.N; i++ {
-					move(promote)
+					move(store, promote)
 					b.StopTimer()
-					move(!promote)
+					move(store, !promote)
 					b.StartTimer()
 				}
 			})
