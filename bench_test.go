@@ -204,7 +204,7 @@ func (fx fleetBench) warmFleet(b *testing.B, sh fleetShape, router Router, confi
 	b.Helper()
 	scfg := Config{Seed: 31, Ring: RingConfig{SGL: true}, CacheBytes: 1 << 15}
 	hs, err := NewFleetHosts(fx.inst, fx.tables, sh.hosts, &scfg, HostConfig{
-		Spec: HWSS(), InterOp: true, Seed: 31,
+		Spec: HWSS(), InterOp: true,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -414,7 +414,7 @@ func BenchmarkHostAdmit(b *testing.B) {
 		b.Fatal(err)
 	}
 	scfg := Config{Seed: 42, SMTech: NandFlash, Ring: RingConfig{SGL: true}, CacheBytes: 64 << 10}
-	hs, err := NewFleetHosts(inst, tables, 1, &scfg, HostConfig{Spec: HWSS(), InterOp: true, Seed: 42})
+	hs, err := NewFleetHosts(inst, tables, 1, &scfg, HostConfig{Spec: HWSS(), InterOp: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -255,7 +255,7 @@ func run(args []string, stdout io.Writer) error {
 			DRAMBudget: userBytes / 3,
 		}
 	}
-	hcfg := serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: *seed}
+	hcfg := serving.Config{Spec: serving.HWSS(), InterOp: true}
 	wcfg := workload.Config{Seed: *seed, NumUsers: *users, UserAlpha: 0.8, SLOClasses: *sloCls}
 	if *hotTabs > 0 || *itemTabs > 0 {
 		wcfg.Drift = workload.DriftConfig{HotTables: *hotTabs, HotItemTables: *itemTabs}

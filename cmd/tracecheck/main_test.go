@@ -35,7 +35,7 @@ func tracedRun(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	scfg := core.Config{Seed: 7, Ring: uring.Config{SGL: true}, CacheBytes: 1 << 15}
-	hosts, err := cluster.HostSet(in, tables, 2, &scfg, serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: 7})
+	hosts, err := cluster.HostSet(in, tables, 2, &scfg, serving.Config{Spec: serving.HWSS(), InterOp: true})
 	if err != nil {
 		t.Fatal(err)
 	}

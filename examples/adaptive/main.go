@@ -79,7 +79,7 @@ func main() {
 			},
 		}
 		hosts, err := sdm.NewFleetHosts(inst, tables, nHosts, &scfg, sdm.HostConfig{
-			Spec: sdm.HWSS(), InterOp: true, Seed: 42,
+			Spec: sdm.HWSS(), InterOp: true,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -46,7 +46,7 @@ func run() error {
 		Seed: 42, SMTech: sdm.NandFlash,
 		Ring: sdm.RingConfig{SGL: true}, CacheBytes: 1 << 20,
 	}
-	hcfg := sdm.HostConfig{Spec: sdm.HWSS(), InterOp: true, Seed: 42}
+	hcfg := sdm.HostConfig{Spec: sdm.HWSS(), InterOp: true}
 
 	// Same trace, same seeds, different routing policy.
 	measure := func(r sdm.Router, fail int) (*sdm.FleetResult, error) {

@@ -37,10 +37,14 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		store, err := sdm.Open(inst, tables, sdm.Config{
+		hosts, err := sdm.NewFleetHosts(inst, tables, 1, &sdm.Config{
 			SMTech: sdm.OptaneSSD, NumDevices: 9, // Table 10's sizing
 			Ring: sdm.RingConfig{SGL: true}, CacheBytes: 4 << 20,
-		}, nil)
+		}, sdm.HostConfig{Spec: sdm.HWF(), InterOp: true})
+		if err != nil {
+			return err
+		}
+		fleet, err := sdm.NewFleet(hosts, sdm.NewRoundRobin(), sdm.FleetConfig{Seed: uint64(30 + i)})
 		if err != nil {
 			return err
 		}
@@ -48,13 +52,8 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		host, err := sdm.NewHost(inst, store, tables, gen, nil, sdm.HostConfig{
-			Spec: sdm.HWF(), InterOp: true, Seed: uint64(30 + i),
-		})
-		if err != nil {
-			return err
-		}
-		res, err := host.RunOpenLoop(40, 200) // low-traffic experimental model
+		fleet.SetGenerator(gen)
+		res, err := fleet.Run(40, 200) // low-traffic experimental model
 		if err != nil {
 			return err
 		}

@@ -37,26 +37,26 @@ func run() error {
 	}
 	const budget = 20 * time.Millisecond
 
-	scaleOutQPS, _, err := measure(inst, tables, nil, sdm.HWAN(), true)
+	scaleOutQPS, _, err := measure(inst, tables, nil, sdm.HWAN(), true, budget)
 	if err != nil {
 		return err
 	}
 	nandQPS, _, err := measure(inst, tables, &sdm.Config{
 		SMTech: sdm.NandFlash, Ring: sdm.RingConfig{SGL: true}, CacheBytes: 8 << 20,
-	}, sdm.HWAN(), false)
+	}, sdm.HWAN(), false, budget)
 	if err != nil {
 		return err
 	}
 	optQPS, optRes, err := measure(inst, tables, &sdm.Config{
 		SMTech: sdm.OptaneSSD, Ring: sdm.RingConfig{SGL: true}, CacheBytes: 8 << 20,
-	}, sdm.HWAO(), false)
+	}, sdm.HWAO(), false, budget)
 	if err != nil {
 		return err
 	}
 
 	fmt.Printf("HW-AN + ScaleOut: max qps %7.0f\n", scaleOutQPS)
 	fmt.Printf("HW-AN + SDM:      max qps %7.0f (Nand latency forces underutilization)\n", nandQPS)
-	fmt.Printf("HW-AO + SDM:      max qps %7.0f (hit rate %.0f%%)\n", optQPS, optRes.CacheHitRate*100)
+	fmt.Printf("HW-AO + SDM:      max qps %7.0f (hit rate %.0f%%)\n", optQPS, optRes.HitRate*100)
 
 	total := scaleOutQPS * 1500
 	so, err := power.Provision(power.Scenario{
@@ -77,27 +77,24 @@ func run() error {
 	return nil
 }
 
-func measure(inst *sdm.Instance, tables []*sdm.Table, scfg *sdm.Config, sku sdm.HostSpec, remote bool) (float64, sdm.HostResult, error) {
-	var store *sdm.Store
-	if scfg != nil {
-		s, err := sdm.Open(inst, tables, *scfg, nil)
-		if err != nil {
-			return 0, sdm.HostResult{}, err
-		}
-		store = s
+// measure serves the model on one host — a fleet of one — and returns its
+// max QPS at a p95 latency budget with the result of that probe.
+func measure(inst *sdm.Instance, tables []*sdm.Table, scfg *sdm.Config, sku sdm.HostSpec, remote bool, budget time.Duration) (float64, *sdm.FleetResult, error) {
+	hosts, err := sdm.NewFleetHosts(inst, tables, 1, scfg, sdm.HostConfig{Spec: sku, InterOp: true, RemoteUserPath: remote})
+	if err != nil {
+		return 0, nil, err
+	}
+	fleet, err := sdm.NewFleet(hosts, sdm.NewRoundRobin(), sdm.FleetConfig{Seed: 4})
+	if err != nil {
+		return 0, nil, err
 	}
 	gen, err := sdm.NewGenerator(inst, sdm.WorkloadConfig{Seed: 4, NumUsers: 1000})
 	if err != nil {
-		return 0, sdm.HostResult{}, err
+		return 0, nil, err
 	}
-	host, err := sdm.NewHost(inst, store, tables, gen, nil, sdm.HostConfig{
-		Spec: sku, InterOp: true, RemoteUserPath: remote, Seed: 4,
-	})
-	if err != nil {
-		return 0, sdm.HostResult{}, err
+	fleet.SetGenerator(gen)
+	if _, err := fleet.Run(50, 300); err != nil {
+		return 0, nil, err
 	}
-	if _, err := host.RunOpenLoop(50, 300); err != nil {
-		return 0, sdm.HostResult{}, err
-	}
-	return host.MaxQPSAtLatency(0.95, 20*time.Millisecond, 5, 200000, 250)
+	return fleet.MaxQPSAtLatency(0.95, budget, 5, 200000, 250)
 }

@@ -37,7 +37,7 @@ func run() error {
 	const budget = 25 * time.Millisecond
 
 	// Baseline: every table flat in DRAM on HW-L.
-	baseQPS, baseRes, err := measure(inst, tables, nil, sdm.HWL())
+	baseQPS, baseRes, err := measure(inst, tables, nil, sdm.HWL(), budget)
 	if err != nil {
 		return err
 	}
@@ -49,7 +49,7 @@ func run() error {
 		Ring:       sdm.RingConfig{SGL: true},
 		CacheBytes: 32 << 20,
 	}
-	sdmQPS, sdmRes, err := measure(inst, tables, scfg, sdm.HWSS())
+	sdmQPS, sdmRes, err := measure(inst, tables, scfg, sdm.HWSS(), budget)
 	if err != nil {
 		return err
 	}
@@ -72,28 +72,25 @@ func run() error {
 	return nil
 }
 
-func measure(inst *sdm.Instance, tables []*sdm.Table, scfg *sdm.Config, sku sdm.HostSpec) (float64, sdm.HostResult, error) {
-	var store *sdm.Store
-	if scfg != nil {
-		s, err := sdm.Open(inst, tables, *scfg, nil)
-		if err != nil {
-			return 0, sdm.HostResult{}, err
-		}
-		store = s
+// measure serves the model on one host — a fleet of one — and returns its
+// max QPS at a p95 latency budget with the result of that probe.
+func measure(inst *sdm.Instance, tables []*sdm.Table, scfg *sdm.Config, sku sdm.HostSpec, budget time.Duration) (float64, *sdm.FleetResult, error) {
+	hosts, err := sdm.NewFleetHosts(inst, tables, 1, scfg, sdm.HostConfig{Spec: sku, InterOp: true})
+	if err != nil {
+		return 0, nil, err
+	}
+	fleet, err := sdm.NewFleet(hosts, sdm.NewRoundRobin(), sdm.FleetConfig{Seed: 2})
+	if err != nil {
+		return 0, nil, err
 	}
 	gen, err := sdm.NewGenerator(inst, sdm.WorkloadConfig{Seed: 2, NumUsers: 1000})
 	if err != nil {
-		return 0, sdm.HostResult{}, err
+		return 0, nil, err
 	}
-	host, err := sdm.NewHost(inst, store, tables, gen, nil, sdm.HostConfig{
-		Spec: sku, InterOp: true, Seed: 2,
-	})
-	if err != nil {
-		return 0, sdm.HostResult{}, err
-	}
+	fleet.SetGenerator(gen)
 	// Warm the caches, then search for max QPS at the latency budget.
-	if _, err := host.RunOpenLoop(50, 300); err != nil {
-		return 0, sdm.HostResult{}, err
+	if _, err := fleet.Run(50, 300); err != nil {
+		return 0, nil, err
 	}
-	return host.MaxQPSAtLatency(0.95, 25*time.Millisecond, 5, 100000, 250)
+	return fleet.MaxQPSAtLatency(0.95, budget, 5, 100000, 250)
 }

@@ -554,6 +554,39 @@ func (f *Fleet) Run(qps float64, n int) (*Result, error) {
 	return f.aggregate(qps, start, t, records, fired, drifted), nil
 }
 
+// MaxQPSAtLatency binary-searches the highest offered QPS whose measured
+// latency quantile stays within budget, one Run of probeQueries per probe
+// (state carries over, so warm the fleet first). It returns that rate and
+// its probe's Result; the loQPS floor probe's when no probe meets the
+// budget.
+func (f *Fleet) MaxQPSAtLatency(quantile float64, budget time.Duration, loQPS, hiQPS float64, probeQueries int) (float64, *Result, error) {
+	best, err := f.Run(loQPS, probeQueries)
+	if err != nil {
+		return 0, nil, err
+	}
+	bestQPS := loQPS
+	for iter := 0; iter < 12 && hiQPS/loQPS > 1.05; iter++ {
+		mid := (loQPS + hiQPS) / 2
+		res, err := f.Run(mid, probeQueries)
+		if err != nil {
+			return 0, nil, err
+		}
+		// A rate passes if it meets the latency budget AND actually
+		// sustains the offered rate — an overloaded backend shows up as a
+		// completion horizon stretching past the arrival window before
+		// short-probe percentiles can detect it.
+		ok := time.Duration(res.Latency.Quantile(quantile)*float64(time.Second)) <= budget &&
+			res.AchievedQPS >= 0.8*mid
+		if ok {
+			bestQPS, best = mid, res
+			loQPS = mid
+		} else {
+			hiQPS = mid
+		}
+	}
+	return bestQPS, best, nil
+}
+
 // countClass adds one to class c of a per-class ledger, growing it (and,
 // with metrics on, family fam's exported series) to cover c.
 func (f *Fleet) countClass(ledger *[]int, fam, c int) {
@@ -772,8 +805,9 @@ func (f *Fleet) syncAll() error {
 }
 
 // HostSet builds n identical SDM-backed serving hosts over one set of
-// materialized tables: each host gets its own store and derived seed
-// (hosts never share mutable state the determinism contract cares about).
+// materialized tables: each host gets its own store with a derived store
+// seed (hosts never share mutable state the determinism contract cares
+// about).
 // SDM-backed sets open host 0 in full and the rest as replicas sharing its
 // post-load media images copy-on-write (core.OpenReplica) — the stored
 // bytes are identical across hosts, so only load timing is replayed per
@@ -815,9 +849,7 @@ func HostSet(inst *model.Instance, tables []*embedding.Table, n int, scfg *core.
 					store = s
 				}
 			}
-			hc := hcfg
-			hc.Seed = hcfg.Seed + uint64(i)
-			h, err := serving.NewHost(inst, store, tables, nil, nil, hc)
+			h, err := serving.NewHost(inst, store, tables, nil, nil, hcfg)
 			if err != nil {
 				errs[i] = err
 				return

@@ -43,7 +43,7 @@ func fixture(t testing.TB) (*model.Instance, []*embedding.Table) {
 func testFleet(t *testing.T, in *model.Instance, tables []*embedding.Table, n int, router Router, cfg Config) *Fleet {
 	t.Helper()
 	scfg := core.Config{Seed: 7, Ring: uring.Config{SGL: true}, CacheBytes: 1 << 15}
-	hosts, err := HostSet(in, tables, n, &scfg, serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: 7})
+	hosts, err := HostSet(in, tables, n, &scfg, serving.Config{Spec: serving.HWSS(), InterOp: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func adaptiveFleet(t *testing.T, in *model.Instance, tables []*embedding.Table, 
 			DRAMBudget: 5 * (96 << 10) / 2,
 		},
 	}
-	hosts, err := HostSet(in, tables, n, &scfg, serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: 7})
+	hosts, err := HostSet(in, tables, n, &scfg, serving.Config{Spec: serving.HWSS(), InterOp: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func rangeAdaptiveFleet(t *testing.T, in *model.Instance, tables []*embedding.Ta
 			Policy: placement.SMOnlyWithCache, UserTablesOnly: true,
 		},
 	}
-	hosts, err := HostSet(in, tables, n, &scfg, serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: 7})
+	hosts, err := HostSet(in, tables, n, &scfg, serving.Config{Spec: serving.HWSS(), InterOp: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +477,7 @@ func TestRoundRobinSkipsDeadHosts(t *testing.T) {
 func TestFleetValidation(t *testing.T) {
 	in, tables := fixture(t)
 	scfg := core.Config{Seed: 1, Ring: uring.Config{SGL: true}, CacheBytes: 1 << 15}
-	hosts, err := HostSet(in, tables, 1, &scfg, serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: 1})
+	hosts, err := HostSet(in, tables, 1, &scfg, serving.Config{Spec: serving.HWSS(), InterOp: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +513,7 @@ func TestFleetValidation(t *testing.T) {
 	}
 	// Non-finite floats pass every x <= 0 check; each is an error naming
 	// the parameter, never a run with offered=NaN.
-	hosts2, err := HostSet(in, tables, 2, &scfg, serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: 1})
+	hosts2, err := HostSet(in, tables, 2, &scfg, serving.Config{Spec: serving.HWSS(), InterOp: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +538,7 @@ func TestFleetValidation(t *testing.T) {
 			}
 		}
 	}
-	if _, err := HostSet(in, tables, 0, &scfg, serving.Config{Spec: serving.HWSS(), Seed: 1}); err == nil {
+	if _, err := HostSet(in, tables, 0, &scfg, serving.Config{Spec: serving.HWSS()}); err == nil {
 		t.Fatal("empty host set should fail")
 	}
 }
@@ -549,7 +549,7 @@ func TestFleetValidation(t *testing.T) {
 func TestFleetRejectsMismatchedRing(t *testing.T) {
 	in, tables := fixture(t)
 	scfg := core.Config{Seed: 1, Ring: uring.Config{SGL: true}, CacheBytes: 1 << 15}
-	hosts, err := HostSet(in, tables, 4, &scfg, serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: 1})
+	hosts, err := HostSet(in, tables, 4, &scfg, serving.Config{Spec: serving.HWSS(), InterOp: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -710,7 +710,7 @@ func sloFleet(t *testing.T, in *model.Instance, tables []*embedding.Table, n, wo
 			Policy: placement.SMOnlyWithCache, UserTablesOnly: true,
 		},
 	}
-	hosts, err := HostSet(in, tables, n, &scfg, serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: 7})
+	hosts, err := HostSet(in, tables, n, &scfg, serving.Config{Spec: serving.HWSS(), InterOp: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -806,11 +806,67 @@ func TestSLOFleetDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestMaxQPSAtLatencyReturnsItsProbe: the search returns the Result of the
+// rate it returns — the floor probe's when no probe meets the budget — and
+// that Result's HitRate is the probe's own hit delta, not the cache's
+// lifetime rate. An identical twin fleet replays the probes: a probe passes
+// exactly when its rate is at most the returned one, so the returned rate
+// alone fixes the probe sequence.
+func TestMaxQPSAtLatencyReturnsItsProbe(t *testing.T) {
+	in, tables := fixture(t)
+	const lo, hi, n = 5.0, 4000.0, 150
+	for _, budget := range []time.Duration{time.Nanosecond, 5 * time.Millisecond} {
+		f := testFleet(t, in, tables, 1, NewRoundRobin(), Config{Seed: 3})
+		qps, res, err := f.MaxQPSAtLatency(0.95, budget, lo, hi, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if floorOnly := budget == time.Nanosecond; floorOnly != (qps == lo) {
+			t.Fatalf("budget %v: max QPS %g (floor %g)", budget, qps, lo)
+		}
+		if res.OfferedQPS != qps || res.Queries != n {
+			t.Fatalf("budget %v: returned %g QPS with the result of a %g-QPS probe of %d queries",
+				budget, qps, res.OfferedQPS, res.Queries)
+		}
+		twin := testFleet(t, in, tables, 1, NewRoundRobin(), Config{Seed: 3})
+		host := twin.members[0].host
+		var want serving.CacheSnapshot
+		var wantKey string
+		probe := func(rate float64) {
+			before := host.Snapshot()
+			r, err := twin.Run(rate, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rate == qps {
+				want, wantKey = host.Snapshot().Sub(before), resultKey(t, r)
+			}
+		}
+		probe(lo)
+		for a, b, i := lo, hi, 0; i < 12 && b/a > 1.05; i++ {
+			mid := (a + b) / 2
+			probe(mid)
+			if mid <= qps {
+				a = mid
+			} else {
+				b = mid
+			}
+		}
+		if resultKey(t, res) != wantKey {
+			t.Fatalf("budget %v: returned result differs from the twin's %g-QPS probe", budget, qps)
+		}
+		if res.HitRate != want.HitRate() || res.HitRate == host.Snapshot().HitRate() {
+			t.Fatalf("budget %v: hit rate %v, probe's own %v, lifetime %v",
+				budget, res.HitRate, want.HitRate(), host.Snapshot().HitRate())
+		}
+	}
+}
+
 func TestFlatHostSet(t *testing.T) {
 	// A nil store config builds DRAM-baseline hosts; the fleet still runs
 	// and, with the CPU-accounting fix, reports nonzero utilization.
 	in, tables := fixture(t)
-	hosts, err := HostSet(in, tables, 2, nil, serving.Config{Spec: serving.HWL(), InterOp: true, Seed: 3})
+	hosts, err := HostSet(in, tables, 2, nil, serving.Config{Spec: serving.HWL(), InterOp: true})
 	if err != nil {
 		t.Fatal(err)
 	}

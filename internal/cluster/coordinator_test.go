@@ -89,7 +89,7 @@ func coordinatedFleet(t *testing.T, in *model.Instance, tables []*embedding.Tabl
 			Policy: placement.SMOnlyWithCache, UserTablesOnly: true,
 		},
 	}
-	hosts, err := HostSet(in, tables, n, &scfg, serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: 7})
+	hosts, err := HostSet(in, tables, n, &scfg, serving.Config{Spec: serving.HWSS(), InterOp: true})
 	if err != nil {
 		t.Fatal(err)
 	}

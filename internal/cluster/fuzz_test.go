@@ -12,7 +12,7 @@ import (
 func flatHosts(f *testing.F, n int) []*serving.Host {
 	f.Helper()
 	in, tables := fixture(f)
-	hosts, err := HostSet(in, tables, n, nil, serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: 7})
+	hosts, err := HostSet(in, tables, n, nil, serving.Config{Spec: serving.HWSS(), InterOp: true})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -301,7 +301,7 @@ func TestHostErrorClearsBetweenRuns(t *testing.T) {
 		{"inline", NewLeastOutstanding()},
 	} {
 		scfg := core.Config{Seed: 7, Ring: uring.Config{SGL: true}, CacheBytes: 1 << 15}
-		hosts, err := HostSet(in, tables, 3, &scfg, serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: 7})
+		hosts, err := HostSet(in, tables, 3, &scfg, serving.Config{Spec: serving.HWSS(), InterOp: true})
 		if err != nil {
 			t.Fatal(err)
 		}

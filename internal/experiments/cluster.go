@@ -43,7 +43,7 @@ func Cluster(sc Scale) (Result, error) {
 		Seed: sc.Seed, SMTech: blockdev.NandFlash,
 		Ring: uring.Config{SGL: true}, CacheBytes: 1 << 20,
 	}
-	hcfg := serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: sc.Seed}
+	hcfg := serving.Config{Spec: serving.HWSS(), InterOp: true}
 	wcfg := workload.Config{Seed: sc.Seed, NumUsers: 2000, UserAlpha: 0.8}
 	qps := 300.0
 	n := sc.Queries * 4

@@ -137,7 +137,7 @@ func (d driftDrill) run(sc Scale) (drillRun, error) {
 		ReserveSM: true, MigrationRangeBytes: 256 << 10,
 		Placement: place,
 	}
-	hcfg := serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: sc.Seed}
+	hcfg := serving.Config{Spec: serving.HWSS(), InterOp: true}
 	hosts, err := cluster.HostSet(d.inst, d.tables, d.hosts, &scfg, hcfg)
 	if err != nil {
 		return drillRun{}, err

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"sdm/internal/blockdev"
+	"sdm/internal/cluster"
 	"sdm/internal/core"
 	"sdm/internal/embedding"
 	"sdm/internal/model"
@@ -15,30 +16,28 @@ import (
 	"sdm/internal/workload"
 )
 
-// hostQPS builds a host over the given store/flat tables and measures the
-// max QPS at a p95 latency budget.
-func hostQPS(sc Scale, inst *model.Instance, tables []*embedding.Table, scfg *core.Config, hcfg serving.Config, budget time.Duration, hiQPS float64) (float64, serving.Result, error) {
-	var store *core.Store
-	if scfg != nil {
-		s, err := core.Open(inst, tables, *scfg, nil)
-		if err != nil {
-			return 0, serving.Result{}, err
-		}
-		store = s
-	}
-	gen, err := workload.NewGenerator(inst, workload.Config{Seed: hcfg.Seed, NumUsers: 1000})
+// hostQPS measures one host over the given store/flat tables — a fleet of
+// one — and returns its max QPS at a p95 latency budget with the result of
+// that probe.
+func hostQPS(sc Scale, inst *model.Instance, tables []*embedding.Table, scfg *core.Config, hcfg serving.Config, budget time.Duration, hiQPS float64) (float64, *cluster.Result, error) {
+	hosts, err := cluster.HostSet(inst, tables, 1, scfg, hcfg)
 	if err != nil {
-		return 0, serving.Result{}, err
+		return 0, nil, err
 	}
-	h, err := serving.NewHost(inst, store, tables, gen, nil, hcfg)
+	fl, err := cluster.New(hosts, cluster.NewRoundRobin(), cluster.Config{Seed: sc.Seed})
 	if err != nil {
-		return 0, serving.Result{}, err
+		return 0, nil, err
 	}
+	gen, err := workload.NewGenerator(inst, workload.Config{Seed: sc.Seed, NumUsers: 1000})
+	if err != nil {
+		return 0, nil, err
+	}
+	fl.SetGenerator(gen)
 	// Warmup pass at modest load so caches reach steady state (§A.4).
-	if _, err := h.RunOpenLoop(50, sc.Queries/2+50); err != nil {
-		return 0, serving.Result{}, err
+	if _, err := fl.Run(50, sc.Queries/2+50); err != nil {
+		return 0, nil, err
 	}
-	return h.MaxQPSAtLatency(0.95, budget, 5, hiQPS, sc.Queries/2+100)
+	return fl.MaxQPSAtLatency(0.95, budget, 5, hiQPS, sc.Queries/2+100)
 }
 
 // scenarioModel builds the shrunken shape of one of the paper's target
@@ -107,12 +106,12 @@ func Fig6(sc Scale) (Result, error) {
 				Seed: sc.Seed, CacheKind: kind, CacheBytes: 1 << 20,
 				Ring: uring.Config{SGL: true},
 			}
-			qps, res, err := hostQPS(sc, inst, tables, scfg, serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: sc.Seed}, budget, 20000)
+			qps, res, err := hostQPS(sc, inst, tables, scfg, serving.Config{Spec: serving.HWSS(), InterOp: true}, budget, 20000)
 			if err != nil {
 				return err
 			}
 			kindRows[i] = fmt.Sprintf("  %-14s qps=%6.0f p95=%6.2fms hit=%5.1f%%",
-				kind, qps, res.Latency.P95()*1e3, res.CacheHitRate*100)
+				kind, qps, res.Latency.P95()*1e3, res.HitRate*100)
 			return nil
 		})
 	}
@@ -127,12 +126,12 @@ func Fig6(sc Scale) (Result, error) {
 					DRAMBudget: int64(frac * float64(smBytes)),
 				},
 			}
-			qps, res, err := hostQPS(sc, inst, tables, scfg, serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: sc.Seed}, budget, 20000)
+			qps, res, err := hostQPS(sc, inst, tables, scfg, serving.Config{Spec: serving.HWSS(), InterOp: true}, budget, 20000)
 			if err != nil {
 				return err
 			}
 			fracRows[i] = fmt.Sprintf("  dram=%3.0f%%ofSM   qps=%6.0f p95=%6.2fms smReads/qry=%5.1f",
-				frac*100, qps, res.Latency.P95()*1e3, res.SMReadsPerQry)
+				frac*100, qps, res.Latency.P95()*1e3, float64(res.Hosts[0].SMReads)/float64(res.Queries))
 			return nil
 		})
 	}
@@ -169,14 +168,14 @@ func Tab8(sc Scale) (Result, error) {
 	// The two fleets are independent hosts: measure them concurrently.
 	var (
 		baseQPS, sdmQPS float64
-		sdmRes          serving.Result
+		sdmRes          *cluster.Result
 	)
 	err = inParallel(
 		func() error {
 			// Baseline: all tables flat in DRAM on the big host.
 			var err error
 			baseQPS, _, err = hostQPS(sc, inst, tables, nil,
-				serving.Config{Spec: serving.HWL(), InterOp: true, Seed: sc.Seed}, budget, 100000)
+				serving.Config{Spec: serving.HWL(), InterOp: true}, budget, 100000)
 			return err
 		},
 		func() error {
@@ -187,7 +186,7 @@ func Tab8(sc Scale) (Result, error) {
 			}
 			var err error
 			sdmQPS, sdmRes, err = hostQPS(sc, inst, tables, scfg,
-				serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: sc.Seed}, budget, 100000)
+				serving.Config{Spec: serving.HWSS(), InterOp: true}, budget, 100000)
 			return err
 		},
 	)
@@ -207,7 +206,7 @@ func Tab8(sc Scale) (Result, error) {
 	res := &Tab8Result{
 		BaselineQPS: baseQPS, SDMQPS: sdmQPS,
 		Saving:  power.Savings(base, sdm),
-		HitRate: sdmRes.CacheHitRate,
+		HitRate: sdmRes.HitRate,
 	}
 	res.id = "tab8"
 	res.header = fmt.Sprintf("%-14s %8s %8s %12s %12s", "Scenario", "QPS", "Power", "Total Hosts", "Total Power")
@@ -216,7 +215,7 @@ func Tab8(sc Scale) (Result, error) {
 		fmt.Sprintf("%-14s %8.0f %8.1f %12d %12.0f", "HW-SS + SDM", sdmQPS, serving.HWSS().RelPower, sdm.Hosts, sdm.TotalPower),
 		fmt.Sprintf("power saving: %.0f%% (paper: 20%%)", res.Saving*100),
 		fmt.Sprintf("steady-state cache hit rate: %.1f%% (paper: >96%%)", res.HitRate*100),
-		fmt.Sprintf("sustained SM IOPS/host: %.0f (paper: <10K in steady state)", sdmRes.SustainedIOPS),
+		fmt.Sprintf("sustained SM IOPS/host: %.0f (paper: <10K in steady state)", float64(sdmRes.Hosts[0].SMReads)/(sdmRes.End-sdmRes.Start).Seconds()),
 		fmt.Sprintf("DRAM saved at fleet scale: %.1f TB-equivalent (paper: 159.4 TB)",
 			float64(power.DRAMSavedBytes(base.Hosts, serving.HWL().DRAMBytes, sdm.Hosts, serving.HWSS().DRAMBytes))/(1<<40)),
 	)
@@ -243,27 +242,27 @@ func Tab9(sc Scale) (Result, error) {
 	// Three independent fleets: measure them concurrently.
 	var (
 		scaleOutQPS, nandQPS, optQPS float64
-		optRes                       serving.Result
+		optRes                       *cluster.Result
 	)
 	err = inParallel(
 		func() error {
 			var err error
 			scaleOutQPS, _, err = hostQPS(sc, inst, tables, nil,
-				serving.Config{Spec: serving.HWAN(), InterOp: true, RemoteUserPath: true, Seed: sc.Seed}, budget, 200000)
+				serving.Config{Spec: serving.HWAN(), InterOp: true, RemoteUserPath: true}, budget, 200000)
 			return err
 		},
 		func() error {
 			nandCfg := &core.Config{Seed: sc.Seed, SMTech: blockdev.NandFlash, CacheBytes: 8 << 20, Ring: uring.Config{SGL: true}}
 			var err error
 			nandQPS, _, err = hostQPS(sc, inst, tables, nandCfg,
-				serving.Config{Spec: serving.HWAN(), InterOp: true, Seed: sc.Seed}, budget, 200000)
+				serving.Config{Spec: serving.HWAN(), InterOp: true}, budget, 200000)
 			return err
 		},
 		func() error {
 			optCfg := &core.Config{Seed: sc.Seed, SMTech: blockdev.OptaneSSD, CacheBytes: 8 << 20, Ring: uring.Config{SGL: true}}
 			var err error
 			optQPS, optRes, err = hostQPS(sc, inst, tables, optCfg,
-				serving.Config{Spec: serving.HWAO(), InterOp: true, Seed: sc.Seed}, budget, 200000)
+				serving.Config{Spec: serving.HWAO(), InterOp: true}, budget, 200000)
 			return err
 		},
 	)
@@ -299,7 +298,7 @@ func Tab9(sc Scale) (Result, error) {
 		fmt.Sprintf("%-18s %8.0f %12d %12.0f", "HW-AN + SDM", nandQPS, nand.Hosts, nand.TotalPower),
 		fmt.Sprintf("%-18s %8.0f %12d %12.0f", "HW-AO + SDM", optQPS, opt.Hosts, opt.TotalPower),
 		fmt.Sprintf("Optane saving vs scale-out: %.1f%% (paper: 5%%)", res.OptaneSaving*100),
-		fmt.Sprintf("Optane SM hit rate: %.1f%% (paper: >90%%)", optRes.CacheHitRate*100),
+		fmt.Sprintf("Optane SM hit rate: %.1f%% (paper: >90%%)", optRes.HitRate*100),
 	)
 	res.notes = append(res.notes,
 		"paper: Nand underperforms (QPS 230 vs 450) because its latency forces underutilization; Optane matches scale-out QPS at lower power")
@@ -474,14 +473,14 @@ func InterOp(sc Scale) (Result, error) {
 		return nil, err
 	}
 	budget := 25 * time.Millisecond
-	run := func(interOp bool) (float64, serving.Result, error) {
+	run := func(interOp bool) (float64, *cluster.Result, error) {
 		scfg := &core.Config{Seed: sc.Seed, CacheBytes: 4 << 20, Ring: uring.Config{SGL: true}}
 		return hostQPS(sc, inst, tables, scfg,
-			serving.Config{Spec: serving.HWSS(), InterOp: interOp, Seed: sc.Seed}, budget, 20000)
+			serving.Config{Spec: serving.HWSS(), InterOp: interOp}, budget, 20000)
 	}
 	var (
 		serialQPS, parQPS float64
-		serialRes, parRes serving.Result
+		serialRes, parRes *cluster.Result
 	)
 	err = inParallel(
 		func() (err error) { serialQPS, serialRes, err = run(false); return },

@@ -176,7 +176,7 @@ func SLO(sc Scale) (Result, error) {
 		scfg := core.Config{
 			Seed: sc.Seed, Ring: uring.Config{SGL: true}, CacheBytes: 1 << 15,
 		}
-		hcfg := serving.Config{Spec: serving.HWSS(), InterOp: true, Seed: sc.Seed}
+		hcfg := serving.Config{Spec: serving.HWSS(), InterOp: true}
 		hs, err := cluster.HostSet(sweepInst, sweepTables, sweepHosts, &scfg, hcfg)
 		if err != nil {
 			return nil, err

@@ -1,11 +1,11 @@
-// Package serving simulates DLRM inference hosts and fleets (§2.3, §5):
-// queries arrive open-loop at a target QPS, embedding operators execute
-// against an SDM store (or a flat-DRAM baseline), dense compute runs on a
-// CPU/accelerator service model, and the user-side SM work overlaps the
-// item-side work per Eq. 3 so slow-memory latency stays off the critical
-// path as long as it is shorter than the item path. The simulator measures
-// p50/p95/p99 latency and sustainable QPS, which the power package turns
-// into the fleet-level results of Tables 8, 9 and 11.
+// Package serving simulates DLRM inference hosts (§2.3, §5): embedding
+// operators execute against an SDM store (or a flat-DRAM baseline), dense
+// compute runs on a CPU/accelerator service model, and the user-side SM
+// work overlaps the item-side work per Eq. 3 so slow-memory latency stays
+// off the critical path as long as it is shorter than the item path. A
+// host executes the queries Admit hands it; arrivals come from
+// cluster.Fleet, which measures a single host as a fleet of one (p95
+// latency and the max QPS the power package turns into Tables 8, 9 and 11).
 package serving
 
 import (
@@ -19,9 +19,7 @@ import (
 	"sdm/internal/mlp"
 	"sdm/internal/model"
 	"sdm/internal/simclock"
-	"sdm/internal/stats"
 	"sdm/internal/workload"
-	"sdm/internal/xrand"
 )
 
 // HostSpec describes a serving host SKU (Table 7).
@@ -82,7 +80,9 @@ type Config struct {
 	// user embeddings are fetched from remote HW-S shards over the
 	// network instead of local SDM.
 	RemoteUserPath bool
-	Seed           uint64
+	// Seed is ignored: a host draws nothing at random. It is kept only
+	// because frozen bench/ sets it.
+	Seed uint64
 }
 
 // remoteRTT is the network round-trip of one remote user lookup.
@@ -96,8 +96,6 @@ type Host struct {
 	inst  *model.Instance
 	store *core.Store
 	flat  []*embedding.Table
-	gen   *workload.Generator
-	rng   *xrand.RNG
 
 	cores     []simclock.Time // per-core next-free virtual time
 	accelFree simclock.Time
@@ -112,9 +110,8 @@ type Host struct {
 	// queries as a min-heap; cluster routers read it through OutstandingAt.
 	inflight simclock.TimeHeap
 
-	// admitted counts queries accepted through Admit since host creation —
-	// externally routed ones and RunOpenLoop's own arrivals alike (the
-	// metrics plane reads it at mark time).
+	// admitted counts queries accepted through Admit since host creation
+	// (the metrics plane reads it at mark time).
 	admitted uint64
 
 	// topFLOPs is the FLOP count of one top-MLP forward pass.
@@ -138,8 +135,10 @@ type Host struct {
 
 // NewHost builds a host. store may be nil when flat tables are provided
 // (DRAM-only baseline); flat may be nil when a store is provided. The
-// clock parameter is ignored (see simclock.Clock).
-func NewHost(inst *model.Instance, store *core.Store, flat []*embedding.Table, gen *workload.Generator, _ *simclock.Clock, cfg Config) (*Host, error) {
+// generator and clock parameters are ignored, kept only because frozen
+// bench/ passes them: a host executes only what Admit hands it (a one-host
+// cluster.Fleet is its arrival loop), and see simclock.Clock.
+func NewHost(inst *model.Instance, store *core.Store, flat []*embedding.Table, _ *workload.Generator, _ *simclock.Clock, cfg Config) (*Host, error) {
 	if store == nil && flat == nil && !cfg.RemoteUserPath {
 		return nil, errors.New("serving: host needs a store, flat tables, or a remote user path")
 	}
@@ -155,8 +154,6 @@ func NewHost(inst *model.Instance, store *core.Store, flat []*embedding.Table, g
 		inst:     inst,
 		store:    store,
 		flat:     flat,
-		gen:      gen,
-		rng:      xrand.New(cfg.Seed + 1),
 		cores:    make([]simclock.Time, cfg.Spec.Cores),
 		topFLOPs: topFLOPs,
 		outBufs:  make([][][]float32, len(inst.Tables)),
@@ -185,27 +182,6 @@ func (h *Host) SetTuner(t Tuner) { h.tuner = t }
 // Store exposes the host's SDM store (nil for flat/remote baselines) so
 // control planes like the adapt subsystem can attach to it.
 func (h *Host) Store() *core.Store { return h.store }
-
-// Result summarizes a host run.
-type Result struct {
-	Queries       int
-	OfferedQPS    float64
-	AchievedQPS   float64
-	Latency       *stats.Histogram
-	CPUUtil       float64
-	CacheHitRate  float64
-	PooledHitRate float64
-	SMReadsPerQry float64
-	SustainedIOPS float64
-}
-
-// String renders the headline numbers.
-func (r Result) String() string {
-	return fmt.Sprintf("qps=%.0f/%.0f p50=%.2fms p95=%.2fms p99=%.2fms cpu=%.0f%% hit=%.1f%%",
-		r.AchievedQPS, r.OfferedQPS,
-		r.Latency.P50()*1e3, r.Latency.P95()*1e3, r.Latency.P99()*1e3,
-		r.CPUUtil*100, r.CacheHitRate*100)
-}
 
 // coreAdmit books cpu seconds of work on the earliest-free core starting
 // no earlier than t and returns (start, done).
@@ -353,9 +329,7 @@ func (h *Host) Ready() simclock.Time {
 // It is the single entry point to execution: cluster front-ends call it
 // with externally routed queries (the caller owns arrival generation and
 // routing, the host owns execution, cache state and virtual-time
-// accounting) and RunOpenLoop calls it with its own Poisson arrivals.
-// Admissions must arrive in non-decreasing time order; a host built only
-// for Admit may be constructed with a nil generator.
+// accounting). Admissions must arrive in non-decreasing time order.
 func (h *Host) Admit(t simclock.Time, q workload.Query) (simclock.Time, error) {
 	if h.tuner != nil {
 		h.tuner.BeforeAdmit(t)
@@ -530,91 +504,6 @@ func (h *Host) FMServedRate() float64 {
 	}
 	st := h.store.Stats()
 	return CacheSnapshot{SMReads: st.SMReads, Lookups: st.Lookups}.FMServedRate()
-}
-
-// RunOpenLoop offers n queries at the given arrival rate (Poisson) and
-// measures latency. Device and core state carry over between calls, so a
-// warmup call followed by a measurement call yields steady-state numbers.
-func (h *Host) RunOpenLoop(qps float64, n int) (Result, error) {
-	if qps <= 0 || n <= 0 {
-		return Result{}, fmt.Errorf("serving: bad run parameters qps=%g n=%d", qps, n)
-	}
-	lat := stats.NewHistogram()
-	var smReadsBefore uint64
-	if h.store != nil {
-		smReadsBefore = h.store.Stats().SMReads
-	}
-	cpuBefore := h.cpuBooked
-	start := h.horizon
-	t := start
-	for i := 0; i < n; i++ {
-		t += simclock.Time(h.rng.Exp(1 / qps * float64(time.Second)))
-		// Arena-backed: the query is consumed synchronously by Admit
-		// before the next iteration reuses the generator's storage.
-		done, err := h.Admit(t, h.gen.NextShared())
-		if err != nil {
-			return Result{}, err
-		}
-		lat.Observe((done - t).Seconds())
-	}
-	// Admit keeps horizon at the furthest completion booked.
-	elapsed := (h.horizon - start).Seconds()
-	res := Result{
-		Queries:    n,
-		OfferedQPS: qps,
-		Latency:    lat,
-	}
-	if elapsed > 0 {
-		res.AchievedQPS = float64(n) / elapsed
-		// All pooling CPU is booked through coreAdmit, so utilization is
-		// reported on every host flavor — the DRAM-only baseline included,
-		// which previously showed 0% because only store CPU was counted.
-		res.CPUUtil = (h.cpuBooked - cpuBefore).Seconds() / (elapsed * float64(h.cfg.Spec.Cores))
-	}
-	if h.store != nil {
-		st := h.store.Stats()
-		cs := h.store.CacheStats()
-		ps := h.store.PooledStats()
-		res.CacheHitRate = cs.HitRate()
-		res.PooledHitRate = ps.HitRate()
-		res.SMReadsPerQry = float64(st.SMReads-smReadsBefore) / float64(n)
-		if elapsed > 0 {
-			res.SustainedIOPS = float64(st.SMReads-smReadsBefore) / elapsed
-		}
-	}
-	return res, nil
-}
-
-// MaxQPSAtLatency binary-searches the highest offered QPS whose measured
-// latency quantile stays within budget. Each probe runs warm+measure.
-func (h *Host) MaxQPSAtLatency(quantile float64, budget time.Duration, loQPS, hiQPS float64, probeQueries int) (float64, Result, error) {
-	// Establish a floor measurement so callers always get a valid Result
-	// even when no probe meets the budget.
-	best, err := h.RunOpenLoop(loQPS, probeQueries)
-	if err != nil {
-		return 0, Result{}, err
-	}
-	bestQPS := loQPS
-	for iter := 0; iter < 12 && hiQPS/loQPS > 1.05; iter++ {
-		mid := (loQPS + hiQPS) / 2
-		res, err := h.RunOpenLoop(mid, probeQueries)
-		if err != nil {
-			return 0, Result{}, err
-		}
-		// A configuration passes if it meets the latency budget AND
-		// actually sustains the offered rate — an overloaded backend
-		// shows up as a completion horizon stretching past the arrival
-		// window before short-probe percentiles can detect it.
-		ok := time.Duration(res.Latency.Quantile(quantile)*float64(time.Second)) <= budget &&
-			res.AchievedQPS >= 0.8*mid
-		if ok {
-			bestQPS, best = mid, res
-			loQPS = mid
-		} else {
-			hiQPS = mid
-		}
-	}
-	return bestQPS, best, nil
 }
 
 func maxTime(a, b simclock.Time) simclock.Time {

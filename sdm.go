@@ -31,11 +31,13 @@
 // nothing. Config.Parallelism is ignored; a fleet's cores go to its hosts
 // (FleetConfig.HostWorkers).
 //
-// Beyond one host, the cluster subsystem runs N Host replicas behind a
+// Serving runs through the cluster subsystem: N simulated hosts behind a
 // front-end router with pluggable user→host policies (round-robin,
 // least-outstanding, sticky consistent hashing) over one shared Zipf user
 // population — the serving-time realization of the paper's Fig. 4c sticky
-// locality uplift and the measured input to fleet provisioning:
+// locality uplift and the measured input to fleet provisioning. A single
+// host is a fleet of one, and Fleet.MaxQPSAtLatency is its max QPS at a
+// latency budget (Tables 8 and 9):
 //
 //	hostCfg := sdm.HostConfig{Spec: sdm.HWSS(), InterOp: true}
 //	hosts, _ := sdm.NewFleetHosts(inst, tables, 4, &storeCfg, hostCfg)
@@ -103,10 +105,6 @@ type (
 	HostSpec = serving.HostSpec
 	// HostConfig tunes a simulated host.
 	HostConfig = serving.Config
-	// Host simulates one serving host.
-	Host = serving.Host
-	// HostResult summarizes a host run.
-	HostResult = serving.Result
 	// Technology is an SM technology (Table 1).
 	Technology = blockdev.Technology
 	// TechSpec carries Table 1 parameters.
@@ -262,11 +260,6 @@ func Open(inst *Instance, tables []*Table, cfg Config, clock *Clock) (*Store, er
 // NewGenerator builds a query generator for a model instance.
 func NewGenerator(inst *Instance, cfg WorkloadConfig) (*Generator, error) {
 	return workload.NewGenerator(inst, cfg)
-}
-
-// NewHost builds a simulated serving host. clock is ignored (see Clock).
-func NewHost(inst *Instance, store *Store, flat []*Table, gen *Generator, clock *Clock, cfg HostConfig) (*Host, error) {
-	return serving.NewHost(inst, store, flat, gen, clock, cfg)
 }
 
 // Spec returns the Table 1 catalog entry for an SM technology.

@@ -74,7 +74,8 @@ func TestFacadeConstants(t *testing.T) {
 	}
 }
 
-// TestHostFacade runs the serving path through the facade.
+// TestHostFacade runs the serving path through the facade: one host,
+// measured as a fleet of one.
 func TestHostFacade(t *testing.T) {
 	inst, err := Build(benchModel(), 1, 11)
 	if err != nil {
@@ -84,7 +85,11 @@ func TestHostFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := Open(inst, tables, Config{Ring: RingConfig{SGL: true}}, nil)
+	hosts, err := NewFleetHosts(inst, tables, 1, &Config{Ring: RingConfig{SGL: true}}, HostConfig{Spec: HWSS(), InterOp: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := NewFleet(hosts, NewRoundRobin(), FleetConfig{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,15 +97,12 @@ func TestHostFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	host, err := NewHost(inst, store, tables, gen, nil, HostConfig{Spec: HWSS(), InterOp: true, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := host.RunOpenLoop(25, 100)
+	fleet.SetGenerator(gen)
+	res, err := fleet.Run(25, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.AchievedQPS <= 0 || res.Latency.P95() <= 0 {
-		t.Fatalf("bad result %+v", res)
+		t.Fatalf("bad result %v", res)
 	}
 }
