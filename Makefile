@@ -54,7 +54,7 @@ loc:
 # The aim-2 ratchet: the tree may not outgrow the last simplification PR's
 # `make loc` total. Raising LOC_BUDGET is allowed — as a one-line diff a
 # reviewer sees; lower it whenever a PR shrinks the tree.
-LOC_BUDGET = 18965
+LOC_BUDGET = 19049
 
 # The virtual-time ratchet: the seed-7 sim_digest of each bench/ workload
 # (`bench-e2e-smoke` fails when a printed digest differs or is missing). A

@@ -3,13 +3,13 @@
 // DIMM 3DXP and CXL 3DXP.
 //
 // The simulator is "virtual time, real data": device contents are held in
-// memory and copied byte-for-byte on every access (so the functional layer
-// above — caches, dequantization, pooling — operates on real bytes), while
+// memory and every access moves or lends the real bytes (so the functional
+// layer above — caches, dequantization, pooling — operates on them), while
 // access latency comes from a queueing model booked in virtual time: the
 // caller passes the instant it issues an IO and gets the completion
 // instant back. The two halves can be driven apart: PeekInto / PokeFrom
-// move the bytes of a read / write, AccountRead / AccountWrite book the
-// timing and the counters.
+// move the bytes of a read / write (View lends a read's bytes in place),
+// AccountRead / AccountWrite book the timing and the counters.
 //
 // Each device exposes a fixed number of internal channels
 // (dies), each holding its next-free instant; an IO occupies a channel for
@@ -363,9 +363,7 @@ func (d *Device) read(now simclock.Time, p []byte, off int64, sgl bool) (simcloc
 // PeekInto copies [off, off+len(p)) into p without touching the timing
 // model or the counters — the data half of a read. Callers that split a
 // read must pair it with AccountRead for the timing half. PeekInto is safe
-// for concurrent use as long as no write is in flight; the parallel query
-// engine relies on this to overlap data copies across workers while
-// replaying timing deterministically.
+// for concurrent use as long as no write is in flight.
 func (d *Device) PeekInto(p []byte, off int64) error {
 	if err := d.check(off, len(p)); err != nil {
 		return err
@@ -374,11 +372,23 @@ func (d *Device) PeekInto(p []byte, off int64) error {
 	return nil
 }
 
+// View is PeekInto without the copy: the media's own n bytes at off, checked
+// like any access, for a reader that is done with them before the device is
+// next written. A write may change a private device's bytes under the view;
+// a shared image's view keeps the bytes it had (the write lands on a copy).
+// Never write through a view.
+func (d *Device) View(off int64, n int) ([]byte, error) {
+	if err := d.check(off, n); err != nil {
+		return nil, err
+	}
+	return d.data[off : off+int64(n) : off+int64(n)], nil
+}
+
 // AccountRead books the timing and counters of an n-byte read at off
 // without copying data: the timing half of a read whose bytes were already
-// obtained via PeekInto. Calling Read is equivalent to PeekInto followed by
-// AccountRead, so deferred-timing callers observe bit-identical completion
-// times, stats and RNG draws as inline callers.
+// obtained via PeekInto or View. Calling Read is equivalent to PeekInto
+// followed by AccountRead, so deferred-timing callers observe bit-identical
+// completion times, stats and RNG draws as inline callers.
 func (d *Device) AccountRead(now simclock.Time, off int64, n int, sgl bool) (simclock.Time, error) {
 	done, span, err := d.book(now, off, n, false)
 	if err != nil {

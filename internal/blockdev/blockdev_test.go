@@ -681,3 +681,60 @@ func TestChannelHeapMatchesLinearScan(t *testing.T) {
 		}
 	}
 }
+
+// TestViewMatchesPeekInto: View lends exactly the bytes PeekInto copies and
+// fails exactly where it fails (ErrOutOfRange, ErrClosed), on a private and
+// a shared device, with the view's capacity ending at its length. A view of
+// a shared image keeps the bytes it had after a write changes them: the
+// write lands on the device's private copy.
+func TestViewMatchesPeekInto(t *testing.T) {
+	const capacity = 3 << 12
+	image := make([]byte, capacity)
+	for i := range image {
+		image[i] = byte(i * 7)
+	}
+	donor, replica := newSharedPairs(t, image)
+	private := newNand(t, capacity)
+	if err := private.PokeFrom(image, 0); err != nil {
+		t.Fatal(err)
+	}
+	spans := []struct {
+		off int64
+		n   int
+	}{
+		{0, 0}, {0, 1}, {0, 132}, {4090, 12}, {capacity - 1, 1}, {capacity, 0}, {capacity - 132, 132},
+		{capacity - 1, 2}, {capacity, 1}, {-1, 1}, {0, capacity + 1}, {math.MaxInt64 - 2, 8},
+	}
+	for _, d := range []*Device{private, donor.dev, replica.dev} {
+		for _, sp := range spans {
+			want := make([]byte, sp.n)
+			errPeek := d.PeekInto(want, sp.off)
+			v, err := d.View(sp.off, sp.n)
+			if errors.Is(err, ErrOutOfRange) != errors.Is(errPeek, ErrOutOfRange) || (err == nil) != (errPeek == nil) {
+				t.Fatalf("View(%d, %d): %v, PeekInto: %v", sp.off, sp.n, err, errPeek)
+			}
+			if err == nil && (!bytes.Equal(v, want) || cap(v) != sp.n) {
+				t.Fatalf("View(%d, %d) = %d bytes (cap %d), PeekInto copied %d; equal %v", sp.off, sp.n, len(v), cap(v), len(want), bytes.Equal(v, want))
+			}
+		}
+	}
+	for _, sp := range []*sharedPair{donor, replica} {
+		v, err := sp.dev.View(100, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp.poke(t, make([]byte, 32), 100)
+		if !bytes.Equal(v, image[100:132]) {
+			t.Fatal("a write changed a shared image's view")
+		}
+		sp.verify(t)
+	}
+	if _, err := private.View(0, -1); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("View of -1 bytes: %v", err)
+	}
+	closed := newNand(t, capacity)
+	closed.Close()
+	if _, err := closed.View(0, 8); !errors.Is(err, ErrClosed) || !errors.Is(closed.PeekInto(make([]byte, 8), 0), ErrClosed) {
+		t.Fatalf("View on a closed device: %v", err)
+	}
+}

@@ -76,6 +76,10 @@ type RowCache interface {
 	PutDirty(k Key, v []byte)
 	// FlushDirty invokes fn for every dirty entry and clears the flags.
 	FlushDirty(fn func(k Key, v []byte))
+	// Peek returns the cached value for k in place, nil on a miss, without
+	// updating recency or stats. The bytes are the cache's own: valid until
+	// the next Put or PutDirty, and never to be written.
+	Peek(k Key) []byte
 	// Contains reports residency without updating recency or stats.
 	Contains(k Key) bool
 	// Stats returns a snapshot of counters.

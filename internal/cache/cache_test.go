@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+
+	"sdm/internal/xrand"
 )
 
 func testBasicPutGet(t *testing.T, c RowCache) {
@@ -195,5 +197,75 @@ func TestStatsAdd(t *testing.T) {
 	c := a.add(b)
 	if c.Hits != 11 || c.Misses != 22 || c.Items != 33 {
 		t.Fatalf("add %+v", c)
+	}
+}
+
+// TestPeekTouchesNothing drives two identical caches of each kind through
+// the same seeded run of puts (with evictions) and gets, and peeks only one
+// of them between every two steps. A peek returns the bytes last put for its
+// key, or nil, exactly as the next Get of that key sees them; and the peeked
+// cache must stay in step with the other — the same Get results, the same
+// Stats, the same rows left at the end — so a Peek that set a CLOCK bit or
+// moved an LRU element would show as a different eviction victim.
+func TestPeekTouchesNothing(t *testing.T) {
+	for _, kind := range []struct {
+		name string
+		mk   func() RowCache
+	}{
+		{"mem", func() RowCache { return NewMemOptimized(16*(32+memMetaPerSlot), 32) }}, // two sets of 8 ways
+		{"cpu", func() RowCache { return NewCPUOptimized(8 * (32 + cpuMetaPerItem)) }},  // eight rows
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			peeked, plain := kind.mk(), kind.mk()
+			const keys = 40
+			key := func(i uint64) Key { return Key{Table: 3, Row: int64(i % keys)} }
+			want := make(map[Key][]byte)
+			rng := xrand.New(7)
+			got, ref := make([]byte, 32), make([]byte, 32)
+			for step := 0; step < 4000; step++ {
+				// Peeks at a random row and at row 0, then at the step's own key.
+				for _, k := range []Key{key(rng.Uint64()), key(0)} {
+					if p := peeked.Peek(k); p != nil && !bytes.Equal(p, want[k]) {
+						t.Fatalf("step %d: Peek(%v) = %v, last put %v", step, k, p, want[k])
+					}
+				}
+				k := key(rng.Uint64())
+				p := peeked.Peek(k)
+				if p != nil && !bytes.Equal(p, want[k]) {
+					t.Fatalf("step %d: Peek(%v) = %v, last put %v", step, k, p, want[k])
+				}
+				if rng.Intn(3) == 0 {
+					v := make([]byte, 1+rng.Intn(32))
+					for i := range v {
+						v[i] = byte(rng.Uint64())
+					}
+					want[k] = v
+					peeked.Put(k, v)
+					plain.Put(k, v)
+				} else {
+					n, ok := peeked.Get(k, got)
+					m, refOK := plain.Get(k, ref)
+					if ok != (p != nil) || ok && !bytes.Equal(got[:n], p) {
+						t.Fatalf("step %d: Get(%v) = %v %v after Peek returned %v", step, k, ok, got[:n], p)
+					}
+					if ok != refOK || !bytes.Equal(got[:n], ref[:m]) {
+						t.Fatalf("step %d: Get(%v) = %v %v on the peeked cache, %v %v on the other", step, k, ok, got[:n], refOK, ref[:m])
+					}
+				}
+				if peeked.Stats() != plain.Stats() {
+					t.Fatalf("step %d: peeked cache stats %+v, other %+v", step, peeked.Stats(), plain.Stats())
+				}
+			}
+			if plain.Stats().Evictions == 0 {
+				t.Fatal("the run evicted nothing")
+			}
+			for i := uint64(0); i < keys; i++ {
+				_, ok := peeked.Get(key(i), got)
+				_, refOK := plain.Get(key(i), ref)
+				if ok != refOK {
+					t.Fatalf("row %d resident %v in the peeked cache, %v in the other", i, ok, refOK)
+				}
+			}
+		})
 	}
 }

@@ -72,7 +72,7 @@ func (c *CPUOptimized) put(k Key, v []byte, dirty bool) {
 		c.evictToFit()
 		return
 	}
-	e := &cpuEntry{key: k, val: append([]byte(nil), v...), dirty: dirty}
+	e := &cpuEntry{key: k, val: append([]byte{}, v...), dirty: dirty} // non-nil even when empty: Peek reports residency
 	c.items[k] = c.lru.PushFront(e)
 	c.stats.UsedBytes += int64(len(v))
 	c.stats.MetaBytes += cpuMetaPerItem
@@ -107,11 +107,18 @@ func (c *CPUOptimized) FlushDirty(fn func(k Key, v []byte)) {
 	}
 }
 
-// Contains reports residency without touching recency or stats.
-func (c *CPUOptimized) Contains(k Key) bool {
-	_, ok := c.items[k]
-	return ok
+// Peek returns k's value without touching recency or stats.
+func (c *CPUOptimized) Peek(k Key) []byte {
+	el, ok := c.items[k]
+	if !ok {
+		return nil
+	}
+	v := el.Value.(*cpuEntry).val
+	return v[:len(v):len(v)]
 }
+
+// Contains reports residency without touching recency or stats.
+func (c *CPUOptimized) Contains(k Key) bool { return c.Peek(k) != nil }
 
 // Stats returns a snapshot of counters.
 func (c *CPUOptimized) Stats() Stats { return c.stats }

@@ -11,7 +11,6 @@ type MemOptimized struct {
 	lens      []uint16
 	flags     []uint8 // bit0 valid, bit1 clock-referenced, bit2 dirty
 	slotBytes int
-	ways      int
 	sets      int
 	clockHand []int // per-set clock position
 	stats     Stats
@@ -22,6 +21,9 @@ const (
 	memFlagRef
 	memFlagDirty
 )
+
+// memWays is the associativity: the slots one key may occupy.
+const memWays = 8
 
 // memMetaPerSlot is the metadata accounting per slot (key 12 B padded to
 // 16 B, plus length and flags).
@@ -37,46 +39,55 @@ func NewMemOptimized(budget int64, slotBytes int) *MemOptimized {
 	if slotBytes <= 0 {
 		slotBytes = 255
 	}
-	const ways = 8
 	perSlot := int64(slotBytes + memMetaPerSlot)
 	slots := int(budget / perSlot)
-	if slots < ways {
-		slots = ways
+	if slots < memWays {
+		slots = memWays
 	}
-	sets := slots / ways
-	slots = sets * ways
+	sets := slots / memWays
+	slots = sets * memWays
 	return &MemOptimized{
 		slab:      make([]byte, slots*slotBytes),
 		keys:      make([]Key, slots),
 		lens:      make([]uint16, slots),
 		flags:     make([]uint8, slots),
 		slotBytes: slotBytes,
-		ways:      ways,
 		sets:      sets,
 		clockHand: make([]int, sets),
 		stats:     Stats{TotalBytes: int64(slots) * perSlot},
 	}
 }
 
-func (c *MemOptimized) setOf(k Key) int { return int(k.hash() % uint64(c.sets)) }
+// find returns the first slot of k's set and k's slot in it, -1 when k is
+// not resident.
+func (c *MemOptimized) find(k Key) (base, slot int) {
+	base = int(k.hash()%uint64(c.sets)) * memWays
+	keys, flags := c.keys[base:base+memWays], c.flags[base:base+memWays]
+	for w := range keys {
+		if flags[w]&memFlagValid != 0 && keys[w] == k {
+			return base, base + w
+		}
+	}
+	return base, -1
+}
 
-func (c *MemOptimized) slot(set, way int) int { return set*c.ways + way }
+// value returns slot s's value bytes in the slab.
+func (c *MemOptimized) value(s int) []byte {
+	at := s * c.slotBytes
+	return c.slab[at : at+int(c.lens[s]) : at+int(c.lens[s])]
+}
 
 // Get copies the value for k into dst.
 func (c *MemOptimized) Get(k Key, dst []byte) (int, bool) {
-	set := c.setOf(k)
-	for w := 0; w < c.ways; w++ {
-		s := c.slot(set, w)
-		if c.flags[s]&memFlagValid != 0 && c.keys[s] == k {
-			c.flags[s] |= memFlagRef
-			n := int(c.lens[s])
-			copy(dst[:n], c.slab[s*c.slotBytes:s*c.slotBytes+n])
-			c.stats.Hits++
-			return n, true
-		}
+	_, s := c.find(k)
+	if s < 0 {
+		c.stats.Misses++
+		return 0, false
 	}
-	c.stats.Misses++
-	return 0, false
+	c.flags[s] |= memFlagRef
+	n := copy(dst[:c.lens[s]], c.value(s))
+	c.stats.Hits++
+	return n, true
 }
 
 // Put inserts or replaces k's value. Values larger than the slot size are
@@ -93,30 +104,24 @@ func (c *MemOptimized) put(k Key, v []byte, dirty bool) {
 		return
 	}
 	c.stats.Puts++
-	set := c.setOf(k)
-	// Replace in place if present; otherwise use a free way; otherwise
-	// evict via CLOCK.
-	victim := -1
-	for w := 0; w < c.ways; w++ {
-		s := c.slot(set, w)
-		if c.flags[s]&memFlagValid == 0 {
-			if victim < 0 {
-				victim = s
+	// Replace in place if present; otherwise use the first free way;
+	// otherwise evict via CLOCK.
+	base, s := c.find(k)
+	if s >= 0 {
+		c.stats.UsedBytes -= int64(c.lens[s])
+		c.stats.MetaBytes -= memMetaPerSlot
+		c.stats.Items--
+	} else {
+		for w, f := range c.flags[base : base+memWays] {
+			if f&memFlagValid == 0 {
+				s = base + w
+				break
 			}
-			continue
 		}
-		if c.keys[s] == k {
-			victim = s
-			c.stats.UsedBytes -= int64(c.lens[s])
-			c.stats.MetaBytes -= memMetaPerSlot
-			c.stats.Items--
-			break
+		if s < 0 {
+			s = c.evict(base)
 		}
 	}
-	if victim < 0 {
-		victim = c.evict(set)
-	}
-	s := victim
 	c.keys[s] = k
 	c.lens[s] = uint16(len(v))
 	c.flags[s] = memFlagValid | memFlagRef
@@ -129,12 +134,13 @@ func (c *MemOptimized) put(k Key, v []byte, dirty bool) {
 	c.stats.Items++
 }
 
-// evict runs the CLOCK hand over the set and returns a freed slot index.
-func (c *MemOptimized) evict(set int) int {
+// evict runs the CLOCK hand over the set whose first slot is base and
+// returns a freed slot index.
+func (c *MemOptimized) evict(base int) int {
+	hand := &c.clockHand[base/memWays]
 	for {
-		w := c.clockHand[set]
-		c.clockHand[set] = (w + 1) % c.ways
-		s := c.slot(set, w)
+		s := base + *hand
+		*hand = (*hand + 1) % memWays
 		if c.flags[s]&memFlagRef != 0 {
 			c.flags[s] &^= memFlagRef
 			continue
@@ -152,24 +158,22 @@ func (c *MemOptimized) evict(set int) int {
 func (c *MemOptimized) FlushDirty(fn func(k Key, v []byte)) {
 	for s := range c.flags {
 		if c.flags[s]&(memFlagValid|memFlagDirty) == memFlagValid|memFlagDirty {
-			n := int(c.lens[s])
-			fn(c.keys[s], c.slab[s*c.slotBytes:s*c.slotBytes+n])
+			fn(c.keys[s], c.value(s))
 			c.flags[s] &^= memFlagDirty
 		}
 	}
 }
 
-// Contains reports residency without touching recency or stats.
-func (c *MemOptimized) Contains(k Key) bool {
-	set := c.setOf(k)
-	for w := 0; w < c.ways; w++ {
-		s := c.slot(set, w)
-		if c.flags[s]&memFlagValid != 0 && c.keys[s] == k {
-			return true
-		}
+// Peek returns k's value in its slab slot without touching recency or stats.
+func (c *MemOptimized) Peek(k Key) []byte {
+	if _, s := c.find(k); s >= 0 {
+		return c.value(s)
 	}
-	return false
+	return nil
 }
+
+// Contains reports residency without touching recency or stats.
+func (c *MemOptimized) Contains(k Key) bool { return c.Peek(k) != nil }
 
 // Stats returns a snapshot of counters.
 func (c *MemOptimized) Stats() Stats { return c.stats }

@@ -24,8 +24,8 @@ type OpResult struct {
 	SMReads int
 }
 
-// deferredIO is one SM row read whose data was already copied out during
-// the functional phase; its timing is replayed in operator order.
+// deferredIO is one SM row read whose data the functional phase already
+// pooled from the device image; its timing is replayed in operator order.
 type deferredIO struct {
 	dev int
 	off int64
@@ -97,7 +97,10 @@ func (s *Store) poolOne(c *opCtx, pool []int64, out []float32) error {
 	}
 
 	p := quant.NewPooler(out, st.storedSpec.QType)
-	for _, idx := range pool {
+	for i, idx := range pool {
+		if i%quant.PoolerRows == 0 {
+			s.prefetch(st, pool[i:min(i+quant.PoolerRows, len(pool))])
+		}
 		c.stats.Lookups++
 		row := idx
 		// Pruned tables resolve through the FM mapper tensor (§4.5).
@@ -133,10 +136,45 @@ func (s *Store) poolOne(c *opCtx, pool []int64, out []float32) error {
 	return nil
 }
 
+// prefetch names the stored bytes each index of chunk will read — an
+// FM-resident range's row, a cached row in its slot, or an SM row on the
+// device image — and prefetches them all in one call, so that the ordered
+// lookups that follow find every row's lines in flight. It only reads:
+// indices the lookups will reject, skip or fail are passed over, and no
+// recency bit, counter or virtual time moves.
+func (s *Store) prefetch(st *tableState, chunk []int64) {
+	var rows [quant.PoolerRows][]byte
+	n := 0
+	for _, row := range chunk {
+		if st.mapper != nil {
+			if row < 0 || row >= int64(len(st.mapper)) || st.mapper[row] < 0 {
+				continue
+			}
+			row = int64(st.mapper[row])
+		}
+		if row < 0 || row >= st.rows {
+			continue
+		}
+		b := st.fmRangeRow(row)
+		if b == nil && st.cacheEnabled {
+			b = st.cache.Peek(cache.Key{Table: int32(st.spec.ID), Row: row})
+		}
+		if b == nil {
+			dev, off := s.smLocation(st, row)
+			b, _ = s.devices[dev].View(off, st.rowBytes)
+		}
+		rows[n] = b
+		n++
+	}
+	quant.Prefetch(rows[:n])
+}
+
 // fetchRow obtains stored row bytes (FM range → cache shard → SM) for the
-// pool: an FM-resident range's own bytes, or a copy in buf (one row long).
-// The SM data is copied immediately; the device/ring timing is recorded for
-// the ordered replay.
+// pool: an FM-resident range's own bytes, a cache hit copied into buf (one
+// row long: a later Put may evict the slot before the pool reads it), or the
+// SM row in place on the device image, which no write reaches during a
+// query's functional phase. The device/ring timing of an SM read is
+// recorded for the ordered replay.
 func (s *Store) fetchRow(c *opCtx, row int64, buf []byte) ([]byte, error) {
 	st := c.st
 	rb := st.rowBytes
@@ -165,13 +203,14 @@ func (s *Store) fetchRow(c *opCtx, row int64, buf []byte) ([]byte, error) {
 	}
 
 	dev, off := s.smLocation(st, row)
-	if err := s.devices[dev].PeekInto(buf, off); err != nil {
+	b, err := s.devices[dev].View(off, rb)
+	if err != nil {
 		return nil, fmt.Errorf("core: SM read table %d row %d: %w", st.spec.ID, row, err)
 	}
 	c.reads = append(c.reads, deferredIO{dev: dev, off: off, n: rb})
 	c.res.SMReads++
 	c.stats.SMReads++
-	if quant.IsZeroRow(buf, st.storedSpec.QType) { // de-pruning cache pollution (§4.5)
+	if quant.IsZeroRow(b, st.storedSpec.QType) { // de-pruning cache pollution (§4.5)
 		c.stats.ZeroRowReads++
 	}
 
@@ -194,11 +233,11 @@ func (s *Store) fetchRow(c *opCtx, row int64, buf []byte) ([]byte, error) {
 	}
 
 	if st.cacheEnabled {
-		st.cache.Put(key, buf)
+		st.cache.Put(key, b)
 		c.res.CPUTime += costCachePut
 	}
 	c.res.CPUTime += perByteCost(costDequantPerByteNs, rb)
-	return buf, nil
+	return b, nil
 }
 
 // QueryResult is the aggregate accounting of one query: the user-side and

@@ -3,8 +3,8 @@
 //
 //  1. A functional phase runs the ops in order. Each op pools its rows
 //     through its table's row-cache shard, pooled-cache shard and mapper;
-//     SM row data is copied out immediately (device contents are immutable
-//     during a query), but the read's *timing* is only recorded as a
+//     SM row data is read in place on the device image (nothing writes a
+//     device during a query), but the read's *timing* is only recorded as a
 //     deferred IO, and counter deltas stay in the op's context.
 //  2. A replay phase walks the ops in order and books every deferred IO
 //     through the io_uring model and the device channel/RNG model, then

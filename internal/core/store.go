@@ -46,8 +46,8 @@ type Store struct {
 
 	stats Stats
 
-	// rowBuf is the query engine's row scratch: one slot per row a
-	// quant.Pooler gathers, each as wide as the widest stored row.
+	// rowBuf is the query engine's row scratch for cache hits: one slot per
+	// row a quant.Pooler gathers, each as wide as the widest stored row.
 	rowBuf []byte
 	// ctxBuf holds reusable per-op execution contexts (their deferred-IO
 	// slices keep capacity across queries), so the query hot path is

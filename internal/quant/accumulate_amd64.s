@@ -43,12 +43,12 @@
 // must be positive, acc address n elements and tail eight, and every row be
 // at least dim+8 bytes long. SSE2 only (the GOAMD64=v1 baseline).
 //
-// Every cache line of every row is prefetched first, so that the rows'
-// first-touch misses are all in flight together. Columns then go in blocks
-// of 32, and the last 0–3 blocks of 8 with the tail in one more pass: a
-// block's accumulators stay in registers across all the rows, so acc is read
-// and written once per pass rather than once per row, and the rows' loads
-// depend on nothing before them. The row term is added to the running sum in
+// The caller has prefetched every row (Prefetch), so that the rows'
+// first-touch misses are all in flight together. Columns go in blocks of
+// 32, and the last 0–3 blocks of 8 with the tail in one more pass: a block's
+// accumulators stay in registers across all the rows, so acc is read and
+// written once per pass rather than once per row, and the rows' loads depend
+// on nothing before them. The row term is added to the running sum in
 // row order, as one AccumulateRow per row would. All memory accesses are
 // unaligned-safe.
 TEXT ·poolInt8x8(SB), NOSPLIT, $0-40
@@ -61,23 +61,6 @@ TEXT ·poolInt8x8(SB), NOSPLIT, $0-40
 	ANDQ $-8, R10             // R10: columns left for acc
 	XORQ R8, R8               // R8: the next column
 	PXOR X10, X10
-
-	MOVQ AX, BX
-	MOVQ R9, CX
-
-fetchRow:
-	MOVQ (BX), SI
-	LEAQ 7(SI)(DX*1), R11     // the row's last byte
-
-fetchLine:
-	PREFETCHT0 (SI)
-	ADDQ       $64, SI
-	CMPQ       SI, R11
-	JLT        fetchLine
-	PREFETCHT0 (R11)
-	ADDQ       $24, BX
-	DECQ       CX
-	JNZ        fetchRow
 
 wide:
 	CMPQ   R10, $32

@@ -5,10 +5,10 @@ import (
 	"slices"
 )
 
-// poolInt8 adds every row (len(acc) codes and a footer; the caller checked
-// the lengths) into acc in order, in one kernel call. The kernel adds the
-// < 8-column tail from column n on into an 8-lane scratch, of which only the
-// first len(acc)−n lanes are kept.
+// poolInt8 prefetches every row (len(acc) codes and a footer; the caller
+// checked the lengths) and adds them into acc in order, in one kernel call.
+// The kernel adds the < 8-column tail from column n on into an 8-lane
+// scratch, of which only the first len(acc)−n lanes are kept.
 func poolInt8(acc []float32, rows [][]byte) {
 	dim := len(acc)
 	if dim == 0 {
@@ -17,6 +17,7 @@ func poolInt8(acc []float32, rows [][]byte) {
 	n := dim &^ 7
 	var tail [8]float32
 	copy(tail[:], acc[n:])
+	Prefetch(rows)
 	poolInt8x8(&acc[0], &tail[0], &rows[0], len(rows), dim)
 	copy(acc[n:], tail[:])
 }
@@ -39,6 +40,15 @@ func quantizeInt8(dst []byte, src []float32) {
 		codesX8(&dst[0], &src[0], n, scale, bias)
 	}
 }
+
+// Prefetch asks the CPU to bring every cache line of every row into cache
+// (prefetch_amd64.s) and returns without waiting for any of them, so that a
+// caller who knows a batch's row addresses before it reads them has all
+// their first-touch misses in flight at once. It reads and writes nothing
+// the program can observe; on GOARCHes without a kernel it does nothing.
+//
+//go:noescape
+func Prefetch(rows [][]byte)
 
 // The SSE2 kernels in accumulate_amd64.s (whose contract is beside it) and
 // quantize_amd64.s; for the latter two, n must be a positive multiple of 8

@@ -4,6 +4,9 @@ package quant
 
 import "math"
 
+// Prefetch does nothing on a GOARCH without a kernel.
+func Prefetch([][]byte) {}
+
 // poolInt8 is the portable loop on every GOARCH without a kernel.
 func poolInt8(acc []float32, rows [][]byte) {
 	for _, row := range rows {

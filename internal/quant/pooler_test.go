@@ -197,3 +197,28 @@ func FuzzPoolerInt8(f *testing.F) {
 		checkPooler(t, c)
 	})
 }
+
+// TestPrefetchEdgeRows runs Prefetch over rows at every edge its loop has —
+// no rows, a nil and an empty row, one byte, rows starting at each offset
+// within a cache line, rows ending exactly at their allocation's end, one
+// spanning many lines — and requires it to return with every byte unchanged.
+func TestPrefetchEdgeRows(t *testing.T) {
+	Prefetch(nil)
+	Prefetch([][]byte{})
+	back := make([]byte, 4096)
+	for i := range back {
+		back[i] = byte(i)
+	}
+	rows := [][]byte{nil, {}, back[:1], back[4095:], back[4096-132:], back[:4096]}
+	for off := 0; off < 64; off++ {
+		rows = append(rows, back[off:off+132], back[off:off+1], back[64-off:64])
+	}
+	for n := 0; n <= len(rows); n++ {
+		Prefetch(rows[:n])
+	}
+	for i := range back {
+		if back[i] != byte(i) {
+			t.Fatalf("byte %d changed to %d", i, back[i])
+		}
+	}
+}

@@ -17,7 +17,10 @@ type SyncRing struct {
 	dev      *blockdev.Device
 	cfg      Config
 	inflight simclock.TimeHeap
-	stats    Stats
+	// last bounds every in-flight completion from above, so that an admit
+	// after all of them drops the heap at once.
+	last  simclock.Time
+	stats Stats
 }
 
 // NewSync creates a ring over dev, throttled at the device's recommended
@@ -52,6 +55,9 @@ func (r *SyncRing) cpuPerIO() time.Duration {
 func (r *SyncRing) admit(now simclock.Time) simclock.Time {
 	r.stats.Submitted++
 	start := now
+	if r.last <= now {
+		r.inflight = r.inflight[:0]
+	}
 	for r.inflight.Len() > 0 && r.inflight.Min() <= now {
 		r.inflight.PopMin()
 	}
@@ -74,6 +80,7 @@ func (r *SyncRing) complete(start, done simclock.Time, err error) (simclock.Time
 		return start, err
 	}
 	r.inflight.Push(done)
+	r.last = max(r.last, done)
 	if len(r.inflight) > r.stats.PeakInflight {
 		r.stats.PeakInflight = len(r.inflight)
 	}
@@ -100,11 +107,11 @@ func (r *SyncRing) SubmitSync(now simclock.Time, buf []byte, off int64, write bo
 	return r.complete(start, done, err)
 }
 
-// SubmitTimedRead books the timing of an n-byte read at off whose data was
-// already copied out via Device.PeekInto. It mirrors SubmitSync's read path
-// exactly — same throttle, same device channel booking, same stats — minus
-// the data movement, so a deferred-timing replay is bit-identical to inline
-// submission.
+// SubmitTimedRead books the timing of an n-byte read at off whose data the
+// caller already read with Device.PeekInto or Device.View. It mirrors
+// SubmitSync's read path exactly — same throttle, same device channel
+// booking, same stats — minus the data movement, so a deferred-timing replay
+// is bit-identical to inline submission.
 func (r *SyncRing) SubmitTimedRead(now simclock.Time, n int, off int64) (simclock.Time, error) {
 	start := r.admit(now)
 	done, err := r.dev.AccountRead(start, off, n, r.cfg.SGL)

@@ -3,6 +3,7 @@ package sdm
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"sdm/internal/blockdev"
 	"sdm/internal/cache"
@@ -323,6 +324,44 @@ func BenchmarkStorePoolOp(b *testing.B) {
 		if _, err := store.PoolOps(now, q.Ops, outs); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkStoreSMMiss is one PoolQuery on the host-sm-miss shape: the
+// 3e-4 fleet model on Nand behind a 64 KiB row cache with SGL, and a flat
+// population of 200 000 users at α 0.3, so most rows miss the cache and are
+// read from SM. It cycles 512 pre-drawn queries through one reused
+// OutputBuf; virtual time advances 1 ms per query.
+func BenchmarkStoreSMMiss(b *testing.B) {
+	inst := fleetModel(b, 3e-4)
+	tables, err := inst.Materialize()
+	if err != nil {
+		b.Fatal(err)
+	}
+	store, err := core.Open(inst, tables, core.Config{
+		Seed: 42, SMTech: blockdev.NandFlash, CacheBytes: 64 << 10, Ring: uring.Config{SGL: true},
+	}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen, err := workload.NewGenerator(inst, workload.Config{Seed: 42, NumUsers: 200000, UserAlpha: 0.3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs := make([]workload.Query, 512)
+	for i := range qs {
+		qs[i] = gen.Next()
+	}
+	var ob core.OutputBuf
+	now := store.LoadDone()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := qs[i%len(qs)]
+		if _, err := store.PoolQuery(now, q, store.OutputsFor(q, &ob)); err != nil {
+			b.Fatal(err)
+		}
+		now += simclock.Time(time.Millisecond)
 	}
 }
 
