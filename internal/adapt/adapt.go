@@ -162,6 +162,12 @@ type Stats struct {
 	// Aborts counts migrations abandoned mid-flight (Step error or stall)
 	// and rolled back.
 	Aborts int
+	// Planned counts the moves plan evaluations enqueued. Deferred counts
+	// the candidates a plan wanted but deferred (busy or per-eval cap);
+	// deferrals are only known while the policy explains its plans, so it
+	// counts only while a tracer or a metrics registry is attached.
+	Planned  int
+	Deferred int
 	// LastEval is the virtual time of the most recent evaluation.
 	LastEval simclock.Time
 }
@@ -196,10 +202,9 @@ type Adapter struct {
 	// off, the default).
 	tracer *obs.Collector
 
-	// planned/deferred count plan outcomes when the metrics plane is
-	// attached (nil = metrics off, the default; all methods are no-ops).
-	planned  *metrics.Counter
-	deferred *metrics.Counter
+	// metered is set once RegisterMetrics has run: the deferred-candidate
+	// series needs the policy to explain its plans.
+	metered bool
 
 	// pending is the scratch buffer the busy set is collected into.
 	pending []move
@@ -289,17 +294,17 @@ func (a *Adapter) SetWindows(fn WindowFn) { a.act.setWindows(fn) }
 // The fleet wires this up from Fleet.SetTrace.
 func (a *Adapter) SetTracer(c *obs.Collector) {
 	a.tracer = c
-	a.pol.explain = c != nil || a.planned != nil
+	a.pol.explain = c != nil || a.metered
 }
 
-// RegisterMetrics registers the adapter's instrument catalog on r: the
-// control loop's eval/promotion/demotion/abort counters and migrated
-// bytes (func-backed by Stats), plan/defer counts per evaluation, the
-// pending-migration gauge, and the wear budget the current window packs
-// against. Deferred candidates are only knowable when the policy
-// explains its plans, so metering turns explanation on (pure
-// observation — plans and moves are unchanged). A nil registry registers
-// nothing.
+// RegisterMetrics registers the adapter's instrument catalog on r, every
+// instrument reading the adapter's own state: the control loop's
+// eval/promotion/demotion/abort counters, migrated bytes and plan/defer
+// counts from Stats, the pending-migration gauge, and the wear budget the
+// current window packs against. Deferred candidates are only knowable
+// when the policy explains its plans, so metering turns explanation on
+// (pure observation — plans and moves are unchanged). A nil registry
+// registers nothing.
 func (a *Adapter) RegisterMetrics(r *metrics.Registry) {
 	if r == nil {
 		return
@@ -314,14 +319,17 @@ func (a *Adapter) RegisterMetrics(r *metrics.Registry) {
 		func() uint64 { return uint64(a.stats.Aborts) })
 	r.NewCounterFunc(metrics.Desc{Name: "sdm_adapt_migrated_bytes", Help: "Bytes moved by committed migrations.", Unit: "bytes"},
 		func() uint64 { return uint64(a.stats.MigratedBytes) })
-	a.planned = r.NewCounter(metrics.Desc{Name: "sdm_adapt_planned_moves", Help: "Moves enqueued by plan evaluations."})
-	a.deferred = r.NewCounter(metrics.Desc{Name: "sdm_adapt_deferred", Help: "Candidates wanted but deferred (busy or per-eval cap)."})
+	r.NewCounterFunc(metrics.Desc{Name: "sdm_adapt_planned_moves", Help: "Moves enqueued by plan evaluations."},
+		func() uint64 { return uint64(a.stats.Planned) })
+	r.NewCounterFunc(metrics.Desc{Name: "sdm_adapt_deferred", Help: "Candidates wanted but deferred (busy or per-eval cap)."},
+		func() uint64 { return uint64(a.stats.Deferred) })
 	r.NewGaugeFunc(metrics.Desc{Name: "sdm_adapt_pending_migrations", Help: "Queued plus in-flight moves."},
 		func(simclock.Time) float64 { return float64(a.PendingMigrations()) })
 	r.NewGaugeFunc(metrics.Desc{Name: "sdm_adapt_wear_window_bytes", Help: "Demote-write allowance of the current migration window.", Unit: "bytes"},
 		func(now simclock.Time) float64 { return float64(a.wearBudget(now).WindowBytes) })
 	r.NewGaugeFunc(metrics.Desc{Name: "sdm_adapt_wear_spent_bytes", Help: "Demote-write bytes already spent in the current window.", Unit: "bytes"},
 		func(now simclock.Time) float64 { return float64(a.wearBudget(now).SpentBytes) })
+	a.metered = true
 	a.pol.explain = true
 }
 
@@ -360,10 +368,10 @@ func (a *Adapter) BeforeAdmit(now simclock.Time) {
 		for _, d := range pl.decisions {
 			a.tracer.Plan(now, d)
 			if d.Action == "defer" {
-				a.deferred.Inc()
+				a.stats.Deferred++
 			}
 		}
-		a.planned.Add(uint64(len(pl.moves)))
+		a.stats.Planned += len(pl.moves)
 		// A queued move survives only if the fresh plan still wants it.
 		a.act.reconcile(func(m move) bool { return pl.wants(m, a.store.RangeRowsOf(m.Table)) })
 		a.act.enqueue(pl.moves)

@@ -89,7 +89,9 @@ type Fleet struct {
 	// front-end's own load ledger, exposed through View.Routed. Reused
 	// (zeroed in place) across Runs, like records and the class ledgers
 	// below: repeated Runs on one fleet allocate no per-run bookkeeping.
-	routed []int
+	// diverted counts this Run's diversions (see diverts).
+	routed   []int
+	diverted int
 
 	// records is the per-query outcome buffer, grown once and reused by
 	// every Run (aggregate consumes it before Run returns).
@@ -110,12 +112,8 @@ type Fleet struct {
 	// off — like trace, the nil path costs nothing and changes nothing.
 	meter *meter
 
-	// Per-Run per-class accounting: offered/shed/delayed counts and the
-	// summed admission delay, indexed by SLO class.
-	classOffered []int
-	classShed    []int
-	classDelayed []int
-	classDelay   []float64
+	// classes is this Run's admission ledger, indexed by SLO class.
+	classes []classLedger
 
 	// armed failure for the next Run (ScheduleFailure); -1 when disarmed.
 	failHost int
@@ -327,13 +325,6 @@ func (v fleetView) OutstandingAt(id int, t simclock.Time) int {
 	return v.f.members[id].host.OutstandingAt(t)
 }
 
-func (v fleetView) LastHost(user int64) int {
-	if id, ok := v.f.lastHost[user]; ok {
-		return id
-	}
-	return -1
-}
-
 func (v fleetView) Routed(id int) int {
 	if id < 0 || id >= len(v.f.routed) {
 		return 0
@@ -341,13 +332,8 @@ func (v fleetView) Routed(id int) int {
 	return v.f.routed[id]
 }
 
-func (v fleetView) Snapshot(id int) serving.CacheSnapshot {
-	// Feedback-only, like OutstandingAt: the host is idle on inline runs.
-	return v.f.members[id].host.Snapshot()
-}
-
 func (v fleetView) FMServedRate(id int) float64 {
-	// Feedback-only, like Snapshot.
+	// Feedback-only, like OutstandingAt: the host is idle on inline runs.
 	return v.f.members[id].host.FMServedRate()
 }
 
@@ -444,8 +430,8 @@ func (f *Fleet) Run(qps float64, n int) (*Result, error) {
 			f.routed[i] = 0
 		}
 	}
-	f.classOffered, f.classShed = f.classOffered[:0], f.classShed[:0]
-	f.classDelayed, f.classDelay = f.classDelayed[:0], f.classDelay[:0]
+	f.diverted = 0
+	f.classes = f.classes[:0]
 	if f.trace != nil {
 		f.trace.reset()
 	}
@@ -488,7 +474,9 @@ func (f *Fleet) Run(qps float64, n int) (*Result, error) {
 			f.failedAt = t
 			fired = true
 		}
-		f.noteOffered(q.Class)
+		if q.Class >= 0 {
+			f.class(q.Class, famOffered).offered++
+		}
 		at := t
 		if f.admission != nil {
 			admitAt, tokens, ok := f.admission.admit(q.Class, t)
@@ -496,12 +484,14 @@ func (f *Fleet) Run(qps float64, n int) (*Result, error) {
 				f.traceAdmit(t, q.Class, tokens, admitAt, ok)
 			}
 			if !ok {
-				f.noteShed(q.Class)
+				f.class(q.Class, famShed).shed++
 				records[i] = record{user: q.UserID, class: q.Class}
 				continue
 			}
 			if admitAt > t {
-				f.noteDelayed(q.Class, (admitAt - t).Seconds())
+				l := f.class(q.Class, famDelayed)
+				l.delayed++
+				l.delay += (admitAt - t).Seconds()
 			}
 			at = admitAt
 		}
@@ -515,11 +505,13 @@ func (f *Fleet) Run(qps float64, n int) (*Result, error) {
 			runErr = fmt.Errorf("cluster: %s routed query %d to unavailable host %d", f.router.Name(), i, id)
 			break
 		}
-		last, seen := f.lastHost[q.UserID]
-		if seen && f.failed >= 0 && last == f.failed && id != f.failed {
+		prev := f.prevHost(q.UserID)
+		if f.failed >= 0 && prev == f.failed && id != f.failed {
 			f.rerouted[q.UserID] = struct{}{}
 		}
-		f.meter.noteRoute(seen, last, id)
+		if f.diverts(prev, id) {
+			f.diverted++
+		}
 		f.lastHost[q.UserID] = id
 		f.routed[id]++
 		m := f.members[id]
@@ -552,6 +544,23 @@ func (f *Fleet) Run(qps float64, n int) (*Result, error) {
 		f.traceFinalize(records)
 	}
 	return f.aggregate(qps, start, t, records, fired, drifted), nil
+}
+
+// prevHost returns the host user's previous query was routed to, or -1 for
+// a first-seen user.
+func (f *Fleet) prevHost(user int64) int {
+	if id, ok := f.lastHost[user]; ok {
+		return id
+	}
+	return -1
+}
+
+// diverts reports whether routing a user whose previous host was prev to
+// id is a diversion: a move off a previous host that is still alive. A
+// move off a dead host is forced, not chosen (those users are
+// Result.ReroutedUsers).
+func (f *Fleet) diverts(prev, id int) bool {
+	return prev >= 0 && prev != id && f.members[prev].alive
 }
 
 // MaxQPSAtLatency binary-searches the highest offered QPS whose measured
@@ -587,37 +596,20 @@ func (f *Fleet) MaxQPSAtLatency(quantile float64, budget time.Duration, loQPS, h
 	return bestQPS, best, nil
 }
 
-// countClass adds one to class c of a per-class ledger, growing it (and,
-// with metrics on, family fam's exported series) to cover c.
-func (f *Fleet) countClass(ledger *[]int, fam, c int) {
-	for len(*ledger) <= c {
-		*ledger = append(*ledger, 0)
-	}
-	f.meter.coverClass(fam, c, ledger)
-	(*ledger)[c]++
+// classLedger is one SLO class's admission accounting for a Run.
+type classLedger struct {
+	offered, shed, delayed int
+	delay                  float64 // summed admission delay, seconds
 }
 
-func (f *Fleet) noteOffered(c int) {
-	if c >= 0 {
-		f.countClass(&f.classOffered, famOffered, c)
+// class returns class c's ledger entry, growing the ledger (and, with
+// metrics on, family fam's exported series) to cover c.
+func (f *Fleet) class(c, fam int) *classLedger {
+	for len(f.classes) <= c {
+		f.classes = append(f.classes, classLedger{})
 	}
-}
-
-func (f *Fleet) noteShed(c int) {
-	if c >= 0 {
-		f.countClass(&f.classShed, famShed, c)
-	}
-}
-
-func (f *Fleet) noteDelayed(c int, seconds float64) {
-	if c < 0 {
-		return
-	}
-	f.countClass(&f.classDelayed, famDelayed, c)
-	for len(f.classDelay) <= c {
-		f.classDelay = append(f.classDelay, 0)
-	}
-	f.classDelay[c] += seconds
+	f.meter.coverClass(fam, c, &f.classes)
+	return &f.classes[c]
 }
 
 // pushBound caps a member's queued jobs: the front-end stalls once a

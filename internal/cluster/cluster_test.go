@@ -59,20 +59,11 @@ func testFleet(t *testing.T, in *model.Instance, tables []*embedding.Table, n in
 	return f
 }
 
-// resultKey flattens every virtual-time number of a Result so runs can be
-// compared bit-for-bit.
+// resultKey is the headline plus the digest of every virtual-time number
+// of a Result (resultDigest), so runs can be compared bit-for-bit.
 func resultKey(t *testing.T, r *Result) string {
 	t.Helper()
-	var b strings.Builder
-	b.WriteString(r.String())
-	for _, h := range r.Hosts {
-		b.WriteString(h.Latency.String())
-		b.WriteString(h.String())
-	}
-	for _, w := range r.Windows {
-		b.WriteString(w.String())
-	}
-	return b.String()
+	return fmt.Sprintf("%s digest=%#x", r, resultDigest(r))
 }
 
 func TestFleetDeterministicAcrossWorkers(t *testing.T) {

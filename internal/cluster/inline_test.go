@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -118,21 +117,6 @@ func TestBarrierRunsStartNoGoroutines(t *testing.T) {
 	}
 }
 
-// fullKey extends resultKey with everything else a Result carries: class
-// rows, fairness, and the failure- and drift-drill outputs.
-func fullKey(t *testing.T, r *Result) string {
-	t.Helper()
-	var b strings.Builder
-	b.WriteString(resultKey(t, r))
-	for _, c := range r.Classes {
-		b.WriteString(c.String())
-	}
-	fmt.Fprintf(&b, " q=%d shed=%d span=%d..%d fair=%v/%v smw=%d dwpd=%v drift=%t@%d fail=%d@%d rerouted=%d spike=%v drop=%v",
-		r.Queries, r.Shed, r.Start, r.End, r.LoadFairness, r.ClassFairness, r.SMWriteBytes, r.DWPDUtil,
-		r.DriftFired, r.DriftAt, r.FailedHost, r.FailTime, r.ReroutedUsers, r.WarmupSpike, r.WarmupHitDrop)
-	return b.String()
-}
-
 func TestInlineMatchesQueued(t *testing.T) {
 	// One seeded sticky fleet, run queued (untraced, four workers) and
 	// inline (traced): results, per-host counters and the rendered metrics
@@ -202,7 +186,7 @@ func TestInlineMatchesQueued(t *testing.T) {
 		if clamped == 0 {
 			t.Fatal("the lastPush clamp never fired; the fixture no longer covers it")
 		}
-		o := outcome{key: fullKey(t, res)}
+		o := outcome{key: resultKey(t, res)}
 		for _, m := range f.members {
 			o.snaps = append(o.snaps, m.host.Snapshot())
 		}
@@ -273,7 +257,7 @@ func TestFeedbackDrillsDeterministicAcrossWorkers(t *testing.T) {
 			if got := int(res.Latency.Count()); got != res.Queries {
 				t.Fatalf("%s: completed %d of %d queries", res.Policy, got, res.Queries)
 			}
-			keys = append(keys, fullKey(t, res))
+			keys = append(keys, resultKey(t, res))
 		}
 		if keys[0] != keys[1] {
 			t.Fatalf("feedback drills diverged across worker counts:\n%s\nvs\n%s", keys[0], keys[1])

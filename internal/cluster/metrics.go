@@ -22,41 +22,57 @@ type MetricsConfig struct {
 }
 
 // meter is the fleet's metrics state: one live registry for the
-// front-end, one per host, and a window registry the post-run replay
-// plane marks at Result-window boundaries. nil *meter (metrics off) is
-// the zero-overhead path — every method no-ops.
+// front-end, one per host, and a window registry the run's fold marks at
+// Result-window boundaries. Every instrument is func-backed: it reads the
+// ledger that counts its events (the fleet's per-Run routing and class
+// ledgers, the host, store and adapter counters, the window being
+// marked), so the meter keeps no number of its own. nil *meter (metrics
+// off) is the zero-overhead path — every method no-ops.
 type meter struct {
 	every simclock.Time
 	fe    *metrics.Registry
 	win   *metrics.Registry
 	hosts []*metrics.Registry
 
-	// Front-end live instruments, updated sequentially in the routing
-	// loop and marked on crossed boundaries.
-	routes   *metrics.Counter
-	diverted *metrics.Counter
+	// feTicker marks the front-end registry on crossed boundaries from the
+	// sequential routing loop.
 	feTicker ticker
 	// classSeries[fam] is how many class-labeled series of a per-class
 	// family are registered; it only grows (see coverClass).
 	classSeries [len(classFamilies)]int
 
-	// Per-window instruments (replay plane): gauges the window
-	// derivation marks at each window's End, so Result.Windows and the
-	// exported series come from the same single-pass accumulation.
-	winQueries *metrics.Gauge
-	winMean    *metrics.Gauge
-	winP50     *metrics.Gauge
-	winP99     *metrics.Gauge
-	winMax     *metrics.Gauge
-	winHit     *metrics.Gauge
-	winFM      *metrics.Gauge
-	winRange   *metrics.Gauge
-	winSMPerQ  *metrics.Gauge
-	winSMWrite *metrics.Gauge
+	// cur is the window markWindow is publishing; the window gauges read
+	// it at their mark.
+	cur markedWindow
 
 	// adapterDone guards against re-registering an adapter's instruments
 	// when SetAdapters runs after SetMetrics (or repeatedly).
 	adapterDone []bool
+}
+
+// markedWindow is one derived window as the window gauges read it: the
+// Result's WindowStat plus the p50 it does not carry.
+type markedWindow struct {
+	WindowStat
+	p50 float64
+}
+
+// windowGauges are the per-window series, in registration (and so
+// rendering) order.
+var windowGauges = [...]struct {
+	desc metrics.Desc
+	read func(w *markedWindow) float64
+}{
+	{metrics.Desc{Name: "sdm_fleet_window_queries", Help: "Completed queries arriving in the window."}, func(w *markedWindow) float64 { return float64(w.Queries) }},
+	{metrics.Desc{Name: "sdm_fleet_window_mean_latency_seconds", Help: "Mean latency of the window's queries.", Unit: "seconds"}, func(w *markedWindow) float64 { return w.MeanLat }},
+	{metrics.Desc{Name: "sdm_fleet_window_p50_latency_seconds", Help: "p50 latency of the window's queries.", Unit: "seconds"}, func(w *markedWindow) float64 { return w.p50 }},
+	{metrics.Desc{Name: "sdm_fleet_window_p99_latency_seconds", Help: "p99 latency of the window's queries.", Unit: "seconds"}, func(w *markedWindow) float64 { return w.P99 }},
+	{metrics.Desc{Name: "sdm_fleet_window_max_latency_seconds", Help: "Maximum latency of the window's queries.", Unit: "seconds"}, func(w *markedWindow) float64 { return w.MaxLat }},
+	{metrics.Desc{Name: "sdm_fleet_window_hit_ratio", Help: "Row-cache hit rate over the window."}, func(w *markedWindow) float64 { return w.HitRate }},
+	{metrics.Desc{Name: "sdm_fleet_window_fm_served_ratio", Help: "FM-served share of store lookups over the window."}, func(w *markedWindow) float64 { return w.FMRate }},
+	{metrics.Desc{Name: "sdm_fleet_window_range_served_ratio", Help: "Share of lookups served by FM-resident row ranges over the window."}, func(w *markedWindow) float64 { return w.RangeRate }},
+	{metrics.Desc{Name: "sdm_fleet_window_sm_reads_per_query", Help: "SM reads per query over the window."}, func(w *markedWindow) float64 { return w.SMPerQuery }},
+	{metrics.Desc{Name: "sdm_fleet_window_sm_write_bytes", Help: "SM media bytes written in the window.", Unit: "bytes"}, func(w *markedWindow) float64 { return float64(w.SMWriteBytes) }},
 }
 
 // ticker is the live sampling state of one registry — the front-end's,
@@ -87,7 +103,8 @@ func (tk *ticker) tick(t simclock.Time) {
 
 // SetMetrics attaches the metrics plane: every host's serving and store
 // catalog (plus its adapter's, once adapters are set), the front-end's
-// routing/admission counters, and the per-window replay instruments.
+// routing/admission counters over its per-Run ledgers, and the per-window
+// gauges.
 // Metered runs execute exactly the same virtual-time work as unmetered
 // ones; WriteMetrics renders the most recent Run's series.
 func (f *Fleet) SetMetrics(cfg MetricsConfig) error {
@@ -104,18 +121,19 @@ func (f *Fleet) SetMetrics(cfg MetricsConfig) error {
 		adapterDone: make([]bool, len(f.members)),
 	}
 	mt.feTicker = ticker{reg: mt.fe, every: mt.every}
-	mt.routes = mt.fe.NewCounter(metrics.Desc{Name: "sdm_fleet_routes", Help: "Queries routed to a host this run."})
-	mt.diverted = mt.fe.NewCounter(metrics.Desc{Name: "sdm_fleet_diversions", Help: "Routes that moved a user off their previous host."})
-	mt.winQueries = mt.win.NewGauge(metrics.Desc{Name: "sdm_fleet_window_queries", Help: "Completed queries arriving in the window."})
-	mt.winMean = mt.win.NewGauge(metrics.Desc{Name: "sdm_fleet_window_mean_latency_seconds", Help: "Mean latency of the window's queries.", Unit: "seconds"})
-	mt.winP50 = mt.win.NewGauge(metrics.Desc{Name: "sdm_fleet_window_p50_latency_seconds", Help: "p50 latency of the window's queries.", Unit: "seconds"})
-	mt.winP99 = mt.win.NewGauge(metrics.Desc{Name: "sdm_fleet_window_p99_latency_seconds", Help: "p99 latency of the window's queries.", Unit: "seconds"})
-	mt.winMax = mt.win.NewGauge(metrics.Desc{Name: "sdm_fleet_window_max_latency_seconds", Help: "Maximum latency of the window's queries.", Unit: "seconds"})
-	mt.winHit = mt.win.NewGauge(metrics.Desc{Name: "sdm_fleet_window_hit_ratio", Help: "Row-cache hit rate over the window."})
-	mt.winFM = mt.win.NewGauge(metrics.Desc{Name: "sdm_fleet_window_fm_served_ratio", Help: "FM-served share of store lookups over the window."})
-	mt.winRange = mt.win.NewGauge(metrics.Desc{Name: "sdm_fleet_window_range_served_ratio", Help: "Share of lookups served by FM-resident row ranges over the window."})
-	mt.winSMPerQ = mt.win.NewGauge(metrics.Desc{Name: "sdm_fleet_window_sm_reads_per_query", Help: "SM reads per query over the window."})
-	mt.winSMWrite = mt.win.NewGauge(metrics.Desc{Name: "sdm_fleet_window_sm_write_bytes", Help: "SM media bytes written in the window.", Unit: "bytes"})
+	mt.fe.NewCounterFunc(metrics.Desc{Name: "sdm_fleet_routes", Help: "Queries routed to a host this run."},
+		func() uint64 {
+			var n int
+			for _, r := range f.routed {
+				n += r
+			}
+			return uint64(n)
+		})
+	mt.fe.NewCounterFunc(metrics.Desc{Name: "sdm_fleet_diversions", Help: "Routes that moved a user off their previous host."},
+		func() uint64 { return uint64(f.diverted) })
+	for _, g := range windowGauges {
+		mt.win.NewGaugeFunc(g.desc, func(simclock.Time) float64 { return g.read(&mt.cur) })
+	}
 	for i, m := range f.members {
 		reg := metrics.NewRegistry(i)
 		m.host.RegisterMetrics(reg)
@@ -151,15 +169,15 @@ func (mt *meter) registries() []*metrics.Registry {
 	return append(regs, mt.hosts...)
 }
 
-// reset clears the previous run's series at Run start: front-end
-// counters restart from zero (they are per-run accounting, like
-// Result), host registries keep their cumulative values but drop marks.
+// reset clears the previous run's series at Run start. The front-end
+// series read per-Run ledgers, which Run zeroes; the host series read
+// cumulative counters.
 func (mt *meter) reset(members []*member) {
 	if mt == nil {
 		return
 	}
-	mt.fe.Reset()
-	mt.win.Reset()
+	mt.fe.ResetMarks()
+	mt.win.ResetMarks()
 	mt.feTicker.next = 0
 	for i, reg := range mt.hosts {
 		reg.ResetMarks()
@@ -176,18 +194,6 @@ func (mt *meter) feTick(t simclock.Time) {
 	}
 }
 
-// noteRoute counts a routing decision (and whether it diverted the user
-// off their previous host).
-func (mt *meter) noteRoute(seen bool, prev, chosen int) {
-	if mt == nil {
-		return
-	}
-	mt.routes.Inc()
-	if seen && prev != chosen {
-		mt.diverted.Inc()
-	}
-}
-
 // The per-class front-end series families: the fam argument of coverClass
 // indexes classFamilies.
 const (
@@ -196,10 +202,13 @@ const (
 	famDelayed
 )
 
-var classFamilies = [...]struct{ name, help string }{
-	famOffered: {"sdm_fleet_class_offered", "Arrivals per SLO class."},
-	famShed:    {"sdm_fleet_class_shed", "Arrivals admission rejected per SLO class."},
-	famDelayed: {"sdm_fleet_class_delayed", "Arrivals a queue-mode bucket admitted late per SLO class."},
+var classFamilies = [...]struct {
+	name, help string
+	count      func(l *classLedger) int
+}{
+	famOffered: {"sdm_fleet_class_offered", "Arrivals per SLO class.", func(l *classLedger) int { return l.offered }},
+	famShed:    {"sdm_fleet_class_shed", "Arrivals admission rejected per SLO class.", func(l *classLedger) int { return l.shed }},
+	famDelayed: {"sdm_fleet_class_delayed", "Arrivals a queue-mode bucket admitted late per SLO class.", func(l *classLedger) int { return l.delayed }},
 }
 
 // coverClass registers family fam's class-labeled series up to class c as
@@ -207,7 +216,7 @@ var classFamilies = [...]struct{ name, help string }{
 // in one place. Classes appear in first-arrival order on the sequential
 // front-end loop, so creation order is deterministic; the ledger is cut to
 // zero length at Run start, which the reader reports as 0.
-func (mt *meter) coverClass(fam, c int, ledger *[]int) {
+func (mt *meter) coverClass(fam, c int, ledger *[]classLedger) {
 	if mt == nil {
 		return
 	}
@@ -218,7 +227,7 @@ func (mt *meter) coverClass(fam, c int, ledger *[]int) {
 			Labels: []metrics.Label{{Key: "class", Value: strconv.Itoa(i)}},
 		}, func() uint64 {
 			if i < len(*ledger) {
-				return uint64((*ledger)[i])
+				return uint64(classFamilies[fam].count(&(*ledger)[i]))
 			}
 			return 0
 		})
@@ -237,21 +246,12 @@ func (mt *meter) finalLive(end simclock.Time) {
 	}
 }
 
-// markWindow publishes one derived window onto the replay-plane gauges.
+// markWindow marks the window gauges at w's End, reading w.
 func (mt *meter) markWindow(w WindowStat, p50 float64) {
 	if mt == nil {
 		return
 	}
-	mt.winQueries.Set(float64(w.Queries))
-	mt.winMean.Set(w.MeanLat)
-	mt.winP50.Set(p50)
-	mt.winP99.Set(w.P99)
-	mt.winMax.Set(w.MaxLat)
-	mt.winHit.Set(w.HitRate)
-	mt.winFM.Set(w.FMRate)
-	mt.winRange.Set(w.RangeRate)
-	mt.winSMPerQ.Set(w.SMPerQuery)
-	mt.winSMWrite.Set(float64(w.SMWriteBytes))
+	mt.cur = markedWindow{w, p50}
 	mt.win.MarkAll(w.End)
 }
 

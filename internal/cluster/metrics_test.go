@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sdm/internal/obs"
 )
 
 func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
@@ -168,9 +170,9 @@ func TestMetricsWindowAccounting(t *testing.T) {
 		t.Fatalf("final window mark at %s, want %s", lastTime, want)
 	}
 
-	// Degenerate span: the derivation refuses (end == start) and adds no
+	// Degenerate span: the fold lays no windows (end == start) and adds no
 	// marks — the export is unchanged.
-	if w := f.deriveWindows(nil, 5, 5, 4); w != nil {
+	if w := f.fold(nil, 5, 5, 0, false).windowStats(f.meter); w != nil {
 		t.Fatalf("degenerate span should derive no windows, got %v", w)
 	}
 	var buf2 bytes.Buffer
@@ -225,16 +227,53 @@ func TestMetricsDisabledPathAllocsNothing(t *testing.T) {
 	// the guarantee behind the unmetered routing benchmark staying flat.
 	var mt *meter
 	var mm *ticker
-	var ledger []int
+	var ledger []classLedger
 	if got := testing.AllocsPerRun(100, func() {
 		mm.tick(1000)
 		mt.feTick(1000)
-		mt.noteRoute(true, 0, 1)
 		mt.coverClass(famOffered, 1, &ledger)
 		mt.finalLive(2000)
 		mt.markWindow(WindowStat{}, 0)
 		mt.reset(nil)
 	}); got != 0 {
 		t.Fatalf("disabled metrics path allocates %.1f per run, want 0", got)
+	}
+}
+
+func TestMetricsDiversionsMatchTrace(t *testing.T) {
+	// A diversion is a move off a previous host that is still alive; a
+	// move off a dead host is forced (ReroutedUsers). The metrics plane and
+	// the trace count the same diversions on a failure drill.
+	in, tables := fixture(t)
+	f := testFleet(t, in, tables, 3, NewLeastOutstanding(), Config{Seed: 5})
+	if err := f.SetMetrics(MetricsConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SetTrace(obs.Config{Level: obs.LevelDecisions}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.ScheduleFailure(1, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Run(500, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, _ := f.TraceSummary()
+	if res.ReroutedUsers == 0 || sum.Diversions == 0 {
+		t.Fatalf("drill has %d rerouted users and %d diversions; the test needs both", res.ReroutedUsers, sum.Diversions)
+	}
+	var buf bytes.Buffer
+	if err := f.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var last string
+	for _, l := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(l, "sdm_fleet_diversions_total ") {
+			last = l
+		}
+	}
+	if fields := strings.Fields(last); len(fields) != 3 || fields[1] != strconv.Itoa(sum.Diversions) {
+		t.Fatalf("final diversions sample %q, trace counts %d", last, sum.Diversions)
 	}
 }

@@ -147,10 +147,128 @@ type Result struct {
 	WarmupHitDrop float64
 }
 
-// aggregate folds the per-query records into a Result in index order, so
-// every derived number is independent of execution interleaving. fired
-// reports whether the armed host kill executed during this Run; drifted
-// whether the armed hot-set rotation did.
+// tally is one population's share of a run — a host's, a class's, a
+// window's, or the rerouted users' side of a failure: its completed
+// queries, their latency histogram and their summed cache-counter delta.
+type tally struct {
+	queries int
+	lat     *stats.Histogram
+	delta   serving.CacheSnapshot
+}
+
+func newTallies(n int) []tally {
+	ts := make([]tally, n)
+	for i := range ts {
+		ts[i].lat = stats.NewHistogram()
+	}
+	return ts
+}
+
+func (t *tally) add(lat float64, delta serving.CacheSnapshot) {
+	t.queries++
+	t.lat.Observe(lat)
+	t.delta = t.delta.Add(delta)
+}
+
+// window derives the WindowStat of [lo, hi) from t; an empty window keeps
+// its zero stats.
+func (t *tally) window(lo, hi simclock.Time) WindowStat {
+	w := WindowStat{Start: lo, End: hi}
+	if t.queries > 0 {
+		w.Queries = t.queries
+		w.MeanLat = t.lat.Mean()
+		w.P99 = t.lat.P99()
+		w.MaxLat = t.lat.Max()
+		w.HitRate = t.delta.HitRate()
+		w.FMRate = t.delta.FMServedRate()
+		w.RangeRate = t.delta.RangeServedRate()
+		w.SMPerQuery = float64(t.delta.SMReads) / float64(t.queries)
+		w.SMWriteBytes = t.delta.SMWriteBytes
+	}
+	return w
+}
+
+// runFold is a run's records folded once (see fold).
+type runFold struct {
+	hosts, classes []tally
+	// windows cover arrivals in [start, end], width apart; the last is
+	// widened to include end. None on a degenerate span.
+	windows           []tally
+	start, end, width simclock.Time
+	// split[0] holds the rerouted users' queries arriving before the
+	// failure, split[1] the rest; nil unless a failure fired.
+	split    []tally
+	lastDone simclock.Time
+}
+
+// fold makes the one pass over a Run's records, in index order: each
+// completed record is added to the tally of its host, of its class (when
+// classes > 0), of its Config.Windows arrival window over [start, end],
+// and — when fired — of the rerouted users' pre- or post-failure side.
+// Every per-host, per-class, per-window and warm-up number of the Result
+// derives from these tallies, so none depends on execution interleaving.
+func (f *Fleet) fold(records []record, start, end simclock.Time, classes int, fired bool) runFold {
+	rf := runFold{hosts: newTallies(len(f.members)), classes: newTallies(classes), start: start, end: end}
+	// No windows when the span is empty or narrower than one ns per window.
+	if n := f.cfg.Windows; n > 0 && end > start && (end-start)/simclock.Time(n) > 0 {
+		rf.windows, rf.width = newTallies(n), (end-start)/simclock.Time(n)
+	}
+	if fired {
+		rf.split = newTallies(2)
+	}
+	for i := range records {
+		r := &records[i]
+		if !r.ok {
+			continue
+		}
+		lat := (r.done - r.arrive).Seconds()
+		rf.hosts[r.host].add(lat, r.delta)
+		if r.class >= 0 && r.class < classes {
+			rf.classes[r.class].add(lat, r.delta)
+		}
+		// Queue-mode admission can push an arrival past the last generated
+		// arrival instant; such records fall outside every window.
+		if rf.windows != nil && r.arrive >= start && r.arrive <= end {
+			w := min(int((r.arrive-start)/rf.width), len(rf.windows)-1)
+			rf.windows[w].add(lat, r.delta)
+		}
+		if fired {
+			if _, hit := f.rerouted[r.user]; hit {
+				side := 0
+				if r.arrive >= f.failedAt {
+					side = 1
+				}
+				rf.split[side].add(lat, r.delta)
+			}
+		}
+		rf.lastDone = max(rf.lastDone, r.done)
+	}
+	return rf
+}
+
+// windowStats derives Result.Windows from the window tallies (nil on a
+// degenerate span) and marks each on the meter's window gauges, so the
+// Result and the exported series come from the same tallies.
+func (rf runFold) windowStats(mt *meter) []WindowStat {
+	if rf.windows == nil {
+		return nil
+	}
+	out := make([]WindowStat, len(rf.windows))
+	for i := range rf.windows {
+		lo := rf.start + simclock.Time(i)*rf.width
+		hi := lo + rf.width
+		if i == len(rf.windows)-1 {
+			hi = rf.end + 1 // include the final arrival
+		}
+		out[i] = rf.windows[i].window(lo, hi)
+		mt.markWindow(out[i], rf.windows[i].lat.P50())
+	}
+	return out
+}
+
+// aggregate folds the per-query records into a Result. fired reports
+// whether the armed host kill executed during this Run; drifted whether
+// the armed hot-set rotation did.
 func (f *Fleet) aggregate(qps float64, start, lastArrival simclock.Time, records []record, fired, drifted bool) *Result {
 	res := &Result{
 		Policy:     f.router.Name(),
@@ -160,45 +278,37 @@ func (f *Fleet) aggregate(qps float64, start, lastArrival simclock.Time, records
 		Latency:    stats.NewHistogram(),
 		FailedHost: -1,
 	}
-	if fired {
-		res.FailedHost = f.failed
-		res.FailTime = f.failedAt
-	}
 	if drifted {
 		res.DriftFired = true
 		res.DriftAt = f.driftAt
 	}
-	hosts := make([]HostResult, len(f.members))
-	hostDelta := make([]serving.CacheSnapshot, len(f.members))
-	for i, m := range f.members {
-		hosts[i] = HostResult{ID: i, Alive: m.alive, Latency: stats.NewHistogram()}
+	// Per-SLO-class breakdown: populated when the run saw multiple
+	// classes or admission control was installed.
+	nc := 0
+	if len(f.classes) > 1 || f.admission != nil {
+		nc = max(len(f.classes), 1)
 	}
-
-	end := lastArrival
-	var fleetDelta serving.CacheSnapshot
-	for _, r := range records {
-		if !r.ok {
-			continue
-		}
-		lat := (r.done - r.arrive).Seconds()
-		hosts[r.host].Queries++
-		hosts[r.host].Latency.Observe(lat)
-		hostDelta[r.host] = hostDelta[r.host].Add(r.delta)
-		fleetDelta = fleetDelta.Add(r.delta)
-		if r.done > end {
-			end = r.done
-		}
+	if fired {
+		res.FailedHost = f.failed
+		res.FailTime = f.failedAt
+		res.ReroutedUsers = len(f.rerouted)
 	}
-	// Fleet latency is the bucket-wise merge of the per-host histograms —
-	// identical to observing every sample, without the re-observation.
-	for i := range hosts {
-		res.Latency.Merge(hosts[i].Latency)
-	}
+	rf := f.fold(records, start, lastArrival, nc, fired)
+	end := max(lastArrival, rf.lastDone)
 	res.End = end
 	// Close every live metrics series with the final counter values; any
 	// worker goroutines have joined, so the single-threaded mark is safe.
 	f.meter.finalLive(end)
 	elapsed := (end - start).Seconds()
+
+	// Fleet latency is the host-order merge of the host histograms —
+	// identical to observing every sample, and the order fixes the float
+	// sum's bits.
+	var fleetDelta serving.CacheSnapshot
+	for i := range rf.hosts {
+		res.Latency.Merge(rf.hosts[i].lat)
+		fleetDelta = fleetDelta.Add(rf.hosts[i].delta)
+	}
 	if elapsed > 0 {
 		res.AchievedQPS = float64(res.Latency.Count()) / elapsed
 	}
@@ -210,77 +320,61 @@ func (f *Fleet) aggregate(qps float64, start, lastArrival simclock.Time, records
 	// utilization the run's write rate projects to.
 	elapsedDays := elapsed / 86400
 	var fleetDailyBudget float64
-	for i := range hosts {
-		d := hostDelta[i]
-		hosts[i].HitRate = d.HitRate()
+	var loads []float64
+	res.Hosts = make([]HostResult, len(f.members))
+	for i, m := range f.members {
+		t := &rf.hosts[i]
+		d := t.delta
+		h := HostResult{
+			ID: i, Alive: m.alive, Queries: t.queries, Latency: t.lat,
+			HitRate: d.HitRate(), FMServedRate: d.FMServedRate(), RangeServedRate: d.RangeServedRate(),
+			SMReads: d.SMReads, SMWriteBytes: d.SMWriteBytes,
+		}
 		if ph := d.PooledHits + d.PooledMisses; ph > 0 {
-			hosts[i].PooledHitRate = float64(d.PooledHits) / float64(ph)
+			h.PooledHitRate = float64(d.PooledHits) / float64(ph)
 		}
-		hosts[i].FMServedRate = d.FMServedRate()
-		hosts[i].RangeServedRate = d.RangeServedRate()
-		hosts[i].SMReads = d.SMReads
-		hosts[i].SMWriteBytes = d.SMWriteBytes
 		if elapsed > 0 {
-			hosts[i].AchievedQPS = float64(hosts[i].Queries) / elapsed
+			h.AchievedQPS = float64(h.Queries) / elapsed
 		}
-		if s := f.members[i].host.Store(); s != nil {
+		if s := m.host.Store(); s != nil {
 			w := s.Wear()
-			hosts[i].LifetimeSMWrites = w.BytesWritten
+			h.LifetimeSMWrites = w.BytesWritten
 			if elapsedDays > 0 {
-				hosts[i].DWPDUtil = w.DWPDUtil(float64(d.SMWriteBytes) / elapsedDays)
+				h.DWPDUtil = w.DWPDUtil(float64(d.SMWriteBytes) / elapsedDays)
 			}
 			fleetDailyBudget += w.DWPD * float64(w.CapacityBytes)
 		}
+		if m.alive {
+			loads = append(loads, float64(h.Queries))
+		}
+		res.Hosts[i] = h
 	}
 	if fleetDailyBudget > 0 && elapsedDays > 0 {
 		res.DWPDUtil = float64(res.SMWriteBytes) / elapsedDays / fleetDailyBudget
 	}
-	res.Hosts = hosts
-
 	// Routed-load fairness over alive hosts (the per-host-load Jain index).
-	var loads []float64
-	for i := range hosts {
-		if f.members[i].alive {
-			loads = append(loads, float64(hosts[i].Queries))
-		}
-	}
 	res.LoadFairness = stats.JainFairness(loads)
 
-	// Per-SLO-class breakdown: populated when the run saw multiple
-	// classes or admission control was installed.
-	if len(f.classOffered) > 1 || f.admission != nil {
-		nc := len(f.classOffered)
-		if nc == 0 {
-			nc = 1
-		}
+	if nc > 0 {
 		classes := make([]ClassResult, nc)
-		for c := range classes {
-			classes[c] = ClassResult{Class: c, Name: fmt.Sprintf("class%d", c), Latency: stats.NewHistogram()}
-			if f.admission != nil {
-				classes[c].Name = f.admission.cfg.className(c)
-			}
-			if c < len(f.classOffered) {
-				classes[c].Offered = f.classOffered[c]
-			}
-			if c < len(f.classShed) {
-				classes[c].Shed = f.classShed[c]
-				res.Shed += f.classShed[c]
-			}
-			if c < len(f.classDelayed) && f.classDelayed[c] > 0 {
-				classes[c].Delayed = f.classDelayed[c]
-				classes[c].MeanDelay = f.classDelay[c] / float64(f.classDelayed[c])
-			}
-		}
-		for _, r := range records {
-			if r.ok && r.class >= 0 && r.class < nc {
-				classes[r.class].Latency.Observe((r.done - r.arrive).Seconds())
-			}
-		}
 		var shares []float64
-		for _, c := range classes {
-			if c.Offered > 0 {
-				shares = append(shares, float64(c.Offered-c.Shed)/float64(c.Offered))
+		for c := range classes {
+			cr := ClassResult{Class: c, Name: fmt.Sprintf("class%d", c), Latency: rf.classes[c].lat}
+			if f.admission != nil {
+				cr.Name = f.admission.cfg.className(c)
 			}
+			if c < len(f.classes) {
+				l := f.classes[c]
+				cr.Offered, cr.Shed, cr.Delayed = l.offered, l.shed, l.delayed
+				if l.delayed > 0 {
+					cr.MeanDelay = l.delay / float64(l.delayed)
+				}
+				res.Shed += l.shed
+			}
+			if cr.Offered > 0 {
+				shares = append(shares, float64(cr.Offered-cr.Shed)/float64(cr.Offered))
+			}
+			classes[c] = cr
 		}
 		res.ClassFairness = stats.JainFairness(shares)
 		res.Classes = classes
@@ -291,124 +385,19 @@ func (f *Fleet) aggregate(qps float64, start, lastArrival simclock.Time, records
 		res.Trace = &sum
 	}
 
-	res.Windows = f.deriveWindows(records, start, lastArrival, f.cfg.Windows)
+	res.Windows = rf.windowStats(f.meter)
 	if fired {
-		res.ReroutedUsers = len(f.rerouted)
-		pre, post := affectedSplit(records, f.rerouted, f.failedAt)
-		if pre.Queries > 0 && post.Queries > 0 {
-			if pre.MeanLat > 0 {
-				res.WarmupSpike = post.MeanLat / pre.MeanLat
+		// The rerouted users' own latency and hit rate before and after
+		// the kill: the population whose caches actually went cold.
+		pre, post := &rf.split[0], &rf.split[1]
+		if pre.queries > 0 && post.queries > 0 {
+			if m := pre.lat.Mean(); m > 0 {
+				res.WarmupSpike = post.lat.Mean() / m
 			}
-			res.WarmupHitDrop = pre.HitRate - post.HitRate
+			res.WarmupHitDrop = pre.delta.HitRate() - post.delta.HitRate()
 		}
 	}
 	return res
-}
-
-// affectedSplit aggregates the rerouted users' queries before and after
-// the failure instant — the population whose caches actually went cold.
-func affectedSplit(records []record, rerouted map[int64]struct{}, failedAt simclock.Time) (pre, post WindowStat) {
-	preLat, postLat := stats.NewHistogram(), stats.NewHistogram()
-	var preDelta, postDelta serving.CacheSnapshot
-	for _, r := range records {
-		if !r.ok {
-			continue
-		}
-		if _, hit := rerouted[r.user]; !hit {
-			continue
-		}
-		if r.arrive < failedAt {
-			pre.Queries++
-			preLat.Observe((r.done - r.arrive).Seconds())
-			preDelta = preDelta.Add(r.delta)
-		} else {
-			post.Queries++
-			postLat.Observe((r.done - r.arrive).Seconds())
-			postDelta = postDelta.Add(r.delta)
-		}
-	}
-	pre.MeanLat, pre.P99, pre.HitRate = preLat.Mean(), preLat.P99(), preDelta.HitRate()
-	post.MeanLat, post.P99, post.HitRate = postLat.Mean(), postLat.P99(), postDelta.HitRate()
-	return pre, post
-}
-
-// deriveWindows buckets records into n equal arrival-time windows in one
-// pass over the records (index order, so every per-window number is
-// independent of execution interleaving). The same derived samples mark
-// the metrics plane's per-window instruments when one is attached —
-// Result.Windows and the exported series come from a single
-// accumulation instead of parallel bookkeeping.
-func (f *Fleet) deriveWindows(records []record, start, end simclock.Time, n int) []WindowStat {
-	if n <= 0 || end <= start {
-		return nil
-	}
-	width := (end - start) / simclock.Time(n)
-	if width <= 0 {
-		return nil
-	}
-	type windowAccum struct {
-		queries int
-		lat     *stats.Histogram
-		delta   serving.CacheSnapshot
-	}
-	accs := make([]windowAccum, n)
-	for i := range accs {
-		accs[i].lat = stats.NewHistogram()
-	}
-	for _, r := range records {
-		// Queue-mode admission can push an arrival past the last
-		// generated arrival instant; such records fall outside every
-		// window (the final window's [lo, end] range ends at the run's
-		// last generated arrival).
-		if !r.ok || r.arrive < start || r.arrive > end {
-			continue
-		}
-		idx := int((r.arrive - start) / width)
-		if idx >= n {
-			idx = n - 1 // the remainder region belongs to the final window
-		}
-		a := &accs[idx]
-		a.queries++
-		a.lat.Observe((r.done - r.arrive).Seconds())
-		a.delta = a.delta.Add(r.delta)
-	}
-	out := make([]WindowStat, 0, n)
-	for i := range accs {
-		lo := start + simclock.Time(i)*width
-		hi := lo + width
-		if i == n-1 {
-			hi = end + 1 // include the final arrival
-		}
-		w := WindowStat{Start: lo, End: hi}
-		a := &accs[i]
-		if a.queries > 0 {
-			w.Queries = a.queries
-			w.MeanLat = a.lat.Mean()
-			w.P99 = a.lat.P99()
-			w.MaxLat = a.lat.Max()
-			w.HitRate = a.delta.HitRate()
-			w.FMRate = a.delta.FMServedRate()
-			w.RangeRate = a.delta.RangeServedRate()
-			w.SMPerQuery = float64(a.delta.SMReads) / float64(w.Queries)
-			w.SMWriteBytes = a.delta.SMWriteBytes
-		}
-		f.meter.markWindow(w, a.lat.P50())
-		out = append(out, w)
-	}
-	return out
-}
-
-// String renders one host's share of the run.
-func (h HostResult) String() string {
-	return fmt.Sprintf("host%d alive=%t q=%d qps=%.3f p99=%.6f hit=%.4f fm=%.4f rng=%.4f sm=%d smW=%d dwpd=%.6f",
-		h.ID, h.Alive, h.Queries, h.AchievedQPS, h.Latency.P99(), h.HitRate, h.FMServedRate, h.RangeServedRate,
-		h.SMReads, h.SMWriteBytes, h.DWPDUtil)
-}
-
-// String renders one window of the run's time series.
-func (w WindowStat) String() string {
-	return fmt.Sprintf("[%d,%d) q=%d mean=%.6f p99=%.6f max=%.6f hit=%.4f fm=%.4f rng=%.4f sm=%.3f smW=%d",
-		w.Start, w.End, w.Queries, w.MeanLat, w.P99, w.MaxLat, w.HitRate, w.FMRate, w.RangeRate, w.SMPerQuery, w.SMWriteBytes)
 }
 
 // String renders one SLO class's share of the run.

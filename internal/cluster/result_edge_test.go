@@ -11,33 +11,43 @@ func rec(user int64, a, d simclock.Time) record {
 	return record{arrive: a, done: d, user: user, host: 0, ok: true}
 }
 
+// oneHost is a bare one-host fleet with n windows, no meter and no
+// failure: enough for its fold to run exactly as in an unmetered Run.
+func oneHost(n int) *Fleet {
+	return &Fleet{members: make([]*member, 1), cfg: Config{Windows: n}}
+}
+
+// windows folds recs into n windows over [start, end].
+func windows(recs []record, start, end simclock.Time, n int) []WindowStat {
+	return oneHost(n).fold(recs, start, end, 0, false).windowStats(nil)
+}
+
 func TestWindowizeEdges(t *testing.T) {
 	recs := []record{rec(1, 0, 10), rec(2, 50, 70)}
-	f := &Fleet{} // no meter: the derivation runs exactly as unmetered
 
 	// Degenerate spans and window counts produce no series rather than
 	// panicking or emitting zero-width windows.
-	if w := f.deriveWindows(nil, 0, 100, 4); len(w) != 4 {
+	if w := windows(nil, 0, 100, 4); len(w) != 4 {
 		t.Fatalf("empty records should still yield the window frames, got %d", len(w))
 	}
-	if w := f.deriveWindows(recs, 0, 100, 0); w != nil {
+	if w := windows(recs, 0, 100, 0); w != nil {
 		t.Fatalf("n=0 should yield nil, got %v", w)
 	}
-	if w := f.deriveWindows(recs, 100, 100, 4); w != nil {
+	if w := windows(recs, 100, 100, 4); w != nil {
 		t.Fatalf("end==start should yield nil, got %v", w)
 	}
-	if w := f.deriveWindows(recs, 100, 50, 4); w != nil {
+	if w := windows(recs, 100, 50, 4); w != nil {
 		t.Fatalf("end<start should yield nil, got %v", w)
 	}
 	// A span narrower than the window count (integer width 0) is refused.
-	if w := f.deriveWindows(recs, 0, 3, 4); w != nil {
+	if w := windows(recs, 0, 3, 4); w != nil {
 		t.Fatalf("sub-resolution span should yield nil, got %v", w)
 	}
 
 	// A single record landing exactly on the last arrival: the final
 	// window's half-open bound is widened to include it.
 	one := []record{rec(1, 100, 110)}
-	w := f.deriveWindows(one, 0, 100, 4)
+	w := windows(one, 0, 100, 4)
 	if len(w) != 4 {
 		t.Fatalf("want 4 windows, got %d", len(w))
 	}
@@ -51,14 +61,13 @@ func TestWindowizeEdges(t *testing.T) {
 	// Interior bounds stay half-open: an arrival at a window edge counts
 	// exactly once, in the later window.
 	edge := []record{rec(1, 25, 30)}
-	w = f.deriveWindows(edge, 0, 100, 4)
+	w = windows(edge, 0, 100, 4)
 	if w[0].Queries != 0 || w[1].Queries != 1 {
 		t.Fatalf("edge arrival double- or mis-counted: %+v", w[:2])
 	}
 }
 
 func TestDeriveWindowsBounds(t *testing.T) {
-	f := &Fleet{}
 	recs := []record{
 		rec(1, 10, 20),
 		rec(2, 19, 40),
@@ -66,7 +75,7 @@ func TestDeriveWindowsBounds(t *testing.T) {
 		{arrive: 15, done: 30}, // !ok: dropped mid-run, never aggregated
 		rec(4, 9, 12),          // below start: outside every window
 	}
-	w := f.deriveWindows(recs, 10, 30, 2)
+	w := windows(recs, 10, 30, 2)
 	if w[0].Queries != 2 {
 		t.Fatalf("[10,20) should hold exactly 2 records, got %d", w[0].Queries)
 	}
@@ -82,9 +91,15 @@ func TestDeriveWindowsBounds(t *testing.T) {
 	}
 
 	// An empty window keeps its zero stats (no NaNs from 0/0).
-	empty := f.deriveWindows(recs, 500, 700, 2)
+	empty := windows(recs, 500, 700, 2)
 	if empty[0].Queries != 0 || empty[0].MeanLat != 0 || empty[0].SMPerQuery != 0 {
 		t.Fatalf("empty window not zero-valued: %+v", empty[0])
+	}
+
+	// Records outside the frame still count for their host.
+	rf := oneHost(2).fold(recs, 10, 30, 0, false)
+	if rf.hosts[0].queries != 4 || rf.lastDone != 40 {
+		t.Fatalf("host tally holds %d records, last done %d; want 4 and 40", rf.hosts[0].queries, rf.lastDone)
 	}
 }
 
@@ -97,20 +112,30 @@ func TestAffectedSplitBoundary(t *testing.T) {
 		rec(3, 10, 15),                  // unaffected user: excluded from both sides
 		{arrive: 55, done: 70, user: 2}, // !ok: excluded
 	}
-	pre, post := affectedSplit(recs, rerouted, 50)
-	if pre.Queries != 1 {
-		t.Fatalf("pre split got %d queries, want 1: %+v", pre.Queries, pre)
+	f := oneHost(0)
+	f.rerouted, f.failedAt = rerouted, 50
+	rf := f.fold(recs, 0, 0, 0, true)
+	pre, post := rf.split[0], rf.split[1]
+	if pre.queries != 1 {
+		t.Fatalf("pre split got %d queries, want 1", pre.queries)
 	}
-	if post.Queries != 2 {
-		t.Fatalf("post split got %d queries, want 2 (boundary arrival is post): %+v", post.Queries, post)
+	if post.queries != 2 {
+		t.Fatalf("post split got %d queries, want 2 (boundary arrival is post)", post.queries)
 	}
-	if pre.MeanLat <= 0 || post.MeanLat <= 0 {
-		t.Fatalf("split means empty: pre=%v post=%v", pre.MeanLat, post.MeanLat)
+	if pre.lat.Mean() <= 0 || post.lat.Mean() <= 0 {
+		t.Fatalf("split means empty: pre=%v post=%v", pre.lat.Mean(), post.lat.Mean())
 	}
 
 	// No rerouted users: both sides empty, means stay zero.
-	pre, post = affectedSplit(recs, nil, 50)
-	if pre.Queries != 0 || post.Queries != 0 || pre.MeanLat != 0 || post.MeanLat != 0 {
-		t.Fatalf("empty rerouted set should yield zero splits: %+v / %+v", pre, post)
+	f.rerouted = map[int64]struct{}{}
+	rf = f.fold(recs, 0, 0, 0, true)
+	pre, post = rf.split[0], rf.split[1]
+	if pre.queries != 0 || post.queries != 0 || pre.lat.Mean() != 0 || post.lat.Mean() != 0 {
+		t.Fatalf("empty rerouted set should yield zero splits: %d/%d", pre.queries, post.queries)
+	}
+	// No failure this Run: no split at all.
+	f.rerouted = rerouted
+	if rf = f.fold(recs, 0, 0, 0, false); rf.split != nil {
+		t.Fatalf("a run without a failure folded a split: %v", rf.split)
 	}
 }

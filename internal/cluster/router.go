@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"sdm/internal/obs"
-	"sdm/internal/serving"
 	"sdm/internal/simclock"
 	"sdm/internal/workload"
 )
@@ -17,10 +16,10 @@ import (
 // when picking a target. Liveness lives here — the fleet owns it, routers
 // only read it. Signals split into two classes:
 //
-//   - Front-end state (Hosts, Alive, LastHost, Routed, InMigrationWindow):
+//   - Front-end state (Hosts, Alive, Routed, InMigrationWindow):
 //     maintained by the routing loop itself or pure functions of virtual
 //     time, always safe to read.
-//   - Host state (OutstandingAt, Snapshot, FMServedRate, WearHeadroom,
+//   - Host state (OutstandingAt, FMServedRate, WearHeadroom,
 //     MigrationBacklog): owned by the hosts, valid only from routers
 //     whose Feedback() is true — the fleet then executes every routed
 //     query on the routing goroutine before the next decision, so each
@@ -34,15 +33,9 @@ type View interface {
 	// OutstandingAt returns host id's in-flight query count at virtual
 	// time t. Only valid from routers with Feedback() == true.
 	OutstandingAt(id int, t simclock.Time) int
-	// LastHost returns the host the user's previous query was routed to,
-	// or -1 for a first-seen user — the front-end's affinity memory.
-	LastHost(user int64) int
 	// Routed returns how many queries this Run has routed to host id —
 	// the front-end's own load ledger, available without host feedback.
 	Routed(id int) int
-	// Snapshot returns host id's cumulative cache counters
-	// (serving.CacheSnapshot). Only valid when Feedback() == true.
-	Snapshot(id int) serving.CacheSnapshot
 	// FMServedRate returns the fraction of host id's store lookups served
 	// from fast memory so far (0 for flat hosts). Only valid when
 	// Feedback() == true.

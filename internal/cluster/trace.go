@@ -120,10 +120,7 @@ func (t *tracer) reset() {
 // routed query has finished and the Outstanding reads are race-free and
 // deterministic.
 func (f *Fleet) traceRoute(seq int, q workload.Query, at simclock.Time, view View) int {
-	d := obs.RouteDecision{Seq: seq, User: q.UserID, Class: q.Class, Prev: -1}
-	if last, ok := f.lastHost[q.UserID]; ok {
-		d.Prev = last
-	}
+	d := obs.RouteDecision{Seq: seq, User: q.UserID, Class: q.Class, Prev: f.prevHost(q.UserID)}
 	var id int
 	if er, ok := f.router.(ExplainedRouter); ok {
 		id = er.RouteExplained(q, at, view, f.trace.cfg.CounterfactualK, &d)
@@ -136,7 +133,7 @@ func (f *Fleet) traceRoute(seq int, q workload.Query, at simclock.Time, view Vie
 		for i := range d.Alts {
 			d.Alts[i].Outstanding = view.OutstandingAt(d.Alts[i].Host, at)
 		}
-		d.Diverted = d.Prev >= 0 && d.Prev != id && f.members[d.Prev].alive
+		d.Diverted = f.diverts(d.Prev, id)
 	}
 	f.trace.fe.Route(at, d)
 	return id

@@ -1,16 +1,16 @@
 // Package metrics is the deterministic virtual-time metrics plane.
 //
-// Subsystems register typed instruments (Counter, Gauge) once, update them
-// on their existing deterministic paths, and the fleet samples every
+// An instrument keeps no number of its own: subsystems register
+// func-backed counters and gauges (NewCounterFunc, NewGaugeFunc) over the
+// ledgers that already count their events, and the fleet samples every
 // instrument into a virtual-time series on window boundaries by calling
-// MarkAll. The rendered series (OpenMetrics text or JSONL) folds
-// per-emitter samples in (virtual time, host, labels) order — the same
-// discipline as obs.Merge — so it is byte-identical at any HostWorkers
-// setting.
+// MarkAll, which reads each function once. The rendered series (OpenMetrics
+// text or JSONL) folds per-emitter samples in (virtual time, host, labels)
+// order — the same discipline as obs.Merge — so it is byte-identical at
+// any HostWorkers setting.
 //
-// A nil *Registry is valid everywhere: registration returns nil
-// instruments and every instrument method on a nil receiver is a no-op
-// that allocates nothing, so unmetered runs pay zero overhead.
+// A nil *Registry is valid everywhere: registration and marking are no-ops
+// that allocate nothing, so unmetered runs pay zero overhead.
 package metrics
 
 import (
@@ -65,15 +65,12 @@ type mark struct {
 	value float64
 }
 
-// instrument is the shared state behind every typed handle.
+// instrument is one registered series. It reads its value from its
+// owner's ledger at mark time, so the existing deterministic counters are
+// the update path — nothing to thread through hot loops.
 type instrument struct {
-	desc  Desc
-	kind  Kind
-	count uint64
-	value float64
-	// Func-backed instruments read their value at mark time, so existing
-	// deterministic counters are the update path — nothing to thread
-	// through hot loops.
+	desc    Desc
+	kind    Kind
 	countFn func() uint64
 	valueFn func(now simclock.Time) float64
 	marks   []mark
@@ -85,19 +82,10 @@ type instrument struct {
 // end-of-run mark may coincide with a window boundary).
 func (in *instrument) sample(t simclock.Time) {
 	m := mark{t: t}
-	switch in.kind {
-	case KindCounter:
-		if in.countFn != nil {
-			m.count = in.countFn()
-		} else {
-			m.count = in.count
-		}
-	case KindGauge:
-		if in.valueFn != nil {
-			m.value = in.valueFn(t)
-		} else {
-			m.value = in.value
-		}
+	if in.kind == KindCounter {
+		m.count = in.countFn()
+	} else {
+		m.value = in.valueFn(t)
 	}
 	if n := len(in.marks); n > 0 {
 		last := in.marks[n-1].t
@@ -114,8 +102,8 @@ func (in *instrument) sample(t simclock.Time) {
 
 // Registry holds the instruments of one emitter: a host (host >= 0) or
 // the fleet front-end (host < 0). Registries are not internally locked —
-// each emitter owns its registry and updates/marks it on its own
-// deterministic path (the host worker goroutine, or the sequential
+// each emitter owns its registry and marks it on its own deterministic
+// path (the host worker goroutine, or the sequential
 // front-end loop).
 type Registry struct {
 	host  int
@@ -125,14 +113,6 @@ type Registry struct {
 // NewRegistry returns a registry for the given emitter. host < 0 means
 // the fleet front-end.
 func NewRegistry(host int) *Registry { return &Registry{host: host} }
-
-// Host returns the emitter id (-1 for the front-end).
-func (r *Registry) Host() int {
-	if r == nil {
-		return -1
-	}
-	return r.host
-}
 
 func (r *Registry) add(d Desc, k Kind) *instrument {
 	for _, in := range r.insts {
@@ -145,14 +125,6 @@ func (r *Registry) add(d Desc, k Kind) *instrument {
 	return in
 }
 
-// NewCounter registers a monotone counter owned by the caller.
-func (r *Registry) NewCounter(d Desc) *Counter {
-	if r == nil {
-		return nil
-	}
-	return &Counter{in: r.add(d, KindCounter)}
-}
-
 // NewCounterFunc registers a counter whose value is read from fn at mark
 // time. fn must be monotone non-decreasing in virtual time.
 func (r *Registry) NewCounterFunc(d Desc, fn func() uint64) {
@@ -160,14 +132,6 @@ func (r *Registry) NewCounterFunc(d Desc, fn func() uint64) {
 		return
 	}
 	r.add(d, KindCounter).countFn = fn
-}
-
-// NewGauge registers a gauge owned by the caller.
-func (r *Registry) NewGauge(d Desc) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return &Gauge{in: r.add(d, KindGauge)}
 }
 
 // NewGaugeFunc registers a gauge whose value is read from fn at mark
@@ -190,9 +154,9 @@ func (r *Registry) MarkAll(t simclock.Time) {
 	}
 }
 
-// ResetMarks clears every instrument's sampled series while keeping
-// current values (cumulative counters keep counting). Called at Run
-// start so WriteMetrics renders the most recent run.
+// ResetMarks clears every instrument's sampled series. Called at Run
+// start so WriteMetrics renders the most recent run; the values themselves
+// live in the ledgers the instruments read.
 func (r *Registry) ResetMarks() {
 	if r == nil {
 		return
@@ -200,52 +164,6 @@ func (r *Registry) ResetMarks() {
 	for _, in := range r.insts {
 		in.marks = in.marks[:0]
 	}
-}
-
-// Reset clears marks and zeroes caller-owned values (func-backed
-// instruments are untouched — their owners define their lifetime).
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	for _, in := range r.insts {
-		in.marks = in.marks[:0]
-		in.count = 0
-		in.value = 0
-	}
-}
-
-// Counter is a monotone counter handle. All methods are nil-safe no-ops.
-type Counter struct{ in *instrument }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.in.count += n
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current counter value.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.in.count
-}
-
-// Gauge is a point-in-time value handle. All methods are nil-safe no-ops.
-type Gauge struct{ in *instrument }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.in.value = v
 }
 
 func labelsEqual(a, b []Label) bool {

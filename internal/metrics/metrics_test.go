@@ -10,47 +10,50 @@ import (
 	"sdm/internal/simclock"
 )
 
+// counter registers a counter on r reading *n, the test's stand-in for the
+// ledger an instrument mirrors.
+func counter(r *Registry, d Desc, n *uint64) {
+	r.NewCounterFunc(d, func() uint64 { return *n })
+}
+
+// gauge registers a gauge on r reading *v.
+func gauge(r *Registry, d Desc, v *float64) {
+	r.NewGaugeFunc(d, func(simclock.Time) float64 { return *v })
+}
+
 func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
-	c := r.NewCounter(Desc{Name: "x"})
-	g := r.NewGauge(Desc{Name: "y"})
-	r.NewCounterFunc(Desc{Name: "cf"}, func() uint64 { return 1 })
-	r.NewGaugeFunc(Desc{Name: "gf"}, func(simclock.Time) float64 { return 1 })
-	if c != nil || g != nil {
-		t.Fatalf("nil registry must hand out nil instruments")
-	}
-	// All handle methods must be safe no-ops on nil.
-	c.Inc()
-	c.Add(5)
-	if c.Value() != 0 {
-		t.Fatalf("nil counter value should be 0")
-	}
-	g.Set(3.5)
+	// Registration reads nothing and marking calls nothing.
+	r.NewCounterFunc(Desc{Name: "cf"}, func() uint64 { panic("read through a nil registry") })
+	r.NewGaugeFunc(Desc{Name: "gf"}, func(simclock.Time) float64 { panic("read through a nil registry") })
 	r.MarkAll(100)
 	r.ResetMarks()
-	r.Reset()
-	if r.Host() != -1 {
-		t.Fatalf("nil registry host should read as front-end")
+	var buf bytes.Buffer
+	if err := WriteOpenMetrics(&buf, []*Registry{r}); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != "# EOF\n" {
+		t.Fatalf("nil registry rendered samples:\n%s", buf.String())
 	}
 }
 
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	r := NewRegistry(0)
-	r.NewCounter(Desc{Name: "dup"})
+	var n uint64
+	counter(r, Desc{Name: "dup"}, &n)
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("duplicate name+labels should panic")
 		}
 	}()
-	r.NewCounter(Desc{Name: "dup"})
+	counter(r, Desc{Name: "dup"}, &n)
 }
 
 func TestDistinctLabelsShareFamily(t *testing.T) {
 	r := NewRegistry(0)
-	a := r.NewCounter(Desc{Name: "fam", Help: "h", Labels: []Label{{"table", "0"}}})
-	b := r.NewCounter(Desc{Name: "fam", Help: "h", Labels: []Label{{"table", "1"}}})
-	a.Inc()
-	b.Add(2)
+	a, b := uint64(1), uint64(2)
+	counter(r, Desc{Name: "fam", Help: "h", Labels: []Label{{"table", "0"}}}, &a)
+	counter(r, Desc{Name: "fam", Help: "h", Labels: []Label{{"table", "1"}}}, &b)
 	r.MarkAll(10)
 	var buf bytes.Buffer
 	if err := WriteOpenMetrics(&buf, []*Registry{r}); err != nil {
@@ -68,17 +71,18 @@ func TestDistinctLabelsShareFamily(t *testing.T) {
 
 func TestMarkOrdering(t *testing.T) {
 	r := NewRegistry(2)
-	c := r.NewCounter(Desc{Name: "c"})
-	c.Inc()
+	var c uint64
+	counter(r, Desc{Name: "c"}, &c)
+	c++
 	r.MarkAll(100)
-	c.Inc()
+	c++
 	r.MarkAll(200)
 	// Equal-time re-mark overwrites the last point (final end-of-run mark
 	// coinciding with a boundary must not duplicate the line).
-	c.Inc()
+	c++
 	r.MarkAll(200)
 	// Out-of-order marks are dropped rather than corrupting the series.
-	c.Inc()
+	c++
 	r.MarkAll(150)
 
 	var buf bytes.Buffer
@@ -124,9 +128,9 @@ func TestFuncBackedInstruments(t *testing.T) {
 // marked first.
 func TestMergeOrdering(t *testing.T) {
 	regs := []*Registry{NewRegistry(1), NewRegistry(0)}
-	for _, r := range regs {
-		c := r.NewCounter(Desc{Name: "m"})
-		c.Add(uint64(r.Host() + 1))
+	vals := []uint64{2, 1} // host + 1
+	for i, r := range regs {
+		counter(r, Desc{Name: "m"}, &vals[i])
 	}
 	// Host 1 (regs[0]) marks before host 0, and at interleaved times.
 	regs[0].MarkAll(100)
@@ -163,8 +167,10 @@ func TestMergeOrdering(t *testing.T) {
 func TestConflictingFamilyRejected(t *testing.T) {
 	a := NewRegistry(0)
 	b := NewRegistry(1)
-	a.NewCounter(Desc{Name: "f", Help: "x"})
-	b.NewGauge(Desc{Name: "f", Help: "x"})
+	var n uint64
+	var v float64
+	counter(a, Desc{Name: "f", Help: "x"}, &n)
+	gauge(b, Desc{Name: "f", Help: "x"}, &v)
 	if err := WriteOpenMetrics(&bytes.Buffer{}, []*Registry{a, b}); err == nil {
 		t.Fatalf("conflicting kinds under one family must be an error")
 	}
@@ -175,14 +181,16 @@ func TestConflictingFamilyRejected(t *testing.T) {
 func TestJSONLMirrorsOpenMetrics(t *testing.T) {
 	fe := NewRegistry(-1)
 	h0 := NewRegistry(0)
-	c := fe.NewCounter(Desc{Name: "routes", Help: "r"})
-	g := h0.NewGauge(Desc{Name: "occ", Help: "o", Labels: []Label{{"ring", "a"}}})
-	c.Add(3)
-	g.Set(0.5)
+	var c uint64
+	var g float64
+	counter(fe, Desc{Name: "routes", Help: "r"}, &c)
+	gauge(h0, Desc{Name: "occ", Help: "o", Labels: []Label{{"ring", "a"}}}, &g)
+	c += 3
+	g = 0.5
 	fe.MarkAll(250e6)
 	h0.MarkAll(250e6)
-	c.Inc()
-	g.Set(0.75)
+	c++
+	g = 0.75
 	fe.MarkAll(500e6)
 	h0.MarkAll(500e6)
 
@@ -245,48 +253,37 @@ func TestJSONLMirrorsOpenMetrics(t *testing.T) {
 
 func TestResetSemantics(t *testing.T) {
 	r := NewRegistry(0)
-	c := r.NewCounter(Desc{Name: "c"})
-	g := r.NewGauge(Desc{Name: "g"})
-	c.Add(5)
-	g.Set(1.5)
+	c, g := uint64(5), 1.5
+	counter(r, Desc{Name: "c"}, &c)
+	gauge(r, Desc{Name: "g"}, &g)
 	r.MarkAll(10)
 
-	// ResetMarks keeps values (cumulative counters keep counting).
+	// ResetMarks drops the series, not the values: the next mark reads the
+	// ledger as it stands.
 	r.ResetMarks()
 	r.MarkAll(20)
 	var buf bytes.Buffer
 	if err := WriteOpenMetrics(&buf, []*Registry{r}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `c_total{host="0"} 5 0.000000020`) {
+	if !strings.Contains(buf.String(), `c_total{host="0"} 5 0.000000020`) ||
+		!strings.Contains(buf.String(), `g{host="0"} 1.5 0.000000020`) {
 		t.Fatalf("ResetMarks must keep values:\n%s", buf.String())
 	}
 	if strings.Contains(buf.String(), "0.000000010") {
 		t.Fatalf("ResetMarks must drop old marks:\n%s", buf.String())
 	}
-
-	// Reset zeroes owned values too.
-	r.Reset()
-	r.MarkAll(30)
-	buf.Reset()
-	if err := WriteOpenMetrics(&buf, []*Registry{r}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `c_total{host="0"} 0 0.000000030`) ||
-		!strings.Contains(buf.String(), `g{host="0"} 0 0.000000030`) {
-		t.Fatalf("Reset must zero owned values:\n%s", buf.String())
-	}
 }
 
 func TestNilInstrumentOpsAllocNothing(t *testing.T) {
-	var c *Counter
-	var g *Gauge
+	// Unmetered runs hold a nil registry: registering on it and marking it
+	// must allocate nothing.
 	var r *Registry
 	if n := testing.AllocsPerRun(100, func() {
-		c.Inc()
-		c.Add(3)
-		g.Set(1)
+		r.NewCounterFunc(Desc{Name: "c"}, func() uint64 { return 0 })
+		r.NewGaugeFunc(Desc{Name: "g"}, func(simclock.Time) float64 { return 0 })
 		r.MarkAll(50)
+		r.ResetMarks()
 	}); n != 0 {
 		t.Fatalf("disabled metrics path allocated %v per op", n)
 	}
