@@ -107,7 +107,7 @@ func TestMetricsExportGolden(t *testing.T) {
 		write func(io.Writer) error
 		want  uint64
 	}{
-		{"openmetrics", f.WriteMetrics, 0x3bc88d2d80e18c2c},
+		{"openmetrics", f.WriteMetrics, 0x920c1705470ee1dd},
 		{"jsonl", f.WriteMetricsJSONL, 0x94a253b38fa325cf},
 	} {
 		var buf bytes.Buffer

@@ -129,7 +129,7 @@ func (f *Fleet) SetMetrics(cfg MetricsConfig) error {
 			}
 			return uint64(n)
 		})
-	mt.fe.NewCounterFunc(metrics.Desc{Name: "sdm_fleet_diversions", Help: "Routes that moved a user off their previous host."},
+	mt.fe.NewCounterFunc(metrics.Desc{Name: "sdm_fleet_diversions", Help: "Routes that moved a user off a previous host that is still alive."},
 		func() uint64 { return uint64(f.diverted) })
 	for _, g := range windowGauges {
 		mt.win.NewGaugeFunc(g.desc, func(simclock.Time) float64 { return g.read(&mt.cur) })
