@@ -12,7 +12,7 @@ import "testing"
 func TestSteadyStateFleetAllocs(t *testing.T) {
 	const (
 		qps     = 300
-		perRun  = 34 // objects a warm Run allocates, independent of n
+		perRun  = 32 // objects a warm Run allocates, independent of n
 		queries = 300
 	)
 	in, tables := fixture(t)

@@ -209,9 +209,9 @@ type runFold struct {
 // derives from these tallies, so none depends on execution interleaving.
 func (f *Fleet) fold(records []record, start, end simclock.Time, classes int, fired bool) runFold {
 	rf := runFold{hosts: newTallies(len(f.members)), classes: newTallies(classes), start: start, end: end}
-	// No windows when the span is empty or narrower than one ns per window.
-	if n := f.cfg.Windows; n > 0 && end > start && (end-start)/simclock.Time(n) > 0 {
-		rf.windows, rf.width = newTallies(n), (end-start)/simclock.Time(n)
+	// No windows when the span is narrower than one ns per window.
+	if n := simclock.Time(f.cfg.Windows); n > 0 && end-start >= n {
+		rf.windows, rf.width = newTallies(int(n)), (end-start)/n
 	}
 	if fired {
 		rf.split = newTallies(2)
@@ -320,7 +320,7 @@ func (f *Fleet) aggregate(qps float64, start, lastArrival simclock.Time, records
 	// utilization the run's write rate projects to.
 	elapsedDays := elapsed / 86400
 	var fleetDailyBudget float64
-	var loads []float64
+	loads := make([]float64, 0, len(f.members))
 	res.Hosts = make([]HostResult, len(f.members))
 	for i, m := range f.members {
 		t := &rf.hosts[i]
@@ -357,7 +357,7 @@ func (f *Fleet) aggregate(qps float64, start, lastArrival simclock.Time, records
 
 	if nc > 0 {
 		classes := make([]ClassResult, nc)
-		var shares []float64
+		shares := make([]float64, 0, nc)
 		for c := range classes {
 			cr := ClassResult{Class: c, Name: fmt.Sprintf("class%d", c), Latency: rf.classes[c].lat}
 			if f.admission != nil {

@@ -141,10 +141,10 @@ type (
 // FleetConfig.HostWorkers setting: install with Fleet.SetTrace before
 // Run, read the last Run's stream back with Fleet.TraceEvents /
 // Fleet.TraceSummary or render it with Fleet.WriteTrace. The metrics
-// plane samples typed instruments into virtual-time series on
-// deterministic boundaries: install with Fleet.SetMetrics, render with
-// Fleet.WriteMetrics / Fleet.WriteMetricsJSONL (hosts, stores and
-// adapters register their catalogs automatically).
+// plane samples func-backed instruments, which read existing counters,
+// on deterministic virtual-time boundaries: install with Fleet.SetMetrics,
+// render with Fleet.WriteMetrics / Fleet.WriteMetricsJSONL (hosts, stores
+// and adapters register their catalogs automatically).
 type (
 	// TraceConfig tunes a fleet's decision tracing (level, top-k
 	// rejected route alternatives to record and re-score).
