@@ -66,7 +66,7 @@ func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 			if !strings.HasSuffix(out, "# EOF\n") {
 				t.Fatal("OpenMetrics stream not terminated with # EOF")
 			}
-			// Replay plane: exactly one mark per configured window (the
+			// Window gauges: exactly one mark per configured window (the
 			// window gauges are front-end series, rendered label-less).
 			if got := strings.Count(out, "\nsdm_fleet_window_queries "); got != 8 {
 				t.Fatalf("want 8 window marks, got %d", got)
@@ -124,7 +124,7 @@ func TestWriteMetricsRequiresSetMetrics(t *testing.T) {
 }
 
 func TestMetricsWindowAccounting(t *testing.T) {
-	// The replay plane and Result.Windows come from one derivation: every
+	// The window gauges and Result.Windows come from one fold: every
 	// window (including the widened final one) gets exactly one mark at
 	// its End, and the window query counts sum to the run's completed
 	// queries — no arrival lost at a boundary.

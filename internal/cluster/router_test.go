@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"sdm/internal/serving"
 	"sdm/internal/simclock"
 	"sdm/internal/workload"
 )
@@ -32,16 +31,14 @@ func newScriptView(n int) *scriptView {
 	}
 }
 
-func (v *scriptView) Hosts() int         { return v.n }
-func (v *scriptView) Alive(id int) bool  { return !v.dead[id] }
-func (v *scriptView) Routed(id int) int  { return v.routed[id] }
-func (v *scriptView) LastHost(int64) int { return -1 }
+func (v *scriptView) Hosts() int        { return v.n }
+func (v *scriptView) Alive(id int) bool { return !v.dead[id] }
+func (v *scriptView) Routed(id int) int { return v.routed[id] }
 func (v *scriptView) OutstandingAt(id int, _ simclock.Time) int {
 	return v.queues[id]
 }
-func (v *scriptView) Snapshot(int) serving.CacheSnapshot { return serving.CacheSnapshot{} }
-func (v *scriptView) FMServedRate(id int) float64        { return v.fm[id] }
-func (v *scriptView) WearHeadroom(id int) float64        { return v.wear[id] }
+func (v *scriptView) FMServedRate(id int) float64 { return v.fm[id] }
+func (v *scriptView) WearHeadroom(id int) float64 { return v.wear[id] }
 func (v *scriptView) InMigrationWindow(id int, _ simclock.Time) bool {
 	return v.inWindow[id]
 }
