@@ -69,6 +69,7 @@ func checkAccumulateInt8(t *testing.T, codes []byte, scale, bias float32, accIni
 // scale/bias pair of specials, with the operand offsets rotating through
 // all 16-byte misalignments.
 func TestAccumulateInt8MatchesPortableLoop(t *testing.T) {
+	t.Logf("pooling path: %s", poolPath())
 	rng := xrand.New(16)
 	for dim := 1; dim <= 320; dim++ {
 		codes := make([]byte, dim)

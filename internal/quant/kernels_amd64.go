@@ -5,12 +5,25 @@ import (
 	"slices"
 )
 
+// avx2 reports whether the CPU has AVX2 and the OS saves the ymm registers,
+// probed once at package init: poolInt8 runs the kernel only then. Tests
+// switch it off to run the fallback.
+var avx2 = hasAVX2()
+
 // poolInt8 prefetches every row (len(acc) codes and a footer; the caller
 // checked the lengths) and adds them into acc in order, in one kernel call.
 // The kernel adds the < 8-column tail from column n on into an 8-lane
-// scratch, of which only the first len(acc)−n lanes are kept.
+// scratch, of which only the first len(acc)−n lanes are kept. Without AVX2
+// it is the portable loop, as on every GOARCH without a kernel.
 func poolInt8(acc []float32, rows [][]byte) {
 	dim := len(acc)
+	if !avx2 {
+		for _, row := range rows {
+			scale, bias := getMeta(row[dim:])
+			accumulateInt8Go(acc, row, scale, bias)
+		}
+		return
+	}
 	if dim == 0 {
 		return
 	}
@@ -50,12 +63,15 @@ func quantizeInt8(dst []byte, src []float32) {
 //go:noescape
 func Prefetch(rows [][]byte)
 
-// The SSE2 kernels in accumulate_amd64.s (whose contract is beside it) and
-// quantize_amd64.s; for the latter two, n must be a positive multiple of 8
-// and every pointer must address n elements.
+// The AVX2 pooling kernel in accumulate_amd64.s, with the CPUID probe that
+// gates it, and the SSE2 quantize kernels in quantize_amd64.s; each
+// contract is beside its code. For the latter two, n must be a positive
+// multiple of 8 and every pointer must address n elements.
 
 //go:noescape
 func poolInt8x8(acc, tail *float32, rows *[]byte, nrows, dim int)
+
+func hasAVX2() bool
 
 //go:noescape
 func extremesX8(src *float32, n int) (minV, maxV float32)

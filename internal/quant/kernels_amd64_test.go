@@ -32,3 +32,13 @@ func TestCodesX8MatchesClampCode(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolWithoutAVX2 runs the pooling differential tests with the kernel
+// switched off, so the fallback an amd64 CPU without AVX2 takes runs on
+// every amd64 machine too.
+func TestPoolWithoutAVX2(t *testing.T) {
+	defer func(on bool) { avx2 = on }(avx2)
+	avx2 = false
+	t.Run("Pooler", TestPoolerMatchesPortableLoop)
+	t.Run("AccumulateRow", TestAccumulateInt8MatchesPortableLoop)
+}

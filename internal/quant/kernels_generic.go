@@ -4,10 +4,14 @@ package quant
 
 import "math"
 
+// avx2 is false: no pooling kernel to select on this GOARCH.
+const avx2 = false
+
 // Prefetch does nothing on a GOARCH without a kernel.
 func Prefetch([][]byte) {}
 
-// poolInt8 is the portable loop on every GOARCH without a kernel.
+// poolInt8 is the portable loop on every GOARCH without a kernel, as on an
+// amd64 CPU without AVX2.
 func poolInt8(acc []float32, rows [][]byte) {
 	for _, row := range rows {
 		scale, bias := getMeta(row[len(acc):])

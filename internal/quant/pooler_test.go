@@ -19,6 +19,15 @@ type poolCase struct {
 	accOff  int // acc starts accOff elements into its backing array
 }
 
+// poolPath names the int8 pooling path this run takes, so that a test log
+// shows whether the AVX2 kernel was covered.
+func poolPath() string {
+	if avx2 {
+		return "AVX2 kernel"
+	}
+	return "portable loop"
+}
+
 // checkPooler runs c through a Pooler and compares every lane bit for bit
 // with one portable loop per row in order; two NaNs compare equal, as in
 // checkAccumulateInt8. Rows are staged at rotating misalignments, and acc is
@@ -74,6 +83,7 @@ func checkPooler(t *testing.T, c poolCase) {
 // footer; every seventh a pair of specials, so denormals, infinities and
 // NaN meet running sums of every size.
 func TestPoolerMatchesPortableLoop(t *testing.T) {
+	t.Logf("pooling path: %s", poolPath())
 	rng := xrand.New(17)
 	k := 0
 	for dim := 1; dim <= 320; dim++ {
@@ -168,6 +178,7 @@ func FuzzPoolerInt8(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 0x6f, 0x12, 0x83, 0x3a, 0, 0, 0, 0xbf}, uint16(123), uint8(42), uint8(3))
 	f.Add([]byte{0, 0, 0x80, 0x7f, 1, 0, 0xc0, 0x7f, 255, 9}, uint16(7), uint8(17), uint8(1))
 	f.Add([]byte("a longer seed that spans more than one thirty-two column block"), uint16(300), uint8(33), uint8(2))
+	f.Add([]byte("one 64-column block, seven blocks of 8 and a 4-column tail, over a batch and one more row"), uint16(123), uint8(17), uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, dimBits uint16, nrows, accOff uint8) {
 		if len(data) == 0 {
 			data = []byte{0}

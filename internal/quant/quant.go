@@ -3,7 +3,8 @@
 // as int8 codes followed by a per-row float32 scale and bias. At
 // inference rows are dequantized on the fly during pooling; §A.5 also
 // evaluates de-quantizing whole tables at load time into FP32. On amd64 the
-// int8 encode and pool loops run SSE2 kernels bit-exact to the portable ones.
+// int8 encode loop runs SSE2 kernels and, where the CPU has AVX2, the pool
+// loop an AVX2 kernel, each bit-exact to the portable loop.
 package quant
 
 import (
@@ -153,7 +154,7 @@ const PoolerRows = 16
 
 // Pooler runs SparseLengthsSum over a sequence of stored rows: Add gathers
 // them, and every PoolerRows of them, and whatever Flush finds, are
-// dequantized and added into acc in one call (on amd64 one SSE2 kernel whose
+// dequantized and added into acc in one call (on an AVX2 CPU one kernel whose
 // accumulators stay in registers across the rows). Every element of acc
 // ends bit-identical to one AccumulateRow per row in Add order. The rows are
 // read at the flush, so a row staged in scratch must stay put until then:
@@ -215,8 +216,8 @@ func accumulateRows(acc []float32, rows [][]byte, t Type) error {
 }
 
 // accumulateInt8Go is the portable int8 dequantize-and-add loop: every row
-// on a GOARCH without a kernel, and the reference the kernel is tested
-// against bit for bit.
+// on a GOARCH or CPU without the pooling kernel, and the reference the
+// kernel is tested against bit for bit.
 func accumulateInt8Go(acc []float32, codes []byte, scale, bias float32) {
 	codes = codes[:len(acc)]
 	for i := range acc {

@@ -150,6 +150,64 @@ func BenchmarkPooledCacheHash(b *testing.B) {
 	}
 }
 
+// pooledCacheSeqs returns n random 42-index sequences and a pooled
+// embedding cache at fleet-sticky's 256 KiB per-host budget that has seen
+// the first half of them, each with a dim-124 vector, so that it is full
+// and holds the last few hundred of that half.
+func pooledCacheSeqs(n int) (*pooledcache.Cache, [][]int64, []float32) {
+	rng := xrand.New(4)
+	seqs := make([][]int64, n)
+	for i := range seqs {
+		seqs[i] = make([]int64, 42)
+		for j := range seqs[i] {
+			seqs[i][j] = rng.Int63n(1 << 30)
+		}
+	}
+	vec := make([]float32, 124)
+	c := pooledcache.New(pooledcache.Config{CapacityBytes: 256 << 10})
+	for _, s := range seqs[:n/2] {
+		c.Put(0, s, vec)
+	}
+	return c, seqs, vec
+}
+
+// BenchmarkPooledCacheGet is one pooledcache.Cache.Get on a full cache: a
+// hit (the hash, the map probe and the LRU move) and a miss (the hash and
+// the probe).
+func BenchmarkPooledCacheGet(b *testing.B) {
+	const n = 2048
+	c, seqs, _ := pooledCacheSeqs(n)
+	resident := int(c.Stats().Items)
+	b.Run("hit", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if c.Get(0, seqs[n/2-1-i%resident]) == nil {
+				b.Fatal("miss on a resident sequence")
+			}
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if c.Get(0, seqs[n/2+i%(n/2)]) != nil {
+				b.Fatal("hit on a sequence never put")
+			}
+		}
+	})
+}
+
+// BenchmarkPooledCachePut is one pooledcache.Cache.Put of a sequence the
+// full cache does not hold, so each Put inserts and evicts the LRU entry.
+func BenchmarkPooledCachePut(b *testing.B) {
+	const n = 2048
+	c, seqs, vec := pooledCacheSeqs(n)
+	ev0 := c.Stats().Evictions
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Put(0, seqs[i%n], vec)
+	}
+	b.ReportMetric(float64(c.Stats().Evictions-ev0)/float64(b.N), "evictions/op")
+}
+
 // BenchmarkIndexDraw is the row of one scattered index draw at three of the
 // end-to-end benchmark's table shapes (tables 0, 7 and 9: near-harmonic,
 // the largest and flattest, the steepest): formula is Permuter.Map(Zipf.Rank),
