@@ -393,8 +393,8 @@ func (a *Adapter) wearBudget(now simclock.Time) placement.WearBudget {
 	}
 }
 
-// AfterAdmit implements serving.Tuner; the adapter keys everything off
-// arrival times, so completion times are unused.
+// AfterAdmit does nothing: the adapter keys everything off arrival times.
+// It is not part of serving.Tuner; it stays because frozen bench/ calls it.
 func (a *Adapter) AfterAdmit(arrive, done simclock.Time) {}
 
 // coalesce merges adjacent range moves of the same table and direction

@@ -59,8 +59,8 @@ func fixture(t *testing.T, parallelism int, budgetTables int) (*core.Store, *wor
 	return s, gen, inst
 }
 
-// drive replays n queries 3 ms apart through the store with the adapter's
-// hooks, starting at the store's load horizon plus offset queries.
+// drive replays n queries 3 ms apart through the store, each after the
+// adapter's BeforeAdmit hook, starting at start.
 func drive(t *testing.T, s *core.Store, a *Adapter, gen *workload.Generator, start simclock.Time, n int) simclock.Time {
 	t.Helper()
 	var now simclock.Time
@@ -72,7 +72,6 @@ func drive(t *testing.T, s *core.Store, a *Adapter, gen *workload.Generator, sta
 		if _, err := s.PoolQuery(now, q, outs); err != nil {
 			t.Fatal(err)
 		}
-		a.AfterAdmit(now, now)
 	}
 	return now + simclock.Time(3*time.Millisecond)
 }

@@ -252,9 +252,6 @@ func (d *Device) Capacity() int64 { return int64(len(d.data)) }
 // Stats returns a snapshot of the device counters.
 func (d *Device) Stats() Stats { return d.stats }
 
-// Channels returns the device's internal parallelism.
-func (d *Device) Channels() int { return len(d.channels) }
-
 // Close marks the device closed; subsequent accesses fail.
 func (d *Device) Close() { d.closed = true }
 

@@ -562,7 +562,7 @@ func FuzzSharedImagePokes(f *testing.F) {
 func TestDeviceChannels(t *testing.T) {
 	dev := newNand(t, 4096)
 	// channels ≈ MaxIOPS × mediaLatency = 500e3 × 90µs = 45.
-	if ch := dev.Channels(); ch < 20 || ch > 90 {
+	if ch := len(dev.channels); ch < 20 || ch > 90 {
 		t.Fatalf("channels %d outside expected band", ch)
 	}
 	if dev.MaxOutstanding == 0 {
@@ -640,8 +640,8 @@ func TestChannelHeapMatchesLinearScan(t *testing.T) {
 		const capacity = 1 << 20
 		const seed = 77
 		dev := New(c.spec, capacity, nil, seed)
-		if dev.Channels() != c.channels {
-			t.Fatalf("%v: %d channels, want %d", c.spec.Tech, dev.Channels(), c.channels)
+		if len(dev.channels) != c.channels {
+			t.Fatalf("%v: %d channels, want %d", c.spec.Tech, len(dev.channels), c.channels)
 		}
 		ref := &linearDevice{spec: c.spec, rng: xrand.New(seed), channels: make([]simclock.Time, c.channels)}
 		rng := xrand.New(5)

@@ -87,9 +87,6 @@ func NewCoordinator(n int, cfg CoordConfig, wearPerCycle int64) (*Coordinator, e
 	return &Coordinator{cfg: cfg, n: n, perWindowWear: perWindow}, nil
 }
 
-// Cycle returns the full rotation period (Slot × replicas).
-func (c *Coordinator) Cycle() time.Duration { return c.cfg.Slot * time.Duration(c.n) }
-
 // WindowFor returns replica host's migration window containing t, or the
 // next one when t falls inside another replica's slot. It is a pure
 // function of its arguments — safe to call concurrently from every host

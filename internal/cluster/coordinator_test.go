@@ -22,8 +22,8 @@ func TestCoordinatorScheduleShape(t *testing.T) {
 	}
 	slot := simclock.Time(10 * time.Millisecond)
 	cycle := 3 * slot
-	if coord.Cycle() != 30*time.Millisecond {
-		t.Fatalf("cycle %v, want 30ms", coord.Cycle())
+	if got := coord.cfg.Slot * time.Duration(coord.n); got != 30*time.Millisecond {
+		t.Fatalf("cycle %v, want 30ms", got)
 	}
 	for host := 0; host < 3; host++ {
 		for _, at := range []simclock.Time{0, slot / 2, slot, 2*slot + 1, cycle, 5*cycle + slot/3} {

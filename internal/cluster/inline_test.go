@@ -54,8 +54,6 @@ func (p *goroutineProbe) BeforeAdmit(simclock.Time) {
 	}
 }
 
-func (p *goroutineProbe) AfterAdmit(_, _ simclock.Time) {}
-
 // probeRun runs the fleet with one probe per host (each touched only by the
 // goroutine executing that host) and returns the highest count any saw.
 func probeRun(t *testing.T, f *Fleet) int {

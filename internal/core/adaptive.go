@@ -53,15 +53,6 @@ type TableStat struct {
 	DemoteWriteBytes uint64
 }
 
-// FMServedRate returns the fraction of the table's row lookups served
-// from fast memory (cache hits + direct FM reads) rather than SM.
-func (t TableStat) FMServedRate() float64 {
-	if t.Lookups == 0 {
-		return 0
-	}
-	return 1 - float64(t.SMReads)/float64(t.Lookups)
-}
-
 // TableStats appends one TableStat per table (in table order) to dst and
 // returns it — the telemetry feed of the adapt subsystem. Counters are
 // cumulative; samplers subtract consecutive snapshots.
@@ -211,12 +202,6 @@ func (s *Store) BeginDemote(table int, chunkBytes int) (*Migration, error) {
 	}
 	return m, err
 }
-
-// Table returns the table being migrated.
-func (m *Migration) Table() int { return m.table }
-
-// Promote reports the direction (true = SM→FM).
-func (m *Migration) Promote() bool { return m.promote }
 
 // Finished reports whether every chunk has been issued.
 func (m *Migration) Finished() bool { return m.finished }
@@ -536,11 +521,6 @@ func (s *Store) Wear() WearInfo {
 		w.RatedLifeBytes += spec.RatedLifeBytes(d.Capacity())
 	}
 	return w
-}
-
-// Swappable reports whether table can be migrated at runtime.
-func (s *Store) Swappable(table int) bool {
-	return table >= 0 && table < len(s.tables) && s.tables[table].swappable
 }
 
 // TargetOf returns table's current placement target.

@@ -69,7 +69,7 @@ func TestMigrationRoundTripMatchesOracle(t *testing.T) {
 	s, inst, tables := adaptiveFixture(t, cfg)
 
 	const table = 1
-	if !s.Swappable(table) {
+	if !s.tables[table].swappable {
 		t.Fatal("user table should be swappable under ReserveSM")
 	}
 	if s.TargetOf(table) != placement.SM {
@@ -178,7 +178,7 @@ func TestMigrationValidation(t *testing.T) {
 	}
 	s, inst, _ := adaptiveFixture(t, cfg)
 	itemTable := inst.Config.NumUserTables // first item table: FM, not swappable
-	if s.Swappable(itemTable) {
+	if s.tables[itemTable].swappable {
 		t.Fatal("item table should not be swappable under UserTablesOnly")
 	}
 	if _, err := s.BeginPromote(itemTable, 0); err == nil {
@@ -330,8 +330,8 @@ func TestTableStatsPerTableCounters(t *testing.T) {
 			if !st.Swappable || st.Lookups == 0 {
 				t.Fatalf("user table %d: %+v", i, st)
 			}
-			if r := st.FMServedRate(); r < 0 || r > 1 {
-				t.Fatalf("FM-served rate out of range: %g", r)
+			if st.SMReads > st.Lookups {
+				t.Fatalf("user table %d: %d SM reads of %d lookups", i, st.SMReads, st.Lookups)
 			}
 		} else if st.Lookups != 0 {
 			// Item ops never reach the store in the host path; via

@@ -174,7 +174,7 @@ func TestReplicaCleanMigrationCopiesNoImage(t *testing.T) {
 	fmTable, smTable := -1, -1
 	for i := range s.tables {
 		switch {
-		case !s.Swappable(i):
+		case !s.tables[i].swappable:
 		case s.TargetOf(i) == placement.FM && fmTable < 0:
 			fmTable = i
 		case s.TargetOf(i) == placement.SM && smTable < 0:

@@ -517,12 +517,6 @@ func (s *Store) mkCacheShard(budget int64, rowBytes int) cache.RowCache {
 // Config returns the (defaulted) store configuration.
 func (s *Store) Config() Config { return s.cfg }
 
-// Instance returns the model instance being served.
-func (s *Store) Instance() *model.Instance { return s.inst }
-
-// Plan returns the placement plan in effect.
-func (s *Store) Plan() *placement.Plan { return s.plan }
-
 // LoadDone returns the virtual time at which model load completed.
 func (s *Store) LoadDone() simclock.Time { return s.loadDone }
 

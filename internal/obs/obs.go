@@ -220,9 +220,6 @@ type Collector struct {
 // for the front-end).
 func NewCollector(host int) *Collector { return &Collector{host: host} }
 
-// Active reports whether the collector records anything (false for nil).
-func (c *Collector) Active() bool { return c != nil }
-
 // Reset drops collected events (Run boundaries).
 func (c *Collector) Reset() {
 	if c != nil {

@@ -51,9 +51,6 @@ func FuzzParseLevel(f *testing.F) {
 
 func TestNilCollectorIsInert(t *testing.T) {
 	var c *Collector
-	if c.Active() {
-		t.Fatal("nil collector reports active")
-	}
 	// None of these may panic or record anything.
 	c.Route(0, RouteDecision{})
 	c.Admit(0, AdmitDecision{})

@@ -133,9 +133,6 @@ func New(cfg Config) *Cache {
 	}
 }
 
-// Config returns the cache configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Get returns the cached pooled vector for the table's index sequence, or
 // nil on miss. Sequences shorter than LenThreshold are skipped (counted
 // separately) per Algorithm 1's doPooledEmbCache guard. The returned slice

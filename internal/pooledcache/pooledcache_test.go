@@ -131,7 +131,7 @@ func TestHitRateAccounting(t *testing.T) {
 
 func TestDefaultConfig(t *testing.T) {
 	c := New(Config{})
-	if c.Config().CapacityBytes <= 0 || c.Config().LenThreshold <= 0 {
+	if c.cfg.CapacityBytes <= 0 || c.cfg.LenThreshold <= 0 {
 		t.Fatal("defaults not applied")
 	}
 }

@@ -172,8 +172,6 @@ type Tuner interface {
 	// BeforeAdmit runs before a query executes, at its arrival time.
 	// Placement swaps committed here are visible to that query.
 	BeforeAdmit(now simclock.Time)
-	// AfterAdmit runs after the query completes on the virtual timeline.
-	AfterAdmit(arrive, done simclock.Time)
 }
 
 // SetTuner installs (or, with nil, removes) the host's admission tuner.
@@ -337,9 +335,6 @@ func (h *Host) Admit(t simclock.Time, q workload.Query) (simclock.Time, error) {
 	done, err := h.execQuery(t, q)
 	if err != nil {
 		return 0, err
-	}
-	if h.tuner != nil {
-		h.tuner.AfterAdmit(t, done)
 	}
 	if done > h.horizon {
 		h.horizon = done

@@ -29,14 +29,6 @@ type MmapStats struct {
 	ResidentBytes int64
 }
 
-// HitRate returns the page-cache hit fraction.
-func (s MmapStats) HitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return 1 - float64(s.PageFaults)/float64(s.Accesses)
-}
-
 const mmapPageSize = 4096
 
 // NewMmap maps dev with an FM budget of fmBudget bytes for resident pages.

@@ -32,14 +32,8 @@ func NewSync(dev *blockdev.Device, cfg Config) *SyncRing {
 	return &SyncRing{dev: dev, cfg: cfg}
 }
 
-// Config returns the ring configuration.
-func (r *SyncRing) Config() Config { return r.cfg }
-
 // Stats returns a snapshot of counters.
 func (r *SyncRing) Stats() Stats { return r.stats }
-
-// Device returns the underlying device.
-func (r *SyncRing) Device() *blockdev.Device { return r.dev }
 
 func (r *SyncRing) cpuPerIO() time.Duration {
 	per := cpuPerIOIRQ

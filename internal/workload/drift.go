@@ -76,9 +76,6 @@ func (g *Generator) Phase() int {
 	return p
 }
 
-// Queries returns how many queries the generator has produced.
-func (g *Generator) Queries() int { return g.queries }
-
 // ForceRotation advances the drift phase by one immediately — the
 // generator-side half of a cluster drift drill (Fleet.ScheduleDrift): the
 // hot user cohort, the spotlight tables and every entity-keyed row
@@ -130,73 +127,43 @@ func (g *Generator) driftItem(rank int64) int64 {
 func (g *Generator) tableBoost(t int) float64 {
 	d := g.cfg.Drift
 	nUser := g.inst.Config.NumUserTables
+	hot, n := d.HotTables, nUser
 	if t >= nUser {
-		nItem := len(g.inst.Tables) - nUser
-		if d.HotItemTables <= 0 || nItem == 0 {
-			return 1
-		}
-		k := d.HotItemTables
-		if k > nItem {
-			k = nItem
-		}
-		start := (g.Phase() * k) % nItem
-		if (t-nUser-start+nItem)%nItem < k {
-			return d.HotBoost
-		}
-		return d.ColdShrink
+		hot, n, t = d.HotItemTables, len(g.inst.Tables)-nUser, t-nUser
 	}
-	if d.HotTables <= 0 || nUser == 0 {
+	start, k := g.spotlight(hot, n)
+	if k == 0 {
 		return 1
 	}
-	k := d.HotTables
-	if k > nUser {
-		k = nUser
-	}
-	start := (g.Phase() * k) % nUser
-	if (t-start+nUser)%nUser < k {
+	if (t-start+n)%n < k {
 		return d.HotBoost
 	}
 	return d.ColdShrink
+}
+
+// spotlight returns the current phase's spotlight window over the n
+// tables of one side: k = min(hot, n) tables, consecutive mod n from
+// start. k is 0 when that side's table drift is off (hot ≤ 0 or n = 0).
+func (g *Generator) spotlight(hot, n int) (start, k int) {
+	if hot <= 0 || n == 0 {
+		return 0, 0
+	}
+	k = min(hot, n)
+	return g.Phase() * k % n, k
 }
 
 // HotUserTables returns the spotlight user tables of the current phase
 // (nil when table drift is disabled) — the set an adaptive placement
 // controller should discover from telemetry alone.
 func (g *Generator) HotUserTables() []int {
-	d := g.cfg.Drift
-	nUser := g.inst.Config.NumUserTables
-	if d.HotTables <= 0 || nUser == 0 {
+	n := g.inst.Config.NumUserTables
+	start, k := g.spotlight(g.cfg.Drift.HotTables, n)
+	if k == 0 {
 		return nil
 	}
-	k := d.HotTables
-	if k > nUser {
-		k = nUser
-	}
-	start := (g.Phase() * k) % nUser
-	out := make([]int, 0, k)
-	for i := 0; i < k; i++ {
-		out = append(out, (start+i)%nUser)
-	}
-	return out
-}
-
-// HotItemTables returns the spotlight item tables of the current phase
-// (nil when item drift is disabled), as absolute table indices.
-func (g *Generator) HotItemTables() []int {
-	d := g.cfg.Drift
-	nUser := g.inst.Config.NumUserTables
-	nItem := len(g.inst.Tables) - nUser
-	if d.HotItemTables <= 0 || nItem == 0 {
-		return nil
-	}
-	k := d.HotItemTables
-	if k > nItem {
-		k = nItem
-	}
-	start := (g.Phase() * k) % nItem
-	out := make([]int, 0, k)
-	for i := 0; i < k; i++ {
-		out = append(out, nUser+(start+i)%nItem)
+	out := make([]int, k)
+	for i := range out {
+		out[i] = (start + i) % n
 	}
 	return out
 }

@@ -173,15 +173,30 @@ func TestItemDriftRekeysItemSequences(t *testing.T) {
 		t.Fatal(err)
 	}
 	nUser := in.Config.NumUserTables
-	hot0 := g.HotItemTables()
-	if len(hot0) != 1 || hot0[0] < nUser {
-		t.Fatalf("item spotlight %v not an item table (nUser=%d)", hot0, nUser)
+	// hotItem is the phase's one spotlight item table, as an absolute
+	// table index; the generator must boost that one and shrink the rest.
+	hotItem := func() int {
+		start, k := g.spotlight(g.cfg.Drift.HotItemTables, len(in.Tables)-nUser)
+		hot := nUser + start
+		if k != 1 || hot >= len(in.Tables) {
+			t.Fatalf("item spotlight %d (k=%d) not an item table (nUser=%d)", hot, k, nUser)
+		}
+		for i := nUser; i < len(in.Tables); i++ {
+			want := 0.5
+			if i == hot {
+				want = 4
+			}
+			if b := g.tableBoost(i); b != want {
+				t.Fatalf("item table %d boost %g, want %g (spotlight %d)", i, b, want, hot)
+			}
+		}
+		return hot
 	}
+	hot0 := hotItem()
 	phase0 := g.GenerateTrace(150)
 	g.ForceRotation()
-	hot1 := g.HotItemTables()
-	if hot0[0] == hot1[0] {
-		t.Fatalf("item spotlight did not rotate: %v vs %v", hot0, hot1)
+	if hot1 := hotItem(); hot0 == hot1 {
+		t.Fatalf("item spotlight did not rotate: %d vs %d", hot0, hot1)
 	}
 	phase1 := g.GenerateTrace(150)
 
@@ -197,8 +212,8 @@ func TestItemDriftRekeysItemSequences(t *testing.T) {
 		}
 		return n
 	}
-	if l0, l1 := lookups(phase0, hot0[0]), lookups(phase1, hot0[0]); l0 <= 2*l1 {
-		t.Fatalf("item table %d: hot-phase lookups %d not ≫ cold-phase %d", hot0[0], l0, l1)
+	if l0, l1 := lookups(phase0, hot0), lookups(phase1, hot0); l0 <= 2*l1 {
+		t.Fatalf("item table %d: hot-phase lookups %d not ≫ cold-phase %d", hot0, l0, l1)
 	}
 
 	// The popular item-keyed row sequences rotate: each pool is an
@@ -252,8 +267,8 @@ func TestForceRotation(t *testing.T) {
 	if g.Phase() != 1 {
 		t.Fatalf("forced rotation not reflected: %d", g.Phase())
 	}
-	if g.Queries() != 10 {
-		t.Fatalf("query count %d, want 10", g.Queries())
+	if g.queries != 10 {
+		t.Fatalf("query count %d, want 10", g.queries)
 	}
 }
 

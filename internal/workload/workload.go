@@ -268,12 +268,6 @@ func NewGenerator(inst *model.Instance, cfg Config) (*Generator, error) {
 	return g, nil
 }
 
-// Config returns the generator configuration.
-func (g *Generator) Config() Config { return g.cfg }
-
-// Instance returns the model the generator targets.
-func (g *Generator) Instance() *model.Instance { return g.inst }
-
 // MemoStats reports how many of the pools drawn so far were copied out of
 // the sequence memo instead of being re-derived.
 func (g *Generator) MemoStats() (hits, pools uint64) { return g.memoHits, g.memoPools }

@@ -287,11 +287,11 @@ func TestValidateCatchesBadIndex(t *testing.T) {
 func TestGeneratorDefaults(t *testing.T) {
 	in := smallInstance(t)
 	g := newGen(t, in, Config{})
-	c := g.Config()
+	c := g.cfg
 	if c.NumUsers <= 0 || c.UserAlpha == 0 {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
-	if g.Instance() != in {
+	if g.inst != in {
 		t.Fatal("instance accessor")
 	}
 }
