@@ -42,19 +42,21 @@ EXAMPLES = adaptive cluster multitenant quickstart scaleout tiered_serving
 examples:
 	@for e in $(EXAMPLES); do echo "== examples/$$e"; $(GO) run ./examples/$$e || exit 1; done
 
-# Non-test, non-bench/, non-testdata Go lines per package and in total —
-# the number ROADMAP aim 2 ("the same numbers from the least code") tracks.
+# Non-test, non-bench/, non-testdata Go and assembly lines per package and
+# in total — the number ROADMAP aim 2 ("the same numbers from the least
+# code") tracks; a package's assembly share is printed beside it.
 # Simplification PRs quote it for parent and change in CHANGES.md.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' -print0 \
+	@find . \( -name '*.go' ! -name '*_test.go' -o -name '*.s' \) ! -path './bench/*' ! -path '*/testdata/*' -print0 \
 		| xargs -0 wc -l \
-		| awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
-			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+		| awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1; if ($$2 ~ /\.s$$/) s[d] += $$1 } \
+			END { for (d in n) printf "%7d %s%s\n", n[d], d, (d in s ? " (" s[d] " assembly)" : "") | "sort -k2"; \
+				close("sort -k2"); printf "%7d total\n", t }'
 
 # The aim-2 ratchet: the tree may not outgrow the last simplification PR's
 # `make loc` total. Raising LOC_BUDGET is allowed — as a one-line diff a
 # reviewer sees; lower it whenever a PR shrinks the tree.
-LOC_BUDGET = 18871
+LOC_BUDGET = 19253
 
 # The virtual-time ratchet: the seed-7 sim_digest of each bench/ workload
 # (`bench-e2e-smoke` fails when a printed digest differs or is missing). A
