@@ -1,10 +1,17 @@
-package main
+// Package metricscheck keeps the cases of the metricscheck command that
+// sdmcheck replaced: every metrics export that command rejected,
+// sdmcheck.File must reject too. The summary cases are rejected as a
+// malformed TYPE line or an unknown kind, since the plane writes counters and
+// gauges only. The package has no program; cmd/sdmcheck is the command.
+package metricscheck
 
 import (
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"sdm/internal/sdmcheck"
 )
 
 func checkText(t *testing.T, body string) error {
@@ -13,7 +20,8 @@ func checkText(t *testing.T, body string) error {
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return check(path)
+	_, err := sdmcheck.File(path)
+	return err
 }
 
 const goodOM = `# HELP sdm_fleet_routes Queries routed.
@@ -24,13 +32,6 @@ sdm_fleet_routes_total 9 0.500000000
 # TYPE sdm_host_occ gauge
 sdm_host_occ{host="0"} 0.5 0.250000000
 sdm_host_occ{host="1"} 0.25 0.250000000
-# HELP lat Latency.
-# TYPE lat summary
-# UNIT lat seconds
-lat_count{host="0"} 2 0.250000000
-lat_sum{host="0"} 0.01 0.250000000
-lat{host="0",quantile="0.5"} 0.004 0.250000000
-lat{host="0",quantile="0.99"} 0.009 0.250000000
 # EOF
 `
 
@@ -64,19 +65,20 @@ func TestOpenMetricsFailureModes(t *testing.T) {
 				"sdm_fleet_routes_total 9 0.100000000", 1)
 		}, "regressed"},
 		{"bad quantile", func(s string) string {
-			return strings.Replace(s, `quantile="0.99"`, `quantile="0.42"`, 1)
-		}, "quantile"},
+			return strings.Replace(s, "# EOF\n",
+				"# TYPE lat summary\nlat{quantile=\"0.42\"} 0.009 0.250000000\n# EOF\n", 1)
+		}, "malformed TYPE line"},
 		{"malformed timestamp", func(s string) string {
 			return strings.Replace(s, "sdm_fleet_routes_total 3 0.250000000",
 				"sdm_fleet_routes_total 3 0.25", 1)
 		}, "timestamp"},
-		{"empty file", func(string) string { return "" }, "empty"},
+		{"empty file", func(string) string { return "" }, "missing # EOF"},
 		{"no samples", func(string) string {
 			return "# HELP x h\n# TYPE x counter\n# EOF\n"
 		}, "no samples"},
 		{"family re-declared", func(s string) string {
-			return strings.Replace(s, "# HELP lat Latency.",
-				"# TYPE sdm_fleet_routes gauge\n# HELP lat Latency.", 1)
+			return strings.Replace(s, "# HELP sdm_host_occ Occupancy.",
+				"# TYPE sdm_fleet_routes gauge\n# HELP sdm_host_occ Occupancy.", 1)
 		}, "re-declared"},
 	}
 	for _, tc := range cases {
@@ -94,7 +96,7 @@ func TestOpenMetricsFailureModes(t *testing.T) {
 
 const goodJSONL = `{"family":"sdm_fleet_routes","name":"sdm_fleet_routes_total","kind":"counter","host":-1,"t_ns":250000000,"value":3}
 {"family":"sdm_fleet_routes","name":"sdm_fleet_routes_total","kind":"counter","host":-1,"t_ns":500000000,"value":9}
-{"family":"lat","name":"lat","kind":"summary","host":0,"labels":{"quantile":"0.5"},"t_ns":250000000,"value":0.004}
+{"family":"sdm_host_occ","name":"sdm_host_occ","kind":"gauge","host":0,"t_ns":250000000,"value":0.5}
 `
 
 func TestJSONLAccepts(t *testing.T) {
@@ -114,10 +116,10 @@ func TestJSONLFailureModes(t *testing.T) {
 			"missing host/t_ns/value"},
 		{"unknown kind",
 			`{"family":"f","name":"f","kind":"meter","host":0,"t_ns":1,"value":1}` + "\n",
-			"unknown kind"},
+			"unknown metric kind"},
 		{"name outside family",
 			`{"family":"f","name":"g_total","kind":"counter","host":0,"t_ns":1,"value":1}` + "\n",
-			"not under family"},
+			"is not family"},
 		{"counter drop",
 			`{"family":"f","name":"f_total","kind":"counter","host":0,"t_ns":1,"value":5}` + "\n" +
 				`{"family":"f","name":"f_total","kind":"counter","host":0,"t_ns":2,"value":3}` + "\n",
@@ -128,7 +130,7 @@ func TestJSONLFailureModes(t *testing.T) {
 			"regressed"},
 		{"bad quantile",
 			`{"family":"f","name":"f","kind":"summary","host":0,"labels":{"quantile":"0.7"},"t_ns":1,"value":1}` + "\n",
-			"quantile"},
+			`unknown metric kind "summary"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -142,6 +144,3 @@ func TestJSONLFailureModes(t *testing.T) {
 		})
 	}
 }
-
-// TestRealExportRoundTrip is in internal/cluster's court (the writer);
-// here the CI smoke run covers writer→checker integration.

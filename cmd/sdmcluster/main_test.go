@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"sdm/internal/sdmcheck"
 )
 
 // TestFlagValidation: every rejecting branch of run's flag switches returns
@@ -71,16 +72,6 @@ func TestFlagValidation(t *testing.T) {
 	}
 }
 
-// checker runs one of the repository's file checkers (cmd/tracecheck,
-// cmd/metricscheck) on the given files, the way CI's smoke steps did.
-func checker(t *testing.T, name string, files ...string) {
-	t.Helper()
-	out, err := exec.Command("go", append([]string{"run", "sdm/cmd/" + name}, files...)...).CombinedOutput()
-	if err != nil {
-		t.Fatalf("%s %v: %v\n%s", name, files, err, out)
-	}
-}
-
 // sameBytes fails unless the two files exist, are non-empty and identical.
 func sameBytes(t *testing.T, a, b string) {
 	t.Helper()
@@ -99,7 +90,7 @@ func sameBytes(t *testing.T, a, b string) {
 
 // TestTraceAndMetricsDeterministicAcrossWorkers: the same traced run and the
 // same metered run at -workers 1 and -workers 4 must render byte-identical
-// files, and the streams must satisfy their checkers (trace: every line a
+// files, and the streams must satisfy sdmcheck (trace: every line a
 // known kind with its required payload, virtual-time ordered, one summary
 // line whose counts agree; metrics: samples under declared families,
 // per-series virtual-time ordering, monotone counters, in both formats).
@@ -117,11 +108,14 @@ func TestTraceAndMetricsDeterministicAcrossWorkers(t *testing.T) {
 	sdmcluster(traced + " -workers 1 -trace " + path("trace_w1.jsonl"))
 	sdmcluster(traced + " -workers 4 -trace " + path("trace_w4.jsonl"))
 	sameBytes(t, path("trace_w1.jsonl"), path("trace_w4.jsonl"))
-	checker(t, "tracecheck", path("trace_w1.jsonl"))
 
 	sdmcluster("-policy sticky -workers 1 -metrics " + path("metrics_w1.txt"))
 	sdmcluster("-policy sticky -workers 4 -metrics " + path("metrics_w4.txt"))
 	sameBytes(t, path("metrics_w1.txt"), path("metrics_w4.txt"))
 	sdmcluster("-policy sticky -workers 4 -metrics " + path("metrics.jsonl"))
-	checker(t, "metricscheck", path("metrics_w1.txt"), path("metrics.jsonl"))
+	for _, name := range []string{"trace_w1.jsonl", "metrics_w1.txt", "metrics.jsonl"} {
+		if _, err := sdmcheck.File(path(name)); err != nil {
+			t.Fatalf("sdmcheck %s: %v", name, err)
+		}
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sdm/internal/obs"
+	"sdm/internal/sdmcheck"
 )
 
 func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
@@ -81,6 +82,19 @@ func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if keys[0] != keys[1] {
 		t.Fatal("metered results diverged across HostWorkers counts")
+	}
+	// Both exports hold to their schemas and carry the identical sample
+	// stream, so they count the same samples.
+	om, err := sdmcheck.OpenMetrics(texts[0])
+	if err != nil {
+		t.Fatalf("OpenMetrics export: %v", err)
+	}
+	jl, err := sdmcheck.MetricsJSONL(jsons[0])
+	if err != nil {
+		t.Fatalf("JSONL export: %v", err)
+	}
+	if om != jl {
+		t.Fatalf("OpenMetrics export has %d samples, JSONL %d", om, jl)
 	}
 }
 

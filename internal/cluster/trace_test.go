@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sdm/internal/obs"
+	"sdm/internal/sdmcheck"
 )
 
 func TestTraceDeterministicAcrossWorkers(t *testing.T) {
@@ -59,6 +60,11 @@ func TestTraceDeterministicAcrossWorkers(t *testing.T) {
 			}
 			if sum.Events != len(f.TraceEvents()) {
 				t.Fatalf("summary events=%d but %d merged events", sum.Events, len(f.TraceEvents()))
+			}
+			// The rendered file, admit events included, holds to the
+			// trace schema and its summary agrees with its events.
+			if _, err := sdmcheck.Trace(buf.Bytes()); err != nil {
+				t.Fatalf("rendered trace: %v", err)
 			}
 		}
 	}
