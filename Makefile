@@ -3,7 +3,7 @@
 GO ?= go
 REV ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
-.PHONY: all build vet lint fmt-check test race examples loc loc-check reach-check bench bench-scale bench-e2e bench-e2e-smoke bench-e2e-compare smoke reach bench-json bench-baseline bench-gate profile ci
+.PHONY: all build vet lint fmt-check test race examples loc loc-check reach-check bench bench-scale bench-e2e bench-e2e-smoke bench-e2e-compare bench-micro-compare smoke reach bench-json bench-baseline bench-gate profile ci
 
 all: build test
 
@@ -146,6 +146,47 @@ bench-e2e-compare:
 						q(m, "base", .5), q(m, "base", .25), q(m, "base", .75), q(m, "change", .5), q(m, "change", .25), q(m, "change", .75), ahead, pairs } \
 				exit bad }' $$tmp/$$w.rows; \
 	done
+
+# The micro protocol behind every layer-row claim in CHANGES.md, as a command:
+#   make bench-micro-compare BASE=<rev> [BENCH=regex] [RUNS=6]
+# builds BASE's root-package test binary (from a `git archive` of it in a temp
+# dir) and the tree's own once each, runs `-test.bench BENCH -test.benchmem`
+# RUNS times per side in alternating order, each binary from its own checkout,
+# and prints per benchmark row ns/op, B/op and allocs/op as medians
+# [quartiles] for both sides and in how many runs the change read lower
+# (ties count for neither). The layer map in micro_bench_test.go names each
+# layer's row.
+BENCH ?= .
+RUNS ?= 6
+
+bench-micro-compare:
+	@test -n "$(BASE)" || { echo 'usage: make bench-micro-compare BASE=<rev> [BENCH=regex] [RUNS=6]' >&2; exit 2; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir $$tmp/base; \
+	git archive $(BASE) | tar -x -C $$tmp/base; \
+	(cd $$tmp/base && $(GO) test -c -o $$tmp/micro_base .); \
+	$(GO) test -c -o $$tmp/micro_change .; \
+	for i in $$(seq 1 $(RUNS)); do \
+		order="base change"; if [ $$((i % 2)) -eq 0 ]; then order="change base"; fi; \
+		for side in $$order; do \
+			dir=.; if [ $$side = base ]; then dir=$$tmp/base; fi; \
+			(cd $$dir && $$tmp/micro_$$side -test.run '^$$' -test.bench '$(BENCH)' -test.benchmem) > $$tmp/run.txt; \
+			awk -v side=$$side -v run=$$i '$$1 ~ /^Benchmark/ && NF >= 4 { \
+				for (f = 3; f < NF; f += 2) if ($$(f+1) ~ /^(ns|B|allocs)\/op$$/) print side, run, $$1, $$(f+1), $$f }' $$tmp/run.txt >> $$tmp/rows; \
+		done; \
+	done; \
+	awk -v base=$(BASE) -v runs=$(RUNS) ' \
+		function q(k, side, f,    n, i, j, t, a, h, lo) { \
+			n = 0; for (i = 1; i <= runs; i++) if ((k, side, i) in v) a[++n] = v[k, side, i]; \
+			if (n == 0) return "-"; \
+			for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j+1] = a[j]; a[j+1] = t } \
+			h = 1 + (n - 1) * f; lo = int(h); return sprintf("%.6g", lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo+1] - a[lo])) } \
+		{ k = $$3 SUBSEP $$4; if (!(k in seen)) { seen[k] = 1; keys[++m] = k } v[k, $$1, $$2] = $$5 } \
+		END { printf "%d runs per side, base %s\n", runs, base; \
+			for (i = 1; i <= m; i++) { k = keys[i]; split(k, nu, SUBSEP); ahead = 0; \
+				for (r = 1; r <= runs; r++) if ((k, "change", r) in v && (k, "base", r) in v && v[k, "change", r] < v[k, "base", r]) ahead++; \
+				if (nu[1] != last) { print nu[1]; last = nu[1] } \
+				printf "  %-10s base %s [%s–%s]  change %s [%s–%s]  change lower in %d/%d runs\n", nu[2], \
+					q(k, "base", .5), q(k, "base", .25), q(k, "base", .75), q(k, "change", .5), q(k, "change", .25), q(k, "change", .75), ahead, runs } }' $$tmp/rows
 
 # How `smoke` invokes sdmcluster; `reach` substitutes a coverage-instrumented
 # binary.

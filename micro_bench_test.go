@@ -19,6 +19,22 @@ import (
 )
 
 // Functional microbenchmarks: real ns/op of the SDM hot paths.
+//
+// The layer map: each stack layer's steady-state row, in this file unless
+// named otherwise. `make bench-micro-compare BASE=<rev> BENCH=<regex>`
+// times a row against another revision.
+//
+//	layer            row
+//	blockdev         BenchmarkDeviceAccountRead (timing model, per channel count)
+//	uring            BenchmarkRingSubmitTimedRead (one read at the outstanding cap)
+//	cache            BenchmarkCacheMemOptimizedCold (get-hit, get-miss, put-evict)
+//	pooledcache      BenchmarkPooledCacheGet, BenchmarkPooledCachePut
+//	quant            BenchmarkQuantAccumulateRow
+//	embedding        BenchmarkTablePool (L1, DRAM)
+//	xrand/workload   BenchmarkIndexDraw, BenchmarkGeneratorNextShared
+//	core             BenchmarkStoreSMMiss (one PoolQuery on the host-sm-miss shape)
+//	serving          BenchmarkHostAdmit (bench_test.go)
+//	cluster          BenchmarkFleetRouting, BenchmarkFleetScale (bench_test.go)
 
 // BenchmarkQuantAccumulateRow times the fused dequantize-and-pool inner
 // loop on one cache-resident row per encoding and dimension (MB/s is stored
@@ -125,6 +141,54 @@ func BenchmarkCacheMemOptimizedPut(b *testing.B) {
 	b.ReportMetric(float64(c.Stats().Evictions-ev0)/float64(b.N), "evictions/op")
 }
 
+// BenchmarkCacheMemOptimizedCold is the row cache out of cache: a 64 MiB
+// budget of int8 dim-124 rows, whose set metadata alone is several times a
+// core's 2 MiB L2, with keys from a seeded RNG, so every probe lands on a
+// set no recent probe touched. get-hit reads resident rows, get-miss probes
+// keys never put, and put-evict inserts a new key into the full cache, so
+// each Put runs the set scan and the CLOCK hand. The sub-rows share one
+// cache, and put-evict runs last.
+func BenchmarkCacheMemOptimizedCold(b *testing.B) {
+	rb := quant.RowBytes(quant.Int8, 124)
+	c := cache.NewMemOptimized(64<<20, rb)
+	v := make([]byte, rb)
+	rng := xrand.New(6)
+	key := func(table int32) cache.Key { return cache.Key{Table: table, Row: int64(rng.Uint64() >> 1)} }
+	fill := make([]cache.Key, 64<<20/rb) // more keys than slots: every set fills
+	for i := range fill {
+		fill[i] = key(1)
+		c.Put(fill[i], v)
+	}
+	resident := fill[:0]
+	for _, k := range fill {
+		if c.Contains(k) {
+			resident = append(resident, k)
+		}
+	}
+	dst := make([]byte, rb)
+	b.Run("get-hit", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, ok := c.Get(resident[i%len(resident)], dst); !ok {
+				b.Fatal("miss on a resident row")
+			}
+		}
+	})
+	b.Run("get-miss", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, ok := c.Get(key(2), dst); ok {
+				b.Fatal("hit on a row never put")
+			}
+		}
+	})
+	b.Run("put-evict", func(b *testing.B) {
+		ev0 := c.Stats().Evictions
+		for i := 0; i < b.N; i++ {
+			c.Put(key(3), v)
+		}
+		b.ReportMetric(float64(c.Stats().Evictions-ev0)/float64(b.N), "evictions/op")
+	})
+}
+
 func BenchmarkCacheCPUOptimizedGet(b *testing.B) {
 	c := cache.NewCPUOptimized(16 << 20)
 	v := make([]byte, 128)
@@ -178,6 +242,7 @@ func BenchmarkPooledCacheGet(b *testing.B) {
 	const n = 2048
 	c, seqs, _ := pooledCacheSeqs(n)
 	resident := int(c.Stats().Items)
+	b.ReportAllocs()
 	b.Run("hit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if c.Get(0, seqs[n/2-1-i%resident]) == nil {
@@ -348,6 +413,29 @@ func BenchmarkDeviceReadSGL(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRingSubmitTimedRead is one uring.SyncRing.SubmitTimedRead of a
+// 128-byte SGL read on a Nand ring held at its outstanding cap: every read
+// is issued at the same instant, so each admit waits for the earliest
+// in-flight completion, pops it, and the device books the read behind it.
+func BenchmarkRingSubmitTimedRead(b *testing.B) {
+	dev := blockdev.New(blockdev.Spec(blockdev.NandFlash), 1<<24, nil, 4)
+	ring := uring.NewSync(dev, uring.Config{SGL: true})
+	read := func(i int) {
+		if _, err := ring.SubmitTimedRead(0, 128, int64(i%4096)*4096); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < dev.MaxOutstanding; i++ {
+		read(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read(i)
+	}
+	b.ReportMetric(float64(ring.Stats().PeakInflight), "inflight")
 }
 
 // BenchmarkStorePoolOp measures the full SDM lookup path (pooled cache →
