@@ -1,37 +1,69 @@
 package cache
 
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
 // MemOptimized is the memory-optimized row cache of §4.3: a set-associative
 // design with fixed-size value slots in one slab and compact per-slot
-// metadata (key + length + CLOCK bit + dirty bit ≈ 16 B/item). Lookups
-// linearly search the ways of one set ("requires search in a bucket"),
-// trading CPU for per-item memory overhead.
+// metadata. Lookups search the ways of one set ("requires search in a
+// bucket"), trading CPU for per-item memory overhead.
+//
+// Each set's metadata is one 32-byte header, two to a cache line: a tag,
+// flag byte and length per way. A way's tag is 0x80 | 7 bits of its key's
+// hash, and 0 when the way is empty, so find compares the eight tags in one
+// word and reads a way's key only when its tag matches: a miss touches one
+// metadata line.
 type MemOptimized struct {
 	slab      []byte
-	keys      []Key
-	lens      []uint16
-	flags     []uint8 // bit0 valid, bit1 clock-referenced, bit2 dirty
+	sets      []memSet
+	keys      []Key   // slot set*memWays + way
+	clockHand []uint8 // per-set CLOCK position, read only to evict
 	slotBytes int
-	sets      int
-	clockHand []int // per-set clock position
-	stats     Stats
+	// miss is the key and set of the last Get that missed, kept until the
+	// next put: the caller's Put of the row it then read from SM skips a
+	// second probe.
+	miss  memMiss
+	stats Stats
+}
+
+// memSet is one set's header.
+type memSet struct {
+	tags  [memWays]uint8
+	flags [memWays]uint8 // memFlagRef, memFlagDirty
+	lens  [memWays]uint16
+}
+
+type memMiss struct {
+	key Key
+	set int // -1: nothing remembered
+	tag uint8
 }
 
 const (
-	memFlagValid = 1 << iota
-	memFlagRef
+	memFlagRef = 1 << iota // CLOCK-referenced
 	memFlagDirty
 )
 
 // memWays is the associativity: the slots one key may occupy.
 const memWays = 8
 
-// memMetaPerSlot is the metadata accounting per slot (key 12 B padded to
-// 16 B, plus length and flags).
+// memMetaPerSlot is the model's metadata accounting per slot (key 12 B
+// padded to 16 B, plus length and flags), the byte count Stats reports and
+// the budget pays for; it is not the Go layout's size.
 const memMetaPerSlot = 19
 
 // memOptCPUCost is the relative CPU cost of one Get vs the CPU-optimized
 // cache: scanning ways costs more than one hash-map probe.
 const memOptCPUCost = 1.6
+
+// Byte lanes of a set's tag word.
+const (
+	lanes01 = 0x0101010101010101
+	lanes7f = 0x7f7f7f7f7f7f7f7f
+	lanes80 = 0x8080808080808080
+)
 
 // NewMemOptimized builds a memory-optimized cache with the given byte
 // budget. slotBytes is the maximum row size it accepts (0 → 255).
@@ -48,44 +80,47 @@ func NewMemOptimized(budget int64, slotBytes int) *MemOptimized {
 	slots = sets * memWays
 	return &MemOptimized{
 		slab:      make([]byte, slots*slotBytes),
+		sets:      make([]memSet, sets),
 		keys:      make([]Key, slots),
-		lens:      make([]uint16, slots),
-		flags:     make([]uint8, slots),
+		clockHand: make([]uint8, sets),
 		slotBytes: slotBytes,
-		sets:      sets,
-		clockHand: make([]int, sets),
+		miss:      memMiss{set: -1},
 		stats:     Stats{TotalBytes: int64(slots) * perSlot},
 	}
 }
 
-// find returns the first slot of k's set and k's slot in it, -1 when k is
-// not resident.
-func (c *MemOptimized) find(k Key) (base, slot int) {
-	base = int(k.hash()%uint64(c.sets)) * memWays
-	keys, flags := c.keys[base:base+memWays], c.flags[base:base+memWays]
-	for w := range keys {
-		if flags[w]&memFlagValid != 0 && keys[w] == k {
-			return base, base + w
+// find returns k's set, k's slot (-1 when k is not resident) and its tag.
+func (c *MemOptimized) find(k Key) (set, slot int, tag uint8) {
+	h := k.hash()
+	set, tag = int(h%uint64(len(c.sets))), 0x80|uint8(h>>57)
+	x := binary.LittleEndian.Uint64(c.sets[set].tags[:]) ^ lanes01*uint64(tag)
+	// The high bit of each byte of m is set exactly where x's byte is zero,
+	// a way whose tag matches.
+	for m := ^((x&lanes7f + lanes7f) | x | lanes7f); m != 0; m &= m - 1 {
+		if s := set*memWays + bits.TrailingZeros64(m)>>3; c.keys[s] == k {
+			return set, s, tag
 		}
 	}
-	return base, -1
+	return set, -1, tag
 }
 
 // value returns slot s's value bytes in the slab.
 func (c *MemOptimized) value(s int) []byte {
-	at := s * c.slotBytes
-	return c.slab[at : at+int(c.lens[s]) : at+int(c.lens[s])]
+	at, n := s*c.slotBytes, int(c.sets[s/memWays].lens[s%memWays])
+	return c.slab[at : at+n : at+n]
 }
 
 // Get copies the value for k into dst.
 func (c *MemOptimized) Get(k Key, dst []byte) (int, bool) {
-	_, s := c.find(k)
+	set, s, tag := c.find(k)
 	if s < 0 {
 		c.stats.Misses++
+		c.miss = memMiss{key: k, set: set, tag: tag}
 		return 0, false
 	}
-	c.flags[s] |= memFlagRef
-	n := copy(dst[:c.lens[s]], c.value(s))
+	c.sets[set].flags[s%memWays] |= memFlagRef
+	v := c.value(s)
+	n := copy(dst[:len(v)], v)
 	c.stats.Hits++
 	return n, true
 }
@@ -99,6 +134,8 @@ func (c *MemOptimized) Put(k Key, v []byte) { c.put(k, v, false) }
 func (c *MemOptimized) PutDirty(k Key, v []byte) { c.put(k, v, true) }
 
 func (c *MemOptimized) put(k Key, v []byte, dirty bool) {
+	miss := c.miss
+	c.miss.set = -1
 	if len(v) > c.slotBytes {
 		c.stats.Rejected++
 		return
@@ -106,27 +143,25 @@ func (c *MemOptimized) put(k Key, v []byte, dirty bool) {
 	c.stats.Puts++
 	// Replace in place if present; otherwise use the first free way;
 	// otherwise evict via CLOCK.
-	base, s := c.find(k)
+	set, s, tag := miss.set, -1, miss.tag
+	if set < 0 || miss.key != k {
+		set, s, tag = c.find(k)
+	}
+	hdr := &c.sets[set]
 	if s >= 0 {
-		c.stats.UsedBytes -= int64(c.lens[s])
+		c.stats.UsedBytes -= int64(hdr.lens[s%memWays])
 		c.stats.MetaBytes -= memMetaPerSlot
 		c.stats.Items--
+	} else if free := ^binary.LittleEndian.Uint64(hdr.tags[:]) & lanes80; free != 0 {
+		s = set*memWays + bits.TrailingZeros64(free)>>3
 	} else {
-		for w, f := range c.flags[base : base+memWays] {
-			if f&memFlagValid == 0 {
-				s = base + w
-				break
-			}
-		}
-		if s < 0 {
-			s = c.evict(base)
-		}
+		s = c.evict(set)
 	}
+	w := s % memWays
 	c.keys[s] = k
-	c.lens[s] = uint16(len(v))
-	c.flags[s] = memFlagValid | memFlagRef
+	hdr.tags[w], hdr.lens[w], hdr.flags[w] = tag, uint16(len(v)), memFlagRef
 	if dirty {
-		c.flags[s] |= memFlagDirty
+		hdr.flags[w] |= memFlagDirty
 	}
 	copy(c.slab[s*c.slotBytes:], v)
 	c.stats.UsedBytes += int64(len(v))
@@ -134,39 +169,43 @@ func (c *MemOptimized) put(k Key, v []byte, dirty bool) {
 	c.stats.Items++
 }
 
-// evict runs the CLOCK hand over the set whose first slot is base and
-// returns a freed slot index.
-func (c *MemOptimized) evict(base int) int {
-	hand := &c.clockHand[base/memWays]
+// evict runs the CLOCK hand over the full set and returns the slot of the
+// way it frees.
+func (c *MemOptimized) evict(set int) int {
+	hdr, hand := &c.sets[set], &c.clockHand[set]
 	for {
-		s := base + *hand
-		*hand = (*hand + 1) % memWays
-		if c.flags[s]&memFlagRef != 0 {
-			c.flags[s] &^= memFlagRef
+		w := int(*hand)
+		*hand = uint8((w + 1) % memWays)
+		if hdr.flags[w]&memFlagRef != 0 {
+			hdr.flags[w] &^= memFlagRef
 			continue
 		}
 		c.stats.Evictions++
-		c.stats.UsedBytes -= int64(c.lens[s])
+		c.stats.UsedBytes -= int64(hdr.lens[w])
 		c.stats.MetaBytes -= memMetaPerSlot
 		c.stats.Items--
-		c.flags[s] = 0
-		return s
+		return set*memWays + w // put rewrites the way's whole header
 	}
 }
 
-// FlushDirty invokes fn for each dirty entry and clears the dirty bits.
+// FlushDirty invokes fn for each dirty entry, in slot order, and clears the
+// dirty bits.
 func (c *MemOptimized) FlushDirty(fn func(k Key, v []byte)) {
-	for s := range c.flags {
-		if c.flags[s]&(memFlagValid|memFlagDirty) == memFlagValid|memFlagDirty {
-			fn(c.keys[s], c.value(s))
-			c.flags[s] &^= memFlagDirty
+	for set := range c.sets {
+		hdr := &c.sets[set]
+		for w := range memWays {
+			if hdr.tags[w] != 0 && hdr.flags[w]&memFlagDirty != 0 {
+				s := set*memWays + w
+				fn(c.keys[s], c.value(s))
+				hdr.flags[w] &^= memFlagDirty
+			}
 		}
 	}
 }
 
 // Peek returns k's value in its slab slot without touching recency or stats.
 func (c *MemOptimized) Peek(k Key) []byte {
-	if _, s := c.find(k); s >= 0 {
+	if _, s, _ := c.find(k); s >= 0 {
 		return c.value(s)
 	}
 	return nil

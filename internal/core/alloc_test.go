@@ -19,40 +19,53 @@ import (
 // path. After the arena, caches, scratch and result buffers reach steady
 // state, a query allocates nothing at any Parallelism setting — the whole
 // chain (NextShared, OutputsFor, PoolQuery with deferred-IO replay) runs
-// on recycled storage, on the calling goroutine.
+// on recycled storage, on the calling goroutine. The pooled cases turn the
+// pooled-embedding cache on at fleet-sticky's 256 KiB, small enough that
+// its shards evict during warm-up, so each measured query also inserts
+// into full shards.
 func TestSteadyStateQueryAllocs(t *testing.T) {
-	for _, p := range []int{1, 4} {
-		t.Run(fmt.Sprintf("parallelism=%d", p), func(t *testing.T) {
-			in, tables := fixture(t)
-			cfg := Config{
-				Seed: 7, SMTech: blockdev.NandFlash,
-				Ring: uring.Config{SGL: true}, CacheBytes: 1 << 20,
-				Parallelism: p,
+	for _, pooled := range []int64{0, 256 << 10} {
+		for _, p := range []int{1, 4} {
+			name := fmt.Sprintf("parallelism=%d", p)
+			if pooled > 0 {
+				name += ",pooled"
 			}
-			s := openStore(t, in, tables, cfg)
-			gen, err := workload.NewGenerator(in, workload.Config{Seed: 7, NumUsers: 500, UserAlpha: 0.8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var obuf OutputBuf
-			now := s.LoadDone()
-			step := func() {
-				now += simclock.Time(time.Millisecond)
-				q := gen.NextShared()
-				outs := s.OutputsFor(q, &obuf)
-				if _, err := s.PoolQuery(now, q, outs); err != nil {
+			t.Run(name, func(t *testing.T) {
+				in, tables := fixture(t)
+				cfg := Config{
+					Seed: 7, SMTech: blockdev.NandFlash,
+					Ring: uring.Config{SGL: true}, CacheBytes: 1 << 20,
+					PooledCacheBytes: pooled,
+					Parallelism:      p,
+				}
+				s := openStore(t, in, tables, cfg)
+				gen, err := workload.NewGenerator(in, workload.Config{Seed: 7, NumUsers: 500, UserAlpha: 0.8})
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			// Warm to steady state: caches filled, every reusable buffer at
-			// its high-water size.
-			for i := 0; i < 3000; i++ {
-				step()
-			}
-			if avg := testing.AllocsPerRun(500, step); avg > 0 {
-				t.Fatalf("steady-state query allocates %.2f objects/run, want 0", avg)
-			}
-		})
+				var obuf OutputBuf
+				now := s.LoadDone()
+				step := func() {
+					now += simclock.Time(time.Millisecond)
+					q := gen.NextShared()
+					outs := s.OutputsFor(q, &obuf)
+					if _, err := s.PoolQuery(now, q, outs); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// Warm to steady state: caches filled, every reusable buffer at
+				// its high-water size.
+				for i := 0; i < 3000; i++ {
+					step()
+				}
+				if ps := s.PooledStats(); pooled > 0 && ps.Evictions == 0 {
+					t.Fatalf("the pooled shards evicted nothing during warm-up: %+v", ps)
+				}
+				if avg := testing.AllocsPerRun(500, step); avg > 0 {
+					t.Fatalf("steady-state query allocates %.2f objects/run, want 0", avg)
+				}
+			})
+		}
 	}
 }
 

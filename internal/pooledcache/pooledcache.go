@@ -8,8 +8,6 @@
 // sequence length is the LenThreshold tuning knob (Table 4).
 package pooledcache
 
-import "container/list"
-
 // SeqKey is the order-invariant digest of an index sequence for one table.
 type SeqKey struct {
 	Table int32
@@ -103,19 +101,29 @@ type Config struct {
 }
 
 // Cache is an LRU pooled-embedding cache. Not safe for concurrent use.
+//
+// Its entries live in one slice, linked into recency order by index, and a
+// map takes a key to its entry. An evicted entry's slot goes on a free list
+// and keeps its vector's capacity for the next insertion, so a warm cache
+// allocates nothing.
 type Cache struct {
-	cfg   Config
-	items map[SeqKey]*list.Element
-	lru   *list.List
-	stats Stats
+	cfg        Config
+	items      map[SeqKey]int32
+	ents       []entry
+	head, tail int32   // most and least recently used entries, -1 when empty
+	free       []int32 // evicted entries' slots, reused last in first out
+	stats      Stats
 }
 
 type entry struct {
-	key SeqKey
-	vec []float32
+	key        SeqKey
+	vec        []float32
+	prev, next int32 // neighbours toward head and tail, -1 at the ends
 }
 
-// metaPerItem accounts map + list + header overhead per entry.
+// metaPerItem is the model's metadata accounting per entry (map, list and
+// header overhead), which the capacity pays for; it is not the Go layout's
+// size.
 const metaPerItem = 128
 
 // New builds a pooled-embedding cache.
@@ -126,11 +134,7 @@ func New(cfg Config) *Cache {
 	if cfg.LenThreshold <= 0 {
 		cfg.LenThreshold = 1
 	}
-	return &Cache{
-		cfg:   cfg,
-		items: make(map[SeqKey]*list.Element),
-		lru:   list.New(),
-	}
+	return &Cache{cfg: cfg, items: make(map[SeqKey]int32), head: -1, tail: -1}
 }
 
 // Get returns the cached pooled vector for the table's index sequence, or
@@ -142,16 +146,15 @@ func (c *Cache) Get(table int32, indices []int64) []float32 {
 		c.stats.Skipped++
 		return nil
 	}
-	k := Key(table, indices)
-	el, ok := c.items[k]
+	i, ok := c.items[Key(table, indices)]
 	if !ok {
 		c.stats.Misses++
 		return nil
 	}
-	c.lru.MoveToFront(el)
+	c.moveToFront(i)
 	c.stats.Hits++
 	c.stats.HitLenSum += uint64(len(indices))
-	return el.Value.(*entry).vec
+	return c.ents[i].vec
 }
 
 // Put caches the pooled output for the table's index sequence. Sequences
@@ -162,39 +165,76 @@ func (c *Cache) Put(table int32, indices []int64, pooled []float32) {
 	}
 	k := Key(table, indices)
 	c.stats.Puts++
-	if el, ok := c.items[k]; ok {
-		e := el.Value.(*entry)
+	if i, ok := c.items[k]; ok {
+		e := &c.ents[i]
 		c.stats.UsedBytes += int64(4 * (len(pooled) - len(e.vec)))
 		e.vec = append(e.vec[:0], pooled...)
-		c.lru.MoveToFront(el)
+		c.moveToFront(i)
 		c.evictToFit()
 		return
 	}
-	e := &entry{key: k, vec: append([]float32(nil), pooled...)}
-	c.items[k] = c.lru.PushFront(e)
+	var i int32
+	if n := len(c.free); n > 0 {
+		i, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		i = int32(len(c.ents))
+		c.ents = append(c.ents, entry{})
+	}
+	e := &c.ents[i]
+	e.key, e.vec = k, append(e.vec[:0], pooled...)
+	c.items[k] = i
+	c.pushFront(i)
 	c.stats.UsedBytes += int64(4 * len(pooled))
 	c.stats.Items++
 	c.evictToFit()
 }
 
 func (c *Cache) evictToFit() {
-	for c.stats.UsedBytes+c.stats.Items*metaPerItem > c.cfg.CapacityBytes && c.lru.Len() > 1 {
-		el := c.lru.Back()
-		e := el.Value.(*entry)
-		c.lru.Remove(el)
+	for c.stats.UsedBytes+c.stats.Items*metaPerItem > c.cfg.CapacityBytes && c.stats.Items > 1 {
+		i := c.tail
+		e := &c.ents[i]
+		c.unlink(i)
 		delete(c.items, e.key)
+		c.free = append(c.free, i)
 		c.stats.UsedBytes -= int64(4 * len(e.vec))
 		c.stats.Items--
 		c.stats.Evictions++
 	}
 }
 
+// unlink takes entry i out of the recency order.
+func (c *Cache) unlink(i int32) {
+	e := &c.ents[i]
+	if e.prev >= 0 {
+		c.ents[e.prev].next = e.next
+	} else {
+		c.head = e.next
+	}
+	if e.next >= 0 {
+		c.ents[e.next].prev = e.prev
+	} else {
+		c.tail = e.prev
+	}
+}
+
+// pushFront makes entry i, not in the recency order, the most recent.
+func (c *Cache) pushFront(i int32) {
+	e := &c.ents[i]
+	e.prev, e.next = -1, c.head
+	if c.head >= 0 {
+		c.ents[c.head].prev = i
+	} else {
+		c.tail = i
+	}
+	c.head = i
+}
+
+func (c *Cache) moveToFront(i int32) {
+	if c.head != i {
+		c.unlink(i)
+		c.pushFront(i)
+	}
+}
+
 // Stats returns a snapshot of counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
