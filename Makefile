@@ -56,7 +56,7 @@ loc:
 # The aim-2 ratchet: the tree may not outgrow the last simplification PR's
 # `make loc` total. Raising LOC_BUDGET is allowed — as a one-line diff a
 # reviewer sees; lower it whenever a PR shrinks the tree.
-LOC_BUDGET = 19217
+LOC_BUDGET = 19222
 
 # The virtual-time ratchet: the seed-7 sim_digest of each bench/ workload
 # (`bench-e2e-smoke` fails when a printed digest differs or is missing). A
@@ -169,7 +169,7 @@ bench-micro-compare:
 		order="base change"; if [ $$((i % 2)) -eq 0 ]; then order="change base"; fi; \
 		for side in $$order; do \
 			dir=.; if [ $$side = base ]; then dir=$$tmp/base; fi; \
-			(cd $$dir && $$tmp/micro_$$side -test.run '^$$' -test.bench '$(BENCH)' -test.benchmem) > $$tmp/run.txt; \
+			(cd $$dir && $$tmp/micro_$$side -test.run '^$$' -test.bench '$(BENCH)' -test.benchmem -test.timeout 60m) > $$tmp/run.txt; \
 			awk -v side=$$side -v run=$$i '$$1 ~ /^Benchmark/ && NF >= 4 { \
 				for (f = 3; f < NF; f += 2) if ($$(f+1) ~ /^(ns|B|allocs)\/op$$/) print side, run, $$1, $$(f+1), $$f }' $$tmp/run.txt >> $$tmp/rows; \
 		done; \

@@ -14,6 +14,10 @@
 // uniform-size (core's CacheDual).
 // Entries can be marked dirty to support cache-first incremental model
 // updates with write-back to SM (§A.3).
+//
+// The metadata bytes each design charges per item (Stats.MetaBytes, and the
+// share of the budget it takes) are the model's accounting of the paper's
+// designs, fixed constants, not the size of this package's Go structures.
 package cache
 
 // Key identifies one embedding row.

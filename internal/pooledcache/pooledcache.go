@@ -140,7 +140,8 @@ func New(cfg Config) *Cache {
 // Get returns the cached pooled vector for the table's index sequence, or
 // nil on miss. Sequences shorter than LenThreshold are skipped (counted
 // separately) per Algorithm 1's doPooledEmbCache guard. The returned slice
-// is owned by the cache; callers must copy before mutating.
+// is owned by the cache and valid until the next Put, which may reuse its
+// storage: callers copy it out and never write it.
 func (c *Cache) Get(table int32, indices []int64) []float32 {
 	if len(indices) <= c.cfg.LenThreshold {
 		c.stats.Skipped++
