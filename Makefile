@@ -56,7 +56,7 @@ loc:
 # The aim-2 ratchet: the tree may not outgrow the last simplification PR's
 # `make loc` total. Raising LOC_BUDGET is allowed — as a one-line diff a
 # reviewer sees; lower it whenever a PR shrinks the tree.
-LOC_BUDGET = 19222
+LOC_BUDGET = 18907
 
 # The virtual-time ratchet: the seed-7 sim_digest of each bench/ workload
 # (`bench-e2e-smoke` fails when a printed digest differs or is missing). A
@@ -211,7 +211,7 @@ smoke:
 # Reachability audit — the "live rule" (ROADMAP aim 2): an option, type or
 # function is live only if some program in the tree can reach it. Builds every
 # package main with coverage over the whole module, runs the smoke commands,
-# every experiment, the flag families smoke leaves out (-full, -fail, -json,
+# every experiment, the flag families smoke leaves out (-full, -list, -fail, -json,
 # -trace, -metrics in both formats, -wear without -coord), sdmcheck on the
 # trace and metrics files those runs write, sdmtrace, the six examples and the
 # four bench/ workloads (plain and traced) under one GOCOVERDIR, and lists the
@@ -231,6 +231,7 @@ reach:
 	@export GOCOVERDIR=$(REACH_DIR)/cov; b=$(REACH_DIR)/bin; o=$(REACH_DIR)/out; { \
 		$(MAKE) -s smoke SDMCLUSTER=$$b/sdmcluster && \
 		$$b/sdmbench -json all && \
+		$$b/sdmbench -list && \
 		$$b/sdmbench -full tab3 tab4 && \
 		$$b/sdmcluster -hosts 3 -queries 300 -policy sticky -fail 1 -json -warm=false && \
 		$$b/sdmcluster -hosts 2 -queries 300 -hottables 2 -drift 0.5 -adapt -wear 0.01 -warm=false && \

@@ -1,12 +1,14 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (one Benchmark per artifact, backed by internal/experiments) plus
-// functional microbenchmarks of the SDM hot paths. Run:
+// (BenchmarkExperiments, one sub-benchmark per experiment id, backed by
+// internal/experiments) plus functional microbenchmarks of the SDM hot
+// paths. Run:
 //
 //	go test -bench=. -benchmem
 //
-// The experiment benchmarks attach their headline numbers as custom
-// metrics (hit rates, savings, ratios) so `-bench` output doubles as a
-// compact reproduction report; `cmd/sdmbench` prints the full rows.
+// Each experiment sub-benchmark reports its named values (hit rates,
+// savings, ratios, latencies) as custom metrics, name:unit, so `-bench`
+// output doubles as a compact reproduction report; `cmd/sdmbench` prints
+// the full rows.
 package sdm
 
 import (
@@ -19,129 +21,23 @@ import (
 	"sdm/internal/simclock"
 )
 
-func runExperiment(b *testing.B, id string) experiments.Result {
-	b.Helper()
-	var last experiments.Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Run(id, experiments.Default())
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-		last = res
-	}
-	return last
-}
-
-// BenchmarkFig1_SizeVsBandwidth regenerates Fig. 1's size-vs-BW inventory.
-func BenchmarkFig1_SizeVsBandwidth(b *testing.B) {
-	res := runExperiment(b, "fig1").(*experiments.Fig1Result)
-	b.ReportMetric(res.LowBWCapacityFrac, "lowBWcapFrac")
-}
-
-// BenchmarkTab1_TechnologyCatalog regenerates Table 1.
-func BenchmarkTab1_TechnologyCatalog(b *testing.B) { runExperiment(b, "tab1") }
-
-// BenchmarkFig3_DeviceProfile regenerates Fig. 3's IOPS/latency curves.
-func BenchmarkFig3_DeviceProfile(b *testing.B) {
-	res := runExperiment(b, "fig3").(*experiments.Fig3Result)
-	nand := res.Curves["PCIe Nand Flash"]
-	opt := res.Curves["PCIe 3DXP (Optane)"]
-	if len(nand) > 0 && len(opt) > 0 {
-		b.ReportMetric(nand[0].MeanLatency.Seconds()*1e6, "nandLat_us")
-		b.ReportMetric(opt[0].MeanLatency.Seconds()*1e6, "optaneLat_us")
+// BenchmarkExperiments regenerates every experiment at the default scale.
+func BenchmarkExperiments(b *testing.B) {
+	for _, id := range experiments.IDs() {
+		b.Run(id, func(b *testing.B) {
+			var rep *experiments.Report
+			for i := 0; i < b.N; i++ {
+				var err error
+				if rep, err = experiments.Run(id, experiments.Default()); err != nil {
+					b.Fatalf("%s: %v", id, err)
+				}
+			}
+			for _, v := range rep.Values {
+				b.ReportMetric(v.Value, v.Name+":"+v.Unit)
+			}
+		})
 	}
 }
-
-// BenchmarkTab2_Usecases regenerates Table 2's usecase configs.
-func BenchmarkTab2_Usecases(b *testing.B) { runExperiment(b, "tab2") }
-
-// BenchmarkFig4_TemporalLocality regenerates Fig. 4's CDFs.
-func BenchmarkFig4_TemporalLocality(b *testing.B) {
-	res := runExperiment(b, "fig4").(*experiments.Fig4Result)
-	if len(res.UserCDF) > 4 {
-		b.ReportMetric(res.UserCDF[4], "userCDF@10%rows")
-		b.ReportMetric(res.ItemCDF[4], "itemCDF@10%rows")
-	}
-}
-
-// BenchmarkFig5_SpatialLocality regenerates Fig. 5's metric.
-func BenchmarkFig5_SpatialLocality(b *testing.B) {
-	res := runExperiment(b, "fig5").(*experiments.Fig5Result)
-	b.ReportMetric(res.AvgUser, "userSpatial")
-	b.ReportMetric(res.AvgItem, "itemSpatial")
-}
-
-// BenchmarkFig6_CacheOrg regenerates Fig. 6's cache-organization study.
-func BenchmarkFig6_CacheOrg(b *testing.B) { runExperiment(b, "fig6") }
-
-// BenchmarkTab3_PooledProfile regenerates Table 3.
-func BenchmarkTab3_PooledProfile(b *testing.B) { runExperiment(b, "tab3") }
-
-// BenchmarkTab4_LenThreshold regenerates Table 4.
-func BenchmarkTab4_LenThreshold(b *testing.B) { runExperiment(b, "tab4") }
-
-// BenchmarkTab8_M1Power regenerates Table 8.
-func BenchmarkTab8_M1Power(b *testing.B) {
-	res := runExperiment(b, "tab8").(*experiments.Tab8Result)
-	b.ReportMetric(res.Saving*100, "powerSaving%")
-	b.ReportMetric(res.HitRate*100, "cacheHit%")
-}
-
-// BenchmarkTab9_M2Power regenerates Table 9.
-func BenchmarkTab9_M2Power(b *testing.B) {
-	res := runExperiment(b, "tab9").(*experiments.Tab9Result)
-	b.ReportMetric(res.OptaneQPS/res.NandQPS, "optane/nandQPS")
-}
-
-// BenchmarkTab10_M3Sizing regenerates Table 10.
-func BenchmarkTab10_M3Sizing(b *testing.B) { runExperiment(b, "tab10") }
-
-// BenchmarkTab11_MultiTenancy regenerates Table 11.
-func BenchmarkTab11_MultiTenancy(b *testing.B) { runExperiment(b, "tab11") }
-
-// BenchmarkSGL_SmallGranularity regenerates §4.1.1's savings.
-func BenchmarkSGL_SmallGranularity(b *testing.B) {
-	res := runExperiment(b, "sgl").(*experiments.SGLResult)
-	b.ReportMetric(res.BusSavings*100, "busSaved%")
-	b.ReportMetric(res.FMTrafficRatio, "fmTrafficRatio")
-}
-
-// BenchmarkMmapVsDirect regenerates the §4.1 mmap comparison.
-func BenchmarkMmapVsDirect(b *testing.B) {
-	res := runExperiment(b, "mmap").(*experiments.MmapResult)
-	b.ReportMetric(res.LatencyRatio, "mmap/directLat")
-}
-
-// BenchmarkDeprune regenerates the §4.5 trade-off.
-func BenchmarkDeprune(b *testing.B) {
-	res := runExperiment(b, "deprune").(*experiments.DepruneResult)
-	b.ReportMetric(res.ExtraRequestFrac*100, "extraReq%")
-	b.ReportMetric(res.CacheGainFrac*100, "cacheGain%")
-}
-
-// BenchmarkDequantAtLoad regenerates the §A.5 trade-off.
-func BenchmarkDequantAtLoad(b *testing.B) {
-	res := runExperiment(b, "dequant").(*experiments.DequantResult)
-	b.ReportMetric(res.SMGrowth*100, "smGrowth%")
-}
-
-// BenchmarkInterOp regenerates §A.2's inter-op parallelism ablation.
-func BenchmarkInterOp(b *testing.B) {
-	res := runExperiment(b, "interop").(*experiments.InterOpResult)
-	b.ReportMetric(res.LatencyReduction*100, "latencySaved%")
-}
-
-// BenchmarkPolling regenerates §A.1's polling-vs-IRQ comparison.
-func BenchmarkPolling(b *testing.B) {
-	res := runExperiment(b, "polling").(*experiments.PollingResult)
-	b.ReportMetric(res.Gain*100, "iopsPerCoreGain%")
-}
-
-// BenchmarkWarmupModel regenerates the §A.4 over-provision model.
-func BenchmarkWarmupModel(b *testing.B) { runExperiment(b, "warmup") }
-
-// BenchmarkModelUpdate regenerates the §A.3/§3 update-path study.
-func BenchmarkModelUpdate(b *testing.B) { runExperiment(b, "update") }
 
 // fleetBench is the fixture the fleet benchmarks share: the trimmed M1
 // model, materialized once per benchmark. Everything a benchmark does not
@@ -374,7 +270,7 @@ func BenchmarkQueryEngine(b *testing.B) {
 			SMTech:     OptaneSSD,
 			Ring:       RingConfig{SGL: true},
 			CacheBytes: 64 << 20,
-		}, nil)
+		})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,8 @@
 // Command benchdiff compares two benchmark-trajectory artifacts — the
 // BENCH_<rev>.json files `make bench-json` writes, JSON arrays of
-// {id, title, header, rows, notes} experiment reports — id by id, exactly.
+// {id, title, header, rows, notes, values} experiment reports — id by id,
+// exactly. It compares the printed lines only (title, header, rows and
+// notes); the values behind them are not compared.
 //
 // Usage:
 //

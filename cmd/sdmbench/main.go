@@ -8,8 +8,10 @@
 //	sdmbench all
 //
 // -json emits the same results as a JSON array of {id, title, header,
-// rows, notes} objects (redirect to BENCH_<rev>.json to track a benchmark
-// trajectory across PRs; cmd/benchdiff compares two such files).
+// rows, notes, values} experiment reports, values being the named numbers
+// behind the rows (redirect to BENCH_<rev>.json to track a benchmark
+// trajectory across PRs; cmd/benchdiff compares the printed lines of two
+// such files).
 //
 // Every row is virtual time, so the output for a given scale and seed is
 // byte-identical run to run and at any -par: experiments run concurrently
@@ -120,7 +122,7 @@ func run(args []string, stdout io.Writer) error {
 	// Experiments are independent simulations: run them across a worker
 	// pool and print the results in request order. Each simulation is
 	// deterministic, so the numbers are identical to a sequential run.
-	results := make([]experiments.Result, len(ids))
+	results := make([]*experiments.Report, len(ids))
 	errs := make([]error, len(ids))
 	next := make(chan int)
 	var wg sync.WaitGroup
@@ -145,13 +147,9 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if *asJSON {
-		reports := make([]experiments.Report, 0, len(ids))
-		for _, res := range results {
-			reports = append(reports, experiments.ReportOf(res))
-		}
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(reports); err != nil {
+		if err := enc.Encode(results); err != nil {
 			return err
 		}
 	} else {

@@ -76,19 +76,35 @@ func TestJSONIndependentOfPar(t *testing.T) {
 
 func TestJSONDecodesAsReports(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-json", "tab10", "warmup"}, &out); err != nil {
+	if err := run([]string{"-json", "tab11", "polling"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	var reps []experiments.Report
 	if err := json.Unmarshal(out.Bytes(), &reps); err != nil {
 		t.Fatalf("-json output is not a []experiments.Report: %v\n%s", err, out.String())
 	}
-	if len(reps) != 2 || reps[0].ID != "tab10" || reps[1].ID != "warmup" {
-		t.Fatalf("reports %+v, want tab10 then warmup", reps)
+	if len(reps) != 2 || reps[0].ID != "tab11" || reps[1].ID != "polling" {
+		t.Fatalf("reports %+v, want tab11 then polling", reps)
 	}
 	for _, r := range reps {
 		if r.Title == "" || len(r.Rows) == 0 {
 			t.Errorf("report %s has no title or rows: %+v", r.ID, r)
+		}
+	}
+	// The values travel with the rows: each report's headline number
+	// decodes by name, in its unit.
+	for i, want := range []experiments.Value{
+		{Name: "fleet_power_saving", Unit: "frac"},
+		{Name: "gain", Unit: "frac"},
+	} {
+		var got *experiments.Value
+		for j := range reps[i].Values {
+			if reps[i].Values[j].Name == want.Name {
+				got = &reps[i].Values[j]
+			}
+		}
+		if got == nil || got.Unit != want.Unit || got.Value <= 0 {
+			t.Errorf("report %s: value %s = %+v, want a positive %s", reps[i].ID, want.Name, got, want.Unit)
 		}
 	}
 }

@@ -92,7 +92,7 @@ func run(args []string, stdout io.Writer) error {
 	user := workload.AverageCDF(results, embedding.User)
 	item := workload.AverageCDF(results, embedding.Item)
 	perHost := workload.AverageCDF(
-		workload.PerHostTemporalLocality(inst, qs, *hosts, true, 0), embedding.User)
+		workload.PerHostTemporalLocality(inst, qs, *hosts), embedding.User)
 
 	fmt.Fprintln(stdout, "temporal locality (fraction of accesses covered by top rows):")
 	fmt.Fprintf(stdout, "%-12s %10s %10s %14s\n", "rows frac", "user", "item", "user/host")
@@ -116,11 +116,4 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "%-8d %6s %10.3f\n", r.Table, r.Kind, r.Locality)
 	}
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -41,7 +41,7 @@ func run() error {
 		Ring:             sdm.RingConfig{SGL: true},
 		CacheBytes:       8 << 20,
 		PooledCacheBytes: 1 << 20,
-	}, nil)
+	})
 	if err != nil {
 		return err
 	}

@@ -12,43 +12,6 @@ import (
 	"sdm/internal/workload"
 )
 
-// CoordResult carries the fleet-coordination drill: the same drift drill
-// recovered by a lockstep fleet (N independent adapters, every replica
-// migrating at once) versus a coordinated fleet (staggered migration
-// windows under one shared bandwidth cap and one shared wear budget),
-// with a bandwidth-capped single host as the tail reference.
-type CoordResult struct {
-	tableResult
-
-	// FM-served rates before the rotation, first window after, and final
-	// window, per fleet.
-	LockPre, LockPost, LockFinal    float64
-	CoordPre, CoordPost, CoordFinal float64
-	LockRecovery, CoordRecovery     float64
-
-	// Peak post-rotation per-window fleet p99 and worst single query, per
-	// fleet, plus the single-host bandwidth-capped reference tail.
-	LockPeakP99, CoordPeakP99, SinglePeakP99 float64
-	LockPeakLat, CoordPeakLat                float64
-
-	// SM demote-write spend of the measured run (the §3 endurance cost),
-	// and the projected DWPD utilization each fleet ran at.
-	LockSMWrites, CoordSMWrites uint64
-	LockDWPDUtil, CoordDWPDUtil float64
-
-	// WorkersDeterministic reports whether the coordinated run repeated
-	// at a different HostWorkers count was bit-identical — including its
-	// rendered decision trace.
-	WorkersDeterministic bool
-
-	// Placement-decision trace counts from the coordinated run: per-eval
-	// promote/demote verdicts and the deferred candidates split by reason
-	// (busy = a pending move already covers it, cap = truncated by the
-	// per-eval migration cap).
-	PlanPromotes, PlanDemotes        int
-	PlanDefers, PlanBusy, PlanCapped int
-}
-
 // tailMeanFM returns the query-weighted mean FM-served rate of the last
 // quarter of a run's windows — the steady "final" rate under sustained
 // rotation, where any single window may land mid-phase.
@@ -73,7 +36,7 @@ func tailMeanFM(r *cluster.Result) float64 {
 	return acc / float64(q)
 }
 
-// Coord runs the fleet-coordination drill: a hot-set rotation fires
+// coord runs the fleet-coordination drill: a hot-set rotation fires
 // mid-run across an N-replica fleet. The lockstep fleet reacts the naive
 // way — every replica's adapter migrates immediately and unpaced, so the
 // fleet spends N× the migration bandwidth at the exact moment it is
@@ -85,7 +48,7 @@ func tailMeanFM(r *cluster.Result) float64 {
 // fleet recovers to the same FM-served rate while its post-rotation tail
 // stays near the single-host bandwidth-capped reference and its SM
 // demote-write spend drops.
-func Coord(sc Scale) (Result, error) {
+func coord(sc Scale) (*Report, error) {
 	// The rowrange drill's tables with a softer within-table row skew, so
 	// each table's payback-qualifying hot head spans several ranges: the
 	// spotlight set alone overflows the DRAM budget, which is what makes
@@ -172,73 +135,77 @@ func Coord(sc Scale) (Result, error) {
 	}
 	coordSum := obs.Summarize(obs.LevelDecisions, coordEvents)
 
-	res := &CoordResult{
-		LockSMWrites:  lockRes.SMWriteBytes,
-		CoordSMWrites: coordRes.SMWriteBytes,
-		LockDWPDUtil:  lockRes.DWPDUtil,
-		CoordDWPDUtil: coordRes.DWPDUtil,
-	}
-	res.LockPre, res.LockPost, _ = driftPhases(lockRes)
-	res.CoordPre, res.CoordPost, _ = driftPhases(coordRes)
-	// Under sustained rotation a single final window is timing luck
+	// FM-served rates before the rotation and first window after, per
+	// fleet. Under sustained rotation a single final window is timing luck
 	// (it may land mid-phase); the steady "final" FM rate is the
 	// query-weighted mean of the last quarter of windows.
-	res.LockFinal = tailMeanFM(lockRes)
-	res.CoordFinal = tailMeanFM(coordRes)
-	res.LockRecovery = recoveryFrac(res.LockPre, res.LockPost, res.LockFinal)
-	res.CoordRecovery = recoveryFrac(res.CoordPre, res.CoordPost, res.CoordFinal)
-	res.LockPeakP99 = peakPostDriftP99(lockRes)
-	res.CoordPeakP99 = peakPostDriftP99(coordRes)
-	res.SinglePeakP99 = peakPostDriftP99(singleRes)
-	res.LockPeakLat = peakPostDriftLat(lockRes)
-	res.CoordPeakLat = peakPostDriftLat(coordRes)
-	res.WorkersDeterministic = coordRes.String() == coordRes2.String() &&
+	lockPre, lockPost, _ := driftPhases(lockRes)
+	coordPre, coordPost, _ := driftPhases(coordRes)
+	lockFinal, coordFinal := tailMeanFM(lockRes), tailMeanFM(coordRes)
+	// Peak post-rotation per-window fleet p99 and worst single query, per
+	// fleet, plus the single-host bandwidth-capped reference tail.
+	lockP99, coordP99, singleP99 := peakPostDriftP99(lockRes), peakPostDriftP99(coordRes), peakPostDriftP99(singleRes)
+	lockLat, coordLat := peakPostDriftLat(lockRes), peakPostDriftLat(coordRes)
+	// Whether the coordinated run repeated at a different HostWorkers count
+	// was bit-identical — including its rendered decision trace.
+	deterministic := coordRes.String() == coordRes2.String() &&
 		finalWindow(coordRes) == finalWindow(coordRes2) &&
 		coordStats == coordStats2 &&
 		renderTrace(coordEvents) == renderTrace(coordEvents2)
-	res.PlanPromotes = coordSum.Promotes
-	res.PlanDemotes = coordSum.Demotes
-	res.PlanDefers = coordSum.Defers
-	res.PlanBusy = coordSum.DeferBusy
-	res.PlanCapped = coordSum.DeferCap
 
-	res.id = "coord"
-	res.header = fmt.Sprintf("%-18s %8s %8s %8s %10s %14s %12s %12s %10s",
-		"fleet", "preFM%", "postFM%", "finalFM%", "recovery%", "peak p99(ms)", "peak(ms)", "smW(MB)", "dwpdUtil")
-	row := func(name string, r *cluster.Result, pre, post, final, rec float64) string {
+	res := &Report{Header: fmt.Sprintf("%-18s %8s %8s %8s %10s %14s %12s %12s %10s",
+		"fleet", "preFM%", "postFM%", "finalFM%", "recovery%", "peak p99(ms)", "peak(ms)", "smW(MB)", "dwpdUtil")}
+	row := func(name string, r *cluster.Result, pre, post, final float64) string {
 		return fmt.Sprintf("%-18s %8.1f %8.1f %8.1f %10.1f %14.2f %12.2f %12.2f %10.3f",
-			name, pre*100, post*100, final*100, rec*100,
+			name, pre*100, post*100, final*100, recoveryFrac(pre, post, final)*100,
 			peakPostDriftP99(r)*1e3, peakPostDriftLat(r)*1e3,
 			float64(r.SMWriteBytes)/(1<<20), r.DWPDUtil)
 	}
 	sPre, sPost, _ := driftPhases(singleRes)
-	sFinal := tailMeanFM(singleRes)
-	res.rows = append(res.rows,
-		row("single (capped)", singleRes, sPre, sPost, sFinal, recoveryFrac(sPre, sPost, sFinal)),
-		row("lockstep fleet", lockRes, res.LockPre, res.LockPost, res.LockFinal, res.LockRecovery),
-		row("coordinated fleet", coordRes, res.CoordPre, res.CoordPost, res.CoordFinal, res.CoordRecovery),
+	res.Rows = append(res.Rows,
+		row("single (capped)", singleRes, sPre, sPost, tailMeanFM(singleRes)),
+		row("lockstep fleet", lockRes, lockPre, lockPost, lockFinal),
+		row("coordinated fleet", coordRes, coordPre, coordPost, coordFinal),
 	)
-	res.rows = append(res.rows, fmt.Sprintf(
+	res.Rows = append(res.Rows, fmt.Sprintf(
 		"tail: coordinated peak post-rotation p99 %.2fms vs single-host capped %.2fms (%.1fx) vs lockstep burst %.2fms",
-		res.CoordPeakP99*1e3, res.SinglePeakP99*1e3, res.CoordPeakP99/res.SinglePeakP99, res.LockPeakLat*1e3))
-	res.rows = append(res.rows, fmt.Sprintf(
+		coordP99*1e3, singleP99*1e3, coordP99/singleP99, lockLat*1e3))
+	res.Rows = append(res.Rows, fmt.Sprintf(
 		"wear: coordinated spent %.2f MB of SM demote writes vs lockstep %.2f MB (%.0f%%) at final FM %.1f%% vs %.1f%%",
-		float64(res.CoordSMWrites)/(1<<20), float64(res.LockSMWrites)/(1<<20),
-		100*float64(res.CoordSMWrites)/float64(res.LockSMWrites),
-		res.CoordFinal*100, res.LockFinal*100))
-	res.rows = append(res.rows, fmt.Sprintf(
+		float64(coordRes.SMWriteBytes)/(1<<20), float64(lockRes.SMWriteBytes)/(1<<20),
+		100*float64(coordRes.SMWriteBytes)/float64(lockRes.SMWriteBytes),
+		coordFinal*100, lockFinal*100))
+	res.Rows = append(res.Rows, fmt.Sprintf(
 		"moves: lockstep %d promotions / %d demotions (%.2f MB migrated) vs coordinated %d / %d (%.2f MB)",
 		lockStats.Promotions, lockStats.Demotions, float64(lockStats.MigratedBytes)/(1<<20),
 		coordStats.Promotions, coordStats.Demotions, float64(coordStats.MigratedBytes)/(1<<20)))
-	res.rows = append(res.rows, fmt.Sprintf(
+	// The coordinated run's placement-decision trace: per-eval
+	// promote/demote verdicts and the deferred candidates split by reason
+	// (busy = a pending move already covers it, cap = truncated by the
+	// per-eval migration cap).
+	res.Rows = append(res.Rows, fmt.Sprintf(
 		"trace: coordinated policy issued %d promote / %d demote verdicts, deferred %d candidates (%d busy, %d capped by the per-eval limit)",
-		res.PlanPromotes, res.PlanDemotes, res.PlanDefers, res.PlanBusy, res.PlanCapped))
-	res.rows = append(res.rows, fmt.Sprintf(
-		"coordinated run (result + decision trace) repeated at HostWorkers=4: bit-identical=%t", res.WorkersDeterministic))
-	res.notes = append(res.notes,
+		coordSum.Promotes, coordSum.Demotes, coordSum.Defers, coordSum.DeferBusy, coordSum.DeferCap))
+	res.Rows = append(res.Rows, fmt.Sprintf(
+		"coordinated run (result + decision trace) repeated at HostWorkers=4: bit-identical=%t", deterministic))
+	res.Notes = append(res.Notes,
 		"sustained drift: the spotlight rotates periodically, so endurance spend compounds — the shared wear budget throttles what each rotation may re-shuffle",
 		"lockstep: every replica's adapter reacts to the rotation at once, unpaced — the fleet-wide migration burst lands on all replicas' devices simultaneously",
 		"coordinated: staggered windows keep at most one replica migrating at any instant under the shared cap, and the wear-aware policy ranks moves against the shared DWPD budget",
 	)
+	// SM demote-write spend of the measured run (the §3 endurance cost),
+	// and the projected DWPD utilization each fleet ran at.
+	res.add("lock.sm_writes", float64(lockRes.SMWriteBytes), "B")
+	res.add("coord.sm_writes", float64(coordRes.SMWriteBytes), "B")
+	res.add("lock.dwpd_util", lockRes.DWPDUtil, "ratio")
+	res.add("coord.dwpd_util", coordRes.DWPDUtil, "ratio")
+	res.add("lock.final_fm", lockFinal, "frac")
+	res.add("coord.final_fm", coordFinal, "frac")
+	res.add("single.peak_p99", singleP99, "s")
+	res.add("lock.peak_p99", lockP99, "s")
+	res.add("coord.peak_p99", coordP99, "s")
+	res.add("lock.peak_lat", lockLat, "s")
+	res.add("coord.peak_lat", coordLat, "s")
+	res.add("workers_deterministic", flag(deterministic), "bool")
 	return res, nil
 }

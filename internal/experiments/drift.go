@@ -17,32 +17,6 @@ import (
 	"sdm/internal/workload"
 )
 
-// DriftResult carries the adaptive-tiering drill: the FM-served hit-rate
-// trajectory around a mid-run hot-set rotation for a static vs an
-// adaptive host, plus the migration bandwidth-cap tail comparison.
-type DriftResult struct {
-	tableResult
-
-	// FM-served rates in the window before the rotation, the first window
-	// after it, and the final window of the run.
-	StaticPre, StaticPost, StaticFinal float64
-	AdaptPre, AdaptPost, AdaptFinal    float64
-	// Recovery fractions: (final − post) / (pre − post).
-	StaticRecovery, AdaptRecovery float64
-
-	// Peak per-window foreground p99 after the rotation, with the
-	// migration bandwidth capped vs unpaced.
-	CappedPeakP99, UnpacedPeakP99 float64
-	// Peak single-query latency after the rotation — the burst metric an
-	// unpaced migration dump spikes and the cap bounds.
-	CappedPeakLat, UnpacedPeakLat float64
-	// Final-window p99 of the static vs adaptive (capped) host.
-	StaticFinalP99, AdaptFinalP99 float64
-
-	Promotions, Demotions int
-	MigratedBytes         int64
-}
-
 // driftModel builds the adaptive-regime instance: equal-sized user tables
 // large enough that migrating one visibly occupies the devices, and a
 // DRAM budget (chosen by the caller) that fits only the spotlight set.
@@ -201,13 +175,13 @@ func drillQueries(sc Scale) int {
 	return max(sc.Queries*8, 1600)
 }
 
-// Drift runs the adaptive-tiering drill: a hot-set rotation fires mid-run
+// drift runs the adaptive-tiering drill: a hot-set rotation fires mid-run
 // while a static host keeps its offline Table-5 placement and an adaptive
 // host (internal/adapt) re-places and migrates under a bandwidth cap. A
 // third, unpaced adaptive run shows what the cap buys: without it the
 // migration burst lands on the devices at once and the foreground tail
 // pays for it.
-func Drift(sc Scale) (Result, error) {
+func drift(sc Scale) (*Report, error) {
 	inst, tables, err := driftModel(sc, 0)
 	if err != nil {
 		return nil, err
@@ -245,47 +219,56 @@ func Drift(sc Scale) (Result, error) {
 		return nil, err
 	}
 
-	res := &DriftResult{
-		Promotions:    cappedStats.Promotions,
-		Demotions:     cappedStats.Demotions,
-		MigratedBytes: cappedStats.MigratedBytes,
-	}
-	res.StaticPre, res.StaticPost, res.StaticFinal = driftPhases(static)
-	res.AdaptPre, res.AdaptPost, res.AdaptFinal = driftPhases(capped)
-	res.StaticRecovery = recoveryFrac(res.StaticPre, res.StaticPost, res.StaticFinal)
-	res.AdaptRecovery = recoveryFrac(res.AdaptPre, res.AdaptPost, res.AdaptFinal)
-	res.CappedPeakP99 = peakPostDriftP99(capped)
-	res.UnpacedPeakP99 = peakPostDriftP99(unpaced)
-	res.CappedPeakLat = peakPostDriftLat(capped)
-	res.UnpacedPeakLat = peakPostDriftLat(unpaced)
-	res.StaticFinalP99 = finalWindow(static).P99
-	res.AdaptFinalP99 = finalWindow(capped).P99
+	// FM-served rates in the window before the rotation, the first window
+	// after it, and the final window of the run, with the recovered share
+	// of the drop.
+	sPre, sPost, sFinal := driftPhases(static)
+	aPre, aPost, aFinal := driftPhases(capped)
+	sRec, aRec := recoveryFrac(sPre, sPost, sFinal), recoveryFrac(aPre, aPost, aFinal)
+	// Peak per-window foreground p99 after the rotation, and the peak
+	// single-query latency — the burst an unpaced migration dump spikes
+	// and the cap bounds.
+	cappedP99, unpacedP99 := peakPostDriftP99(capped), peakPostDriftP99(unpaced)
+	cappedLat, unpacedLat := peakPostDriftLat(capped), peakPostDriftLat(unpaced)
+	st := cappedStats
 
-	res.id = "drift"
-	res.header = fmt.Sprintf("%-18s %8s %8s %8s %10s %14s %12s %12s",
-		"host", "preFM%", "postFM%", "finalFM%", "recovery%", "peak p99(ms)", "p999(ms)", "peak(ms)")
+	res := &Report{Header: fmt.Sprintf("%-18s %8s %8s %8s %10s %14s %12s %12s",
+		"host", "preFM%", "postFM%", "finalFM%", "recovery%", "peak p99(ms)", "p999(ms)", "peak(ms)")}
 	row := func(name string, r *cluster.Result, pre, post, final, rec float64) string {
 		return fmt.Sprintf("%-18s %8.1f %8.1f %8.1f %10.1f %14.2f %12.2f %12.2f",
 			name, pre*100, post*100, final*100, rec*100,
 			peakPostDriftP99(r)*1e3, r.Latency.P999()*1e3, peakPostDriftLat(r)*1e3)
 	}
-	sPre, sPost, sFinal := res.StaticPre, res.StaticPost, res.StaticFinal
-	aPre, aPost, aFinal := res.AdaptPre, res.AdaptPost, res.AdaptFinal
-	res.rows = append(res.rows,
-		row("static", static, sPre, sPost, sFinal, res.StaticRecovery),
-		row("adaptive (capped)", capped, aPre, aPost, aFinal, res.AdaptRecovery),
+	res.Rows = append(res.Rows,
+		row("static", static, sPre, sPost, sFinal, sRec),
+		row("adaptive (capped)", capped, aPre, aPost, aFinal, aRec),
 		row("adaptive (unpaced)", unpaced, driftPhase1(unpaced), driftPhase2(unpaced), finalWindow(unpaced).FMRate,
 			recoveryFrac(driftPhase1(unpaced), driftPhase2(unpaced), finalWindow(unpaced).FMRate)))
-	res.rows = append(res.rows,
+	res.Rows = append(res.Rows,
 		fmt.Sprintf("rotation at t=%.2fs; adaptive migrated %d tables (%d promotions, %d demotions, %.1f MB) under a %d MB/s cap",
-			capped.DriftAt.Seconds(), res.Promotions+res.Demotions, res.Promotions, res.Demotions,
-			float64(res.MigratedBytes)/(1<<20), cappedBW>>20))
-	res.rows = append(res.rows,
+			capped.DriftAt.Seconds(), st.Promotions+st.Demotions, st.Promotions, st.Demotions,
+			float64(st.MigratedBytes)/(1<<20), cappedBW>>20))
+	res.Rows = append(res.Rows,
 		fmt.Sprintf("migration tail: peak post-rotation query latency %.2fms capped vs %.2fms unpaced (the cap bounds the foreground penalty)",
-			res.CappedPeakLat*1e3, res.UnpacedPeakLat*1e3))
-	res.notes = append(res.notes,
+			cappedLat*1e3, unpacedLat*1e3))
+	res.Notes = append(res.Notes,
 		"FM% counts lookups served from fast memory (row-cache hits + FM-direct); promoting a hot table recovers it even though those lookups stop being cache hits",
 		"static placement keeps yesterday's spotlight in FM after the rotation, so its FM% stays degraded; the adaptive host re-places within the run")
+	res.add("static.pre_fm", sPre, "frac")
+	res.add("static.post_fm", sPost, "frac")
+	res.add("static.final_fm", sFinal, "frac")
+	res.add("static.recovery", sRec, "frac")
+	res.add("adapt.pre_fm", aPre, "frac")
+	res.add("adapt.post_fm", aPost, "frac")
+	res.add("adapt.final_fm", aFinal, "frac")
+	res.add("adapt.recovery", aRec, "frac")
+	res.add("capped.peak_p99", cappedP99, "s")
+	res.add("unpaced.peak_p99", unpacedP99, "s")
+	res.add("capped.peak_lat", cappedLat, "s")
+	res.add("unpaced.peak_lat", unpacedLat, "s")
+	res.add("promotions", float64(st.Promotions), "count")
+	res.add("demotions", float64(st.Demotions), "count")
+	res.add("migrated", float64(st.MigratedBytes), "B")
 	return res, nil
 }
 

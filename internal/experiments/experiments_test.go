@@ -2,9 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
+
+	"sdm/internal/workload"
 )
 
 // quick returns a very small scale for fast tests.
@@ -12,21 +17,145 @@ func quick() Scale {
 	return Scale{ModelScale: 1.5e-6, Queries: 120, Seed: 7}
 }
 
-func runExp(t *testing.T, id string) Result {
+// ran memoizes reports by id and scale: TestValues and TestPaperRowValues
+// read every report, most of which the test asserting on it already ran.
+var ran = map[string]*Report{}
+
+func runAt(t *testing.T, id string, sc Scale) *Report {
 	t.Helper()
-	res, err := Run(id, quick())
+	key := fmt.Sprintf("%s %+v", id, sc)
+	if r, ok := ran[key]; ok {
+		return r
+	}
+	res, err := Run(id, sc)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
 	var buf bytes.Buffer
 	res.Print(&buf)
-	if buf.Len() == 0 {
+	if buf.Len() == 0 || len(res.Rows) == 0 {
 		t.Fatalf("%s printed nothing", id)
 	}
-	if res.ID() != id {
-		t.Fatalf("id mismatch: %s vs %s", res.ID(), id)
+	if res.ID != id || res.Title != Title(id) {
+		t.Fatalf("report %q titled %q, want %q titled %q", res.ID, res.Title, id, Title(id))
 	}
+	ran[key] = res
 	return res
+}
+
+func runExp(t *testing.T, id string) *Report {
+	t.Helper()
+	return runAt(t, id, quick())
+}
+
+// values returns a lookup of r's values by name that fails the test on a
+// name r does not carry.
+func values(t *testing.T, r *Report) func(name string) float64 {
+	return func(name string) float64 {
+		t.Helper()
+		for _, v := range r.Values {
+			if v.Name == name {
+				return v.Value
+			}
+		}
+		t.Fatalf("%s carries no value %q", r.ID, name)
+		return 0
+	}
+}
+
+// valueName is the naming rule of Value.Name.
+var valueName = regexp.MustCompile(`^[a-z0-9_]+(\.[a-z0-9_]+)*$`)
+
+// TestValues: in every report, value names follow the naming rule and are
+// unique, values are finite, and units are in Value's set.
+func TestValues(t *testing.T) {
+	units := map[string]bool{"frac": true, "ns": true, "s": true, "ms": true, "1/s": true,
+		"B": true, "count": true, "ratio": true, "bool": true}
+	for _, id := range IDs() {
+		r := runExp(t, id)
+		seen := map[string]bool{}
+		for _, v := range r.Values {
+			switch {
+			case !valueName.MatchString(v.Name):
+				t.Errorf("%s: value name %q breaks the naming rule", id, v.Name)
+			case seen[v.Name]:
+				t.Errorf("%s: value name %q repeats", id, v.Name)
+			case math.IsNaN(v.Value) || math.IsInf(v.Value, 0):
+				t.Errorf("%s: value %s = %v is not finite", id, v.Name, v.Value)
+			case !units[v.Unit]:
+				t.Errorf("%s: value %s has unit %q, not one of Value's", id, v.Name, v.Unit)
+			case v.Unit == "bool" && v.Value != 0 && v.Value != 1:
+				t.Errorf("%s: bool value %s = %v", id, v.Name, v.Value)
+			}
+			seen[v.Name] = true
+		}
+	}
+}
+
+// paperRows names the value(s) behind each printed row that quotes the
+// paper, by the row's leading text — the numbers a fidelity check attaches
+// the paper's values to.
+var paperRows = []struct {
+	id, row string
+	values  []string
+}{
+	{"fig1", "tables:", []string{"tables", "user_tables", "item_tables", "total_bytes"}},
+	{"fig1", "user capacity fraction:", []string{"user_frac"}},
+	{"fig1", "capacity held by the lower-BW half of tables:", []string{"low_bw_capacity"}},
+	{"tab8", "power saving:", []string{"power_saving"}},
+	{"tab8", "steady-state cache hit rate:", []string{"hit_rate"}},
+	{"tab8", "sustained SM IOPS/host:", []string{"sm_iops"}},
+	{"tab8", "DRAM saved at fleet scale:", []string{"dram_saved"}},
+	{"tab9", "Optane saving vs scale-out:", []string{"optane_saving"}},
+	{"tab9", "Optane SM hit rate:", []string{"optane_hit_rate"}},
+	{"tab11", "fleet power saving:", []string{"fleet_power_saving"}},
+	{"sgl", "bus bandwidth saved by SGL:", []string{"bus_saving"}},
+	{"sgl", "device read latency saved:", []string{"latency_saving"}},
+	{"sgl", "FM traffic block/SGL ratio:", []string{"fm_traffic_ratio"}},
+	{"mmap", "mmap/direct latency ratio:", []string{"latency_ratio"}},
+	{"deprune", "effective cache, de-pruned:", []string{"depruned_cache", "cache_gain"}},
+	{"deprune", "extra row requests from de-prune:", []string{"extra_requests"}},
+	{"deprune", "user-path latency gain:", []string{"latency_gain"}},
+	{"interop", "latency reduction", []string{"latency_reduction", "qps_gain"}},
+	{"polling", "polling gain:", []string{"gain"}},
+}
+
+// TestPaperRowValues: each of the 19 rows quoting the paper is named in
+// paperRows exactly once, and its report carries every value named there.
+func TestPaperRowValues(t *testing.T) {
+	matched := make([]int, len(paperRows))
+	rows := 0
+	for _, id := range IDs() {
+		r := runExp(t, id)
+		v := values(t, r)
+		for _, row := range r.Rows {
+			if !strings.Contains(row, "paper") {
+				continue
+			}
+			rows++
+			n := 0
+			for i, p := range paperRows {
+				if p.id == id && strings.HasPrefix(row, p.row) {
+					matched[i]++
+					n++
+					for _, name := range p.values {
+						v(name)
+					}
+				}
+			}
+			if n != 1 {
+				t.Errorf("%s row %q matches %d paperRows entries, want 1", id, row, n)
+			}
+		}
+	}
+	if rows != 19 || len(paperRows) != 19 {
+		t.Errorf("%d rows quote the paper and paperRows names %d, want 19 and 19", rows, len(paperRows))
+	}
+	for i, n := range matched {
+		if n != 1 {
+			t.Errorf("paperRows entry %s %q matched %d rows, want 1", paperRows[i].id, paperRows[i].row, n)
+		}
+	}
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -50,12 +179,12 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestFig1(t *testing.T) {
-	res := runExp(t, "fig1").(*Fig1Result)
-	if res.LowBWCapacityFrac < 0.3 {
-		t.Fatalf("low-BW capacity fraction %.2f; Fig. 1 expects the majority of capacity at low BW", res.LowBWCapacityFrac)
+	v := values(t, runExp(t, "fig1"))
+	if v("low_bw_capacity") < 0.3 {
+		t.Fatalf("low-BW capacity fraction %.2f; Fig. 1 expects the majority of capacity at low BW", v("low_bw_capacity"))
 	}
-	if res.UserBytes <= 0 || res.TotalBytes <= res.UserBytes {
-		t.Fatalf("byte accounting: user=%d total=%d", res.UserBytes, res.TotalBytes)
+	if v("user_bytes") <= 0 || v("total_bytes") <= v("user_bytes") {
+		t.Fatalf("byte accounting: user=%.0f total=%.0f", v("user_bytes"), v("total_bytes"))
 	}
 }
 
@@ -70,35 +199,31 @@ func TestTab1(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
-	res := runExp(t, "fig3").(*Fig3Result)
-	nand := res.Curves["PCIe Nand Flash"]
-	opt := res.Curves["PCIe 3DXP (Optane)"]
-	if len(nand) == 0 || len(opt) == 0 {
-		t.Fatal("missing curves")
-	}
+	v := values(t, runExp(t, "fig3"))
 	// Fig. 3 shape: Optane latency at its knee far below Nand's.
-	if opt[0].MeanLatency >= nand[0].MeanLatency {
-		t.Fatalf("Optane low-load latency %v should undercut Nand %v",
-			opt[0].MeanLatency, nand[0].MeanLatency)
+	if v("optane.0.mean_lat") >= v("nand.0.mean_lat") {
+		t.Fatalf("Optane low-load latency %.0fns should undercut Nand %.0fns",
+			v("optane.0.mean_lat"), v("nand.0.mean_lat"))
 	}
-	// Latency must rise toward the ceiling for both.
-	if nand[len(nand)-1].MeanLatency <= nand[0].MeanLatency {
+	// Latency must rise toward the ceiling (point 5) for both.
+	if v("nand.5.mean_lat") <= v("nand.0.mean_lat") {
 		t.Fatal("Nand latency should rise with load")
 	}
 	// Optane's achievable IOPS ≫ Nand's.
-	if opt[len(opt)-1].AchievedIOPS < 4*nand[len(nand)-1].AchievedIOPS {
+	if v("optane.5.achieved") < 4*v("nand.5.achieved") {
 		t.Fatalf("Optane IOPS %f should be several times Nand %f",
-			opt[len(opt)-1].AchievedIOPS, nand[len(nand)-1].AchievedIOPS)
+			v("optane.5.achieved"), v("nand.5.achieved"))
 	}
 }
 
 // TestFig3PinnedAcrossRingPort pins the 12 default-scale points captured
 // at 74dfbb3, when profileDevice still drove the callback ring from the
 // event-loop clock: the port to SubmitSync bookings must reproduce every
-// field exactly.
+// field exactly. Each point is {offered 1/s, achieved 1/s, mean_lat ns,
+// p99_lat ns}.
 func TestFig3PinnedAcrossRingPort(t *testing.T) {
-	want := map[string][]Fig3Point{
-		"PCIe Nand Flash": {
+	want := map[string][][4]float64{
+		"nand": {
 			{50000, 50252.39011674183, 191655, 785991},
 			{150000, 150260.92810164852, 191655, 785991},
 			{250000, 249611.99894863425, 191655, 785991},
@@ -106,7 +231,7 @@ func TestFig3PinnedAcrossRingPort(t *testing.T) {
 			{425000, 421032.6583805568, 193244, 785991},
 			{475000, 461032.67323187436, 235613, 834100},
 		},
-		"PCIe 3DXP (Optane)": {
+		"optane": {
 			{400000, 402091.0342143282, 10941, 11039},
 			{1.2e+06, 1.202775524801031e+06, 10941, 11039},
 			{2e+06, 1.998671549643337e+06, 10941, 11039},
@@ -115,21 +240,33 @@ func TestFig3PinnedAcrossRingPort(t *testing.T) {
 			{3.8e+06, 3.7714453812994137e+06, 11161, 11808},
 		},
 	}
-	res, err := Fig3(Default())
-	if err != nil {
-		t.Fatal(err)
+	r := runAt(t, "fig3", Default())
+	v := values(t, r)
+	n := 0
+	for dev, pts := range want {
+		for i, pt := range pts {
+			for k, field := range []string{"offered", "achieved", "mean_lat", "p99_lat"} {
+				name := fmt.Sprintf("%s.%d.%s", dev, i, field)
+				if got := v(name); got != pt[k] {
+					t.Errorf("fig3 moved: %s = %v, want %v", name, got, pt[k])
+				}
+				n++
+			}
+		}
 	}
-	if got := res.(*Fig3Result).Curves; !reflect.DeepEqual(got, want) {
-		t.Fatalf("fig3 moved:\n got %v\nwant %v", got, want)
+	if len(r.Values) != n {
+		t.Fatalf("fig3 carries %d values, want the %d pinned", len(r.Values), n)
 	}
 }
 
 func TestTab2(t *testing.T) { runExp(t, "tab2") }
 
 func TestFig4Shape(t *testing.T) {
-	res := runExp(t, "fig4").(*Fig4Result)
-	last := len(res.UserCDF) - 1
-	if res.UserCDF[last] < 0.99 || res.ItemCDF[last] < 0.99 {
+	v := values(t, runExp(t, "fig4"))
+	last := len(workload.CDFFractions) - 1
+	user := func(i int) float64 { return v(fmt.Sprintf("user_cdf.%d", i)) }
+	item := func(i int) float64 { return v(fmt.Sprintf("item_cdf.%d", i)) }
+	if user(last) < 0.99 || item(last) < 0.99 {
 		t.Fatal("CDFs must reach 1.0 at full population")
 	}
 	// Item locality > user locality at the 10% point (index of 0.1).
@@ -139,20 +276,20 @@ func TestFig4Shape(t *testing.T) {
 			idx10 = i
 		}
 	}
-	if res.ItemCDF[idx10] <= res.UserCDF[idx10] {
+	if item(idx10) <= user(idx10) {
 		t.Fatalf("item CDF %.3f should exceed user %.3f at 10%% rows",
-			res.ItemCDF[idx10], res.UserCDF[idx10])
+			item(idx10), user(idx10))
 	}
 }
 
 func TestFig5Shape(t *testing.T) {
-	res := runExp(t, "fig5").(*Fig5Result)
-	if res.AvgUser <= 0 || res.AvgItem <= 0 {
+	v := values(t, runExp(t, "fig5"))
+	if v("avg_user") <= 0 || v("avg_item") <= 0 {
 		t.Fatal("missing averages")
 	}
 	// Fig. 5: low spatial locality overall.
-	if res.AvgUser > 0.6 {
-		t.Fatalf("user spatial locality %.2f too high for the Fig. 5 regime", res.AvgUser)
+	if v("avg_user") > 0.6 {
+		t.Fatalf("user spatial locality %.2f too high for the Fig. 5 regime", v("avg_user"))
 	}
 }
 
@@ -160,37 +297,38 @@ func TestTab3(t *testing.T) { runExp(t, "tab3") }
 func TestTab4(t *testing.T) { runExp(t, "tab4") }
 
 func TestTab8Shape(t *testing.T) {
-	res := runExp(t, "tab8").(*Tab8Result)
+	v := values(t, runExp(t, "tab8"))
 	// Table 8's qualitative claims: the small host sustains a usable
 	// fraction of the big host's QPS, and the fleet saves power.
-	if res.SDMQPS <= 0 || res.BaselineQPS <= 0 {
+	if v("sdm_qps") <= 0 || v("baseline_qps") <= 0 {
 		t.Fatal("QPS measurements missing")
 	}
-	if res.SDMQPS > res.BaselineQPS {
+	if v("sdm_qps") > v("baseline_qps") {
 		t.Fatalf("SDM on the small host (%.0f) should not beat the big DRAM host (%.0f)",
-			res.SDMQPS, res.BaselineQPS)
+			v("sdm_qps"), v("baseline_qps"))
 	}
-	if res.Saving <= 0 {
-		t.Fatalf("SDM fleet should save power, got %.2f", res.Saving)
+	if v("power_saving") <= 0 {
+		t.Fatalf("SDM fleet should save power, got %.2f", v("power_saving"))
 	}
-	if res.HitRate < 0.5 {
-		t.Fatalf("steady-state hit rate %.2f too low", res.HitRate)
+	if v("hit_rate") < 0.5 {
+		t.Fatalf("steady-state hit rate %.2f too low", v("hit_rate"))
 	}
 }
 
 func TestTab9Shape(t *testing.T) {
-	res := runExp(t, "tab9").(*Tab9Result)
+	v := values(t, runExp(t, "tab9"))
 	// Table 9's qualitative claim: Optane sustains more QPS than Nand.
-	if res.OptaneQPS <= res.NandQPS {
-		t.Fatalf("Optane QPS %.0f should exceed Nand %.0f", res.OptaneQPS, res.NandQPS)
+	if v("optane_qps") <= v("nand_qps") {
+		t.Fatalf("Optane QPS %.0f should exceed Nand %.0f", v("optane_qps"), v("nand_qps"))
 	}
 }
 
 func TestTab10(t *testing.T) {
 	var buf bytes.Buffer
-	runExp(t, "tab10").Print(&buf)
-	if !strings.Contains(buf.String(), "M3") {
-		t.Fatal("missing M3 row")
+	r := runExp(t, "tab10")
+	r.Print(&buf)
+	if !strings.Contains(buf.String(), "M3") || r.Header == "" {
+		t.Fatal("missing M3 row or header")
 	}
 }
 
@@ -200,70 +338,70 @@ func TestCluster(t *testing.T) {
 	// Acceptance: sticky hashing improves per-host cache hit rate over
 	// round-robin on the same trace, and the host-failure scenario
 	// completes with rerouted users and a visible warmup signature.
-	res := runExp(t, "cluster").(*ClusterResult)
-	if res.StickyHitRate <= res.RRHitRate {
-		t.Fatalf("sticky hit rate %.3f should beat round-robin %.3f", res.StickyHitRate, res.RRHitRate)
+	v := values(t, runExp(t, "cluster"))
+	if v("sticky_hit_rate") <= v("rr_hit_rate") {
+		t.Fatalf("sticky hit rate %.3f should beat round-robin %.3f", v("sticky_hit_rate"), v("rr_hit_rate"))
 	}
-	if res.ReroutedUsers == 0 {
+	if v("rerouted_users") == 0 {
 		t.Fatal("failure drill rerouted no users")
 	}
 	// The §A.4 warmup signature: rerouted users hit cold survivor caches.
 	// The hit-rate drop is the robust signal — the latency ratio is
 	// reported too, but Eq. 3 hides much of the user-side IO behind the
 	// item path, so it is noisy at test scale.
-	if res.WarmupHitDrop <= 0 {
-		t.Fatalf("rerouted users should hit cold caches: drop=%.4f", res.WarmupHitDrop)
+	if v("warmup_hit_drop") <= 0 {
+		t.Fatalf("rerouted users should hit cold caches: drop=%.4f", v("warmup_hit_drop"))
 	}
-	if res.WarmupSpike <= 0 {
-		t.Fatalf("warmup spike should be measured: %g", res.WarmupSpike)
+	if v("warmup_spike") <= 0 {
+		t.Fatalf("warmup spike should be measured: %g", v("warmup_spike"))
 	}
-	if res.ClusterHosts <= 0 || res.SingleExtrapolationHosts <= 0 {
-		t.Fatalf("provisioning paths: cluster=%d single=%d", res.ClusterHosts, res.SingleExtrapolationHosts)
+	if v("cluster_hosts") <= 0 || v("single_hosts") <= 0 {
+		t.Fatalf("provisioning paths: cluster=%.0f single=%.0f", v("cluster_hosts"), v("single_hosts"))
 	}
 }
 
 func TestDrift(t *testing.T) {
 	// The adaptive-tiering acceptance drill, asserted deterministically
 	// for the fixed test seed.
-	res := runExp(t, "drift").(*DriftResult)
+	v := values(t, runExp(t, "drift"))
 
 	// The rotation must produce a real FM-served drop on both hosts.
-	if drop := res.AdaptPre - res.AdaptPost; drop < 0.2 {
-		t.Fatalf("rotation barely moved the adaptive FM rate: pre=%.3f post=%.3f", res.AdaptPre, res.AdaptPost)
+	if drop := v("adapt.pre_fm") - v("adapt.post_fm"); drop < 0.2 {
+		t.Fatalf("rotation barely moved the adaptive FM rate: pre=%.3f post=%.3f", v("adapt.pre_fm"), v("adapt.post_fm"))
 	}
-	if drop := res.StaticPre - res.StaticPost; drop < 0.2 {
-		t.Fatalf("rotation barely moved the static FM rate: pre=%.3f post=%.3f", res.StaticPre, res.StaticPost)
+	if drop := v("static.pre_fm") - v("static.post_fm"); drop < 0.2 {
+		t.Fatalf("rotation barely moved the static FM rate: pre=%.3f post=%.3f", v("static.pre_fm"), v("static.post_fm"))
 	}
 
 	// Adaptive placement recovers at least half of the drop within the
 	// run; static does not.
-	if res.AdaptRecovery < 0.5 {
+	if v("adapt.recovery") < 0.5 {
 		t.Fatalf("adaptive recovery %.2f < 0.5 (pre=%.3f post=%.3f final=%.3f)",
-			res.AdaptRecovery, res.AdaptPre, res.AdaptPost, res.AdaptFinal)
+			v("adapt.recovery"), v("adapt.pre_fm"), v("adapt.post_fm"), v("adapt.final_fm"))
 	}
-	if res.StaticRecovery >= 0.5 {
-		t.Fatalf("static placement should stay degraded, recovered %.2f", res.StaticRecovery)
+	if v("static.recovery") >= 0.5 {
+		t.Fatalf("static placement should stay degraded, recovered %.2f", v("static.recovery"))
 	}
-	if res.AdaptFinal < res.StaticFinal+0.3 {
-		t.Fatalf("adaptive final FM rate %.3f not clearly above static %.3f", res.AdaptFinal, res.StaticFinal)
+	if v("adapt.final_fm") < v("static.final_fm")+0.3 {
+		t.Fatalf("adaptive final FM rate %.3f not clearly above static %.3f", v("adapt.final_fm"), v("static.final_fm"))
 	}
 
 	// The recovery must come from actual bandwidth-accounted migrations.
-	if res.Promotions == 0 || res.Demotions == 0 || res.MigratedBytes == 0 {
-		t.Fatalf("no migrations recorded: %d promotions, %d demotions, %d bytes",
-			res.Promotions, res.Demotions, res.MigratedBytes)
+	if v("promotions") == 0 || v("demotions") == 0 || v("migrated") == 0 {
+		t.Fatalf("no migrations recorded: %.0f promotions, %.0f demotions, %.0f bytes",
+			v("promotions"), v("demotions"), v("migrated"))
 	}
 
 	// The bandwidth cap measurably bounds the foreground tail penalty
 	// during migration: unpaced migration dumps the table onto the
 	// devices and the worst foreground query pays for it.
-	if res.CappedPeakLat*2 >= res.UnpacedPeakLat {
+	if v("capped.peak_lat")*2 >= v("unpaced.peak_lat") {
 		t.Fatalf("cap did not bound the migration burst: capped peak %.2fms vs unpaced %.2fms",
-			res.CappedPeakLat*1e3, res.UnpacedPeakLat*1e3)
+			v("capped.peak_lat")*1e3, v("unpaced.peak_lat")*1e3)
 	}
-	if res.CappedPeakP99 > res.UnpacedPeakP99 {
+	if v("capped.peak_p99") > v("unpaced.peak_p99") {
 		t.Fatalf("capped post-rotation p99 %.2fms above unpaced %.2fms",
-			res.CappedPeakP99*1e3, res.UnpacedPeakP99*1e3)
+			v("capped.peak_p99")*1e3, v("unpaced.peak_p99")*1e3)
 	}
 }
 
@@ -273,41 +411,41 @@ func TestRowRange(t *testing.T) {
 	// DRAM budget and bandwidth cap, range-granular adaptation holds the
 	// FM-served rate within 5 points of whole-table adaptation while
 	// migrating at most half the bytes.
-	res := runExp(t, "rowrange").(*RowRangeResult)
+	v := values(t, runExp(t, "rowrange"))
 
 	// The rotation must genuinely hurt whole-table placement (its budget
 	// fits only the spotlight tables) before it recovers.
-	if drop := res.TablePre - res.TablePost; drop < 0.05 {
-		t.Fatalf("rotation barely moved the whole-table FM rate: pre=%.3f post=%.3f", res.TablePre, res.TablePost)
+	if drop := v("table.pre_fm") - v("table.post_fm"); drop < 0.05 {
+		t.Fatalf("rotation barely moved the whole-table FM rate: pre=%.3f post=%.3f", v("table.pre_fm"), v("table.post_fm"))
 	}
-	if res.TableRecovery < 0.5 {
+	if v("table.recovery") < 0.5 {
 		t.Fatalf("whole-table adaptation failed to recover: %.2f (pre=%.3f post=%.3f final=%.3f)",
-			res.TableRecovery, res.TablePre, res.TablePost, res.TableFinal)
+			v("table.recovery"), v("table.pre_fm"), v("table.post_fm"), v("table.final_fm"))
 	}
 
 	// Acceptance: range granularity ends within 5 points of whole-table…
-	if res.RangeFinal < res.TableFinal-0.05 {
+	if v("range.final_fm") < v("table.final_fm")-0.05 {
 		t.Fatalf("range-granular final FM rate %.3f more than 5 points below whole-table %.3f",
-			res.RangeFinal, res.TableFinal)
+			v("range.final_fm"), v("table.final_fm"))
 	}
 	// …while its residency (hot heads of every table) also softens the
 	// drop itself…
-	if res.RangePost < res.TablePost {
+	if v("range.post_fm") < v("table.post_fm") {
 		t.Fatalf("range-granular post-rotation FM rate %.3f below whole-table %.3f",
-			res.RangePost, res.TablePost)
+			v("range.post_fm"), v("table.post_fm"))
 	}
 	// …and migrating at most half the bytes under the same cap.
-	if res.TableBytes == 0 || res.RangeBytes*2 > res.TableBytes {
-		t.Fatalf("range granularity migrated %d bytes vs %d whole-table (want <= 50%%)",
-			res.RangeBytes, res.TableBytes)
+	if v("table.migrated") == 0 || v("range.migrated")*2 > v("table.migrated") {
+		t.Fatalf("range granularity migrated %.0f bytes vs %.0f whole-table (want <= 50%%)",
+			v("range.migrated"), v("table.migrated"))
 	}
 
 	// The FM service must actually come from FM-resident ranges, and the
 	// repeated run at a different HostWorkers count must be bit-identical.
-	if res.RangeServedFinal < 0.5 {
-		t.Fatalf("final-window range-served rate %.3f too low for a range-resident regime", res.RangeServedFinal)
+	if v("range.served_final") < 0.5 {
+		t.Fatalf("final-window range-served rate %.3f too low for a range-resident regime", v("range.served_final"))
 	}
-	if !res.WorkersDeterministic {
+	if v("workers_deterministic") != 1 {
 		t.Fatal("range drill diverged across HostWorkers counts")
 	}
 }
@@ -323,56 +461,52 @@ func TestCoord(t *testing.T) {
 	// scale the CI benchmark trajectory records — because the wear
 	// budget's bind point is calibrated to the default drill geometry
 	// (warmup length and rotation period).
-	resAny, err := Run("coord", Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := resAny.(*CoordResult)
+	v := values(t, runAt(t, "coord", Default()))
 
 	// The drill is real: both fleets migrate, and the lockstep fleet
 	// pays demote writes for every rotation.
-	if res.LockSMWrites == 0 || res.CoordSMWrites == 0 {
-		t.Fatalf("fleets spent no endurance: lockstep %d, coordinated %d", res.LockSMWrites, res.CoordSMWrites)
+	if v("lock.sm_writes") == 0 || v("coord.sm_writes") == 0 {
+		t.Fatalf("fleets spent no endurance: lockstep %.0f, coordinated %.0f", v("lock.sm_writes"), v("coord.sm_writes"))
 	}
 
 	// Acceptance: the coordinated fleet's post-rotation p99 stays within
 	// 2x the single-host bandwidth-capped tail…
-	if res.SinglePeakP99 <= 0 || res.CoordPeakP99 > 2*res.SinglePeakP99 {
+	if v("single.peak_p99") <= 0 || v("coord.peak_p99") > 2*v("single.peak_p99") {
 		t.Fatalf("coordinated peak post-rotation p99 %.2fms above 2x single-host capped %.2fms",
-			res.CoordPeakP99*1e3, res.SinglePeakP99*1e3)
+			v("coord.peak_p99")*1e3, v("single.peak_p99")*1e3)
 	}
 	// …while the lockstep fleet's simultaneous unpaced bursts push both
 	// its worst window p99 and its worst single query above the
 	// coordinated fleet's.
-	if res.LockPeakP99 <= res.CoordPeakP99 {
+	if v("lock.peak_p99") <= v("coord.peak_p99") {
 		t.Fatalf("lockstep peak p99 %.2fms not above coordinated %.2fms",
-			res.LockPeakP99*1e3, res.CoordPeakP99*1e3)
+			v("lock.peak_p99")*1e3, v("coord.peak_p99")*1e3)
 	}
-	if res.LockPeakLat <= res.CoordPeakLat {
+	if v("lock.peak_lat") <= v("coord.peak_lat") {
 		t.Fatalf("lockstep burst %.2fms not above coordinated %.2fms",
-			res.LockPeakLat*1e3, res.CoordPeakLat*1e3)
+			v("lock.peak_lat")*1e3, v("coord.peak_lat")*1e3)
 	}
 
 	// Acceptance: fewer total SM demote-bytes than N independent
 	// adapters (meaningfully fewer — at least 10% saved)…
-	if res.CoordSMWrites*10 >= res.LockSMWrites*9 {
-		t.Fatalf("coordinated SM writes %d not meaningfully below lockstep %d",
-			res.CoordSMWrites, res.LockSMWrites)
+	if v("coord.sm_writes")*10 >= v("lock.sm_writes")*9 {
+		t.Fatalf("coordinated SM writes %.0f not meaningfully below lockstep %.0f",
+			v("coord.sm_writes"), v("lock.sm_writes"))
 	}
 	// …at equal final FM-served recovery (within 5 points).
-	if res.CoordFinal < res.LockFinal-0.05 {
+	if v("coord.final_fm") < v("lock.final_fm")-0.05 {
 		t.Fatalf("coordinated final FM rate %.3f more than 5 points below lockstep %.3f",
-			res.CoordFinal, res.LockFinal)
+			v("coord.final_fm"), v("lock.final_fm"))
 	}
 
 	// The DWPD projection orders the same way as the raw spend.
-	if res.CoordDWPDUtil >= res.LockDWPDUtil {
+	if v("coord.dwpd_util") >= v("lock.dwpd_util") {
 		t.Fatalf("coordinated DWPD utilization %.2f not below lockstep %.2f",
-			res.CoordDWPDUtil, res.LockDWPDUtil)
+			v("coord.dwpd_util"), v("lock.dwpd_util"))
 	}
 
 	// The coordinated run repeated at HostWorkers=4 must be bit-identical.
-	if !res.WorkersDeterministic {
+	if v("workers_deterministic") != 1 {
 		t.Fatal("coordinated drill diverged across HostWorkers counts")
 	}
 }
@@ -382,48 +516,44 @@ func TestSLO(t *testing.T) {
 	// for the fixed seed. Like the coord drill it runs at its canonical
 	// Default scale: the routing margin lives in the drill's congestion
 	// regime, which the scale's query count and QPS jointly set.
-	resAny, err := Run("slo", Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := resAny.(*SLOResult)
+	v := values(t, runAt(t, "slo", Default()))
 
 	// Acceptance: under the coordinated drift drill the migration-aware
 	// weighted router beats sticky hashing on post-rotation fleet p99…
-	if res.WeightedPeakP99 >= res.StickyPeakP99 {
+	if v("weighted.peak_p99") >= v("sticky.peak_p99") {
 		t.Fatalf("weighted peak post-rotation p99 %.2fms not below sticky %.2fms",
-			res.WeightedPeakP99*1e3, res.StickyPeakP99*1e3)
+			v("weighted.peak_p99")*1e3, v("sticky.peak_p99")*1e3)
 	}
 	// …while keeping the FM-served rate within one point.
-	if d := res.WeightedFinalFM - res.StickyFinalFM; d < -0.01 || d > 0.01 {
+	if d := v("weighted.final_fm") - v("sticky.final_fm"); d < -0.01 || d > 0.01 {
 		t.Fatalf("weighted final FM rate %.3f drifted more than 1 point from sticky %.3f",
-			res.WeightedFinalFM, res.StickyFinalFM)
+			v("weighted.final_fm"), v("sticky.final_fm"))
 	}
 
 	// Acceptance: the utilization sweep reproduces the BLIS crossover —
 	// sticky's locality win at low load, round-robin's even spread
 	// winning the tail once the hottest replica saturates.
-	if res.LowHitSticky <= res.LowHitRR {
+	if v("low_hit.sticky") <= v("low_hit.rr") {
 		t.Fatalf("sticky low-load hit rate %.3f should beat round-robin %.3f",
-			res.LowHitSticky, res.LowHitRR)
+			v("low_hit.sticky"), v("low_hit.rr"))
 	}
-	if res.StickyP99[0] > 2*res.RRP99[0] {
+	if v("sweep.sticky_p99.0") > 2*v("sweep.rr_p99.0") {
 		t.Fatalf("low-load sticky p99 %.2fms should stay comparable to rr %.2fms",
-			res.StickyP99[0]*1e3, res.RRP99[0]*1e3)
+			v("sweep.sticky_p99.0")*1e3, v("sweep.rr_p99.0")*1e3)
 	}
-	if res.StickyP99[2] < 4*res.RRP99[2] {
+	if v("sweep.sticky_p99.2") < 4*v("sweep.rr_p99.2") {
 		t.Fatalf("high-load sticky p99 %.2fms should exceed 4x rr %.2fms",
-			res.StickyP99[2]*1e3, res.RRP99[2]*1e3)
+			v("sweep.sticky_p99.2")*1e3, v("sweep.rr_p99.2")*1e3)
 	}
 
 	// Acceptance: per-class admission bounds the 2x-overload tail, and the
 	// bound's cost is a visible, accounted shed share.
-	if 4*res.GatedP99 > res.OpenP99 {
+	if 4*v("gated_p99") > v("open_p99") {
 		t.Fatalf("gated p99 %.2fms not at least 4x below open-loop %.2fms",
-			res.GatedP99*1e3, res.OpenP99*1e3)
+			v("gated_p99")*1e3, v("open_p99")*1e3)
 	}
-	if res.ShedShare < 0.25 {
-		t.Fatalf("2x overload should shed a substantial share, got %.2f", res.ShedShare)
+	if v("shed_share") < 0.25 {
+		t.Fatalf("2x overload should shed a substantial share, got %.2f", v("shed_share"))
 	}
 
 	// Acceptance: the decision trace proves the PR-6 negative result
@@ -431,96 +561,84 @@ func TestSLO(t *testing.T) {
 	// while the config-level counterfactual (both traces joined on
 	// arrival sequence) shows migration-aware routing beat sticky
 	// query-for-query after the rotation.
-	if res.QueueRoutes == 0 || res.QueueDiversions != 0 {
-		t.Fatalf("queue-below-affinity drill diverted %d of %d routes, want 0 of >0",
-			res.QueueDiversions, res.QueueRoutes)
+	if v("queue.routes") == 0 || v("queue.diversions") != 0 {
+		t.Fatalf("queue-below-affinity drill diverted %.0f of %.0f routes, want 0 of >0",
+			v("queue.diversions"), v("queue.routes"))
 	}
-	if res.RegretJoined == 0 || res.RegretVsStickyMS >= 0 {
-		t.Fatalf("post-rotation regret vs sticky %+.4fms over %d joined queries, want negative over >0",
-			res.RegretVsStickyMS, res.RegretJoined)
+	if v("regret_joined") == 0 || v("regret_vs_sticky") >= 0 {
+		t.Fatalf("post-rotation regret vs sticky %+.4fms over %.0f joined queries, want negative over >0",
+			v("regret_vs_sticky"), v("regret_joined"))
 	}
 
 	// The weighted drill and the gated overload repeated at HostWorkers=4
 	// must be bit-identical.
-	if !res.WorkersDeterministic {
+	if v("workers_deterministic") != 1 {
 		t.Fatal("slo drill diverged across HostWorkers counts")
 	}
 }
 
-func TestReportOf(t *testing.T) {
-	res := runExp(t, "tab10")
-	rep := ReportOf(res)
-	if rep.ID != "tab10" || rep.Title == "" || len(rep.Rows) == 0 || rep.Header == "" {
-		t.Fatalf("report %+v", rep)
-	}
-}
-
 func TestSGLShape(t *testing.T) {
-	res := runExp(t, "sgl").(*SGLResult)
-	if res.BusSavings < 0.5 {
-		t.Fatalf("bus savings %.2f too low (paper: ~75%%)", res.BusSavings)
+	v := values(t, runExp(t, "sgl"))
+	if v("bus_saving") < 0.5 {
+		t.Fatalf("bus savings %.2f too low (paper: ~75%%)", v("bus_saving"))
 	}
-	if res.FMTrafficRatio < 2 {
-		t.Fatalf("FM traffic ratio %.2f, want >2x (paper §4.3)", res.FMTrafficRatio)
+	if v("fm_traffic_ratio") < 2 {
+		t.Fatalf("FM traffic ratio %.2f, want >2x (paper §4.3)", v("fm_traffic_ratio"))
 	}
-	if res.LatencySaving <= 0 {
-		t.Fatalf("SGL should save latency, got %.3f", res.LatencySaving)
+	if v("latency_saving") <= 0 {
+		t.Fatalf("SGL should save latency, got %.3f", v("latency_saving"))
 	}
 }
 
 func TestMmapShape(t *testing.T) {
-	res := runExp(t, "mmap").(*MmapResult)
-	if res.LatencyRatio < 1.5 {
-		t.Fatalf("mmap latency ratio %.1f, want ≈3x (paper §4.1)", res.LatencyRatio)
+	v := values(t, runExp(t, "mmap"))
+	if v("latency_ratio") < 1.5 {
+		t.Fatalf("mmap latency ratio %.1f, want ≈3x (paper §4.1)", v("latency_ratio"))
 	}
 }
 
 func TestDepruneShape(t *testing.T) {
-	res := runExp(t, "deprune").(*DepruneResult)
-	if res.ExtraRequestFrac <= 0 || res.ExtraRequestFrac > 0.5 {
-		t.Fatalf("extra requests %.3f outside the plausible band (paper: +2.5%%)", res.ExtraRequestFrac)
+	v := values(t, runExp(t, "deprune"))
+	if v("extra_requests") <= 0 || v("extra_requests") > 0.5 {
+		t.Fatalf("extra requests %.3f outside the plausible band (paper: +2.5%%)", v("extra_requests"))
 	}
-	if res.CacheGainFrac <= 0 {
-		t.Fatalf("deprune must enlarge the cache budget, got %.3f", res.CacheGainFrac)
+	if v("cache_gain") <= 0 {
+		t.Fatalf("deprune must enlarge the cache budget, got %.3f", v("cache_gain"))
 	}
 }
 
 func TestDequantShape(t *testing.T) {
-	res := runExp(t, "dequant").(*DequantResult)
-	if res.SMGrowth <= 0 {
+	v := values(t, runExp(t, "dequant"))
+	if v("sm_growth") <= 0 {
 		t.Fatal("fp32 expansion must grow SM")
 	}
 }
 
 func TestInterOpShape(t *testing.T) {
-	res := runExp(t, "interop").(*InterOpResult)
-	if res.LatencyReduction <= 0 {
-		t.Fatalf("inter-op must reduce latency, got %.3f", res.LatencyReduction)
+	v := values(t, runExp(t, "interop"))
+	if v("latency_reduction") <= 0 {
+		t.Fatalf("inter-op must reduce latency, got %.3f", v("latency_reduction"))
 	}
 }
 
 func TestPollingShape(t *testing.T) {
-	res := runExp(t, "polling").(*PollingResult)
-	if res.Gain < 0.3 || res.Gain > 0.7 {
-		t.Fatalf("polling gain %.2f, want ≈0.5", res.Gain)
+	v := values(t, runExp(t, "polling"))
+	if v("gain") < 0.3 || v("gain") > 0.7 {
+		t.Fatalf("polling gain %.2f, want ≈0.5", v("gain"))
 	}
 }
 
 // TestPollingPinned pins both IOPS/core rows and the gain captured at
 // 74dfbb3, before Polling moved off the callback ring.
 func TestPollingPinned(t *testing.T) {
-	res, err := Polling(Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr := res.(*PollingResult)
+	r := runAt(t, "polling", Default())
 	want := []string{
 		"IOPS/core, IRQ completions:         653168",
 		"IOPS/core, polled completions:      969932",
 		"polling gain:                          48%  (paper: ~50%)",
 	}
-	if !reflect.DeepEqual(pr.Rows(), want) || pr.Gain != 0.4849660523763337 {
-		t.Fatalf("polling moved: gain %v rows %q", pr.Gain, pr.Rows())
+	if gain := values(t, r)("gain"); !reflect.DeepEqual(r.Rows, want) || gain != 0.4849660523763337 {
+		t.Fatalf("polling moved: gain %v rows %q", gain, r.Rows)
 	}
 }
 

@@ -41,53 +41,25 @@ func hostQPS(sc Scale, inst *model.Instance, tables []*embedding.Table, scfg *co
 }
 
 // scenarioModel builds the shrunken shape of one of the paper's target
-// models: table counts trimmed, dims/PFs/batches preserved.
+// models: table counts trimmed, dims/PFs/batches preserved. The dense stack
+// is 8 layers of 128: accelerator scenarios are IO-bound (Table 9); tab8's
+// compute-bound CPU hosts keep M1's own.
 func scenarioModel(sc Scale, cfg model.Config, userTables, itemTables, itemBatch int) (*model.Instance, []*embedding.Table, error) {
 	cfg.NumUserTables = userTables
 	cfg.NumItemTables = itemTables
 	cfg.ItemBatch = itemBatch
-	// Keep the paper's dense-compute shape unless the scenario overrides:
-	// CPU-host scenarios are compute-bound (Table 8's 2:1 socket ratio),
-	// accelerator scenarios are IO-bound (Table 9).
 	cfg.NumMLPLayers = 8
 	cfg.AvgMLPWidth = 128
-	inst, err := model.Build(cfg, clampScale(sc.ModelScale*30), sc.Seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	tables, err := inst.Materialize()
-	if err != nil {
-		return nil, nil, err
-	}
-	return inst, tables, nil
+	return buildModel(cfg, clampScale(sc.ModelScale*30), sc.Seed)
 }
 
-// scenarioModelMLP is scenarioModel with an explicit dense-stack shape.
-func scenarioModelMLP(sc Scale, cfg model.Config, userTables, itemTables, itemBatch, mlpLayers, mlpWidth int) (*model.Instance, []*embedding.Table, error) {
-	cfg.NumUserTables = userTables
-	cfg.NumItemTables = itemTables
-	cfg.ItemBatch = itemBatch
-	cfg.NumMLPLayers = mlpLayers
-	cfg.AvgMLPWidth = mlpWidth
-	inst, err := model.Build(cfg, clampScale(sc.ModelScale*30), sc.Seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	tables, err := inst.Materialize()
-	if err != nil {
-		return nil, nil, err
-	}
-	return inst, tables, nil
-}
-
-// Fig6 compares cache organizations and direct-DRAM placement budgets
+// fig6 compares cache organizations and direct-DRAM placement budgets
 // under the InferenceEval-style load the paper uses for Fig. 6.
-func Fig6(sc Scale) (Result, error) {
+func fig6(sc Scale) (*Report, error) {
 	inst, tables, err := scenarioModel(sc, model.M2(), 8, 4, 8)
 	if err != nil {
 		return nil, err
 	}
-	r := &tableResult{id: "fig6"}
 	budget := 2 * time.Millisecond
 
 	// Every configuration is an independent simulated host; measure the
@@ -138,28 +110,24 @@ func Fig6(sc Scale) (Result, error) {
 	if err := inParallel(runs...); err != nil {
 		return nil, err
 	}
-	r.rows = append(r.rows, "cache organization (same FM budget):")
-	r.rows = append(r.rows, kindRows...)
-	r.rows = append(r.rows, "direct DRAM placement budget (FixedFM policy):")
-	r.rows = append(r.rows, fracRows...)
-	r.notes = append(r.notes,
-		"paper: dual cache routes dim≤255B to memory-optimized; direct DRAM placement can raise QPS considerably")
+	r := &Report{Notes: []string{
+		"paper: dual cache routes dim≤255B to memory-optimized; direct DRAM placement can raise QPS considerably",
+	}}
+	r.Rows = append(r.Rows, "cache organization (same FM budget):")
+	r.Rows = append(r.Rows, kindRows...)
+	r.Rows = append(r.Rows, "direct DRAM placement budget (FixedFM policy):")
+	r.Rows = append(r.Rows, fracRows...)
 	return r, nil
 }
 
-// Tab8Result carries the measured M1 comparison.
-type Tab8Result struct {
-	tableResult
-	BaselineQPS, SDMQPS float64
-	Saving              float64
-	HitRate             float64
-}
-
-// Tab8 reproduces the M1 scenario: dual-socket DRAM-only HW-L vs
+// tab8 reproduces the M1 scenario: dual-socket DRAM-only HW-L vs
 // single-socket HW-SS with SDM on Nand Flash, then fleet power arithmetic.
-func Tab8(sc Scale) (Result, error) {
-	cfg := model.M1() // keep M1's 31-layer, 300-wide MLP: CPU hosts are compute-bound
-	inst, tables, err := scenarioModelMLP(sc, cfg, 8, 4, 16, cfg.NumMLPLayers, cfg.AvgMLPWidth)
+func tab8(sc Scale) (*Report, error) {
+	// scenarioModel's shape, keeping M1's 31-layer, 300-wide MLP: CPU hosts
+	// are compute-bound.
+	cfg := model.M1()
+	cfg.NumUserTables, cfg.NumItemTables, cfg.ItemBatch = 8, 4, 16
+	inst, tables, err := buildModel(cfg, clampScale(sc.ModelScale*30), sc.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -203,36 +171,32 @@ func Tab8(sc Scale) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Tab8Result{
-		BaselineQPS: baseQPS, SDMQPS: sdmQPS,
-		Saving:  power.Savings(base, sdm),
-		HitRate: sdmRes.HitRate,
+	saving := power.Savings(base, sdm)
+	smIOPS := float64(sdmRes.Hosts[0].SMReads) / (sdmRes.End - sdmRes.Start).Seconds()
+	dramSaved := power.DRAMSavedBytes(base.Hosts, serving.HWL().DRAMBytes, sdm.Hosts, serving.HWSS().DRAMBytes)
+	r := &Report{
+		Header: fmt.Sprintf("%-14s %8s %8s %12s %12s", "Scenario", "QPS", "Power", "Total Hosts", "Total Power"),
+		Rows: []string{
+			fmt.Sprintf("%-14s %8.0f %8.1f %12d %12.0f", "HW-L", baseQPS, serving.HWL().RelPower, base.Hosts, base.TotalPower),
+			fmt.Sprintf("%-14s %8.0f %8.1f %12d %12.0f", "HW-SS + SDM", sdmQPS, serving.HWSS().RelPower, sdm.Hosts, sdm.TotalPower),
+			fmt.Sprintf("power saving: %.0f%% (paper: 20%%)", saving*100),
+			fmt.Sprintf("steady-state cache hit rate: %.1f%% (paper: >96%%)", sdmRes.HitRate*100),
+			fmt.Sprintf("sustained SM IOPS/host: %.0f (paper: <10K in steady state)", smIOPS),
+			fmt.Sprintf("DRAM saved at fleet scale: %.1f TB-equivalent (paper: 159.4 TB)", float64(dramSaved)/(1<<40)),
+		},
 	}
-	res.id = "tab8"
-	res.header = fmt.Sprintf("%-14s %8s %8s %12s %12s", "Scenario", "QPS", "Power", "Total Hosts", "Total Power")
-	res.rows = append(res.rows,
-		fmt.Sprintf("%-14s %8.0f %8.1f %12d %12.0f", "HW-L", baseQPS, serving.HWL().RelPower, base.Hosts, base.TotalPower),
-		fmt.Sprintf("%-14s %8.0f %8.1f %12d %12.0f", "HW-SS + SDM", sdmQPS, serving.HWSS().RelPower, sdm.Hosts, sdm.TotalPower),
-		fmt.Sprintf("power saving: %.0f%% (paper: 20%%)", res.Saving*100),
-		fmt.Sprintf("steady-state cache hit rate: %.1f%% (paper: >96%%)", res.HitRate*100),
-		fmt.Sprintf("sustained SM IOPS/host: %.0f (paper: <10K in steady state)", float64(sdmRes.Hosts[0].SMReads)/(sdmRes.End-sdmRes.Start).Seconds()),
-		fmt.Sprintf("DRAM saved at fleet scale: %.1f TB-equivalent (paper: 159.4 TB)",
-			float64(power.DRAMSavedBytes(base.Hosts, serving.HWL().DRAMBytes, sdm.Hosts, serving.HWSS().DRAMBytes))/(1<<40)),
-	)
-	return res, nil
+	r.add("baseline_qps", baseQPS, "1/s")
+	r.add("sdm_qps", sdmQPS, "1/s")
+	r.add("power_saving", saving, "frac")
+	r.add("hit_rate", sdmRes.HitRate, "frac")
+	r.add("sm_iops", smIOPS, "1/s")
+	r.add("dram_saved", float64(dramSaved), "B")
+	return r, nil
 }
 
-// Tab9Result carries the measured M2 comparison.
-type Tab9Result struct {
-	tableResult
-	OptaneSaving float64
-	NandQPS      float64
-	OptaneQPS    float64
-}
-
-// Tab9 reproduces the M2 scenario: accelerator host with scale-out user
+// tab9 reproduces the M2 scenario: accelerator host with scale-out user
 // shards vs SDM on Nand vs SDM on Optane.
-func Tab9(sc Scale) (Result, error) {
+func tab9(sc Scale) (*Report, error) {
 	inst, tables, err := scenarioModel(sc, model.M2(), 10, 5, 16)
 	if err != nil {
 		return nil, err
@@ -286,27 +250,29 @@ func Tab9(sc Scale) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Tab9Result{
-		OptaneSaving: power.Savings(so, opt),
-		NandQPS:      nandQPS,
-		OptaneQPS:    optQPS,
+	optSaving := power.Savings(so, opt)
+	r := &Report{
+		Header: fmt.Sprintf("%-18s %8s %12s %12s", "Scenario", "QPS", "Total Hosts", "Total Power"),
+		Rows: []string{
+			fmt.Sprintf("%-18s %8.0f %12d %12.0f", "HW-AN + ScaleOut", scaleOutQPS, so.Hosts+so.Companions, so.TotalPower),
+			fmt.Sprintf("%-18s %8.0f %12d %12.0f", "HW-AN + SDM", nandQPS, nand.Hosts, nand.TotalPower),
+			fmt.Sprintf("%-18s %8.0f %12d %12.0f", "HW-AO + SDM", optQPS, opt.Hosts, opt.TotalPower),
+			fmt.Sprintf("Optane saving vs scale-out: %.1f%% (paper: 5%%)", optSaving*100),
+			fmt.Sprintf("Optane SM hit rate: %.1f%% (paper: >90%%)", optRes.HitRate*100),
+		},
+		Notes: []string{
+			"paper: Nand underperforms (QPS 230 vs 450) because its latency forces underutilization; Optane matches scale-out QPS at lower power",
+		},
 	}
-	res.id = "tab9"
-	res.header = fmt.Sprintf("%-18s %8s %12s %12s", "Scenario", "QPS", "Total Hosts", "Total Power")
-	res.rows = append(res.rows,
-		fmt.Sprintf("%-18s %8.0f %12d %12.0f", "HW-AN + ScaleOut", scaleOutQPS, so.Hosts+so.Companions, so.TotalPower),
-		fmt.Sprintf("%-18s %8.0f %12d %12.0f", "HW-AN + SDM", nandQPS, nand.Hosts, nand.TotalPower),
-		fmt.Sprintf("%-18s %8.0f %12d %12.0f", "HW-AO + SDM", optQPS, opt.Hosts, opt.TotalPower),
-		fmt.Sprintf("Optane saving vs scale-out: %.1f%% (paper: 5%%)", res.OptaneSaving*100),
-		fmt.Sprintf("Optane SM hit rate: %.1f%% (paper: >90%%)", optRes.HitRate*100),
-	)
-	res.notes = append(res.notes,
-		"paper: Nand underperforms (QPS 230 vs 450) because its latency forces underutilization; Optane matches scale-out QPS at lower power")
-	return res, nil
+	r.add("nand_qps", nandQPS, "1/s")
+	r.add("optane_qps", optQPS, "1/s")
+	r.add("optane_saving", optSaving, "frac")
+	r.add("optane_hit_rate", optRes.HitRate, "frac")
+	return r, nil
 }
 
-// Tab10 reproduces the M3 SM sizing roofline.
-func Tab10(sc Scale) (Result, error) {
+// tab10 reproduces the M3 SM sizing roofline.
+func tab10(sc Scale) (*Report, error) {
 	in := power.SizingInput{
 		QPS: 3150, UserTables: 2000, PoolingPF: 30,
 		EmbDimBytes: 512, CacheHitRate: 0.80, Device: blockdev.OptaneSSD,
@@ -315,19 +281,17 @@ func Tab10(sc Scale) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &tableResult{
-		id:     "tab10",
-		header: fmt.Sprintf("%-8s %8s %8s %6s %10s %10s %10s %8s", "Model", "QPS", "Tables", "PF", "HitRate", "ColdIOPS", "SustIOPS", "numSSD"),
-	}
-	r.rows = append(r.rows, fmt.Sprintf("%-8s %8.0f %8d %6.0f %9.0f%% %10.1fM %10.1fM %8d",
-		"M3", in.QPS, in.UserTables, in.PoolingPF, in.CacheHitRate*100,
-		out.ColdIOPS/1e6, out.SustainedIOPS/1e6, out.NumSSDs))
-	r.notes = append(r.notes, "paper: 36 MIOPS satisfied by 9 Optane SSDs at 4 MIOPS each")
-	return r, nil
+	return &Report{
+		Header: fmt.Sprintf("%-8s %8s %8s %6s %10s %10s %10s %8s", "Model", "QPS", "Tables", "PF", "HitRate", "ColdIOPS", "SustIOPS", "numSSD"),
+		Rows: []string{fmt.Sprintf("%-8s %8.0f %8d %6.0f %9.0f%% %10.1fM %10.1fM %8d",
+			"M3", in.QPS, in.UserTables, in.PoolingPF, in.CacheHitRate*100,
+			out.ColdIOPS/1e6, out.SustainedIOPS/1e6, out.NumSSDs)},
+		Notes: []string{"paper: 36 MIOPS satisfied by 9 Optane SSDs at 4 MIOPS each"},
+	}, nil
 }
 
-// Tab11 reproduces the multi-tenancy fleet-power roofline.
-func Tab11(sc Scale) (Result, error) {
+// tab11 reproduces the multi-tenancy fleet-power roofline.
+func tab11(sc Scale) (*Report, error) {
 	in := power.MultiTenancyInput{
 		HostDRAMBytes:         128 << 30,
 		HostSMBytes:           300 << 30,
@@ -342,28 +306,21 @@ func Tab11(sc Scale) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &tableResult{
-		id:     "tab11",
-		header: fmt.Sprintf("%-16s %8s %12s %12s %8s", "Scenario", "Power", "Models/Host", "Utilization", "Fleet"),
+	saving := 1 - with.FleetPower
+	r := &Report{
+		Header: fmt.Sprintf("%-16s %8s %12s %12s %8s", "Scenario", "Power", "Models/Host", "Utilization", "Fleet"),
+		Rows: []string{
+			fmt.Sprintf("%-16s %8.2f %12d %12.2f %8.2f", "HW-F A", without.HostPower, without.ModelsPerHost, without.Utilization, without.FleetPower),
+			fmt.Sprintf("%-16s %8.2f %12d %12.2f %8.2f", "HW-F AO + SDM", with.HostPower, with.ModelsPerHost, with.Utilization, with.FleetPower),
+			fmt.Sprintf("fleet power saving: %.0f%% (paper: up to 29%%)", saving*100),
+		},
 	}
-	r.rows = append(r.rows,
-		fmt.Sprintf("%-16s %8.2f %12d %12.2f %8.2f", "HW-F A", without.HostPower, without.ModelsPerHost, without.Utilization, without.FleetPower),
-		fmt.Sprintf("%-16s %8.2f %12d %12.2f %8.2f", "HW-F AO + SDM", with.HostPower, with.ModelsPerHost, with.Utilization, with.FleetPower),
-		fmt.Sprintf("fleet power saving: %.0f%% (paper: up to 29%%)", (1-with.FleetPower)*100),
-	)
+	r.add("fleet_power_saving", saving, "frac")
 	return r, nil
 }
 
-// DepruneResult carries the §4.5 trade-off measurements.
-type DepruneResult struct {
-	tableResult
-	ExtraRequestFrac float64
-	CacheGainFrac    float64
-	PerfGain         float64
-}
-
-// Deprune compares pruned (mapper in FM) against de-pruned at load.
-func Deprune(sc Scale) (Result, error) {
+// deprune compares pruned (mapper in FM) against de-pruned at load.
+func deprune(sc Scale) (*Report, error) {
 	// Pruned rows are rarely referenced in production ("the pruned
 	// embeddings are also less frequently accessed"); a low ZeroFrac
 	// models that, while the mapper footprint — NumRows × 4 B — stays
@@ -382,10 +339,11 @@ func Deprune(sc Scale) (Result, error) {
 			CacheBytes: 600 << 10, Ring: uring.Config{SGL: true},
 		}
 	}
+	wcfg := storeWorkload(sc)
 	var pruned, depruned *storeRun
 	err = inParallel(
-		func() (err error) { pruned, err = runStoreTraceOn(sc, mk(false), inst, tables); return },
-		func() (err error) { depruned, err = runStoreTraceOn(sc, mk(true), inst, tables); return },
+		func() (err error) { pruned, err = runStoreTrace(sc, mk(false), inst, tables, wcfg); return },
+		func() (err error) { depruned, err = runStoreTrace(sc, mk(true), inst, tables, wcfg); return },
 	)
 	if err != nil {
 		return nil, err
@@ -395,34 +353,27 @@ func Deprune(sc Scale) (Result, error) {
 	// mapper; de-pruned stores fetch them.
 	pReq := float64(pruned.store.Lookups - pruned.store.MapperSkips)
 	dReq := float64(depruned.store.Lookups)
-	res := &DepruneResult{
-		ExtraRequestFrac: dReq/pReq - 1,
-		CacheGainFrac:    float64(depruned.store.EffCacheBytes)/float64(pruned.store.EffCacheBytes) - 1,
-		PerfGain:         pruned.meanIOLatency.Seconds()/depruned.meanIOLatency.Seconds() - 1,
-	}
-	res.id = "deprune"
-	res.rows = []string{
+	extraReq := dReq/pReq - 1
+	cacheGain := float64(depruned.store.EffCacheBytes)/float64(pruned.store.EffCacheBytes) - 1
+	perfGain := pruned.meanIOLatency.Seconds()/depruned.meanIOLatency.Seconds() - 1
+	r := &Report{Rows: []string{
 		fmt.Sprintf("mapper FM footprint (pruned):   %8d B (charged against cache)", pruned.store.MapperFMBytes),
 		fmt.Sprintf("effective cache, pruned:        %8d B", pruned.store.EffCacheBytes),
-		fmt.Sprintf("effective cache, de-pruned:     %8d B (+%.0f%%; paper: up to 2x)", depruned.store.EffCacheBytes, res.CacheGainFrac*100),
-		fmt.Sprintf("extra row requests from de-prune: %+5.1f%% (paper: +2.5%%)", res.ExtraRequestFrac*100),
+		fmt.Sprintf("effective cache, de-pruned:     %8d B (+%.0f%%; paper: up to 2x)", depruned.store.EffCacheBytes, cacheGain*100),
+		fmt.Sprintf("extra row requests from de-prune: %+5.1f%% (paper: +2.5%%)", extraReq*100),
 		fmt.Sprintf("zero-row reads (cache pollution): %d", depruned.store.ZeroRowReads),
-		fmt.Sprintf("user-path latency gain:          %+6.1f%% (paper: up to +48%% when SM-bound)", res.PerfGain*100),
-	}
-	return res, nil
+		fmt.Sprintf("user-path latency gain:          %+6.1f%% (paper: up to +48%% when SM-bound)", perfGain*100),
+	}}
+	r.add("depruned_cache", float64(depruned.store.EffCacheBytes), "B")
+	r.add("cache_gain", cacheGain, "frac")
+	r.add("extra_requests", extraReq, "frac")
+	r.add("latency_gain", perfGain, "frac")
+	return r, nil
 }
 
-// DequantResult carries the §A.5 trade-off measurements.
-type DequantResult struct {
-	tableResult
-	SMGrowth     float64
-	HitRateDelta float64
-	CPUDeltaFrac float64
-}
-
-// Dequant compares de-quantization at load time against on-the-fly
+// dequant compares de-quantization at load time against on-the-fly
 // dequantization.
-func Dequant(sc Scale) (Result, error) {
+func dequant(sc Scale) (*Report, error) {
 	inst, tables, err := scenarioModel(sc, model.M1(), 8, 4, 8)
 	if err != nil {
 		return nil, err
@@ -433,41 +384,34 @@ func Dequant(sc Scale) (Result, error) {
 			CacheBytes: 2 << 20, Ring: uring.Config{SGL: true},
 		}
 	}
+	wcfg := storeWorkload(sc)
 	var base, dq *storeRun
 	err = inParallel(
-		func() (err error) { base, err = runStoreTraceOn(sc, mk(false), inst, tables); return },
-		func() (err error) { dq, err = runStoreTraceOn(sc, mk(true), inst, tables); return },
+		func() (err error) { base, err = runStoreTrace(sc, mk(false), inst, tables, wcfg); return },
+		func() (err error) { dq, err = runStoreTrace(sc, mk(true), inst, tables, wcfg); return },
 	)
 	if err != nil {
 		return nil, err
 	}
-	res := &DequantResult{
-		SMGrowth:     float64(dq.store.LoadSMBytes)/float64(base.store.LoadSMBytes) - 1,
-		HitRateDelta: dq.cache.HitRate() - base.cache.HitRate(),
-		CPUDeltaFrac: dq.cpuPerQuery.Seconds()/base.cpuPerQuery.Seconds() - 1,
+	smGrowth := float64(dq.store.LoadSMBytes)/float64(base.store.LoadSMBytes) - 1
+	r := &Report{
+		Rows: []string{
+			fmt.Sprintf("SM footprint growth (int8→fp32):  %+5.0f%% (capacity is cheap on SM)", smGrowth*100),
+			fmt.Sprintf("FM cache hit rate: quantized %.1f%% vs dequantized %.1f%% (Δ %+0.1fpp)",
+				base.cache.HitRate()*100, dq.cache.HitRate()*100, (dq.cache.HitRate()-base.cache.HitRate())*100),
+			fmt.Sprintf("CPU per query delta:              %+5.1f%%", (dq.cpuPerQuery.Seconds()/base.cpuPerQuery.Seconds()-1)*100),
+		},
+		Notes: []string{
+			"paper: fewer rows fit the cache after expansion, so de-quantization rarely wins except under CPU-bound loads",
+		},
 	}
-	res.id = "dequant"
-	res.rows = []string{
-		fmt.Sprintf("SM footprint growth (int8→fp32):  %+5.0f%% (capacity is cheap on SM)", res.SMGrowth*100),
-		fmt.Sprintf("FM cache hit rate: quantized %.1f%% vs dequantized %.1f%% (Δ %+0.1fpp)",
-			base.cache.HitRate()*100, dq.cache.HitRate()*100, res.HitRateDelta*100),
-		fmt.Sprintf("CPU per query delta:              %+5.1f%%", res.CPUDeltaFrac*100),
-	}
-	res.notes = append(res.notes,
-		"paper: fewer rows fit the cache after expansion, so de-quantization rarely wins except under CPU-bound loads")
-	return res, nil
+	r.add("sm_growth", smGrowth, "frac")
+	return r, nil
 }
 
-// InterOpResult carries the §A.2 ablation.
-type InterOpResult struct {
-	tableResult
-	LatencyReduction float64
-	QPSGain          float64
-}
-
-// InterOp measures inter-operator parallelism: serial vs concurrent
+// interOp measures inter-operator parallelism: serial vs concurrent
 // embedding-op issue.
-func InterOp(sc Scale) (Result, error) {
+func interOp(sc Scale) (*Report, error) {
 	inst, tables, err := scenarioModel(sc, model.M1(), 8, 4, 8)
 	if err != nil {
 		return nil, err
@@ -489,25 +433,24 @@ func InterOp(sc Scale) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &InterOpResult{
-		LatencyReduction: 1 - parRes.Latency.Mean()/serialRes.Latency.Mean(),
-		QPSGain:          parQPS/serialQPS - 1,
-	}
-	res.id = "interop"
-	res.rows = []string{
+	latReduction := 1 - parRes.Latency.Mean()/serialRes.Latency.Mean()
+	qpsGain := parQPS/serialQPS - 1
+	r := &Report{Rows: []string{
 		fmt.Sprintf("serial ops:   qps=%6.0f meanLat=%6.2fms", serialQPS, serialRes.Latency.Mean()*1e3),
 		fmt.Sprintf("inter-op par: qps=%6.0f meanLat=%6.2fms", parQPS, parRes.Latency.Mean()*1e3),
 		fmt.Sprintf("latency reduction %.0f%%, QPS gain %.0f%% (paper: 20%% / 20%% on M1)",
-			res.LatencyReduction*100, res.QPSGain*100),
-	}
-	return res, nil
+			latReduction*100, qpsGain*100),
+	}}
+	r.add("latency_reduction", latReduction, "frac")
+	r.add("qps_gain", qpsGain, "frac")
+	return r, nil
 }
 
-// Warmup prints the §A.4 over-provisioning model.
-func Warmup(sc Scale) (Result, error) {
-	r := &tableResult{
-		id:     "warmup",
-		header: fmt.Sprintf("%-10s %-10s %-10s %-10s %12s", "r(update)", "warmup", "perf", "interval", "overprov"),
+// warmup prints the §A.4 over-provisioning model.
+func warmup(sc Scale) (*Report, error) {
+	r := &Report{
+		Header: fmt.Sprintf("%-10s %-10s %-10s %-10s %12s", "r(update)", "warmup", "perf", "interval", "overprov"),
+		Notes:  []string{"paper's worked example quotes 1.2% for (10%,5min,50%,30min); the formula (r·w)/(p·t) gives 3.3% — both shown"},
 	}
 	cases := []struct {
 		r, p float64
@@ -519,20 +462,21 @@ func Warmup(sc Scale) (Result, error) {
 	}
 	for _, c := range cases {
 		ov := core.WarmupOverprovision(c.r, c.p, c.w, c.t)
-		r.rows = append(r.rows, fmt.Sprintf("%-10.2f %-10v %-10.2f %-10v %11.2f%%",
+		r.Rows = append(r.Rows, fmt.Sprintf("%-10.2f %-10v %-10.2f %-10v %11.2f%%",
 			c.r, c.w, c.p, c.t, ov*100))
 	}
-	r.notes = append(r.notes, "paper's worked example quotes 1.2% for (10%,5min,50%,30min); the formula (r·w)/(p·t) gives 3.3% — both shown")
 	return r, nil
 }
 
-// Update measures the §A.3 model-update paths and §3 endurance limits.
-func Update(sc Scale) (Result, error) {
+// update measures the §A.3 model-update paths and §3 endurance limits.
+func update(sc Scale) (*Report, error) {
 	inst, tables, err := scenarioModel(sc, model.M1(), 6, 3, 8)
 	if err != nil {
 		return nil, err
 	}
-	r := &tableResult{id: "update"}
+	r := &Report{Notes: []string{
+		"§A.3: online updates land in the cache first and write back to SM; §3: endurance bounds the update interval (Optane ≫ Nand)",
+	}}
 	for _, tech := range []blockdev.Technology{blockdev.NandFlash, blockdev.OptaneSSD} {
 		s, err := core.Open(inst, tables, core.Config{
 			Seed: sc.Seed, SMTech: tech, Ring: uring.Config{SGL: true}, CacheBytes: 4 << 20,
@@ -553,12 +497,10 @@ func Update(sc Scale) (Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.rows = append(r.rows, fmt.Sprintf("%-22s load=%8v  flush(100 rows)=%8v  min update interval=%v",
+		r.Rows = append(r.Rows, fmt.Sprintf("%-22s load=%8v  flush(100 rows)=%8v  min update interval=%v",
 			tech, s.Stats().LoadDuration.Round(time.Millisecond),
 			(flushDone-now).Duration().Round(time.Microsecond),
 			s.UpdateIntervalLimit().Round(time.Second)))
 	}
-	r.notes = append(r.notes,
-		"§A.3: online updates land in the cache first and write back to SM; §3: endurance bounds the update interval (Optane ≫ Nand)")
 	return r, nil
 }

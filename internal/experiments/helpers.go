@@ -14,20 +14,18 @@ import (
 	"sdm/internal/workload"
 )
 
-// Pooled-cache profiling aliases (Table 3).
-const (
-	pooledSchemeC10    = pooledcache.SchemeC10
-	pooledSchemeC10Top = pooledcache.SchemeC10Top
-	pooledSchemeCP     = pooledcache.SchemeCP
-)
-
-type pooledProfile struct {
-	scheme pooledcache.ProfileScheme
-	order  string
-}
-
-func profileScheme(qs [][]int64, s pooledcache.ProfileScheme, seed uint64) pooledcache.ProfileResult {
-	return pooledcache.Profile(qs, s, 150, seed)
+// buildModel synthesizes cfg at the given capacity scale and materializes
+// its tables.
+func buildModel(cfg model.Config, scale float64, seed uint64) (*model.Instance, []*embedding.Table, error) {
+	inst, err := model.Build(cfg, scale, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	tables, err := inst.Materialize()
+	if err != nil {
+		return nil, nil, err
+	}
+	return inst, tables, nil
 }
 
 // experimentModel derives a small but structurally faithful M1-shaped
@@ -41,15 +39,7 @@ func experimentModel(sc Scale) (*model.Instance, []*embedding.Table, error) {
 	cfg.ItemBatch = 8
 	cfg.NumMLPLayers = 4
 	cfg.AvgMLPWidth = 64
-	inst, err := model.Build(cfg, clampScale(sc.ModelScale*50), sc.Seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	tables, err := inst.Materialize()
-	if err != nil {
-		return nil, nil, err
-	}
-	return inst, tables, nil
+	return buildModel(cfg, clampScale(sc.ModelScale*50), sc.Seed)
 }
 
 func clampScale(s float64) float64 {
@@ -64,33 +54,23 @@ func clampScale(s float64) float64 {
 
 // storeRun captures the measurements of one store trace replay.
 type storeRun struct {
-	s             *core.Store
 	store         core.Stats
 	dev           blockdev.Stats
 	cache         cache.Stats
 	pooled        pooledcache.Stats
 	meanIOLatency time.Duration
 	cpuPerQuery   time.Duration
-	queries       int
 }
 
-// runStoreTrace opens a store with cfg over the experiment model and
-// replays a paced query trace, measuring per-query SM IO latency.
-func runStoreTrace(sc Scale, cfg core.Config) (*storeRun, error) {
-	inst, tables, err := experimentModel(sc)
-	if err != nil {
-		return nil, err
-	}
-	return runStoreTraceOn(sc, cfg, inst, tables)
+// storeWorkload is the population a store trace replays unless the
+// experiment names its own.
+func storeWorkload(sc Scale) workload.Config {
+	return workload.Config{Seed: sc.Seed, NumUsers: 500}
 }
 
-// runStoreTraceOn is runStoreTrace against a caller-provided model.
-func runStoreTraceOn(sc Scale, cfg core.Config, inst *model.Instance, tables []*embedding.Table) (*storeRun, error) {
-	return runStoreTraceWorkload(sc, cfg, inst, tables, workload.Config{Seed: sc.Seed, NumUsers: 500})
-}
-
-// runStoreTraceWorkload is runStoreTraceOn with an explicit workload.
-func runStoreTraceWorkload(sc Scale, cfg core.Config, inst *model.Instance, tables []*embedding.Table, wcfg workload.Config) (*storeRun, error) {
+// runStoreTrace opens a store with cfg over the given model and replays a
+// paced wcfg query trace, measuring per-query SM IO latency.
+func runStoreTrace(sc Scale, cfg core.Config, inst *model.Instance, tables []*embedding.Table, wcfg workload.Config) (*storeRun, error) {
 	s, err := core.Open(inst, tables, cfg, nil)
 	if err != nil {
 		return nil, err
@@ -124,13 +104,11 @@ func runStoreTraceWorkload(sc Scale, cfg core.Config, inst *model.Instance, tabl
 		cpuSum += res.CPUTime
 	}
 	return &storeRun{
-		s:             s,
 		store:         s.Stats(),
 		dev:           s.DeviceStats(),
 		cache:         s.CacheStats(),
 		pooled:        s.PooledStats(),
 		meanIOLatency: ioLatSum / time.Duration(n),
 		cpuPerQuery:   cpuSum / time.Duration(n),
-		queries:       n,
 	}, nil
 }

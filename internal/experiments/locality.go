@@ -7,21 +7,15 @@ import (
 	"sdm/internal/core"
 	"sdm/internal/embedding"
 	"sdm/internal/model"
+	"sdm/internal/pooledcache"
 	"sdm/internal/uring"
 	"sdm/internal/workload"
 )
 
-// Fig1Result is the table-size vs bytes-per-query inventory of Fig. 1.
-type Fig1Result struct {
-	tableResult
-	UserBytes, TotalBytes int64
-	LowBWCapacityFrac     float64
-}
-
-// Fig1 builds the 734-table/140 GB model of Fig. 1 and reports the
+// fig1 builds the 734-table/140 GB model of Fig. 1 and reports the
 // size-vs-bandwidth scatter, confirming the paper's claim that the
 // majority of capacity needs low bandwidth.
-func Fig1(sc Scale) (Result, error) {
+func fig1(sc Scale) (*Report, error) {
 	inst, err := model.Build(model.Fig1Model(), clampScale(sc.ModelScale), sc.Seed)
 	if err != nil {
 		return nil, err
@@ -51,41 +45,38 @@ func Fig1(sc Scale) (Result, error) {
 	for _, i := range order[:len(order)/2] {
 		lowCap += inst.Tables[i].SizeBytes()
 	}
-	res := &Fig1Result{
-		UserBytes:         inst.UserBytes(),
-		TotalBytes:        total,
-		LowBWCapacityFrac: float64(lowCap) / float64(total),
-	}
-	res.id = "fig1"
-	res.rows = append(res.rows,
+	userFrac := float64(inst.UserBytes()) / float64(total)
+	lowBWFrac := float64(lowCap) / float64(total)
+	r := &Report{Rows: []string{
 		fmt.Sprintf("tables: %d (%d user / %d item), scaled size %.1f MB (paper: 140 GB)",
 			len(inst.Tables), inst.Config.NumUserTables, inst.Config.NumItemTables,
 			float64(total)/(1<<20)),
-		fmt.Sprintf("user capacity fraction: %.2f (paper: 100GB/140GB = 0.71)",
-			float64(inst.UserBytes())/float64(total)),
-		fmt.Sprintf("capacity held by the lower-BW half of tables: %.0f%% (paper: majority)",
-			res.LowBWCapacityFrac*100))
+		fmt.Sprintf("user capacity fraction: %.2f (paper: 100GB/140GB = 0.71)", userFrac),
+		fmt.Sprintf("capacity held by the lower-BW half of tables: %.0f%% (paper: majority)", lowBWFrac*100),
+	}}
+	r.add("tables", float64(len(inst.Tables)), "count")
+	r.add("user_tables", float64(inst.Config.NumUserTables), "count")
+	r.add("item_tables", float64(inst.Config.NumItemTables), "count")
+	r.add("total_bytes", float64(total), "B")
+	r.add("user_bytes", float64(inst.UserBytes()), "B")
+	r.add("user_frac", userFrac, "frac")
+	r.add("low_bw_capacity", lowBWFrac, "frac")
 	// Print a compact scatter sample (10 tables across the size range).
-	res.rows = append(res.rows, fmt.Sprintf("%-8s %12s %14s %6s", "table", "size(MB@full)", "bytes/query", "kind"))
+	r.Rows = append(r.Rows, fmt.Sprintf("%-8s %12s %14s %6s", "table", "size(MB@full)", "bytes/query", "kind"))
 	step := len(order) / 10
 	if step == 0 {
 		step = 1
 	}
 	for k := 0; k < len(order); k += step {
 		i := order[k]
-		res.rows = append(res.rows, fmt.Sprintf("%-8d %12.1f %14.0f %6s",
+		r.Rows = append(r.Rows, fmt.Sprintf("%-8d %12.1f %14.0f %6s",
 			i, rows[i].sizeMB, rows[i].bytesPerQ, rows[i].kind))
 	}
-	return res, nil
+	return r, nil
 }
 
-// Tab2 prints the two usecases of Table 2 with their batch semantics.
-func Tab2(sc Scale) (Result, error) {
-	r := &tableResult{id: "tab2"}
-	r.rows = []string{
-		"Inference:      user batch = 1, item batch > 1 (O(100)); latency sensitive",
-		"InferenceEval:  user batch == item batch > 1; accuracy validation",
-	}
+// tab2 prints the two usecases of Table 2 with their batch semantics.
+func tab2(sc Scale) (*Report, error) {
 	inst, _, err := experimentModel(sc)
 	if err != nil {
 		return nil, err
@@ -99,22 +90,18 @@ func Tab2(sc Scale) (Result, error) {
 		return nil, err
 	}
 	qi, qe := inf.Next(), ev.Next()
-	r.rows = append(r.rows,
+	return &Report{Rows: []string{
+		"Inference:      user batch = 1, item batch > 1 (O(100)); latency sensitive",
+		"InferenceEval:  user batch == item batch > 1; accuracy validation",
 		fmt.Sprintf("generated inference query:     user pools=%d item pools=%d", len(qi.Ops[0].Pools), len(qi.Ops[len(qi.Ops)-1].Pools)),
-		fmt.Sprintf("generated inferenceEval query: user pools=%d item pools=%d", len(qe.Ops[0].Pools), len(qe.Ops[len(qe.Ops)-1].Pools)))
-	return r, nil
+		fmt.Sprintf("generated inferenceEval query: user pools=%d item pools=%d", len(qe.Ops[0].Pools), len(qe.Ops[len(qe.Ops)-1].Pools)),
+	}}, nil
 }
 
-// Fig4Result carries the temporal-locality CDF series.
-type Fig4Result struct {
-	tableResult
-	UserCDF, ItemCDF, PerHostUserCDF []float64
-}
-
-// Fig4 reproduces the temporal-locality study: per-table access CDFs for
+// fig4 reproduces the temporal-locality study: per-table access CDFs for
 // user (a) and item (b) embeddings, plus the per-host uplift from sticky
 // routing (c).
-func Fig4(sc Scale) (Result, error) {
+func fig4(sc Scale) (*Report, error) {
 	inst, _, err := experimentModel(sc)
 	if err != nil {
 		return nil, err
@@ -128,11 +115,9 @@ func Fig4(sc Scale) (Result, error) {
 	user := workload.AverageCDF(results, embedding.User)
 	item := workload.AverageCDF(results, embedding.Item)
 	perHost := workload.AverageCDF(
-		workload.PerHostTemporalLocality(inst, qs, 8, true, 0), embedding.User)
+		workload.PerHostTemporalLocality(inst, qs, 8), embedding.User)
 
-	res := &Fig4Result{}
-	res.id = "fig4"
-	res.header = fmt.Sprintf("%-12s %10s %10s %14s", "rows frac", "user CDF", "item CDF", "user/host CDF")
+	r := &Report{Header: fmt.Sprintf("%-12s %10s %10s %14s", "rows frac", "user CDF", "item CDF", "user/host CDF")}
 	for i, f := range workload.CDFFractions {
 		var u, it, ph float64
 		if i < len(user) {
@@ -144,25 +129,18 @@ func Fig4(sc Scale) (Result, error) {
 		if i < len(perHost) {
 			ph = perHost[i].Frac
 		}
-		res.UserCDF = append(res.UserCDF, u)
-		res.ItemCDF = append(res.ItemCDF, it)
-		res.PerHostUserCDF = append(res.PerHostUserCDF, ph)
-		res.rows = append(res.rows, fmt.Sprintf("%-12g %10.3f %10.3f %14.3f", f, u, it, ph))
+		r.add(fmt.Sprintf("user_cdf.%d", i), u, "frac")
+		r.add(fmt.Sprintf("item_cdf.%d", i), it, "frac")
+		r.Rows = append(r.Rows, fmt.Sprintf("%-12g %10.3f %10.3f %14.3f", f, u, it, ph))
 	}
-	res.notes = append(res.notes,
+	r.Notes = append(r.Notes,
 		"paper: power-law CDFs; item locality > user locality; per-host (sticky) > global")
-	return res, nil
+	return r, nil
 }
 
-// Fig5Result carries the spatial-locality metric per table kind.
-type Fig5Result struct {
-	tableResult
-	AvgUser, AvgItem float64
-}
-
-// Fig5 reproduces the spatial-locality heatmap summary: unique-index to
+// fig5 reproduces the spatial-locality heatmap summary: unique-index to
 // unique-4KB-block ratios, normalized per table.
-func Fig5(sc Scale) (Result, error) {
+func fig5(sc Scale) (*Report, error) {
 	// Spatial locality needs bigger tables so the accessed set stays
 	// sparse; use a dedicated instance.
 	cfg := model.M1()
@@ -179,35 +157,35 @@ func Fig5(sc Scale) (Result, error) {
 	}
 	qs := gen.GenerateTrace(sc.Queries)
 	results := workload.SpatialLocality(inst, qs, 4096)
-	res := &Fig5Result{}
-	res.id = "fig5"
-	res.header = fmt.Sprintf("%-8s %6s %10s %12s %12s", "table", "kind", "locality", "uniqueIdx", "uniqueBlk")
-	var su, si float64
+	r := &Report{Header: fmt.Sprintf("%-8s %6s %10s %12s %12s", "table", "kind", "locality", "uniqueIdx", "uniqueBlk")}
+	var su, si, avgUser, avgItem float64
 	var nu, ni int
-	for _, r := range results {
-		res.rows = append(res.rows, fmt.Sprintf("%-8d %6s %10.3f %12d %12d",
-			r.Table, r.Kind, r.Locality, r.UniqueIdx, r.UniqueBlocks))
-		if r.Kind == embedding.User {
-			su += r.Locality
+	for _, t := range results {
+		r.Rows = append(r.Rows, fmt.Sprintf("%-8d %6s %10.3f %12d %12d",
+			t.Table, t.Kind, t.Locality, t.UniqueIdx, t.UniqueBlocks))
+		if t.Kind == embedding.User {
+			su += t.Locality
 			nu++
 		} else {
-			si += r.Locality
+			si += t.Locality
 			ni++
 		}
 	}
 	if nu > 0 {
-		res.AvgUser = su / float64(nu)
+		avgUser = su / float64(nu)
 	}
 	if ni > 0 {
-		res.AvgItem = si / float64(ni)
+		avgItem = si / float64(ni)
 	}
-	res.rows = append(res.rows, fmt.Sprintf("average: user %.3f, item %.3f", res.AvgUser, res.AvgItem))
-	res.notes = append(res.notes, "paper: cool heat map overall — low spatial locality (value 1.0 = perfect)")
-	return res, nil
+	r.add("avg_user", avgUser, "ratio")
+	r.add("avg_item", avgItem, "ratio")
+	r.Rows = append(r.Rows, fmt.Sprintf("average: user %.3f, item %.3f", avgUser, avgItem))
+	r.Notes = append(r.Notes, "paper: cool heat map overall — low spatial locality (value 1.0 = perfect)")
+	return r, nil
 }
 
-// Tab3 reproduces the pooled-embedding subsequence profiling (Table 3).
-func Tab3(sc Scale) (Result, error) {
+// tab3 reproduces the pooled-embedding subsequence profiling (Table 3).
+func tab3(sc Scale) (*Report, error) {
 	inst, _, err := experimentModel(sc)
 	if err != nil {
 		return nil, err
@@ -226,35 +204,32 @@ func Tab3(sc Scale) (Result, error) {
 		q := gen.Next()
 		queries = append(queries, q.Ops[0].Pools[0])
 	}
-	r := &tableResult{
-		id:     "tab3",
-		header: fmt.Sprintf("%-20s %10s %22s", "Scheme", "Hit rate", "Generated sequences"),
-	}
-	for _, scheme := range []pooledProfile{
-		{pooledSchemeC10, "O(C(avgP,10))"},
-		{pooledSchemeC10Top, "O(100)"},
-		{pooledSchemeCP, "1"},
+	r := &Report{Header: fmt.Sprintf("%-20s %10s %22s", "Scheme", "Hit rate", "Generated sequences")}
+	for _, scheme := range []struct {
+		scheme pooledcache.ProfileScheme
+		order  string
+	}{
+		{pooledcache.SchemeC10, "O(C(avgP,10))"},
+		{pooledcache.SchemeC10Top, "O(100)"},
+		{pooledcache.SchemeCP, "1"},
 	} {
-		pr := profileScheme(queries, scheme.scheme, sc.Seed)
-		r.rows = append(r.rows, fmt.Sprintf("%-20s %9.1f%% %22s (measured %.1f/qry)",
+		pr := pooledcache.Profile(queries, scheme.scheme, 150, sc.Seed)
+		r.Rows = append(r.Rows, fmt.Sprintf("%-20s %9.1f%% %22s (measured %.1f/qry)",
 			pr.Scheme, pr.HitRate*100, scheme.order, pr.GeneratedPerQry))
 	}
-	r.notes = append(r.notes, "paper: c=10 → 26%, c=10 top → 19%, c=P → 5%")
+	r.Notes = append(r.Notes, "paper: c=10 → 26%, c=10 top → 19%, c=P → 5%")
 	return r, nil
 }
 
-// Tab4 sweeps the pooled cache LenThreshold (Table 4) on the live store.
-func Tab4(sc Scale) (Result, error) {
+// tab4 sweeps the pooled cache LenThreshold (Table 4) on the live store.
+func tab4(sc Scale) (*Report, error) {
 	inst, tables, err := experimentModel(sc)
 	if err != nil {
 		return nil, err
 	}
-	r := &tableResult{
-		id:     "tab4",
-		header: fmt.Sprintf("%-14s %10s %12s", "LenThreshold", "Hit Rate", "Hit Avg Len"),
-	}
+	r := &Report{Header: fmt.Sprintf("%-14s %10s %12s", "LenThreshold", "Hit Rate", "Hit Avg Len")}
 	for _, lt := range []int{1, 4, 8, 16, 32} {
-		run, err := runStoreTraceWorkload(sc, core.Config{
+		run, err := runStoreTrace(sc, core.Config{
 			Seed:               sc.Seed,
 			Ring:               uring.Config{SGL: true},
 			PooledCacheBytes:   4 << 20, // stands in for the paper's 4 GB at scale
@@ -266,8 +241,8 @@ func Tab4(sc Scale) (Result, error) {
 			return nil, err
 		}
 		ps := run.pooled
-		r.rows = append(r.rows, fmt.Sprintf("%-14d %9.2f%% %12.1f", lt, ps.HitRate()*100, ps.AvgHitLen()))
+		r.Rows = append(r.Rows, fmt.Sprintf("%-14d %9.2f%% %12.1f", lt, ps.HitRate()*100, ps.AvgHitLen()))
 	}
-	r.notes = append(r.notes, "paper: hit rate ≈4-4.6%, avg hit len rising 11→76 with threshold")
+	r.Notes = append(r.Notes, "paper: hit rate ≈4-4.6%, avg hit len rising 11→76 with threshold")
 	return r, nil
 }

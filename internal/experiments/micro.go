@@ -11,64 +11,62 @@ import (
 	"sdm/internal/uring"
 )
 
-// Tab1 prints the SM technology catalog (Table 1).
-func Tab1(sc Scale) (Result, error) {
-	r := &tableResult{
-		id:     "tab1",
-		header: fmt.Sprintf("%-22s %8s %10s %6s %7s %7s %8s", "Technology", "IOPS(M)", "Latency", "DWPD", "Gran", "Cost", "Sourcing"),
+// tab1 prints the SM technology catalog (Table 1).
+func tab1(sc Scale) (*Report, error) {
+	r := &Report{
+		Header: fmt.Sprintf("%-22s %8s %10s %6s %7s %7s %8s", "Technology", "IOPS(M)", "Latency", "DWPD", "Gran", "Cost", "Sourcing"),
 	}
 	for _, s := range blockdev.Catalog() {
-		r.rows = append(r.rows, fmt.Sprintf("%-22s %8.1f %10v %6.0f %7d %7.3f %8d",
+		r.Rows = append(r.Rows, fmt.Sprintf("%-22s %8.1f %10v %6.0f %7d %7.3f %8d",
 			s.Tech, s.MaxIOPS/1e6, s.MediaLatency, s.EnduranceDWPD,
 			s.AccessGranularity, s.CostPerGBRelDRAM, s.Sourcing))
 	}
 	return r, nil
 }
 
-// Fig3Point is one point of a device profile curve.
-type Fig3Point struct {
-	OfferedIOPS  float64
-	AchievedIOPS float64
-	MeanLatency  time.Duration
-	P99Latency   time.Duration
+// fig3Point is one point of a device profile curve.
+type fig3Point struct {
+	achievedIOPS float64
+	meanLatency  time.Duration
+	p99Latency   time.Duration
 }
 
-// Fig3Result is the device IOPS/latency profile of Fig. 3.
-type Fig3Result struct {
-	tableResult
-	Curves map[string][]Fig3Point
-}
-
-// Fig3 profiles Nand Flash and Optane SSD with 20-lookup IO batches across
+// fig3 profiles Nand Flash and Optane SSD with 20-lookup IO batches across
 // an offered-load sweep, reproducing Fig. 3's curves: Optane sustains ~8×
 // the IOPS at ~1/9 the latency.
-func Fig3(sc Scale) (Result, error) {
-	res := &Fig3Result{Curves: make(map[string][]Fig3Point)}
-	res.id = "fig3"
-	res.header = fmt.Sprintf("%-20s %12s %12s %12s %12s", "device", "offered", "achieved", "mean_lat", "p99_lat")
-
+func fig3(sc Scale) (*Report, error) {
+	r := &Report{
+		Header: fmt.Sprintf("%-20s %12s %12s %12s %12s", "device", "offered", "achieved", "mean_lat", "p99_lat"),
+	}
 	const lookupsPerIO = 20 // "we benchmark each device with average of 20 lookups per IO"
-	for _, tech := range []blockdev.Technology{blockdev.NandFlash, blockdev.OptaneSSD} {
-		spec := blockdev.Spec(tech)
-		for _, frac := range []float64{0.1, 0.3, 0.5, 0.7, 0.85, 0.95} {
+	for _, dev := range []struct {
+		name string
+		tech blockdev.Technology
+	}{{"nand", blockdev.NandFlash}, {"optane", blockdev.OptaneSSD}} {
+		spec := blockdev.Spec(dev.tech)
+		for i, frac := range []float64{0.1, 0.3, 0.5, 0.7, 0.85, 0.95} {
 			offered := frac * spec.MaxIOPS
-			pt, err := profileDevice(tech, offered, sc.Queries*10, lookupsPerIO, sc.Seed)
+			pt, err := profileDevice(dev.tech, offered, sc.Queries*10, lookupsPerIO, sc.Seed)
 			if err != nil {
 				return nil, err
 			}
-			res.Curves[spec.Tech.String()] = append(res.Curves[spec.Tech.String()], pt)
-			res.rows = append(res.rows, fmt.Sprintf("%-20s %12.0f %12.0f %12v %12v",
-				spec.Tech, pt.OfferedIOPS, pt.AchievedIOPS, pt.MeanLatency.Round(time.Microsecond), pt.P99Latency.Round(time.Microsecond)))
+			p := fmt.Sprintf("%s.%d.", dev.name, i)
+			r.add(p+"offered", offered, "1/s")
+			r.add(p+"achieved", pt.achievedIOPS, "1/s")
+			r.add(p+"mean_lat", float64(pt.meanLatency), "ns")
+			r.add(p+"p99_lat", float64(pt.p99Latency), "ns")
+			r.Rows = append(r.Rows, fmt.Sprintf("%-20s %12.0f %12.0f %12v %12v",
+				spec.Tech, offered, pt.achievedIOPS, pt.meanLatency.Round(time.Microsecond), pt.p99Latency.Round(time.Microsecond)))
 		}
 	}
-	res.notes = append(res.notes,
+	r.Notes = append(r.Notes,
 		"paper: Optane ≈4 MIOPS at O(10µs); Nand ≈0.5 MIOPS at O(100µs) with earlier knee")
-	return res, nil
+	return r, nil
 }
 
 // profileDevice offers `ios` IOs at a fixed rate and measures latency. The
 // latency reported is for a batch of lookupsPerIO lookups, as in Fig. 3.
-func profileDevice(tech blockdev.Technology, iops float64, ios, lookupsPerIO int, seed uint64) (Fig3Point, error) {
+func profileDevice(tech blockdev.Technology, iops float64, ios, lookupsPerIO int, seed uint64) (fig3Point, error) {
 	ring := uring.NewSync(blockdev.New(blockdev.Spec(tech), 1<<26, nil, seed), uring.Config{SGL: true})
 	lat := stats.NewHistogram()
 	var last simclock.Time
@@ -85,7 +83,7 @@ func profileDevice(tech blockdev.Technology, iops float64, ios, lookupsPerIO int
 			off := int64((i*lookupsPerIO+k)%4096) * 4096
 			done, err := ring.SubmitSync(at, buf, off, false)
 			if err != nil {
-				return Fig3Point{}, err
+				return fig3Point{}, err
 			}
 			batchDone = max(batchDone, done)
 		}
@@ -93,59 +91,49 @@ func profileDevice(tech blockdev.Technology, iops float64, ios, lookupsPerIO int
 		last = max(last, batchDone)
 	}
 	achieved := float64(n*lookupsPerIO) / last.Seconds()
-	return Fig3Point{
-		OfferedIOPS:  iops,
-		AchievedIOPS: achieved,
-		MeanLatency:  time.Duration(lat.Mean() * float64(time.Second)),
-		P99Latency:   time.Duration(lat.P99() * float64(time.Second)),
+	return fig3Point{
+		achievedIOPS: achieved,
+		meanLatency:  time.Duration(lat.Mean() * float64(time.Second)),
+		p99Latency:   time.Duration(lat.P99() * float64(time.Second)),
 	}, nil
 }
 
-// SGLResult quantifies §4.1.1's sub-block read savings.
-type SGLResult struct {
-	tableResult
-	BusSavings     float64
-	LatencySaving  float64
-	FMTrafficRatio float64
-}
-
-// SGL measures bus-byte savings, device latency savings, and the FM
+// sgl measures bus-byte savings, device latency savings, and the FM
 // traffic reduction of SGL sub-block reads on the full SDM path.
-func SGL(sc Scale) (Result, error) {
-	block, err := runStoreTrace(sc, core.Config{Seed: sc.Seed})
+func sgl(sc Scale) (*Report, error) {
+	inst, tables, err := experimentModel(sc)
 	if err != nil {
 		return nil, err
 	}
-	sgl, err := runStoreTrace(sc, core.Config{Seed: sc.Seed, Ring: uring.Config{SGL: true}})
+	wcfg := storeWorkload(sc)
+	block, err := runStoreTrace(sc, core.Config{Seed: sc.Seed}, inst, tables, wcfg)
 	if err != nil {
 		return nil, err
 	}
-	res := &SGLResult{
-		BusSavings:     sgl.dev.BusSavings(),
-		LatencySaving:  1 - sgl.meanIOLatency.Seconds()/block.meanIOLatency.Seconds(),
-		FMTrafficRatio: float64(block.store.FMBytesMoved) / float64(sgl.store.FMBytesMoved),
+	sub, err := runStoreTrace(sc, core.Config{Seed: sc.Seed, Ring: uring.Config{SGL: true}}, inst, tables, wcfg)
+	if err != nil {
+		return nil, err
 	}
-	res.id = "sgl"
-	res.rows = []string{
-		fmt.Sprintf("bus bandwidth saved by SGL:      %5.1f%%   (paper: ~75%%, higher here: 128B rows on 4KB media)", res.BusSavings*100),
-		fmt.Sprintf("device read latency saved:       %5.1f%%   (paper: 3-5%%)", res.LatencySaving*100),
-		fmt.Sprintf("FM traffic block/SGL ratio:      %5.2fx   (paper: >2x FM BW without SGL)", res.FMTrafficRatio),
-	}
-	return res, nil
+	busSaving := sub.dev.BusSavings()
+	latSaving := 1 - sub.meanIOLatency.Seconds()/block.meanIOLatency.Seconds()
+	fmRatio := float64(block.store.FMBytesMoved) / float64(sub.store.FMBytesMoved)
+	r := &Report{Rows: []string{
+		fmt.Sprintf("bus bandwidth saved by SGL:      %5.1f%%   (paper: ~75%%, higher here: 128B rows on 4KB media)", busSaving*100),
+		fmt.Sprintf("device read latency saved:       %5.1f%%   (paper: 3-5%%)", latSaving*100),
+		fmt.Sprintf("FM traffic block/SGL ratio:      %5.2fx   (paper: >2x FM BW without SGL)", fmRatio),
+	}}
+	r.add("bus_saving", busSaving, "frac")
+	r.add("latency_saving", latSaving, "frac")
+	r.add("fm_traffic_ratio", fmRatio, "ratio")
+	return r, nil
 }
 
-// MmapResult quantifies §4.1's mmap-vs-DIRECT_IO comparison.
-type MmapResult struct {
-	tableResult
-	LatencyRatio float64
-}
-
-// Mmap compares the rejected mmap design against DIRECT_IO at the access
+// mmap compares the rejected mmap design against DIRECT_IO at the access
 // level, matching the paper's claim: a 128 B random read with no spatial
 // locality costs ~3× more through mmap ("reading in and maintaining 4KB
 // into memory for a 128B request"), and the page cache wastes FM by
 // holding whole pages.
-func Mmap(sc Scale) (Result, error) {
+func mmap(sc Scale) (*Report, error) {
 	spec := blockdev.Spec(blockdev.NandFlash)
 	devA := blockdev.New(spec, 1<<26, nil, sc.Seed)
 	devB := blockdev.New(spec, 1<<26, nil, sc.Seed)
@@ -173,16 +161,16 @@ func Mmap(sc Scale) (Result, error) {
 		}
 		sumMmap += (d2 - at).Duration()
 	}
-	res := &MmapResult{LatencyRatio: float64(sumMmap) / float64(sumDirect)}
-	res.id = "mmap"
+	ratio := float64(sumMmap) / float64(sumDirect)
 	fmWaste := float64(mmapResidentPerRow(mm))
-	res.rows = []string{
+	r := &Report{Rows: []string{
 		fmt.Sprintf("mean access latency, DIRECT_IO: %v", (sumDirect / time.Duration(n)).Round(time.Microsecond)),
 		fmt.Sprintf("mean access latency, mmap:      %v", (sumMmap / time.Duration(n)).Round(time.Microsecond)),
-		fmt.Sprintf("mmap/direct latency ratio:      %.1fx (paper: ~3x)", res.LatencyRatio),
+		fmt.Sprintf("mmap/direct latency ratio:      %.1fx (paper: ~3x)", ratio),
 		fmt.Sprintf("FM bytes held per useful row byte (mmap): %.0fx (4KB page per 128B row)", fmWaste),
-	}
-	return res, nil
+	}}
+	r.add("latency_ratio", ratio, "ratio")
+	return r, nil
 }
 
 // mmapResidentPerRow returns the page-cache bytes held per requested row
@@ -195,15 +183,9 @@ func mmapResidentPerRow(m *uring.Mmap) float64 {
 	return 4096.0 / 128.0
 }
 
-// PollingResult quantifies §A.1's polling-vs-IRQ IOPS/core.
-type PollingResult struct {
-	tableResult
-	Gain float64
-}
-
-// Polling measures IOPS per core of CPU time under IRQ vs polled
+// polling measures IOPS per core of CPU time under IRQ vs polled
 // completions on an Optane device at high queue depth.
-func Polling(sc Scale) (Result, error) {
+func polling(sc Scale) (*Report, error) {
 	run := func(mode uring.CompletionMode) (float64, error) {
 		dev := blockdev.New(blockdev.Spec(blockdev.OptaneSSD), 1<<24, nil, sc.Seed)
 		ring := uring.NewSync(dev, uring.Config{Mode: mode, SGL: true})
@@ -223,12 +205,12 @@ func Polling(sc Scale) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &PollingResult{Gain: poll/irq - 1}
-	res.id = "polling"
-	res.rows = []string{
+	gain := poll/irq - 1
+	r := &Report{Rows: []string{
 		fmt.Sprintf("IOPS/core, IRQ completions:     %10.0f", irq),
 		fmt.Sprintf("IOPS/core, polled completions:  %10.0f", poll),
-		fmt.Sprintf("polling gain:                   %9.0f%%  (paper: ~50%%)", res.Gain*100),
-	}
-	return res, nil
+		fmt.Sprintf("polling gain:                   %9.0f%%  (paper: ~50%%)", gain*100),
+	}}
+	r.add("gain", gain, "frac")
+	return r, nil
 }

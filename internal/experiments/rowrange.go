@@ -10,41 +10,16 @@ import (
 	"sdm/internal/workload"
 )
 
-// RowRangeResult carries the partial-table migration drill: the same
-// drift scenario adapted at whole-table vs row-range granularity, under
-// one DRAM budget and one migration bandwidth cap. The point being made:
-// row popularity within a table is Zipf-skewed, so moving hot row ranges
-// recovers the FM-served rate as well as moving whole tables while
-// migrating a fraction of the bytes — faster recovery under the same cap.
-type RowRangeResult struct {
-	tableResult
-
-	// FM-served rates before the rotation, first window after, and final
-	// window, per granularity.
-	TablePre, TablePost, TableFinal float64
-	RangePre, RangePost, RangeFinal float64
-	TableRecovery, RangeRecovery    float64
-
-	// Migration traffic of the measured (post-rotation) run.
-	TableBytes, RangeBytes int64
-	TableMoves, RangeMoves int
-
-	// RangeServedFinal is the final-window fraction of lookups served by
-	// FM-resident row ranges in the range run (0 by construction in the
-	// table run).
-	RangeServedFinal float64
-
-	// WorkersDeterministic reports whether the range run repeated at a
-	// different HostWorkers count produced bit-identical results.
-	WorkersDeterministic bool
-}
-
-// RowRange runs the partial-table migration drill: a hot-set rotation
+// rowRange runs the partial-table migration drill: a hot-set rotation
 // fires mid-run while two adaptive fleets — one re-placing whole tables,
 // one re-placing row ranges — recover under the same DRAM budget and
 // migration bandwidth cap. The range fleet is additionally repeated at a
 // different HostWorkers count to demonstrate the determinism contract.
-func RowRange(sc Scale) (Result, error) {
+// The point being made: row popularity within a table is Zipf-skewed, so
+// moving hot row ranges recovers the FM-served rate as well as moving
+// whole tables while migrating a fraction of the bytes — faster recovery
+// under the same cap.
+func rowRange(sc Scale) (*Report, error) {
 	// Sharply skewed row popularity under a spatial (identity-permuted)
 	// workload: each table's hot rows cluster in its head ranges — the
 	// within-table structure whole-table migration cannot exploit.
@@ -94,42 +69,50 @@ func RowRange(sc Scale) (Result, error) {
 		return nil, err
 	}
 
-	res := &RowRangeResult{
-		TableBytes: tableStats.MigratedBytes,
-		RangeBytes: rangeStats.MigratedBytes,
-		TableMoves: tableStats.Promotions + tableStats.Demotions,
-		RangeMoves: rangeStats.Promotions + rangeStats.Demotions,
-	}
-	res.TablePre, res.TablePost, res.TableFinal = driftPhases(tableRes)
-	res.RangePre, res.RangePost, res.RangeFinal = driftPhases(rangeRes)
-	res.TableRecovery = recoveryFrac(res.TablePre, res.TablePost, res.TableFinal)
-	res.RangeRecovery = recoveryFrac(res.RangePre, res.RangePost, res.RangeFinal)
-	res.RangeServedFinal = finalWindow(rangeRes).RangeRate
-	res.WorkersDeterministic = rangeRes.String() == rangeRes2.String() &&
+	// FM-served rates before the rotation, first window after, and final
+	// window, per granularity, and the migration traffic of the measured
+	// (post-rotation) run.
+	tablePre, tablePost, tableFinal := driftPhases(tableRes)
+	rangePre, rangePost, rangeFinal := driftPhases(rangeRes)
+	tableRec := recoveryFrac(tablePre, tablePost, tableFinal)
+	tableBytes, rangeBytes := tableStats.MigratedBytes, rangeStats.MigratedBytes
+	// The final-window fraction of lookups served by FM-resident row
+	// ranges (0 by construction in the table run).
+	rangeServed := finalWindow(rangeRes).RangeRate
+	deterministic := rangeRes.String() == rangeRes2.String() &&
 		finalWindow(rangeRes) == finalWindow(rangeRes2) &&
 		rangeStats == rStats2
 
-	res.id = "rowrange"
-	res.header = fmt.Sprintf("%-16s %8s %8s %8s %10s %12s %8s %10s",
-		"granularity", "preFM%", "postFM%", "finalFM%", "recovery%", "migrated(MB)", "moves", "rngServ%")
+	res := &Report{Header: fmt.Sprintf("%-16s %8s %8s %8s %10s %12s %8s %10s",
+		"granularity", "preFM%", "postFM%", "finalFM%", "recovery%", "migrated(MB)", "moves", "rngServ%")}
 	row := func(name string, pre, post, final, rec float64, bytes int64, moves int, rng float64) string {
 		return fmt.Sprintf("%-16s %8.1f %8.1f %8.1f %10.1f %12.2f %8d %10.1f",
 			name, pre*100, post*100, final*100, rec*100, float64(bytes)/(1<<20), moves, rng*100)
 	}
-	res.rows = append(res.rows,
-		row("whole tables", res.TablePre, res.TablePost, res.TableFinal, res.TableRecovery,
-			res.TableBytes, res.TableMoves, 0),
-		row("row ranges", res.RangePre, res.RangePost, res.RangeFinal, res.RangeRecovery,
-			res.RangeBytes, res.RangeMoves, res.RangeServedFinal),
+	res.Rows = append(res.Rows,
+		row("whole tables", tablePre, tablePost, tableFinal, tableRec,
+			tableBytes, tableStats.Promotions+tableStats.Demotions, 0),
+		row("row ranges", rangePre, rangePost, rangeFinal, recoveryFrac(rangePre, rangePost, rangeFinal),
+			rangeBytes, rangeStats.Promotions+rangeStats.Demotions, rangeServed),
 	)
-	res.rows = append(res.rows, fmt.Sprintf(
+	res.Rows = append(res.Rows, fmt.Sprintf(
 		"post-rotation migration traffic: %.2f MB at range granularity vs %.2f MB whole-table (%.0f%%) under the same %d MB/s cap",
-		float64(res.RangeBytes)/(1<<20), float64(res.TableBytes)/(1<<20),
-		100*float64(res.RangeBytes)/float64(res.TableBytes), cappedBW>>20))
-	res.rows = append(res.rows, fmt.Sprintf(
-		"range run repeated at HostWorkers=4: bit-identical=%t", res.WorkersDeterministic))
-	res.notes = append(res.notes,
+		float64(rangeBytes)/(1<<20), float64(tableBytes)/(1<<20),
+		100*float64(rangeBytes)/float64(tableBytes), cappedBW>>20))
+	res.Rows = append(res.Rows, fmt.Sprintf(
+		"range run repeated at HostWorkers=4: bit-identical=%t", deterministic))
+	res.Notes = append(res.Notes,
 		"row popularity within a table is Zipf-skewed (spatial workload: hot rows cluster in head ranges), so most bytes of a whole-table promotion are cold",
 		"the range controller packs the hot heads of several tables into the same DRAM budget, then needs a fraction of the migration bytes to chase the rotated spotlight")
+	res.add("table.pre_fm", tablePre, "frac")
+	res.add("table.post_fm", tablePost, "frac")
+	res.add("table.final_fm", tableFinal, "frac")
+	res.add("table.recovery", tableRec, "frac")
+	res.add("table.migrated", float64(tableBytes), "B")
+	res.add("range.post_fm", rangePost, "frac")
+	res.add("range.final_fm", rangeFinal, "frac")
+	res.add("range.migrated", float64(rangeBytes), "B")
+	res.add("range.served_final", rangeServed, "frac")
+	res.add("workers_deterministic", flag(deterministic), "bool")
 	return res, nil
 }

@@ -18,61 +18,6 @@ import (
 	"sdm/internal/workload"
 )
 
-// SLOResult carries the SLO-aware serving drill: the migration-aware
-// weighted router against plain sticky hashing under the coordinated
-// drift drill, a BLIS-style utilization sweep locating the load knee
-// where round-robin overtakes sticky on p99, and a 2× overload run
-// bounded by per-class token-bucket admission.
-type SLOResult struct {
-	tableResult
-
-	// Coordinated drift drill: peak post-rotation fleet p99 and steady
-	// final FM-served rate, sticky vs the migration-aware weighted
-	// router on the same fleet geometry.
-	StickyPeakP99, WeightedPeakP99 float64
-	StickyFinalFM, WeightedFinalFM float64
-
-	// Utilization sweep: offered QPS points with each policy's p99, plus
-	// the low-load hit rates (the locality win sticky routing buys while
-	// the fleet has headroom).
-	SweepQPS               []float64
-	RRP99, StickyP99       []float64
-	LowHitRR, LowHitSticky float64
-
-	// Overload drill at the top sweep point (~2× the sticky fleet's
-	// saturation): open-loop p99 vs admission-gated p99 and the shed
-	// share the bound cost.
-	OpenP99, GatedP99 float64
-	ShedShare         float64
-
-	// WorkersDeterministic reports whether the weighted drill and the
-	// admission-gated run repeated at a different HostWorkers count were
-	// bit-identical — including, since the decision-trace layer landed,
-	// the weighted drill's rendered JSONL trace.
-	WorkersDeterministic bool
-
-	// Decision-trace assertions. QueueDiversions counts diverted routes
-	// in a drill whose queue weight (0.4) sits below affinity (1.0) —
-	// asserted zero, the trace-level proof of the PR-6 negative result
-	// that a sub-affinity queue term never moves a user.
-	//
-	// RegretVsStickyMS is the config-level counterfactual: the sticky and
-	// migration-aware drills consume the same deterministic arrival
-	// stream, so joining their traces on sequence number prices every
-	// post-rotation query under both routing configs. The field sums
-	// (weighted latency − sticky latency) over the joined rows; negative
-	// means the migration-aware config beat sticky query for query, not
-	// just on the aggregate tail. RegretPostPrevMS is the narrower
-	// per-decision view — mean EWMA-estimated regret vs the sticky host
-	// over the drill's post-rotation diverted decisions, zero when the
-	// measured run never diverts.
-	QueueDiversions, QueueRoutes   int
-	RegretVsStickyMS               float64
-	RegretJoined                   int
-	RegretPostPrevMS               float64
-	PostDivertedRows, DivertedRows int
-}
-
 // sloSweepModel is the utilization-sweep fixture: a small M1 derivative
 // with a row cache sized to a sticky host's user share, so routing policy
 // moves both hit rate and the tail, and per-host capacity is low enough
@@ -85,29 +30,21 @@ func sloSweepModel() (*model.Instance, []*embedding.Table, error) {
 	cfg.TotalBytes = 1 << 21
 	cfg.NumMLPLayers = 4
 	cfg.AvgMLPWidth = 64
-	inst, err := model.Build(cfg, 1, 31)
-	if err != nil {
-		return nil, nil, err
-	}
-	tables, err := inst.Materialize()
-	if err != nil {
-		return nil, nil, err
-	}
-	return inst, tables, nil
+	return buildModel(cfg, 1, 31)
 }
 
-// SLO runs the SLO-aware serving drill in three acts. First the PR-5
-// coordinated drift drill re-routed: a weighted router that reads the
-// fleet's migration state (affinity + queue depth + migration avoidance)
-// steers queries away from the replica actively migrating inside its
-// granted window, cutting the post-rotation fleet tail below sticky
+// slo runs the SLO-aware serving drill in three acts. First the coord
+// experiment's coordinated drift drill re-routed: a weighted router that
+// reads the fleet's migration state (affinity + queue depth + migration
+// avoidance) steers queries away from the replica actively migrating
+// inside its granted window, cutting the post-rotation fleet tail below sticky
 // hashing while serving the same share from FM. Second a utilization
 // sweep: sticky wins the cache hit rate at low load, but saturates its
 // hottest replica first, so round-robin overtakes it on p99 past the
 // knee. Third, admission control: at ~2× the sticky fleet's capacity,
 // per-class token buckets shed the excess and restore millisecond tails,
 // with the rejected share accounted per SLO class.
-func SLO(sc Scale) (Result, error) {
+func slo(sc Scale) (*Report, error) {
 	const (
 		drillHosts = 3
 		cappedBW   = 16 << 20
@@ -296,91 +233,109 @@ func SLO(sc Scale) (Result, error) {
 		}
 	}
 
-	openLoop := stSweep[len(stSweep)-1]
-	res := &SLOResult{
-		StickyPeakP99:   peakPostDriftP99(stickyDrill),
-		WeightedPeakP99: peakPostDriftP99(weightedDrill),
-		StickyFinalFM:   tailMeanFM(stickyDrill),
-		WeightedFinalFM: tailMeanFM(weightedDrill),
-		SweepQPS:        sweepQPS,
-		LowHitRR:        rrSweep[0].HitRate,
-		LowHitSticky:    stSweep[0].HitRate,
-		OpenP99:         openLoop.Latency.P99(),
-		GatedP99:        gated.Latency.P99(),
-		WorkersDeterministic: weightedDrill.String() == weightedDrill4.String() &&
-			finalWindow(weightedDrill) == finalWindow(weightedDrill4) &&
-			weightedStats == weightedStats4 &&
-			classKey(gated) == classKey(gated4) &&
-			renderTrace(weightedEvents) == renderTrace(weightedEvents4),
-		QueueDiversions:  queueSum.Diversions,
-		QueueRoutes:      queueSum.Routes,
-		RegretVsStickyMS: regretSum * 1e3,
-		RegretJoined:     regretJoined,
-		DivertedRows:     weightedSum.DivertedCFRows,
-		PostDivertedRows: postSum.DivertedCFRows,
-	}
-	if postSum.DivertedCFRows > 0 {
-		res.RegretPostPrevMS = postSum.RegretPrevSeconds / float64(postSum.DivertedCFRows) * 1e3
-	}
-	for i := range sweepQPS {
-		res.RRP99 = append(res.RRP99, rrSweep[i].Latency.P99())
-		res.StickyP99 = append(res.StickyP99, stSweep[i].Latency.P99())
-	}
+	// Coordinated drift drill: peak post-rotation fleet p99 and steady
+	// final FM-served rate, sticky vs the migration-aware weighted router
+	// on the same fleet geometry.
+	stickyP99, weightedP99 := peakPostDriftP99(stickyDrill), peakPostDriftP99(weightedDrill)
+	stickyFM, weightedFM := tailMeanFM(stickyDrill), tailMeanFM(weightedDrill)
+	// Overload drill at the top sweep point (~2× the sticky fleet's
+	// saturation): open-loop p99 vs admission-gated p99 and the shed share
+	// the bound cost.
+	openP99, gatedP99 := stSweep[len(stSweep)-1].Latency.P99(), gated.Latency.P99()
+	var shedShare float64
 	if d := gated.Shed + int(gated.Latency.Count()); d > 0 {
-		res.ShedShare = float64(gated.Shed) / float64(d)
+		shedShare = float64(gated.Shed) / float64(d)
+	}
+	// Whether the weighted drill and the admission-gated run repeated at a
+	// different HostWorkers count were bit-identical — including the
+	// weighted drill's rendered JSONL trace.
+	deterministic := weightedDrill.String() == weightedDrill4.String() &&
+		finalWindow(weightedDrill) == finalWindow(weightedDrill4) &&
+		weightedStats == weightedStats4 &&
+		classKey(gated) == classKey(gated4) &&
+		renderTrace(weightedEvents) == renderTrace(weightedEvents4)
+	// The per-decision view of the regret: mean EWMA-estimated regret vs
+	// the sticky host over the drill's post-rotation diverted decisions,
+	// zero when the measured run never diverts.
+	var regretPostPrevMS float64
+	if postSum.DivertedCFRows > 0 {
+		regretPostPrevMS = postSum.RegretPrevSeconds / float64(postSum.DivertedCFRows) * 1e3
 	}
 
-	res.id = "slo"
-	res.header = fmt.Sprintf("%-24s %14s %9s %12s %10s", "fleet (coord drill)", "peak p99(ms)", "finalFM%", "smW(MB)", "promo/dem")
+	res := &Report{Header: fmt.Sprintf("%-24s %14s %9s %12s %10s", "fleet (coord drill)", "peak p99(ms)", "finalFM%", "smW(MB)", "promo/dem")}
 	drillRow := func(name string, r *cluster.Result, st adapt.Stats) string {
 		return fmt.Sprintf("%-24s %14.2f %9.1f %12.2f %5d/%d",
 			name, peakPostDriftP99(r)*1e3, tailMeanFM(r)*100,
 			float64(r.SMWriteBytes)/(1<<20), st.Promotions, st.Demotions)
 	}
-	res.rows = append(res.rows,
+	res.Rows = append(res.Rows,
 		drillRow("sticky", stickyDrill, stickyStats),
 		drillRow("weighted migration-aware", weightedDrill, weightedStats))
-	res.rows = append(res.rows, fmt.Sprintf(
+	res.Rows = append(res.Rows, fmt.Sprintf(
 		"routing: migration-aware scoring cuts post-rotation peak p99 %.2fms -> %.2fms (%+.0f%%) at final FM %.1f%% vs %.1f%% (Δ%.1fpp)",
-		res.StickyPeakP99*1e3, res.WeightedPeakP99*1e3,
-		100*(res.WeightedPeakP99/res.StickyPeakP99-1),
-		res.WeightedFinalFM*100, res.StickyFinalFM*100,
-		(res.WeightedFinalFM-res.StickyFinalFM)*100))
+		stickyP99*1e3, weightedP99*1e3, 100*(weightedP99/stickyP99-1),
+		weightedFM*100, stickyFM*100, (weightedFM-stickyFM)*100))
+	// Utilization sweep: each policy's p99 per offered QPS point, plus the
+	// low-load hit rates (the locality win sticky routing buys while the
+	// fleet has headroom).
 	for i, q := range sweepQPS {
-		res.rows = append(res.rows, fmt.Sprintf(
+		res.Rows = append(res.Rows, fmt.Sprintf(
 			"sweep @%5.0f qps: rr p99 %8.2fms (achieved %6.0f)   sticky p99 %8.2fms (achieved %6.0f)",
-			q, res.RRP99[i]*1e3, rrSweep[i].AchievedQPS, res.StickyP99[i]*1e3, stSweep[i].AchievedQPS))
+			q, rrSweep[i].Latency.P99()*1e3, rrSweep[i].AchievedQPS, stSweep[i].Latency.P99()*1e3, stSweep[i].AchievedQPS))
+		res.add(fmt.Sprintf("sweep.rr_p99.%d", i), rrSweep[i].Latency.P99(), "s")
+		res.add(fmt.Sprintf("sweep.sticky_p99.%d", i), stSweep[i].Latency.P99(), "s")
 	}
-	res.rows = append(res.rows, fmt.Sprintf(
+	res.Rows = append(res.Rows, fmt.Sprintf(
 		"knee: sticky wins hit rate at low load (%.1f%% vs rr %.1f%%) but saturates its hottest replica first — rr p99 overtakes %0.fx at @%0.f qps",
-		res.LowHitSticky*100, res.LowHitRR*100, res.StickyP99[2]/res.RRP99[2], sweepQPS[2]))
-	res.rows = append(res.rows, fmt.Sprintf(
+		stSweep[0].HitRate*100, rrSweep[0].HitRate*100, stSweep[2].Latency.P99()/rrSweep[2].Latency.P99(), sweepQPS[2]))
+	res.Rows = append(res.Rows, fmt.Sprintf(
 		"admission @%0.f qps (2x overload): open-loop p99 %.2fms -> gated %.2fms, shed %d of %d offered (%.0f%%), class Jain=%.3f",
-		sweepQPS[2], res.OpenP99*1e3, res.GatedP99*1e3,
-		gated.Shed, gated.Shed+int(gated.Latency.Count()), res.ShedShare*100, gated.ClassFairness))
+		sweepQPS[2], openP99*1e3, gatedP99*1e3,
+		gated.Shed, gated.Shed+int(gated.Latency.Count()), shedShare*100, gated.ClassFairness))
 	for _, c := range gated.Classes {
-		res.rows = append(res.rows, fmt.Sprintf(
+		res.Rows = append(res.Rows, fmt.Sprintf(
 			"  class %-12s offered=%5d shed=%5d (%.0f%%) p50=%.2fms p99=%.2fms p999=%.2fms",
 			c.Name, c.Offered, c.Shed, c.ShedShare()*100,
 			c.Latency.P50()*1e3, c.Latency.P99()*1e3, c.Latency.P999()*1e3))
 	}
-	res.rows = append(res.rows, fmt.Sprintf(
+	res.Rows = append(res.Rows, fmt.Sprintf(
 		"trace: queue(0.4) below affinity(1.0) diverted %d of %d routes; migration-aware diverted %d of %d (%.1f%%)",
-		res.QueueDiversions, res.QueueRoutes, weightedSum.Diversions, weightedSum.Routes,
+		queueSum.Diversions, queueSum.Routes, weightedSum.Diversions, weightedSum.Routes,
 		weightedSum.DiversionRate()*100))
-	res.rows = append(res.rows, fmt.Sprintf(
+	res.Rows = append(res.Rows, fmt.Sprintf(
 		"counterfactual: post-rotation regret vs sticky %+.3fms summed over %d queries joined across the two traces — negative means migration-aware routing beat sticky",
-		res.RegretVsStickyMS, res.RegretJoined))
-	res.rows = append(res.rows, fmt.Sprintf(
+		regretSum*1e3, regretJoined))
+	res.Rows = append(res.Rows, fmt.Sprintf(
 		"  per-decision: %d diverted rows in the measured run (%d post-rotation), EWMA regret vs the sticky host %+.3fms/route",
-		res.DivertedRows, res.PostDivertedRows, res.RegretPostPrevMS))
-	res.rows = append(res.rows, fmt.Sprintf(
-		"weighted drill (result + decision trace) and gated overload repeated at HostWorkers=4: bit-identical=%t", res.WorkersDeterministic))
-	res.notes = append(res.notes,
+		weightedSum.DivertedCFRows, postSum.DivertedCFRows, regretPostPrevMS))
+	res.Rows = append(res.Rows, fmt.Sprintf(
+		"weighted drill (result + decision trace) and gated overload repeated at HostWorkers=4: bit-identical=%t", deterministic))
+	res.Notes = append(res.Notes,
 		"weighted router = affinity(1.0) + queue(0.4) + migration-avoid(1.2): queries divert from the replica actively migrating inside its granted window, then return",
 		"the sweep fixture's sticky fleet saturates its hottest replica near 11k qps while round-robin's even spread holds to ~24k — the BLIS utilization knee",
 		"admission: per-class token buckets (gold 3000/s burst 30, best-effort 2000/s burst 20) cap the admitted rate below the sticky knee; the p99 bound is bought with the reported shed share",
 		"decision traces (obs.LevelCounterfactual) re-score each diverted route against the sticky host's completed-latency EWMA at completion time; the config-level regret instead joins the sticky and migration-aware traces on arrival sequence and prices every query under both routers",
 	)
+	res.add("sticky.peak_p99", stickyP99, "s")
+	res.add("weighted.peak_p99", weightedP99, "s")
+	res.add("sticky.final_fm", stickyFM, "frac")
+	res.add("weighted.final_fm", weightedFM, "frac")
+	res.add("low_hit.rr", rrSweep[0].HitRate, "frac")
+	res.add("low_hit.sticky", stSweep[0].HitRate, "frac")
+	res.add("open_p99", openP99, "s")
+	res.add("gated_p99", gatedP99, "s")
+	res.add("shed_share", shedShare, "frac")
+	// A queue weight (0.4) below affinity's (1.0) never moves a user: the
+	// trace-level proof of that negative result is zero diversions.
+	res.add("queue.diversions", float64(queueSum.Diversions), "count")
+	res.add("queue.routes", float64(queueSum.Routes), "count")
+	// The config-level counterfactual: the sticky and migration-aware
+	// drills consume the same arrival stream, so joining their traces on
+	// sequence number prices every post-rotation query under both routing
+	// configs. The sum of (weighted − sticky) latency over the joined rows
+	// is negative when migration-aware routing beat sticky query for query.
+	res.add("regret_vs_sticky", regretSum*1e3, "ms")
+	res.add("regret_joined", float64(regretJoined), "count")
+	res.add("workers_deterministic", flag(deterministic), "bool")
 	return res, nil
 }

@@ -147,9 +147,9 @@ func SpatialLocality(inst *model.Instance, qs []Query, blockSize int) []SpatialR
 }
 
 // UserPartition returns the sticky partition of user across parts — the
-// hash shared by the offline Fig. 4c analysis (StickyRouter) and the
-// generator's SLO classes. The serving-time cluster router uses its own
-// consistent-hash ring so hosts can join and leave; the two
+// hash shared by the offline Fig. 4c analysis (PerHostTemporalLocality)
+// and the generator's SLO classes. The serving-time cluster router uses its
+// own consistent-hash ring so hosts can join and leave; the two
 // assignments have the same statistical properties but differ per user.
 func UserPartition(user int64, parts int) int {
 	if parts <= 1 {
@@ -160,35 +160,16 @@ func UserPartition(user int64, parts int) int {
 	return int(h % uint64(parts))
 }
 
-// StickyRouter routes queries to hosts. Sticky routing pins a user to a
-// host (hash affinity), concentrating each user's accesses and raising the
-// per-host cache hit rate (§4.2: "Enforcing a user-to-host sticky policy
-// can help increase cache hit rate observed from a host", Fig. 4c).
-type StickyRouter struct {
-	Hosts  int
-	Sticky bool
-	rr     int
-}
-
-// Route returns the host for a query.
-func (r *StickyRouter) Route(q Query) int {
-	if r.Hosts <= 1 {
-		return 0
-	}
-	if r.Sticky {
-		return UserPartition(q.UserID, r.Hosts)
-	}
-	r.rr = (r.rr + 1) % r.Hosts
-	return r.rr
-}
-
-// PerHostTemporalLocality routes a trace across hosts and measures the
-// temporal-locality CDF observed by one host (Fig. 4c).
-func PerHostTemporalLocality(inst *model.Instance, qs []Query, hosts int, sticky bool, observeHost int) []TemporalResult {
-	router := &StickyRouter{Hosts: hosts, Sticky: sticky}
+// PerHostTemporalLocality routes a trace across hosts by sticky user
+// affinity (UserPartition) and measures the temporal-locality CDF host 0
+// observes (Fig. 4c). Pinning a user to a host concentrates each user's
+// accesses and raises the per-host cache hit rate (§4.2: "Enforcing a
+// user-to-host sticky policy can help increase cache hit rate observed
+// from a host").
+func PerHostTemporalLocality(inst *model.Instance, qs []Query, hosts int) []TemporalResult {
 	var local []Query
 	for _, q := range qs {
-		if router.Route(q) == observeHost {
+		if UserPartition(q.UserID, hosts) == 0 {
 			local = append(local, q)
 		}
 	}

@@ -18,8 +18,8 @@ func TestPerHostCDFDominatesGlobal(t *testing.T) {
 	g := newGen(t, in, Config{Seed: 29, NumUsers: 2000, UserAlpha: 0.8})
 	qs := g.GenerateTrace(2000)
 
-	global := AverageCDF(PerHostTemporalLocality(in, qs, 8, false, 0), embedding.User)
-	perHost := AverageCDF(PerHostTemporalLocality(in, qs, 8, true, 0), embedding.User)
+	global := AverageCDF(TemporalLocality(in, roundRobinShare(qs, 8), 1), embedding.User)
+	perHost := AverageCDF(PerHostTemporalLocality(in, qs, 8), embedding.User)
 	if global == nil || perHost == nil {
 		t.Fatal("CDFs missing")
 	}
@@ -46,10 +46,19 @@ func TestPerHostCDFDominatesGlobal(t *testing.T) {
 	}
 }
 
+// roundRobinShare is the share of qs one of hosts round-robin-routed hosts
+// receives: every hosts-th query.
+func roundRobinShare(qs []Query, hosts int) []Query {
+	var out []Query
+	for i := hosts - 1; i < len(qs); i += hosts {
+		out = append(out, qs[i])
+	}
+	return out
+}
+
 func TestUserPartitionStable(t *testing.T) {
-	// The sticky hash is shared by the offline analysis and the cluster
-	// router: stable per user, in range, and consistent with StickyRouter.
-	r := &StickyRouter{Hosts: 5, Sticky: true}
+	// The sticky hash shared by the offline analysis and the generator's
+	// SLO classes: stable per user and in range.
 	for u := int64(0); u < 500; u++ {
 		p := UserPartition(u, 5)
 		if p < 0 || p >= 5 {
@@ -57,9 +66,6 @@ func TestUserPartitionStable(t *testing.T) {
 		}
 		if p != UserPartition(u, 5) {
 			t.Fatalf("partition unstable for user %d", u)
-		}
-		if got := r.Route(Query{UserID: u}); got != p {
-			t.Fatalf("StickyRouter disagrees with UserPartition for user %d: %d vs %d", u, got, p)
 		}
 	}
 	if UserPartition(123, 1) != 0 || UserPartition(123, 0) != 0 {

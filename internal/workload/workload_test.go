@@ -234,8 +234,8 @@ func TestStickyRoutingRaisesPerHostLocality(t *testing.T) {
 	in := smallInstance(t)
 	g := newGen(t, in, Config{Seed: 23, NumUsers: 2000, UserAlpha: 0.8})
 	qs := g.GenerateTrace(1500)
-	sticky := PerHostTemporalLocality(in, qs, 8, true, 0)
-	rr := PerHostTemporalLocality(in, qs, 8, false, 0)
+	sticky := PerHostTemporalLocality(in, qs, 8)
+	rr := TemporalLocality(in, roundRobinShare(qs, 8), 1)
 	sAvg := AverageCDF(sticky, embedding.User)
 	rAvg := AverageCDF(rr, embedding.User)
 	if sAvg == nil || rAvg == nil {
@@ -250,25 +250,6 @@ func TestStickyRoutingRaisesPerHostLocality(t *testing.T) {
 	// Fig. 4c: per-host locality under sticky routing ≥ random routing.
 	if s10+0.02 < r10 {
 		t.Fatalf("sticky per-host locality %.3f below round-robin %.3f", s10, r10)
-	}
-}
-
-func TestStickyRouterStable(t *testing.T) {
-	r := &StickyRouter{Hosts: 4, Sticky: true}
-	q := Query{UserID: 77}
-	h := r.Route(q)
-	for i := 0; i < 10; i++ {
-		if r.Route(q) != h {
-			t.Fatal("sticky routing must pin a user to one host")
-		}
-	}
-	rr := &StickyRouter{Hosts: 4}
-	seen := map[int]bool{}
-	for i := 0; i < 8; i++ {
-		seen[rr.Route(q)] = true
-	}
-	if len(seen) != 4 {
-		t.Fatal("round-robin should spread across hosts")
 	}
 }
 

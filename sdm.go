@@ -19,7 +19,7 @@
 //		SMTech: sdm.OptaneSSD,
 //		Ring:   sdm.RingConfig{SGL: true},
 //	}
-//	store, _ := sdm.Open(inst, tables, storeCfg, nil) // the clock is ignored, see Clock
+//	store, _ := sdm.Open(inst, tables, storeCfg)
 //	gen, _ := sdm.NewGenerator(inst, sdm.WorkloadConfig{Seed: 1})
 //	q := gen.Next()
 //	outs := store.AllocOutputs(q)
@@ -61,7 +61,6 @@ import (
 	"sdm/internal/obs"
 	"sdm/internal/placement"
 	"sdm/internal/serving"
-	"sdm/internal/simclock"
 	"sdm/internal/uring"
 	"sdm/internal/workload"
 )
@@ -74,9 +73,6 @@ type (
 	Store = core.Store
 	// RingConfig tunes the io_uring-style fast IO path (§4.1).
 	RingConfig = uring.Config
-	// Clock is an ignored placeholder (see simclock.Clock): virtual time is
-	// the simclock.Time values calls take and return, never a global clock.
-	Clock = simclock.Clock
 )
 
 // Model types.
@@ -252,9 +248,9 @@ func Build(cfg ModelConfig, scale float64, seed uint64) (*Instance, error) {
 	return model.Build(cfg, scale, seed)
 }
 
-// Open loads a model into a new SDM store. clock is ignored (see Clock).
-func Open(inst *Instance, tables []*Table, cfg Config, clock *Clock) (*Store, error) {
-	return core.Open(inst, tables, cfg, clock)
+// Open loads a model into a new SDM store.
+func Open(inst *Instance, tables []*Table, cfg Config) (*Store, error) {
+	return core.Open(inst, tables, cfg, nil)
 }
 
 // NewGenerator builds a query generator for a model instance.

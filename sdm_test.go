@@ -20,7 +20,7 @@ func TestQuickstartFlow(t *testing.T) {
 	store, err := Open(inst, tables, Config{
 		SMTech: OptaneSSD,
 		Ring:   RingConfig{SGL: true},
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
