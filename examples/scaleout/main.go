@@ -37,19 +37,21 @@ func run() error {
 	}
 	const budget = 20 * time.Millisecond
 
-	scaleOutQPS, _, err := measure(inst, tables, nil, sdm.HWAN(), true, budget)
+	// Each deployment's host: max QPS at the p95 budget, seed 4, 400-query probes.
+	scaleOutQPS, _, err := sdm.HostQPS(inst, tables, nil,
+		sdm.HostConfig{Spec: sdm.HWAN(), InterOp: true, RemoteUserPath: true}, 4, budget, 500)
 	if err != nil {
 		return err
 	}
-	nandQPS, _, err := measure(inst, tables, &sdm.Config{
+	nandQPS, _, err := sdm.HostQPS(inst, tables, &sdm.Config{
 		SMTech: sdm.NandFlash, Ring: sdm.RingConfig{SGL: true}, CacheBytes: 8 << 20,
-	}, sdm.HWAN(), false, budget)
+	}, sdm.HostConfig{Spec: sdm.HWAN(), InterOp: true}, 4, budget, 500)
 	if err != nil {
 		return err
 	}
-	optQPS, optRes, err := measure(inst, tables, &sdm.Config{
+	optQPS, optRes, err := sdm.HostQPS(inst, tables, &sdm.Config{
 		SMTech: sdm.OptaneSSD, Ring: sdm.RingConfig{SGL: true}, CacheBytes: 8 << 20,
-	}, sdm.HWAO(), false, budget)
+	}, sdm.HostConfig{Spec: sdm.HWAO(), InterOp: true}, 4, budget, 500)
 	if err != nil {
 		return err
 	}
@@ -75,26 +77,4 @@ func run() error {
 	fmt.Printf("  HW-AO+SDM:  %5d hosts,      power %6.0f\n", opt.Hosts, opt.TotalPower)
 	fmt.Printf("  power saving: %.1f%% (paper: 5%%)\n", power.Savings(so, opt)*100)
 	return nil
-}
-
-// measure serves the model on one host — a fleet of one — and returns its
-// max QPS at a p95 latency budget with the result of that probe.
-func measure(inst *sdm.Instance, tables []*sdm.Table, scfg *sdm.Config, sku sdm.HostSpec, remote bool, budget time.Duration) (float64, *sdm.FleetResult, error) {
-	hosts, err := sdm.NewFleetHosts(inst, tables, 1, scfg, sdm.HostConfig{Spec: sku, InterOp: true, RemoteUserPath: remote})
-	if err != nil {
-		return 0, nil, err
-	}
-	fleet, err := sdm.NewFleet(hosts, sdm.NewRoundRobin(), sdm.FleetConfig{Seed: 4})
-	if err != nil {
-		return 0, nil, err
-	}
-	gen, err := sdm.NewGenerator(inst, sdm.WorkloadConfig{Seed: 4, NumUsers: 1000})
-	if err != nil {
-		return 0, nil, err
-	}
-	fleet.SetGenerator(gen)
-	if _, err := fleet.Run(50, 300); err != nil {
-		return 0, nil, err
-	}
-	return fleet.MaxQPSAtLatency(0.95, budget, 5, 200000, 250)
 }

@@ -36,8 +36,9 @@ func run() error {
 	}
 	const budget = 25 * time.Millisecond
 
-	// Baseline: every table flat in DRAM on HW-L.
-	baseQPS, baseRes, err := measure(inst, tables, nil, sdm.HWL(), budget)
+	// Each host's max QPS at the p95 budget (seed 2, probes of 400 queries
+	// after a 300-query warm-up). Baseline: every table flat in DRAM on HW-L.
+	baseQPS, baseRes, err := sdm.HostQPS(inst, tables, nil, sdm.HostConfig{Spec: sdm.HWL(), InterOp: true}, 2, budget, 500)
 	if err != nil {
 		return err
 	}
@@ -49,7 +50,7 @@ func run() error {
 		Ring:       sdm.RingConfig{SGL: true},
 		CacheBytes: 32 << 20,
 	}
-	sdmQPS, sdmRes, err := measure(inst, tables, scfg, sdm.HWSS(), budget)
+	sdmQPS, sdmRes, err := sdm.HostQPS(inst, tables, scfg, sdm.HostConfig{Spec: sdm.HWSS(), InterOp: true}, 2, budget, 500)
 	if err != nil {
 		return err
 	}
@@ -70,27 +71,4 @@ func run() error {
 	fmt.Printf("  HW-SS+SDM:  %5d hosts, power %6.0f\n", tiered.Hosts, tiered.TotalPower)
 	fmt.Printf("  power saving: %.0f%% (paper: 20%%)\n", power.Savings(base, tiered)*100)
 	return nil
-}
-
-// measure serves the model on one host — a fleet of one — and returns its
-// max QPS at a p95 latency budget with the result of that probe.
-func measure(inst *sdm.Instance, tables []*sdm.Table, scfg *sdm.Config, sku sdm.HostSpec, budget time.Duration) (float64, *sdm.FleetResult, error) {
-	hosts, err := sdm.NewFleetHosts(inst, tables, 1, scfg, sdm.HostConfig{Spec: sku, InterOp: true})
-	if err != nil {
-		return 0, nil, err
-	}
-	fleet, err := sdm.NewFleet(hosts, sdm.NewRoundRobin(), sdm.FleetConfig{Seed: 2})
-	if err != nil {
-		return 0, nil, err
-	}
-	gen, err := sdm.NewGenerator(inst, sdm.WorkloadConfig{Seed: 2, NumUsers: 1000})
-	if err != nil {
-		return 0, nil, err
-	}
-	fleet.SetGenerator(gen)
-	// Warm the caches, then search for max QPS at the latency budget.
-	if _, err := fleet.Run(50, 300); err != nil {
-		return 0, nil, err
-	}
-	return fleet.MaxQPSAtLatency(0.95, budget, 5, 100000, 250)
 }

@@ -563,37 +563,71 @@ func (f *Fleet) diverts(prev, id int) bool {
 	return prev >= 0 && prev != id && f.members[prev].alive
 }
 
-// MaxQPSAtLatency binary-searches the highest offered QPS whose measured
-// latency quantile stays within budget, one Run of probeQueries per probe
-// (state carries over, so warm the fleet first). It returns that rate and
-// its probe's Result; the loQPS floor probe's when no probe meets the
-// budget.
-func (f *Fleet) MaxQPSAtLatency(quantile float64, budget time.Duration, loQPS, hiQPS float64, probeQueries int) (float64, *Result, error) {
-	best, err := f.Run(loQPS, probeQueries)
+// HostQPS is one host's max QPS at a p95 latency budget, the number Tables
+// 8 and 9 turn into hosts and power. The host (flat DRAM tables when scfg
+// is nil) serves as a fleet of one with arrivals and 1000 users drawn from
+// seed, is warmed with queries/2+50 queries at 50 QPS (§A.4), then searched
+// with probes of max(queries/2+100, 400) queries. It returns the rate and
+// its probe's Result.
+func HostQPS(inst *model.Instance, tables []*embedding.Table, scfg *core.Config, hcfg serving.Config, seed uint64, budget time.Duration, queries int) (float64, *Result, error) {
+	hosts, err := HostSet(inst, tables, 1, scfg, hcfg)
 	if err != nil {
 		return 0, nil, err
 	}
-	bestQPS := loQPS
-	for iter := 0; iter < 12 && hiQPS/loQPS > 1.05; iter++ {
-		mid := (loQPS + hiQPS) / 2
-		res, err := f.Run(mid, probeQueries)
+	f, err := New(hosts, NewRoundRobin(), Config{Seed: seed})
+	if err != nil {
+		return 0, nil, err
+	}
+	gen, err := workload.NewGenerator(inst, workload.Config{Seed: seed, NumUsers: 1000})
+	if err != nil {
+		return 0, nil, err
+	}
+	f.SetGenerator(gen)
+	if _, err := f.Run(50, queries/2+50); err != nil {
+		return 0, nil, err
+	}
+	return f.maxQPSAtLatency(budget, max(queries/2+100, searchMinProbe))
+}
+
+// The capacity search's fixed rules.
+const (
+	searchFloorQPS   = 5.0   // the first probe's rate
+	searchResolution = 1.005 // stop once hi/lo is at most this
+	searchMinProbe   = 400   // queries per probe: ≥ 20 samples above its p95
+	searchGuardQPS   = 1e12  // a rate past this that passes is an error
+)
+
+// maxQPSAtLatency doubles the offered rate from searchFloorQPS until a probe
+// of n queries fails, then bisects geometrically until hi/lo ≤
+// searchResolution, one Run per probe (state carries over: warm first). A
+// probe passes when its p95 is within budget AND it achieves ≥ 0.8× the
+// offered rate, since overload stretches the completion horizon before a
+// short probe's percentiles show it. It returns the highest passing rate
+// and its probe's Result; the floor probe's when the floor fails.
+func (f *Fleet) maxQPSAtLatency(budget time.Duration, n int) (float64, *Result, error) {
+	lo, hi, rate := 0.0, math.Inf(1), searchFloorQPS
+	var best *Result
+	for hi/lo > searchResolution {
+		if rate > searchGuardQPS {
+			return 0, nil, fmt.Errorf("cluster: %g QPS still meets the %v budget", lo, budget)
+		}
+		res, err := f.Run(rate, n)
 		if err != nil {
 			return 0, nil, err
 		}
-		// A rate passes if it meets the latency budget AND actually
-		// sustains the offered rate — an overloaded backend shows up as a
-		// completion horizon stretching past the arrival window before
-		// short-probe percentiles can detect it.
-		ok := time.Duration(res.Latency.Quantile(quantile)*float64(time.Second)) <= budget &&
-			res.AchievedQPS >= 0.8*mid
-		if ok {
-			bestQPS, best = mid, res
-			loQPS = mid
-		} else {
-			hiQPS = mid
+		switch {
+		case time.Duration(res.Latency.P95()*float64(time.Second)) <= budget && res.AchievedQPS >= 0.8*rate:
+			lo, best = rate, res
+		case lo == 0: // the floor failed: its probe is the row
+			return rate, res, nil
+		default:
+			hi = rate
+		}
+		if rate = 2 * lo; !math.IsInf(hi, 1) {
+			rate = math.Sqrt(lo * hi)
 		}
 	}
-	return bestQPS, best, nil
+	return lo, best, nil
 }
 
 // classLedger is one SLO class's admission accounting for a Run.

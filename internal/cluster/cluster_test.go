@@ -798,32 +798,45 @@ func TestSLOFleetDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestMaxQPSAtLatencyReturnsItsProbe: the search returns the Result of the
-// rate it returns — the floor probe's when no probe meets the budget — and
-// that Result's HitRate is the probe's own hit delta, not the cache's
-// lifetime rate. An identical twin fleet replays the probes: a probe passes
-// exactly when its rate is at most the returned one, so the returned rate
-// alone fixes the probe sequence.
+// rate it returns — the floor probe's when the floor fails — and that
+// Result's HitRate is the probe's own hit delta, not the cache's lifetime
+// rate. An identical twin fleet replays the doubling-then-bisection probes
+// and judges each one by the pass rule itself: past a failed floor, a probe
+// passes exactly when its rate is at most the returned one, and some probe
+// at most 1.005× the returned rate failed.
 func TestMaxQPSAtLatencyReturnsItsProbe(t *testing.T) {
 	in, tables := fixture(t)
-	const lo, hi, n = 5.0, 4000.0, 150
-	for _, budget := range []time.Duration{time.Nanosecond, 5 * time.Millisecond} {
-		f := testFleet(t, in, tables, 1, NewRoundRobin(), Config{Seed: 3})
-		qps, res, err := f.MaxQPSAtLatency(0.95, budget, lo, hi, n)
+	const n = searchMinProbe
+	// A warm-up run, so that even a lone floor probe's hit delta differs
+	// from the cache's lifetime rate.
+	warm := func(f *Fleet) *Fleet {
+		if _, err := f.Run(50, 200); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	// 1 ns fails the floor; on this host the p95 decides at 1 ms and the
+	// 0.8× sustain rule at 50 ms.
+	for _, budget := range []time.Duration{time.Nanosecond, time.Millisecond, 50 * time.Millisecond} {
+		f := warm(testFleet(t, in, tables, 1, NewRoundRobin(), Config{Seed: 3}))
+		qps, res, err := f.maxQPSAtLatency(budget, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if floorOnly := budget == time.Nanosecond; floorOnly != (qps == lo) {
-			t.Fatalf("budget %v: max QPS %g (floor %g)", budget, qps, lo)
+		floorOnly := budget == time.Nanosecond
+		if floorOnly != (qps == searchFloorQPS) {
+			t.Fatalf("budget %v: max QPS %g (floor %g)", budget, qps, searchFloorQPS)
 		}
 		if res.OfferedQPS != qps || res.Queries != n {
 			t.Fatalf("budget %v: returned %g QPS with the result of a %g-QPS probe of %d queries",
 				budget, qps, res.OfferedQPS, res.Queries)
 		}
-		twin := testFleet(t, in, tables, 1, NewRoundRobin(), Config{Seed: 3})
+		twin := warm(testFleet(t, in, tables, 1, NewRoundRobin(), Config{Seed: 3}))
 		host := twin.members[0].host
 		var want serving.CacheSnapshot
 		var wantKey string
-		probe := func(rate float64) {
+		failed := math.Inf(1) // the lowest failing rate
+		probe := func(rate float64) bool {
 			before := host.Snapshot()
 			r, err := twin.Run(rate, n)
 			if err != nil {
@@ -832,16 +845,30 @@ func TestMaxQPSAtLatencyReturnsItsProbe(t *testing.T) {
 			if rate == qps {
 				want, wantKey = host.Snapshot().Sub(before), resultKey(t, r)
 			}
-		}
-		probe(lo)
-		for a, b, i := lo, hi, 0; i < 12 && b/a > 1.05; i++ {
-			mid := (a + b) / 2
-			probe(mid)
-			if mid <= qps {
-				a = mid
-			} else {
-				b = mid
+			ok := time.Duration(r.Latency.P95()*float64(time.Second)) <= budget && r.AchievedQPS >= 0.8*rate
+			if ok != (rate <= qps && !floorOnly) {
+				t.Fatalf("budget %v: the %g-QPS probe passed=%v, but the search returned %g", budget, rate, ok, qps)
 			}
+			if !ok {
+				failed = min(failed, rate)
+			}
+			return ok
+		}
+		if probe(searchFloorQPS) {
+			lo, hi := searchFloorQPS, 2*searchFloorQPS
+			for probe(hi) {
+				lo, hi = hi, 2*hi
+			}
+			for hi/lo > searchResolution {
+				if mid := math.Sqrt(lo * hi); probe(mid) {
+					lo = mid
+				} else {
+					hi = mid
+				}
+			}
+		}
+		if failed > 1.005*qps {
+			t.Fatalf("budget %v: lowest failed probe %g QPS, more than 1.005× the returned %g", budget, failed, qps)
 		}
 		if resultKey(t, res) != wantKey {
 			t.Fatalf("budget %v: returned result differs from the twin's %g-QPS probe", budget, qps)

@@ -92,6 +92,30 @@ func TestValues(t *testing.T) {
 	}
 }
 
+// TestCapacityValues: every host capacity the search measured (each value
+// named *qps) is finite and above the 5-QPS floor, so its floor probe
+// passed and the value is a measured rate, not the search's floor.
+func TestCapacityValues(t *testing.T) {
+	for _, c := range []struct {
+		id string
+		n  int
+	}{{"fig6", 7}, {"tab8", 2}, {"tab9", 3}, {"interop", 2}} {
+		n := 0
+		for _, v := range runExp(t, c.id).Values {
+			if !strings.HasSuffix(v.Name, "qps") {
+				continue
+			}
+			n++
+			if math.IsNaN(v.Value) || math.IsInf(v.Value, 0) || v.Value <= 5 {
+				t.Errorf("%s: %s = %v, want a finite rate above the 5-QPS floor", c.id, v.Name, v.Value)
+			}
+		}
+		if n != c.n {
+			t.Errorf("%s carries %d capacity values, want %d", c.id, n, c.n)
+		}
+	}
+}
+
 // paperRows names the value(s) behind each printed row that quotes the
 // paper, by the row's leading text — the numbers a fidelity check attaches
 // the paper's values to.

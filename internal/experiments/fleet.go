@@ -13,32 +13,7 @@ import (
 	"sdm/internal/power"
 	"sdm/internal/serving"
 	"sdm/internal/uring"
-	"sdm/internal/workload"
 )
-
-// hostQPS measures one host over the given store/flat tables — a fleet of
-// one — and returns its max QPS at a p95 latency budget with the result of
-// that probe.
-func hostQPS(sc Scale, inst *model.Instance, tables []*embedding.Table, scfg *core.Config, hcfg serving.Config, budget time.Duration, hiQPS float64) (float64, *cluster.Result, error) {
-	hosts, err := cluster.HostSet(inst, tables, 1, scfg, hcfg)
-	if err != nil {
-		return 0, nil, err
-	}
-	fl, err := cluster.New(hosts, cluster.NewRoundRobin(), cluster.Config{Seed: sc.Seed})
-	if err != nil {
-		return 0, nil, err
-	}
-	gen, err := workload.NewGenerator(inst, workload.Config{Seed: sc.Seed, NumUsers: 1000})
-	if err != nil {
-		return 0, nil, err
-	}
-	fl.SetGenerator(gen)
-	// Warmup pass at modest load so caches reach steady state (§A.4).
-	if _, err := fl.Run(50, sc.Queries/2+50); err != nil {
-		return 0, nil, err
-	}
-	return fl.MaxQPSAtLatency(0.95, budget, 5, hiQPS, sc.Queries/2+100)
-}
 
 // scenarioModel builds the shrunken shape of one of the paper's target
 // models: table counts trimmed, dims/PFs/batches preserved. The dense stack
@@ -68,6 +43,8 @@ func fig6(sc Scale) (*Report, error) {
 	fracs := []float64{0, 0.25, 0.5, 1.0}
 	kindRows := make([]string, len(kinds))
 	fracRows := make([]string, len(fracs))
+	qpsValues := make([]Value, len(kinds)+len(fracs))
+	hcfg := serving.Config{Spec: serving.HWSS(), InterOp: true}
 	smBytes := inst.UserBytes()
 	var runs []func() error
 	for i, kind := range kinds {
@@ -78,10 +55,11 @@ func fig6(sc Scale) (*Report, error) {
 				Seed: sc.Seed, CacheKind: kind, CacheBytes: 1 << 20,
 				Ring: uring.Config{SGL: true},
 			}
-			qps, res, err := hostQPS(sc, inst, tables, scfg, serving.Config{Spec: serving.HWSS(), InterOp: true}, budget, 20000)
+			qps, res, err := cluster.HostQPS(inst, tables, scfg, hcfg, sc.Seed, budget, sc.Queries)
 			if err != nil {
 				return err
 			}
+			qpsValues[i] = Value{fmt.Sprintf("kind.%d.qps", i), qps, "1/s"}
 			kindRows[i] = fmt.Sprintf("  %-14s qps=%6.0f p95=%6.2fms hit=%5.1f%%",
 				kind, qps, res.Latency.P95()*1e3, res.HitRate*100)
 			return nil
@@ -98,10 +76,11 @@ func fig6(sc Scale) (*Report, error) {
 					DRAMBudget: int64(frac * float64(smBytes)),
 				},
 			}
-			qps, res, err := hostQPS(sc, inst, tables, scfg, serving.Config{Spec: serving.HWSS(), InterOp: true}, budget, 20000)
+			qps, res, err := cluster.HostQPS(inst, tables, scfg, hcfg, sc.Seed, budget, sc.Queries)
 			if err != nil {
 				return err
 			}
+			qpsValues[len(kinds)+i] = Value{fmt.Sprintf("dram.%d.qps", i), qps, "1/s"}
 			fracRows[i] = fmt.Sprintf("  dram=%3.0f%%ofSM   qps=%6.0f p95=%6.2fms smReads/qry=%5.1f",
 				frac*100, qps, res.Latency.P95()*1e3, float64(res.Hosts[0].SMReads)/float64(res.Queries))
 			return nil
@@ -110,7 +89,7 @@ func fig6(sc Scale) (*Report, error) {
 	if err := inParallel(runs...); err != nil {
 		return nil, err
 	}
-	r := &Report{Notes: []string{
+	r := &Report{Values: qpsValues, Notes: []string{
 		"paper: dual cache routes dim≤255B to memory-optimized; direct DRAM placement can raise QPS considerably",
 	}}
 	r.Rows = append(r.Rows, "cache organization (same FM budget):")
@@ -138,24 +117,19 @@ func tab8(sc Scale) (*Report, error) {
 		baseQPS, sdmQPS float64
 		sdmRes          *cluster.Result
 	)
+	sdmCfg := &core.Config{Seed: sc.Seed, SMTech: blockdev.NandFlash, CacheBytes: 32 << 20, Ring: uring.Config{SGL: true}}
 	err = inParallel(
-		func() error {
-			// Baseline: all tables flat in DRAM on the big host.
-			var err error
-			baseQPS, _, err = hostQPS(sc, inst, tables, nil,
-				serving.Config{Spec: serving.HWL(), InterOp: true}, budget, 100000)
-			return err
+		// Baseline: all tables flat in DRAM on the big host.
+		func() (err error) {
+			baseQPS, _, err = cluster.HostQPS(inst, tables, nil,
+				serving.Config{Spec: serving.HWL(), InterOp: true}, sc.Seed, budget, sc.Queries)
+			return
 		},
-		func() error {
-			// SDM: user tables on Nand, FM cache, small host.
-			scfg := &core.Config{
-				Seed: sc.Seed, SMTech: blockdev.NandFlash, CacheBytes: 32 << 20,
-				Ring: uring.Config{SGL: true},
-			}
-			var err error
-			sdmQPS, sdmRes, err = hostQPS(sc, inst, tables, scfg,
-				serving.Config{Spec: serving.HWSS(), InterOp: true}, budget, 100000)
-			return err
+		// SDM: user tables on Nand, FM cache, small host.
+		func() (err error) {
+			sdmQPS, sdmRes, err = cluster.HostQPS(inst, tables, sdmCfg,
+				serving.Config{Spec: serving.HWSS(), InterOp: true}, sc.Seed, budget, sc.Queries)
+			return
 		},
 	)
 	if err != nil {
@@ -208,26 +182,24 @@ func tab9(sc Scale) (*Report, error) {
 		scaleOutQPS, nandQPS, optQPS float64
 		optRes                       *cluster.Result
 	)
+	smCfg := func(tech blockdev.Technology) *core.Config {
+		return &core.Config{Seed: sc.Seed, SMTech: tech, CacheBytes: 8 << 20, Ring: uring.Config{SGL: true}}
+	}
 	err = inParallel(
-		func() error {
-			var err error
-			scaleOutQPS, _, err = hostQPS(sc, inst, tables, nil,
-				serving.Config{Spec: serving.HWAN(), InterOp: true, RemoteUserPath: true}, budget, 200000)
-			return err
+		func() (err error) {
+			scaleOutQPS, _, err = cluster.HostQPS(inst, tables, nil,
+				serving.Config{Spec: serving.HWAN(), InterOp: true, RemoteUserPath: true}, sc.Seed, budget, sc.Queries)
+			return
 		},
-		func() error {
-			nandCfg := &core.Config{Seed: sc.Seed, SMTech: blockdev.NandFlash, CacheBytes: 8 << 20, Ring: uring.Config{SGL: true}}
-			var err error
-			nandQPS, _, err = hostQPS(sc, inst, tables, nandCfg,
-				serving.Config{Spec: serving.HWAN(), InterOp: true}, budget, 200000)
-			return err
+		func() (err error) {
+			nandQPS, _, err = cluster.HostQPS(inst, tables, smCfg(blockdev.NandFlash),
+				serving.Config{Spec: serving.HWAN(), InterOp: true}, sc.Seed, budget, sc.Queries)
+			return
 		},
-		func() error {
-			optCfg := &core.Config{Seed: sc.Seed, SMTech: blockdev.OptaneSSD, CacheBytes: 8 << 20, Ring: uring.Config{SGL: true}}
-			var err error
-			optQPS, optRes, err = hostQPS(sc, inst, tables, optCfg,
-				serving.Config{Spec: serving.HWAO(), InterOp: true}, budget, 200000)
-			return err
+		func() (err error) {
+			optQPS, optRes, err = cluster.HostQPS(inst, tables, smCfg(blockdev.OptaneSSD),
+				serving.Config{Spec: serving.HWAO(), InterOp: true}, sc.Seed, budget, sc.Queries)
+			return
 		},
 	)
 	if err != nil {
@@ -264,6 +236,7 @@ func tab9(sc Scale) (*Report, error) {
 			"paper: Nand underperforms (QPS 230 vs 450) because its latency forces underutilization; Optane matches scale-out QPS at lower power",
 		},
 	}
+	r.add("scaleout_qps", scaleOutQPS, "1/s")
 	r.add("nand_qps", nandQPS, "1/s")
 	r.add("optane_qps", optQPS, "1/s")
 	r.add("optane_saving", optSaving, "frac")
@@ -419,8 +392,8 @@ func interOp(sc Scale) (*Report, error) {
 	budget := 25 * time.Millisecond
 	run := func(interOp bool) (float64, *cluster.Result, error) {
 		scfg := &core.Config{Seed: sc.Seed, CacheBytes: 4 << 20, Ring: uring.Config{SGL: true}}
-		return hostQPS(sc, inst, tables, scfg,
-			serving.Config{Spec: serving.HWSS(), InterOp: interOp}, budget, 20000)
+		return cluster.HostQPS(inst, tables, scfg,
+			serving.Config{Spec: serving.HWSS(), InterOp: interOp}, sc.Seed, budget, sc.Queries)
 	}
 	var (
 		serialQPS, parQPS float64
@@ -441,6 +414,8 @@ func interOp(sc Scale) (*Report, error) {
 		fmt.Sprintf("latency reduction %.0f%%, QPS gain %.0f%% (paper: 20%% / 20%% on M1)",
 			latReduction*100, qpsGain*100),
 	}}
+	r.add("serial_qps", serialQPS, "1/s")
+	r.add("parallel_qps", parQPS, "1/s")
 	r.add("latency_reduction", latReduction, "frac")
 	r.add("qps_gain", qpsGain, "frac")
 	return r, nil

@@ -35,11 +35,14 @@
 // front-end router with pluggable user→host policies (round-robin,
 // least-outstanding, sticky consistent hashing) over one shared Zipf user
 // population — the serving-time realization of the paper's Fig. 4c sticky
-// locality uplift and the measured input to fleet provisioning. A single
-// host is a fleet of one, and Fleet.MaxQPSAtLatency is its max QPS at a
-// latency budget (Tables 8 and 9):
+// locality uplift and the measured input to fleet provisioning. HostQPS is
+// one host's max QPS at a p95 latency budget (Tables 8 and 9), measured as
+// a fleet of one: the rate doubles from 5 QPS until a probe fails, then
+// bisects geometrically to 0.5 %; a probe runs ≥ 400 queries and passes
+// when it meets the budget and sustains ≥ 0.8× the offered rate:
 //
 //	hostCfg := sdm.HostConfig{Spec: sdm.HWSS(), InterOp: true}
+//	qps, probe, _ := sdm.HostQPS(inst, tables, &storeCfg, hostCfg, 1, 25*time.Millisecond, 500)
 //	hosts, _ := sdm.NewFleetHosts(inst, tables, 4, &storeCfg, hostCfg)
 //	fleet, _ := sdm.NewFleet(hosts, sdm.NewSticky(4, 64), sdm.FleetConfig{})
 //	fleet.SetGenerator(gen)
@@ -214,6 +217,8 @@ var (
 	NewRoundRobin = cluster.NewRoundRobin
 	// NewSticky pins users to hosts via consistent hashing (Fig. 4c).
 	NewSticky = cluster.NewSticky
+	// HostQPS measures one host's max QPS at a p95 latency budget.
+	HostQPS = cluster.HostQPS
 )
 
 // SM technologies (Table 1).
