@@ -1,23 +1,33 @@
 package cluster
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestSteadyStateFleetAllocs pins the fleet half of the allocation budget
 // (the engine half is core's TestSteadyStateQueryAllocs). Once two warm runs
 // have grown the records and routing ledgers, a Fleet.Run allocates a fixed
-// handful of objects for result assembly whatever its length: the count is
-// the same at n and 2n queries, so a query allocates nothing. A feedback
-// router executes every query on the calling goroutine, so the count is
-// exact rather than scheduler-dependent.
+// handful of objects for result assembly whatever its length, so a query
+// allocates nothing.
+//
+// A feedback router executes every query on the calling goroutine, so its
+// count is exact: the same at n and 2n queries. A sticky router runs the
+// queued executor, which hands each query to its host's worker as a copy in
+// a recycled buffer. How many buffers a member fills before the first comes
+// back depends on the scheduler, but never more than pushBound+2 of them,
+// each a QueryBuf and its three slices: a Run of 4n queries may allocate
+// that much per member beyond a Run of n, and a copy per query would break
+// the bound many times over.
 func TestSteadyStateFleetAllocs(t *testing.T) {
 	const (
 		qps     = 300
-		perRun  = 32 // objects a warm Run allocates, independent of n
+		perRun  = 32 // objects a warm inline Run allocates, independent of n
 		queries = 300
+		perCopy = 4 // objects in a fresh QueryBuf: the struct and its three slices
 	)
 	in, tables := fixture(t)
-	f := testFleet(t, in, tables, 4, NewLeastOutstanding(), Config{Seed: 7, HostWorkers: 1})
-	allocs := func(n int) float64 {
+	allocs := func(f *Fleet, n int) float64 {
 		run := func() {
 			if _, err := f.Run(qps, n); err != nil {
 				t.Fatal(err)
@@ -27,13 +37,28 @@ func TestSteadyStateFleetAllocs(t *testing.T) {
 		run()
 		return testing.AllocsPerRun(3, run)
 	}
-	small, large := allocs(queries), allocs(2*queries)
-	t.Logf("a warm Run allocates %.0f objects at %d queries, %.0f at %d", small, queries, large, 2*queries)
-	if small != large {
-		t.Fatalf("a warm Run allocates %.0f objects at %d queries and %.0f at %d: some allocation scales with the query count",
-			small, queries, large, 2*queries)
-	}
-	if large > perRun {
-		t.Fatalf("a warm Run allocates %.0f objects, budget %d", large, perRun)
+	t.Run("inline", func(t *testing.T) {
+		f := testFleet(t, in, tables, 4, NewLeastOutstanding(), Config{Seed: 7, HostWorkers: 1})
+		small, large := allocs(f, queries), allocs(f, 2*queries)
+		t.Logf("a warm Run allocates %.0f objects at %d queries, %.0f at %d", small, queries, large, 2*queries)
+		if small != large {
+			t.Fatalf("a warm Run allocates %.0f objects at %d queries and %.0f at %d: some allocation scales with the query count",
+				small, queries, large, 2*queries)
+		}
+		if large > perRun {
+			t.Fatalf("a warm Run allocates %.0f objects, budget %d", large, perRun)
+		}
+	})
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("queued,workers=%d", workers), func(t *testing.T) {
+			const hosts = 4
+			f := testFleet(t, in, tables, hosts, NewSticky(hosts, 64), Config{Seed: 7, HostWorkers: workers})
+			small, large := allocs(f, queries), allocs(f, 4*queries)
+			t.Logf("a warm Run allocates %.0f objects at %d queries, %.0f at %d", small, queries, large, 4*queries)
+			if slack := float64(hosts * (pushBound + 2) * perCopy); large > small+slack {
+				t.Fatalf("a warm Run allocates %.0f objects at %d queries and %.0f at %d, more than the %.0f that recycled copies allow: some allocation scales with the query count",
+					small, queries, large, 4*queries, slack)
+			}
+		})
 	}
 }

@@ -17,10 +17,12 @@
 // before execution, so where a query runs changes wall-clock time only. Run
 // picks between two executions from state it already observes:
 //
-//   - Queued: routed jobs are handed to one goroutine per host, bounded by
-//     a HostWorkers semaphore, and the front-end runs ahead of the hosts.
-//     Used when nothing reads host state mid-run (no Feedback() router, no
-//     trace); the only barriers are the failure-drill index and run end.
+//   - Queued: each routed job is sent on its host's buffered channel to one
+//     goroutine per host, at most HostWorkers of them executing at once, so
+//     the front-end runs ahead of the hosts until a channel fills. Used
+//     when nothing reads host state mid-run (no Feedback() router, no
+//     trace); the only barriers are the failure-drill index and run end,
+//     both one WaitGroup wait for every sent job.
 //   - Inline: a router that reads live host state (Feedback() == true) and
 //     any traced run need every routed job finished before the next
 //     decision. Under that rule no two hosts ever execute at once, so Run
@@ -85,6 +87,11 @@ type Fleet struct {
 	failedAt simclock.Time
 	failed   int
 
+	// pending counts a queued Run's jobs sent and not yet executed (or
+	// skipped): the front-end Adds one per send, the worker marks it Done.
+	// pending.Wait is the barrier at the failure index and at run end.
+	pending sync.WaitGroup
+
 	// routed counts the queries routed to each host this Run — the
 	// front-end's own load ledger, exposed through View.Routed. Reused
 	// (zeroed in place) across Runs, like records and the class ledgers
@@ -126,11 +133,10 @@ type Fleet struct {
 }
 
 // member serializes one host's execution. exec runs one routed job; an
-// inline Run calls it on the front-end goroutine and leaves the queue
-// fields (mu through hiOps) idle. A queued Run appends jobs under mu, a
-// per-Run goroutine (loop) drains them FIFO through exec, and the
-// submitted/completed counts let the front-end sync at the failure-drill
-// index and at run end.
+// inline Run calls it on the front-end goroutine and leaves jobs and free
+// idle. A queued Run sends jobs on jobs, the member's FIFO, where a full
+// channel stalls the front-end; a per-Run goroutine (loop) receives and
+// executes them in order.
 type member struct {
 	id    int
 	host  *serving.Host
@@ -152,33 +158,31 @@ type member struct {
 	// off); only exec touches it during a Run.
 	meter *ticker
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	jobs      []job
-	submitted int
-	completed int
-	closed    bool
-	err       error
+	// jobs is the queued Run's FIFO (capacity pushBound). err is the
+	// worker's first execution error: written only by the worker, read by
+	// the front-end after pending.Wait.
+	jobs chan job
+	err  error
 
 	// free recycles the deep-copy buffers that carry arena-backed
-	// generator queries to this member's goroutine: the front-end pops a
-	// buffer per routed query (copyQuery), the goroutine returns it after
-	// execution. Guarded by mu. hiIdx/hiPools/hiOps are the member's
-	// high-water query sizes (front-end only): every buffer is Reserved
-	// to the high-water mark, so a recycled buffer reallocates at most
-	// once per new maximum instead of creeping toward the workload's
-	// long-tail sizes buffer by buffer.
-	free    []*workload.QueryBuf
+	// generator queries to this member's goroutine: the front-end takes a
+	// buffer per routed query (copyQuery), the worker returns it after
+	// execution. Its capacity, pushBound+2, is the most a member holds.
+	// hiIdx/hiPools/hiOps are the member's high-water query sizes
+	// (front-end only): every buffer is Reserved to the high-water mark, so
+	// a recycled buffer reallocates at most once per new maximum instead of
+	// creeping toward the workload's long-tail sizes buffer by buffer.
+	free    chan *workload.QueryBuf
 	hiIdx   int
 	hiPools int
 	hiOps   int
 }
 
 type job struct {
-	idx int
+	idx int // -1 stops the worker
 	at  simclock.Time
 	// q owns the query's deep-copied storage for the duration of the job;
-	// the member goroutine recycles it into the free list afterwards.
+	// the worker returns it to free afterwards.
 	q *workload.QueryBuf
 }
 
@@ -223,11 +227,13 @@ func New(hosts []*serving.Host, router Router, cfg Config) (*Fleet, error) {
 		routeCtx: pprof.WithLabels(context.Background(), pprof.Labels("sdm_phase", "route+admit")),
 	}
 	for i, h := range hosts {
-		m := &member{id: i, host: h, alive: true}
-		m.execCtx = pprof.WithLabels(context.Background(),
-			pprof.Labels("sdm_phase", "exec", "sdm_host", strconv.Itoa(i)))
-		m.cond = sync.NewCond(&m.mu)
-		f.members = append(f.members, m)
+		f.members = append(f.members, &member{
+			id: i, host: h, alive: true,
+			execCtx: pprof.WithLabels(context.Background(),
+				pprof.Labels("sdm_phase", "exec", "sdm_host", strconv.Itoa(i))),
+			jobs: make(chan job, pushBound),
+			free: make(chan *workload.QueryBuf, pushBound+2),
+		})
 	}
 	return f, nil
 }
@@ -380,14 +386,10 @@ func (f *Fleet) Run(qps float64, n int) (*Result, error) {
 	for i := range records {
 		records[i] = record{}
 	}
-	// A failed Run leaves its host error (and whatever it had queued)
-	// behind; every Run starts from a clean queue.
+	// A failed Run leaves its host error behind; its queues were drained
+	// before it returned.
 	for _, m := range f.members {
-		m.mu.Lock()
-		m.jobs = m.jobs[:0]
-		m.submitted, m.completed = 0, 0
-		m.closed, m.err = false, nil
-		m.mu.Unlock()
+		m.err = nil
 	}
 	// A run that needs every routed job finished before the next decision —
 	// a router reading live host state, or the tracer reading Outstanding —
@@ -450,7 +452,12 @@ func (f *Fleet) Run(qps float64, n int) (*Result, error) {
 	drifted := false
 	var runErr error
 	for i := 0; i < n; i++ {
-		t += simclock.Time(f.rng.Exp(1 / qps * float64(time.Second)))
+		gap := f.rng.Exp(1 / qps * float64(time.Second))
+		if !(gap < float64(math.MaxInt64-t)) {
+			runErr = fmt.Errorf("cluster: qps=%g puts query %d past the end of virtual time", qps, i)
+			break
+		}
+		t += simclock.Time(gap)
 		f.meter.feTick(t)
 		if i == driftIdx {
 			// The rotation lands between arrivals: query i is the first
@@ -522,7 +529,8 @@ func (f *Fleet) Run(qps float64, n int) (*Result, error) {
 		}
 		m.lastPush = at
 		if !inline {
-			m.push(job{idx: i, at: at, q: m.copyQuery(q)})
+			f.pending.Add(1)
+			m.jobs <- job{idx: i, at: at, q: m.copyQuery(q)}
 			continue
 		}
 		pprof.SetGoroutineLabels(m.execCtx)
@@ -646,55 +654,32 @@ func (f *Fleet) class(c, fam int) *classLedger {
 	return &f.classes[c]
 }
 
-// pushBound caps a member's queued jobs: the front-end stalls once a
-// member is this far behind, bounding in-flight deep-copy buffers (so
-// free-list reuse stays effective and fleet memory stays flat at any run
-// length). Purely wall-clock backpressure — every job's admission time is
-// fixed before the push, so virtual-time results are unchanged. A member
-// holds at most 2 × pushBound buffers (one batch queued, one executing),
-// and the bound is per member, so 64 hosts can still hold a thousand
-// queries between them: enough to keep every worker fed, little enough
-// that a front-end faster than its hosts (the generator's sequence memo
-// made it so on sticky fleets) does not turn its lead into live heap.
+// pushBound caps a member's queued jobs (the capacity of member.jobs): the
+// front-end stalls once a member is this far behind, bounding in-flight
+// deep-copy buffers (so recycling stays effective and fleet memory stays
+// flat at any run length). Purely wall-clock backpressure — every job's
+// admission time is fixed before the send, so virtual-time results are
+// unchanged. A member holds at most pushBound+2 buffers (pushBound queued,
+// one executing, one in the front-end's hands), and the bound is per
+// member, so 64 hosts can still hold hundreds of queries between them:
+// enough to keep every worker fed, little enough that a front-end faster
+// than its hosts (the generator's sequence memo made it so on sticky
+// fleets) does not turn its lead into live heap.
 const pushBound = 8
-
-// push appends a routed job to the member's FIFO queue, waiting while the
-// queue is at pushBound.
-func (m *member) push(j job) {
-	m.mu.Lock()
-	for len(m.jobs) >= pushBound && !m.closed && m.err == nil {
-		m.cond.Wait()
-	}
-	m.jobs = append(m.jobs, j)
-	m.submitted++
-	m.cond.Broadcast()
-	m.mu.Unlock()
-}
 
 // copyQuery deep-copies the generator's arena-backed query into a recycled
 // member-owned buffer. The front-end overwrites the arena on its next draw,
 // while the member goroutine consumes the copy asynchronously; the buffer
-// returns to the free list once the job is executed.
+// returns to free once the job is executed.
 func (m *member) copyQuery(q workload.Query) *workload.QueryBuf {
 	ni, np, no := q.Size()
-	if ni > m.hiIdx {
-		m.hiIdx = ni
-	}
-	if np > m.hiPools {
-		m.hiPools = np
-	}
-	if no > m.hiOps {
-		m.hiOps = no
-	}
-	m.mu.Lock()
+	m.hiIdx = max(m.hiIdx, ni)
+	m.hiPools = max(m.hiPools, np)
+	m.hiOps = max(m.hiOps, no)
 	var b *workload.QueryBuf
-	if n := len(m.free); n > 0 {
-		b = m.free[n-1]
-		m.free[n-1] = nil
-		m.free = m.free[:n-1]
-	}
-	m.mu.Unlock()
-	if b == nil {
+	select {
+	case b = <-m.free:
+	default:
 		b = new(workload.QueryBuf)
 	}
 	b.Reserve(m.hiIdx, m.hiPools, m.hiOps)
@@ -704,8 +689,8 @@ func (m *member) copyQuery(q workload.Query) *workload.QueryBuf {
 
 // startWorkers begins a queued Run: one worker goroutine per member, at
 // most Config.HostWorkers of them executing at once. The returned function
-// closes the queues and waits for every worker to exit; Run calls it on all
-// paths.
+// sends each worker a stop job and waits for every worker to exit; Run
+// calls it on all paths, after the final barrier.
 func (f *Fleet) startWorkers(records []record) (stop func()) {
 	workers := f.cfg.HostWorkers
 	if workers <= 0 {
@@ -717,15 +702,12 @@ func (f *Fleet) startWorkers(records []record) (stop func()) {
 		wg.Add(1)
 		go func(m *member) {
 			defer wg.Done()
-			m.loop(sem, records)
+			m.loop(sem, records, &f.pending)
 		}(m)
 	}
 	return func() {
 		for _, m := range f.members {
-			m.mu.Lock()
-			m.closed = true
-			m.cond.Broadcast()
-			m.mu.Unlock()
+			m.jobs <- job{idx: -1}
 		}
 		wg.Wait()
 	}
@@ -756,54 +738,36 @@ func (m *member) exec(idx int, at simclock.Time, q workload.Query, records []rec
 	return nil
 }
 
-// loop is a queued Run's host goroutine: drain queued jobs FIFO in batches,
-// execute them under the fleet-wide worker semaphore. Batch-draining keeps
-// mutex traffic at one lock/unlock pair per burst instead of per query;
-// execution order and virtual-time results are identical either way.
-func (m *member) loop(sem chan struct{}, records []record) {
+// loop is a queued Run's host goroutine: receive a job, take a slot of the
+// fleet-wide worker semaphore, execute while the channel still has jobs and
+// give the slot back once it runs dry. After an error it keeps receiving and
+// skips every later job, so the front-end never stalls on a failed member;
+// their records stay zero, exactly as if they had arrived after it. A stop
+// job ends the loop.
+func (m *member) loop(sem chan struct{}, records []record, pending *sync.WaitGroup) {
 	pprof.SetGoroutineLabels(m.execCtx)
-	var run []job
 	for {
-		m.mu.Lock()
-		for len(m.jobs) == 0 && !m.closed {
-			m.cond.Wait()
+		j := <-m.jobs
+		sem <- struct{}{}
+		for more := true; more && j.idx >= 0; {
+			if m.err == nil {
+				m.err = m.exec(j.idx, j.at, j.q.Q, records)
+			}
+			select {
+			case m.free <- j.q: // always room: a member holds at most pushBound+2 buffers
+			default:
+			}
+			pending.Done()
+			select {
+			case j = <-m.jobs:
+			default:
+				more = false
+			}
 		}
-		if len(m.jobs) == 0 {
-			m.mu.Unlock()
+		<-sem
+		if j.idx < 0 {
 			return
 		}
-		run = append(run[:0], m.jobs...)
-		m.jobs = m.jobs[:0]
-		failed := m.err != nil
-		// Wake a front-end stalled on pushBound: the queue just emptied.
-		m.cond.Broadcast()
-		m.mu.Unlock()
-
-		var firstErr error
-		if !failed {
-			sem <- struct{}{}
-			for k := range run {
-				j := &run[k]
-				// After an error later jobs are skipped; their records stay
-				// zero, exactly as if they had arrived after it.
-				if firstErr = m.exec(j.idx, j.at, j.q.Q, records); firstErr != nil {
-					break
-				}
-			}
-			<-sem
-		}
-
-		m.mu.Lock()
-		m.completed += len(run)
-		if firstErr != nil && m.err == nil {
-			m.err = firstErr
-		}
-		for k := range run {
-			m.free = append(m.free, run[k].q)
-			run[k].q = nil
-		}
-		m.cond.Broadcast()
-		m.mu.Unlock()
 	}
 }
 
@@ -812,19 +776,14 @@ func hostError(id int, err error) error {
 	return fmt.Errorf("cluster: host %d: %w", id, err)
 }
 
-// syncAll blocks until every member has executed all submitted jobs; the
-// mutex handoff makes each host's state visible to the front-end. On an
-// inline Run nothing is ever submitted and it returns at once.
+// syncAll waits for every sent job (none on an inline Run), which makes each
+// host's state visible to the front-end, and returns the first member error
+// in id order.
 func (f *Fleet) syncAll() error {
+	f.pending.Wait()
 	for _, m := range f.members {
-		m.mu.Lock()
-		for m.completed < m.submitted {
-			m.cond.Wait()
-		}
-		err := m.err
-		m.mu.Unlock()
-		if err != nil {
-			return hostError(m.id, err)
+		if m.err != nil {
+			return hostError(m.id, m.err)
 		}
 	}
 	return nil

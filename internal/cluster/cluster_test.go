@@ -529,6 +529,15 @@ func TestFleetValidation(t *testing.T) {
 			}
 		}
 	}
+	// A finite rate so small that the first arrival gap overflows virtual
+	// time fails naming qps instead of wrapping the clock, and the fleet
+	// runs normally afterwards.
+	if _, err := f.Run(1e-300, 10); err == nil || !strings.Contains(err.Error(), "qps") {
+		t.Errorf("qps = 1e-300: error %v, want one naming qps", err)
+	}
+	if res, err := f.Run(100, 10); err != nil || res.Queries != 10 {
+		t.Fatalf("run after the overflowing rate: %v", err)
+	}
 	if _, err := HostSet(in, tables, 0, &scfg, serving.Config{Spec: serving.HWSS()}); err == nil {
 		t.Fatal("empty host set should fail")
 	}

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"sdm/internal/core"
 	"sdm/internal/model"
@@ -263,11 +264,35 @@ func TestFeedbackDrillsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// runWithin is f.Run under a deadline, so a deadlocked executor fails the
+// test in seconds rather than at the test binary's timeout.
+func runWithin(t *testing.T, f *Fleet, qps float64, n int) (*Result, error) {
+	t.Helper()
+	type out struct {
+		res *Result
+		err error
+	}
+	c := make(chan out, 1)
+	go func() {
+		res, err := f.Run(qps, n)
+		c <- out{res, err}
+	}()
+	select {
+	case o := <-c:
+		return o.res, o.err
+	case <-time.After(20 * time.Second): //sdm:allow wallclock test watchdog against a deadlocked executor, not simulated time
+		t.Fatalf("Run(%g, %d) has not returned after 20 s: the executor is deadlocked", qps, n)
+		return nil, nil
+	}
+}
+
 func TestHostErrorClearsBetweenRuns(t *testing.T) {
 	// A generator over a model with more rows than the hosts' tables makes
 	// Host.Admit fail mid-run. Both executions report it wrapped with the
 	// host id and leave no goroutine behind, and the error does not outlive
-	// its Run: with a good generator the same fleet runs again.
+	// its Run: with a good generator the same fleet runs again. With one
+	// worker slot the front-end, stalled on the failed member's full
+	// channel, depends on that member's goroutine to keep receiving.
 	in, tables := fixture(t)
 	bigCfg := in.Config
 	bigCfg.TotalBytes *= 8
@@ -276,48 +301,52 @@ func TestHostErrorClearsBetweenRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name   string
-		router Router
+		name    string
+		router  Router
+		workers int
 	}{
-		{"queued", NewSticky(3, 64)},
-		{"inline", NewLeastOutstanding()},
+		{"queued", NewSticky(3, 64), 2},
+		{"queued,workers=1", NewSticky(3, 64), 1},
+		{"inline", NewLeastOutstanding(), 2},
 	} {
-		scfg := core.Config{Seed: 7, Ring: uring.Config{SGL: true}, CacheBytes: 1 << 15}
-		hosts, err := HostSet(in, tables, 3, &scfg, serving.Config{Spec: serving.HWSS(), InterOp: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := New(hosts, tc.router, Config{Seed: 5, HostWorkers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := settledGoroutines()
-		bad, err := workload.NewGenerator(big, workload.Config{Seed: 5, NumUsers: 800, UserAlpha: 0.8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.SetGenerator(bad)
-		_, err = f.Run(400, 300)
-		if err == nil {
-			t.Fatalf("%s: out-of-range rows should fail the run", tc.name)
-		}
-		if !strings.HasPrefix(err.Error(), "cluster: host ") || errors.Unwrap(err) == nil {
-			t.Fatalf("%s: host error not wrapped with its host: %v", tc.name, err)
-		}
-		good, err := workload.NewGenerator(in, workload.Config{Seed: 5, NumUsers: 800, UserAlpha: 0.8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.SetGenerator(good)
-		res, err := f.Run(400, 300)
-		if err != nil {
-			t.Fatalf("%s: the failed run's error outlived it: %v", tc.name, err)
-		}
-		if got := int(res.Latency.Count()); got != 300 {
-			t.Fatalf("%s: recovered run completed %d of 300 queries", tc.name, got)
-		}
-		if n := leakedGoroutines(before); n > 0 {
-			t.Fatalf("%s: the runs left %d goroutines behind", tc.name, n)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			scfg := core.Config{Seed: 7, Ring: uring.Config{SGL: true}, CacheBytes: 1 << 15}
+			hosts, err := HostSet(in, tables, 3, &scfg, serving.Config{Spec: serving.HWSS(), InterOp: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := New(hosts, tc.router, Config{Seed: 5, HostWorkers: tc.workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := settledGoroutines()
+			bad, err := workload.NewGenerator(big, workload.Config{Seed: 5, NumUsers: 800, UserAlpha: 0.8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.SetGenerator(bad)
+			_, err = runWithin(t, f, 400, 300)
+			if err == nil {
+				t.Fatal("out-of-range rows should fail the run")
+			}
+			if !strings.HasPrefix(err.Error(), "cluster: host ") || errors.Unwrap(err) == nil {
+				t.Fatalf("host error not wrapped with its host: %v", err)
+			}
+			good, err := workload.NewGenerator(in, workload.Config{Seed: 5, NumUsers: 800, UserAlpha: 0.8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.SetGenerator(good)
+			res, err := runWithin(t, f, 400, 300)
+			if err != nil {
+				t.Fatalf("the failed run's error outlived it: %v", err)
+			}
+			if got := int(res.Latency.Count()); got != 300 {
+				t.Fatalf("recovered run completed %d of 300 queries", got)
+			}
+			if n := leakedGoroutines(before); n > 0 {
+				t.Fatalf("the runs left %d goroutines behind", n)
+			}
+		})
 	}
 }
