@@ -94,31 +94,23 @@ func weighted6(b *testing.B, hosts int) Router {
 	return r
 }
 
-// warmFleet builds the shape's fleet behind router, applies the planes under
-// test (configure may be nil) and warms it with one Run.
-func (fx fleetBench) warmFleet(b *testing.B, sh fleetShape, router Router, configure func(*cluster.Fleet) error) *cluster.Fleet {
+// warmFleet builds the shape's fleet behind router with the trace and
+// metrics planes under test and warms it with one Run.
+func (fx fleetBench) warmFleet(b *testing.B, sh fleetShape, router Router, trace TraceConfig, metrics *MetricsConfig) *cluster.Fleet {
 	b.Helper()
-	scfg := Config{Seed: 31, Ring: RingConfig{SGL: true}, CacheBytes: 1 << 15}
-	hs, err := NewFleetHosts(fx.inst, fx.tables, sh.hosts, &scfg, HostConfig{
-		Spec: HWSS(), InterOp: true,
+	fl, err := BuildFleet(fx.inst, fx.tables, FleetSpec{
+		Hosts:    sh.hosts,
+		Store:    &Config{Seed: 31, Ring: RingConfig{SGL: true}, CacheBytes: 1 << 15},
+		Host:     HostConfig{Spec: HWSS(), InterOp: true},
+		Router:   router,
+		Fleet:    FleetConfig{Seed: 31},
+		Workload: WorkloadConfig{Seed: 31, NumUsers: sh.users, UserAlpha: 0.8},
+		Trace:    trace,
+		Metrics:  metrics,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	fl, err := NewFleet(hs, router, FleetConfig{Seed: 31})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if configure != nil {
-		if err := configure(fl); err != nil {
-			b.Fatal(err)
-		}
-	}
-	gen, err := NewGenerator(fx.inst, WorkloadConfig{Seed: 31, NumUsers: sh.users, UserAlpha: 0.8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	fl.SetGenerator(gen)
 	if _, err := fl.Run(sh.qps, sh.n); err != nil {
 		b.Fatal(err)
 	}
@@ -164,26 +156,24 @@ func BenchmarkFleetRouting(b *testing.B) {
 		{"weighted6", weighted6(b, sh.hosts)},
 	} {
 		b.Run("policy="+pol.name, func(b *testing.B) {
-			timeRuns(b, fx.warmFleet(b, sh, pol.router, nil), sh)
+			timeRuns(b, fx.warmFleet(b, sh, pol.router, TraceConfig{}, nil), sh)
 		})
 	}
 }
 
 // BenchmarkFleetRoutingTraced measures the decision-trace layer's
 // wall-clock overhead on the BenchmarkFleetRouting weighted fixture:
-// trace=off is the guarded zero-overhead path (SetTrace never called,
-// identical to BenchmarkFleetRouting/policy=weighted6), trace=
-// counterfactual collects every route decision with top-k alternatives
-// and runs the completion-time re-scoring pass. Both rows execute inline,
-// so the gap is collection alone; virtual-time results are identical —
+// trace=off is the guarded zero-overhead path (nil tracer, identical to
+// BenchmarkFleetRouting/policy=weighted6), trace=counterfactual collects
+// every route decision with top-k alternatives and runs the
+// completion-time re-scoring pass. Both rows execute inline, so the gap
+// is collection alone; virtual-time results are identical —
 // tracing never perturbs the simulation.
 func BenchmarkFleetRoutingTraced(b *testing.B) {
 	fx, sh := newFleetBench(b), routingShape
 	for _, level := range []TraceLevel{TraceOff, TraceCounterfactual} {
 		b.Run("trace="+level.String(), func(b *testing.B) {
-			fl := fx.warmFleet(b, sh, weighted6(b, sh.hosts), func(fl *cluster.Fleet) error {
-				return fl.SetTrace(TraceConfig{Level: level}) // TraceOff detaches: the nil path
-			})
+			fl := fx.warmFleet(b, sh, weighted6(b, sh.hosts), TraceConfig{Level: level}, nil)
 			if res := timeRuns(b, fl, sh); res.Trace != nil {
 				b.ReportMetric(float64(res.Trace.Events), "traceEvents")
 			}
@@ -207,12 +197,11 @@ func BenchmarkFleetRoutingMetered(b *testing.B) {
 			name = "metrics=on"
 		}
 		b.Run(name, func(b *testing.B) {
-			fl := fx.warmFleet(b, sh, weighted6(b, sh.hosts), func(fl *cluster.Fleet) error {
-				if !metered {
-					return nil
-				}
-				return fl.SetMetrics(MetricsConfig{})
-			})
+			var mcfg *MetricsConfig
+			if metered {
+				mcfg = &MetricsConfig{}
+			}
+			fl := fx.warmFleet(b, sh, weighted6(b, sh.hosts), TraceConfig{}, mcfg)
 			timeRuns(b, fl, sh)
 			if metered {
 				if err := fl.WriteMetrics(io.Discard); err != nil {
@@ -235,9 +224,7 @@ func BenchmarkFleetRoutingMetered(b *testing.B) {
 // cluster's TestSteadyStateFleetAllocs.
 func BenchmarkFleetScale(b *testing.B) {
 	sh := fleetShape{hosts: 64, users: 4000, qps: 4000, n: 2000}
-	fl := newFleetBench(b).warmFleet(b, sh, NewSticky(sh.hosts, 64), func(fl *cluster.Fleet) error {
-		return fl.SetMetrics(MetricsConfig{})
-	})
+	fl := newFleetBench(b).warmFleet(b, sh, NewSticky(sh.hosts, 64), TraceConfig{}, &MetricsConfig{})
 	res := timeRuns(b, fl, sh)
 	b.ReportMetric(res.AchievedQPS, "vqps")
 	if err := fl.WriteMetrics(io.Discard); err != nil {
@@ -310,7 +297,7 @@ func BenchmarkHostAdmit(b *testing.B) {
 		b.Fatal(err)
 	}
 	scfg := Config{Seed: 42, SMTech: NandFlash, Ring: RingConfig{SGL: true}, CacheBytes: 64 << 10}
-	hs, err := NewFleetHosts(inst, tables, 1, &scfg, HostConfig{Spec: HWSS(), InterOp: true})
+	hs, err := cluster.HostSet(inst, tables, 1, &scfg, HostConfig{Spec: HWSS(), InterOp: true})
 	if err != nil {
 		b.Fatal(err)
 	}

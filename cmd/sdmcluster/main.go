@@ -238,9 +238,20 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	scfg := core.Config{
-		Seed: *seed, SMTech: blockdev.NandFlash,
-		Ring: uring.Config{SGL: true}, CacheBytes: 1 << 20,
+	spec := cluster.Spec{
+		Hosts: *hosts,
+		Store: &core.Config{
+			Seed: *seed, SMTech: blockdev.NandFlash,
+			Ring: uring.Config{SGL: true}, CacheBytes: 1 << 20,
+		},
+		Host:     serving.Config{Spec: serving.HWSS(), InterOp: true},
+		Fleet:    cluster.Config{Seed: *seed, HostWorkers: *workers, Windows: *windows},
+		Workload: workload.Config{Seed: *seed, NumUsers: *users, UserAlpha: 0.8, SLOClasses: *sloCls},
+		Admit:    gate,
+		Trace:    tcfg,
+	}
+	if *hotTabs > 0 || *itemTabs > 0 {
+		spec.Workload.Drift = workload.DriftConfig{HotTables: *hotTabs, HotItemTables: *itemTabs}
 	}
 	if *adaptOn {
 		// Adaptive tiering needs swappable tables and an FM budget for the
@@ -249,73 +260,27 @@ func run(args []string, stdout io.Writer) error {
 		for _, s := range inst.UserTables() {
 			userBytes += s.SizeBytes()
 		}
-		scfg.ReserveSM = true
-		scfg.Placement = placement.Config{
+		spec.Store.ReserveSM = true
+		spec.Store.Placement = placement.Config{
 			Policy: placement.FixedFMWithCache, UserTablesOnly: true,
 			DRAMBudget: userBytes / 3,
 		}
+		spec.Adapt = &acfg
 	}
-	hcfg := serving.Config{Spec: serving.HWSS(), InterOp: true}
-	wcfg := workload.Config{Seed: *seed, NumUsers: *users, UserAlpha: 0.8, SLOClasses: *sloCls}
-	if *hotTabs > 0 || *itemTabs > 0 {
-		wcfg.Drift = workload.DriftConfig{HotTables: *hotTabs, HotItemTables: *itemTabs}
+	if *coordOn {
+		spec.Coord = &cluster.CoordConfig{Slot: *slot, BandwidthBytesPerSec: *migBW}
+	}
+	if *metrics != "" {
+		spec.Metrics = &cluster.MetricsConfig{Every: *metEvery}
 	}
 
 	var reports []map[string]any
 	for _, p := range policies {
-		hs, err := cluster.HostSet(inst, tables, *hosts, &scfg, hcfg)
+		spec.Router = p
+		fl, err := cluster.Build(inst, tables, spec)
 		if err != nil {
 			return err
 		}
-		var adapters []*adapt.Adapter
-		var coord *cluster.Coordinator
-		if *adaptOn {
-			if *coordOn {
-				adapters, coord, err = cluster.AttachCoordinated(hs, acfg, cluster.CoordConfig{
-					Slot:                 *slot,
-					BandwidthBytesPerSec: *migBW,
-				})
-			} else {
-				adapters, err = cluster.AttachAdaptive(hs, acfg)
-			}
-			if err != nil {
-				return err
-			}
-		}
-		fl, err := cluster.New(hs, p, cluster.Config{
-			Seed: *seed, HostWorkers: *workers, Windows: *windows,
-		})
-		if err != nil {
-			return err
-		}
-		// Feed the fleet's View the migration signals the weighted
-		// scorers read (migavoid, wear, fmserved).
-		if coord != nil {
-			fl.SetCoordinator(coord)
-		}
-		if adapters != nil {
-			fl.SetAdapters(adapters)
-		}
-		if gate != nil {
-			if err := fl.SetAdmission(*gate); err != nil {
-				return err
-			}
-		}
-		if level != obs.LevelOff {
-			if err := fl.SetTrace(tcfg); err != nil {
-				return err
-			}
-		}
-		if *metrics != "" {
-			if err := fl.SetMetrics(cluster.MetricsConfig{Every: *metEvery}); err != nil {
-				return err
-			}
-		}
-		gen, err := workload.NewGenerator(inst, wcfg)
-		if err != nil {
-			return err
-		}
-		fl.SetGenerator(gen)
 		if *warm {
 			if _, err := fl.Run(*qps, *queries); err != nil {
 				return err
@@ -369,8 +334,8 @@ func run(args []string, stdout io.Writer) error {
 		}
 		if *asJSON {
 			rep := jsonReport(res)
-			if adapters != nil {
-				as := cluster.AdapterStats(adapters)
+			if *adaptOn {
+				as := cluster.AdapterStats(fl.Adapters())
 				rep["adapter"] = map[string]any{
 					"evals": as.Evals, "promotions": as.Promotions,
 					"demotions": as.Demotions, "migrated_bytes": as.MigratedBytes,
@@ -382,8 +347,8 @@ func run(args []string, stdout io.Writer) error {
 			continue
 		}
 		res.Print(stdout)
-		if adapters != nil {
-			fmt.Fprintln(stdout, "adaptive:", cluster.AdapterStats(adapters))
+		if *adaptOn {
+			fmt.Fprintln(stdout, "adaptive:", cluster.AdapterStats(fl.Adapters()))
 		}
 		fmt.Fprintln(stdout)
 	}

@@ -78,19 +78,20 @@ func main() {
 				DRAMBudget:     perTable*2 + perTable/2,
 			},
 		}
-		hosts, err := sdm.NewFleetHosts(inst, tables, nHosts, &scfg, sdm.HostConfig{
-			Spec: sdm.HWSS(), InterOp: true,
-		})
-		if err != nil {
-			log.Fatal(err)
+		spec := sdm.FleetSpec{
+			Hosts: nHosts, Store: &scfg, Host: sdm.HostConfig{Spec: sdm.HWSS(), InterOp: true},
+			Router: sdm.NewRoundRobin(), Fleet: sdm.FleetConfig{Seed: 42, Windows: 10},
+			Workload: sdm.WorkloadConfig{
+				Seed: 42, NumUsers: 600, UserAlpha: 0.9, Spatial: true,
+				Drift: sdm.DriftConfig{HotTables: 2, HotBoost: 4, ColdShrink: 0.25},
+			},
 		}
-		var adapters []*sdm.Adapter
 		if mode != static {
 			gran := sdm.AdaptTables
 			if mode == byRange || mode == coordinated {
 				gran = sdm.AdaptRanges
 			}
-			acfg := sdm.AdaptConfig{
+			spec.Adapt = &sdm.AdaptConfig{
 				Interval:             150 * time.Millisecond,
 				BandwidthBytesPerSec: 8 << 20, // the migration bandwidth cap
 				ChunkBytes:           32 << 10,
@@ -101,30 +102,17 @@ func main() {
 				// Staggered migration windows: the replicas take turns under
 				// one shared cap, and the packing greedy discounts churny
 				// candidates against the shared §3 endurance budget.
-				acfg.WearDaysPerSecond = 0.01
-				adapters, _, err = sdm.AttachCoordinated(hosts, acfg, sdm.CoordConfig{
+				spec.Adapt.WearDaysPerSecond = 0.01
+				spec.Coord = &sdm.CoordConfig{
 					Slot:                 50 * time.Millisecond,
 					BandwidthBytesPerSec: 8 << 20,
-				})
-			} else {
-				adapters, err = sdm.AttachAdaptive(hosts, acfg)
-			}
-			if err != nil {
-				log.Fatal(err)
+				}
 			}
 		}
-		fleet, err := sdm.NewFleet(hosts, sdm.NewRoundRobin(), sdm.FleetConfig{Seed: 42, Windows: 10})
+		fleet, err := sdm.BuildFleet(inst, tables, spec)
 		if err != nil {
 			log.Fatal(err)
 		}
-		gen, err := sdm.NewGenerator(inst, sdm.WorkloadConfig{
-			Seed: 42, NumUsers: 600, UserAlpha: 0.9, Spatial: true,
-			Drift: sdm.DriftConfig{HotTables: 2, HotBoost: 4, ColdShrink: 0.25},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fleet.SetGenerator(gen)
 		if _, err := fleet.Run(300, 600); err != nil { // warm + converge
 			log.Fatal(err)
 		}
@@ -135,7 +123,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		return res, sdm.AdapterStats(adapters)
+		return res, sdm.AdapterStats(fleet.Adapters())
 	}
 
 	staticRes, _ := run(static)

@@ -42,27 +42,28 @@ func run() error {
 	}
 
 	const hosts = 4
-	scfg := sdm.Config{
-		Seed: 42, SMTech: sdm.NandFlash,
-		Ring: sdm.RingConfig{SGL: true}, CacheBytes: 1 << 20,
+	// fleetSpec is the 4-host SDM fleet every act below builds, routed by
+	// r over 2000 users (tagged with two SLO classes when classes is 2).
+	fleetSpec := func(r sdm.Router, classes int) sdm.FleetSpec {
+		return sdm.FleetSpec{
+			Hosts: hosts,
+			Store: &sdm.Config{
+				Seed: 42, SMTech: sdm.NandFlash,
+				Ring: sdm.RingConfig{SGL: true}, CacheBytes: 1 << 20,
+			},
+			Host:     sdm.HostConfig{Spec: sdm.HWSS(), InterOp: true},
+			Router:   r,
+			Fleet:    sdm.FleetConfig{Seed: 42},
+			Workload: sdm.WorkloadConfig{Seed: 42, NumUsers: 2000, UserAlpha: 0.8, SLOClasses: classes},
+		}
 	}
-	hcfg := sdm.HostConfig{Spec: sdm.HWSS(), InterOp: true}
 
 	// Same trace, same seeds, different routing policy.
 	measure := func(r sdm.Router, fail int) (*sdm.FleetResult, error) {
-		hs, err := sdm.NewFleetHosts(inst, tables, hosts, &scfg, hcfg)
+		fleet, err := sdm.BuildFleet(inst, tables, fleetSpec(r, 0))
 		if err != nil {
 			return nil, err
 		}
-		fleet, err := sdm.NewFleet(hs, r, sdm.FleetConfig{Seed: 42})
-		if err != nil {
-			return nil, err
-		}
-		gen, err := sdm.NewGenerator(inst, sdm.WorkloadConfig{Seed: 42, NumUsers: 2000, UserAlpha: 0.8})
-		if err != nil {
-			return nil, err
-		}
-		fleet.SetGenerator(gen)
 		if _, err := fleet.Run(300, 2000); err != nil { // warm the caches
 			return nil, err
 		}
@@ -110,26 +111,12 @@ func run() error {
 		return err
 	}
 	overload := func(r sdm.Router, admit *sdm.AdmitConfig) (*sdm.FleetResult, error) {
-		hs, err := sdm.NewFleetHosts(inst, tables, hosts, &scfg, hcfg)
+		spec := fleetSpec(r, 2)
+		spec.Admit = admit
+		fleet, err := sdm.BuildFleet(inst, tables, spec)
 		if err != nil {
 			return nil, err
 		}
-		fleet, err := sdm.NewFleet(hs, r, sdm.FleetConfig{Seed: 42})
-		if err != nil {
-			return nil, err
-		}
-		if admit != nil {
-			if err := fleet.SetAdmission(*admit); err != nil {
-				return nil, err
-			}
-		}
-		gen, err := sdm.NewGenerator(inst, sdm.WorkloadConfig{
-			Seed: 42, NumUsers: 2000, UserAlpha: 0.8, SLOClasses: 2,
-		})
-		if err != nil {
-			return nil, err
-		}
-		fleet.SetGenerator(gen)
 		return fleet.Run(12000, 3000)
 	}
 	open, err := overload(weighted, nil)
@@ -161,34 +148,20 @@ func run() error {
 	// bit-identical at any HostWorkers setting, like the results. At
 	// TraceCounterfactual each route row also carries what the runner-up
 	// host would likely have cost.
-	hs, err := sdm.NewFleetHosts(inst, tables, hosts, &scfg, hcfg)
+	spec := fleetSpec(weighted, 2)
+	spec.Admit = &gate
+	spec.Trace = sdm.TraceConfig{Level: sdm.TraceCounterfactual}
+	traced, err := sdm.BuildFleet(inst, tables, spec)
 	if err != nil {
 		return err
 	}
-	fleet, err := sdm.NewFleet(hs, weighted, sdm.FleetConfig{Seed: 42})
-	if err != nil {
+	if _, err := traced.Run(12000, 3000); err != nil {
 		return err
 	}
-	if err := fleet.SetAdmission(gate); err != nil {
-		return err
-	}
-	if err := fleet.SetTrace(sdm.TraceConfig{Level: sdm.TraceCounterfactual}); err != nil {
-		return err
-	}
-	gen, err := sdm.NewGenerator(inst, sdm.WorkloadConfig{
-		Seed: 42, NumUsers: 2000, UserAlpha: 0.8, SLOClasses: 2,
-	})
-	if err != nil {
-		return err
-	}
-	fleet.SetGenerator(gen)
-	if _, err := fleet.Run(12000, 3000); err != nil {
-		return err
-	}
-	sum, _ := fleet.TraceSummary()
+	sum, _ := traced.TraceSummary()
 	fmt.Println("\ndecision trace (same gated run, observability on):")
 	fmt.Printf("  %s\n", sum)
-	for _, ev := range fleet.TraceEvents() {
+	for _, ev := range traced.TraceEvents() {
 		if ev.Kind != "route" || !ev.Route.Diverted {
 			continue
 		}
@@ -207,32 +180,17 @@ func run() error {
 	// byte-identical at any HostWorkers setting. Print the three most
 	// load-bearing series of an overload investigation: the admitted
 	// per-window tail, who is shedding, and how FM-served each host runs.
-	hs, err = sdm.NewFleetHosts(inst, tables, hosts, &scfg, hcfg)
+	spec.Trace = sdm.TraceConfig{}
+	spec.Metrics = &sdm.MetricsConfig{}
+	metered, err := sdm.BuildFleet(inst, tables, spec)
 	if err != nil {
 		return err
 	}
-	fleet, err = sdm.NewFleet(hs, weighted, sdm.FleetConfig{Seed: 42})
-	if err != nil {
-		return err
-	}
-	if err := fleet.SetAdmission(gate); err != nil {
-		return err
-	}
-	if err := fleet.SetMetrics(sdm.MetricsConfig{}); err != nil {
-		return err
-	}
-	gen, err = sdm.NewGenerator(inst, sdm.WorkloadConfig{
-		Seed: 42, NumUsers: 2000, UserAlpha: 0.8, SLOClasses: 2,
-	})
-	if err != nil {
-		return err
-	}
-	fleet.SetGenerator(gen)
-	if _, err := fleet.Run(12000, 3000); err != nil {
+	if _, err := metered.Run(12000, 3000); err != nil {
 		return err
 	}
 	var buf bytes.Buffer
-	if err := fleet.WriteMetrics(&buf); err != nil {
+	if err := metered.WriteMetrics(&buf); err != nil {
 		return err
 	}
 	fmt.Println("\nmetrics plane (same gated run, instruments on):")

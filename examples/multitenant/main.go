@@ -37,22 +37,20 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		hosts, err := sdm.NewFleetHosts(inst, tables, 1, &sdm.Config{
-			SMTech: sdm.OptaneSSD, NumDevices: 9, // Table 10's sizing
-			Ring: sdm.RingConfig{SGL: true}, CacheBytes: 4 << 20,
-		}, sdm.HostConfig{Spec: sdm.HWF(), InterOp: true})
+		fleet, err := sdm.BuildFleet(inst, tables, sdm.FleetSpec{
+			Hosts: 1,
+			Store: &sdm.Config{
+				SMTech: sdm.OptaneSSD, NumDevices: 9, // Table 10's sizing
+				Ring: sdm.RingConfig{SGL: true}, CacheBytes: 4 << 20,
+			},
+			Host:     sdm.HostConfig{Spec: sdm.HWF(), InterOp: true},
+			Router:   sdm.NewRoundRobin(),
+			Fleet:    sdm.FleetConfig{Seed: uint64(30 + i)},
+			Workload: sdm.WorkloadConfig{Seed: uint64(20 + i), NumUsers: 300},
+		})
 		if err != nil {
 			return err
 		}
-		fleet, err := sdm.NewFleet(hosts, sdm.NewRoundRobin(), sdm.FleetConfig{Seed: uint64(30 + i)})
-		if err != nil {
-			return err
-		}
-		gen, err := sdm.NewGenerator(inst, sdm.WorkloadConfig{Seed: uint64(20 + i), NumUsers: 300})
-		if err != nil {
-			return err
-		}
-		fleet.SetGenerator(gen)
 		res, err := fleet.Run(40, 200) // low-traffic experimental model
 		if err != nil {
 			return err

@@ -46,6 +46,7 @@ import (
 	"sdm/internal/core"
 	"sdm/internal/embedding"
 	"sdm/internal/model"
+	"sdm/internal/obs"
 	"sdm/internal/serving"
 	"sdm/internal/simclock"
 	"sdm/internal/workload"
@@ -238,6 +239,93 @@ func New(hosts []*serving.Host, router Router, cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
+// Spec is a fleet as data: every input of Build's wiring sequence.
+type Spec struct {
+	// Hosts is the fleet size (> 0).
+	Hosts int
+	// Store configures each host's SDM store (HostSet derives per-host
+	// seeds); nil builds flat DRAM hosts.
+	Store *core.Config
+	// Host tunes every serving host.
+	Host serving.Config
+	// Router routes every query (required).
+	Router Router
+	// Fleet tunes the run: host workers, windows, arrival seed.
+	Fleet Config
+	// Workload configures the shared-population generator.
+	Workload workload.Config
+	// Adapt gives every SDM-backed host an adaptive-tiering adapter
+	// (AttachAdaptive); Coord, which requires Adapt, also staggers their
+	// migration windows (AttachCoordinated). Nil leaves placement static.
+	Adapt *adapt.Config
+	Coord *CoordConfig
+	// Admit installs front-end admission control when set.
+	Admit *AdmitConfig
+	// Trace is the decision-trace level (zero: off).
+	Trace obs.Config
+	// Metrics attaches the metrics plane when set.
+	Metrics *MetricsConfig
+}
+
+// Build assembles the fleet spec describes, in the one order its parts
+// need: hosts, their adapters and coordinator, the fleet, its admission,
+// trace and metrics planes, then the generator. Failure and drift drills
+// are armed on the result (ScheduleFailure, ScheduleDrift).
+func Build(inst *model.Instance, tables []*embedding.Table, spec Spec) (*Fleet, error) {
+	switch {
+	case spec.Hosts <= 0:
+		return nil, fmt.Errorf("cluster: Spec.Hosts must be > 0, got %d", spec.Hosts)
+	case spec.Router == nil:
+		return nil, errors.New("cluster: Spec.Router is required")
+	case spec.Coord != nil && spec.Adapt == nil:
+		return nil, errors.New("cluster: Spec.Coord requires Spec.Adapt")
+	}
+	hosts, err := HostSet(inst, tables, spec.Hosts, spec.Store, spec.Host)
+	if err != nil {
+		return nil, err
+	}
+	var adapters []*adapt.Adapter
+	var coord *Coordinator
+	switch {
+	case spec.Coord != nil:
+		adapters, coord, err = AttachCoordinated(hosts, *spec.Adapt, *spec.Coord)
+	case spec.Adapt != nil:
+		adapters, err = AttachAdaptive(hosts, *spec.Adapt)
+	}
+	if err != nil {
+		return nil, err
+	}
+	f, err := New(hosts, spec.Router, spec.Fleet)
+	if err != nil {
+		return nil, err
+	}
+	f.SetCoordinator(coord)
+	f.SetAdapters(adapters)
+	if spec.Admit != nil {
+		if err := f.SetAdmission(*spec.Admit); err != nil {
+			return nil, err
+		}
+	}
+	if err := f.SetTrace(spec.Trace); err != nil {
+		return nil, err
+	}
+	if spec.Metrics != nil {
+		if err := f.SetMetrics(*spec.Metrics); err != nil {
+			return nil, err
+		}
+	}
+	gen, err := workload.NewGenerator(inst, spec.Workload)
+	if err != nil {
+		return nil, err
+	}
+	f.SetGenerator(gen)
+	return f, nil
+}
+
+// Adapters returns the per-host adapters (nil without Spec.Adapt; entries
+// for storeless hosts are nil), for AdapterStats.
+func (f *Fleet) Adapters() []*adapt.Adapter { return f.adapters }
+
 // SetGenerator installs the shared-population workload generator feeding
 // the fleet's arrival process. Run requires one.
 func (f *Fleet) SetGenerator(gen *workload.Generator) { f.gen = gen }
@@ -271,11 +359,11 @@ func (f *Fleet) SetAdmission(cfg AdmitConfig) error {
 }
 
 // ScheduleFailure arms a host kill for the next Run: host dies after frac
-// of that run's queries have been routed (frac <= 0 selects 0.5), the
-// router drops it, its users remap, and the survivors' cold caches
-// produce the §A.4 warmup spike. Arm it after any warmup Runs so the
-// spike is measured on steady-state caches. A host can only fail once per
-// fleet lifetime.
+// of that run's queries have been routed (frac <= 0 selects 0.5, frac > 1
+// is an error), the router drops it, its users remap, and the survivors'
+// cold caches produce the §A.4 warmup spike. Arm it after any warmup Runs
+// so the spike is measured on steady-state caches. A host can only fail
+// once per fleet lifetime.
 func (f *Fleet) ScheduleFailure(host int, frac float64) error {
 	if f.failed >= 0 {
 		return fmt.Errorf("cluster: host %d already failed; one failure per fleet lifetime", f.failed)
@@ -286,8 +374,8 @@ func (f *Fleet) ScheduleFailure(host int, frac float64) error {
 	if len(f.members) < 2 {
 		return errors.New("cluster: cannot fail the only host")
 	}
-	if math.IsNaN(frac) || math.IsInf(frac, 0) {
-		return fmt.Errorf("cluster: failure frac must be finite, got %g", frac)
+	if !(frac <= 1) || math.IsInf(frac, 0) {
+		return fmt.Errorf("cluster: failure frac must be finite and <= 1, got %g", frac)
 	}
 	if frac <= 0 {
 		frac = 0.5
@@ -578,19 +666,13 @@ func (f *Fleet) diverts(prev, id int) bool {
 // with probes of max(queries/2+100, 400) queries. It returns the rate and
 // its probe's Result.
 func HostQPS(inst *model.Instance, tables []*embedding.Table, scfg *core.Config, hcfg serving.Config, seed uint64, budget time.Duration, queries int) (float64, *Result, error) {
-	hosts, err := HostSet(inst, tables, 1, scfg, hcfg)
+	f, err := Build(inst, tables, Spec{
+		Hosts: 1, Store: scfg, Host: hcfg, Router: NewRoundRobin(),
+		Fleet: Config{Seed: seed}, Workload: workload.Config{Seed: seed, NumUsers: 1000},
+	})
 	if err != nil {
 		return 0, nil, err
 	}
-	f, err := New(hosts, NewRoundRobin(), Config{Seed: seed})
-	if err != nil {
-		return 0, nil, err
-	}
-	gen, err := workload.NewGenerator(inst, workload.Config{Seed: seed, NumUsers: 1000})
-	if err != nil {
-		return 0, nil, err
-	}
-	f.SetGenerator(gen)
 	if _, err := f.Run(50, queries/2+50); err != nil {
 		return 0, nil, err
 	}

@@ -515,15 +515,16 @@ func TestFleetValidation(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		call func(v float64) error
+		more []float64 // finite values the parameter rejects
 	}{
-		{"qps", func(v float64) error { _, err := f.Run(v, 10); return err }},
-		{"frac", func(v float64) error { return f2.ScheduleFailure(0, v) }},
+		{"qps", func(v float64) error { _, err := f.Run(v, 10); return err }, nil},
+		{"frac", func(v float64) error { return f2.ScheduleFailure(0, v) }, []float64{1.5}},
 		{"BandwidthBytesPerSec", func(v float64) error {
 			_, err := NewCoordinator(2, CoordConfig{BandwidthBytesPerSec: v}, 0)
 			return err
-		}},
+		}, nil},
 	} {
-		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, v := range append([]float64{math.NaN(), math.Inf(1), math.Inf(-1)}, c.more...) {
 			if err := c.call(v); err == nil || !strings.Contains(err.Error(), c.name) {
 				t.Errorf("%s = %v: error %v, want one naming %s", c.name, v, err, c.name)
 			}
@@ -697,31 +698,12 @@ func TestAdmissionBoundsOverloadTail(t *testing.T) {
 	}
 }
 
-// sloFleet assembles the full SLO-serving stack: range-granular adaptive
+// sloSpec describes the full SLO-serving stack: range-granular adaptive
 // hosts under a fleet migration coordinator, a weighted router running
 // every scorer at once, a two-class workload, and admission with one shed
 // and one queue class.
-func sloFleet(t *testing.T, in *model.Instance, tables []*embedding.Table, n, workers int) (*Fleet, []*adapt.Adapter) {
+func sloSpec(t *testing.T, n, workers int) Spec {
 	t.Helper()
-	scfg := core.Config{
-		Seed: 7, Ring: uring.Config{SGL: true}, CacheBytes: 1 << 16,
-		ReserveSM: true, MigrationRangeBytes: 16 << 10,
-		Placement: placement.Config{
-			Policy: placement.SMOnlyWithCache, UserTablesOnly: true,
-		},
-	}
-	hosts, err := HostSet(in, tables, n, &scfg, serving.Config{Spec: serving.HWSS(), InterOp: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	adapters, coord, err := AttachCoordinated(hosts, adapt.Config{
-		Interval: 100 * time.Millisecond, BandwidthBytesPerSec: 8 << 20,
-		ChunkBytes: 16 << 10, DRAMBudget: 5 * (96 << 10) / 2,
-		Granularity: adapt.Ranges, WearDaysPerSecond: 0.005,
-	}, CoordConfig{Slot: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
 	router, err := NewWeightedRouter("slo-weighted",
 		ScorerWeight{Scorer: NewAffinityScorer(n, 64), Weight: 1.0},
 		ScorerWeight{Scorer: NewQueueScorer(), Weight: 0.4},
@@ -733,27 +715,40 @@ func sloFleet(t *testing.T, in *model.Instance, tables []*embedding.Table, n, wo
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := New(hosts, router, Config{Seed: 11, HostWorkers: workers, Windows: 8})
-	if err != nil {
-		t.Fatal(err)
+	return Spec{
+		Hosts: n,
+		Store: &core.Config{
+			Seed: 7, Ring: uring.Config{SGL: true}, CacheBytes: 1 << 16,
+			ReserveSM: true, MigrationRangeBytes: 16 << 10,
+			Placement: placement.Config{
+				Policy: placement.SMOnlyWithCache, UserTablesOnly: true,
+			},
+		},
+		Host:   serving.Config{Spec: serving.HWSS(), InterOp: true},
+		Router: router,
+		Fleet:  Config{Seed: 11, HostWorkers: workers, Windows: 8},
+		Workload: workload.Config{
+			Seed: 11, NumUsers: 800, UserAlpha: 0.9, Spatial: true, SLOClasses: 2,
+			Drift: workload.DriftConfig{HotTables: 2, HotBoost: 4, ColdShrink: 0.25},
+		},
+		Adapt: &adapt.Config{
+			Interval: 100 * time.Millisecond, BandwidthBytesPerSec: 8 << 20,
+			ChunkBytes: 16 << 10, DRAMBudget: 5 * (96 << 10) / 2,
+			Granularity: adapt.Ranges, WearDaysPerSecond: 0.005,
+		},
+		Coord: &CoordConfig{Slot: 50 * time.Millisecond},
+		Admit: &AdmitConfig{Classes: []ClassAdmit{
+			{Name: "gold", RatePerSec: 200, Burst: 20},
+			{Name: "bulk", RatePerSec: 120, Burst: 4, Queue: true},
+		}},
 	}
-	f.SetCoordinator(coord)
-	f.SetAdapters(adapters)
-	if err := f.SetAdmission(AdmitConfig{Classes: []ClassAdmit{
-		{Name: "gold", RatePerSec: 200, Burst: 20},
-		{Name: "bulk", RatePerSec: 120, Burst: 4, Queue: true},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	gen, err := workload.NewGenerator(in, workload.Config{
-		Seed: 11, NumUsers: 800, UserAlpha: 0.9, Spatial: true, SLOClasses: 2,
-		Drift: workload.DriftConfig{HotTables: 2, HotBoost: 4, ColdShrink: 0.25},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.SetGenerator(gen)
-	return f, adapters
+}
+
+// sloFleet assembles sloSpec by hand (handBuild).
+func sloFleet(t *testing.T, in *model.Instance, tables []*embedding.Table, n, workers int) (*Fleet, []*adapt.Adapter) {
+	t.Helper()
+	f := handBuild(t, in, tables, sloSpec(t, n, workers))
+	return f, f.Adapters()
 }
 
 func TestSLOFleetDeterministicAcrossWorkers(t *testing.T) {

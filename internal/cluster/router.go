@@ -85,20 +85,6 @@ type Scorer interface {
 	Feedback() bool
 }
 
-// ExplainedRouter is the optional Router extension the decision tracer
-// uses: RouteExplained makes exactly the same decision as Route (same
-// winner, same tie-break state advance) while filling d with the chosen
-// host's per-scorer score decomposition and the top-k rejected
-// alternatives. Routers without it still trace, but their rows carry
-// only the chosen/previous hosts.
-type ExplainedRouter interface {
-	Router
-	// RouteExplained routes q and explains the decision into d (Chosen,
-	// Score, Parts, and up to k Alts). It must be behaviorally identical
-	// to Route.
-	RouteExplained(q workload.Query, now simclock.Time, v View, k int, d *obs.RouteDecision) int
-}
-
 // ScorerWeight pairs a Scorer with its weight in a WeightedRouter's sum.
 type ScorerWeight struct {
 	Scorer Scorer
@@ -193,9 +179,10 @@ func (r *WeightedRouter) route(q workload.Query, now simclock.Time, v View, scor
 	return best, bestScore
 }
 
-// RouteExplained implements ExplainedRouter: the same decision as Route,
-// plus the chosen host's per-scorer decomposition and the top-k rejected
-// alternatives sorted by (score desc, host asc).
+// RouteExplained is the decision tracer's Route: the same decision (same
+// winner, same tie-break state advance), explained into d as the chosen
+// host's per-scorer decomposition and the top-k rejected alternatives
+// sorted by (score desc, host asc).
 func (r *WeightedRouter) RouteExplained(q workload.Query, now simclock.Time, v View, k int, d *obs.RouteDecision) int {
 	n := v.Hosts()
 	if cap(r.scratch) < n {

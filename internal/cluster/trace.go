@@ -114,16 +114,16 @@ func (t *tracer) reset() {
 	t.summary = obs.Summary{}
 }
 
-// traceRoute makes the fleet's routing decision under tracing: it asks
-// the router to explain itself when it can, records the decision row,
-// and returns the chosen host. A traced Run executes inline, so every
-// routed query has finished and the Outstanding reads are race-free and
-// deterministic.
+// traceRoute makes the fleet's routing decision under tracing, records
+// its row and returns the chosen host. A *WeightedRouter explains itself;
+// any other Router's row carries only the chosen and previous hosts. A
+// traced Run executes inline, so every routed query has finished and the
+// Outstanding reads are race-free and deterministic.
 func (f *Fleet) traceRoute(seq int, q workload.Query, at simclock.Time, view View) int {
 	d := obs.RouteDecision{Seq: seq, User: q.UserID, Class: q.Class, Prev: f.prevHost(q.UserID)}
 	var id int
-	if er, ok := f.router.(ExplainedRouter); ok {
-		id = er.RouteExplained(q, at, view, f.trace.cfg.CounterfactualK, &d)
+	if wr, ok := f.router.(*WeightedRouter); ok {
+		id = wr.RouteExplained(q, at, view, f.trace.cfg.CounterfactualK, &d)
 	} else {
 		id = f.router.Route(q, at, view)
 		d.Chosen = id

@@ -178,3 +178,10 @@ const (
 func perByteCost(nsPerByte float64, n int) time.Duration {
 	return time.Duration(nsPerByte * float64(n))
 }
+
+// FMPoolCPU is the CPU time of pooling n bytes of FM-resident rows: a
+// direct memory read plus dequantize-and-accumulate, per byte. Flat DRAM
+// hosts (serving) and the store's FM fast paths price a lookup with it.
+func FMPoolCPU(n int) time.Duration {
+	return perByteCost(costFMReadPerByteNs+costDequantPerByteNs, n)
+}

@@ -92,7 +92,7 @@ func (s *Store) poolOne(c *opCtx, pool []int64, out []float32) error {
 		n := len(pool)
 		c.stats.Lookups += uint64(n)
 		c.stats.FMDirectReads += uint64(n)
-		c.res.CPUTime += perByteCost(costFMReadPerByteNs+costDequantPerByteNs, n*st.spec.RowBytes())
+		c.res.CPUTime += FMPoolCPU(n * st.spec.RowBytes())
 		return nil
 	}
 
@@ -189,7 +189,7 @@ func (s *Store) fetchRow(c *opCtx, row int64, buf []byte) ([]byte, error) {
 	if b := st.fmRangeRow(row); b != nil {
 		c.stats.FMDirectReads++
 		c.stats.RangeFMReads++
-		c.res.CPUTime += perByteCost(costFMReadPerByteNs+costDequantPerByteNs, rb)
+		c.res.CPUTime += FMPoolCPU(rb)
 		return b, nil
 	}
 	key := cache.Key{Table: int32(st.spec.ID), Row: row}

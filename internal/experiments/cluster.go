@@ -40,19 +40,13 @@ func routing(sc Scale) (*Report, error) {
 	// pass, then measures a second pass on steady-state caches (§A.4
 	// discipline). A fleet smaller than nHosts gets its share of the load.
 	runPolicy := func(size int, r cluster.Router, failHost int) (*cluster.Result, error) {
-		hosts, err := cluster.HostSet(inst, tables, size, &scfg, hcfg)
+		fl, err := cluster.Build(inst, tables, cluster.Spec{
+			Hosts: size, Store: &scfg, Host: hcfg, Router: r,
+			Fleet: cluster.Config{Seed: sc.Seed}, Workload: wcfg,
+		})
 		if err != nil {
 			return nil, err
 		}
-		fl, err := cluster.New(hosts, r, cluster.Config{Seed: sc.Seed})
-		if err != nil {
-			return nil, err
-		}
-		gen, err := workload.NewGenerator(inst, wcfg)
-		if err != nil {
-			return nil, err
-		}
-		fl.SetGenerator(gen)
 		q, m := qps*float64(size)/nHosts, n*size/nHosts
 		if _, err := fl.Run(q, m); err != nil {
 			return nil, err

@@ -111,62 +111,38 @@ func (d driftDrill) run(sc Scale) (drillRun, error) {
 		ReserveSM: true, MigrationRangeBytes: 256 << 10,
 		Placement: place,
 	}
-	hcfg := serving.Config{Spec: serving.HWSS(), InterOp: true}
-	hosts, err := cluster.HostSet(d.inst, d.tables, d.hosts, &scfg, hcfg)
-	if err != nil {
-		return drillRun{}, err
-	}
-	var (
-		adapters []*adapt.Adapter
-		coord    *cluster.Coordinator
-	)
-	switch {
-	case d.acfg != nil && d.coordBW > 0:
-		adapters, coord, err = cluster.AttachCoordinated(hosts, *d.acfg, cluster.CoordConfig{
-			Slot: 50 * time.Millisecond, BandwidthBytesPerSec: d.coordBW,
-		})
-	case d.acfg != nil:
-		adapters, err = cluster.AttachAdaptive(hosts, *d.acfg)
-	}
-	if err != nil {
-		return drillRun{}, err
+	var coord *cluster.CoordConfig
+	if d.acfg != nil && d.coordBW > 0 {
+		coord = &cluster.CoordConfig{Slot: 50 * time.Millisecond, BandwidthBytesPerSec: d.coordBW}
 	}
 	router := d.router
 	if router == nil {
 		router = cluster.NewRoundRobin()
 	}
-	fl, err := cluster.New(hosts, router, cluster.Config{Seed: sc.Seed, Windows: 16, HostWorkers: d.workers})
-	if err != nil {
-		return drillRun{}, err
-	}
-	if coord != nil {
-		fl.SetCoordinator(coord)
-	}
-	fl.SetAdapters(adapters)
-	if err := fl.SetTrace(obs.Config{Level: d.trace}); err != nil {
-		return drillRun{}, err
-	}
 	wcfg := d.gen
 	wcfg.Seed, wcfg.NumUsers, wcfg.UserAlpha = sc.Seed, 800, 0.9
 	wcfg.Drift.HotTables, wcfg.Drift.HotBoost, wcfg.Drift.ColdShrink = 2, 4, 0.25
-	gen, err := workload.NewGenerator(d.inst, wcfg)
+	fl, err := cluster.Build(d.inst, d.tables, cluster.Spec{
+		Hosts: d.hosts, Store: &scfg, Host: serving.Config{Spec: serving.HWSS(), InterOp: true},
+		Router: router, Fleet: cluster.Config{Seed: sc.Seed, Windows: 16, HostWorkers: d.workers},
+		Workload: wcfg, Adapt: d.acfg, Coord: coord, Trace: obs.Config{Level: d.trace},
+	})
 	if err != nil {
 		return drillRun{}, err
 	}
-	fl.SetGenerator(gen)
 	// Warmup pass: caches fill and the controllers converge on the
 	// pre-rotation spotlight.
 	if _, err := fl.Run(d.qps, d.n/2); err != nil {
 		return drillRun{}, err
 	}
-	out := drillRun{warm: cluster.AdapterStats(adapters)}
+	out := drillRun{warm: cluster.AdapterStats(fl.Adapters())}
 	if err := fl.ScheduleDrift(1.0 / 3); err != nil {
 		return drillRun{}, err
 	}
 	if out.res, err = fl.Run(d.qps, d.n); err != nil {
 		return drillRun{}, err
 	}
-	out.stats, out.events = cluster.AdapterStats(adapters), fl.TraceEvents()
+	out.stats, out.events = cluster.AdapterStats(fl.Adapters()), fl.TraceEvents()
 	return out, nil
 }
 

@@ -110,30 +110,18 @@ func slo(sc Scale) (*Report, error) {
 		nSweep = 2400
 	}
 	runSweep := func(mk func() cluster.Router, qps float64, classes int, admit *cluster.AdmitConfig, workers int) (*cluster.Result, error) {
-		scfg := core.Config{
-			Seed: sc.Seed, Ring: uring.Config{SGL: true}, CacheBytes: 1 << 15,
-		}
-		hcfg := serving.Config{Spec: serving.HWSS(), InterOp: true}
-		hs, err := cluster.HostSet(sweepInst, sweepTables, sweepHosts, &scfg, hcfg)
-		if err != nil {
-			return nil, err
-		}
-		fl, err := cluster.New(hs, mk(), cluster.Config{Seed: sc.Seed, HostWorkers: workers})
-		if err != nil {
-			return nil, err
-		}
-		if admit != nil {
-			if err := fl.SetAdmission(*admit); err != nil {
-				return nil, err
-			}
-		}
-		gen, err := workload.NewGenerator(sweepInst, workload.Config{
-			Seed: sc.Seed, NumUsers: 800, UserAlpha: 0.8, SLOClasses: classes,
+		fl, err := cluster.Build(sweepInst, sweepTables, cluster.Spec{
+			Hosts:    sweepHosts,
+			Store:    &core.Config{Seed: sc.Seed, Ring: uring.Config{SGL: true}, CacheBytes: 1 << 15},
+			Host:     serving.Config{Spec: serving.HWSS(), InterOp: true},
+			Router:   mk(),
+			Fleet:    cluster.Config{Seed: sc.Seed, HostWorkers: workers},
+			Workload: workload.Config{Seed: sc.Seed, NumUsers: 800, UserAlpha: 0.8, SLOClasses: classes},
+			Admit:    admit,
 		})
 		if err != nil {
 			return nil, err
 		}
-		fl.SetGenerator(gen)
 		return fl.Run(qps, nSweep)
 	}
 	mkRR := func() cluster.Router { return cluster.NewRoundRobin() }

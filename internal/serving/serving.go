@@ -298,19 +298,15 @@ func (h *Host) execQuery(t0 simclock.Time, q workload.Query) (simclock.Time, err
 
 // poolFlat pools an op from flat FM tables and returns its CPU cost.
 func (h *Host) poolFlat(op workload.TableOp) (time.Duration, error) {
-	spec := h.inst.Tables[op.Table]
-	var cpu time.Duration
 	if h.flat != nil && op.Table < len(h.flat) {
 		outs := h.outsFor(op)
 		for b, pool := range op.Pools {
 			if err := h.flat[op.Table].Pool(outs[b], pool); err != nil {
-				return cpu, err
+				return 0, err
 			}
 		}
 	}
-	rows := op.TotalLookups()
-	cpu += time.Duration(float64(rows*spec.RowBytes()) * 0.26) // dequant+pool ns/B
-	return cpu, nil
+	return core.FMPoolCPU(op.TotalLookups() * h.inst.Tables[op.Table].RowBytes()), nil
 }
 
 // Ready returns the earliest virtual time at which the host can accept

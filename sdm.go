@@ -10,7 +10,7 @@
 // The facade re-exports the names the examples/ programs and this
 // package's tests use, so downstream users import one package; everything
 // else is reached through the values these return (store.PoolOps,
-// fleet.SetAdmission, ...). Every option behind these types is one some
+// fleet.ScheduleFailure, ...). Every option behind these types is one some
 // program in the tree sets (the "live rule", see README "Developing"):
 //
 //	inst, _ := sdm.Build(sdm.M1(), 1e-5, 42) // synthetic Table 6 model
@@ -43,9 +43,10 @@
 //
 //	hostCfg := sdm.HostConfig{Spec: sdm.HWSS(), InterOp: true}
 //	qps, probe, _ := sdm.HostQPS(inst, tables, &storeCfg, hostCfg, 1, 25*time.Millisecond, 500)
-//	hosts, _ := sdm.NewFleetHosts(inst, tables, 4, &storeCfg, hostCfg)
-//	fleet, _ := sdm.NewFleet(hosts, sdm.NewSticky(4, 64), sdm.FleetConfig{})
-//	fleet.SetGenerator(gen)
+//	fleet, _ := sdm.BuildFleet(inst, tables, sdm.FleetSpec{
+//		Hosts: 4, Store: &storeCfg, Host: hostCfg, Router: sdm.NewSticky(4, 64),
+//		Workload: sdm.WorkloadConfig{Seed: 1},
+//	})
 //	fres, _ := fleet.Run(300, 2000)
 //
 // See the examples/ directory for runnable end-to-end scenarios,
@@ -112,6 +113,10 @@ type (
 
 // Cluster types (the multi-host fleet simulator).
 type (
+	// FleetSpec describes a fleet for BuildFleet: hosts, store, router,
+	// workload, and the optional adaptive, admission, trace and metrics
+	// planes.
+	FleetSpec = cluster.Spec
 	// FleetConfig tunes a fleet run (host workers, windows, seed);
 	// failure drills are armed with Fleet.ScheduleFailure.
 	FleetConfig = cluster.Config
@@ -124,7 +129,7 @@ type (
 // SLO-aware serving types: composable routing scorers and per-class
 // token-bucket admission control. Queries carry classes via
 // WorkloadConfig.SLOClasses; admission is installed with
-// Fleet.SetAdmission, and FleetResult.Classes carries the per-class tails.
+// FleetSpec.Admit, and FleetResult.Classes carries the per-class tails.
 type (
 	// ScorerWeight pairs a scorer with its weight in a weighted router.
 	ScorerWeight = cluster.ScorerWeight
@@ -137,12 +142,12 @@ type (
 // Observability types. Decision tracing records why each routing,
 // admission, and placement decision went the way it did, merged in
 // virtual-time order so a trace is bit-identical at any
-// FleetConfig.HostWorkers setting: install with Fleet.SetTrace before
-// Run, read the last Run's stream back with Fleet.TraceEvents /
+// FleetConfig.HostWorkers setting: set FleetSpec.Trace, read the last
+// Run's stream back with Fleet.TraceEvents /
 // Fleet.TraceSummary or render it with Fleet.WriteTrace. The metrics
 // plane samples func-backed instruments, which read existing counters,
-// on deterministic virtual-time boundaries: install with Fleet.SetMetrics,
-// render with Fleet.WriteMetrics / Fleet.WriteMetricsJSONL (hosts, stores
+// on deterministic virtual-time boundaries: set FleetSpec.Metrics, render
+// with Fleet.WriteMetrics / Fleet.WriteMetricsJSONL (hosts, stores
 // and adapters register their catalogs automatically).
 type (
 	// TraceConfig tunes a fleet's decision tracing (level, top-k
@@ -180,11 +185,10 @@ var (
 // workloads drift via WorkloadConfig.Drift; fleets rotate their hot set
 // mid-run with Fleet.ScheduleDrift.
 type (
-	// AdaptConfig tunes an Adapter (interval, DRAM budget, bandwidth cap,
+	// AdaptConfig tunes each host's adaptive-tiering control loop
+	// (FleetSpec.Adapt: interval, DRAM budget, bandwidth cap,
 	// granularity); AdaptConfig.Validate reports errors in it.
 	AdaptConfig = adapt.Config
-	// Adapter is the per-host adaptive-tiering control loop.
-	Adapter = adapt.Adapter
 	// AdaptStats counts evaluations, migrations and migrated bytes.
 	AdaptStats = adapt.Stats
 	// DriftConfig makes a workload non-stationary (hot-set rotation on
@@ -196,23 +200,14 @@ type (
 	CoordConfig = cluster.CoordConfig
 )
 
-// Adaptive-tiering constructors.
-var (
-	// AttachAdaptive installs one Adapter per SDM-backed fleet host.
-	AttachAdaptive = cluster.AttachAdaptive
-	// AttachCoordinated is AttachAdaptive plus staggered fleet migration
-	// windows under one shared bandwidth cap and wear budget.
-	AttachCoordinated = cluster.AttachCoordinated
-	// AdapterStats sums per-host adapter counters.
-	AdapterStats = cluster.AdapterStats
-)
+// AdapterStats sums per-host adapter counters (Fleet.Adapters).
+var AdapterStats = cluster.AdapterStats
 
 // Cluster constructors.
 var (
-	// NewFleet assembles a fleet from prebuilt hosts and a router.
-	NewFleet = cluster.New
-	// NewFleetHosts builds n identical hosts over shared tables.
-	NewFleetHosts = cluster.HostSet
+	// BuildFleet builds the fleet a FleetSpec describes, generator
+	// installed.
+	BuildFleet = cluster.Build
 	// NewRoundRobin routes queries uniformly over alive hosts.
 	NewRoundRobin = cluster.NewRoundRobin
 	// NewSticky pins users to hosts via consistent hashing (Fig. 4c).

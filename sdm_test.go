@@ -85,19 +85,13 @@ func TestHostFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hosts, err := NewFleetHosts(inst, tables, 1, &Config{Ring: RingConfig{SGL: true}}, HostConfig{Spec: HWSS(), InterOp: true})
+	fleet, err := BuildFleet(inst, tables, FleetSpec{
+		Hosts: 1, Store: &Config{Ring: RingConfig{SGL: true}}, Host: HostConfig{Spec: HWSS(), InterOp: true},
+		Router: NewRoundRobin(), Fleet: FleetConfig{Seed: 3}, Workload: WorkloadConfig{Seed: 3, NumUsers: 50},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet, err := NewFleet(hosts, NewRoundRobin(), FleetConfig{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := NewGenerator(inst, WorkloadConfig{Seed: 3, NumUsers: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleet.SetGenerator(gen)
 	res, err := fleet.Run(25, 100)
 	if err != nil {
 		t.Fatal(err)
