@@ -80,7 +80,7 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("sdmcluster", flag.ContinueOnError)
 	var (
 		hosts    = fs.Int("hosts", 4, "fleet size")
-		policy   = fs.String("policy", "sticky", "routing policy: rr, loq, sticky, or all")
+		policy   = fs.String("policy", "sticky", "routing policy: rr, loq, sticky, weighted, or all")
 		qps      = fs.Float64("qps", 300, "offered fleet QPS (open loop)")
 		queries  = fs.Int("queries", 2000, "measured queries per run")
 		warm     = fs.Bool("warm", true, "run one warmup pass before measuring")
@@ -104,7 +104,7 @@ func run(args []string, stdout io.Writer) error {
 		slot     = fs.Duration("slot", 0, "coordinated migration window width per replica (0 = default 50ms)")
 		wear     = fs.Float64("wear", 0, "wear-aware packing: rated endurance days accrued per virtual second (0 = wear-unaware)")
 		itemTabs = fs.Int("itemtables", 0, "spotlight item tables per drift phase (0 = stationary item side)")
-		scorers  = fs.String("scorers", "affinity=1,queue=0.4,migavoid=1.2", "weighted-policy scorer spec: name=weight,... (names: affinity, queue, loadbal, migavoid, wear, fmserved)")
+		scorers  = fs.String("scorers", "affinity=1,queue=0.4,migavoid=1.2", "weighted-policy scorer spec: name=weight,... (names: "+strings.Join(cluster.ScorerNames(), ", ")+")")
 		sloCls   = fs.Int("sloclasses", 0, "partition users into this many SLO classes by sticky hash (0 = untagged)")
 		admit    = fs.String("admit", "", "per-class admission spec: name=rate[:burst][:queue|shed],... in class order (empty = no admission control)")
 		trace    = fs.String("trace", "", "write the measured run's decision trace as JSONL to this file (requires a single -policy)")
@@ -375,37 +375,34 @@ func run(args []string, stdout io.Writer) error {
 }
 
 func pickPolicies(name string, hosts int, scorers string) ([]cluster.Router, error) {
-	weighted := func() (cluster.Router, error) {
-		sws, err := cluster.ParseScorers(scorers, hosts)
-		if err != nil {
-			return nil, err
+	var out []cluster.Router
+	for _, p := range []string{"rr", "loq", "sticky", "weighted"} {
+		if name != p && name != "all" {
+			continue
 		}
-		return cluster.NewWeightedRouter("weighted", sws...)
-	}
-	mk := map[string]func() cluster.Router{
-		"rr":     func() cluster.Router { return cluster.NewRoundRobin() },
-		"loq":    func() cluster.Router { return cluster.NewLeastOutstanding() },
-		"sticky": func() cluster.Router { return cluster.NewSticky(hosts, 64) },
-	}
-	if name == "all" {
-		w, err := weighted()
-		if err != nil {
-			return nil, err
+		switch p {
+		case "rr":
+			out = append(out, cluster.NewRoundRobin())
+		case "loq":
+			out = append(out, cluster.NewLeastOutstanding())
+		case "sticky":
+			out = append(out, cluster.NewSticky(hosts, 64))
+		case "weighted":
+			sws, err := cluster.ParseScorers(scorers, hosts)
+			if err != nil {
+				return nil, err
+			}
+			w, err := cluster.NewWeightedRouter("weighted", sws...)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, w)
 		}
-		return []cluster.Router{mk["rr"](), mk["loq"](), mk["sticky"](), w}, nil
 	}
-	if name == "weighted" {
-		w, err := weighted()
-		if err != nil {
-			return nil, err
-		}
-		return []cluster.Router{w}, nil
-	}
-	f, ok := mk[name]
-	if !ok {
+	if len(out) == 0 {
 		return nil, fmt.Errorf("unknown policy %q (rr, loq, sticky, weighted, all)", name)
 	}
-	return []cluster.Router{f()}, nil
+	return out, nil
 }
 
 // jsonReport flattens a fleet result for -json output.

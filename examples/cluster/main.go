@@ -103,10 +103,11 @@ func run() error {
 	// classes, and gate each class's admitted rate with a token bucket.
 	// The overloaded open-loop tail collapses to the admitted tail; the
 	// cost is the per-class shed share the result accounts.
-	weighted, err := sdm.NewWeightedRouter("affinity+queue",
-		sdm.ScorerWeight{Scorer: sdm.NewAffinityScorer(hosts, 64), Weight: 1.0},
-		sdm.ScorerWeight{Scorer: sdm.NewQueueScorer(), Weight: 1.5},
-	)
+	scorers, err := sdm.ParseScorers("affinity=1,queue=1.5", hosts)
+	if err != nil {
+		return err
+	}
+	weighted, err := sdm.NewWeightedRouter("affinity+queue", scorers...)
 	if err != nil {
 		return err
 	}

@@ -150,15 +150,17 @@ func newAdmitState(cfg AdmitConfig) *admitState {
 // admission time (>= t; later only for queued classes), the bucket's
 // token level after accrual and before this query's charge (-1 for
 // unbucketed classes — the decision tracer's bucket-level signal), and
-// whether the query was admitted at all. Arrivals must be offered in
-// non-decreasing time order — the routing loop's natural order.
-func (s *admitState) admit(class int, t simclock.Time) (simclock.Time, float64, bool) {
+// whether the query was admitted at all. A queued admission that would
+// land past the end of virtual time is an error naming the class and its
+// rate. Arrivals must be offered in non-decreasing time order — the
+// routing loop's natural order.
+func (s *admitState) admit(class int, t simclock.Time) (simclock.Time, float64, bool, error) {
 	if class < 0 || class >= len(s.buckets) {
-		return t, -1, true
+		return t, -1, true, nil
 	}
 	b := &s.buckets[class]
 	if b.rate <= 0 {
-		return t, -1, true
+		return t, -1, true, nil
 	}
 	if !b.primed {
 		// The bucket starts full at the first arrival it governs.
@@ -171,10 +173,10 @@ func (s *admitState) admit(class int, t simclock.Time) (simclock.Time, float64, 
 	level := b.tokens
 	if b.tokens >= 1 {
 		b.tokens--
-		return t, level, true
+		return t, level, true, nil
 	}
 	if !b.queue {
-		return 0, level, false
+		return 0, level, false, nil
 	}
 	// Delay admission until the missing fraction of a token accrues; the
 	// accrued token is consumed on admission, so the bucket stays empty.
@@ -187,13 +189,15 @@ func (s *admitState) admit(class int, t simclock.Time) (simclock.Time, float64, 
 	if base < t {
 		base = t
 	}
-	at := base + simclock.Time(((1-b.tokens)/b.rate)*float64(time.Second))
-	b.tokens = 0
-	if at < t {
-		at = t
+	wait := ((1 - b.tokens) / b.rate) * float64(time.Second)
+	if !(wait < float64(math.MaxInt64-base)) {
+		return 0, level, false, fmt.Errorf("cluster: admission class %s at rate %g/s queues a query past the end of virtual time",
+			s.cfg.className(class), b.rate)
 	}
+	at := base + simclock.Time(wait)
+	b.tokens = 0
 	b.last = at
-	return at, level, true
+	return at, level, true, nil
 }
 
 // className renders class i's report label.

@@ -1,12 +1,12 @@
 // Package cluster is a deterministic virtual-time fleet simulator: N
-// serving.Host replicas behind a front-end router with pluggable user→host
-// policies (round-robin, least-outstanding-queries, sticky consistent
-// hashing). It is the serving-time realization of the paper's fleet-level
-// story: Tables 8/9/11 size fleets by multiplying one host's QPS, and
-// Fig. 4c shows sticky routing raises per-host temporal locality — here a
-// single open-loop arrival process over one shared Zipf user population is
-// split across live hosts, so routing policy directly moves per-host cache
-// hit rates, tail latency and the achieved fleet QPS that power.Provision
+// serving.Host replicas behind one WeightedRouter, which routes each query
+// to the argmax of a "name=weight,..." sum of named scorers (ParseScorers).
+// It is the serving-time realization of the paper's fleet-level story:
+// Tables 8/9/11 size fleets by multiplying one host's QPS, and Fig. 4c
+// shows sticky routing raises per-host temporal locality — here a single
+// open-loop arrival process over one shared Zipf user population is split
+// across live hosts, so routing policy directly moves per-host cache hit
+// rates, tail latency and the achieved fleet QPS that power.Provision
 // consumes. Failure scenarios kill a host mid-run, reroute its users via
 // the consistent ring and expose the §A.4 cache-warmup latency spike.
 //
@@ -209,9 +209,12 @@ func New(hosts []*serving.Host, router Router, cfg Config) (*Fleet, error) {
 	if router == nil {
 		return nil, errors.New("cluster: fleet needs a router")
 	}
-	if wr, ok := router.(*WeightedRouter); ok {
-		if err := wr.checkHosts(len(hosts)); err != nil {
-			return nil, err
+	// An affinity ring built for another fleet size would pin users to a
+	// subset of the hosts, or route to hosts this fleet lacks.
+	for _, sw := range router.scorers {
+		if sw.ring != nil && sw.ring.hosts != len(hosts) {
+			return nil, fmt.Errorf("cluster: router %q: affinity ring built for %d hosts cannot route a %d-host fleet",
+				router.name, sw.ring.hosts, len(hosts))
 		}
 	}
 	if cfg.Windows <= 0 {
@@ -574,7 +577,11 @@ func (f *Fleet) Run(qps float64, n int) (*Result, error) {
 		}
 		at := t
 		if f.admission != nil {
-			admitAt, tokens, ok := f.admission.admit(q.Class, t)
+			admitAt, tokens, ok, err := f.admission.admit(q.Class, t)
+			if err != nil {
+				runErr = err
+				break
+			}
 			if f.trace != nil {
 				f.traceAdmit(t, q.Class, tokens, admitAt, ok)
 			}

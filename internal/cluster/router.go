@@ -12,88 +12,64 @@ import (
 	"sdm/internal/workload"
 )
 
-// View is the per-host fleet state a Router (and its Scorers) may consult
-// when picking a target. Liveness lives here — the fleet owns it, routers
+// View is the per-host fleet state a router's scorers may consult when
+// picking a target. Liveness lives here — the fleet owns it, routers
 // only read it. Signals split into two classes:
 //
 //   - Front-end state (Hosts, Alive, Routed, InMigrationWindow):
 //     maintained by the routing loop itself or pure functions of virtual
 //     time, always safe to read.
 //   - Host state (OutstandingAt, FMServedRate, WearHeadroom,
-//     MigrationBacklog): owned by the hosts, valid only from routers
-//     whose Feedback() is true — the fleet then executes every routed
-//     query on the routing goroutine before the next decision, so each
-//     read sees the state after all routed queries, race-free and
-//     deterministic.
+//     MigrationBacklog): owned by the hosts, valid only from scorers
+//     marked feedback — the fleet then executes every routed query on
+//     the routing goroutine before the next decision, so each read sees
+//     the state after all routed queries, race-free and deterministic.
 type View interface {
 	// Hosts returns the fleet size (host ids are 0..Hosts()-1).
 	Hosts() int
 	// Alive reports whether host id is serving.
 	Alive(id int) bool
 	// OutstandingAt returns host id's in-flight query count at virtual
-	// time t. Only valid from routers with Feedback() == true.
+	// time t.
 	OutstandingAt(id int, t simclock.Time) int
 	// Routed returns how many queries this Run has routed to host id —
-	// the front-end's own load ledger, available without host feedback.
+	// the front-end's own load ledger.
 	Routed(id int) int
 	// FMServedRate returns the fraction of host id's store lookups served
-	// from fast memory so far (0 for flat hosts). Only valid when
-	// Feedback() == true.
+	// from fast memory so far (0 for flat hosts).
 	FMServedRate(id int) float64
 	// WearHeadroom returns the host's remaining rated SM endurance as a
-	// fraction in [0, 1] (1 for flat hosts and fresh devices). Only valid
-	// when Feedback() == true.
+	// fraction in [0, 1] (1 for flat hosts and fresh devices).
 	WearHeadroom(id int) float64
 	// InMigrationWindow reports whether host id may issue migration IO at
 	// t: inside its coordinator-granted window, or always when no
 	// coordinator gates migration. Pure function of (id, t).
 	InMigrationWindow(id int, t simclock.Time) bool
 	// MigrationBacklog returns the host's queued plus in-flight migration
-	// move count (0 without adapters). Only valid when Feedback() == true.
+	// move count (0 without adapters).
 	MigrationBacklog(id int) int
 }
 
-// Router is a pluggable user→host routing policy. Implementations must be
-// deterministic: the same sequence of Route calls over the same Views
-// yields the same decisions, which is what makes fleet runs replayable.
-// Host liveness is the fleet's job and arrives through View.Alive; routers
-// hold no liveness state of their own.
-type Router interface {
-	// Name identifies the policy in results.
-	Name() string
-	// Route picks an alive host for q arriving at now, or -1 when no host
-	// is eligible.
-	Route(q workload.Query, now simclock.Time, v View) int
-	// Feedback reports whether Route reads live host state through the
-	// View; the fleet then finishes every routed query before the next
-	// decision (Fleet.Run executes inline instead of queueing).
-	Feedback() bool
-}
+// Router is the fleet's routing policy. *WeightedRouter is the only one:
+// round-robin, least-outstanding, sticky and every weighted mix are scorer
+// compositions, so the fleet validates each against its size and the
+// decision tracer explains every decision.
+type Router = *WeightedRouter
 
-// Scorer rates one host for one query: higher is better. Scores should be
-// calibrated to [0, 1] so WeightedRouter weights express relative
-// importance directly. Scorers must be pure with respect to the View —
-// deterministic and free of side effects — so fleet runs stay replayable.
-type Scorer interface {
-	// Name identifies the scorer in weight specs and diagnostics.
-	Name() string
-	// Score rates host for q arriving at now. Dead hosts are never
-	// scored; the router skips them first.
-	Score(q workload.Query, now simclock.Time, host int, v View) float64
-	// Feedback reports whether Score reads live host state through the
-	// View (OutstandingAt, Snapshot, wear, migration backlog).
-	Feedback() bool
-}
-
-// ScorerWeight pairs a Scorer with its weight in a WeightedRouter's sum.
+// ScorerWeight is one entry of a scorer composition: a scorer from the
+// table (ScorerNames) and its weight in a WeightedRouter's sum. Its fields
+// are unexported: ParseScorers is the way to make one, so every
+// composition is a "name=weight,..." spec.
 type ScorerWeight struct {
-	Scorer Scorer
-	Weight float64
+	scorer *scorer
+	weight float64
+	ring   *ring // the affinity scorer's consistent-hash ring; nil for the others
 }
 
 // WeightedRouter picks the alive host maximizing the weighted sum of its
-// scorers — the composable policy the closed round-robin/least-
-// outstanding/sticky structs are rewritten on top of.
+// scorers. It is deterministic — the same sequence of Route calls over the
+// same Views yields the same decisions, which makes fleet runs replayable —
+// and holds no liveness state: the fleet owns it and View.Alive reports it.
 //
 // Tie-breaking is strictly deterministic by rotating scan order: hosts are
 // scanned starting after the previous winner ((next+i) % n), a candidate
@@ -112,38 +88,37 @@ type WeightedRouter struct {
 	scratch []float64
 }
 
-// NewWeightedRouter composes scorers into a router. Weights must be
-// finite and >= 0; nil scorers are rejected. No scorers at all is valid
-// and yields pure rotating (round-robin) selection. An empty name selects
-// "weighted".
+// NewWeightedRouter composes ParseScorers' entries into a router, summing
+// them in the order given. A zero ScorerWeight (no scorer) is rejected. No
+// scorers at all is valid and yields pure rotating (round-robin)
+// selection. An empty name selects "weighted".
 func NewWeightedRouter(name string, scorers ...ScorerWeight) (*WeightedRouter, error) {
 	if name == "" {
 		name = "weighted"
 	}
 	r := &WeightedRouter{name: name, scorers: scorers}
 	for _, sw := range scorers {
-		if sw.Scorer == nil {
+		if sw.scorer == nil {
 			return nil, fmt.Errorf("cluster: weighted router %q has a nil scorer", name)
 		}
-		if math.IsNaN(sw.Weight) || math.IsInf(sw.Weight, 0) || sw.Weight < 0 {
-			return nil, fmt.Errorf("cluster: weighted router %q: scorer %s weight %g must be finite and >= 0",
-				name, sw.Scorer.Name(), sw.Weight)
-		}
-		if sw.Scorer.Feedback() {
+		if sw.scorer.feedback {
 			r.feedback = true
 		}
 	}
 	return r, nil
 }
 
-// Name implements Router.
+// Name identifies the policy in results.
 func (r *WeightedRouter) Name() string { return r.name }
 
-// Feedback implements Router: true when any scorer reads live host state.
+// Feedback reports whether any scorer reads live host state through the
+// View; the fleet then finishes every routed query before the next
+// decision (Fleet.Run executes inline instead of queueing).
 func (r *WeightedRouter) Feedback() bool { return r.feedback }
 
-// Route implements Router: argmax of the weighted score over alive hosts,
-// ties broken by rotating scan order (see type comment).
+// Route picks an alive host for q arriving at now — the argmax of the
+// weighted score, ties broken by rotating scan order (see type comment) —
+// or -1 when no host is alive.
 func (r *WeightedRouter) Route(q workload.Query, now simclock.Time, v View) int {
 	best, _ := r.route(q, now, v, nil)
 	return best
@@ -164,7 +139,7 @@ func (r *WeightedRouter) route(q workload.Query, now simclock.Time, v View, scor
 		}
 		var s float64
 		for _, sw := range r.scorers {
-			s += sw.Weight * sw.Scorer.Score(q, now, id, v)
+			s += sw.weight * sw.scorer.score(sw.ring, q, now, id, v)
 		}
 		if scores != nil {
 			scores[id] = s
@@ -202,9 +177,9 @@ func (r *WeightedRouter) RouteExplained(q workload.Query, now simclock.Time, v V
 	// side effects and matches the summed decision exactly.
 	for _, sw := range r.scorers {
 		d.Parts = append(d.Parts, obs.ScorePart{
-			Scorer: sw.Scorer.Name(),
-			Weight: sw.Weight,
-			Score:  sw.Scorer.Score(q, now, best, v),
+			Scorer: sw.scorer.name,
+			Weight: sw.weight,
+			Score:  sw.scorer.score(sw.ring, q, now, best, v),
 		})
 	}
 	for id := 0; id < n; id++ {
@@ -240,7 +215,7 @@ func NewRoundRobin() *WeightedRouter {
 // under skewed service times, but like round-robin it scatters every user
 // across the whole fleet, so caches see global locality only.
 func NewLeastOutstanding() *WeightedRouter {
-	r, _ := NewWeightedRouter("least-outstanding", ScorerWeight{Scorer: NewQueueScorer(), Weight: 1})
+	r, _ := NewWeightedRouter("least-outstanding", ScorerWeight{scorer: scorerNamed("queue"), weight: 1})
 	return r
 }
 
@@ -252,188 +227,133 @@ func NewLeastOutstanding() *WeightedRouter {
 // survivors via the ring) and everyone else stays put — the property that
 // keeps the §A.4 warmup spike proportional to the failed host's share.
 func NewSticky(hosts, vnodes int) *WeightedRouter {
-	r, _ := NewWeightedRouter("sticky", ScorerWeight{Scorer: NewAffinityScorer(hosts, vnodes), Weight: 1})
+	r, _ := NewWeightedRouter("sticky",
+		ScorerWeight{scorer: scorerNamed("affinity"), weight: 1, ring: newRing(hosts, vnodes)})
 	return r
 }
 
 // ---------------------------------------------------------------------------
 // Scorers
 
-// queueScorer rates hosts by inverse queue depth.
-type queueScorer struct{}
-
-// NewQueueScorer returns the queue-depth scorer: 1/(1+outstanding), so an
-// idle host scores 1 and score decays toward 0 as the queue grows. The
-// mapping is strictly monotone in the integer queue depth, which is what
-// makes a pure queue-scorer router bit-identical to the legacy
-// least-outstanding struct: same winner, same ties, same rotation.
-func NewQueueScorer() Scorer { return queueScorer{} }
-
-func (queueScorer) Name() string   { return "queue" }
-func (queueScorer) Feedback() bool { return true }
-func (queueScorer) Score(_ workload.Query, now simclock.Time, host int, v View) float64 {
-	return 1 / (1 + float64(v.OutstandingAt(host, now)))
+// scorer is one entry of the scorer table, named in weight specs and traced
+// decisions. score rates one alive host for one query arriving at now,
+// higher is better, calibrated to [0, 1] so weights express relative
+// importance directly; rg is the composition's hash ring (affinity only).
+// Scores are pure with respect to the View — deterministic and free of side
+// effects — so fleet runs stay replayable and RouteExplained may re-score
+// the winner. feedback marks a score that reads host state through the View
+// (OutstandingAt, FMServedRate, WearHeadroom, MigrationBacklog).
+type scorer struct {
+	name     string
+	feedback bool
+	score    func(rg *ring, q workload.Query, now simclock.Time, host int, v View) float64
 }
 
-// affinityScorer rates the user's ring owner 1 and everyone else 0.
-type affinityScorer struct {
-	ring *Ring
+// scorerTable is every scorer a spec may name, sorted by name.
+var scorerTable = [...]scorer{
+	// affinity is the cache-affinity scorer: 1 for the host owning q.UserID
+	// on the composition's consistent-hash ring (dead owners fall through
+	// clockwise via View.Alive), 0 otherwise. The ring is built for the
+	// fleet size the spec was parsed for; cluster.New rejects a router
+	// whose ring does not match its fleet.
+	{name: "affinity", score: func(rg *ring, q workload.Query, _ simclock.Time, host int, v View) float64 {
+		if rg.Owner(q.UserID, v.Alive) == host {
+			return 1
+		}
+		return 0
+	}},
+	// fmserved is the placement-quality scorer: the fraction of the host's
+	// store lookups served from fast memory so far, so traffic prefers
+	// replicas whose placement has converged on the live hot set.
+	{name: "fmserved", feedback: true, score: func(_ *ring, _ workload.Query, _ simclock.Time, host int, v View) float64 {
+		return v.FMServedRate(host)
+	}},
+	// loadbal is the long-horizon balance scorer: each host's deficit from
+	// the most-loaded host this Run, (max−routed)/(max−min), so the
+	// least-loaded host scores 1 and the most-loaded 0 (all hosts score 1
+	// when perfectly balanced). It reads only the front-end's own routing
+	// ledger, so it needs no host feedback.
+	{name: "loadbal", score: func(_ *ring, _ workload.Query, _ simclock.Time, host int, v View) float64 {
+		n := v.Hosts()
+		min, max := -1, -1
+		for id := 0; id < n; id++ {
+			if !v.Alive(id) {
+				continue
+			}
+			r := v.Routed(id)
+			if min < 0 || r < min {
+				min = r
+			}
+			if r > max {
+				max = r
+			}
+		}
+		if max <= min {
+			return 1
+		}
+		return float64(max-v.Routed(host)) / float64(max-min)
+	}},
+	// migavoid is the migration-avoidance scorer: 1 for a host with no
+	// migration backlog, 0 for a host that is inside a granted migration
+	// window with moves pending (its foreground tail is sharing the device
+	// with migration IO right now), and 0.5 for a host whose backlog is
+	// waiting on a future window (it will migrate soon, mild penalty). The
+	// window schedule is a pure function of virtual time; the backlog is
+	// live adapter state, so this scorer requires feedback.
+	{name: "migavoid", feedback: true, score: func(_ *ring, _ workload.Query, now simclock.Time, host int, v View) float64 {
+		if v.MigrationBacklog(host) == 0 {
+			return 1
+		}
+		if v.InMigrationWindow(host, now) {
+			return 0
+		}
+		return 0.5
+	}},
+	// queue is the queue-depth scorer: 1/(1+outstanding), so an idle host
+	// scores 1 and the score decays toward 0 as the queue grows. The
+	// mapping is strictly monotone in the integer queue depth, which is
+	// what makes a pure queue-scorer router bit-identical to the legacy
+	// least-outstanding struct: same winner, same ties, same rotation.
+	{name: "queue", feedback: true, score: func(_ *ring, _ workload.Query, now simclock.Time, host int, v View) float64 {
+		return 1 / (1 + float64(v.OutstandingAt(host, now)))
+	}},
+	// wear is the wear scorer: the host's remaining rated-life fraction
+	// (View.WearHeadroom), so traffic — and the cache-fill and migration
+	// writes it induces — drifts away from replicas burning through their
+	// §3 DWPD budget. Flat hosts and fresh devices score 1.
+	{name: "wear", feedback: true, score: func(_ *ring, _ workload.Query, _ simclock.Time, host int, v View) float64 {
+		return v.WearHeadroom(host)
+	}},
 }
 
-// NewAffinityScorer returns the cache-affinity scorer: 1 for the host
-// owning q.UserID on a consistent-hash ring (dead owners fall through
-// clockwise via View.Alive), 0 otherwise. vnodes <= 0 selects 64. The
-// hosts count must match the fleet the scorer is routed against:
-// cluster.New rejects a WeightedRouter carrying a mismatched ring, and Score
-// panics on one that reaches it inside a custom Router rather than silently
-// pinning users to a subset (hosts too small) or degrading affinity to
-// rotation (hosts too large).
-func NewAffinityScorer(hosts, vnodes int) Scorer {
-	return affinityScorer{ring: NewRing(hosts, vnodes)}
-}
-
-// checkHosts rejects a composition whose affinity ring was built for a
-// fleet of another size than the n hosts it is about to route against.
-func (r *WeightedRouter) checkHosts(n int) error {
-	for _, sw := range r.scorers {
-		if a, ok := sw.Scorer.(affinityScorer); ok && a.ring.Hosts() != n {
-			return fmt.Errorf("cluster: router %q: affinity ring built for %d hosts cannot route a %d-host fleet",
-				r.name, a.ring.Hosts(), n)
+// scorerNamed returns the table entry called name, or nil.
+func scorerNamed(name string) *scorer {
+	for i := range scorerTable {
+		if scorerTable[i].name == name {
+			return &scorerTable[i]
 		}
 	}
 	return nil
 }
 
-func (affinityScorer) Name() string   { return "affinity" }
-func (affinityScorer) Feedback() bool { return false }
-func (s affinityScorer) Score(q workload.Query, _ simclock.Time, host int, v View) float64 {
-	if s.ring.Hosts() != v.Hosts() {
-		panic(fmt.Sprintf("cluster: affinity scorer ring built for %d hosts routed against a %d-host fleet",
-			s.ring.Hosts(), v.Hosts()))
-	}
-	if s.ring.Owner(q.UserID, v.Alive) == host {
-		return 1
-	}
-	return 0
-}
-
-// loadBalanceScorer rates hosts by routed-count deficit.
-type loadBalanceScorer struct{}
-
-// NewLoadBalanceScorer returns the long-horizon balance scorer: each
-// host's deficit from the most-loaded host this Run, (max−routed)/(max−min),
-// so the least-loaded host scores 1 and the most-loaded 0 (all hosts score
-// 1 when perfectly balanced). It reads only the front-end's own routing
-// ledger, so it needs no host feedback.
-func NewLoadBalanceScorer() Scorer { return loadBalanceScorer{} }
-
-func (loadBalanceScorer) Name() string   { return "loadbal" }
-func (loadBalanceScorer) Feedback() bool { return false }
-func (loadBalanceScorer) Score(_ workload.Query, _ simclock.Time, host int, v View) float64 {
-	n := v.Hosts()
-	min, max := -1, -1
-	for id := 0; id < n; id++ {
-		if !v.Alive(id) {
-			continue
-		}
-		r := v.Routed(id)
-		if min < 0 || r < min {
-			min = r
-		}
-		if r > max {
-			max = r
-		}
-	}
-	if max <= min {
-		return 1
-	}
-	return float64(max-v.Routed(host)) / float64(max-min)
-}
-
-// migrationAvoidScorer steers traffic away from actively migrating hosts.
-type migrationAvoidScorer struct{}
-
-// NewMigrationAvoidScorer returns the migration-avoidance scorer: 1 for a
-// host with no migration backlog, 0 for a host that is inside a granted
-// migration window with moves pending (its foreground tail is sharing the
-// device with migration IO right now), and 0.5 for a host whose backlog
-// is waiting on a future window (it will migrate soon, mild penalty). The
-// window schedule is a pure function of virtual time; the backlog is live
-// adapter state, so this scorer requires feedback.
-func NewMigrationAvoidScorer() Scorer { return migrationAvoidScorer{} }
-
-func (migrationAvoidScorer) Name() string   { return "migavoid" }
-func (migrationAvoidScorer) Feedback() bool { return true }
-func (migrationAvoidScorer) Score(_ workload.Query, now simclock.Time, host int, v View) float64 {
-	if v.MigrationBacklog(host) == 0 {
-		return 1
-	}
-	if v.InMigrationWindow(host, now) {
-		return 0
-	}
-	return 0.5
-}
-
-// wearScorer rates hosts by remaining SM endurance.
-type wearScorer struct{}
-
-// NewWearScorer returns the wear scorer: the host's remaining rated-life
-// fraction (View.WearHeadroom), so traffic — and the cache-fill and
-// migration writes it induces — drifts away from replicas burning through
-// their §3 DWPD budget. Flat hosts and fresh devices score 1.
-func NewWearScorer() Scorer { return wearScorer{} }
-
-func (wearScorer) Name() string   { return "wear" }
-func (wearScorer) Feedback() bool { return true }
-func (wearScorer) Score(_ workload.Query, _ simclock.Time, host int, v View) float64 {
-	return v.WearHeadroom(host)
-}
-
-// fmServedScorer rates hosts by their FM-served rate.
-type fmServedScorer struct{}
-
-// NewFMServedScorer returns the placement-quality scorer: the fraction of
-// the host's store lookups served from fast memory so far, so traffic
-// prefers replicas whose placement has converged on the live hot set.
-func NewFMServedScorer() Scorer { return fmServedScorer{} }
-
-func (fmServedScorer) Name() string   { return "fmserved" }
-func (fmServedScorer) Feedback() bool { return true }
-func (fmServedScorer) Score(_ workload.Query, _ simclock.Time, host int, v View) float64 {
-	return v.FMServedRate(host)
-}
-
-// scorerFactories maps weight-spec names to constructors; affinity needs
-// the fleet size for its ring.
-var scorerFactories = map[string]func(hosts int) Scorer{
-	"queue":    func(int) Scorer { return NewQueueScorer() },
-	"affinity": func(hosts int) Scorer { return NewAffinityScorer(hosts, 64) },
-	"loadbal":  func(int) Scorer { return NewLoadBalanceScorer() },
-	"migavoid": func(int) Scorer { return NewMigrationAvoidScorer() },
-	"wear":     func(int) Scorer { return NewWearScorer() },
-	"fmserved": func(int) Scorer { return NewFMServedScorer() },
-}
-
 // ScorerNames returns the weight-spec scorer names, sorted.
 func ScorerNames() []string {
-	names := make([]string, 0, len(scorerFactories))
-	for n := range scorerFactories {
-		names = append(names, n)
+	names := make([]string, len(scorerTable))
+	for i, s := range scorerTable {
+		names[i] = s.name
 	}
-	sort.Strings(names)
 	return names
 }
 
 // ParseScorers parses a "name=weight,name=weight" spec (e.g.
 // "affinity=1,queue=0.4,migavoid=1.2") into a scorer composition for a
-// fleet of the given size (>= 1). Names must be known (ScorerNames),
-// unique, and weights finite and >= 0.
+// fleet of the given size (>= 1), in spec order — the order
+// NewWeightedRouter sums them in. Names must be known (ScorerNames),
+// unique, and weights finite and >= 0. An affinity entry gets a
+// 64-vnode ring over the hosts.
 func ParseScorers(spec string, hosts int) ([]ScorerWeight, error) {
 	if hosts < 1 {
 		return nil, fmt.Errorf("cluster: scorer spec for %d hosts: hosts must be >= 1", hosts)
-	}
-	if strings.TrimSpace(spec) == "" {
-		return nil, fmt.Errorf("cluster: empty scorer spec (known scorers: %s)", strings.Join(ScorerNames(), ", "))
 	}
 	var out []ScorerWeight
 	seen := make(map[string]bool)
@@ -447,8 +367,8 @@ func ParseScorers(spec string, hosts int) ([]ScorerWeight, error) {
 			return nil, fmt.Errorf("cluster: scorer spec entry %q is not name=weight", part)
 		}
 		name = strings.TrimSpace(name)
-		mk, known := scorerFactories[name]
-		if !known {
+		s := scorerNamed(name)
+		if s == nil {
 			return nil, fmt.Errorf("cluster: unknown scorer %q (known: %s)", name, strings.Join(ScorerNames(), ", "))
 		}
 		if seen[name] {
@@ -462,10 +382,14 @@ func ParseScorers(spec string, hosts int) ([]ScorerWeight, error) {
 		if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
 			return nil, fmt.Errorf("cluster: scorer %q weight %g must be finite and >= 0", name, w)
 		}
-		out = append(out, ScorerWeight{Scorer: mk(hosts), Weight: w})
+		sw := ScorerWeight{scorer: s, weight: w}
+		if name == "affinity" {
+			sw.ring = newRing(hosts, 64)
+		}
+		out = append(out, sw)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("cluster: scorer spec %q has no entries", spec)
+		return nil, fmt.Errorf("cluster: scorer spec %q has no entries (known scorers: %s)", spec, strings.Join(ScorerNames(), ", "))
 	}
 	return out, nil
 }
@@ -473,12 +397,12 @@ func ParseScorers(spec string, hosts int) ([]ScorerWeight, error) {
 // ---------------------------------------------------------------------------
 // Consistent-hash ring
 
-// Ring is the consistent-hash virtual-node ring behind sticky affinity:
+// ring is the consistent-hash virtual-node ring behind sticky affinity:
 // each host contributes vnode points, a user maps to the first point
 // clockwise from its hash, and dead owners fall through to the next alive
 // point. It is immutable after construction — liveness is the caller's
 // (the View's) and arrives per lookup.
-type Ring struct {
+type ring struct {
 	points []ringPoint // sorted by hash; all hosts, dead or alive
 	hosts  int
 }
@@ -488,13 +412,13 @@ type ringPoint struct {
 	host int
 }
 
-// NewRing builds a ring over hosts replicas with vnodes virtual nodes
+// newRing builds a ring over hosts replicas with vnodes virtual nodes
 // each (vnodes <= 0 selects 64).
-func NewRing(hosts, vnodes int) *Ring {
+func newRing(hosts, vnodes int) *ring {
 	if vnodes <= 0 {
 		vnodes = 64
 	}
-	r := &Ring{hosts: hosts}
+	r := &ring{hosts: hosts}
 	for id := 0; id < hosts; id++ {
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, ringPoint{
@@ -512,13 +436,9 @@ func NewRing(hosts, vnodes int) *Ring {
 	return r
 }
 
-// Hosts returns the replica count the ring was built over.
-func (r *Ring) Hosts() int { return r.hosts }
-
 // Owner returns the first host clockwise from user's hash for which alive
-// returns true, or -1 when no host qualifies. A nil alive accepts every
-// host.
-func (r *Ring) Owner(user int64, alive func(int) bool) int {
+// returns true, or -1 when no host qualifies.
+func (r *ring) Owner(user int64, alive func(int) bool) int {
 	if len(r.points) == 0 {
 		return -1
 	}
@@ -526,7 +446,7 @@ func (r *Ring) Owner(user int64, alive func(int) bool) int {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	for k := 0; k < len(r.points); k++ {
 		p := r.points[(i+k)%len(r.points)]
-		if alive == nil || alive(p.host) {
+		if alive(p.host) {
 			return p.host
 		}
 	}

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -143,7 +145,7 @@ func TestStickyMatchesRingOwner(t *testing.T) {
 	const hosts = 5
 	v := newScriptView(hosts)
 	r := NewSticky(hosts, 64)
-	ring := NewRing(hosts, 64)
+	ring := newRing(hosts, 64)
 	for u := int64(0); u < 2000; u++ {
 		q := workload.Query{UserID: u}
 		want := ring.Owner(u, v.Alive)
@@ -161,16 +163,27 @@ func TestStickyMatchesRingOwner(t *testing.T) {
 	}
 }
 
+// parseOne parses the one-scorer spec name=1 for a fleet of hosts.
+func parseOne(t *testing.T, name string, hosts int) ScorerWeight {
+	t.Helper()
+	sws, err := ParseScorers(name+"=1", hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sws[0]
+}
+
 func TestWeightedRouterValidation(t *testing.T) {
-	if _, err := NewWeightedRouter("x", ScorerWeight{Scorer: nil, Weight: 1}); err == nil {
+	if _, err := NewWeightedRouter("x", ScorerWeight{}); err == nil {
 		t.Fatal("nil scorer should be rejected")
 	}
+	// A weight enters a composition only through a spec.
 	for _, w := range []float64{-1, math.NaN(), math.Inf(1)} {
-		if _, err := NewWeightedRouter("x", ScorerWeight{Scorer: NewQueueScorer(), Weight: w}); err == nil {
+		if _, err := ParseScorers(fmt.Sprintf("queue=%g", w), 3); err == nil {
 			t.Fatalf("weight %g should be rejected", w)
 		}
 	}
-	r, err := NewWeightedRouter("", ScorerWeight{Scorer: NewQueueScorer(), Weight: 1})
+	r, err := NewWeightedRouter("", parseOne(t, "queue", 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +193,7 @@ func TestWeightedRouterValidation(t *testing.T) {
 	if !r.Feedback() {
 		t.Fatal("queue scorer requires feedback")
 	}
-	lb, err := NewWeightedRouter("lb", ScorerWeight{Scorer: NewLoadBalanceScorer(), Weight: 1})
+	lb, err := NewWeightedRouter("lb", parseOne(t, "loadbal", 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,13 +202,47 @@ func TestWeightedRouterValidation(t *testing.T) {
 	}
 }
 
+// TestScorerTable pins every table entry: its name parses as a spec, only
+// affinity carries a ring, and its feedback flag — which picks inline over
+// queued execution in Fleet.Run — reaches the router.
+func TestScorerTable(t *testing.T) {
+	feedback := map[string]bool{
+		"affinity": false, "fmserved": true, "loadbal": false,
+		"migavoid": true, "queue": true, "wear": true,
+	}
+	names := ScorerNames()
+	if !sort.StringsAreSorted(names) || len(names) != len(feedback) {
+		t.Fatalf("ScorerNames() = %v, want the %d pinned names sorted", names, len(feedback))
+	}
+	for _, name := range names {
+		want, ok := feedback[name]
+		if !ok {
+			t.Fatalf("scorer %q has no pinned feedback flag", name)
+		}
+		sw := parseOne(t, name, 4)
+		if sw.scorer.name != name || (sw.ring != nil) != (name == "affinity") {
+			t.Fatalf("%s=1 parsed as %+v", name, sw)
+		}
+		r, err := NewWeightedRouter("", sw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Feedback() != want {
+			t.Errorf("%s: router Feedback() = %t, want %t", name, r.Feedback(), want)
+		}
+	}
+}
+
 func TestParseScorers(t *testing.T) {
 	sws, err := ParseScorers("affinity=1, queue=0.4 ,migavoid=1.2", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sws) != 3 || sws[0].Scorer.Name() != "affinity" || sws[1].Weight != 0.4 {
+	if len(sws) != 3 || sws[0].scorer.name != "affinity" || sws[1].weight != 0.4 {
 		t.Fatalf("parsed %+v", sws)
+	}
+	if sws[0].ring == nil || sws[0].ring.hosts != 3 {
+		t.Fatalf("affinity ring %+v, want one over 3 hosts", sws[0].ring)
 	}
 	for _, bad := range []string{
 		"", "queue", "queue=x", "queue=-1", "queue=Inf", "bogus=1", "queue=1,queue=2", " , ",
@@ -219,40 +266,40 @@ func TestMigrationAvoidScorerGating(t *testing.T) {
 	// The avoidance scorer penalizes only hosts that are actually
 	// migrating: full penalty inside a granted window with backlog, half
 	// penalty for backlog waiting on a future window, none when idle.
-	s := NewMigrationAvoidScorer()
+	s := parseOne(t, "migavoid", 3)
 	v := newScriptView(3)
 	q := workload.Query{}
-	if got := s.Score(q, 0, 0, v); got != 1 {
+	if got := s.scorer.score(s.ring, q, 0, 0, v); got != 1 {
 		t.Fatalf("idle host scored %g, want 1", got)
 	}
 	v.backlog[0] = 4
 	v.inWindow[0] = true
-	if got := s.Score(q, 0, 0, v); got != 0 {
+	if got := s.scorer.score(s.ring, q, 0, 0, v); got != 0 {
 		t.Fatalf("in-window migrating host scored %g, want 0", got)
 	}
 	v.inWindow[0] = false
-	if got := s.Score(q, 0, 0, v); got != 0.5 {
+	if got := s.scorer.score(s.ring, q, 0, 0, v); got != 0.5 {
 		t.Fatalf("backlogged out-of-window host scored %g, want 0.5", got)
 	}
 }
 
 func TestLoadBalanceScorerDeficit(t *testing.T) {
-	s := NewLoadBalanceScorer()
+	s := parseOne(t, "loadbal", 3)
 	v := newScriptView(3)
 	v.routed = []int{10, 4, 7}
 	q := workload.Query{}
-	if got := s.Score(q, 0, 1, v); got != 1 {
+	if got := s.scorer.score(s.ring, q, 0, 1, v); got != 1 {
 		t.Fatalf("least-loaded host scored %g, want 1", got)
 	}
-	if got := s.Score(q, 0, 0, v); got != 0 {
+	if got := s.scorer.score(s.ring, q, 0, 0, v); got != 0 {
 		t.Fatalf("most-loaded host scored %g, want 0", got)
 	}
-	if got := s.Score(q, 0, 2, v); got != 0.5 {
+	if got := s.scorer.score(s.ring, q, 0, 2, v); got != 0.5 {
 		t.Fatalf("mid host scored %g, want 0.5", got)
 	}
 	// Perfect balance scores everyone 1 (pure rotation).
 	v.routed = []int{5, 5, 5}
-	if got := s.Score(q, 0, 2, v); got != 1 {
+	if got := s.scorer.score(s.ring, q, 0, 2, v); got != 1 {
 		t.Fatalf("balanced host scored %g, want 1", got)
 	}
 }
@@ -306,7 +353,7 @@ func TestTokenBucketAdmission(t *testing.T) {
 	s := newAdmitState(AdmitConfig{Classes: []ClassAdmit{{RatePerSec: 1, Burst: 2}}})
 	admits := 0
 	for i := 0; i < 5; i++ {
-		if _, _, ok := s.admit(0, sec); ok {
+		if _, _, ok, _ := s.admit(0, sec); ok {
 			admits++
 		}
 	}
@@ -314,23 +361,23 @@ func TestTokenBucketAdmission(t *testing.T) {
 		t.Fatalf("burst-2 bucket admitted %d of 5 simultaneous arrivals, want 2", admits)
 	}
 	// One second later exactly one token has accrued.
-	if _, _, ok := s.admit(0, 2*sec); !ok {
+	if _, _, ok, _ := s.admit(0, 2*sec); !ok {
 		t.Fatal("refilled bucket should admit")
 	}
-	if _, _, ok := s.admit(0, 2*sec); ok {
+	if _, _, ok, _ := s.admit(0, 2*sec); ok {
 		t.Fatal("drained bucket should shed")
 	}
 	// Queue mode delays admission to the next token instead of shedding.
 	qs := newAdmitState(AdmitConfig{Classes: []ClassAdmit{{RatePerSec: 2, Burst: 1, Queue: true}}})
-	if at, _, ok := qs.admit(0, sec); !ok || at != sec {
+	if at, _, ok, _ := qs.admit(0, sec); !ok || at != sec {
 		t.Fatalf("first arrival should admit immediately, got at=%v ok=%t", at, ok)
 	}
-	at, _, ok := qs.admit(0, sec)
+	at, _, ok, _ := qs.admit(0, sec)
 	if !ok || at != sec+sec/2 {
 		t.Fatalf("queued arrival should admit half a second later, got at=%v ok=%t", at, ok)
 	}
 	// Unconfigured classes pass through untouched.
-	if at, _, ok := qs.admit(5, sec); !ok || at != sec {
+	if at, _, ok, _ := qs.admit(5, sec); !ok || at != sec {
 		t.Fatalf("unconfigured class should pass through, got at=%v ok=%t", at, ok)
 	}
 }
@@ -349,7 +396,7 @@ func TestQueueAdmissionBoundsSustainedRate(t *testing.T) {
 	var first, last simclock.Time
 	prev := simclock.Time(-1)
 	for i := 0; i < n; i++ {
-		at, _, ok := s.admit(0, simclock.Time(i)*gap)
+		at, _, ok, _ := s.admit(0, simclock.Time(i)*gap)
 		if !ok {
 			t.Fatalf("queue-mode bucket shed arrival %d", i)
 		}
@@ -369,5 +416,25 @@ func TestQueueAdmissionBoundsSustainedRate(t *testing.T) {
 	if span := last - first; span < minSpan {
 		t.Fatalf("admitted %d queries over %v, want >= %v (rate %g/s not bounded)",
 			n, time.Duration(span), time.Duration(minSpan), rate)
+	}
+}
+
+func TestQueueAdmissionPastEndOfTime(t *testing.T) {
+	// A queue class so slow that its waits outrun virtual time: at 1e-9/s
+	// each queued query waits 1e18 ns, so the eleventh admission would
+	// land past math.MaxInt64. It fails naming the class and its rate
+	// instead of wrapping the clock into an admission at arrival.
+	s := newAdmitState(AdmitConfig{Classes: []ClassAdmit{{Name: "trickle", RatePerSec: 1e-9, Burst: 1, Queue: true}}})
+	prev := simclock.Time(-1)
+	for i := 0; i < 10; i++ {
+		at, _, ok, err := s.admit(0, 0)
+		if err != nil || !ok || at <= prev {
+			t.Fatalf("arrival %d: at=%d ok=%t err=%v, want an admission after %d", i, at, ok, err, prev)
+		}
+		prev = at
+	}
+	at, _, ok, err := s.admit(0, 0)
+	if err == nil || !strings.Contains(err.Error(), "trickle") || !strings.Contains(err.Error(), "1e-09") {
+		t.Fatalf("arrival 10: at=%d ok=%t err=%v, want an error naming the class and its rate", at, ok, err)
 	}
 }

@@ -115,19 +115,12 @@ func (t *tracer) reset() {
 }
 
 // traceRoute makes the fleet's routing decision under tracing, records
-// its row and returns the chosen host. A *WeightedRouter explains itself;
-// any other Router's row carries only the chosen and previous hosts. A
-// traced Run executes inline, so every routed query has finished and the
-// Outstanding reads are race-free and deterministic.
+// its row and returns the chosen host. A traced Run executes inline, so
+// every routed query has finished and the Outstanding reads are race-free
+// and deterministic.
 func (f *Fleet) traceRoute(seq int, q workload.Query, at simclock.Time, view View) int {
 	d := obs.RouteDecision{Seq: seq, User: q.UserID, Class: q.Class, Prev: f.prevHost(q.UserID)}
-	var id int
-	if wr, ok := f.router.(*WeightedRouter); ok {
-		id = wr.RouteExplained(q, at, view, f.trace.cfg.CounterfactualK, &d)
-	} else {
-		id = f.router.Route(q, at, view)
-		d.Chosen = id
-	}
+	id := f.router.RouteExplained(q, at, view, f.trace.cfg.CounterfactualK, &d)
 	if id >= 0 && id < len(f.members) && f.members[id].alive {
 		d.Outstanding = view.OutstandingAt(id, at)
 		for i := range d.Alts {

@@ -83,24 +83,22 @@ func slo(sc Scale) (*Report, error) {
 		}.run(sc)
 		return out.res, out.stats, out.events, err
 	}
-	mkSticky := func() (cluster.Router, error) { return cluster.NewSticky(drillHosts, 64), nil }
-	mkWeighted := func() (cluster.Router, error) {
-		return cluster.NewWeightedRouter("migration-aware",
-			cluster.ScorerWeight{Scorer: cluster.NewAffinityScorer(drillHosts, 64), Weight: 1.0},
-			cluster.ScorerWeight{Scorer: cluster.NewQueueScorer(), Weight: 0.4},
-			cluster.ScorerWeight{Scorer: cluster.NewMigrationAvoidScorer(), Weight: 1.2},
-		)
+	weighted := func(name, spec string) func() (cluster.Router, error) {
+		return func() (cluster.Router, error) {
+			sws, err := cluster.ParseScorers(spec, drillHosts)
+			if err != nil {
+				return nil, err
+			}
+			return cluster.NewWeightedRouter(name, sws...)
+		}
 	}
+	mkSticky := func() (cluster.Router, error) { return cluster.NewSticky(drillHosts, 64), nil }
+	mkWeighted := weighted("migration-aware", "affinity=1,queue=0.4,migavoid=1.2")
 	// The trace's control config: affinity + the same sub-affinity queue
 	// weight but no migration avoidance. PR 6 established (via aggregate
 	// tails) that this router never moves a user; the decision trace now
 	// proves it per-decision — zero diverted routes.
-	mkQueueOnly := func() (cluster.Router, error) {
-		return cluster.NewWeightedRouter("queue-below-affinity",
-			cluster.ScorerWeight{Scorer: cluster.NewAffinityScorer(drillHosts, 64), Weight: 1.0},
-			cluster.ScorerWeight{Scorer: cluster.NewQueueScorer(), Weight: 0.4},
-		)
-	}
+	mkQueueOnly := weighted("queue-below-affinity", "affinity=1,queue=0.4")
 
 	// runSweep executes one utilization-sweep point on the 4-host
 	// small-cache fleet, optionally with SLO classes and admission.

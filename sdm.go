@@ -32,10 +32,11 @@
 // (FleetConfig.HostWorkers).
 //
 // Serving runs through the cluster subsystem: N simulated hosts behind a
-// front-end router with pluggable user→host policies (round-robin,
-// least-outstanding, sticky consistent hashing) over one shared Zipf user
-// population — the serving-time realization of the paper's Fig. 4c sticky
-// locality uplift and the measured input to fleet provisioning. HostQPS is
+// front-end router over one shared Zipf user population — the
+// serving-time realization of the paper's Fig. 4c sticky locality uplift
+// and the measured input to fleet provisioning. A router is a weighted sum
+// of named scorers from a "name=weight,..." spec (ParseScorers); NewSticky
+// is "affinity=1", NewRoundRobin the empty sum. HostQPS is
 // one host's max QPS at a p95 latency budget (Tables 8 and 9), measured as
 // a fleet of one: the rate doubles from 5 QPS until a probe fails, then
 // bisects geometrically to 0.5 %; a probe runs ≥ 400 queries and passes
@@ -122,17 +123,15 @@ type (
 	FleetConfig = cluster.Config
 	// FleetResult is the per-host and fleet-wide outcome of a run.
 	FleetResult = cluster.Result
-	// Router is a pluggable user→host routing policy.
+	// Router is a user→host routing policy: a weighted sum of named scorers.
 	Router = cluster.Router
 )
 
-// SLO-aware serving types: composable routing scorers and per-class
-// token-bucket admission control. Queries carry classes via
-// WorkloadConfig.SLOClasses; admission is installed with
-// FleetSpec.Admit, and FleetResult.Classes carries the per-class tails.
+// SLO-aware serving types: per-class token-bucket admission control.
+// Queries carry classes via WorkloadConfig.SLOClasses; admission is
+// installed with FleetSpec.Admit, and FleetResult.Classes carries the
+// per-class tails.
 type (
-	// ScorerWeight pairs a scorer with its weight in a weighted router.
-	ScorerWeight = cluster.ScorerWeight
 	// AdmitConfig is the fleet's per-class admission policy.
 	AdmitConfig = cluster.AdmitConfig
 	// ClassAdmit is one SLO class's token-bucket admission policy.
@@ -167,16 +166,12 @@ const (
 	TraceCounterfactual = obs.LevelCounterfactual
 )
 
-// SLO-aware serving constructors.
+// SLO-aware routing from a "name=weight,..." scorer spec, summed in order.
 var (
-	// NewWeightedRouter composes a router from weighted scorers.
-	NewWeightedRouter = cluster.NewWeightedRouter
-	// ParseScorers parses a "name=weight,..." scorer spec.
+	// ParseScorers parses a scorer spec for a fleet of the given size.
 	ParseScorers = cluster.ParseScorers
-	// NewAffinityScorer scores the sticky ring owner 1, others 0.
-	NewAffinityScorer = cluster.NewAffinityScorer
-	// NewQueueScorer scores hosts by inverse outstanding-queue depth.
-	NewQueueScorer = cluster.NewQueueScorer
+	// NewWeightedRouter composes ParseScorers' result into a named router.
+	NewWeightedRouter = cluster.NewWeightedRouter
 )
 
 // Adaptive-tiering types: the online control loop that re-evaluates the
