@@ -2,14 +2,16 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
 // TestSteadyStateFleetAllocs pins the fleet half of the allocation budget
 // (the engine half is core's TestSteadyStateQueryAllocs). Once two warm runs
-// have grown the records and routing ledgers, a Fleet.Run allocates a fixed
-// handful of objects for result assembly whatever its length, so a query
-// allocates nothing.
+// have grown the records and routing ledgers and the tallies' bucket ranges,
+// a Fleet.Run allocates a fixed handful of objects for result assembly
+// whatever its length, so a query allocates nothing; an inline Run's bytes
+// are bounded too, so no result tally is rebuilt per Run.
 //
 // A feedback router executes every query on the calling goroutine, so its
 // count is exact: the same at n and 2n queries. A sticky router runs the
@@ -22,9 +24,14 @@ import (
 func TestSteadyStateFleetAllocs(t *testing.T) {
 	const (
 		qps     = 300
-		perRun  = 32 // objects a warm inline Run allocates, independent of n
+		perRun  = 14 // objects a warm inline Run allocates, independent of n
 		queries = 300
 		perCopy = 4 // objects in a fresh QueryBuf: the struct and its three slices
+		// perRunBytes bounds a warm inline Run's allocated bytes: it measures
+		// 6 304 B at 600 queries (the Result, its Hosts and Windows, and the
+		// Compact copies of the fleet-owned tallies), so this is ≈ 2.6× slack.
+		// Fresh 8 KiB histograms per host, window and Run measured 110 256 B.
+		perRunBytes = 16 << 10
 	)
 	in, tables := fixture(t)
 	allocs := func(f *Fleet, n int) float64 {
@@ -47,6 +54,17 @@ func TestSteadyStateFleetAllocs(t *testing.T) {
 		}
 		if large > perRun {
 			t.Fatalf("a warm Run allocates %.0f objects, budget %d", large, perRun)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := f.Run(qps, 2*queries); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		bytes := after.TotalAlloc - before.TotalAlloc
+		t.Logf("a warm Run allocates %d bytes at %d queries", bytes, 2*queries)
+		if bytes > perRunBytes {
+			t.Fatalf("a warm Run allocates %d bytes, budget %d", bytes, perRunBytes)
 		}
 	})
 	for _, workers := range []int{1, 4} {

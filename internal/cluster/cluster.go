@@ -102,8 +102,10 @@ type Fleet struct {
 	diverted int
 
 	// records is the per-query outcome buffer, grown once and reused by
-	// every Run (aggregate consumes it before Run returns).
+	// every Run (aggregate consumes it before Run returns); tallies is
+	// what aggregate folds it into, reused the same way.
 	records []record
+	tallies runFold
 
 	// Optional SLO serving layer: a migration-window coordinator and the
 	// per-host adapters (both surfaced through the View for

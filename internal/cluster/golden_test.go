@@ -121,3 +121,45 @@ func TestMetricsExportGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestResultOutlivesNextRun holds a Result to what it was when its Run
+// returned. The fleet refills one set of tallies every Run, so a Result
+// whose histograms aliased them would change under the next Run; the SLO
+// stack's Result carries host, class and fleet histograms to catch that.
+func TestResultOutlivesNextRun(t *testing.T) {
+	in, tables := adaptiveFixture(t)
+	for _, c := range []struct {
+		name    string
+		sticky  bool
+		workers int
+	}{{"inline", false, 1}, {"queued,workers=4", true, 4}} {
+		t.Run(c.name, func(t *testing.T) {
+			spec := sloSpec(t, 3, c.workers)
+			if c.sticky {
+				spec.Router = NewSticky(3, 64)
+			}
+			f, err := Build(in, tables, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, err := f.Run(300, 600)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(first.Classes) != 2 || first.Latency.Count() == 0 {
+				t.Fatalf("first Run has %d classes and %d latencies; want 2 and some", len(first.Classes), first.Latency.Count())
+			}
+			want := resultDigest(first)
+			second, err := f.Run(600, 900)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resultDigest(second) == want {
+				t.Fatal("the second Run reproduced the first Result: the check cannot tell aliasing apart")
+			}
+			if got := resultDigest(first); got != want {
+				t.Fatalf("the first Result's digest moved from %#x to %#x across the next Run", want, got)
+			}
+		})
+	}
+}

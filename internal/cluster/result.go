@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"sdm/internal/obs"
 	"sdm/internal/serving"
@@ -152,14 +153,17 @@ type Result struct {
 // queries, their latency histogram and their summed cache-counter delta.
 type tally struct {
 	queries int
-	lat     *stats.Histogram
+	lat     stats.Histogram
 	delta   serving.CacheSnapshot
 }
 
-func newTallies(n int) []tally {
-	ts := make([]tally, n)
+// reuse returns ts resized to n empty tallies; slots within the capacity
+// keep their histogram storage (Reset).
+func reuse(ts []tally, n int) []tally {
+	ts = slices.Grow(ts[:0], n)[:n]
 	for i := range ts {
-		ts[i].lat = stats.NewHistogram()
+		ts[i] = tally{lat: ts[i].lat}
+		ts[i].lat.Reset()
 	}
 	return ts
 }
@@ -188,7 +192,8 @@ func (t *tally) window(lo, hi simclock.Time) WindowStat {
 	return w
 }
 
-// runFold is a run's records folded once (see fold).
+// runFold is a run's records folded once (see fold). The fleet refills one
+// every Run, keeping its tallies' storage; a Result holds Compact copies.
 type runFold struct {
 	hosts, classes []tally
 	// windows cover arrivals in [start, end], width apart; the last is
@@ -196,9 +201,10 @@ type runFold struct {
 	windows           []tally
 	start, end, width simclock.Time
 	// split[0] holds the rerouted users' queries arriving before the
-	// failure, split[1] the rest; nil unless a failure fired.
+	// failure, split[1] the rest; empty unless a failure fired.
 	split    []tally
 	lastDone simclock.Time
+	total    stats.Histogram // the host tallies merged in host order (aggregate)
 }
 
 // fold makes the one pass over a Run's records, in index order: each
@@ -207,14 +213,16 @@ type runFold struct {
 // and — when fired — of the rerouted users' pre- or post-failure side.
 // Every per-host, per-class, per-window and warm-up number of the Result
 // derives from these tallies, so none depends on execution interleaving.
-func (f *Fleet) fold(records []record, start, end simclock.Time, classes int, fired bool) runFold {
-	rf := runFold{hosts: newTallies(len(f.members)), classes: newTallies(classes), start: start, end: end}
+func (f *Fleet) fold(records []record, start, end simclock.Time, classes int, fired bool) *runFold {
+	rf := &f.tallies
+	*rf = runFold{hosts: reuse(rf.hosts, len(f.members)), classes: reuse(rf.classes, classes),
+		windows: rf.windows[:0], split: rf.split[:0], start: start, end: end, total: rf.total}
 	// No windows when the span is narrower than one ns per window.
 	if n := simclock.Time(f.cfg.Windows); n > 0 && end-start >= n {
-		rf.windows, rf.width = newTallies(int(n)), (end-start)/n
+		rf.windows, rf.width = reuse(rf.windows, int(n)), (end-start)/n
 	}
 	if fired {
-		rf.split = newTallies(2)
+		rf.split = reuse(rf.split, 2)
 	}
 	for i := range records {
 		r := &records[i]
@@ -228,7 +236,7 @@ func (f *Fleet) fold(records []record, start, end simclock.Time, classes int, fi
 		}
 		// Queue-mode admission can push an arrival past the last generated
 		// arrival instant; such records fall outside every window.
-		if rf.windows != nil && r.arrive >= start && r.arrive <= end {
+		if len(rf.windows) > 0 && r.arrive >= start && r.arrive <= end {
 			w := min(int((r.arrive-start)/rf.width), len(rf.windows)-1)
 			rf.windows[w].add(lat, r.delta)
 		}
@@ -249,8 +257,8 @@ func (f *Fleet) fold(records []record, start, end simclock.Time, classes int, fi
 // windowStats derives Result.Windows from the window tallies (nil on a
 // degenerate span) and marks each on the meter's window gauges, so the
 // Result and the exported series come from the same tallies.
-func (rf runFold) windowStats(mt *meter) []WindowStat {
-	if rf.windows == nil {
+func (rf *runFold) windowStats(mt *meter) []WindowStat {
+	if len(rf.windows) == 0 {
 		return nil
 	}
 	out := make([]WindowStat, len(rf.windows))
@@ -275,7 +283,6 @@ func (f *Fleet) aggregate(qps float64, start, lastArrival simclock.Time, records
 		OfferedQPS: qps,
 		Queries:    len(records),
 		Start:      start,
-		Latency:    stats.NewHistogram(),
 		FailedHost: -1,
 	}
 	if drifted {
@@ -304,11 +311,13 @@ func (f *Fleet) aggregate(qps float64, start, lastArrival simclock.Time, records
 	// Fleet latency is the host-order merge of the host histograms —
 	// identical to observing every sample, and the order fixes the float
 	// sum's bits.
+	rf.total.Reset()
 	var fleetDelta serving.CacheSnapshot
 	for i := range rf.hosts {
-		res.Latency.Merge(rf.hosts[i].lat)
+		rf.total.Merge(&rf.hosts[i].lat)
 		fleetDelta = fleetDelta.Add(rf.hosts[i].delta)
 	}
+	res.Latency = rf.total.Compact()
 	if elapsed > 0 {
 		res.AchievedQPS = float64(res.Latency.Count()) / elapsed
 	}
@@ -326,7 +335,7 @@ func (f *Fleet) aggregate(qps float64, start, lastArrival simclock.Time, records
 		t := &rf.hosts[i]
 		d := t.delta
 		h := HostResult{
-			ID: i, Alive: m.alive, Queries: t.queries, Latency: t.lat,
+			ID: i, Alive: m.alive, Queries: t.queries, Latency: t.lat.Compact(),
 			HitRate: d.HitRate(), FMServedRate: d.FMServedRate(), RangeServedRate: d.RangeServedRate(),
 			SMReads: d.SMReads, SMWriteBytes: d.SMWriteBytes,
 		}
@@ -359,7 +368,7 @@ func (f *Fleet) aggregate(qps float64, start, lastArrival simclock.Time, records
 		classes := make([]ClassResult, nc)
 		shares := make([]float64, 0, nc)
 		for c := range classes {
-			cr := ClassResult{Class: c, Name: fmt.Sprintf("class%d", c), Latency: rf.classes[c].lat}
+			cr := ClassResult{Class: c, Name: fmt.Sprintf("class%d", c), Latency: rf.classes[c].lat.Compact()}
 			if f.admission != nil {
 				cr.Name = f.admission.cfg.className(c)
 			}

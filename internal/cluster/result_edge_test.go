@@ -135,7 +135,7 @@ func TestAffectedSplitBoundary(t *testing.T) {
 	}
 	// No failure this Run: no split at all.
 	f.rerouted = rerouted
-	if rf = f.fold(recs, 0, 0, 0, false); rf.split != nil {
+	if rf = f.fold(recs, 0, 0, 0, false); len(rf.split) != 0 {
 		t.Fatalf("a run without a failure folded a split: %v", rf.split)
 	}
 }

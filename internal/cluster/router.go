@@ -83,9 +83,19 @@ type WeightedRouter struct {
 	feedback bool
 	next     int
 
-	// scratch holds per-host scores for RouteExplained, reused across
-	// calls so tracing does not allocate per decision.
+	// d is the decision in progress and scratch the per-host scores for
+	// RouteExplained, reused across calls so a decision allocates nothing.
+	d       decision
 	scratch []float64
+}
+
+// decision is one routing decision's inputs plus what its host scores
+// share, computed once before the scan by the scorers' prepare.
+type decision struct {
+	v           View
+	now         simclock.Time
+	owner       int // q.UserID's first alive host on the affinity ring
+	least, most int // fewest and most queries routed to an alive host (loadbal)
 }
 
 // NewWeightedRouter composes ParseScorers' entries into a router, summing
@@ -129,6 +139,12 @@ func (r *WeightedRouter) Route(q workload.Query, now simclock.Time, v View) int 
 // host's score (dead hosts keep NaN) — the explained path; the nil path
 // is allocation-free.
 func (r *WeightedRouter) route(q workload.Query, now simclock.Time, v View, scores []float64) (int, float64) {
+	r.d = decision{v: v, now: now}
+	for _, sw := range r.scorers {
+		if sw.scorer.prepare != nil {
+			sw.scorer.prepare(&r.d, sw.ring, q)
+		}
+	}
 	n := v.Hosts()
 	best := -1
 	var bestScore float64
@@ -139,7 +155,7 @@ func (r *WeightedRouter) route(q workload.Query, now simclock.Time, v View, scor
 		}
 		var s float64
 		for _, sw := range r.scorers {
-			s += sw.weight * sw.scorer.score(sw.ring, q, now, id, v)
+			s += sw.weight * sw.scorer.score(&r.d, id)
 		}
 		if scores != nil {
 			scores[id] = s
@@ -173,13 +189,13 @@ func (r *WeightedRouter) RouteExplained(q workload.Query, now simclock.Time, v V
 		return best
 	}
 	d.Score = bestScore
-	// Scorers are pure, so re-scoring the winner per scorer is free of
-	// side effects and matches the summed decision exactly.
+	// Scorers are pure, so re-scoring the winner per scorer from the
+	// decision route prepared matches the summed decision exactly.
 	for _, sw := range r.scorers {
 		d.Parts = append(d.Parts, obs.ScorePart{
 			Scorer: sw.scorer.name,
 			Weight: sw.weight,
-			Score:  sw.scorer.score(sw.ring, q, now, best, v),
+			Score:  sw.scorer.score(&r.d, best),
 		})
 	}
 	for id := 0; id < n; id++ {
@@ -236,17 +252,19 @@ func NewSticky(hosts, vnodes int) *WeightedRouter {
 // Scorers
 
 // scorer is one entry of the scorer table, named in weight specs and traced
-// decisions. score rates one alive host for one query arriving at now,
-// higher is better, calibrated to [0, 1] so weights express relative
-// importance directly; rg is the composition's hash ring (affinity only).
-// Scores are pure with respect to the View — deterministic and free of side
-// effects — so fleet runs stay replayable and RouteExplained may re-score
-// the winner. feedback marks a score that reads host state through the View
-// (OutstandingAt, FMServedRate, WearHeadroom, MigrationBacklog).
+// decisions. score rates one alive host in decision d, higher is better,
+// calibrated to [0, 1] so weights express relative importance directly;
+// prepare, when set, first fills in d what every host's score reads (rg is
+// the composition's hash ring, affinity only). Scores are pure with respect
+// to the View — deterministic and free of side effects — so fleet runs stay
+// replayable and RouteExplained may re-score the winner. feedback marks a
+// score that reads host state through the View (OutstandingAt,
+// FMServedRate, WearHeadroom, MigrationBacklog).
 type scorer struct {
 	name     string
 	feedback bool
-	score    func(rg *ring, q workload.Query, now simclock.Time, host int, v View) float64
+	prepare  func(d *decision, rg *ring, q workload.Query)
+	score    func(d *decision, host int) float64
 }
 
 // scorerTable is every scorer a spec may name, sorted by name.
@@ -256,8 +274,10 @@ var scorerTable = [...]scorer{
 	// clockwise via View.Alive), 0 otherwise. The ring is built for the
 	// fleet size the spec was parsed for; cluster.New rejects a router
 	// whose ring does not match its fleet.
-	{name: "affinity", score: func(rg *ring, q workload.Query, _ simclock.Time, host int, v View) float64 {
-		if rg.Owner(q.UserID, v.Alive) == host {
+	{name: "affinity", prepare: func(d *decision, rg *ring, q workload.Query) {
+		d.owner = rg.Owner(q.UserID, d.v.Alive)
+	}, score: func(d *decision, host int) float64 {
+		if d.owner == host {
 			return 1
 		}
 		return 0
@@ -265,33 +285,27 @@ var scorerTable = [...]scorer{
 	// fmserved is the placement-quality scorer: the fraction of the host's
 	// store lookups served from fast memory so far, so traffic prefers
 	// replicas whose placement has converged on the live hot set.
-	{name: "fmserved", feedback: true, score: func(_ *ring, _ workload.Query, _ simclock.Time, host int, v View) float64 {
-		return v.FMServedRate(host)
+	{name: "fmserved", feedback: true, score: func(d *decision, host int) float64 {
+		return d.v.FMServedRate(host)
 	}},
 	// loadbal is the long-horizon balance scorer: each host's deficit from
 	// the most-loaded host this Run, (max−routed)/(max−min), so the
 	// least-loaded host scores 1 and the most-loaded 0 (all hosts score 1
 	// when perfectly balanced). It reads only the front-end's own routing
 	// ledger, so it needs no host feedback.
-	{name: "loadbal", score: func(_ *ring, _ workload.Query, _ simclock.Time, host int, v View) float64 {
-		n := v.Hosts()
-		min, max := -1, -1
-		for id := 0; id < n; id++ {
-			if !v.Alive(id) {
-				continue
-			}
-			r := v.Routed(id)
-			if min < 0 || r < min {
-				min = r
-			}
-			if r > max {
-				max = r
+	{name: "loadbal", prepare: func(d *decision, _ *ring, _ workload.Query) {
+		d.least, d.most = math.MaxInt, -1
+		for id := 0; id < d.v.Hosts(); id++ {
+			if d.v.Alive(id) {
+				r := d.v.Routed(id)
+				d.least, d.most = min(d.least, r), max(d.most, r)
 			}
 		}
-		if max <= min {
+	}, score: func(d *decision, host int) float64 {
+		if d.most <= d.least {
 			return 1
 		}
-		return float64(max-v.Routed(host)) / float64(max-min)
+		return float64(d.most-d.v.Routed(host)) / float64(d.most-d.least)
 	}},
 	// migavoid is the migration-avoidance scorer: 1 for a host with no
 	// migration backlog, 0 for a host that is inside a granted migration
@@ -300,11 +314,11 @@ var scorerTable = [...]scorer{
 	// waiting on a future window (it will migrate soon, mild penalty). The
 	// window schedule is a pure function of virtual time; the backlog is
 	// live adapter state, so this scorer requires feedback.
-	{name: "migavoid", feedback: true, score: func(_ *ring, _ workload.Query, now simclock.Time, host int, v View) float64 {
-		if v.MigrationBacklog(host) == 0 {
+	{name: "migavoid", feedback: true, score: func(d *decision, host int) float64 {
+		if d.v.MigrationBacklog(host) == 0 {
 			return 1
 		}
-		if v.InMigrationWindow(host, now) {
+		if d.v.InMigrationWindow(host, d.now) {
 			return 0
 		}
 		return 0.5
@@ -314,15 +328,15 @@ var scorerTable = [...]scorer{
 	// mapping is strictly monotone in the integer queue depth, which is
 	// what makes a pure queue-scorer router bit-identical to the legacy
 	// least-outstanding struct: same winner, same ties, same rotation.
-	{name: "queue", feedback: true, score: func(_ *ring, _ workload.Query, now simclock.Time, host int, v View) float64 {
-		return 1 / (1 + float64(v.OutstandingAt(host, now)))
+	{name: "queue", feedback: true, score: func(d *decision, host int) float64 {
+		return 1 / (1 + float64(d.v.OutstandingAt(host, d.now)))
 	}},
 	// wear is the wear scorer: the host's remaining rated-life fraction
 	// (View.WearHeadroom), so traffic — and the cache-fill and migration
 	// writes it induces — drifts away from replicas burning through their
 	// §3 DWPD budget. Flat hosts and fresh devices score 1.
-	{name: "wear", feedback: true, score: func(_ *ring, _ workload.Query, _ simclock.Time, host int, v View) float64 {
-		return v.WearHeadroom(host)
+	{name: "wear", feedback: true, score: func(d *decision, host int) float64 {
+		return d.v.WearHeadroom(host)
 	}},
 }
 

@@ -173,6 +173,16 @@ func parseOne(t *testing.T, name string, hosts int) ScorerWeight {
 	return sws[0]
 }
 
+// scoreOne scores host for a query arriving at time 0 by sw alone, as a
+// router's decision would: prepare first, then score.
+func scoreOne(sw ScorerWeight, v View, host int) float64 {
+	d := decision{v: v}
+	if sw.scorer.prepare != nil {
+		sw.scorer.prepare(&d, sw.ring, workload.Query{})
+	}
+	return sw.scorer.score(&d, host)
+}
+
 func TestWeightedRouterValidation(t *testing.T) {
 	if _, err := NewWeightedRouter("x", ScorerWeight{}); err == nil {
 		t.Fatal("nil scorer should be rejected")
@@ -268,17 +278,16 @@ func TestMigrationAvoidScorerGating(t *testing.T) {
 	// penalty for backlog waiting on a future window, none when idle.
 	s := parseOne(t, "migavoid", 3)
 	v := newScriptView(3)
-	q := workload.Query{}
-	if got := s.scorer.score(s.ring, q, 0, 0, v); got != 1 {
+	if got := scoreOne(s, v, 0); got != 1 {
 		t.Fatalf("idle host scored %g, want 1", got)
 	}
 	v.backlog[0] = 4
 	v.inWindow[0] = true
-	if got := s.scorer.score(s.ring, q, 0, 0, v); got != 0 {
+	if got := scoreOne(s, v, 0); got != 0 {
 		t.Fatalf("in-window migrating host scored %g, want 0", got)
 	}
 	v.inWindow[0] = false
-	if got := s.scorer.score(s.ring, q, 0, 0, v); got != 0.5 {
+	if got := scoreOne(s, v, 0); got != 0.5 {
 		t.Fatalf("backlogged out-of-window host scored %g, want 0.5", got)
 	}
 }
@@ -287,19 +296,18 @@ func TestLoadBalanceScorerDeficit(t *testing.T) {
 	s := parseOne(t, "loadbal", 3)
 	v := newScriptView(3)
 	v.routed = []int{10, 4, 7}
-	q := workload.Query{}
-	if got := s.scorer.score(s.ring, q, 0, 1, v); got != 1 {
+	if got := scoreOne(s, v, 1); got != 1 {
 		t.Fatalf("least-loaded host scored %g, want 1", got)
 	}
-	if got := s.scorer.score(s.ring, q, 0, 0, v); got != 0 {
+	if got := scoreOne(s, v, 0); got != 0 {
 		t.Fatalf("most-loaded host scored %g, want 0", got)
 	}
-	if got := s.scorer.score(s.ring, q, 0, 2, v); got != 0.5 {
+	if got := scoreOne(s, v, 2); got != 0.5 {
 		t.Fatalf("mid host scored %g, want 0.5", got)
 	}
 	// Perfect balance scores everyone 1 (pure rotation).
 	v.routed = []int{5, 5, 5}
-	if got := s.scorer.score(s.ring, q, 0, 2, v); got != 1 {
+	if got := scoreOne(s, v, 2); got != 1 {
 		t.Fatalf("balanced host scored %g, want 1", got)
 	}
 }

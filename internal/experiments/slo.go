@@ -61,8 +61,8 @@ func slo(sc Scale) (*Report, error) {
 
 	// runDrill executes the coordinated drift drill (identical geometry
 	// to the coord experiment's coordinated fleet) under the given
-	// router, tracing decisions at the given level (LevelOff = untraced).
-	runDrill := func(mk func() (cluster.Router, error), workers int, trace obs.Level) (*cluster.Result, adapt.Stats, []obs.Event, error) {
+	// router, tracing decisions with counterfactuals.
+	runDrill := func(mk func() (cluster.Router, error), workers int) (*cluster.Result, adapt.Stats, []obs.Event, error) {
 		r, err := mk()
 		if err != nil {
 			return nil, adapt.Stats{}, nil, err
@@ -78,7 +78,7 @@ func slo(sc Scale) (*Report, error) {
 				PaybackSeconds:    3,
 				WearDaysPerSecond: 0.005,
 			},
-			coordBW: cappedBW, router: r, workers: workers, trace: trace,
+			coordBW: cappedBW, router: r, workers: workers, trace: obs.LevelCounterfactual,
 			gen: workload.Config{Spatial: true, Drift: workload.DriftConfig{PhaseQueries: 800}},
 		}.run(sc)
 		return out.res, out.stats, out.events, err
@@ -140,18 +140,18 @@ func slo(sc Scale) (*Report, error) {
 	)
 	jobs := []func() error{
 		func() (err error) {
-			stickyDrill, stickyStats, stickyEvents, err = runDrill(mkSticky, 1, obs.LevelCounterfactual)
+			stickyDrill, stickyStats, stickyEvents, err = runDrill(mkSticky, 1)
 			return
 		},
 		func() (err error) {
-			weightedDrill, weightedStats, weightedEvents, err = runDrill(mkWeighted, 1, obs.LevelCounterfactual)
+			weightedDrill, weightedStats, weightedEvents, err = runDrill(mkWeighted, 1)
 			return
 		},
 		func() (err error) {
-			weightedDrill4, weightedStats4, weightedEvents4, err = runDrill(mkWeighted, 4, obs.LevelCounterfactual)
+			weightedDrill4, weightedStats4, weightedEvents4, err = runDrill(mkWeighted, 4)
 			return
 		},
-		func() (err error) { _, _, queueEvents, err = runDrill(mkQueueOnly, 1, obs.LevelCounterfactual); return },
+		func() (err error) { _, _, queueEvents, err = runDrill(mkQueueOnly, 1); return },
 		func() (err error) { gated, err = runSweep(mkStickySweep, 16000, 2, &gate, 1); return },
 		func() (err error) { gated4, err = runSweep(mkStickySweep, 16000, 2, &gate, 4); return },
 	}

@@ -7,48 +7,82 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
 // Histogram is a log-linear histogram for non-negative values, similar in
 // spirit to HDR histograms: values are bucketed with bounded relative error
 // so that percentile queries over microsecond..second latencies stay cheap.
-// The zero value is not usable; call NewHistogram.
+// Every histogram covers [base, ∞) with ~2% relative bucket error (growth
+// is the per-bucket multiplicative width); values below base land in
+// bucket 0. The zero value is an empty histogram.
 type Histogram struct {
+	// buckets[i] counts bucket lo+i: only a range around the observed
+	// buckets is stored (cover).
 	buckets []uint64
+	lo      int
 	counts  uint64
 	sum     float64
-	min     float64
+	min     float64 // valid once counts > 0, like max
 	max     float64
-	// growth is the per-bucket multiplicative width.
-	growth float64
-	base   float64
 }
 
-// NewHistogram returns a histogram covering [base, ∞) with ~2% relative
-// bucket error. Values below base land in bucket 0.
-func NewHistogram() *Histogram {
-	return &Histogram{
-		buckets: make([]uint64, 1, 1024),
-		growth:  1.02,
-		base:    1e-9,
-		min:     math.Inf(1),
-		max:     math.Inf(-1),
+const growth, base = 1.02, 1e-9
+
+// NewHistogram returns an empty histogram; it stores no buckets until the
+// first observation.
+func NewHistogram() *Histogram { return new(Histogram) }
+
+// Reset empties h but keeps its bucket storage and stored range, so a
+// histogram refilled with similar values allocates nothing.
+func (h *Histogram) Reset() {
+	clear(h.buckets)
+	*h = Histogram{buckets: h.buckets, lo: h.lo}
+}
+
+// Compact returns a copy of h that stores only its first to last non-zero
+// bucket (none when h is empty). Every observable of the copy equals h's.
+func (h *Histogram) Compact() *Histogram {
+	c, b := *h, h.buckets
+	for len(b) > 0 && b[0] == 0 {
+		b, c.lo = b[1:], c.lo+1
+	}
+	for len(b) > 0 && b[len(b)-1] == 0 {
+		b = b[:len(b)-1]
+	}
+	c.buckets = slices.Clone(b)
+	return &c
+}
+
+// cover reallocates the stored range to include buckets a..b (a <= b) with
+// half its width (at least 32 buckets, a factor of 1.9) spare on each side,
+// so values straying past the old extremes seldom reallocate again.
+func (h *Histogram) cover(a, b int) {
+	old, oldLo := h.buckets, h.lo
+	if len(old) > 0 {
+		a, b = min(a, oldLo), max(b, oldLo+len(old)-1)
+	}
+	pad := max(32, (b-a+1)/2)
+	h.lo = max(a-pad, 0)
+	h.buckets = make([]uint64, b+pad-h.lo+1)
+	if len(old) > 0 {
+		copy(h.buckets[oldLo-h.lo:], old)
 	}
 }
 
-func (h *Histogram) bucketIndex(v float64) int {
-	if v <= h.base {
+func bucketIndex(v float64) int {
+	if v <= base {
 		return 0
 	}
-	return 1 + int(math.Log(v/h.base)/math.Log(h.growth))
+	return 1 + int(math.Log(v/base)/math.Log(growth))
 }
 
-func (h *Histogram) bucketValue(i int) float64 {
+func bucketValue(i int) float64 {
 	if i <= 0 {
-		return h.base
+		return base
 	}
-	return h.base * math.Pow(h.growth, float64(i)-0.5)
+	return base * math.Pow(growth, float64(i)-0.5)
 }
 
 // Observe records one value. Negative values are clamped to zero.
@@ -56,19 +90,19 @@ func (h *Histogram) Observe(v float64) {
 	if v < 0 {
 		v = 0
 	}
-	i := h.bucketIndex(v)
-	for i >= len(h.buckets) {
-		h.buckets = append(h.buckets, 0)
+	i := bucketIndex(v)
+	if i < h.lo || i-h.lo >= len(h.buckets) {
+		h.cover(i, i)
 	}
-	h.buckets[i]++
-	h.counts++
-	h.sum += v
-	if v < h.min {
+	h.buckets[i-h.lo]++
+	if h.counts == 0 || v < h.min {
 		h.min = v
 	}
-	if v > h.max {
+	if h.counts == 0 || v > h.max {
 		h.max = v
 	}
+	h.counts++
+	h.sum += v
 }
 
 // Count returns the number of observations.
@@ -132,7 +166,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	for i, c := range h.buckets {
 		cum += c
 		if cum >= rank {
-			v := h.bucketValue(i)
+			v := bucketValue(h.lo + i)
 			if v < h.min {
 				v = h.min
 			}
@@ -159,29 +193,29 @@ func (h *Histogram) P99() float64 { return h.Quantile(0.99) }
 // interference shows up in first.
 func (h *Histogram) P999() float64 { return h.Quantile(0.999) }
 
-// Merge folds o's observations into h. Both histograms share the same
-// bucket layout (growth and base are fixed at construction), so merging
-// is bucket-wise addition and the result is identical to having observed
-// every value directly — the cheap way to aggregate per-host latency
-// into a fleet histogram.
+// Merge folds o's observations into h. All histograms share one bucket
+// layout (growth and base), so merging is bucket-wise addition over o's
+// stored range, wherever it lies against h's, and the result is identical
+// to having observed every value directly — the cheap way to aggregate
+// per-host latency into a fleet histogram.
 func (h *Histogram) Merge(o *Histogram) {
 	if o == nil || o.counts == 0 {
 		return
 	}
-	for len(h.buckets) < len(o.buckets) {
-		h.buckets = append(h.buckets, 0)
+	if o.lo < h.lo || o.lo+len(o.buckets) > h.lo+len(h.buckets) {
+		h.cover(o.lo, o.lo+len(o.buckets)-1)
 	}
 	for i, c := range o.buckets {
-		h.buckets[i] += c
+		h.buckets[o.lo-h.lo+i] += c
+	}
+	if h.counts == 0 || o.min < h.min {
+		h.min = o.min
+	}
+	if h.counts == 0 || o.max > h.max {
+		h.max = o.max
 	}
 	h.counts += o.counts
 	h.sum += o.sum
-	if o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
 }
 
 // String summarizes the histogram for logs.

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -280,5 +281,148 @@ func TestJainFairness(t *testing.T) {
 	got := JainFairness([]float64{4, 2, 2})
 	if !(got > 1.0/3 && got < 1) {
 		t.Fatalf("skewed Jain = %g, want in (1/3, 1)", got)
+	}
+}
+
+// observables renders everything a Histogram reports: count, sum,
+// extremes, mean, the quantile curve at 1 % steps and P999. Floats print
+// in their shortest round-trip form, so equal text is equal bits.
+func observables(h *Histogram) string {
+	s := fmt.Sprintf("n=%d sum=%v min=%v max=%v mean=%v q=", h.Count(), h.Sum(), h.Min(), h.Max(), h.Mean())
+	for i := 0; i <= 100; i++ {
+		s += fmt.Sprintf("%v,", h.Quantile(float64(i)/100))
+	}
+	return s + fmt.Sprint(h.P999())
+}
+
+// dyadic returns n values k/2³⁰ for k in [lo, hi) (≈ 1 ns units), spread
+// by a fixed stride: integer multiples of a power of two, so every sum of
+// them is exact and merge order cannot change a Sum bit.
+func dyadic(lo, hi, n int) []float64 {
+	vs := make([]float64, n)
+	for i := range vs {
+		vs[i] = float64(lo+(i*7919)%(hi-lo)) / (1 << 30)
+	}
+	return vs
+}
+
+// wide returns a histogram holding vs whose stored range is wider than
+// the occupied one: it observed far smaller and larger values, then Reset.
+func wide(vs []float64) *Histogram {
+	h := NewHistogram()
+	h.Observe(1e-12)
+	h.Observe(100)
+	h.Reset()
+	for _, v := range vs {
+		h.Observe(v)
+	}
+	return h
+}
+
+func TestCompactMatchesOriginal(t *testing.T) {
+	vs := dyadic(5_000, 1_000_000, 3000)
+	grown := NewHistogram() // its range grew observation by observation
+	for _, v := range vs {
+		grown.Observe(v)
+	}
+	for _, tc := range []struct {
+		name string
+		h    *Histogram
+	}{{"wide", wide(vs)}, {"grown", grown}} {
+		name, h := tc.name, tc.h
+		c := h.Compact()
+		if got, want := observables(c), observables(h); got != want {
+			t.Fatalf("%s: Compact changed an observable:\n got %s\nwant %s", name, got, want)
+		}
+		if n := len(c.buckets); c.buckets[0] == 0 || c.buckets[n-1] == 0 {
+			t.Fatalf("%s: Compact keeps %d buckets with an empty end", name, n)
+		}
+		if cc := c.Compact(); observables(cc) != observables(h) || len(cc.buckets) != len(c.buckets) {
+			t.Fatalf("%s: Compact of a compact histogram changed it", name)
+		}
+		c.Observe(1)
+		if h.Count() != uint64(len(vs)) {
+			t.Fatalf("%s: observing into a Compact copy changed the original", name)
+		}
+	}
+}
+
+func TestCompactEmptyStaysUsable(t *testing.T) {
+	for _, h := range []*Histogram{NewHistogram(), wide(nil)} {
+		c := h.Compact()
+		if got, want := observables(c), observables(NewHistogram()); got != want {
+			t.Fatalf("compacted empty histogram is not empty: %s", got)
+		}
+		if len(c.buckets) != 0 {
+			t.Fatalf("compacted empty histogram stores %d buckets", len(c.buckets))
+		}
+		direct := NewHistogram()
+		for _, v := range dyadic(1_000, 50_000, 200) {
+			c.Observe(v)
+			direct.Observe(v)
+		}
+		if got, want := observables(c), observables(direct); got != want {
+			t.Fatalf("observing into a compacted empty histogram:\n got %s\nwant %s", got, want)
+		}
+	}
+}
+
+// TestMergeOffsetRanges merges sources whose values lie below, inside and
+// above the destination's range, in all four orders of wide (stored range
+// wider than occupied) and compact (exactly occupied) histograms: each must
+// equal observing every value directly, bit for bit (the values are dyadic,
+// so sums are exact in any order).
+func TestMergeOffsetRanges(t *testing.T) {
+	dst := dyadic(100_000, 1_000_000, 500)
+	srcs := []struct {
+		where string
+		vs    []float64
+	}{
+		{"below", dyadic(1_000, 10_000, 300)},
+		{"inside", dyadic(200_000, 500_000, 300)},
+		{"above", dyadic(10_000_000, 100_000_000, 300)},
+		{"around", dyadic(1_000, 100_000_000, 300)},
+	}
+	forms := []struct {
+		name string
+		make func([]float64) *Histogram
+	}{
+		{"wide", wide},
+		{"compact", func(vs []float64) *Histogram { return wide(vs).Compact() }},
+	}
+	for _, src := range srcs {
+		direct := NewHistogram()
+		for _, v := range append(append([]float64(nil), dst...), src.vs...) {
+			direct.Observe(v)
+		}
+		want := observables(direct)
+		for _, d := range forms {
+			for _, o := range forms {
+				h := d.make(dst)
+				h.Merge(o.make(src.vs))
+				if got := observables(h); got != want {
+					t.Fatalf("%s source, %s into %s:\n got %s\nwant %s", src.where, o.name, d.name, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestResetMatchesFresh(t *testing.T) {
+	h := NewHistogram()
+	for _, v := range dyadic(1, 1_000_000_000, 1000) {
+		h.Observe(v)
+	}
+	h.Reset()
+	if got, want := observables(h), observables(NewHistogram()); got != want {
+		t.Fatalf("Reset histogram is not empty: %s", got)
+	}
+	fresh := NewHistogram()
+	for _, v := range dyadic(3_000, 300_000, 1000) {
+		h.Observe(v)
+		fresh.Observe(v)
+	}
+	if got, want := observables(h), observables(fresh); got != want {
+		t.Fatalf("Reset then observe:\n got %s\nwant %s", got, want)
 	}
 }
