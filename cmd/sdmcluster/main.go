@@ -83,7 +83,7 @@ func run(args []string, stdout io.Writer) error {
 		policy   = fs.String("policy", "sticky", "routing policy: rr, loq, sticky, weighted, or all")
 		qps      = fs.Float64("qps", 300, "offered fleet QPS (open loop)")
 		queries  = fs.Int("queries", 2000, "measured queries per run")
-		warm     = fs.Bool("warm", true, "run one warmup pass before measuring")
+		warm     = fs.Bool("warm", true, "warm until the fleet's hit and FM-served rates settle before measuring")
 		fail     = fs.Int("fail", -1, "host id to kill mid-run (-1 = none)")
 		failfrac = fs.Float64("failfrac", 0.5, "fraction of the run routed before the kill")
 		workers  = fs.Int("workers", 0, "concurrent host executors (0 = one per host; results identical)")
@@ -282,7 +282,7 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		if *warm {
-			if _, err := fl.Run(*qps, *queries); err != nil {
+			if _, err := fl.Warm(*qps); err != nil {
 				return err
 			}
 		}

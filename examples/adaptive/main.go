@@ -113,7 +113,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := fleet.Run(300, 600); err != nil { // warm + converge
+		if _, err := fleet.Warm(300); err != nil { // warm + converge
 			log.Fatal(err)
 		}
 		if err := fleet.ScheduleDrift(0.4); err != nil { // rotate mid-run

@@ -64,7 +64,7 @@ func run() error {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := fleet.Run(300, 2000); err != nil { // warm the caches
+		if _, err := fleet.Warm(300); err != nil { // warm the caches
 			return nil, err
 		}
 		if fail >= 0 {

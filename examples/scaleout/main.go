@@ -38,18 +38,18 @@ func run() error {
 	const budget = 20 * time.Millisecond
 
 	// Each deployment's host: max QPS at the p95 budget, seed 4, 400-query probes.
-	scaleOutQPS, _, err := sdm.HostQPS(inst, tables, nil,
+	scaleOutQPS, _, _, err := sdm.HostQPS(inst, tables, nil,
 		sdm.HostConfig{Spec: sdm.HWAN(), InterOp: true, RemoteUserPath: true}, 4, budget, 500)
 	if err != nil {
 		return err
 	}
-	nandQPS, _, err := sdm.HostQPS(inst, tables, &sdm.Config{
+	nandQPS, _, _, err := sdm.HostQPS(inst, tables, &sdm.Config{
 		SMTech: sdm.NandFlash, Ring: sdm.RingConfig{SGL: true}, CacheBytes: 8 << 20,
 	}, sdm.HostConfig{Spec: sdm.HWAN(), InterOp: true}, 4, budget, 500)
 	if err != nil {
 		return err
 	}
-	optQPS, optRes, err := sdm.HostQPS(inst, tables, &sdm.Config{
+	optQPS, optRes, _, err := sdm.HostQPS(inst, tables, &sdm.Config{
 		SMTech: sdm.OptaneSSD, Ring: sdm.RingConfig{SGL: true}, CacheBytes: 8 << 20,
 	}, sdm.HostConfig{Spec: sdm.HWAO(), InterOp: true}, 4, budget, 500)
 	if err != nil {

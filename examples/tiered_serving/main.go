@@ -37,8 +37,9 @@ func run() error {
 	const budget = 25 * time.Millisecond
 
 	// Each host's max QPS at the p95 budget (seed 2, probes of 400 queries
-	// after a 300-query warm-up). Baseline: every table flat in DRAM on HW-L.
-	baseQPS, baseRes, err := sdm.HostQPS(inst, tables, nil, sdm.HostConfig{Spec: sdm.HWL(), InterOp: true}, 2, budget, 500)
+	// after a warm-up that runs until the host's rates settle). Baseline:
+	// every table flat in DRAM on HW-L.
+	baseQPS, baseRes, _, err := sdm.HostQPS(inst, tables, nil, sdm.HostConfig{Spec: sdm.HWL(), InterOp: true}, 2, budget, 500)
 	if err != nil {
 		return err
 	}
@@ -50,7 +51,7 @@ func run() error {
 		Ring:       sdm.RingConfig{SGL: true},
 		CacheBytes: 32 << 20,
 	}
-	sdmQPS, sdmRes, err := sdm.HostQPS(inst, tables, scfg, sdm.HostConfig{Spec: sdm.HWSS(), InterOp: true}, 2, budget, 500)
+	sdmQPS, sdmRes, _, err := sdm.HostQPS(inst, tables, scfg, sdm.HostConfig{Spec: sdm.HWSS(), InterOp: true}, 2, budget, 500)
 	if err != nil {
 		return err
 	}

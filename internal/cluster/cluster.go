@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -671,21 +672,80 @@ func (f *Fleet) diverts(prev, id int) bool {
 // HostQPS is one host's max QPS at a p95 latency budget, the number Tables
 // 8 and 9 turn into hosts and power. The host (flat DRAM tables when scfg
 // is nil) serves as a fleet of one with arrivals and 1000 users drawn from
-// seed, is warmed with queries/2+50 queries at 50 QPS (§A.4), then searched
-// with probes of max(queries/2+100, 400) queries. It returns the rate and
-// its probe's Result.
-func HostQPS(inst *model.Instance, tables []*embedding.Table, scfg *core.Config, hcfg serving.Config, seed uint64, budget time.Duration, queries int) (float64, *Result, error) {
+// seed, is warmed at 50 QPS (Warm, §A.4), then searched with probes of
+// max(queries/2+100, 400) queries. It returns the rate, its probe's Result
+// and the warm-up.
+func HostQPS(inst *model.Instance, tables []*embedding.Table, scfg *core.Config, hcfg serving.Config, seed uint64, budget time.Duration, queries int) (float64, *Result, Warmup, error) {
 	f, err := Build(inst, tables, Spec{
 		Hosts: 1, Store: scfg, Host: hcfg, Router: NewRoundRobin(),
 		Fleet: Config{Seed: seed}, Workload: workload.Config{Seed: seed, NumUsers: 1000},
 	})
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, Warmup{}, err
 	}
-	if _, err := f.Run(50, queries/2+50); err != nil {
-		return 0, nil, err
+	warm, err := f.Warm(50)
+	if err != nil {
+		return 0, nil, warm, err
 	}
-	return f.maxQPSAtLatency(budget, max(queries/2+100, searchMinProbe))
+	qps, res, err := f.maxQPSAtLatency(budget, max(queries/2+100, searchMinProbe))
+	return qps, res, warm, err
+}
+
+// Warmup is what Warm ran: its queries in all, and its last window's rates.
+type Warmup struct {
+	Queries               int
+	HitRate, FMServedRate float64
+}
+
+// The warm-up's fixed rules.
+const (
+	warmWindow = 256     // the first window; each next one doubles, a fresh sample as large as all before it
+	warmFloor  = 0.005   // a move this small is settled: the capacity search resolves 0.5 %
+	warmZ      = 2       // a move within this many standard errors is sampling, not warming
+	warmCap    = 1 << 17 // queries in all: 4× the slowest warm-up in the tree (fig6's DRAM hosts)
+)
+
+// Warm runs the fleet at qps in windows of warmWindow, 2·warmWindow, …
+// queries until, between the last two, the row-cache hit rate and the
+// FM-served rate each moved by at most warmFloor or warmZ standard errors
+// of the move. It errors when the next window would pass warmCap queries.
+func (f *Fleet) Warm(qps float64) (Warmup, error) { return f.warm(qps, warmCap) }
+
+func (f *Fleet) warm(qps float64, limit int) (Warmup, error) {
+	var prev *Result
+	n := 0
+	for w := warmWindow; n+w <= limit; w *= 2 {
+		res, err := f.Run(qps, w)
+		if err != nil {
+			return Warmup{}, err
+		}
+		if n += w; prev != nil && settled(prev, res) {
+			return Warmup{n, res.HitRate, res.FMServedRate}, nil
+		}
+		prev = res
+	}
+	return Warmup{}, fmt.Errorf("cluster: rates still moving after %d warm-up queries", n)
+}
+
+// settled applies Warm's rule to runs a and b. A run's squared standard
+// error is von Neumann's variance of its non-empty windows' rates (half the
+// mean square successive difference: a trend does not inflate it, while a
+// fleet whose migrations keep moving a rate settles on that spread) over
+// their count.
+func settled(a, b *Result) bool {
+	within := func(x, y float64, rate func(WindowStat) float64) bool {
+		var v float64
+		for _, ws := range [][]WindowStat{a.Windows, b.Windows} {
+			ws = slices.DeleteFunc(slices.Clone(ws), func(w WindowStat) bool { return w.Queries == 0 })
+			for i := 1; i < len(ws); i++ {
+				d := rate(ws[i]) - rate(ws[i-1])
+				v += d * d / float64(2*(len(ws)-1)*len(ws))
+			}
+		}
+		return math.Abs(y-x) <= max(warmFloor, warmZ*math.Sqrt(v))
+	}
+	return within(a.HitRate, b.HitRate, func(w WindowStat) float64 { return w.HitRate }) &&
+		within(a.FMServedRate, b.FMServedRate, func(w WindowStat) float64 { return w.FMRate })
 }
 
 // The capacity search's fixed rules.

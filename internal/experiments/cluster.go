@@ -36,10 +36,11 @@ func routing(sc Scale) (*Report, error) {
 	qps := 300.0
 	n := sc.Queries * 4
 
-	// Each policy run warms a fleet of the given size with one failure-free
-	// pass, then measures a second pass on steady-state caches (§A.4
+	// Run i warms a fleet of the given size until its rates settle
+	// (warms[i]), then measures a pass on steady-state caches (§A.4
 	// discipline). A fleet smaller than nHosts gets its share of the load.
-	runPolicy := func(size int, r cluster.Router, failHost int) (*cluster.Result, error) {
+	var warms [5]cluster.Warmup
+	runPolicy := func(i, size int, r cluster.Router, failHost int) (*cluster.Result, error) {
 		fl, err := cluster.Build(inst, tables, cluster.Spec{
 			Hosts: size, Store: &scfg, Host: hcfg, Router: r,
 			Fleet: cluster.Config{Seed: sc.Seed}, Workload: wcfg,
@@ -48,7 +49,7 @@ func routing(sc Scale) (*Report, error) {
 			return nil, err
 		}
 		q, m := qps*float64(size)/nHosts, n*size/nHosts
-		if _, err := fl.Run(q, m); err != nil {
+		if warms[i], err = fl.Warm(q); err != nil {
 			return nil, err
 		}
 		if failHost >= 0 {
@@ -66,11 +67,11 @@ func routing(sc Scale) (*Report, error) {
 	// its state).
 	var rr, loq, sticky, failed, single *cluster.Result
 	err = inParallel(
-		func() (err error) { rr, err = runPolicy(nHosts, cluster.NewRoundRobin(), -1); return },
-		func() (err error) { loq, err = runPolicy(nHosts, cluster.NewLeastOutstanding(), -1); return },
-		func() (err error) { sticky, err = runPolicy(nHosts, cluster.NewSticky(nHosts, 64), -1); return },
-		func() (err error) { failed, err = runPolicy(nHosts, cluster.NewSticky(nHosts, 64), 1); return },
-		func() (err error) { single, err = runPolicy(1, cluster.NewRoundRobin(), -1); return },
+		func() (err error) { rr, err = runPolicy(0, nHosts, cluster.NewRoundRobin(), -1); return },
+		func() (err error) { loq, err = runPolicy(1, nHosts, cluster.NewLeastOutstanding(), -1); return },
+		func() (err error) { sticky, err = runPolicy(2, nHosts, cluster.NewSticky(nHosts, 64), -1); return },
+		func() (err error) { failed, err = runPolicy(3, nHosts, cluster.NewSticky(nHosts, 64), 1); return },
+		func() (err error) { single, err = runPolicy(4, 1, cluster.NewRoundRobin(), -1); return },
 	)
 	if err != nil {
 		return nil, err
@@ -129,5 +130,6 @@ func routing(sc Scale) (*Report, error) {
 	res.add("warmup_hit_drop", failed.WarmupHitDrop, "frac")
 	res.add("cluster_hosts", float64(clusterFleet.Hosts), "count")
 	res.add("single_hosts", float64(singleFleet.Hosts), "count")
+	res.addWarm(warms[:]...)
 	return res, nil
 }

@@ -131,7 +131,10 @@ func (d driftDrill) run(sc Scale) (drillRun, error) {
 		return drillRun{}, err
 	}
 	// Warmup pass: caches fill and the controllers converge on the
-	// pre-rotation spotlight.
+	// pre-rotation spotlight. The drills keep a fixed count instead of
+	// Fleet.Warm: coord and slo rotate the spotlight every 800 queries
+	// (PhaseQueries), so their rates have no steady state to settle on,
+	// and TestCoord's wear budget is calibrated to this warm-up's length.
 	if _, err := fl.Run(d.qps, d.n/2); err != nil {
 		return drillRun{}, err
 	}

@@ -681,7 +681,14 @@ func TestFig6(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig6 runs several QPS searches")
 	}
-	runExp(t, "fig6")
+	// A larger DRAM budget never lowers a warmed host's capacity. At this
+	// preset the four DRAM rows were non-decreasing at every seed 1–11.
+	v := values(t, runExp(t, "fig6"))
+	for i := 1; i < 4; i++ {
+		if lo, hi := v(fmt.Sprintf("dram.%d.qps", i-1)), v(fmt.Sprintf("dram.%d.qps", i)); hi < lo {
+			t.Errorf("DRAM row %d reads %.0f QPS, below row %d's %.0f", i, hi, i-1, lo)
+		}
+	}
 }
 
 func TestScalePresets(t *testing.T) {

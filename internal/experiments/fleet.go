@@ -28,6 +28,15 @@ func scenarioModel(sc Scale, cfg model.Config, userTables, itemTables, itemBatch
 	return buildModel(cfg, clampScale(sc.ModelScale*30), sc.Seed)
 }
 
+// addWarm adds each fleet's warm-up (cluster.Fleet.Warm) as the series
+// warm.queries.<i> and warm.hit.<i>, in the order the report measures them.
+func (r *Report) addWarm(ws ...cluster.Warmup) {
+	for i, w := range ws {
+		r.add(fmt.Sprintf("warm.queries.%d", i), float64(w.Queries), "count")
+		r.add(fmt.Sprintf("warm.hit.%d", i), w.HitRate, "frac")
+	}
+}
+
 // fig6 compares cache organizations and direct-DRAM placement budgets
 // under the InferenceEval-style load the paper uses for Fig. 6.
 func fig6(sc Scale) (*Report, error) {
@@ -44,6 +53,7 @@ func fig6(sc Scale) (*Report, error) {
 	kindRows := make([]string, len(kinds))
 	fracRows := make([]string, len(fracs))
 	qpsValues := make([]Value, len(kinds)+len(fracs))
+	warms := make([]cluster.Warmup, len(kinds)+len(fracs))
 	hcfg := serving.Config{Spec: serving.HWSS(), InterOp: true}
 	smBytes := inst.UserBytes()
 	var runs []func() error
@@ -55,11 +65,11 @@ func fig6(sc Scale) (*Report, error) {
 				Seed: sc.Seed, CacheKind: kind, CacheBytes: 1 << 20,
 				Ring: uring.Config{SGL: true},
 			}
-			qps, res, err := cluster.HostQPS(inst, tables, scfg, hcfg, sc.Seed, budget, sc.Queries)
+			qps, res, warm, err := cluster.HostQPS(inst, tables, scfg, hcfg, sc.Seed, budget, sc.Queries)
 			if err != nil {
 				return err
 			}
-			qpsValues[i] = Value{fmt.Sprintf("kind.%d.qps", i), qps, "1/s"}
+			qpsValues[i], warms[i] = Value{fmt.Sprintf("kind.%d.qps", i), qps, "1/s"}, warm
 			kindRows[i] = fmt.Sprintf("  %-14s qps=%6.0f p95=%6.2fms hit=%5.1f%%",
 				kind, qps, res.Latency.P95()*1e3, res.HitRate*100)
 			return nil
@@ -76,11 +86,11 @@ func fig6(sc Scale) (*Report, error) {
 					DRAMBudget: int64(frac * float64(smBytes)),
 				},
 			}
-			qps, res, err := cluster.HostQPS(inst, tables, scfg, hcfg, sc.Seed, budget, sc.Queries)
+			qps, res, warm, err := cluster.HostQPS(inst, tables, scfg, hcfg, sc.Seed, budget, sc.Queries)
 			if err != nil {
 				return err
 			}
-			qpsValues[len(kinds)+i] = Value{fmt.Sprintf("dram.%d.qps", i), qps, "1/s"}
+			qpsValues[len(kinds)+i], warms[len(kinds)+i] = Value{fmt.Sprintf("dram.%d.qps", i), qps, "1/s"}, warm
 			fracRows[i] = fmt.Sprintf("  dram=%3.0f%%ofSM   qps=%6.0f p95=%6.2fms smReads/qry=%5.1f",
 				frac*100, qps, res.Latency.P95()*1e3, float64(res.Hosts[0].SMReads)/float64(res.Queries))
 			return nil
@@ -91,11 +101,13 @@ func fig6(sc Scale) (*Report, error) {
 	}
 	r := &Report{Values: qpsValues, Notes: []string{
 		"paper: dual cache routes dim≤255B to memory-optimized; direct DRAM placement can raise QPS considerably",
+		"a larger DRAM budget never lowers the rate, but two rows can tie: the same tables placed, or no SM reads left (smReads/qry 0.0), so the CPU bounds both",
 	}}
 	r.Rows = append(r.Rows, "cache organization (same FM budget):")
 	r.Rows = append(r.Rows, kindRows...)
 	r.Rows = append(r.Rows, "direct DRAM placement budget (FixedFM policy):")
 	r.Rows = append(r.Rows, fracRows...)
+	r.addWarm(warms...)
 	return r, nil
 }
 
@@ -114,20 +126,21 @@ func tab8(sc Scale) (*Report, error) {
 
 	// The two fleets are independent hosts: measure them concurrently.
 	var (
-		baseQPS, sdmQPS float64
-		sdmRes          *cluster.Result
+		baseQPS, sdmQPS   float64
+		sdmRes            *cluster.Result
+		baseWarm, sdmWarm cluster.Warmup
 	)
 	sdmCfg := &core.Config{Seed: sc.Seed, SMTech: blockdev.NandFlash, CacheBytes: 32 << 20, Ring: uring.Config{SGL: true}}
 	err = inParallel(
 		// Baseline: all tables flat in DRAM on the big host.
 		func() (err error) {
-			baseQPS, _, err = cluster.HostQPS(inst, tables, nil,
+			baseQPS, _, baseWarm, err = cluster.HostQPS(inst, tables, nil,
 				serving.Config{Spec: serving.HWL(), InterOp: true}, sc.Seed, budget, sc.Queries)
 			return
 		},
 		// SDM: user tables on Nand, FM cache, small host.
 		func() (err error) {
-			sdmQPS, sdmRes, err = cluster.HostQPS(inst, tables, sdmCfg,
+			sdmQPS, sdmRes, sdmWarm, err = cluster.HostQPS(inst, tables, sdmCfg,
 				serving.Config{Spec: serving.HWSS(), InterOp: true}, sc.Seed, budget, sc.Queries)
 			return
 		},
@@ -154,7 +167,7 @@ func tab8(sc Scale) (*Report, error) {
 			fmt.Sprintf("%-14s %8.0f %8.1f %12d %12.0f", "HW-L", baseQPS, serving.HWL().RelPower, base.Hosts, base.TotalPower),
 			fmt.Sprintf("%-14s %8.0f %8.1f %12d %12.0f", "HW-SS + SDM", sdmQPS, serving.HWSS().RelPower, sdm.Hosts, sdm.TotalPower),
 			fmt.Sprintf("power saving: %.0f%% (paper: 20%%)", saving*100),
-			fmt.Sprintf("steady-state cache hit rate: %.1f%% (paper: >96%%)", sdmRes.HitRate*100),
+			fmt.Sprintf("steady-state cache hit rate: %.1f%% (paper: >96%%)", sdmWarm.HitRate*100),
 			fmt.Sprintf("sustained SM IOPS/host: %.0f (paper: <10K in steady state)", smIOPS),
 			fmt.Sprintf("DRAM saved at fleet scale: %.1f TB-equivalent (paper: 159.4 TB)", float64(dramSaved)/(1<<40)),
 		},
@@ -162,9 +175,11 @@ func tab8(sc Scale) (*Report, error) {
 	r.add("baseline_qps", baseQPS, "1/s")
 	r.add("sdm_qps", sdmQPS, "1/s")
 	r.add("power_saving", saving, "frac")
-	r.add("hit_rate", sdmRes.HitRate, "frac")
+	r.add("hit_rate", sdmWarm.HitRate, "frac")
 	r.add("sm_iops", smIOPS, "1/s")
 	r.add("dram_saved", float64(dramSaved), "B")
+	r.addWarm(baseWarm, sdmWarm)
+	r.Notes = append(r.Notes, "steady state: the SDM host's last warm-up window, once its hit and FM-served rates each moved by at most max(0.5 pp, 2 standard errors) between doubling windows (cluster.Fleet.Warm)")
 	return r, nil
 }
 
@@ -181,23 +196,24 @@ func tab9(sc Scale) (*Report, error) {
 	var (
 		scaleOutQPS, nandQPS, optQPS float64
 		optRes                       *cluster.Result
+		warms                        [3]cluster.Warmup
 	)
 	smCfg := func(tech blockdev.Technology) *core.Config {
 		return &core.Config{Seed: sc.Seed, SMTech: tech, CacheBytes: 8 << 20, Ring: uring.Config{SGL: true}}
 	}
 	err = inParallel(
 		func() (err error) {
-			scaleOutQPS, _, err = cluster.HostQPS(inst, tables, nil,
+			scaleOutQPS, _, warms[0], err = cluster.HostQPS(inst, tables, nil,
 				serving.Config{Spec: serving.HWAN(), InterOp: true, RemoteUserPath: true}, sc.Seed, budget, sc.Queries)
 			return
 		},
 		func() (err error) {
-			nandQPS, _, err = cluster.HostQPS(inst, tables, smCfg(blockdev.NandFlash),
+			nandQPS, _, warms[1], err = cluster.HostQPS(inst, tables, smCfg(blockdev.NandFlash),
 				serving.Config{Spec: serving.HWAN(), InterOp: true}, sc.Seed, budget, sc.Queries)
 			return
 		},
 		func() (err error) {
-			optQPS, optRes, err = cluster.HostQPS(inst, tables, smCfg(blockdev.OptaneSSD),
+			optQPS, optRes, warms[2], err = cluster.HostQPS(inst, tables, smCfg(blockdev.OptaneSSD),
 				serving.Config{Spec: serving.HWAO(), InterOp: true}, sc.Seed, budget, sc.Queries)
 			return
 		},
@@ -241,6 +257,7 @@ func tab9(sc Scale) (*Report, error) {
 	r.add("optane_qps", optQPS, "1/s")
 	r.add("optane_saving", optSaving, "frac")
 	r.add("optane_hit_rate", optRes.HitRate, "frac")
+	r.addWarm(warms[:]...)
 	return r, nil
 }
 
@@ -390,18 +407,19 @@ func interOp(sc Scale) (*Report, error) {
 		return nil, err
 	}
 	budget := 25 * time.Millisecond
-	run := func(interOp bool) (float64, *cluster.Result, error) {
+	run := func(interOp bool) (float64, *cluster.Result, cluster.Warmup, error) {
 		scfg := &core.Config{Seed: sc.Seed, CacheBytes: 4 << 20, Ring: uring.Config{SGL: true}}
 		return cluster.HostQPS(inst, tables, scfg,
 			serving.Config{Spec: serving.HWSS(), InterOp: interOp}, sc.Seed, budget, sc.Queries)
 	}
 	var (
-		serialQPS, parQPS float64
-		serialRes, parRes *cluster.Result
+		serialQPS, parQPS   float64
+		serialRes, parRes   *cluster.Result
+		serialWarm, parWarm cluster.Warmup
 	)
 	err = inParallel(
-		func() (err error) { serialQPS, serialRes, err = run(false); return },
-		func() (err error) { parQPS, parRes, err = run(true); return },
+		func() (err error) { serialQPS, serialRes, serialWarm, err = run(false); return },
+		func() (err error) { parQPS, parRes, parWarm, err = run(true); return },
 	)
 	if err != nil {
 		return nil, err
@@ -418,6 +436,7 @@ func interOp(sc Scale) (*Report, error) {
 	r.add("parallel_qps", parQPS, "1/s")
 	r.add("latency_reduction", latReduction, "frac")
 	r.add("qps_gain", qpsGain, "frac")
+	r.addWarm(serialWarm, parWarm)
 	return r, nil
 }
 

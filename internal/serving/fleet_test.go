@@ -159,7 +159,7 @@ func TestRemoteUserPath(t *testing.T) {
 func TestMaxQPSAtLatency(t *testing.T) {
 	in, tables := serving.Fixture(t)
 	const budget = 30 * time.Millisecond
-	qps, res, err := cluster.HostQPS(in, tables,
+	qps, res, _, err := cluster.HostQPS(in, tables,
 		&core.Config{Seed: 7, SMTech: blockdev.OptaneSSD, Ring: uring.Config{SGL: true}, CacheBytes: 32 << 20},
 		serving.Config{Spec: serving.HWAO(), InterOp: true}, 7, budget, 100)
 	if err != nil {

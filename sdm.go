@@ -36,18 +36,20 @@
 // serving-time realization of the paper's Fig. 4c sticky locality uplift
 // and the measured input to fleet provisioning. A router is a weighted sum
 // of named scorers from a "name=weight,..." spec (ParseScorers); NewSticky
-// is "affinity=1", NewRoundRobin the empty sum. HostQPS is
+// is "affinity=1", NewRoundRobin the empty sum. Fleet.Warm runs a fleet
+// until its hit and FM-served rates settle (its steady state). HostQPS is
 // one host's max QPS at a p95 latency budget (Tables 8 and 9), measured as
-// a fleet of one: the rate doubles from 5 QPS until a probe fails, then
-// bisects geometrically to 0.5 %; a probe runs ≥ 400 queries and passes
-// when it meets the budget and sustains ≥ 0.8× the offered rate:
+// a warmed fleet of one: the rate doubles from 5 QPS until a probe fails,
+// then bisects geometrically to 0.5 %; a probe runs ≥ 400 queries and
+// passes when it meets the budget and sustains ≥ 0.8× the offered rate:
 //
 //	hostCfg := sdm.HostConfig{Spec: sdm.HWSS(), InterOp: true}
-//	qps, probe, _ := sdm.HostQPS(inst, tables, &storeCfg, hostCfg, 1, 25*time.Millisecond, 500)
+//	qps, probe, _, _ := sdm.HostQPS(inst, tables, &storeCfg, hostCfg, 1, 25*time.Millisecond, 500)
 //	fleet, _ := sdm.BuildFleet(inst, tables, sdm.FleetSpec{
 //		Hosts: 4, Store: &storeCfg, Host: hostCfg, Router: sdm.NewSticky(4, 64),
 //		Workload: sdm.WorkloadConfig{Seed: 1},
 //	})
+//	fleet.Warm(300)
 //	fres, _ := fleet.Run(300, 2000)
 //
 // See the examples/ directory for runnable end-to-end scenarios,
