@@ -2,14 +2,16 @@
 // paper's Table 1 (§3): PCIe Nand Flash, PCIe 3DXP (Optane SSD), PCIe ZSSD,
 // DIMM 3DXP and CXL 3DXP.
 //
-// The simulator is "virtual time, real data": device contents are held in
-// memory and every access moves or lends the real bytes (so the functional
-// layer above — caches, dequantization, pooling — operates on them), while
-// access latency comes from a queueing model booked in virtual time: the
-// caller passes the instant it issues an IO and gets the completion
-// instant back. The two halves can be driven apart: PeekInto / PokeFrom
-// move the bytes of a read / write (View lends a read's bytes in place),
-// AccountRead / AccountWrite book the timing and the counters.
+// The simulator is "virtual time, real data": every access moves or lends
+// the real bytes of the media (so the functional layer above — caches,
+// dequantization, pooling — operates on them), while access latency comes
+// from a queueing model booked in virtual time: the caller passes the
+// instant it issues an IO and gets the completion instant back. The two
+// halves can be driven apart: PeekInto / PokeFrom move the bytes of a read /
+// write (Row lends a loaded row's bytes in place), AccountRead / AccountWrite
+// book the timing and the counters. A device's media is a private flat
+// image in memory (New) or a read-only load image that reads the caller's
+// loaded tables in place (NewLoaded) until the first write that changes it.
 //
 // Each device exposes a fixed number of internal channels
 // (dies), each holding its next-free instant; an IO occupies a channel for
@@ -25,6 +27,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"sdm/internal/simclock"
@@ -175,22 +178,25 @@ func (s Stats) BusSavings() float64 {
 }
 
 // Device simulates one SM device instance. Its media is either private
-// (New: writes land in place) or a read-only image shared with other
-// devices (NewShared, or the donor after ShareImage). A shared device copies
-// on change: the first write that changes the image's bytes gives the device
-// a private copy of the whole image, while rewriting the bytes already there
-// copies nothing. Sharing never changes observable behaviour.
+// and flat (New: writes land in place) or a load image (NewLoaded): stripes
+// of loaded tables read in place, zeros elsewhere. A load image copies on
+// change: the first write that changes its bytes gives the device a private
+// flat copy of the whole media (Capacity bytes), while rewriting the bytes
+// already there copies nothing. The load image never changes observable behaviour.
 type Device struct {
 	spec TechSpec
 	rng  *xrand.RNG
-	data []byte
+	// data is the flat media, nil while the load image serves it.
+	data     []byte
+	capacity int64
+	// stripes is the load image (nil for New): sorted by Off, disjoint, and
+	// never written — devices loaded with the same tables share them.
+	stripes []Stripe
 	// channels holds the channels' next-free instants as a binary min-heap:
 	// which channel serves an IO is never observable, only their multiset.
 	channels []simclock.Time
 	stats    Stats
 	closed   bool
-	// shared marks data as a read-only image shared with other devices.
-	shared bool
 	// MaxOutstanding caps concurrently queued IOs; 0 means unlimited.
 	// The paper limits outstanding requests to Nand devices to smooth
 	// bursts (§4.1 Tuning API); enforcement happens in package uring,
@@ -198,9 +204,31 @@ type Device struct {
 	MaxOutstanding int
 }
 
+// Stripe is one loaded table's share of a load image: Rows rows of RowBytes
+// bytes from device offset Off on, row r holding Src's row r·Stride+Phase —
+// a table striped across Stride devices, this device taking every row
+// congruent to Phase.
+type Stripe struct {
+	Off           int64
+	Src           []byte
+	RowBytes      int
+	Stride, Phase int64
+	Rows          int64
+}
+
+// end returns the device offset just past the stripe.
+func (s *Stripe) end() int64 { return s.Off + s.Rows*int64(s.RowBytes) }
+
+// row returns the stripe's row r in Src.
+func (s *Stripe) row(r int64) []byte {
+	rb := int64(s.RowBytes)
+	at := (r*s.Stride + s.Phase) * rb
+	return s.Src[at : at+rb : at+rb]
+}
+
 // New creates a device of the given technology with capacity bytes of
-// backing store (allocated eagerly; scale capacities to the experiment).
-// The clock parameter is ignored (see simclock.Clock).
+// private backing store (allocated eagerly; scale capacities to the
+// experiment). The clock parameter is ignored (see simclock.Clock).
 func New(spec TechSpec, capacity int64, _ *simclock.Clock, seed uint64) *Device {
 	nch := int(spec.MaxIOPS * spec.MediaLatency.Seconds())
 	if nch < 1 {
@@ -210,6 +238,7 @@ func New(spec TechSpec, capacity int64, _ *simclock.Clock, seed uint64) *Device 
 		spec:     spec,
 		rng:      xrand.New(seed),
 		data:     make([]byte, capacity),
+		capacity: capacity,
 		channels: make([]simclock.Time, nch),
 	}
 	if spec.Tech == NandFlash || spec.Tech == ZSSD {
@@ -220,34 +249,34 @@ func New(spec TechSpec, capacity int64, _ *simclock.Clock, seed uint64) *Device 
 	return d
 }
 
-// NewShared creates a device whose media starts as a shared read-only
-// image — typically another identically-loaded device's contents obtained
-// via ShareImage. Timing state, counters and the RNG are the device's own;
-// only the media bytes are shared, and the first write that changes them
-// replaces them with a private copy (see Device). This removes the dominant
-// allocation of building N replica hosts whose load phases write identical
-// bytes, and keeps it removed while they rewrite those bytes.
-func NewShared(spec TechSpec, image []byte, _ *simclock.Clock, seed uint64) *Device {
+// NewLoaded creates a device of capacity bytes whose media is the load image
+// stripes (zeros outside them) and allocates none of it. The device keeps
+// stripes and reads their Src in place: neither may change while it lives,
+// and any number of devices may share them. Timing state, counters and the
+// RNG are the device's own. Stripes must be sorted by Off, disjoint, inside
+// the capacity and inside their Src.
+func NewLoaded(spec TechSpec, capacity int64, stripes []Stripe, seed uint64) (*Device, error) {
+	end := int64(0)
+	for i := range stripes {
+		s := &stripes[i]
+		last := (s.Rows-1)*s.Stride + s.Phase
+		if s.Off < end || s.RowBytes <= 0 || s.Rows < 0 || s.Stride <= 0 || s.Phase < 0 ||
+			s.end() > capacity || s.Rows > 0 && (last+1)*int64(s.RowBytes) > int64(len(s.Src)) {
+			return nil, fmt.Errorf("%w: load stripe %d: %d rows of %d bytes at %d (stride %d, phase %d, %d source bytes, cap %d)",
+				ErrOutOfRange, i, s.Rows, s.RowBytes, s.Off, s.Stride, s.Phase, len(s.Src), capacity)
+		}
+		end = s.end()
+	}
 	d := New(spec, 0, nil, seed)
-	d.data = image
-	d.shared = true
-	return d
-}
-
-// ShareImage marks the device's media as a shared read-only image and
-// returns it for replica devices (NewShared). The device itself copies on
-// change from then on, like its replicas, so no write reaches the returned
-// image. Call it once per device; OpenReplica calls it on a loaded donor.
-func (d *Device) ShareImage() []byte {
-	d.shared = true
-	return d.data
+	d.data, d.capacity, d.stripes = nil, capacity, stripes
+	return d, nil
 }
 
 // Spec returns the device's technology parameters.
 func (d *Device) Spec() TechSpec { return d.spec }
 
 // Capacity returns the device capacity in bytes.
-func (d *Device) Capacity() int64 { return int64(len(d.data)) }
+func (d *Device) Capacity() int64 { return d.capacity }
 
 // Stats returns a snapshot of the device counters.
 func (d *Device) Stats() Stats { return d.stats }
@@ -307,8 +336,8 @@ func (d *Device) check(off int64, n int) error {
 	if d.closed {
 		return ErrClosed
 	}
-	if off < 0 || n < 0 || off > int64(len(d.data))-int64(n) {
-		return fmt.Errorf("%w: off=%d len=%d cap=%d", ErrOutOfRange, off, n, len(d.data))
+	if off < 0 || n < 0 || off > d.capacity-int64(n) {
+		return fmt.Errorf("%w: off=%d len=%d cap=%d", ErrOutOfRange, off, n, d.capacity)
 	}
 	return nil
 }
@@ -360,30 +389,91 @@ func (d *Device) read(now simclock.Time, p []byte, off int64, sgl bool) (simcloc
 // PeekInto copies [off, off+len(p)) into p without touching the timing
 // model or the counters — the data half of a read. Callers that split a
 // read must pair it with AccountRead for the timing half. PeekInto is safe
-// for concurrent use as long as no write is in flight.
+// for concurrent readers as long as no write is in flight; on a load image
+// it copies stripe by stripe and never materializes the media.
 func (d *Device) PeekInto(p []byte, off int64) error {
 	if err := d.check(off, len(p)); err != nil {
 		return err
 	}
-	copy(p, d.data[off:])
+	if d.data != nil {
+		copy(p, d.data[off:])
+		return nil
+	}
+	d.pieces(off, len(p), func(b []byte, n int) bool {
+		if b == nil {
+			clear(p[:n])
+		} else {
+			copy(p, b)
+		}
+		p = p[n:]
+		return true
+	})
 	return nil
 }
 
-// View is PeekInto without the copy: the media's own n bytes at off, checked
-// like any access, for a reader that is done with them before the device is
-// next written. A write may change a private device's bytes under the view;
-// a shared image's view keeps the bytes it had (the write lands on a copy).
-// Never write through a view.
-func (d *Device) View(off int64, n int) ([]byte, error) {
-	if err := d.check(off, n); err != nil {
-		return nil, err
+// pieces walks [off, off+n) of the load image in order, handing f each
+// piece: a part of one loaded row (its bytes in Src) or a run of zeros
+// (nil). It stops when f returns false and reports whether f never did.
+func (d *Device) pieces(off int64, n int, f func(b []byte, n int) bool) bool {
+	end := off + int64(n)
+	k := sort.Search(len(d.stripes), func(i int) bool { return d.stripes[i].end() > off })
+	for ; off < end; k++ {
+		if k == len(d.stripes) || d.stripes[k].Off >= end {
+			return f(nil, int(end-off))
+		}
+		s := &d.stripes[k]
+		if off < s.Off {
+			if !f(nil, int(s.Off-off)) {
+				return false
+			}
+			off = s.Off
+		}
+		rb := int64(s.RowBytes)
+		r, in := (off-s.Off)/rb, (off-s.Off)%rb
+		for stop := min(end, s.end()); off < stop; r, in = r+1, 0 {
+			m := min(rb-in, stop-off)
+			if !f(s.row(r)[in:in+m:in+m], int(m)) {
+				return false
+			}
+			off += m
+		}
 	}
-	return d.data[off : off+int64(n) : off+int64(n)], nil
+	return true
+}
+
+// materialize gives a load image's device its private flat media.
+func (d *Device) materialize() {
+	data := make([]byte, d.capacity)
+	_ = d.PeekInto(data, 0)
+	d.data = data
+}
+
+// Row lends row r of load stripe k, addressed without a search: the media's
+// own RowBytes bytes at Off + r·RowBytes, in the loaded table while the load
+// image serves them and in the flat media once materialized. It is PeekInto
+// without the copy, for a reader that is done with the bytes before the
+// device is next written; never write through it. It fails with
+// ErrOutOfRange outside the stripes and ErrClosed on a closed device, never
+// writes the device's state and, like PeekInto, is safe for concurrent
+// readers.
+func (d *Device) Row(k int, r int64) ([]byte, error) {
+	if d.closed {
+		return nil, ErrClosed
+	}
+	if k < 0 || k >= len(d.stripes) || r < 0 || r >= d.stripes[k].Rows {
+		return nil, fmt.Errorf("%w: stripe %d row %d", ErrOutOfRange, k, r)
+	}
+	s := &d.stripes[k]
+	if d.data == nil {
+		return s.row(r), nil
+	}
+	off := s.Off + r*int64(s.RowBytes)
+	return d.data[off : off+int64(s.RowBytes) : off+int64(s.RowBytes)], nil
 }
 
 // AccountRead books the timing and counters of an n-byte read at off
 // without copying data: the timing half of a read whose bytes were already
-// obtained via PeekInto or View. Calling Read is equivalent to PeekInto
+// obtained via PeekInto or Row. Calling Read is equivalent to PeekInto
 // followed by AccountRead, so deferred-timing callers observe bit-identical
 // completion times, stats and RNG draws as inline callers.
 func (d *Device) AccountRead(now simclock.Time, off int64, n int, sgl bool) (simclock.Time, error) {
@@ -413,30 +503,53 @@ func (d *Device) Write(now simclock.Time, p []byte, off int64) (simclock.Time, e
 
 // PokeFrom copies p onto the media at off without touching the timing
 // model or the counters — the data half of a write and the mirror of
-// PeekInto; pair it with AccountWrite for the timing half. On a shared image
-// a write of the bytes already there is a no-op, and any other write works
-// on a private copy of the whole image made first (copy on change), so the
-// image is never written.
+// PeekInto; pair it with AccountWrite for the timing half. On a load image a
+// write of the bytes already there is a no-op, and any other write first
+// materializes the media (copy on change), so no loaded table is written.
 func (d *Device) PokeFrom(p []byte, off int64) error {
 	if err := d.check(off, len(p)); err != nil {
 		return err
 	}
-	dst := d.data[off : off+int64(len(p))]
-	if d.shared {
-		if bytes.Equal(dst, p) {
+	if d.data == nil {
+		q := p
+		if d.pieces(off, len(p), func(b []byte, n int) bool {
+			eq := bytes.Equal(b, q[:n]) || b == nil && len(bytes.TrimLeft(q[:n], "\x00")) == 0
+			q = q[n:]
+			return eq
+		}) {
 			return nil
 		}
-		d.data, d.shared = append([]byte(nil), d.data...), false
-		dst = d.data[off : off+int64(len(p))]
+		d.materialize()
 	}
-	copy(dst, p)
+	copy(d.data[off:], p)
+	return nil
+}
+
+// PokeRow is PokeFrom of row r of load stripe k, addressed like Row: p must
+// be one row long.
+func (d *Device) PokeRow(k int, r int64, p []byte) error {
+	row, err := d.Row(k, r)
+	if err != nil {
+		return err
+	}
+	if len(p) != len(row) {
+		return fmt.Errorf("%w: %d bytes into a %d-byte row", ErrOutOfRange, len(p), len(row))
+	}
+	if d.data == nil {
+		if bytes.Equal(row, p) {
+			return nil
+		}
+		d.materialize()
+		row, _ = d.Row(k, r)
+	}
+	copy(row, p)
 	return nil
 }
 
 // AccountWrite books the timing, counters, endurance wear and RNG draws of
 // an n-byte write at off without moving data — the write-side counterpart
-// of AccountRead, for bytes already on the media (poked, or held by a
-// shared load image).
+// of AccountRead, for bytes already on the media (poked, or held by a load
+// image).
 func (d *Device) AccountWrite(now simclock.Time, off int64, n int) (simclock.Time, error) {
 	done, span, err := d.book(now, off, n, true)
 	if err != nil {

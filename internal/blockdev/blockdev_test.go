@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -74,7 +75,7 @@ func TestWriteThenRead(t *testing.T) {
 
 // TestPokeFromPlusAccountWriteIsWrite: the split halves of a write leave a
 // same-seed device in exactly the state Write does, and poking a device
-// that shares its image writes to a private copy.
+// over a load image writes to a private copy, not to the loaded table.
 func TestPokeFromPlusAccountWriteIsWrite(t *testing.T) {
 	whole := newNand(t, 1<<20)
 	split := newNand(t, 1<<20)
@@ -100,13 +101,16 @@ func TestPokeFromPlusAccountWriteIsWrite(t *testing.T) {
 		t.Fatalf("split write diverged from Write:\n%+v\n%+v", split.Stats(), whole.Stats())
 	}
 
-	image := whole.ShareImage()
-	replica := NewShared(Spec(NandFlash), image, nil, 2)
-	if err := replica.PokeFrom([]byte{1, 2, 3}, 0); err != nil {
+	table := contents(t, whole, 0, 1<<20)
+	loaded, err := NewLoaded(Spec(NandFlash), 1<<20, []Stripe{{Src: table, RowBytes: 1 << 10, Stride: 1, Rows: 1 << 10}}, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if image[0] != 0xab || contents(t, replica, 0, 1)[0] != 1 {
-		t.Fatal("poke on a shared image must copy first")
+	if err := loaded.PokeFrom([]byte{1, 2, 3}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if table[0] != 0xab || contents(t, loaded, 0, 1)[0] != 1 {
+		t.Fatal("poke on a load image must copy first")
 	}
 	if err := split.PokeFrom(src, 1<<20-100); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("want ErrOutOfRange, got %v", err)
@@ -355,9 +359,10 @@ func contents(t testing.TB, d *Device, off int64, n int) []byte {
 	return p
 }
 
-// TestRangeCheckDoesNotWrap: an offset whose end wraps past MaxInt64 fails
-// every entry point with ErrOutOfRange — no panic, no IO booked, no RNG draw
-// — on a private and on a shared device.
+// TestRangeCheckDoesNotWrap: an offset whose end wraps past MaxInt64 (a row
+// index whose offset does, for Row and PokeRow) fails every entry point with
+// ErrOutOfRange — no panic, no IO booked, no RNG draw
+// — on a private device and on a load image, which stays unmaterialized.
 func TestRangeCheckDoesNotWrap(t *testing.T) {
 	const off = math.MaxInt64 - 2
 	p := make([]byte, 8)
@@ -366,6 +371,8 @@ func TestRangeCheckDoesNotWrap(t *testing.T) {
 		call func(d *Device) error
 	}{
 		{"PeekInto", func(d *Device) error { return d.PeekInto(p, off) }},
+		{"Row", func(d *Device) error { _, err := d.Row(0, off); return err }},
+		{"PokeRow", func(d *Device) error { return d.PokeRow(0, off, p) }},
 		{"PokeFrom", func(d *Device) error { return d.PokeFrom(p, off) }},
 		{"Read", func(d *Device) error { _, err := d.Read(0, p, off); return err }},
 		{"ReadSGL", func(d *Device) error { _, err := d.ReadSGL(0, p, off); return err }},
@@ -373,10 +380,10 @@ func TestRangeCheckDoesNotWrap(t *testing.T) {
 		{"AccountRead", func(d *Device) error { _, err := d.AccountRead(0, off, len(p), false); return err }},
 		{"AccountWrite", func(d *Device) error { _, err := d.AccountWrite(0, off, len(p)); return err }},
 	} {
-		for _, shared := range []bool{false, true} {
+		for _, loaded := range []bool{false, true} {
 			d := newNand(t, 4096)
-			if shared {
-				d = NewShared(Spec(NandFlash), d.ShareImage(), nil, 1)
+			if loaded {
+				d = newLoadedPairs(t, 1)[0].dev
 			}
 			rng := *d.rng
 			err := func() (err error) {
@@ -388,127 +395,153 @@ func TestRangeCheckDoesNotWrap(t *testing.T) {
 				return c.call(d)
 			}()
 			if !errors.Is(err, ErrOutOfRange) {
-				t.Errorf("%s (shared %v) at MaxInt64-2: want ErrOutOfRange, got %v", c.name, shared, err)
+				t.Errorf("%s (load image %v) at MaxInt64-2: want ErrOutOfRange, got %v", c.name, loaded, err)
 			}
-			if d.Stats() != (Stats{}) || *d.rng != rng || d.shared != shared {
-				t.Errorf("%s (shared %v): a rejected access booked %+v", c.name, shared, d.Stats())
+			if d.Stats() != (Stats{}) || *d.rng != rng || (d.data == nil) != loaded {
+				t.Errorf("%s (load image %v): a rejected access booked %+v", c.name, loaded, d.Stats())
 			}
 		}
 	}
 }
 
-// sharedPair drives a device over a shared image (a replica, or the donor
-// after ShareImage) and a private reference device (New plus the same
-// pokes) with the same operations.
-type sharedPair struct {
-	dev, ref *Device
-	image    []byte
-	orig     []byte // the image's bytes when it was shared
-	changed  bool   // a write changed the media's bytes
+// loadImage returns the stripes of a load image over three seeded tables
+// and its flat bytes: a 40-byte-row table and a 132-byte-row one striped
+// across two devices (this one taking the odd rows), then, after a 100-byte
+// gap, a table of rows wider than a Nand granule, not striped. The image
+// ends 5000 bytes of headroom before its capacity.
+func loadImage(seed uint64) (stripes []Stripe, flat []byte) {
+	rng := xrand.New(seed)
+	off := int64(0)
+	for _, tb := range []struct {
+		rows, rowBytes, stride, phase, gap int64
+	}{{37, 40, 2, 1, 0}, {50, 132, 2, 1, 0}, {10, 4100, 1, 0, 100}} {
+		src := make([]byte, tb.rows*tb.rowBytes)
+		for i := range src {
+			src[i] = byte(rng.Uint64())
+		}
+		off += tb.gap
+		flat = append(flat, make([]byte, tb.gap)...)
+		st := Stripe{Off: off, Src: src, RowBytes: int(tb.rowBytes), Stride: tb.stride, Phase: tb.phase, Rows: (tb.rows - tb.phase + tb.stride - 1) / tb.stride}
+		for r := int64(0); r < st.Rows; r++ {
+			flat = append(flat, st.row(r)...)
+		}
+		off = st.end()
+		stripes = append(stripes, st)
+	}
+	return stripes, append(flat, make([]byte, 5000)...)
 }
 
-// newSharedPairs loads image bytes onto a donor, shares its media and returns
-// the donor's pair and a replica's.
-func newSharedPairs(t testing.TB, image []byte) (donor, replica *sharedPair) {
+// loadedPair drives a device over a load image and a flat reference device
+// (New, poked with the image's bytes, same seed) with the same operations.
+type loadedPair struct {
+	dev, ref *Device
+	srcs     [][]byte // the loaded tables
+	orig     [][]byte // their bytes when the image was made
+	changed  bool     // a write changed the media's bytes
+}
+
+// newLoadedPairs returns pairs whose devices share one loadImage(seed): the
+// first plays a donor, the rest replicas.
+func newLoadedPairs(t testing.TB, n int) []*loadedPair {
 	t.Helper()
 	spec := Spec(NandFlash)
-	pair := func(dev *Device) *sharedPair {
-		ref := New(spec, int64(len(image)), nil, 1)
-		if err := ref.PokeFrom(image, 0); err != nil {
+	stripes, flat := loadImage(1)
+	pairs := make([]*loadedPair, n)
+	for i := range pairs {
+		dev, err := NewLoaded(spec, int64(len(flat)), stripes, uint64(i+1))
+		if err != nil {
 			t.Fatal(err)
 		}
-		return &sharedPair{dev: dev, ref: ref}
+		ref := New(spec, int64(len(flat)), nil, uint64(i+1))
+		if err := ref.PokeFrom(flat, 0); err != nil {
+			t.Fatal(err)
+		}
+		lp := &loadedPair{dev: dev, ref: ref}
+		for _, st := range stripes {
+			lp.srcs = append(lp.srcs, st.Src)
+			lp.orig = append(lp.orig, bytes.Clone(st.Src))
+		}
+		pairs[i] = lp
 	}
-	d := New(spec, int64(len(image)), nil, 1)
-	if err := d.PokeFrom(image, 0); err != nil {
-		t.Fatal(err)
-	}
-	donor, shared := pair(d), d.ShareImage()
-	replica = pair(NewShared(spec, shared, nil, 2))
-	for _, sp := range []*sharedPair{donor, replica} {
-		sp.image, sp.orig = shared, append([]byte(nil), image...)
-	}
-	return donor, replica
+	return pairs
 }
 
 // poke writes p at off on both devices and requires the same outcome.
-func (sp *sharedPair) poke(t testing.TB, p []byte, off int64) {
+func (lp *loadedPair) poke(t testing.TB, p []byte, off int64) {
 	t.Helper()
 	before := make([]byte, len(p))
-	inRange := sp.ref.PeekInto(before, off) == nil
-	err, refErr := sp.dev.PokeFrom(p, off), sp.ref.PokeFrom(p, off)
+	inRange := lp.ref.PeekInto(before, off) == nil
+	err, refErr := lp.dev.PokeFrom(p, off), lp.ref.PokeFrom(p, off)
 	if (err == nil) != (refErr == nil) || (err != nil && !errors.Is(err, ErrOutOfRange)) {
 		t.Fatalf("PokeFrom(%d bytes at %d): %v, reference %v", len(p), off, err, refErr)
 	}
-	sp.changed = sp.changed || inRange && !bytes.Equal(p, before)
+	lp.changed = lp.changed || inRange && !bytes.Equal(p, before)
 }
 
 // peek reads [off, off+n) off both devices and requires the same bytes.
-func (sp *sharedPair) peek(t testing.TB, off int64, n int) {
+func (lp *loadedPair) peek(t testing.TB, off int64, n int) {
 	t.Helper()
 	got, want := make([]byte, n), make([]byte, n)
-	err, refErr := sp.dev.PeekInto(got, off), sp.ref.PeekInto(want, off)
+	err, refErr := lp.dev.PeekInto(got, off), lp.ref.PeekInto(want, off)
 	if (err == nil) != (refErr == nil) || !bytes.Equal(got, want) {
 		t.Fatalf("PeekInto(%d bytes at %d): %v, reference %v; bytes differ: %v", n, off, err, refErr, !bytes.Equal(got, want))
 	}
 }
 
-// verify compares the whole media with the reference and requires the image
-// untouched and the device still on it exactly while no write changed bytes.
-func (sp *sharedPair) verify(t testing.TB) {
+// verify compares the whole media with the reference and requires the loaded
+// tables untouched and the device on its load image exactly while no write
+// changed bytes.
+func (lp *loadedPair) verify(t testing.TB) {
 	t.Helper()
-	sp.peek(t, 0, len(sp.image))
-	if !bytes.Equal(sp.image, sp.orig) {
-		t.Fatal("a write reached the shared image")
+	lp.peek(t, 0, int(lp.ref.Capacity()))
+	for i := range lp.srcs {
+		if !bytes.Equal(lp.srcs[i], lp.orig[i]) {
+			t.Fatalf("a write reached loaded table %d", i)
+		}
 	}
-	if sp.dev.shared == sp.changed {
-		t.Fatalf("device shares the image: %v, a write changed bytes: %v", sp.dev.shared, sp.changed)
+	if loaded := lp.dev.data == nil; loaded == lp.changed {
+		t.Fatalf("device on its load image: %v, a write changed bytes: %v", loaded, lp.changed)
 	}
 }
 
 // TestSharedImageMatchesPrivate is the differential for copy on change: 10⁴
-// seeded pokes and peeks, on a donor and a replica sharing one image, match a
-// private reference device byte for byte and leave the image untouched. The
-// first 2000 operations rewrite the bytes already there and copy nothing.
+// seeded pokes and peeks, on a donor and a replica sharing one load image,
+// match a flat reference device byte for byte and leave the loaded tables
+// untouched. The first 2000 operations rewrite the bytes already there and
+// copy nothing.
 func TestSharedImageMatchesPrivate(t *testing.T) {
-	const capacity = 5<<12 + 1000
 	rng := xrand.New(9)
-	image := make([]byte, capacity)
-	for i := range image {
-		image[i] = byte(rng.Uint64())
-	}
-	donor, replica := newSharedPairs(t, image)
+	pairs := newLoadedPairs(t, 2)
+	capacity := pairs[0].ref.Capacity()
 	for op := 0; op < 10000; op++ {
 		if op == 2000 {
-			donor.verify(t)
-			replica.verify(t)
+			for _, lp := range pairs {
+				lp.verify(t)
+			}
 		}
-		sp := []*sharedPair{donor, replica}[rng.Intn(2)]
+		lp := pairs[rng.Intn(2)]
 		off := rng.Int63n(capacity)
 		n := int(min(rng.Int63n(10<<10)+1, capacity-off))
 		if rng.Intn(3) == 0 {
-			sp.peek(t, off, n)
+			lp.peek(t, off, n)
 			continue
 		}
-		p := contents(t, sp.ref, off, n) // an equal rewrite
+		p := contents(t, lp.ref, off, n) // an equal rewrite
 		if op >= 2000 && rng.Intn(2) == 0 {
 			for i := range p {
 				p[i] = byte(rng.Uint64())
 			}
 		}
-		sp.poke(t, p, off)
-		sp.peek(t, off, n)
+		lp.poke(t, p, off)
+		lp.peek(t, off, n)
 	}
-	for _, sp := range []*sharedPair{donor, replica} {
-		if !sp.changed {
+	for _, lp := range pairs {
+		if !lp.changed {
 			t.Fatal("fixture: no write changed the media")
 		}
-		sp.verify(t)
+		lp.verify(t)
 	}
 }
-
-// fuzzCapacity is FuzzSharedImagePokes' device size.
-const fuzzCapacity = 3<<12 + 1000
 
 // fuzzOp encodes one FuzzSharedImagePokes operation: an 8-byte offset, a
 // 2-byte length and a flags byte — bit 0 rewrites the bytes already there,
@@ -520,43 +553,171 @@ func fuzzOp(off int64, n uint16, flags byte) []byte {
 }
 
 // FuzzSharedImagePokes decodes a sequence of pokes, each followed by a peek
-// of the same range, and holds a donor and a replica sharing one image to a
-// private reference device: same outcome, same bytes, image untouched, and
-// the image still shared exactly while no write changed bytes.
+// of the same range, and holds a donor and a replica sharing one load image
+// to a flat reference device: same outcome, same bytes, loaded tables
+// untouched, and the device still on its load image exactly while no write
+// changed bytes.
 func FuzzSharedImagePokes(f *testing.F) {
+	_, flat := loadImage(1)
+	capacity := int64(len(flat))
 	f.Add(fuzzOp(4086, 20, 0))                             // a changing write
 	f.Add(fuzzOp(100, 50, 1))                              // an equal rewrite
-	f.Add(fuzzOp(fuzzCapacity-400, 400, 1))                // rewrites the last bytes
+	f.Add(fuzzOp(capacity-400, 400, 1))                    // rewrites the last bytes
 	f.Add(fuzzOp(math.MaxInt64-2, 8, 2))                   // wraps a naive bound
 	f.Add(append(fuzzOp(0, 9000, 4), fuzzOp(10, 5, 5)...)) // donor, then a rewrite
-	image := make([]byte, fuzzCapacity)
-	for i := range image {
-		image[i] = byte(i*7 + i>>8)
-	}
+	f.Add(fuzzOp(4020, 200, 0))                            // zeros between stripes
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		donor, replica := newSharedPairs(t, image)
+		pairs := newLoadedPairs(t, 2)
 		for i := 0; len(ops) >= 11 && i < 64; i, ops = i+1, ops[11:] {
 			off := int64(binary.LittleEndian.Uint64(ops))
 			n, flags := int(binary.LittleEndian.Uint16(ops[8:])), ops[10]
 			if flags&2 == 0 {
-				off = int64(uint64(off) % (fuzzCapacity + 4096))
+				off = int64(uint64(off) % uint64(capacity+4096))
 			}
-			sp := replica
+			lp := pairs[1]
 			if flags&4 != 0 {
-				sp = donor
+				lp = pairs[0]
 			}
 			p := make([]byte, n)
-			if flags&1 == 0 || sp.ref.PeekInto(p, off) != nil {
+			if flags&1 == 0 || lp.ref.PeekInto(p, off) != nil {
 				for j := range p {
 					p[j] = byte(i + 3*j + 1)
 				}
 			}
-			sp.poke(t, p, off)
-			sp.peek(t, off, n)
+			lp.poke(t, p, off)
+			lp.peek(t, off, n)
 		}
-		donor.verify(t)
-		replica.verify(t)
+		for _, lp := range pairs {
+			lp.verify(t)
+		}
 	})
+}
+
+// TestLoadImageMatchesFlat drives a device over a load image and a flat New
+// device loaded with the same bytes through one scripted sequence — PeekInto
+// inside a row, across rows, across stripes, between them and in the
+// headroom; Row of each stripe's first and last row; PokeFrom and PokeRow of
+// equal bytes; timed Read, ReadSGL and Write — then changing writes (a
+// PokeRow among them) and the whole script again on the materialized device.
+// Both must return the same bytes, errors, completion instants, Stats and
+// Capacity after every step. The equal writes keep the load image, and the
+// changing writes copy it exactly once.
+func TestLoadImageMatchesFlat(t *testing.T) {
+	lp := newLoadedPairs(t, 1)[0]
+	dev, ref := lp.dev, lp.ref
+	capacity := ref.Capacity()
+	stripes, _ := loadImage(1)
+	spans := []struct {
+		off int64
+		n   int
+	}{
+		{0, 40}, {5, 20}, {0, 0}, {39, 2}, {30, 100}, // first stripe
+		{700, 40}, {700, 60}, {720, 132}, {800, 400}, // into the second
+		{4000, 20}, {4010, 50}, {4020, 100}, {4100, 40}, // its end, the gap
+		{4120, 4100}, {8190, 8}, {4120, 41000}, // a wide row, across a granule
+		{capacity - 5000, 5000}, {capacity - 5010, 20}, {0, int(capacity)}, // headroom
+		{capacity - 1, 2}, {-1, 1}, {math.MaxInt64 - 2, 8}, // out of range
+	}
+	same := func(what string, got, want []byte, err, refErr error, done, refDone simclock.Time) {
+		t.Helper()
+		if (err == nil) != (refErr == nil) || err != nil && !errors.Is(err, ErrOutOfRange) || !bytes.Equal(got, want) || done != refDone {
+			t.Fatalf("%s: %v (done %v), reference %v (done %v); bytes equal %v", what, err, done, refErr, refDone, bytes.Equal(got, want))
+		}
+		if dev.Stats() != ref.Stats() || *dev.rng != *ref.rng || dev.Capacity() != ref.Capacity() {
+			t.Fatalf("%s: stats %+v, reference %+v; capacity %d, %d", what, dev.Stats(), ref.Stats(), dev.Capacity(), ref.Capacity())
+		}
+	}
+	script := func(round int) {
+		for _, sp := range spans {
+			what := fmt.Sprintf("round %d, %d bytes at %d", round, sp.n, sp.off)
+			got, want := make([]byte, sp.n), make([]byte, sp.n)
+			err, refErr := dev.PeekInto(got, sp.off), ref.PeekInto(want, sp.off)
+			same("PeekInto, "+what, got, want, err, refErr, 0, 0)
+			p := bytes.Clone(want)
+			err, refErr = dev.PokeFrom(p, sp.off), ref.PokeFrom(p, sp.off)
+			same("equal PokeFrom, "+what, nil, nil, err, refErr, 0, 0)
+			done, err := dev.Read(simclock.Time(sp.n), got, sp.off)
+			refDone, refErr := ref.Read(simclock.Time(sp.n), want, sp.off)
+			same("Read, "+what, got, want, err, refErr, done, refDone)
+			done, err = dev.ReadSGL(simclock.Time(sp.n), got, sp.off)
+			refDone, refErr = ref.ReadSGL(simclock.Time(sp.n), want, sp.off)
+			same("ReadSGL, "+what, got, want, err, refErr, done, refDone)
+			done, err = dev.Write(0, got, sp.off)
+			refDone, refErr = ref.Write(0, got, sp.off)
+			same("equal Write, "+what, nil, nil, err, refErr, done, refDone)
+		}
+		for k, st := range stripes {
+			for _, r := range []int64{0, st.Rows - 1, st.Rows} {
+				off := st.Off + r*int64(st.RowBytes)
+				p := contents(t, ref, min(off, capacity-int64(st.RowBytes)), st.RowBytes)
+				if r < st.Rows {
+					v, err := dev.Row(k, r)
+					same(fmt.Sprintf("round %d, Row(%d, %d)", round, k, r), v, p, err, nil, 0, 0)
+				}
+				err := dev.PokeRow(k, r, p)
+				if r == st.Rows {
+					if !errors.Is(err, ErrOutOfRange) || !errors.Is(dev.PokeRow(k, 0, p[1:]), ErrOutOfRange) {
+						t.Fatalf("round %d: PokeRow of row %d of %d, or of a short row: %v", round, r, st.Rows, err)
+					}
+					continue
+				}
+				same(fmt.Sprintf("round %d, equal PokeRow(%d, %d)", round, k, r), nil, nil, err, ref.PokeFrom(p, off), 0, 0)
+			}
+		}
+	}
+	script(0)
+	if dev.data != nil {
+		t.Fatal("equal writes materialized the load image")
+	}
+	row := contents(t, ref, stripes[2].Off, stripes[2].RowBytes)
+	row[9]++
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	err := dev.PokeRow(2, 0, row)
+	done, _ := dev.AccountWrite(0, stripes[2].Off, len(row))
+	refDone, refErr := ref.Write(0, row, stripes[2].Off)
+	same("changing PokeRow", nil, nil, err, refErr, done, refDone)
+	for i, off := range []int64{4110, 30, capacity - 10} {
+		p := []byte{1, 2, byte(i), 4, 5}
+		done, err := dev.Write(0, p, off)
+		refDone, refErr := ref.Write(0, p, off)
+		same(fmt.Sprintf("changing Write %d", i), nil, nil, err, refErr, done, refDone)
+	}
+	runtime.ReadMemStats(&m1)
+	if got := int64(m1.TotalAlloc - m0.TotalAlloc); dev.data == nil || got < capacity || got >= 2*capacity {
+		t.Fatalf("four changing writes allocated %d bytes, want one %d-byte copy of the media", got, capacity)
+	}
+	script(1)
+	lp.changed = true
+	lp.verify(t)
+	// A changing write to zeros alone, in the gap or the headroom, copies too.
+	for _, off := range []int64{4050, capacity - 1} {
+		lp := newLoadedPairs(t, 1)[0]
+		lp.poke(t, []byte{7}, off)
+		lp.verify(t)
+	}
+}
+
+// TestNewLoadedRejectsBadStripes: NewLoaded refuses stripes that overlap,
+// run out of order, leave the capacity or their source, or are malformed.
+func TestNewLoadedRejectsBadStripes(t *testing.T) {
+	src := make([]byte, 100)
+	ok := Stripe{Off: 10, Src: src, RowBytes: 10, Stride: 2, Phase: 1, Rows: 5}
+	if _, err := NewLoaded(Spec(NandFlash), 60, []Stripe{ok, {Off: 60, Src: src, RowBytes: 10, Stride: 1}}, 1); err != nil {
+		t.Fatalf("valid stripes (the second empty): %v", err)
+	}
+	for name, st := range map[string][]Stripe{
+		"overlap":        {ok, {Off: 50, Src: src, RowBytes: 10, Stride: 1, Rows: 1}},
+		"past capacity":  {{Off: 20, Src: src, RowBytes: 10, Stride: 1, Rows: 5}},
+		"past source":    {{Src: src, RowBytes: 10, Stride: 2, Phase: 1, Rows: 6}},
+		"zero row bytes": {{Src: src, Stride: 1, Rows: 1}},
+		"zero stride":    {{Src: src, RowBytes: 10, Rows: 1}},
+		"negative phase": {{Src: src, RowBytes: 10, Stride: 1, Phase: -1, Rows: 1}},
+	} {
+		if _, err := NewLoaded(Spec(NandFlash), 60, st, 1); !errors.Is(err, ErrOutOfRange) {
+			t.Errorf("%s: want ErrOutOfRange, got %v", name, err)
+		}
+	}
 }
 
 func TestDeviceChannels(t *testing.T) {
@@ -682,59 +843,58 @@ func TestChannelHeapMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// TestViewMatchesPeekInto: View lends exactly the bytes PeekInto copies and
-// fails exactly where it fails (ErrOutOfRange, ErrClosed), on a private and
-// a shared device, with the view's capacity ending at its length. A view of
-// a shared image keeps the bytes it had after a write changes them: the
-// write lands on the device's private copy.
+// TestViewMatchesPeekInto: Row, the copy-free read, lends exactly the bytes
+// PeekInto copies at the row's offset, with the slice's capacity ending at
+// the row, on a donor and a replica over one load image and again once a
+// write has materialized them; it fails with ErrOutOfRange outside the
+// stripes (and on a device with none) and with ErrClosed on a closed device.
+// A row lent by a load image keeps the bytes it had after a write changes
+// them: the write lands on the device's private copy.
 func TestViewMatchesPeekInto(t *testing.T) {
-	const capacity = 3 << 12
-	image := make([]byte, capacity)
-	for i := range image {
-		image[i] = byte(i * 7)
-	}
-	donor, replica := newSharedPairs(t, image)
-	private := newNand(t, capacity)
-	if err := private.PokeFrom(image, 0); err != nil {
-		t.Fatal(err)
-	}
-	spans := []struct {
-		off int64
-		n   int
-	}{
-		{0, 0}, {0, 1}, {0, 132}, {4090, 12}, {capacity - 1, 1}, {capacity, 0}, {capacity - 132, 132},
-		{capacity - 1, 2}, {capacity, 1}, {-1, 1}, {0, capacity + 1}, {math.MaxInt64 - 2, 8},
-	}
-	for _, d := range []*Device{private, donor.dev, replica.dev} {
-		for _, sp := range spans {
-			want := make([]byte, sp.n)
-			errPeek := d.PeekInto(want, sp.off)
-			v, err := d.View(sp.off, sp.n)
-			if errors.Is(err, ErrOutOfRange) != errors.Is(errPeek, ErrOutOfRange) || (err == nil) != (errPeek == nil) {
-				t.Fatalf("View(%d, %d): %v, PeekInto: %v", sp.off, sp.n, err, errPeek)
+	pairs := newLoadedPairs(t, 2)
+	stripes, _ := loadImage(1)
+	rowsMatch := func(lp *loadedPair) {
+		t.Helper()
+		for k, st := range stripes {
+			for _, r := range []int64{0, st.Rows / 2, st.Rows - 1} {
+				row, err := lp.dev.Row(k, r)
+				want := contents(t, lp.ref, st.Off+r*int64(st.RowBytes), st.RowBytes)
+				if err != nil || !bytes.Equal(row, want) || cap(row) != st.RowBytes {
+					t.Fatalf("Row(%d, %d): %v; equal to PeekInto %v, cap %d", k, r, err, bytes.Equal(row, want), cap(row))
+				}
 			}
-			if err == nil && (!bytes.Equal(v, want) || cap(v) != sp.n) {
-				t.Fatalf("View(%d, %d) = %d bytes (cap %d), PeekInto copied %d; equal %v", sp.off, sp.n, len(v), cap(v), len(want), bytes.Equal(v, want))
+			for _, r := range []int64{-1, st.Rows} {
+				if _, err := lp.dev.Row(k, r); !errors.Is(err, ErrOutOfRange) {
+					t.Fatalf("Row(%d, %d) of %d rows: %v", k, r, st.Rows, err)
+				}
+			}
+		}
+		for _, k := range []int{-1, len(stripes)} {
+			if _, err := lp.dev.Row(k, 0); !errors.Is(err, ErrOutOfRange) {
+				t.Fatalf("Row of stripe %d of %d: %v", k, len(stripes), err)
 			}
 		}
 	}
-	for _, sp := range []*sharedPair{donor, replica} {
-		v, err := sp.dev.View(100, 32)
-		if err != nil {
-			t.Fatal(err)
+	for _, lp := range pairs {
+		rowsMatch(lp)
+		v, err := lp.dev.Row(0, 2) // device bytes [80, 120)
+		if err != nil || lp.dev.data != nil {
+			t.Fatalf("Row of a load image: %v, materialized %v", err, lp.dev.data != nil)
 		}
-		sp.poke(t, make([]byte, 32), 100)
-		if !bytes.Equal(v, image[100:132]) {
-			t.Fatal("a write changed a shared image's view")
+		old := bytes.Clone(v)
+		lp.poke(t, make([]byte, 32), 80)
+		if !bytes.Equal(v, old) {
+			t.Fatal("a write changed a load image's lent row")
 		}
-		sp.verify(t)
+		rowsMatch(lp)
+		lp.verify(t)
 	}
-	if _, err := private.View(0, -1); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("View of -1 bytes: %v", err)
+	if _, err := pairs[0].ref.Row(0, 0); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("Row of a device without stripes: %v", err)
 	}
-	closed := newNand(t, capacity)
+	closed := newLoadedPairs(t, 1)[0].dev
 	closed.Close()
-	if _, err := closed.View(0, 8); !errors.Is(err, ErrClosed) || !errors.Is(closed.PeekInto(make([]byte, 8), 0), ErrClosed) {
-		t.Fatalf("View on a closed device: %v", err)
+	if _, err := closed.Row(0, 0); !errors.Is(err, ErrClosed) || !errors.Is(closed.PeekInto(make([]byte, 8), 0), ErrClosed) {
+		t.Fatalf("Row on a closed device: %v", err)
 	}
 }

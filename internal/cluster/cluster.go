@@ -944,11 +944,11 @@ func (f *Fleet) syncAll() error {
 // materialized tables: each host gets its own store with a derived store
 // seed (hosts never share mutable state the determinism contract cares
 // about).
-// SDM-backed sets open host 0 in full and the rest as replicas sharing its
-// post-load media images copy-on-write (core.OpenReplica) — the stored
+// SDM-backed sets open host 0 in full and the rest as replicas over its
+// load images, copied on change (core.OpenReplica) — the stored
 // bytes are identical across hosts, so only load timing is replayed per
-// host, cutting fleet construction from O(n·model) to O(model)
-// allocations. A nil store config builds flat DRAM-baseline hosts.
+// host, and a host copies the model's bytes only once a write changes
+// them. A nil store config builds flat DRAM-baseline hosts.
 func HostSet(inst *model.Instance, tables []*embedding.Table, n int, scfg *core.Config, hcfg serving.Config) ([]*serving.Host, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: host set of %d", n)

@@ -117,7 +117,6 @@ type Migration struct {
 	// frees its bytes instead of pinning a coalesced window through a sibling.
 	data   []byte
 	ranges [][]byte
-	src    []byte // whole-table demote: FM source bytes
 
 	issuedBytes int64
 	done        simclock.Time
@@ -196,11 +195,7 @@ func (s *Store) BeginDemote(table int, chunkBytes int) (*Migration, error) {
 	if st.fm == nil {
 		return nil, fmt.Errorf("core: table %d has no FM copy to demote", table)
 	}
-	m, err := s.newMigration(st, table, false, false, 0, st.rows, chunkBytes)
-	if err == nil {
-		m.src = st.fm.Bytes()
-	}
-	return m, err
+	return s.newMigration(st, table, false, false, 0, st.rows, chunkBytes)
 }
 
 // Finished reports whether every chunk has been issued.
@@ -262,22 +257,25 @@ func (m *Migration) Step(now simclock.Time) (int, simclock.Time, error) {
 // moveSpan moves stored rows [lo, hi) of device d's stripe share at virtual
 // time now and returns the IO's completion. The span is booked on the ring
 // first, so a closed or out-of-range device counts the failed submission;
-// then each row is copied once, between the media and its FM bytes.
+// then each row is copied once, between the media (addressed by stripe and
+// row, like the query path's reads) and its FM bytes.
 func (m *Migration) moveSpan(now simclock.Time, d, lo, hi int64) (simclock.Time, error) {
-	s, st := m.s, m.st
+	s, st, dev := m.s, m.st, m.s.devices[d]
 	n := int64(s.cfg.NumDevices)
 	rb := int64(st.rowBytes)
 	span := int((hi - lo) * rb)
-	off := st.smBase[d] + lo*rb
+	off := s.smBase(st, int(d)) + lo*rb
 	if m.promote {
 		done, err := s.rings[d].SubmitTimedRead(now, span, off)
 		if err != nil {
 			return done, err
 		}
 		for j := lo; j < hi; j++ {
-			if err := s.devices[d].PeekInto(m.dstRow(j*n+d), off+(j-lo)*rb); err != nil {
+			row, err := dev.Row(st.stripe, j)
+			if err != nil {
 				return done, err
 			}
+			copy(m.dstRow(j*n+d), row)
 		}
 		return done, nil
 	}
@@ -286,7 +284,7 @@ func (m *Migration) moveSpan(now simclock.Time, d, lo, hi int64) (simclock.Time,
 		return done, err
 	}
 	for j := lo; j < hi; j++ {
-		if err := s.devices[d].PokeFrom(m.srcRow(j*n+d), off+(j-lo)*rb); err != nil {
+		if err := dev.PokeRow(st.stripe, j, m.srcRow(j*n+d)); err != nil {
 			return done, err
 		}
 	}
@@ -296,11 +294,12 @@ func (m *Migration) moveSpan(now simclock.Time, d, lo, hi int64) (simclock.Time,
 }
 
 // srcRow returns the FM source bytes of global row during a demotion:
-// the whole-table FM copy, or the row's FM-resident range.
+// the whole-table FM copy (as UpdateRow last left it), or the row's
+// FM-resident range.
 func (m *Migration) srcRow(row int64) []byte {
 	rb := int64(m.st.rowBytes)
 	if !m.ranged {
-		return m.src[row*rb : (row+1)*rb]
+		return m.st.fm.Bytes()[row*rb : (row+1)*rb]
 	}
 	return m.st.fmRangeRow(row)
 }
@@ -358,7 +357,7 @@ func (m *Migration) Commit() error {
 		if m.ranged {
 			m.installRanges()
 		} else {
-			st.fm = tbl
+			st.fm, st.fmOwned = tbl, true
 			st.target = placement.FM
 		}
 		m.s.stats.MigratedSMToFMBytes += uint64(m.issuedBytes)
@@ -366,7 +365,7 @@ func (m *Migration) Commit() error {
 		if m.ranged {
 			m.releaseRanges()
 		} else {
-			st.fm = nil
+			st.fm, st.fmOwned = nil, false
 			st.target = placement.SM
 		}
 		m.s.stats.MigratedFMToSMBytes += uint64(m.issuedBytes)

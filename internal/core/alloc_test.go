@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sdm/internal/blockdev"
+	"sdm/internal/embedding"
 	"sdm/internal/placement"
 	"sdm/internal/simclock"
 	"sdm/internal/uring"
@@ -162,15 +163,20 @@ func TestOpenReplicaMatchesOpen(t *testing.T) {
 	}
 }
 
-// TestReplicaCleanMigrationCopiesNoImage pins what writes to a replica's
-// shared media images cost the host heap. Demoting a table that started
-// FM-resident rewrites the load bytes its reserved stripe already holds, and
-// promoting and demoting one of its ranges again moves clean rows: together
-// they allocate less than a quarter of one device's capacity, so no image is
-// copied. An update that changes one SM-resident row, flushed to the media,
-// does copy the row's image — the same measure sees that copy — and reaches
-// the replica's media alone.
-func TestReplicaCleanMigrationCopiesNoImage(t *testing.T) {
+// allocated returns the heap bytes f allocates.
+func allocated(f func()) int64 {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	f()
+	runtime.ReadMemStats(&m1)
+	return int64(m1.TotalAlloc - m0.TotalAlloc)
+}
+
+// replicaFixture opens a donor over a placement that leaves swappable
+// tables in both tiers, and n replicas of it, and returns them with the
+// loaded tables, one FM-resident swappable table and one SM-resident one.
+func replicaFixture(t *testing.T, n int) (donor *Store, replicas []*Store, tables []*embedding.Table, fmTable, smTable int) {
+	t.Helper()
 	cfg := rangeConfig(2, 8<<10)
 	_, inst, tables := adaptiveFixture(t, cfg)
 	cfg.Placement = placement.Config{Policy: placement.FixedFMWithCache, UserTablesOnly: true, DRAMBudget: inst.UserBytes() / 3}
@@ -178,36 +184,58 @@ func TestReplicaCleanMigrationCopiesNoImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcfg := cfg
-	rcfg.Seed++
-	s, err := OpenReplica(donor, rcfg, nil)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < n; i++ {
+		rcfg := cfg
+		rcfg.Seed += uint64(i + 1)
+		r, err := OpenReplica(donor, rcfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replicas = append(replicas, r)
 	}
-	fmTable, smTable := -1, -1
-	for i := range s.tables {
+	fmTable, smTable = -1, -1
+	for i, st := range donor.tables {
 		switch {
-		case !s.tables[i].swappable:
-		case s.TargetOf(i) == placement.FM && fmTable < 0:
+		case !st.swappable:
+		case st.target == placement.FM && fmTable < 0:
 			fmTable = i
-		case s.TargetOf(i) == placement.SM && smTable < 0:
+		case st.target == placement.SM && smTable < 0:
 			smTable = i
 		}
 	}
 	if fmTable < 0 || smTable < 0 {
 		t.Fatalf("fixture: FM-resident swappable table %d, SM-resident %d", fmTable, smTable)
 	}
-	allocated := func(f func()) int64 {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		f()
-		runtime.ReadMemStats(&m1)
-		return int64(m1.TotalAlloc - m0.TotalAlloc)
+	return donor, replicas, tables, fmTable, smTable
+}
+
+// TestReplicaCleanMigrationCopiesNoImage pins what a replica's media cost
+// the host heap. Opening a donor and two replicas allocates no media: every
+// device reads the loaded tables in place. Demoting a table that started
+// FM-resident rewrites the load bytes its reserved stripe already holds, and
+// promoting and demoting one of its ranges again moves clean rows: together
+// they allocate less than a quarter of one device's capacity, so no media is
+// copied. The first update that changes an SM-resident row, flushed to the
+// media, copies that device's media exactly once — Capacity bytes — and
+// reaches the replica's media alone; a second changing write copies nothing.
+func TestReplicaCleanMigrationCopiesNoImage(t *testing.T) {
+	var (
+		donor          *Store
+		replicas       []*Store
+		tables         []*embedding.Table
+		fmTable, smTbl int
+	)
+	opened := allocated(func() { donor, replicas, tables, fmTable, smTbl = replicaFixture(t, 2) })
+	s := replicas[0]
+	capacity := s.devices[0].Capacity()
+	// The model's own tables, which the fixture materializes, are a quarter
+	// of one device's capacity.
+	if opened >= capacity/2 {
+		t.Fatalf("opening a donor and two replicas allocated %d bytes, want under half of one %d-byte device", opened, capacity)
 	}
 
 	st, rr := s.tables[fmTable], s.RangeRowsOf(fmTable)
 	now := s.LoadDone()
-	capacity := s.devices[0].Capacity()
 	clean := allocated(func() {
 		m, err := s.BeginDemote(fmTable, 0)
 		if err != nil {
@@ -232,30 +260,94 @@ func TestReplicaCleanMigrationCopiesNoImage(t *testing.T) {
 		t.Fatalf("clean migrations on a replica allocated %d bytes, want under a quarter of the %d-byte device", clean, capacity)
 	}
 
-	// One changed row, written back by the flush.
-	sm := s.tables[smTable]
-	row := int64(3)
-	value := append([]byte(nil), tables[smTable].Bytes()[:sm.rowBytes]...)
-	dev, off := s.smLocation(sm, row)
+	// Changed rows on one device, each written back by a flush.
+	sm := s.tables[smTbl]
+	update := func(row int64, value []byte) int64 {
+		return allocated(func() {
+			if _, err := s.UpdateRow(now, smTbl, row, value, UpdateOnline); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.FlushUpdates(now); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	value := append([]byte(nil), tables[smTbl].Bytes()[:sm.rowBytes]...)
+	dev, off := s.smLocation(sm, 4)
 	if bytes.Equal(value, media(t, s.devices[dev])[off:off+int64(sm.rowBytes)]) {
 		t.Fatal("fixture: the update does not change the row")
 	}
-	changed := allocated(func() {
-		if _, err := s.UpdateRow(now, smTable, row, value, UpdateOnline); err != nil {
+	if got := update(4, value); got < capacity || got >= 2*capacity {
+		t.Fatalf("a changing update allocated %d bytes, want one copy of the %d-byte media", got, capacity)
+	}
+	if got := update(6, value); got >= capacity/4 {
+		t.Fatalf("a second changing update on the copied media allocated %d bytes", got)
+	}
+	for _, r := range []int64{4, 6} {
+		dev, off := s.smLocation(sm, r)
+		if !bytes.Equal(media(t, s.devices[dev])[off:off+int64(sm.rowBytes)], value) {
+			t.Fatalf("the flushed update of row %d is not on the replica's media", r)
+		}
+		for _, o := range []*Store{donor, replicas[1]} {
+			if bytes.Equal(media(t, o.devices[dev])[off:off+int64(sm.rowBytes)], value) {
+				t.Fatalf("the replica's update of row %d reached another store's media", r)
+			}
+		}
+	}
+}
+
+// TestFMUpdateStaysOnItsStore: a changing UpdateRow of an FM-resident table
+// on one replica lands in that store's own copy of the table alone — the
+// caller's loaded table, the donor and the other replica keep their bytes —
+// and a later demotion writes the updated row to that replica's media. An
+// update that rewrites a row's own bytes copies nothing.
+func TestFMUpdateStaysOnItsStore(t *testing.T) {
+	donor, replicas, tables, fmTable, _ := replicaFixture(t, 2)
+	s := replicas[0]
+	orig := bytes.Clone(tables[fmTable].Bytes())
+	rb := int64(s.tables[fmTable].rowBytes)
+	const row = 3
+	value := bytes.Clone(orig[5*rb : 6*rb])
+	if bytes.Equal(value, orig[row*rb:(row+1)*rb]) {
+		t.Fatal("fixture: the update does not change the row")
+	}
+	now := s.LoadDone()
+	if got := allocated(func() {
+		if _, err := replicas[1].UpdateRow(now, fmTable, row, orig[row*rb:(row+1)*rb], UpdateOnline); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.FlushUpdates(now); err != nil {
-			t.Fatal(err)
+	}); got >= int64(len(orig)) {
+		t.Fatalf("an equal update allocated %d bytes, want no copy of the %d-byte table", got, len(orig))
+	}
+	if _, err := s.UpdateRow(now, fmTable, row, value, UpdateOnline); err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Clone(orig)
+	copy(want[row*rb:], value)
+	if got := s.tables[fmTable].fm.Bytes(); !bytes.Equal(got, want) {
+		t.Fatal("the updated replica does not hold the update")
+	}
+	if !bytes.Equal(tables[fmTable].Bytes(), orig) {
+		t.Fatal("an FM update on a replica rewrote the caller's table")
+	}
+	for i, o := range []*Store{donor, replicas[1]} {
+		if !bytes.Equal(o.tables[fmTable].fm.Bytes(), orig) {
+			t.Fatalf("an FM update on a replica reached store %d", i)
 		}
-	})
-	if changed < capacity {
-		t.Fatalf("a changing update allocated %d bytes, want a copy of the %d-byte image", changed, capacity)
 	}
-	if !bytes.Equal(media(t, s.devices[dev])[off:off+int64(sm.rowBytes)], value) {
-		t.Fatal("the flushed update is not on the replica's media")
+
+	m, err := s.BeginDemote(fmTable, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if bytes.Equal(media(t, donor.devices[dev])[off:off+int64(sm.rowBytes)], value) {
-		t.Fatal("the replica's update reached the donor's media")
+	driveRange(t, m, now)
+	st := s.tables[fmTable]
+	dev, off := s.smLocation(st, row)
+	if got := media(t, s.devices[dev])[off : off+rb]; !bytes.Equal(got, value) {
+		t.Fatal("the demotion did not write the updated row")
+	}
+	if got := media(t, donor.devices[dev])[off : off+rb]; !bytes.Equal(got, orig[row*rb:(row+1)*rb]) {
+		t.Fatal("the replica's demotion reached the donor's media")
 	}
 }
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"sdm/internal/blockdev"
@@ -302,6 +304,10 @@ func TestUpdateRowOfflineAndOnline(t *testing.T) {
 	}
 }
 
+// TestUpdateErrors: a bad table, a wrong row size and an SM table's row
+// before its first or past its last fail. A rejected row, on a plain and on
+// a pruned store, writes nothing — in particular not the next table's first
+// row, which follows the last one on the device.
 func TestUpdateErrors(t *testing.T) {
 	in, tables := fixture(t)
 	s := openStore(t, in, tables, Config{Seed: 1})
@@ -310,6 +316,35 @@ func TestUpdateErrors(t *testing.T) {
 	}
 	if _, err := s.UpdateRow(0, 0, 0, []byte{1}, UpdateOffline); err == nil {
 		t.Fatal("wrong row size should fail")
+	}
+	for _, prune := range []bool{false, true} {
+		s := openStore(t, in, tables, Config{Seed: 1, Prune: prune})
+		const tbl = 0
+		spec, next := in.Tables[tbl], in.Tables[tbl+1]
+		value := bytes.Repeat([]byte{0x5a}, spec.RowBytes())
+		before, after := make([]float32, next.Dim), make([]float32, next.Dim)
+		pool := func(out []float32) {
+			op := workload.TableOp{Table: tbl + 1, Pools: [][]int64{{0}}}
+			if _, err := s.PoolOps(s.LoadDone(), []workload.TableOp{op}, [][][]float32{{out}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pool(before)
+		writes := s.DeviceStats().Writes
+		for _, row := range []int64{-1, spec.Rows, spec.Rows + 1} {
+			for _, mode := range []UpdateMode{UpdateOffline, UpdateOnline} {
+				if _, err := s.UpdateRow(s.LoadDone(), tbl, row, value, mode); err == nil {
+					t.Fatalf("prune %v: UpdateRow of row %d of %d succeeded", prune, row, spec.Rows)
+				}
+			}
+		}
+		if _, err := s.FlushUpdates(s.LoadDone()); err != nil {
+			t.Fatal(err)
+		}
+		pool(after)
+		if w := s.DeviceStats().Writes; w != writes || !slices.Equal(before, after) {
+			t.Fatalf("prune %v: rejected updates wrote %d IOs; table %d row 0 changed: %v", prune, w-writes, tbl+1, !slices.Equal(before, after))
+		}
 	}
 }
 

@@ -160,8 +160,8 @@ func (s *Store) prefetch(st *tableState, chunk []int64) {
 			b = st.cache.Peek(cache.Key{Table: int32(st.spec.ID), Row: row})
 		}
 		if b == nil {
-			dev, off := s.smLocation(st, row)
-			b, _ = s.devices[dev].View(off, st.rowBytes)
+			dev, j := s.smRow(st, row)
+			b, _ = s.devices[dev].Row(st.stripe, j)
 		}
 		rows[n] = b
 		n++
@@ -172,9 +172,10 @@ func (s *Store) prefetch(st *tableState, chunk []int64) {
 // fetchRow obtains stored row bytes (FM range → cache shard → SM) for the
 // pool: an FM-resident range's own bytes, a cache hit copied into buf (one
 // row long: a later Put may evict the slot before the pool reads it), or the
-// SM row in place on the device image, which no write reaches during a
-// query's functional phase. The device/ring timing of an SM read is
-// recorded for the ordered replay.
+// SM row in place on the device's media — in the loaded table itself until a
+// write changed the device — which no write reaches during a query's
+// functional phase. The device/ring timing of an SM read is recorded for
+// the ordered replay.
 func (s *Store) fetchRow(c *opCtx, row int64, buf []byte) ([]byte, error) {
 	st := c.st
 	rb := st.rowBytes
@@ -202,12 +203,12 @@ func (s *Store) fetchRow(c *opCtx, row int64, buf []byte) ([]byte, error) {
 		}
 	}
 
-	dev, off := s.smLocation(st, row)
-	b, err := s.devices[dev].View(off, rb)
+	dev, j := s.smRow(st, row)
+	b, err := s.devices[dev].Row(st.stripe, j)
 	if err != nil {
 		return nil, fmt.Errorf("core: SM read table %d row %d: %w", st.spec.ID, row, err)
 	}
-	c.reads = append(c.reads, deferredIO{dev: dev, off: off, n: rb})
+	c.reads = append(c.reads, deferredIO{dev: dev, off: s.smBase(st, dev) + j*int64(rb), n: rb})
 	c.res.SMReads++
 	c.stats.SMReads++
 	if quant.IsZeroRow(b, st.storedSpec.QType) { // de-pruning cache pollution (§4.5)

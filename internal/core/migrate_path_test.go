@@ -69,7 +69,7 @@ func (r *syncMigration) step(now simclock.Time) (int, simclock.Time, error) {
 				copy(buf[(j-lo)*rb:], r.row(j*n+d))
 			}
 		}
-		done, err := r.s.rings[d].SubmitSync(now, buf, r.st.smBase[d]+lo*rb, !r.promote)
+		done, err := r.s.rings[d].SubmitSync(now, buf, r.s.smBase(r.st, int(d))+lo*rb, !r.promote)
 		if err != nil {
 			return moved, chunkDone, err
 		}
@@ -349,9 +349,10 @@ func TestStepFailureCountsIssuedBytes(t *testing.T) {
 }
 
 // TestMigrationAllocBudget pins what a ranged promotion costs the host heap:
-// the FM buffers it installs and nothing proportional to the window beside
-// them — no window image, no staging chunk, no copy at Commit — and nothing
-// at all for a full-width range once a demotion has parked its buffer.
+// the FM buffers it installs, each of the one range-buffer capacity, and
+// nothing proportional to the window beside them — no window image, no
+// staging chunk, no copy at Commit — and nothing at all for a range, full
+// width or the short last one, once a demotion has parked its buffer.
 func TestMigrationAllocBudget(t *testing.T) {
 	const table = 3
 	s, _, _ := adaptiveFixture(t, rangeConfig(2, 0)) // default 256 KiB ranges
@@ -386,17 +387,20 @@ func TestMigrationAllocBudget(t *testing.T) {
 		}
 	}
 	// Every range, the short last one included.
-	w := st.rows * int64(st.rowBytes)
+	w := int64(st.numRanges()) * s.cfg.MigrationRangeBytes
 	if got := allocated(promote(0, st.rows)); got > w+1<<10 {
-		t.Fatalf("promoting a %d-byte window allocated %d bytes, want at most the window + 1 KiB", w, got)
+		t.Fatalf("promoting %d ranges allocated %d bytes, want at most their %d buffer bytes + 1 KiB", st.numRanges(), got, w)
 	}
-	d, err := s.BeginDemoteRange(table, 0, st.rangeRows, 64<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now = driveRange(t, d, now)
-	w = st.rangeRows * int64(st.rowBytes)
-	if got := allocated(promote(0, st.rangeRows)); got >= w {
-		t.Fatalf("re-promoting a %d-byte range allocated %d bytes: its parked buffer was not reused", w, got)
+	tail := int64(st.numRanges()-1) * st.rangeRows
+	for _, r := range [][2]int64{{0, st.rangeRows}, {tail, st.rows}} {
+		d, err := s.BeginDemoteRange(table, r[0], r[1], 64<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = driveRange(t, d, now)
+		w = (r[1] - r[0]) * int64(st.rowBytes)
+		if got := allocated(promote(r[0], r[1])); got >= w {
+			t.Fatalf("re-promoting the %d-byte range at row %d allocated %d bytes: its parked buffer was not reused", w, r[0], got)
+		}
 	}
 }

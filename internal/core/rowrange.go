@@ -50,21 +50,16 @@ func (st *tableState) fmRangeRow(row int64) []byte {
 	return b[off : off+int64(st.rowBytes)]
 }
 
-// maxSpareRanges bounds the released range buffers a store parks for its next
-// promotions: enough that a re-tiering loop (demote a few ranges, promote a
-// few others, of any table) allocates little, and at most 1 MiB of host heap
-// at the default range width.
-const maxSpareRanges = 4
-
 // takeRangeBuf returns the FM buffer for rows [lo, hi) of one of st's ranges.
-// Full-width ranges share one capacity (Config.MigrationRangeBytes, at most a
-// row more than they need) so a parked buffer fits any table; it is not
-// zeroed — Commit requires Finished, so a promotion overwrites every row of
-// its window before the buffer becomes readable.
+// Every range buffer that fits in Config.MigrationRangeBytes gets that one
+// capacity (at most a row more than a full-width range needs) so a parked
+// buffer fits any range of any table; it is not zeroed — Commit requires
+// Finished, so a promotion overwrites every row of its window before the
+// buffer becomes readable.
 func (s *Store) takeRangeBuf(st *tableState, lo, hi int64) []byte {
 	need := (hi - lo) * int64(st.rowBytes)
-	if hi-lo != st.rangeRows || need > s.cfg.MigrationRangeBytes {
-		return make([]byte, need) // the short last range, or one over-wide row
+	if need > s.cfg.MigrationRangeBytes {
+		return make([]byte, need) // one over-wide row
 	}
 	if n := len(s.spareRanges); n > 0 {
 		buf := s.spareRanges[n-1]
@@ -74,10 +69,13 @@ func (s *Store) takeRangeBuf(st *tableState, lo, hi int64) []byte {
 	return make([]byte, need, s.cfg.MigrationRangeBytes)
 }
 
-// parkRangeBuf keeps a released full-width range buffer for reuse, or drops
-// it when maxSpareRanges are parked already.
+// parkRangeBuf keeps a released range buffer for reuse. Parked and resident
+// range buffers together never outnumber the store's peak count of
+// FM-resident ranges, each of MigrationRangeBytes capacity: a short range's
+// buffer holds more heap than the FM bytes its rows are budgeted for (up to
+// MigrationRangeBytes more for a table smaller than one range).
 func (s *Store) parkRangeBuf(buf []byte) {
-	if len(s.spareRanges) < maxSpareRanges && int64(cap(buf)) == s.cfg.MigrationRangeBytes {
+	if int64(cap(buf)) == s.cfg.MigrationRangeBytes {
 		s.spareRanges = append(s.spareRanges, buf)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"reflect"
-	"sync"
 	"time"
 
 	"sdm/internal/blockdev"
@@ -57,15 +56,14 @@ type Store struct {
 	// call are overwritten by the next (see PoolOps doc).
 	resBuf []OpResult
 
-	// shareMu guards sharedImages, the device media images handed to
-	// replica stores (OpenReplica). Once populated, this store's devices
-	// copy the image only when a write changes it.
-	shareMu      sync.Mutex
-	sharedImages [][]byte
+	// stripes is each device's load image (blockdev.NewLoaded): the loaded
+	// tables' rows, read in place. Replica stores share it; it is never
+	// written.
+	stripes [][]blockdev.Stripe
 
-	// spareRanges parks up to maxSpareRanges full-width range buffers that
-	// demotions (and aborted promotions) released, for the next range
-	// promotion of any table to reuse instead of allocating.
+	// spareRanges parks the range buffers that demotions (and aborted
+	// promotions) released, for the next range promotion of any table to
+	// reuse instead of allocating.
 	spareRanges [][]byte
 }
 
@@ -104,12 +102,16 @@ type tableState struct {
 	// query engine's replay phase.
 	runtime Stats
 
-	// fm is set for FM-direct tables.
-	fm *embedding.Table
+	// fm is set for FM-direct tables. Until fmOwned, it is the caller's
+	// loaded table, which replicas and the load stripes share: the first
+	// UpdateRow that changes a byte clones it for this store.
+	fm      *embedding.Table
+	fmOwned bool
 
 	// SM layout: rows stripe across devices; row r lives on device
-	// r % numDevices at byte offset base + (r/numDevices)*rowBytes.
-	smBase   []int64 // per device
+	// r % numDevices as row r/numDevices of the device's load stripe number
+	// stripe, at byte offset smBase + (r/numDevices)*rowBytes.
+	stripe   int
 	rowBytes int
 	rows     int64
 
@@ -198,8 +200,8 @@ func Open(inst *model.Instance, tables []*embedding.Table, cfg Config, _ *simclo
 // tables through the same config, so the stored media bytes are identical
 // across hosts; only the device RNG draws (and hence load timing) differ.
 // Instead of re-running load transforms and filling per-device media, the
-// replica shares the donor's post-load media images (copied on change, see
-// blockdev.Device) and immutable metadata, and
+// replica shares the donor's load stripes (each device copies on change,
+// see blockdev.Device), its loaded tables and its immutable metadata, and
 // books only the load timing — the same accountLoad walk Open runs — with
 // its own RNG. Every observable — media contents, stats, device RNG state,
 // load completion time — matches a full Open with the same cfg bit for
@@ -227,7 +229,7 @@ func OpenReplica(donor *Store, cfg Config, _ *simclock.Clock) (*Store, error) {
 			swappable:    dt.swappable,
 			rangeRows:    dt.rangeRows,
 			fm:           dt.fm,
-			smBase:       dt.smBase, // fixed at load, never mutated after
+			stripe:       dt.stripe,
 			rowBytes:     dt.rowBytes,
 			rows:         dt.rows,
 			storedSpec:   dt.storedSpec,
@@ -241,27 +243,10 @@ func OpenReplica(donor *Store, cfg Config, _ *simclock.Clock) (*Store, error) {
 	s.stats.MapperFMBytes = donor.stats.MapperFMBytes
 	s.stats.DeprunedTables = donor.stats.DeprunedTables
 
-	donor.shareMu.Lock()
-	if donor.sharedImages == nil {
-		donor.sharedImages = make([][]byte, len(donor.devices))
-		for d := range donor.devices {
-			donor.sharedImages[d] = donor.devices[d].ShareImage()
-		}
-	}
-	images := donor.sharedImages
-	donor.shareMu.Unlock()
-
-	nd := len(donor.devices)
-	spec := blockdev.Spec(cfg.SMTech)
-	s.devices = make([]*blockdev.Device, nd)
-	s.rings = make([]*uring.SyncRing, nd)
-	for d := range s.devices {
-		s.devices[d] = blockdev.NewShared(spec, images[d], nil, cfg.Seed+uint64(d)*7919)
-		s.rings[d] = uring.NewSync(s.devices[d], cfg.Ring)
-	}
-
 	s.rowBuf = make([]byte, len(donor.rowBuf))
-
+	if err := s.newDevices(donor.devices[0].Capacity(), donor.stripes); err != nil {
+		return nil, err
+	}
 	if err := s.accountLoad(); err != nil {
 		return nil, err
 	}
@@ -269,9 +254,9 @@ func OpenReplica(donor *Store, cfg Config, _ *simclock.Clock) (*Store, error) {
 	return s, nil
 }
 
-// loadTables applies load-time transformations, creates the devices and
-// puts every striped table's bytes on the media; accountLoad books the SM
-// residents' writes.
+// loadTables applies load-time transformations and creates the devices
+// over a load image of every striped table's bytes; accountLoad books the
+// SM residents' writes.
 func (s *Store) loadTables(tables []*embedding.Table) error {
 	// First pass: transform tables and compute SM footprint.
 	type smLoad struct {
@@ -352,54 +337,54 @@ func (s *Store) loadTables(tables []*embedding.Table) error {
 		s.tables[i] = st
 	}
 
-	// Size and create devices: the SM-resident tables plus 25% headroom.
-	capPerDev := smBytes/int64(s.cfg.NumDevices) + smBytes/int64(4*s.cfg.NumDevices) + (4 << 20)
-	spec := blockdev.Spec(s.cfg.SMTech)
-	s.devices = make([]*blockdev.Device, s.cfg.NumDevices)
-	s.rings = make([]*uring.SyncRing, s.cfg.NumDevices)
-	for d := range s.devices {
-		s.devices[d] = blockdev.New(spec, capPerDev, nil, s.cfg.Seed+uint64(d)*7919)
-		s.rings[d] = uring.NewSync(s.devices[d], s.cfg.Ring)
-	}
-
-	// Second pass: stripe the rows across the devices. A reserved stripe of
-	// an FM-resident table holds its load bytes too, though accountLoad
-	// books no write for it and nothing reads it before a demotion writes
-	// it: a clean demotion then rewrites the bytes already there, which a
-	// replica sharing this media image (OpenReplica) does without copying.
-	cursor := make([]int64, s.cfg.NumDevices)
+	// Stripe the rows across the devices: row r of a table lives on device
+	// r % n. A reserved stripe of an FM-resident table holds its load bytes
+	// too, though accountLoad books no write for it and nothing reads it
+	// before a demotion writes it: a clean demotion then rewrites the bytes
+	// already there, which copies nothing.
+	n := int64(s.cfg.NumDevices)
+	stripes := make([][]blockdev.Stripe, n)
+	cursor := make([]int64, n)
 	maxRowBytes := 0
-	for _, ld := range loads {
+	for k, ld := range loads {
 		st := s.tables[ld.idx]
-		st.smBase = make([]int64, s.cfg.NumDevices)
-		rb := int64(st.rowBytes)
-		n := int64(s.cfg.NumDevices)
-		data := ld.table.Bytes()
+		st.stripe = k
 		for d := int64(0); d < n; d++ {
-			rows := ceilRows(st.rows-d, n) // row r lives on device r % n
-			if cursor[d]+rows*rb > s.devices[d].Capacity() {
-				return fmt.Errorf("core: device %d overflow loading table %d (need %d, cap %d)",
-					d, ld.idx, cursor[d]+rows*rb, s.devices[d].Capacity())
-			}
-			st.smBase[d] = cursor[d]
-			cursor[d] += rows * rb
-			for r := int64(0); r < rows; r++ {
-				src := (r*n + d) * rb
-				if err := s.devices[d].PokeFrom(data[src:src+rb], st.smBase[d]+r*rb); err != nil {
-					return fmt.Errorf("core: load table %d: %w", ld.idx, err)
-				}
-			}
+			stripes[d] = append(stripes[d], blockdev.Stripe{
+				Off: cursor[d], Src: ld.table.Bytes(), RowBytes: st.rowBytes,
+				Stride: n, Phase: d, Rows: ceilRows(st.rows-d, n),
+			})
+			cursor[d] += stripes[d][k].Rows * int64(st.rowBytes)
 		}
 		maxRowBytes = max(maxRowBytes, st.rowBytes)
 	}
 	s.rowBuf = make([]byte, quant.PoolerRows*maxRowBytes)
+	// Capacity: the SM-resident tables plus 25% headroom, which the load
+	// image does not allocate.
+	return s.newDevices(smBytes/n+smBytes/(4*n)+(4<<20), stripes)
+}
+
+// newDevices creates the store's devices over the load image stripes, one
+// ring each.
+func (s *Store) newDevices(capacity int64, stripes [][]blockdev.Stripe) error {
+	spec := blockdev.Spec(s.cfg.SMTech)
+	s.stripes = stripes
+	s.devices = make([]*blockdev.Device, len(stripes))
+	s.rings = make([]*uring.SyncRing, len(stripes))
+	for d := range s.devices {
+		dev, err := blockdev.NewLoaded(spec, capacity, stripes[d], s.cfg.Seed+uint64(d)*7919)
+		if err != nil {
+			return fmt.Errorf("core: device %d: %w", d, err)
+		}
+		s.devices[d], s.rings[d] = dev, uring.NewSync(dev, s.cfg.Ring)
+	}
 	return nil
 }
 
 // accountLoad books the load-phase SM writes: every SM-resident table's
 // stripe on every device, in table then device order, in 1 MiB chunks all
-// issued at virtual time 0. The bytes are already on the media (poked by
-// loadTables or shared from a donor), so only timing, stats, wear and RNG
+// issued at virtual time 0. The bytes are already on the media (the load
+// image), so only timing, stats, wear and RNG
 // draws accrue. Open and OpenReplica both run this one walk, so replica
 // timing cannot drift from load timing.
 func (s *Store) accountLoad() error {
@@ -415,7 +400,7 @@ func (s *Store) accountLoad() error {
 			devBytes := ceilRows(st.rows-int64(d), int64(len(s.devices))) * int64(st.rowBytes)
 			for off := int64(0); off < devBytes; off += chunk {
 				n := min(chunk, devBytes-off)
-				t, err := dev.AccountWrite(loadIssue, st.smBase[d]+off, int(n))
+				t, err := dev.AccountWrite(loadIssue, s.smBase(st, d)+off, int(n))
 				if err != nil {
 					return fmt.Errorf("core: load table %d: %w", i, err)
 				}
@@ -572,8 +557,16 @@ func (s *Store) RingStats() uring.Stats {
 
 // smLocation returns the device and offset of row r of table state st.
 func (s *Store) smLocation(st *tableState, r int64) (dev int, off int64) {
+	dev, j := s.smRow(st, r)
+	return dev, s.smBase(st, dev) + j*int64(st.rowBytes)
+}
+
+// smBase returns the device offset of table state st's stripe on device d.
+func (s *Store) smBase(st *tableState, d int) int64 { return s.stripes[d][st.stripe].Off }
+
+// smRow returns the device of row r of table state st and the row's index j
+// in the device's stripe of the table.
+func (s *Store) smRow(st *tableState, r int64) (dev int, j int64) {
 	n := int64(s.cfg.NumDevices)
-	dev = int(r % n)
-	off = st.smBase[dev] + (r/n)*int64(st.rowBytes)
-	return dev, off
+	return int(r % n), r / n
 }

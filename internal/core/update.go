@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
 	"sdm/internal/blockdev"
 	"sdm/internal/cache"
+	"sdm/internal/embedding"
 	"sdm/internal/placement"
 	"sdm/internal/simclock"
 )
@@ -33,7 +35,9 @@ func (s *Store) UpdateRow(now simclock.Time, table int, row int64, value []byte,
 	}
 	st := s.tables[table]
 	if st.target == placement.FM {
-		// FM tables update in place.
+		// FM tables update in place, once the store owns its copy: the
+		// loaded table is the caller's, so the first write that changes a
+		// byte clones it for this store alone.
 		dst, err := st.fm.Row(row)
 		if err != nil {
 			return now, err
@@ -41,7 +45,17 @@ func (s *Store) UpdateRow(now simclock.Time, table int, row int64, value []byte,
 		if len(value) != len(dst) {
 			return now, fmt.Errorf("core: update row size %d, want %d", len(value), len(dst))
 		}
-		copy(dst, value)
+		if !bytes.Equal(dst, value) {
+			if !st.fmOwned {
+				own, err := embedding.FromBytes(st.fm.Spec(), bytes.Clone(st.fm.Bytes()))
+				if err != nil {
+					return now, err
+				}
+				st.fm, st.fmOwned = own, true
+				dst, _ = own.Row(row)
+			}
+			copy(dst, value)
+		}
 		if st.cache != nil {
 			// A swappable table keeps its (possibly still warm) SM-stint
 			// cache shard coherent with the FM copy, so a later demotion
@@ -49,6 +63,11 @@ func (s *Store) UpdateRow(now simclock.Time, table int, row int64, value []byte,
 			st.cache.Put(cache.Key{Table: int32(st.spec.ID), Row: row}, value)
 		}
 		return s.demoteWriteThrough(now, st, row, value)
+	}
+	if row < 0 || row >= st.spec.Rows {
+		// Unchecked, a row past the end would land in whatever follows the
+		// table's stripe on the device.
+		return now, fmt.Errorf("core: update row %d of table %d out of range [0, %d)", row, table, st.spec.Rows)
 	}
 	if st.mapper != nil {
 		m := st.mapper[row]

@@ -102,7 +102,7 @@ func (r *SyncRing) SubmitSync(now simclock.Time, buf []byte, off int64, write bo
 }
 
 // SubmitTimedRead books the timing of an n-byte read at off whose data the
-// caller already read with Device.PeekInto or Device.View. It mirrors
+// caller already read with Device.PeekInto or Device.Row. It mirrors
 // SubmitSync's read path exactly — same throttle, same device channel
 // booking, same stats — minus the data movement, so a deferred-timing replay
 // is bit-identical to inline submission.

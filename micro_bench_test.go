@@ -618,7 +618,7 @@ func BenchmarkMaterialize(b *testing.B) {
 // bytes; B/op is what the migration engine allocates per window. The
 // opposite move that restores the window runs outside the timer.
 // replica/… is the first demotion of a clean window on a fresh
-// core.OpenReplica replica — the first write to its shared media images;
+// core.OpenReplica replica — the first write to its load images;
 // the replica and the promotion before the demotion are built outside the
 // timer, so B/op is what that first write costs the host.
 func BenchmarkRangeMigration(b *testing.B) {
