@@ -111,12 +111,12 @@ type Migration struct {
 	// ranged is false); next is the first row of the next chunk.
 	begin, end, next int64
 
-	// A promotion gathers rows off the devices straight into the FM bytes
-	// Commit installs: the whole-table image, or one buffer per covered range
-	// (ranges[0] is range begin/rangeRows), so a later demotion of one range
-	// frees its bytes instead of pinning a coalesced window through a sibling.
-	data   []byte
-	ranges [][]byte
+	// A promotion gathers rows off the devices into the FM rows Commit
+	// installs, each a view of the loaded table until a write changes it: the
+	// whole table's, or one per covered range (ranges[0] is range
+	// begin/rangeRows), so demoting one range later drops its bytes alone.
+	data   fmRows
+	ranges []fmRows
 
 	issuedBytes int64
 	done        simclock.Time
@@ -164,7 +164,8 @@ func (s *Store) newMigration(st *tableState, table int, promote, ranged bool, lo
 // BeginPromote starts migrating an SM-resident table into FM: chunks read
 // the table's stripes back through the rings (stealing device channels
 // and bus time from foreground queries), and Commit installs the rebuilt
-// FM table. chunkBytes is the payload of one Step (<= 0 selects 256 KiB).
+// FM table (the loaded one, unless a write changed a byte). chunkBytes is
+// the payload of one Step (<= 0 selects 256 KiB).
 func (s *Store) BeginPromote(table int, chunkBytes int) (*Migration, error) {
 	st, err := s.migrationState(table, placement.SM)
 	if err != nil {
@@ -178,7 +179,7 @@ func (s *Store) BeginPromote(table int, chunkBytes int) (*Migration, error) {
 	}
 	m, err := s.newMigration(st, table, true, false, 0, st.rows, chunkBytes)
 	if err == nil {
-		m.data = make([]byte, st.storedSpec.SizeBytes())
+		m.data = fmRows{b: s.loadedBytes(st)}
 	}
 	return m, err
 }
@@ -257,8 +258,8 @@ func (m *Migration) Step(now simclock.Time) (int, simclock.Time, error) {
 // moveSpan moves stored rows [lo, hi) of device d's stripe share at virtual
 // time now and returns the IO's completion. The span is booked on the ring
 // first, so a closed or out-of-range device counts the failed submission;
-// then each row is copied once, between the media (addressed by stripe and
-// row, like the query path's reads) and its FM bytes.
+// then each row moves between the media (addressed by stripe and row, like
+// the query path's reads) and its FM bytes; only changed bytes are copied.
 func (m *Migration) moveSpan(now simclock.Time, d, lo, hi int64) (simclock.Time, error) {
 	s, st, dev := m.s, m.st, m.s.devices[d]
 	n := int64(s.cfg.NumDevices)
@@ -275,7 +276,7 @@ func (m *Migration) moveSpan(now simclock.Time, d, lo, hi int64) (simclock.Time,
 			if err != nil {
 				return done, err
 			}
-			copy(m.dstRow(j*n+d), row)
+			m.putRow(j*n+d, row)
 		}
 		return done, nil
 	}
@@ -304,15 +305,15 @@ func (m *Migration) srcRow(row int64) []byte {
 	return m.st.fmRangeRow(row)
 }
 
-// dstRow returns the FM destination bytes of global row during a
-// promotion — the mirror of srcRow.
-func (m *Migration) dstRow(row int64) []byte {
+// putRow writes v as global row's FM bytes during a promotion — the mirror
+// of srcRow, and the one way a promotion's rows are written.
+func (m *Migration) putRow(row int64, v []byte) {
 	rb := int64(m.st.rowBytes)
 	if !m.ranged {
-		return m.data[row*rb : (row+1)*rb]
+		m.data.put(row*rb, v)
+		return
 	}
-	off := (row % m.st.rangeRows) * rb
-	return m.ranges[(row-m.begin)/m.st.rangeRows][off : off+rb]
+	m.ranges[(row-m.begin)/m.st.rangeRows].put((row%m.st.rangeRows)*rb, v)
 }
 
 // Commit finalizes the placement swap: promotions install the FM table
@@ -332,18 +333,6 @@ func (m *Migration) Commit() error {
 	}
 	st := m.st
 	if m.promote {
-		var tbl *embedding.Table
-		if !m.ranged {
-			// Validate the image before foldDirty touches the cache, so a
-			// failed commit has no side effects (the drained dirty flags
-			// would otherwise be lost with the discarded image). FromBytes
-			// wraps m.data without copying, so the fold below lands in tbl.
-			var err error
-			tbl, err = embedding.FromBytes(st.storedSpec, m.data)
-			if err != nil {
-				return fmt.Errorf("core: promote table %d: %w", m.table, err)
-			}
-		}
 		if st.cache != nil {
 			// Online updates live cache-first as dirty entries (§A.3), so
 			// for those rows the cache — not SM — holds the freshest copy.
@@ -357,7 +346,13 @@ func (m *Migration) Commit() error {
 		if m.ranged {
 			m.installRanges()
 		} else {
-			st.fm, st.fmOwned = tbl, true
+			// FromBytes only wraps the gathered rows, which are exactly the
+			// stored spec's size.
+			tbl, err := embedding.FromBytes(st.storedSpec, m.data.b)
+			if err != nil {
+				return fmt.Errorf("core: promote table %d: %w", m.table, err)
+			}
+			st.fm, st.fmOwned = tbl, m.data.owned
 			st.target = placement.FM
 		}
 		m.s.stats.MigratedSMToFMBytes += uint64(m.issuedBytes)
@@ -401,7 +396,7 @@ func (m *Migration) foldDirty() {
 	var keep []dirtyRow
 	st.cache.FlushDirty(func(k cache.Key, v []byte) {
 		if k.Row >= m.begin && k.Row < m.end {
-			copy(m.dstRow(k.Row), v)
+			m.putRow(k.Row, v)
 			return
 		}
 		keep = append(keep, dirtyRow{k: k, v: append([]byte(nil), v...)})
@@ -411,28 +406,27 @@ func (m *Migration) foldDirty() {
 	}
 }
 
-// installRanges makes the promoted window's buffers the table's FM-resident
+// installRanges makes the promoted window's rows the table's FM-resident
 // ranges.
 func (m *Migration) installRanges() {
 	st := m.st
 	if st.fmRange == nil {
-		st.fmRange = make([][]byte, st.numRanges())
+		st.fmRange = make([]fmRows, st.numRanges())
 	}
 	first := int(m.begin / st.rangeRows)
-	for i, buf := range m.ranges {
-		st.fmRange[first+i] = buf
-		st.fmRangeBytes += int64(len(buf))
+	for i, f := range m.ranges {
+		st.fmRange[first+i] = f
+		st.fmRangeBytes += int64(len(f.b))
 	}
 	m.ranges = nil
 }
 
-// releaseRanges takes the demoted window's buffers out of FM residency.
+// releaseRanges takes the demoted window out of FM residency.
 func (m *Migration) releaseRanges() {
 	st := m.st
 	for r := m.begin / st.rangeRows; r*st.rangeRows < m.end; r++ {
-		st.fmRangeBytes -= int64(len(st.fmRange[r]))
-		m.s.parkRangeBuf(st.fmRange[r])
-		st.fmRange[r] = nil
+		st.fmRangeBytes -= int64(len(st.fmRange[r].b))
+		st.fmRange[r] = fmRows{}
 	}
 }
 
@@ -442,19 +436,16 @@ func (m *Migration) Aborted() bool { return m.aborted }
 // Abort renounces an in-flight migration after a Step error (or a caller
 // change of mind): Step and Commit fail afterwards, so a half-built FM
 // image can never be installed. Nothing physical needs rolling back — an
-// aborted promotion's FM buffers go back to the store's spares, and an aborted
-// demotion's partially rewritten SM window is unreachable (the rows remain
-// FM-resident) until a later demotion rewrites it from its first row.
-// Safe to call more than once; a no-op after Commit.
+// aborted promotion drops its rows, and an aborted demotion's partially
+// rewritten SM window is unreachable (the rows remain FM-resident) until a
+// later demotion rewrites it from its first row. Safe to call more than
+// once; a no-op after Commit.
 func (m *Migration) Abort() {
 	if m.committed {
 		return
 	}
 	m.aborted = true
-	for _, buf := range m.ranges {
-		m.s.parkRangeBuf(buf)
-	}
-	m.ranges = nil
+	m.data, m.ranges = fmRows{}, nil
 	m.untrack()
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sdm/internal/blockdev"
+	"sdm/internal/cache"
 	"sdm/internal/embedding"
 	"sdm/internal/placement"
 	"sdm/internal/simclock"
@@ -251,7 +252,7 @@ func TestReplicaCleanMigrationCopiesNoImage(t *testing.T) {
 				t.Fatal(err)
 			}
 			now = driveRange(t, m, now)
-			if up && !bytes.Equal(st.fmRange[0], tables[fmTable].Bytes()[:len(st.fmRange[0])]) {
+			if up && !bytes.Equal(st.fmRange[0].b, tables[fmTable].Bytes()[:len(st.fmRange[0].b)]) {
 				t.Fatal("promoted range differs from the table's load bytes")
 			}
 		}
@@ -348,6 +349,131 @@ func TestFMUpdateStaysOnItsStore(t *testing.T) {
 	}
 	if got := media(t, donor.devices[dev])[off : off+rb]; !bytes.Equal(got, orig[row*rb:(row+1)*rb]) {
 		t.Fatal("the replica's demotion reached the donor's media")
+	}
+}
+
+// TestPromotedUpdateStaysOnItsStore: promotions install the loaded rows, so a
+// write that changes a promoted row on one replica must copy them for that
+// store first. Four writes do: an UpdateRow to an FM-resident range, an
+// offline UpdateRow behind an in-flight range promotion's cursor, a dirty
+// cache entry folded in at Commit, and an UpdateRow after a whole-table
+// promotion. In each, the replica serves the new row while the caller's
+// loaded table, the donor and the other replica keep their bytes, and the
+// demotion that follows writes the new row to the replica's media alone.
+func TestPromotedUpdateStaysOnItsStore(t *testing.T) {
+	const row = 3
+	cases := []struct {
+		name  string
+		whole bool
+		// promote promotes the table's first range (the whole table when
+		// whole) on s and writes value to row on the way.
+		promote func(t *testing.T, s *Store, table int, value []byte, now simclock.Time) simclock.Time
+	}{
+		{"resident-range", false, func(t *testing.T, s *Store, table int, value []byte, now simclock.Time) simclock.Time {
+			m, err := s.BeginPromoteRange(table, 0, s.RangeRowsOf(table), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			now = driveRange(t, m, now)
+			if _, err := s.UpdateRow(now, table, row, value, UpdateOnline); err != nil {
+				t.Fatal(err)
+			}
+			return now
+		}},
+		{"racing-promotion", false, func(t *testing.T, s *Store, table int, value []byte, now simclock.Time) simclock.Time {
+			m, err := s.BeginPromoteRange(table, 0, s.RangeRowsOf(table), 2*s.tables[table].rowBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range 3 {
+				if _, _, err := m.Step(now); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if m.next <= row || m.Finished() {
+				t.Fatalf("fixture: cursor at %d", m.next)
+			}
+			if _, err := s.UpdateRow(now, table, row, value, UpdateOffline); err != nil {
+				t.Fatal(err)
+			}
+			return driveRange(t, m, now)
+		}},
+		{"dirty-fold", false, func(t *testing.T, s *Store, table int, value []byte, now simclock.Time) simclock.Time {
+			if _, err := s.UpdateRow(now, table, row, value, UpdateOnline); err != nil {
+				t.Fatal(err)
+			}
+			st := s.tables[table]
+			if st.cache == nil || !bytes.Equal(st.cache.Peek(cache.Key{Table: int32(st.spec.ID), Row: row}), value) {
+				t.Fatal("fixture: the update is not held in the table's cache")
+			}
+			m, err := s.BeginPromoteRange(table, 0, s.RangeRowsOf(table), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return driveRange(t, m, now)
+		}},
+		{"whole-table", true, func(t *testing.T, s *Store, table int, value []byte, now simclock.Time) simclock.Time {
+			m, err := s.BeginPromote(table, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			now = driveRange(t, m, now)
+			if st := s.tables[table]; st.fmOwned || &st.fm.Bytes()[0] != &s.loadedBytes(st)[0] {
+				t.Fatal("a clean whole-table promotion did not install the loaded table")
+			}
+			if _, err := s.UpdateRow(now, table, row, value, UpdateOnline); err != nil {
+				t.Fatal(err)
+			}
+			return now
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			donor, replicas, tables, _, table := replicaFixture(t, 2)
+			s, st := replicas[0], replicas[0].tables[table]
+			orig := bytes.Clone(tables[table].Bytes())
+			rb := int64(st.rowBytes)
+			value := bytes.Clone(orig[5*rb : 6*rb])
+			if bytes.Equal(value, orig[row*rb:(row+1)*rb]) || st.rangeRows <= 2*row {
+				t.Fatalf("fixture: the update does not change the row, or %d-row ranges", st.rangeRows)
+			}
+			now := c.promote(t, s, table, value, s.LoadDone())
+
+			served := st.fmRangeRow(row)
+			if c.whole {
+				served, _ = st.fm.Row(row)
+			}
+			if !bytes.Equal(served, value) {
+				t.Fatal("the updated replica does not serve the update from FM")
+			}
+			if !bytes.Equal(tables[table].Bytes(), orig) {
+				t.Fatal("a promoted update on a replica rewrote the caller's table")
+			}
+
+			var m *Migration
+			var err error
+			if c.whole {
+				m, err = s.BeginDemote(table, 0)
+			} else {
+				m, err = s.BeginDemoteRange(table, 0, st.rangeRows, 0)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			driveRange(t, m, now)
+			dev, off := s.smLocation(st, row)
+			if got := media(t, s.devices[dev])[off : off+rb]; !bytes.Equal(got, value) {
+				t.Fatal("the demotion did not write the updated row")
+			}
+			for i, o := range []*Store{donor, replicas[1]} {
+				if got := media(t, o.devices[dev])[off : off+rb]; !bytes.Equal(got, orig[row*rb:(row+1)*rb]) {
+					t.Fatalf("the replica's update reached store %d's media", i)
+				}
+			}
+			if !bytes.Equal(tables[table].Bytes(), orig) {
+				t.Fatal("the demotion rewrote the caller's table")
+			}
+		})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"weak"
 
 	"sdm/internal/blockdev"
 	"sdm/internal/placement"
@@ -269,8 +270,8 @@ func TestMigrationDataPathMatchesSubmitSync(t *testing.T) {
 // Step: when device 1 fails after device 0's share of the chunk was issued,
 // those bytes were moved (and, demoting, wore the media), so BytesMoved and
 // the returned count include them; Abort then frees the table's in-flight
-// slot, hands a promotion's buffers back, and an aborted demotion leaves the
-// window FM-resident and serving.
+// slot, an aborted clean promotion leaves no FM bytes behind, and an aborted
+// demotion leaves the window FM-resident and serving.
 func TestStepFailureCountsIssuedBytes(t *testing.T) {
 	const table, chunk = 3, 3 << 10
 	s, _, _ := adaptiveFixture(t, rangeConfig(2, 8<<10))
@@ -338,69 +339,94 @@ func TestStepFailureCountsIssuedBytes(t *testing.T) {
 	if got := uint64(pm.BytesMoved()); got != r1-r0 || got != uint64(n) {
 		t.Fatalf("promotion moved %d bytes (step returned %d), devices read %d", got, n, r1-r0)
 	}
-	spares := len(s.spareRanges)
+	for i, f := range pm.ranges {
+		if f.owned {
+			t.Fatalf("the clean rows device 0 moved gave range %d its own copy", i)
+		}
+	}
 	pm.Abort()
-	if st.migIn != nil || len(s.spareRanges) != spares+2 {
-		t.Fatalf("aborted promotion: in-flight slot %v, %d spare buffers (had %d)", st.migIn, len(s.spareRanges), spares)
+	if st.migIn != nil || pm.ranges != nil || pm.data.b != nil {
+		t.Fatalf("aborted promotion: in-flight slot %v, %d ranges still held", st.migIn, len(pm.ranges))
+	}
+	if s.FMResidentBytes(table) != 2*rr*int64(st.rowBytes) || st.fmRange[2].b != nil || st.fmRange[3].b != nil {
+		t.Fatal("an aborted promotion made its window FM-resident")
 	}
 	if _, err := s.BeginPromoteRange(table, 2*rr, 4*rr, chunk); err != nil {
 		t.Fatalf("the window must be free to migrate again: %v", err)
 	}
 }
 
-// TestMigrationAllocBudget pins what a ranged promotion costs the host heap:
-// the FM buffers it installs, each of the one range-buffer capacity, and
-// nothing proportional to the window beside them — no window image, no
-// staging chunk, no copy at Commit — and nothing at all for a range, full
-// width or the short last one, once a demotion has parked its buffer.
+// TestMigrationAllocBudget pins what a ranged promotion costs the host heap.
+// Promoting every range of a table, the short last one included, installs
+// the loaded rows as views and allocates under 1 KiB: no range buffer, no
+// window image, no staging chunk, no copy at Commit. A write that changes
+// one FM-resident row allocates exactly that range's copy, which stays the
+// range's own for the next changing write, and its demotion drops the copy.
 func TestMigrationAllocBudget(t *testing.T) {
 	const table = 3
-	s, _, _ := adaptiveFixture(t, rangeConfig(2, 0)) // default 256 KiB ranges
+	s, _, tables := adaptiveFixture(t, rangeConfig(2, 0)) // default 256 KiB ranges
 	st := s.tables[table]
 	if st.numRanges() < 3 || st.rows%st.rangeRows == 0 {
 		t.Fatalf("fixture: %d rows in %d-row ranges", st.rows, st.rangeRows)
 	}
 	now := s.LoadDone()
-	allocated := func(f func()) int64 {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		f()
-		runtime.ReadMemStats(&m1)
-		return int64(m1.TotalAlloc - m0.TotalAlloc)
-	}
 	// Chunks issue back to back, each after the last one's IO completed, so
 	// the rings' in-flight heaps stay at their warm size.
-	promote := func(lo, hi int64) func() {
-		return func() {
-			m, err := s.BeginPromoteRange(table, lo, hi, 64<<10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for !m.Finished() {
-				if _, now, err = m.Step(now); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := m.Commit(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// Every range, the short last one included.
-	w := int64(st.numRanges()) * s.cfg.MigrationRangeBytes
-	if got := allocated(promote(0, st.rows)); got > w+1<<10 {
-		t.Fatalf("promoting %d ranges allocated %d bytes, want at most their %d buffer bytes + 1 KiB", st.numRanges(), got, w)
-	}
-	tail := int64(st.numRanges()-1) * st.rangeRows
-	for _, r := range [][2]int64{{0, st.rangeRows}, {tail, st.rows}} {
-		d, err := s.BeginDemoteRange(table, r[0], r[1], 64<<10)
+	if got := allocated(func() {
+		m, err := s.BeginPromoteRange(table, 0, st.rows, 64<<10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		now = driveRange(t, d, now)
-		w = (r[1] - r[0]) * int64(st.rowBytes)
-		if got := allocated(promote(r[0], r[1])); got >= w {
-			t.Fatalf("re-promoting the %d-byte range at row %d allocated %d bytes: its parked buffer was not reused", w, r[0], got)
+		for !m.Finished() {
+			if _, now, err = m.Step(now); err != nil {
+				t.Fatal(err)
+			}
 		}
+		if err := m.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}); got >= 1<<10 {
+		t.Fatalf("promoting %d ranges allocated %d bytes, want under 1 KiB", st.numRanges(), got)
+	}
+	for r := range st.fmRange {
+		lo, _ := st.rangeBounds(r)
+		if f := st.fmRange[r]; f.owned || &f.b[0] != &tables[table].Bytes()[lo*int64(st.rowBytes)] {
+			t.Fatalf("range %d is not a view of the loaded table", r)
+		}
+	}
+
+	rb := int64(st.rowBytes)
+	w := st.rangeRows * rb
+	value := bytes.Clone(tables[table].Bytes()[:rb])
+	write := func(row int64) int64 {
+		return allocated(func() {
+			if _, err := s.UpdateRow(now, table, row, value, UpdateOnline); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if got := write(st.rangeRows + 1); got < w || got >= w+w/8 {
+		t.Fatalf("the first changing write allocated %d bytes, want one copy of the %d-byte range", got, w)
+	}
+	if got := write(st.rangeRows + 2); got >= 1<<10 {
+		t.Fatalf("a second changing write to the copied range allocated %d bytes", got)
+	}
+	for r := range st.fmRange {
+		if st.fmRange[r].owned != (r == 1) {
+			t.Fatalf("range %d owned=%t after writes to range 1", r, st.fmRange[r].owned)
+		}
+	}
+	if !bytes.Equal(st.fmRangeRow(st.rangeRows+2), value) {
+		t.Fatal("the range's copy does not hold the write")
+	}
+	copied := weak.Make(&st.fmRange[1].b[0])
+	d, err := s.BeginDemoteRange(table, st.rangeRows, 2*st.rangeRows, 64<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveRange(t, d, now)
+	runtime.GC()
+	if st.fmRange[1].b != nil || copied.Value() != nil {
+		t.Fatal("the demotion kept the range's copy")
 	}
 }

@@ -7,11 +7,13 @@
 // into FM and demoted back through the same chunked, ring-accounted
 // Migration machinery, and per-range lookup counters (folded in operator
 // order, so parallelism-invariant) give the adapt subsystem the demand
-// densities its range-granular knapsack ranks.
+// densities its range-granular knapsack ranks. A promoted range reads the
+// loaded table in place until a write changes it (fmRows).
 
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"sdm/internal/placement"
@@ -36,48 +38,53 @@ func (st *tableState) rangeBounds(r int) (lo, hi int64) {
 	return lo, hi
 }
 
+// fmRows is promoted rows — one row range, or a whole table in flight: a
+// read-only view of the loaded table until put changes a byte and gives the
+// store its own copy, so a clean promotion copies nothing.
+type fmRows struct {
+	b     []byte
+	owned bool
+}
+
+// put writes v at off, cloning a view first if v changes its bytes. A clean
+// device lends the view's own row (Device.Row), so bytes.Equal returns at
+// its pointer check: O(1) per clean row.
+func (f *fmRows) put(off int64, v []byte) {
+	end := off + int64(len(v))
+	if bytes.Equal(f.b[off:end], v) {
+		return
+	}
+	if !f.owned {
+		f.b, f.owned = bytes.Clone(f.b), true
+	}
+	copy(f.b[off:end], v)
+}
+
+// loadedBytes returns st's loaded table, which its load stripes read: the
+// stored table itself, as ReserveSM requires identity load transforms.
+func (s *Store) loadedBytes(st *tableState) []byte { return s.stripes[0][st.stripe].Src }
+
+// fmRangeOf returns row's FM-resident range and the row's byte offset in it,
+// nil when the row serves from SM.
+func (st *tableState) fmRangeOf(row int64) (*fmRows, int64) {
+	if st.fmRange == nil {
+		return nil, 0
+	}
+	f := &st.fmRange[row/st.rangeRows]
+	if f.b == nil {
+		return nil, 0
+	}
+	return f, (row % st.rangeRows) * int64(st.rowBytes)
+}
+
 // fmRangeRow returns row's stored bytes when its range is FM-resident,
 // nil when the row serves from SM.
 func (st *tableState) fmRangeRow(row int64) []byte {
-	if st.fmRange == nil {
+	f, off := st.fmRangeOf(row)
+	if f == nil {
 		return nil
 	}
-	b := st.fmRange[row/st.rangeRows]
-	if b == nil {
-		return nil
-	}
-	off := (row % st.rangeRows) * int64(st.rowBytes)
-	return b[off : off+int64(st.rowBytes)]
-}
-
-// takeRangeBuf returns the FM buffer for rows [lo, hi) of one of st's ranges.
-// Every range buffer that fits in Config.MigrationRangeBytes gets that one
-// capacity (at most a row more than a full-width range needs) so a parked
-// buffer fits any range of any table; it is not zeroed — Commit requires
-// Finished, so a promotion overwrites every row of its window before the
-// buffer becomes readable.
-func (s *Store) takeRangeBuf(st *tableState, lo, hi int64) []byte {
-	need := (hi - lo) * int64(st.rowBytes)
-	if need > s.cfg.MigrationRangeBytes {
-		return make([]byte, need) // one over-wide row
-	}
-	if n := len(s.spareRanges); n > 0 {
-		buf := s.spareRanges[n-1]
-		s.spareRanges = s.spareRanges[:n-1]
-		return buf[:need]
-	}
-	return make([]byte, need, s.cfg.MigrationRangeBytes)
-}
-
-// parkRangeBuf keeps a released range buffer for reuse. Parked and resident
-// range buffers together never outnumber the store's peak count of
-// FM-resident ranges, each of MigrationRangeBytes capacity: a short range's
-// buffer holds more heap than the FM bytes its rows are budgeted for (up to
-// MigrationRangeBytes more for a table smaller than one range).
-func (s *Store) parkRangeBuf(buf []byte) {
-	if int64(cap(buf)) == s.cfg.MigrationRangeBytes {
-		s.spareRanges = append(s.spareRanges, buf)
-	}
+	return f.b[off : off+int64(st.rowBytes)]
 }
 
 // RangeStat is one row range's live runtime view: its geometry, current
@@ -115,7 +122,7 @@ func (s *Store) RangeStats(dst []RangeStat) []RangeStat {
 				Range:      r,
 				Rows:       hi - lo,
 				Bytes:      (hi - lo) * rb,
-				FMResident: st.fmRange != nil && st.fmRange[r] != nil,
+				FMResident: st.fmRange != nil && st.fmRange[r].b != nil,
 				Lookups:    st.rangeLookups[r],
 			})
 		}
@@ -151,7 +158,7 @@ func (s *Store) rangeMigrationState(table int, lo, hi int64, wantResident bool) 
 		return nil, fmt.Errorf("core: table %d window [%d, %d) not aligned to %d-row ranges", table, lo, hi, st.rangeRows)
 	}
 	for r := int(lo / st.rangeRows); r < st.numRanges() && int64(r)*st.rangeRows < hi; r++ {
-		resident := st.fmRange != nil && st.fmRange[r] != nil
+		resident := st.fmRange != nil && st.fmRange[r].b != nil
 		if resident != wantResident {
 			return nil, fmt.Errorf("core: table %d range %d is %s-resident", table, r,
 				map[bool]string{true: "FM", false: "SM"}[resident])
@@ -165,7 +172,8 @@ func (s *Store) rangeMigrationState(table int, lo, hi int64, wantResident bool) 
 // back through the rings (competing with foreground queries for device
 // time), and Commit installs the rows as FM-resident ranges — §A.3 online
 // updates pending in the cache are folded in, exactly as a whole-table
-// promotion does. lo and hi must align to the table's range width.
+// promotion does. lo and hi must align to the table's range width. Each
+// covered range starts as a view of the loaded table's rows.
 func (s *Store) BeginPromoteRange(table int, lo, hi int64, chunkBytes int) (*Migration, error) {
 	st, err := s.rangeMigrationState(table, lo, hi, false)
 	if err != nil {
@@ -175,9 +183,11 @@ func (s *Store) BeginPromoteRange(table int, lo, hi int64, chunkBytes int) (*Mig
 	if err != nil {
 		return nil, err
 	}
-	m.ranges = make([][]byte, 0, ceilRows(hi-lo, st.rangeRows))
+	src, rb := s.loadedBytes(st), int64(st.rowBytes)
+	m.ranges = make([]fmRows, 0, ceilRows(hi-lo, st.rangeRows))
 	for rlo := lo; rlo < hi; rlo += st.rangeRows {
-		m.ranges = append(m.ranges, s.takeRangeBuf(st, rlo, min(rlo+st.rangeRows, hi)))
+		a, b := rlo*rb, min(rlo+st.rangeRows, hi)*rb
+		m.ranges = append(m.ranges, fmRows{b: src[a:b:b]})
 	}
 	return m, nil
 }

@@ -58,13 +58,8 @@ type Store struct {
 
 	// stripes is each device's load image (blockdev.NewLoaded): the loaded
 	// tables' rows, read in place. Replica stores share it; it is never
-	// written.
+	// written, and promotions install its rows as FM views (fmRows).
 	stripes [][]blockdev.Stripe
-
-	// spareRanges parks the range buffers that demotions (and aborted
-	// promotions) released, for the next range promotion of any table to
-	// reuse instead of allocating.
-	spareRanges [][]byte
 }
 
 // tableState is the runtime placement of one table.
@@ -81,13 +76,13 @@ type tableState struct {
 	// Row-range residency (swappable tables only): rows partition into
 	// fixed-width ranges of rangeRows rows (the last one may be short).
 	// While target == SM, fmRange[r] holds range r's stored rows when the
-	// range has been promoted to FM, nil while it serves from SM; a
-	// whole-table promotion (target == FM) supersedes it. fmRangeBytes is
-	// the stored bytes currently FM-resident through ranges, and
+	// range has been promoted to FM (see fmRows), zero while it serves from
+	// SM; a whole-table promotion (target == FM) supersedes it. fmRangeBytes
+	// is the stored bytes currently FM-resident through ranges, and
 	// rangeLookups the per-range row-lookup counters, folded in operator
 	// order like every other runtime counter.
 	rangeRows    int64
-	fmRange      [][]byte
+	fmRange      []fmRows
 	fmRangeBytes int64
 	rangeLookups []uint64
 
@@ -102,9 +97,10 @@ type tableState struct {
 	// query engine's replay phase.
 	runtime Stats
 
-	// fm is set for FM-direct tables. Until fmOwned, it is the caller's
-	// loaded table, which replicas and the load stripes share: the first
-	// UpdateRow that changes a byte clones it for this store.
+	// fm is set for FM-direct tables. Until fmOwned, it holds the caller's
+	// loaded bytes (as loaded, or installed by a clean promotion), which
+	// replicas and the load stripes share: the first UpdateRow that changes
+	// a byte clones it for this store.
 	fm      *embedding.Table
 	fmOwned bool
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
@@ -37,7 +36,7 @@ func (s *Store) UpdateRow(now simclock.Time, table int, row int64, value []byte,
 	if st.target == placement.FM {
 		// FM tables update in place, once the store owns its copy: the
 		// loaded table is the caller's, so the first write that changes a
-		// byte clones it for this store alone.
+		// byte clones it for this store alone, as for a promoted range.
 		dst, err := st.fm.Row(row)
 		if err != nil {
 			return now, err
@@ -45,16 +44,14 @@ func (s *Store) UpdateRow(now simclock.Time, table int, row int64, value []byte,
 		if len(value) != len(dst) {
 			return now, fmt.Errorf("core: update row size %d, want %d", len(value), len(dst))
 		}
-		if !bytes.Equal(dst, value) {
-			if !st.fmOwned {
-				own, err := embedding.FromBytes(st.fm.Spec(), bytes.Clone(st.fm.Bytes()))
-				if err != nil {
-					return now, err
-				}
-				st.fm, st.fmOwned = own, true
-				dst, _ = own.Row(row)
+		f := fmRows{b: st.fm.Bytes(), owned: st.fmOwned}
+		f.put(row*int64(len(dst)), value)
+		if f.owned != st.fmOwned {
+			own, err := embedding.FromBytes(st.fm.Spec(), f.b)
+			if err != nil {
+				return now, err
 			}
-			copy(dst, value)
+			st.fm, st.fmOwned = own, true
 		}
 		if st.cache != nil {
 			// A swappable table keeps its (possibly still warm) SM-stint
@@ -80,13 +77,13 @@ func (s *Store) UpdateRow(now simclock.Time, table int, row int64, value []byte,
 		return now, fmt.Errorf("core: update row size %d, want %d", len(value), st.rowBytes)
 	}
 	key := cache.Key{Table: int32(st.spec.ID), Row: row}
-	if b := st.fmRangeRow(row); b != nil {
+	if f, off := st.fmRangeOf(row); f != nil {
 		// The row's range is FM-resident: the FM copy is its source of
-		// truth (a later range demotion rewrites SM from it), so update in
-		// place like an FM-direct table — and keep any cached copy
-		// coherent so the SM path cannot resurface a stale row after the
-		// demotion.
-		copy(b, value)
+		// truth (a later range demotion rewrites SM from it), so update it
+		// like an FM-direct table — a changing write copies the range for
+		// this store first — and keep any cached copy coherent so the SM
+		// path cannot resurface a stale row after the demotion.
+		f.put(off, value)
 		if st.cache != nil {
 			st.cache.Put(key, value)
 		}
@@ -112,7 +109,7 @@ func (s *Store) UpdateRow(now simclock.Time, table int, row int64, value []byte,
 		// An in-flight promotion already read this row's old bytes off
 		// SM; patch its FM destination so Commit cannot install the stale
 		// value behind the (non-dirty) cache entry.
-		copy(p.dstRow(row), value)
+		p.putRow(row, value)
 	}
 	return done, nil
 }
