@@ -56,7 +56,7 @@ loc:
 # The aim-2 ratchet: the tree may not outgrow the last simplification PR's
 # `make loc` total. Raising LOC_BUDGET is allowed — as a one-line diff a
 # reviewer sees; lower it whenever a PR shrinks the tree.
-LOC_BUDGET = 18950
+LOC_BUDGET = 18925
 
 # The virtual-time ratchet: the seed-7 sim_digest of each bench/ workload
 # (`bench-e2e-smoke` fails when a printed digest differs or is missing). A
@@ -64,6 +64,14 @@ LOC_BUDGET = 18950
 # on purpose updates them here, as a diff a reviewer sees.
 SMOKE_DIGESTS = fleet-sticky=9ef4758fe41ada43 fleet-feedback=2872bde57a5646fe \
 	host-sm-miss=b3ee1ca414678d56 adapt-drift-writes=52de360c2381e14e
+
+# The heap ratchet: each workload's smoke heap_live_mb in MB
+# (`bench-e2e-smoke` fails when one exceeds its pin by more than
+# BENCHMARK.json's heap_live_mb bound). 386 builds have 4-byte pointers and
+# their own pins; every other GOARCH is held to the 64-bit ones. A PR that
+# lowers a workload's heap lowers its pin, as it lowers LOC_BUDGET.
+SMOKE_HEAP_MB = fleet-sticky=15.86 fleet-feedback=16.65 host-sm-miss=8.06 adapt-drift-writes=16.64
+SMOKE_HEAP_MB_386 = fleet-sticky=15.48 fleet-feedback=16.29 host-sm-miss=8.04 adapt-drift-writes=16.29
 
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
@@ -90,16 +98,27 @@ bench-e2e:
 
 # The same code path end to end on a few hundred queries per workload with
 # every correctness check on (conservation, determinism, oracle) — the CI
-# smoke run; fails when any check does, or when a workload's sim_digest is
-# not the one pinned in SMOKE_DIGESTS.
+# smoke run; fails when any check does, when a workload's sim_digest is not
+# the one pinned in SMOKE_DIGESTS, or when its heap_live_mb exceeds its
+# SMOKE_HEAP_MB pin by more than the bound.
 bench-e2e-smoke:
 	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
 	$(GO) run ./bench -smoke -seed 7 -seconds 1 > $$out; st=$$?; cat $$out; test $$st -eq 0 || exit $$st; \
-	awk -v pinned="$(SMOKE_DIGESTS)" ' \
-		BEGIN { n = split(pinned, p, " "); for (i = 1; i <= n; i++) { split(p[i], kv, "="); want[kv[1]] = kv[2] } } \
+	heap="$(SMOKE_HEAP_MB)"; heapvar=SMOKE_HEAP_MB; \
+	if [ "$$($(GO) env GOARCH)" = 386 ]; then heap="$(SMOKE_HEAP_MB_386)"; heapvar=SMOKE_HEAP_MB_386; fi; \
+	bound=$$(awk '/"name": "heap_live_mb"/ { f = 1 } f && /"bound"/ { gsub(/[^0-9.]/, "", $$2); print $$2; exit }' BENCHMARK.json); \
+	test -n "$$bound" || { echo "bench-e2e-smoke: no heap_live_mb bound in BENCHMARK.json" >&2; exit 1; }; \
+	awk -v pinned="$(SMOKE_DIGESTS)" -v heap="$$heap" -v heapvar=$$heapvar -v bound=$$bound ' \
+		BEGIN { n = split(pinned, p, " "); for (i = 1; i <= n; i++) { split(p[i], kv, "="); want[kv[1]] = kv[2] } \
+			n = split(heap, p, " "); for (i = 1; i <= n; i++) { split(p[i], kv, "="); pin[kv[1]] = kv[2] } } \
 		$$2 == "sim_digest" { seen[$$1] = 1; if ($$3 != want[$$1]) { \
 			printf "bench-e2e-smoke: %s sim_digest %s, pinned %s (Makefile SMOKE_DIGESTS)\n", $$1, $$3, want[$$1]; bad = 1 } } \
+		$$2 == "heap_live_mb" { heapseen[$$1] = 1; if (!($$1 in pin)) { \
+			printf "bench-e2e-smoke: %s has no heap pin (Makefile %s)\n", $$1, heapvar; bad = 1 } \
+			else if ($$3 > pin[$$1] * (1 + bound)) { \
+			printf "bench-e2e-smoke: %s heap_live_mb %s MB, pinned %s MB + %g%% (Makefile %s)\n", $$1, $$3, pin[$$1], 100 * bound, heapvar; bad = 1 } } \
 		END { for (w in want) if (!(w in seen)) { printf "bench-e2e-smoke: %s printed no sim_digest\n", w; bad = 1 } \
+			for (w in pin) if (!(w in heapseen)) { printf "bench-e2e-smoke: %s printed no heap_live_mb\n", w; bad = 1 } \
 			exit bad }' $$out >&2
 
 # The paired-run protocol behind every wall-clock claim in CHANGES.md, as a

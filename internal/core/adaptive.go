@@ -14,7 +14,6 @@ import (
 
 	"sdm/internal/blockdev"
 	"sdm/internal/cache"
-	"sdm/internal/embedding"
 	"sdm/internal/placement"
 	"sdm/internal/simclock"
 )
@@ -64,10 +63,9 @@ func (s *Store) TableStats(dst []TableStat) []TableStat {
 			Target:           st.target,
 			Swappable:        st.swappable,
 			CacheEnabled:     st.cacheEnabled,
-			StoredBytes:      st.spec.SizeBytes(),
-			RowBytes:         st.spec.RowBytes(),
+			StoredBytes:      st.storedSpec.SizeBytes(),
+			RowBytes:         st.rowBytes,
 			RangeRows:        st.rangeRows,
-			FMRangeBytes:     st.fmRangeBytes,
 			Lookups:          st.runtime.Lookups,
 			SMReads:          st.runtime.SMReads,
 			FMDirectReads:    st.runtime.FMDirectReads,
@@ -76,9 +74,8 @@ func (s *Store) TableStats(dst []TableStat) []TableStat {
 			PooledMisses:     st.runtime.PooledMisses,
 			DemoteWriteBytes: st.runtime.DemoteWriteBytes,
 		}
-		if st.rowBytes > 0 {
-			ts.StoredBytes = st.storedSpec.SizeBytes()
-			ts.RowBytes = st.rowBytes
+		if st.target == placement.SM {
+			ts.FMRangeBytes = st.fmBytes
 		}
 		if st.cache != nil {
 			cs := st.cache.Stats()
@@ -89,9 +86,10 @@ func (s *Store) TableStats(dst []TableStat) []TableStat {
 	return dst
 }
 
-// Migration is one in-progress FM↔SM move — a whole table
-// (BeginPromote/BeginDemote) or a range-aligned row window of one
-// (BeginPromoteRange/BeginDemoteRange). The caller issues chunks with Step
+// Migration is one in-progress FM↔SM move of a range-aligned row window
+// (BeginPromoteRange/BeginDemoteRange), or of a whole table: the [0, rows)
+// window, whose Commit also flips the table's target
+// (BeginPromote/BeginDemote). The caller issues chunks with Step
 // at virtual times of its choosing (that is where a bandwidth cap lives),
 // then finalizes the placement swap with Commit once the last chunk's IO
 // has completed on the virtual timeline; Abort renounces a migration whose
@@ -104,18 +102,16 @@ type Migration struct {
 
 	table     int
 	promote   bool // SM→FM reads; false = FM→SM writes
-	ranged    bool // row-window migration over range residency
+	whole     bool // a whole-table move: Commit flips the target
 	chunkRows int64
 
-	// [begin, end) is the row window being moved (the whole table when
-	// ranged is false); next is the first row of the next chunk.
+	// [begin, end) is the row window being moved; next is the first row of
+	// the next chunk.
 	begin, end, next int64
 
-	// A promotion gathers rows off the devices into the FM rows Commit
-	// installs, each a view of the loaded table until a write changes it: the
-	// whole table's, or one per covered range (ranges[0] is range
-	// begin/rangeRows), so demoting one range later drops its bytes alone.
-	data   fmRows
+	// A promotion gathers rows off the devices into the FM ranges Commit
+	// installs, one per covered range (ranges[0] is range begin/rangeRows),
+	// each a view of the loaded table until a write changes it.
 	ranges []fmRows
 
 	issuedBytes int64
@@ -142,7 +138,7 @@ func (s *Store) migrationState(table int, want placement.Target) (*tableState, e
 
 // newMigration claims st's in-flight slot for a move of rows [lo, hi) in
 // chunks of chunkBytes (<= 0 selects 256 KiB, at least one row).
-func (s *Store) newMigration(st *tableState, table int, promote, ranged bool, lo, hi int64, chunkBytes int) (*Migration, error) {
+func (s *Store) newMigration(st *tableState, table int, promote, whole bool, lo, hi int64, chunkBytes int) (*Migration, error) {
 	slot, dir := &st.migOut, "demotion"
 	if promote {
 		slot, dir = &st.migIn, "promotion"
@@ -153,50 +149,49 @@ func (s *Store) newMigration(st *tableState, table int, promote, ranged bool, lo
 	if chunkBytes <= 0 {
 		chunkBytes = 256 << 10
 	}
-	*slot = &Migration{
-		s: s, st: st, table: table, promote: promote, ranged: ranged,
+	m := &Migration{
+		s: s, st: st, table: table, promote: promote, whole: whole,
 		chunkRows: max(int64(chunkBytes)/int64(st.rowBytes), 1),
 		begin:     lo, end: hi, next: lo,
 	}
-	return *slot, nil
+	if promote {
+		m.ranges = st.loadedRanges(s.loadedBytes(st), lo, hi)
+	}
+	*slot = m
+	return m, nil
 }
 
 // BeginPromote starts migrating an SM-resident table into FM: chunks read
 // the table's stripes back through the rings (stealing device channels
-// and bus time from foreground queries), and Commit installs the rebuilt
-// FM table (the loaded one, unless a write changed a byte). chunkBytes is
-// the payload of one Step (<= 0 selects 256 KiB).
+// and bus time from foreground queries), and Commit installs every range of
+// the table (views of the loaded one, unless a write changed a byte) and
+// makes it FM-target. chunkBytes is the payload of one Step (<= 0 selects
+// 256 KiB).
 func (s *Store) BeginPromote(table int, chunkBytes int) (*Migration, error) {
 	st, err := s.migrationState(table, placement.SM)
 	if err != nil {
 		return nil, err
 	}
-	if st.fmRangeBytes > 0 {
-		// A whole-table promotion would rebuild the FM copy from the SM
+	if st.fmBytes > 0 {
+		// A whole-table promotion would read the FM copy from the SM
 		// stripe, which is stale for rows updated while range-resident;
 		// the ranges must be demoted (rewriting SM) first.
 		return nil, fmt.Errorf("core: table %d has FM-resident row ranges; demote them before a whole-table promotion", table)
 	}
-	m, err := s.newMigration(st, table, true, false, 0, st.rows, chunkBytes)
-	if err == nil {
-		m.data = fmRows{b: s.loadedBytes(st)}
-	}
-	return m, err
+	return s.newMigration(st, table, true, true, 0, st.rows, chunkBytes)
 }
 
 // BeginDemote starts migrating an FM-resident table out to its reserved
 // SM stripe: chunks write through the rings (program latency + endurance
-// wear), and Commit drops the FM copy. The table's cache shard is kept —
-// rows are immutable, so any entries from an earlier SM stint stay valid.
+// wear), and Commit drops the FM ranges. The table's cache shard is kept —
+// it was held coherent while the table was FM-resident, so any entries from
+// an earlier SM stint stay valid.
 func (s *Store) BeginDemote(table int, chunkBytes int) (*Migration, error) {
 	st, err := s.migrationState(table, placement.FM)
 	if err != nil {
 		return nil, err
 	}
-	if st.fm == nil {
-		return nil, fmt.Errorf("core: table %d has no FM copy to demote", table)
-	}
-	return s.newMigration(st, table, false, false, 0, st.rows, chunkBytes)
+	return s.newMigration(st, table, false, true, 0, st.rows, chunkBytes)
 }
 
 // Finished reports whether every chunk has been issued.
@@ -285,7 +280,7 @@ func (m *Migration) moveSpan(now simclock.Time, d, lo, hi int64) (simclock.Time,
 		return done, err
 	}
 	for j := lo; j < hi; j++ {
-		if err := dev.PokeRow(st.stripe, j, m.srcRow(j*n+d)); err != nil {
+		if err := dev.PokeRow(st.stripe, j, st.fmRow(j*n+d)); err != nil {
 			return done, err
 		}
 	}
@@ -294,30 +289,16 @@ func (m *Migration) moveSpan(now simclock.Time, d, lo, hi int64) (simclock.Time,
 	return done, nil
 }
 
-// srcRow returns the FM source bytes of global row during a demotion:
-// the whole-table FM copy (as UpdateRow last left it), or the row's
-// FM-resident range.
-func (m *Migration) srcRow(row int64) []byte {
-	rb := int64(m.st.rowBytes)
-	if !m.ranged {
-		return m.st.fm.Bytes()[row*rb : (row+1)*rb]
-	}
-	return m.st.fmRangeRow(row)
-}
-
-// putRow writes v as global row's FM bytes during a promotion — the mirror
-// of srcRow, and the one way a promotion's rows are written.
+// putRow writes v as global row's FM bytes during a promotion — the one way
+// a promotion's rows are written.
 func (m *Migration) putRow(row int64, v []byte) {
-	rb := int64(m.st.rowBytes)
-	if !m.ranged {
-		m.data.put(row*rb, v)
-		return
-	}
-	m.ranges[(row-m.begin)/m.st.rangeRows].put((row%m.st.rangeRows)*rb, v)
+	w := m.st.rangeRows
+	m.ranges[(row-m.begin)/w].put((row%w)*int64(m.st.rowBytes), v)
 }
 
-// Commit finalizes the placement swap: promotions install the FM table
-// rebuilt from the bytes read back from SM, demotions drop the FM copy.
+// Commit finalizes the placement swap: promotions install the FM ranges
+// gathered from SM, demotions drop them, and a whole-table move flips the
+// table's target.
 // It must only be called after every chunk has been issued (Finished) and
 // the caller's virtual time has passed Done — data would otherwise still
 // be "in flight" on the timeline.
@@ -343,30 +324,20 @@ func (m *Migration) Commit() error {
 			// keep serving cache-first, so they are re-marked dirty.
 			m.foldDirty()
 		}
-		if m.ranged {
-			m.installRanges()
-		} else {
-			// FromBytes only wraps the gathered rows, which are exactly the
-			// stored spec's size.
-			tbl, err := embedding.FromBytes(st.storedSpec, m.data.b)
-			if err != nil {
-				return fmt.Errorf("core: promote table %d: %w", m.table, err)
-			}
-			st.fm, st.fmOwned = tbl, m.data.owned
+		m.installRanges()
+		if m.whole {
 			st.target = placement.FM
 		}
 		m.s.stats.MigratedSMToFMBytes += uint64(m.issuedBytes)
 	} else {
-		if m.ranged {
-			m.releaseRanges()
-		} else {
-			st.fm, st.fmOwned = nil, false
+		m.releaseRanges()
+		if m.whole {
 			st.target = placement.SM
 		}
 		m.s.stats.MigratedFMToSMBytes += uint64(m.issuedBytes)
 	}
 	m.s.stats.Migrations++
-	if m.ranged {
+	if !m.whole {
 		m.s.stats.RangeMigrations++
 	}
 	m.committed = true
@@ -410,13 +381,13 @@ func (m *Migration) foldDirty() {
 // ranges.
 func (m *Migration) installRanges() {
 	st := m.st
-	if st.fmRange == nil {
-		st.fmRange = make([]fmRows, st.numRanges())
+	if st.fm == nil {
+		st.fm = make([]fmRows, st.numRanges())
 	}
 	first := int(m.begin / st.rangeRows)
 	for i, f := range m.ranges {
-		st.fmRange[first+i] = f
-		st.fmRangeBytes += int64(len(f.b))
+		st.fm[first+i] = f
+		st.fmBytes += int64(len(f.b))
 	}
 	m.ranges = nil
 }
@@ -425,8 +396,8 @@ func (m *Migration) installRanges() {
 func (m *Migration) releaseRanges() {
 	st := m.st
 	for r := m.begin / st.rangeRows; r*st.rangeRows < m.end; r++ {
-		st.fmRangeBytes -= int64(len(st.fmRange[r].b))
-		st.fmRange[r] = fmRows{}
+		st.fmBytes -= int64(len(st.fm[r].b))
+		st.fm[r] = fmRows{}
 	}
 }
 
@@ -445,7 +416,7 @@ func (m *Migration) Abort() {
 		return
 	}
 	m.aborted = true
-	m.data, m.ranges = fmRows{}, nil
+	m.ranges = nil
 	m.untrack()
 }
 

@@ -164,6 +164,27 @@ func TestOpenReplicaMatchesOpen(t *testing.T) {
 	}
 }
 
+// fmImage returns a table's FM-resident rows back to back.
+func fmImage(st *tableState) []byte {
+	var b []byte
+	for _, f := range st.fm {
+		b = append(b, f.b...)
+	}
+	return b
+}
+
+// loadedViews reports whether every FM range of a table is a view of the
+// loaded table, at the range's own rows.
+func loadedViews(st *tableState, loaded []byte) bool {
+	for r, f := range st.fm {
+		lo, _ := st.rangeBounds(r)
+		if f.owned || &f.b[0] != &loaded[lo*int64(st.rowBytes)] {
+			return false
+		}
+	}
+	return true
+}
+
 // allocated returns the heap bytes f allocates.
 func allocated(f func()) int64 {
 	var m0, m1 runtime.MemStats
@@ -252,7 +273,7 @@ func TestReplicaCleanMigrationCopiesNoImage(t *testing.T) {
 				t.Fatal(err)
 			}
 			now = driveRange(t, m, now)
-			if up && !bytes.Equal(st.fmRange[0].b, tables[fmTable].Bytes()[:len(st.fmRange[0].b)]) {
+			if up && !bytes.Equal(st.fm[0].b, tables[fmTable].Bytes()[:len(st.fm[0].b)]) {
 				t.Fatal("promoted range differs from the table's load bytes")
 			}
 		}
@@ -298,57 +319,97 @@ func TestReplicaCleanMigrationCopiesNoImage(t *testing.T) {
 }
 
 // TestFMUpdateStaysOnItsStore: a changing UpdateRow of an FM-resident table
-// on one replica lands in that store's own copy of the table alone — the
-// caller's loaded table, the donor and the other replica keep their bytes —
-// and a later demotion writes the updated row to that replica's media. An
-// update that rewrites a row's own bytes copies nothing.
+// on one replica lands in that store's own copy of the row's range alone —
+// the caller's loaded table, the donor and the other replica keep their
+// bytes — and a later demotion writes the updated row to that replica's
+// media. The copy is one range: a table fixed in FM is one range, its whole
+// self, while a swappable table copies the updated range and its other
+// ranges stay views of the loaded table. An update that rewrites a row's own
+// bytes copies nothing.
 func TestFMUpdateStaysOnItsStore(t *testing.T) {
-	donor, replicas, tables, fmTable, _ := replicaFixture(t, 2)
-	s := replicas[0]
-	orig := bytes.Clone(tables[fmTable].Bytes())
-	rb := int64(s.tables[fmTable].rowBytes)
-	const row = 3
-	value := bytes.Clone(orig[5*rb : 6*rb])
-	if bytes.Equal(value, orig[row*rb:(row+1)*rb]) {
-		t.Fatal("fixture: the update does not change the row")
-	}
-	now := s.LoadDone()
-	if got := allocated(func() {
-		if _, err := replicas[1].UpdateRow(now, fmTable, row, orig[row*rb:(row+1)*rb], UpdateOnline); err != nil {
-			t.Fatal(err)
-		}
-	}); got >= int64(len(orig)) {
-		t.Fatalf("an equal update allocated %d bytes, want no copy of the %d-byte table", got, len(orig))
-	}
-	if _, err := s.UpdateRow(now, fmTable, row, value, UpdateOnline); err != nil {
-		t.Fatal(err)
-	}
-	want := bytes.Clone(orig)
-	copy(want[row*rb:], value)
-	if got := s.tables[fmTable].fm.Bytes(); !bytes.Equal(got, want) {
-		t.Fatal("the updated replica does not hold the update")
-	}
-	if !bytes.Equal(tables[fmTable].Bytes(), orig) {
-		t.Fatal("an FM update on a replica rewrote the caller's table")
-	}
-	for i, o := range []*Store{donor, replicas[1]} {
-		if !bytes.Equal(o.tables[fmTable].fm.Bytes(), orig) {
-			t.Fatalf("an FM update on a replica reached store %d", i)
+	donor, replicas, tables, swapTable, _ := replicaFixture(t, 2)
+	fixedTable := -1
+	for i, st := range donor.tables {
+		if st.target == placement.FM && !st.swappable {
+			fixedTable = i
+			break
 		}
 	}
+	for _, c := range []struct {
+		name  string
+		table int
+		multi bool // a swappable table of several ranges, else one range
+	}{{"one-range", fixedTable, false}, {"multi-range", swapTable, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			s := replicas[0]
+			if c.table < 0 {
+				t.Fatal("fixture: no table fixed in FM")
+			}
+			st := s.tables[c.table]
+			if n := len(st.fm); (n > 1) != c.multi {
+				t.Fatalf("fixture: %d FM ranges", n)
+			}
+			orig := bytes.Clone(tables[c.table].Bytes())
+			rb := int64(st.rowBytes)
+			const row = 3
+			value := bytes.Clone(orig[5*rb : 6*rb])
+			if bytes.Equal(value, orig[row*rb:(row+1)*rb]) || (c.multi && st.rangeRows <= row) {
+				t.Fatal("fixture: the update does not change the row, or row 3 is past range 0")
+			}
+			now := s.LoadDone()
+			if got := allocated(func() {
+				if _, err := replicas[1].UpdateRow(now, c.table, row, orig[row*rb:(row+1)*rb], UpdateOnline); err != nil {
+					t.Fatal(err)
+				}
+			}); got >= int64(len(orig)) {
+				t.Fatalf("an equal update allocated %d bytes, want no copy of the %d-byte table", got, len(orig))
+			}
+			w := int64(len(st.fm[0].b))
+			if got := allocated(func() {
+				if _, err := s.UpdateRow(now, c.table, row, value, UpdateOnline); err != nil {
+					t.Fatal(err)
+				}
+			}); got < w || got >= w+w/8 {
+				t.Fatalf("the first changing update allocated %d bytes, want one copy of the %d-byte range", got, w)
+			}
+			want := bytes.Clone(orig)
+			copy(want[row*rb:], value)
+			if !bytes.Equal(fmImage(st), want) {
+				t.Fatal("the updated replica does not hold the update")
+			}
+			if !st.fm[0].owned {
+				t.Fatal("the update did not copy the row's range")
+			}
+			for r, f := range st.fm[1:] {
+				if f.owned || &f.b[0] != &tables[c.table].Bytes()[w*int64(r+1)] {
+					t.Fatalf("the update copied range %d too", r+1)
+				}
+			}
+			if !bytes.Equal(tables[c.table].Bytes(), orig) {
+				t.Fatal("an FM update on a replica rewrote the caller's table")
+			}
+			for i, o := range []*Store{donor, replicas[1]} {
+				if !bytes.Equal(fmImage(o.tables[c.table]), orig) {
+					t.Fatalf("an FM update on a replica reached store %d", i)
+				}
+			}
+			if !st.swappable {
+				return
+			}
 
-	m, err := s.BeginDemote(fmTable, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveRange(t, m, now)
-	st := s.tables[fmTable]
-	dev, off := s.smLocation(st, row)
-	if got := media(t, s.devices[dev])[off : off+rb]; !bytes.Equal(got, value) {
-		t.Fatal("the demotion did not write the updated row")
-	}
-	if got := media(t, donor.devices[dev])[off : off+rb]; !bytes.Equal(got, orig[row*rb:(row+1)*rb]) {
-		t.Fatal("the replica's demotion reached the donor's media")
+			m, err := s.BeginDemote(c.table, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			driveRange(t, m, now)
+			dev, off := s.smLocation(st, row)
+			if got := media(t, s.devices[dev])[off : off+rb]; !bytes.Equal(got, value) {
+				t.Fatal("the demotion did not write the updated row")
+			}
+			if got := media(t, donor.devices[dev])[off : off+rb]; !bytes.Equal(got, orig[row*rb:(row+1)*rb]) {
+				t.Fatal("the replica's demotion reached the donor's media")
+			}
+		})
 	}
 }
 
@@ -418,7 +479,7 @@ func TestPromotedUpdateStaysOnItsStore(t *testing.T) {
 				t.Fatal(err)
 			}
 			now = driveRange(t, m, now)
-			if st := s.tables[table]; st.fmOwned || &st.fm.Bytes()[0] != &s.loadedBytes(st)[0] {
+			if st := s.tables[table]; !loadedViews(st, s.loadedBytes(st)) {
 				t.Fatal("a clean whole-table promotion did not install the loaded table")
 			}
 			if _, err := s.UpdateRow(now, table, row, value, UpdateOnline); err != nil {
@@ -439,11 +500,7 @@ func TestPromotedUpdateStaysOnItsStore(t *testing.T) {
 			}
 			now := c.promote(t, s, table, value, s.LoadDone())
 
-			served := st.fmRangeRow(row)
-			if c.whole {
-				served, _ = st.fm.Row(row)
-			}
-			if !bytes.Equal(served, value) {
+			if !bytes.Equal(st.fmRow(row), value) {
 				t.Fatal("the updated replica does not serve the update from FM")
 			}
 			if !bytes.Equal(tables[table].Bytes(), orig) {

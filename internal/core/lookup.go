@@ -83,20 +83,29 @@ func (s *Store) poolOne(c *opCtx, pool []int64, out []float32) error {
 
 	clear(out)
 
+	p := quant.NewPooler(out, st.storedSpec.QType)
 	if st.target == placement.FM {
-		// Direct FM placement: plain memory pooling, no cache overhead —
-		// the baseline SDM competes with in Fig. 6.
-		if err := st.fm.Pool(out, pool); err != nil {
+		// Direct FM placement: plain memory pooling of the table's ranges,
+		// no cache overhead and no range accounting — the baseline SDM
+		// competes with in Fig. 6.
+		for _, idx := range pool {
+			if idx < 0 || idx >= st.rows {
+				return fmt.Errorf("core: table %d: %w: %d of %d", st.spec.ID, embedding.ErrRowRange, idx, st.rows)
+			}
+			if err := p.Add(st.fmRow(idx)); err != nil {
+				return err
+			}
+		}
+		if err := p.Flush(); err != nil {
 			return err
 		}
 		n := len(pool)
 		c.stats.Lookups += uint64(n)
 		c.stats.FMDirectReads += uint64(n)
-		c.res.CPUTime += FMPoolCPU(n * st.spec.RowBytes())
+		c.res.CPUTime += FMPoolCPU(n * st.rowBytes)
 		return nil
 	}
 
-	p := quant.NewPooler(out, st.storedSpec.QType)
 	for i, idx := range pool {
 		if i%quant.PoolerRows == 0 {
 			s.prefetch(st, pool[i:min(i+quant.PoolerRows, len(pool))])
@@ -155,7 +164,7 @@ func (s *Store) prefetch(st *tableState, chunk []int64) {
 		if row < 0 || row >= st.rows {
 			continue
 		}
-		b := st.fmRangeRow(row)
+		b := st.fmRow(row)
 		if b == nil && st.cacheEnabled {
 			b = st.cache.Peek(cache.Key{Table: int32(st.spec.ID), Row: row})
 		}
@@ -187,7 +196,7 @@ func (s *Store) fetchRow(c *opCtx, row int64, buf []byte) ([]byte, error) {
 	}
 	// FM-resident row range (partial-table promotion): plain memory read,
 	// no cache probe — the per-range analogue of the FM-direct fast path.
-	if b := st.fmRangeRow(row); b != nil {
+	if b := st.fmRow(row); b != nil {
 		c.stats.FMDirectReads++
 		c.stats.RangeFMReads++
 		c.res.CPUTime += FMPoolCPU(rb)

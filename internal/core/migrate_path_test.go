@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"weak"
 
 	"sdm/internal/blockdev"
 	"sdm/internal/placement"
+	"sdm/internal/quant"
 	"sdm/internal/simclock"
 	"sdm/internal/uring"
 	"sdm/internal/workload"
@@ -208,7 +210,7 @@ func TestMigrationDataPathMatchesSubmitSync(t *testing.T) {
 					t.Fatalf("moved %d, FM-resident %d, want %d", m.BytesMoved(), a.FMResidentBytes(table), (hi-lo)*rb)
 				}
 				for r := int64(0); r < st.rows; r++ {
-					got := st.fmRangeRow(r)
+					got := st.fmRow(r)
 					if r < lo && got != nil {
 						t.Fatalf("row %d outside the window became FM-resident", r)
 					}
@@ -345,10 +347,10 @@ func TestStepFailureCountsIssuedBytes(t *testing.T) {
 		}
 	}
 	pm.Abort()
-	if st.migIn != nil || pm.ranges != nil || pm.data.b != nil {
+	if st.migIn != nil || pm.ranges != nil {
 		t.Fatalf("aborted promotion: in-flight slot %v, %d ranges still held", st.migIn, len(pm.ranges))
 	}
-	if s.FMResidentBytes(table) != 2*rr*int64(st.rowBytes) || st.fmRange[2].b != nil || st.fmRange[3].b != nil {
+	if s.FMResidentBytes(table) != 2*rr*int64(st.rowBytes) || st.fm[2].b != nil || st.fm[3].b != nil {
 		t.Fatal("an aborted promotion made its window FM-resident")
 	}
 	if _, err := s.BeginPromoteRange(table, 2*rr, 4*rr, chunk); err != nil {
@@ -388,9 +390,9 @@ func TestMigrationAllocBudget(t *testing.T) {
 	}); got >= 1<<10 {
 		t.Fatalf("promoting %d ranges allocated %d bytes, want under 1 KiB", st.numRanges(), got)
 	}
-	for r := range st.fmRange {
+	for r := range st.fm {
 		lo, _ := st.rangeBounds(r)
-		if f := st.fmRange[r]; f.owned || &f.b[0] != &tables[table].Bytes()[lo*int64(st.rowBytes)] {
+		if f := st.fm[r]; f.owned || &f.b[0] != &tables[table].Bytes()[lo*int64(st.rowBytes)] {
 			t.Fatalf("range %d is not a view of the loaded table", r)
 		}
 	}
@@ -411,22 +413,96 @@ func TestMigrationAllocBudget(t *testing.T) {
 	if got := write(st.rangeRows + 2); got >= 1<<10 {
 		t.Fatalf("a second changing write to the copied range allocated %d bytes", got)
 	}
-	for r := range st.fmRange {
-		if st.fmRange[r].owned != (r == 1) {
-			t.Fatalf("range %d owned=%t after writes to range 1", r, st.fmRange[r].owned)
+	for r := range st.fm {
+		if st.fm[r].owned != (r == 1) {
+			t.Fatalf("range %d owned=%t after writes to range 1", r, st.fm[r].owned)
 		}
 	}
-	if !bytes.Equal(st.fmRangeRow(st.rangeRows+2), value) {
+	if !bytes.Equal(st.fmRow(st.rangeRows+2), value) {
 		t.Fatal("the range's copy does not hold the write")
 	}
-	copied := weak.Make(&st.fmRange[1].b[0])
+	copied := weak.Make(&st.fm[1].b[0])
 	d, err := s.BeginDemoteRange(table, st.rangeRows, 2*st.rangeRows, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	driveRange(t, d, now)
 	runtime.GC()
-	if st.fmRange[1].b != nil || copied.Value() != nil {
+	if st.fm[1].b != nil || copied.Value() != nil {
 		t.Fatal("the demotion kept the range's copy")
+	}
+}
+
+// TestFlushBehindPromotionCursor: an online update of a row that an
+// in-flight promotion has already moved lives cache-first as a dirty entry,
+// and FlushUpdates may drain it to SM before the promotion commits. That SM
+// write must patch the promotion's copy of the row too, or Commit installs
+// the old row — served from FM, and written back over the update by the
+// next demotion. Both grains: one range, and the whole table.
+func TestFlushBehindPromotionCursor(t *testing.T) {
+	const table, row = 1, 3
+	for _, whole := range []bool{false, true} {
+		t.Run(map[bool]string{false: "range", true: "whole-table"}[whole], func(t *testing.T) {
+			s, _, tables := adaptiveFixture(t, rangeConfig(2, 8<<10))
+			st := s.tables[table]
+			rb := int64(st.rowBytes)
+			orig := tables[table].Bytes()
+			value := bytes.Clone(orig[5*rb : 6*rb])
+			if bytes.Equal(value, orig[row*rb:(row+1)*rb]) || st.cache == nil {
+				t.Fatal("fixture: the update does not change the row, or the table has no cache")
+			}
+			now := s.LoadDone()
+			promote := func() (*Migration, error) { return s.BeginPromoteRange(table, 0, st.rangeRows, 2*st.rowBytes) }
+			if whole {
+				promote = func() (*Migration, error) { return s.BeginPromote(table, 2*st.rowBytes) }
+			}
+			m, err := promote()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range 3 {
+				if _, _, err := m.Step(now); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if m.next <= row || m.Finished() {
+				t.Fatalf("fixture: cursor at %d", m.next)
+			}
+			if _, err := s.UpdateRow(now, table, row, value, UpdateOnline); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.FlushUpdates(now); err != nil {
+				t.Fatal(err)
+			}
+			now = driveRange(t, m, now)
+			if !bytes.Equal(st.fmRow(row), value) {
+				t.Fatal("the promotion installed the row as it was before the flushed update")
+			}
+			want := make([]float32, st.spec.Dim)
+			if err := quant.DequantizeRow(want, value, st.storedSpec.QType); err != nil {
+				t.Fatal(err)
+			}
+			out := [][]float32{make([]float32, st.spec.Dim)}
+			op := workload.TableOp{Table: table, Pools: [][]int64{{row}}}
+			if _, err := s.PoolOps(now, []workload.TableOp{op}, [][][]float32{out}); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(out[0], want) {
+				t.Fatal("the promoted table does not serve the flushed update")
+			}
+
+			d, err := s.BeginDemoteRange(table, 0, st.rangeRows, 0)
+			if whole {
+				d, err = s.BeginDemote(table, 0)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			driveRange(t, d, now)
+			dev, off := s.smLocation(st, row)
+			if got := media(t, s.devices[dev])[off : off+rb]; !bytes.Equal(got, value) {
+				t.Fatal("the demotion wrote the old row back over the update")
+			}
+		})
 	}
 }

@@ -1,14 +1,17 @@
-// Row-range residency: the partial-table migration primitives. Whole-table
-// migration (adaptive.go) wastes FM exactly where the paper says it is
-// scarcest — row popularity within a table is Zipf-skewed, so most bytes of
-// an FM-resident table are cold. A swappable table's rows therefore
+// Row-range residency: a table's FM bytes and the partial-table migration
+// primitives. Whole-table migration wastes FM exactly where the paper says it
+// is scarcest — row popularity within a table is Zipf-skewed, so most bytes
+// of an FM-resident table are cold. A swappable table's rows therefore
 // partition into fixed-width ranges (Config.MigrationRangeBytes); while the
 // table's target stays SM, individual [lo, hi) row windows can be promoted
 // into FM and demoted back through the same chunked, ring-accounted
 // Migration machinery, and per-range lookup counters (folded in operator
 // order, so parallelism-invariant) give the adapt subsystem the demand
-// densities its range-granular knapsack ranks. A promoted range reads the
-// loaded table in place until a write changes it (fmRows).
+// densities its range-granular knapsack ranks. Every FM byte of a table is a
+// resident range (tableState.fm): an FM-target table is all of its ranges,
+// and a whole-table migration is the [0, rows) window plus a target flip. A
+// resident range reads the loaded table in place until a write changes it
+// (fmRows).
 
 package core
 
@@ -38,9 +41,9 @@ func (st *tableState) rangeBounds(r int) (lo, hi int64) {
 	return lo, hi
 }
 
-// fmRows is promoted rows — one row range, or a whole table in flight: a
-// read-only view of the loaded table until put changes a byte and gives the
-// store its own copy, so a clean promotion copies nothing.
+// fmRows is one FM-resident row range: a read-only view of the loaded table
+// until put changes a byte and gives the store its own copy of the range, so
+// a clean promotion copies nothing.
 type fmRows struct {
 	b     []byte
 	owned bool
@@ -64,27 +67,53 @@ func (f *fmRows) put(off int64, v []byte) {
 // stored table itself, as ReserveSM requires identity load transforms.
 func (s *Store) loadedBytes(st *tableState) []byte { return s.stripes[0][st.stripe].Src }
 
-// fmRangeOf returns row's FM-resident range and the row's byte offset in it,
-// nil when the row serves from SM.
-func (st *tableState) fmRangeOf(row int64) (*fmRows, int64) {
-	if st.fmRange == nil {
-		return nil, 0
+// loadedRanges returns views of src's rows [lo, hi), one per range they
+// cover (one in all for a table without range provisioning).
+func (st *tableState) loadedRanges(src []byte, lo, hi int64) []fmRows {
+	w, rb := st.rangeRows, int64(st.rowBytes)
+	if w <= 0 {
+		w = hi - lo
 	}
-	f := &st.fmRange[row/st.rangeRows]
+	f := make([]fmRows, 0, ceilRows(hi-lo, w))
+	for r := lo; r < hi; r += w {
+		a, b := r*rb, min(r+w, hi)*rb
+		f = append(f, fmRows{b: src[a:b:b]})
+	}
+	return f
+}
+
+// fmRowsOf returns row's FM-resident range and the row's byte offset in it,
+// nil when the row serves from SM. A one-range table needs no division.
+func (st *tableState) fmRowsOf(row int64) (*fmRows, int64) {
+	var f *fmRows
+	switch len(st.fm) {
+	case 0:
+		return nil, 0
+	case 1:
+		f = &st.fm[0]
+	default:
+		f, row = &st.fm[row/st.rangeRows], row%st.rangeRows
+	}
 	if f.b == nil {
 		return nil, 0
 	}
-	return f, (row % st.rangeRows) * int64(st.rowBytes)
+	return f, row * int64(st.rowBytes)
 }
 
-// fmRangeRow returns row's stored bytes when its range is FM-resident,
-// nil when the row serves from SM.
-func (st *tableState) fmRangeRow(row int64) []byte {
-	f, off := st.fmRangeOf(row)
+// fmRow returns row's stored bytes when it is FM-resident, nil when the row
+// serves from SM.
+func (st *tableState) fmRow(row int64) []byte {
+	f, off := st.fmRowsOf(row)
 	if f == nil {
 		return nil
 	}
 	return f.b[off : off+int64(st.rowBytes)]
+}
+
+// rangeResident reports whether range r of an SM-target table serves from
+// FM.
+func (st *tableState) rangeResident(r int) bool {
+	return st.target == placement.SM && r < len(st.fm) && st.fm[r].b != nil
 }
 
 // RangeStat is one row range's live runtime view: its geometry, current
@@ -122,7 +151,7 @@ func (s *Store) RangeStats(dst []RangeStat) []RangeStat {
 				Range:      r,
 				Rows:       hi - lo,
 				Bytes:      (hi - lo) * rb,
-				FMResident: st.fmRange != nil && st.fmRange[r].b != nil,
+				FMResident: st.rangeResident(r),
 				Lookups:    st.rangeLookups[r],
 			})
 		}
@@ -158,7 +187,7 @@ func (s *Store) rangeMigrationState(table int, lo, hi int64, wantResident bool) 
 		return nil, fmt.Errorf("core: table %d window [%d, %d) not aligned to %d-row ranges", table, lo, hi, st.rangeRows)
 	}
 	for r := int(lo / st.rangeRows); r < st.numRanges() && int64(r)*st.rangeRows < hi; r++ {
-		resident := st.fmRange != nil && st.fmRange[r].b != nil
+		resident := st.rangeResident(r)
 		if resident != wantResident {
 			return nil, fmt.Errorf("core: table %d range %d is %s-resident", table, r,
 				map[bool]string{true: "FM", false: "SM"}[resident])
@@ -179,17 +208,7 @@ func (s *Store) BeginPromoteRange(table int, lo, hi int64, chunkBytes int) (*Mig
 	if err != nil {
 		return nil, err
 	}
-	m, err := s.newMigration(st, table, true, true, lo, hi, chunkBytes)
-	if err != nil {
-		return nil, err
-	}
-	src, rb := s.loadedBytes(st), int64(st.rowBytes)
-	m.ranges = make([]fmRows, 0, ceilRows(hi-lo, st.rangeRows))
-	for rlo := lo; rlo < hi; rlo += st.rangeRows {
-		a, b := rlo*rb, min(rlo+st.rangeRows, hi)*rb
-		m.ranges = append(m.ranges, fmRows{b: src[a:b:b]})
-	}
-	return m, nil
+	return s.newMigration(st, table, true, false, lo, hi, chunkBytes)
 }
 
 // BeginDemoteRange starts migrating the FM-resident row window [lo, hi)
@@ -202,19 +221,15 @@ func (s *Store) BeginDemoteRange(table int, lo, hi int64, chunkBytes int) (*Migr
 	if err != nil {
 		return nil, err
 	}
-	return s.newMigration(st, table, false, true, lo, hi, chunkBytes)
+	return s.newMigration(st, table, false, false, lo, hi, chunkBytes)
 }
 
-// FMResidentBytes returns the table's bytes currently served from FM:
-// the full stored footprint when the table is FM-target, else the bytes
-// of its FM-resident ranges.
+// FMResidentBytes returns the table's bytes currently served from FM: the
+// full stored footprint of a swappable FM-target table, else the bytes of
+// its FM-resident ranges (0 for a table fixed in FM).
 func (s *Store) FMResidentBytes(table int) int64 {
 	if table < 0 || table >= len(s.tables) {
 		return 0
 	}
-	st := s.tables[table]
-	if st.target == placement.FM {
-		return st.storedSpec.SizeBytes()
-	}
-	return st.fmRangeBytes
+	return s.tables[table].fmBytes
 }

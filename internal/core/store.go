@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"time"
 
 	"sdm/internal/blockdev"
@@ -73,18 +74,23 @@ type tableState struct {
 	// whichever tier the table currently occupies.
 	swappable bool
 
-	// Row-range residency (swappable tables only): rows partition into
-	// fixed-width ranges of rangeRows rows (the last one may be short).
-	// While target == SM, fmRange[r] holds range r's stored rows when the
-	// range has been promoted to FM (see fmRows), zero while it serves from
-	// SM; a whole-table promotion (target == FM) supersedes it. fmRangeBytes
-	// is the stored bytes currently FM-resident through ranges, and
-	// rangeLookups the per-range row-lookup counters, folded in operator
-	// order like every other runtime counter.
+	// Row-range provisioning (swappable tables only): rows partition into
+	// fixed-width ranges of rangeRows rows (the last one may be short), and
+	// rangeLookups holds the per-range row-lookup counters, folded in
+	// operator order like every other runtime counter.
 	rangeRows    int64
-	fmRange      []fmRows
-	fmRangeBytes int64
 	rangeLookups []uint64
+
+	// fm is the table's FM residency, one fmRows per range: fm[r] holds
+	// range r's stored rows while it is FM-resident and is zero while it
+	// serves from SM. An FM-target table has every range resident — a
+	// table without range provisioning has one range, its whole self — and
+	// a whole-table migration moves all of them and flips target. fm is
+	// nil until a range of an SM-target table is first promoted. fmBytes
+	// is the resident bytes of a swappable table's ranges (a fixed FM
+	// table's range cannot migrate and is not counted).
+	fm      []fmRows
+	fmBytes int64
 
 	// migIn/migOut track the table's in-flight promotion/demotion (one
 	// each), so UpdateRow can keep rows whose chunk already moved
@@ -96,13 +102,6 @@ type tableState struct {
 	// runtime accumulates this table's runtime counters, folded by the
 	// query engine's replay phase.
 	runtime Stats
-
-	// fm is set for FM-direct tables. Until fmOwned, it holds the caller's
-	// loaded bytes (as loaded, or installed by a clean promotion), which
-	// replicas and the load stripes share: the first UpdateRow that changes
-	// a byte clones it for this store.
-	fm      *embedding.Table
-	fmOwned bool
 
 	// SM layout: rows stripe across devices; row r lives on device
 	// r % numDevices as row r/numDevices of the device's load stripe number
@@ -224,7 +223,8 @@ func OpenReplica(donor *Store, cfg Config, _ *simclock.Clock) (*Store, error) {
 			cacheEnabled: dt.cacheEnabled,
 			swappable:    dt.swappable,
 			rangeRows:    dt.rangeRows,
-			fm:           dt.fm,
+			fm:           slices.Clone(dt.fm), // the views are shared, the slots are not
+			fmBytes:      dt.fmBytes,
 			stripe:       dt.stripe,
 			rowBytes:     dt.rowBytes,
 			rows:         dt.rows,
@@ -284,14 +284,17 @@ func (s *Store) loadTables(tables []*embedding.Table) error {
 			st.rangeLookups = make([]uint64, (st.spec.Rows+st.rangeRows-1)/st.rangeRows)
 		}
 		if st.target == placement.FM {
-			st.fm = t
+			// FM tables are stored as loaded: their ranges read the
+			// caller's table until a write changes one (fmRows).
+			st.storedSpec = t.Spec()
+			st.rowBytes = t.Spec().RowBytes()
+			st.rows = t.Spec().Rows
+			st.fm = st.loadedRanges(t.Bytes(), 0, st.rows)
 			if st.swappable {
 				// A reserved stripe, so a runtime demotion has somewhere to
 				// write. Identity load transforms (enforced with ReserveSM)
 				// make the FM bytes exactly what a clean demotion writes.
-				st.storedSpec = t.Spec()
-				st.rowBytes = t.Spec().RowBytes()
-				st.rows = t.Spec().Rows
+				st.fmBytes = t.Spec().SizeBytes()
 				smBytes += t.Spec().SizeBytes()
 				loads = append(loads, smLoad{idx: i, table: t})
 			}

@@ -6,7 +6,6 @@ import (
 
 	"sdm/internal/blockdev"
 	"sdm/internal/cache"
-	"sdm/internal/embedding"
 	"sdm/internal/placement"
 	"sdm/internal/simclock"
 )
@@ -33,34 +32,6 @@ func (s *Store) UpdateRow(now simclock.Time, table int, row int64, value []byte,
 		return now, fmt.Errorf("core: update table %d out of range", table)
 	}
 	st := s.tables[table]
-	if st.target == placement.FM {
-		// FM tables update in place, once the store owns its copy: the
-		// loaded table is the caller's, so the first write that changes a
-		// byte clones it for this store alone, as for a promoted range.
-		dst, err := st.fm.Row(row)
-		if err != nil {
-			return now, err
-		}
-		if len(value) != len(dst) {
-			return now, fmt.Errorf("core: update row size %d, want %d", len(value), len(dst))
-		}
-		f := fmRows{b: st.fm.Bytes(), owned: st.fmOwned}
-		f.put(row*int64(len(dst)), value)
-		if f.owned != st.fmOwned {
-			own, err := embedding.FromBytes(st.fm.Spec(), f.b)
-			if err != nil {
-				return now, err
-			}
-			st.fm, st.fmOwned = own, true
-		}
-		if st.cache != nil {
-			// A swappable table keeps its (possibly still warm) SM-stint
-			// cache shard coherent with the FM copy, so a later demotion
-			// cannot resurface a stale cached row.
-			st.cache.Put(cache.Key{Table: int32(st.spec.ID), Row: row}, value)
-		}
-		return s.demoteWriteThrough(now, st, row, value)
-	}
 	if row < 0 || row >= st.spec.Rows {
 		// Unchecked, a row past the end would land in whatever follows the
 		// table's stripe on the device.
@@ -77,12 +48,12 @@ func (s *Store) UpdateRow(now simclock.Time, table int, row int64, value []byte,
 		return now, fmt.Errorf("core: update row size %d, want %d", len(value), st.rowBytes)
 	}
 	key := cache.Key{Table: int32(st.spec.ID), Row: row}
-	if f, off := st.fmRangeOf(row); f != nil {
-		// The row's range is FM-resident: the FM copy is its source of
-		// truth (a later range demotion rewrites SM from it), so update it
-		// like an FM-direct table — a changing write copies the range for
-		// this store first — and keep any cached copy coherent so the SM
-		// path cannot resurface a stale row after the demotion.
+	if f, off := st.fmRowsOf(row); f != nil {
+		// The row is FM-resident — an FM table's or a promoted range's: the
+		// FM copy is its source of truth (a later demotion rewrites SM from
+		// it), so it is updated in place, once the store owns its copy of
+		// the range (fmRows.put), and any cached copy is kept coherent so
+		// the SM path cannot resurface a stale row after the demotion.
 		f.put(off, value)
 		if st.cache != nil {
 			st.cache.Put(key, value)
@@ -96,8 +67,7 @@ func (s *Store) UpdateRow(now simclock.Time, table int, row int64, value []byte,
 		st.cache.PutDirty(key, value)
 		return now, nil
 	}
-	dev, off := s.smLocation(st, row)
-	done, err := s.devices[dev].Write(now, value, off)
+	done, err := s.writeSM(now, st, row, value)
 	if err != nil {
 		return now, err
 	}
@@ -105,10 +75,20 @@ func (s *Store) UpdateRow(now simclock.Time, table int, row int64, value []byte,
 	if st.cache != nil {
 		st.cache.Put(key, value)
 	}
+	return done, nil
+}
+
+// writeSM writes value as row's SM bytes at now. A row an in-flight
+// promotion has already read off SM is patched in its FM destination too
+// (putRow books no virtual time), so Commit cannot install the stale value
+// behind a clean cache entry.
+func (s *Store) writeSM(now simclock.Time, st *tableState, row int64, value []byte) (simclock.Time, error) {
+	dev, off := s.smLocation(st, row)
+	done, err := s.devices[dev].Write(now, value, off)
+	if err != nil {
+		return done, err
+	}
 	if p := st.migIn; p != nil && row >= p.begin && row < p.next {
-		// An in-flight promotion already read this row's old bytes off
-		// SM; patch its FM destination so Commit cannot install the stale
-		// value behind the (non-dirty) cache entry.
 		p.putRow(row, value)
 	}
 	return done, nil
@@ -138,8 +118,7 @@ func (s *Store) FlushUpdates(now simclock.Time) (simclock.Time, error) {
 		if st == nil || st.target != placement.SM {
 			return
 		}
-		dev, off := s.smLocation(st, k.Row)
-		t, err := s.devices[dev].Write(now, v, off)
+		t, err := s.writeSM(now, st, k.Row, v)
 		if err != nil && firstErr == nil {
 			firstErr = err
 			return

@@ -160,8 +160,6 @@ func FillSyntheticRow(dst []float32, seed uint64, tableID int, r int64, zeroFrac
 
 // FromBytes wraps raw stored rows (quantized, back to back) as a Table.
 // data must be exactly spec.SizeBytes() long; the table takes ownership.
-// It is how the migration engine rebuilds an FM-resident table from the
-// bytes it read back from SM.
 func FromBytes(spec Spec, data []byte) (*Table, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
