@@ -14,14 +14,23 @@ import (
 	"sdm/internal/simclock"
 )
 
-// move is one planned placement move: a whole table, or the row window
-// [Lo, Hi) of one. The policy layer emits moves; the actuator executes
-// them.
+// move is one planned placement move: the row window [Lo, Hi) of a table.
+// A Whole move is the [0, rows) window plus a flip of the table's target,
+// as core's whole-table migration is. The policy layer emits moves; the
+// actuator executes them.
 type move struct {
 	Table   int
 	Promote bool
-	Ranged  bool
+	Whole   bool
 	Lo, Hi  int64
+}
+
+// overlaps reports whether m and o share a row of one table.
+func (m move) overlaps(o move) bool { return m.Table == o.Table && m.Lo < o.Hi && o.Lo < m.Hi }
+
+// covers reports whether m's window holds the row window [lo, hi) of table.
+func (m move) covers(table int, lo, hi int64) bool {
+	return m.Table == table && m.Lo <= lo && hi <= m.Hi
 }
 
 // Window is one granted migration window [Open, Close): migration chunks
@@ -238,7 +247,7 @@ func (x *actuator) advance(now simclock.Time) {
 			} else {
 				x.stats.Demotions++
 			}
-			if act.job.Ranged {
+			if !act.job.Whole {
 				x.stats.RangeMoves++
 			}
 			x.stats.MigratedBytes += act.m.BytesMoved()
@@ -259,14 +268,14 @@ func (x *actuator) begin(job move) (migration, error) {
 		err error
 	)
 	switch {
-	case job.Ranged && job.Promote:
-		m, err = x.store.BeginPromoteRange(job.Table, job.Lo, job.Hi, x.chunkBytes)
-	case job.Ranged:
-		m, err = x.store.BeginDemoteRange(job.Table, job.Lo, job.Hi, x.chunkBytes)
-	case job.Promote:
+	case job.Whole && job.Promote:
 		m, err = x.store.BeginPromote(job.Table, x.chunkBytes)
-	default:
+	case job.Whole:
 		m, err = x.store.BeginDemote(job.Table, x.chunkBytes)
+	case job.Promote:
+		m, err = x.store.BeginPromoteRange(job.Table, job.Lo, job.Hi, x.chunkBytes)
+	default:
+		m, err = x.store.BeginDemoteRange(job.Table, job.Lo, job.Hi, x.chunkBytes)
 	}
 	if err != nil {
 		return nil, err

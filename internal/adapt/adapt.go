@@ -364,7 +364,7 @@ func (a *Adapter) BeforeAdmit(now simclock.Time) {
 		// fresh plan is about to drop still blocks re-planning its table
 		// this eval (its slot frees by the next one).
 		a.pending = a.act.appendPending(a.pending[:0])
-		pl := a.pol.plan(a.telem, a.store, a.pending, a.wearBudget(now))
+		pl := a.pol.plan(a.telem, a.pending, a.wearBudget(now))
 		for _, d := range pl.decisions {
 			a.tracer.Plan(now, d)
 			if d.Action == "defer" {
@@ -373,7 +373,7 @@ func (a *Adapter) BeforeAdmit(now simclock.Time) {
 		}
 		a.stats.Planned += len(pl.moves)
 		// A queued move survives only if the fresh plan still wants it.
-		a.act.reconcile(func(m move) bool { return pl.wants(m, a.store.RangeRowsOf(m.Table)) })
+		a.act.reconcile(pl.wants)
 		a.act.enqueue(pl.moves)
 		a.act.advance(now)
 	})
@@ -397,9 +397,10 @@ func (a *Adapter) wearBudget(now simclock.Time) placement.WearBudget {
 // It is not part of serving.Tuner; it stays because frozen bench/ calls it.
 func (a *Adapter) AfterAdmit(arrive, done simclock.Time) {}
 
-// coalesce merges adjacent range moves of the same table and direction
-// into single [Lo, Hi) migrations (whole-table moves pass through), so one
-// hot head of k contiguous ranges costs one migration, not k.
+// coalesce merges adjacent moves of the same table and direction into
+// single [Lo, Hi) migrations (a whole-table move spans its table, so it has
+// no neighbour to merge with), so one hot head of k contiguous ranges costs
+// one migration, not k.
 func coalesce(jobs []move) []move {
 	sort.SliceStable(jobs, func(i, j int) bool {
 		if jobs[i].Table != jobs[j].Table {
@@ -411,7 +412,7 @@ func coalesce(jobs []move) []move {
 	for _, j := range jobs {
 		if n := len(out); n > 0 {
 			last := &out[n-1]
-			if last.Ranged && j.Ranged && last.Table == j.Table && last.Promote == j.Promote && last.Hi == j.Lo {
+			if last.Table == j.Table && last.Promote == j.Promote && last.Hi == j.Lo {
 				last.Hi = j.Hi
 				continue
 			}

@@ -79,7 +79,7 @@ func drive(t *testing.T, s *core.Store, a *Adapter, gen *workload.Generator, sta
 func fmSet(s *core.Store, inst *model.Instance) map[int]bool {
 	out := map[int]bool{}
 	for i := 0; i < inst.Config.NumUserTables; i++ {
-		if s.TargetOf(i) == placement.FM {
+		if s.TableStats(nil)[i].Target == placement.FM {
 			out[i] = true
 		}
 	}
@@ -114,8 +114,8 @@ func TestAdapterPromotesHotTables(t *testing.T) {
 		t.Fatalf("FM set exceeds budget-sized fleet: %v", fm)
 	}
 	_ = end
-	tl := a.telem.tables[gen.HotUserTables()[0]]
-	if tl.Windows == 0 || tl.DemandBytes <= 0 || tl.density() <= 0 {
+	tl := wholeOf(a.telem, gen.HotUserTables()[0])
+	if tl.Windows == 0 || tl.LookupRate <= 0 || tl.density() <= 0 {
 		t.Fatalf("telemetry empty for hot table: %+v", tl)
 	}
 }

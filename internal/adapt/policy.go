@@ -1,18 +1,19 @@
-// The planner. One evaluation turns the decayed telemetry view plus the
-// store's current placement into a move plan in three steps: build one
-// candidate list, run the Table-5 greedy over it once
-// (placement.PackRangesWear — the packer placement.New runs offline), and
-// diff the selection against what is resident. Granularity chooses the
+// The planner. One evaluation turns the decayed telemetry view into a move
+// plan in three steps: build one candidate list, run the Table-5 greedy
+// over it once (placement.PackRangesWear — the packer placement.New runs
+// offline), and diff the selection against what is resident. Every
+// candidate is one kind of item, a row window of a table (the whole table
+// is the window [0, rows)); Granularity chooses which items are
 // candidates, not the algorithm. The endurance-aware cost term lives in the
 // packer: each candidate's score is discounted by the demote-write cost its
 // selection implies, measured against the window's SM write budget, so
-// hot-but-churny ranges stop burning endurance. The planner never touches
-// the store's state; executing the plan is the actuator's job.
+// hot-but-churny ranges stop burning endurance. The planner reads nothing
+// but the telemetry and the pending moves; executing the plan is the
+// actuator's job.
 
 package adapt
 
 import (
-	"sdm/internal/core"
 	"sdm/internal/obs"
 	"sdm/internal/placement"
 )
@@ -30,6 +31,9 @@ type plan struct {
 	moves []move
 	// desired holds the candidates the pack selected for FM.
 	desired map[item]bool
+	// items is the telemetry the plan was made from, which wants reads the
+	// items' windows from.
+	items []itemTelemetry
 	// decisions explains each candidate whose desired placement differs
 	// from its current one — promote/demote when a final move covers it,
 	// defer (busy or cap) when not. Populated only when the policy
@@ -37,18 +41,13 @@ type plan struct {
 	decisions []obs.PlanDecision
 }
 
-// wants reports whether the plan still wants every table or range m covers
-// moved in m's direction — the predicate queued moves are reconciled
-// against. rangeRows is the row width of m's table's ranges.
-func (pl plan) wants(m move, rangeRows int64) bool {
-	if !m.Ranged {
-		return pl.desired[item{m.Table, placement.WholeTable}] == m.Promote
-	}
-	if rangeRows <= 0 {
-		return false
-	}
-	for r := m.Lo / rangeRows; r*rangeRows < m.Hi; r++ {
-		if pl.desired[item{m.Table, int(r)}] != m.Promote {
+// wants reports whether the plan still wants every item of m's kind (its
+// whole table, or the ranges) inside m's window moved in m's direction —
+// the predicate queued moves are reconciled against.
+func (pl plan) wants(m move) bool {
+	for _, it := range pl.items {
+		if it.whole() == m.Whole && m.covers(it.Table, it.Lo, it.Lo+it.Rows) &&
+			pl.desired[item{it.Table, it.Range}] != m.Promote {
 			return false
 		}
 	}
@@ -74,16 +73,15 @@ type policy struct {
 // cand carries one knapsack item plus the move metadata PackRangesWear
 // does not need.
 type cand struct {
-	item     placement.RangeItem
-	lo, hi   int64 // row window (range items)
-	resident bool  // currently FM-resident (range) or FM-target (whole table)
-	busy     bool  // a pending move already covers it
+	item placement.RangeItem
+	// move flips the candidate's residency: a demotion when it is FM-resident
+	// (range) or FM-target (whole table), else a promotion.
+	move move
+	busy bool // a pending move overlaps its window
 }
 
-func (c cand) whole() bool { return c.item.Range == placement.WholeTable }
-
 // explainCand renders one changed candidate's verdict: a final move
-// covering it in the wanted direction makes it a promote/demote, a
+// covering its window in the wanted direction makes it a promote/demote, a
 // pending move makes it a busy defer, and everything else was truncated
 // by the per-eval cap.
 func explainCand(moves []move, c cand, hysteresis float64, wear placement.WearBudget) obs.PlanDecision {
@@ -92,7 +90,7 @@ func explainCand(moves []move, c cand, hysteresis float64, wear placement.WearBu
 		Density: c.item.Density, Bytes: c.item.Bytes, DemoteBytes: c.item.DemoteBytes,
 		WearWindowBytes: wear.WindowBytes, WearSpentBytes: wear.SpentBytes,
 	}
-	if c.resident {
+	if !c.move.Promote {
 		d.Hysteresis = hysteresis
 	}
 	d.Action, d.Reason = "defer", "cap"
@@ -101,12 +99,9 @@ func explainCand(moves []move, c cand, hysteresis float64, wear placement.WearBu
 		return d
 	}
 	for _, m := range moves {
-		if m.Table != c.item.Table || m.Promote == c.resident {
-			continue
-		}
-		if !m.Ranged || (!c.whole() && c.lo >= m.Lo && c.hi <= m.Hi) {
+		if m.Promote == c.move.Promote && m.covers(c.move.Table, c.move.Lo, c.move.Hi) {
 			d.Action, d.Reason = "promote", ""
-			if c.resident {
+			if !m.Promote {
 				d.Action = "demote"
 			}
 			break
@@ -115,101 +110,61 @@ func explainCand(moves []move, c cand, hysteresis float64, wear placement.WearBu
 	return d
 }
 
-// plan derives the next move plan from the telemetry view, the store's
-// current placement, the moves already pending in the actuator (planned
-// around, not re-planned), and the window's wear budget (zero value
-// disables the endurance term).
-//
-// The candidates, in order: every swappable table with telemetry is one
-// indivisible whole-table item — an FM incumbent defending its slot with
-// the hysteresis advantage, or (at table granularity) an SM challenger
-// whose promotion implies a later demote write of its full footprint, the
-// endurance cost the wear term scores. At range granularity an SM table
-// contributes one item per row range instead, so a whole-table incumbent
-// (a static FixedFM placement the controller inherited) that loses the
-// knapsack is demoted wholesale, after which its ranges compete
-// individually. Selected-but-absent candidates are promoted and
-// resident-but-unselected ones demoted, adjacent ranges of one table
-// coalesced into a single [Lo, Hi) move.
-func (p *policy) plan(telem *telemetry, store *core.Store, pending []move, wear placement.WearBudget) plan {
-	ranges := p.cfg.Granularity == Ranges
-	busy := make(map[item]bool, len(pending))
-	for _, j := range pending {
-		if !j.Ranged || !ranges {
-			busy[item{j.Table, placement.WholeTable}] = true
-			continue
-		}
-		rr := store.RangeRowsOf(j.Table)
-		if rr <= 0 {
-			continue
-		}
-		for r := j.Lo / rr; r*rr < j.Hi; r++ {
-			busy[item{j.Table, int(r)}] = true
-		}
+// candidate reports whether it is one of the grain's candidates. At Tables
+// grain every whole item is. At Ranges grain the whole items of FM-target
+// tables are (an incumbent — a static FixedFM placement the controller
+// inherited — that loses the knapsack is demoted wholesale, after which
+// its ranges compete individually), and the range items of SM-target
+// tables. An item no window has been folded into yet sits out, except a
+// resident range, which stays so the diff can demote it.
+func (p *policy) candidate(it itemTelemetry) bool {
+	if it.whole() != (p.cfg.Granularity == Tables || it.Target == placement.FM) {
+		return false
 	}
+	return it.Windows > 0 || (!it.whole() && it.FMResident)
+}
 
+// plan derives the next move plan from the telemetry view, the moves
+// already pending in the actuator (planned around, not re-planned), and
+// the window's wear budget (zero value disables the endurance term).
+//
+// Each candidate is scored by its density: a resident one defends its slot
+// with the hysteresis advantage, and an absent one carries the later
+// demote write of its full footprint, the endurance cost the wear term
+// scores. A range must also clear the payback floor. Selected-but-absent
+// candidates are promoted and resident-but-unselected ones demoted,
+// adjacent windows of one table coalesced into a single [Lo, Hi) move.
+func (p *policy) plan(telem *telemetry, pending []move, wear placement.WearBudget) plan {
+	// The payback filter: a range must re-serve its own bytes from FM
+	// within the horizon to justify migrating it (and, with hysteresis, to
+	// keep its slot). Zeroing the density keeps the candidate in the move
+	// diff — sub-floor residents are demoted — while the knapsack never
+	// selects it.
+	floor := 1 / p.cfg.PaybackSeconds
 	p.cands = p.cands[:0]
-	for _, t := range telem.tables {
-		inFM := store.TargetOf(t.Table) == placement.FM
-		if !t.Swappable || t.Windows == 0 || (ranges && !inFM) {
+	for _, it := range telem.items {
+		if !p.candidate(it) {
 			continue
 		}
 		c := cand{
-			item: placement.RangeItem{
-				Table: t.Table, Range: placement.WholeTable,
-				Bytes: t.StoredBytes, Density: t.density(),
+			item: placement.RangeItem{Table: it.Table, Range: it.Range, Bytes: it.Bytes, Density: it.density()},
+			move: move{
+				Table: it.Table, Promote: !it.FMResident, Whole: it.whole(),
+				Lo: it.Lo, Hi: it.Lo + it.Rows,
 			},
-			resident: inFM,
-			busy:     busy[item{t.Table, placement.WholeTable}],
 		}
-		if inFM {
+		if it.FMResident {
 			c.item.Density *= p.cfg.Hysteresis
 		} else {
-			c.item.DemoteBytes = t.StoredBytes
+			c.item.DemoteBytes = it.Bytes
+		}
+		if !it.whole() && c.item.Density < floor {
+			c.item.Density = 0
+		}
+		for _, m := range pending {
+			c.busy = c.busy || m.overlaps(c.move)
 		}
 		p.cands = append(p.cands, c)
-	}
-	if ranges {
-		// The payback filter: a range must re-serve its own bytes from FM
-		// within the horizon to justify migrating it (and, with hysteresis, to
-		// keep its slot). Zeroing the density keeps the candidate in the move
-		// diff — sub-floor residents are demoted — while the knapsack never
-		// selects it.
-		floor := 1 / p.cfg.PaybackSeconds
-		rr := int64(0)
-		lastTable := -1
-		for _, rt := range telem.ranges {
-			if store.TargetOf(rt.Table) == placement.FM || (rt.Windows == 0 && !rt.FMResident) {
-				continue
-			}
-			if rt.Table != lastTable {
-				rr = store.RangeRowsOf(rt.Table)
-				lastTable = rt.Table
-			}
-			if rr <= 0 {
-				continue
-			}
-			density := rt.density()
-			var demote int64
-			if rt.FMResident {
-				density *= p.cfg.Hysteresis
-			} else {
-				demote = rt.Bytes
-			}
-			if density < floor {
-				density = 0
-			}
-			lo := int64(rt.Range) * rr
-			p.cands = append(p.cands, cand{
-				item: placement.RangeItem{
-					Table: rt.Table, Range: rt.Range, Bytes: rt.Bytes,
-					Density: density, DemoteBytes: demote,
-				},
-				lo: lo, hi: lo + rt.Rows,
-				resident: rt.FMResident,
-				busy:     busy[item{rt.Table, placement.WholeTable}] || busy[item{rt.Table, rt.Range}],
-			})
-		}
 	}
 
 	p.items = p.items[:0]
@@ -217,7 +172,7 @@ func (p *policy) plan(telem *telemetry, store *core.Store, pending []move, wear 
 		p.items = append(p.items, c.item)
 	}
 	selected := make([]bool, len(p.cands))
-	out := plan{desired: make(map[item]bool)}
+	out := plan{desired: make(map[item]bool), items: telem.items}
 	for _, i := range placement.PackRangesWear(p.items, p.budget, wear) {
 		selected[i] = true
 		out.desired[item{p.items[i].Table, p.items[i].Range}] = true
@@ -225,17 +180,13 @@ func (p *policy) plan(telem *telemetry, store *core.Store, pending []move, wear 
 
 	var demote, promote []move
 	for i, c := range p.cands {
-		if c.busy || selected[i] == c.resident {
-			continue
+		if c.busy || selected[i] != c.move.Promote {
+			continue // planned around, or already where the pack wants it
 		}
-		m := move{Table: c.item.Table, Promote: !c.resident}
-		if !c.whole() {
-			m.Ranged, m.Lo, m.Hi = true, c.lo, c.hi
-		}
-		if c.resident {
-			demote = append(demote, m)
+		if c.move.Promote {
+			promote = append(promote, c.move)
 		} else {
-			promote = append(promote, m)
+			demote = append(demote, c.move)
 		}
 	}
 	out.moves = append(coalesce(demote), coalesce(promote)...)
@@ -244,7 +195,7 @@ func (p *policy) plan(telem *telemetry, store *core.Store, pending []move, wear 
 	}
 	if p.explain {
 		for i, c := range p.cands {
-			if selected[i] != c.resident {
+			if selected[i] == c.move.Promote {
 				out.decisions = append(out.decisions, explainCand(out.moves, c, p.cfg.Hysteresis, wear))
 			}
 		}

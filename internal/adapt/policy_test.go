@@ -15,9 +15,11 @@ import (
 
 // The two planners the single policy.plan replaced — whole tables and row
 // ranges each had their own candidate list, pack call, diff and explain
-// loop — kept verbatim (identifiers renamed only) as the reference the
-// merged planner must match plan for plan, with the two-map desired set and
-// the reconciliation predicate that read it.
+// loop — kept as the reference the merged planner must match plan for plan,
+// with the two-map desired set and the reconciliation predicate that read
+// it. They read whole items where they read tables and range items where
+// they read ranges, and placement targets and range widths from the store's
+// TableStats; beyond that only identifiers and move windows differ.
 
 // legacyPlan is the old Plan: one desired map per candidate kind.
 type legacyPlan struct {
@@ -47,10 +49,16 @@ type legacyPolicy struct {
 
 // plan is the old Policy.Plan: a branch on granularity.
 func (p *legacyPolicy) plan(telem *telemetry, store *core.Store, pending []move, wear placement.WearBudget) legacyPlan {
+	stats := store.TableStats(nil)
 	if p.cfg.Granularity == Ranges {
-		return p.legacyPlanRanges(telem, store, pending, wear)
+		return p.legacyPlanRanges(telem, stats, pending, wear)
 	}
-	return p.legacyPlanTables(telem, store, pending, wear)
+	return p.legacyPlanTables(telem, stats, pending, wear)
+}
+
+// legacyWhole is the whole-table move of t, the [0, rows) window.
+func legacyWhole(t itemTelemetry, promote bool) move {
+	return move{Table: t.Table, Promote: promote, Whole: true, Lo: 0, Hi: t.Rows}
 }
 
 // desired flattens the two legacy maps into the merged planner's form: the
@@ -73,7 +81,7 @@ func (lp legacyPlan) desired() map[item]bool {
 // legacyPlanTables re-runs the Table-5 greedy FM promotion against live demand
 // densities and returns the placement diff as whole-table moves
 // (demotions first, so the DRAM budget is respected throughout).
-func (p *legacyPolicy) legacyPlanTables(telem *telemetry, store *core.Store, pending []move, wear placement.WearBudget) legacyPlan {
+func (p *legacyPolicy) legacyPlanTables(telem *telemetry, stats []core.TableStat, pending []move, wear placement.WearBudget) legacyPlan {
 	busy := make(map[int]bool, len(pending))
 	for _, j := range pending {
 		busy[j.Table] = true
@@ -82,14 +90,15 @@ func (p *legacyPolicy) legacyPlanTables(telem *telemetry, store *core.Store, pen
 	type cand struct {
 		table int
 		inFM  bool
+		t     itemTelemetry
 	}
 	var cands []cand
 	p.items = p.items[:0]
-	for _, t := range telem.tables {
-		if !t.Swappable || t.Windows == 0 {
+	for _, t := range telem.items {
+		if !t.whole() || t.Windows == 0 {
 			continue
 		}
-		c := cand{table: t.Table, inFM: store.TargetOf(t.Table) == placement.FM}
+		c := cand{table: t.Table, inFM: stats[t.Table].Target == placement.FM, t: t}
 		density := t.density()
 		var demote int64
 		if c.inFM {
@@ -100,13 +109,13 @@ func (p *legacyPolicy) legacyPlanTables(telem *telemetry, store *core.Store, pen
 			// A challenger's promotion implies a later demote write of
 			// its full footprint — the endurance cost the wear term
 			// scores against.
-			demote = t.StoredBytes
+			demote = t.Bytes
 		}
 		cands = append(cands, c)
 		p.items = append(p.items, placement.RangeItem{
 			Table:       t.Table,
 			Range:       placement.WholeTable,
-			Bytes:       t.StoredBytes,
+			Bytes:       t.Bytes,
 			Density:     density,
 			DemoteBytes: demote,
 		})
@@ -122,12 +131,12 @@ func (p *legacyPolicy) legacyPlanTables(telem *telemetry, store *core.Store, pen
 	var moves []move
 	for _, c := range cands {
 		if c.inFM && !desired[c.table] && !busy[c.table] {
-			moves = append(moves, move{Table: c.table, Promote: false})
+			moves = append(moves, legacyWhole(c.t, false))
 		}
 	}
 	for _, c := range cands {
 		if !c.inFM && desired[c.table] && !busy[c.table] {
-			moves = append(moves, move{Table: c.table, Promote: true})
+			moves = append(moves, legacyWhole(c.t, true))
 		}
 	}
 	if len(moves) > maxMovesPerEval {
@@ -154,7 +163,7 @@ func (p *legacyPolicy) legacyPlanTables(telem *telemetry, store *core.Store, pen
 // does not need.
 type legacyRangeCand struct {
 	item     placement.RangeItem
-	lo, hi   int64 // row window (range items)
+	lo, hi   int64 // row window
 	resident bool  // currently FM-resident (range) or FM-target (whole)
 	whole    bool  // whole-table item (an FM incumbent, demotable only wholesale)
 	busy     bool  // a pending move already covers it
@@ -168,15 +177,15 @@ type legacyRangeCand struct {
 // Selected-but-absent ranges are promoted, resident-but-unselected ones
 // demoted (first, so the budget holds throughout), with adjacent ranges of
 // one table coalesced into a single [Lo, Hi) move.
-func (p *legacyPolicy) legacyPlanRanges(telem *telemetry, store *core.Store, pending []move, wear placement.WearBudget) legacyPlan {
+func (p *legacyPolicy) legacyPlanRanges(telem *telemetry, stats []core.TableStat, pending []move, wear placement.WearBudget) legacyPlan {
 	busyTable := make(map[int]bool)   // whole-table move pending
 	busyRange := make(map[int64]bool) // (table, range) moves pending
 	for _, j := range pending {
-		if !j.Ranged {
+		if j.Whole {
 			busyTable[j.Table] = true
 			continue
 		}
-		rr := store.RangeRowsOf(j.Table)
+		rr := stats[j.Table].RangeRows
 		if rr <= 0 {
 			continue
 		}
@@ -186,11 +195,11 @@ func (p *legacyPolicy) legacyPlanRanges(telem *telemetry, store *core.Store, pen
 	}
 
 	p.cands = p.cands[:0]
-	for _, t := range telem.tables {
-		if !t.Swappable {
+	for _, t := range telem.items {
+		if !t.whole() {
 			continue
 		}
-		if store.TargetOf(t.Table) == placement.FM {
+		if stats[t.Table].Target == placement.FM {
 			if t.Windows == 0 {
 				continue
 			}
@@ -198,10 +207,10 @@ func (p *legacyPolicy) legacyPlanRanges(telem *telemetry, store *core.Store, pen
 				item: placement.RangeItem{
 					Table:   t.Table,
 					Range:   placement.WholeTable,
-					Bytes:   t.StoredBytes,
+					Bytes:   t.Bytes,
 					Density: t.density() * p.cfg.Hysteresis,
 				},
-				lo: 0, hi: -1,
+				lo: 0, hi: t.Rows,
 				resident: true,
 				whole:    true,
 				busy:     busyTable[t.Table],
@@ -216,15 +225,18 @@ func (p *legacyPolicy) legacyPlanRanges(telem *telemetry, store *core.Store, pen
 	floor := 1 / p.cfg.PaybackSeconds
 	rr := int64(0)
 	lastTable := -1
-	for _, rt := range telem.ranges {
-		if store.TargetOf(rt.Table) == placement.FM {
+	for _, rt := range telem.items {
+		if rt.whole() {
+			continue
+		}
+		if stats[rt.Table].Target == placement.FM {
 			continue // covered by the whole-table incumbent item
 		}
 		if rt.Windows == 0 && !rt.FMResident {
 			continue
 		}
 		if rt.Table != lastTable {
-			rr = store.RangeRowsOf(rt.Table)
+			rr = stats[rt.Table].RangeRows
 			lastTable = rt.Table
 		}
 		if rr <= 0 {
@@ -281,12 +293,12 @@ func (p *legacyPolicy) legacyPlanRanges(telem *telemetry, store *core.Store, pen
 		}
 		if c.resident {
 			if c.whole {
-				demote = append(demote, move{Table: c.item.Table, Promote: false})
+				demote = append(demote, move{Table: c.item.Table, Promote: false, Whole: true, Lo: c.lo, Hi: c.hi})
 			} else {
-				demote = append(demote, move{Table: c.item.Table, Promote: false, Ranged: true, Lo: c.lo, Hi: c.hi})
+				demote = append(demote, move{Table: c.item.Table, Promote: false, Lo: c.lo, Hi: c.hi})
 			}
 		} else {
-			promote = append(promote, move{Table: c.item.Table, Promote: true, Ranged: true, Lo: c.lo, Hi: c.hi})
+			promote = append(promote, move{Table: c.item.Table, Promote: true, Lo: c.lo, Hi: c.hi})
 		}
 	}
 	moves := append(coalesce(demote), coalesce(promote)...)
@@ -328,7 +340,7 @@ func legacyExplainCand(moves []move, d obs.PlanDecision, busy, wantPromote, whol
 		if m.Table != d.Table || m.Promote != wantPromote {
 			continue
 		}
-		if !m.Ranged {
+		if m.Whole {
 			covered = true
 			break
 		}
@@ -352,11 +364,12 @@ func legacyExplainCand(moves []move, d obs.PlanDecision, busy, wantPromote, whol
 // queued move survives only if the plan still wants every table or range
 // it covers moved in its direction.
 func legacyAgreesWith(store *core.Store, plan legacyPlan) func(move) bool {
+	stats := store.TableStats(nil)
 	return func(j move) bool {
-		if !j.Ranged {
+		if j.Whole {
 			return plan.DesiredWhole[j.Table] == j.Promote
 		}
-		rr := store.RangeRowsOf(j.Table)
+		rr := stats[j.Table].RangeRows
 		if rr <= 0 {
 			return false
 		}
@@ -403,15 +416,16 @@ func planFixture(t *testing.T) (*core.Store, *telemetry) {
 		t.Fatal(err)
 	}
 	var sm []int
+	stats := s.TableStats(nil)
 	for i := 0; i < mc.NumUserTables; i++ {
-		if s.TargetOf(i) == placement.SM {
+		if stats[i].Target == placement.SM {
 			sm = append(sm, i)
 		}
 	}
 	if len(sm) != 4 {
 		t.Fatalf("fixture wants 2 whole-FM incumbents and 4 SM tables, got SM tables %v", sm)
 	}
-	m, err := s.BeginPromoteRange(sm[0], 0, 2*s.RangeRowsOf(sm[0]), 8<<10)
+	m, err := s.BeginPromoteRange(sm[0], 0, 2*stats[sm[0]].RangeRows, 8<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,18 +437,17 @@ func planFixture(t *testing.T) (*core.Store, *telemetry) {
 
 func TestPlanMatchesLegacyPlanners(t *testing.T) {
 	s, tl := planFixture(t)
-	var smTable, fmTable int
-	for _, tt := range tl.tables {
-		if !tt.Swappable {
-			continue
-		}
-		if s.TargetOf(tt.Table) == placement.FM {
-			fmTable = tt.Table
-		} else {
-			smTable = tt.Table
+	var smTable, fmTable itemTelemetry
+	for _, tt := range tl.items {
+		switch {
+		case !tt.whole():
+		case tt.Target == placement.FM:
+			fmTable = tt
+		default:
+			smTable = tt
 		}
 	}
-	rr := s.RangeRowsOf(smTable)
+	rr := s.TableStats(nil)[smTable.Table].RangeRows
 	const budget = 400 << 10
 	wears := []placement.WearBudget{
 		{}, // wear awareness off
@@ -443,8 +456,11 @@ func TestPlanMatchesLegacyPlanners(t *testing.T) {
 	}
 	pendings := [][]move{
 		nil,
-		{{Table: fmTable}, {Table: smTable, Promote: true}},
-		{{Table: smTable, Promote: true, Ranged: true, Lo: 2 * rr, Hi: 5 * rr}},
+		{legacyWhole(fmTable, false), legacyWhole(smTable, true)},
+		{{Table: smTable.Table, Promote: true, Lo: 2 * rr, Hi: 5 * rr}},
+		// What range grain queues: an incumbent's whole demotion beside a
+		// range promotion of an SM table.
+		{legacyWhole(fmTable, false), {Table: smTable.Table, Promote: true, Lo: 0, Hi: 3 * rr}},
 	}
 	// Demand levels dense in exact ties, in units of the payback floor
 	// (density 0.1 at the default 10 s): zero, sub-floor, sub-floor even
@@ -453,16 +469,15 @@ func TestPlanMatchesLegacyPlanners(t *testing.T) {
 	rng := xrand.New(0x5eed)
 	seen := map[string]int{} // what the compared plans exercised
 	for state := 0; state < 240; state++ {
-		for i := range tl.tables {
-			tt := &tl.tables[i]
-			tt.Windows = rng.Intn(4)
-			tt.DemandBytes = levels[rng.Intn(len(levels))] * float64(tt.StoredBytes)
-		}
-		for i := range tl.ranges {
-			rt := &tl.ranges[i]
-			rt.Windows = rng.Intn(3)
-			rt.FMResident = rng.Intn(3) == 0
-			rt.LookupRate = levels[rng.Intn(len(levels))] * float64(rt.Bytes) / float64(rt.RowBytes)
+		for i := range tl.items {
+			it := &tl.items[i]
+			if it.whole() {
+				it.Windows = rng.Intn(4)
+			} else {
+				it.Windows = rng.Intn(3)
+				it.FMResident = rng.Intn(3) == 0
+			}
+			it.LookupRate = levels[rng.Intn(len(levels))] * float64(it.Bytes) / float64(it.RowBytes)
 		}
 		for _, g := range []Granularity{Tables, Ranges} {
 			cfg := Config{Granularity: g}.defaulted()
@@ -472,7 +487,7 @@ func TestPlanMatchesLegacyPlanners(t *testing.T) {
 						legacy := &legacyPolicy{cfg: cfg, budget: budget, explain: explain}
 						merged := &policy{cfg: cfg, budget: budget, explain: explain}
 						want := legacy.plan(tl, s, pending, wear)
-						got := merged.plan(tl, s, pending, wear)
+						got := merged.plan(tl, pending, wear)
 						at := fmt.Sprintf("state %d, %v, wear %d, pending %d, explain %t", state, g, wi, pi, explain)
 						if !reflect.DeepEqual(got.moves, want.Moves) {
 							t.Fatalf("%s: moves\n got %+v\nwant %+v", at, got.moves, want.Moves)
@@ -484,15 +499,15 @@ func TestPlanMatchesLegacyPlanners(t *testing.T) {
 							t.Fatalf("%s: decisions\n got %+v\nwant %+v", at, got.decisions, want.Decisions)
 						}
 						for _, m := range got.moves {
-							seen[fmt.Sprintf("move promote=%t ranged=%t", m.Promote, m.Ranged)]++
+							seen[fmt.Sprintf("move promote=%t whole=%t", m.Promote, m.Whole)]++
 						}
 						for _, d := range got.decisions {
 							seen["decision "+d.Action+" "+d.Reason]++
 						}
 						agrees := legacyAgreesWith(s, want)
 						for _, m := range append(append([]move(nil), pending...), want.Moves...) {
-							for _, m := range []move{m, {Table: m.Table, Promote: !m.Promote, Ranged: m.Ranged, Lo: m.Lo, Hi: m.Hi}} {
-								if got.wants(m, s.RangeRowsOf(m.Table)) != agrees(m) {
+							for _, m := range []move{m, {Table: m.Table, Promote: !m.Promote, Whole: m.Whole, Lo: m.Lo, Hi: m.Hi}} {
+								if got.wants(m) != agrees(m) {
 									t.Fatalf("%s: wants(%+v) = %t, legacy reconciliation says %t", at, m, !agrees(m), agrees(m))
 								}
 							}
@@ -503,8 +518,8 @@ func TestPlanMatchesLegacyPlanners(t *testing.T) {
 		}
 	}
 	for _, k := range []string{
-		"move promote=false ranged=false", "move promote=true ranged=false",
-		"move promote=false ranged=true", "move promote=true ranged=true",
+		"move promote=false whole=true", "move promote=true whole=true",
+		"move promote=false whole=false", "move promote=true whole=false",
 		"decision promote ", "decision demote ", "decision defer busy", "decision defer cap",
 	} {
 		if seen[k] == 0 {

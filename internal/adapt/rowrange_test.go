@@ -82,7 +82,7 @@ func TestRangeAdapterPromotesHotRanges(t *testing.T) {
 	// Residency stays within the budget and never flips whole tables.
 	var resident int64
 	for i := 0; i < inst.Config.NumUserTables; i++ {
-		if s.TargetOf(i) != placement.SM {
+		if s.TableStats(nil)[i].Target != placement.SM {
 			t.Fatalf("range mode flipped table %d to whole-table FM", i)
 		}
 		resident += s.FMResidentBytes(i)
@@ -208,7 +208,7 @@ func TestAdvanceGuardsZeroByteStall(t *testing.T) {
 	// Finished never true). It must now be aborted and dropped.
 	x := newActuator(nil, 0, 0, &Stats{}) // unpaced
 	f := &fakeMig{stall: true}
-	x.active = &activeMig{job: move{Table: 1, Promote: true}, m: f}
+	x.active = &activeMig{job: move{Table: 1, Promote: true, Whole: true}, m: f}
 	done := make(chan struct{})
 	go func() { x.advance(100); close(done) }()
 	select {
@@ -232,7 +232,7 @@ func TestAdvanceAbortsOnStepError(t *testing.T) {
 	win := Window{Open: 0, Close: 1000}
 	x.setWindows(func(simclock.Time) Window { return win })
 	f := &fakeMig{failAt: 3, failBytes: 512, finishAt: 10}
-	x.active = &activeMig{job: move{Table: 2, Promote: false}, m: f}
+	x.active = &activeMig{job: move{Table: 2, Promote: false, Whole: true}, m: f}
 	x.advance(100)
 	if !f.aborted || f.committed {
 		t.Fatalf("failed migration not rolled back: aborted=%t committed=%t", f.aborted, f.committed)
@@ -254,7 +254,7 @@ func TestAdvanceAbortsOnStepError(t *testing.T) {
 	// A healthy migration still commits.
 	x2 := newActuator(nil, 0, 0, &Stats{})
 	ok := &fakeMig{finishAt: 2}
-	x2.active = &activeMig{job: move{Table: 3, Promote: true, Ranged: true, Lo: 0, Hi: 8}, m: ok}
+	x2.active = &activeMig{job: move{Table: 3, Promote: true, Lo: 0, Hi: 8}, m: ok}
 	x2.advance(100)
 	if !ok.committed || x2.stats.Promotions != 1 || x2.stats.RangeMoves != 1 {
 		t.Fatalf("healthy migration not committed: %s", x2.stats)
@@ -281,7 +281,7 @@ func TestActuatorWindowsGateIssue(t *testing.T) {
 		return Window{Open: open, Close: open + slot, BandwidthBytesPerSec: 1 << 30}
 	})
 	f := &fakeMigRecorder{finishAt: 4, issues: &issues}
-	x.active = &activeMig{job: move{Table: 1, Promote: true}, m: f, nextIssue: 0}
+	x.active = &activeMig{job: move{Table: 1, Promote: true, Whole: true}, m: f, nextIssue: 0}
 
 	x.advance(100) // before the first window: nothing may issue
 	if len(issues) != 0 {
@@ -318,7 +318,7 @@ func TestActuatorWindowDemoteBudget(t *testing.T) {
 	x := newActuator(nil, 0, 0, &Stats{})
 	x.setWindows(window)
 	f := &fakeMigRecorder{finishAt: 6, issues: &issues} // 6 KiB in 1 KiB chunks
-	x.active = &activeMig{job: move{Table: 1, Promote: false}, m: f}
+	x.active = &activeMig{job: move{Table: 1, Promote: false, Whole: true}, m: f}
 	x.advance(5 * slot)
 	if !f.committed {
 		t.Fatalf("budgeted demotion never committed (issues=%v)", issues)
@@ -343,7 +343,7 @@ func TestActuatorWindowDemoteBudget(t *testing.T) {
 	x2 := newActuator(nil, 0, 0, &Stats{})
 	x2.setWindows(window)
 	p := &fakeMigRecorder{finishAt: 6, issues: &pIssues}
-	x2.active = &activeMig{job: move{Table: 1, Promote: true}, m: p}
+	x2.active = &activeMig{job: move{Table: 1, Promote: true, Whole: true}, m: p}
 	x2.advance(10)
 	if !p.committed || len(pIssues) != 6 {
 		t.Fatalf("promotion throttled by the demote budget: committed=%t issues=%v", p.committed, pIssues)
@@ -416,10 +416,10 @@ func TestReconcileQueueDropsStaleJobs(t *testing.T) {
 	// commit) anyway, stacking FM placement past the budget.
 	x := newActuator(nil, 0, 0, &Stats{})
 	x.enqueue([]move{
-		{Table: 1, Promote: true},
-		{Table: 2, Promote: false},
-		{Table: 3, Promote: true},
-		{Table: 4, Promote: true, Ranged: true, Lo: 0, Hi: 8},
+		{Table: 1, Promote: true, Whole: true},
+		{Table: 2, Promote: false, Whole: true},
+		{Table: 3, Promote: true, Whole: true},
+		{Table: 4, Promote: true, Lo: 0, Hi: 8},
 	})
 	desired := map[int]bool{1: true, 2: true, 3: false, 4: false}
 	x.reconcile(func(j move) bool { return desired[j.Table] == j.Promote })

@@ -102,16 +102,14 @@ func TestRangeTelemetryFreezesWhileWholeFM(t *testing.T) {
 	tl.sample(now, s)
 	var smRates []float64
 	var smWindows []int
-	for _, rt := range tl.ranges {
-		if rt.Table == 0 {
-			smRates = append(smRates, rt.LookupRate)
-			smWindows = append(smWindows, rt.Windows)
-		}
+	for _, rt := range rangesOf(tl, 0) {
+		smRates = append(smRates, rt.LookupRate)
+		smWindows = append(smWindows, rt.Windows)
 	}
 	if len(smRates) == 0 || smRates[0] <= 0 {
 		t.Fatalf("SM-phase range telemetry empty for table 0: %v", smRates)
 	}
-	smDemand := tl.tables[0].DemandBytes
+	smRate := wholeOf(tl, 0).LookupRate
 
 	// Promote table 0 whole (its ranges are all SM-resident, so the
 	// whole-table path applies), then keep serving and sampling.
@@ -120,8 +118,14 @@ func TestRangeTelemetryFreezesWhileWholeFM(t *testing.T) {
 		t.Fatal(err)
 	}
 	now = migrate(t, m, now)
-	if s.TargetOf(0) != placement.FM {
+	if s.TableStats(nil)[0].Target != placement.FM {
 		t.Fatal("promotion did not land")
+	}
+	// A sample with no virtual time passed folds nothing but still reads
+	// the promotion: the planner takes residency and target from here.
+	tl.sample(tl.lastAt, s)
+	if it := wholeOf(tl, 0); it.Target != placement.FM || !it.FMResident || it.Windows != 1 {
+		t.Fatalf("a zero-interval sample did not refresh the whole item alone: %+v", it)
 	}
 	for i := 0; i < 3; i++ {
 		now = pump(t, s, gen, now, 200)
@@ -135,15 +139,15 @@ func TestRangeTelemetryFreezesWhileWholeFM(t *testing.T) {
 			t.Fatalf("range %d window count advanced while whole-FM: %d -> %d", i, smWindows[i], rt.Windows)
 		}
 	}
-	// Table-level telemetry keeps flowing meanwhile (the freeze is
-	// range-scoped): three more windows folded, the decayed demand moved
-	// off its SM-phase value and still ranks the table.
-	tt := tl.tables[0]
-	if tt.Windows != 4 || tt.DemandBytes <= 0 || tt.DemandBytes == smDemand {
-		t.Fatalf("table telemetry stalled during FM phase: %+v (SM-phase demand %g)", tt, smDemand)
+	// The whole item's telemetry keeps flowing meanwhile (the freeze is
+	// range-scoped): three more windows folded, the decayed rate moved off
+	// its SM-phase value and still ranks the table.
+	tt := wholeOf(tl, 0)
+	if tt.Windows != 4 || tt.LookupRate <= 0 || tt.LookupRate == smRate {
+		t.Fatalf("table telemetry stalled during FM phase: %+v (SM-phase rate %g)", tt, smRate)
 	}
-	if want := tt.DemandBytes / float64(tt.StoredBytes); tt.density() != want {
-		t.Fatalf("density %g, want DemandBytes/StoredBytes = %g", tt.density(), want)
+	if want := tt.LookupRate * float64(tt.RowBytes) / float64(tt.Bytes); tt.density() != want {
+		t.Fatalf("density %g, want LookupRate·RowBytes/Bytes = %g", tt.density(), want)
 	}
 
 	// Demote back to SM: range attribution resumes and the frozen profile
@@ -170,13 +174,24 @@ func TestRangeTelemetryFreezesWhileWholeFM(t *testing.T) {
 	_ = now
 }
 
-// rangesOf collects table tab's range telemetry in range order.
-func rangesOf(tl *telemetry, tab int) []rangeTelemetry {
-	var out []rangeTelemetry
-	for _, rt := range tl.ranges {
-		if rt.Table == tab {
-			out = append(out, rt)
+// rangesOf collects table tab's range items in range order.
+func rangesOf(tl *telemetry, tab int) []itemTelemetry {
+	var out []itemTelemetry
+	for _, it := range tl.items {
+		if it.Table == tab && !it.whole() {
+			out = append(out, it)
 		}
 	}
 	return out
+}
+
+// wholeOf returns table tab's whole item (the zero item when the table is
+// not swappable).
+func wholeOf(tl *telemetry, tab int) itemTelemetry {
+	for _, it := range tl.items {
+		if it.Table == tab && it.whole() {
+			return it
+		}
+	}
+	return itemTelemetry{}
 }

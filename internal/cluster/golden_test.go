@@ -107,8 +107,8 @@ func TestMetricsExportGolden(t *testing.T) {
 		write func(io.Writer) error
 		want  uint64
 	}{
-		{"openmetrics", f.WriteMetrics, 0x920c1705470ee1dd},
-		{"jsonl", f.WriteMetricsJSONL, 0x94a253b38fa325cf},
+		{"openmetrics", f.WriteMetrics, 0x2605e8890d364333},
+		{"jsonl", f.WriteMetricsJSONL, 0xa0285c637c915a81},
 	} {
 		var buf bytes.Buffer
 		if err := c.write(&buf); err != nil {

@@ -483,8 +483,3 @@ func (s *Store) Wear() WearInfo {
 	}
 	return w
 }
-
-// TargetOf returns table's current placement target.
-func (s *Store) TargetOf(table int) placement.Target {
-	return s.tables[table].target
-}

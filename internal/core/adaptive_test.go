@@ -72,7 +72,7 @@ func TestMigrationRoundTripMatchesOracle(t *testing.T) {
 	if !s.tables[table].swappable {
 		t.Fatal("user table should be swappable under ReserveSM")
 	}
-	if s.TargetOf(table) != placement.SM {
+	if s.TableStats(nil)[table].Target != placement.SM {
 		t.Fatalf("table %d should start SM-resident", table)
 	}
 
@@ -104,7 +104,7 @@ func TestMigrationRoundTripMatchesOracle(t *testing.T) {
 	if err := m.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if s.TargetOf(table) != placement.FM {
+	if s.TableStats(nil)[table].Target != placement.FM {
 		t.Fatal("promotion did not flip the target")
 	}
 	preStats := s.Stats()
@@ -161,7 +161,7 @@ func TestMigrationRoundTripMatchesOracle(t *testing.T) {
 	if err := d.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if s.TargetOf(table) != placement.SM {
+	if s.TableStats(nil)[table].Target != placement.SM {
 		t.Fatal("demotion did not flip the target")
 	}
 	check()

@@ -256,7 +256,7 @@ func TestReplicaCleanMigrationCopiesNoImage(t *testing.T) {
 		t.Fatalf("opening a donor and two replicas allocated %d bytes, want under half of one %d-byte device", opened, capacity)
 	}
 
-	st, rr := s.tables[fmTable], s.RangeRowsOf(fmTable)
+	st, rr := s.tables[fmTable], s.TableStats(nil)[fmTable].RangeRows
 	now := s.LoadDone()
 	clean := allocated(func() {
 		m, err := s.BeginDemote(fmTable, 0)
@@ -431,7 +431,7 @@ func TestPromotedUpdateStaysOnItsStore(t *testing.T) {
 		promote func(t *testing.T, s *Store, table int, value []byte, now simclock.Time) simclock.Time
 	}{
 		{"resident-range", false, func(t *testing.T, s *Store, table int, value []byte, now simclock.Time) simclock.Time {
-			m, err := s.BeginPromoteRange(table, 0, s.RangeRowsOf(table), 0)
+			m, err := s.BeginPromoteRange(table, 0, s.TableStats(nil)[table].RangeRows, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -442,7 +442,7 @@ func TestPromotedUpdateStaysOnItsStore(t *testing.T) {
 			return now
 		}},
 		{"racing-promotion", false, func(t *testing.T, s *Store, table int, value []byte, now simclock.Time) simclock.Time {
-			m, err := s.BeginPromoteRange(table, 0, s.RangeRowsOf(table), 2*s.tables[table].rowBytes)
+			m, err := s.BeginPromoteRange(table, 0, s.TableStats(nil)[table].RangeRows, 2*s.tables[table].rowBytes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -467,7 +467,7 @@ func TestPromotedUpdateStaysOnItsStore(t *testing.T) {
 			if st.cache == nil || !bytes.Equal(st.cache.Peek(cache.Key{Table: int32(st.spec.ID), Row: row}), value) {
 				t.Fatal("fixture: the update is not held in the table's cache")
 			}
-			m, err := s.BeginPromoteRange(table, 0, s.RangeRowsOf(table), 0)
+			m, err := s.BeginPromoteRange(table, 0, s.TableStats(nil)[table].RangeRows, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

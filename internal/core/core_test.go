@@ -271,6 +271,24 @@ func TestPlacementFMDirect(t *testing.T) {
 	}
 }
 
+func TestFixedFMTablesAreFMResident(t *testing.T) {
+	// A table fixed in FM serves every byte from FM, swappable or not: the
+	// item tables of a store opened without ReserveSM read their whole
+	// stored footprint, and an SM table reads none.
+	in, tables := fixture(t)
+	s := openStore(t, in, tables, Config{Seed: 1})
+	for _, c := range []struct {
+		table int
+		want  int64
+	}{{0, 0}, {5, 73932}, {6, 324522}, {7, 230516}} {
+		table, want := c.table, c.want
+		st := s.TableStats(nil)[table]
+		if got := s.FMResidentBytes(table); got != want || (st.Target == placement.FM) != (want > 0) {
+			t.Errorf("table %d (target %v): %d FM-resident bytes, want %d", table, st.Target, got, want)
+		}
+	}
+}
+
 func TestUpdateRowOfflineAndOnline(t *testing.T) {
 	in, tables := fixture(t)
 	s := openStore(t, in, tables, Config{Seed: 1, Ring: uring.Config{SGL: true}})

@@ -159,15 +159,6 @@ func (s *Store) RangeStats(dst []RangeStat) []RangeStat {
 	return dst
 }
 
-// RangeRowsOf returns table's row-range width in rows (0 when the table is
-// not provisioned for range migration).
-func (s *Store) RangeRowsOf(table int) int64 {
-	if table < 0 || table >= len(s.tables) {
-		return 0
-	}
-	return s.tables[table].rangeRows
-}
-
 // rangeMigrationState validates a range-migration request: the table must
 // be swappable and SM-target (whole-table FM residency supersedes ranges),
 // the window must be range-aligned, and every covered range must currently
@@ -225,8 +216,8 @@ func (s *Store) BeginDemoteRange(table int, lo, hi int64, chunkBytes int) (*Migr
 }
 
 // FMResidentBytes returns the table's bytes currently served from FM: the
-// full stored footprint of a swappable FM-target table, else the bytes of
-// its FM-resident ranges (0 for a table fixed in FM).
+// full stored footprint of an FM-target table, else the bytes of its
+// FM-resident ranges.
 func (s *Store) FMResidentBytes(table int) int64 {
 	if table < 0 || table >= len(s.tables) {
 		return 0

@@ -90,7 +90,7 @@ func driveRange(t *testing.T, m *Migration, now simclock.Time) simclock.Time {
 func TestStorePoolsLikeRowByRow(t *testing.T) {
 	s, o := rangeFixture(t, 1)
 	const table = 1
-	m, err := s.BeginPromoteRange(table, 0, s.RangeRowsOf(table), 4<<10)
+	m, err := s.BeginPromoteRange(table, 0, s.TableStats(nil)[table].RangeRows, 4<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestStorePoolsLikeRowByRow(t *testing.T) {
 func TestRangeMigrationRoundTripMatchesOracle(t *testing.T) {
 	s, oracle := rangeFixture(t, 1)
 	const table = 1
-	rr := s.RangeRowsOf(table)
+	rr := s.TableStats(nil)[table].RangeRows
 	if rr <= 0 {
 		t.Fatal("swappable table should be range-provisioned")
 	}
@@ -183,7 +183,7 @@ func TestRangeMigrationRoundTripMatchesOracle(t *testing.T) {
 	if err := m.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if s.TargetOf(table) != placement.SM {
+	if s.TableStats(nil)[table].Target != placement.SM {
 		t.Fatal("range promotion must not flip the whole-table target")
 	}
 	if got := s.FMResidentBytes(table); got != wantBytes {
@@ -237,7 +237,7 @@ func TestRangeMigrationRoundTripMatchesOracle(t *testing.T) {
 func TestRangeMigrationValidation(t *testing.T) {
 	s, _ := rangeFixture(t, 1)
 	const table = 0
-	rr := s.RangeRowsOf(table)
+	rr := s.TableStats(nil)[table].RangeRows
 	rows := s.tables[table].rows
 	if _, err := s.BeginPromoteRange(table, 1, rr, 0); err == nil {
 		t.Fatal("misaligned window should be rejected")
@@ -277,7 +277,7 @@ func TestRangeMigrationValidation(t *testing.T) {
 
 	// A non-swappable item table has no ranges.
 	item := len(s.tables) - 1
-	if s.RangeRowsOf(item) != 0 {
+	if s.TableStats(nil)[item].RangeRows != 0 {
 		t.Fatal("item table should not be range-provisioned")
 	}
 	if _, err := s.BeginPromoteRange(item, 0, 1, 0); err == nil {
@@ -288,7 +288,7 @@ func TestRangeMigrationValidation(t *testing.T) {
 func TestMigrationAbort(t *testing.T) {
 	s, oracle := rangeFixture(t, 1)
 	const table = 2
-	rr := s.RangeRowsOf(table)
+	rr := s.TableStats(nil)[table].RangeRows
 	now := s.LoadDone()
 	m, err := s.BeginPromoteRange(table, 0, 2*rr, 4<<10)
 	if err != nil {

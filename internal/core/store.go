@@ -87,8 +87,7 @@ type tableState struct {
 	// table without range provisioning has one range, its whole self — and
 	// a whole-table migration moves all of them and flips target. fm is
 	// nil until a range of an SM-target table is first promoted. fmBytes
-	// is the resident bytes of a swappable table's ranges (a fixed FM
-	// table's range cannot migrate and is not counted).
+	// is the stored bytes of the resident ranges.
 	fm      []fmRows
 	fmBytes int64
 
@@ -290,11 +289,11 @@ func (s *Store) loadTables(tables []*embedding.Table) error {
 			st.rowBytes = t.Spec().RowBytes()
 			st.rows = t.Spec().Rows
 			st.fm = st.loadedRanges(t.Bytes(), 0, st.rows)
+			st.fmBytes = t.Spec().SizeBytes()
 			if st.swappable {
 				// A reserved stripe, so a runtime demotion has somewhere to
 				// write. Identity load transforms (enforced with ReserveSM)
 				// make the FM bytes exactly what a clean demotion writes.
-				st.fmBytes = t.Spec().SizeBytes()
 				smBytes += t.Spec().SizeBytes()
 				loads = append(loads, smLoad{idx: i, table: t})
 			}

@@ -640,7 +640,7 @@ func BenchmarkRangeMigration(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				hi := 4 * store.RangeRowsOf(table)
+				hi := 4 * store.TableStats(nil)[table].RangeRows
 				now := store.LoadDone()
 				move := func(store *core.Store, up bool) {
 					begin := store.BeginDemoteRange
