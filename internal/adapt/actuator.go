@@ -1,13 +1,15 @@
 // The actuator owns the Begin/Step/Commit/Abort migration machinery — a
 // FIFO of planned moves, one in-flight migration paced on the virtual
-// timeline under a bandwidth cap, and (when a window schedule is installed)
-// coordinator-granted migration windows with a per-window SM demote-write
-// budget. It executes whatever plan the policy layer hands it and knows
-// nothing about telemetry or placement scoring.
+// timeline under a bandwidth cap, and a window schedule: coordinator-granted
+// migration windows with a per-window SM demote-write budget, or one window
+// over all of virtual time (alwaysOpen). It executes whatever plan the
+// policy layer hands it and knows nothing about telemetry or placement
+// scoring.
 
 package adapt
 
 import (
+	"math"
 	"time"
 
 	"sdm/internal/core"
@@ -56,6 +58,12 @@ type Window struct {
 // determinism contract depends on it — and must return Close > Open.
 type WindowFn func(t simclock.Time) Window
 
+// alwaysOpen is an ungoverned actuator's schedule: one window over all of
+// virtual time, with no demote budget and no bandwidth override.
+func alwaysOpen(simclock.Time) Window {
+	return Window{Open: math.MinInt64, Close: math.MaxInt64}
+}
+
 // migration is the slice of core.Migration the pacing loop drives,
 // narrowed to an interface so regression tests can substitute
 // failure-injecting fakes.
@@ -81,7 +89,7 @@ type actuator struct {
 	store      *core.Store
 	chunkBytes int
 	// bandwidth is the default pacing cap (bytes/s; 0 = unpaced), used
-	// when no window schedule is installed or a window carries none.
+	// when the window carries none.
 	bandwidth float64
 	stats     *Stats
 
@@ -103,12 +111,12 @@ func newActuator(store *core.Store, chunkBytes int, bandwidthBytesPerSec float64
 		chunkBytes: chunkBytes,
 		bandwidth:  bandwidthBytesPerSec,
 		stats:      stats,
+		windows:    alwaysOpen,
 	}
 }
 
-// setWindows installs (or, with nil, removes) a migration window
-// schedule. With a schedule installed, chunks issue only inside granted
-// windows and each window's demote budget is enforced.
+// setWindows replaces the window schedule (non-nil): chunks issue only
+// inside granted windows and each window's demote budget is enforced.
 func (x *actuator) setWindows(fn WindowFn) { x.windows = fn }
 
 // pending returns queued plus in-flight move count.
@@ -150,15 +158,6 @@ func (x *actuator) reconcile(keep func(move) bool) {
 	x.queue = kept
 }
 
-// windowAt returns the window covering (or next following) t, and whether
-// a schedule is installed.
-func (x *actuator) windowAt(t simclock.Time) (Window, bool) {
-	if x.windows == nil {
-		return Window{}, false
-	}
-	return x.windows(t), true
-}
-
 // spentInWindow returns the demote bytes already issued in w (0 when the
 // actuator last filled a different window).
 func (x *actuator) spentInWindow(w Window) int64 {
@@ -172,10 +171,9 @@ func (x *actuator) spentInWindow(w Window) int64 {
 // commits finished migrations whose IO has completed. A migration whose
 // Step fails — or stalls issuing zero bytes without finishing, which would
 // otherwise spin the unpaced loop forever — is aborted and rolled back,
-// so a half-moved window can never be committed by a later pass. With a
-// window schedule installed, chunks additionally wait for the replica's
-// granted windows and demote chunks stop when a window's SM write budget
-// is spent.
+// so a half-moved window can never be committed by a later pass. Chunks
+// wait for the replica's granted windows and demote chunks stop when a
+// window's SM write budget is spent.
 func (x *actuator) advance(now simclock.Time) {
 	for {
 		if x.active == nil {
@@ -195,28 +193,24 @@ func (x *actuator) advance(now simclock.Time) {
 		act := x.active
 		for !act.m.Finished() && act.nextIssue <= now {
 			issue := act.nextIssue
-			var win Window
-			gated := x.windows != nil
-			if gated {
-				win = x.windows(issue)
-				if issue < win.Open {
-					// Between windows: the next chunk waits for the
-					// replica's next grant.
-					act.nextIssue = win.Open
-					continue
-				}
-				if x.winOpen != win.Open {
-					x.winOpen, x.winDemoted = win.Open, 0
-				}
-				if !act.job.Promote && win.DemoteBudgetBytes > 0 && x.winDemoted >= win.DemoteBudgetBytes {
-					// This window's SM write budget is spent: demote
-					// chunks resume in the next window.
-					act.nextIssue = win.Close
-					continue
-				}
+			win := x.windows(issue)
+			if issue < win.Open {
+				// Between windows: the next chunk waits for the
+				// replica's next grant.
+				act.nextIssue = win.Open
+				continue
+			}
+			if x.winOpen != win.Open {
+				x.winOpen, x.winDemoted = win.Open, 0
+			}
+			if !act.job.Promote && win.DemoteBudgetBytes > 0 && x.winDemoted >= win.DemoteBudgetBytes {
+				// This window's SM write budget is spent: demote
+				// chunks resume in the next window.
+				act.nextIssue = win.Close
+				continue
 			}
 			n, _, err := act.m.Step(issue)
-			if gated && !act.job.Promote {
+			if !act.job.Promote {
 				// A failed Step still reports the bytes its earlier devices
 				// wrote: they wore the media, so they spend the budget too.
 				x.winDemoted += int64(n)
@@ -228,7 +222,7 @@ func (x *actuator) advance(now simclock.Time) {
 				break
 			}
 			bw := x.bandwidth
-			if gated && win.BandwidthBytesPerSec > 0 {
+			if win.BandwidthBytesPerSec > 0 {
 				bw = win.BandwidthBytesPerSec
 			}
 			if bw > 0 {

@@ -286,7 +286,8 @@ func (a *Adapter) windowDemoteBudget() int64 {
 
 // SetWindows installs a fleet coordinator's migration window schedule on
 // the actuator (replacing the ungoverned wear windows, if any). The
-// schedule must be a pure function of virtual time — see WindowFn.
+// schedule must be non-nil and a pure function of virtual time — see
+// WindowFn.
 func (a *Adapter) SetWindows(fn WindowFn) { a.act.setWindows(fn) }
 
 // SetTracer installs the decision-trace collector this adapter's plan
@@ -383,8 +384,8 @@ func (a *Adapter) BeforeAdmit(now simclock.Time) {
 // actuator's current window: its demote allowance and what this window
 // has already written.
 func (a *Adapter) wearBudget(now simclock.Time) placement.WearBudget {
-	w, ok := a.act.windowAt(now)
-	if !ok || w.DemoteBudgetBytes <= 0 {
+	w := a.act.windows(now)
+	if w.DemoteBudgetBytes <= 0 {
 		return placement.WearBudget{}
 	}
 	return placement.WearBudget{

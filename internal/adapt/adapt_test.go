@@ -302,10 +302,7 @@ func TestSelfWindowDemoteBudgetTracksEndurance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, ok := a.act.windowAt(12345)
-	if !ok {
-		t.Fatal("wear-aware adapter installed no window schedule")
-	}
+	w := a.act.windows(12345)
 	wear := s.Wear()
 	want := int64(wear.DailyWriteBudgetBytes() * 1 * 0.1)
 	if w.DemoteBudgetBytes != want {

@@ -2,16 +2,17 @@
 // paper's Table 1 (§3): PCIe Nand Flash, PCIe 3DXP (Optane SSD), PCIe ZSSD,
 // DIMM 3DXP and CXL 3DXP.
 //
-// The simulator is "virtual time, real data": every access moves or lends
-// the real bytes of the media (so the functional layer above — caches,
-// dequantization, pooling — operates on them), while access latency comes
-// from a queueing model booked in virtual time: the caller passes the
-// instant it issues an IO and gets the completion instant back. The two
-// halves can be driven apart: PeekInto / PokeFrom move the bytes of a read /
-// write (Row lends a loaded row's bytes in place), AccountRead / AccountWrite
-// book the timing and the counters. A device's media is a private flat
-// image in memory (New) or a read-only load image that reads the caller's
-// loaded tables in place (NewLoaded) until the first write that changes it.
+// The simulator is "virtual time, real data", and every IO is two halves.
+// The data half moves or lends the real bytes of the media (so the
+// functional layer above — caches, dequantization, pooling — operates on
+// them): Row / PokeRow by (stripe, row), PeekInto / PokeFrom by byte offset.
+// The timing half, AccountRead / AccountWrite, books the access in a
+// queueing model in virtual time: the caller passes the instant it issues
+// an IO and gets the completion instant back. A device's media is a private
+// flat image in memory (New) or a read-only load image that reads the
+// caller's loaded tables in place (NewLoaded); a load image is addressed by
+// row, and becomes a flat image on the first write that changes a row or on
+// any access by offset.
 //
 // Each device exposes a fixed number of internal channels
 // (dies), each holding its next-free instant; an IO occupies a channel for
@@ -27,7 +28,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"sdm/internal/simclock"
@@ -180,9 +180,10 @@ func (s Stats) BusSavings() float64 {
 // Device simulates one SM device instance. Its media is either private
 // and flat (New: writes land in place) or a load image (NewLoaded): stripes
 // of loaded tables read in place, zeros elsewhere. A load image copies on
-// change: the first write that changes its bytes gives the device a private
-// flat copy of the whole media (Capacity bytes), while rewriting the bytes
-// already there copies nothing. The load image never changes observable behaviour.
+// change: the first PokeRow that changes a row's bytes gives the device a
+// private flat copy of the whole media (Capacity bytes), while rewriting a
+// row with its own bytes copies nothing. The load image never changes
+// observable behaviour.
 type Device struct {
 	spec TechSpec
 	rng  *xrand.RNG
@@ -363,99 +364,41 @@ func (d *Device) book(now simclock.Time, off int64, n int, write bool) (simclock
 	return done, d.alignedSpan(off, n), nil
 }
 
-// Read performs a block-granularity read: the whole aligned span covering
-// [off, off+len(p)) is read at the media and transferred over the bus
-// (classic read amplification). Data for the requested range is copied into
-// p. It returns the virtual completion time.
-func (d *Device) Read(now simclock.Time, p []byte, off int64) (simclock.Time, error) {
-	return d.read(now, p, off, false)
-}
-
-// ReadSGL performs a sub-block read using the NVMe SGL bit-bucket technique
-// of §4.1.1: the media access still covers the full aligned span, but only
-// the requested bytes cross the bus, saving bus bandwidth and the extra
-// host-side copy.
-func (d *Device) ReadSGL(now simclock.Time, p []byte, off int64) (simclock.Time, error) {
-	return d.read(now, p, off, true)
-}
-
-func (d *Device) read(now simclock.Time, p []byte, off int64, sgl bool) (simclock.Time, error) {
-	if err := d.PeekInto(p, off); err != nil {
-		return now, err
-	}
-	return d.AccountRead(now, off, len(p), sgl)
-}
-
 // PeekInto copies [off, off+len(p)) into p without touching the timing
-// model or the counters — the data half of a read. Callers that split a
-// read must pair it with AccountRead for the timing half. PeekInto is safe
-// for concurrent readers as long as no write is in flight; on a load image
-// it copies stripe by stripe and never materializes the media.
+// model or the counters — the data half of a read over flat media; pair it
+// with AccountRead for the timing half. A load image is materialized first,
+// so PeekInto writes the device's state there; a store reads its rows with
+// Row instead, which never does.
 func (d *Device) PeekInto(p []byte, off int64) error {
 	if err := d.check(off, len(p)); err != nil {
 		return err
 	}
-	if d.data != nil {
-		copy(p, d.data[off:])
-		return nil
+	if d.data == nil {
+		d.materialize()
 	}
-	d.pieces(off, len(p), func(b []byte, n int) bool {
-		if b == nil {
-			clear(p[:n])
-		} else {
-			copy(p, b)
-		}
-		p = p[n:]
-		return true
-	})
+	copy(p, d.data[off:])
 	return nil
 }
 
-// pieces walks [off, off+n) of the load image in order, handing f each
-// piece: a part of one loaded row (its bytes in Src) or a run of zeros
-// (nil). It stops when f returns false and reports whether f never did.
-func (d *Device) pieces(off int64, n int, f func(b []byte, n int) bool) bool {
-	end := off + int64(n)
-	k := sort.Search(len(d.stripes), func(i int) bool { return d.stripes[i].end() > off })
-	for ; off < end; k++ {
-		if k == len(d.stripes) || d.stripes[k].Off >= end {
-			return f(nil, int(end-off))
-		}
-		s := &d.stripes[k]
-		if off < s.Off {
-			if !f(nil, int(s.Off-off)) {
-				return false
-			}
-			off = s.Off
-		}
-		rb := int64(s.RowBytes)
-		r, in := (off-s.Off)/rb, (off-s.Off)%rb
-		for stop := min(end, s.end()); off < stop; r, in = r+1, 0 {
-			m := min(rb-in, stop-off)
-			if !f(s.row(r)[in:in+m:in+m], int(m)) {
-				return false
-			}
-			off += m
+// materialize gives a load image's device its private flat media: zeros
+// with each stripe's rows copied in.
+func (d *Device) materialize() {
+	d.data = make([]byte, d.capacity)
+	for i := range d.stripes {
+		s := &d.stripes[i]
+		for r := int64(0); r < s.Rows; r++ {
+			copy(d.data[s.Off+r*int64(s.RowBytes):], s.row(r))
 		}
 	}
-	return true
-}
-
-// materialize gives a load image's device its private flat media.
-func (d *Device) materialize() {
-	data := make([]byte, d.capacity)
-	_ = d.PeekInto(data, 0)
-	d.data = data
 }
 
 // Row lends row r of load stripe k, addressed without a search: the media's
 // own RowBytes bytes at Off + r·RowBytes, in the loaded table while the load
-// image serves them and in the flat media once materialized. It is PeekInto
-// without the copy, for a reader that is done with the bytes before the
+// image serves them and in the flat media once materialized. It is the
+// copy-free read, for a reader that is done with the bytes before the
 // device is next written; never write through it. It fails with
 // ErrOutOfRange outside the stripes and ErrClosed on a closed device, never
-// writes the device's state and, like PeekInto, is safe for concurrent
-// readers.
+// writes the device's state and is safe for concurrent readers.
 func (d *Device) Row(k int, r int64) ([]byte, error) {
 	if d.closed {
 		return nil, ErrClosed
@@ -472,10 +415,9 @@ func (d *Device) Row(k int, r int64) ([]byte, error) {
 }
 
 // AccountRead books the timing and counters of an n-byte read at off
-// without copying data: the timing half of a read whose bytes were already
-// obtained via PeekInto or Row. Calling Read is equivalent to PeekInto
-// followed by AccountRead, so deferred-timing callers observe bit-identical
-// completion times, stats and RNG draws as inline callers.
+// without copying data: the timing half of a read whose bytes come from
+// PeekInto or Row. Only the offset and the length reach the timing model,
+// so the two halves may run in either order.
 func (d *Device) AccountRead(now simclock.Time, off int64, n int, sgl bool) (simclock.Time, error) {
 	done, span, err := d.book(now, off, n, false)
 	if err != nil {
@@ -492,41 +434,25 @@ func (d *Device) AccountRead(now simclock.Time, off int64, n int, sgl bool) (sim
 	return done + simclock.Time(d.busTime(bus)), nil
 }
 
-// Write writes p at off, modelling program latency and endurance wear: it
-// is exactly PokeFrom followed by AccountWrite.
-func (d *Device) Write(now simclock.Time, p []byte, off int64) (simclock.Time, error) {
-	if err := d.PokeFrom(p, off); err != nil {
-		return now, err
-	}
-	return d.AccountWrite(now, off, len(p))
-}
-
 // PokeFrom copies p onto the media at off without touching the timing
-// model or the counters — the data half of a write and the mirror of
-// PeekInto; pair it with AccountWrite for the timing half. On a load image a
-// write of the bytes already there is a no-op, and any other write first
-// materializes the media (copy on change), so no loaded table is written.
+// model or the counters — the data half of a write over flat media and the
+// mirror of PeekInto; pair it with AccountWrite for the timing half. A load
+// image is materialized first, so no loaded table is written.
 func (d *Device) PokeFrom(p []byte, off int64) error {
 	if err := d.check(off, len(p)); err != nil {
 		return err
 	}
 	if d.data == nil {
-		q := p
-		if d.pieces(off, len(p), func(b []byte, n int) bool {
-			eq := bytes.Equal(b, q[:n]) || b == nil && len(bytes.TrimLeft(q[:n], "\x00")) == 0
-			q = q[n:]
-			return eq
-		}) {
-			return nil
-		}
 		d.materialize()
 	}
 	copy(d.data[off:], p)
 	return nil
 }
 
-// PokeRow is PokeFrom of row r of load stripe k, addressed like Row: p must
-// be one row long.
+// PokeRow writes p as row r of load stripe k, addressed like Row: p must be
+// one row long. It copies on change: on a load image a write of the row's
+// own bytes copies nothing, and the first one that changes a byte
+// materializes the media once.
 func (d *Device) PokeRow(k int, r int64, p []byte) error {
 	row, err := d.Row(k, r)
 	if err != nil {
@@ -548,8 +474,8 @@ func (d *Device) PokeRow(k int, r int64, p []byte) error {
 
 // AccountWrite books the timing, counters, endurance wear and RNG draws of
 // an n-byte write at off without moving data — the write-side counterpart
-// of AccountRead, for bytes already on the media (poked, or held by a load
-// image).
+// of AccountRead, for bytes PokeFrom or PokeRow put on the media, or a load
+// image already holds.
 func (d *Device) AccountWrite(now simclock.Time, off int64, n int) (simclock.Time, error) {
 	done, span, err := d.book(now, off, n, true)
 	if err != nil {

@@ -19,6 +19,23 @@ func newNand(t *testing.T, capacity int64) *Device {
 	return New(Spec(NandFlash), capacity, nil, 1)
 }
 
+// read is one block (or, with sgl, sub-block) read issued at now: the data
+// half, PeekInto, then the timing half, AccountRead.
+func read(d *Device, now simclock.Time, p []byte, off int64, sgl bool) (simclock.Time, error) {
+	if err := d.PeekInto(p, off); err != nil {
+		return now, err
+	}
+	return d.AccountRead(now, off, len(p), sgl)
+}
+
+// write is one write issued at now: PokeFrom, then AccountWrite.
+func write(d *Device, now simclock.Time, p []byte, off int64) (simclock.Time, error) {
+	if err := d.PokeFrom(p, off); err != nil {
+		return now, err
+	}
+	return d.AccountWrite(now, off, len(p))
+}
+
 func TestCatalogComplete(t *testing.T) {
 	cat := Catalog()
 	if len(cat) != 5 {
@@ -61,11 +78,11 @@ func TestTechnologyString(t *testing.T) {
 func TestWriteThenRead(t *testing.T) {
 	dev := newNand(t, 1<<20)
 	src := []byte("hello embedding row")
-	if _, err := dev.Write(0, src, 4096); err != nil {
+	if _, err := write(dev, 0, src, 4096); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, len(src))
-	if _, err := dev.Read(0, dst, 4096); err != nil {
+	if _, err := read(dev, 0, dst, 4096, false); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(src, dst) {
@@ -73,32 +90,33 @@ func TestWriteThenRead(t *testing.T) {
 	}
 }
 
-// TestPokeFromPlusAccountWriteIsWrite: the split halves of a write leave a
-// same-seed device in exactly the state Write does, and poking a device
-// over a load image writes to a private copy, not to the loaded table.
+// TestPokeFromPlusAccountWriteIsWrite: the two halves of a write leave
+// same-seed devices in the same state in either order (a ring books the
+// timing half first), and poking a device over a load image writes to a
+// private copy, not to the loaded table.
 func TestPokeFromPlusAccountWriteIsWrite(t *testing.T) {
 	whole := newNand(t, 1<<20)
 	split := newNand(t, 1<<20)
 	src := bytes.Repeat([]byte{0xab}, 5000)
 	for i := int64(0); i < 20; i++ {
 		off := i * 9000
-		want, err := whole.Write(0, src, off)
+		want, err := write(whole, 0, src, off)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := split.PokeFrom(src, off); err != nil {
 			t.Fatal(err)
 		}
 		got, err := split.AccountWrite(0, off, len(src))
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := split.PokeFrom(src, off); err != nil {
+			t.Fatal(err)
+		}
 		if got != want {
-			t.Fatalf("write %d: split completes at %v, Write at %v", i, got, want)
+			t.Fatalf("write %d: timing half first completes at %v, data half first at %v", i, got, want)
 		}
 	}
 	if whole.Stats() != split.Stats() || !bytes.Equal(contents(t, whole, 0, 1<<20), contents(t, split, 0, 1<<20)) {
-		t.Fatalf("split write diverged from Write:\n%+v\n%+v", split.Stats(), whole.Stats())
+		t.Fatalf("the order of a write's halves changed its outcome:\n%+v\n%+v", split.Stats(), whole.Stats())
 	}
 
 	table := contents(t, whole, 0, 1<<20)
@@ -120,10 +138,10 @@ func TestPokeFromPlusAccountWriteIsWrite(t *testing.T) {
 func TestReadOutOfRange(t *testing.T) {
 	dev := newNand(t, 4096)
 	buf := make([]byte, 128)
-	if _, err := dev.Read(0, buf, 4096-64); !errors.Is(err, ErrOutOfRange) {
+	if _, err := read(dev, 0, buf, 4096-64, false); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("want ErrOutOfRange, got %v", err)
 	}
-	if _, err := dev.Read(0, buf, -1); !errors.Is(err, ErrOutOfRange) {
+	if _, err := read(dev, 0, buf, -1, false); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("negative offset: want ErrOutOfRange, got %v", err)
 	}
 }
@@ -131,19 +149,18 @@ func TestReadOutOfRange(t *testing.T) {
 func TestClosedDevice(t *testing.T) {
 	dev := newNand(t, 4096)
 	dev.Close()
-	if _, err := dev.Read(0, make([]byte, 8), 0); !errors.Is(err, ErrClosed) {
+	if _, err := read(dev, 0, make([]byte, 8), 0, false); !errors.Is(err, ErrClosed) {
 		t.Fatalf("want ErrClosed, got %v", err)
 	}
-	if _, err := dev.Write(0, make([]byte, 8), 0); !errors.Is(err, ErrClosed) {
+	if _, err := write(dev, 0, make([]byte, 8), 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("want ErrClosed, got %v", err)
 	}
 }
 
 func TestReadAmplification(t *testing.T) {
 	dev := newNand(t, 1<<20)
-	buf := make([]byte, 128)
 	// 128 B from a 4 KiB-granularity device: 32× amplification.
-	if _, err := dev.Read(0, buf, 0); err != nil {
+	if _, err := dev.AccountRead(0, 0, 128, false); err != nil {
 		t.Fatal(err)
 	}
 	s := dev.Stats()
@@ -161,9 +178,8 @@ func TestReadAmplification(t *testing.T) {
 
 func TestSGLBusSavings(t *testing.T) {
 	dev := newNand(t, 1<<20)
-	buf := make([]byte, 128)
 	for i := 0; i < 100; i++ {
-		if _, err := dev.ReadSGL(0, buf, int64(i)*4096); err != nil {
+		if _, err := dev.AccountRead(0, int64(i)*4096, 128, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,12 +204,12 @@ func TestSGLSpansTwoBlocks(t *testing.T) {
 		src[i] = byte(i)
 	}
 	off := int64(4096 - 100) // straddles a block boundary
-	if _, err := dev.Write(0, src, off); err != nil {
+	if _, err := write(dev, 0, src, off); err != nil {
 		t.Fatal(err)
 	}
 	before := dev.Stats().MediaBytes
 	dst := make([]byte, 256)
-	if _, err := dev.ReadSGL(0, dst, off); err != nil {
+	if _, err := read(dev, 0, dst, off, true); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(src, dst) {
@@ -206,8 +222,7 @@ func TestSGLSpansTwoBlocks(t *testing.T) {
 
 func TestUnloadedLatencyNearMedia(t *testing.T) {
 	dev := newNand(t, 1<<20)
-	buf := make([]byte, 128)
-	done, err := dev.ReadSGL(0, buf, 0)
+	done, err := dev.AccountRead(0, 0, 128, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +237,10 @@ func TestLoadedLatencyRises(t *testing.T) {
 	// Submitting far beyond the device's concurrency at one instant must
 	// queue: later completions much slower than the first.
 	dev := newNand(t, 1<<24)
-	buf := make([]byte, 128)
 	var first, last simclock.Time
 	const n = 2000
 	for i := 0; i < n; i++ {
-		done, err := dev.ReadSGL(0, buf, int64(i%1000)*4096)
+		done, err := dev.AccountRead(0, int64(i%1000)*4096, 128, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,11 +260,10 @@ func TestThroughputCeiling(t *testing.T) {
 	// Completion rate of a saturating burst must approximate MaxIOPS.
 	spec := Spec(OptaneSSD)
 	dev := New(spec, 1<<24, nil, 2)
-	buf := make([]byte, 128)
 	const n = 50000
 	var last simclock.Time
 	for i := 0; i < n; i++ {
-		done, err := dev.ReadSGL(0, buf, int64(i%1000)*512)
+		done, err := dev.AccountRead(0, int64(i%1000)*512, 128, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +281,6 @@ func TestOptaneVsNandProfile(t *testing.T) {
 	// Fig. 3 shape: Optane sustains higher IOPS at lower latency.
 	run := func(tech Technology) (iops float64, meanLat time.Duration) {
 		dev := New(Spec(tech), 1<<24, nil, 3)
-		buf := make([]byte, 128)
 		const n = 20000
 		var last simclock.Time
 		var sum time.Duration
@@ -276,7 +288,7 @@ func TestOptaneVsNandProfile(t *testing.T) {
 			// Pace submissions at 80% of ceiling to stay in the stable
 			// region.
 			at := simclock.Time(float64(i) / (0.8 * Spec(tech).MaxIOPS) * float64(time.Second))
-			done, err := dev.ReadSGL(at, buf, int64(i%1000)*4096)
+			done, err := dev.AccountRead(at, int64(i%1000)*4096, 128, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,9 +315,8 @@ func TestOptaneVsNandProfile(t *testing.T) {
 
 func TestNandTailEvents(t *testing.T) {
 	dev := newNand(t, 1<<24)
-	buf := make([]byte, 128)
 	for i := 0; i < 20000; i++ {
-		if _, err := dev.ReadSGL(simclock.Time(i)*simclock.Time(10*time.Microsecond), buf, int64(i%1000)*4096); err != nil {
+		if _, err := dev.AccountRead(simclock.Time(i)*simclock.Time(10*time.Microsecond), int64(i%1000)*4096, 128, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -321,7 +332,7 @@ func TestNandTailEvents(t *testing.T) {
 
 func TestWriteEnduranceAccounting(t *testing.T) {
 	dev := newNand(t, 1<<20)
-	if _, err := dev.Write(0, make([]byte, 100), 0); err != nil {
+	if _, err := dev.AccountWrite(0, 0, 100); err != nil {
 		t.Fatal(err)
 	}
 	s := dev.Stats()
@@ -374,9 +385,6 @@ func TestRangeCheckDoesNotWrap(t *testing.T) {
 		{"Row", func(d *Device) error { _, err := d.Row(0, off); return err }},
 		{"PokeRow", func(d *Device) error { return d.PokeRow(0, off, p) }},
 		{"PokeFrom", func(d *Device) error { return d.PokeFrom(p, off) }},
-		{"Read", func(d *Device) error { _, err := d.Read(0, p, off); return err }},
-		{"ReadSGL", func(d *Device) error { _, err := d.ReadSGL(0, p, off); return err }},
-		{"Write", func(d *Device) error { _, err := d.Write(0, p, off); return err }},
 		{"AccountRead", func(d *Device) error { _, err := d.AccountRead(0, off, len(p), false); return err }},
 		{"AccountWrite", func(d *Device) error { _, err := d.AccountWrite(0, off, len(p)); return err }},
 	} {
@@ -431,12 +439,14 @@ func loadImage(seed uint64) (stripes []Stripe, flat []byte) {
 	return stripes, append(flat, make([]byte, 5000)...)
 }
 
-// loadedPair drives a device over a load image and a flat reference device
-// (New, poked with the image's bytes, same seed) with the same operations.
+// loadedPair drives a device over a load image by (stripe, row) and a flat
+// reference device (New, poked with the image's bytes, same seed) by the
+// row's offset, with the same operations: each row's data half on its own,
+// then its timing half at the same offset on both.
 type loadedPair struct {
 	dev, ref *Device
-	srcs     [][]byte // the loaded tables
-	orig     [][]byte // their bytes when the image was made
+	stripes  []Stripe
+	orig     [][]byte // the loaded tables' bytes when the image was made
 	changed  bool     // a write changed the media's bytes
 }
 
@@ -456,9 +466,8 @@ func newLoadedPairs(t testing.TB, n int) []*loadedPair {
 		if err := ref.PokeFrom(flat, 0); err != nil {
 			t.Fatal(err)
 		}
-		lp := &loadedPair{dev: dev, ref: ref}
+		lp := &loadedPair{dev: dev, ref: ref, stripes: stripes}
 		for _, st := range stripes {
-			lp.srcs = append(lp.srcs, st.Src)
 			lp.orig = append(lp.orig, bytes.Clone(st.Src))
 		}
 		pairs[i] = lp
@@ -466,36 +475,87 @@ func newLoadedPairs(t testing.TB, n int) []*loadedPair {
 	return pairs
 }
 
-// poke writes p at off on both devices and requires the same outcome.
-func (lp *loadedPair) poke(t testing.TB, p []byte, off int64) {
-	t.Helper()
-	before := make([]byte, len(p))
-	inRange := lp.ref.PeekInto(before, off) == nil
-	err, refErr := lp.dev.PokeFrom(p, off), lp.ref.PokeFrom(p, off)
-	if (err == nil) != (refErr == nil) || (err != nil && !errors.Is(err, ErrOutOfRange)) {
-		t.Fatalf("PokeFrom(%d bytes at %d): %v, reference %v", len(p), off, err, refErr)
+// row reports whether (k, r) is a row of the image and, if so, its device
+// offset and length.
+func (lp *loadedPair) row(k int, r int64) (off int64, n int, ok bool) {
+	if k < 0 || k >= len(lp.stripes) || r < 0 || r >= lp.stripes[k].Rows {
+		return 0, 0, false
 	}
-	lp.changed = lp.changed || inRange && !bytes.Equal(p, before)
+	s := &lp.stripes[k]
+	return s.Off + r*int64(s.RowBytes), s.RowBytes, true
 }
 
-// peek reads [off, off+n) off both devices and requires the same bytes.
-func (lp *loadedPair) peek(t testing.TB, off int64, n int) {
+// same requires the device and the reference to agree on an operation's
+// outcome and, after it, on Stats and RNG state.
+func (lp *loadedPair) same(t testing.TB, what string, done, refDone simclock.Time, err, refErr error) {
 	t.Helper()
-	got, want := make([]byte, n), make([]byte, n)
-	err, refErr := lp.dev.PeekInto(got, off), lp.ref.PeekInto(want, off)
-	if (err == nil) != (refErr == nil) || !bytes.Equal(got, want) {
-		t.Fatalf("PeekInto(%d bytes at %d): %v, reference %v; bytes differ: %v", n, off, err, refErr, !bytes.Equal(got, want))
+	if (err == nil) != (refErr == nil) || err != nil && !errors.Is(err, ErrOutOfRange) || done != refDone {
+		t.Fatalf("%s: %v (done %v), reference %v (done %v)", what, err, done, refErr, refDone)
+	}
+	if lp.dev.Stats() != lp.ref.Stats() || *lp.dev.rng != *lp.ref.rng || lp.dev.Capacity() != lp.ref.Capacity() {
+		t.Fatalf("%s: stats %+v, reference %+v", what, lp.dev.Stats(), lp.ref.Stats())
 	}
 }
 
-// verify compares the whole media with the reference and requires the loaded
-// tables untouched and the device on its load image exactly while no write
-// changed bytes.
+// poke writes p as row r of stripe k: PokeRow on the device, PokeFrom at the
+// row's offset on the reference, then AccountWrite there on both. Outside
+// the image, or with p not one row long, PokeRow must fail with
+// ErrOutOfRange.
+func (lp *loadedPair) poke(t testing.TB, k int, r int64, p []byte) {
+	t.Helper()
+	err := lp.dev.PokeRow(k, r, p)
+	off, n, ok := lp.row(k, r)
+	if !ok || len(p) != n {
+		if !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("PokeRow(%d, %d) of %d bytes outside the image: %v", k, r, len(p), err)
+		}
+		return
+	}
+	before := contents(t, lp.ref, off, n)
+	lp.same(t, fmt.Sprintf("PokeRow(%d, %d)", k, r), 0, 0, err, lp.ref.PokeFrom(p, off))
+	lp.changed = lp.changed || !bytes.Equal(p, before)
+	done, err := lp.dev.AccountWrite(simclock.Time(r), off, n)
+	refDone, refErr := lp.ref.AccountWrite(simclock.Time(r), off, n)
+	lp.same(t, fmt.Sprintf("AccountWrite of row (%d, %d)", k, r), done, refDone, err, refErr)
+}
+
+// peek reads row r of stripe k: Row on the device, PeekInto at the row's
+// offset on the reference, then an SGL AccountRead there on both.
+func (lp *loadedPair) peek(t testing.TB, k int, r int64) {
+	t.Helper()
+	got, err := lp.dev.Row(k, r)
+	off, n, ok := lp.row(k, r)
+	if !ok {
+		if !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("Row(%d, %d) outside the image: %v", k, r, err)
+		}
+		return
+	}
+	if want := contents(t, lp.ref, off, n); err != nil || !bytes.Equal(got, want) || cap(got) != n {
+		t.Fatalf("Row(%d, %d): %v; equal to the reference %v, cap %d of %d", k, r, err, bytes.Equal(got, want), cap(got), n)
+	}
+	done, err := lp.dev.AccountRead(simclock.Time(r), off, n, true)
+	refDone, refErr := lp.ref.AccountRead(simclock.Time(r), off, n, true)
+	lp.same(t, fmt.Sprintf("AccountRead of row (%d, %d)", k, r), done, refDone, err, refErr)
+}
+
+// verify compares every row and then the whole media with the reference
+// (through a shallow copy of the device, so that the peek by offset
+// materializes the copy alone), and requires the loaded tables untouched
+// and the device on its load image exactly while no write changed bytes.
 func (lp *loadedPair) verify(t testing.TB) {
 	t.Helper()
-	lp.peek(t, 0, int(lp.ref.Capacity()))
-	for i := range lp.srcs {
-		if !bytes.Equal(lp.srcs[i], lp.orig[i]) {
+	for k, st := range lp.stripes {
+		for r := int64(0); r < st.Rows; r++ {
+			lp.peek(t, k, r)
+		}
+	}
+	flat := *lp.dev
+	if !bytes.Equal(contents(t, &flat, 0, int(lp.ref.Capacity())), contents(t, lp.ref, 0, int(lp.ref.Capacity()))) {
+		t.Fatal("the media differs from the reference")
+	}
+	for i, st := range lp.stripes {
+		if !bytes.Equal(st.Src, lp.orig[i]) {
 			t.Fatalf("a write reached loaded table %d", i)
 		}
 	}
@@ -505,14 +565,13 @@ func (lp *loadedPair) verify(t testing.TB) {
 }
 
 // TestSharedImageMatchesPrivate is the differential for copy on change: 10⁴
-// seeded pokes and peeks, on a donor and a replica sharing one load image,
-// match a flat reference device byte for byte and leave the loaded tables
-// untouched. The first 2000 operations rewrite the bytes already there and
-// copy nothing.
+// seeded row pokes and peeks, on a donor and a replica sharing one load
+// image, match a flat reference device byte for byte, instant for instant,
+// and leave the loaded tables untouched. The first 2000 operations rewrite
+// the bytes already there and copy nothing.
 func TestSharedImageMatchesPrivate(t *testing.T) {
 	rng := xrand.New(9)
 	pairs := newLoadedPairs(t, 2)
-	capacity := pairs[0].ref.Capacity()
 	for op := 0; op < 10000; op++ {
 		if op == 2000 {
 			for _, lp := range pairs {
@@ -520,20 +579,21 @@ func TestSharedImageMatchesPrivate(t *testing.T) {
 			}
 		}
 		lp := pairs[rng.Intn(2)]
-		off := rng.Int63n(capacity)
-		n := int(min(rng.Int63n(10<<10)+1, capacity-off))
+		k := rng.Intn(len(lp.stripes))
+		r := rng.Int63n(lp.stripes[k].Rows)
 		if rng.Intn(3) == 0 {
-			lp.peek(t, off, n)
+			lp.peek(t, k, r)
 			continue
 		}
+		off, n, _ := lp.row(k, r)
 		p := contents(t, lp.ref, off, n) // an equal rewrite
 		if op >= 2000 && rng.Intn(2) == 0 {
 			for i := range p {
 				p[i] = byte(rng.Uint64())
 			}
 		}
-		lp.poke(t, p, off)
-		lp.peek(t, off, n)
+		lp.poke(t, k, r, p)
+		lp.peek(t, k, r)
 	}
 	for _, lp := range pairs {
 		if !lp.changed {
@@ -543,49 +603,60 @@ func TestSharedImageMatchesPrivate(t *testing.T) {
 	}
 }
 
-// fuzzOp encodes one FuzzSharedImagePokes operation: an 8-byte offset, a
-// 2-byte length and a flags byte — bit 0 rewrites the bytes already there,
-// bit 1 keeps the offset as is (else it is reduced modulo 4 KiB past the
-// capacity), bit 2 writes the donor instead of the replica.
-func fuzzOp(off int64, n uint16, flags byte) []byte {
-	b := binary.LittleEndian.AppendUint64(nil, uint64(off))
-	return append(binary.LittleEndian.AppendUint16(b, n), flags)
+// fuzzOp encodes one FuzzSharedImagePokes operation: an 8-byte row, a
+// stripe byte and a flags byte — bit 0 rewrites the bytes already there,
+// bit 1 keeps the row and the stripe as they are (else the row is reduced
+// modulo the stripe's rows plus one and the stripe modulo the stripes plus
+// one), bit 2 writes the donor instead of the replica, bit 3 drops the
+// row's last byte.
+func fuzzOp(k byte, r int64, flags byte) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, uint64(r))
+	return append(b, k, flags)
 }
 
-// FuzzSharedImagePokes decodes a sequence of pokes, each followed by a peek
-// of the same range, and holds a donor and a replica sharing one load image
-// to a flat reference device: same outcome, same bytes, loaded tables
-// untouched, and the device still on its load image exactly while no write
-// changed bytes.
+// FuzzSharedImagePokes decodes a sequence of row pokes, each followed by a
+// peek of the same row, and holds a donor and a replica sharing one load
+// image to a flat reference device: same outcome, same bytes, same
+// instants, loaded tables untouched, and the device still on its load image
+// exactly while no write changed bytes.
 func FuzzSharedImagePokes(f *testing.F) {
-	_, flat := loadImage(1)
-	capacity := int64(len(flat))
-	f.Add(fuzzOp(4086, 20, 0))                             // a changing write
-	f.Add(fuzzOp(100, 50, 1))                              // an equal rewrite
-	f.Add(fuzzOp(capacity-400, 400, 1))                    // rewrites the last bytes
-	f.Add(fuzzOp(math.MaxInt64-2, 8, 2))                   // wraps a naive bound
-	f.Add(append(fuzzOp(0, 9000, 4), fuzzOp(10, 5, 5)...)) // donor, then a rewrite
-	f.Add(fuzzOp(4020, 200, 0))                            // zeros between stripes
+	f.Add(fuzzOp(0, 5, 0))                             // a changing write
+	f.Add(fuzzOp(1, 3, 1))                             // an equal rewrite
+	f.Add(fuzzOp(2, 9, 1))                             // rewrites the last row
+	f.Add(fuzzOp(0, math.MaxInt64-2, 2))               // wraps a naive bound
+	f.Add(append(fuzzOp(2, 0, 4), fuzzOp(2, 0, 5)...)) // donor, then a rewrite
+	f.Add(fuzzOp(1, 0, 8))                             // a short row
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		pairs := newLoadedPairs(t, 2)
-		for i := 0; len(ops) >= 11 && i < 64; i, ops = i+1, ops[11:] {
-			off := int64(binary.LittleEndian.Uint64(ops))
-			n, flags := int(binary.LittleEndian.Uint16(ops[8:])), ops[10]
-			if flags&2 == 0 {
-				off = int64(uint64(off) % uint64(capacity+4096))
-			}
+		for i := 0; len(ops) >= 10 && i < 64; i, ops = i+1, ops[10:] {
+			r, k, flags := int64(binary.LittleEndian.Uint64(ops)), int(int8(ops[8])), ops[9]
 			lp := pairs[1]
 			if flags&4 != 0 {
 				lp = pairs[0]
 			}
+			if flags&2 == 0 {
+				k = int(uint8(k)) % (len(lp.stripes) + 1)
+				if k < len(lp.stripes) {
+					r = int64(uint64(r) % uint64(lp.stripes[k].Rows+1))
+				}
+			}
+			n := 40
+			if _, m, ok := lp.row(k, r); ok {
+				n = m
+			}
 			p := make([]byte, n)
-			if flags&1 == 0 || lp.ref.PeekInto(p, off) != nil {
+			if off, _, ok := lp.row(k, r); ok && flags&1 != 0 {
+				p = contents(t, lp.ref, off, n)
+			} else {
 				for j := range p {
 					p[j] = byte(i + 3*j + 1)
 				}
 			}
-			lp.poke(t, p, off)
-			lp.peek(t, off, n)
+			if flags&8 != 0 {
+				p = p[:n-1]
+			}
+			lp.poke(t, k, r, p)
+			lp.peek(t, k, r)
 		}
 		for _, lp := range pairs {
 			lp.verify(t)
@@ -594,19 +665,20 @@ func FuzzSharedImagePokes(f *testing.F) {
 }
 
 // TestLoadImageMatchesFlat drives a device over a load image and a flat New
-// device loaded with the same bytes through one scripted sequence — PeekInto
-// inside a row, across rows, across stripes, between them and in the
-// headroom; Row of each stripe's first and last row; PokeFrom and PokeRow of
-// equal bytes; timed Read, ReadSGL and Write — then changing writes (a
-// PokeRow among them) and the whole script again on the materialized device.
-// Both must return the same bytes, errors, completion instants, Stats and
-// Capacity after every step. The equal writes keep the load image, and the
-// changing writes copy it exactly once.
+// device loaded with the same bytes through one scripted sequence: the
+// timing halves of reads and writes inside a row, across rows, across
+// stripes, between them, in the headroom and out of range; Row, equal
+// PokeRow and a short PokeRow of each stripe's first, middle and last row
+// and of the row past its end. Then come changing PokeRows, the script
+// again, and PeekInto and PokeFrom of every span on the materialized
+// device. Both must return the same bytes, errors, completion instants,
+// Stats and Capacity after every step. The equal writes keep the load
+// image, the changing writes copy it exactly once, and a peek by offset
+// materializes a fresh load image with the same bytes.
 func TestLoadImageMatchesFlat(t *testing.T) {
 	lp := newLoadedPairs(t, 1)[0]
 	dev, ref := lp.dev, lp.ref
 	capacity := ref.Capacity()
-	stripes, _ := loadImage(1)
 	spans := []struct {
 		off int64
 		n   int
@@ -618,50 +690,25 @@ func TestLoadImageMatchesFlat(t *testing.T) {
 		{capacity - 5000, 5000}, {capacity - 5010, 20}, {0, int(capacity)}, // headroom
 		{capacity - 1, 2}, {-1, 1}, {math.MaxInt64 - 2, 8}, // out of range
 	}
-	same := func(what string, got, want []byte, err, refErr error, done, refDone simclock.Time) {
-		t.Helper()
-		if (err == nil) != (refErr == nil) || err != nil && !errors.Is(err, ErrOutOfRange) || !bytes.Equal(got, want) || done != refDone {
-			t.Fatalf("%s: %v (done %v), reference %v (done %v); bytes equal %v", what, err, done, refErr, refDone, bytes.Equal(got, want))
-		}
-		if dev.Stats() != ref.Stats() || *dev.rng != *ref.rng || dev.Capacity() != ref.Capacity() {
-			t.Fatalf("%s: stats %+v, reference %+v; capacity %d, %d", what, dev.Stats(), ref.Stats(), dev.Capacity(), ref.Capacity())
-		}
-	}
 	script := func(round int) {
 		for _, sp := range spans {
 			what := fmt.Sprintf("round %d, %d bytes at %d", round, sp.n, sp.off)
-			got, want := make([]byte, sp.n), make([]byte, sp.n)
-			err, refErr := dev.PeekInto(got, sp.off), ref.PeekInto(want, sp.off)
-			same("PeekInto, "+what, got, want, err, refErr, 0, 0)
-			p := bytes.Clone(want)
-			err, refErr = dev.PokeFrom(p, sp.off), ref.PokeFrom(p, sp.off)
-			same("equal PokeFrom, "+what, nil, nil, err, refErr, 0, 0)
-			done, err := dev.Read(simclock.Time(sp.n), got, sp.off)
-			refDone, refErr := ref.Read(simclock.Time(sp.n), want, sp.off)
-			same("Read, "+what, got, want, err, refErr, done, refDone)
-			done, err = dev.ReadSGL(simclock.Time(sp.n), got, sp.off)
-			refDone, refErr = ref.ReadSGL(simclock.Time(sp.n), want, sp.off)
-			same("ReadSGL, "+what, got, want, err, refErr, done, refDone)
-			done, err = dev.Write(0, got, sp.off)
-			refDone, refErr = ref.Write(0, got, sp.off)
-			same("equal Write, "+what, nil, nil, err, refErr, done, refDone)
+			for _, sgl := range []bool{false, true} {
+				done, err := dev.AccountRead(simclock.Time(sp.n), sp.off, sp.n, sgl)
+				refDone, refErr := ref.AccountRead(simclock.Time(sp.n), sp.off, sp.n, sgl)
+				lp.same(t, fmt.Sprintf("AccountRead (sgl %v), %s", sgl, what), done, refDone, err, refErr)
+			}
+			done, err := dev.AccountWrite(0, sp.off, sp.n)
+			refDone, refErr := ref.AccountWrite(0, sp.off, sp.n)
+			lp.same(t, "AccountWrite, "+what, done, refDone, err, refErr)
 		}
-		for k, st := range stripes {
-			for _, r := range []int64{0, st.Rows - 1, st.Rows} {
-				off := st.Off + r*int64(st.RowBytes)
-				p := contents(t, ref, min(off, capacity-int64(st.RowBytes)), st.RowBytes)
-				if r < st.Rows {
-					v, err := dev.Row(k, r)
-					same(fmt.Sprintf("round %d, Row(%d, %d)", round, k, r), v, p, err, nil, 0, 0)
-				}
-				err := dev.PokeRow(k, r, p)
-				if r == st.Rows {
-					if !errors.Is(err, ErrOutOfRange) || !errors.Is(dev.PokeRow(k, 0, p[1:]), ErrOutOfRange) {
-						t.Fatalf("round %d: PokeRow of row %d of %d, or of a short row: %v", round, r, st.Rows, err)
-					}
-					continue
-				}
-				same(fmt.Sprintf("round %d, equal PokeRow(%d, %d)", round, k, r), nil, nil, err, ref.PokeFrom(p, off), 0, 0)
+		for k, st := range lp.stripes {
+			for _, r := range []int64{0, st.Rows / 2, st.Rows - 1, st.Rows} {
+				lp.peek(t, k, r)
+				off, n, _ := lp.row(k, min(r, st.Rows-1))
+				p := contents(t, ref, off, n)
+				lp.poke(t, k, r, p)
+				lp.poke(t, k, r, p[1:])
 			}
 		}
 	}
@@ -669,32 +716,42 @@ func TestLoadImageMatchesFlat(t *testing.T) {
 	if dev.data != nil {
 		t.Fatal("equal writes materialized the load image")
 	}
-	row := contents(t, ref, stripes[2].Off, stripes[2].RowBytes)
-	row[9]++
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	err := dev.PokeRow(2, 0, row)
-	done, _ := dev.AccountWrite(0, stripes[2].Off, len(row))
-	refDone, refErr := ref.Write(0, row, stripes[2].Off)
-	same("changing PokeRow", nil, nil, err, refErr, done, refDone)
-	for i, off := range []int64{4110, 30, capacity - 10} {
-		p := []byte{1, 2, byte(i), 4, 5}
-		done, err := dev.Write(0, p, off)
-		refDone, refErr := ref.Write(0, p, off)
-		same(fmt.Sprintf("changing Write %d", i), nil, nil, err, refErr, done, refDone)
+	for _, row := range []struct {
+		k int
+		r int64
+	}{{2, 0}, {0, 3}, {1, 24}, {2, 9}} {
+		off, n, _ := lp.row(row.k, row.r)
+		p := contents(t, ref, off, n)
+		p[n/2]++
+		lp.poke(t, row.k, row.r, p)
 	}
 	runtime.ReadMemStats(&m1)
 	if got := int64(m1.TotalAlloc - m0.TotalAlloc); dev.data == nil || got < capacity || got >= 2*capacity {
 		t.Fatalf("four changing writes allocated %d bytes, want one %d-byte copy of the media", got, capacity)
 	}
 	script(1)
+	for i, sp := range spans {
+		got, want := make([]byte, sp.n), make([]byte, sp.n)
+		err, refErr := dev.PeekInto(got, sp.off), ref.PeekInto(want, sp.off)
+		lp.same(t, fmt.Sprintf("PeekInto of %d bytes at %d", sp.n, sp.off), 0, 0, err, refErr)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("PeekInto of %d bytes at %d: bytes differ", sp.n, sp.off)
+		}
+		for j := range got {
+			got[j] = byte(i + j)
+		}
+		err, refErr = dev.PokeFrom(got, sp.off), ref.PokeFrom(got, sp.off)
+		lp.same(t, fmt.Sprintf("PokeFrom of %d bytes at %d", sp.n, sp.off), 0, 0, err, refErr)
+	}
 	lp.changed = true
 	lp.verify(t)
-	// A changing write to zeros alone, in the gap or the headroom, copies too.
-	for _, off := range []int64{4050, capacity - 1} {
-		lp := newLoadedPairs(t, 1)[0]
-		lp.poke(t, []byte{7}, off)
-		lp.verify(t)
+	// A peek by offset materializes a fresh load image with the same bytes.
+	fresh := newLoadedPairs(t, 1)[0]
+	got := contents(t, fresh.dev, 0, int(capacity))
+	if fresh.dev.data == nil || !bytes.Equal(got, contents(t, fresh.ref, 0, int(capacity))) {
+		t.Fatalf("PeekInto of a load image: materialized %v, bytes equal %v", fresh.dev.data != nil, bytes.Equal(got, contents(t, fresh.ref, 0, int(capacity))))
 	}
 }
 
@@ -843,46 +900,35 @@ func TestChannelHeapMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// TestViewMatchesPeekInto: Row, the copy-free read, lends exactly the bytes
-// PeekInto copies at the row's offset, with the slice's capacity ending at
-// the row, on a donor and a replica over one load image and again once a
-// write has materialized them; it fails with ErrOutOfRange outside the
-// stripes (and on a device with none) and with ErrClosed on a closed device.
-// A row lent by a load image keeps the bytes it had after a write changes
-// them: the write lands on the device's private copy.
-func TestViewMatchesPeekInto(t *testing.T) {
+// TestRowMatchesFlat: Row, the copy-free read, lends exactly the bytes a
+// flat reference device holds at the row's offset, with the slice's
+// capacity ending at the row, on a donor and a replica over one load image
+// and again once a write has materialized them; it fails with
+// ErrOutOfRange outside the stripes (and on a device with none) and with
+// ErrClosed on a closed device. A row lent by a load image keeps the bytes
+// it had after a write changes them: the write lands on the device's
+// private copy.
+func TestRowMatchesFlat(t *testing.T) {
 	pairs := newLoadedPairs(t, 2)
-	stripes, _ := loadImage(1)
 	rowsMatch := func(lp *loadedPair) {
 		t.Helper()
-		for k, st := range stripes {
-			for _, r := range []int64{0, st.Rows / 2, st.Rows - 1} {
-				row, err := lp.dev.Row(k, r)
-				want := contents(t, lp.ref, st.Off+r*int64(st.RowBytes), st.RowBytes)
-				if err != nil || !bytes.Equal(row, want) || cap(row) != st.RowBytes {
-					t.Fatalf("Row(%d, %d): %v; equal to PeekInto %v, cap %d", k, r, err, bytes.Equal(row, want), cap(row))
-				}
-			}
-			for _, r := range []int64{-1, st.Rows} {
-				if _, err := lp.dev.Row(k, r); !errors.Is(err, ErrOutOfRange) {
-					t.Fatalf("Row(%d, %d) of %d rows: %v", k, r, st.Rows, err)
-				}
+		for k, st := range lp.stripes {
+			for _, r := range []int64{-1, 0, st.Rows / 2, st.Rows - 1, st.Rows} {
+				lp.peek(t, k, r)
 			}
 		}
-		for _, k := range []int{-1, len(stripes)} {
-			if _, err := lp.dev.Row(k, 0); !errors.Is(err, ErrOutOfRange) {
-				t.Fatalf("Row of stripe %d of %d: %v", k, len(stripes), err)
-			}
+		for _, k := range []int{-1, len(lp.stripes)} {
+			lp.peek(t, k, 0)
 		}
 	}
 	for _, lp := range pairs {
 		rowsMatch(lp)
-		v, err := lp.dev.Row(0, 2) // device bytes [80, 120)
+		v, err := lp.dev.Row(0, 2)
 		if err != nil || lp.dev.data != nil {
 			t.Fatalf("Row of a load image: %v, materialized %v", err, lp.dev.data != nil)
 		}
 		old := bytes.Clone(v)
-		lp.poke(t, make([]byte, 32), 80)
+		lp.poke(t, 0, 2, make([]byte, len(v)))
 		if !bytes.Equal(v, old) {
 			t.Fatal("a write changed a load image's lent row")
 		}

@@ -56,7 +56,8 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-func (s Stats) add(o Stats) Stats {
+// Add returns the field-wise sum of s and o.
+func (s Stats) Add(o Stats) Stats {
 	s.Hits += o.Hits
 	s.Misses += o.Misses
 	s.Puts += o.Puts

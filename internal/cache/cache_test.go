@@ -194,7 +194,7 @@ func TestKeyHashSpread(t *testing.T) {
 func TestStatsAdd(t *testing.T) {
 	a := Stats{Hits: 1, Misses: 2, Items: 3}
 	b := Stats{Hits: 10, Misses: 20, Items: 30}
-	c := a.add(b)
+	c := a.Add(b)
 	if c.Hits != 11 || c.Misses != 22 || c.Items != 33 {
 		t.Fatalf("add %+v", c)
 	}

@@ -107,7 +107,7 @@ func TestMetricsExportGolden(t *testing.T) {
 		write func(io.Writer) error
 		want  uint64
 	}{
-		{"openmetrics", f.WriteMetrics, 0x2605e8890d364333},
+		{"openmetrics", f.WriteMetrics, 0x22d9d2eef6a246cd},
 		{"jsonl", f.WriteMetricsJSONL, 0xa0285c637c915a81},
 	} {
 		var buf bytes.Buffer

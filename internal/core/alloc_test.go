@@ -237,7 +237,8 @@ func replicaFixture(t *testing.T, n int) (donor *Store, replicas []*Store, table
 // FM-resident rewrites the load bytes its reserved stripe already holds, and
 // promoting and demoting one of its ranges again moves clean rows: together
 // they allocate less than a quarter of one device's capacity, so no media is
-// copied. The first update that changes an SM-resident row, flushed to the
+// copied, and so does an SM row rewritten with its own bytes and flushed.
+// The first update that changes an SM-resident row, flushed to the
 // media, copies that device's media exactly once — Capacity bytes — and
 // reaches the replica's media alone; a second changing write copies nothing.
 func TestReplicaCleanMigrationCopiesNoImage(t *testing.T) {
@@ -294,9 +295,13 @@ func TestReplicaCleanMigrationCopiesNoImage(t *testing.T) {
 			}
 		})
 	}
+	// A row rewritten with its own bytes, as a write-back of unchanged
+	// weights does, copies nothing.
+	if got := update(4, smBytes(t, s, sm, 4)); got >= capacity/4 {
+		t.Fatalf("a clean update allocated %d bytes, want no copy of the %d-byte media", got, capacity)
+	}
 	value := append([]byte(nil), tables[smTbl].Bytes()[:sm.rowBytes]...)
-	dev, off := s.smLocation(sm, 4)
-	if bytes.Equal(value, media(t, s.devices[dev])[off:off+int64(sm.rowBytes)]) {
+	if bytes.Equal(value, smBytes(t, s, sm, 4)) {
 		t.Fatal("fixture: the update does not change the row")
 	}
 	if got := update(4, value); got < capacity || got >= 2*capacity {
@@ -306,12 +311,11 @@ func TestReplicaCleanMigrationCopiesNoImage(t *testing.T) {
 		t.Fatalf("a second changing update on the copied media allocated %d bytes", got)
 	}
 	for _, r := range []int64{4, 6} {
-		dev, off := s.smLocation(sm, r)
-		if !bytes.Equal(media(t, s.devices[dev])[off:off+int64(sm.rowBytes)], value) {
+		if !bytes.Equal(smBytes(t, s, sm, r), value) {
 			t.Fatalf("the flushed update of row %d is not on the replica's media", r)
 		}
 		for _, o := range []*Store{donor, replicas[1]} {
-			if bytes.Equal(media(t, o.devices[dev])[off:off+int64(sm.rowBytes)], value) {
+			if bytes.Equal(smBytes(t, o, sm, r), value) {
 				t.Fatalf("the replica's update of row %d reached another store's media", r)
 			}
 		}
@@ -402,11 +406,10 @@ func TestFMUpdateStaysOnItsStore(t *testing.T) {
 				t.Fatal(err)
 			}
 			driveRange(t, m, now)
-			dev, off := s.smLocation(st, row)
-			if got := media(t, s.devices[dev])[off : off+rb]; !bytes.Equal(got, value) {
+			if got := smBytes(t, s, st, row); !bytes.Equal(got, value) {
 				t.Fatal("the demotion did not write the updated row")
 			}
-			if got := media(t, donor.devices[dev])[off : off+rb]; !bytes.Equal(got, orig[row*rb:(row+1)*rb]) {
+			if got := smBytes(t, donor, st, row); !bytes.Equal(got, orig[row*rb:(row+1)*rb]) {
 				t.Fatal("the replica's demotion reached the donor's media")
 			}
 		})
@@ -518,12 +521,11 @@ func TestPromotedUpdateStaysOnItsStore(t *testing.T) {
 				t.Fatal(err)
 			}
 			driveRange(t, m, now)
-			dev, off := s.smLocation(st, row)
-			if got := media(t, s.devices[dev])[off : off+rb]; !bytes.Equal(got, value) {
+			if got := smBytes(t, s, st, row); !bytes.Equal(got, value) {
 				t.Fatal("the demotion did not write the updated row")
 			}
 			for i, o := range []*Store{donor, replicas[1]} {
-				if got := media(t, o.devices[dev])[off : off+rb]; !bytes.Equal(got, orig[row*rb:(row+1)*rb]) {
+				if got := smBytes(t, o, st, row); !bytes.Equal(got, orig[row*rb:(row+1)*rb]) {
 					t.Fatalf("the replica's update reached store %d's media", i)
 				}
 			}

@@ -12,6 +12,7 @@ import (
 	"sdm/internal/model"
 	"sdm/internal/placement"
 	"sdm/internal/quant"
+	"sdm/internal/simclock"
 	"sdm/internal/uring"
 	"sdm/internal/workload"
 )
@@ -319,6 +320,62 @@ func TestUpdateRowOfflineAndOnline(t *testing.T) {
 	}
 	if s.DeviceStats().Writes <= devWritesBefore {
 		t.Fatal("flush should write dirty rows to SM")
+	}
+}
+
+// TestFlushUpdatesInStoreOrder: FlushUpdates writes the row caches' dirty
+// rows back table by table in store order, whatever order the updates came
+// in, and leaves them clean. A store whose dirty rows came in reverse table
+// order flushes exactly as one that wrote the same rows offline in table
+// order, and not as one that wrote them in reverse.
+func TestFlushUpdatesInStoreOrder(t *testing.T) {
+	in, tables := fixture(t)
+	cfg := Config{Seed: 1, Ring: uring.Config{SGL: true}}
+	flushed, inOrder, reversed := openStore(t, in, tables, cfg), openStore(t, in, tables, cfg), openStore(t, in, tables, cfg)
+	var order []int // the SM tables with a row cache, in store order
+	for i, st := range flushed.tables {
+		if st.target == placement.SM && st.cache != nil {
+			order = append(order, i)
+		}
+	}
+	if len(order) < 2 {
+		t.Fatalf("fixture: %d cached SM tables", len(order))
+	}
+	reverse := slices.Clone(order)
+	slices.Reverse(reverse)
+	value := func(i int) []byte {
+		rb := in.Tables[i].RowBytes()
+		v := bytes.Clone(tables[i].Bytes()[rb : 2*rb])
+		v[0]++
+		return v
+	}
+	now := flushed.LoadDone()
+	offline := func(s *Store, order []int) simclock.Time {
+		done := now
+		for _, i := range order {
+			d, err := s.UpdateRow(now, i, 1, value(i), UpdateOffline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done = max(done, d)
+		}
+		return done
+	}
+	for _, i := range reverse {
+		if _, err := flushed.UpdateRow(now, i, 1, value(i), UpdateOnline); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := flushed.FlushUpdates(now)
+	if want := offline(inOrder, order); err != nil || got != want || flushed.DeviceStats() != inOrder.DeviceStats() {
+		t.Fatalf("flush done at %v (%v), table-order writes at %v; device stats %+v vs %+v", got, err, want, flushed.DeviceStats(), inOrder.DeviceStats())
+	}
+	if offline(reversed, reverse) == got {
+		t.Fatal("fixture: the write order does not show in the completion instant")
+	}
+	before := flushed.DeviceStats()
+	if done, err := flushed.FlushUpdates(now + 1); err != nil || done != now+1 || flushed.DeviceStats() != before {
+		t.Fatalf("a second flush wrote again: done %v (%v), stats %+v", done, err, flushed.DeviceStats())
 	}
 }
 

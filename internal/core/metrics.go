@@ -30,13 +30,13 @@ func (s *Store) RegisterMetrics(r *metrics.Registry) {
 		func() uint64 { return s.stats.RangeFMReads })
 	// FM row cache.
 	r.NewCounterFunc(metrics.Desc{Name: "sdm_cache_hits", Help: "FM row-cache hits."},
-		func() uint64 { return s.rowCache.Stats().Hits })
+		func() uint64 { return s.CacheStats().Hits })
 	r.NewCounterFunc(metrics.Desc{Name: "sdm_cache_misses", Help: "FM row-cache misses."},
-		func() uint64 { return s.rowCache.Stats().Misses })
+		func() uint64 { return s.CacheStats().Misses })
 	r.NewCounterFunc(metrics.Desc{Name: "sdm_cache_evictions", Help: "FM row-cache evictions."},
-		func() uint64 { return s.rowCache.Stats().Evictions })
+		func() uint64 { return s.CacheStats().Evictions })
 	r.NewGaugeFunc(metrics.Desc{Name: "sdm_cache_used_bytes", Help: "FM row-cache resident value bytes.", Unit: "bytes"},
-		func(simclock.Time) float64 { return float64(s.rowCache.Stats().UsedBytes) })
+		func(simclock.Time) float64 { return float64(s.CacheStats().UsedBytes) })
 	// Pooled cache.
 	r.NewCounterFunc(metrics.Desc{Name: "sdm_pooled_hits", Help: "Pooled-embedding cache hits across table shards."},
 		func() uint64 { return s.PooledStats().Hits })
@@ -60,7 +60,7 @@ func (s *Store) RegisterMetrics(r *metrics.Registry) {
 		func() uint64 { return s.stats.MigratedFMToSMBytes })
 	r.NewCounterFunc(metrics.Desc{Name: "sdm_demote_write_bytes", Help: "SM media bytes written by demotion steps (endurance cost of tiering).", Unit: "bytes"},
 		func() uint64 { return s.stats.DemoteWriteBytes })
-	r.NewGaugeFunc(metrics.Desc{Name: "sdm_wear_life_frac", Help: "Fraction of rated SM life consumed."},
+	r.NewGaugeFunc(metrics.Desc{Name: "sdm_wear_life_frac", Help: "Fraction of rated SM life remaining."},
 		func(simclock.Time) float64 { return s.Wear().LifeFrac() })
 	// Per-table FM residency (tables are the store's shards).
 	for i := range s.tables {

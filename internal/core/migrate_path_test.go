@@ -120,13 +120,34 @@ func requireSameIO(t *testing.T, a, b *Store, stage string) {
 	}
 }
 
-func media(t *testing.T, d *blockdev.Device) []byte {
+// media returns device d of s as a flat image: its stripes' rows read by
+// (stripe, row) at their offsets, zeros elsewhere (the store writes rows
+// only). A peek by offset would materialize a load image.
+func media(t *testing.T, s *Store, d int) []byte {
 	t.Helper()
-	v := make([]byte, d.Capacity())
-	if err := d.PeekInto(v, 0); err != nil {
-		t.Fatal(err)
+	v := make([]byte, s.devices[d].Capacity())
+	for k, sp := range s.stripes[d] {
+		for j := int64(0); j < sp.Rows; j++ {
+			b, err := s.devices[d].Row(k, j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(v[sp.Off+j*int64(sp.RowBytes):], b)
+		}
 	}
 	return v
+}
+
+// smBytes returns a copy of row's bytes on its SM device of s, read by
+// (stripe, row). Replicas share st's layout, so st may be another's.
+func smBytes(t *testing.T, s *Store, st *tableState, row int64) []byte {
+	t.Helper()
+	d, j := s.smRow(st, row)
+	b, err := s.devices[d].Row(st.stripe, j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Clone(b)
 }
 
 // TestMigrationDataPathMatchesSubmitSync is the differential for the
@@ -159,13 +180,13 @@ func TestMigrationDataPathMatchesSubmitSync(t *testing.T) {
 				oracle := append([]byte(nil), tables[table].Bytes()...)
 				pre := make([][]byte, devs)
 				for d := range pre {
-					pre[d] = media(t, a.devices[d])
+					pre[d] = media(t, a, d)
 				}
 				update := func(row, donor int64) []byte {
 					v := append([]byte(nil), oracle[donor*rb:(donor+1)*rb]...)
 					copy(oracle[row*rb:], v)
-					dev, off := a.smLocation(st, row)
-					copy(pre[dev][off:], v)
+					dev, j := a.smRow(st, row)
+					copy(pre[dev][a.smBase(st, dev)+j*rb:], v)
 					return v
 				}
 
@@ -239,7 +260,7 @@ func TestMigrationDataPathMatchesSubmitSync(t *testing.T) {
 					t.Fatalf("write-back: done at %d vs %d (%v)", fa, fb, err)
 				}
 				for d := range pre {
-					if !bytes.Equal(media(t, a.devices[d]), pre[d]) || !bytes.Equal(media(t, b.devices[d]), pre[d]) {
+					if !bytes.Equal(media(t, a, d), pre[d]) || !bytes.Equal(media(t, b, d), pre[d]) {
 						t.Fatalf("device %d image differs from its pre-promotion bytes plus the updates", d)
 					}
 				}
@@ -499,8 +520,7 @@ func TestFlushBehindPromotionCursor(t *testing.T) {
 				t.Fatal(err)
 			}
 			driveRange(t, d, now)
-			dev, off := s.smLocation(st, row)
-			if got := media(t, s.devices[dev])[off : off+rb]; !bytes.Equal(got, value) {
+			if got := smBytes(t, s, st, row); !bytes.Equal(got, value) {
 				t.Fatal("the demotion wrote the old row back over the update")
 			}
 		})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -356,16 +357,7 @@ func TestRangeMigrationPreservesOnlineUpdates(t *testing.T) {
 	rr := st.rangeRows
 	spec := st.spec
 
-	donor := make([]byte, st.rowBytes)
-	flat := func(row int64) []byte {
-		dev, off := s.smLocation(st, row)
-		buf := make([]byte, st.rowBytes)
-		if err := s.devices[dev].PeekInto(buf, off); err != nil {
-			t.Fatal(err)
-		}
-		return buf
-	}
-	copy(donor, flat(7))
+	donor := smBytes(t, s, st, 7)
 
 	now := s.LoadDone()
 	inRow, outRow := int64(3), 2*rr+1 // rows inside and outside the window
@@ -492,22 +484,14 @@ func TestUpdateDuringInFlightDemotion(t *testing.T) {
 	if d.next <= 0 {
 		t.Fatal("first chunk issued no rows")
 	}
-	donor := make([]byte, st.rowBytes)
-	dev, off := s.smLocation(st, 7)
-	if err := s.devices[dev].PeekInto(donor, off); err != nil {
-		t.Fatal(err)
-	}
+	donor := smBytes(t, s, st, 7)
 	if _, err := s.UpdateRow(now, table, 0, donor, UpdateOnline); err != nil {
 		t.Fatal(err)
 	}
 	now = driveRange(t, d, now)
 
 	// The SM stripe — not just the cache — must hold the updated bytes.
-	got := make([]byte, st.rowBytes)
-	dev0, off0 := s.smLocation(st, 0)
-	if err := s.devices[dev0].PeekInto(got, off0); err != nil {
-		t.Fatal(err)
-	}
+	got := smBytes(t, s, st, 0)
 	for i := range got {
 		if got[i] != donor[i] {
 			t.Fatalf("SM byte %d stale after racing update: %d vs %d", i, got[i], donor[i])
@@ -537,11 +521,7 @@ func TestUpdateDuringInFlightPromotion(t *testing.T) {
 	if _, _, err := m.Step(now); err != nil { // chunk 0 reads row 0's old bytes
 		t.Fatal(err)
 	}
-	donor := make([]byte, st.rowBytes)
-	dev, off := s.smLocation(st, 7)
-	if err := s.devices[dev].PeekInto(donor, off); err != nil {
-		t.Fatal(err)
-	}
+	donor := smBytes(t, s, st, 7)
 	if _, err := s.UpdateRow(now, table, 0, donor, UpdateOffline); err != nil {
 		t.Fatal(err)
 	}
@@ -567,5 +547,65 @@ func TestUpdateDuringInFlightPromotion(t *testing.T) {
 	}
 	if s.Stats().RangeFMReads == 0 {
 		t.Fatal("row 0 was not served from the FM range (test would be vacuous)")
+	}
+}
+
+// TestUpdatesBesideTwoMigrations: with a demotion of range 0 and a
+// promotion of range 1 in flight on one table, each past its first chunk,
+// an offline update of every row of both windows lands — a demoted row
+// behind its cursor is written through to SM, a promoted row behind its
+// cursor is patched in the promotion's ranges, and every other row is
+// carried by the chunks still to come. No FM-resident row lies in the
+// promotion's window, so the write-through (writeSM) never patches the
+// promotion.
+func TestUpdatesBesideTwoMigrations(t *testing.T) {
+	s, _ := rangeFixture(t, 1)
+	const table = 1
+	st := s.tables[table]
+	rr := st.rangeRows
+
+	now := s.LoadDone()
+	m, err := s.BeginPromoteRange(table, 0, rr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now = driveRange(t, m, now)
+	out, err := s.BeginDemoteRange(table, 0, rr, 2<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := s.BeginPromoteRange(table, rr, 2*rr, 2<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*Migration{out, in} {
+		if _, _, err := m.Step(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if out.next <= 0 || in.next <= rr || out.Finished() || in.Finished() {
+		t.Fatalf("fixture: cursors at %d and %d after one chunk each", out.next, in.next)
+	}
+	outAt, inAt := out.next, in.next
+	want := make([][]byte, 2*rr)
+	for row := range 2 * rr {
+		if st.fmRow(row) != nil && row >= in.begin && row < in.end {
+			t.Fatalf("FM-resident row %d lies in the promotion's window", row)
+		}
+		want[row] = smBytes(t, s, st, (row+5)%st.rows)
+		if _, err := s.UpdateRow(now, table, row, want[row], UpdateOffline); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now = driveRange(t, out, now)
+	driveRange(t, in, now)
+	for row := range 2 * rr {
+		got := st.fmRow(row)
+		if row < rr {
+			got = smBytes(t, s, st, row)
+		}
+		if !bytes.Equal(got, want[row]) {
+			t.Fatalf("row %d (cursors at %d and %d when updated) lost its update", row, outAt, inAt)
+		}
 	}
 }

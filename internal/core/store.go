@@ -33,10 +33,6 @@ type Store struct {
 	devices []*blockdev.Device
 	rings   []*uring.SyncRing
 
-	// rowCache is the aggregate view (counters, write-back drain) of the
-	// per-table FM row-cache shards; the hot path uses tableState.cache.
-	rowCache cache.TableSharded
-
 	plan   *placement.Plan
 	tables []*tableState
 
@@ -449,7 +445,6 @@ func (s *Store) buildCaches() {
 		}
 		st.cache = s.mkCacheShard(budget, st.rowBytes)
 		st.cacheCPUCost = st.cache.CPUCostPerGet()
-		s.rowCache.Add(st.cache)
 	}
 
 	// Pooled-cache shards: the §4.4 budget splits evenly across the SM
@@ -506,8 +501,16 @@ func (s *Store) LoadDone() simclock.Time { return s.loadDone }
 // Stats returns a snapshot of store counters.
 func (s *Store) Stats() Stats { return s.stats }
 
-// CacheStats returns the FM row-cache counters.
-func (s *Store) CacheStats() cache.Stats { return s.rowCache.Stats() }
+// CacheStats sums the FM row-cache counters across the per-table shards.
+func (s *Store) CacheStats() cache.Stats {
+	var agg cache.Stats
+	for _, st := range s.tables {
+		if st.cache != nil {
+			agg = agg.Add(st.cache.Stats())
+		}
+	}
+	return agg
+}
 
 // PooledStats sums the pooled-cache counters across the per-table shards
 // (zero if disabled).
@@ -551,12 +554,6 @@ func (s *Store) RingStats() uring.Stats {
 		}
 	}
 	return agg
-}
-
-// smLocation returns the device and offset of row r of table state st.
-func (s *Store) smLocation(st *tableState, r int64) (dev int, off int64) {
-	dev, j := s.smRow(st, r)
-	return dev, s.smBase(st, dev) + j*int64(st.rowBytes)
 }
 
 // smBase returns the device offset of table state st's stripe on device d.

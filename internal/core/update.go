@@ -78,13 +78,18 @@ func (s *Store) UpdateRow(now simclock.Time, table int, row int64, value []byte,
 	return done, nil
 }
 
-// writeSM writes value as row's SM bytes at now. A row an in-flight
-// promotion has already read off SM is patched in its FM destination too
-// (putRow books no virtual time), so Commit cannot install the stale value
-// behind a clean cache entry.
+// writeSM writes value as row's SM bytes at now: the row's data half by
+// (stripe, row), as queries and migrations address it, then the write's
+// timing half at the row's device offset. A row an in-flight promotion has
+// already read off SM is patched in its FM destination too (putRow books no
+// virtual time), so Commit cannot install the stale value behind a clean
+// cache entry.
 func (s *Store) writeSM(now simclock.Time, st *tableState, row int64, value []byte) (simclock.Time, error) {
-	dev, off := s.smLocation(st, row)
-	done, err := s.devices[dev].Write(now, value, off)
+	dev, j := s.smRow(st, row)
+	if err := s.devices[dev].PokeRow(st.stripe, j, value); err != nil {
+		return now, err
+	}
+	done, err := s.devices[dev].AccountWrite(now, s.smBase(st, dev)+j*int64(st.rowBytes), len(value))
 	if err != nil {
 		return done, err
 	}
@@ -98,45 +103,45 @@ func (s *Store) writeSM(now simclock.Time, st *tableState, row int64, value []by
 // to an FM-resident row: chunks issued before the update carried the old
 // bytes to SM, and Commit would drop the fresh FM copy behind a merely
 // evictable cache entry — so the row is re-written to SM at now. Chunks
-// not yet issued read the (live) FM source and need nothing.
+// not yet issued read the (live) FM source and need nothing. An FM-resident
+// row is never in a promotion's window, so writeSM patches no promotion.
 func (s *Store) demoteWriteThrough(now simclock.Time, st *tableState, row int64, value []byte) (simclock.Time, error) {
-	d := st.migOut
-	if d == nil || row < d.begin || row >= d.next {
+	if d := st.migOut; d == nil || row < d.begin || row >= d.next {
 		return now, nil
 	}
-	dev, off := s.smLocation(st, row)
-	return s.devices[dev].Write(now, value, off)
+	return s.writeSM(now, st, row, value)
 }
 
-// FlushUpdates drains dirty cache entries to SM (the §A.3 write-back path)
-// and returns the completion time of the last write.
+// FlushUpdates drains dirty cache entries to SM (the §A.3 write-back path),
+// table by table in store order, and returns the completion time of the
+// last write. A table that is not SM-target drops its dirty flags unwritten.
 func (s *Store) FlushUpdates(now simclock.Time) (simclock.Time, error) {
-	done := now
-	var firstErr error
-	s.rowCache.FlushDirty(func(k cache.Key, v []byte) {
-		st := s.tableByID(k.Table)
-		if st == nil || st.target != placement.SM {
+	// One closure drains every table (f.st is the one it drains); its
+	// state is one struct, so a call allocates twice, not per variable.
+	var f struct {
+		st   *tableState
+		done simclock.Time
+		err  error
+	}
+	f.done = now
+	flush := func(k cache.Key, v []byte) {
+		if f.st.target != placement.SM {
 			return
 		}
-		t, err := s.writeSM(now, st, k.Row, v)
-		if err != nil && firstErr == nil {
-			firstErr = err
+		t, err := s.writeSM(now, f.st, k.Row, v)
+		if err != nil && f.err == nil {
+			f.err = err
 			return
 		}
-		if t > done {
-			done = t
-		}
-	})
-	return done, firstErr
-}
-
-func (s *Store) tableByID(id int32) *tableState {
+		f.done = max(f.done, t)
+	}
 	for _, st := range s.tables {
-		if int32(st.spec.ID) == id {
-			return st
+		if st.cache != nil {
+			f.st = st
+			st.cache.FlushDirty(flush)
 		}
 	}
-	return nil
+	return f.done, f.err
 }
 
 // UpdateIntervalLimit returns the minimum model-update interval the SM

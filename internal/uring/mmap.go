@@ -68,8 +68,11 @@ func (m *Mmap) Read(now simclock.Time, p []byte, off int64) (simclock.Time, erro
 			// A page fault performs a full block read (no SGL) plus
 			// kernel fault-handling overhead (~2× the media time in
 			// practice, yielding the paper's ~3× end-to-end factor).
-			t, err := m.dev.Read(done, data, page*mmapPageSize)
+			t, err := m.dev.AccountRead(done, page*mmapPageSize, mmapPageSize, false)
 			if err != nil {
+				return done, err
+			}
+			if err := m.dev.PeekInto(data, page*mmapPageSize); err != nil {
 				return done, err
 			}
 			t += simclock.Time(2 * m.dev.Spec().MediaLatency)

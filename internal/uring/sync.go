@@ -83,29 +83,27 @@ func (r *SyncRing) complete(start, done simclock.Time, err error) (simclock.Time
 }
 
 // SubmitSync performs one IO issued at virtual time now and returns its
-// completion time.
+// completion time: the timing half (SubmitTimedRead or SubmitTimedWrite),
+// then, if it succeeded, the data half on the flat media (Device.PeekInto
+// into buf, or Device.PokeFrom of buf).
 func (r *SyncRing) SubmitSync(now simclock.Time, buf []byte, off int64, write bool) (simclock.Time, error) {
-	start := r.admit(now)
-	var (
-		done simclock.Time
-		err  error
-	)
-	switch {
-	case write:
-		done, err = r.dev.Write(start, buf, off)
-	case r.cfg.SGL:
-		done, err = r.dev.ReadSGL(start, buf, off)
-	default:
-		done, err = r.dev.Read(start, buf, off)
+	if write {
+		done, err := r.SubmitTimedWrite(now, len(buf), off)
+		if err != nil {
+			return done, err
+		}
+		return done, r.dev.PokeFrom(buf, off)
 	}
-	return r.complete(start, done, err)
+	done, err := r.SubmitTimedRead(now, len(buf), off)
+	if err != nil {
+		return done, err
+	}
+	return done, r.dev.PeekInto(buf, off)
 }
 
 // SubmitTimedRead books the timing of an n-byte read at off whose data the
-// caller already read with Device.PeekInto or Device.Row. It mirrors
-// SubmitSync's read path exactly — same throttle, same device channel
-// booking, same stats — minus the data movement, so a deferred-timing replay
-// is bit-identical to inline submission.
+// caller reads with Device.Row or Device.PeekInto: the throttle, the device
+// channel booking and the ring and device stats of one read IO.
 func (r *SyncRing) SubmitTimedRead(now simclock.Time, n int, off int64) (simclock.Time, error) {
 	start := r.admit(now)
 	done, err := r.dev.AccountRead(start, off, n, r.cfg.SGL)
@@ -113,9 +111,8 @@ func (r *SyncRing) SubmitTimedRead(now simclock.Time, n int, off int64) (simcloc
 }
 
 // SubmitTimedWrite books the timing of an n-byte write at off whose data the
-// caller moves with Device.PokeFrom — the write-side twin of SubmitTimedRead:
-// the same throttle, channel booking, wear and stats as SubmitSync's write
-// path, minus the data movement.
+// caller moves with Device.PokeRow — the write-side twin of SubmitTimedRead:
+// the throttle, channel booking, wear and stats of one write IO.
 func (r *SyncRing) SubmitTimedWrite(now simclock.Time, n int, off int64) (simclock.Time, error) {
 	start := r.admit(now)
 	done, err := r.dev.AccountWrite(start, off, n)

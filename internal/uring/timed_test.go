@@ -23,10 +23,10 @@ func TestSubmitTimedReadMatchesSubmitSync(t *testing.T) {
 		for i := range seed {
 			seed[i] = byte(i * 31)
 		}
-		if _, err := devA.Write(0, seed, 0); err != nil {
+		if err := devA.PokeFrom(seed, 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := devB.Write(0, seed, 0); err != nil {
+		if err := devB.PokeFrom(seed, 0); err != nil {
 			t.Fatal(err)
 		}
 		ringA := NewSync(devA, Config{SGL: sgl})
@@ -62,7 +62,7 @@ func TestSubmitTimedReadMatchesSubmitSync(t *testing.T) {
 	}
 }
 
-// TestAccountReadBounds checks the timing-only path validates like Read.
+// TestAccountReadBounds checks the timing half validates like the data half.
 func TestAccountReadBounds(t *testing.T) {
 	dev := blockdev.New(blockdev.Spec(blockdev.OptaneSSD), 4096, nil, 1)
 	if _, err := dev.AccountRead(0, 4000, 200, false); err == nil {
@@ -81,48 +81,56 @@ func TestAccountReadBounds(t *testing.T) {
 }
 
 // TestSubmitTimedWriteMatchesSubmitSync is the write-side contract, in the
-// shape the migration engine uses it: book the span with SubmitTimedWrite (or
-// SubmitTimedRead), then move the bytes row by row with PokeFrom (or
-// PeekInto). Completion times, media bytes, ring stats and device
-// stats must equal the inline SubmitSync path — on success, on an
+// shape a store uses it: book a span of rows with SubmitTimedWrite (or
+// SubmitTimedRead), then move them row by row on a load image with PokeRow
+// (or read them with Row). Completion times, bytes, ring stats and device
+// stats must equal SubmitSync on a flat device — on success, on an
 // out-of-range span and on a closed device.
 func TestSubmitTimedWriteMatchesSubmitSync(t *testing.T) {
 	spec := blockdev.Spec(blockdev.NandFlash)
-	devA := blockdev.New(spec, 1<<20, nil, 11)
-	devB := blockdev.New(spec, 1<<20, nil, 11)
+	const capacity, row, rows = 1 << 20, 100, 9
+	const loaded = capacity / row
+	devA := blockdev.New(spec, capacity, nil, 11)
+	devB, err := blockdev.NewLoaded(spec, capacity, []blockdev.Stripe{{Src: make([]byte, loaded*row), RowBytes: row, Stride: 1, Rows: loaded}}, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ringA := NewSync(devA, Config{SGL: true})
 	ringB := NewSync(devB, Config{SGL: true})
-	const row, rows = 100, 9
 	src := make([]byte, row*rows)
-	bufA, bufB := make([]byte, len(src)), make([]byte, len(src))
+	bufA := make([]byte, len(src))
 	now := simclock.Time(0)
-	step := func(i int, off int64, wantErr bool) {
+	step := func(i int, r0 int64, wantErr bool) {
 		t.Helper()
 		for j := range src {
 			src[j] = byte(i + j*13)
 		}
+		off := r0 * row
 		dA, errA := ringA.SubmitSync(now, src, off, true)
 		dB, errB := ringB.SubmitTimedWrite(now, len(src), off)
-		for r := 0; errB == nil && r < rows; r++ {
-			errB = devB.PokeFrom(src[r*row:(r+1)*row], off+int64(r*row))
+		for r := int64(0); errB == nil && r < rows; r++ {
+			errB = devB.PokeRow(0, r0+r, src[r*row:(r+1)*row])
 		}
 		if (errA != nil) != wantErr || (errB != nil) != wantErr || dA != dB {
 			t.Fatalf("write %d: %v at %d vs %v at %d", i, errA, dA, errB, dB)
 		}
 		rA, errA := ringA.SubmitSync(dA, bufA, off, false)
-		rB, errB := ringB.SubmitTimedRead(dB, len(bufB), off)
-		if errB == nil {
-			errB = devB.PeekInto(bufB, off)
+		rB, errB := ringB.SubmitTimedRead(dB, len(src), off)
+		for r := int64(0); errB == nil && r < rows; r++ {
+			var b []byte
+			if b, errB = devB.Row(0, r0+r); errB == nil && string(b) != string(bufA[r*row:(r+1)*row]) {
+				t.Fatalf("read %d: row %d differs", i, r0+r)
+			}
 		}
-		if (errA != nil) != wantErr || (errB != nil) != wantErr || rA != rB || string(bufA) != string(bufB) {
+		if (errA != nil) != wantErr || (errB != nil) != wantErr || rA != rB {
 			t.Fatalf("read %d: %v at %d vs %v at %d", i, errA, rA, errB, rB)
 		}
 		now = (rA + now) / 2
 	}
 	for i := 0; i < 200; i++ {
-		step(i, int64((i*7919)%(1<<19)), false)
+		step(i, int64(i*7919)%(loaded-rows), false)
 	}
-	step(200, 1<<20-10, true) // out of range
+	step(200, loaded-4, true) // out of range
 	devA.Close()
 	devB.Close()
 	step(201, 0, true) // ErrClosed

@@ -404,17 +404,6 @@ func BenchmarkDeviceAccountRead(b *testing.B) {
 	}
 }
 
-func BenchmarkDeviceReadSGL(b *testing.B) {
-	dev := blockdev.New(blockdev.Spec(blockdev.OptaneSSD), 1<<24, nil, 4)
-	buf := make([]byte, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dev.ReadSGL(0, buf, int64(i%4096)*512); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkRingSubmitTimedRead is one uring.SyncRing.SubmitTimedRead of a
 // 128-byte SGL read on a Nand ring held at its outstanding cap: every read
 // is issued at the same instant, so each admit waits for the earliest
