@@ -69,7 +69,7 @@ loc:
 # The aim-2 ratchet: the tree may not outgrow the last simplification PR's
 # `make loc` total. Raising LOC_BUDGET is allowed — as a one-line diff a
 # reviewer sees; lower it whenever a PR shrinks the tree.
-LOC_BUDGET = 18747
+LOC_BUDGET = 18902
 
 # The virtual-time ratchet: the seed-7 sim_digest of each bench/ workload
 # (`bench-e2e-smoke` fails when a printed digest differs or is missing). A
@@ -83,8 +83,8 @@ SMOKE_DIGESTS = fleet-sticky=9ef4758fe41ada43 fleet-feedback=2872bde57a5646fe \
 # BENCHMARK.json's heap_live_mb bound). 386 builds have 4-byte pointers and
 # their own pins; every other GOARCH is held to the 64-bit ones. A PR that
 # lowers a workload's heap lowers its pin, as it lowers LOC_BUDGET.
-SMOKE_HEAP_MB = fleet-sticky=15.86 fleet-feedback=16.65 host-sm-miss=8.06 adapt-drift-writes=16.64
-SMOKE_HEAP_MB_386 = fleet-sticky=15.48 fleet-feedback=16.29 host-sm-miss=8.04 adapt-drift-writes=16.29
+SMOKE_HEAP_MB = fleet-sticky=10.46 fleet-feedback=9.51 host-sm-miss=8.06 adapt-drift-writes=9.49
+SMOKE_HEAP_MB_386 = fleet-sticky=10.24 fleet-feedback=9.43 host-sm-miss=8.04 adapt-drift-writes=9.42
 
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \

@@ -15,10 +15,32 @@
 // Entries can be marked dirty to support cache-first incremental model
 // updates with write-back to SM (§A.3).
 //
+// A cache built over the loaded table (New's src) caches by reference: a
+// Put handed the table's own row — an SM read of a clean device lends it in
+// place — keeps a view of it, and Get and Peek return that row itself. Any
+// other value (a dirty row, an update, a row of a device a write changed)
+// is copied into storage the cache owns, until FlushDirty writes it back
+// equal to its loaded row and it becomes a view again. Either way the
+// returned bytes are never to be written: they may be the loaded table that
+// every replica shares. The modelled FM bytes and counters ignore the kind.
+//
 // The metadata bytes each design charges per item (Stats.MetaBytes, and the
 // share of the budget it takes) are the model's accounting of the paper's
 // designs, fixed constants, not the size of this package's Go structures.
 package cache
+
+import "math/bits"
+
+// New builds a row cache with the given byte budget over src, the loaded
+// table whose rows it caches (nil: none, and every value is copied): a
+// memory-optimized one with slotBytes-byte slots, or with slotBytes 0 a
+// CPU-optimized one. Row r of src is src[r·n : (r+1)·n] for an n-byte row.
+func New(budget int64, slotBytes int, src []byte) RowCache {
+	if slotBytes > 0 {
+		return newMemOptimized(budget, slotBytes, src)
+	}
+	return newCPUOptimized(budget, src)
+}
 
 // Key identifies one embedding row.
 type Key struct {
@@ -72,18 +94,23 @@ func (s Stats) Add(o Stats) Stats {
 
 // RowCache is the interface shared by the cache variants.
 type RowCache interface {
-	// Get copies the cached value for k into dst and returns its length.
-	// ok is false on miss. dst must be large enough for the row.
-	Get(k Key, dst []byte) (n int, ok bool)
-	// Put inserts or replaces the value for k.
+	// Get returns the cached value for k; ok is false on a miss. A view
+	// returns the loaded table's row in place, never to be written; an
+	// owned value is copied into dst, which must be large enough for the
+	// row, and the result is dst's prefix.
+	Get(k Key, dst []byte) (v []byte, ok bool)
+	// Put inserts or replaces the value for k: a view when v is row k.Row
+	// of the loaded table itself, else a copy.
 	Put(k Key, v []byte)
-	// PutDirty inserts the value and marks it dirty (pending write-back).
+	// PutDirty inserts a copy of the value and marks it dirty (pending
+	// write-back).
 	PutDirty(k Key, v []byte)
 	// FlushDirty invokes fn for every dirty entry and clears the flags.
 	FlushDirty(fn func(k Key, v []byte))
 	// Peek returns the cached value for k in place, nil on a miss, without
-	// updating recency or stats. The bytes are the cache's own: valid until
-	// the next Put or PutDirty, and never to be written.
+	// updating recency or stats. The bytes are the loaded table's or the
+	// cache's own: valid until the next Put or PutDirty, and never to be
+	// written.
 	Peek(k Key) []byte
 	// Contains reports residency without updating recency or stats.
 	Contains(k Key) bool
@@ -100,3 +127,23 @@ var (
 	_ RowCache = (*MemOptimized)(nil)
 	_ RowCache = (*CPUOptimized)(nil)
 )
+
+// loadedRow returns row row of src, n bytes wide, or nil when src has no
+// such row. The bound is a full-width product, so no row overflows it.
+func loadedRow(src []byte, row int64, n int) []byte {
+	if n <= 0 || row < 0 || row >= int64(len(src)) {
+		return nil
+	}
+	hi, at := bits.Mul64(uint64(row), uint64(n))
+	if hi != 0 || at+uint64(n) > uint64(len(src)) {
+		return nil
+	}
+	return src[at : at+uint64(n) : at+uint64(n)]
+}
+
+// isLoadedRow reports whether v is row row of src itself, which an entry
+// may view in place.
+func isLoadedRow(src []byte, row int64, v []byte) bool {
+	r := loadedRow(src, row, len(v))
+	return r != nil && &r[0] == &v[0]
+}

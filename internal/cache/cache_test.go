@@ -14,14 +14,9 @@ func testBasicPutGet(t *testing.T, c RowCache) {
 	v := []byte{1, 2, 3, 4}
 	c.Put(k, v)
 	dst := make([]byte, 16)
-	n, ok := c.Get(k, dst)
-	if !ok || n != 4 {
-		t.Fatalf("get ok=%v n=%d", ok, n)
-	}
-	for i := range v {
-		if dst[i] != v[i] {
-			t.Fatalf("value mismatch %v", dst[:n])
-		}
+	got, ok := c.Get(k, dst)
+	if !ok || !bytes.Equal(got, v) {
+		t.Fatalf("get ok=%v %v, want %v", ok, got, v)
 	}
 	if _, ok := c.Get(Key{Table: 1, Row: 43}, dst); ok {
 		t.Fatal("phantom hit")
@@ -40,9 +35,9 @@ func testReplace(t *testing.T, c RowCache) {
 	c.Put(k, []byte{1, 1})
 	c.Put(k, []byte{2, 2, 2})
 	dst := make([]byte, 8)
-	n, ok := c.Get(k, dst)
-	if !ok || n != 3 || dst[0] != 2 {
-		t.Fatalf("replace failed: ok=%v n=%d v=%v", ok, n, dst[:n])
+	got, ok := c.Get(k, dst)
+	if !ok || len(got) != 3 || got[0] != 2 {
+		t.Fatalf("replace failed: ok=%v v=%v", ok, got)
 	}
 }
 
@@ -170,8 +165,8 @@ func TestCacheGetReturnsWhatWasPut(t *testing.T) {
 			k := Key{Table: table, Row: row}
 			tc.c.Put(k, val)
 			dst := make([]byte, 512)
-			n, ok := tc.c.Get(k, dst)
-			return ok && bytes.Equal(dst[:n], val)
+			got, ok := tc.c.Get(k, dst)
+			return ok && bytes.Equal(got, val)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -243,13 +238,13 @@ func TestPeekTouchesNothing(t *testing.T) {
 					peeked.Put(k, v)
 					plain.Put(k, v)
 				} else {
-					n, ok := peeked.Get(k, got)
-					m, refOK := plain.Get(k, ref)
-					if ok != (p != nil) || ok && !bytes.Equal(got[:n], p) {
-						t.Fatalf("step %d: Get(%v) = %v %v after Peek returned %v", step, k, ok, got[:n], p)
+					a, ok := peeked.Get(k, got)
+					b, refOK := plain.Get(k, ref)
+					if ok != (p != nil) || ok && !bytes.Equal(a, p) {
+						t.Fatalf("step %d: Get(%v) = %v %v after Peek returned %v", step, k, ok, a, p)
 					}
-					if ok != refOK || !bytes.Equal(got[:n], ref[:m]) {
-						t.Fatalf("step %d: Get(%v) = %v %v on the peeked cache, %v %v on the other", step, k, ok, got[:n], refOK, ref[:m])
+					if ok != refOK || !bytes.Equal(a, b) {
+						t.Fatalf("step %d: Get(%v) = %v %v on the peeked cache, %v %v on the other", step, k, ok, a, refOK, b)
 					}
 				}
 				if peeked.Stats() != plain.Stats() {
@@ -267,5 +262,89 @@ func TestPeekTouchesNothing(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestViewReplaceLeavesLoadedTable: both organizations, built over a loaded
+// table, keep a clean Put of a key's own row as a view that Get returns in
+// place. Replacing it — with other bytes, a shorter or empty value, or a
+// dirty value — answers the new value and leaves the loaded table
+// byte-equal; a dirty entry is never a view, even when a clean Put of the
+// loaded row follows it on the CPU-optimized cache, which keeps the entry
+// dirty, until FlushDirty finds it equal to its loaded row.
+func TestViewReplaceLeavesLoadedTable(t *testing.T) {
+	const rb = 16
+	for _, slot := range []int{rb, 0} {
+		t.Run(map[int]string{rb: "mem", 0: "cpu"}[slot], func(t *testing.T) {
+			src := make([]byte, 8*rb)
+			for i := range src {
+				src[i] = byte(i)
+			}
+			loaded := bytes.Clone(src)
+			c := New(1<<16, slot, src)
+			dst := make([]byte, rb)
+			for i, v := range [][]byte{bytes.Repeat([]byte{0xee}, rb), {0xdd, 0xdd, 0xdd}, {}} {
+				for _, dirty := range []bool{false, true} {
+					k := Key{Row: int64(i)}
+					own := src[i*rb : (i+1)*rb]
+					c.Put(k, own)
+					if got, ok := c.Get(k, dst); !ok || !sameRow(got, own) {
+						t.Fatalf("row %d: Get = %v %v, want the loaded row in place", i, got, ok)
+					}
+					if dirty {
+						c.PutDirty(k, v)
+					} else {
+						c.Put(k, v)
+					}
+					if got, ok := c.Get(k, dst); !ok || !bytes.Equal(got, v) || sameRow(got, own) {
+						t.Fatalf("row %d, dirty %v: Get = %v %v after replacing the view with %v", i, dirty, got, ok, v)
+					}
+					if !bytes.Equal(src, loaded) {
+						t.Fatalf("row %d, dirty %v: replacing a view wrote the loaded table", i, dirty)
+					}
+				}
+			}
+			k, own := Key{Row: 5}, src[5*rb:6*rb]
+			c.PutDirty(k, own)
+			if sameRow(c.Peek(k), own) {
+				t.Fatal("PutDirty of a loaded row kept a view")
+			}
+			c.Put(k, own)
+			c.Put(k, bytes.Repeat([]byte{0xcc}, rb))
+			if !bytes.Equal(src, loaded) {
+				t.Fatal("replacing a dirty entry's loaded row wrote the loaded table")
+			}
+			// A written-back row equal to its loaded row is a view again.
+			c.PutDirty(k, bytes.Clone(own))
+			c.FlushDirty(func(Key, []byte) {})
+			if !sameRow(c.Peek(k), own) {
+				t.Fatal("a flushed row equal to its loaded row is not a view")
+			}
+			c.Put(k, bytes.Repeat([]byte{0xbb}, rb-1))
+			if got, ok := c.Get(k, dst); !ok || !bytes.Equal(src, loaded) || !bytes.Equal(got, bytes.Repeat([]byte{0xbb}, rb-1)) {
+				t.Fatalf("replacing a flushed view: Get = %v %v, loaded table equal %v", got, ok, bytes.Equal(src, loaded))
+			}
+		})
+	}
+}
+
+// TestMemOptimizedWideSlots: a slot wider than a set header's 16-bit length
+// is clamped to it, so a 70 000-byte value is rejected as oversized rather
+// than cached and returned truncated.
+func TestMemOptimizedWideSlots(t *testing.T) {
+	c := NewMemOptimized(1<<22, 70000)
+	for _, n := range []int{70000, 65536} {
+		c.Put(Key{Row: int64(n)}, make([]byte, n))
+		if got, ok := c.Get(Key{Row: int64(n)}, make([]byte, n)); ok {
+			t.Fatalf("a %d-byte value came back as %d bytes", n, len(got))
+		}
+	}
+	v := bytes.Repeat([]byte{7}, 65535)
+	c.Put(Key{Row: 1}, v)
+	if got, ok := c.Get(Key{Row: 1}, make([]byte, len(v))); !ok || !bytes.Equal(got, v) {
+		t.Fatalf("a 65 535-byte value: Get = %d bytes, %v", len(got), ok)
+	}
+	if s := c.Stats(); s.Rejected != 2 || s.Items != 1 {
+		t.Fatalf("stats %+v, want 2 rejected and 1 item", s)
 	}
 }

@@ -322,6 +322,108 @@ func TestReplicaCleanMigrationCopiesNoImage(t *testing.T) {
 	}
 }
 
+// TestCacheSharesLoadedTable: a store's row cache keeps a clean SM row as a
+// view of the loaded table, which every replica shares and none writes. On
+// each of two replicas clean misses read the loaded rows and cache them
+// without copying one, and a hit returns the loaded row in place. A
+// changing offline UpdateRow on one replica then makes its cached row the
+// replica's own copy holding the update, while the loaded table keeps its
+// bytes and the donor and the other replica still read it in place. On the
+// other replica an online update with the row's own bytes is a dirty copy
+// that FlushUpdates writes back and makes a view again, and the cycle
+// allocates nothing once warm.
+func TestCacheSharesLoadedTable(t *testing.T) {
+	donor, replicas, tables, _, smTbl := replicaFixture(t, 2)
+	const row = 6
+	loaded := tables[smTbl].Bytes()
+	orig := bytes.Clone(loaded)
+	rb := int64(donor.tables[smTbl].rowBytes)
+	want := loaded[row*rb : (row+1)*rb]
+	read := func(s *Store) []byte {
+		t.Helper()
+		st := s.tables[smTbl]
+		c := &opCtx{st: st, reads: make([]deferredIO, 0, 1)}
+		b, err := s.fetchRow(c, row, make([]byte, rb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for i, s := range replicas {
+		st := s.tables[smTbl]
+		if _, ok := st.cache.(*cache.MemOptimized); !ok {
+			t.Fatalf("fixture: a %T shard", st.cache)
+		}
+		// Clean misses of rows past row: a copy of each would allocate at
+		// least misses·rb bytes in all.
+		const misses = 32
+		c := &opCtx{st: st, reads: make([]deferredIO, 0, misses)}
+		buf := make([]byte, rb)
+		if got := allocated(func() {
+			for r := int64(row + 1); r <= row+misses; r++ {
+				if _, err := s.fetchRow(c, r, buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}); c.stats.SMReads != misses || got >= misses*rb/4 {
+			t.Fatalf("replica %d: %d clean SM misses allocated %d bytes, want no row copied", i, c.stats.SMReads, got)
+		}
+		if b := read(s); &b[0] != &want[0] {
+			t.Fatalf("replica %d: a clean miss did not read the loaded row in place", i)
+		}
+		if b := read(s); &b[0] != &want[0] || st.cache.Stats().Hits != 1 {
+			t.Fatalf("replica %d: a clean hit did not return the loaded row in place (%d hits)", i, st.cache.Stats().Hits)
+		}
+	}
+
+	s := replicas[0]
+	value := bytes.Clone(loaded[:rb])
+	if bytes.Equal(value, want) {
+		t.Fatal("fixture: the update does not change the row")
+	}
+	if _, err := s.UpdateRow(s.LoadDone(), smTbl, row, value, UpdateOffline); err != nil {
+		t.Fatal(err)
+	}
+	key := cache.Key{Table: int32(smTbl), Row: row}
+	if p := s.tables[smTbl].cache.Peek(key); !bytes.Equal(p, value) || &p[0] == &want[0] || &p[0] == &value[0] {
+		t.Fatal("the updated row is not the cache's own copy of the update")
+	}
+	if b := read(s); !bytes.Equal(b, value) {
+		t.Fatal("the updated replica does not read the update")
+	}
+	if !bytes.Equal(loaded, orig) {
+		t.Fatal("an update on a replica wrote the loaded table")
+	}
+	for i, o := range []*Store{donor, replicas[1]} {
+		if b := read(o); &b[0] != &want[0] {
+			t.Fatalf("store %d no longer reads the loaded row in place", i)
+		}
+	}
+
+	// An online update that rewrites the row's own bytes is a dirty copy
+	// until the write-back, which leaves the row a view of the loaded table
+	// again; the cycle allocates nothing once warm.
+	o := replicas[1]
+	same := bytes.Clone(want)
+	cycle := func() {
+		if _, err := o.UpdateRow(o.LoadDone(), smTbl, row, same, UpdateOnline); err != nil {
+			t.Fatal(err)
+		}
+		if p := o.tables[smTbl].cache.Peek(key); &p[0] == &want[0] {
+			t.Fatal("a dirty row is a view of the loaded table")
+		}
+		if _, err := o.FlushUpdates(o.LoadDone()); err != nil {
+			t.Fatal(err)
+		}
+		if p := o.tables[smTbl].cache.Peek(key); &p[0] != &want[0] {
+			t.Fatal("the written-back row is not a view of the loaded table")
+		}
+	}
+	if n := testing.AllocsPerRun(10, cycle); n != 0 {
+		t.Fatalf("an update and write-back of an unchanged row allocated %.1f objects", n)
+	}
+}
+
 // TestFMUpdateStaysOnItsStore: a changing UpdateRow of an FM-resident table
 // on one replica lands in that store's own copy of the row's range alone —
 // the caller's loaded table, the donor and the other replica keep their

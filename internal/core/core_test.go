@@ -492,7 +492,7 @@ func TestCacheDualShardKinds(t *testing.T) {
 	in, tables := fixture(t)
 	s := openStore(t, in, tables, Config{Seed: 1, CacheKind: CacheDual})
 	for _, rowBytes := range []int{64, 255, 256, 1024} {
-		shard := s.mkCacheShard(1<<16, rowBytes)
+		shard := s.mkCacheShard(1<<16, rowBytes, nil)
 		_, mem := shard.(*cache.MemOptimized)
 		_, cpu := shard.(*cache.CPUOptimized)
 		if mem != (rowBytes <= 255) || cpu == mem {

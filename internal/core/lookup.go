@@ -179,12 +179,15 @@ func (s *Store) prefetch(st *tableState, chunk []int64) {
 }
 
 // fetchRow obtains stored row bytes (FM range → cache shard → SM) for the
-// pool: an FM-resident range's own bytes, a cache hit copied into buf (one
-// row long: a later Put may evict the slot before the pool reads it), or the
-// SM row in place on the device's media — in the loaded table itself until a
-// write changed the device — which no write reaches during a query's
-// functional phase. The device/ring timing of an SM read is recorded for
-// the ordered replay.
+// pool: an FM-resident range's own bytes; a cache hit, in place when the
+// entry views the loaded table (no write reaches it) and copied into buf
+// (one row long) when the cache owns it, since a later Put of the batch may
+// reuse its storage before the pool reads it; or the SM row in place on the
+// device's media — in the loaded table itself until a write changed the
+// device — which no write reaches during a query's functional phase. A
+// miss's Put of that row keeps a view of it, copying nothing, while the
+// device is clean. The device/ring timing of an SM read is recorded for the
+// ordered replay.
 func (s *Store) fetchRow(c *opCtx, row int64, buf []byte) ([]byte, error) {
 	st := c.st
 	rb := st.rowBytes
@@ -206,9 +209,9 @@ func (s *Store) fetchRow(c *opCtx, row int64, buf []byte) ([]byte, error) {
 
 	if st.cacheEnabled {
 		c.res.CPUTime += time.Duration(float64(costCacheGetBase) * st.cacheCPUCost)
-		if n, ok := st.cache.Get(key, buf); ok {
-			c.res.CPUTime += perByteCost(costDequantPerByteNs, n)
-			return buf[:n], nil
+		if b, ok := st.cache.Get(key, buf); ok {
+			c.res.CPUTime += perByteCost(costDequantPerByteNs, len(b))
+			return b, nil
 		}
 	}
 

@@ -52,6 +52,8 @@ type Store struct {
 	// resBuf backs the OpResult slice PoolOps returns; the results of one
 	// call are overwritten by the next (see PoolOps doc).
 	resBuf []OpResult
+	// flush is FlushUpdates' state, kept so a write-back allocates nothing.
+	flush flushState
 
 	// stripes is each device's load image (blockdev.NewLoaded): the loaded
 	// tables' rows, read in place. Replica stores share it; it is never
@@ -443,7 +445,7 @@ func (s *Store) buildCaches() {
 		if remaining < 0 {
 			remaining = 0
 		}
-		st.cache = s.mkCacheShard(budget, st.rowBytes)
+		st.cache = s.mkCacheShard(budget, st.rowBytes, s.loadedBytes(st))
 		st.cacheCPUCost = st.cache.CPUCostPerGet()
 	}
 
@@ -469,27 +471,17 @@ func (s *Store) buildCaches() {
 	}
 }
 
-// mkCacheShard builds one table's row-cache shard. Rows of a table are
-// uniform-size, so the dual organization resolves per table: a shard holds
-// either small rows (memory-optimized, slots sized to the row) or large
-// rows (CPU-optimized) — the paper's dim≤255 routing with no per-probe
-// dispatch.
-func (s *Store) mkCacheShard(budget int64, rowBytes int) cache.RowCache {
-	slot := rowBytes
-	if slot > s.cfg.CacheSplitBytes {
-		slot = s.cfg.CacheSplitBytes
+// mkCacheShard builds one table's row-cache shard over src, its loaded
+// table. Rows of a table are uniform-size, so the dual organization
+// resolves per table: a shard holds either small rows (memory-optimized,
+// slots sized to the row) or large rows (CPU-optimized) — the paper's
+// dim≤255 routing with no per-probe dispatch.
+func (s *Store) mkCacheShard(budget int64, rowBytes int, src []byte) cache.RowCache {
+	slot := min(rowBytes, s.cfg.CacheSplitBytes)
+	if s.cfg.CacheKind == CacheCPUOptimized || s.cfg.CacheKind != CacheMemOptimized && rowBytes > slot {
+		slot = 0 // CPU-optimized
 	}
-	switch s.cfg.CacheKind {
-	case CacheMemOptimized:
-		return cache.NewMemOptimized(budget, slot)
-	case CacheCPUOptimized:
-		return cache.NewCPUOptimized(budget)
-	default:
-		if rowBytes <= s.cfg.CacheSplitBytes {
-			return cache.NewMemOptimized(budget, slot)
-		}
-		return cache.NewCPUOptimized(budget)
-	}
+	return cache.New(budget, slot, src)
 }
 
 // Config returns the (defaulted) store configuration.

@@ -116,32 +116,42 @@ func (s *Store) demoteWriteThrough(now simclock.Time, st *tableState, row int64,
 // table by table in store order, and returns the completion time of the
 // last write. A table that is not SM-target drops its dirty flags unwritten.
 func (s *Store) FlushUpdates(now simclock.Time) (simclock.Time, error) {
-	// One closure drains every table (f.st is the one it drains); its
-	// state is one struct, so a call allocates twice, not per variable.
-	var f struct {
-		st   *tableState
-		done simclock.Time
-		err  error
-	}
-	f.done = now
-	flush := func(k cache.Key, v []byte) {
-		if f.st.target != placement.SM {
-			return
-		}
-		t, err := s.writeSM(now, f.st, k.Row, v)
-		if err != nil && f.err == nil {
-			f.err = err
-			return
-		}
-		f.done = max(f.done, t)
+	f := &s.flush
+	f.now, f.done, f.err = now, now, nil
+	if f.fn == nil {
+		f.fn = s.flushRow
 	}
 	for _, st := range s.tables {
 		if st.cache != nil {
 			f.st = st
-			st.cache.FlushDirty(flush)
+			st.cache.FlushDirty(f.fn)
 		}
 	}
 	return f.done, f.err
+}
+
+// flushState is FlushUpdates' progress: the table it drains, and when and
+// how the write-back ends. fn is flushRow, bound once, so a flush allocates
+// nothing.
+type flushState struct {
+	st        *tableState
+	now, done simclock.Time
+	err       error
+	fn        func(cache.Key, []byte)
+}
+
+// flushRow writes one dirty row of the table FlushUpdates drains.
+func (s *Store) flushRow(k cache.Key, v []byte) {
+	f := &s.flush
+	if f.st.target != placement.SM {
+		return
+	}
+	t, err := s.writeSM(f.now, f.st, k.Row, v)
+	if err != nil && f.err == nil {
+		f.err = err
+		return
+	}
+	f.done = max(f.done, t)
 }
 
 // UpdateIntervalLimit returns the minimum model-update interval the SM

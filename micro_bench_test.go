@@ -27,7 +27,9 @@ import (
 //	layer            row
 //	blockdev         BenchmarkDeviceAccountRead (timing model, per channel count)
 //	uring            BenchmarkRingSubmitTimedRead (one read at the outstanding cap)
-//	cache            BenchmarkCacheMemOptimizedCold (get-hit, get-miss, put-evict)
+//	cache            BenchmarkCacheMemOptimizedCold (get-hit, get-miss, put-evict;
+//	                 owned rows), BenchmarkCacheMemOptimizedGetView and PutView
+//	                 (a clean SM row: the store's path)
 //	pooledcache      BenchmarkPooledCacheGet, BenchmarkPooledCachePut
 //	quant            BenchmarkQuantAccumulateRow
 //	embedding        BenchmarkTablePool (L1, DRAM)
@@ -121,6 +123,46 @@ func BenchmarkCacheMemOptimizedGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Get(cache.Key{Row: int64(i % 10000)}, dst)
 	}
+}
+
+// BenchmarkCacheMemOptimizedGetView is BenchmarkCacheMemOptimizedGet over a
+// loaded table whose own rows were put: every hit returns a view in place,
+// the store's clean-hit path.
+func BenchmarkCacheMemOptimizedGetView(b *testing.B) {
+	src := make([]byte, 10000*128)
+	c := cache.New(8<<20, 255, src)
+	for i := 0; i < 10000; i++ {
+		c.Put(cache.Key{Row: int64(i)}, src[i*128:(i+1)*128])
+	}
+	dst := make([]byte, 256)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Get(cache.Key{Row: int64(i % 10000)}, dst)
+	}
+}
+
+// BenchmarkCacheMemOptimizedPutView is BenchmarkCacheMemOptimizedPut handed
+// each key's own row of a loaded table, as a clean SM miss hands it: every
+// Put stores a view and evicts one. Keys cycle through the table's rows
+// under a new Table each pass, so none is resident when it is put.
+func BenchmarkCacheMemOptimizedPutView(b *testing.B) {
+	rb := quant.RowBytes(quant.Int8, 124)
+	const rows = 16384
+	src := make([]byte, rows*rb)
+	c := cache.New(64<<10, 255, src)
+	put := func(i int) {
+		r := i % rows
+		c.Put(cache.Key{Table: int32(i / rows), Row: int64(r)}, src[r*rb:(r+1)*rb])
+	}
+	for i := 0; i < 4096; i++ {
+		put(i)
+	}
+	ev0 := c.Stats().Evictions
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		put(4096 + i)
+	}
+	b.ReportMetric(float64(c.Stats().Evictions-ev0)/float64(b.N), "evictions/op")
 }
 
 // BenchmarkCacheMemOptimizedPut is one Put that evicts: host-sm-miss's
