@@ -8,7 +8,8 @@
 // them): Row / PokeRow by (stripe, row), PeekInto / PokeFrom by byte offset.
 // The timing half, AccountRead / AccountWrite, books the access in a
 // queueing model in virtual time: the caller passes the instant it issues
-// an IO and gets the completion instant back. A device's media is a private
+// an IO and gets the completion instant back (after the load, a store books
+// it only through its ring, package uring). A device's media is a private
 // flat image in memory (New) or a read-only load image that reads the
 // caller's loaded tables in place (NewLoaded); a load image is addressed by
 // row, and becomes a flat image on the first write that changes a row or on
@@ -475,7 +476,7 @@ func (d *Device) PokeRow(k int, r int64, p []byte) error {
 // AccountWrite books the timing, counters, endurance wear and RNG draws of
 // an n-byte write at off without moving data — the write-side counterpart
 // of AccountRead, for bytes PokeFrom or PokeRow put on the media, or a load
-// image already holds.
+// image already holds (a store's load; its later writes go via its ring).
 func (d *Device) AccountWrite(now simclock.Time, off int64, n int) (simclock.Time, error) {
 	done, span, err := d.book(now, off, n, true)
 	if err != nil {

@@ -251,21 +251,18 @@ func (m *Migration) Step(now simclock.Time) (int, simclock.Time, error) {
 }
 
 // moveSpan moves stored rows [lo, hi) of device d's stripe share at virtual
-// time now and returns the IO's completion. The span is booked on the ring
-// first, so a closed or out-of-range device counts the failed submission;
+// time now and returns the IO's completion. The span is booked first, one
+// smIO, so a closed or out-of-range device counts the failed submission;
 // then each row moves between the media (addressed by stripe and row, like
 // the query path's reads) and its FM bytes; only changed bytes are copied.
 func (m *Migration) moveSpan(now simclock.Time, d, lo, hi int64) (simclock.Time, error) {
 	s, st, dev := m.s, m.st, m.s.devices[d]
 	n := int64(s.cfg.NumDevices)
-	rb := int64(st.rowBytes)
-	span := int((hi - lo) * rb)
-	off := s.smBase(st, int(d)) + lo*rb
+	done, err := s.smIO(now, st, int(d), lo, hi-lo, !m.promote)
+	if err != nil {
+		return done, err
+	}
 	if m.promote {
-		done, err := s.rings[d].SubmitTimedRead(now, span, off)
-		if err != nil {
-			return done, err
-		}
 		for j := lo; j < hi; j++ {
 			row, err := dev.Row(st.stripe, j)
 			if err != nil {
@@ -275,17 +272,14 @@ func (m *Migration) moveSpan(now simclock.Time, d, lo, hi int64) (simclock.Time,
 		}
 		return done, nil
 	}
-	done, err := s.rings[d].SubmitTimedWrite(now, span, off)
-	if err != nil {
-		return done, err
-	}
 	for j := lo; j < hi; j++ {
 		if err := dev.PokeRow(st.stripe, j, st.fmRow(j*n+d)); err != nil {
 			return done, err
 		}
 	}
-	st.runtime.DemoteWriteBytes += uint64(span)
-	s.stats.DemoteWriteBytes += uint64(span)
+	span := uint64((hi - lo) * int64(st.rowBytes))
+	st.runtime.DemoteWriteBytes += span
+	s.stats.DemoteWriteBytes += span
 	return done, nil
 }
 

@@ -24,12 +24,11 @@ type OpResult struct {
 	SMReads int
 }
 
-// deferredIO is one SM row read whose data the functional phase already
-// pooled from the device image; its timing is replayed in operator order.
+// deferredIO is one SM row read, row j of device dev's stripe, whose data the
+// functional phase already pooled; its timing is replayed in operator order.
 type deferredIO struct {
 	dev int
-	off int64
-	n   int
+	j   int64
 }
 
 // opCtx is the execution state of one TableOp inside the query engine:
@@ -37,7 +36,6 @@ type deferredIO struct {
 // every op of the batch has passed its functional phase.
 type opCtx struct {
 	st  *tableState
-	now simclock.Time
 	res OpResult
 	// stats accumulates runtime counter deltas, merged into Store.stats
 	// in operator order after the functional phase.
@@ -220,7 +218,7 @@ func (s *Store) fetchRow(c *opCtx, row int64, buf []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: SM read table %d row %d: %w", st.spec.ID, row, err)
 	}
-	c.reads = append(c.reads, deferredIO{dev: dev, off: s.smBase(st, dev) + j*int64(rb), n: rb})
+	c.reads = append(c.reads, deferredIO{dev: dev, j: j})
 	c.res.SMReads++
 	c.stats.SMReads++
 	if quant.IsZeroRow(b, st.storedSpec.QType) { // de-pruning cache pollution (§4.5)

@@ -72,7 +72,7 @@ func (r *syncMigration) step(now simclock.Time) (int, simclock.Time, error) {
 				copy(buf[(j-lo)*rb:], r.row(j*n+d))
 			}
 		}
-		done, err := r.s.rings[d].SubmitSync(now, buf, r.s.smBase(r.st, int(d))+lo*rb, !r.promote)
+		done, err := r.s.rings[d].SubmitSync(now, buf, r.s.stripes[d][r.st.stripe].Off+lo*rb, !r.promote)
 		if err != nil {
 			return moved, chunkDone, err
 		}
@@ -186,7 +186,7 @@ func TestMigrationDataPathMatchesSubmitSync(t *testing.T) {
 					v := append([]byte(nil), oracle[donor*rb:(donor+1)*rb]...)
 					copy(oracle[row*rb:], v)
 					dev, j := a.smRow(st, row)
-					copy(pre[dev][a.smBase(st, dev)+j*rb:], v)
+					copy(pre[dev][a.stripes[dev][st.stripe].Off+j*rb:], v)
 					return v
 				}
 
@@ -308,12 +308,8 @@ func TestStepFailureCountsIssuedBytes(t *testing.T) {
 	now = driveRange(t, up, now)
 
 	deviceBytes := func() (read, written uint64) {
-		for _, d := range s.devices {
-			ds := d.Stats()
-			read += ds.RequestedBytes
-			written += ds.BusWriteBytes
-		}
-		return read, written
+		ds := s.DeviceStats()
+		return ds.RequestedBytes, ds.BusWriteBytes
 	}
 	_, w0 := deviceBytes()
 	wear0 := st.runtime.DemoteWriteBytes

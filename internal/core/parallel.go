@@ -68,7 +68,6 @@ func (s *Store) PoolOps(now simclock.Time, ops []workload.TableOp, outs [][][]fl
 	for i, op := range ops {
 		c := &ctxs[i]
 		c.st = s.tables[op.Table]
-		c.now = now
 		c.res.IODone = now
 		if c.st.rangeLookups != nil && c.st.target == placement.SM {
 			c.rlk = zeroedRanges(c.rlk, len(c.st.rangeLookups))
@@ -87,7 +86,7 @@ func (s *Store) PoolOps(now simclock.Time, ops []workload.TableOp, outs [][][]fl
 	results := s.resBuf[:len(ops)]
 	for i := range ctxs {
 		c := &ctxs[i]
-		if err := s.replayIO(c); err != nil {
+		if err := s.replayIO(c, now); err != nil {
 			return nil, err
 		}
 		s.stats.addRuntime(c.stats)
@@ -101,18 +100,16 @@ func (s *Store) PoolOps(now simclock.Time, ops []workload.TableOp, outs [][][]fl
 	return results, nil
 }
 
-// replayIO books the timing of an op's deferred SM reads in issue order:
-// ring submission, then device channel booking. The row data itself was
-// already consumed by the functional phase.
-func (s *Store) replayIO(c *opCtx) error {
+// replayIO books the timing of an op's deferred SM reads in issue order,
+// one smIO each. The row data itself was already consumed by the functional
+// phase.
+func (s *Store) replayIO(c *opCtx, now simclock.Time) error {
 	for _, io := range c.reads {
-		done, err := s.rings[io.dev].SubmitTimedRead(c.now, io.n, io.off)
+		done, err := s.smIO(now, c.st, io.dev, io.j, 1, false)
 		if err != nil {
 			return fmt.Errorf("core: SM read table %d: %w", c.st.spec.ID, err)
 		}
-		if done > c.res.IODone {
-			c.res.IODone = done
-		}
+		c.res.IODone = max(c.res.IODone, done)
 	}
 	return nil
 }

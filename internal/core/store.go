@@ -102,7 +102,7 @@ type tableState struct {
 
 	// SM layout: rows stripe across devices; row r lives on device
 	// r % numDevices as row r/numDevices of the device's load stripe number
-	// stripe, at byte offset smBase + (r/numDevices)*rowBytes.
+	// stripe (smRow), whose device offset only smIO computes.
 	stripe   int
 	rowBytes int
 	rows     int64
@@ -378,8 +378,8 @@ func (s *Store) newDevices(capacity int64, stripes [][]blockdev.Stripe) error {
 }
 
 // accountLoad books the load-phase SM writes: every SM-resident table's
-// stripe on every device, in table then device order, in 1 MiB chunks all
-// issued at virtual time 0. The bytes are already on the media (the load
+// load stripe on every device, in table then device order, in 1 MiB chunks
+// all issued at virtual time 0. The bytes are already on the media (the load
 // image), so only timing, stats, wear and RNG
 // draws accrue. Open and OpenReplica both run this one walk, so replica
 // timing cannot drift from load timing.
@@ -393,10 +393,13 @@ func (s *Store) accountLoad() error {
 			continue
 		}
 		for d, dev := range s.devices {
-			devBytes := ceilRows(st.rows-int64(d), int64(len(s.devices))) * int64(st.rowBytes)
+			stp := s.stripes[d][st.stripe]
+			devBytes := stp.Rows * int64(stp.RowBytes)
 			for off := int64(0); off < devBytes; off += chunk {
 				n := min(chunk, devBytes-off)
-				t, err := dev.AccountWrite(loadIssue, s.smBase(st, d)+off, int(n))
+				// Not via the ring: it gives the same instants, but this time-0
+				// burst would set the ring's peak in flight above any serving peak.
+				t, err := dev.AccountWrite(loadIssue, stp.Off+off, int(n))
 				if err != nil {
 					return fmt.Errorf("core: load table %d: %w", i, err)
 				}
@@ -525,6 +528,7 @@ func (s *Store) DeviceStats() blockdev.Stats {
 		agg.Writes += ds.Writes
 		agg.MediaBytes += ds.MediaBytes
 		agg.BusBytes += ds.BusBytes
+		agg.BusWriteBytes += ds.BusWriteBytes
 		agg.RequestedBytes += ds.RequestedBytes
 		agg.TailEvents += ds.TailEvents
 		agg.BytesWritten += ds.BytesWritten
@@ -541,15 +545,21 @@ func (s *Store) RingStats() uring.Stats {
 		agg.Completed += rs.Completed
 		agg.Errors += rs.Errors
 		agg.CPUTime += rs.CPUTime
-		if rs.PeakInflight > agg.PeakInflight {
-			agg.PeakInflight = rs.PeakInflight
-		}
+		agg.PeakInflight = max(agg.PeakInflight, rs.PeakInflight)
 	}
 	return agg
 }
 
-// smBase returns the device offset of table state st's stripe on device d.
-func (s *Store) smBase(st *tableState, d int) int64 { return s.stripes[d][st.stripe].Off }
+// smIO books rows stored rows of st, from row j of device dev's stripe, as
+// one IO through dev's ring at now: the one place a stripe row becomes a
+// device offset, and after the load the store's one way to book device time.
+func (s *Store) smIO(now simclock.Time, st *tableState, dev int, j, rows int64, write bool) (simclock.Time, error) {
+	off, n := s.stripes[dev][st.stripe].Off+j*int64(st.rowBytes), int(rows)*st.rowBytes
+	if write {
+		return s.rings[dev].SubmitTimedWrite(now, n, off)
+	}
+	return s.rings[dev].SubmitTimedRead(now, n, off)
+}
 
 // smRow returns the device of row r of table state st and the row's index j
 // in the device's stripe of the table.

@@ -79,17 +79,17 @@ func (s *Store) UpdateRow(now simclock.Time, table int, row int64, value []byte,
 }
 
 // writeSM writes value as row's SM bytes at now: the row's data half by
-// (stripe, row), as queries and migrations address it, then the write's
-// timing half at the row's device offset. A row an in-flight promotion has
-// already read off SM is patched in its FM destination too (putRow books no
-// virtual time), so Commit cannot install the stale value behind a clean
-// cache entry.
+// (stripe, row), as queries and migrations address it, then its timing half
+// through the row's ring (smIO), behind the outstanding-IO cap. A row an
+// in-flight promotion has already read off SM is patched in its FM
+// destination too (putRow books no virtual time), so Commit cannot install
+// the stale value behind a clean cache entry.
 func (s *Store) writeSM(now simclock.Time, st *tableState, row int64, value []byte) (simclock.Time, error) {
 	dev, j := s.smRow(st, row)
 	if err := s.devices[dev].PokeRow(st.stripe, j, value); err != nil {
 		return now, err
 	}
-	done, err := s.devices[dev].AccountWrite(now, s.smBase(st, dev)+j*int64(st.rowBytes), len(value))
+	done, err := s.smIO(now, st, dev, j, 1, true)
 	if err != nil {
 		return done, err
 	}

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -102,6 +103,59 @@ func TestExecQueryMatchesPoolOpsOracle(t *testing.T) {
 			want := maxTime(userDone, t0+simclock.Time(cpu)) + simclock.Time(h.denseTime(in.Config.ItemBatch))
 			if got != want {
 				t.Fatalf("interOp=%v query %d: host done %v, oracle %v", interOp, i, got, want)
+			}
+		}
+	}
+}
+
+// TestItemPoolsMatchRowByRow pins the item side's pooled values: after
+// Admit, each item op's outputs equal the sum of its rows, each dequantized
+// on its own from the flat table. The outputs read NaN before the call, so
+// a pool that leaves one unwritten fails too.
+func TestItemPoolsMatchRowByRow(t *testing.T) {
+	in, tables := fixture(t)
+	nUser := in.Config.NumUserTables
+	h, _ := sdmHost(t, in, tables, Config{Spec: HWSS(), InterOp: true},
+		core.Config{Seed: 13, Ring: uring.Config{SGL: true}, CacheBytes: 1 << 14})
+	gen, err := workload.NewGenerator(in, workload.Config{Seed: 17, NumUsers: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		q := gen.Next()
+		items := q.Ops[nUser:]
+		if len(items) == 0 {
+			t.Fatal("fixture: a query without item ops")
+		}
+		for _, op := range items {
+			for _, out := range h.outsFor(op) {
+				for e := range out {
+					out[e] = float32(math.NaN())
+				}
+			}
+		}
+		if _, err := h.Admit(h.Ready(), q); err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range items {
+			dim := in.Tables[op.Table].Dim
+			row := make([]float32, dim)
+			for b, pool := range op.Pools {
+				want := make([]float32, dim)
+				for _, idx := range pool {
+					if err := tables[op.Table].DequantizeRow(row, idx); err != nil {
+						t.Fatal(err)
+					}
+					for e, v := range row {
+						want[e] += v
+					}
+				}
+				got := h.outsFor(op)[b]
+				for e := range want {
+					if d := math.Abs(float64(got[e] - want[e])); !(d <= 1e-4*(1+math.Abs(float64(want[e])))) {
+						t.Fatalf("query %d table %d pool %d lane %d: %g, row by row %g", i, op.Table, b, e, got[e], want[e])
+					}
+				}
 			}
 		}
 	}

@@ -111,7 +111,7 @@ func (r *SyncRing) SubmitTimedRead(now simclock.Time, n int, off int64) (simcloc
 }
 
 // SubmitTimedWrite books the timing of an n-byte write at off whose data the
-// caller moves with Device.PokeRow — the write-side twin of SubmitTimedRead:
+// caller moves with Device.PokeRow (a store's demotion spans and write-backs):
 // the throttle, channel booking, wear and stats of one write IO.
 func (r *SyncRing) SubmitTimedWrite(now simclock.Time, n int, off int64) (simclock.Time, error) {
 	start := r.admit(now)
